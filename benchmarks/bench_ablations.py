@@ -2,9 +2,9 @@
 
 (a) heap aging — the aged-heap fragmentation behind the vertex-centric
     layout's poor locality (Section 2 "Data representation");
-(b) associativity sensitivity — one stack-distance pass answers every
-    associativity (the cache-design knob of "future architecture
-    research" the paper motivates);
+(b) associativity sensitivity — the L2's miss count at 1..16 ways over
+    a fixed number of sets (the cache-design knob of "future
+    architecture research" the paper motivates);
 (c) partitioner quality — degree-aware vs block partitioning for the
     16-core baseline (Fig. 12's denominator).
 """
@@ -12,7 +12,7 @@
 import numpy as np
 
 from benchmarks.conftest import show
-from repro.arch import MemoryHierarchy, miss_curve, stack_distances
+from repro.arch import MemoryHierarchy, line_ids, lru_miss_idx
 from repro.core.memmodel import AGED_HEAP, PACKED_HEAP
 from repro.core.trace import Tracer
 from repro.harness import format_table, paper_note
@@ -53,21 +53,21 @@ def test_ablation_heap_aging(suite, benchmark):
 def test_ablation_associativity_sweep(suite, benchmark):
     trace = suite.main_rows()["BFS"].result.trace
     sub = trace.addrs[:60_000]
-    n_sets = suite.machine.l2.n_sets
+    ids = line_ids(sub, 64)
+    sets = ids & np.uint64(suite.machine.l2.n_sets - 1)
+    ways = (1, 2, 4, 8, 16)
 
     def sweep():
-        d = stack_distances(sub, 64, n_sets=n_sets)
-        return miss_curve(d, max_assoc=16)
+        return {a: len(lru_miss_idx(sets, ids, a)) for a in ways}
 
     curve = benchmark(sweep)
-    rows = [[a, int(curve[a - 1]), curve[a - 1] / len(sub)]
-            for a in (1, 2, 4, 8, 16)]
+    rows = [[a, curve[a], curve[a] / len(sub)] for a in ways]
     show(format_table(["assoc", "misses", "miss_rate"], rows,
                       title="Ablation — L2 associativity sweep (BFS)"))
-    assert all(curve[i] >= curve[i + 1] for i in range(len(curve) - 1))
+    assert all(curve[a] >= curve[b] for a, b in zip(ways, ways[1:]))
     # graph traversals are capacity-, not conflict-limited: extra ways
     # past ~4 buy little
-    assert curve[3] - curve[15] < 0.3 * curve[0]
+    assert curve[4] - curve[16] < 0.3 * curve[1]
 
 
 def test_ablation_partitioner(suite, benchmark):

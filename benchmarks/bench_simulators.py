@@ -14,7 +14,8 @@ from repro.arch import (
     GSharePredictor,
     TLB,
     TLBConfig,
-    stack_distances,
+    line_ids,
+    lru_miss_idx,
 )
 from repro.gpu.simt import KernelAccum, slots_for_loop
 
@@ -38,14 +39,15 @@ def test_cache_simulator_throughput(benchmark, addrs):
     assert 0 < misses <= N
 
 
-def test_stack_distance_throughput(benchmark, addrs):
-    sub = addrs[:40_000]
+def test_lru_walk_throughput(benchmark, addrs):
+    cfg = CacheConfig("L2", size=32 * 1024, assoc=8)
+    ids = line_ids(addrs, cfg.line)
+    sets = ids & np.uint64(cfg.n_sets - 1)
 
     def run():
-        return stack_distances(sub, 64, n_sets=64)
+        return len(lru_miss_idx(sets, ids, cfg.assoc))
 
-    d = benchmark(run)
-    assert len(d) == len(sub)
+    assert benchmark(run) == int(Cache(cfg).simulate(addrs).sum())
 
 
 def test_tlb_throughput(benchmark, addrs):

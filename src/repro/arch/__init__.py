@@ -9,7 +9,14 @@ from .branch import (
     GSharePredictor,
     simulate_branches,
 )
-from .cache import Cache, CacheConfig, CacheStats, line_ids
+from .cache import (
+    Cache,
+    CacheConfig,
+    CacheStats,
+    level_miss_idx,
+    line_ids,
+    lru_miss_idx,
+)
 from .cpu import SERIAL_REGIONS, CPUMetrics, CPUModel, CycleBreakdown
 from .hierarchy import HierarchyResult, MemoryHierarchy
 from .icache import ICache, ICacheStats, code_footprint, deep_stack_regions
@@ -22,19 +29,17 @@ from .prefetch import (
     prefetch_comparison,
 )
 from .replay import ReplayResult, replay
-from .stackdist import COLD, Fenwick, miss_curve, misses_for_assoc, stack_distances
 from .tlb import TLB, TLBConfig, TLBStats
 
 __all__ = [
-    "AlwaysTakenPredictor", "BimodalPredictor", "BranchStats", "COLD",
+    "AlwaysTakenPredictor", "BimodalPredictor", "BranchStats",
     "Cache", "CacheConfig", "CacheStats", "CPUMetrics", "CPUModel",
-    "CycleBreakdown", "Fenwick", "GSharePredictor", "HierarchyResult",
+    "CycleBreakdown", "GSharePredictor", "HierarchyResult",
     "ICache", "ICacheStats", "MachineConfig", "MemoryHierarchy",
     "NDPConfig", "NDPProjection", "NextLinePrefetcher", "PrefetchStats",
-    "ReplayResult", "StridePrefetcher", "line_ids", "prefetch_comparison",
-    "project_ndp", "replay",
+    "ReplayResult", "StridePrefetcher", "level_miss_idx", "line_ids",
+    "lru_miss_idx", "prefetch_comparison", "project_ndp", "replay",
     "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE", "TLB",
     "TLBConfig", "TLBStats", "code_footprint", "deep_stack_regions",
-    "describe", "miss_curve", "misses_for_assoc", "simulate_branches",
-    "stack_distances",
+    "describe", "simulate_branches",
 ]

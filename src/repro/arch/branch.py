@@ -180,22 +180,20 @@ def _gshare_history(taken: np.ndarray, history_bits: int,
 
 
 def simulate_branches(sites: np.ndarray, taken: np.ndarray,
-                      kind: str = "gshare", fast: bool = True,
-                      **kwargs) -> BranchStats:
+                      kind: str = "gshare", **kwargs) -> BranchStats:
     """Run predictor ``kind`` over a (site, outcome) stream.
 
-    ``fast=True`` (default) uses the vectorized closed-form evolution for
-    the table-based predictors; it is exact —
-    ``tests/test_tlb_branch_icache.py`` cross-validates it against the
-    sequential classes, which remain the oracle.  Pass ``fast=False`` to
-    force the loop implementation.
+    The table-based predictors go through the vectorized closed-form
+    counter evolution (:func:`_counter_misses`); it is exact —
+    ``tests/test_tlb_branch_icache.py`` holds it equal to the sequential
+    predictor classes above, which remain the oracle.
     """
     try:
         cls = PREDICTORS[kind]
     except KeyError:
         raise ValueError(f"unknown predictor {kind!r}; "
                          f"choose from {sorted(PREDICTORS)}") from None
-    if fast and kind in ("gshare", "bimodal"):
+    if kind in ("gshare", "bimodal"):
         p = cls(**kwargs)
         s = np.asarray(sites, np.int64)
         t = np.asarray(taken)

@@ -1,36 +1,98 @@
-"""Set-associative LRU cache simulator.
+"""Set-associative LRU cache simulation.
 
-The workhorse of the CPU characterization: replays a byte-address trace
-through a cache level and returns the per-access hit/miss mask, from which
-the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).
+The workhorse of the CPU characterization: a byte-address trace goes
+through a cache level and comes out as the per-access miss stream, from
+which the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).
 
-Two implementations are provided and cross-validated by tests:
+Two implementations, cross-validated by ``tests/test_cache.py``:
 
-* :meth:`Cache.simulate` — fast path: per-set insertion-ordered dicts
-  emulating true LRU (Python dicts preserve insertion order; re-inserting a
-  tag moves it to MRU position).
-* :func:`repro.arch.stackdist.stack_distances` — Fenwick-tree LRU stack
-  distances; hit iff distance < associativity.  Used for associativity
-  sweeps (one pass answers all associativities).
+* :func:`lru_miss_idx` — **the** engine.  Every simulator that needs the
+  miss stream of a cold LRU (the CPU hierarchy levels and DTLB in
+  :mod:`repro.arch.replay`, the ICache, the multicore private/shared
+  levels in :mod:`repro.parallel.trace_sim`, the GPU device L2 in
+  :mod:`repro.gpu.simt`) is a composition of this one walk;
+  :func:`level_miss_idx` is the composition step for address streams.
+* :class:`Cache` — the stateful, obviously-correct reference (one
+  ``access`` per call, warm state across calls).  The prefetcher models
+  and the figure benches that need warm caches use it, and the tests use
+  it as the oracle for the engine.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def line_ids(addrs: np.ndarray, line: int) -> np.ndarray:
-    """Byte addresses -> line (or page) ids, as a uint64 array.
-
-    Computed once by the hierarchy / fused replay engine and shared across
-    levels with the same line size instead of re-dividing per level.
-    """
+    """Byte addresses -> line (or page) ids, as a uint64 array."""
     addrs = np.asarray(addrs, dtype=np.uint64)
     if line & (line - 1) == 0:
         return addrs >> np.uint64(line.bit_length() - 1)
     return addrs // np.uint64(line)
+
+
+def lru_miss_idx(slot: np.ndarray, key: np.ndarray, assoc: int) -> np.ndarray:
+    """Ascending positions that miss in a cold LRU where access ``i``
+    probes set ``slot[i]`` for ``key[i]``; each set holds ``assoc`` keys.
+
+    ``slot`` is whatever partitions the structure: the set index of a
+    set-associative cache, ``owner * n_sets + set`` for per-core private
+    caches, a constant for one fully-associative pool.
+
+    An access whose key equals the previous key probed *in the same set*
+    finds it in the MRU position: a guaranteed hit that leaves the LRU
+    order untouched.  A stable argsort by slot groups the stream per set
+    in program order, so those accesses fall out vectorized and never
+    enter the loop.  The rest go through an insertion-ordered dict per
+    set (a probe is pop-then-reinsert, the pop result doubles as the hit
+    test, the oldest insertion is the LRU victim) — the same state
+    machine as :meth:`Cache.access`, hence the same misses.
+    """
+    n = len(key)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(slot, kind="stable")
+    s, k = slot[order], key[order]
+    live = np.ones(n, dtype=bool)
+    live[order[1:]] = (s[1:] != s[:-1]) | (k[1:] != k[:-1])
+    pos = np.flatnonzero(live)
+    sets: defaultdict = defaultdict(dict)   # lazy: most sets stay untouched
+    miss: list[int] = []
+    add = miss.append
+    for i, sl, ky in zip(pos.tolist(), slot[pos].tolist(),
+                         key[pos].tolist()):
+        d = sets[sl]
+        if d.pop(ky, None) is None:
+            add(i)
+            d[ky] = 1
+            if len(d) > assoc:
+                del d[next(iter(d))]
+        else:
+            d[ky] = 1
+    return np.asarray(miss, dtype=np.int64)
+
+
+def level_miss_idx(cfg: CacheConfig, addrs: np.ndarray,
+                   at: np.ndarray | None = None,
+                   owner: np.ndarray | None = None) -> np.ndarray:
+    """Ascending positions of ``addrs`` that miss a cold cache of ``cfg``'s
+    geometry fed ``addrs[at]`` in order (``at=None``: every access).
+
+    A level's access stream is the miss stream of the level above it, so
+    a hierarchy is this call chained: ``i2 = level_miss_idx(l2, addrs,
+    i1)``.  ``owner`` (one core id per position of ``addrs``) gives every
+    core a private copy of the level.
+    """
+    ids = line_ids(addrs if at is None else addrs[at], cfg.line)
+    slot = ids & np.uint64(cfg.n_sets - 1)
+    if owner is not None:
+        own = owner if at is None else owner[at]
+        slot += own.astype(np.uint64) * np.uint64(cfg.n_sets)
+    miss = lru_miss_idx(slot, ids, cfg.assoc)
+    return miss if at is None else at[miss]
 
 
 @dataclass(frozen=True)

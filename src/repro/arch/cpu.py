@@ -25,11 +25,11 @@ import numpy as np
 from ..core import trace as T
 from ..core.trace import FrozenTrace
 from .branch import BranchStats, simulate_branches
-from .hierarchy import HierarchyResult, MemoryHierarchy
+from .hierarchy import HierarchyResult
 from .icache import ICache, ICacheStats
 from .machine import SCALED_XEON, MachineConfig
 from .replay import replay
-from .tlb import TLB, TLBStats
+from .tlb import TLBStats
 
 #: Framework regions whose loads form dependence chains (pointer chasing).
 SERIAL_REGIONS = frozenset({T.R_NEIGHBORS, T.R_FIND_EDGE,
@@ -144,7 +144,7 @@ class CPUModel:
         self.machine = machine
 
     def run(self, trace: FrozenTrace, *, stack_depth: int = 0,
-            footprint_bytes: int = 0, fast: bool = True,
+            footprint_bytes: int = 0,
             memo: dict | None = None) -> CPUMetrics:
         """Characterize one workload run.
 
@@ -157,38 +157,25 @@ class CPUModel:
             (0 = GraphBIG's flat hierarchy).
         footprint_bytes:
             Heap footprint of the run (reported, not simulated).
-        fast:
-            Replay the hierarchy + DTLB through the fused one-pass engine
-            (:mod:`repro.arch.replay`).  Bitwise-identical to the
-            multi-pass reference simulators, which ``fast=False`` keeps
-            available as the cross-validation oracle.
         memo:
             Optional per-*trace* scratch dict, shared across the machine
             configs of a sensitivity sweep.  Sub-results that do not
             depend on the dimension being swept — branch prediction
             (keyed by predictor kind/bits), the ICache stats (keyed by
             its config and ``stack_depth``), and the replay engine's
-            line/page-id precompute — are computed once per sweep.  Only
-            used on the ``fast`` path; the reference path never memoizes.
+            per-stage miss positions (every level above the one being
+            swept) — are computed once per sweep.
         """
         m = self.machine
-        if not fast:
-            memo = None
-        if fast:
-            rep = replay(trace.addrs, trace.rw, m, id_cache=memo)
-            hier = rep.hierarchy
-            tlb_stats = rep.tlb
-        else:
-            hier = MemoryHierarchy(m).simulate(trace.addrs, trace.rw)
-            tlb = TLB(m.tlb)
-            tlb.simulate(trace.addrs)
-            tlb_stats = tlb.stats()
+        rep = replay(trace.addrs, trace.rw, m, id_cache=memo)
+        hier = rep.hierarchy
+        tlb_stats = rep.tlb
         bkey = ("branch", m.predictor, m.predictor_bits)
         if memo is not None and bkey in memo:
             br = memo[bkey]
         else:
             br = simulate_branches(trace.branch_sites, trace.branch_taken,
-                                   kind=m.predictor, fast=fast,
+                                   kind=m.predictor,
                                    table_bits=m.predictor_bits)
             if memo is not None:
                 memo[bkey] = br
@@ -196,8 +183,7 @@ class CPUModel:
         if memo is not None and ikey in memo:
             ic = memo[ikey]
         else:
-            ic = ICache(m.icache).simulate(trace, stack_depth=stack_depth,
-                                           fast=fast)
+            ic = ICache(m.icache).simulate(trace, stack_depth=stack_depth)
             if memo is not None:
                 memo[ikey] = ic
 

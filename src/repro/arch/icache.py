@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.trace import FrozenTrace, Region
-from .cache import Cache, CacheConfig, line_ids
+from .cache import CacheConfig, level_miss_idx
 
 #: Base of the simulated code segment (distinct from the data heap).
 CODE_BASE = 0x4000_0000
@@ -98,33 +98,18 @@ class ICache:
     """LRU instruction cache replaying region-visit line touches."""
 
     def __init__(self, config: CacheConfig):
-        self._cache = Cache(config)
-        self.line = config.line
+        self.config = config
 
-    def reset(self) -> None:
-        self._cache.reset()
-
-    def simulate(self, trace: FrozenTrace, stack_depth: int = 0,
-                 fast: bool = True) -> ICacheStats:
-        """Replay ``trace``'s region visits; returns aggregate stats.
+    def simulate(self, trace: FrozenTrace, stack_depth: int = 0
+                 ) -> ICacheStats:
+        """Replay ``trace``'s region visits through a cold ICache;
+        returns aggregate stats.
 
         ``stack_depth`` > 0 applies the deep-stack ablation transform.
-        With ``fast`` the LRU probes go through the count-only engine in
-        :mod:`repro.arch.replay` (identical miss totals); ``fast=False``
-        keeps the reference :class:`Cache` as the oracle.
         """
         addrs = self._visit_addrs(trace, stack_depth)
-        if not len(addrs):
-            return ICacheStats(0, 0)
-        if fast:
-            from .replay import lru_misses
-            cfg = self._cache.config
-            ids = line_ids(addrs, cfg.line)
-            return ICacheStats(len(addrs),
-                               lru_misses(ids, cfg.n_sets - 1, cfg.assoc))
-        self._cache.simulate(addrs)
-        st = self._cache.stats
-        return ICacheStats(st.accesses, st.misses)
+        return ICacheStats(len(addrs),
+                           len(level_miss_idx(self.config, addrs)))
 
     def _visit_addrs(self, trace: FrozenTrace,
                      stack_depth: int) -> np.ndarray:

@@ -1,35 +1,27 @@
-"""Fused one-pass trace replay: L1D -> L2 -> L3 (+ DTLB) in a single loop.
+"""Trace replay: L1D -> L2 -> L3 and the DTLB as four LRU walks.
 
-The reference simulators (:class:`repro.arch.hierarchy.MemoryHierarchy`,
-:class:`repro.arch.tlb.TLB`) replay the access stream once per level, each
-pass paying its own numpy->list conversion and Python loop.  Replay is the
-hot path behind every figure, the resilience matrix, and the serving stack,
-so this module fuses all four structures into **one** Python loop over the
-trace:
+Replay is the hot path behind every figure, the resilience matrix and
+the serving stack.  Each structure is one :func:`~repro.arch.cache.
+lru_miss_idx` walk: the L1 and the DTLB see every access, the L2 sees the
+L1's miss substream in program order, the L3 the L2's.  A cold level is
+a pure function of its own geometry and the stream it is fed, so its
+miss positions are memoized under the chain of geometries above and
+including it; a machine sweep over one stored trace then walks only the
+levels whose chain actually changed.
 
-* line/page ids are precomputed once per distinct granularity
-  (``addrs >> log2(line)``) and shared across levels — the shipped machines
-  all use 64-byte lines, so the division happens exactly once;
-* an L2 (L3) probe happens inline, only when the L1 (L2) probe misses,
-  exactly reproducing the miss-stream composition of the multi-pass
-  reference;
-* the DTLB is probed for every access in the same iteration.
-
-Because each level runs the identical insertion-ordered-dict LRU state
-machine over the identical per-level access substream, the resulting miss
-masks and stats are **bitwise identical** to the reference simulators —
-the reference stays in the tree as the cross-validation oracle (see
-``tests/test_replay.py``).
+The stateful reference simulators (:class:`repro.arch.hierarchy.
+MemoryHierarchy`, :class:`repro.arch.tlb.TLB`) run the same LRU state
+machine over the same per-level substreams; ``tests/test_replay.py``
+holds this module bitwise identical to them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheConfig, CacheStats, line_ids
+from .cache import CacheConfig, CacheStats, level_miss_idx
 from .hierarchy import HierarchyResult
 from .machine import MachineConfig
 from .tlb import TLBStats
@@ -37,295 +29,68 @@ from .tlb import TLBStats
 
 @dataclass
 class ReplayResult:
-    """Fused-engine output: hierarchy + DTLB results of one replay."""
+    """Hierarchy + DTLB results of one replay."""
 
     hierarchy: HierarchyResult
     tlb: TLBStats
     tlb_miss: np.ndarray    # per-access bool, program order
 
 
-def _level(cfg: CacheConfig) -> tuple[defaultdict, int, int]:
-    """(sets, index mask, assoc) for one cache level (n_sets is pow2).
-
-    Sets materialize lazily: eagerly building one dict per set makes the
-    *allocation* dominate short replays of large caches (a scaled LLC has
-    tens of thousands of sets, a graph trace touches a fraction of them).
-    """
-    return defaultdict(dict), cfg.n_sets - 1, cfg.assoc
-
-
-def _mru_skip(ids: np.ndarray, mask: int) -> np.ndarray:
-    """Per-access bool: this access's key equals its set's MRU at probe
-    time, i.e. it equals the previous access's key *in the same set*.
-
-    Such a probe is a guaranteed hit whose pop-then-reinsert leaves the
-    LRU order untouched, so the replay loop can skip it entirely without
-    changing any miss index or any subsequent eviction — the basis of the
-    fused engine's fast path.  Computed vectorized: a stable argsort by
-    set id groups the stream per set in program order; consecutive equal
-    keys within a group are exactly the MRU hits.
-    """
-    n = len(ids)
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
-    sets = ids & np.uint64(mask)
-    order = np.argsort(sets, kind="stable")
-    sid = sets[order]
-    key = ids[order]
-    eq = (sid[1:] == sid[:-1]) & (key[1:] == key[:-1])
-    out[order[1:][eq]] = True
-    return out
-
-
-def lru_misses(ids: np.ndarray, mask: int, assoc: int) -> int:
-    """Miss count of one LRU set-associative structure over ``ids`` —
-    the count-only fast path (used by the ICache model, where per-access
-    masks are not needed).  Bitwise-identical miss total to
-    :meth:`repro.arch.cache.Cache.simulate` over the same stream."""
-    live = ids[~_mru_skip(ids, mask)].tolist()
-    sets: defaultdict = defaultdict(dict)
-    misses = 0
-    for ln in live:
-        s = sets[ln & mask]
-        if s.pop(ln, None) is None:
-            misses += 1
-            s[ln] = 1
-            if len(s) > assoc:
-                del s[next(iter(s))]
-        else:
-            s[ln] = 1
-    return misses
+def stage_key(*levels: CacheConfig) -> tuple:
+    """Memo key of the last of ``levels``' miss positions when each level
+    is fed the misses of the one before it and the first every access."""
+    return ("lru",) + tuple((c.line, c.n_sets, c.assoc) for c in levels)
 
 
 def replay(addrs: np.ndarray, rw: np.ndarray | None,
            machine: MachineConfig, *,
-           id_cache: dict[int, list[int]] | None = None) -> ReplayResult:
-    """Replay ``addrs`` through a cold hierarchy + DTLB in one pass.
+           id_cache: dict | None = None) -> ReplayResult:
+    """Replay ``addrs`` through a cold hierarchy + DTLB.
 
-    ``id_cache`` optionally memoizes the line/page-id lists keyed by
-    granularity so a multi-machine sweep over one stored trace divides the
-    address stream only once (the benchmark uses this).
+    ``id_cache`` memoizes each stage's miss positions under
+    :func:`stage_key`, so a multi-machine sweep over one trace walks the
+    L1 and the DTLB once and the L2 once per distinct L2 geometry.
     """
     m = machine
     n = len(addrs)
+    memo = {} if id_cache is None else id_cache
+    writes = None if rw is None else np.asarray(rw)
 
-    def ids_for(granularity: int) -> list[int]:
-        if id_cache is not None and granularity in id_cache:
-            return id_cache[granularity]
-        out = line_ids(addrs, granularity).tolist()
-        if id_cache is not None:
-            id_cache[granularity] = out
-        return out
+    def misses(*levels: CacheConfig) -> np.ndarray:
+        key = stage_key(*levels)
+        idx = memo.get(key)
+        if idx is None:
+            above = misses(*levels[:-1]) if len(levels) > 1 else None
+            idx = memo[key] = level_miss_idx(levels[-1], addrs, above)
+        return idx
 
-    page = m.tlb.page
-    rw_arr = np.asarray(rw, dtype=np.uint8) if rw is not None else None
+    i1 = misses(m.l1d)
+    i2 = misses(m.l1d, m.l2)
+    i3 = misses(m.l1d, m.l2, m.l3)
+    it = misses(m.tlb.cache_config())   # probed by every access, read-only
 
-    s1, mask1, a1 = _level(m.l1d)
-    s2, mask2, a2 = _level(m.l2)
-    s3, mask3, a3 = _level(m.l3)
-    st, maskt, at = _level(m.tlb.cache_config())
-
-    i1: list[int] = []      # miss indices per structure
-    i2: list[int] = []
-    i3: list[int] = []
-    it: list[int] = []
-    w1 = w2 = w3 = 0        # write misses per level
-    i1_append, i2_append = i1.append, i2.append
-    i3_append, it_append = i3.append, it.append
-
-    # MRU fast path: accesses whose key equals their set's MRU are
-    # guaranteed hits with no state change, precomputed vectorized — they
-    # never enter the replay loops at all.  The L1 chain and the DTLB are
-    # independent state machines, so each gets its own tight loop over its
-    # own live (non-MRU-hit) substream.  Keyed by (granularity, mask) in
-    # the id cache so a machine sweep computes each mask once.
-    def live_for(gran: int, mask: int) -> tuple[list[int], list[int]]:
-        ck = ("live", gran, mask)
-        if id_cache is not None and ck in id_cache:
-            return id_cache[ck]
-        arr = line_ids(addrs, gran)
-        keep = ~_mru_skip(arr, mask)
-        out = (np.flatnonzero(keep).tolist(), arr[keep].tolist())
-        if id_cache is not None:
-            id_cache[ck] = out
-        return out
-
-    # Stage memoization: a cold L1 (and a cold DTLB) is a pure function of
-    # its own geometry and the full stream, independent of the levels
-    # below it, so its miss-index list can be shared across every machine
-    # in a sweep with the same L1 (TLB) shape.  On a stage hit the walk
-    # below starts directly from the memoized L1-miss substream — only
-    # L2/L3, whose geometries actually differ across the sweep, are
-    # simulated.  Miss indices come out in ascending program order either
-    # way, so results stay bitwise identical.
-    l1key = ("l1stage", m.l1d.line, mask1, a1)
-    l2key = ("l2stage", m.l1d.line, mask1, a1, m.l2.line, mask2, a2)
-    tkey = ("tlbstage", page, maskt, at)
-    mru3 = [-1] * (mask3 + 1)
-
-    if id_cache is not None and l2key in id_cache and l1key in id_cache:
-        # L1 AND L2 stages memoized (machines differing only in L3):
-        # walk just the L2-miss substream through L3
-        i1 = id_cache[l1key]
-        i2, w1, w2 = id_cache[l2key]
-        sub2 = np.asarray(i2, dtype=np.int64)
-        k3 = line_ids(addrs[sub2], m.l3.line)
-        wl = (rw_arr[sub2].tolist() if rw_arr is not None and len(sub2)
-              else [0] * len(sub2))
-        for i, ln3, wf in zip(i2, k3.tolist(), wl):
-            ix = ln3 & mask3
-            if mru3[ix] != ln3:
-                mru3[ix] = ln3
-                s = s3[ix]
-                if s.pop(ln3, None) is None:
-                    i3_append(i)
-                    if wf:
-                        w3 += 1
-                    s[ln3] = 1
-                    if len(s) > a3:
-                        del s[next(iter(s))]
-                else:
-                    s[ln3] = 1
-    elif id_cache is not None and l1key in id_cache:
-        i1 = id_cache[l1key]
-        sub = np.asarray(i1, dtype=np.int64)
-        asub = addrs[sub]
-        if rw_arr is not None and len(sub):
-            w1 = int(rw_arr[sub].sum())
-        k2 = line_ids(asub, m.l2.line)
-        keep = ~_mru_skip(k2, mask2)
-        wl = (rw_arr[sub[keep]].tolist() if rw_arr is not None
-              else [0] * int(keep.sum()))
-        for i, ln, ln3, wf in zip(sub[keep].tolist(), k2[keep].tolist(),
-                                  line_ids(asub[keep], m.l3.line).tolist(),
-                                  wl):
-            s = s2[ln & mask2]
-            if s.pop(ln, None) is None:
-                i2_append(i)
-                if wf:
-                    w2 += 1
-                s[ln] = 1
-                if len(s) > a2:
-                    del s[next(iter(s))]
-                ix = ln3 & mask3
-                if mru3[ix] != ln3:
-                    mru3[ix] = ln3
-                    s = s3[ix]
-                    if s.pop(ln3, None) is None:
-                        i3_append(i)
-                        if wf:
-                            w3 += 1
-                        s[ln3] = 1
-                        if len(s) > a3:
-                            del s[next(iter(s))]
-                    else:
-                        s[ln3] = 1
-            else:
-                s[ln] = 1
-    else:
-        l1_of = ids_for(m.l1d.line)
-        l2_of = l1_of if m.l2.line == m.l1d.line else ids_for(m.l2.line)
-        l3_of = l1_of if m.l3.line == m.l1d.line else ids_for(m.l3.line)
-        writes = rw_arr.tolist() if rw_arr is not None else None
-        live1, keys1 = live_for(m.l1d.line, mask1)
-        mru2 = [-1] * (mask2 + 1)
-
-        # Hot loop.  An LRU probe is pop-then-reinsert (2 dict ops on the
-        # hit path); the pop result doubles as the hit test, and
-        # reinsertion makes the key MRU whether it hit or missed — the
-        # same key order the reference's membership/del/insert sequence
-        # produces.  L2/L3 keep an inline per-set MRU shortcut (their
-        # substreams depend on upper-level misses, so they cannot be
-        # precomputed).  ``rw`` is only consulted on a miss, keeping the
-        # all-hits path free of it.
-        for i, ln in zip(live1, keys1):
-            s = s1[ln & mask1]
-            if s.pop(ln, None) is None:
-                i1_append(i)
-                if writes is not None and writes[i]:
-                    w1 += 1
-                s[ln] = 1
-                if len(s) > a1:
-                    del s[next(iter(s))]
-                ln = l2_of[i]
-                ix = ln & mask2
-                if mru2[ix] != ln:
-                    mru2[ix] = ln
-                    s = s2[ix]
-                    if s.pop(ln, None) is None:
-                        i2_append(i)
-                        if writes is not None and writes[i]:
-                            w2 += 1
-                        s[ln] = 1
-                        if len(s) > a2:
-                            del s[next(iter(s))]
-                        ln = l3_of[i]
-                        ix = ln & mask3
-                        if mru3[ix] != ln:
-                            mru3[ix] = ln
-                            s = s3[ix]
-                            if s.pop(ln, None) is None:
-                                i3_append(i)
-                                if writes is not None and writes[i]:
-                                    w3 += 1
-                                s[ln] = 1
-                                if len(s) > a3:
-                                    del s[next(iter(s))]
-                            else:
-                                s[ln] = 1
-                    else:
-                        s[ln] = 1
-            else:
-                s[ln] = 1
-        if id_cache is not None:
-            id_cache[l1key] = i1
-    if id_cache is not None and l2key not in id_cache:
-        id_cache[l2key] = (i2, w1, w2)
-
-    # DTLB: probed by every access, read-only (matches TLB.simulate)
-    if id_cache is not None and tkey in id_cache:
-        it = id_cache[tkey]
-    else:
-        livet, keyst = live_for(page, maskt)
-        for i, pg in zip(livet, keyst):
-            s = st[pg & maskt]
-            if s.pop(pg, None) is None:
-                it_append(i)
-                s[pg] = 1
-                if len(s) > at:
-                    del s[next(iter(s))]
-            else:
-                s[pg] = 1
-        if id_cache is not None:
-            id_cache[tkey] = it
-
-    def mask_of(idx: list[int]) -> np.ndarray:
+    def mask_of(idx: np.ndarray) -> np.ndarray:
         out = np.zeros(n, dtype=bool)
-        if idx:
-            out[np.asarray(idx, dtype=np.int64)] = True
+        out[idx] = True
         return out
 
-    l1_miss = mask_of(i1)
-    l2_miss = mask_of(i2)
-    l3_miss = mask_of(i3)
-    tlb_miss = mask_of(it)
     latency = np.zeros(n, dtype=np.int32)
-    latency[l1_miss] = m.l2.latency
-    latency[l2_miss] = m.l3.latency
-    latency[l3_miss] = m.mem_latency
+    latency[i1] = m.l2.latency
+    latency[i2] = m.l3.latency
+    latency[i3] = m.mem_latency
 
-    def stats_of(cfg: CacheConfig, accesses: int, misses: int,
-                 wmiss: int) -> CacheStats:
-        return CacheStats(cfg.name, accesses=accesses, misses=misses,
-                          read_misses=misses - wmiss, write_misses=wmiss)
+    def stats_of(cfg: CacheConfig, accesses: int,
+                 idx: np.ndarray) -> CacheStats:
+        wmiss = 0 if writes is None else int(np.count_nonzero(writes[idx]))
+        return CacheStats(cfg.name, accesses=accesses, misses=len(idx),
+                          read_misses=len(idx) - wmiss, write_misses=wmiss)
 
     hier = HierarchyResult(
-        l1=stats_of(m.l1d, n, len(i1), w1),
-        l2=stats_of(m.l2, len(i1), len(i2), w2),
-        l3=stats_of(m.l3, len(i2), len(i3), w3),
-        l1_miss=l1_miss, l2_miss=l2_miss, l3_miss=l3_miss,
+        l1=stats_of(m.l1d, n, i1),
+        l2=stats_of(m.l2, len(i1), i2),
+        l3=stats_of(m.l3, len(i2), i3),
+        l1_miss=mask_of(i1), l2_miss=mask_of(i2), l3_miss=mask_of(i3),
         latency=latency)
     tlb = TLBStats(accesses=n, misses=len(it),
                    walk_latency=m.tlb.walk_latency)
-    return ReplayResult(hierarchy=hier, tlb=tlb, tlb_miss=tlb_miss)
+    return ReplayResult(hierarchy=hier, tlb=tlb, tlb_miss=mask_of(it))

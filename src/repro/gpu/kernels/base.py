@@ -30,11 +30,10 @@ class GPUKernel(ABC):
     MODEL: str = "thread-centric"       # or "edge-centric"
 
     def run(self, csr: CSRGraph, coo: COOGraph | None = None,
-            l2_bytes: int = 32 * 1024, fused: bool = True,
+            l2_bytes: int = 32 * 1024,
             **params: Any) -> tuple[dict[str, Any], KernelStats]:
-        """Execute the kernel; ``fused=False`` forces the inline
-        reference L2 accounting (the cross-validation oracle)."""
-        acc = KernelAccum(l2_bytes=l2_bytes, fused=fused)
+        """Execute the kernel over a cold ``l2_bytes`` device L2."""
+        acc = KernelAccum(l2_bytes=l2_bytes)
         outputs = self.kernel(csr, coo, acc, **params)
         return outputs, acc.stats
 

@@ -14,14 +14,18 @@ trip counts → warp cycles = per-warp max), ``mem_op()`` records one memory
 instruction class (per-access warp/slot ids + byte addresses → replays via
 distinct-segment counting), ``atomic_op()`` additionally serializes on
 address conflicts.  Both BDR and MDR then fall out of the paper's formulas
-exactly.
+exactly.  DRAM traffic is what survives the device L2: the one LRU walk of
+:mod:`repro.arch.cache` over the banked warp transactions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..arch.cache import lru_miss_idx
 
 WARP_SIZE = 32
 SEGMENT = 128            # coalescing granularity in bytes
@@ -95,33 +99,6 @@ class KernelStats:
 _KEY_STRIDE = 1 << 45
 
 
-class _SegmentLRU:
-    """LRU over 128 B segments modelling the device L2: transactions that
-    hit stay on chip, misses count as DRAM traffic."""
-
-    __slots__ = ("cap", "_d")
-
-    def __init__(self, capacity: int):
-        self.cap = max(1, capacity)
-        self._d: dict[int, None] = {}
-
-    def access_stream(self, segs: list[int]) -> int:
-        """Run a transaction stream through the cache; returns misses."""
-        d = self._d
-        cap = self.cap
-        miss = 0
-        for s in segs:
-            if s in d:
-                del d[s]
-                d[s] = None
-            else:
-                miss += 1
-                d[s] = None
-                if len(d) > cap:
-                    del d[next(iter(d))]
-        return miss
-
-
 class KernelAccum:
     """Bulk recorder of SIMT work; produces a :class:`KernelStats`.
 
@@ -131,66 +108,42 @@ class KernelAccum:
     misses become DRAM traffic.  Replay counting stays at the warp-issue
     level — replays happen before the cache.
 
-    With ``fused=True`` (default) the L2 walk is deferred: each
-    :meth:`mem_op` banks its transaction stream and the walk happens once,
-    on :attr:`stats` access, over the concatenated stream — after a
-    vectorized prefilter drops every transaction whose segment equals the
-    immediately preceding one (a guaranteed MRU hit of the
-    fully-associative LRU, whose pop-then-reinsert changes nothing).
-    Per-call DRAM/byte attribution is preserved through chunk ids, so the
-    resulting :class:`KernelStats` is bitwise identical to the inline
-    reference, which ``fused=False`` keeps available as the oracle
-    (cross-validated in ``tests/test_gpu_simt.py``).
+    Each :meth:`mem_op` banks its transaction stream as one chunk; the L2
+    is one :func:`~repro.arch.cache.lru_miss_idx` walk over the
+    concatenated chunks — a single fully-associative pool, so one slot
+    with ``assoc`` = capacity in segments — and each chunk's DRAM traffic
+    is the number of misses that fall inside it.  :attr:`stats` is a pure
+    function of the chunks banked so far, so it can be read mid-kernel.
     """
 
-    def __init__(self, l2_bytes: int = 32 * 1024, fused: bool = True):
+    def __init__(self, l2_bytes: int = 32 * 1024):
         self._stats = KernelStats()
         self._slot_base = 0
-        self._l2 = _SegmentLRU(l2_bytes // SEGMENT)
-        self._fused = fused
-        # deferred transaction chunks: (segment array, is_write, rmw)
-        self._pending: list[tuple[np.ndarray, bool, bool]] = []
-        self._last_seg = -1     # last segment id seen, across flushes
+        self._l2_segments = max(1, l2_bytes // SEGMENT)
+        # banked transaction chunks: (segment array, is_write, rmw)
+        self._chunks: list[tuple[np.ndarray, bool, bool]] = []
 
     @property
     def stats(self) -> KernelStats:
-        """Accumulated counters (flushes any deferred L2 traffic)."""
-        self._flush()
-        return self._stats
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        chunks = self._pending
-        self._pending = []
-        segs = np.concatenate([c[0] for c in chunks])
-        cid = np.repeat(np.arange(len(chunks)),
-                        [len(c[0]) for c in chunks])
-        keep = np.empty(len(segs), bool)
-        keep[0] = segs[0] != self._last_seg
-        keep[1:] = segs[1:] != segs[:-1]
-        self._last_seg = int(segs[-1])
-        miss_by_chunk = [0] * len(chunks)
-        d = self._l2._d
-        cap = self._l2.cap
-        for s, c in zip(segs[keep].tolist(), cid[keep].tolist()):
-            if d.pop(s, False) is False:
-                miss_by_chunk[c] += 1
-                d[s] = None
-                if len(d) > cap:
-                    del d[next(iter(d))]
-            else:
-                d[s] = None
-        st = self._stats
-        for (_, is_write, rmw), dram in zip(chunks, miss_by_chunk):
-            st.dram_transactions += dram
-            nbytes = dram * SEGMENT
-            if is_write:
-                st.bytes_written += nbytes
-                if rmw:
-                    st.bytes_read += nbytes
-            else:
-                st.bytes_read += nbytes
+        """Counters so far, with the banked traffic run through the L2."""
+        st = dataclasses.replace(self._stats)
+        if not self._chunks:
+            return st
+        chunks, is_write, rmw = zip(*self._chunks)
+        segs = np.concatenate(chunks)
+        chunk_id = np.repeat(np.arange(len(chunks)),
+                             [len(c) for c in chunks])
+        miss = lru_miss_idx(np.zeros(len(segs), dtype=np.int64), segs,
+                            self._l2_segments)
+        dram = np.bincount(chunk_id[miss], minlength=len(chunks))
+        is_write = np.asarray(is_write)
+        # an atomic that misses the L2 reads the line from DRAM before
+        # writing it back
+        reads = ~is_write | np.asarray(rmw)
+        st.dram_transactions = len(miss)
+        st.bytes_written = int(dram[is_write].sum()) * SEGMENT
+        st.bytes_read = int(dram[reads].sum()) * SEGMENT
+        return st
 
     # -- compute -------------------------------------------------------------
     def uniform_op(self, active: np.ndarray, instrs: float = 1.0) -> None:
@@ -249,22 +202,8 @@ class KernelAccum:
         st.mem_replays += n_unique - n_slots
         st.mem_lane_accesses += len(addrs)
         st.slot_transactions += n_unique
-        # DRAM traffic: the transaction stream filtered by the model L2.
-        # The fused path banks the stream for one deferred batch walk.
-        if self._fused:
-            self._pending.append((ukey % _KEY_STRIDE, is_write, rmw))
-            return
-        dram = self._l2.access_stream((ukey % _KEY_STRIDE).tolist())
-        st.dram_transactions += dram
-        nbytes = dram * SEGMENT
-        if is_write:
-            st.bytes_written += nbytes
-            if rmw:
-                # an atomic that misses the L2 reads the line from DRAM
-                # before writing it back
-                st.bytes_read += nbytes
-        else:
-            st.bytes_read += nbytes
+        # DRAM traffic: the transaction stream, banked for the L2 walk
+        self._chunks.append((ukey % _KEY_STRIDE, is_write, rmw))
 
     def atomic_op(self, slot: np.ndarray, addrs: np.ndarray,
                   elem_bytes: int = 8) -> None:

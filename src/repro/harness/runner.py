@@ -83,7 +83,7 @@ def clear_cache() -> None:
 
 # Per-trace scratch memos for machine sweeps over stored traces: keyed by
 # the trace's content key, holding machine-invariant sub-results (branch
-# prediction, ICache stats, replay id precompute — see CPUModel.run).
+# prediction, ICache stats, replay stage misses — see CPUModel.run).
 # Bounded: a sweep touches few distinct traces at a time.
 _SWEEP_MEMOS: dict[str, dict] = {}
 _SWEEP_MEMO_LIMIT = 8
@@ -143,13 +143,13 @@ _PROP_ONLY_WORKLOADS = frozenset(
     {"BFS", "DFS", "SPath", "kCore", "CComp", "TC", "DCentr", "GColor",
      "BCentr"})
 
-# Fast-path graph reuse: a machine sweep builds the identical aged-heap
-# graph once per workload; the build is pure Python over every edge and
-# was the largest remaining cost of a warm sweep.  Cached per dataset
-# identity with a post-build state snapshot; each reuse rewinds property
-# values + allocator + stack rotation, so a property-only kernel sees a
-# graph bit-identical to a fresh build (the replay bench's equivalence
-# gate cross-checks the resulting summaries against fresh-build runs).
+# Graph reuse: a machine sweep builds the identical aged-heap graph once
+# per workload; the build is pure Python over every edge and was the
+# largest remaining cost of a warm sweep.  Cached per dataset identity
+# with a post-build state snapshot; each reuse rewinds property values +
+# allocator + stack rotation, so a property-only kernel sees a graph
+# bit-identical to a fresh build (tests/test_harness.py cross-checks the
+# resulting summaries against fresh-build runs).
 _GRAPH_CACHE: dict[tuple, tuple[PropertyGraph, tuple]] = {}
 _GRAPH_CACHE_LIMIT = 2
 
@@ -208,8 +208,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
                      machine: MachineConfig = SCALED_XEON,
                      gibbs_bn=None,
                      params: dict[str, Any] | None = None,
-                     trace_store: TraceStore | str | Path | None = None,
-                     fast: bool = True
+                     trace_store: TraceStore | str | Path | None = None
                      ) -> tuple[WorkloadResult, CPUMetrics]:
     """Run one CPU workload on ``spec`` and characterize its trace.
 
@@ -241,7 +240,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
                             dataset=spec.name, served="trace-store"):
                 metrics = CPUModel(machine).run(
                     stored.trace, footprint_bytes=stored.footprint_bytes,
-                    fast=fast, memo=_sweep_memo(key) if fast else None)
+                    memo=_sweep_memo(key))
             result = WorkloadResult(name=name, outputs=dict(stored.outputs),
                                     trace=stored.trace,
                                     params=dict(stored.params),
@@ -268,7 +267,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
         params.setdefault("n_sweeps", 8)
         params.setdefault("burn_in", 2)
     else:
-        g = (_shared_graph(spec) if fast and name in _PROP_ONLY_WORKLOADS
+        g = (_shared_graph(spec) if name in _PROP_ONLY_WORKLOADS
              else _build_graph(spec))
         if name in ("BFS", "DFS", "SPath"):
             params.setdefault("root", _traversal_root(spec))
@@ -278,8 +277,8 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
             params.setdefault("n_sources", 4)
     result = wl.run(g, tracer=tracer, **params)
     metrics = CPUModel(machine).run(
-        result.trace, footprint_bytes=g.alloc.footprint, fast=fast,
-        memo=_sweep_memo(key) if key is not None and fast else None)
+        result.trace, footprint_bytes=g.alloc.footprint,
+        memo=_sweep_memo(key) if key is not None else None)
     if key is not None:
         store.save(key, result.trace,
                    footprint_bytes=g.alloc.footprint,

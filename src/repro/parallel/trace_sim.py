@@ -11,19 +11,20 @@ quantifying:
 * the private-cache benefit (each core's slice is smaller than the whole),
 * shared-LLC contention (interleaved miss streams evict each other).
 
-Used by the multicore-contention ablation bench; the single-core case
-(``p=1``) reduces exactly to :class:`~repro.arch.hierarchy.MemoryHierarchy`
-(tested).
+Every level is the one LRU walk of :mod:`repro.arch.cache`, private
+levels with the owning core folded into the set id.  Used by the
+multicore-contention ablation bench; the single-core case (``p=1``)
+reduces exactly to :class:`~repro.arch.hierarchy.MemoryHierarchy`, and
+any ``p`` to one ``Cache`` per core and level (both tested).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..arch.cache import Cache, CacheStats, line_ids
+from ..arch.cache import CacheStats, level_miss_idx
 from ..arch.machine import MachineConfig
 from ..core.trace import FrozenTrace
 
@@ -53,116 +54,9 @@ def _chunk_owners(n: int, p: int, chunk: int) -> np.ndarray:
     return (np.arange(n) // chunk) % p
 
 
-def _grouped_mru_skip(group: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Per-access bool: this access's key equals the previous key *in the
-    same group* (= the same core's same cache set), i.e. it probes the
-    set's MRU line — a guaranteed hit whose pop-then-reinsert leaves the
-    LRU order unchanged.  The fused engine drops such accesses from its
-    loop entirely; the multi-core analogue of
-    :func:`repro.arch.replay._mru_skip`, with the owning core folded into
-    the group id."""
-    n = len(group)
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
-    order = np.argsort(group, kind="stable")
-    g = group[order]
-    k = key[order]
-    eq = (g[1:] == g[:-1]) & (k[1:] == k[:-1])
-    out[order[1:][eq]] = True
-    return out
-
-
-def _simulate_multicore_fused(addrs: np.ndarray, owners: np.ndarray,
-                              machine: MachineConfig, p: int,
-                              agg_l1: CacheStats, agg_l2: CacheStats,
-                              l3: Cache) -> None:
-    """One global-order pass over the stream: private L1/L2 flattened to
-    ``core * n_sets + set`` slot lists, shared L3 probed inline on each L2
-    miss.
-
-    Equivalent to the per-core reference by construction: each core's
-    private levels see exactly the accesses that core owns, in program
-    order, and L2 misses fall out in ascending global position — the same
-    order the reference obtains by sorting the concatenated per-core miss
-    positions before its L3 pass.  Stats land bitwise identical.
-    """
-    m = machine
-    n1, a1 = m.l1d.n_sets, m.l1d.assoc
-    n2, a2 = m.l2.n_sets, m.l2.assoc
-    n3, a3 = m.l3.n_sets, m.l3.assoc
-    mask1, mask2, mask3 = n1 - 1, n2 - 1, n3 - 1
-    k1 = line_ids(addrs, m.l1d.line)
-    k2 = k1 if m.l2.line == m.l1d.line else line_ids(addrs, m.l2.line)
-    k3 = k1 if m.l3.line == m.l1d.line else line_ids(addrs, m.l3.line)
-    slot1 = owners.astype(np.uint64) * np.uint64(n1) + (k1 & np.uint64(mask1))
-    skip = _grouped_mru_skip(slot1, k1)
-    live = np.flatnonzero(~skip)
-
-    # core-private structures live in lazily-populated slot maps — a
-    # scaled LLC has tens of thousands of sets and p multiplies the
-    # private ones, so eager per-set dicts would dominate short replays
-    s1: defaultdict = defaultdict(dict)
-    s2: defaultdict = defaultdict(dict)
-    s3: defaultdict = defaultdict(dict)
-    mru2: dict[int, int] = {}
-    mru3 = [-1] * n3
-    m1 = m2 = m3 = 0
-    l2_of = k2.tolist()
-    l3_of = k3.tolist()
-    own = owners.tolist()
-    for i, sl, ln in zip(live.tolist(), slot1[live].tolist(),
-                         k1[live].tolist()):
-        s = s1[sl]
-        if s.pop(ln, None) is None:
-            m1 += 1
-            s[ln] = 1
-            if len(s) > a1:
-                del s[next(iter(s))]
-            ln = l2_of[i]
-            sl = own[i] * n2 + (ln & mask2)
-            if mru2.get(sl) != ln:
-                mru2[sl] = ln
-                s = s2[sl]
-                if s.pop(ln, None) is None:
-                    m2 += 1
-                    s[ln] = 1
-                    if len(s) > a2:
-                        del s[next(iter(s))]
-                    ln = l3_of[i]
-                    ix = ln & mask3
-                    if mru3[ix] != ln:
-                        mru3[ix] = ln
-                        s = s3[ix]
-                        if s.pop(ln, None) is None:
-                            m3 += 1
-                            s[ln] = 1
-                            if len(s) > a3:
-                                del s[next(iter(s))]
-                        else:
-                            s[ln] = 1
-                else:
-                    s[ln] = 1
-        else:
-            s[ln] = 1
-
-    # identical counter layout to Cache.simulate without an rw stream:
-    # every miss counts as a read miss
-    agg_l1.accesses += len(addrs)
-    agg_l1.misses += m1
-    agg_l1.read_misses += m1
-    agg_l2.accesses += m1
-    agg_l2.misses += m2
-    agg_l2.read_misses += m2
-    l3.stats.accesses += m2
-    l3.stats.misses += m3
-    l3.stats.read_misses += m3
-
-
 def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
                        p: int | None = None,
-                       chunk: int = 256,
-                       fast: bool = True) -> MulticoreCacheResult:
+                       chunk: int = 256) -> MulticoreCacheResult:
     """Replay ``trace`` as ``p`` threads with private L1/L2 + shared L3.
 
     The access stream is split block-cyclically into per-core substreams
@@ -171,10 +65,11 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
     streams interleaved chunk by chunk — the eviction interleaving that
     causes LLC contention.
 
-    ``fast=True`` (default) runs the fused single-pass engine
-    (:func:`_simulate_multicore_fused`); ``fast=False`` keeps the per-core
-    multi-pass reference, which ``tests/test_trace_sim.py`` uses as the
-    bitwise cross-validation oracle.
+    Each level is one :func:`~repro.arch.cache.level_miss_idx` walk.  A
+    private level is the walk with the owning core folded into the set
+    id: every core's sets see exactly the accesses that core owns, in
+    program order.  L2 misses come out in ascending global position, which
+    is the order the shared L3 sees them in.
     """
     if p is None:
         p = machine.n_cores
@@ -182,46 +77,22 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
         raise ValueError("p must be positive")
     if chunk <= 0:
         raise ValueError("chunk must be positive")
+    m = machine
     addrs = trace.addrs
-    n = len(addrs)
-    agg_l1 = CacheStats("L1D")
-    agg_l2 = CacheStats("L2")
-    l3 = Cache(machine.l3)
-    if n == 0:
-        return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats, [0] * p)
-    owners = _chunk_owners(n, p, chunk)
-    if fast:
-        per_core = np.bincount(owners, minlength=p).tolist()
-        _simulate_multicore_fused(addrs, owners, machine, p,
-                                  agg_l1, agg_l2, l3)
-        return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats, per_core)
-    # per-core private simulation, collecting L2-miss positions
-    miss_positions: list[np.ndarray] = []
-    per_core_accesses: list[int] = []
-    for core in range(p):
-        idx = np.flatnonzero(owners == core)
-        per_core_accesses.append(len(idx))
-        if len(idx) == 0:
-            continue
-        sub = addrs[idx]
-        l1 = Cache(machine.l1d)
-        m1 = l1.simulate(sub)
-        l2 = Cache(machine.l2)
-        pos1 = idx[m1]
-        m2 = l2.simulate(addrs[pos1]) if len(pos1) else np.zeros(0, bool)
-        for agg, st in ((agg_l1, l1.stats), (agg_l2, l2.stats)):
-            agg.accesses += st.accesses
-            agg.misses += st.misses
-            agg.read_misses += st.read_misses
-            agg.write_misses += st.write_misses
-        miss_positions.append(pos1[m2])
-    # shared L3 sees the cores' miss streams in global program order
-    # (the block-cyclic schedule interleaves them chunk by chunk)
-    if miss_positions:
-        merged = np.sort(np.concatenate(miss_positions))
-        l3.simulate(addrs[merged])
-    return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats,
-                                per_core_accesses)
+    owners = _chunk_owners(len(addrs), p, chunk)
+    i1 = level_miss_idx(m.l1d, addrs, owner=owners)
+    i2 = level_miss_idx(m.l2, addrs, i1, owner=owners)
+    i3 = level_miss_idx(m.l3, addrs, i2)
+
+    def stats(name: str, accesses: int, misses: int) -> CacheStats:
+        # the multicore replay carries no rw stream: every miss is a read
+        return CacheStats(name, accesses=accesses, misses=misses,
+                          read_misses=misses)
+
+    return MulticoreCacheResult(
+        p, stats("L1D", len(addrs), len(i1)), stats("L2", len(i1), len(i2)),
+        stats(m.l3.name, len(i2), len(i3)),
+        np.bincount(owners, minlength=p).tolist())
 
 
 def llc_contention(trace: FrozenTrace, machine: MachineConfig,

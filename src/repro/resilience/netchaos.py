@@ -279,7 +279,10 @@ class ChaosProxy:
         ``direction`` is ``"up"`` (client to shard) or ``"down"``
         (shard's response back to the client).
         """
-        src.settimeout(_TICK_S)
+        try:
+            src.settimeout(_TICK_S)
+        except OSError:      # the peer pump already reset and closed the pair
+            return
         sent_down = 0                    # this pump's forwarded bytes
         stalled = False
         while not self._stop.is_set():

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.arch import (
-    COLD,
     Cache,
     CacheConfig,
-    Fenwick,
-    miss_curve,
-    misses_for_assoc,
-    stack_distances,
+    level_miss_idx,
+    lru_miss_idx,
 )
+from tests.oracles import reference_segment_lru
 
 
 class TestCacheConfig:
@@ -108,64 +106,85 @@ class TestCacheBehaviour:
         assert miss.sum() == 1024 // 64
 
 
-class TestFenwick:
-    def test_prefix_sums(self):
-        f = Fenwick(10)
-        f.add(0, 1)
-        f.add(5, 3)
-        assert f.prefix(0) == 1
-        assert f.prefix(4) == 1
-        assert f.prefix(5) == 4
-        assert f.range_sum(1, 5) == 3
-        f.add(5, -3)
-        assert f.prefix(9) == 1
+def _access_loop_misses(slot, key, assoc):
+    """Miss positions of one plain ``Cache.access`` loop per distinct slot
+    (each a single set of ``assoc`` ways), keys as line numbers."""
+    sets: dict[int, Cache] = {}
+    out = []
+    for i, (s, k) in enumerate(zip(slot.tolist(), key.tolist())):
+        c = sets.setdefault(
+            s, Cache(CacheConfig("t", size=assoc * 64, assoc=assoc)))
+        if not c.access(k * 64):
+            out.append(i)
+    return out
 
 
-class TestStackDistance:
-    def test_simple_sequence(self):
-        # lines: A B A  -> distances: cold, cold, 1
-        addrs = np.array([0, 64, 0], dtype=np.uint64)
-        d = stack_distances(addrs, 64, n_sets=1)
-        assert d[0] == COLD and d[1] == COLD
-        assert d[2] == 1
+_STREAMS = st.one_of(
+    st.lists(st.integers(0, 40), max_size=300),        # incl. empty, len 1
+    st.lists(st.integers(0, 1 << 16), max_size=300),
+    st.builds(lambda k, n: [k] * n, st.integers(0, 99),
+              st.integers(1, 50)))                     # all the same key
 
-    def test_immediate_reuse_distance_zero(self):
-        d = stack_distances(np.array([0, 8, 0], dtype=np.uint64), 64, 1)
-        assert d[1] == 0    # same line as 0
-        assert d[2] == 0
 
-    def test_misses_for_assoc(self):
-        addrs = np.array([0, 64, 128, 0], dtype=np.uint64)
-        d = stack_distances(addrs, 64, 1)
-        assert misses_for_assoc(d, 2).tolist() == [True, True, True, True]
-        assert misses_for_assoc(d, 4).tolist() == [True, True, True, False]
+class TestLruMissIdx:
+    """The one LRU walk against a plain ``Cache.access`` loop, in the
+    three shapes it serves."""
 
-    def test_miss_curve_monotone_nonincreasing(self):
-        rng = np.random.default_rng(2)
-        addrs = rng.integers(0, 1 << 12, 800).astype(np.uint64)
-        d = stack_distances(addrs, 64, n_sets=4)
-        curve = miss_curve(d, max_assoc=16)
-        assert all(a >= b for a, b in zip(curve, curve[1:]))
+    @given(_STREAMS, st.sampled_from([(1, 1), (2, 2), (4, 2), (8, 4),
+                                      (16, 1), (2, 8)]))
+    @settings(max_examples=80, deadline=None)
+    def test_set_indexed(self, raw, geom):
+        """A set-associative level: slot = key mod n_sets; also equal to
+        Cache.simulate of that geometry and to level_miss_idx."""
+        n_sets, assoc = geom
+        key = np.asarray(raw, dtype=np.uint64)
+        slot = key & np.uint64(n_sets - 1)
+        got = lru_miss_idx(slot, key, assoc)
+        assert got.dtype == np.int64
+        assert got.tolist() == _access_loop_misses(slot, key, assoc)
+        cfg = CacheConfig("t", size=n_sets * assoc * 64, assoc=assoc)
+        addrs = key * np.uint64(64)
+        assert got.tolist() == \
+            np.flatnonzero(Cache(cfg).simulate(addrs)).tolist()
+        assert got.tolist() == level_miss_idx(cfg, addrs).tolist()
 
-    @given(st.integers(0, 5), st.lists(st.integers(0, 1 << 12),
-                                       min_size=1, max_size=400))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_direct_simulator(self, geom, raw):
-        size, assoc = [(256, 1), (512, 2), (512, 4), (1024, 4),
-                       (2048, 8), (4096, 2)][geom]
-        addrs = np.asarray(raw, dtype=np.uint64)
-        cache = Cache(CacheConfig("t", size=size, assoc=assoc, line=64))
-        direct = cache.simulate(addrs)
-        n_sets = size // (assoc * 64)
-        sd = stack_distances(addrs, 64, n_sets=n_sets)
-        assert np.array_equal(direct, misses_for_assoc(sd, assoc))
+    @given(_STREAMS, st.integers(1, 5), st.integers(1, 9),
+           st.sampled_from([(1, 2), (4, 1), (4, 4)]))
+    @settings(max_examples=80, deadline=None)
+    def test_owner_grouped_slots(self, raw, p, chunk, geom):
+        """Per-core private levels: slot = owner * n_sets + set."""
+        n_sets, assoc = geom
+        key = np.asarray(raw, dtype=np.uint64)
+        owner = ((np.arange(len(key)) // chunk) % p).astype(np.uint64)
+        slot = owner * np.uint64(n_sets) + (key & np.uint64(n_sets - 1))
+        assert lru_miss_idx(slot, key, assoc).tolist() == \
+            _access_loop_misses(slot, key, assoc)
 
-    @given(st.lists(st.integers(0, 1 << 10), min_size=1, max_size=300))
-    @settings(max_examples=40, deadline=None)
-    def test_miss_curve_counts_match_simulator(self, raw):
-        addrs = np.asarray(raw, dtype=np.uint64)
-        d = stack_distances(addrs, 64, n_sets=2)
-        curve = miss_curve(d, max_assoc=8)
-        for assoc in (1, 2, 4, 8):
-            c = Cache(CacheConfig("t", size=2 * assoc * 64, assoc=assoc))
-            assert curve[assoc - 1] == c.simulate(addrs).sum()
+    @given(_STREAMS, st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_single_slot_capacity(self, raw, capacity):
+        """One fully-associative pool: constant slot, assoc = capacity."""
+        key = np.asarray(raw, dtype=np.int64)
+        slot = np.zeros(len(key), dtype=np.int64)
+        assert lru_miss_idx(slot, key, capacity).tolist() == \
+            _access_loop_misses(slot, key, capacity)
+        assert reference_segment_lru([key], capacity) == \
+            [len(lru_miss_idx(slot, key, capacity))]
+
+    def test_level_chaining_and_owner(self):
+        """level_miss_idx(at=) feeds a level the positions above it and
+        returns positions of the full stream."""
+        rng = np.random.default_rng(4)
+        addrs = rng.integers(0, 1 << 14, 2000).astype(np.uint64)
+        l1 = CacheConfig("L1", size=512, assoc=2)
+        l2 = CacheConfig("L2", size=2048, assoc=4)
+        i1 = level_miss_idx(l1, addrs)
+        i2 = level_miss_idx(l2, addrs, i1)
+        m2 = Cache(l2).simulate(addrs[i1])
+        assert i2.tolist() == i1[m2].tolist()
+        owner = (np.arange(len(addrs)) // 16) % 3
+        got = level_miss_idx(l1, addrs, owner=owner)
+        want = np.sort(np.concatenate([
+            np.flatnonzero(owner == c)[Cache(l1).simulate(addrs[owner == c])]
+            for c in range(3)]))
+        assert got.tolist() == want.tolist()

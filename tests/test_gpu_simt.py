@@ -10,6 +10,7 @@ from repro.gpu.simt import (
     slots_for_loop,
     warp_of,
 )
+from tests.oracles import reference_kernel_stats
 
 
 class TestWarpOf:
@@ -190,8 +191,8 @@ class TestStatsAggregation:
 
 
 class TestFusedVsReference:
-    """Deferred (fused) L2 accounting against the inline reference: the
-    same op sequence driven through both modes must produce identical
+    """``KernelAccum.stats`` (one lru_miss_idx walk over the banked
+    chunks) against the inline per-segment reference LRU: identical
     KernelStats — including DRAM/byte attribution per mem_op flags."""
 
     @staticmethod
@@ -213,48 +214,48 @@ class TestFusedVsReference:
             else:
                 acc.uniform_op(rng.integers(0, 2, 64).astype(bool),
                                float(rng.integers(1, 5)))
-        return acc.stats
 
     def test_random_streams_identical(self):
-        import dataclasses
         for seed in range(8):
-            fused = self._drive(KernelAccum(fused=True), seed)
-            ref = self._drive(KernelAccum(fused=False), seed)
-            assert dataclasses.asdict(fused) == dataclasses.asdict(ref), seed
+            for l2_bytes in (SEGMENT, 4 * 1024, 32 * 1024):
+                acc = KernelAccum(l2_bytes=l2_bytes)
+                self._drive(acc, seed)
+                assert acc.stats == reference_kernel_stats(acc), seed
+            assert acc.stats.dram_transactions > 0
 
     def test_interleaved_stats_reads(self):
-        """Reading .stats mid-kernel flushes pending chunks; the carried
-        MRU segment across flushes must keep results identical."""
-        import dataclasses
+        """Reading .stats mid-kernel is a pure function of the chunks
+        banked so far: every read equals the reference at that point,
+        repeats itself, and leaves the final result unchanged."""
         rng = np.random.default_rng(3)
-        accs = (KernelAccum(fused=True), KernelAccum(fused=False))
+        acc, untouched = KernelAccum(), KernelAccum()
         for step in range(12):
             n = int(rng.integers(1, 80))
             threads = np.sort(rng.integers(0, 1 << 10, n))
             addrs = rng.integers(0, 1 << 18, n).astype(np.int64) & ~3
-            for acc in accs:
-                acc.mem_op(warp_of(threads), addrs,
-                           is_write=bool(step % 3 == 0))
+            for a in (acc, untouched):
+                a.mem_op(warp_of(threads), addrs,
+                         is_write=bool(step % 3 == 0))
             if step % 4 == 1:
-                accs[0].stats       # mid-kernel flush on the fused side
-        assert dataclasses.asdict(accs[0].stats) == \
-            dataclasses.asdict(accs[1].stats)
+                mid = acc.stats
+                assert mid == reference_kernel_stats(acc)
+                assert mid == acc.stats
+        assert acc.stats == untouched.stats == reference_kernel_stats(acc)
 
     def test_all_gpu_kernels_identical(self):
-        import dataclasses
         from repro.datagen.registry import make
         from repro.gpu.device import K40
         from repro.gpu.runner import GPU_KERNELS, UNDIRECTED_KERNELS, \
             csr_to_coo
         spec = make("ldbc", scale=0.02, seed=0)
+        assert len(GPU_KERNELS) == 8
         for name, cls in sorted(GPU_KERNELS.items()):
             csr = spec.csr()
             if name in UNDIRECTED_KERNELS:
                 csr = csr.undirected()
             coo = csr_to_coo(csr)
-            _, fused = cls().run(csr, coo, l2_bytes=K40.l2_bytes,
-                                 fused=True)
-            _, ref = cls().run(csr, coo, l2_bytes=K40.l2_bytes,
-                               fused=False)
-            assert dataclasses.asdict(fused) == dataclasses.asdict(ref), \
-                name
+            acc = KernelAccum(l2_bytes=K40.l2_bytes)
+            cls().kernel(csr, coo, acc)
+            assert acc.stats == reference_kernel_stats(acc), name
+            assert cls().run(csr, coo, l2_bytes=K40.l2_bytes)[1] == \
+                acc.stats, name

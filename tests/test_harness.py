@@ -162,9 +162,9 @@ class TestReport:
 
 class TestSharedGraphReuse:
     def test_fast_path_summaries_match_fresh_builds(self):
-        """The fast path's cached-graph reuse (restore_state between
-        property-only workloads) must leave every metric summary
-        identical to a fresh per-cell build."""
+        """The cached-graph reuse (restore_state between property-only
+        workloads) must leave every metric summary identical to a fresh
+        per-cell build (``clear_cache()`` before each cell)."""
         from repro.arch.machine import TEST_MACHINE
         from repro.datagen.registry import make
         from repro.harness import runner as R
@@ -174,14 +174,12 @@ class TestSharedGraphReuse:
         R.clear_cache()
         shared = {}
         for n in names:
-            _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE,
-                                        fast=True)
+            _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)
             shared[n] = cpu.summary()
         assert R._GRAPH_CACHE          # the path was actually exercised
-        R.clear_cache()
         for n in names:
-            _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE,
-                                        fast=False)
+            R.clear_cache()
+            _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)
             assert cpu.summary() == shared[n], n
 
     def test_mutating_workload_bypasses_cache(self):
@@ -192,9 +190,7 @@ class TestSharedGraphReuse:
         assert "GUp" not in R._PROP_ONLY_WORKLOADS
         spec = make("ldbc", scale=0.02, seed=0)
         R.clear_cache()
-        _, first = R.run_cpu_workload("GUp", spec, machine=TEST_MACHINE,
-                                      fast=True)
+        _, first = R.run_cpu_workload("GUp", spec, machine=TEST_MACHINE)
         assert not R._GRAPH_CACHE
-        _, again = R.run_cpu_workload("GUp", spec, machine=TEST_MACHINE,
-                                      fast=True)
+        _, again = R.run_cpu_workload("GUp", spec, machine=TEST_MACHINE)
         assert first.summary() == again.summary()

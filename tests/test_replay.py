@@ -1,16 +1,23 @@
-"""Cross-validation of the fused one-pass replay engine (repro.arch.replay)
-against the multi-pass reference simulators — including hypothesis-generated
-geometries and traces.  The reference stays in the tree as the oracle; the
-fused engine must be bitwise identical to it."""
+"""Cross-validation of the replay engine (repro.arch.replay: composed
+lru_miss_idx walks) against the multi-pass reference simulators
+(tests/oracles.py) — including hypothesis-generated geometries and traces.
+The engine must be bitwise identical to the reference."""
+
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.arch import MemoryHierarchy, TLB, replay
+from repro.arch import replay
 from repro.arch.cache import Cache, CacheConfig, line_ids
 from repro.arch.machine import SCALED_XEON, TEST_MACHINE, MachineConfig
+from repro.arch.replay import stage_key
 from repro.arch.tlb import TLBConfig
+from tests.oracles import reference_hierarchy
+
+# the module, not the function repro.arch re-exports under the same name
+replay_mod = sys.modules["repro.arch.replay"]
 
 # small geometries that keep hypothesis runs fast but still exercise
 # conflict misses, eviction, and multi-set indexing
@@ -35,16 +42,9 @@ def _machine(geom_idx: int, tlb_entries: int = 8) -> MachineConfig:
     )
 
 
-def _reference(machine, addrs, rw):
-    hier = MemoryHierarchy(machine).simulate(addrs, rw)
-    tlb = TLB(machine.tlb)
-    tlb_miss = tlb.simulate(addrs)
-    return hier, tlb.stats(), tlb_miss
-
-
-def _assert_equal(machine, addrs, rw):
-    ref_hier, ref_tlb, ref_tlb_miss = _reference(machine, addrs, rw)
-    rep = replay(addrs, rw, machine)
+def _assert_equal(machine, addrs, rw, id_cache=None):
+    ref_hier, ref_tlb, ref_tlb_miss = reference_hierarchy(machine, addrs, rw)
+    rep = replay(addrs, rw, machine, id_cache=id_cache)
     assert np.array_equal(ref_hier.l1_miss, rep.hierarchy.l1_miss)
     assert np.array_equal(ref_hier.l2_miss, rep.hierarchy.l2_miss)
     assert np.array_equal(ref_hier.l3_miss, rep.hierarchy.l3_miss)
@@ -93,45 +93,67 @@ class TestFusedVsReference:
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 20, size=2000, dtype=np.uint64)
         cache: dict = {}
-        r1 = replay(addrs, None, TEST_MACHINE, id_cache=cache)
-        live_grans = {k[1] for k in cache
-                      if isinstance(k, tuple) and k[0] == "live"}
-        assert live_grans == {64, 4096}
-        r2 = replay(addrs, None, SCALED_XEON, id_cache=cache)
-        ref1, _, _ = _reference(TEST_MACHINE, addrs, None)
-        ref2, _, _ = _reference(SCALED_XEON, addrs, None)
-        assert np.array_equal(r1.hierarchy.l1_miss, ref1.l1_miss)
-        assert np.array_equal(r2.hierarchy.l1_miss, ref2.l1_miss)
+        _assert_equal(TEST_MACHINE, addrs, None, id_cache=cache)
+        m = TEST_MACHINE
+        assert set(cache) == {stage_key(m.l1d), stage_key(m.l1d, m.l2),
+                              stage_key(m.l1d, m.l2, m.l3),
+                              stage_key(m.tlb.cache_config())}
+        _assert_equal(SCALED_XEON, addrs, None, id_cache=cache)
+        # a second replay of a machine already in the memo walks nothing
+        before = {k: v.copy() for k, v in cache.items()}
+        _assert_equal(TEST_MACHINE, addrs, None, id_cache=cache)
+        assert cache.keys() == before.keys()
+        assert all(np.array_equal(cache[k], before[k]) for k in before)
 
-    def test_l2_stage_memo_across_llc_variants(self):
-        """Machines sharing L1+L2 geometry but different L3s: replays
-        after the first reuse the memoized L2-miss stream (an L3-only
-        walk) and must stay bitwise identical to fresh references."""
+    def test_l2_stage_memo_across_llc_variants(self, monkeypatch):
+        """An 8-machine sweep sharing one memo (five machines perturb
+        only the L3, two the L2): every stage is keyed by the geometry
+        chain down to it, the L1 and the DTLB are walked once, the L2
+        once per distinct L2 geometry, and every replay stays bitwise
+        identical to a fresh reference."""
         import dataclasses
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 1 << 21, size=4000, dtype=np.uint64)
         rw = rng.integers(0, 2, size=4000, dtype=np.uint8)
         base = SCALED_XEON
-        variants = [base] + [
-            dataclasses.replace(
-                base, name=f"llc/{div}",
-                l3=dataclasses.replace(base.l3, size=base.l3.size // div))
-            for div in (2, 4, 8)]
+
+        def variant(tag, l2=None, l3=None):
+            return dataclasses.replace(
+                base, name=f"{base.name}/{tag}",
+                l2=dataclasses.replace(base.l2, **(l2 or {})),
+                l3=dataclasses.replace(base.l3, **(l3 or {})))
+
+        machines = [base] + [
+            variant(f"llc/{div}", l3={"size": base.l3.size // div})
+            for div in (2, 4, 8)] + [
+            variant("double-llc", l3={"size": base.l3.size * 2}),
+            variant("llc-low-assoc", l3={"assoc": 4}),
+            variant("half-l2", l2={"size": base.l2.size // 2}),
+            variant("low-assoc", l2={"assoc": 2}, l3={"assoc": 4})]
+
+        walked = []
+        real = replay_mod.level_miss_idx
+
+        def counting(cfg, addrs, at=None, owner=None):
+            walked.append(cfg)
+            return real(cfg, addrs, at, owner)
+
+        monkeypatch.setattr(replay_mod, "level_miss_idx", counting)
         cache: dict = {}
-        for m in variants:
-            rep = replay(addrs, rw, m, id_cache=cache)
-            ref, ref_tlb, ref_tlb_miss = _reference(m, addrs, rw)
-            assert np.array_equal(ref.l1_miss, rep.hierarchy.l1_miss)
-            assert np.array_equal(ref.l2_miss, rep.hierarchy.l2_miss)
-            assert np.array_equal(ref.l3_miss, rep.hierarchy.l3_miss)
-            assert np.array_equal(ref.latency, rep.hierarchy.latency)
-            assert ref.l1 == rep.hierarchy.l1
-            assert ref.l2 == rep.hierarchy.l2
-            assert ref.l3 == rep.hierarchy.l3
-            assert np.array_equal(ref_tlb_miss, rep.tlb_miss)
-            assert ref_tlb == rep.tlb
-        assert any(isinstance(k, tuple) and k[0] == "l2stage"
-                   for k in cache)
+        for m in machines:
+            _assert_equal(m, addrs, rw, id_cache=cache)
+        expected = set()
+        for m in machines:
+            expected |= {stage_key(m.l1d), stage_key(m.l1d, m.l2),
+                         stage_key(m.l1d, m.l2, m.l3),
+                         stage_key(m.tlb.cache_config())}
+        assert set(cache) == expected
+        l2_geoms = {(m.l2.size, m.l2.assoc) for m in machines}
+        assert len(l2_geoms) == 3
+        assert walked.count(base.l1d) == 1
+        assert walked.count(base.tlb.cache_config()) == 1
+        assert sum(c.name == "L2" for c in walked) == len(l2_geoms)
+        assert len(walked) == len(expected)
 
 
 class TestCpuModelFastPath:
@@ -139,15 +161,24 @@ class TestCpuModelFastPath:
         from repro.arch.cpu import CPUModel
         from repro.datagen.registry import make
         from repro.harness.runner import run_cpu_workload
+        from tests.oracles import reference_branches, reference_icache
 
         spec = make("ldbc", scale=0.03, seed=0)
         result, _ = run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
-        fast = CPUModel(TEST_MACHINE).run(result.trace, fast=True)
-        slow = CPUModel(TEST_MACHINE).run(result.trace, fast=False)
-        assert fast.summary() == slow.summary()
-        assert np.array_equal(fast.hierarchy.l1_miss,
-                              slow.hierarchy.l1_miss)
-        assert fast.dtlb == slow.dtlb
+        trace = result.trace
+        fast = CPUModel(TEST_MACHINE).run(trace)
+        hier, tlb, _ = reference_hierarchy(TEST_MACHINE, trace.addrs,
+                                           trace.rw)
+        for level in ("l1", "l2", "l3"):
+            assert getattr(fast.hierarchy, level) == getattr(hier, level)
+            assert np.array_equal(getattr(fast.hierarchy, level + "_miss"),
+                                  getattr(hier, level + "_miss"))
+        assert np.array_equal(fast.hierarchy.latency, hier.latency)
+        assert fast.dtlb == tlb
+        assert fast.branch == reference_branches(
+            TEST_MACHINE.predictor, trace.branch_sites, trace.branch_taken,
+            table_bits=TEST_MACHINE.predictor_bits)
+        assert fast.icache == reference_icache(TEST_MACHINE.icache, trace)
 
 
 class TestCacheLinesFastPath:

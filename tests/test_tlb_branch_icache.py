@@ -19,6 +19,7 @@ from repro.arch.icache import expand_visits, layout_code
 from repro.core import trace as T
 from repro.core.memmodel import PAGE_SIZE
 from repro.core.trace import Tracer
+from tests.oracles import reference_branches, reference_icache
 
 
 class TestTLB:
@@ -103,14 +104,12 @@ class TestBranchPredictors:
 
 
 class TestBranchFastPath:
-    """The vectorized clamp-tuple scan (``fast=True``, the default)
+    """The vectorized clamp-tuple scan behind ``simulate_branches``
     against the sequential predictor classes: exact, not approximate."""
 
     def _assert_match(self, sites, taken, kind, **kwargs):
-        fast = simulate_branches(sites, taken, kind=kind, fast=True,
-                                 **kwargs)
-        loop = simulate_branches(sites, taken, kind=kind, fast=False,
-                                 **kwargs)
+        fast = simulate_branches(sites, taken, kind=kind, **kwargs)
+        loop = reference_branches(kind, sites, taken, **kwargs)
         assert fast == loop, (kind, kwargs, fast, loop)
 
     def test_random_streams(self):
@@ -175,6 +174,18 @@ class TestICache:
         flat = ICache(self.cfg(size=1024)).simulate(ft)
         deep = ICache(self.cfg(size=1024)).simulate(ft, stack_depth=6)
         assert deep.misses > flat.misses
+
+    def test_matches_reference_cache(self):
+        ft = _toy_trace()
+        for size in (512, 1024, 8 * 1024):
+            for depth in (0, 3, 6):
+                assert ICache(self.cfg(size)).simulate(ft, depth) == \
+                    reference_icache(self.cfg(size), ft, depth), (size, depth)
+
+    def test_cold_per_call(self):
+        ft = _toy_trace()
+        ic = ICache(self.cfg(size=1024))
+        assert ic.simulate(ft) == ic.simulate(ft)
 
     def test_layout_disjoint(self):
         ft = _toy_trace(2)

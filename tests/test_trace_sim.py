@@ -12,6 +12,7 @@ from repro.parallel.trace_sim import (
     llc_contention,
     simulate_multicore,
 )
+from tests.oracles import reference_multicore
 
 
 def _trace(n=3000, spread=1 << 20, seed=0):
@@ -112,13 +113,13 @@ class TestLLCContention:
 
 
 class TestFusedVsReference:
-    """The fused single-pass engine (``fast=True``, the default) against
-    the per-core multi-pass reference (``fast=False``, the oracle):
+    """The owner-slotted walks of ``simulate_multicore`` against the
+    per-core multi-pass reference (one ``Cache`` per core and level):
     aggregate L1/L2 and shared-L3 stats must be bitwise identical."""
 
     def _assert_match(self, ft, machine, p, chunk=256):
-        fused = simulate_multicore(ft, machine, p=p, chunk=chunk, fast=True)
-        ref = simulate_multicore(ft, machine, p=p, chunk=chunk, fast=False)
+        fused = simulate_multicore(ft, machine, p=p, chunk=chunk)
+        ref = reference_multicore(ft, machine, p, chunk)
         assert fused == ref, (p, chunk, fused, ref)
 
     def test_random_traces(self):
