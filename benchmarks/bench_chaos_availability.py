@@ -1,5 +1,5 @@
-"""Chaos availability: the reliability layer on vs off, under real
-network faults.
+"""Chaos availability: the router's reliability layer under real network
+faults, held to an absolute contract.
 
 The serving claim behind the request-reliability layer (deadline
 propagation, per-shard circuit breakers, budgeted retries, hedging,
@@ -11,13 +11,13 @@ into a retry storm.  The adversary is the deterministic
 router→shard hop.
 
 Scenarios (each a fresh 4-shard cluster, replication 2, zipf-skewed
-closed-loop plan, reliability ON vs OFF):
+closed-loop plan):
 
 * **baseline** — transparent proxies; sanity and the p99 reference.
 * **blackhole_single** — the primary of the zipf-hottest dataset is
   black-holed (bytes read, nothing answered — only a deadline ends the
-  wait).  ON must keep success+degraded ≥ 99% with retry amplification
-  ≤ 1.1x; OFF burns its whole client timeout against the dead shard.
+  wait).  The router must keep success+degraded ≥ 99% with retry
+  amplification ≤ 1.1x.
 * **brownout_latency** — half the shards (2 of 4) get +250 ms injected
   latency; hedged requests (p95 quantile) bound the tail without
   breaking the amplification budget.
@@ -28,9 +28,10 @@ closed-loop plan, reliability ON vs OFF):
 
 Retry amplification = shard dials per client request, from the router's
 ``cluster_route_total`` counter (outcomes that actually dialed) over the
-measured window.  Shape-not-absolute: thresholds compare arms within
-this run on this host, seeds pin the fault schedule and the plan.
-Results land in ``BENCH_chaos.json``.
+measured window.  The gate is absolute: availability ≥
+``MIN_ON_AVAILABILITY``, amplification ≤ ``MAX_AMPLIFICATION``, staleness
+≤ the cap; seeds pin the fault schedule and the plan.  Results land in
+``BENCH_chaos.json``.
 
 Run standalone (tiny mode for CI smoke)::
 
@@ -80,7 +81,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 _DIAL_OUTCOMES = ("ok", "failover", "hedge", "error", "unreachable")
 
 
-def reliability_on(hedge: bool = False) -> ReliabilityConfig:
+def reliability(hedge: bool = False) -> ReliabilityConfig:
     return ReliabilityConfig(
         breaker_failure_threshold=3, breaker_reset_timeout_s=1.0,
         retry_budget_ratio=0.1, retry_budget_max_tokens=10.0,
@@ -105,24 +106,22 @@ def hedge_counts(router) -> dict[str, float]:
             for s in snap.get("samples", [])}
 
 
-def drive(scenario: str, reliability: ReliabilityConfig,
-          faults: dict[str, NetFaultSpec],
-          n_requests: int) -> dict[str, Any]:
-    """One arm: boot, warm through transparent proxies, inject the
-    scenario's faults, run the measured plan, read the meters."""
+def drive(scenario: str, faults: dict[str, NetFaultSpec],
+          n_requests: int, hedge: bool = False) -> dict[str, Any]:
+    """One scenario: boot, warm through transparent proxies, inject the
+    faults, run the measured plan, read the meters."""
     spec = ClusterSpec.of(SHARDS, replication=REPLICATION,
                           datasets=DATASETS)
     mix = catalog()
     plan = schedule(mix, n_requests, seed=SEED, dataset_skew=SKEW)
-    deadline = DEADLINE_S if reliability.enabled else None
     with ClusterThread(spec, netchaos=True, netchaos_seed=SEED,
-                       router_kwargs={"reliability": reliability,
+                       router_kwargs={"reliability": reliability(hedge),
                                       "eject_after": 2}) as cluster:
         gen = LoadGenerator(cluster.router_thread.host,
                             cluster.router_port,
                             concurrency=CONCURRENCY,
                             timeout_s=DEADLINE_S,
-                            deadline_s=deadline)
+                            deadline_s=DEADLINE_S)
         warm = gen.run([q for _ in range(WARM_ROUNDS) for q in mix])
         assert warm.failed == 0, warm.failures_by_kind
         for shard, fault in faults.items():
@@ -136,7 +135,6 @@ def drive(scenario: str, reliability: ReliabilityConfig,
                        for name, p in cluster.proxies.items()}
     s = report.summary()
     return {"scenario": scenario,
-            "reliability": "on" if reliability.enabled else "off",
             "requests": report.requests, "ok": report.ok,
             "failed": report.failed,
             "availability": s["availability"],
@@ -169,26 +167,15 @@ def run_chaos_availability_benchmark() -> dict[str, Any]:
     slow = NetFaultSpec(latency_ms=250.0, jitter_ms=50.0)
     browned = list(spec.shards)[:SHARDS // 2]
 
-    arms: list[dict[str, Any]] = []
-
-    def both(scenario: str, faults: dict[str, NetFaultSpec],
-             n_requests: int, hedge: bool = False) -> None:
-        arms.append(drive(scenario, reliability_on(hedge=hedge),
-                          faults, n_requests))
-        arms.append(drive(scenario, ReliabilityConfig.disabled(),
-                          faults, n_requests))
-
-    both("baseline", {}, REQUESTS)
-    both("blackhole_single", {primary: blackhole}, REQUESTS)
+    arms = [drive("baseline", {}, REQUESTS),
+            drive("blackhole_single", {primary: blackhole}, REQUESTS)]
     if not TINY:
-        both("brownout_latency",
-             {name: slow for name in browned}, REQUESTS, hedge=True)
-        both("blackhole_pair",
-             {name: blackhole for name in owners}, REQUESTS)
-
-    by = {(a["scenario"], a["reliability"]): a for a in arms}
-    headline = by[("blackhole_single", "on")]
-    contrast = by[("blackhole_single", "off")]
+        arms.append(drive("brownout_latency",
+                          {name: slow for name in browned}, REQUESTS,
+                          hedge=True))
+        arms.append(drive("blackhole_pair",
+                          {name: blackhole for name in owners}, REQUESTS))
+    headline = arms[1]
     return {
         "config": {"shards": SHARDS, "replication": REPLICATION,
                    "workloads": list(WORKLOADS),
@@ -196,42 +183,40 @@ def run_chaos_availability_benchmark() -> dict[str, Any]:
                    "seed": SEED, "zipf_skew": SKEW,
                    "deadline_s": DEADLINE_S,
                    "stale_cap_s": STALE_CAP_S,
-                   "requests_per_arm": REQUESTS,
+                   "requests_per_scenario": REQUESTS,
                    "concurrency": CONCURRENCY, "tiny": TINY,
                    "hot_dataset": hot, "hot_owners": list(owners),
                    "blackholed_primary": primary},
         "methodology": "deterministic ChaosProxy faults (seeded) on "
                        "every router-shard hop; closed-loop zipf plan; "
-                       "shape-not-absolute — compare arms within this "
-                       "run, not req/s across hosts",
+                       "gated on absolute availability, amplification "
+                       "and staleness bounds",
         "arms": arms,
         "headline": {
-            "on_availability": headline["availability"],
-            "off_availability": contrast["availability"],
+            "availability": headline["availability"],
             "availability_floor": MIN_ON_AVAILABILITY,
-            "on_amplification": headline["amplification"],
+            "amplification": headline["amplification"],
             "amplification_ceiling": MAX_AMPLIFICATION,
-            "on_max_staleness_s": headline["max_staleness_s"]},
+            "max_staleness_s": headline["max_staleness_s"]},
     }
 
 
 def _render(results: dict) -> str:
-    rows = [[a["scenario"], a["reliability"], a["availability"],
+    rows = [[a["scenario"], a["availability"],
              a["degraded"], a["amplification"], a["p50_ms"],
              a["p99_ms"], a["failed"]]
             for a in results["arms"]]
     return format_table(
-        ["scenario", "layer", "avail", "degraded", "amp", "p50_ms",
+        ["scenario", "avail", "degraded", "amp", "p50_ms",
          "p99_ms", "failed"],
-        rows, title="chaos availability — reliability layer on vs off")
+        rows, title="chaos availability")
 
 
 def _check(results: dict) -> None:
     h = results["headline"]
     # the acceptance contract: single-shard black hole, replication 2
-    assert h["on_availability"] >= MIN_ON_AVAILABILITY, h
-    assert h["on_availability"] > h["off_availability"], h
-    assert h["on_amplification"] <= MAX_AMPLIFICATION, h
+    assert h["availability"] >= MIN_ON_AVAILABILITY, h
+    assert h["amplification"] <= MAX_AMPLIFICATION, h
     for a in results["arms"]:
         assert a["max_staleness_s"] <= STALE_CAP_S, a
 
@@ -241,9 +226,9 @@ def test_chaos_availability():
     OUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
     h = results["headline"]
     show(_render(results)
-         + f"\nblackhole_single: on={h['on_availability']:.4f} vs "
-         f"off={h['off_availability']:.4f}, "
-         f"amplification {h['on_amplification']}x "
+         + f"\nblackhole_single: availability "
+         f"{h['availability']:.4f} (floor {MIN_ON_AVAILABILITY}), "
+         f"amplification {h['amplification']}x "
          f"(ceiling {MAX_AMPLIFICATION}x)")
     _check(results)
 
@@ -253,7 +238,7 @@ if __name__ == "__main__":
     OUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
     print(_render(results))
     h = results["headline"]
-    print(f"blackhole_single: on={h['on_availability']:.4f} vs "
-          f"off={h['off_availability']:.4f}, "
-          f"amplification {h['on_amplification']}x")
+    print(f"blackhole_single: availability {h['availability']:.4f}, "
+          f"amplification {h['amplification']}x")
     print(f"wrote {OUT_PATH}")
+    _check(results)         # the CI smoke runs this path: gate it too

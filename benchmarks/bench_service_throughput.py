@@ -1,18 +1,18 @@
-"""Service throughput: micro-batching + result caching vs. cold recompute.
+"""Service throughput: duplicate-heavy traffic through the coalescing and
+cache tiers, with chaos containment and the metrics-overhead budget.
 
 The serving claim behind `repro.service`: duplicate-heavy traffic (the
 industrial regime GraphBIG's System G framing implies — many users, few
-distinct heavy queries) is answered from the coalescing and cache tiers
-at a multiple of the cache-off baseline's throughput, and a chaos-killed
+distinct heavy queries) executes only its distinct queries — everything
+else is answered from the coalescing and cache tiers — and a chaos-killed
 worker mid-run fails only its own requests while concurrent traffic
-proceeds.
+proceeds.  Absolute serving numbers live in the spine's ``serve_hot``
+workload, not here.
 
 Measured: a closed-loop load generator drives 200 requests over a small
-workload mix against a live in-process server twice — once with caching
-and micro-batching enabled, once with both disabled (every request
-recomputes).  Workers run ``inline`` so the contrast isolates the serving
-tiers rather than subprocess spawn cost.  Results land in
-``BENCH_service.json``.
+workload mix against a live in-process server.  Workers run ``inline`` so
+the run exercises the serving tiers rather than subprocess spawn cost.
+Results land in ``BENCH_service.json``.
 
 Also measured: metrics overhead, on all-hits traffic — the cheapest
 requests the service can serve, hence the regime where per-request
@@ -46,11 +46,9 @@ from repro.harness import format_table
 from repro.obs import MetricsRegistry
 from repro.resilience import Cell, ChaosSpec, Fault
 from repro.service import (
-    CacheTiers,
     GraphService,
     LoadGenerator,
     PoolConfig,
-    SchedulerConfig,
     ServiceThread,
     schedule,
     workload_mix,
@@ -67,13 +65,10 @@ MIX_WORKLOADS = ("BFS", "CComp", "kCore")
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 
-def _service(enabled: bool, chaos: ChaosSpec | None = None,
+def _service(chaos: ChaosSpec | None = None,
              registry: MetricsRegistry | None = None) -> GraphService:
     return GraphService(
         pool_config=PoolConfig(size=WORKERS, isolation="inline"),
-        scheduler_config=SchedulerConfig(batching=enabled,
-                                         caching=enabled),
-        caches=CacheTiers.build() if enabled else CacheTiers.disabled(),
         chaos=chaos, registry=registry)
 
 
@@ -90,10 +85,7 @@ def run_service_benchmark() -> dict:
                        machine="test")
     plan = schedule(mix, REQUESTS, seed=SEED)
 
-    on_report, on_stats = _drive(_service(enabled=True), plan)
-    off_report, off_stats = _drive(_service(enabled=False), plan)
-    speedup = (on_report.throughput_rps / off_report.throughput_rps
-               if off_report.throughput_rps else float("inf"))
+    report, stats = _drive(_service(), plan)
 
     # chaos containment: pin a crash fault on one cell of the mix and
     # re-drive — exactly that cell's requests fail, typed, on the wire
@@ -102,7 +94,7 @@ def run_service_benchmark() -> dict:
     chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
     doomed_count = sum(1 for q in plan
                        if q.params["workload"] == "kCore")
-    chaos_report, _ = _drive(_service(enabled=True, chaos=chaos), plan)
+    chaos_report, _ = _drive(_service(chaos=chaos), plan)
 
     # metrics overhead, in two parts.
     #
@@ -124,8 +116,7 @@ def run_service_benchmark() -> dict:
     overhead_plan = schedule(mix, OVERHEAD_REQUESTS, seed=SEED)
 
     def _cpu_us_per_request(registry) -> float:
-        with ServiceThread(_service(enabled=True,
-                                    registry=registry)) as st:
+        with ServiceThread(_service(registry=registry)) as st:
             gen = LoadGenerator(st.host, st.port,
                                 concurrency=CONCURRENCY)
             gen.run(warm_plan)                 # fill the caches untimed
@@ -163,11 +154,8 @@ def run_service_benchmark() -> dict:
                    "workers": WORKERS, "scale": SCALE, "seed": SEED,
                    "mix": list(MIX_WORKLOADS), "isolation": "inline",
                    "machine": "test"},
-        "cache_on": on_report.summary(),
-        "cache_off": off_report.summary(),
-        "speedup": round(speedup, 3),
-        "scheduler_on": on_stats["scheduler"],
-        "scheduler_off": off_stats["scheduler"],
+        "traffic": report.summary(),
+        "scheduler": stats["scheduler"],
         "chaos": {"requests": chaos_report.requests,
                   "doomed_requests": doomed_count,
                   "failed": chaos_report.failed,
@@ -180,31 +168,26 @@ def run_service_benchmark() -> dict:
 
 
 def _render(results: dict) -> str:
-    rows = []
-    for label in ("cache_on", "cache_off"):
-        s = results[label]
-        lat = s["latency_ms"]
-        rows.append([label.replace("_", " "), s["ok"], s["failed"],
-                     s["throughput_rps"], lat["p50"], lat["p95"],
-                     lat["p99"]])
+    s = results["traffic"]
+    lat = s["latency_ms"]
     return format_table(
-        ["mode", "ok", "failed", "rps", "p50_ms", "p95_ms", "p99_ms"],
-        rows, title="service throughput — caching+batching on vs off")
+        ["ok", "failed", "rps", "p50_ms", "p95_ms", "p99_ms"],
+        [[s["ok"], s["failed"], s["throughput_rps"], lat["p50"],
+          lat["p95"], lat["p99"]]],
+        title="service throughput — duplicate-heavy closed loop")
 
 
 def test_service_throughput_and_chaos_containment():
     results = run_service_benchmark()
     OUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
     show(_render(results)
-         + f"\nspeedup: {results['speedup']:.1f}x "
-         f"(acceptance floor: 5x)\nchaos: {results['chaos']}"
+         + f"\nscheduler: {results['scheduler']}"
+         f"\nchaos: {results['chaos']}"
          + f"\nmetrics overhead: {results['metrics_overhead']}")
 
-    assert results["cache_on"]["failed"] == 0
-    assert results["cache_off"]["failed"] == 0
+    assert results["traffic"]["failed"] == 0
     # duplicate-heavy traffic: only the distinct queries execute
-    assert results["scheduler_on"]["executed"] == len(MIX_WORKLOADS)
-    assert results["speedup"] >= 5.0
+    assert results["scheduler"]["executed"] == len(MIX_WORKLOADS)
     assert results["chaos"]["contained"]
     kinds = set(results["chaos"]["failures_by_kind"])
     assert kinds <= {"crash", "retries-exhausted"}
@@ -218,7 +201,7 @@ if __name__ == "__main__":
     results = run_service_benchmark()
     OUT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
     print(_render(results))
-    print(f"speedup: {results['speedup']:.1f}x")
+    print(f"scheduler: {results['scheduler']}")
     print(f"chaos containment: {results['chaos']}")
     print(f"metrics overhead: {results['metrics_overhead']}")
     print(f"wrote {OUT_PATH}")

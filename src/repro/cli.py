@@ -223,10 +223,10 @@ def _build_service(args):
         PoolConfig,
         SchedulerConfig,
     )
-    caching = not args.no_cache
-    caches = (CacheTiers.build(row_capacity=args.cache_size,
-                               ttl_s=args.cache_ttl)
-              if caching else CacheTiers.disabled())
+    caches = (CacheTiers.build(dataset_capacity=0, row_capacity=0)
+              if args.no_cache
+              else CacheTiers.build(row_capacity=args.cache_size,
+                                    ttl_s=args.cache_ttl))
     chaos = (ChaosSpec(p_fault=args.chaos_rate, seed=args.chaos_seed,
                        kinds=("crash", "oom"))
              if args.chaos_rate > 0 else None)
@@ -243,9 +243,7 @@ def _build_service(args):
                                timeout_s=args.timeout,
                                retries=args.retries),
         scheduler_config=SchedulerConfig(max_pending=args.max_pending,
-                                         batching=not args.no_batch,
-                                         batch_window_s=args.batch_window,
-                                         caching=caching),
+                                         batch_window_s=args.batch_window),
         caches=caches, chaos=chaos, governor=governor)
 
 
@@ -258,8 +256,7 @@ def cmd_serve(args) -> int:
         port = await service.start(args.host, args.port)
         print(f"repro service listening on {args.host}:{port} "
               f"({args.workers} workers, {args.isolation} isolation, "
-              f"cache {'off' if args.no_cache else 'on'}, "
-              f"batching {'off' if args.no_batch else 'on'})")
+              f"cache {'off' if args.no_cache else 'on'})")
         try:
             await service.serve_forever()
         except asyncio.CancelledError:
@@ -556,29 +553,26 @@ def cmd_stats(args) -> int:
               f"hit_rate={c.get('hit_rate')}")
     rel = stats.get("reliability")
     if rel is not None:
-        if not rel.get("enabled"):
-            print("reliability  off")
-        else:
-            budget = rel.get("retry_budget", {})
-            print(f"reliability  on  retry_budget "
-                  f"tokens={budget.get('tokens')} "
-                  f"granted={budget.get('granted')} "
-                  f"denied={budget.get('denied')}")
-            for name, b in sorted(rel.get("breakers", {}).items()):
-                print(f"breaker/{name:9s} state={b.get('state')} "
-                      f"consecutive_failures="
-                      f"{b.get('consecutive_failures')} "
-                      f"transitions={b.get('transitions')}")
-            hedge = rel.get("hedge", {})
-            if hedge.get("quantile") is not None:
-                print(f"hedge        p{hedge['quantile']:g} "
-                      f"delay_s={hedge.get('delay_s')} "
-                      f"samples={hedge.get('samples')}")
-            stale = rel.get("stale")
-            if stale is not None:
-                print(f"stale-cache  entries={stale.get('entries')} "
-                      f"hits={stale.get('hits')} "
-                      f"cap_s={stale.get('cap_s')}")
+        budget = rel.get("retry_budget", {})
+        print(f"reliability  retry_budget "
+              f"tokens={budget.get('tokens')} "
+              f"granted={budget.get('granted')} "
+              f"denied={budget.get('denied')}")
+        for name, b in sorted(rel.get("breakers", {}).items()):
+            print(f"breaker/{name:9s} state={b.get('state')} "
+                  f"consecutive_failures="
+                  f"{b.get('consecutive_failures')} "
+                  f"transitions={b.get('transitions')}")
+        hedge = rel.get("hedge", {})
+        if hedge.get("quantile") is not None:
+            print(f"hedge        p{hedge['quantile']:g} "
+                  f"delay_s={hedge.get('delay_s')} "
+                  f"samples={hedge.get('samples')}")
+        stale = rel.get("stale")
+        if stale is not None:
+            print(f"stale-cache  entries={stale.get('entries')} "
+                  f"hits={stale.get('hits')} "
+                  f"cap_s={stale.get('cap_s')}")
     lat = metrics.get("service_request_latency_ms", {})
     for sample in lat.get("samples", []):
         op = sample.get("labels", {}).get("op", "?")
@@ -608,10 +602,8 @@ def cmd_cluster_serve(args) -> int:
 
     spec = _cluster_spec(args)
     harness_cls = ClusterProcesses if args.processes else ClusterThread
-    reliability = (ReliabilityConfig.disabled() if args.no_reliability
-                   else ReliabilityConfig(
-                       hedge_quantile=args.hedge_quantile,
-                       stale_cap_s=args.stale_cap))
+    reliability = ReliabilityConfig(hedge_quantile=args.hedge_quantile,
+                                    stale_cap_s=args.stale_cap)
     kwargs = dict(host=args.host, port=args.port,
                   router_kwargs={"reliability": reliability})
     if args.processes:
@@ -631,9 +623,7 @@ def cmd_cluster_serve(args) -> int:
         print(f"cluster router listening on {args.host}:"
               f"{cluster.router_port} ({args.shards} shards, "
               f"replication {args.replication}, "
-              f"{'process' if args.processes else 'thread'} shards, "
-              f"reliability "
-              f"{'off' if args.no_reliability else 'on'}"
+              f"{'process' if args.processes else 'thread'} shards"
               f"{', netchaos' if getattr(args, 'netchaos', False) else ''})")
         for name, owned in sorted(cluster.assignment.items()):
             addr = (cluster.addresses[name]
@@ -892,9 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="row-cache TTL in seconds (default: no "
                              "expiry)")
         sp.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache tiers")
-        sp.add_argument("--no-batch", action="store_true",
-                        help="disable micro-batch coalescing")
+                        help="run both result cache tiers at capacity 0")
         sp.add_argument("--max-pending", type=int, default=64,
                         help="admission limit on queued+running "
                              "executions (default: 64)")
@@ -1093,10 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("process", "inline"),
                     help="worker isolation inside each shard "
                          "(default: inline)")
-    cs.add_argument("--no-reliability", action="store_true",
-                    help="disable the request-reliability layer "
-                         "(breakers, budgeted retries, deadline-derived "
-                         "timeouts, degraded serving)")
     cs.add_argument("--hedge-quantile", type=float, default=None,
                     metavar="Q",
                     help="hedge idempotent reads at this observed "

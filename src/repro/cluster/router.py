@@ -17,8 +17,8 @@ into shard traffic:
 * **local ops** (``ping``/``health``) answer from the router's own
   state — health is the tracker's live shard map.
 
-On top of the failover walk sits the request-reliability layer
-(:class:`ReliabilityConfig`), on by default:
+The failover walk is the request-reliability layer
+(:class:`ReliabilityConfig` tunes it; there is no walk without it):
 
 * **deadline propagation** — a request's absolute wire deadline derives
   every per-attempt timeout (the remaining budget split across the
@@ -155,14 +155,8 @@ def _failure_reason(exc: BaseException) -> str:
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    """Knobs for the router's request-reliability layer.
+    """Knobs for the router's request-reliability layer."""
 
-    ``enabled=False`` reverts the router to the plain failover walk with
-    fixed timeouts — the with/without contrast the chaos-availability
-    benchmark measures.
-    """
-
-    enabled: bool = True
     # circuit breakers
     breaker_failure_threshold: int = 3
     breaker_reset_timeout_s: float = 1.0
@@ -187,10 +181,6 @@ class ReliabilityConfig:
             raise ValueError("hedge_quantile must be in (0, 100]")
         if self.stale_cap_s <= 0:
             raise ValueError("stale_cap_s must be positive")
-
-    @classmethod
-    def disabled(cls) -> "ReliabilityConfig":
-        return cls(enabled=False, serve_stale=False)
 
 
 @dataclass(frozen=True)
@@ -372,34 +362,22 @@ class Router:
             "cluster_degraded_total",
             "degraded (stale) responses served, by triggering kind",
             labels=("reason",))
-        self.breakers: dict[str, CircuitBreaker] = {}
-        self.retry_budget: RetryBudget | None = None
-        self._stale: LRUCache | None = None
-        if rel.enabled:
-            self.breakers = {
-                name: CircuitBreaker(
-                    name,
-                    failure_threshold=rel.breaker_failure_threshold,
-                    reset_timeout_s=rel.breaker_reset_timeout_s,
-                    backoff_factor=rel.breaker_backoff_factor,
-                    max_reset_timeout_s=rel.breaker_max_reset_timeout_s,
-                    on_transition=self._on_breaker_transition)
-                for name in names}
-            self.retry_budget = RetryBudget(
-                ratio=rel.retry_budget_ratio,
-                max_tokens=rel.retry_budget_max_tokens)
-            reg.gauge(
-                "cluster_breakers_open",
-                "shards currently behind an open circuit breaker",
-                callback=lambda: float(sum(
-                    1 for b in self.breakers.values()
-                    if b.state == BREAKER_OPEN)))
-            reg.gauge(
-                "cluster_retry_budget_tokens",
-                "retry-budget tokens currently available",
-                callback=lambda: float(self.retry_budget.tokens))
-        if rel.enabled and rel.serve_stale:
-            self._stale = LRUCache(rel.stale_capacity)
+        self.breakers = {name: self._new_breaker(name) for name in names}
+        self.retry_budget = RetryBudget(
+            ratio=rel.retry_budget_ratio,
+            max_tokens=rel.retry_budget_max_tokens)
+        reg.gauge(
+            "cluster_breakers_open",
+            "shards currently behind an open circuit breaker",
+            callback=lambda: float(sum(
+                1 for b in self.breakers.values()
+                if b.state == BREAKER_OPEN)))
+        reg.gauge(
+            "cluster_retry_budget_tokens",
+            "retry-budget tokens currently available",
+            callback=lambda: float(self.retry_budget.tokens))
+        self._stale = LRUCache(rel.stale_capacity) if rel.serve_stale \
+            else None
         # router-side plan cache for static-source DSL queries (version
         # 0 — a generated graph never changes under a fixed seed);
         # dynamic queries route to their owner, whose engine holds the
@@ -411,6 +389,16 @@ class Router:
         self._lat_cursor = 0
 
     # -- reliability callbacks -----------------------------------------------
+
+    def _new_breaker(self, name: str) -> CircuitBreaker:
+        rel = self.reliability
+        return CircuitBreaker(
+            name,
+            failure_threshold=rel.breaker_failure_threshold,
+            reset_timeout_s=rel.breaker_reset_timeout_s,
+            backoff_factor=rel.breaker_backoff_factor,
+            max_reset_timeout_s=rel.breaker_max_reset_timeout_s,
+            on_transition=self._on_breaker_transition)
 
     def _on_breaker_transition(self, name: str, old: str,
                                new: str) -> None:
@@ -431,7 +419,7 @@ class Router:
         """Seconds to wait before hedging, from the observed latency
         quantile; None until enough samples exist (or hedging is off)."""
         rel = self.reliability
-        if not rel.enabled or rel.hedge_quantile is None:
+        if rel.hedge_quantile is None:
             return None
         if len(self._lat_samples) < rel.hedge_min_samples:
             return None
@@ -497,9 +485,7 @@ class Router:
                     if frame.get("ok") and (frame.get("result") or {}) \
                             .get("ok"):
                         self.tracker.record_success(name, reason="probe")
-                        breaker = self.breakers.get(name)
-                        if breaker is not None:
-                            breaker.record_success()
+                        self.breakers[name].record_success()
         except asyncio.CancelledError:
             raise
     # -- live topology (rebalance support) ------------------------------------
@@ -517,16 +503,8 @@ class Router:
             return
         self._links[addr.name] = _ShardLink(addr,
                                             limit=self.pool_per_shard)
+        self.breakers[addr.name] = self._new_breaker(addr.name)
         self.tracker.add_shard(addr.name)
-        rel = self.reliability
-        if rel.enabled:
-            self.breakers[addr.name] = CircuitBreaker(
-                addr.name,
-                failure_threshold=rel.breaker_failure_threshold,
-                reset_timeout_s=rel.breaker_reset_timeout_s,
-                backoff_factor=rel.breaker_backoff_factor,
-                max_reset_timeout_s=rel.breaker_max_reset_timeout_s,
-                on_transition=self._on_breaker_transition)
         self.shards[addr.name] = addr
         log.info("shard %s joined the topology (%d shards)", addr.name,
                  len(self.shards), extra={"shard": addr.name})
@@ -580,17 +558,13 @@ class Router:
 
     def _note_success(self, shard: str) -> None:
         self.tracker.record_success(shard)
-        breaker = self.breakers.get(shard)
-        if breaker is not None:
-            breaker.record_success()
+        self.breakers[shard].record_success()
 
     def _note_transport_failure(self, shard: str, key: str,
                                 exc: BaseException) -> None:
         reason = _failure_reason(exc)
         self.tracker.record_failure(shard, reason=reason)
-        breaker = self.breakers.get(shard)
-        if breaker is not None:
-            breaker.record_failure()
+        self.breakers[shard].record_failure()
         self._m_route.labels(shard=shard, outcome="unreachable").inc()
         log.warning("shard %s unreachable for %s: %s", shard, key,
                     str(exc) or reason,
@@ -608,13 +582,6 @@ class Router:
             / max(1, candidates_left)
         return max(MIN_ATTEMPT_TIMEOUT_S,
                    min(self.attempt_timeout_s, share))
-
-    def _remaining(self, req: Request) -> float | None:
-        """Deadline budget left, or None when reliability is off (the
-        legacy router ignored deadlines entirely)."""
-        if not self.reliability.enabled:
-            return None
-        return req.remaining()
 
     def _shed(self, key: str, span_args: dict,
               overshoot: float) -> None:
@@ -659,31 +626,28 @@ class Router:
         """
         order = self.tracker.order(replicas)
         span_args["replicas"] = list(order)
-        if self.retry_budget is not None:
-            self.retry_budget.on_request()
+        self.retry_budget.on_request()
         pending = list(order)
         tried: list[str] = []
         dialed_any = False
         while pending:
-            remaining = self._remaining(req)
+            remaining = req.remaining()
             if remaining is not None and remaining <= 0:
                 self._shed(key, span_args, -remaining)
             shard = pending.pop(0)
-            breaker = self.breakers.get(shard)
-            if breaker is not None and not breaker.allow():
+            if not self.breakers[shard].allow():
                 self._m_route.labels(shard=shard,
                                      outcome="skipped").inc()
                 continue
             if dialed_any:
                 # a failover attempt: pay the retry budget, then the
                 # tiny de-correlating backoff
-                if self.retry_budget is not None \
-                        and not self.retry_budget.try_spend():
+                if not self.retry_budget.try_spend():
                     span_args["outcome"] = "retry-budget"
                     raise RetryBudgetExhausted(key, tuple(tried))
                 await asyncio.sleep(
                     self.failover_policy.delay(len(tried), key))
-                remaining = self._remaining(req)
+                remaining = req.remaining()
                 if remaining is not None and remaining <= 0:
                     self._shed(key, span_args, -remaining)
             timeout = self._attempt_timeout(remaining, 1 + len(pending))
@@ -755,14 +719,13 @@ class Router:
                 backup = self._hedge_backup(pending)
                 if backup is None:
                     continue
-                if self.retry_budget is not None \
-                        and not self.retry_budget.try_spend():
+                if not self.retry_budget.try_spend():
                     continue       # no token: ride out the first attempt
                 self._m_hedge.labels(outcome="launched").inc()
                 span_args["hedged"] = backup
                 pending.remove(backup)
                 tried.append(backup)
-                remaining = self._remaining(req)
+                remaining = req.remaining()
                 tasks[loop.create_task(self._call(
                     backup, req.op, req.params,
                     self._attempt_timeout(remaining, 1 + len(pending)),
@@ -791,16 +754,13 @@ class Router:
         # cancel the loser (if any) and release its breaker probe slot
         for task, shard in tasks.items():
             task.cancel()
-            breaker = self.breakers.get(shard)
-            if breaker is not None:
-                breaker.record_abandoned()
+            self.breakers[shard].record_abandoned()
         return winner
 
     def _hedge_backup(self, pending: Sequence[str]) -> str | None:
         """The next breaker-admitted replica to hedge onto."""
         for shard in pending:
-            breaker = self.breakers.get(shard)
-            if breaker is None or breaker.allow():
+            if self.breakers[shard].allow():
                 return shard
         return None
 
@@ -831,13 +791,11 @@ class Router:
         primary = replicas[0]
         span_args["replicas"] = list(replicas)
         span_args["primary"] = primary
-        if self.retry_budget is not None:
-            self.retry_budget.on_request()
-        remaining = self._remaining(req)
+        self.retry_budget.on_request()
+        remaining = req.remaining()
         if remaining is not None and remaining <= 0:
             self._shed(key, span_args, -remaining)
-        breaker = self.breakers.get(primary)
-        if breaker is not None and not breaker.allow():
+        if not self.breakers[primary].allow():
             self._m_route.labels(shard=primary, outcome="skipped").inc()
             span_args["outcome"] = "circuit-open"
             raise CircuitOpen(key, (primary,))
@@ -875,7 +833,7 @@ class Router:
                             "proceeding", key, self.pause_max_s,
                             extra={"key": key})
                 break
-            remaining = self._remaining(req)
+            remaining = req.remaining()
             if remaining is not None and remaining <= 0:
                 self._shed(key, span_args, -remaining)
             await asyncio.sleep(0.01)
@@ -887,8 +845,7 @@ class Router:
         concurrently; per-shard outcomes, never an exception."""
 
         async def one(shard: str) -> tuple[str, bool]:
-            breaker = self.breakers.get(shard)
-            if breaker is not None and not breaker.allow():
+            if not self.breakers[shard].allow():
                 self._m_route.labels(shard=shard,
                                      outcome="skipped").inc()
                 return shard, False
@@ -1133,17 +1090,15 @@ class Router:
         ``reliability`` section — every breaker/budget/hedge/degraded
         signal in one machine-readable place)."""
         rel = self.reliability
-        out: dict[str, Any] = {"enabled": rel.enabled}
-        if not rel.enabled:
-            return out
-        out["breakers"] = {name: b.snapshot()
-                           for name, b in sorted(self.breakers.items())}
-        out["retry_budget"] = self.retry_budget.snapshot()
         delay = self.hedge_delay()
-        out["hedge"] = {"quantile": rel.hedge_quantile,
-                        "delay_s": (round(delay, 6)
-                                    if delay is not None else None),
-                        "samples": len(self._lat_samples)}
+        out: dict[str, Any] = {
+            "breakers": {name: b.snapshot()
+                         for name, b in sorted(self.breakers.items())},
+            "retry_budget": self.retry_budget.snapshot(),
+            "hedge": {"quantile": rel.hedge_quantile,
+                      "delay_s": (round(delay, 6)
+                                  if delay is not None else None),
+                      "samples": len(self._lat_samples)}}
         if self._stale is not None:
             out["stale"] = dict(self._stale.stats.as_dict(),
                                 entries=len(self._stale),

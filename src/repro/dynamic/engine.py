@@ -45,6 +45,16 @@ def dynamic_key(dataset: str, scale: float, seed: int) -> tuple:
     return ("dynamic", dataset, float(scale), int(seed))
 
 
+def _dataset_param(params: dict[str, Any]) -> str:
+    """The request's ``dataset``, checked against the registry."""
+    from ..datagen.registry import REGISTRY
+    dataset = params.get("dataset", "ldbc")
+    if not isinstance(dataset, str) or dataset not in REGISTRY:
+        raise BadRequest(f"unknown dataset {dataset!r}; choose from "
+                         f"{', '.join(sorted(REGISTRY))}")
+    return dataset
+
+
 class DynamicEngine:
     """Per-node registry of mutable graphs + their hot query results."""
 
@@ -60,7 +70,9 @@ class DynamicEngine:
         # one lock per store serializes kernel refreshes without
         # stalling unrelated graphs
         self._store_locks: dict[tuple, threading.Lock] = {}
-        self._kernels: dict[tuple, Any] = {}
+        # maintained kernels, bounded like the responses they produce: a
+        # client sweeping BFS roots must not pin one O(n) map per root
+        self._kernels = LRUCache(cache_capacity)
         self.cache = LRUCache(cache_capacity)
         self.mutations = 0
         self.queries = 0
@@ -69,11 +81,7 @@ class DynamicEngine:
 
     @staticmethod
     def _identity(params: dict[str, Any]) -> tuple[str, float, int]:
-        from ..datagen.registry import REGISTRY
-        dataset = params.get("dataset", "ldbc")
-        if not isinstance(dataset, str) or dataset not in REGISTRY:
-            raise BadRequest(f"unknown dataset {dataset!r}; choose from "
-                             f"{', '.join(sorted(REGISTRY))}")
+        dataset = _dataset_param(params)
         try:
             scale = float(params.get("scale", 0.05))
             seed = int(params.get("seed", 0))
@@ -175,7 +183,7 @@ class DynamicEngine:
                     kernel = IncrementalCComp(
                         store,
                         recompute_fraction=self.recompute_fraction)
-                self._kernels[kernel_key] = kernel
+                self._kernels.put(kernel_key, kernel)
             served = kernel.refresh()
             response = {"workload": workload, "dataset": dataset,
                         "scale": scale, "seed": seed,
@@ -198,11 +206,7 @@ class DynamicEngine:
         the scales the service generates; a store too large to frame is
         a protocol error the caller sees, not silent truncation.
         """
-        from ..datagen.registry import REGISTRY
-        dataset = params.get("dataset", "ldbc")
-        if not isinstance(dataset, str) or dataset not in REGISTRY:
-            raise BadRequest(f"unknown dataset {dataset!r}; choose from "
-                             f"{', '.join(sorted(REGISTRY))}")
+        dataset = _dataset_param(params)
         with self._lock:
             matched = [(key, store)
                        for key, store in self._stores.items()
@@ -218,11 +222,7 @@ class DynamicEngine:
         state for the same identities and dropping the incremental
         kernels built against the replaced stores (cached query results
         are version-keyed and invalidate on the next commit)."""
-        from ..datagen.registry import REGISTRY
-        dataset = params.get("dataset", "ldbc")
-        if not isinstance(dataset, str) or dataset not in REGISTRY:
-            raise BadRequest(f"unknown dataset {dataset!r}; choose from "
-                             f"{', '.join(sorted(REGISTRY))}")
+        dataset = _dataset_param(params)
         entries = params.get("stores")
         if not isinstance(entries, list):
             raise BadRequest("import requires a 'stores' list")
@@ -242,9 +242,9 @@ class DynamicEngine:
             with self._lock:
                 self._stores[key] = store
                 self._store_locks.setdefault(key, threading.Lock())
-                for kkey in [k for k in self._kernels
-                             if k[:len(key)] == key]:
-                    del self._kernels[kkey]
+                for kkey in self._kernels.keys():
+                    if kkey[:len(key)] == key:
+                        self._kernels.discard(kkey)
             installed.append({"scale": scale, "seed": seed,
                               "version": store.head,
                               "n_vertices": store.n_vertices,

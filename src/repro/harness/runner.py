@@ -303,14 +303,13 @@ def characterize(name: str, spec: GraphSpec, *,
                  machine: MachineConfig = SCALED_XEON,
                  device: DeviceConfig = K40,
                  with_gpu: bool = False,
-                 cache_key: tuple | None = None,
                  memo: bool = True,
                  tracer=None,
                  trace_store: TraceStore | str | Path | None = None) -> Row:
     """Full characterization of one workload on one dataset (memoized).
 
-    ``memo=False`` bypasses the memo entirely (no lookup, no fill) —
-    the service's cache-off baseline measures true recompute cost.
+    ``memo=False`` bypasses the memo entirely (no lookup, no fill), so
+    a capacity-0 service really recomputes.
     With a ``tracer`` (or an installed global
     :class:`~repro.obs.SpanTracer`) the pass records a
     ``characterize:<workload>:<dataset>`` span with ``cpu``/``gpu``
@@ -323,9 +322,8 @@ def characterize(name: str, spec: GraphSpec, *,
     # just its name) keeps two differently-tuned machines with the same
     # name from colliding; likewise spec.seed distinguishes same-sized
     # datasets generated from different seeds.
-    key = cache_key or (name, spec.name, spec.n, spec.m, spec.seed,
-                        machine, device.name if with_gpu else None,
-                        with_gpu)
+    key = (name, spec.name, spec.n, spec.m, spec.seed,
+           machine, device.name if with_gpu else None, with_gpu)
     with maybe_span(tracer, f"characterize:{name}:{spec.name}",
                     workload=name, dataset=spec.name,
                     n=spec.n, m=spec.m) as span_args:

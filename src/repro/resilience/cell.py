@@ -75,19 +75,23 @@ class Cell:
         return cls(**d)
 
 
-def run_cell(cell: Cell, tracer_hook=None):
+def run_cell(cell: Cell, *, spec=None, memo: bool = True):
     """Execute one cell synchronously: build the dataset, characterize.
 
     This is the function the isolated worker runs; imports are local so a
-    spawned subprocess pays them lazily.
+    spawned subprocess pays them lazily.  A caller that already holds the
+    cell's generated dataset passes it as ``spec``; ``memo`` is
+    :func:`~repro.harness.runner.characterize`'s.
     """
     from ..datagen.registry import make as make_dataset
     from ..harness.runner import characterize
 
-    spec = make_dataset(cell.dataset, scale=cell.scale, seed=cell.seed)
+    if spec is None:
+        spec = make_dataset(cell.dataset, scale=cell.scale, seed=cell.seed)
     return characterize(cell.workload, spec,
                         machine=cell.machine_config(),
                         with_gpu=cell.with_gpu,
+                        memo=memo,
                         trace_store=cell.trace_store)
 
 

@@ -137,11 +137,13 @@ def run_cell_once(cell: Cell, *, timeout_s: float,
 
 
 def run_cell_inline(cell: Cell, *, chaos: ChaosSpec | None = None,
-                    attempt: int = 1, timeout_s: float = 300.0) -> dict:
+                    attempt: int = 1, timeout_s: float = 300.0,
+                    spec=None, memo: bool = True) -> dict:
     """In-process attempt: chaos faults become typed errors directly.
 
     ``hang`` cannot truly hang the caller, so it maps to the same
-    :class:`CellTimeout` the process path would raise.
+    :class:`CellTimeout` the process path would raise.  ``spec`` and
+    ``memo`` pass through to :func:`~repro.resilience.cell.run_cell`.
     """
     fault = (chaos.fault_for(cell.cell_id, attempt)
              if chaos is not None else None)
@@ -153,7 +155,7 @@ def run_cell_inline(cell: Cell, *, chaos: ChaosSpec | None = None,
         if fault.kind == "oom":
             raise CellOOM(cell.cell_id, "chaos: simulated allocator OOM")
     try:
-        row = run_cell(cell)
+        row = run_cell(cell, spec=spec, memo=memo)
     except MemoryError as e:
         raise CellOOM(cell.cell_id, str(e) or "MemoryError") from e
     except CellExecutionError:

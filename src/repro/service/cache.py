@@ -70,8 +70,8 @@ class LRUCache:
     """Bounded LRU mapping with optional TTL and stale retention.
 
     ``capacity=0`` disables storage entirely (every ``get`` misses) —
-    the cache-off baseline is the same object with a different knob, not
-    a different code path.  ``ttl_s=None`` means entries never expire.
+    "cache off" is the same object with a different knob, not a different
+    code path.  ``ttl_s=None`` means entries never expire.
 
     Expired entries are *retained* (present-but-expired) until capacity
     pressure evicts them or a fresh ``put`` overwrites them: a normal
@@ -176,6 +176,11 @@ class LRUCache:
                 del self._data[lru]
                 self.stats.evictions += 1
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present (not an eviction: nothing is counted)."""
+        with self._lock:
+            self._data.pop(key, None)
+
     def keys(self) -> list[Hashable]:
         """Current keys, LRU first (expired entries included until
         evicted or overwritten — they remain readable via
@@ -219,11 +224,6 @@ class CacheTiers:
               clock: Callable[[], float] = time.monotonic) -> "CacheTiers":
         return cls(datasets=LRUCache(dataset_capacity, ttl_s, clock),
                    rows=LRUCache(row_capacity, ttl_s, clock))
-
-    @classmethod
-    def disabled(cls) -> "CacheTiers":
-        """Cache-off baseline: every lookup misses, nothing is stored."""
-        return cls(datasets=LRUCache(0), rows=LRUCache(0))
 
     def stats(self) -> dict[str, dict[str, float]]:
         return {"datasets": self.datasets.stats.as_dict(),

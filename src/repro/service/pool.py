@@ -24,11 +24,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.errors import CellExecutionError, CellOOM, CellCrash, CellTimeout
+from ..core.errors import CellExecutionError
 from ..obs.logs import get_logger
-from ..resilience.cell import Cell, row_to_record
-from ..resilience.chaos import ChaosSpec, corrupt_payload
-from ..resilience.executor import ExecutorConfig, run_cell_resilient
+from ..resilience.cell import Cell
+from ..resilience.chaos import ChaosSpec
+from ..resilience.executor import (
+    ExecutorConfig,
+    run_cell_inline,
+    run_cell_resilient,
+)
 from ..resilience.retry import RetryPolicy, run_with_retries
 from .cache import CacheTiers, dataset_key
 
@@ -86,7 +90,7 @@ class WorkerPool:
 
     def __init__(self, config: PoolConfig | None = None, *,
                  chaos: ChaosSpec | None = None,
-                 caches: CacheTiers | None = None,
+                 caches: CacheTiers,
                  memoize: bool = True):
         self.config = config or PoolConfig()
         self.chaos = chaos
@@ -184,52 +188,17 @@ class WorkerPool:
         return record
 
     def _run_inline(self, cell: Cell, attempt: int) -> dict:
-        """In-process attempt sharing the dataset spec tier.
-
-        Mirrors :func:`~repro.resilience.executor.run_cell_inline` but
-        materializes the dataset through the cache (a subprocess cannot
-        share specs; a pool thread can) and honours ``memoize=False`` so
-        the cache-off baseline really recomputes.
-        """
+        """In-process attempt sharing the dataset spec tier: the dataset
+        comes through the cache (a subprocess cannot share specs; a pool
+        thread can), and ``memoize=False`` makes the cell recompute."""
         from ..datagen.registry import make as make_dataset
-        from ..harness.runner import characterize
 
-        fault = (self.chaos.fault_for(cell.cell_id, attempt)
-                 if self.chaos is not None else None)
-        if fault is not None:
-            if fault.kind == "hang":
-                raise CellTimeout(cell.cell_id, self.config.timeout_s)
-            if fault.kind in ("crash", "raise"):
-                raise CellCrash(cell.cell_id,
-                                f"chaos: injected {fault.kind}")
-            if fault.kind == "oom":
-                raise CellOOM(cell.cell_id,
-                              "chaos: simulated allocator OOM")
-        try:
-            spec = None
-            dkey = dataset_key(cell.dataset, cell.scale, cell.seed)
-            if self.caches is not None:
-                spec = self.caches.datasets.get(dkey)
-            if spec is None:
-                spec = make_dataset(cell.dataset, scale=cell.scale,
-                                    seed=cell.seed)
-                if self.caches is not None:
-                    self.caches.datasets.put(dkey, spec)
-            row = characterize(cell.workload, spec,
-                               machine=cell.machine_config(),
-                               with_gpu=cell.with_gpu,
-                               memo=self.memoize)
-        except MemoryError as e:
-            raise CellOOM(cell.cell_id, str(e) or "MemoryError") from e
-        except CellExecutionError:
-            raise
-        except Exception as e:
-            raise CellCrash(cell.cell_id,
-                            f"{type(e).__name__}: {e}") from e
-        payload = row_to_record(row, cell, attempts=attempt)
-        payload = corrupt_payload(fault, payload, cell.cell_id)
-        if not isinstance(payload, dict):
-            raise CellCrash(cell.cell_id,
-                            f"corrupt result payload "
-                            f"({type(payload).__name__})")
-        return payload
+        dkey = dataset_key(cell.dataset, cell.scale, cell.seed)
+        spec = self.caches.datasets.get(dkey)
+        if spec is None:
+            spec = make_dataset(cell.dataset, scale=cell.scale,
+                                seed=cell.seed)
+            self.caches.datasets.put(dkey, spec)
+        return run_cell_inline(cell, chaos=self.chaos, attempt=attempt,
+                               timeout_s=self.config.timeout_s,
+                               spec=spec, memo=self.memoize)

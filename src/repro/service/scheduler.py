@@ -17,7 +17,8 @@ traffic-serving system:
   pile on.
 * **Row caching** — completed records land in the
   :class:`~repro.service.cache.CacheTiers` row tier; an identical later
-  request is answered without touching the pool.
+  request is answered without touching the pool.  A capacity-0 tier is
+  "cache off": every lookup misses and nothing is stored.
 
 Everything runs on the server's event loop; the only await points are the
 pool handoff and the batch window, so the bookkeeping needs no locks.
@@ -47,9 +48,7 @@ class SchedulerConfig:
     """Knobs for admission, coalescing, and degraded serving."""
 
     max_pending: int = 64            # distinct executions queued+running
-    batching: bool = True            # coalesce identical in-flight cells
     batch_window_s: float = 0.0      # hold before dispatch to collect dups
-    caching: bool = True             # serve/fill the row cache tier
     serve_stale: bool = True         # degraded reads on execution failure
     stale_cap_s: float = 60.0        # hard staleness cap for degraded reads
 
@@ -127,7 +126,7 @@ class _Batch:
 class Scheduler:
     """Admission-controlled, coalescing dispatcher over a worker pool."""
 
-    def __init__(self, pool: WorkerPool, caches: CacheTiers | None = None,
+    def __init__(self, pool: WorkerPool, caches: CacheTiers,
                  config: SchedulerConfig | None = None, *,
                  governor=None):
         self.pool = pool
@@ -207,7 +206,7 @@ class Scheduler:
         if deadline is not None and time.time() >= deadline:
             self._shed(key, deadline, time.time())
         gov = self.governor
-        rows = self.caches.rows if self.caches is not None else None
+        rows = self.caches.rows
         tname = None
         if gov is not None:
             tname = gov.resolve(tenant)
@@ -215,12 +214,11 @@ class Scheduler:
             part = gov.cache_for(tname)
             if part is not None:
                 rows = part
-        if self.config.caching and rows is not None:
-            record = rows.get(key)
-            if record is not None:
-                self.stats.cache_hits += 1
-                return dict(record, served="cache")
-        if self.config.batching and key in self._inflight:
+        record = rows.get(key)
+        if record is not None:
+            self.stats.cache_hits += 1
+            return dict(record, served="cache")
+        if key in self._inflight:
             self.stats.coalesced += 1
             record = await self._inflight[key].join(deadline)
             if not record.get("degraded"):
@@ -242,7 +240,7 @@ class Scheduler:
         self._pending += 1
         fut = batch.join(deadline)
         task = asyncio.get_running_loop().create_task(
-            self._execute(key, batch, fill=rows))
+            self._execute(key, batch, rows))
         if gov is not None:
             # the slot covers the whole execution (including the batch
             # window), released exactly once when the task settles
@@ -257,8 +255,7 @@ class Scheduler:
     def _stale_record(self, key: str, rows) -> dict | None:
         """Degraded fallback: an expired-but-present row within the
         staleness cap, marked so the client knows what it got."""
-        if not (self.config.serve_stale and self.config.caching
-                and rows is not None):
+        if not self.config.serve_stale:
             return None
         stale = rows.get_stale(key, self.config.stale_cap_s)
         if stale is None:
@@ -267,8 +264,7 @@ class Scheduler:
         return dict(record, degraded=True, staleness_s=round(age, 3),
                     served="stale")
 
-    async def _execute(self, key: str, batch: _Batch,
-                       fill=None) -> None:
+    async def _execute(self, key: str, batch: _Batch, fill) -> None:
         if self.config.batch_window_s > 0:
             await asyncio.sleep(self.config.batch_window_s)
         now = time.time()
@@ -317,8 +313,7 @@ class Scheduler:
         # cache) instead of joining a finished batch
         self._inflight.pop(key, None)
         self._pending -= 1
-        if self.config.caching and fill is not None:
-            fill.put(key, dict(record))
+        fill.put(key, dict(record))
         batch.resolve(record)
 
     async def drain(self) -> None:

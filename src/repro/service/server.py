@@ -130,9 +130,11 @@ class GraphService:
         self.caches = caches if caches is not None else CacheTiers.build()
         self.dynamic = dynamic if dynamic is not None else DynamicEngine()
         self.query_engine = QueryEngine(self.dynamic)
+        # a capacity-0 row tier means "recompute every request": the
+        # harness memo under the pool must not answer in its place
         self.pool = WorkerPool(pool_config, chaos=chaos,
                                caches=self.caches,
-                               memoize=self.scheduler_config.caching)
+                               memoize=self.caches.rows.capacity > 0)
         # optional multi-tenant QoS: absent, the scheduler hot path is
         # the single-tenant one unchanged
         self.governor = governor

@@ -5,9 +5,9 @@ CSR/bitset snapshots and emit the *exact* event stream of their original
 loop implementations through :meth:`Tracer.bulk_emit` — per-element
 identical addresses, rw flags, instruction indices, regions, branch sites
 and region visits (the equivalence bar ``scan_vertices`` already meets,
-extended to whole kernels).  Every kernel keeps its loop implementation in
-the tree as the oracle; ``tests/test_workloads_vectorized.py`` asserts
-full frozen-trace equality between the two.
+extended to whole kernels).  The loop implementations are the oracles in
+``tests/oracles.py``; ``tests/test_workloads_vectorized.py`` asserts full
+frozen-trace equality between the two.
 
 This module holds the pieces the four kernels share:
 
@@ -16,14 +16,14 @@ This module holds the pieces the four kernels share:
   struct/index addresses, vid→row lookup);
 * ragged-array helpers (:func:`offsets_of`, :func:`ragged_arange`) for
   splicing variable-width per-item event blocks into one stream;
-* the stack-rotation helper mirroring ``PropertyGraph._stack_touch``;
-* :func:`loop_reference_kernels` — a context manager flipping the four
-  classes back to their loop kernels (the benchmark's legacy arm).
+* :func:`first_unseen` — the frontier dedup of a level-synchronous
+  traversal;
+* :class:`AccessBlock` — the access arrays of one bulk block, filled by
+  position and emitted with the stack rotation mirroring
+  ``PropertyGraph._stack_touch``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class GraphView:
         self.in_src = self.rows_of(in_src_vid)
         self.index_base = g._index_base
         self.index_cap = g._index_cap
-        self.stack_base = g._stack_base
         self.idx_addr = (self.index_base
                          + G.INDEX_ENTRY * (self.vids % self.index_cap))
 
@@ -115,27 +114,51 @@ def csr_gather(indptr: np.ndarray, counts: np.ndarray,
     return ragged_arange(c) + np.repeat(indptr[rows], c)
 
 
-def stack_addr_of(stack_base: int, sp0: int,
-                  ordinals: np.ndarray) -> np.ndarray:
-    """Addresses of the k-th stack touches after pointer state ``sp0``
-    (``ordinals`` are 1-based), mirroring ``PropertyGraph._stack_touch``'s
-    rotation over four hot lines."""
-    return stack_base + 64 * ((sp0 + np.asarray(ordinals, I64)) & 3)
+def first_unseen(seen: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mask over ``targets`` (rows, in visit order) of the first occurrence
+    of each row not yet in ``seen`` — the relaxations a sequential
+    traversal of this level would find unvisited."""
+    cand = np.flatnonzero(~seen[targets])
+    fresh = np.zeros(len(targets), bool)
+    if len(cand):
+        _, first = np.unique(targets[cand], return_index=True)
+        fresh[cand[first]] = True
+    return fresh
 
 
-@contextmanager
-def loop_reference_kernels():
-    """Run the four vectorized workloads through their original loop
-    kernels (the oracle / legacy benchmark arm) for the duration."""
-    from .bfs import BFS
-    from .ccomp import CComp
-    from .kcore import KCore
-    from .tc import TC
-    classes = (BFS, CComp, KCore, TC)
-    for c in classes:
-        c.USE_VEC = False
-    try:
-        yield
-    finally:
-        for c in classes:
-            c.USE_VEC = True
+class AccessBlock:
+    """The access stream of one bulk block, written by position.
+
+    ``put`` scatters one access per given position; instruction indices
+    are relative to the block start.  A stack touch passes ``stk``, its
+    1-based ordinal among the block's stack touches, in place of an
+    address.  ``emit`` resolves those to the rotating stack lines, advances
+    the graph's stack pointer and hands the block to the tracer.
+    """
+
+    def __init__(self, n_acc: int):
+        self.addr = np.empty(n_acc, I64)
+        self.rw = np.zeros(n_acc, np.uint8)
+        self.iat = np.empty(n_acc, I64)
+        self.reg = np.empty(n_acc, np.uint32)
+        self.sord = np.zeros(n_acc, I64)
+
+    def put(self, pos, a, region, ioff, *, wr=False, stk=None) -> None:
+        self.addr[pos] = a
+        self.reg[pos] = region
+        self.iat[pos] = ioff
+        if wr:
+            self.rw[pos] = 1
+        if stk is not None:
+            self.sord[pos] = stk
+
+    def emit(self, g: G.PropertyGraph, t, **counts) -> None:
+        """Emit through ``t.bulk_emit(..., **counts)`` at the tracer's
+        current instruction count."""
+        stk = self.sord > 0
+        # mirrors PropertyGraph._stack_touch's rotation over four hot lines
+        self.addr[stk] = g._stack_base + 64 * ((g._sp + self.sord[stk]) & 3)
+        g._sp = (g._sp + int(stk.sum())) & 3
+        self.iat += t.n
+        t.bulk_emit(self.addr.astype(np.uint64), self.rw,
+                    self.iat.astype(np.uint64), self.reg, **counts)

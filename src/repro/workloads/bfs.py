@@ -5,12 +5,11 @@ Level-synchronous queue-based BFS over framework primitives: the frontier
 queue stays L1-resident while neighbour-list walks chase pointers across
 the heap — the canonical CompStruct signature (Table 1).
 
-Two implementations share this class: the original per-vertex loop over
-the traced primitives (``kernel_loop``, the oracle) and a vectorized
-frontier kernel (``kernel_vec``, the default) that runs the traversal on
-a numpy CSR snapshot and emits the *identical* event stream through the
-tracer's bulk API — same addresses, rw flags, instruction indices,
-branch outcomes and region visits, element for element.
+The kernel runs the traversal frontier by frontier on a numpy CSR
+snapshot and emits, through the tracer's bulk API, the event stream of the
+per-vertex loop over the traced primitives (``tests/oracles.py:loop_bfs``)
+— same addresses, rw flags, instruction indices, branch outcomes and
+region visits, element for element.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from typing import Any
 import numpy as np
 
 from ..core import trace as T
-from ..core.graph import (
-    INDEX_ENTRY, V_HEAD_OFF, V_ID_OFF, V_PROP_OFF, PropertyGraph,
-)
+from ..core.graph import V_HEAD_OFF, V_ID_OFF, V_PROP_OFF, PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
 from ._bulk import (
-    GraphView, I64, offsets_of, ragged_arange, stack_addr_of,
+    AccessBlock, GraphView, I64, first_unseen, offsets_of, ragged_arange,
 )
 from .base import ENTRY, NullTracer, TracedQueue, Workload
 
@@ -38,44 +35,9 @@ class BFS(Workload):
     CTYPE = ComputationType.COMP_STRUCT
     CATEGORY = WorkloadCategory.TRAVERSAL
     HAS_GPU = True
-    USE_VEC = True
 
     def kernel(self, g: PropertyGraph, t, *, root: int = 0,
                **_: Any) -> dict[str, Any]:
-        if self.USE_VEC:
-            return self.kernel_vec(g, t, root=root)
-        return self.kernel_loop(g, t, root=root)
-
-    def kernel_loop(self, g: PropertyGraph, t, *, root: int = 0,
-                    **_: Any) -> dict[str, Any]:
-        site_visited = t.register_branch_site()
-        src = g.find_vertex(root)
-        g.vset(src, "level", 0)
-        g.vset(src, "parent", root)
-        q = TracedQueue(g, t)
-        q.push(src)
-        levels: dict[int, int] = {root: 0}
-        parents: dict[int, int] = {root: root}
-        visited = 1
-        while q:
-            v = q.pop()
-            lvl = g.vget(v, "level")
-            for dst, _node in g.neighbors(v):
-                w = g.find_vertex(dst)
-                t.i(4)
-                unvisited = g.vget(w, "level") < 0
-                t.br(site_visited, unvisited)
-                if unvisited:
-                    g.vset(w, "level", lvl + 1)
-                    g.vset(w, "parent", v.vid)
-                    levels[dst] = lvl + 1
-                    parents[dst] = v.vid
-                    visited += 1
-                    q.push(w)
-        return {"levels": levels, "parents": parents, "visited": visited}
-
-    def kernel_vec(self, g: PropertyGraph, t, *, root: int = 0,
-                   **_: Any) -> dict[str, Any]:
         site_visited = t.register_branch_site()
         src = g.find_vertex(root)
         g.vset(src, "level", 0)
@@ -105,14 +67,7 @@ class BFS(Workload):
             eidx = gv.out_edges_of(frontier)
             edst = gv.out_dst[eidx]
             srcrow = np.repeat(frontier, d)
-            cand = ~seen[edst]
-            unvis = np.zeros(len(edst), bool)
-            sub = edst[cand]
-            if len(sub):
-                _, first = np.unique(sub, return_index=True)
-                usub = np.zeros(len(sub), bool)
-                usub[first] = True
-                unvis[np.flatnonzero(cand)] = usub
+            unvis = first_unseen(seen, edst)
             new_rows = edst[unvis]
             seen[new_rows] = True
             lvl += 1
@@ -153,7 +108,7 @@ class BFS(Workload):
 
     def _emit(self, g: PropertyGraph, t, gv: GraphView, q: TracedQueue,
               pops, eidx, e_src_pos, unvis, site_visited) -> None:
-        """Emit the loop kernel's exact event stream for the main loop
+        """Emit the loop oracle's exact event stream for the main loop
         (the prologue up to the root push went through the real
         primitives).  Per popped vertex: pop + level read + neighbour-walk
         prologue (4 accesses / 13 instrs), then per edge the walk step,
@@ -183,22 +138,10 @@ class BFS(Workload):
         stk_len[e_item] = np.where(unvis, 5, 3)
         acc_off, n_acc = offsets_of(acc_len)
         ins_off, n_ins = offsets_of(ins_len)
-        stk_off, n_stk = offsets_of(stk_len)
+        stk_off, _ = offsets_of(stk_len)
 
-        addr = np.empty(n_acc, I64)
-        rw = np.zeros(n_acc, np.uint8)
-        iat = np.empty(n_acc, I64)
-        reg = np.empty(n_acc, np.uint32)
-        sord = np.zeros(n_acc, I64)             # 1-based stack ordinals
-
-        def put(pos, a, region, ioff, *, wr=False, stk=None):
-            addr[pos] = a
-            reg[pos] = region
-            iat[pos] = ioff
-            if wr:
-                rw[pos] = 1
-            if stk is not None:
-                sord[pos] = stk
+        blk = AccessBlock(n_acc)
+        put = blk.put
 
         # popped-vertex prologue: queue pop, level vget, neighbour head
         pvp = acc_off[v_item]
@@ -233,11 +176,6 @@ class BFS(Workload):
                 tail = 1 + np.arange(int(u.sum()), dtype=I64)  # root at 0
                 put(pu + 11, q.base + (tail % q.cap) * ENTRY, krid,
                     iu + 63, wr=True)
-
-        stk_mask = sord > 0
-        addr[stk_mask] = stack_addr_of(gv.stack_base, g._sp, sord[stk_mask])
-        g._sp = (g._sp + n_stk) & 3
-        iat += t.n
 
         # branch stream: per edge [more-edges, find-hit, visited?], then
         # one not-taken loop exit per popped vertex
@@ -300,12 +238,10 @@ class BFS(Workload):
         vcnt[ptv[-1]] = 0                       # last pop: queue is empty
 
         Eu = int(unvis.sum())
-        t.bulk_emit(addr.astype(np.uint64), rw, iat.astype(np.uint64), reg,
-                    n_instrs=n_ins,
-                    fw_instrs=10 * pv + 38 * (E - Eu) + 56 * Eu,
-                    fw_accesses=3 * pv + 7 * (E - Eu) + 11 * Eu,
-                    head_instrs=3,
-                    region_seq=vseq, region_instrs=vcnt)
+        blk.emit(g, t, n_instrs=n_ins,
+                 fw_instrs=10 * pv + 38 * (E - Eu) + 56 * Eu,
+                 fw_accesses=3 * pv + 7 * (E - Eu) + 11 * Eu,
+                 head_instrs=3, region_seq=vseq, region_instrs=vcnt)
         t.bulk_branch_events(sites, taken)
 
     @staticmethod

@@ -7,9 +7,9 @@ traversing every edge with no single hot frontier is what drives CComp's
 very high L3 MPKI (101.3) and DTLB penalty (21.1 %) in Figs. 6–7.
 (The GPU side uses Soman's algorithm — see ``repro.gpu.kernels.ccomp``.)
 
-``kernel_loop`` is the original per-vertex implementation (the oracle);
-``kernel_vec`` (default) runs the same seeded traversals on a numpy CSR
-snapshot and emits the identical event stream through the bulk-trace API.
+The kernel runs the seeded traversals on a numpy CSR snapshot and emits
+the event stream of the per-vertex loop (``tests/oracles.py:loop_ccomp``)
+through the bulk-trace API.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from ..core.graph import (
     V_HEAD_OFF, V_ID_OFF, V_INREF_OFF, V_PROP_OFF, PropertyGraph,
 )
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import GraphView, I64, offsets_of, ragged_arange, stack_addr_of
+from ._bulk import (
+    AccessBlock, GraphView, I64, first_unseen, offsets_of, ragged_arange,
+)
 from .base import ENTRY, NullTracer, TracedQueue, Workload
 
 
@@ -35,43 +37,8 @@ class CComp(Workload):
     CTYPE = ComputationType.COMP_STRUCT
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
-    USE_VEC = True
 
     def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        if self.USE_VEC:
-            return self.kernel_vec(g, t)
-        return self.kernel_loop(g, t)
-
-    def kernel_loop(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        site_fresh = t.register_branch_site()
-        comp: dict[int, int] = {}
-        n_components = 0
-        q = TracedQueue(g, t)
-        for v in g.vertices():
-            t.i(3)
-            unlabelled = g.vget(v, "comp") < 0
-            t.br(site_fresh, unlabelled)
-            if not unlabelled:
-                continue
-            n_components += 1
-            label = v.vid
-            g.vset(v, "comp", label)
-            comp[v.vid] = label
-            q.push(v)
-            while q:
-                u = q.pop()
-                nbrs = [dst for dst, _ in g.neighbors(u)]
-                nbrs.extend(g.in_neighbors(u))
-                for dst in nbrs:
-                    w = g.find_vertex(dst)
-                    t.i(3)
-                    if g.vget(w, "comp") < 0:
-                        g.vset(w, "comp", label)
-                        comp[dst] = label
-                        q.push(w)
-        return {"comp": comp, "n_components": n_components}
-
-    def kernel_vec(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
         site_fresh = t.register_branch_site()
         q = TracedQueue(g, t)
         gv = GraphView(g)
@@ -105,14 +72,7 @@ class CComp(Workload):
                 dsts[opos] = gv.out_dst[gv.out_edges_of(frontier)]
                 ipos = ragged_arange(idg) + np.repeat(starts + od, idg)
                 dsts[ipos] = gv.in_src[gv.in_edges_of(frontier)]
-                cand = ~seen[dsts]
-                fresh = np.zeros(tot, bool)
-                sub = dsts[cand]
-                if len(sub):
-                    _, first = np.unique(sub, return_index=True)
-                    fsub = np.zeros(len(sub), bool)
-                    fsub[first] = True
-                    fresh[np.flatnonzero(cand)] = fsub
+                fresh = first_unseen(seen, dsts)
                 new_rows = dsts[fresh]
                 seen[new_rows] = True
                 label[new_rows] = gv.vids[row]
@@ -140,7 +100,7 @@ class CComp(Workload):
 
     def _emit(self, g: PropertyGraph, t, gv: GraphView, q: TracedQueue,
               pops, dsts, fresh, seed_mask, comp_sizes, site_fresh) -> None:
-        """Emit the loop kernel's exact stream.  Segments, in order: one
+        """Emit the loop oracle's exact stream.  Segments, in order: one
         scan item per vertex (vertex-scan step + comp probe, seeds add the
         label write and push); after each seed, its component's pop groups
         (queue pop, out-list drain, in-list drain, then per target the
@@ -208,22 +168,10 @@ class CComp(Workload):
         br_off, n_br = table(2, 0, od + 1, idg + 1, 1, 1)
         vis_off, n_vis = table(4 + 2 * sd, 0, 2 + 2 * od, 2 + 2 * idg,
                                4 + 2 * fr, 2)
-        stk_off, n_stk = table(2 + sd, 0, od, 0, 2 + fr, 0)
+        stk_off, _ = table(2 + sd, 0, od, 0, 2 + fr, 0)
 
-        addr = np.empty(n_acc, I64)
-        rw = np.zeros(n_acc, np.uint8)
-        iat = np.empty(n_acc, I64)
-        reg = np.empty(n_acc, np.uint32)
-        sord = np.zeros(n_acc, I64)
-
-        def put(pos, a, region, ioff, *, wr=False, stk=None):
-            addr[pos] = a
-            reg[pos] = region
-            iat[pos] = ioff
-            if wr:
-                rw[pos] = 1
-            if stk is not None:
-                sord[pos] = stk
+        blk = AccessBlock(n_acc)
+        put = blk.put
 
         rows = np.arange(n, dtype=I64)
         pa, pi, ps = acc_off[s_scan], ins_off[s_scan], stk_off[s_scan]
@@ -276,11 +224,6 @@ class CComp(Workload):
                 put(fa + 7,
                     q.base + (pop_pos[dsts[fresh]] % q.cap) * ENTRY,
                     krid, fi + 37, wr=True)
-
-        stk_mask = sord > 0
-        addr[stk_mask] = stack_addr_of(gv.stack_base, g._sp, sord[stk_mask])
-        g._sp = (g._sp + n_stk) & 3
-        iat += t.n
 
         # --- branch stream ----------------------------------------------
         sites = np.empty(n_br, np.uint32)
@@ -346,14 +289,12 @@ class CComp(Workload):
 
         Eo, Ei = int(od.sum()), int(idg.sum())
         Df = int(fresh.sum())
-        t.bulk_emit(addr.astype(np.uint64), rw, iat.astype(np.uint64), reg,
-                    n_instrs=n_ins,
-                    fw_instrs=(18 * n + 9 * C + 4 * P
-                               + 16 * (Eo + Ei) + 22 * D + 9 * Df),
-                    fw_accesses=(5 * n + 2 * C + 2 * P
-                                 + 2 * Eo + Ei + 5 * D + 2 * Df),
-                    head_instrs=0,
-                    region_seq=vseq, region_instrs=vcnt)
+        blk.emit(g, t, n_instrs=n_ins,
+                 fw_instrs=(18 * n + 9 * C + 4 * P
+                            + 16 * (Eo + Ei) + 22 * D + 9 * Df),
+                 fw_accesses=(5 * n + 2 * C + 2 * P
+                              + 2 * Eo + Ei + 5 * D + 2 * Df),
+                 head_instrs=0, region_seq=vseq, region_instrs=vcnt)
         t.bulk_branch_events(sites, taken)
 
     @staticmethod

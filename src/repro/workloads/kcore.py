@@ -7,13 +7,12 @@ are hot, but each peel walks the victim's scattered neighbour lists — the
 long dependent-load chains that give kCore its >90 % backend-stall share
 (Fig. 5).
 
-``kernel_loop`` is the original implementation (the oracle).
-``kernel_vec`` (default) runs the identical peeling untraced while
-recording the per-peel event shape, then emits the whole bucket/peel
-stream in one :meth:`Tracer.bulk_emit` block; the adjacency snapshot
-phase reuses the block scan primitives both kernels share.  The peel
-order, bucket probes and neighbour-set iteration orders are replicated
-exactly, so the trace is per-element identical.
+The kernel runs the peeling untraced while recording the per-peel event
+shape, then emits the whole bucket/peel stream in one
+:meth:`Tracer.bulk_emit` block; the adjacency snapshot phase goes through
+the block scan primitives.  The peel order, bucket probes and
+neighbour-set iteration orders are those of the traced loop
+(``tests/oracles.py:loop_kcore``), so the trace is per-element identical.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ import numpy as np
 from ..core import trace as T
 from ..core.graph import V_PROP_OFF, PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import I64, offsets_of, ragged_arange, stack_addr_of
-from .base import NullTracer, Workload
-
-ENTRY = 8
+from ._bulk import AccessBlock, I64, offsets_of, ragged_arange
+from .base import ENTRY, NullTracer, Workload
 
 
 class KCore(Workload):
@@ -39,76 +36,14 @@ class KCore(Workload):
     CTYPE = ComputationType.COMP_STRUCT
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
-    USE_VEC = True
 
     def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        if self.USE_VEC:
-            return self.kernel_vec(g, t)
-        return self.kernel_loop(g, t)
-
-    def kernel_loop(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        site_shift = t.register_branch_site()
-        # undirected adjacency snapshot via the block scan primitives
-        # (whole lists are consumed, so the bulk API applies)
-        ids = sorted(g.vertex_ids())
-        adj: dict[int, set[int]] = {vid: set() for vid in ids}
-        for v in g.scan_vertices():
-            for dst in g.neighbor_ids(v):
-                t.i(2)
-                adj[v.vid].add(dst)
-                adj[dst].add(v.vid)
-        degree = {vid: len(adj[vid]) for vid in ids}
-        maxdeg = max(degree.values(), default=0)
-        # bucket arrays on the sim heap (Matula-Beck bookkeeping)
-        bucket_base = g.alloc.alloc_array(maxdeg + 1, ENTRY, tag="kcore_bkt")
-        pos_base = g.alloc.alloc_array(len(ids) + 1, ENTRY, tag="kcore_pos")
-        buckets: list[set[int]] = [set() for _ in range(maxdeg + 1)]
-        for vid in ids:
-            buckets[degree[vid]].add(vid)
-            t.i(2)
-            t.w(bucket_base + degree[vid] * ENTRY)
-        core: dict[int, int] = {}
-        k = 0
-        removed: set[int] = set()
-        for _ in range(len(ids)):
-            # find the lowest non-empty bucket
-            d = 0
-            while not buckets[d]:
-                t.i(2)
-                t.r(bucket_base + d * ENTRY)
-                d += 1
-            t.br(site_shift, d > k)
-            k = max(k, d)
-            vid = min(buckets[d])        # deterministic tie-break
-            buckets[d].discard(vid)
-            t.i(4)
-            t.w(bucket_base + d * ENTRY)
-            core[vid] = k
-            removed.add(vid)
-            v = g.find_vertex(vid)
-            g.vset(v, "core", k)
-            for u in adj[vid]:
-                t.i(5)
-                if u in removed:
-                    continue
-                du = degree[u]
-                buckets[du].discard(u)
-                degree[u] = du - 1
-                buckets[du - 1].add(u)
-                t.w(bucket_base + du * ENTRY)
-                t.w(pos_base + (u % (len(ids) + 1)) * ENTRY)
-                # touch the neighbour's struct (degree update readback)
-                w = g.find_vertex(u)
-                t.r(w.addr + 8)
-        return {"core": core, "max_core": k}
-
-    def kernel_vec(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
         site_shift = t.register_branch_site()
         ids = sorted(g.vertex_ids())
         n = len(ids)
         adj: dict[int, set[int]] = {vid: set() for vid in ids}
-        # adjacency snapshot: same block primitives as the loop kernel;
-        # the per-target bookkeeping charge is batched into one i() call
+        # undirected adjacency snapshot via the block scan primitives; the
+        # per-target bookkeeping charge is batched into one i() call
         for v in g.scan_vertices():
             dsts = g.neighbor_ids(v)
             t.i(2 * len(dsts))
@@ -127,8 +62,8 @@ class KCore(Workload):
         core: dict[int, int] = {}
         k = 0
         removed: set[int] = set()
-        # untraced peel with per-event recording (the bucket mutations and
-        # the adj-set iteration orders are identical to the loop kernel)
+        # untraced Matula-Beck peel with per-event recording (the bucket
+        # mutations and adj-set iteration orders are the loop oracle's)
         probes: list[int] = []
         shift_taken: list[bool] = []
         peel_vid: list[int] = []
@@ -228,20 +163,8 @@ class KCore(Workload):
         acc_st, n_acc = offsets_of(acc_w)
         acc_st = acc_st + n
         n_acc += n
-        addr = np.empty(n_acc, I64)
-        rw = np.zeros(n_acc, np.uint8)
-        iat = np.empty(n_acc, I64)
-        reg = np.full(n_acc, krid, np.uint32)
-        sord = np.zeros(n_acc, I64)
-
-        def put(pos, a, region, ioff, *, wr=False, stk=None):
-            addr[pos] = a
-            reg[pos] = region
-            iat[pos] = ioff
-            if wr:
-                rw[pos] = 1
-            if stk is not None:
-                sord[pos] = stk
+        blk = AccessBlock(n_acc)
+        put = blk.put
 
         # bucket init (sorted id order)
         bj = np.arange(n, dtype=I64)
@@ -253,7 +176,7 @@ class KCore(Workload):
         put(pp, bucket_base + jp * ENTRY, krid,
             np.repeat(ins_st, p) + 2 * (jp + 1))
         # victim dequeue + find + core write
-        stk_st, n_stk = offsets_of(2 + nl)
+        stk_st, _ = offsets_of(2 + nl)
         va = look(vaddr_s, peel_vid)
         hb = ins_st + 2 * p
         put(acc_st + p, bucket_base + probes * ENTRY, krid, hb + 4, wr=True)
@@ -276,11 +199,6 @@ class KCore(Workload):
             put(ua + 3, look(idx_s, u_all[lm]), T.R_FIND_VERTEX, ui + 19)
             put(ua + 4, uv, T.R_FIND_VERTEX, ui + 19)
             put(ua + 5, uv + 8, krid, ui + 19)
-
-        stk_mask = sord > 0
-        addr[stk_mask] = stack_addr_of(g._stack_base, g._sp, sord[stk_mask])
-        g._sp = (g._sp + n_stk) & 3
-        iat += t.n
 
         # --- branches: shift test + victim find + live-neighbour finds ---
         br_st, n_br = offsets_of(2 + nl)
@@ -318,12 +236,11 @@ class KCore(Workload):
                           + tail[liv_peel[lastm]])
             vcnt[uvp + 1] = gap
 
-        t.bulk_emit(addr.astype(np.uint64), rw, iat.astype(np.uint64), reg,
-                    n_instrs=int(n_ins),
-                    fw_instrs=23 * P + 14 * NLtot,
-                    fw_accesses=5 * P + 3 * NLtot,
-                    head_instrs=2 * n + 2 * int(p[0]) + 4,
-                    region_seq=vseq, region_instrs=vcnt)
+        blk.emit(g, t, n_instrs=int(n_ins),
+                 fw_instrs=23 * P + 14 * NLtot,
+                 fw_accesses=5 * P + 3 * NLtot,
+                 head_instrs=2 * n + 2 * int(p[0]) + 4,
+                 region_seq=vseq, region_instrs=vcnt)
         t.bulk_branch_events(sites, taken)
 
     @staticmethod

@@ -8,11 +8,11 @@ shows the suite's worst branch miss rate (10.7 %, Fig. 6) and the highest
 BadSpeculation share (Fig. 5), while its compare-heavy inner loop gives it
 the top GPU IPC and the lowest memory throughput (Fig. 11).
 
-``kernel_loop`` is the original two-pointer implementation (the oracle).
-``kernel_vec`` (default) reproduces every merge step analytically: with
-both lists sorted by rank, the step sequence is the rank-merge of the two
-lists truncated at the smaller maximum, each step advancing the pointer of
-the side holding the smaller head (both on a match).  One global
+The kernel reproduces every step of the two-pointer merge
+(``tests/oracles.py:loop_tc``) analytically: with both lists sorted by
+rank, the step sequence is the rank-merge of the two lists truncated at
+the smaller maximum, each step advancing the pointer of the side holding
+the smaller head (both on a match).  One global
 ``searchsorted`` over the per-vertex rank lists (offset by row so rows
 never interleave) yields the opposing pointer for every step of every
 edge at once, and the whole phase is emitted as a single bulk block.
@@ -27,10 +27,8 @@ import numpy as np
 from ..core import trace as T
 from ..core.graph import V_ID_OFF, PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import I64, offsets_of, ragged_arange, stack_addr_of
-from .base import NullTracer, Workload
-
-ENTRY = 8
+from ._bulk import AccessBlock, I64, offsets_of, ragged_arange
+from .base import ENTRY, NullTracer, Workload
 
 
 class TC(Workload):
@@ -41,80 +39,8 @@ class TC(Workload):
     CTYPE = ComputationType.COMP_STRUCT
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
-    USE_VEC = True
 
     def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        if self.USE_VEC:
-            return self.kernel_vec(g, t)
-        return self.kernel_loop(g, t)
-
-    def kernel_loop(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
-        site_cmp = t.register_branch_site()
-        site_loop = t.register_branch_site()
-        ids = sorted(g.vertex_ids())
-        # degeneracy (Schank) ordering: rank vertices by increasing
-        # degree and orient every edge toward the higher-degree endpoint.
-        # Each oriented list is then O(sqrt(m)) — hubs keep only their
-        # few higher-degree peers — which is what makes the edge-iterator
-        # subquadratic on power-law graphs.
-        deg = {vid: (g.find_vertex(vid).degree
-                     + len(g.find_vertex(vid).inn)) for vid in ids}
-        rank = {vid: r for r, vid in enumerate(
-            sorted(ids, key=lambda v: (deg[v], v)))}
-        t.i(6 * len(ids))     # the ranking pass
-        higher: dict[int, list[int]] = {vid: [] for vid in ids}
-        for v in g.scan_vertices():
-            for dst in g.neighbor_ids(v):
-                t.i(2)
-                if v.vid == dst:
-                    continue
-                a, b = ((v.vid, dst) if rank[v.vid] < rank[dst]
-                        else (dst, v.vid))
-                higher[a].append(b)
-        bases: dict[int, int] = {}
-        for vid in ids:
-            lst = sorted(set(higher[vid]), key=lambda u: (rank[u], u))
-            higher[vid] = lst
-            bases[vid] = g.alloc.alloc_array(max(len(lst), 1), ENTRY,
-                                             tag="tc_adj")
-            for i in range(len(lst)):
-                t.i(2)
-                t.w(bases[vid] + i * ENTRY)
-        total = 0
-        per_vertex: dict[int, int] = {vid: 0 for vid in ids}
-        for u in ids:
-            lu = higher[u]
-            bu = bases[u]
-            for vi, vvid in enumerate(lu):
-                t.r(bu + vi * ENTRY)
-                t.i(3)
-                lv = higher[vvid]
-                bv = bases[vvid]
-                # merge-intersection of lu[vi+1:] with lv
-                i, j = vi + 1, 0
-                while i < len(lu) and j < len(lv):
-                    t.i(4)
-                    t.r(bu + i * ENTRY)
-                    t.r(bv + j * ENTRY)
-                    t.br(site_loop, True)       # merge-loop bound (taken)
-                    t.br(site_loop, True)       # second bounds check
-                    a, b = lu[i], lv[j]
-                    t.br(site_cmp, rank[a] < rank[b])   # data-dependent
-                    if a == b:
-                        total += 1
-                        per_vertex[u] += 1
-                        per_vertex[vvid] += 1
-                        per_vertex[a] += 1
-                        i += 1
-                        j += 1
-                    elif rank[a] < rank[b]:
-                        i += 1
-                    else:
-                        j += 1
-                t.br(site_loop, False)
-        return {"triangles": total, "per_vertex": per_vertex}
-
-    def kernel_vec(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
         site_cmp = t.register_branch_site()
         site_loop = t.register_branch_site()
         traced = not isinstance(t, NullTracer)
@@ -124,7 +50,10 @@ class TC(Workload):
         degs = np.fromiter(
             (len(g._v[v].out) + len(g._v[v].inn) for v in ids),
             I64, count=n)
-        # rank by (degree, vid): sorted ids are already the tie-break order
+        # degeneracy (Schank) ordering: rank by (degree, vid) and orient
+        # every edge toward the higher-ranked endpoint, so each oriented
+        # list is O(sqrt(m)) and the edge iterator is subquadratic on
+        # power-law graphs.  Sorted ids are already the tie-break order.
         rnk = np.empty(n, I64)
         rnk[np.argsort(degs, kind="stable")] = np.arange(n, dtype=I64)
         if traced:
@@ -251,29 +180,19 @@ class TC(Workload):
         vaddr = np.fromiter((g._v[int(v)].addr for v in ids_arr), I64,
                             count=n)
         idx = g._index_base + 8 * (ids_arr % g._index_cap)
-        addr = np.empty(6 * n, I64)
-        iat = np.empty(6 * n, I64)
-        base = np.arange(n, dtype=I64) * 28
-        for h, off in ((0, 14), (3, 28)):
-            addr[h::6] = 0
-            addr[h + 1::6] = idx
-            addr[h + 2::6] = vaddr + V_ID_OFF
-            iat[h::6] = iat[h + 1::6] = iat[h + 2::6] = base + off
-        sord = np.zeros(6 * n, I64)
-        sord[0::6] = 2 * np.arange(n, dtype=I64) + 1
-        sord[3::6] = 2 * np.arange(n, dtype=I64) + 2
-        stk = sord > 0
-        addr[stk] = stack_addr_of(g._stack_base, g._sp, sord[stk])
-        g._sp = (g._sp + 2 * n) & 3
+        blk = AccessBlock(6 * n)
+        row = np.arange(n, dtype=I64)
+        for k in (0, 1):                        # the two probes of a vertex
+            pos, ioff = 6 * row + 3 * k, 28 * row + 14 * (k + 1)
+            blk.put(pos, 0, T.R_FIND_VERTEX, ioff, stk=2 * row + k + 1)
+            blk.put(pos + 1, idx, T.R_FIND_VERTEX, ioff)
+            blk.put(pos + 2, vaddr + V_ID_OFF, T.R_FIND_VERTEX, ioff)
         vseq = np.empty(4 * n, np.uint32)
         vcnt = np.empty(4 * n, I64)
         vseq[0::2], vcnt[0::2] = T.R_FIND_VERTEX, 14
         vseq[1::2], vcnt[1::2] = t._cur_rid, 0
-        t.bulk_emit(addr.astype(np.uint64), np.zeros(6 * n, np.uint8),
-                    (iat + t.n).astype(np.uint64),
-                    np.full(6 * n, T.R_FIND_VERTEX, np.uint32),
-                    n_instrs=28 * n, fw_instrs=28 * n, fw_accesses=6 * n,
-                    head_instrs=0, region_seq=vseq, region_instrs=vcnt)
+        blk.emit(g, t, n_instrs=28 * n, fw_instrs=28 * n, fw_accesses=6 * n,
+                 head_instrs=0, region_seq=vseq, region_instrs=vcnt)
         t.bulk_branch_events(np.full(2 * n, T.B_FIND_HIT, np.uint32),
                              np.ones(2 * n, np.uint8))
 

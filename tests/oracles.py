@@ -4,7 +4,8 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` /
 :class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
 ``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops only tests need live here.
+per-segment loops and the four workload loop kernels, which only tests
+need, live here.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from repro.arch.cache import Cache, CacheStats
 from repro.arch.icache import ICache, ICacheStats
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
+from repro.workloads.base import TracedQueue
 
 
 def reference_hierarchy(machine, addrs, rw):
@@ -116,3 +118,204 @@ def reference_icache(config, trace, stack_depth=0):
 def reference_branches(kind, sites, taken, **kwargs):
     """The sequential predictor class, one branch at a time."""
     return PREDICTORS[kind](**kwargs).simulate(sites, taken)
+
+
+# -- workload loop kernels ---------------------------------------------------
+# The per-vertex, per-edge form of the four kernels ``repro.workloads`` runs
+# vectorized: each charges the tracer through the framework primitives one
+# event at a time.  ``test_workloads_vectorized.py`` runs them under
+# ``Workload.run`` and requires the frozen traces to be element-identical.
+
+ENTRY = 8      # bytes per bucket / oriented-list slot
+
+
+def loop_bfs(g, t, *, root=0, **_):
+    """BFS: level-synchronous queue traversal, one traced primitive per
+    step."""
+    site_visited = t.register_branch_site()
+    src = g.find_vertex(root)
+    g.vset(src, "level", 0)
+    g.vset(src, "parent", root)
+    q = TracedQueue(g, t)
+    q.push(src)
+    levels: dict[int, int] = {root: 0}
+    parents: dict[int, int] = {root: root}
+    visited = 1
+    while q:
+        v = q.pop()
+        lvl = g.vget(v, "level")
+        for dst, _node in g.neighbors(v):
+            w = g.find_vertex(dst)
+            t.i(4)
+            unvisited = g.vget(w, "level") < 0
+            t.br(site_visited, unvisited)
+            if unvisited:
+                g.vset(w, "level", lvl + 1)
+                g.vset(w, "parent", v.vid)
+                levels[dst] = lvl + 1
+                parents[dst] = v.vid
+                visited += 1
+                q.push(w)
+    return {"levels": levels, "parents": parents, "visited": visited}
+
+
+def loop_ccomp(g, t, **_):
+    """CComp: a queue BFS over the undirected view from every unlabelled
+    vertex."""
+    site_fresh = t.register_branch_site()
+    comp: dict[int, int] = {}
+    n_components = 0
+    q = TracedQueue(g, t)
+    for v in g.vertices():
+        t.i(3)
+        unlabelled = g.vget(v, "comp") < 0
+        t.br(site_fresh, unlabelled)
+        if not unlabelled:
+            continue
+        n_components += 1
+        label = v.vid
+        g.vset(v, "comp", label)
+        comp[v.vid] = label
+        q.push(v)
+        while q:
+            u = q.pop()
+            nbrs = [dst for dst, _ in g.neighbors(u)]
+            nbrs.extend(g.in_neighbors(u))
+            for dst in nbrs:
+                w = g.find_vertex(dst)
+                t.i(3)
+                if g.vget(w, "comp") < 0:
+                    g.vset(w, "comp", label)
+                    comp[dst] = label
+                    q.push(w)
+    return {"comp": comp, "n_components": n_components}
+
+
+def loop_kcore(g, t, **_):
+    """kCore: Matula-Beck smallest-last peeling over bucket arrays."""
+    site_shift = t.register_branch_site()
+    # undirected adjacency snapshot via the block scan primitives
+    # (whole lists are consumed, so the bulk API applies)
+    ids = sorted(g.vertex_ids())
+    adj: dict[int, set[int]] = {vid: set() for vid in ids}
+    for v in g.scan_vertices():
+        for dst in g.neighbor_ids(v):
+            t.i(2)
+            adj[v.vid].add(dst)
+            adj[dst].add(v.vid)
+    degree = {vid: len(adj[vid]) for vid in ids}
+    maxdeg = max(degree.values(), default=0)
+    # bucket arrays on the sim heap (Matula-Beck bookkeeping)
+    bucket_base = g.alloc.alloc_array(maxdeg + 1, ENTRY, tag="kcore_bkt")
+    pos_base = g.alloc.alloc_array(len(ids) + 1, ENTRY, tag="kcore_pos")
+    buckets: list[set[int]] = [set() for _ in range(maxdeg + 1)]
+    for vid in ids:
+        buckets[degree[vid]].add(vid)
+        t.i(2)
+        t.w(bucket_base + degree[vid] * ENTRY)
+    core: dict[int, int] = {}
+    k = 0
+    removed: set[int] = set()
+    for _ in range(len(ids)):
+        # find the lowest non-empty bucket
+        d = 0
+        while not buckets[d]:
+            t.i(2)
+            t.r(bucket_base + d * ENTRY)
+            d += 1
+        t.br(site_shift, d > k)
+        k = max(k, d)
+        vid = min(buckets[d])        # deterministic tie-break
+        buckets[d].discard(vid)
+        t.i(4)
+        t.w(bucket_base + d * ENTRY)
+        core[vid] = k
+        removed.add(vid)
+        v = g.find_vertex(vid)
+        g.vset(v, "core", k)
+        for u in adj[vid]:
+            t.i(5)
+            if u in removed:
+                continue
+            du = degree[u]
+            buckets[du].discard(u)
+            degree[u] = du - 1
+            buckets[du - 1].add(u)
+            t.w(bucket_base + du * ENTRY)
+            t.w(pos_base + (u % (len(ids) + 1)) * ENTRY)
+            # touch the neighbour's struct (degree update readback)
+            w = g.find_vertex(u)
+            t.r(w.addr + 8)
+    return {"core": core, "max_core": k}
+
+
+def loop_tc(g, t, **_):
+    """TC: Schank's edge iterator, a two-pointer merge per oriented edge."""
+    site_cmp = t.register_branch_site()
+    site_loop = t.register_branch_site()
+    ids = sorted(g.vertex_ids())
+    # degeneracy (Schank) ordering: rank vertices by increasing
+    # degree and orient every edge toward the higher-degree endpoint.
+    # Each oriented list is then O(sqrt(m)) — hubs keep only their
+    # few higher-degree peers — which is what makes the edge-iterator
+    # subquadratic on power-law graphs.
+    deg = {vid: (g.find_vertex(vid).degree
+                 + len(g.find_vertex(vid).inn)) for vid in ids}
+    rank = {vid: r for r, vid in enumerate(
+        sorted(ids, key=lambda v: (deg[v], v)))}
+    t.i(6 * len(ids))     # the ranking pass
+    higher: dict[int, list[int]] = {vid: [] for vid in ids}
+    for v in g.scan_vertices():
+        for dst in g.neighbor_ids(v):
+            t.i(2)
+            if v.vid == dst:
+                continue
+            a, b = ((v.vid, dst) if rank[v.vid] < rank[dst]
+                    else (dst, v.vid))
+            higher[a].append(b)
+    bases: dict[int, int] = {}
+    for vid in ids:
+        lst = sorted(set(higher[vid]), key=lambda u: (rank[u], u))
+        higher[vid] = lst
+        bases[vid] = g.alloc.alloc_array(max(len(lst), 1), ENTRY,
+                                         tag="tc_adj")
+        for i in range(len(lst)):
+            t.i(2)
+            t.w(bases[vid] + i * ENTRY)
+    total = 0
+    per_vertex: dict[int, int] = {vid: 0 for vid in ids}
+    for u in ids:
+        lu = higher[u]
+        bu = bases[u]
+        for vi, vvid in enumerate(lu):
+            t.r(bu + vi * ENTRY)
+            t.i(3)
+            lv = higher[vvid]
+            bv = bases[vvid]
+            # merge-intersection of lu[vi+1:] with lv
+            i, j = vi + 1, 0
+            while i < len(lu) and j < len(lv):
+                t.i(4)
+                t.r(bu + i * ENTRY)
+                t.r(bv + j * ENTRY)
+                t.br(site_loop, True)       # merge-loop bound (taken)
+                t.br(site_loop, True)       # second bounds check
+                a, b = lu[i], lv[j]
+                t.br(site_cmp, rank[a] < rank[b])   # data-dependent
+                if a == b:
+                    total += 1
+                    per_vertex[u] += 1
+                    per_vertex[vvid] += 1
+                    per_vertex[a] += 1
+                    i += 1
+                    j += 1
+                elif rank[a] < rank[b]:
+                    i += 1
+                else:
+                    j += 1
+            t.br(site_loop, False)
+    return {"triangles": total, "per_vertex": per_vertex}
+
+
+LOOP_KERNELS = {"BFS": loop_bfs, "CComp": loop_ccomp, "kCore": loop_kcore,
+                "TC": loop_tc}

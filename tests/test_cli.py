@@ -52,11 +52,26 @@ class TestParser:
     def test_loadgen_flags(self):
         args = build_parser().parse_args(
             ["loadgen", "--spawn", "--requests", "80",
-             "--concurrency", "8", "--no-cache", "--no-batch",
+             "--concurrency", "8", "--no-cache",
              "--isolation", "inline"])
         assert args.spawn and args.requests == 80
-        assert args.no_cache and args.no_batch
+        assert args.no_cache
         assert args.isolation == "inline"
+
+    def test_no_cache_is_capacity_zero_and_memoize_follows(self):
+        from repro.cli import _build_service
+        for flags, capacity in ((["--no-cache"], 0),
+                                (["--cache-size", "7"], 7)):
+            args = build_parser().parse_args(
+                ["serve", "--isolation", "inline", *flags])
+            service = _build_service(args)
+            try:
+                assert service.caches.rows.capacity == capacity
+                assert (service.caches.datasets.capacity == 0) \
+                    == (capacity == 0)
+                assert service.pool.memoize is (capacity > 0)
+            finally:
+                service.pool.shutdown()
 
     def test_query_ops(self):
         args = build_parser().parse_args(

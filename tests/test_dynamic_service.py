@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import ClusterSpec, ClusterThread
 from repro.core.errors import MutationError, RemoteError, ShardUnavailable
 from repro.datagen.registry import make
-from repro.dynamic import SnapshotStore, churn_ops, parse_ops
+from repro.dynamic import DynamicEngine, SnapshotStore, churn_ops, parse_ops
 from repro.service import (
     GraphService,
     PoolConfig,
@@ -117,6 +117,40 @@ class TestServiceMutations:
                                   churn_ops(rng, 200, 4), scale=0.05)
                 after = client.dyn_query("BFS", "knowledge", scale=0.05)
                 assert after["version"] == 5 > base["version"]
+
+
+class TestEngineKernelBound:
+    def test_root_sweep_holds_at_most_capacity_kernels(self):
+        capacity = 4
+        engine = DynamicEngine(cache_capacity=capacity)
+
+        def ask(root):
+            return engine.query({"workload": "BFS", "dataset": "ldbc",
+                                 "scale": 0.03, "root": root})
+
+        first = ask(0)
+        for root in range(1, 2 * capacity):
+            ask(root)
+        assert len(engine._kernels) <= capacity
+        # root 0's kernel and cached response were both evicted long
+        # ago: asking again is a recompute with the same answer
+        again = ask(0)
+        assert again["served"] == "recompute"
+        assert again["outputs"] == first["outputs"]
+        assert again["version"] == first["version"]
+
+    def test_import_drops_kernels_of_the_replaced_store(self):
+        engine = DynamicEngine()
+        ident = {"dataset": "ldbc", "scale": 0.03}
+        engine.mutate(dict(ident, ops=[
+            {"op": "add_edge", "src": 1, "dst": 2}]))
+        engine.query(dict(ident, workload="BFS", root=0))
+        engine.query(dict(ident, workload="CComp"))
+        assert len(engine._kernels) == 2
+        exported = engine.export_dataset({"dataset": "ldbc"})
+        engine.import_dataset({"dataset": "ldbc",
+                               "stores": exported["stores"]})
+        assert len(engine._kernels) == 0
 
 
 # -- cluster routing ---------------------------------------------------------

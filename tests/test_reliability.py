@@ -264,8 +264,9 @@ class TestSchedulerReliability:
     def test_expired_deadline_is_shed_before_execution(self):
         async def main():
             pool = _FailingPool()
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(caching=False))
+            sched = Scheduler(pool,
+                              CacheTiers.build(dataset_capacity=0,
+                                               row_capacity=0))
             with pytest.raises(DeadlineExceeded) as exc:
                 await sched.submit(_cell(), deadline=time.time() - 1.0)
             return pool.calls, sched.stats, exc.value
@@ -351,12 +352,8 @@ class TestLRUCacheStaleReads:
 class TestReliabilityConfig:
     def test_defaults_are_enabled_with_stale_serving(self):
         rel = ReliabilityConfig()
-        assert rel.enabled and rel.serve_stale
+        assert rel.serve_stale
         assert rel.hedge_quantile is None         # hedging is opt-in
-
-    def test_disabled_turns_everything_off(self):
-        rel = ReliabilityConfig.disabled()
-        assert not rel.enabled and not rel.serve_stale
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -374,7 +371,6 @@ class TestReliabilityConfig:
                         replication=2,
                         reliability=ReliabilityConfig(hedge_quantile=95.0))
         snap = router.reliability_snapshot()
-        assert snap["enabled"] is True
         assert set(snap["breakers"]) == {"s0", "s1"}
         assert all(b["state"] == BREAKER_CLOSED
                    for b in snap["breakers"].values())
@@ -382,11 +378,6 @@ class TestReliabilityConfig:
         assert snap["hedge"]["quantile"] == 95.0
         assert snap["hedge"]["delay_s"] is None   # no samples yet
         assert snap["stale"]["entries"] == 0
-
-    def test_disabled_snapshot_is_minimal(self):
-        router = Router([ShardAddress("s0", "127.0.0.1", 1)],
-                        reliability=ReliabilityConfig.disabled())
-        assert router.reliability_snapshot() == {"enabled": False}
 
 
 # -- end to end: router reliability over a live cluster ----------------------
@@ -474,20 +465,5 @@ class TestRouterReliabilityLive:
                                timeout_s=30.0) as client:
                 stats = client.stats()
         rel = stats["reliability"]
-        assert rel["enabled"] is True
         assert set(rel["breakers"]) == {"shard-0", "shard-1"}
         assert "retry_budget" in rel and "hedge" in rel
-
-    def test_disabled_layer_preserves_legacy_failover(self):
-        # reliability off: no breakers/budget/stale — plain failover to
-        # the surviving replica must still answer fresh
-        with _boot(reliability=ReliabilityConfig.disabled()) as cluster:
-            with ServiceClient(cluster.router_thread.host,
-                               cluster.router_port,
-                               timeout_s=30.0) as client:
-                client.run("BFS", "ldbc", scale=0.02, machine="test")
-                primary = cluster.router.ring.owner("ldbc")
-                cluster.kill_shard(primary)
-                out = client.run("BFS", "ldbc", scale=0.02,
-                                 machine="test")
-                assert "degraded" not in out      # fresh, not stale

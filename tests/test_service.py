@@ -240,12 +240,15 @@ def _cell(workload="BFS", dataset="ldbc", seed=0):
                 seed=seed, machine="test")
 
 
+def _cache_off():
+    return CacheTiers.build(dataset_capacity=0, row_capacity=0)
+
+
 class TestScheduler:
     def test_identical_requests_coalesce_into_one_execution(self):
         async def main():
             pool = _FakePool(hold=True)
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(caching=False))
+            sched = Scheduler(pool, _cache_off())
             tasks = [asyncio.ensure_future(sched.submit(_cell()))
                      for _ in range(10)]
             await asyncio.sleep(0.05)     # let everyone join the batch
@@ -263,8 +266,7 @@ class TestScheduler:
     def test_distinct_cells_do_not_coalesce(self):
         async def main():
             pool = _FakePool()
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(caching=False))
+            sched = Scheduler(pool, _cache_off())
             await asyncio.gather(sched.submit(_cell(seed=0)),
                                  sched.submit(_cell(seed=1)))
             return pool.calls
@@ -285,24 +287,11 @@ class TestScheduler:
         assert second["served"] == "cache"
         assert stats.cache_hits == 1
 
-    def test_batching_off_runs_every_request(self):
-        async def main():
-            pool = _FakePool()
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(batching=False,
-                                              caching=False))
-            await asyncio.gather(*[sched.submit(_cell())
-                                   for _ in range(4)])
-            return pool.calls
-
-        assert len(asyncio.run(main())) == 4
-
     def test_admission_control_sheds_excess_load(self):
         async def main():
             pool = _FakePool(hold=True)
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(max_pending=2,
-                                              caching=False))
+            sched = Scheduler(pool, _cache_off(),
+                              SchedulerConfig(max_pending=2))
             held = [asyncio.ensure_future(sched.submit(_cell(seed=i)))
                     for i in range(2)]
             await asyncio.sleep(0.05)
@@ -323,8 +312,7 @@ class TestScheduler:
         async def main():
             cell = _cell()
             pool = _FakePool(fail_keys={cell.cell_id}, hold=True)
-            sched = Scheduler(pool, CacheTiers.disabled(),
-                              SchedulerConfig(caching=False))
+            sched = Scheduler(pool, _cache_off())
             tasks = [asyncio.ensure_future(sched.submit(cell))
                      for _ in range(3)]
             await asyncio.sleep(0.05)
@@ -393,7 +381,7 @@ class TestWorkerPool:
 
         async def main():
             pool = WorkerPool(PoolConfig(size=1, isolation="inline"),
-                              chaos=chaos)
+                              caches=CacheTiers.build(), chaos=chaos)
             try:
                 with pytest.raises(RetriesExhausted) as exc:
                     await pool.run_record(cell)
@@ -413,7 +401,8 @@ class TestWorkerPool:
 
         async def main():
             pool = WorkerPool(PoolConfig(size=1, isolation="inline",
-                                         retries=1), chaos=chaos)
+                                         retries=1),
+                              caches=CacheTiers.build(), chaos=chaos)
             try:
                 return await pool.run_record(cell)
             finally:

@@ -17,7 +17,6 @@ from repro.service import (
     GraphService,
     PoolConfig,
     Scheduler,
-    SchedulerConfig,
     ServiceClient,
     ServiceThread,
     decode_frame,
@@ -231,8 +230,9 @@ class TestSchedulerWithGovernor:
             clock=clock)
 
         async def main():
-            sched = Scheduler(_FakePool(), CacheTiers.disabled(),
-                              SchedulerConfig(caching=False),
+            sched = Scheduler(_FakePool(),
+                              CacheTiers.build(dataset_capacity=0,
+                                               row_capacity=0),
                               governor=gov)
             await sched.submit(_cell(seed=0), tenant="noisy")
             with pytest.raises(QuotaExceeded):
@@ -269,8 +269,9 @@ class TestSchedulerWithGovernor:
         gov = TenantGovernor(QosConfig(fair_slots=2))
 
         async def main():
-            sched = Scheduler(_FakePool(), CacheTiers.disabled(),
-                              SchedulerConfig(caching=False),
+            sched = Scheduler(_FakePool(),
+                              CacheTiers.build(dataset_capacity=0,
+                                               row_capacity=0),
                               governor=gov)
             await asyncio.gather(*[
                 sched.submit(_cell(seed=i), tenant=f"t{i % 3}")

@@ -1,8 +1,8 @@
 """Vectorized-kernel equivalence: frozen-trace and output equality.
 
 The tentpole guarantee of the vectorized BFS/CComp/kCore/TC kernels is
-that they are *per-element identical* to the original loop kernels: the
-same address stream, branch sites, instruction counts and region visits,
+that they are *per-element identical* to the original loop kernels (kept
+in ``tests/oracles.py``): the same address stream, branch sites, instruction counts and region visits,
 element for element — not statistically close, equal.  These tests
 assert exactly that over hypothesis-generated graph shapes, plus output
 equality, so any drift in the bulk-trace emission paths fails loudly.
@@ -25,7 +25,8 @@ from repro.core.trace import Tracer
 from repro.datagen import GraphSpec
 from repro.core.taxonomy import DataSource
 from repro.workloads import WORKLOADS, common_edge_schema, common_vertex_schema
-from repro.workloads._bulk import loop_reference_kernels
+
+from tests.oracles import LOOP_KERNELS
 
 VEC_KERNELS = ("BFS", "TC", "CComp", "kCore")
 
@@ -51,10 +52,18 @@ def _build(spec):
                       edge_schema=common_edge_schema())
 
 
-def _run_traced(name, spec, **params):
+def _loop_workload(name):
+    """The registered workload with its kernel swapped for the loop
+    oracle, so both go through the same ``Workload.run`` prologue."""
+    fn = LOOP_KERNELS[name]
+    return type(name + "Loop", (WORKLOADS[name],),
+                {"kernel": lambda self, g, t, **p: fn(g, t, **p)})
+
+
+def _run_traced(cls, spec, **params):
     g = _build(spec)
-    res = WORKLOADS[name]().run(g, tracer=Tracer(), **params)
-    return res.trace, res.outputs, g.alloc.base
+    res = cls().run(g, tracer=Tracer(), **params)
+    return res.trace, res.outputs, g.alloc.base, g._sp
 
 
 def _outputs_equal(a, b):
@@ -86,11 +95,13 @@ def _assert_traces_identical(vec, vbase, loop, lbase):
 
 
 def _check_kernel(name, spec, **params):
-    vec_trace, vec_out, vbase = _run_traced(name, spec, **params)
-    with loop_reference_kernels():
-        loop_trace, loop_out, lbase = _run_traced(name, spec, **params)
+    vec_trace, vec_out, vbase, vsp = _run_traced(WORKLOADS[name], spec,
+                                                 **params)
+    loop_trace, loop_out, lbase, lsp = _run_traced(_loop_workload(name),
+                                                   spec, **params)
     _assert_traces_identical(vec_trace, vbase, loop_trace, lbase)
     assert _outputs_equal(vec_out, loop_out)
+    assert vsp == lsp           # stack rotation left where the loop leaves it
 
 
 @given(random_spec())
