@@ -36,7 +36,7 @@ measured window.  The gate is absolute: availability ≥
 Run standalone (tiny mode for CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_chaos_availability.py
-    CHAOS_BENCH_TINY=1 PYTHONPATH=src python benchmarks/bench_chaos_availability.py
+    REPRO_BENCH_SCALE=0.05 PYTHONPATH=src python benchmarks/bench_chaos_availability.py
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ from repro.harness import format_table
 from repro.resilience.netchaos import NetFaultSpec
 from repro.service import LoadGenerator, schedule, workload_mix
 
-TINY = bool(os.environ.get("CHAOS_BENCH_TINY"))
+# the suite's one scale knob (benchmarks/conftest.py): below 1 is the
+# CI smoke size
+TINY = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) < 1
 
 SHARDS = 4
 REPLICATION = 2
@@ -86,7 +88,7 @@ def reliability(hedge: bool = False) -> ReliabilityConfig:
         breaker_failure_threshold=3, breaker_reset_timeout_s=1.0,
         retry_budget_ratio=0.1, retry_budget_max_tokens=10.0,
         hedge_quantile=95.0 if hedge else None,
-        serve_stale=True, stale_cap_s=STALE_CAP_S)
+        stale_cap_s=STALE_CAP_S)
 
 
 def catalog():

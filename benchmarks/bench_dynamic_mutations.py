@@ -22,7 +22,7 @@ land in ``BENCH_dynamic.json``.
 Run standalone (tiny mode for CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_dynamic_mutations.py
-    DYNAMIC_BENCH_TINY=1 PYTHONPATH=src python benchmarks/bench_dynamic_mutations.py
+    REPRO_BENCH_SCALE=0.05 PYTHONPATH=src python benchmarks/bench_dynamic_mutations.py
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ from repro.service import (
 )
 from repro.service.loadgen import churn_write_factory
 
-TINY = bool(os.environ.get("DYNAMIC_BENCH_TINY"))
+# the suite's one scale knob (benchmarks/conftest.py): below 1 is the
+# CI smoke size
+TINY = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) < 1
 
 DATASET = "ldbc"
 SCALE = 0.05 if TINY else 0.5

@@ -22,7 +22,7 @@ host; seeds pin the graphs and the query set.  Results land in
 Run standalone (tiny mode for CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_query_planner.py
-    QUERY_BENCH_TINY=1 PYTHONPATH=src python benchmarks/bench_query_planner.py
+    REPRO_BENCH_SCALE=0.05 PYTHONPATH=src python benchmarks/bench_query_planner.py
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from repro.service import (
     ServiceThread,
 )
 
-TINY = bool(os.environ.get("QUERY_BENCH_TINY"))
+# the suite's one scale knob (benchmarks/conftest.py): below 1 is the
+# CI smoke size
+TINY = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) < 1
 
 DATASETS = ("twitter", "roadnet") if TINY else (
     "twitter", "knowledge", "watson", "roadnet", "ldbc")

@@ -31,7 +31,7 @@ mutated state survives the move (version continuity), and post-
 migration throughput on the widened topology recovers to at least
 ``MIN_RECOVERY`` of the pre-hotspot rate.
 
-``QOS_BENCH_TINY=1`` shrinks request counts for CI smoke runs.
+``REPRO_BENCH_SCALE=0.05`` shrinks request counts for CI smoke runs.
 
 Run standalone::
 
@@ -76,7 +76,9 @@ from repro.tenancy import (
     TenantPolicy,
 )
 
-TINY = bool(os.environ.get("QOS_BENCH_TINY"))
+# the suite's one scale knob (benchmarks/conftest.py): below 1 is the
+# CI smoke size
+TINY = float(os.environ.get("REPRO_BENCH_SCALE", "1.0")) < 1
 
 # -- isolation arm shape -----------------------------------------------------
 QUIET, NOISY = "quiet", "noisy"

@@ -271,10 +271,31 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
+def _ask(args, call):
+    """Run ``call(client)`` against the server at ``--host/--port``.
+    Returns ``(result, 0)``, or ``(None, exit_code)`` after printing
+    why: nothing listening (2) or the server's typed error (1)."""
     from .core.errors import ServiceError
     from .service import ServiceClient
 
+    try:
+        with ServiceClient(args.host, args.port,
+                           timeout_s=args.timeout) as client:
+            return call(client), 0
+    except ConnectionRefusedError:
+        print(f"error: no service at {args.host}:{args.port} "
+              "(start one with `python -m repro serve` or "
+              "`python -m repro cluster serve`)", file=sys.stderr)
+        return None, 2
+    except ServiceError as e:
+        print(json.dumps({"kind": getattr(e, "kind", "service"),
+                          "message": getattr(e, "message", str(e)),
+                          "shard": getattr(e, "shard", None)}),
+              file=sys.stderr)
+        return None, 1
+
+
+def cmd_query(args) -> int:
     params = {}
     if args.op in ("run", "characterize"):
         if not args.workload:
@@ -291,44 +312,18 @@ def cmd_query(args) -> int:
             return 2
         params = {"workload": args.workload, "dataset": args.dataset,
                   "scale": args.scale, "seed": args.seed,
-                  "root": getattr(args, "root", 0)}
-    try:
-        with ServiceClient(args.host, args.port,
-                           timeout_s=args.timeout) as client:
-            result = client.request(args.op, **params)
-    except ConnectionRefusedError:
-        print(f"error: no service at {args.host}:{args.port} "
-              "(start one with `python -m repro serve`)", file=sys.stderr)
-        return 2
-    except ServiceError as e:
-        print(json.dumps({"kind": getattr(e, "kind", "service"),
-                          "message": getattr(e, "message", str(e))}),
-              file=sys.stderr)
-        return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+                  "root": args.root}
+    result, rc = _ask(args, lambda c: c.request(args.op, **params))
+    if rc == 0:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    return rc
 
 
 def cmd_query_lang(args) -> int:
-    from .core.errors import ServiceError
-    from .service import ServiceClient
-
     op = "explain" if args.explain else "query"
-    try:
-        with ServiceClient(args.host, args.port,
-                           timeout_s=args.timeout) as client:
-            result = client.request(op, q=args.query)
-    except ConnectionRefusedError:
-        print(f"error: no service at {args.host}:{args.port} "
-              "(start one with `python -m repro serve` or "
-              "`python -m repro cluster serve`)", file=sys.stderr)
-        return 2
-    except ServiceError as e:
-        print(json.dumps({"kind": getattr(e, "kind", "service"),
-                          "message": getattr(e, "message", str(e)),
-                          "shard": getattr(e, "shard", None)}),
-              file=sys.stderr)
-        return 1
+    result, rc = _ask(args, lambda c: c.request(op, q=args.query))
+    if rc != 0:
+        return rc
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
@@ -386,9 +381,6 @@ def _parse_mutate_flags(args) -> list[dict]:
 
 
 def cmd_mutate(args) -> int:
-    from .core.errors import ServiceError
-    from .service import ServiceClient
-
     try:
         ops = _parse_mutate_flags(args)
     except (ValueError, OSError, json.JSONDecodeError) as e:
@@ -399,28 +391,18 @@ def cmd_mutate(args) -> int:
               "--add-vertex/--del-vertex/--set-prop or --ops FILE)",
               file=sys.stderr)
         return 2
-    try:
-        with ServiceClient(args.host, args.port,
-                           timeout_s=args.timeout) as client:
-            result = client.mutate(args.dataset, ops, scale=args.scale,
-                                   seed=args.seed, strict=args.strict)
-    except ConnectionRefusedError:
-        print(f"error: no service at {args.host}:{args.port} "
-              "(start one with `python -m repro serve`)", file=sys.stderr)
-        return 2
-    except ServiceError as e:
-        print(json.dumps({"kind": getattr(e, "kind", "service"),
-                          "message": getattr(e, "message", str(e))}),
-              file=sys.stderr)
-        return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    result, rc = _ask(args, lambda c: c.mutate(
+        args.dataset, ops, scale=args.scale, seed=args.seed,
+        strict=args.strict))
+    if rc == 0:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    return rc
 
 
 def _write_factory(args):
     """Build the loadgen mutation factory from --write-mix knobs
     (writes churn the first listed dataset's mutable graph)."""
-    if getattr(args, "write_mix", 0.0) <= 0:
+    if args.write_mix <= 0:
         return None
     from .datagen.registry import scaled_vertices
     from .service.loadgen import churn_write_factory
@@ -433,7 +415,7 @@ def _write_factory(args):
 def _query_factory(args):
     """Build the loadgen DSL-query factory from --query-mix knobs
     (queries sample the template pool over the listed datasets)."""
-    if getattr(args, "query_mix", 0.0) <= 0:
+    if args.query_mix <= 0:
         return None
     from .service.loadgen import dsl_query_factory
     return dsl_query_factory(tuple(args.datasets.split(",")),
@@ -444,57 +426,69 @@ def _stamp_tenants(plan, args):
     """Apply --tenants/--tenant-skew: stamp a tenant identity onto every
     request (a separate RNG stream, so the request content is unchanged
     from the tenantless plan)."""
-    n = getattr(args, "tenants", 0) or 0
-    if n <= 0:
+    if args.tenants <= 0:
         return plan
     from .service.loadgen import assign_tenants
-    return assign_tenants(plan, n,
-                          skew=getattr(args, "tenant_skew", 0.0),
+    return assign_tenants(plan, args.tenants, skew=args.tenant_skew,
                           seed=args.seed)
 
 
 def cmd_loadgen(args) -> int:
+    """``repro loadgen`` and ``repro cluster loadgen``: one plan, one
+    closed loop; the cluster form differs in what ``--spawn`` boots and
+    in reporting the plan's per-shard imbalance."""
     from .obs import SpanTracer
     from .service import LoadGenerator, ServiceThread, schedule, workload_mix
     from .service.loadgen import plan_imbalance
 
+    cluster = args.command == "cluster"
     mix = workload_mix(tuple(args.workloads.split(",")),
                        tuple(args.datasets.split(",")),
                        scale=args.scale, seeds=args.seeds, op=args.op)
-    skew = getattr(args, "dataset_skew", 0.0)
+    skew = args.dataset_skew
     plan = schedule(mix, args.requests, seed=args.seed,
                     dataset_skew=skew,
-                    write_mix=getattr(args, "write_mix", 0.0),
+                    write_mix=args.write_mix,
                     write_factory=_write_factory(args),
-                    query_mix=getattr(args, "query_mix", 0.0),
+                    query_mix=args.query_mix,
                     query_factory=_query_factory(args))
     plan = _stamp_tenants(plan, args)
     tracer = SpanTracer() if args.trace_out else None
     gen_args = dict(concurrency=args.concurrency, timeout_s=args.timeout,
-                    deadline_s=getattr(args, "deadline", None),
-                    tracer=tracer)
-    if not args.json:
+                    deadline_s=args.deadline, tracer=tracer)
+    imb_ds = plan_imbalance(plan, lambda d: d)
+    if cluster:
+        spec = _cluster_spec(args)
+        imb_shard = plan_imbalance(plan, spec.ring().owner)
+    if not args.json and cluster:
+        print(f"cluster loadgen: {args.requests} requests, "
+              f"{args.shards} shards, replication {args.replication}, "
+              f"dataset skew {skew:g}")
+        print(f"plan: imbalance {imb_ds:.2f}x across datasets, "
+              f"{imb_shard:.2f}x across shards (max/mean)")
+    elif not args.json:
         print(f"loadgen: {args.requests} requests over {len(mix)} "
               f"distinct queries, {args.concurrency} closed-loop workers"
               + (f", dataset skew {skew:g}" if skew > 0 else ""))
         if "," in args.datasets:
-            imb = plan_imbalance(plan, lambda d: d)
-            print(f"plan: per-dataset load imbalance {imb:.2f}x "
+            print(f"plan: per-dataset load imbalance {imb_ds:.2f}x "
                   "(max/mean; 1.0 = uniform)")
-    if args.spawn:
+    stats = None
+    if args.spawn and cluster:
+        from .cluster import ClusterThread
+        with ClusterThread(spec, host=args.host) as booted:
+            report = LoadGenerator(args.host, booted.router_port,
+                                   **gen_args).run(plan)
+    elif args.spawn:
         service = _build_service(args)
         with ServiceThread(service) as st:
             report = LoadGenerator(st.host, st.port, **gen_args).run(plan)
             stats = service.stats()
     else:
-        try:
-            report = LoadGenerator(args.host, args.port,
-                                   **gen_args).run(plan)
-        except ConnectionRefusedError:
-            print(f"error: no service at {args.host}:{args.port} "
-                  "(start one, or pass --spawn)", file=sys.stderr)
-            return 2
-        stats = None
+        # nothing listening is not an exception here: the generator's
+        # workers count refused connections as failed requests
+        report = LoadGenerator(args.host, args.port,
+                               **gen_args).run(plan)
     if tracer is not None:
         tracer.write_chrome_trace(args.trace_out)
         if not args.json:
@@ -504,6 +498,9 @@ def cmd_loadgen(args) -> int:
         payload = report.summary()
         if stats is not None:
             payload["server_stats"] = stats
+        if cluster:
+            payload["imbalance"] = {"datasets": round(imb_ds, 4),
+                                    "shards": round(imb_shard, 4)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.format())
@@ -514,16 +511,10 @@ def cmd_loadgen(args) -> int:
 
 def cmd_stats(args) -> int:
     from .obs import quantile_from_snapshot, render_prometheus
-    from .service import ServiceClient
 
-    try:
-        with ServiceClient(args.host, args.port,
-                           timeout_s=args.timeout) as client:
-            stats = client.stats()
-    except ConnectionRefusedError:
-        print(f"error: no service at {args.host}:{args.port} "
-              "(start one with `python -m repro serve`)", file=sys.stderr)
-        return 2
+    stats, rc = _ask(args, lambda c: c.stats())
+    if rc != 0:
+        return rc
     metrics = stats.get("metrics", {})
     if args.format == "json":
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -671,63 +662,6 @@ def cmd_cluster_shard(args) -> int:
     return 0
 
 
-def cmd_cluster_query(args) -> int:
-    # the router speaks the service protocol: the single-node query
-    # handler works verbatim, only the default port and op set differ
-    return cmd_query(args)
-
-
-def cmd_cluster_loadgen(args) -> int:
-    from .cluster import ClusterThread
-    from .service import LoadGenerator, schedule, workload_mix
-    from .service.loadgen import plan_imbalance
-
-    spec = _cluster_spec(args)
-    datasets = tuple(args.datasets.split(","))
-    mix = workload_mix(tuple(args.workloads.split(",")), datasets,
-                       scale=args.scale, seeds=args.seeds, op=args.op)
-    plan = schedule(mix, args.requests, seed=args.seed,
-                    dataset_skew=args.dataset_skew,
-                    write_mix=getattr(args, "write_mix", 0.0),
-                    write_factory=_write_factory(args),
-                    query_mix=getattr(args, "query_mix", 0.0),
-                    query_factory=_query_factory(args))
-    plan = _stamp_tenants(plan, args)
-    ring = spec.ring()
-    imb_ds = plan_imbalance(plan, lambda d: d)
-    imb_shard = plan_imbalance(plan, ring.owner)
-    if not args.json:
-        print(f"cluster loadgen: {args.requests} requests, "
-              f"{args.shards} shards, replication {args.replication}, "
-              f"dataset skew {args.dataset_skew:g}")
-        print(f"plan: imbalance {imb_ds:.2f}x across datasets, "
-              f"{imb_shard:.2f}x across shards (max/mean)")
-    gen_args = dict(concurrency=args.concurrency,
-                    timeout_s=args.timeout,
-                    deadline_s=getattr(args, "deadline", None))
-    if args.spawn:
-        with ClusterThread(spec, host=args.host) as cluster:
-            report = LoadGenerator(args.host, cluster.router_port,
-                                   **gen_args).run(plan)
-    else:
-        try:
-            report = LoadGenerator(args.host, args.port,
-                                   **gen_args).run(plan)
-        except ConnectionRefusedError:
-            print(f"error: no router at {args.host}:{args.port} "
-                  "(start one with `python -m repro cluster serve`, "
-                  "or pass --spawn)", file=sys.stderr)
-            return 2
-    if args.json:
-        payload = report.summary()
-        payload["imbalance"] = {"datasets": round(imb_ds, 4),
-                                "shards": round(imb_shard, 4)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.format())
-    return 0 if report.failed == 0 else 1
-
-
 def cmd_cluster_plan(args) -> int:
     from .cluster import HashRing, plan_rebalance, synthetic_keys
     from .datagen.registry import REGISTRY
@@ -761,10 +695,11 @@ def cmd_cluster_plan(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    # the router speaks the service protocol: query, query-lang and
+    # loadgen are the single-node handlers
     handler = {"serve": cmd_cluster_serve, "shard": cmd_cluster_shard,
-               "query": cmd_cluster_query,
-               "query-lang": cmd_query_lang,
-               "loadgen": cmd_cluster_loadgen, "plan": cmd_cluster_plan}
+               "query": cmd_query, "query-lang": cmd_query_lang,
+               "loadgen": cmd_loadgen, "plan": cmd_cluster_plan}
     return handler[args.cluster_command](args)
 
 
@@ -912,42 +847,101 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TCP port (default: 7421; 0 picks a free one)")
     add_service_knobs(sv)
 
-    q = sub.add_parser("query",
-                       help="send one request to a running service, "
-                            "print the JSON result (for pipeline-DSL "
-                            "queries use `repro query-lang`)")
-    q.add_argument("op", choices=("ping", "run", "characterize",
-                                  "dyn_query", "datasets", "workloads",
-                                  "stats"))
-    q.add_argument("workload", nargs="?", default=None,
-                   help="workload name (run/characterize/dyn_query only)")
-    q.add_argument("--dataset", default="ldbc")
-    q.add_argument("--scale", type=float, default=0.25)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--machine", default="scaled",
-                   choices=("scaled", "test", "paper"))
-    q.add_argument("--gpu", action="store_true")
-    q.add_argument("--root", type=int, default=0,
-                   help="BFS root vertex (dyn_query only)")
-    q.add_argument("--host", default="127.0.0.1")
-    q.add_argument("--port", type=int, default=7421)
-    q.add_argument("--timeout", type=float, default=300.0)
+    from .cluster.router import ROUTER_PORT
 
-    ql = sub.add_parser(
+    # query, query-lang and loadgen exist twice — against a service and
+    # against a cluster router — from one flag definition each; only
+    # the default port and the defaults named here differ
+    def add_query_args(sp, port, ops=()):
+        sp.add_argument("op", choices=("ping", "run", "characterize",
+                                       "dyn_query", "datasets",
+                                       "workloads", "stats") + ops)
+        sp.add_argument("workload", nargs="?", default=None,
+                        help="workload name (run/characterize/dyn_query "
+                             "only)")
+        sp.add_argument("--dataset", default="ldbc")
+        sp.add_argument("--scale", type=float, default=0.25)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--machine", default="scaled",
+                        choices=("scaled", "test", "paper"))
+        sp.add_argument("--gpu", action="store_true")
+        sp.add_argument("--root", type=int, default=0,
+                        help="BFS root vertex (dyn_query only)")
+        sp.add_argument("--host", default="127.0.0.1")
+        sp.add_argument("--port", type=int, default=port)
+        sp.add_argument("--timeout", type=float, default=300.0)
+
+    def add_query_lang_args(sp, port):
+        sp.add_argument("query", help="pipeline DSL text: "
+                                      "from DATASET | stage | stage ...")
+        sp.add_argument("--explain", action="store_true",
+                        help="print the physical plan with per-stage "
+                             "cost estimates instead of executing")
+        sp.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+        sp.add_argument("--host", default="127.0.0.1")
+        sp.add_argument("--port", type=int, default=port)
+        sp.add_argument("--timeout", type=float, default=300.0)
+
+    def add_loadgen_args(sp, port, spawns, workloads, datasets):
+        sp.add_argument("--host", default="127.0.0.1")
+        sp.add_argument("--port", type=int, default=port)
+        sp.add_argument("--spawn", action="store_true",
+                        help=f"boot an in-process {spawns} for the run")
+        sp.add_argument("--requests", type=int, default=200,
+                        help="total requests to issue (default: 200)")
+        sp.add_argument("--concurrency", type=int, default=16,
+                        help="closed-loop workers (default: 16)")
+        sp.add_argument("--workloads", default=workloads,
+                        help="comma-separated workload mix")
+        sp.add_argument("--datasets", default=datasets,
+                        help="comma-separated dataset mix")
+        sp.add_argument("--scale", type=float, default=0.05)
+        sp.add_argument("--seeds", type=int, default=1,
+                        help="distinct seeds per combo — widens the "
+                             "query pool, thins duplicates (default: 1)")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="schedule RNG seed (default: 0)")
+        sp.add_argument("--op", default="run",
+                        choices=("run", "characterize", "dyn_query"))
+        sp.add_argument("--write-mix", type=float, default=0.0,
+                        help="fraction of requests that are mutation "
+                             "batches against the first-listed dataset "
+                             "(default: 0 — read-only)")
+        sp.add_argument("--write-batch", type=int, default=8,
+                        help="ops per mutation batch (default: 8)")
+        sp.add_argument("--query-mix", type=float, default=0.0,
+                        help="fraction of requests that are pipeline-DSL "
+                             "queries drawn from the template pool over "
+                             "the listed datasets (default: 0)")
+        sp.add_argument("--dataset-skew", type=float, default=0.0,
+                        help="Zipf exponent over the dataset mix (0 = "
+                             "uniform); skews request volume toward the "
+                             "first-listed datasets")
+        sp.add_argument("--tenants", type=int, default=0, metavar="N",
+                        help="stamp each request with one of N tenant "
+                             "identities (default: 0 — no tenant field "
+                             "on the wire)")
+        sp.add_argument("--tenant-skew", type=float, default=0.0,
+                        help="Zipf exponent over tenants (0 = uniform); "
+                             ">0 makes tenant-0 the noisy neighbour")
+        sp.add_argument("--deadline", type=float, default=None,
+                        metavar="SECONDS",
+                        help="end-to-end deadline per request, "
+                             "propagated on the wire (default: none)")
+        sp.add_argument("--json", action="store_true",
+                        help="machine-readable report")
+
+    add_query_args(sub.add_parser(
+        "query", help="send one request to a running service, print "
+                      "the JSON result (for pipeline-DSL queries use "
+                      "`repro query-lang`)"), 7421)
+
+    add_query_lang_args(sub.add_parser(
         "query-lang",
         help="run a pipeline-DSL query against a running service, "
              'e.g. "from twitter | bfs root=42 depth<=3 '
-             '| topk degree 10"')
-    ql.add_argument("query", help="pipeline DSL text: "
-                                  "from DATASET | stage | stage ...")
-    ql.add_argument("--explain", action="store_true",
-                    help="print the physical plan with per-stage cost "
-                         "estimates instead of executing")
-    ql.add_argument("--json", action="store_true",
-                    help="machine-readable output")
-    ql.add_argument("--host", default="127.0.0.1")
-    ql.add_argument("--port", type=int, default=7421)
-    ql.add_argument("--timeout", type=float, default=300.0)
+             '| topk degree 10"'), 7421)
 
     mu = sub.add_parser(
         "mutate",
@@ -982,54 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="closed-loop load generator: throughput + p50/p95/p99 "
              "latency against a live service")
-    lg.add_argument("--host", default="127.0.0.1")
-    lg.add_argument("--port", type=int, default=7421)
-    lg.add_argument("--spawn", action="store_true",
-                    help="spin up an in-process service for the run "
-                         "(uses the serve knobs below)")
-    lg.add_argument("--requests", type=int, default=200,
-                    help="total requests to issue (default: 200)")
-    lg.add_argument("--concurrency", type=int, default=16,
-                    help="closed-loop workers (default: 16)")
-    lg.add_argument("--workloads", default="BFS,CComp,kCore",
-                    help="comma-separated workload mix")
-    lg.add_argument("--datasets", default="ldbc",
-                    help="comma-separated dataset mix")
-    lg.add_argument("--scale", type=float, default=0.05)
-    lg.add_argument("--seeds", type=int, default=1,
-                    help="distinct seeds per combo — widens the query "
-                         "pool, thins duplicates (default: 1)")
-    lg.add_argument("--seed", type=int, default=0,
-                    help="schedule RNG seed (default: 0)")
-    lg.add_argument("--op", default="run",
-                    choices=("run", "characterize", "dyn_query"))
-    lg.add_argument("--write-mix", type=float, default=0.0,
-                    help="fraction of requests that are mutation "
-                         "batches against the first-listed dataset "
-                         "(default: 0 — read-only)")
-    lg.add_argument("--write-batch", type=int, default=8,
-                    help="ops per mutation batch (default: 8)")
-    lg.add_argument("--query-mix", type=float, default=0.0,
-                    help="fraction of requests that are pipeline-DSL "
-                         "queries drawn from the template pool over "
-                         "the listed datasets (default: 0)")
-    lg.add_argument("--dataset-skew", type=float, default=0.0,
-                    help="Zipf exponent over the dataset mix (0 = "
-                         "uniform); skews request volume toward the "
-                         "first-listed datasets")
-    lg.add_argument("--tenants", type=int, default=0, metavar="N",
-                    help="stamp each request with one of N tenant "
-                         "identities (default: 0 — no tenant field on "
-                         "the wire)")
-    lg.add_argument("--tenant-skew", type=float, default=0.0,
-                    help="Zipf exponent over tenants (0 = uniform); "
-                         ">0 makes tenant-0 the noisy neighbour")
-    lg.add_argument("--deadline", type=float, default=None,
-                    metavar="SECONDS",
-                    help="end-to-end deadline per request, propagated "
-                         "on the wire (default: none)")
-    lg.add_argument("--json", action="store_true",
-                    help="machine-readable report")
+    add_loadgen_args(lg, 7421, "service (uses the serve knobs below)",
+                     workloads="BFS,CComp,kCore", datasets="ldbc")
     lg.add_argument("--trace-out", default=None, metavar="FILE",
                     help="write per-request spans as Chrome Trace Event "
                          "JSON — open in about:tracing")
@@ -1046,8 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("table", "json", "prom"),
                     help="output: human table, full JSON stats, or "
                          "Prometheus text exposition (default: table)")
-
-    from .cluster.router import ROUTER_PORT
 
     cl = sub.add_parser(
         "cluster",
@@ -1111,84 +1057,28 @@ def build_parser() -> argparse.ArgumentParser:
     csh.add_argument("--isolation", default="inline",
                      choices=("process", "inline"))
 
-    cq = clsub.add_parser(
-        "query", help="send one request to a running cluster router")
-    cq.add_argument("op", choices=("ping", "run", "characterize",
-                                   "dyn_query",
-                                   "datasets", "workloads", "stats",
-                                   "health", "shard_info"))
-    cq.add_argument("workload", nargs="?", default=None,
-                    help="workload name (run/characterize only)")
-    cq.add_argument("--dataset", default="ldbc")
-    cq.add_argument("--scale", type=float, default=0.25)
-    cq.add_argument("--seed", type=int, default=0)
-    cq.add_argument("--machine", default="scaled",
-                    choices=("scaled", "test", "paper"))
-    cq.add_argument("--gpu", action="store_true")
-    cq.add_argument("--root", type=int, default=0,
-                    help="BFS root vertex (dyn_query only)")
-    cq.add_argument("--host", default="127.0.0.1")
-    cq.add_argument("--port", type=int, default=ROUTER_PORT)
-    cq.add_argument("--timeout", type=float, default=300.0)
+    add_query_args(clsub.add_parser(
+        "query", help="send one request to a running cluster router"),
+        ROUTER_PORT, ops=("health", "shard_info"))
 
-    cql = clsub.add_parser(
+    add_query_lang_args(clsub.add_parser(
         "query-lang",
         help="run a pipeline-DSL query through the router: static "
              "sources scatter per-shard subplans and merge partials, "
-             "dynamic sources route to the owner")
-    cql.add_argument("query", help="pipeline DSL text: "
-                                   "from DATASET | stage | stage ...")
-    cql.add_argument("--explain", action="store_true",
-                     help="print the physical plan with per-stage cost "
-                          "estimates instead of executing")
-    cql.add_argument("--json", action="store_true",
-                     help="machine-readable output")
-    cql.add_argument("--host", default="127.0.0.1")
-    cql.add_argument("--port", type=int, default=ROUTER_PORT)
-    cql.add_argument("--timeout", type=float, default=300.0)
+             "dynamic sources route to the owner"), ROUTER_PORT)
 
     clg = clsub.add_parser(
         "loadgen",
         help="closed-loop load against a cluster router, with "
              "per-shard imbalance reporting")
     add_cluster_shape(clg)
-    clg.add_argument("--host", default="127.0.0.1")
-    clg.add_argument("--port", type=int, default=ROUTER_PORT)
-    clg.add_argument("--spawn", action="store_true",
-                     help="boot an in-process cluster for the run")
-    clg.add_argument("--requests", type=int, default=200)
-    clg.add_argument("--concurrency", type=int, default=16)
-    clg.add_argument("--workloads", default="BFS,CComp")
-    clg.add_argument("--datasets",
-                     default="twitter,knowledge,watson,roadnet,ldbc")
-    clg.add_argument("--scale", type=float, default=0.05)
-    clg.add_argument("--seeds", type=int, default=1)
-    clg.add_argument("--seed", type=int, default=0)
-    clg.add_argument("--op", default="run",
-                     choices=("run", "characterize", "dyn_query"))
-    clg.add_argument("--write-mix", type=float, default=0.0,
-                     help="fraction of requests that are mutation "
-                          "batches against the first-listed dataset")
-    clg.add_argument("--write-batch", type=int, default=8,
-                     help="ops per mutation batch (default: 8)")
-    clg.add_argument("--query-mix", type=float, default=0.0,
-                     help="fraction of requests that are pipeline-DSL "
-                          "queries drawn from the template pool over "
-                          "the listed datasets (default: 0)")
-    clg.add_argument("--dataset-skew", type=float, default=0.0,
-                     help="Zipf exponent over the dataset mix "
-                          "(0 = uniform)")
-    clg.add_argument("--tenants", type=int, default=0, metavar="N",
-                     help="stamp each request with one of N tenant "
-                          "identities (default: 0)")
-    clg.add_argument("--tenant-skew", type=float, default=0.0,
-                     help="Zipf exponent over tenants (0 = uniform)")
+    add_loadgen_args(clg, ROUTER_PORT, "cluster",
+                     workloads="BFS,CComp",
+                     datasets="twitter,knowledge,watson,roadnet,ldbc")
+    # what the single-service form has from the serve knobs, and its
+    # --trace-out, which the cluster form does not offer
     clg.add_argument("--timeout", type=float, default=300.0)
-    clg.add_argument("--deadline", type=float, default=None,
-                     metavar="SECONDS",
-                     help="end-to-end deadline per request, propagated "
-                          "on the wire (default: none)")
-    clg.add_argument("--json", action="store_true")
+    clg.set_defaults(trace_out=None)
 
     cp = clsub.add_parser(
         "plan",

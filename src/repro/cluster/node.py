@@ -168,10 +168,8 @@ class ShardService(GraphService):
 
     async def _dispatch(self, req: Request) -> Any:
         if req.op == "shard_info":
-            self.op_counts[req.op] = self.op_counts.get(req.op, 0) + 1
             return self.shard_info()
         if req.op == "admin":
-            self.op_counts[req.op] = self.op_counts.get(req.op, 0) + 1
             return self._admin(req.params)
         if req.op in ("run", "characterize") or req.op in DYNAMIC_OPS:
             dataset = req.params.get("dataset", "ldbc")

@@ -59,9 +59,10 @@ shard exchange (ok / failover / hedge / error / unreachable / skipped),
 ``router_request_latency_ms{op}`` times the front door, and each request
 runs under a ``route:<op>`` span when a tracer is attached.
 
-Duck-compatible with :class:`~repro.service.server.ServiceThread`
-(``start``/``serve_forever``/``stop``/``host``/``port``), so the same
-threaded harness hosts a router or a service.
+The listening socket and the frame loop are the
+:class:`~repro.service.server.FrameServer` a single service listens on;
+the router supplies only :meth:`Router._dispatch`, so the same
+:class:`~repro.service.server.ServiceThread` hosts either.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .. import __version__
 from ..core.errors import (
@@ -96,12 +97,10 @@ from ..service.protocol import (
     WRITE_OPS,
     Request,
     decode_frame,
-    encode_error,
     encode_request,
-    encode_response,
-    parse_request,
     payload_to_error,
 )
+from ..service.server import FrameServer
 from .replica import (
     BREAKER_OPEN,
     DEFAULT_EJECT_AFTER,
@@ -133,6 +132,14 @@ MIN_ATTEMPT_TIMEOUT_S = 0.05
 #: theoretical.
 DEADLINE_HEADROOM_S = 0.05
 
+#: Hedging floor: never hedge sooner than this, and not before this many
+#: successful attempts have fed the latency quantile.
+HEDGE_MIN_DELAY_S = 0.01
+HEDGE_MIN_SAMPLES = 20
+
+#: Entries in the router's last-good response cache (degraded serving).
+STALE_CAPACITY = 512
+
 #: Transport-level failures that trigger replica failover.  Typed error
 #: *frames* a shard answers with are not in this set — they forwarded,
 #: not retried.
@@ -160,19 +167,13 @@ class ReliabilityConfig:
     # circuit breakers
     breaker_failure_threshold: int = 3
     breaker_reset_timeout_s: float = 1.0
-    breaker_backoff_factor: float = 2.0
-    breaker_max_reset_timeout_s: float = 30.0
     # retry budget (failover + hedges)
     retry_budget_ratio: float = 0.1
     retry_budget_max_tokens: float = 10.0
     # hedging: fire a second replica attempt once the first has been in
     # flight past this observed-latency quantile (None disables)
     hedge_quantile: float | None = None
-    hedge_min_delay_s: float = 0.01
-    hedge_min_samples: int = 20
-    # degraded serving: last-good response cache
-    serve_stale: bool = True
-    stale_capacity: int = 512
+    # degraded serving: hard staleness cap on a last-good response
     stale_cap_s: float = 60.0
 
     def __post_init__(self):
@@ -261,8 +262,23 @@ class _ShardLink:
         self._idle.clear()
 
 
-class Router:
-    """Hash-ring router over a static shard topology."""
+class _Answer(NamedTuple):
+    """One classified shard exchange.  ``outcome`` is the
+    ``cluster_route_total`` label it was counted under: ``ok`` /
+    ``failover`` / ``hedge`` for an ok answer (``result`` set),
+    ``error`` for a typed shard error and ``unreachable`` for a
+    transport failure (``error`` holds the shard-stamped payload)."""
+
+    shard: str
+    outcome: str
+    result: Any = None
+    error: dict | None = None
+
+
+class Router(FrameServer):
+    """Hash-ring router over a static shard topology, behind the same
+    :class:`~repro.service.server.FrameServer` front door a single
+    service listens on."""
 
     def __init__(self, shards: Sequence[ShardAddress], *,
                  replication: int = 1, vnodes: int = DEFAULT_VNODES,
@@ -308,16 +324,9 @@ class Router:
         # hard cap on how long one write waits on a pause — a wedged
         # migration degrades to normal routing, never a hung client
         self.pause_max_s = 10.0
-        self.connections = 0
-        self.op_counts: dict[str, int] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
         self._probe_task: asyncio.Task | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self.host: str | None = None
-        self.port: int | None = None
 
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        super().__init__("router", registry)
         reg = self.registry
         self._m_route = reg.counter(
             "cluster_route_total",
@@ -328,13 +337,6 @@ class Router:
             "cluster_fanout_latency_ms",
             "scatter-gather fan-out wall time (ms), by op",
             labels=("op",))
-        self._m_lat = reg.histogram(
-            "router_request_latency_ms",
-            "router front-door latency (ms), by op", labels=("op",))
-        self._m_err = reg.counter(
-            "router_errors_total",
-            "error responses, by op and taxonomy kind",
-            labels=("op", "kind"))
         reg.gauge("cluster_shards_healthy",
                   "shards the tracker currently considers up",
                   callback=lambda: float(len(self.tracker.healthy_shards())))
@@ -376,8 +378,7 @@ class Router:
             "cluster_retry_budget_tokens",
             "retry-budget tokens currently available",
             callback=lambda: float(self.retry_budget.tokens))
-        self._stale = LRUCache(rel.stale_capacity) if rel.serve_stale \
-            else None
+        self._stale = LRUCache(STALE_CAPACITY)
         # router-side plan cache for static-source DSL queries (version
         # 0 — a generated graph never changes under a fixed seed);
         # dynamic queries route to their owner, whose engine holds the
@@ -396,8 +397,6 @@ class Router:
             name,
             failure_threshold=rel.breaker_failure_threshold,
             reset_timeout_s=rel.breaker_reset_timeout_s,
-            backoff_factor=rel.breaker_backoff_factor,
-            max_reset_timeout_s=rel.breaker_max_reset_timeout_s,
             on_transition=self._on_breaker_transition)
 
     def _on_breaker_transition(self, name: str, old: str,
@@ -421,42 +420,27 @@ class Router:
         rel = self.reliability
         if rel.hedge_quantile is None:
             return None
-        if len(self._lat_samples) < rel.hedge_min_samples:
+        if len(self._lat_samples) < HEDGE_MIN_SAMPLES:
             return None
         delay = percentile(sorted(self._lat_samples), rel.hedge_quantile)
-        return max(rel.hedge_min_delay_s, delay)
+        return max(HEDGE_MIN_DELAY_S, delay)
 
-    # -- lifecycle (ServiceThread-compatible) --------------------------------
+    # -- lifecycle -------------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=MAX_FRAME_BYTES)
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
+        port = await super().start(host, port)
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
-        return self.port
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        return port
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().stop()
         if self._probe_task is not None:
             self._probe_task.cancel()
             try:
                 await self._probe_task
             except asyncio.CancelledError:
                 pass
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks),
-                                 return_exceptions=True)
         for link in self._links.values():
             link.close()
 
@@ -469,25 +453,23 @@ class Router:
         cost probes, and each shard's probe cadence follows the
         deterministic retry-backoff schedule.
         """
-        try:
-            while True:
-                await asyncio.sleep(self.probe_interval_s)
-                for name in self.tracker.down_shards():
-                    self.tracker.record_probe(name)
-                    try:
-                        frame = await asyncio.wait_for(
-                            self._links[name].call("health", {}),
-                            self.fanout_timeout_s)
-                    except _TRANSPORT_ERRORS:
-                        await asyncio.sleep(
-                            min(self.tracker.probe_delay(name), 1.0))
-                        continue
-                    if frame.get("ok") and (frame.get("result") or {}) \
-                            .get("ok"):
-                        self.tracker.record_success(name, reason="probe")
-                        self.breakers[name].record_success()
-        except asyncio.CancelledError:
-            raise
+        while True:
+            await asyncio.sleep(self.probe_interval_s)
+            for name in self.tracker.down_shards():
+                self.tracker.record_probe(name)
+                try:
+                    frame = await asyncio.wait_for(
+                        self._links[name].call("health", {}),
+                        self.fanout_timeout_s)
+                except _TRANSPORT_ERRORS:
+                    await asyncio.sleep(
+                        min(self.tracker.probe_delay(name), 1.0))
+                    continue
+                if frame.get("ok") and (frame.get("result") or {}) \
+                        .get("ok"):
+                    self.tracker.record_success(name, reason="probe")
+                    self.breakers[name].record_success()
+
     # -- live topology (rebalance support) ------------------------------------
 
     def add_shard(self, addr: ShardAddress) -> None:
@@ -541,34 +523,64 @@ class Router:
     def demote_replicas(self, key: str) -> None:
         self._extra_replicas.pop(key, None)
 
-    # -- shard exchanges -----------------------------------------------------
+    # -- the one shard exchange ------------------------------------------------
 
-    async def _call(self, name: str, op: str,
-                    params: dict[str, Any],
-                    timeout_s: float | None = None,
-                    deadline: float | None = None,
-                    tenant: str | None = None) -> dict:
-        frame = await asyncio.wait_for(
-            self._links[name].call(op, params, deadline=deadline,
-                                   tenant=tenant),
-            timeout_s or self.attempt_timeout_s)
-        return frame
+    async def _exchange(self, shard: str, op: str,
+                        params: dict[str, Any], timeout_s: float,
+                        key: str, *, outcome: str = "ok",
+                        deadline: float | None = None,
+                        tenant: str | None = None) -> _Answer:
+        """Call ``shard`` and classify what came back — the only place
+        that does.
 
-    # -- single-key routing with the reliability walk ------------------------
-
-    def _note_success(self, shard: str) -> None:
+        A transport failure is charged to the tracker and the breaker
+        and counted ``unreachable``; any answer credits both, and is
+        counted ``outcome`` when ok or ``error`` when it is a typed
+        shard error.  Every error payload names its shard (one that
+        already stamped itself — e.g. WrongShard — wins).
+        """
+        try:
+            frame = await asyncio.wait_for(
+                self._links[shard].call(op, params, deadline=deadline,
+                                        tenant=tenant), timeout_s)
+        except _TRANSPORT_ERRORS as e:
+            reason = _failure_reason(e)
+            self.tracker.record_failure(shard, reason=reason)
+            self.breakers[shard].record_failure()
+            self._m_route.labels(shard=shard, outcome="unreachable").inc()
+            log.warning("shard %s unreachable for %s: %s", shard, key,
+                        str(e) or reason,
+                        extra={"shard": shard, "key": key,
+                               "reason": reason})
+            return _Answer(shard, "unreachable", error={
+                "kind": "unavailable", "type": type(e).__name__,
+                "message": str(e) or reason, "shard": shard})
         self.tracker.record_success(shard)
         self.breakers[shard].record_success()
+        if frame.get("ok"):
+            self._m_route.labels(shard=shard, outcome=outcome).inc()
+            return _Answer(shard, outcome, result=frame.get("result"))
+        self._m_route.labels(shard=shard, outcome="error").inc()
+        error = frame.get("error")
+        if not isinstance(error, dict):
+            error = {"kind": "internal", "type": "ProtocolError",
+                     "message": f"malformed failure frame from {shard}"}
+        error.setdefault("shard", shard)
+        return _Answer(shard, "error", error=error)
 
-    def _note_transport_failure(self, shard: str, key: str,
-                                exc: BaseException) -> None:
-        reason = _failure_reason(exc)
-        self.tracker.record_failure(shard, reason=reason)
-        self.breakers[shard].record_failure()
-        self._m_route.labels(shard=shard, outcome="unreachable").inc()
-        log.warning("shard %s unreachable for %s: %s", shard, key,
-                    str(exc) or reason,
-                    extra={"shard": shard, "key": key, "reason": reason})
+    @staticmethod
+    def _unwrap(answer: _Answer, span_args: dict) -> Any:
+        """A keyed answer onto the wire: the result stamped with its
+        shard, or the shard's typed error re-raised."""
+        span_args["shard"] = answer.shard
+        span_args["outcome"] = answer.outcome
+        if answer.error is not None:
+            raise payload_to_error(answer.error)
+        if isinstance(answer.result, dict):
+            answer.result.setdefault("shard", answer.shard)
+        return answer.result
+
+    # -- single-key routing with the reliability walk ------------------------
 
     def _attempt_timeout(self, remaining: float | None,
                          candidates_left: int) -> float:
@@ -590,30 +602,6 @@ class Router:
         log.warning("shed %s at router (%.1fms past deadline)", key,
                     overshoot * 1e3, extra={"key": key})
         raise DeadlineExceeded("router", overshoot, 0.0)
-
-    def _finish_frame(self, req: Request, key: str, shard: str,
-                      frame: dict, outcome: str, span_args: dict) -> Any:
-        """Common tail for an answered attempt: bookkeeping + unwrap."""
-        self._note_success(shard)
-        if frame.get("ok"):
-            self._m_route.labels(shard=shard, outcome=outcome).inc()
-            span_args["shard"] = shard
-            span_args["outcome"] = outcome
-            result = frame.get("result")
-            if isinstance(result, dict):
-                result.setdefault("shard", shard)
-            return result
-        self._m_route.labels(shard=shard, outcome="error").inc()
-        span_args["shard"] = shard
-        span_args["outcome"] = "error"
-        error = frame.get("error")
-        if not isinstance(error, dict):
-            raise ProtocolError(f"malformed failure frame from "
-                                f"{shard}: {frame!r}")
-        # every forwarded typed error names its originating shard (a
-        # shard that already stamped itself — e.g. WrongShard — wins)
-        error.setdefault("shard", shard)
-        raise payload_to_error(error)
 
     async def _route_single(self, req: Request, key: str,
                             replicas: Sequence[str],
@@ -651,19 +639,16 @@ class Router:
                 if remaining is not None and remaining <= 0:
                     self._shed(key, span_args, -remaining)
             timeout = self._attempt_timeout(remaining, 1 + len(pending))
-            hedge_delay = self.hedge_delay() if not dialed_any else None
+            # only the first attempt of an idempotent read hedges
+            hedge_delay = self.hedge_delay() if not dialed_any \
+                and req.op in ("run", "characterize") else None
             dialed_any = True
             tried.append(shard)
-            if hedge_delay is not None and pending \
-                    and req.op in ("run", "characterize"):
-                result = await self._attempt_hedged(
-                    req, key, shard, pending, timeout, hedge_delay,
-                    tried, span_args)
-            else:
-                result = await self._attempt_plain(
-                    req, key, shard, timeout, len(tried), span_args)
-            if result is not None:
-                return result.unwrap(self, req, key, span_args)
+            answer = await self._attempt(req, key, shard, pending,
+                                         timeout, hedge_delay, tried,
+                                         span_args)
+            if answer is not None:
+                return self._unwrap(answer, span_args)
         if not dialed_any:
             # every replica sat behind an open breaker: nothing was even
             # dialed — a distinct, typed condition
@@ -672,89 +657,71 @@ class Router:
         span_args["outcome"] = "unavailable"
         raise ShardUnavailable(key, tried=tuple(tried))
 
-    async def _attempt_plain(self, req: Request, key: str, shard: str,
-                             timeout: float, attempt_no: int,
-                             span_args: dict) -> "_Answered | None":
-        t0 = time.perf_counter()
-        try:
-            frame = await self._call(shard, req.op, req.params, timeout,
-                                     deadline=req.deadline,
-                                     tenant=req.tenant)
-        except _TRANSPORT_ERRORS as e:
-            self._note_transport_failure(shard, key, e)
-            return None
-        self._note_latency(time.perf_counter() - t0)
-        outcome = "ok" if attempt_no == 1 else "failover"
-        return _Answered(shard, frame, outcome)
+    async def _attempt(self, req: Request, key: str, primary: str,
+                       pending: list[str], timeout: float,
+                       hedge_delay: float | None, tried: list[str],
+                       span_args: dict) -> "_Answer | None":
+        """One attempt at ``primary``; None when nothing answered.
 
-    async def _attempt_hedged(self, req: Request, key: str,
-                              primary: str, pending: list[str],
-                              timeout: float, hedge_delay: float,
-                              tried: list[str],
-                              span_args: dict) -> "_Answered | None":
-        """First attempt with a latency hedge.
-
-        Dial ``primary``; once it has been in flight for ``hedge_delay``
-        without answering, spend a retry-budget token and dial the next
-        breaker-admitted replica concurrently.  First answer wins; the
-        loser is cancelled (its breaker slot released, its connection
-        closed by the link's failure path, never pooled).
+        With a ``hedge_delay``: once the attempt has been in flight that
+        long without answering, spend a retry-budget token and dial the
+        next breaker-admitted replica concurrently.  First answer wins;
+        the loser is cancelled (its breaker slot released, its
+        connection closed by the link's failure path, never pooled).
         """
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
+
+        def dial(shard: str, timeout_s: float, outcome: str):
+            return loop.create_task(self._exchange(
+                shard, req.op, req.params, timeout_s, key,
+                outcome=outcome, deadline=req.deadline,
+                tenant=req.tenant))
+
         tasks: dict[asyncio.Task, str] = {
-            loop.create_task(self._call(primary, req.op, req.params,
-                                        timeout,
-                                        deadline=req.deadline,
-                                        tenant=req.tenant)): primary}
-        hedge_armed = True
-        winner: _Answered | None = None
-        while tasks:
-            wait_for = hedge_delay if hedge_armed else None
-            done, _ = await asyncio.wait(
-                set(tasks), timeout=wait_for,
-                return_when=asyncio.FIRST_COMPLETED)
-            if not done and hedge_armed:
-                hedge_armed = False
-                backup = self._hedge_backup(pending)
-                if backup is None:
+            dial(primary, timeout,
+                 "ok" if len(tried) == 1 else "failover"): primary}
+        hedge_armed = hedge_delay is not None
+        winner: _Answer | None = None
+        try:
+            while tasks and winner is None:
+                done, _ = await asyncio.wait(
+                    tasks, timeout=hedge_delay if hedge_armed else None,
+                    return_when=asyncio.FIRST_COMPLETED)
+                if not done:
+                    # only the hedge timer ends a wait empty-handed
+                    hedge_armed = False
+                    backup = self._hedge_backup(pending)
+                    # no backup or no token: ride out the first attempt
+                    if backup is not None \
+                            and self.retry_budget.try_spend():
+                        self._m_hedge.labels(outcome="launched").inc()
+                        span_args["hedged"] = backup
+                        pending.remove(backup)
+                        tried.append(backup)
+                        tasks[dial(backup, self._attempt_timeout(
+                            req.remaining(), 1 + len(pending)),
+                            "hedge")] = backup
                     continue
-                if not self.retry_budget.try_spend():
-                    continue       # no token: ride out the first attempt
-                self._m_hedge.labels(outcome="launched").inc()
-                span_args["hedged"] = backup
-                pending.remove(backup)
-                tried.append(backup)
-                remaining = req.remaining()
-                tasks[loop.create_task(self._call(
-                    backup, req.op, req.params,
-                    self._attempt_timeout(remaining, 1 + len(pending)),
-                    deadline=req.deadline,
-                    tenant=req.tenant))] = backup
-                continue
-            for task in done:
-                shard = tasks.pop(task)
-                exc = task.exception()
-                if exc is not None:
-                    if isinstance(exc, _TRANSPORT_ERRORS):
-                        self._note_transport_failure(shard, key, exc)
+                for task in done:
+                    shard = tasks.pop(task)
+                    answer = task.result()
+                    if answer.outcome == "unreachable":
                         continue
-                    raise exc
-                self._note_latency(time.perf_counter() - t0)
-                was_hedge = shard != primary
-                if was_hedge:
-                    self._m_hedge.labels(outcome="won").inc()
-                elif "hedged" in span_args:
-                    self._m_hedge.labels(outcome="lost").inc()
-                winner = _Answered(shard, task.result(),
-                                   "hedge" if was_hedge else "ok")
-                break
-            if winner is not None:
-                break
-        # cancel the loser (if any) and release its breaker probe slot
-        for task, shard in tasks.items():
-            task.cancel()
-            self.breakers[shard].record_abandoned()
+                    self._note_latency(time.perf_counter() - t0)
+                    if shard != primary:
+                        self._m_hedge.labels(outcome="won").inc()
+                    elif "hedged" in span_args:
+                        self._m_hedge.labels(outcome="lost").inc()
+                    winner = answer
+                    break
+        finally:
+            # cancel whatever is still in flight (the hedge loser, or
+            # everything when this request itself is cancelled) and
+            # release its breaker probe slot
+            for task, shard in tasks.items():
+                task.cancel()
+                self.breakers[shard].record_abandoned()
         return winner
 
     def _hedge_backup(self, pending: Sequence[str]) -> str | None:
@@ -799,17 +766,14 @@ class Router:
             self._m_route.labels(shard=primary, outcome="skipped").inc()
             span_args["outcome"] = "circuit-open"
             raise CircuitOpen(key, (primary,))
-        timeout = self._attempt_timeout(remaining, 1)
-        try:
-            frame = await self._call(primary, req.op, req.params,
-                                     timeout, deadline=req.deadline,
-                                     tenant=req.tenant)
-        except _TRANSPORT_ERRORS as e:
-            self._note_transport_failure(primary, key, e)
+        answer = await self._exchange(
+            primary, req.op, req.params,
+            self._attempt_timeout(remaining, 1), key,
+            deadline=req.deadline, tenant=req.tenant)
+        if answer.outcome == "unreachable":
             span_args["outcome"] = "unavailable"
-            raise ShardUnavailable(key, tried=(primary,)) from e
-        result = self._finish_frame(req, key, primary, frame, "ok",
-                                    span_args)
+            raise ShardUnavailable(key, tried=(primary,))
+        result = self._unwrap(answer, span_args)
         if len(replicas) > 1 and isinstance(result, dict):
             replicated, failures = await self._replicate_write(
                 req, key, [s for s in replicas if s != primary])
@@ -849,19 +813,10 @@ class Router:
                 self._m_route.labels(shard=shard,
                                      outcome="skipped").inc()
                 return shard, False
-            try:
-                frame = await self._call(shard, req.op, req.params,
-                                         self.fanout_timeout_s,
-                                         deadline=req.deadline,
-                                         tenant=req.tenant)
-            except _TRANSPORT_ERRORS as e:
-                self._note_transport_failure(shard, key, e)
-                return shard, False
-            self._note_success(shard)
-            ok = bool(frame.get("ok"))
-            self._m_route.labels(
-                shard=shard, outcome="ok" if ok else "error").inc()
-            return shard, ok
+            answer = await self._exchange(
+                shard, req.op, req.params, self.fanout_timeout_s, key,
+                deadline=req.deadline, tenant=req.tenant)
+            return shard, answer.error is None
 
         outcomes = await asyncio.gather(*(one(s) for s in backups))
         replicated = sorted(s for s, ok in outcomes if ok)
@@ -876,8 +831,7 @@ class Router:
                                          separators=(",", ":"))
 
     def _remember(self, req: Request, result: Any) -> None:
-        if self._stale is None or not isinstance(result, dict) \
-                or result.get("degraded"):
+        if not isinstance(result, dict) or result.get("degraded"):
             return
         self._stale.put(self._stale_key(req), result)
 
@@ -885,8 +839,6 @@ class Router:
                      span_args: dict) -> dict | None:
         """Last-good fallback: the most recent answer for this exact
         request, under the staleness cap, marked degraded."""
-        if self._stale is None:
-            return None
         hit = self._stale.get_stale(self._stale_key(req),
                                     self.reliability.stale_cap_s)
         if hit is None:
@@ -903,68 +855,29 @@ class Router:
 
     # -- scatter-gather --------------------------------------------------------
 
-    async def _scatter(self, op: str, params: dict[str, Any],
-                       targets: Sequence[str] | None = None
-                       ) -> tuple[dict[str, Any], list[str]]:
-        """Fan ``op`` to ``targets`` (default: healthy shards, or all
-        when the tracker has ejected everything) concurrently.
+    async def _scatter(self, op: str, params: dict[str, Any]
+                       ) -> tuple[dict[str, Any], list[str],
+                                  dict[str, dict]]:
+        """Fan ``op`` to the healthy shards (all of them when the
+        tracker has ejected everything) concurrently.
 
-        Returns ``(results, missing)``: per-shard results for those that
-        answered ok, and the shards that failed or timed out.  Callers
-        that forward failure detail use :meth:`_scatter_full`, which
-        also returns the shard-stamped error payloads.
+        Returns ``(results, missing, errors)``: per-shard results for
+        those that answered ok, the shards that did not, and why —
+        every error payload, typed shard answer *and* transport
+        failure, carries a ``shard`` key naming where it came from, so
+        a partial aggregation can say which shard failed and why.
         """
-        results, missing, _ = await self._scatter_full(op, params,
-                                                       targets)
-        return results, missing
-
-    async def _scatter_full(self, op: str, params: dict[str, Any],
-                            targets: Sequence[str] | None = None
-                            ) -> tuple[dict[str, Any], list[str],
-                                       dict[str, dict]]:
-        """:meth:`_scatter` plus the per-shard error payloads.
-
-        Every payload — typed shard answers *and* transport failures —
-        carries a ``shard`` key naming where it came from, so a partial
-        aggregation can say which shard failed and why, not just that
-        one did.
-        """
-        if targets is None:
-            targets = self.tracker.healthy_shards() or tuple(self.shards)
+        targets = self.tracker.healthy_shards() or tuple(self.shards)
         t0 = time.perf_counter()
-
-        async def one(name: str):
-            try:
-                frame = await self._call(name, op, params,
-                                         self.fanout_timeout_s)
-            except _TRANSPORT_ERRORS as e:
-                self._note_transport_failure(name, f"_{op}", e)
-                return name, None, {
-                    "kind": "unavailable", "type": type(e).__name__,
-                    "message": str(e) or _failure_reason(e),
-                    "shard": name}
-            self._note_success(name)
-            if frame.get("ok"):
-                self._m_route.labels(shard=name, outcome="ok").inc()
-                return name, frame.get("result"), None
-            self._m_route.labels(shard=name, outcome="error").inc()
-            err = frame.get("error")
-            if not isinstance(err, dict):
-                err = {"kind": "internal", "type": "ProtocolError",
-                       "message": "malformed failure frame"}
-            err.setdefault("shard", name)
-            return name, None, err
-
-        outcomes = await asyncio.gather(*(one(n) for n in targets))
+        answers = await asyncio.gather(*(
+            self._exchange(name, op, params, self.fanout_timeout_s,
+                           f"_{op}") for name in targets))
         self._m_fan.labels(op=op).observe(
             (time.perf_counter() - t0) * 1e3)
-        results = {name: result for name, result, err in outcomes
-                   if err is None}
-        missing = sorted(name for name, _, err in outcomes
-                         if err is not None)
-        errors = {name: err for name, _, err in outcomes
-                  if err is not None}
-        return results, missing, errors
+        results = {a.shard: a.result for a in answers if a.error is None}
+        errors = {a.shard: a.error for a in answers
+                  if a.error is not None}
+        return results, sorted(errors), errors
 
     # -- op dispatch ---------------------------------------------------------
 
@@ -1001,7 +914,6 @@ class Router:
         return replicas
 
     async def _dispatch(self, req: Request) -> Any:
-        self.op_counts[req.op] = self.op_counts.get(req.op, 0) + 1
         with maybe_span(self.tracer, f"route:{req.op}") as span_args:
             return await self._dispatch_traced(req, span_args)
 
@@ -1060,7 +972,7 @@ class Router:
         if req.op == "datasets":
             return await self._gather_datasets(span_args)
         if req.op == "shard_info":
-            results, missing, errors = await self._scatter_full(
+            results, missing, errors = await self._scatter(
                 "shard_info", req.params)
             span_args["missing"] = missing
             return {"role": "router", "shards": results,
@@ -1075,7 +987,7 @@ class Router:
     async def _gather_datasets(self, span_args: dict) -> list[dict]:
         """Union of every shard's owned slice, annotated with the shards
         currently serving each dataset."""
-        results, missing = await self._scatter("datasets", {})
+        results, missing, _ = await self._scatter("datasets", {})
         span_args["missing"] = missing
         merged: dict[str, dict] = {}
         for shard, rows in sorted(results.items()):
@@ -1091,22 +1003,20 @@ class Router:
         signal in one machine-readable place)."""
         rel = self.reliability
         delay = self.hedge_delay()
-        out: dict[str, Any] = {
+        return {
             "breakers": {name: b.snapshot()
                          for name, b in sorted(self.breakers.items())},
             "retry_budget": self.retry_budget.snapshot(),
             "hedge": {"quantile": rel.hedge_quantile,
                       "delay_s": (round(delay, 6)
                                   if delay is not None else None),
-                      "samples": len(self._lat_samples)}}
-        if self._stale is not None:
-            out["stale"] = dict(self._stale.stats.as_dict(),
-                                entries=len(self._stale),
-                                cap_s=rel.stale_cap_s)
-        return out
+                      "samples": len(self._lat_samples)},
+            "stale": dict(self._stale.stats.as_dict(),
+                          entries=len(self._stale),
+                          cap_s=rel.stale_cap_s)}
 
     async def _gather_stats(self, span_args: dict) -> dict[str, Any]:
-        results, missing, errors = await self._scatter_full("stats", {})
+        results, missing, errors = await self._scatter("stats", {})
         span_args["missing"] = missing
         return {"protocol": PROTOCOL_VERSION, "server": __version__,
                 "role": "router",
@@ -1249,28 +1159,10 @@ class Router:
         t0 = time.perf_counter()
 
         async def one(index: int, shard: str):
-            params = dict(req.params)
-            params["part"] = [index, n]
-            try:
-                frame = await self._call(shard, "query", params,
-                                         self.fanout_timeout_s,
-                                         deadline=req.deadline,
-                                         tenant=req.tenant)
-            except _TRANSPORT_ERRORS as e:
-                self._note_transport_failure(shard, f"_query:{index}", e)
-                return index, shard, None, None
-            self._note_success(shard)
-            if frame.get("ok"):
-                self._m_route.labels(shard=shard, outcome="ok").inc()
-                return index, shard, frame.get("result"), None
-            self._m_route.labels(shard=shard, outcome="error").inc()
-            error = frame.get("error")
-            if not isinstance(error, dict):
-                error = {"kind": "internal", "type": "ProtocolError",
-                         "message": f"malformed failure frame from "
-                                    f"{shard}"}
-            error.setdefault("shard", shard)
-            return index, shard, None, error
+            return index, await self._exchange(
+                shard, "query", dict(req.params, part=[index, n]),
+                self.fanout_timeout_s, f"_query:{index}",
+                deadline=req.deadline, tenant=req.tenant)
 
         tables: dict[int, dict] = {}
         assigned: dict[int, str] = {}
@@ -1281,20 +1173,22 @@ class Router:
             outcomes = await asyncio.gather(
                 *(one(i, s) for i, s in pending))
             failed: list[int] = []
-            for index, shard, result, error in outcomes:
-                if error is not None:
+            for index, answer in outcomes:
+                if answer.outcome == "error":
                     span_args["outcome"] = "error"
-                    span_args["shard"] = error.get("shard", shard)
-                    raise payload_to_error(error)
-                table = result.get("table") \
-                    if isinstance(result, dict) else None
+                    span_args["shard"] = answer.error["shard"]
+                    raise payload_to_error(answer.error)
+                # unreachable (or an answer that is no table): the part
+                # goes back in the pool
+                table = answer.result.get("table") \
+                    if isinstance(answer.result, dict) else None
                 if not isinstance(table, dict):
                     failed.append(index)
                     continue
-                if shard not in survivors:
-                    survivors.append(shard)
+                if answer.shard not in survivors:
+                    survivors.append(answer.shard)
                 tables[index] = table
-                assigned[index] = shard
+                assigned[index] = answer.shard
             if not failed:
                 break
             rounds += 1
@@ -1317,79 +1211,3 @@ class Router:
                 "version": None, "distributed": True, "parts": n,
                 "served": "scatter",
                 "assignments": {str(i): assigned[i] for i in range(n)}}
-
-    # -- connection handling (JSON-lines loop, as the service speaks) --------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self.connections += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._m_err.labels(op="_frame",
-                                       kind=ProtocolError.kind).inc()
-                    writer.write(encode_error(
-                        None, ProtocolError("frame exceeds size limit")))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    self._m_err.labels(op="_frame",
-                                       kind=ProtocolError.kind).inc()
-                    writer.write(encode_error(
-                        None, ProtocolError("truncated frame at EOF")))
-                    await writer.drain()
-                    break
-                req_id: str | None = None
-                op = "_frame"
-                t0 = time.perf_counter()
-                try:
-                    req = parse_request(decode_frame(line))
-                    req_id = req.id
-                    op = req.op
-                    result = await self._dispatch(req)
-                    writer.write(encode_response(req_id, result))
-                except Exception as e:  # noqa: BLE001 — typed on the wire
-                    kind = getattr(e, "kind", None)
-                    self._m_err.labels(
-                        op=op,
-                        kind=kind if isinstance(kind, str)
-                        else "internal").inc()
-                    writer.write(encode_error(req_id, e))
-                finally:
-                    self._m_lat.labels(op=op).observe(
-                        (time.perf_counter() - t0) * 1e3)
-                await writer.drain()
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-
-class _Answered:
-    """One answered shard attempt, pending unwrap."""
-
-    __slots__ = ("shard", "frame", "outcome")
-
-    def __init__(self, shard: str, frame: dict, outcome: str):
-        self.shard = shard
-        self.frame = frame
-        self.outcome = outcome
-
-    def unwrap(self, router: Router, req: Request, key: str,
-               span_args: dict) -> Any:
-        return router._finish_frame(req, key, self.shard, self.frame,
-                                    self.outcome, span_args)

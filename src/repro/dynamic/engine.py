@@ -169,8 +169,7 @@ class DynamicEngine:
         self.queries += 1
         kernel_key = key + (workload, root)
         with lock:
-            head = store.head
-            cached = self.cache.get(kernel_key, version=head)
+            cached = self.cache.get(kernel_key, version=store.token())
             if cached is not None:
                 return dict(cached, served="cache")
             kernel = self._kernels.get(kernel_key)
@@ -191,7 +190,7 @@ class DynamicEngine:
                         "outputs": kernel.outputs(),
                         "kernel": kernel.stats.as_dict()}
             self.cache.put(kernel_key, response,
-                           version=kernel.version)
+                           version=store.token(kernel.version))
             return dict(response, served=served)
 
     # -- migration (export / import) -----------------------------------------
@@ -221,7 +220,8 @@ class DynamicEngine:
         """``dyn_import``: install exported stores, replacing any local
         state for the same identities and dropping the incremental
         kernels built against the replaced stores (cached query results
-        are version-keyed and invalidate on the next commit)."""
+        are keyed on the store's :meth:`~SnapshotStore.token`, which the
+        replacement does not share)."""
         dataset = _dataset_param(params)
         entries = params.get("stores")
         if not isinstance(entries, list):

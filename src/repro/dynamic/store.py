@@ -28,6 +28,7 @@ discarded.  A reader asking for a folded version gets a typed
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -98,6 +99,12 @@ def _alive_now(spans: _Spans) -> bool:
     return bool(spans) and spans[-1][1] is None
 
 
+#: Version *numbers* repeat across stores — every store starts at 0 and
+#: an imported one at its exporter's head — so a cache entry is valid
+#: for (which store, which version), never for the number alone.
+_GENERATIONS = itertools.count(1)
+
+
 class SnapshotStore:
     """Multiversioned graph topology with bounded history.
 
@@ -115,6 +122,7 @@ class SnapshotStore:
         self.max_versions = max_versions
         self._clock = clock
         self._lock = threading.RLock()
+        self.generation = next(_GENERATIONS)   # unique in this process
         self.head = 0
         self.floor = 0
         self._head_at = clock()          # commit instant of the head
@@ -441,6 +449,14 @@ class SnapshotStore:
         return _alive_now(self._vspans.get(vid, []))
 
     # -- reads ---------------------------------------------------------------
+
+    def token(self, version: int | None = None) -> tuple[int, int]:
+        """What a cache keys an answer computed at ``version`` (default:
+        the head) on: it matches only this store at that version, so
+        replacing the store (``dyn_import``) invalidates like a commit
+        does."""
+        return (self.generation,
+                self.head if version is None else version)
 
     def snapshot(self, version: int | None = None) -> "Snapshot":
         """Pin an immutable view at ``version`` (default: the head).

@@ -85,16 +85,14 @@ def clear_cache() -> None:
 # the trace's content key, holding machine-invariant sub-results (branch
 # prediction, ICache stats, replay stage misses — see CPUModel.run).
 # Bounded: a sweep touches few distinct traces at a time.
-_SWEEP_MEMOS: dict[str, dict] = {}
-_SWEEP_MEMO_LIMIT = 8
+_SWEEP_MEMOS = LRUCache(capacity=8)
 
 
 def _sweep_memo(key: str) -> dict:
     memo = _SWEEP_MEMOS.get(key)
     if memo is None:
-        if len(_SWEEP_MEMOS) >= _SWEEP_MEMO_LIMIT:
-            _SWEEP_MEMOS.pop(next(iter(_SWEEP_MEMOS)))
-        memo = _SWEEP_MEMOS[key] = {}
+        memo = {}
+        _SWEEP_MEMOS.put(key, memo)
     return memo
 
 
@@ -122,9 +120,12 @@ def default_trace_store() -> TraceStore | None:
 
 
 def cache_stats() -> dict[str, dict[str, float] | None]:
-    """Counters of the row memo and (when configured) the trace store,
-    one scrape for both caching layers."""
+    """Counters of the harness caches — row memo, sweep memos, shared
+    graphs, each in the ``CacheStats.as_dict()`` shape — and (when
+    configured) the trace store, one scrape for every caching layer."""
     return {"rows": _CACHE.stats.as_dict(),
+            "sweep_memos": _SWEEP_MEMOS.stats.as_dict(),
+            "graphs": _GRAPH_CACHE.stats.as_dict(),
             "trace_store": (_TRACE_STORE.stats.as_dict()
                             if _TRACE_STORE is not None else None)}
 
@@ -150,18 +151,15 @@ _PROP_ONLY_WORKLOADS = frozenset(
 # allocator + stack rotation, so a property-only kernel sees a graph
 # bit-identical to a fresh build (tests/test_harness.py cross-checks the
 # resulting summaries against fresh-build runs).
-_GRAPH_CACHE: dict[tuple, tuple[PropertyGraph, tuple]] = {}
-_GRAPH_CACHE_LIMIT = 2
+_GRAPH_CACHE = LRUCache(capacity=2)
 
 
 def _shared_graph(spec: GraphSpec) -> PropertyGraph:
     key = (spec.name, int(spec.n), int(spec.m), spec.seed)
     entry = _GRAPH_CACHE.get(key)
     if entry is None:
-        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
         g = _build_graph(spec)
-        _GRAPH_CACHE[key] = (g, g.state_snapshot())
+        _GRAPH_CACHE.put(key, (g, g.state_snapshot()))
         return g
     g, snap = entry
     g.restore_state(snap)

@@ -107,18 +107,21 @@ class QueryEngine:
         return store
 
     def _resolve_version(self, source: SourceInfo):
-        """(version, store) — version 0 for static sources."""
+        """(version, token, store) — version 0 for static sources.
+        ``token`` is what the three caches key validity on: the store's
+        own token for a dynamic source, so neither a commit nor a
+        replaced store (``dyn_import``) can serve the old answer."""
         if not source.dynamic:
-            return 0, None
+            return 0, 0, None
         store = self._store(source)
         version = store.head if source.version is None \
             else source.version
-        return version, store
+        return version, store.token(version), store
 
-    def _plan(self, canonical: str, digest: str, source: SourceInfo,
-              version: int, store) -> tuple[PhysicalPlan, bool]:
+    def _plan(self, canonical: str, digest: str, version: int, token,
+              store) -> tuple[PhysicalPlan, bool]:
         key = ("plan", digest)
-        cached = self.plans.get(key, version=version)
+        cached = self.plans.get(key, version=token)
         if cached is not None:
             return cached, True
         stats = None
@@ -126,13 +129,13 @@ class QueryEngine:
             with store.snapshot(version) as snap:
                 stats = (snap.n_vertices, snap.n_arcs)
         plan = plan_pipeline(parse(canonical), graph_stats=stats)
-        self.plans.put(key, plan, version=version)
+        self.plans.put(key, plan, version=token)
         return plan, False
 
-    def _graph(self, source: SourceInfo, version: int, store
+    def _graph(self, source: SourceInfo, version: int, token, store
                ) -> tuple[GraphImage, dict]:
         key = ("graph", *source.identity())
-        cached = self.graphs.get(key, version=version)
+        cached = self.graphs.get(key, version=token)
         if cached is not None:
             return cached
         if store is None:
@@ -144,7 +147,7 @@ class QueryEngine:
             with store.snapshot(version) as snap:
                 image = GraphImage.from_snapshot(snap)
         value = (image, {})
-        self.graphs.put(key, value, version=version)
+        self.graphs.put(key, value, version=token)
         return value
 
     # -- wire ops ------------------------------------------------------------
@@ -161,17 +164,17 @@ class QueryEngine:
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)
         source = source_info(pipeline)
-        version, store = self._resolve_version(source)
-        plan, plan_cached = self._plan(canonical, digest, source,
-                                       version, store)
+        version, token, store = self._resolve_version(source)
+        plan, plan_cached = self._plan(canonical, digest, version, token,
+                                       store)
         with self._lock:
             self.queries += 1
         result_key = ("result", digest, part)
-        hit = self.results.get(result_key, version=version)
+        hit = self.results.get(result_key, version=token)
         if hit is not None:
             return {**hit, "plan_cached": True, "result_cached": True,
                     "served": "result-cache"}
-        image, kernel_cache = self._graph(source, version, store)
+        image, kernel_cache = self._graph(source, version, token, store)
         table = execute_plan(plan, image, part=part,
                              partial=part is not None,
                              kernel_cache=kernel_cache)
@@ -182,7 +185,7 @@ class QueryEngine:
             "version": version if source.dynamic else None,
             "canonical": canonical,
         }
-        self.results.put(result_key, response, version=version)
+        self.results.put(result_key, response, version=token)
         return {**response, "plan_cached": plan_cached,
                 "result_cached": False, "served": "executed"}
 
@@ -200,9 +203,9 @@ class QueryEngine:
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)
         source = source_info(pipeline)
-        version, store = self._resolve_version(source)
-        plan, plan_cached = self._plan(canonical, digest, source,
-                                       version, store)
+        version, token, store = self._resolve_version(source)
+        plan, plan_cached = self._plan(canonical, digest, version, token,
+                                       store)
         with self._lock:
             self.explains += 1
         return {

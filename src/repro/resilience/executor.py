@@ -35,6 +35,13 @@ from .cell import Cell, row_to_record, run_cell
 from .chaos import ChaosSpec, corrupt_payload, inject_pre_run
 from .retry import RetryPolicy, run_with_retries
 
+#: Worker start method: a forked worker starts in milliseconds with the
+#: parent's imports already loaded (POSIX only, like the SIGKILL below).
+_MP_START_METHOD = "fork"
+
+#: Join budget (seconds) after a worker is SIGKILLed.
+_KILL_GRACE_S = 5.0
+
 #: JSON keys every well-formed "row" payload must carry; anything else is
 #: treated as a torn/corrupted result.
 _REQUIRED_KEYS = frozenset({"kind", "cell", "workload", "dataset", "ctype"})
@@ -47,8 +54,6 @@ class ExecutorConfig:
     timeout_s: float = 300.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     isolation: str = "process"       # "process" | "inline"
-    mp_start_method: str = "fork"    # "fork" (fast, POSIX) | "spawn"
-    kill_grace_s: float = 5.0        # join budget after SIGKILL
 
     def __post_init__(self):
         if self.isolation not in ("process", "inline"):
@@ -88,12 +93,11 @@ def _validate_payload(payload: Any, cell: Cell) -> dict:
 
 
 def run_cell_once(cell: Cell, *, timeout_s: float,
-                  chaos: ChaosSpec | None = None, attempt: int = 1,
-                  mp_start_method: str = "fork",
-                  kill_grace_s: float = 5.0) -> dict:
+                  chaos: ChaosSpec | None = None,
+                  attempt: int = 1) -> dict:
     """One isolated attempt at a cell.  Returns the row record or raises
     a typed :class:`~repro.core.errors.CellExecutionError`."""
-    ctx = mp.get_context(mp_start_method)
+    ctx = mp.get_context(_MP_START_METHOD)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_child_entry,
@@ -106,12 +110,12 @@ def run_cell_once(cell: Cell, *, timeout_s: float,
     try:
         if not parent_conn.poll(timeout_s):
             proc.kill()
-            proc.join(kill_grace_s)
+            proc.join(_KILL_GRACE_S)
             raise CellTimeout(cell.cell_id, timeout_s)
         try:
             status, payload = parent_conn.recv()
         except (EOFError, OSError) as e:
-            proc.join(kill_grace_s)
+            proc.join(_KILL_GRACE_S)
             code = proc.exitcode
             detail = (f"worker died before reporting "
                       f"(exitcode={code})" if code is not None
@@ -119,14 +123,14 @@ def run_cell_once(cell: Cell, *, timeout_s: float,
             raise CellCrash(cell.cell_id, detail) from None
         except Exception as e:   # unpicklable/garbled stream
             proc.kill()
-            proc.join(kill_grace_s)
+            proc.join(_KILL_GRACE_S)
             raise CellCrash(cell.cell_id,
                             f"unreadable payload: {e}") from None
     finally:
         parent_conn.close()
         if proc.is_alive():
             proc.kill()
-        proc.join(kill_grace_s)
+        proc.join(_KILL_GRACE_S)
     if status == "oom":
         raise CellOOM(cell.cell_id, payload)
     if status != "ok":
@@ -187,9 +191,7 @@ def run_cell_resilient(cell: Cell, *, config: ExecutorConfig,
                 return run_cell_inline(cell, chaos=chaos, attempt=attempt,
                                        timeout_s=config.timeout_s)
             return run_cell_once(cell, timeout_s=config.timeout_s,
-                                 chaos=chaos, attempt=attempt,
-                                 mp_start_method=config.mp_start_method,
-                                 kill_grace_s=config.kill_grace_s)
+                                 chaos=chaos, attempt=attempt)
 
     record, attempts = run_with_retries(one, config.policy, cell.cell_id,
                                         sleep=sleep)

@@ -58,12 +58,12 @@ class _Entry:
                  "version")
 
     def __init__(self, value: Any, deadline: float | None,
-                 inserted_at: float, version: int | None = None):
+                 inserted_at: float, version: Hashable | None = None):
         self.value = value
         self.deadline = deadline            # TTL lapse instant (or None)
         self.inserted_at = inserted_at      # staleness-age anchor
         self.expiry_counted = False         # expiration counted once
-        self.version = version              # snapshot version (or None)
+        self.version = version              # snapshot token (or None)
 
 
 class LRUCache:
@@ -109,11 +109,12 @@ class LRUCache:
             and self._clock() >= entry.deadline
 
     def get(self, key: Hashable, default: Any = None, *,
-            version: int | None = None) -> Any:
+            version: Hashable | None = None) -> Any:
         """Fresh read.  When ``version`` is given, the entry only hits if
-        it was put at that exact snapshot version — a mismatch is a
-        *versioned invalidation*: counted, treated as a miss, but the
-        entry is retained so :meth:`get_stale` can still disclose it."""
+        it was put at an equal one (a snapshot version number, or a
+        store's ``token``) — a mismatch is a *versioned invalidation*:
+        counted, treated as a miss, but the entry is retained so
+        :meth:`get_stale` can still disclose it."""
         with self._lock:
             entry = self._data.get(key)
             if entry is None:
@@ -161,7 +162,7 @@ class LRUCache:
             return entry.value, age
 
     def put(self, key: Hashable, value: Any, *,
-            version: int | None = None) -> None:
+            version: Hashable | None = None) -> None:
         if self.capacity == 0:
             return
         now = self._clock()

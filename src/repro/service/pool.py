@@ -54,7 +54,6 @@ class PoolConfig:
     timeout_s: float = 300.0
     retries: int = 0                 # service default: fail fast, the
     #                                  client decides whether to retry
-    mp_start_method: str = "fork"
 
     def __post_init__(self):
         if self.size < 1:
@@ -181,8 +180,7 @@ class WorkerPool:
         config = ExecutorConfig(
             timeout_s=self.config.timeout_s,
             policy=RetryPolicy(max_retries=self.config.retries),
-            isolation="process",
-            mp_start_method=self.config.mp_start_method)
+            isolation="process")
         record, _ = run_cell_resilient(cell, config=config,
                                        chaos=self.chaos)
         return record

@@ -49,7 +49,6 @@ class SchedulerConfig:
 
     max_pending: int = 64            # distinct executions queued+running
     batch_window_s: float = 0.0      # hold before dispatch to collect dups
-    serve_stale: bool = True         # degraded reads on execution failure
     stale_cap_s: float = 60.0        # hard staleness cap for degraded reads
 
     def __post_init__(self):
@@ -255,8 +254,6 @@ class Scheduler:
     def _stale_record(self, key: str, rows) -> dict | None:
         """Degraded fallback: an expired-but-present row within the
         staleness cap, marked so the client knows what it got."""
-        if not self.config.serve_stale:
-            return None
         stale = rows.get_stale(key, self.config.stale_cap_s)
         if stale is None:
             return None

@@ -20,6 +20,9 @@ A failure in one request — including a chaos-killed worker subprocess —
 becomes a typed error frame on that request's connection; every other
 in-flight request proceeds undisturbed.
 
+:class:`FrameServer` is the front door itself — the listen/stop
+lifecycle and the frame loop — shared with the cluster router;
+:class:`GraphService` is what this node dispatches a parsed request to.
 :class:`ServiceThread` hosts the event loop on a background thread for
 blocking callers (tests, the load generator, demos).
 """
@@ -27,12 +30,13 @@ blocking callers (tests, the load generator, demos).
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from typing import Any
 
 from .. import __version__
-from ..core.errors import BadRequest, ProtocolError
+from ..core.errors import BadRequest, DeadlineExceeded, ProtocolError
 from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import MACHINES, Cell
@@ -114,33 +118,21 @@ def cell_from_params(params: dict[str, Any]) -> Cell:
                 seed=seed, machine=machine, with_gpu=gpu)
 
 
-class GraphService:
-    """One serving instance: caches + pool + scheduler + TCP front end."""
+class FrameServer:
+    """The one front door: a JSON-lines TCP server.
 
-    def __init__(self, *, pool_config: PoolConfig | None = None,
-                 scheduler_config: SchedulerConfig | None = None,
-                 caches: CacheTiers | None = None,
-                 chaos: ChaosSpec | None = None,
-                 registry: MetricsRegistry | None = None,
-                 dynamic: "DynamicEngine | None" = None,
-                 governor: "TenantGovernor | None" = None):
-        from ..dynamic import DynamicEngine
-        from ..query import QueryEngine
-        self.scheduler_config = scheduler_config or SchedulerConfig()
-        self.caches = caches if caches is not None else CacheTiers.build()
-        self.dynamic = dynamic if dynamic is not None else DynamicEngine()
-        self.query_engine = QueryEngine(self.dynamic)
-        # a capacity-0 row tier means "recompute every request": the
-        # harness memo under the pool must not answer in its place
-        self.pool = WorkerPool(pool_config, chaos=chaos,
-                               caches=self.caches,
-                               memoize=self.caches.rows.capacity > 0)
-        # optional multi-tenant QoS: absent, the scheduler hot path is
-        # the single-tenant one unchanged
-        self.governor = governor
-        self.scheduler = Scheduler(self.pool, self.caches,
-                                   self.scheduler_config,
-                                   governor=governor)
+    Owns the listen/stop lifecycle, the connection-task set, the frame
+    loop (read a line, check size and truncation, parse, dispatch,
+    answer — every failure a typed error frame on that connection only)
+    and the front-door metric families ``<prefix>_errors_total``,
+    ``<prefix>_request_latency_ms``, ``<prefix>_bytes_{received,sent}_
+    total`` and ``<prefix>_connections_{total,active}``.  A subclass
+    supplies :meth:`_dispatch` and extends :meth:`stop` with its own
+    teardown; :class:`ServiceThread` hosts any of them.
+    """
+
+    def __init__(self, prefix: str,
+                 registry: MetricsRegistry | None = None):
         self.op_counts: dict[str, int] = {}
         self.connections = 0
         self._conn_tasks: set[asyncio.Task] = set()
@@ -153,38 +145,29 @@ class GraphService:
             else MetricsRegistry()
         reg = self.registry
         self._m_err = reg.counter(
-            "service_errors_total",
+            f"{prefix}_errors_total",
             "error responses, by op and taxonomy kind",
             labels=("op", "kind"))
         self._m_lat = reg.histogram(
-            "service_request_latency_ms",
+            f"{prefix}_request_latency_ms",
             "request handling latency (ms), by op", labels=("op",))
         # .labels() with no arguments resolves an unlabeled family to its
         # sole child, skipping the proxy indirection on every increment
         self._m_rx = reg.counter(
-            "service_bytes_received_total",
+            f"{prefix}_bytes_received_total",
             "request bytes read (flushed when a connection "
             "closes)").labels()
         self._m_tx = reg.counter(
-            "service_bytes_sent_total",
+            f"{prefix}_bytes_sent_total",
             "response bytes written (flushed when a connection "
             "closes)").labels()
         self._m_conn = reg.counter(
-            "service_connections_total", "connections accepted")
+            f"{prefix}_connections_total", "connections accepted")
         self._m_conn_active = reg.gauge(
-            "service_connections_active", "currently open connections")
+            f"{prefix}_connections_active", "currently open connections")
         # resolved per-op histogram children, cached off the hot path
         # (the op set is bounded: the validated OPS plus "_frame")
         self._op_children: dict[str, Any] = {}
-        # every request observes exactly one latency sample, so the
-        # request counter is the histogram's per-op count — derived at
-        # snapshot time instead of paying a second locked increment
-        reg.register_collector(self._collect_requests)
-        self.caches.bind_metrics(reg)
-        self.scheduler.bind_metrics(reg)
-        self.pool.bind_metrics(reg)
-        if governor is not None:
-            governor.bind_metrics(reg)
 
     def _op_latency(self, op: str):
         """The latency-histogram child for ``op``, cached."""
@@ -194,15 +177,10 @@ class GraphService:
             self._op_children[op] = child
         return child
 
-    def _collect_requests(self) -> dict[str, Any]:
-        samples = [{"labels": s["labels"], "value": float(s["count"])}
-                   for s in self._m_lat.snapshot()["samples"]]
-        return {"service_requests_total": {
-            "type": "counter",
-            "help": "requests received, by op (every request lands one "
-                    "latency observation; unparseable frames count "
-                    "under op=\"_frame\")",
-            "samples": samples}}
+    async def _dispatch(self, req: Request) -> Any:
+        """Answer one parsed request (the result goes on the wire; a
+        raised exception becomes a typed error frame)."""
+        raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -220,6 +198,7 @@ class GraphService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Stop listening and end every open connection."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -228,8 +207,6 @@ class GraphService:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
-        await self.scheduler.drain()
-        self.pool.shutdown()
 
     # -- connection handling -------------------------------------------------
 
@@ -253,15 +230,17 @@ class GraphService:
             writer.write(data)
             tx += len(data)
 
+        def reject(message: str) -> None:
+            self._m_err.labels(op="_frame",
+                               kind=ProtocolError.kind).inc()
+            send(encode_error(None, ProtocolError(message)))
+
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self._m_err.labels(op="_frame",
-                                       kind=ProtocolError.kind).inc()
-                    send(encode_error(
-                        None, ProtocolError("frame exceeds size limit")))
+                    reject("frame exceeds size limit")
                     await writer.drain()
                     break
                 if not line:
@@ -269,10 +248,7 @@ class GraphService:
                 rx += len(line)
                 if not line.endswith(b"\n"):
                     # EOF mid-frame: the peer died mid-write
-                    self._m_err.labels(op="_frame",
-                                       kind=ProtocolError.kind).inc()
-                    send(encode_error(
-                        None, ProtocolError("truncated frame at EOF")))
+                    reject("truncated frame at EOF")
                     await writer.drain()
                     break
                 req_id: str | None = None
@@ -282,6 +258,7 @@ class GraphService:
                     req = parse_request(decode_frame(line))
                     req_id = req.id
                     op = req.op
+                    self.op_counts[op] = self.op_counts.get(op, 0) + 1
                     result = await self._dispatch(req)
                     send(encode_response(req_id, result))
                 except Exception as e:  # noqa: BLE001 — typed onto the wire
@@ -312,8 +289,63 @@ class GraphService:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass       # teardown path: the close already happened
 
+
+class GraphService(FrameServer):
+    """One serving instance: caches + pool + scheduler behind the
+    :class:`FrameServer` front door."""
+
+    def __init__(self, *, pool_config: PoolConfig | None = None,
+                 scheduler_config: SchedulerConfig | None = None,
+                 caches: CacheTiers | None = None,
+                 chaos: ChaosSpec | None = None,
+                 registry: MetricsRegistry | None = None,
+                 dynamic: "DynamicEngine | None" = None,
+                 governor: "TenantGovernor | None" = None):
+        from ..dynamic import DynamicEngine
+        from ..query import QueryEngine
+        super().__init__("service", registry)
+        self.scheduler_config = scheduler_config or SchedulerConfig()
+        self.caches = caches if caches is not None else CacheTiers.build()
+        self.dynamic = dynamic if dynamic is not None else DynamicEngine()
+        self.query_engine = QueryEngine(self.dynamic)
+        # a capacity-0 row tier means "recompute every request": the
+        # harness memo under the pool must not answer in its place
+        self.pool = WorkerPool(pool_config, chaos=chaos,
+                               caches=self.caches,
+                               memoize=self.caches.rows.capacity > 0)
+        # optional multi-tenant QoS: absent, the scheduler hot path is
+        # the single-tenant one unchanged
+        self.governor = governor
+        self.scheduler = Scheduler(self.pool, self.caches,
+                                   self.scheduler_config,
+                                   governor=governor)
+        reg = self.registry
+        # every request observes exactly one latency sample, so the
+        # request counter is the histogram's per-op count — derived at
+        # snapshot time instead of paying a second locked increment
+        reg.register_collector(self._collect_requests)
+        self.caches.bind_metrics(reg)
+        self.scheduler.bind_metrics(reg)
+        self.pool.bind_metrics(reg)
+        if governor is not None:
+            governor.bind_metrics(reg)
+
+    def _collect_requests(self) -> dict[str, Any]:
+        samples = [{"labels": s["labels"], "value": float(s["count"])}
+                   for s in self._m_lat.snapshot()["samples"]]
+        return {"service_requests_total": {
+            "type": "counter",
+            "help": "requests received, by op (every request lands one "
+                    "latency observation; unparseable frames count "
+                    "under op=\"_frame\")",
+            "samples": samples}}
+
+    async def stop(self) -> None:
+        await super().stop()
+        await self.scheduler.drain()
+        self.pool.shutdown()
+
     async def _dispatch(self, req: Request) -> Any:
-        self.op_counts[req.op] = self.op_counts.get(req.op, 0) + 1
         if req.op == "ping":
             return {"pong": True, "protocol": PROTOCOL_VERSION,
                     "server": __version__}
@@ -339,35 +371,23 @@ class GraphService:
             return datasets_payload()
         if req.op == "stats":
             return self.stats()
-        if req.op in QUERY_OPS:
-            # pipeline-DSL queries run whole kernels — off the event
-            # loop, with the same deadline shedding as dynamic ops
+        if req.op in QUERY_OPS or req.op in DYNAMIC_OPS:
+            # engine ops run on the default executor so the event loop
+            # never stalls: a pipeline-DSL query runs whole kernels, and
+            # a dynamic op — dict-probe cheap as a rule — may pay a
+            # first-touch base generation or an incremental refresh.
+            # The wire deadline sheds already-expired work first.
             if req.expired():
-                from ..core.errors import DeadlineExceeded
-                raise DeadlineExceeded("query-dispatch",
-                                       -req.remaining(), 0.0)
-            loop = asyncio.get_running_loop()
-            handler = self.query_engine.query if req.op == "query" \
-                else self.query_engine.explain
-            return await loop.run_in_executor(None, handler, req.params)
-        if req.op in DYNAMIC_OPS:
-            # dynamic ops are dict-probe cheap except for a first-touch
-            # base generation or an incremental refresh — run them on the
-            # default executor so the event loop never stalls.  The wire
-            # deadline sheds already-expired work before it runs.
-            if req.expired():
-                from ..core.errors import DeadlineExceeded
-                raise DeadlineExceeded("dynamic-dispatch",
-                                       -req.remaining(), 0.0)
-            loop = asyncio.get_running_loop()
-            if req.op == "mutate":
-                return await loop.run_in_executor(
-                    None, self.dynamic.mutate, req.params)
-            if req.op == "dyn_query":
-                return await loop.run_in_executor(
-                    None, self.dynamic.query, req.params)
-            return await loop.run_in_executor(
-                None, self.dynamic.mutate_one, req.op, req.params)
+                raise DeadlineExceeded(
+                    "query-dispatch" if req.op in QUERY_OPS
+                    else "dynamic-dispatch", -req.remaining(), 0.0)
+            handler = {"query": self.query_engine.query,
+                       "explain": self.query_engine.explain,
+                       "mutate": self.dynamic.mutate,
+                       "dyn_query": self.dynamic.query}.get(req.op) \
+                or functools.partial(self.dynamic.mutate_one, req.op)
+            return await asyncio.get_running_loop().run_in_executor(
+                None, handler, req.params)
         # run / characterize both execute the cell; they differ in how
         # much of the record goes back over the wire.  The wire deadline
         # rides into the scheduler, which sheds already-expired work.
@@ -414,7 +434,8 @@ class GraphService:
 
 
 class ServiceThread:
-    """Host a :class:`GraphService` event loop on a daemon thread.
+    """Host a :class:`FrameServer` (a :class:`GraphService`, a shard, or
+    the cluster router) on a daemon thread running its event loop.
 
     Context-manager: entering starts the loop and binds the socket
     (``host``/``port`` attributes are then live); exiting stops the
@@ -423,7 +444,7 @@ class ServiceThread:
     the throughput benchmark.
     """
 
-    def __init__(self, service: GraphService | None = None, *,
+    def __init__(self, service: FrameServer | None = None, *,
                  host: str = "127.0.0.1", port: int = 0):
         self.service = service or GraphService()
         self._want_host = host

@@ -266,6 +266,60 @@ class TestLiveCluster:
         # a deterministic error is forwarded, not retried on replicas
         assert "failover" not in outcomes
 
+    def test_every_exchange_site_names_the_shard_of_a_typed_error(self):
+        """Keyed read, write (primary and replica fan-out), scatter and
+        query scatter classify a shard's answer in one place: a typed
+        shard error always comes back naming the shard it came from."""
+        from repro.cluster.topology import default_shard_factory
+        from repro.core.errors import MutationError, QueryError
+        from repro.service import GraphService
+
+        def factory(name, owned):
+            if name == "shard-1":
+                # a plain service: its typed answer to the scattered
+                # shard_info is "served by the cluster layer"
+                return GraphService(pool_config=PoolConfig(
+                    size=2, isolation="inline"))
+            return default_shard_factory(name, owned)
+
+        spec = ClusterSpec.of(2, replication=2, datasets=DATASETS)
+        primary, replica = spec.ring().owners("roadnet", 2)
+        assert (primary, replica) == ("shard-0", "shard-1")
+        vertex = [{"op": "add_vertex", "vid": 900001}]
+        with ClusterThread(spec, shard_factory=factory) as ct:
+            with ServiceClient(port=ct.router_port) as client:
+                with pytest.raises(RemoteError) as exc:            # read
+                    client.run("NoSuchWorkload", "roadnet", scale=0.02)
+                assert exc.value.shard == primary
+                info = client.request("shard_info")             # scatter
+                assert info["missing"] == [replica]
+                assert info["errors"][replica]["shard"] == replica
+                assert info["errors"][replica]["kind"] == "bad-request"
+                with pytest.raises(QueryError) as exc:    # query scatter
+                    client.query_lang("from twitter scale=0.02 "
+                                      "| bfs root=999999999 | count")
+                assert exc.value.shard in spec.shards
+                # replica write: only the replica already holds the
+                # vertex, so only it rejects the strict add
+                ct.shard_threads[replica].service.dynamic.mutate(
+                    {"dataset": "roadnet", "scale": 0.02, "ops": vertex})
+                out = client.mutate("roadnet", vertex, scale=0.02,
+                                    strict=True)
+                assert out["shard"] == primary
+                assert out["replica_failures"] == [replica]
+                with pytest.raises(MutationError) as exc:  # primary write
+                    client.mutate("roadnet", vertex, scale=0.02,
+                                  strict=True)
+                assert exc.value.shard == primary
+                route = client.stats()["metrics"]["cluster_route_total"]
+        errors = {s["labels"]["shard"]: s["value"]
+                  for s in route["samples"]
+                  if s["labels"]["outcome"] == "error"}
+        # replica: shard_info + the strict add (the second strict add
+        # stops at the primary); primary: run + that second add, plus
+        # its part of the scattered query
+        assert errors[replica] >= 2 and errors[primary] >= 2
+
     def test_scatter_gather_partial_under_dead_shard(self):
         with _cluster(2) as ct:
             victim = ct.spec.ring().owner("roadnet")

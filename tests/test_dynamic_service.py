@@ -6,6 +6,7 @@ version newer than what it actually answers at."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -151,6 +152,97 @@ class TestEngineKernelBound:
         engine.import_dataset({"dataset": "ldbc",
                                "stores": exported["stores"]})
         assert len(engine._kernels) == 0
+
+
+class TestImportReplacesCachedAnswers:
+    """Version *numbers* repeat across stores: an imported store whose
+    head equals a version the target already answered at must not be
+    served the target's pre-import answers."""
+
+    IDENT = {"dataset": "roadnet", "scale": 0.05}
+    BFS = dict(IDENT, workload="BFS", root=0)
+    DSL = {"q": "from roadnet scale=0.05 dynamic=true "
+                "| bfs root=0 | topk level 3"}
+
+    def _diverged(self, engine: DynamicEngine, vid: int) -> None:
+        """One commit (head 1) that hangs a new vertex off the root."""
+        out = engine.mutate(dict(self.IDENT, ops=[
+            {"op": "add_vertex", "vid": vid},
+            {"op": "add_edge", "src": 0, "dst": vid}]))
+        assert out["version"] == 1
+
+    def test_import_at_an_already_cached_version_number(self):
+        from repro.query import QueryEngine
+        a, b = DynamicEngine(), DynamicEngine()
+        self._diverged(a, 900001)
+        self._diverged(b, 900002)
+        qb = QueryEngine(b)
+        assert 900002 in b.query(self.BFS)["outputs"]["levels"]
+        assert [900002, 1, 0] in qb.query(self.DSL)["table"]["rows"]
+        # both now answer from their caches at version 1
+        assert b.query(self.BFS)["served"] == "cache"
+        assert qb.query(self.DSL)["served"] == "result-cache"
+
+        stores = a.export_dataset({"dataset": "roadnet"})["stores"]
+        b.import_dataset({"dataset": "roadnet", "stores": stores})
+        fresh = DynamicEngine()
+        fresh.import_dataset({"dataset": "roadnet", "stores": stores})
+
+        dyn, want = b.query(self.BFS), fresh.query(self.BFS)
+        assert dyn["version"] == want["version"] == 1
+        assert dyn["served"] != "cache"
+        assert dyn["outputs"] == want["outputs"]
+        assert 900002 not in dyn["outputs"]["levels"]
+        dsl = qb.query(self.DSL)
+        assert dsl["served"] == "executed"
+        assert dsl["table"] == QueryEngine(fresh).query(self.DSL)["table"]
+        assert [900001, 1, 0] in dsl["table"]["rows"]
+
+    def test_migration_onto_a_target_with_diverged_local_state(self):
+        """Live-migration shape: the joining shard already holds its own
+        state for the identity (same head number); the first reads
+        after the ring swap answer from the migrated store."""
+        from repro.cluster import plan_rebalance
+        from repro.query import QueryEngine
+        from repro.tenancy import RebalanceExecutor
+        spec = ClusterSpec.of(2, datasets=DATASETS)
+        with ClusterThread(spec, spares=("spare-0",)) as ct:
+            ring = spec.ring()
+            owner = ring.owner("roadnet")
+            after = ring.with_node("spare-0")
+            assert after.owner("roadnet") == "spare-0" != owner
+            target = ct.shard_threads["spare-0"].service
+            self._diverged(target.dynamic, 900002)
+            target.dynamic.query(self.BFS)
+            target.query_engine.query(self.DSL)
+            with ServiceClient(port=ct.router_port) as client:
+                out = client.mutate("roadnet", [
+                    {"op": "add_vertex", "vid": 900001},
+                    {"op": "add_edge", "src": 0, "dst": 900001}],
+                    scale=0.05)
+                assert out["version"] == 1 and out["shard"] == owner
+            src = ct.shard_addresses[owner]
+            with ServiceClient(src.host, src.port) as direct:
+                stores = direct.request("dyn_export",
+                                        dataset="roadnet")["stores"]
+            fresh = DynamicEngine()
+            fresh.import_dataset({"dataset": "roadnet", "stores": stores})
+
+            RebalanceExecutor(
+                ct.router, {**ct.shard_addresses, **ct.spare_addresses},
+                handoff_window_s=10.0,
+            ).execute(plan_rebalance(ring, after, ["roadnet"]),
+                      join=ct.spare_addresses["spare-0"])
+
+            with ServiceClient(port=ct.router_port) as client:
+                dyn = client.dyn_query("BFS", "roadnet", scale=0.05)
+                dsl = client.query_lang(self.DSL["q"])
+            assert dyn["shard"] == dsl["shard"] == "spare-0"
+            # (the wire turns the int vertex ids of ``levels`` to str)
+            assert dyn["outputs"] == json.loads(json.dumps(
+                fresh.query(self.BFS)["outputs"]))
+            assert dsl["table"] == \
+                QueryEngine(fresh).query(self.DSL)["table"]
 
 
 # -- cluster routing ---------------------------------------------------------

@@ -172,11 +172,16 @@ class TestSharedGraphReuse:
         spec = make("ldbc", scale=0.02, seed=0)
         names = ("BFS", "CComp", "TC", "kCore", "GColor")
         R.clear_cache()
+        hits_before = R.cache_stats()["graphs"]["hits"]
         shared = {}
         for n in names:
             _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)
             shared[n] = cpu.summary()
         assert R._GRAPH_CACHE          # the path was actually exercised
+        stats = R.cache_stats()        # one shape for all three caches
+        assert stats["graphs"]["hits"] == hits_before + len(names) - 1
+        assert set(stats["graphs"]) == set(stats["sweep_memos"]) \
+            == set(stats["rows"])
         for n in names:
             R.clear_cache()
             _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)

@@ -537,60 +537,70 @@ class TestLiveService:
 
 # -- adversarial framing against a live server --------------------------------
 
+@pytest.fixture(params=["node", "router"])
+def front_door(request):
+    """``(host, port)`` of a live front door — a single-node service, or
+    the router of a 2-shard cluster: both run the one ``FrameServer``
+    loop."""
+    if request.param == "node":
+        with ServiceThread(_inline_service()) as st:
+            yield st.host, st.port
+    else:
+        from repro.cluster import ClusterSpec, ClusterThread
+        spec = ClusterSpec.of(2, datasets=("ldbc", "roadnet"))
+        with ClusterThread(spec) as ct:
+            yield ct.host, ct.router_port
+
+
 class TestAdversarialFraming:
     """A hostile or broken peer must cost the server one connection at
     most — never a crash, never other clients' service."""
 
-    def test_truncated_mid_frame_gets_a_typed_error(self):
-        with ServiceThread(_inline_service()) as st:
-            import socket
-            with socket.create_connection((st.host, st.port),
-                                          timeout=10.0) as sock:
-                # half a request, then a clean FIN mid-frame
-                sock.sendall(b'{"v": 1, "op": "ping", "id"')
-                sock.shutdown(socket.SHUT_WR)
-                frame = json.loads(sock.makefile("rb").readline())
+    def test_truncated_mid_frame_gets_a_typed_error(self, front_door):
+        import socket
+        with socket.create_connection(front_door, timeout=10.0) as sock:
+            # half a request, then a clean FIN mid-frame
+            sock.sendall(b'{"v": 1, "op": "ping", "id"')
+            sock.shutdown(socket.SHUT_WR)
+            frame = json.loads(sock.makefile("rb").readline())
+        assert frame["ok"] is False
+        assert frame["error"]["kind"] == "protocol"
+        # the server survived: a fresh client is served
+        with ServiceClient(*front_door) as client:
+            assert client.ping()["pong"] is True
+
+    def test_oversized_frame_is_rejected_not_buffered(self, front_door):
+        from repro.service import MAX_FRAME_BYTES
+        import socket
+        with socket.create_connection(front_door, timeout=30.0) as sock:
+            blob = (b'{"v": 1, "op": "ping", "id": "'
+                    + b"x" * MAX_FRAME_BYTES + b'"}\n')
+            try:
+                sock.sendall(blob)
+            except (BrokenPipeError, ConnectionResetError):
+                pass                    # server already gave up on us
+            line = sock.makefile("rb").readline()
+        if line:                        # error frame beat the close
+            frame = json.loads(line)
             assert frame["ok"] is False
             assert frame["error"]["kind"] == "protocol"
-            # the server survived: a fresh client is served
-            with ServiceClient(st.host, st.port) as client:
-                assert client.ping()["pong"] is True
+        with ServiceClient(*front_door) as client:
+            assert client.ping()["pong"] is True
 
-    def test_oversized_frame_is_rejected_not_buffered(self):
-        from repro.service import MAX_FRAME_BYTES
-        with ServiceThread(_inline_service()) as st:
-            import socket
-            with socket.create_connection((st.host, st.port),
-                                          timeout=30.0) as sock:
-                blob = (b'{"v": 1, "op": "ping", "id": "'
-                        + b"x" * MAX_FRAME_BYTES + b'"}\n')
-                try:
-                    sock.sendall(blob)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass                    # server already gave up on us
-                line = sock.makefile("rb").readline()
-            if line:                        # error frame beat the close
-                frame = json.loads(line)
-                assert frame["ok"] is False
-                assert frame["error"]["kind"] == "protocol"
-            with ServiceClient(st.host, st.port) as client:
-                assert client.ping()["pong"] is True
-
-    def test_slow_loris_peer_does_not_starve_other_clients(self):
+    def test_slow_loris_peer_does_not_starve_other_clients(self,
+                                                           front_door):
         # one byte of a request, then silence: the handler parks in
         # readline without blocking the event loop — concurrent clients
         # must be served while the loris holds its connection open
-        with ServiceThread(_inline_service()) as st:
-            import socket
-            with socket.create_connection((st.host, st.port),
-                                          timeout=10.0) as loris:
-                loris.sendall(b"{")
-                with ServiceClient(st.host, st.port) as client:
-                    assert client.ping()["pong"] is True
-                    assert client.stats()["connections"] >= 2
-                loris.sendall(b'"v": 1')    # still dribbling, still fine
-                with ServiceClient(st.host, st.port) as client:
-                    assert client.ping()["pong"] is True
+        import socket
+        with socket.create_connection(front_door, timeout=10.0) as loris:
+            loris.sendall(b"{")
+            with ServiceClient(*front_door) as client:
+                assert client.ping()["pong"] is True
+                assert client.stats()["connections"] >= 2
+            loris.sendall(b'"v": 1')    # still dribbling, still fine
+            with ServiceClient(*front_door) as client:
+                assert client.ping()["pong"] is True
 
 
 @pytest.mark.slow
