@@ -70,6 +70,14 @@ class CPT:
         """P(X = x | parents)."""
         return float(self.row(parent_states)[x])
 
+    def column(self, x: int, parent_states: tuple[int, ...],
+               pos: int) -> np.ndarray:
+        """P(X = x | parents) for every state of parent ``pos``, the other
+        parents held at ``parent_states`` (a strided view)."""
+        step = self._strides[pos]
+        lo = self.row_index(parent_states) - parent_states[pos] * step
+        return self.table[lo:lo + step * self.parent_arities[pos]:step, x]
+
 
 def random_cpt(arity: int, parent_arities: tuple[int, ...],
                rng: np.random.Generator, concentration: float = 1.0) -> CPT:

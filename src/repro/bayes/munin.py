@@ -31,8 +31,13 @@ def munin_like(n_vertices: int = MUNIN_VERTICES,
     structure of real diagnostic networks.  Arities are tuned so the total
     CPT parameter count approaches ``target_params``.
     """
-    if n_edges < n_vertices - 1 // 1:
-        pass  # sparse nets are fine; no constraint needed
+    # every non-root v takes at most min(3, v) distinct parents from [0, v)
+    capacity = sum(min(3, v) for v in range(1, n_vertices))
+    if n_edges > capacity:
+        raise ValueError(
+            f"n_edges={n_edges} exceeds the {capacity} edges a "
+            f"{n_vertices}-vertex layered network can hold "
+            "(at most 3 parents per vertex)")
     rng = np.random.default_rng(seed)
     # base arities: mostly small, a tail of high-arity measurement nodes
     arities = rng.choice([2, 3, 4, 5, 7, 10, 21],
@@ -66,13 +71,16 @@ def munin_like(n_vertices: int = MUNIN_VERTICES,
         bn.set_parents(v, tuple(parent_lists[v]))
 
     # tune arities toward the parameter target: shrink the biggest
-    # contributors / grow leaves until within 2 %
-    def params() -> int:
-        return sum(int(np.prod([bn.arities[p] for p in bn.parents[v]]))
-                   * bn.arities[v] for v in range(n_vertices))
+    # contributors / grow leaves until within 2 %.  A nudge of arities[v]
+    # changes only v's family and its children's, so the running total is
+    # updated from those instead of being recounted.
+    def family(v: int) -> int:
+        return int(np.prod([bn.arities[p] for p in bn.parents[v]])) \
+            * bn.arities[v]
 
+    fam = [family(v) for v in range(n_vertices)]
+    cur = sum(fam)
     for _ in range(20000):
-        cur = params()
         if abs(cur - target_params) <= target_params * 0.02:
             break
         v = int(rng.integers(0, n_vertices))
@@ -80,5 +88,11 @@ def munin_like(n_vertices: int = MUNIN_VERTICES,
             bn.arities[v] -= 1
         elif cur < target_params and bn.arities[v] < 21:
             bn.arities[v] += 1
+        else:
+            continue
+        for u in (v, *bn.children[v]):
+            cur -= fam[u]
+            fam[u] = family(u)
+            cur += fam[u]
     bn.randomize_cpts(rng, deterministic_fraction=0.3)
     return bn

@@ -27,16 +27,40 @@ class BayesianNetwork:
 
     # -- construction --------------------------------------------------------
     def set_parents(self, v: int, parents: tuple[int, ...]) -> None:
-        """Assign ``v``'s parent tuple (must keep the graph acyclic)."""
-        for p in self.parents[v]:
-            self.children[p].remove(v)
-        self.parents[v] = tuple(parents)
+        """Assign ``v``'s parent tuple (must keep the graph acyclic).
+
+        Validates before it mutates: a rejected call leaves the network
+        exactly as it was.
+        """
+        parents = tuple(parents)
         for p in parents:
             if not 0 <= p < self.n:
                 raise ValueError(f"parent {p} out of range")
-            self.children[p].append(v)
-        if self._has_cycle():
+        if self._reaches(v, set(parents)):
             raise ValueError(f"setting parents of {v} creates a cycle")
+        for p in self.parents[v]:
+            self.children[p].remove(v)
+        self.parents[v] = parents
+        for p in parents:
+            self.children[p].append(v)
+
+    def _reaches(self, v: int, targets: set[int]) -> bool:
+        """Whether ``v`` or one of its descendants is in ``targets`` —
+        an arc ``p -> v`` closes a cycle iff ``v`` already reaches ``p``.
+        Walks only ``v``'s descendants."""
+        if not targets:
+            return False
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u in targets:
+                return True
+            for c in self.children[u]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return False
 
     def set_cpt(self, v: int, cpt: CPT) -> None:
         """Attach ``v``'s CPT (shape must match arity and parents)."""
@@ -89,13 +113,6 @@ class BayesianNetwork:
             raise ValueError("network contains a cycle")
         return order
 
-    def _has_cycle(self) -> bool:
-        try:
-            self.topological_order()
-            return False
-        except ValueError:
-            return True
-
     def markov_blanket(self, v: int) -> set[int]:
         """Parents, children, and children's other parents of ``v``."""
         mb = set(self.parents[v]) | set(self.children[v])
@@ -123,12 +140,9 @@ class BayesianNetwork:
         pstates = tuple(int(state[p]) for p in self.parents[v])
         probs = cpt.row(pstates).copy()
         for c in self.children[v]:
-            ccpt = self.cpts[c]
-            cps = [int(state[p]) for p in self.parents[c]]
-            vpos = self.parents[c].index(v)
-            for x in range(cpt.arity):
-                cps[vpos] = x
-                probs[x] *= ccpt.prob(int(state[c]), tuple(cps))
+            cps = tuple(int(state[p]) for p in self.parents[c])
+            probs *= self.cpts[c].column(int(state[c]), cps,
+                                         self.parents[c].index(v))
         s = probs.sum()
         if s <= 0:
             probs[:] = 1.0 / len(probs)

@@ -1,7 +1,8 @@
 """Shared scaffolding for the vectorized (bulk-trace) workload kernels.
 
-The hot kernels (BFS, CComp, kCore, TC) run their algorithms on numpy
-CSR/bitset snapshots and emit the *exact* event stream of their original
+The hot kernels (BFS, CComp, kCore, TC, Gibbs) run their algorithms
+untraced — on numpy CSR/bitset snapshots, Gibbs on its sampler, keeping
+two facts per visit — and emit the *exact* event stream of their original
 loop implementations through :meth:`Tracer.bulk_emit` — per-element
 identical addresses, rw flags, instruction indices, regions, branch sites
 and region visits (the equivalence bar ``scan_vertices`` already meets,
@@ -9,7 +10,7 @@ extended to whole kernels).  The loop implementations are the oracles in
 ``tests/oracles.py``; ``tests/test_workloads_vectorized.py`` asserts full
 frozen-trace equality between the two.
 
-This module holds the pieces the four kernels share:
+This module holds the pieces the five kernels share:
 
 * :class:`GraphView` — a one-pass numpy snapshot of the property graph's
   topology (CSR out-lists in insertion order, in-lists in set order,
@@ -20,7 +21,10 @@ This module holds the pieces the four kernels share:
   traversal;
 * :class:`AccessBlock` — the access arrays of one bulk block, filled by
   position and emitted with the stack rotation mirroring
-  ``PropertyGraph._stack_touch``.
+  ``PropertyGraph._stack_touch``; :meth:`AccessBlock.tiled` repeats a
+  block whose shape recurs (a Gibbs sweep), advancing instruction indices
+  and stack ordinals per copy and leaving the addresses for the caller to
+  patch.
 """
 
 from __future__ import annotations
@@ -151,6 +155,25 @@ class AccessBlock:
             self.rw[pos] = 1
         if stk is not None:
             self.sord[pos] = stk
+
+    def tiled(self, reps: int, n_instrs: int) -> "AccessBlock":
+        """This block ``reps`` times back to back: copy ``k``'s instruction
+        indices are advanced by ``k * n_instrs`` (the block's own
+        instruction length) and its stack ordinals continue where copy
+        ``k - 1`` stopped, so the rotation carries across copies.
+        Addresses, rw flags and regions repeat as they are; the caller
+        patches what differs from copy to copy."""
+        n = len(self.addr)
+        out = AccessBlock(reps * n)
+        k = np.arange(reps, dtype=I64)[:, None]
+        out.addr.reshape(reps, n)[:] = self.addr
+        out.rw.reshape(reps, n)[:] = self.rw
+        out.reg.reshape(reps, n)[:] = self.reg
+        out.iat.reshape(reps, n)[:] = self.iat + k * n_instrs
+        stk = self.sord > 0
+        out.sord.reshape(reps, n)[:] = np.where(
+            stk, self.sord + k * int(stk.sum()), 0)
+        return out
 
     def emit(self, g: G.PropertyGraph, t, **counts) -> None:
         """Emit through ``t.bulk_emit(..., **counts)`` at the tracer's

@@ -4,7 +4,7 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` /
 :class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
 ``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops and the four workload loop kernels, which only tests
+per-segment loops and the five workload loop kernels, which only tests
 need, live here.
 """
 
@@ -317,5 +317,63 @@ def loop_tc(g, t, **_):
     return {"triangles": total, "per_vertex": per_vertex}
 
 
+def loop_gibbs(g, t, *, bn, n_sweeps=20, burn_in=5, seed=0, evidence=None,
+               **_):
+    """Gibbs: one traced primitive per CPT read, child probe and state
+    write of every visit of every sweep."""
+    if burn_in >= n_sweeps:
+        raise ValueError("burn_in must be < n_sweeps")
+    site_sample = t.register_branch_site()
+    site_cpt_loop = t.register_branch_site()
+    rng = np.random.default_rng(seed)
+    evidence = dict(evidence or {})
+    state = np.array([rng.integers(0, a) for a in bn.arities],
+                     dtype=np.int64)
+    for v, x in evidence.items():
+        state[v] = x
+    # initialize the state property of every vertex
+    for v in g.vertices():
+        t.i(2)
+        g.vset(v, "state", int(state[v.vid]))
+    free = [v for v in range(bn.n) if v not in evidence]
+    counts = [np.zeros(a, dtype=np.int64) for a in bn.arities]
+    for sweep in range(n_sweeps):
+        for vid in free:
+            vert = g.find_vertex(vid)
+            cpt_addr, cpt = g.payload_get(vert, "cpt")
+            # charge the CPT row read (regular, property-local)
+            pstates = tuple(int(state[p]) for p in bn.parents[vid])
+            row = cpt.row_index(pstates) if bn.parents[vid] else 0
+            for x in range(cpt.arity):
+                t.br(site_cpt_loop, True)    # arity loop (predictable)
+                g.payload_read(cpt_addr, row * cpt.arity + x,
+                               n_instrs=9)   # mult-accumulate numeric
+            t.br(site_cpt_loop, False)
+            # children's CPT contributions: walk out-neighbours
+            for child, _node in g.neighbors(vert):
+                cvert = g.find_vertex(child)
+                caddr, ccpt = g.payload_get(cvert, "cpt")
+                t.i(4)
+                g.vget(cvert, "state")
+                for x in range(cpt.arity):
+                    t.br(site_cpt_loop, True)
+                    g.payload_read(caddr, x % max(ccpt.table.size, 1),
+                                   n_instrs=11)
+                t.br(site_cpt_loop, False)
+            probs = bn.conditional_row(vid, state)
+            new = int(rng.choice(len(probs), p=probs))
+            t.i(12 * len(probs))        # normalize + inverse-CDF draw
+            t.br(site_sample, new != int(state[vid]))
+            state[vid] = new
+            g.vset(vert, "state", new)
+        if sweep >= burn_in:
+            for v in range(bn.n):
+                counts[v][state[v]] += 1
+    retained = n_sweeps - burn_in
+    marginals = [c / retained for c in counts]
+    return {"marginals": marginals, "state": state,
+            "sweeps": n_sweeps}
+
+
 LOOP_KERNELS = {"BFS": loop_bfs, "CComp": loop_ccomp, "kCore": loop_kcore,
-                "TC": loop_tc}
+                "TC": loop_tc, "Gibbs": loop_gibbs}

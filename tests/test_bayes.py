@@ -1,5 +1,7 @@
 """Unit tests for the Bayesian-network substrate (repro.bayes)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ class TestCPT:
         assert c.prob(1, (0,)) == pytest.approx(0.8)
         assert c.prob(0, (1,)) == pytest.approx(0.9)
 
+    def test_column_is_prob_over_one_parent(self):
+        c = random_cpt(3, (2, 4, 3), np.random.default_rng(1))
+        for pos, arity in enumerate(c.parent_arities):
+            states = [1, 2, 1]
+            want = []
+            for k in range(arity):
+                states[pos] = k
+                want.append(c.prob(2, tuple(states)))
+            states[pos] = arity - 1         # its own entry is ignored
+            assert c.column(2, tuple(states), pos).tolist() == want
+
     def test_n_params(self):
         c = CPT(np.full((6, 3), 1 / 3), (2, 3))
         assert c.n_params == 18
@@ -93,6 +106,37 @@ class TestBayesianNetwork:
         bn = BayesianNetwork([2])
         with pytest.raises(ValueError):
             bn.set_parents(0, (0,))
+
+    def test_rejected_set_parents_leaves_network_unchanged(self):
+        """Validation comes before mutation: a refused call (cycle,
+        self-loop, out-of-range parent late in the tuple) leaves no arc
+        behind, and the network stays sortable."""
+        bn = BayesianNetwork([2] * 4)
+        bn.set_parents(1, (0,))
+        bn.set_parents(2, (1,))
+        bn.set_parents(3, (1, 2))
+        parents = list(bn.parents)
+        children = [list(c) for c in bn.children]
+        order = bn.topological_order()
+        for v, bad in [(0, (2,)),          # 0 -> 1 -> 2 -> 0
+                       (1, (0, 3)),        # keeps 0, adds descendant 3
+                       (2, (2,)),          # self-loop
+                       (3, (0, 1, 7)),     # out of range after two good ones
+                       (1, (-1,))]:
+            with pytest.raises(ValueError):
+                bn.set_parents(v, bad)
+            assert bn.parents == parents
+            assert bn.children == children
+            assert bn.topological_order() == order
+
+    def test_set_parents_replaces_old_arcs(self):
+        bn = BayesianNetwork([2] * 3)
+        bn.set_parents(2, (0,))
+        bn.set_parents(2, (1,))
+        assert bn.parents[2] == (1,)
+        assert bn.children == [[], [2], []]
+        bn.set_parents(0, (2,))             # legal now that 0 -> 2 is gone
+        assert bn.topological_order() == [1, 2, 0]
 
     def test_topological_order(self):
         bn = self._chain()
@@ -230,3 +274,56 @@ class TestMunin:
     def test_mixed_arities(self):
         bn = munin_like(seed=1)
         assert len(set(bn.arities)) > 3
+
+    def test_infeasible_edge_count_rejected(self):
+        """Each non-root v holds at most min(3, v) distinct parents; a
+        request beyond that used to spin in the placement loop forever."""
+        with pytest.raises(ValueError, match="9 edges"):
+            munin_like(n_vertices=5, n_edges=10, target_params=50)
+        with pytest.raises(ValueError, match="0 edges"):
+            munin_like(n_vertices=1, n_edges=1, target_params=4)
+
+    def test_full_capacity_still_generated(self):
+        bn = munin_like(n_vertices=5, n_edges=9, target_params=50, seed=1)
+        assert [len(p) for p in bn.parents] == [0, 1, 2, 3, 3]
+
+    # recorded at the commit before the generator was made linear-time
+    GOLDEN = {
+        (): "8f7add05515e6455dc72b8b112bac46d9f2fa1d174dc4bd253c4362b03cf6c0d",
+        (60, 80, 900, 4):
+            "28cf0a8aa849a1852778869ac7445668dc2a25a67052b600cbfb4cc32cb8ae0d",
+    }
+
+    @pytest.mark.parametrize("args", GOLDEN, ids=["default", "small"])
+    def test_generator_output_pinned(self, args):
+        """sha256 over arities, parent tuples and CPT bytes: generator
+        drift fails here, not only in the benchmark's digests."""
+        bn = munin_like(*args)
+        h = hashlib.sha256()
+        h.update(np.asarray(bn.arities, np.int64).tobytes())
+        for v in range(bn.n):
+            h.update(np.asarray((v, len(bn.parents[v])) + bn.parents[v],
+                                np.int64).tobytes())
+        for c in bn.cpts:
+            h.update(np.ascontiguousarray(c.table, np.float64).tobytes())
+        assert h.hexdigest() == self.GOLDEN[args]
+
+    def test_generator_work_is_linear(self, monkeypatch):
+        """Counted, not timed: no topological sort per ``set_parents`` and
+        products only for the vertex nudged and its children (the
+        quadratic generator made 1 041 sorts and 478 278 products)."""
+        calls = {"sort": 0, "prod": 0}
+
+        def counting(fn, key):
+            def wrapper(*a, **kw):
+                calls[key] += 1
+                return fn(*a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(
+            BayesianNetwork, "topological_order",
+            counting(BayesianNetwork.topological_order, "sort"))
+        monkeypatch.setattr(np, "prod", counting(np.prod, "prod"))
+        munin_like()
+        assert calls["sort"] <= 2
+        assert 0 < calls["prod"] < 10_000

@@ -1,10 +1,11 @@
 """Vectorized-kernel equivalence: frozen-trace and output equality.
 
-The tentpole guarantee of the vectorized BFS/CComp/kCore/TC kernels is
-that they are *per-element identical* to the original loop kernels (kept
+The tentpole guarantee of the vectorized BFS/CComp/kCore/TC/Gibbs kernels
+is that they are *per-element identical* to the original loop kernels (kept
 in ``tests/oracles.py``): the same address stream, branch sites, instruction counts and region visits,
 element for element — not statistically close, equal.  These tests
-assert exactly that over hypothesis-generated graph shapes, plus output
+assert exactly that over hypothesis-generated graph shapes (for Gibbs:
+MUNIN-like networks, sweep counts and evidence sets), plus output
 equality, so any drift in the bulk-trace emission paths fails loudly.
 
 Addresses are compared relative to each graph's arena base: every
@@ -21,10 +22,13 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.bayes import munin_like
 from repro.core.trace import Tracer
 from repro.datagen import GraphSpec
 from repro.core.taxonomy import DataSource
-from repro.workloads import WORKLOADS, common_edge_schema, common_vertex_schema
+from repro.workloads import (
+    WORKLOADS, build_bn_graph, common_edge_schema, common_vertex_schema,
+)
 
 from tests.oracles import LOOP_KERNELS
 
@@ -60,8 +64,8 @@ def _loop_workload(name):
                 {"kernel": lambda self, g, t, **p: fn(g, t, **p)})
 
 
-def _run_traced(cls, spec, **params):
-    g = _build(spec)
+def _run_traced(cls, spec, build, **params):
+    g = build(spec)
     res = cls().run(g, tracer=Tracer(), **params)
     return res.trace, res.outputs, g.alloc.base, g._sp
 
@@ -73,6 +77,10 @@ def _outputs_equal(a, b):
         x, y = a[k], b[k]
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             if not np.array_equal(np.asarray(x), np.asarray(y)):
+                return False
+        elif isinstance(x, list):
+            if len(x) != len(y) or not all(
+                    np.array_equal(p, q) for p, q in zip(x, y)):
                 return False
         elif x != y:
             return False
@@ -94,11 +102,11 @@ def _assert_traces_identical(vec, vbase, loop, lbase):
             for r, v in loop.regions.items()}
 
 
-def _check_kernel(name, spec, **params):
+def _check_kernel(name, spec, build=_build, **params):
     vec_trace, vec_out, vbase, vsp = _run_traced(WORKLOADS[name], spec,
-                                                 **params)
+                                                 build, **params)
     loop_trace, loop_out, lbase, lsp = _run_traced(_loop_workload(name),
-                                                   spec, **params)
+                                                   spec, build, **params)
     _assert_traces_identical(vec_trace, vbase, loop_trace, lbase)
     assert _outputs_equal(vec_out, loop_out)
     assert vsp == lsp           # stack rotation left where the loop leaves it
@@ -145,6 +153,53 @@ def test_vectorized_trace_identical_fixed_shapes():
         for name in VEC_KERNELS:
             params = {"root": 0} if name == "BFS" else {}
             _check_kernel(name, spec, **params)
+
+
+# -- Gibbs: the graph is a Bayesian network ---------------------------------
+
+@st.composite
+def gibbs_case(draw):
+    """A MUNIN-like network plus sampler parameters.  An evidence vertex
+    is skipped by the sweep but still read as a child of its parents."""
+    n = draw(st.integers(2, 40))
+    capacity = sum(min(3, v) for v in range(1, n))
+    bn = munin_like(n_vertices=n,
+                    n_edges=draw(st.integers(0, capacity)),
+                    target_params=draw(st.integers(2 * n, 40 * n)),
+                    seed=draw(st.integers(0, 2 ** 16)))
+    n_sweeps = draw(st.integers(1, 4))
+    params = {"bn": bn, "n_sweeps": n_sweeps,
+              "burn_in": draw(st.integers(0, n_sweeps - 1)),
+              "seed": draw(st.integers(0, 2 ** 16))}
+    if draw(st.booleans()):
+        observed = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        params["evidence"] = {
+            v: draw(st.integers(0, bn.arities[v] - 1)) for v in observed}
+    return params
+
+
+def _check_gibbs(params):
+    _check_kernel("Gibbs", params["bn"], build=build_bn_graph, **params)
+
+
+@given(gibbs_case())
+@settings(max_examples=25, deadline=None)
+def test_gibbs_vectorized_trace_identical(params):
+    _check_gibbs(params)
+
+
+def test_gibbs_trace_identical_fixed_shapes():
+    """Two vertices, an edgeless network, every vertex observed (no visit
+    at all), and a root observed while its children are swept."""
+    pair = munin_like(n_vertices=2, n_edges=1, target_params=8, seed=0)
+    loose = munin_like(n_vertices=6, n_edges=0, target_params=20, seed=1)
+    net = munin_like(n_vertices=25, n_edges=40, target_params=400, seed=3)
+    for bn, extra in [
+            (pair, {}), (loose, {}),
+            (net, {"evidence": {v: 0 for v in range(net.n)}}),
+            (net, {"evidence": {0: 1, 7: 0}})]:
+        _check_gibbs({"bn": bn, "n_sweeps": 3, "burn_in": 1, "seed": 4,
+                      **extra})
 
 
 # -- prebound accessor closures --------------------------------------------
