@@ -2,26 +2,24 @@
 
 The workhorse of the CPU characterization: a byte-address trace goes
 through a cache level and comes out as the per-access miss stream, from
-which the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).
+which the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).  ``src/``
+has two LRUs and no third, cross-validated by ``tests/test_cache.py``:
 
-Two implementations, cross-validated by ``tests/test_cache.py``:
-
-* :func:`lru_miss_idx` — **the** engine.  Every simulator that needs the
-  miss stream of a cold LRU (the CPU hierarchy levels and DTLB in
-  :mod:`repro.arch.replay`, the ICache, the multicore private/shared
-  levels in :mod:`repro.parallel.trace_sim`, the GPU device L2 in
-  :mod:`repro.gpu.simt`) is a composition of this one walk;
-  :func:`level_miss_idx` is the composition step for address streams.
+* :func:`lru_miss_idx` — **the** engine: numpy around CPython's own C
+  LRU (``functools.lru_cache``), no Python bytecode per access.  The CPU
+  levels and DTLB in :mod:`repro.arch.replay`, the ICache, the multicore
+  levels in :mod:`repro.parallel.trace_sim` and the GPU L2 in
+  :mod:`repro.gpu.simt` compose it (:func:`level_miss_idx` for addresses).
 * :class:`Cache` — the stateful, obviously-correct reference (one
   ``access`` per call, warm state across calls).  The prefetcher models
-  and the figure benches that need warm caches use it, and the tests use
-  it as the oracle for the engine.
+  and the warm-cache figure benches use it; the tests use it as oracle.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import chain, count
 
 import numpy as np
 
@@ -42,37 +40,39 @@ def lru_miss_idx(slot: np.ndarray, key: np.ndarray, assoc: int) -> np.ndarray:
     set-associative cache, ``owner * n_sets + set`` for per-core private
     caches, a constant for one fully-associative pool.
 
-    An access whose key equals the previous key probed *in the same set*
-    finds it in the MRU position: a guaranteed hit that leaves the LRU
-    order untouched.  A stable argsort by slot groups the stream per set
-    in program order, so those accesses fall out vectorized and never
-    enter the loop.  The rest go through an insertion-ordered dict per
-    set (a probe is pop-then-reinsert, the pop result doubles as the hit
-    test, the oldest insertion is the LRU victim) — the same state
-    machine as :meth:`Cache.access`, hence the same misses.
+    A stable argsort by slot (radix if the slots fit ``uint16``, as in
+    every shipped geometry, else numpy's merge sort) groups the stream per
+    set in program order.  A repeat of its set's previous key is an MRU
+    hit, leaves the LRU order untouched and drops out vectorized.  The
+    rest go through ``ways``, an ``lru_cache`` of ``assoc`` entries emptied
+    at each set boundary: :meth:`Cache.access`'s state machine in C, one
+    generator resume per set.  It caches a count of loads: a hit returns
+    its key's stored ordinal, a miss a new maximum above all before it.
     """
-    n = len(key)
+    n, assoc = len(key), int(assoc)         # lru_cache refuses numpy ints
+    if len(slot) != n:
+        raise ValueError(f"slot has {len(slot)} entries, key has {n}")
+    if assoc < 1:
+        raise ValueError(f"assoc must be >= 1, got {assoc}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(slot, kind="stable")
-    s, k = slot[order], key[order]
-    live = np.ones(n, dtype=bool)
-    live[order[1:]] = (s[1:] != s[:-1]) | (k[1:] != k[:-1])
-    pos = np.flatnonzero(live)
-    sets: defaultdict = defaultdict(dict)   # lazy: most sets stay untouched
-    miss: list[int] = []
-    add = miss.append
-    for i, sl, ky in zip(pos.tolist(), slot[pos].tolist(),
-                         key[pos].tolist()):
-        d = sets[sl]
-        if d.pop(ky, None) is None:
-            add(i)
-            d[ky] = 1
-            if len(d) > assoc:
-                del d[next(iter(d))]
-        else:
-            d[ky] = 1
-    return np.asarray(miss, dtype=np.int64)
+    narrow = 0 <= slot.min() and slot.max() < 65536
+    s = slot.astype(np.uint16) if narrow else slot
+    order = np.argsort(s, kind="stable")
+    s, k = s[order], key[order]
+    head = np.append(True, s[1:] != s[:-1])          # first access of a set
+    live = head | np.append(True, k[1:] != k[:-1])   # not an MRU repeat
+    keys, cuts = k[live].tolist(), np.flatnonzero(head[live]).tolist()
+    del s, k, head                          # peak RSS: free before the walk
+    ways = lru_cache(maxsize=assoc)(partial(next, count()))  # next ignores key
+    ordinal = np.fromiter(chain.from_iterable(
+        ways.cache_clear() or map(ways, keys[a:b])
+        for a, b in zip(cuts, cuts[1:] + [None])), np.int64, count=len(keys))
+    del keys
+    missed = np.diff(np.maximum.accumulate(ordinal), prepend=-1) > 0
+    miss = np.zeros(n, dtype=bool)
+    miss[order[live][missed]] = True
+    return np.flatnonzero(miss)
 
 
 def level_miss_idx(cfg: CacheConfig, addrs: np.ndarray,

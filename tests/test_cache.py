@@ -1,5 +1,8 @@
 """Unit and property tests for the cache simulators (repro.arch)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -170,6 +173,119 @@ class TestLruMissIdx:
             _access_loop_misses(slot, key, capacity)
         assert reference_segment_lru([key], capacity) == \
             [len(lru_miss_idx(slot, key, capacity))]
+
+    @given(_STREAMS, st.sampled_from([65_535, 65_536, 40 * 2048 - 1]),
+           st.sampled_from([(64, 2), (2048, 4)]))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_slot_space(self, raw, top, geom):
+        """Slots at and above the uint16 limit (the merge-sort path, e.g.
+        40 owners x 2 048 sets) and streams straddling it."""
+        n_sets, assoc = geom
+        key = np.asarray(raw + [top], dtype=np.uint64)
+        base = np.where(np.arange(len(key)) % 3 == 0, 0, top - n_sets + 1)
+        slot = base.astype(np.uint64) + (key & np.uint64(n_sets - 1))
+        slot[-1] = top
+        assert int(slot.max()) == top
+        assert lru_miss_idx(slot, key, assoc).tolist() == \
+            _access_loop_misses(slot, key, assoc)
+
+    @given(st.lists(st.integers(0, 30), max_size=200), st.integers(1, 4),
+           st.sampled_from(["uint64", "int64"]))
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_keys(self, raw, assoc, dtype):
+        """uint64 keys >= 2**63 and negative int64 keys (and slots) are
+        keys like any other (the oracle sees the same stream shifted
+        into range)."""
+        small = np.asarray(raw, dtype=np.int64)
+        if dtype == "uint64":
+            key = small.astype(np.uint64) + np.uint64((1 << 64) - 31)
+            slot = (small & 3).astype(np.uint64)
+        else:
+            key, slot = small - 15, (small & 3) - 2
+        assert lru_miss_idx(slot, key, assoc).tolist() == \
+            _access_loop_misses(small & 3, small, assoc)
+
+    @given(_STREAMS)
+    @settings(max_examples=60, deadline=None)
+    def test_assoc_extremes(self, raw):
+        """assoc >= distinct keys never evicts (misses = first
+        occurrences); assoc = 1 hits only on an immediate repeat."""
+        key = np.asarray(raw, dtype=np.uint64)
+        slot = np.zeros(len(key), dtype=np.uint64)
+        first = np.unique(key, return_index=True)[1]
+        assert lru_miss_idx(slot, key, len(first) + 1).tolist() == \
+            sorted(first.tolist())
+        repeat = np.append(False, key[1:] == key[:-1])[:len(key)]
+        direct = lru_miss_idx(slot, key, 1).tolist()
+        assert direct == np.flatnonzero(~repeat).tolist()
+        assert direct == _access_loop_misses(slot, key, 1)
+
+    def test_concurrent_walks_equal_serial(self):
+        """The service's executor pool walks different streams at once:
+        every call owns its ``ways``, so nothing is shared."""
+        rng = np.random.default_rng(5)
+        jobs = []
+        for t in range(4):
+            key = rng.integers(0, 400 + 100 * t, 30_000).astype(np.uint64)
+            jobs.append((key & np.uint64(15), key, 2 + t))
+        serial = [lru_miss_idx(*j).tolist() for j in jobs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futs = [pool.submit(lru_miss_idx, *j) for j in jobs * 3]
+                got = [f.result(timeout=60).tolist() for f in futs]
+        finally:
+            sys.setswitchinterval(old)
+        assert got == serial * 3
+
+    def test_rejects_bad_arguments(self):
+        key = np.arange(6, dtype=np.uint64)
+        with pytest.raises(ValueError, match="slot"):
+            lru_miss_idx(key[:4], key, 2)
+        with pytest.raises(ValueError, match="slot"):
+            lru_miss_idx(key, key[:4], 2)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="assoc"):
+                lru_miss_idx(key, key, bad)
+        slot = key & np.uint64(1)
+        assert lru_miss_idx(slot, key, np.int64(2)).tolist() == \
+            lru_miss_idx(slot, key, 2).tolist()
+
+    def test_walk_runs_in_c(self):
+        """Python frames entered (``sys.setprofile`` call events) and
+        lines executed (``sys.settrace``) during one walk depend on the
+        sets touched, not on the number of accesses: a per-access
+        callback, comprehension or ``for`` body fails here, by count and
+        not by clock."""
+        def events(n):
+            key = np.random.default_rng(6).integers(0, 4096, n) \
+                .astype(np.uint64)
+            slot = key & np.uint64(63)
+            seen = {"call": 0, "line": 0}
+
+            def prof(frame, event, arg):
+                if event == "call":
+                    seen["call"] += 1
+
+            def trace(frame, event, arg):
+                if event == "line":
+                    seen["line"] += 1
+                return trace
+            old_prof, old_trace = sys.getprofile(), sys.gettrace()
+            sys.setprofile(prof)
+            sys.settrace(trace)
+            try:
+                miss = lru_miss_idx(slot, key, 8)
+            finally:
+                sys.settrace(old_trace)
+                sys.setprofile(old_prof)
+            assert len(miss) > n // 2       # the walk did real work
+            return seen
+        small, large = events(20_000), events(80_000)
+        assert small == large
+        assert large["call"] <= 64 + 64     # sets + numpy's own wrappers
+        assert large["line"] < 20_000 // 10  # far below one per access
 
     def test_level_chaining_and_owner(self):
         """level_miss_idx(at=) feeds a level the positions above it and
