@@ -25,7 +25,7 @@ Simulated struct layout (byte offsets)::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,99 @@ C_PROP_SET = 9
 C_SCAN_STEP = 10
 C_PAYLOAD = 5
 C_INREF = 6
+
+# event shapes ---------------------------------------------------------------
+# The traced primitives the vectorized kernels replay, restated as data: a
+# primitive is a tuple of micro-ops, each named after the call it stands
+# for in the scalar method below —
+#
+#   ("enter", rid)  ("leave",)  ("i", n)  ("stk",)  ("br", site, taken)
+#   ("r" | "w", column, byte offset)        ("in", rid)
+#
+# ``column`` names an operand array the kernel supplies, one address per
+# item; ``n`` and ``taken`` are constants or column names too.  ``("stk",)``
+# is :meth:`PropertyGraph._stack_touch`; ``("in", rid)`` opens a piece of a
+# primitive that starts *inside* region ``rid`` (a generator resumed after
+# its yield).  ``repro.workloads._bulk.Layout`` turns sequences of these
+# into one bulk block; ``tests/test_event_grammar.py`` records each scalar
+# method and compares it with its declaration.  They are functions so that
+# the ``C_*`` charges are read when a kernel runs, not at import: turning a
+# constant turns the scalar and the vectorized kernels alike.
+
+
+def find_vertex_ops(idx: str, v: str) -> tuple:
+    """:meth:`PropertyGraph.find_vertex` of a live vertex: index slot
+    ``idx``, struct ``v``."""
+    return (("enter", T.R_FIND_VERTEX), ("i", C_FIND_VERTEX), ("stk",),
+            ("r", idx, 0), ("br", T.B_FIND_HIT, 1), ("r", v, V_ID_OFF),
+            ("leave",))
+
+
+def vget_ops(v: str, off: int) -> tuple:
+    """:meth:`PropertyGraph.vget` of the property at struct offset ``off``."""
+    return (("enter", T.R_PROP_GET), ("i", C_PROP_GET), ("stk",),
+            ("r", v, off), ("leave",))
+
+
+def vset_ops(v: str, off: int) -> tuple:
+    """:meth:`PropertyGraph.vset` (vertex handle given, no lookup)."""
+    return (("enter", T.R_PROP_SET), ("i", C_PROP_SET), ("stk",),
+            ("w", v, off), ("leave",))
+
+
+def payload_get_ops(v: str, off: int) -> tuple:
+    """:meth:`PropertyGraph.payload_get`: the pointer load, no frame."""
+    return (("enter", T.R_PROP_GET), ("i", C_PROP_GET), ("r", v, off),
+            ("leave",))
+
+
+def payload_read_ops(p: str, n_instrs: int = C_PAYLOAD) -> tuple:
+    """:meth:`PropertyGraph.payload_read` of the element at address ``p``
+    (the charge is the caller's argument there too)."""
+    return (("enter", T.R_PAYLOAD), ("i", n_instrs), ("r", p, 0),
+            ("leave",))
+
+
+class WalkOps(NamedTuple):
+    """A generator primitive in four pieces: ``head`` up to the loop,
+    ``step`` to the yield (control returns to the caller), ``resume`` on
+    the next ``next()``, ``exit`` when the list is exhausted."""
+
+    head: tuple
+    step: tuple
+    resume: tuple
+    exit: tuple
+
+
+def _walk_ops(rid: int, site: int, head: tuple, step: tuple) -> WalkOps:
+    return WalkOps((("enter", rid),) + head,
+                   (("in", rid),) + step + (("br", site, 1), ("leave",)),
+                   (("enter", rid),),
+                   (("in", rid), ("br", site, 0), ("leave",)))
+
+
+def neighbors_ops(v: str, e: str) -> WalkOps:
+    """:meth:`PropertyGraph.neighbors` of struct ``v`` over edge nodes
+    ``e``."""
+    return _walk_ops(T.R_NEIGHBORS, T.B_EDGE_LOOP,
+                     (("i", 2), ("r", v, V_HEAD_OFF)),
+                     (("i", C_EDGE_STEP), ("stk",), ("r", e, E_DST_OFF)))
+
+
+def in_neighbors_ops(v: str, u: str) -> WalkOps:
+    """:meth:`PropertyGraph.in_neighbors` of struct ``v`` over source
+    structs ``u``."""
+    return _walk_ops(T.R_NEIGHBORS, T.B_EDGE_LOOP,
+                     (("i", 2), ("r", v, V_INREF_OFF)),
+                     (("i", C_EDGE_STEP), ("r", u, V_ID_OFF)))
+
+
+def vertices_ops(idx: str, v: str) -> WalkOps:
+    """:meth:`PropertyGraph.vertices` over index slots ``idx`` and structs
+    ``v``."""
+    return _walk_ops(T.R_VERTEX_SCAN, T.B_VERTEX_SCAN, (),
+                     (("i", C_SCAN_STEP), ("stk",), ("r", idx, 0),
+                      ("r", v, V_ID_OFF)))
 
 
 def _round16(n: int) -> int:

@@ -348,6 +348,12 @@ class Tracer:
         self._cur_rid = rid
         self._cur_fw = self.regions[rid].framework
 
+    @property
+    def region(self) -> int:
+        """Id of the region now executing (read-only; what a precomputed
+        block must return to — see :meth:`bulk_emit`)."""
+        return self._cur_rid
+
     # -- hot-path event recording -------------------------------------------
     def r(self, addr: int) -> None:
         """Record a load of ``addr``."""

@@ -10,7 +10,7 @@ can replay the stored trace against every :class:`MachineConfig`.
 Layout: each entry is ``<key>.npz`` (numpy columns) plus a
 ``<key>.json`` sidecar carrying the regions table, scalar outputs, trace
 counters and provenance.  The key is the sha256 of the canonical JSON of
-(workload, dataset name/n/m/seed, canonicalized params, trace-format
+(workload, dataset identity, canonicalized params, trace-format
 version), so different seeds/params/datasets can never share an entry and
 a format bump invalidates every old entry at once.
 
@@ -135,20 +135,25 @@ class TraceStore:
         """Content key of (workload, dataset identity, canonical params).
 
         ``spec`` is a :class:`~repro.datagen.spec.GraphSpec`; its
-        (name, n, m, seed) identify the generated dataset.  Raises
+        :meth:`~repro.datagen.spec.GraphSpec.identity` — (name, n, m,
+        seed), plus an edge digest when no seed fixes the edges —
+        identifies the dataset.  Raises
         :class:`TraceStoreKeyError` for params that cannot be
         canonicalized (e.g. live objects) — callers should bypass the
         store for those runs rather than risk a collision.
         """
+        dataset, n, m, seed, *edges = spec.identity()
         ident = {
             "v": TRACE_FORMAT_VERSION,
             "workload": workload,
-            "dataset": spec.name,
-            "n": int(spec.n),
-            "m": int(spec.m),
-            "seed": spec.seed,
+            "dataset": dataset,
+            "n": n,
+            "m": m,
+            "seed": seed,
             "params": _canon(dict(params or {})),
         }
+        if edges:               # hand-built: seeded keys stay as they were
+            ident["edges"] = edges[0]
         blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

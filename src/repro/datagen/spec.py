@@ -8,6 +8,7 @@ provenance metadata); the spec can then be materialized as a dynamic
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -52,6 +53,19 @@ class GraphSpec:
         """Generator seed recorded by the dataset factory (None for
         hand-built specs) — part of the dataset's identity for caching."""
         return self.meta.get("seed")
+
+    def identity(self) -> tuple:
+        """What makes this dataset itself, for every cache keyed by dataset:
+        ``(name, n, m, seed)`` when a generator seed fixes the edges, and
+        for a hand-built spec (no seed) additionally a sha-256 of the
+        orientation and the edge array — two hand-built graphs of one name
+        and size are otherwise indistinguishable."""
+        ident = (self.name, int(self.n), int(self.m), self.seed)
+        if self.seed is not None:
+            return ident
+        h = hashlib.sha256(b"d" if self.directed else b"u")
+        h.update(np.ascontiguousarray(self.edges).tobytes())
+        return ident + (h.hexdigest(),)
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree per vertex (spec edges, before symmetrization)."""

@@ -155,7 +155,7 @@ _GRAPH_CACHE = LRUCache(capacity=2)
 
 
 def _shared_graph(spec: GraphSpec) -> PropertyGraph:
-    key = (spec.name, int(spec.n), int(spec.m), spec.seed)
+    key = spec.identity()
     entry = _GRAPH_CACHE.get(key)
     if entry is None:
         g = _build_graph(spec)
@@ -318,9 +318,9 @@ def characterize(name: str, spec: GraphSpec, *,
     """
     # MachineConfig is a frozen dataclass: hashing the whole config (not
     # just its name) keeps two differently-tuned machines with the same
-    # name from colliding; likewise spec.seed distinguishes same-sized
+    # name from colliding; likewise spec.identity() distinguishes same-sized
     # datasets generated from different seeds.
-    key = (name, spec.name, spec.n, spec.m, spec.seed,
+    key = (name, spec.identity(),
            machine, device.name if with_gpu else None, with_gpu)
     with maybe_span(tracer, f"characterize:{name}:{spec.name}",
                     workload=name, dataset=spec.name,

@@ -15,16 +15,56 @@ This module holds the pieces the five kernels share:
 * :class:`GraphView` — a one-pass numpy snapshot of the property graph's
   topology (CSR out-lists in insertion order, in-lists in set order,
   struct/index addresses, vid→row lookup);
-* ragged-array helpers (:func:`offsets_of`, :func:`ragged_arange`) for
-  splicing variable-width per-item event blocks into one stream;
-* :func:`first_unseen` — the frontier dedup of a level-synchronous
+* ragged-array helpers (:func:`offsets_of`, :func:`ragged_arange`) and
+  :func:`first_unseen`, the frontier dedup of a level-synchronous
   traversal;
 * :class:`AccessBlock` — the access arrays of one bulk block, filled by
   position and emitted with the stack rotation mirroring
-  ``PropertyGraph._stack_touch``; :meth:`AccessBlock.tiled` repeats a
-  block whose shape recurs (a Gibbs sweep), advancing instruction indices
-  and stack ordinals per copy and leaving the addresses for the caller to
-  patch.
+  ``PropertyGraph._stack_touch``;
+* :class:`Layout` / :class:`Block` — the layout engine.
+
+The layout engine
+-----------------
+A kernel does not count offsets.  It declares *items* and the engine lays
+them out.  An **item** is one recurrence of the loop oracle's body — a
+popped vertex, a relaxed edge, a bucket probe; its **kind** is a micro-op
+program: the concatenation of the framework primitives' own event shapes
+(``repro.core.graph``'s ``*_ops``, ``TracedQueue.push_ops``/``pop_ops`` —
+each declared beside the scalar code it restates, from the same ``C_*``
+charges) and the kernel's user charges (``("i", 4)``, ``("br", site,
+"col")``).  All items of a kind share the program and differ in their
+operands, given as columns with one entry per item.  A kind need not be
+balanced: a generator primitive is declared in pieces (``head`` / ``step``
+/ ``resume`` / ``exit``), and an item may end inside the walk its successor
+continues (``("in", rid)`` heads such a piece; :meth:`Layout.build` checks
+that consecutive items agree).  Each item carries a **key**, a tuple of
+integers; the block is the items in lexicographic key order (one stable
+``np.lexsort``; items with equal keys stay in the order they were
+declared), so a kernel states order the way its loops nest — ``(pop, 0)`` for the pop,
+``(pop, 1 + edge)`` for its edges, ``(pop, E + 1)`` for the walk's exit.
+
+From the programs and the order the engine derives what the emitters used
+to restate by hand: per-item access, instruction, stack-ordinal, branch
+and region-visit offsets; the region current at every access; and the
+**carry rule** of :class:`~repro.core.trace.Tracer` — instructions an item
+charges before its first ``enter``/``leave`` accrue to the visit already
+open, i.e. to the last visit of whichever item precedes it (or to the
+block's ``head_instrs``), so "the next pop's dequeue charge lands in this
+edge's last visit" is no longer anyone's special case.  ``fw_instrs`` and
+``fw_accesses`` are *derived*, in :meth:`Block.emit` alone, from the laid
+visits and access regions through ``Region.framework``: a hand-summed
+formula per kernel was a second definition of every primitive's cost.
+
+Gibbs lays out one sweep, asks :meth:`Layout.build` to ``keep`` where two
+of its kinds landed, tiles the block (:meth:`Block.tiled`) and patches what
+sampling decides per sweep: the own-CPT row offset of every own-row read
+and the ``site_sample`` outcome.  One block stays hand-laid: TC's
+``_emit_merge`` (user code only — no primitive, region transition or stack
+touch to derive; 0.7 M items of 1.9 accesses each on ``ldbc`` 0.25, where
+the engine's per-item tables cost more than the stream itself: 46 ms by
+hand, 125 ms through the engine); it is handed over through
+:meth:`Block.in_place`, so its framework split is derived like any other.
+TC's rank pass and list writes go through the engine.
 """
 
 from __future__ import annotations
@@ -32,6 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import graph as G
+from ..core.errors import TraceError
 
 I64 = np.int64
 
@@ -177,11 +218,213 @@ class AccessBlock:
 
     def emit(self, g: G.PropertyGraph, t, **counts) -> None:
         """Emit through ``t.bulk_emit(..., **counts)`` at the tracer's
-        current instruction count."""
+        current instruction count.  The tracer takes the block's own
+        arrays, resolved and shifted in place (no copy), so the block is
+        spent: emitting it again raises."""
+        if self.addr is None:
+            raise TraceError("AccessBlock.emit: block already emitted")
         stk = self.sord > 0
         # mirrors PropertyGraph._stack_touch's rotation over four hot lines
         self.addr[stk] = g._stack_base + 64 * ((g._sp + self.sord[stk]) & 3)
         g._sp = (g._sp + int(stk.sum())) & 3
         self.iat += t.n
-        t.bulk_emit(self.addr.astype(np.uint64), self.rw,
-                    self.iat.astype(np.uint64), self.reg, **counts)
+        addr, iat = self.addr.view(np.uint64), self.iat.view(np.uint64)
+        self.addr = self.iat = self.sord = None
+        t.bulk_emit(addr, self.rw, iat, self.reg, **counts)
+
+
+class Block:
+    """One laid-out block: the access stream, the branch stream, the region
+    visits it opens and its instruction total.  ``acc_at`` / ``br_at`` map
+    the item kinds named to :meth:`Layout.build`'s ``keep`` to the position
+    of each of their items' first access / branch, for patching."""
+
+    def __init__(self, acc: AccessBlock, sites, taken, vseq, vcnt,
+                 n_instrs: int, head_instrs: int, acc_at=None, br_at=None):
+        self.acc, self.sites, self.taken = acc, sites, taken
+        self.vseq, self.vcnt = vseq, vcnt
+        self.n_instrs, self.head_instrs = n_instrs, head_instrs
+        self.acc_at, self.br_at = acc_at or {}, br_at or {}
+
+    @classmethod
+    def in_place(cls, t, acc: AccessBlock, sites, taken,
+                 n_instrs: int) -> "Block":
+        """A hand-laid block that never leaves the region ``t`` is in:
+        every access is that region's, every instruction accrues to the
+        visit already open."""
+        acc.reg[:] = t.region
+        return cls(acc, sites, taken, np.empty(0, np.uint32),
+                   np.empty(0, I64), n_instrs, n_instrs)
+
+    def tiled(self, reps: int) -> "Block":
+        """This block ``reps`` times back to back (see
+        :meth:`AccessBlock.tiled`).  It must open with a region transition:
+        head instructions would belong to the previous copy's last visit."""
+        if self.head_instrs:
+            raise TraceError("Block.tiled: block has head instructions")
+        return Block(self.acc.tiled(reps, self.n_instrs),
+                     np.tile(self.sites, reps), np.tile(self.taken, reps),
+                     np.tile(self.vseq, reps), np.tile(self.vcnt, reps),
+                     reps * self.n_instrs, 0)
+
+    def emit(self, g: G.PropertyGraph, t) -> None:
+        """Append the block to ``t``.  The framework share of instructions
+        and accesses is read off the visits and the per-access regions
+        through ``Region.framework`` — here and nowhere else."""
+        fw = np.zeros(max(t.regions) + 1, bool)
+        fw[[rid for rid, r in t.regions.items() if r.framework]] = True
+        self.acc.emit(
+            g, t, n_instrs=self.n_instrs,
+            fw_instrs=(int(self.vcnt.sum(where=fw[self.vseq]))
+                       + self.head_instrs * bool(fw[t.region])),
+            fw_accesses=int(np.count_nonzero(fw[self.acc.reg])),
+            head_instrs=self.head_instrs, region_seq=self.vseq,
+            region_instrs=self.vcnt)
+        t.bulk_branch_events(self.sites, self.taken)
+
+
+class _Kind:
+    """One item kind, compiled: what each of its items appends to the five
+    streams, as offsets from wherever the item lands."""
+
+    def __init__(self, base: int, ops, n: int, key, cols):
+        self.n, self.key = n, key
+        stack = [base]
+        self.accs, self.brs, self.visits = [], [], []
+        self.n_stk = 0
+        self.entry: tuple = ()  # regions open above the block's, at the start
+        self.lead = ins = 0     # ints, or per-item arrays once a column counts
+        for pos, (op, *args) in enumerate(ops):
+            if op == "in":
+                if pos == 0:
+                    stack.append(args[0])
+                    self.entry = (args[0],)
+                elif stack[-1] != args[0]:
+                    raise TraceError(f"item kind: in {args[0]} inside "
+                                     f"region {stack[-1]}")
+            elif op == "enter":
+                stack.append(args[0])
+                self.visits.append([args[0], 0])
+            elif op == "leave":
+                stack.pop()
+                if not stack:
+                    raise TraceError("item kind leaves the block's region")
+                self.visits.append([stack[-1], 0])
+            elif op == "i":
+                c = cols[args[0]] if isinstance(args[0], str) else args[0]
+                ins = ins + c
+                if self.visits:
+                    self.visits[-1][1] = self.visits[-1][1] + c
+                else:
+                    self.lead = self.lead + c
+            elif op == "stk":
+                self.n_stk += 1
+                self.accs.append((stack[-1], ins, None, self.n_stk, False))
+            elif op in ("r", "w"):
+                self.accs.append((stack[-1], ins, cols[args[0]], args[1],
+                                  op == "w"))
+            elif op == "br":
+                site, tk = args
+                self.brs.append((site, cols[tk] if isinstance(tk, str)
+                                 else tk))
+            else:
+                raise TraceError(f"unknown micro-op {op!r}")
+        self.n_ins = ins
+        self.exit = tuple(stack[1:])
+
+
+class Layout:
+    """Item declarations in, one :class:`Block` out (module docstring)."""
+
+    def __init__(self, t):
+        self.base = t.region
+        self.kinds: list[_Kind] = []
+
+    def add(self, ops, key, where=None, **cols) -> int:
+        """Declare one item per entry of ``key`` (a tuple of arrays, ints
+        broadcast), each running the micro-op program ``ops`` over its row
+        of the operand columns ``cols``; with ``where``, only the items the
+        mask selects.  Returns the kind's handle."""
+        key = tuple(np.asarray(k, I64) for k in key)
+        n = max((len(k) for k in key if k.ndim), default=1)
+        if where is not None:
+            key = tuple(k[where] if k.ndim else k for k in key)
+            cols = {c: np.asarray(v)[where] for c, v in cols.items()}
+            n = int(np.count_nonzero(where))
+        self.kinds.append(_Kind(self.base, ops, n, key, cols))
+        return len(self.kinds) - 1
+
+    def build(self, keep=()) -> Block:
+        """Order the items by key and lay them out."""
+        kinds = self.kinds
+        ends = np.cumsum([k.n for k in kinds])
+        n_items = int(ends[-1]) if kinds else 0
+        depth = max((len(k.key) for k in kinds), default=0)
+        levels = [np.concatenate(
+            [np.broadcast_to(k.key[lv], k.n) if lv < len(k.key)
+             else np.zeros(k.n, I64) for k in kinds]) for lv in range(depth)]
+        rank = np.empty(n_items, I64)
+        rank[np.lexsort(levels[::-1])] = np.arange(n_items, dtype=I64)
+        del levels
+        ranks = np.split(rank, ends[:-1])       # global position, per kind
+
+        def spread(values, dtype=I64):
+            w = np.empty(n_items, dtype)
+            for r, v in zip(ranks, values):
+                w[r] = v
+            return w
+
+        # consecutive items must agree on the region they meet in
+        code = {(): 0}
+        ent = spread([code.setdefault(k.entry, len(code)) for k in kinds],
+                     np.int8)
+        ext = spread([code.setdefault(k.exit, len(code)) for k in kinds],
+                     np.int8)
+        if n_items and (ent[0] or ext[-1] or (ent[1:] != ext[:-1]).any()):
+            raise TraceError("Layout: an item starts in a region other "
+                             "than the one its predecessor ends in")
+        del ent, ext
+        acc_off, n_acc = offsets_of(spread([len(k.accs) for k in kinds]))
+        ins_off, n_ins = offsets_of(spread([k.n_ins for k in kinds]))
+        stk_off, _ = offsets_of(spread([k.n_stk for k in kinds]))
+        br_off, n_br = offsets_of(spread([len(k.brs) for k in kinds]))
+        vis_off, n_vis = offsets_of(spread([len(k.visits) for k in kinds]))
+        # the carry rule: instructions an item charges before its first
+        # transition accrue to the visit open when it starts
+        lead = spread([k.lead for k in kinds])
+        opened = vis_off > 0
+        head = int(lead[~opened].sum())
+        carry = np.bincount(vis_off[opened] - 1, weights=lead[opened],
+                            minlength=n_vis).astype(I64)
+        # where each kind's items land in the five streams; the sort's and
+        # the tables' memory goes back before the block is allocated
+        lands = [tuple(off[r] for off in (acc_off, ins_off, stk_off, br_off,
+                                          vis_off)) for r in ranks]
+        del (lead, opened, rank, ranks, spread, acc_off, ins_off, stk_off,
+             br_off, vis_off)
+
+        acc = AccessBlock(n_acc)
+        sites = np.empty(n_br, np.uint32)
+        taken = np.empty(n_br, np.uint8)
+        vseq = np.empty(n_vis, np.uint32)
+        vcnt = np.empty(n_vis, I64)
+        acc_at, br_at = {}, {}
+        for h, k in enumerate(kinds):
+            a, i, s, b, v = lands[h]
+            lands[h] = None
+            for j, (region, ioff, col, off, wr) in enumerate(k.accs):
+                if col is None:                 # stack touch number ``off``
+                    acc.put(a + j, 0, region, i + ioff, stk=s + off)
+                else:
+                    acc.put(a + j, col + off, region, i + ioff, wr=wr)
+            for j, (site, tk) in enumerate(k.brs):
+                sites[b + j] = site
+                taken[b + j] = tk
+            for j, (region, count) in enumerate(k.visits):
+                vseq[v + j] = region
+                vcnt[v + j] = count
+            if h in keep:
+                acc_at[h], br_at[h] = a, b
+        vcnt += carry
+        return Block(acc, sites, taken, vseq, vcnt, n_ins, head, acc_at,
+                     br_at)

@@ -150,6 +150,7 @@ class Workload(ABC):
 
 # -- traced algorithmic containers ------------------------------------------
 ENTRY = 8  # bytes per queue/stack/heap slot
+C_QUEUE_OP = 3  # instructions of one frontier-queue push or pop
 
 
 class TracedQueue:
@@ -166,7 +167,7 @@ class TracedQueue:
         self._head_idx = 0
 
     def push(self, item: Any) -> None:
-        self.t.i(3)
+        self.t.i(C_QUEUE_OP)
         self.t.w(self.base + (self._tail_idx % self.cap) * ENTRY)
         self._tail_idx += 1
         self._items.append(item)
@@ -174,7 +175,7 @@ class TracedQueue:
     def pop(self) -> Any:
         if self._head >= len(self._items):
             raise IndexError("pop from empty TracedQueue")
-        self.t.i(3)
+        self.t.i(C_QUEUE_OP)
         self.t.r(self.base + (self._head_idx % self.cap) * ENTRY)
         self._head_idx += 1
         item = self._items[self._head]
@@ -184,6 +185,21 @@ class TracedQueue:
             del self._items[:self._head]
             self._head = 0
         return item
+
+    def slots(self, ordinal):
+        """Addresses of the circular-buffer slots the ``ordinal``-th pushes
+        write and the ``ordinal``-th pops read."""
+        return self.base + (ordinal % self.cap) * ENTRY
+
+    # event shapes of push/pop over a :meth:`slots` column (the grammar of
+    # ``repro.core.graph``'s ``*_ops``), for the bulk-emitting kernels
+    @staticmethod
+    def push_ops(slot: str) -> tuple:
+        return (("i", C_QUEUE_OP), ("w", slot, 0))
+
+    @staticmethod
+    def pop_ops(slot: str) -> tuple:
+        return (("i", C_QUEUE_OP), ("r", slot, 0))
 
     def __len__(self) -> int:
         return len(self._items) - self._head

@@ -18,13 +18,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core import trace as T
-from ..core.graph import V_HEAD_OFF, V_ID_OFF, V_PROP_OFF, PropertyGraph
+from ..core import graph as G
+from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import (
-    AccessBlock, GraphView, I64, first_unseen, offsets_of, ragged_arange,
-)
-from .base import ENTRY, NullTracer, TracedQueue, Workload
+from ._bulk import GraphView, I64, Layout, first_unseen
+from .base import NullTracer, TracedQueue, Workload
 
 
 class BFS(Workload):
@@ -108,141 +106,33 @@ class BFS(Workload):
 
     def _emit(self, g: PropertyGraph, t, gv: GraphView, q: TracedQueue,
               pops, eidx, e_src_pos, unvis, site_visited) -> None:
-        """Emit the loop oracle's exact event stream for the main loop
-        (the prologue up to the root push went through the real
-        primitives).  Per popped vertex: pop + level read + neighbour-walk
-        prologue (4 accesses / 13 instrs), then per edge the walk step,
-        find-vertex, level probe (7 accesses / 42 instrs) plus, on an
-        unvisited target, two property writes and the frontier push
-        (5 accesses / 21 instrs more)."""
-        krid = t._cur_rid
-        pv = len(pops)
-        E = len(eidx)
-        d_pop = gv.deg[pops]
-        edst = gv.out_dst[eidx] if E else np.empty(0, I64)
-        off_l = V_PROP_OFF + g.vschema.offset("level")
-        off_p = V_PROP_OFF + g.vschema.offset("parent")
-
-        cde, _ = offsets_of(d_pop)              # edges before each pop
-        v_item = np.arange(pv, dtype=I64) + cde
-        e_item = e_src_pos + 1 + np.arange(E, dtype=I64)
-        nb = pv + E
-        acc_len = np.empty(nb, I64)
-        acc_len[v_item] = 4
-        acc_len[e_item] = np.where(unvis, 12, 7)
-        ins_len = np.empty(nb, I64)
-        ins_len[v_item] = 13
-        ins_len[e_item] = np.where(unvis, 63, 42)
-        stk_len = np.empty(nb, I64)
-        stk_len[v_item] = 1
-        stk_len[e_item] = np.where(unvis, 5, 3)
-        acc_off, n_acc = offsets_of(acc_len)
-        ins_off, n_ins = offsets_of(ins_len)
-        stk_off, _ = offsets_of(stk_len)
-
-        blk = AccessBlock(n_acc)
-        put = blk.put
-
-        # popped-vertex prologue: queue pop, level vget, neighbour head
-        pvp = acc_off[v_item]
-        ivp = ins_off[v_item]
-        svp = stk_off[v_item]
-        vaddr_p = gv.vaddr[pops]
-        put(pvp, q.base + (np.arange(pv, dtype=I64) % q.cap) * ENTRY,
-            krid, ivp + 3)
-        put(pvp + 1, 0, T.R_PROP_GET, ivp + 11, stk=svp + 1)
-        put(pvp + 2, vaddr_p + off_l, T.R_PROP_GET, ivp + 11)
-        put(pvp + 3, vaddr_p + V_HEAD_OFF, T.R_NEIGHBORS, ivp + 13)
-
-        if E:
-            pe = acc_off[e_item]
-            ie = ins_off[e_item]
-            se = stk_off[e_item]
-            waddr = gv.vaddr[edst]
-            put(pe, 0, T.R_NEIGHBORS, ie + 16, stk=se + 1)
-            put(pe + 1, gv.out_eaddr[eidx], T.R_NEIGHBORS, ie + 16)
-            put(pe + 2, 0, T.R_FIND_VERTEX, ie + 30, stk=se + 2)
-            put(pe + 3, gv.idx_addr[edst], T.R_FIND_VERTEX, ie + 30)
-            put(pe + 4, waddr + V_ID_OFF, T.R_FIND_VERTEX, ie + 30)
-            put(pe + 5, 0, T.R_PROP_GET, ie + 42, stk=se + 3)
-            put(pe + 6, waddr + off_l, T.R_PROP_GET, ie + 42)
-            if unvis.any():
-                u = unvis
-                pu, iu, su, wu = pe[u], ie[u], se[u], waddr[u]
-                put(pu + 7, 0, T.R_PROP_SET, iu + 51, stk=su + 4)
-                put(pu + 8, wu + off_l, T.R_PROP_SET, iu + 51, wr=True)
-                put(pu + 9, 0, T.R_PROP_SET, iu + 60, stk=su + 5)
-                put(pu + 10, wu + off_p, T.R_PROP_SET, iu + 60, wr=True)
-                tail = 1 + np.arange(int(u.sum()), dtype=I64)  # root at 0
-                put(pu + 11, q.base + (tail % q.cap) * ENTRY, krid,
-                    iu + 63, wr=True)
-
-        # branch stream: per edge [more-edges, find-hit, visited?], then
-        # one not-taken loop exit per popped vertex
-        ebi = e_src_pos + np.arange(E, dtype=I64)
-        tbi = cde + d_pop + np.arange(pv, dtype=I64)
-        bl = np.empty(nb, I64)
-        bl[ebi] = 3
-        bl[tbi] = 1
-        boff, n_br = offsets_of(bl)
-        sites = np.empty(n_br, np.uint32)
-        taken = np.empty(n_br, np.uint8)
-        pb = boff[ebi]
-        sites[pb] = T.B_EDGE_LOOP
-        taken[pb] = 1
-        sites[pb + 1] = T.B_FIND_HIT
-        taken[pb + 1] = 1
-        sites[pb + 2] = site_visited
-        taken[pb + 2] = unvis
-        pt = boff[tbi]
-        sites[pt] = T.B_EDGE_LOOP
-        taken[pt] = 0
-
-        # region visits: prologue (3), per edge (6 / 10), vertex tail (1)
-        vv_item = 2 * np.arange(pv, dtype=I64) + cde
-        le = ragged_arange(d_pop)
-        ev_item = 2 * e_src_pos + cde[e_src_pos] + 1 + le
-        tv_item = vv_item + 1 + d_pop
-        vl = np.empty(nb + pv, I64)
-        vl[vv_item] = 3
-        vl[ev_item] = np.where(unvis, 10, 6)
-        vl[tv_item] = 1
-        voff, n_vis = offsets_of(vl)
-        vseq = np.empty(n_vis, np.uint32)
-        vcnt = np.empty(n_vis, I64)
-        pvv = voff[vv_item]
-        vseq[pvv], vcnt[pvv] = T.R_PROP_GET, 8
-        vseq[pvv + 1], vcnt[pvv + 1] = krid, 0
-        vseq[pvv + 2] = T.R_NEIGHBORS
-        vcnt[pvv + 2] = 2 + 16 * (d_pop > 0)
-        if E:
-            pev = voff[ev_item]
-            not_last = le < d_pop[e_src_pos] - 1
-            for k, (r_, c_) in enumerate([(krid, 0), (T.R_FIND_VERTEX, 14),
-                                          (krid, 4), (T.R_PROP_GET, 8),
-                                          (krid, 0)]):
-                vseq[pev + k], vcnt[pev + k] = r_, c_
-            tail_nb = np.where(not_last, 16, 0)
-            vseq[pev + 5] = np.where(unvis, T.R_PROP_SET, T.R_NEIGHBORS)
-            vcnt[pev + 5] = np.where(unvis, 9, tail_nb)
-            if unvis.any():
-                pu = pev[unvis]
-                vseq[pu + 6], vcnt[pu + 6] = krid, 0
-                vseq[pu + 7], vcnt[pu + 7] = T.R_PROP_SET, 9
-                vseq[pu + 8], vcnt[pu + 8] = krid, 3
-                vseq[pu + 9] = T.R_NEIGHBORS
-                vcnt[pu + 9] = tail_nb[unvis]
-        ptv = voff[tv_item]
-        vseq[ptv] = krid
-        vcnt[ptv] = 3
-        vcnt[ptv[-1]] = 0                       # last pop: queue is empty
-
-        Eu = int(unvis.sum())
-        blk.emit(g, t, n_instrs=n_ins,
-                 fw_instrs=10 * pv + 38 * (E - Eu) + 56 * Eu,
-                 fw_accesses=3 * pv + 7 * (E - Eu) + 11 * Eu,
-                 head_instrs=3, region_seq=vseq, region_instrs=vcnt)
-        t.bulk_branch_events(sites, taken)
+        """Lay out the loop oracle's main loop (the prologue up to the
+        root push went through the real primitives).  Per popped vertex:
+        the queue pop, its level read and the head of its neighbour walk;
+        per edge the walk step, find-vertex and level probe, an unvisited
+        target adding its two property writes and the frontier push; then
+        the walk's exit."""
+        pv, E = len(pops), len(eidx)
+        edst = gv.out_dst[eidx]
+        off_l = G.V_PROP_OFF + g.vschema.offset("level")
+        off_p = G.V_PROP_OFF + g.vschema.offset("parent")
+        walk = G.neighbors_ops("v", "e")
+        edge = (walk.step + G.find_vertex_ops("widx", "w") + (("i", 4),)
+                + G.vget_ops("w", off_l) + (("br", site_visited, "unvis"),))
+        fresh = (G.vset_ops("w", off_l) + G.vset_ops("w", off_p)
+                 + q.push_ops("slot"))
+        lay = Layout(t)
+        pop = np.arange(pv, dtype=I64)
+        lay.add(q.pop_ops("slot") + G.vget_ops("v", off_l) + walk.head,
+                (pop, 0), slot=q.slots(pop), v=gv.vaddr[pops])
+        key = (e_src_pos, 1 + np.arange(E, dtype=I64))
+        cols = dict(e=gv.out_eaddr[eidx], widx=gv.idx_addr[edst],
+                    w=gv.vaddr[edst], unvis=unvis,
+                    slot=q.slots(np.cumsum(unvis)))     # the root took slot 0
+        lay.add(edge + walk.resume, key, ~unvis, **cols)
+        lay.add(edge + fresh + walk.resume, key, unvis, **cols)
+        lay.add(walk.exit, (pop, E + 1))
+        lay.build().emit(g, t)
 
     @staticmethod
     def reference(spec, root: int = 0) -> dict[int, int]:

@@ -18,15 +18,13 @@ from typing import Any
 
 import numpy as np
 
-from ..core import trace as T
-from ..core.graph import (
-    V_HEAD_OFF, V_ID_OFF, V_INREF_OFF, V_PROP_OFF, PropertyGraph,
-)
+from ..core import graph as G
+from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
 from ._bulk import (
-    AccessBlock, GraphView, I64, first_unseen, offsets_of, ragged_arange,
+    GraphView, I64, Layout, first_unseen, offsets_of, ragged_arange,
 )
-from .base import ENTRY, NullTracer, TracedQueue, Workload
+from .base import NullTracer, TracedQueue, Workload
 
 
 class CComp(Workload):
@@ -100,202 +98,56 @@ class CComp(Workload):
 
     def _emit(self, g: PropertyGraph, t, gv: GraphView, q: TracedQueue,
               pops, dsts, fresh, seed_mask, comp_sizes, site_fresh) -> None:
-        """Emit the loop oracle's exact stream.  Segments, in order: one
-        scan item per vertex (vertex-scan step + comp probe, seeds add the
-        label write and push); after each seed, its component's pop groups
-        (queue pop, out-list drain, in-list drain, then per target the
-        find-vertex + comp probe, fresh ones adding label write + push);
-        one scan-exit tail."""
-        krid = t._cur_rid
+        """Lay out the loop oracle's stream.  The vertex scan visits every
+        row (scan step + comp probe, a seed adding its label write and
+        push); between a seed's visit and the scan's resumption come its
+        component's pop groups: queue pop, out-list drain, in-list drain,
+        then per target the find-vertex and comp probe, a fresh one adding
+        label write and push."""
         n, P, D = gv.n, len(pops), len(dsts)
-        C = len(comp_sizes)
-        od = gv.deg[pops]
-        idg = gv.indeg[pops]
-        cnt = od + idg
-        seed_rows = np.flatnonzero(seed_mask)
-        off_c = V_PROP_OFF + g.vschema.offset("comp")
+        od, idg = gv.deg[pops], gv.indeg[pops]
+        off_c = G.V_PROP_OFF + g.vschema.offset("comp")
+        push_ord = np.empty(n, I64)             # push order == pop order
+        push_ord[pops] = np.arange(P, dtype=I64)
+        scan = G.vertices_ops("idx", "v")
+        out, inn = G.neighbors_ops("v", "e"), G.in_neighbors_ops("v", "u")
+        probe = G.vget_ops("v", off_c)
+        label = G.vset_ops("v", off_c) + q.push_ops("slot")
 
-        # pop position lookup (push order == pop order)
-        pop_pos = np.empty(n, I64)
-        pop_pos[pops] = np.arange(P, dtype=I64)
+        # keys: (scan row, 0 = the visit / 1 + pop = a pop group of the
+        # component seeded here / P + 1 = the scan resumes, place in group)
+        lay = Layout(t)
+        lay.add(scan.head, (-1,))
+        row = np.arange(n, dtype=I64)
+        visit = scan.step + (("i", 3),) + probe + (("br", site_fresh, "seed"),)
+        cols = dict(idx=gv.idx_addr, v=gv.vaddr, seed=seed_mask,
+                    slot=q.slots(push_ord))
+        lay.add(visit, (row, 0), ~seed_mask, **cols)
+        lay.add(visit + label, (row, 0), seed_mask, **cols)
+        lay.add(scan.resume, (row, P + 1))
+        lay.add(scan.exit, (n,))
 
-        # --- segment positions -------------------------------------------
-        grp_seg = 3 + cnt                       # prologue + drains + dsts
-        comp_first, _ = offsets_of(comp_sizes)
-        comp_of_pop = np.repeat(np.arange(C, dtype=I64), comp_sizes)
-        comp_seg = np.bincount(comp_of_pop, weights=grp_seg,
-                               minlength=C).astype(I64) if P else \
-            np.zeros(C, I64)
-        shift = np.zeros(n + 1, I64)
-        np.add.at(shift, seed_rows + 1, comp_seg)
-        pos_scan = np.arange(n, dtype=I64) + np.cumsum(shift)[:n]
-        g_excl, _ = offsets_of(grp_seg)
-        pgb = (pos_scan[seed_rows][comp_of_pop] + 1
-               + g_excl - g_excl[comp_first[comp_of_pop]])
-        dst_pop = np.repeat(np.arange(P, dtype=I64), cnt)
-        ld = ragged_arange(cnt)                 # target index within pop
-        nseg = n + 3 * P + D + 1
-        s_scan, s_prol, s_out, s_in = pos_scan, pgb, pgb + 1, pgb + 2
-        s_dst = pgb[dst_pop] + 3 + ld
-        s_tail = nseg - 1
-
-        sd = seed_mask.astype(I64)
-        fr = fresh.astype(I64)
-        comp_last = np.zeros(P, bool)
-        if P:
-            comp_last[comp_first + comp_sizes - 1] = True
-        # per-pop trailing +3: the next pop's dequeue charge accrues to
-        # this pop group's final visit unless the component is done
-        z_pop = np.where(comp_last, 0, 3)
-        z_dst = np.where((ld == cnt[dst_pop] - 1) & ~comp_last[dst_pop],
-                         3, 0)
-
-        def table(scan_w, prol_w, out_w, in_w, dst_w, tail_w):
-            w = np.zeros(nseg, I64)
-            w[s_scan] = scan_w
-            w[s_prol] = prol_w
-            w[s_out] = out_w
-            w[s_in] = in_w
-            if D:
-                w[s_dst] = dst_w
-            w[s_tail] = tail_w
-            return offsets_of(w)
-
-        acc_off, n_acc = table(5 + 3 * sd, 1, 1 + 2 * od, 1 + idg,
-                               5 + 3 * fr, 0)
-        ins_off, n_ins = table(21 + 12 * sd, 3, 2 + 16 * od, 2 + 16 * idg,
-                               25 + 12 * fr, 0)
-        br_off, n_br = table(2, 0, od + 1, idg + 1, 1, 1)
-        vis_off, n_vis = table(4 + 2 * sd, 0, 2 + 2 * od, 2 + 2 * idg,
-                               4 + 2 * fr, 2)
-        stk_off, _ = table(2 + sd, 0, od, 0, 2 + fr, 0)
-
-        blk = AccessBlock(n_acc)
-        put = blk.put
-
-        rows = np.arange(n, dtype=I64)
-        pa, pi, ps = acc_off[s_scan], ins_off[s_scan], stk_off[s_scan]
-        put(pa, 0, T.R_VERTEX_SCAN, pi + 10, stk=ps + 1)
-        put(pa + 1, gv.idx_addr[rows], T.R_VERTEX_SCAN, pi + 10)
-        put(pa + 2, gv.vaddr + V_ID_OFF, T.R_VERTEX_SCAN, pi + 10)
-        put(pa + 3, 0, T.R_PROP_GET, pi + 21, stk=ps + 2)
-        put(pa + 4, gv.vaddr + off_c, T.R_PROP_GET, pi + 21)
-        if C:
-            sa, si, ss = pa[seed_rows], pi[seed_rows], ps[seed_rows]
-            put(sa + 5, 0, T.R_PROP_SET, si + 30, stk=ss + 3)
-            put(sa + 6, gv.vaddr[seed_rows] + off_c, T.R_PROP_SET,
-                si + 30, wr=True)
-            put(sa + 7, q.base + (pop_pos[seed_rows] % q.cap) * ENTRY,
-                krid, si + 33, wr=True)
-        if P:
-            put(acc_off[s_prol],
-                q.base + (np.arange(P, dtype=I64) % q.cap) * ENTRY,
-                krid, ins_off[s_prol] + 3)
-            vap = gv.vaddr[pops]
-            put(acc_off[s_out], vap + V_HEAD_OFF, T.R_NEIGHBORS,
-                ins_off[s_out] + 2)
-            put(acc_off[s_in], vap + V_INREF_OFF, T.R_NEIGHBORS,
-                ins_off[s_in] + 2)
-            le_o = ragged_arange(od)
-            epo = np.repeat(acc_off[s_out], od) + 1 + 2 * le_o
-            eio = np.repeat(ins_off[s_out], od) + 16 * (le_o + 1) + 2
-            put(epo, 0, T.R_NEIGHBORS, eio,
-                stk=np.repeat(stk_off[s_out], od) + le_o + 1)
-            put(epo + 1, gv.out_eaddr[gv.out_edges_of(pops)],
-                T.R_NEIGHBORS, eio)
-            le_i = ragged_arange(idg)
-            put(np.repeat(acc_off[s_in], idg) + 1 + le_i,
-                gv.vaddr[gv.in_src[gv.in_edges_of(pops)]] + V_ID_OFF,
-                T.R_NEIGHBORS,
-                np.repeat(ins_off[s_in], idg) + 16 * (le_i + 1) + 2)
-        if D:
-            da, di, ds = acc_off[s_dst], ins_off[s_dst], stk_off[s_dst]
-            wad = gv.vaddr[dsts]
-            put(da, 0, T.R_FIND_VERTEX, di + 14, stk=ds + 1)
-            put(da + 1, gv.idx_addr[dsts], T.R_FIND_VERTEX, di + 14)
-            put(da + 2, wad + V_ID_OFF, T.R_FIND_VERTEX, di + 14)
-            put(da + 3, 0, T.R_PROP_GET, di + 25, stk=ds + 2)
-            put(da + 4, wad + off_c, T.R_PROP_GET, di + 25)
-            if fresh.any():
-                fa, fi, fs = da[fresh], di[fresh], ds[fresh]
-                wf = wad[fresh]
-                put(fa + 5, 0, T.R_PROP_SET, fi + 34, stk=fs + 3)
-                put(fa + 6, wf + off_c, T.R_PROP_SET, fi + 34, wr=True)
-                put(fa + 7,
-                    q.base + (pop_pos[dsts[fresh]] % q.cap) * ENTRY,
-                    krid, fi + 37, wr=True)
-
-        # --- branch stream ----------------------------------------------
-        sites = np.empty(n_br, np.uint32)
-        taken = np.empty(n_br, np.uint8)
-        pb = br_off[s_scan]
-        sites[pb], taken[pb] = T.B_VERTEX_SCAN, 1
-        sites[pb + 1] = site_fresh
-        taken[pb + 1] = seed_mask
-        if P:
-            for s_seg, deg_seg, le in ((s_out, od, le_o), (s_in, idg, le_i)):
-                ep = np.repeat(br_off[s_seg], deg_seg) + le
-                sites[ep], taken[ep] = T.B_EDGE_LOOP, 1
-                fp = br_off[s_seg] + deg_seg
-                sites[fp], taken[fp] = T.B_EDGE_LOOP, 0
-        if D:
-            db = br_off[s_dst]
-            sites[db], taken[db] = T.B_FIND_HIT, 1
-        sites[br_off[s_tail]], taken[br_off[s_tail]] = T.B_VERTEX_SCAN, 0
-
-        # --- region visits ----------------------------------------------
-        vseq = np.empty(n_vis, np.uint32)
-        vcnt = np.empty(n_vis, I64)
-        pv = vis_off[s_scan]
-        vseq[pv], vcnt[pv] = T.R_VERTEX_SCAN, 10
-        vseq[pv + 1], vcnt[pv + 1] = krid, 3
-        vseq[pv + 2], vcnt[pv + 2] = T.R_PROP_GET, 8
-        vseq[pv + 3], vcnt[pv + 3] = krid, 0
-        if C:
-            sv = pv[seed_rows]
-            vseq[sv + 4], vcnt[sv + 4] = T.R_PROP_SET, 9
-            vseq[sv + 5], vcnt[sv + 5] = krid, 6   # push + first dequeue
-        if P:
-            for s_seg, deg_seg, le in ((s_out, od, le_o), (s_in, idg, le_i)):
-                base_v = vis_off[s_seg]
-                vseq[base_v] = T.R_NEIGHBORS
-                vcnt[base_v] = 2 + 16 * (deg_seg > 0)
-                ev = np.repeat(base_v, deg_seg) + 1 + 2 * le
-                vseq[ev], vcnt[ev] = krid, 0
-                vseq[ev + 1] = T.R_NEIGHBORS
-                vcnt[ev + 1] = np.where(le < np.repeat(deg_seg, deg_seg) - 1,
-                                        16, 0)
-                fin = base_v + 1 + 2 * deg_seg
-                vseq[fin], vcnt[fin] = krid, 0
-            # a pop with no targets: the in-drain exit takes the charge
-            none_d = cnt == 0
-            if none_d.any():
-                fin0 = vis_off[s_in[none_d]] + 1 + 2 * idg[none_d]
-                vcnt[fin0] = z_pop[none_d]
-        if D:
-            dv = vis_off[s_dst]
-            vseq[dv], vcnt[dv] = T.R_FIND_VERTEX, 14
-            vseq[dv + 1], vcnt[dv + 1] = krid, 3
-            vseq[dv + 2], vcnt[dv + 2] = T.R_PROP_GET, 8
-            vseq[dv + 3] = krid
-            vcnt[dv + 3] = np.where(fresh, 0, z_dst)
-            if fresh.any():
-                fv = dv[fresh]
-                vseq[fv + 4], vcnt[fv + 4] = T.R_PROP_SET, 9
-                vseq[fv + 5], vcnt[fv + 5] = krid, 3 + z_dst[fresh]
-        tl = vis_off[s_tail]
-        vseq[tl], vcnt[tl] = T.R_VERTEX_SCAN, 0
-        vseq[tl + 1], vcnt[tl + 1] = krid, 0
-
-        Eo, Ei = int(od.sum()), int(idg.sum())
-        Df = int(fresh.sum())
-        blk.emit(g, t, n_instrs=n_ins,
-                 fw_instrs=(18 * n + 9 * C + 4 * P
-                            + 16 * (Eo + Ei) + 22 * D + 9 * Df),
-                 fw_accesses=(5 * n + 2 * C + 2 * P
-                              + 2 * Eo + Ei + 5 * D + 2 * Df),
-                 head_instrs=0, region_seq=vseq, region_instrs=vcnt)
-        t.bulk_branch_events(sites, taken)
+        pop = np.arange(P, dtype=I64)
+        seed_row = np.repeat(np.flatnonzero(seed_mask), comp_sizes)
+        vp = gv.vaddr[pops]
+        lay.add(q.pop_ops("slot") + out.head, (seed_row, 1 + pop, 0),
+                slot=q.slots(pop), v=vp)
+        po = np.repeat(pop, od)
+        lay.add(out.step + out.resume, (seed_row[po], 1 + po, 1),
+                e=gv.out_eaddr[gv.out_edges_of(pops)])
+        lay.add(out.exit + inn.head, (seed_row, 1 + pop, 2), v=vp)
+        pi = np.repeat(pop, idg)
+        lay.add(inn.step + inn.resume, (seed_row[pi], 1 + pi, 3),
+                u=gv.vaddr[gv.in_src[gv.in_edges_of(pops)]])
+        lay.add(inn.exit, (seed_row, 1 + pop, 4))
+        pd = np.repeat(pop, od + idg)
+        target = G.find_vertex_ops("idx", "v") + (("i", 3),) + probe
+        key = (seed_row[pd], 1 + pd, 5 + np.arange(D, dtype=I64))
+        cols = dict(idx=gv.idx_addr[dsts], v=gv.vaddr[dsts],
+                    slot=q.slots(push_ord[dsts]))
+        lay.add(target, key, ~fresh, **cols)
+        lay.add(target + label, key, fresh, **cols)
+        lay.build().emit(g, t)
 
     @staticmethod
     def reference(spec) -> int:

@@ -29,10 +29,10 @@ from typing import Any
 import numpy as np
 
 from ..bayes.network import BayesianNetwork
-from ..core import trace as T
-from ..core.graph import V_HEAD_OFF, V_ID_OFF, V_PROP_OFF, PropertyGraph
+from ..core import graph as G
+from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import AccessBlock, GraphView, I64, offsets_of, ragged_arange
+from ._bulk import GraphView, I64, Layout, offsets_of, ragged_arange
 from .base import NullTracer, Workload
 
 
@@ -127,19 +127,17 @@ class Gibbs(Workload):
 
     def _emit(self, g: PropertyGraph, t, free, n_sweeps, rows, changed,
               site_sample, site_cpt_loop) -> None:
-        """Emit the loop oracle's exact event stream for the sweeps (the
-        state-initialisation prologue went through the real primitives).
+        """Lay out the loop oracle's sweeps (the state-initialisation
+        prologue went through the real primitives).
 
-        One sweep is a fixed template.  Per visited vertex of arity ``a``
-        and out-degree ``d``: find-vertex, CPT pointer load, ``a`` own-row
-        reads, the neighbour-walk head (5 + a accesses / 24 + 9a instrs);
-        per child the walk step, find-vertex, CPT pointer load, state
-        read and ``a`` child-CPT reads (8 + a accesses / 50 + 11a
-        instrs); then the draw and the state write (2 accesses / 9 + 12a
-        instrs).  The template is tiled over the sweeps; per sweep only
-        the own-row offset and the ``site_sample`` outcome are patched.
+        One sweep is a fixed template.  Per visited vertex of arity ``a``:
+        find-vertex, CPT pointer load, ``a`` own-row reads and the head of
+        the child walk; per child the walk step, find-vertex, CPT pointer
+        load, state read and ``a`` child-CPT reads; then the walk's exit,
+        the draw and the state write.  The template is laid out once and
+        tiled over the sweeps; per sweep only the own-row offset and the
+        ``site_sample`` outcome are patched.
         """
-        krid = t._cur_rid
         gv = GraphView(g)
         F, S = len(free), n_sweeps
         cslot = g.vschema.slot("cpt")
@@ -150,103 +148,51 @@ class Gibbs(Workload):
             cpt_addr[r], cpt = v.props[cslot]
             cpt_size[r] = max(cpt.table.size, 1)
             arity[r] = cpt.arity
-        off_cpt = V_PROP_OFF + g.vschema.offset("cpt")
-        off_state = V_PROP_OFF + g.vschema.offset("state")
+        off_cpt = G.V_PROP_OFF + g.vschema.offset("cpt")
+        off_state = G.V_PROP_OFF + g.vschema.offset("state")
 
         vr = gv.rows_of(free)                   # graph row of each visit
         a, d = arity[vr], gv.deg[vr]
-        ov = np.repeat(np.arange(F, dtype=I64), a)   # own reads: visit,
-        ox = ragged_arange(a)                        #   column
+        visit = np.arange(F, dtype=I64)
+        ov = np.repeat(visit, a)                # own reads: visit,
+        ox = ragged_arange(a)                   #   column
         eidx = gv.out_edges_of(vr)              # child probes: edge,
         cr = gv.out_dst[eidx]                   #   child row,
-        ev = np.repeat(np.arange(F, dtype=I64), d)   # visit,
+        ev = np.repeat(visit, d)                #   visit,
         ej = ragged_arange(d)                   #   ordinal in the visit,
         ea = a[ev]                              #   trip count (own arity)
         ce = np.repeat(np.arange(len(eidx), dtype=I64), ea)  # child reads:
         cx = ragged_arange(ea)                  #   probe, column
 
-        # --- access stream of one sweep ----------------------------------
-        pv, n_acc = offsets_of(7 + a + d * (8 + a))
-        iv, n_ins = offsets_of(33 + 21 * a + d * (50 + 11 * a))
-        sv, _ = offsets_of(2 + 3 * d)
-        blk = AccessBlock(n_acc)
-        put = blk.put
-        va = gv.vaddr[vr]
-        put(pv, 0, T.R_FIND_VERTEX, iv + 14, stk=sv + 1)
-        put(pv + 1, gv.idx_addr[vr], T.R_FIND_VERTEX, iv + 14)
-        put(pv + 2, va + V_ID_OFF, T.R_FIND_VERTEX, iv + 14)
-        put(pv + 3, va + off_cpt, T.R_PROP_GET, iv + 22)
-        own_pos = pv[ov] + 4 + ox               # row 0; patched per sweep
-        put(own_pos, cpt_addr[vr][ov] + 8 * ox, T.R_PAYLOAD,
-            iv[ov] + 22 + 9 * (ox + 1))
-        put(pv + 4 + a, va + V_HEAD_OFF, T.R_NEIGHBORS, iv + 24 + 9 * a)
-        pe = pv[ev] + 5 + ea + ej * (8 + ea)
-        ie = iv[ev] + 24 + 9 * ea + ej * (50 + 11 * ea)
-        se = sv[ev] + 1 + 3 * ej
-        ca = gv.vaddr[cr]
-        put(pe, 0, T.R_NEIGHBORS, ie + 16, stk=se + 1)
-        put(pe + 1, gv.out_eaddr[eidx], T.R_NEIGHBORS, ie + 16)
-        put(pe + 2, 0, T.R_FIND_VERTEX, ie + 30, stk=se + 2)
-        put(pe + 3, gv.idx_addr[cr], T.R_FIND_VERTEX, ie + 30)
-        put(pe + 4, ca + V_ID_OFF, T.R_FIND_VERTEX, ie + 30)
-        put(pe + 5, ca + off_cpt, T.R_PROP_GET, ie + 38)
-        put(pe + 6, 0, T.R_PROP_GET, ie + 50, stk=se + 3)
-        put(pe + 7, ca + off_state, T.R_PROP_GET, ie + 50)
-        put(pe[ce] + 8 + cx, cpt_addr[cr][ce] + 8 * (cx % cpt_size[cr][ce]),
-            T.R_PAYLOAD, ie[ce] + 50 + 11 * (cx + 1))
-        pt = pv + 5 + a + d * (8 + a)
-        it = iv + 33 + 21 * a + d * (50 + 11 * a)
-        put(pt, 0, T.R_PROP_SET, it, stk=sv + 2 + 3 * d)
-        put(pt + 1, va + off_state, T.R_PROP_SET, it, wr=True)
-
-        # --- branches: arity-loop trips everywhere, except the find hits,
-        # the edge-loop tests and the data-dependent sample test ----------
-        bv, n_br = offsets_of(4 + a + d * (3 + a))
-        sites = np.full(n_br, site_cpt_loop, np.uint32)
-        taken = np.ones(n_br, np.uint8)
-        sites[bv] = T.B_FIND_HIT
-        taken[bv + a + 1] = 0
-        be = bv[ev] + ea + 2 + ej * (3 + ea)
-        sites[be] = T.B_EDGE_LOOP
-        sites[be + 1] = T.B_FIND_HIT
-        taken[be + 2 + ea] = 0
-        bt = bv + a + 2 + d * (3 + a)
-        sites[bt] = T.B_EDGE_LOOP
-        taken[bt] = 0
-        sites[bt + 1] = site_sample             # outcome patched per sweep
-
-        # --- region visits: every primitive returns to the kernel --------
-        vv, n_vis = offsets_of(8 + 2 * a + d * (8 + 2 * a))
-        vseq = np.full(n_vis, krid, np.uint32)
-        vcnt = np.zeros(n_vis, I64)
-        vseq[vv], vcnt[vv] = T.R_FIND_VERTEX, 14
-        vseq[vv + 2], vcnt[vv + 2] = T.R_PROP_GET, 8
-        p = vv[ov] + 4 + 2 * ox
-        vseq[p], vcnt[p] = T.R_PAYLOAD, 9
-        pn = vv + 4 + 2 * a
-        vseq[pn] = T.R_NEIGHBORS
-        vcnt[pn] = 2 + 16 * (d > 0)
-        ve = pn[ev] + 2 + ej * (8 + 2 * ea)
-        vseq[ve], vcnt[ve] = T.R_FIND_VERTEX, 14
-        vseq[ve + 2], vcnt[ve + 2] = T.R_PROP_GET, 8
-        vcnt[ve + 3] = 4
-        vseq[ve + 4], vcnt[ve + 4] = T.R_PROP_GET, 8
-        p = ve[ce] + 6 + 2 * cx
-        vseq[p], vcnt[p] = T.R_PAYLOAD, 11
-        vseq[ve + 6 + 2 * ea] = T.R_NEIGHBORS
-        vcnt[ve + 6 + 2 * ea] = 16 * (ej < d[ev] - 1)
-        vt = pn + 2 + d * (8 + 2 * a)
-        vcnt[vt - 1] = 12 * a                   # normalize + inverse-CDF draw
-        vseq[vt], vcnt[vt] = T.R_PROP_SET, 9
+        # keys: (visit, 0 = own CPT / 1 + j = child j / 1 + d = the draw,
+        # place in that group)
+        find = G.find_vertex_ops("idx", "v")
+        cpt_ptr = G.payload_get_ops("v", off_cpt)
+        trip = (("br", site_cpt_loop, 1),)
+        done = (("br", site_cpt_loop, 0),)
+        walk = G.neighbors_ops("v", "e")
+        lay = Layout(t)
+        lay.add(find + cpt_ptr, (visit, 0, 0), idx=gv.idx_addr[vr],
+                v=gv.vaddr[vr])
+        own = lay.add(trip + G.payload_read_ops("p", 9), (ov, 0, 1),
+                      p=cpt_addr[vr][ov] + 8 * ox)   # row 0; patched per sweep
+        lay.add(done + walk.head, (visit, 0, 2), v=gv.vaddr[vr])
+        lay.add(walk.step + find + cpt_ptr + (("i", 4),)
+                + G.vget_ops("v", off_state), (ev, 1 + ej, 0),
+                e=gv.out_eaddr[eidx], idx=gv.idx_addr[cr], v=gv.vaddr[cr])
+        lay.add(trip + G.payload_read_ops("p", 11), (ev[ce], 1 + ej[ce], 1),
+                p=cpt_addr[cr][ce] + 8 * (cx % cpt_size[cr][ce]))
+        lay.add(done + walk.resume, (ev, 1 + ej, 2))
+        lay.add(walk.exit, (visit, 1 + d, 0))
+        draw = lay.add((("i", "work"), ("br", site_sample, 0))  # patched
+                       + G.vset_ops("v", off_state), (visit, 1 + d, 1),
+                       work=12 * a,             # normalize + inverse-CDF draw
+                       v=gv.vaddr[vr])
+        sweep = lay.build(keep=(own, draw))
 
         # --- tile over the sweeps and patch ------------------------------
-        blk = blk.tiled(S, n_ins)
-        blk.addr.reshape(S, n_acc)[:, own_pos] += \
+        blk = sweep.tiled(S)
+        blk.acc.addr.reshape(S, -1)[:, sweep.acc_at[own]] += \
             (8 * a * rows.reshape(S, F))[:, ov]
-        taken = np.tile(taken, S)
-        taken.reshape(S, n_br)[:, bt + 1] = changed.reshape(S, F)
-        blk.emit(g, t, n_instrs=S * n_ins,
-                 fw_instrs=S * (n_ins - int((4 * d + 12 * a).sum())),
-                 fw_accesses=S * n_acc,
-                 region_seq=np.tile(vseq, S), region_instrs=np.tile(vcnt, S))
-        t.bulk_branch_events(np.tile(sites, S), taken)
+        blk.taken.reshape(S, -1)[:, sweep.br_at[draw]] = changed.reshape(S, F)
+        blk.emit(g, t)

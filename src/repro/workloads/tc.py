@@ -24,10 +24,12 @@ from typing import Any
 
 import numpy as np
 
-from ..core import trace as T
-from ..core.graph import V_ID_OFF, PropertyGraph
+from ..core import graph as G
+from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import AccessBlock, I64, offsets_of, ragged_arange
+from ._bulk import (
+    AccessBlock, Block, I64, Layout, offsets_of, ragged_arange,
+)
 from .base import ENTRY, NullTracer, Workload
 
 
@@ -92,7 +94,7 @@ class TC(Workload):
             bases[r] = g.alloc.alloc_array(max(int(hcnt[r]), 1), ENTRY,
                                            tag="tc_adj")
         if traced:
-            self._emit_list_writes(t, bases, hcnt)
+            self._emit_list_writes(g, t, bases, hcnt)
 
         # --- merge steps, analytically ----------------------------------
         # pair (u, vi): A = lu[vi+1:], B = lv; both rank-sorted.  Steps are
@@ -167,7 +169,7 @@ class TC(Workload):
         per_vertex = dict(zip(ids, pv.tolist()))
 
         if traced:
-            self._emit_merge(t, site_cmp, site_loop, bases, urow, vrow, vi,
+            self._emit_merge(g, t, site_cmp, site_loop, bases, urow, vrow, vi,
                              steps, ev_pair, ev_i, ev_j, ev_cmp)
         return {"triangles": total, "per_vertex": per_vertex}
 
@@ -175,60 +177,38 @@ class TC(Workload):
         """Two find-vertex probes per vertex in sorted-id order (the
         degree reads of the ranking pass)."""
         n = len(ids_arr)
-        if not n:
-            return
-        vaddr = np.fromiter((g._v[int(v)].addr for v in ids_arr), I64,
-                            count=n)
-        idx = g._index_base + 8 * (ids_arr % g._index_cap)
-        blk = AccessBlock(6 * n)
-        row = np.arange(n, dtype=I64)
-        for k in (0, 1):                        # the two probes of a vertex
-            pos, ioff = 6 * row + 3 * k, 28 * row + 14 * (k + 1)
-            blk.put(pos, 0, T.R_FIND_VERTEX, ioff, stk=2 * row + k + 1)
-            blk.put(pos + 1, idx, T.R_FIND_VERTEX, ioff)
-            blk.put(pos + 2, vaddr + V_ID_OFF, T.R_FIND_VERTEX, ioff)
-        vseq = np.empty(4 * n, np.uint32)
-        vcnt = np.empty(4 * n, I64)
-        vseq[0::2], vcnt[0::2] = T.R_FIND_VERTEX, 14
-        vseq[1::2], vcnt[1::2] = t._cur_rid, 0
-        blk.emit(g, t, n_instrs=28 * n, fw_instrs=28 * n, fw_accesses=6 * n,
-                 head_instrs=0, region_seq=vseq, region_instrs=vcnt)
-        t.bulk_branch_events(np.full(2 * n, T.B_FIND_HIT, np.uint32),
-                             np.ones(2 * n, np.uint8))
+        find = G.find_vertex_ops("idx", "v")
+        lay = Layout(t)
+        lay.add(find + find, (np.arange(n),),
+                idx=g._index_base + G.INDEX_ENTRY * (ids_arr % g._index_cap),
+                v=np.fromiter((g._v[int(v)].addr for v in ids_arr), I64,
+                              count=n))
+        lay.build().emit(g, t)
 
-    def _emit_list_writes(self, t, bases, hcnt) -> None:
+    def _emit_list_writes(self, g, t, bases, hcnt) -> None:
         """Oriented-list materialization: two instructions + one write per
         slot, in sorted-id order."""
-        W = int(hcnt.sum())
-        if not W:
-            return
-        addr = np.repeat(bases, hcnt) + ragged_arange(hcnt) * ENTRY
-        iat = t.n + 2 * (np.arange(W, dtype=I64) + 1)
-        t.bulk_emit(addr.astype(np.uint64), np.ones(W, np.uint8),
-                    iat.astype(np.uint64),
-                    np.full(W, t._cur_rid, np.uint32),
-                    n_instrs=2 * W, fw_instrs=0, fw_accesses=0,
-                    head_instrs=2 * W)
+        lay = Layout(t)
+        lay.add((("i", 2), ("w", "slot", 0)), (np.arange(int(hcnt.sum())),),
+                slot=np.repeat(bases, hcnt) + ragged_arange(hcnt) * ENTRY)
+        lay.build().emit(g, t)
 
-    def _emit_merge(self, t, site_cmp, site_loop, bases, urow, vrow, vi,
+    def _emit_merge(self, g, t, site_cmp, site_loop, bases, urow, vrow, vi,
                     steps, ev_pair, ev_i, ev_j, ev_cmp) -> None:
         """The edge-iterator phase: per pair one list read + per merge
-        step two reads and three branches, ending with the loop exit."""
-        NP = len(urow)
-        if not NP:
-            return
+        step two reads and three branches, ending with the loop exit.
+        Hand-laid (``_bulk``'s docstring says why): user code only, so
+        there is no primitive, transition or stack touch to derive."""
         ins_st, n_ins = offsets_of(3 + 4 * steps)
         acc_st, n_acc = offsets_of(1 + 2 * steps)
-        addr = np.empty(n_acc, I64)
-        iat = np.empty(n_acc, I64)
-        addr[acc_st] = bases[urow] + vi * ENTRY
-        iat[acc_st] = ins_st
+        acc = AccessBlock(n_acc)
+        acc.addr[acc_st] = bases[urow] + vi * ENTRY
+        acc.iat[acc_st] = ins_st
         ls = ragged_arange(steps)
         sp = acc_st[ev_pair] + 1 + 2 * ls
-        si = ins_st[ev_pair] + 3 + 4 * (ls + 1)
-        addr[sp] = bases[urow[ev_pair]] + ev_i * ENTRY
-        addr[sp + 1] = bases[vrow[ev_pair]] + ev_j * ENTRY
-        iat[sp] = iat[sp + 1] = si
+        acc.addr[sp] = bases[urow[ev_pair]] + ev_i * ENTRY
+        acc.addr[sp + 1] = bases[vrow[ev_pair]] + ev_j * ENTRY
+        acc.iat[sp] = acc.iat[sp + 1] = ins_st[ev_pair] + 3 + 4 * (ls + 1)
         br_st, n_br = offsets_of(3 * steps + 1)
         sites = np.empty(n_br, np.uint32)
         taken = np.empty(n_br, np.uint8)
@@ -239,12 +219,7 @@ class TC(Workload):
         taken[bp + 2] = ev_cmp
         sites[br_st + 3 * steps] = site_loop
         taken[br_st + 3 * steps] = 0
-        t.bulk_emit(addr.astype(np.uint64), np.zeros(n_acc, np.uint8),
-                    (iat + t.n).astype(np.uint64),
-                    np.full(n_acc, t._cur_rid, np.uint32),
-                    n_instrs=int(n_ins), fw_instrs=0, fw_accesses=0,
-                    head_instrs=int(n_ins))
-        t.bulk_branch_events(sites, taken)
+        Block.in_place(t, acc, sites, taken, n_ins).emit(g, t)
 
     @staticmethod
     def reference(spec) -> int:

@@ -8,11 +8,13 @@ import pytest
 
 from repro.arch.cpu import CPUModel
 from repro.arch.machine import SCALED_XEON, TEST_MACHINE
+from repro.core.taxonomy import DataSource
 from repro.core.tracestore import (
     TRACE_FORMAT_VERSION,
     TraceStore,
     TraceStoreKeyError,
 )
+from repro.datagen import GraphSpec
 from repro.datagen.registry import make as make_dataset
 from repro.harness.runner import (
     cache_stats,
@@ -68,6 +70,71 @@ class TestKeying:
     def test_uncacheable_params_raise(self, store, spec):
         with pytest.raises(TraceStoreKeyError):
             store.key_for("Gibbs", spec, {"bn": object()})
+
+    def test_seeded_key_is_the_one_existing_stores_hold(self, store, spec):
+        """Hand-built specs gained an edge digest; a generated dataset's
+        key is byte for byte what it was."""
+        assert spec.identity() == ("LDBC", 120, 2539, 0)
+        assert store.key_for("BFS", spec, {"root": 3}) == (
+            "81480e365efc855c3a87d66bd97cbe1b"
+            "225c8b79b35568d29a5610f2ea67ab34")
+
+
+class TestHandBuiltSpecsAreTheirEdges:
+    """A hand-built ``GraphSpec`` has no seed: two of one name, ``n`` and
+    ``m`` used to share the graph cache entry, the ``characterize`` memo
+    row and the on-disk trace — the second ran on the first one's graph."""
+
+    @staticmethod
+    def _specs():
+        return (GraphSpec("mine", DataSource.SYNTHETIC, 5,
+                          [[0, 1], [1, 2], [2, 3]]),
+                GraphSpec("mine", DataSource.SYNTHETIC, 5,
+                          [[0, 4], [4, 3], [3, 2]]))
+
+    def test_identity(self):
+        a, b = self._specs()
+        assert a.identity()[:4] == b.identity()[:4] == ("mine", 5, 3, None)
+        assert a.identity() != b.identity()
+        assert a.identity() == self._specs()[0].identity()
+        und = GraphSpec("mine", DataSource.SYNTHETIC, 5, a.edges,
+                        directed=False)
+        assert und.identity() != a.identity()
+
+    def test_shared_graph(self):
+        clear_cache()
+        a, b = self._specs()
+        levels = [run_cpu_workload("BFS", s, params={"root": 0})[0]
+                  .outputs["levels"] for s in (a, b, a)]
+        assert levels == [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 4: 1, 3: 2, 2: 3},
+                          {0: 0, 1: 1, 2: 2, 3: 3}]
+
+    def test_characterize_memo(self):
+        clear_cache()
+        a, b = self._specs()
+        ra = characterize("CComp", a, with_gpu=False)
+        rb = characterize("CComp", b, with_gpu=False)
+        assert ra is not rb
+        assert ra.result.outputs["comp"] != rb.result.outputs["comp"]
+        assert characterize("CComp", a, with_gpu=False) is ra
+
+    def test_trace_store(self, store):
+        clear_cache()
+        a, b = self._specs()
+        assert store.key_for("BFS", a) != store.key_for("BFS", b)
+        ran = [run_cpu_workload("BFS", s, params={"root": 0},
+                                trace_store=store)[0].trace for s in (a, b)]
+        assert (store.stats.stores, store.stats.hits) == (2, 0)
+        clear_cache()
+        again = TraceStore(store.root)          # a later process
+        got = [run_cpu_workload("BFS", s, params={"root": 0},
+                                trace_store=again)[0].trace for s in (a, b)]
+        assert again.stats.hits == 2
+        for fresh, loaded in zip(ran, got):
+            assert np.array_equal(fresh.addrs, loaded.addrs)
+        # relative to each build's own arena: b's walk visits other structs
+        assert not np.array_equal(got[0].addrs - got[0].addrs[0],
+                                  got[1].addrs - got[1].addrs[0])
 
 
 class TestRoundTrip:

@@ -20,9 +20,11 @@ primitives they memoize.
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.bayes import munin_like
+from repro.core import graph as G
 from repro.core.trace import Tracer
 from repro.datagen import GraphSpec
 from repro.core.taxonomy import DataSource
@@ -136,11 +138,9 @@ def test_kcore_vectorized_trace_identical(spec):
     _check_kernel("kCore", spec)
 
 
-def test_vectorized_trace_identical_fixed_shapes():
-    """Deterministic worst-case shapes: singleton, edgeless, dense-ish,
-    star, chain — cheap to keep outside hypothesis's budget."""
+def _fixed_shapes():
     rng = np.random.default_rng(5)
-    cases = [
+    return [
         (1, np.empty((0, 2), np.int64)),
         (5, np.empty((0, 2), np.int64)),
         (12, rng.integers(0, 12, (20, 2))),
@@ -148,11 +148,30 @@ def test_vectorized_trace_identical_fixed_shapes():
         (7, np.array([[0, i] for i in range(1, 7)])),
         (6, np.array([[i, i + 1] for i in range(5)])),
     ]
+
+
+def _check_fixed_shapes(cases):
     for n, edges in cases:
         spec = GraphSpec("fixed", DataSource.SYNTHETIC, n, edges)
         for name in VEC_KERNELS:
             params = {"root": 0} if name == "BFS" else {}
             _check_kernel(name, spec, **params)
+
+
+def test_vectorized_trace_identical_fixed_shapes():
+    """Deterministic worst-case shapes: singleton, edgeless, dense-ish,
+    star, chain — cheap to keep outside hypothesis's budget."""
+    _check_fixed_shapes(_fixed_shapes())
+
+
+def test_vectorized_trace_identical_when_the_queue_wraps():
+    """A 1 100-vertex path (the frontier queue's slot index passes its
+    1 024-entry capacity one pop at a time) and a 1 100-leaf star (it
+    passes it inside one pop's pushes): ``TracedQueue``'s ``% cap``."""
+    n = 1100
+    _check_fixed_shapes([
+        (n, np.array([[i, i + 1] for i in range(n - 1)])),
+        (n + 1, np.array([[0, i] for i in range(1, n + 1)]))])
 
 
 # -- Gibbs: the graph is a Bayesian network ---------------------------------
@@ -200,6 +219,22 @@ def test_gibbs_trace_identical_fixed_shapes():
             (net, {"evidence": {0: 1, 7: 0}})]:
         _check_gibbs({"bn": bn, "n_sweeps": 3, "burn_in": 1, "seed": 4,
                       **extra})
+
+
+# -- the knob turns: the kernels follow the C_* charges ---------------------
+
+@pytest.mark.parametrize("const", ["C_FIND_VERTEX", "C_PROP_GET",
+                                   "C_PROP_SET", "C_EDGE_STEP",
+                                   "C_SCAN_STEP"])
+def test_vectorized_kernels_follow_the_primitive_charges(monkeypatch, const):
+    """Each per-primitive instruction charge the five kernels touch,
+    perturbed: the bulk emitters lay their traces out from the primitives'
+    own declarations, so they stay identical to the loop oracles (which
+    charge through the scalar primitives).  ``payload_read``'s charge is
+    an argument of the Gibbs kernel, not a constant."""
+    monkeypatch.setattr(G, const, getattr(G, const) + 1)
+    _check_fixed_shapes(_fixed_shapes())
+    test_gibbs_trace_identical_fixed_shapes()
 
 
 # -- prebound accessor closures --------------------------------------------
