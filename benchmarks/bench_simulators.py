@@ -16,6 +16,7 @@ from repro.arch import (
     TLBConfig,
     line_ids,
     lru_miss_idx,
+    simulate_branches,
 )
 from repro.gpu.simt import KernelAccum, slots_for_loop
 
@@ -59,15 +60,26 @@ def test_tlb_throughput(benchmark, addrs):
     assert benchmark(run) > 0
 
 
-def test_branch_predictor_throughput(benchmark):
+@pytest.fixture(scope="module")
+def branches():
     rng = np.random.default_rng(1)
-    sites = rng.integers(0, 64, N).astype(np.uint32)
-    taken = rng.integers(0, 2, N).astype(np.uint8)
+    return (rng.integers(0, 64, N).astype(np.uint32),
+            rng.integers(0, 2, N).astype(np.uint8))
 
+
+def test_branch_predictor_throughput(benchmark, branches):
+    """The sequential class — the reference row, not the engine."""
     def run():
-        return GSharePredictor().simulate(sites, taken).mispredicts
+        return GSharePredictor().simulate(*branches).mispredicts
 
     assert benchmark(run) > 0
+
+
+def test_branch_scan_throughput(benchmark, branches):
+    def run():
+        return simulate_branches(*branches, kind="gshare")
+
+    assert benchmark(run) == GSharePredictor().simulate(*branches)
 
 
 def test_simt_accounting_throughput(benchmark):

@@ -96,92 +96,96 @@ PREDICTORS = {
 
 def _counter_misses(idx: np.ndarray, taken: np.ndarray) -> int:
     """Mispredict count of per-index 2-bit saturating counters (init
-    weakly-taken), fully vectorized.
+    weakly-taken), fully vectorized; ``taken`` is a bool array.
 
     The events of one table index form an independent chain of mapping
     applications.  A stable sort groups the stream per index while keeping
     program order inside each group; a segmented Hillis-Steele scan then
     composes the transition mappings, giving every event the exact counter
     value the sequential predictor would have read.  Both single-step
-    mappings are saturating adds ``x -> min(hi, max(lo, x + a))`` and that
-    family is closed under composition::
+    mappings are saturating adds ``x -> min(hi, max(lo, x + a))``, written
+    *tight* over the counter's domain [0, 3] — taken ``(+1, 1, 3)``,
+    not-taken ``(-1, 0, 2)``, so ``lo = f(0)`` and ``hi = f(3)`` — and the
+    family is closed under a composition that keeps them tight::
 
-        (g . f)  =  (a_f + a_g,
-                     max(lo_g, lo_f + a_g),
-                     min(hi_g, max(lo_g, hi_f + a_g)))
+        (g . f)  =  (a_f + a_g,  min(hi', max(lo_g, lo_f + a_g)),
+                     hi' = min(hi_g, max(lo_g, hi_f + a_g)))
 
-    so each mapping is three small ints and every scan step is a few
-    elementwise ops — no per-row gathers.  Composition is associative, so
-    the scan is exact, not an approximation.  Once the doubling distance
-    exceeds most segment lengths the surviving rows are compacted and
-    updated sparsely.
+    A monotone map with ``lo == hi`` is constant: nothing earlier in its
+    segment can change what that row reads (three equal outcomes in a row
+    are enough).  A row is *decided* once its window has reached its
+    segment's first event or its map is constant; a decided row is never
+    written again, a row composed with a decided source is decided, and
+    the scan doubles its distance until no row is undecided — whole-array
+    steps while at least 5 % are, then on the compacted survivors.
+    Composition is associative, so this is exact, not an approximation.
+    The number of passes follows how far a row must look back for a
+    constant map, not how long its segment is; strict alternation, where
+    no map ever turns constant, is the worst case: log2(n) passes.
+
+    ``int8`` holds every field: an undecided map has ``|a| <= 2`` and a
+    decided row's frozen ``a`` grew by at most 2 per doubling step
+    (``<= 2 log2(n) + 2``); a sum can wrap only in a decided row, where
+    the masked write discards it.
     """
     n = len(idx)
     if not n:
         return 0
-    # stable radix argsort — table indices fit u32, which sorts ~2x
-    # faster than the int64 the caller naturally produces
-    order = np.argsort(idx.astype(np.uint32), kind="stable")
-    gt = taken[order].astype(bool)
+    # stable argsort: numpy radix-sorts the <= 16-bit indices
+    # simulate_branches narrows to, ~4x faster than a merge of uint32
+    order = np.argsort(idx, kind="stable")
+    gt = taken[order]
     gi = idx[order]
-    start = np.empty(n, bool)
-    start[0] = True
-    start[1:] = gi[1:] != gi[:-1]
-    seg_first = np.flatnonzero(start)
-    seg_id = np.cumsum(start) - 1
-    pos = np.arange(n, dtype=np.int64) - seg_first[seg_id]
-    a = np.where(gt, np.int16(1), np.int16(-1))
-    lo = np.zeros(n, np.int16)
-    hi = np.full(n, 3, np.int16)
-    longest = int(pos.max())
+    first = np.ones(n, bool)
+    np.not_equal(gi[1:], gi[:-1], out=first[1:])
+    und = ~first                     # undecided rows; und[:d] stays False
+    lo = gt.astype(np.int8)
+    a, hi = 2 * lo - 1, lo + 2
+
+    def compose(f, ag, lg, hg):      # rows g after rows f
+        nhi = np.minimum(hg, np.maximum(lg, hi[f] + ag))
+        return a[f] + ag, np.minimum(nhi, np.maximum(lg, lo[f] + ag)), nhi
+
     d = 1
-    while d <= longest:              # dense phase: whole-array steps
-        live = pos[d:] >= d          # rows at least d into their segment
-        ag, lg, hg = a[d:], lo[d:], hi[d:]
-        na = a[:n - d] + ag
-        nlo = np.maximum(lg, lo[:n - d] + ag)
-        nhi = np.minimum(hg, np.maximum(lg, hi[:n - d] + ag))
-        np.copyto(ag, na, where=live)
-        np.copyto(lg, nlo, where=live)
-        np.copyto(hg, nhi, where=live)
+    while np.count_nonzero(und) * 20 >= n:   # dense phase: whole arrays
+        f, live = slice(0, n - d), und[d:]
+        new = compose(f, a[d:], lo[d:], hi[d:])
+        still = live & und[f] & (new[1] < new[2])
+        for col, val in zip((a, lo, hi), new):
+            col[d:] += (val - col[d:]) * live    # masked write, no branch
+        und[d:] = still
         d *= 2
-        if int(live.sum()) * 20 < n:     # few survivors -> go sparse
-            break
-    if d <= longest:                 # sparse phase on compacted survivors
-        rows = np.flatnonzero(pos >= d)
-        while d <= longest and len(rows):
-            src = rows - d
-            ag, lg, hg = a[rows], lo[rows], hi[rows]
-            na = a[src] + ag
-            a[rows] = na
-            lo[rows] = np.maximum(lg, lo[src] + ag)
-            hi[rows] = np.minimum(hg, np.maximum(lg, hi[src] + ag))
-            d *= 2
-            rows = rows[pos[rows] >= d]
-    before = np.full(n, 2, np.int16)
-    nst = ~start
-    before[nst] = np.minimum(
-        hi[:-1][nst[1:]],
-        np.maximum(lo[:-1][nst[1:]], 2 + a[:-1][nst[1:]]))
-    return int(((before >= 2) != gt).sum())
+    rows = np.flatnonzero(und)       # sparse phase: compacted survivors
+    while len(rows):
+        f = rows - d
+        new = compose(f, a[rows], lo[rows], hi[rows])
+        und[rows] = still = und[f] & (new[1] < new[2])
+        a[rows], lo[rows], hi[rows] = new
+        rows = rows[still]
+        d *= 2
+    pred = first                     # a segment's first event reads 2
+    pred[1:] |= np.minimum(hi, np.maximum(lo, a + 2))[:-1] >= 2
+    return int(np.count_nonzero(pred != gt))
 
 
 def _gshare_history(taken: np.ndarray, history_bits: int,
-                    hmask: int) -> np.ndarray:
-    """Global-history register value seen by each branch.  The history is
-    a pure shift-in of past *outcomes* — independent of predictions — so
-    it unrolls into ``history_bits`` shifted-OR passes."""
+                    dtype: type) -> np.ndarray:
+    """Global-history register value seen by each branch, as ``dtype``
+    (unsigned, at least ``history_bits`` wide).  The history is a pure
+    shift-in of past *outcomes* — independent of predictions — so it
+    unrolls into ``history_bits`` shifted-OR passes."""
     n = len(taken)
-    hist = np.zeros(n, np.int64)
-    tb = taken.astype(np.int64)
+    hist = np.zeros(n, dtype)
+    tb = taken.astype(dtype)
     for k in range(1, min(history_bits, n - 1 if n else 0) + 1):
-        hist[k:] |= tb[:-k] << (k - 1)
-    return hist & hmask
+        hist[k:] |= tb[:-k] << dtype(k - 1)
+    return hist
 
 
 def simulate_branches(sites: np.ndarray, taken: np.ndarray,
                       kind: str = "gshare", **kwargs) -> BranchStats:
-    """Run predictor ``kind`` over a (site, outcome) stream.
+    """Run predictor ``kind`` over a (site, outcome) stream; an outcome
+    is taken when non-zero.
 
     The table-based predictors go through the vectorized closed-form
     counter evolution (:func:`_counter_misses`); it is exact —
@@ -193,14 +197,18 @@ def simulate_branches(sites: np.ndarray, taken: np.ndarray,
     except KeyError:
         raise ValueError(f"unknown predictor {kind!r}; "
                          f"choose from {sorted(PREDICTORS)}") from None
-    if kind in ("gshare", "bimodal"):
-        p = cls(**kwargs)
-        s = np.asarray(sites, np.int64)
-        t = np.asarray(taken)
-        if kind == "bimodal":
-            idx = s & p.mask
-        else:
-            hist = _gshare_history(t, p.hmask.bit_length(), p.hmask)
-            idx = (s ^ hist) & p.mask
-        return BranchStats(len(s), _counter_misses(idx, t))
-    return cls(**kwargs).simulate(sites, taken)
+    s, t = np.asarray(sites), np.asarray(taken) != 0
+    if len(s) != len(t):
+        raise ValueError(f"sites has {len(s)} entries, taken has {len(t)}")
+    if kind == "always_taken":       # static: no table, no geometry
+        return cls().simulate(s, t)
+    p = cls(**kwargs)
+    hbits = p.hmask.bit_length() if kind == "gshare" else 0
+    # the narrowest unsigned type that holds an index *and* the history;
+    # the cast keeps a site's low bits, which are all an index reads
+    dtype = next(u for u in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if max(p.mask.bit_length(), hbits) <= np.iinfo(u).bits)
+    idx = s.astype(dtype)
+    if kind == "gshare":
+        idx ^= _gshare_history(t, hbits, dtype)
+    return BranchStats(len(s), _counter_misses(idx & dtype(p.mask), t))

@@ -114,8 +114,8 @@ class CPUMetrics:
 def _memory_stall_cycles(trace: FrozenTrace, hier: HierarchyResult,
                          machine: MachineConfig) -> tuple[float, float]:
     """Return (stall_cycles, average MLP) for the L1-miss stream."""
-    miss = hier.l1_miss
-    if not miss.any():
+    miss = np.flatnonzero(hier.l1_miss)
+    if not len(miss):
         return 0.0, 1.0
     lat = hier.latency[miss].astype(np.float64)
     win = (trace.iat[miss] // np.uint64(machine.window_instrs)).astype(np.int64)

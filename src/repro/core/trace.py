@@ -491,19 +491,20 @@ class Tracer:
 
     def bulk_branch_events(self, sites, taken) -> None:
         """Record a batch of branch outcomes with per-event site ids
-        (:meth:`bulk_branches` broadcasts one site; this takes columns)."""
+        (:meth:`bulk_branches` broadcasts one site; this takes columns).
+        As for :meth:`br`, an outcome is taken when non-zero."""
         s = np.asarray(sites)
         if not len(s):
             return
         self._br.extend(s.astype(np.uint32),
-                        np.asarray(taken).astype(np.uint8))
+                        (np.asarray(taken) != 0).view(np.uint8))
 
     def bulk_branches(self, site: int, taken, count: int | None = None
                       ) -> None:
         """Record a batch of branch outcomes at static ``site``.
 
         ``taken`` is either a scalar bool (with ``count`` repetitions) or
-        an array of outcomes.
+        an array of outcomes (non-zero = taken).
         """
         if isinstance(taken, (bool, int)):
             if not count:
@@ -511,7 +512,7 @@ class Tracer:
             sites = np.full(count, site, np.uint32)
             outcomes = np.full(count, 1 if taken else 0, np.uint8)
         else:
-            outcomes = np.asarray(taken).astype(np.uint8)
+            outcomes = (np.asarray(taken) != 0).view(np.uint8)
             if not len(outcomes):
                 return
             sites = np.full(len(outcomes), site, np.uint32)

@@ -1,12 +1,19 @@
 """Unit tests for TLB, branch predictors, and the ICache model."""
 
+import dataclasses
+import sys
+
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.arch import (
+    TEST_MACHINE,
     TLB,
     AlwaysTakenPredictor,
     BimodalPredictor,
+    CPUModel,
     GSharePredictor,
     ICache,
     TLBConfig,
@@ -14,6 +21,7 @@ from repro.arch import (
     deep_stack_regions,
     simulate_branches,
 )
+from repro.arch.branch import PREDICTORS
 from repro.arch.cache import CacheConfig
 from repro.arch.icache import expand_visits, layout_code
 from repro.core import trace as T
@@ -102,6 +110,40 @@ class TestBranchPredictors:
         assert st.branches == 0
         assert st.miss_rate == 0.0
 
+    def test_every_predictor_reachable_from_a_machine_config(self):
+        t = Tracer()
+        for taken in [1] * 7 + [0] * 3:
+            t.br(5, taken)
+        ft = t.freeze()
+        got = {kind: CPUModel(dataclasses.replace(TEST_MACHINE,
+                                                  predictor=kind)).run(ft).branch
+               for kind in PREDICTORS}
+        assert all(br.branches == 10 for br in got.values()), got
+        assert got["always_taken"].mispredicts == 3     # the not-taken count
+
+    def test_length_mismatch_is_one_value_error(self):
+        for kind in PREDICTORS:
+            with pytest.raises(ValueError, match="5 .* 3"):
+                simulate_branches(np.zeros(5, np.uint32),
+                                  np.ones(3, np.uint8), kind=kind)
+
+    def test_nonzero_outcome_is_taken(self):
+        """0/2 (or 0/256) spell not-taken/taken for the engine exactly as
+        for the sequential classes, and the bulk recorders store 0/1."""
+        rng = np.random.default_rng(3)
+        sites = rng.integers(0, 8, 2000).astype(np.uint32)
+        taken = rng.integers(0, 2, 2000)
+        for kind in PREDICTORS:
+            want = reference_branches(kind, sites, taken)
+            for spelling in (2, 256):
+                assert simulate_branches(sites, taken * spelling,
+                                         kind=kind) == want, (kind, spelling)
+        t = Tracer()
+        t.bulk_branch_events(sites, taken * 256)
+        t.bulk_branches(9, taken * 2)
+        stored = t.freeze().branch_taken
+        assert stored.tolist() == taken.tolist() * 2
+
 
 class TestBranchFastPath:
     """The vectorized clamp-tuple scan behind ``simulate_branches``
@@ -144,6 +186,103 @@ class TestBranchFastPath:
     def test_single_event(self):
         self._assert_match(np.array([5], np.uint32),
                            np.array([1], np.uint8), "gshare")
+
+    @given(hst.integers(1, 8), hst.sampled_from([1, 2, 3, 4, 12]),
+           hst.sampled_from(["uniform", "mostly_taken", "rarely_taken",
+                            "alternation", "runs"]),
+           hst.integers(1, 400), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_laws_match_oracle(self, n_sites, bits, law, n, seed):
+        """Where the scan now differs from a scan to the longest segment:
+        rows retire early under biased and run-length outcome laws, late
+        under alternation, and few table bits alias sites together."""
+        rng = np.random.default_rng(seed)
+        sites = (rng.integers(0, n_sites, n) * 2654435761).astype(np.uint32)
+        if law == "alternation":
+            taken = np.arange(n) % 2
+        elif law == "runs":
+            taken = np.repeat(np.arange(n) % 2, rng.integers(1, 6, n))[:n]
+        else:
+            p = {"uniform": 0.5, "mostly_taken": 0.9, "rarely_taken": 0.1}
+            taken = rng.random(n) < p[law]
+        taken = taken.astype(np.uint8)
+        for kind in ("bimodal", "gshare"):
+            self._assert_match(sites, taken, kind, table_bits=bits)
+
+    def test_sparse_phase(self):
+        """One hot index of 40 000 ``T T N`` events decides within three
+        whole-array steps; the 2 000 random events on 30 other indices
+        are then under 5 % of the rows and finish compacted."""
+        rng = np.random.default_rng(11)
+        sites = np.concatenate([np.zeros(40_000, np.uint32),
+                                rng.integers(1, 31, 2000).astype(np.uint32)])
+        taken = np.concatenate([np.tile([1, 1, 0], 13_334)[:40_000],
+                                rng.integers(0, 2, 2000)]).astype(np.uint8)
+        mix = rng.permutation(len(sites))
+        self._assert_match(sites[mix], taken[mix], "bimodal")
+        self._assert_match(sites, taken, "bimodal")
+        self._assert_match(sites[mix], taken[mix], "gshare")
+
+    def test_wide_index_and_history_types(self):
+        """More than 16 index or history bits leave the ``uint16`` the
+        shipped geometries use; the index type holds both widths (a site
+        cast to the history's narrower type would lose its top bits)."""
+        rng = np.random.default_rng(12)
+        sites = rng.integers(0, 1 << 20, 3000).astype(np.uint32)
+        taken = rng.integers(0, 2, 3000).astype(np.uint8)
+        self._assert_match(sites, taken, "bimodal", table_bits=18)
+        for geometry in ({"table_bits": 18},
+                         {"table_bits": 18, "history_bits": 20},
+                         {"table_bits": 4, "history_bits": 40},
+                         {"table_bits": 6, "history_bits": 3}):
+            self._assert_match(sites, taken, "gshare", **geometry)
+
+    def test_scan_passes_do_not_grow_with_segment_length(self):
+        """Lines executed in ``arch/branch.py`` (``sys.settrace``) while
+        one site's stream runs under ``bimodal``: a counter forgets its
+        past after three equal outcomes, so a periodic stream costs the
+        same passes at any length — by count, not by clock.  Strict
+        alternation never yields a constant map: its passes grow with
+        log2(n), and the answer is still the oracle's."""
+        def lines(taken):
+            seen = [0]
+
+            def trace(frame, event, arg):
+                if not frame.f_code.co_filename.endswith("branch.py"):
+                    return None
+                seen[0] += event == "line"
+                return trace
+            sites = np.zeros(len(taken), np.uint32)
+            old = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                got = simulate_branches(sites, taken, kind="bimodal")
+            finally:
+                sys.settrace(old)
+            return seen[0], got
+
+        sizes = (1 << 12, 1 << 16, 1 << 18)
+        for period in ([1], [1, 1, 0], [1, 1, 1, 0]):
+            counts = []
+            for n in sizes:
+                taken = np.resize(np.array(period, np.uint8), n)
+                count, got = lines(taken)
+                counts.append(count)
+                # closed form: the start-up transient is over in the
+                # first period, then one miss per not-taken
+                assert got.mispredicts == n - int(taken.sum()), (period, n)
+            assert len(set(counts)) == 1, (period, counts)
+            assert counts[0] < 120, (period, counts)
+        counts = []
+        for n in sizes:
+            taken = (np.arange(n) % 2).astype(np.uint8)
+            count, got = lines(taken)
+            counts.append(count)
+            assert got.mispredicts == n         # 2 -> 1 -> 2 -> ... all wrong
+        assert counts[0] < counts[1] < counts[2], counts
+        n = sizes[0]
+        self._assert_match(np.zeros(n, np.uint32),
+                           (np.arange(n) % 2).astype(np.uint8), "bimodal")
 
 
 def _toy_trace(n_calls=200):
