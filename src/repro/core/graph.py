@@ -107,10 +107,27 @@ def vset_ops(v: str, off: int) -> tuple:
             ("w", v, off), ("leave",))
 
 
-def payload_get_ops(v: str, off: int) -> tuple:
-    """:meth:`PropertyGraph.payload_get`: the pointer load, no frame."""
-    return (("enter", T.R_PROP_GET), ("i", C_PROP_GET), ("r", v, off),
+def _load_ops(x: str, off: int) -> tuple:
+    """:func:`vget_ops` without the stack touch: a load with no frame."""
+    return (("enter", T.R_PROP_GET), ("i", C_PROP_GET), ("r", x, off),
             ("leave",))
+
+
+def payload_get_ops(v: str, off: int) -> tuple:
+    """:meth:`PropertyGraph.payload_get`: the pointer load."""
+    return _load_ops(v, off)
+
+
+def degree_ops(v: str) -> tuple:
+    """:meth:`PropertyGraph.degree` (vertex handle given): the struct's
+    degree field."""
+    return _load_ops(v, V_DEG_OFF)
+
+
+def eget_ops(e: str, off: int) -> tuple:
+    """:meth:`PropertyGraph.eget` of the property at edge-node offset
+    ``off``."""
+    return _load_ops(e, off)
 
 
 def payload_read_ops(p: str, n_instrs: int = C_PAYLOAD) -> tuple:
@@ -160,6 +177,26 @@ def vertices_ops(idx: str, v: str) -> WalkOps:
     return _walk_ops(T.R_VERTEX_SCAN, T.B_VERTEX_SCAN, (),
                      (("i", C_SCAN_STEP), ("stk",), ("r", idx, 0),
                       ("r", v, V_ID_OFF)))
+
+
+def _drained(walk: WalkOps) -> WalkOps:
+    """The block form of a walk: the same accesses and branches, but
+    control never returns to the caller between steps, so the whole list
+    is one visit of the region — no ``leave`` after a step, nothing to
+    ``resume``."""
+    return walk._replace(step=walk.step[:-1], resume=())
+
+
+def scan_vertices_ops(idx: str, v: str) -> WalkOps:
+    """:meth:`PropertyGraph.scan_vertices` over index slots ``idx`` and
+    structs ``v``."""
+    return _drained(vertices_ops(idx, v))
+
+
+def neighbor_ids_ops(v: str, e: str) -> WalkOps:
+    """:meth:`PropertyGraph.neighbor_ids` of struct ``v`` (handle given)
+    over edge nodes ``e``."""
+    return _drained(neighbors_ops(v, e))
 
 
 def _round16(n: int) -> int:
@@ -780,13 +817,14 @@ class PropertyGraph:
         return e.props[slot]
 
     # -- prebound fast accessors ---------------------------------------------
-    # Loop kernels that stay per-element (DFS's stack order, SPath's heap
-    # order, GColor's round structure) spend much of their time in the
-    # generic primitives re-resolving schema slots, byte offsets and
-    # attribute chains on every call.  These factories memoize all of
-    # that once and return closures that emit the *identical* event
-    # stream — same regions, instruction counts, stack rotation, and
-    # addresses — as the generic vget/vset/eget/find_vertex (asserted in
+    # Loop kernels that stay per-element (DFS's stack order, GColor's round
+    # structure; SPath's loop oracle in tests/oracles.py, the one caller
+    # of eprop_reader) spend much of their time in the generic primitives
+    # re-resolving schema slots, byte offsets and attribute chains on
+    # every call.  These factories memoize all of that once and return
+    # closures that emit the *identical* event stream — same regions,
+    # instruction counts, stack rotation, and addresses — as the generic
+    # vget/vset/eget/find_vertex (asserted in
     # tests/test_workloads_vectorized.py).  The closures snapshot the
     # vertex index geometry, so they must not be used across
     # add/delete-vertex calls (which can grow the index).

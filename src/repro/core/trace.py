@@ -144,13 +144,17 @@ class _AccessBuf:
     """Growable chunked storage for the four per-access event columns.
 
     Appends write into a preallocated numpy chunk; when a chunk fills, it
-    is sealed and a fresh one allocated.  This replaces six parallel
-    Python lists: ~3x less memory (machine ints, not PyObject boxes) and a
-    near-free :meth:`frozen` (no per-element list->array conversion).
+    is sealed and a fresh one allocated.  A batch lands between two runs
+    of scalar appends, so the run before it is sealed *in place*: a view
+    of ``[_start:_pos]`` joins the parts and the chunk keeps filling behind
+    it (a fresh 1.4 MB chunk per batch is what a seal used to cost).  This
+    replaces six parallel Python lists: ~3x less memory (machine ints, not
+    PyObject boxes) and a near-free :meth:`frozen` (no per-element
+    list->array conversion).
     """
 
     __slots__ = ("_cap", "_full", "_addr", "_rw", "_iat", "_reg", "_pos",
-                 "count")
+                 "_start", "count")
 
     def __init__(self, chunk: int = _CHUNK):
         self._cap = chunk
@@ -166,19 +170,19 @@ class _AccessBuf:
         self._rw = np.empty(self._cap, np.uint8)
         self._iat = np.empty(self._cap, np.uint64)
         self._reg = np.empty(self._cap, np.uint32)
-        self._pos = 0
+        self._pos = self._start = 0
 
     def _seal(self) -> None:
-        p = self._pos
-        if p:
-            self._full.append((self._addr[:p], self._rw[:p],
-                               self._iat[:p], self._reg[:p]))
-            self._alloc()
+        s, p = self._start, self._pos
+        if p > s:
+            self._full.append((self._addr[s:p], self._rw[s:p],
+                               self._iat[s:p], self._reg[s:p]))
+            self._start = p
 
     def append(self, addr: int, rw: int, iat: int, reg: int) -> None:
         p = self._pos
         if p == self._cap:
-            self._full.append((self._addr, self._rw, self._iat, self._reg))
+            self._seal()
             self._alloc()
             p = 0
         self._addr[p] = addr
@@ -223,20 +227,18 @@ class _AccessBuf:
         self.count += k
 
     def frozen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        parts = list(self._full)
-        p = self._pos
-        if p:
-            parts.append((self._addr[:p], self._rw[:p],
-                          self._iat[:p], self._reg[:p]))
+        self._seal()
         dts = (np.uint64, np.uint8, np.uint64, np.uint32)
-        return tuple(_cat([pt[j] for pt in parts], dts[j])
+        return tuple(_cat([pt[j] for pt in self._full], dts[j])
                      for j in range(4))
 
 
 class _BranchBuf:
-    """Growable chunked storage for the two branch-event columns."""
+    """Growable chunked storage for the two branch-event columns (sealed
+    in place, as :class:`_AccessBuf`)."""
 
-    __slots__ = ("_cap", "_full", "_site", "_taken", "_pos", "count")
+    __slots__ = ("_cap", "_full", "_site", "_taken", "_pos", "_start",
+                 "count")
 
     def __init__(self, chunk: int = _CHUNK):
         self._cap = chunk
@@ -250,18 +252,18 @@ class _BranchBuf:
     def _alloc(self) -> None:
         self._site = np.empty(self._cap, np.uint32)
         self._taken = np.empty(self._cap, np.uint8)
-        self._pos = 0
+        self._pos = self._start = 0
 
     def _seal(self) -> None:
-        p = self._pos
-        if p:
-            self._full.append((self._site[:p], self._taken[:p]))
-            self._alloc()
+        s, p = self._start, self._pos
+        if p > s:
+            self._full.append((self._site[s:p], self._taken[s:p]))
+            self._start = p
 
     def append(self, site: int, taken: int) -> None:
         p = self._pos
         if p == self._cap:
-            self._full.append((self._site, self._taken))
+            self._seal()
             self._alloc()
             p = 0
         self._site[p] = site
@@ -279,12 +281,9 @@ class _BranchBuf:
         self.count += k
 
     def frozen(self) -> tuple[np.ndarray, np.ndarray]:
-        parts = list(self._full)
-        p = self._pos
-        if p:
-            parts.append((self._site[:p], self._taken[:p]))
-        return (_cat([pt[0] for pt in parts], np.uint32),
-                _cat([pt[1] for pt in parts], np.uint8))
+        self._seal()
+        return (_cat([pt[0] for pt in self._full], np.uint32),
+                _cat([pt[1] for pt in self._full], np.uint8))
 
 
 class Tracer:
@@ -293,10 +292,10 @@ class Tracer:
     Hot-path methods are single-letter (:meth:`r`, :meth:`w`, :meth:`i`,
     :meth:`br`) because they are called per memory access / branch; the
     descriptive aliases (``read``/``write``/...) delegate to them.  Bulk
-    producers (the graph scan primitives, format converters) should use
-    the vectorized :meth:`bulk_reads` / :meth:`bulk_writes` /
-    :meth:`bulk_scan` instead — events land in preallocated numpy chunk
-    buffers, so a batch costs a few array ops rather than a Python loop.
+    producers use :meth:`bulk_scan` (the graph's block scan primitives)
+    or :meth:`bulk_emit` (the vectorized kernels) instead — a batch joins
+    the chunk buffers as whole arrays, a few array ops rather than a
+    Python loop.
     """
 
     def __init__(self):
@@ -384,34 +383,7 @@ class Tracer:
     instr = i
     branch = br
 
-    # -- bulk recording (vectorized producers: scans, format converters) ----
-    def _bulk(self, addrs, is_write: bool, instrs_per_access: int) -> None:
-        a = np.array(addrs, dtype=np.uint64)    # owned copy
-        k = len(a)
-        if not k:
-            return
-        p = int(instrs_per_access)
-        iat = (np.uint64(self.n)
-               + np.uint64(p) * np.arange(1, k + 1, dtype=np.uint64))
-        self._acc.extend(a, 1 if is_write else 0, iat, self._cur_rid)
-        total = p * k
-        self.n += total
-        self._rcnt[-1] += total
-        if self._cur_fw:
-            self.fw_instrs += total
-            self.fw_accesses += k
-
-    def bulk_reads(self, addrs, instrs_per_access: int = 2) -> None:
-        """Record a batch of loads at ``addrs`` (array/iterable of ints),
-        charging ``instrs_per_access`` instructions before each — exactly
-        equivalent to ``for a in addrs: t.i(ipa); t.r(a)``, but vectorized
-        (a few numpy ops instead of a per-element Python loop)."""
-        self._bulk(addrs, False, instrs_per_access)
-
-    def bulk_writes(self, addrs, instrs_per_access: int = 2) -> None:
-        """Record a batch of stores (see :meth:`bulk_reads`)."""
-        self._bulk(addrs, True, instrs_per_access)
-
+    # -- bulk recording (the block scan primitives, the vectorized kernels) --
     def bulk_scan(self, addr_cols, instrs_per_step: int = 2) -> None:
         """Record one scan step per row of ``addr_cols``: charge
         ``instrs_per_step`` instructions, then load each column's address
@@ -460,8 +432,11 @@ class Tracer:
           would have left it.
 
         ``iat`` values are absolute instruction indices; the caller builds
-        them from ``self.n`` before calling.  Consistency of the per-visit
-        split is checked (``head + sum(region_instrs) == n_instrs``).
+        them from ``self.n`` before calling.  A block is refused, the
+        tracer left as it was, when the per-visit split is inconsistent
+        (``head + sum(region_instrs) != n_instrs``) or when ``iat`` runs
+        backwards anywhere or leaves ``[self.n, self.n + n_instrs]`` — the
+        arch model may rely on a trace's ``iat`` never decreasing.
         """
         seq = [] if region_seq is None else np.asarray(region_seq).tolist()
         cnt = ([] if region_instrs is None
@@ -476,10 +451,16 @@ class Tracer:
             raise TraceError("bulk_emit: unbalanced block (last visit "
                              f"{seq[-1]} != current region {self._cur_rid})")
         a = np.asarray(addrs, dtype=np.uint64)
+        at = np.asarray(iat, np.uint64)
         k = len(a)
         if k:
-            self._acc.extend_cols(a, np.asarray(rw, np.uint8),
-                                  np.asarray(iat, np.uint64),
+            if (at[1:] < at[:-1]).any():
+                raise TraceError("bulk_emit: iat decreases inside the block")
+            if int(at[0]) < self.n or int(at[-1]) > self.n + n_instrs:
+                raise TraceError(
+                    f"bulk_emit: iat [{at[0]}, {at[-1]}] leaves the block's "
+                    f"instructions [{self.n}, {self.n + n_instrs}]")
+            self._acc.extend_cols(a, np.asarray(rw, np.uint8), at,
                                   np.asarray(regions, np.uint32))
         self.n += int(n_instrs)
         self.fw_instrs += int(fw_instrs)

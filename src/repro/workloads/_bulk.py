@@ -1,16 +1,18 @@
 """Shared scaffolding for the vectorized (bulk-trace) workload kernels.
 
-The hot kernels (BFS, CComp, kCore, TC, Gibbs) run their algorithms
-untraced — on numpy CSR/bitset snapshots, Gibbs on its sampler, keeping
-two facts per visit — and emit the *exact* event stream of their original
-loop implementations through :meth:`Tracer.bulk_emit` — per-element
-identical addresses, rw flags, instruction indices, regions, branch sites
-and region visits (the equivalence bar ``scan_vertices`` already meets,
-extended to whole kernels).  The loop implementations are the oracles in
+Seven kernels (BFS, CComp, kCore, TC, DCentr, SPath, Gibbs) run their
+algorithms untraced — on numpy CSR/bitset snapshots; SPath's Dijkstra and
+kCore's peel as Python loops over the snapshot's lists that *record* what
+the trace depends on; Gibbs on its sampler, keeping two facts per visit —
+and emit the *exact* event stream of their original loop implementations
+through :meth:`Tracer.bulk_emit` — per-element identical addresses, rw
+flags, instruction indices, regions, branch sites and region visits (the
+equivalence bar ``scan_vertices`` already meets, extended to whole
+kernels).  The loop implementations are the oracles in
 ``tests/oracles.py``; ``tests/test_workloads_vectorized.py`` asserts full
 frozen-trace equality between the two.
 
-This module holds the pieces the five kernels share:
+This module holds the pieces the seven kernels share:
 
 * :class:`GraphView` — a one-pass numpy snapshot of the property graph's
   topology (CSR out-lists in insertion order, in-lists in set order,
@@ -21,7 +23,10 @@ This module holds the pieces the five kernels share:
 * :class:`AccessBlock` — the access arrays of one bulk block, filled by
   position and emitted with the stack rotation mirroring
   ``PropertyGraph._stack_touch``;
-* :class:`Layout` / :class:`Block` — the layout engine.
+* :class:`Layout` / :class:`Block` — the layout engine;
+* :func:`adjacency_sweep` — the block vertex scan and per-vertex block
+  walk kCore and TC open with, laid as one block from ``scan_vertices_ops``
+  / ``neighbor_ids_ops``, handing back the :class:`GraphView` it walked.
 
 The layout engine
 -----------------
@@ -42,6 +47,10 @@ integers; the block is the items in lexicographic key order (one stable
 ``np.lexsort``; items with equal keys stay in the order they were
 declared), so a kernel states order the way its loops nest — ``(pop, 0)`` for the pop,
 ``(pop, 1 + edge)`` for its edges, ``(pop, E + 1)`` for the walk's exit.
+A piece of variable length — the sift path of a heap push, ⌊log₂ L⌋ + 1
+slots — is not an item kind per length but one single-access item per
+node, its level the last entry of the key (SPath: 2 000 paths, 18 k items
+on ``ldbc`` 0.25, far below where the per-item tables cost anything).
 
 From the programs and the order the engine derives what the emitters used
 to restate by hand: per-item access, instruction, stack-ordinal, branch
@@ -69,10 +78,13 @@ TC's rank pass and list writes go through the engine.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from ..core import graph as G
 from ..core.errors import TraceError
+from .base import NullTracer
 
 I64 = np.int64
 
@@ -94,23 +106,16 @@ class GraphView:
         self.out_indptr = np.zeros(n + 1, I64)
         np.cumsum(self.deg, out=self.out_indptr[1:])
         m = int(self.out_indptr[-1])
-        out_dst_vid = np.empty(m, I64)
-        self.out_eaddr = np.empty(m, I64)
-        pos = 0
-        for v in vs:
-            for dst, node in v.out.items():
-                out_dst_vid[pos] = dst
-                self.out_eaddr[pos] = node.addr
-                pos += 1
+        out_dst_vid = np.fromiter(
+            chain.from_iterable(v.out for v in vs), I64, count=m)
+        self.out_eaddr = np.fromiter(
+            (e.addr for v in vs for e in v.out.values()), I64, count=m)
         self.indeg = np.fromiter((len(v.inn) for v in vs), I64, count=n)
         self.in_indptr = np.zeros(n + 1, I64)
         np.cumsum(self.indeg, out=self.in_indptr[1:])
-        in_src_vid = np.empty(int(self.in_indptr[-1]), I64)
-        pos = 0
-        for v in vs:
-            for src in v.inn:
-                in_src_vid[pos] = src
-                pos += 1
+        in_src_vid = np.fromiter(
+            chain.from_iterable(v.inn for v in vs), I64,
+            count=int(self.in_indptr[-1]))
         self._order = np.argsort(self.vids, kind="stable")
         self._sorted_vids = self.vids[self._order]
         self.out_dst = self.rows_of(out_dst_vid)
@@ -428,3 +433,35 @@ class Layout:
         vcnt += carry
         return Block(acc, sites, taken, vseq, vcnt, n_ins, head, acc_at,
                      br_at)
+
+
+def adjacency_sweep(g: G.PropertyGraph, t) -> GraphView:
+    """The adjacency snapshot kCore and TC open with, as one block: the
+    stream of ::
+
+        for v in g.scan_vertices():
+            dsts = g.neighbor_ids(v)
+            t.i(2 * len(dsts))          # two bookkeeping instrs per target
+
+    — the block vertex scan, then per vertex the block walk of its
+    out-list and the user charge behind it.  Returns the
+    :class:`GraphView` whose out-lists are the ``dsts`` the loop would have
+    seen, in the same order."""
+    gv = GraphView(g)
+    if isinstance(t, NullTracer):
+        return gv
+    scan = G.scan_vertices_ops("idx", "v")
+    walk = G.neighbor_ids_ops("v", "e")
+    row = np.arange(gv.n, dtype=I64)
+    m = len(gv.out_dst)
+    # keys: (-1, place) the scan, (row, place) the walk of the row's list
+    lay = Layout(t)
+    lay.add(scan.head, (-1, -1))
+    lay.add(scan.step, (-1, row), idx=gv.idx_addr, v=gv.vaddr)
+    lay.add(scan.exit, (-1, gv.n))
+    lay.add(walk.head, (row, -1), v=gv.vaddr)
+    lay.add(walk.step, (np.repeat(row, gv.deg), np.arange(m, dtype=I64)),
+            e=gv.out_eaddr)
+    lay.add(walk.exit + (("i", "user"),), (row, m), user=2 * gv.deg)
+    lay.build().emit(g, t)
+    return gv

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any
 
+import numpy as np
+
 from ..core.graph import PropertyGraph
 from ..core.properties import Field
 from ..core.taxonomy import ComputationType, WorkloadCategory
@@ -32,8 +34,6 @@ class NullTracer:
     def br(self, site: int, taken: bool) -> None: ...
     def enter(self, rid: int) -> None: ...
     def leave(self) -> None: ...
-    def bulk_reads(self, addrs, instrs_per_access: int = 2) -> None: ...
-    def bulk_writes(self, addrs, instrs_per_access: int = 2) -> None: ...
     def bulk_scan(self, addr_cols, instrs_per_step: int = 2) -> None: ...
     def bulk_branches(self, site, taken, count=None) -> None: ...
     def bulk_branch_events(self, sites, taken) -> None: ...
@@ -151,6 +151,7 @@ class Workload(ABC):
 # -- traced algorithmic containers ------------------------------------------
 ENTRY = 8  # bytes per queue/stack/heap slot
 C_QUEUE_OP = 3  # instructions of one frontier-queue push or pop
+C_HEAP_STEP = 4  # instructions of one node of a heap sift path
 
 
 class TracedQueue:
@@ -260,7 +261,7 @@ class TracedHeap:
                 self.t.w(a)
             else:
                 self.t.r(a)
-            self.t.i(4)
+            self.t.i(C_HEAP_STEP)
             if pos == 0:
                 break
             pos = (pos - 1) // 2
@@ -277,6 +278,39 @@ class TracedHeap:
         self._touch_path(max(len(self._heap) - 1, 0), write=True)
         self.t.r(self.base)
         return item
+
+    def path_slots(self, pos):
+        """The sift paths from heap positions ``pos`` up to the root, one
+        entry per node: ``(path, level, slot address)`` — index into
+        ``pos``, distance from ``pos`` along the path, and the slot
+        :meth:`_touch_path` touches there.  A path's length varies with its
+        position, so a bulk-emitting kernel declares one item per node,
+        ``level`` last in its key."""
+        anc = np.asarray(pos, np.int64) + 1     # 1-based: the parent is >> 1
+        path = np.arange(len(anc))
+        paths, levels, nodes = [], [], []
+        while True:
+            paths.append(path)
+            levels.append(np.full(len(anc), len(levels)))
+            nodes.append(anc - 1)
+            live = anc > 1
+            if not live.any():
+                break
+            path, anc = path[live], anc[live] >> 1
+        return (np.concatenate(paths), np.concatenate(levels),
+                self.base + (np.concatenate(nodes) % self.cap) * 2 * ENTRY)
+
+    # event shapes (the grammar of ``repro.core.graph``'s ``*_ops``).  A
+    # push at heap length ``L`` is one ``push_ops`` item per node of
+    # ``path_slots(L)``; a pop that leaves ``L`` entries sifts
+    # ``path_slots(max(L - 1, 0))`` the same way, then runs ``pop_ops``.
+    @staticmethod
+    def push_ops(slot: str) -> tuple:
+        return (("w", slot, 0), ("i", C_HEAP_STEP))
+
+    @staticmethod
+    def pop_ops(root: str) -> tuple:
+        return (("r", root, 0),)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -9,8 +9,8 @@ long dependent-load chains that give kCore its >90 % backend-stall share
 
 The kernel runs the peeling untraced while recording the per-peel event
 shape, then emits the whole bucket/peel stream in one
-:meth:`Tracer.bulk_emit` block; the adjacency snapshot phase goes through
-the block scan primitives.  The peel order, bucket probes and
+:meth:`Tracer.bulk_emit` block; the adjacency snapshot phase is the block
+``_bulk.adjacency_sweep`` lays.  The peel order, bucket probes and
 neighbour-set iteration orders are those of the traced loop
 (``tests/oracles.py:loop_kcore``), so the trace is per-element identical.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from ..core import graph as G
 from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
-from ._bulk import I64, Layout, ragged_arange
+from ._bulk import I64, Layout, adjacency_sweep, ragged_arange
 from .base import ENTRY, NullTracer, Workload
 
 
@@ -42,15 +42,12 @@ class KCore(Workload):
         ids = sorted(g.vertex_ids())
         n = len(ids)
         adj: dict[int, set[int]] = {vid: set() for vid in ids}
-        # undirected adjacency snapshot via the block scan primitives; the
-        # per-target bookkeeping charge is batched into one i() call
-        for v in g.scan_vertices():
-            dsts = g.neighbor_ids(v)
-            t.i(2 * len(dsts))
-            avid = adj[v.vid]
-            for dst in dsts:
-                avid.add(dst)
-                adj[dst].add(v.vid)
+        # undirected adjacency snapshot; the sets fill in the sweep's order
+        gv = adjacency_sweep(g, t)
+        for src, dst in zip(np.repeat(gv.vids, gv.deg).tolist(),
+                            gv.vids[gv.out_dst].tolist()):
+            adj[src].add(dst)
+            adj[dst].add(src)
         degree = {vid: len(adj[vid]) for vid in ids}
         maxdeg = max(degree.values(), default=0)
         bucket_base = g.alloc.alloc_array(maxdeg + 1, ENTRY, tag="kcore_bkt")

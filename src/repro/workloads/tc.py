@@ -28,7 +28,8 @@ from ..core import graph as G
 from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType, WorkloadCategory
 from ._bulk import (
-    AccessBlock, Block, I64, Layout, offsets_of, ragged_arange,
+    AccessBlock, Block, I64, Layout, adjacency_sweep, offsets_of,
+    ragged_arange,
 )
 from .base import ENTRY, NullTracer, Workload
 
@@ -62,15 +63,9 @@ class TC(Workload):
             self._emit_rank_pass(g, t, ids_arr)
         t.i(6 * n)
 
-        # adjacency sweep via the shared block primitives
-        srcs, dsts = [], []
-        for v in g.scan_vertices():
-            out = g.neighbor_ids(v)
-            t.i(2 * len(out))
-            srcs.append(np.full(len(out), v.vid, I64))
-            dsts.append(np.asarray(out, I64))
-        sv = np.concatenate(srcs) if srcs else np.empty(0, I64)
-        dv = np.concatenate(dsts) if dsts else np.empty(0, I64)
+        gv = adjacency_sweep(g, t)
+        sv = np.repeat(gv.vids, gv.deg)
+        dv = gv.vids[gv.out_dst]
         keep = sv != dv
         sv, dv = sv[keep], dv[keep]
         sr = rnk[np.searchsorted(ids_arr, sv)]

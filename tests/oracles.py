@@ -4,7 +4,7 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` /
 :class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
 ``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops and the five workload loop kernels, which only tests
+per-segment loops and the seven workload loop kernels, which only tests
 need, live here.
 """
 
@@ -18,7 +18,7 @@ from repro.arch.cache import Cache, CacheStats
 from repro.arch.icache import ICache, ICacheStats
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
-from repro.workloads.base import TracedQueue
+from repro.workloads.base import TracedHeap, TracedQueue
 
 
 def reference_hierarchy(machine, addrs, rw):
@@ -121,7 +121,7 @@ def reference_branches(kind, sites, taken, **kwargs):
 
 
 # -- workload loop kernels ---------------------------------------------------
-# The per-vertex, per-edge form of the four kernels ``repro.workloads`` runs
+# The per-vertex, per-edge form of the kernels ``repro.workloads`` runs
 # vectorized: each charges the tracer through the framework primitives one
 # event at a time.  ``test_workloads_vectorized.py`` runs them under
 # ``Workload.run`` and requires the frozen traces to be element-identical.
@@ -375,5 +375,79 @@ def loop_gibbs(g, t, *, bn, n_sweeps=20, burn_in=5, seed=0, evidence=None,
             "sweeps": n_sweeps}
 
 
+def loop_dcentr(g, t, *, normalize=False, **_):
+    """DCentr: two vertex scans, the first bumping a counter property
+    across every out-edge."""
+    n = g.num_vertices
+    denom = (n - 1) if (normalize and n > 1) else 1
+    # pass 1: out-degrees from the degree field; in-degree counters
+    # accumulated by walking every out-edge and bumping the target's
+    # counter property — the scattered read-modify-write stream that
+    # makes DCentr the suite's MPKI maximum
+    indeg: dict[int, int] = {}
+    for v in g.vertices():
+        t.i(2)
+        g.degree(v)
+        for dst, _node in g.neighbors(v):
+            w = g.find_vertex(dst)
+            t.i(3)
+            cur = g.vget(w, "dc")
+            g.vset(w, "dc", (cur or 0) + 1)
+            indeg[dst] = indeg.get(dst, 0) + 1
+    # pass 2: combine and store the final score
+    dc: dict[int, float] = {}
+    for v in g.vertices():
+        t.i(4)
+        score = (g.degree(v) + indeg.get(v.vid, 0)) / denom
+        g.vset(v, "dc", score)
+        dc[v.vid] = score
+    return {"dc": dc}
+
+
+def loop_spath(g, t, *, root=0, **_):
+    """SPath: Dijkstra over a traced binary heap, one traced primitive
+    per step."""
+    site_relax = t.register_branch_site()
+    # prebound accessors: slot/offset/index resolution memoized once,
+    # per-element event stream unchanged
+    find = g.vertex_finder()
+    get_dist = g.prop_reader("dist")
+    set_dist = g.prop_writer("dist")
+    get_weight = g.eprop_reader("weight")
+    src = g.find_vertex(root)
+    g.vset(src, "dist", 0.0)
+    heap = TracedHeap(g, t)
+    heap.push((0.0, root))
+    dists: dict[int, float] = {root: 0.0}
+    parents: dict[int, int] = {root: root}
+    settled: set[int] = set()
+    while heap:
+        d, vid = heap.pop()
+        t.i(4)
+        if vid in settled:
+            continue
+        settled.add(vid)
+        v = find(vid)
+        for dst, node in g.neighbors(v):
+            weight = get_weight(node)
+            if weight < 0:
+                raise ValueError(
+                    f"Dijkstra requires non-negative weights, "
+                    f"edge ({vid}->{dst}) has {weight}")
+            w = find(dst)
+            t.i(6)
+            nd = d + weight
+            better = nd < get_dist(w)
+            t.br(site_relax, better)
+            if better:
+                set_dist(w, nd)
+                dists[dst] = nd
+                parents[dst] = vid
+                heap.push((nd, dst))
+    return {"dists": dists, "parents": parents,
+            "settled": len(settled)}
+
+
 LOOP_KERNELS = {"BFS": loop_bfs, "CComp": loop_ccomp, "kCore": loop_kcore,
-                "TC": loop_tc, "Gibbs": loop_gibbs}
+                "TC": loop_tc, "Gibbs": loop_gibbs, "DCentr": loop_dcentr,
+                "SPath": loop_spath}

@@ -3,7 +3,7 @@ primitive against the scalar method it restates.
 
 ``repro.workloads._bulk.Layout`` turns item declarations — micro-op
 programs over operand columns, ordered by key — into one bulk block.  The
-kernel tests (``test_workloads_vectorized.py``) hold five users of it to
+kernel tests (``test_workloads_vectorized.py``) hold seven users of it to
 their loop oracles; these hold the engine to the definition of its
 grammar: the same programs interpreted call by call through
 ``Tracer.enter/i/r/w/br/leave`` and ``PropertyGraph._stack_touch``.  The
@@ -22,8 +22,12 @@ from repro.core import trace as T
 from repro.core.errors import TraceError
 from repro.core.graph import PropertyGraph
 from repro.core.trace import Tracer
-from repro.workloads import TracedQueue, common_vertex_schema
-from repro.workloads._bulk import Block, Layout
+from repro.workloads import (
+    TracedQueue, common_edge_schema, common_vertex_schema,
+)
+from repro.workloads import base as W
+from repro.workloads._bulk import Block, Layout, adjacency_sweep
+from repro.workloads.base import TracedHeap
 
 from tests.test_workloads_vectorized import _assert_traces_identical
 
@@ -252,8 +256,9 @@ def test_in_place_block_belongs_to_the_open_region():
 
 @pytest.fixture
 def path3():
-    """0 -> 1 -> 2: vertex 1 has one out-edge and one in-reference."""
-    g = PropertyGraph(common_vertex_schema())
+    """0 -> 1 -> 2: vertex 1 has one out-edge and one in-reference,
+    vertex 2 an empty out-list."""
+    g = PropertyGraph(common_vertex_schema(), common_edge_schema())
     for vid in range(3):
         g.add_vertex(vid)
     g.add_edge(0, 1)
@@ -298,6 +303,8 @@ def _primitive_cases(g):
     structs = [u.addr for u in g._v.values()]
     out, inn = G.neighbors_ops("v", "e"), G.in_neighbors_ops("v", "u")
     scan = G.vertices_ops("idx", "v")
+    bscan = G.scan_vertices_ops("idx", "v")
+    ids = G.neighbor_ids_ops("v", "e")
     cpt_addr = v.props[g.vschema.slot("cpt")][0]
     return {
         "find_vertex": (
@@ -318,6 +325,26 @@ def _primitive_cases(g):
                        g.payload_read(cpt_addr, 5, n_instrs=11)),
             [(G.payload_read_ops("p") + G.payload_read_ops("q", 11),
               dict(p=[cpt_addr + 24], q=[cpt_addr + 40]))]),
+        "degree": (
+            lambda t: g.degree(v),
+            [(G.degree_ops("v"), dict(v=[v.addr]))]),
+        "eget": (
+            lambda t: g.eget(node, "weight"),
+            [(G.eget_ops("e", G.E_PROP_OFF + g.eschema.offset("weight")),
+              dict(e=[node.addr]))]),
+        "scan_vertices": (
+            lambda t: g.scan_vertices(),
+            [(bscan.head, {}),
+             (bscan.step, dict(idx=[_idx(g, u) for u in range(3)],
+                               v=structs)),
+             (bscan.exit, {})]),
+        "neighbor_ids": (
+            lambda t: g.neighbor_ids(v),
+            [(ids.head, dict(v=[v.addr])), (ids.step, dict(e=[node.addr])),
+             (ids.exit, {})]),
+        "neighbor_ids_empty": (
+            lambda t: g.neighbor_ids(g._v[2]),
+            [(ids.head, dict(v=[g._v[2].addr])), (ids.exit, {})]),
         "neighbors": (
             lambda t: [t.i(4) for _ in g.neighbors(v)],
             [(out.head, dict(v=[v.addr])),
@@ -340,7 +367,8 @@ def _primitive_cases(g):
 
 @pytest.mark.parametrize("name", [
     "find_vertex", "vget", "vset", "payload_get", "payload_read",
-    "neighbors", "in_neighbors", "vertices"])
+    "neighbors", "in_neighbors", "vertices", "degree", "eget",
+    "scan_vertices", "neighbor_ids", "neighbor_ids_empty"])
 def test_declaration_matches_scalar_primitive(path3, name):
     call, items = _primitive_cases(path3)[name]
     recorded, rsp = _recorded(path3, call)
@@ -363,6 +391,60 @@ def test_declaration_matches_traced_queue(path3):
     lay.add(q.push_ops("slot") + q.pop_ops("slot"), (k,), slot=q.slots(k))
     lay.build().emit(g, t2)
     assert_same_trace(t.freeze(), t2.freeze())
+
+
+def _heap_script(g, t):
+    """Seven pushes and seven pops on a 4-slot heap: the array wraps, and
+    lengths 3 and 4 sit on either side of a sift path growing a node."""
+    h = TracedHeap(g, t, capacity=4)
+    for k in range(7):
+        h.push(k)
+    for _ in range(7):
+        h.pop()
+    return h
+
+
+def _heap_declared(g, h):
+    t = Tracer()
+    lay = Layout(t)
+    op = np.arange(7)
+    path, level, slot = h.path_slots(op)              # length before a push
+    lay.add(h.push_ops("slot"), (path, 0, level), slot=slot)
+    left = op[::-1]                                   # length behind a pop
+    path, level, slot = h.path_slots(np.maximum(left - 1, 0))
+    lay.add(h.push_ops("slot"), (7 + path, 0, level), slot=slot)
+    lay.add(h.pop_ops("root"), (7 + op, 1), root=np.full(7, h.base))
+    lay.build().emit(g, t)
+    return t.freeze()
+
+
+def test_declaration_matches_traced_heap(path3, monkeypatch):
+    charged = []
+    for step in (W.C_HEAP_STEP, W.C_HEAP_STEP + 3):     # and the knob turns
+        monkeypatch.setattr(W, "C_HEAP_STEP", step)
+        t = Tracer()
+        h = _heap_script(path3, t)
+        assert_same_trace(t.freeze(), _heap_declared(path3, h))
+        charged.append(t.n)
+    assert charged[0] < charged[1]
+
+
+def test_adjacency_sweep_matches_the_block_primitives(path3):
+    """The sweep block against the loop it stands for, over a graph with a
+    vertex of degree 0 between the walks."""
+    g = path3
+
+    def loop(t):
+        for v in g.scan_vertices():
+            t.i(2 * len(g.neighbor_ids(v)))
+
+    recorded, rsp = _recorded(g, loop)
+    g._sp = 0
+    t = Tracer()
+    gv = adjacency_sweep(g, t)
+    assert_same_trace(recorded, t.freeze())
+    assert g._sp == rsp
+    assert gv.vids[gv.out_dst].tolist() == [1, 2] and gv.deg[2] == 0
 
 
 @pytest.mark.parametrize("const", ["C_FIND_VERTEX", "C_PROP_GET",

@@ -1,5 +1,7 @@
 """Unit tests for the execution tracer (repro.core.trace)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,14 +47,6 @@ class TestEventRecording:
         assert ft.n_accesses == 2
         assert ft.n_instrs == 3
         assert ft.n_branches == 1
-
-    def test_bulk_reads_writes(self):
-        t = Tracer()
-        t.bulk_reads([10, 20], instrs_per_access=3)
-        t.bulk_writes([30])
-        ft = t.freeze()
-        assert list(ft.addrs) == [10, 20, 30]
-        assert ft.n_instrs == 3 + 3 + 2
 
 
 class TestRegions:
@@ -224,31 +218,10 @@ class TestVectorizedBulk:
     """The bulk APIs must emit exactly the same stream as the equivalent
     per-element loop."""
 
-    def test_bulk_reads_matches_loop(self):
-        addrs = [100, 264, 32, 8]
-        a = Tracer()
-        a.i(7)
-        for x in addrs:
-            a.i(3)
-            a.r(x)
-        b = Tracer()
-        b.i(7)
-        b.bulk_reads(np.array(addrs, dtype=np.uint64), instrs_per_access=3)
-        fa, fb = a.freeze(), b.freeze()
-        for f in ("addrs", "rw", "iat", "acc_region"):
-            assert np.array_equal(getattr(fa, f), getattr(fb, f)), f
-        assert fa.n_instrs == fb.n_instrs
-
-    def test_bulk_writes_marks_stores(self):
-        t = Tracer()
-        t.bulk_writes([1, 2, 3])
-        ft = t.freeze()
-        assert list(ft.rw) == [1, 1, 1]
-
     def test_bulk_framework_attribution(self):
         t = Tracer()
         t.enter(T.R_BUILD)
-        t.bulk_reads([0, 64, 128], instrs_per_access=2)
+        t.bulk_scan(([0, 64, 128],), instrs_per_step=2)
         t.leave()
         ft = t.freeze()
         assert ft.fw_instrs == 6
@@ -282,13 +255,114 @@ class TestVectorizedBulk:
 
     def test_bulk_empty_is_noop(self):
         t = Tracer()
-        t.bulk_reads([])
         t.bulk_scan(([], []))
         t.bulk_branches(1, True, 0)
         ft = t.freeze()
         assert ft.n_accesses == 0
         assert ft.n_branches == 0
         assert ft.n_instrs == 0
+
+
+def _one_event_block(t, addr):
+    t.bulk_emit([addr], [1], [t.n], [t.region], n_instrs=0, fw_instrs=0,
+                fw_accesses=0)
+
+
+class TestSealInPlace:
+    """A batch seals the scalar run before it where it lies: one chunk
+    serves many runs (a fresh 1.4 MB chunk per seal made a 50 k-event
+    trace request 2.6 GB)."""
+
+    def test_alternating_scalar_and_bulk_accesses_share_chunks(self):
+        tracemalloc.start()
+        try:
+            t = Tracer()
+            for j in range(2000):
+                t.r(8 * j)
+                _one_event_block(t, 8 * j + 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        ref = Tracer()
+        for j in range(2000):
+            ref.r(8 * j)
+            ref.w(8 * j + 4)
+        fa, fb = t.freeze(), ref.freeze()
+        for f in ("addrs", "rw", "iat", "acc_region"):
+            assert np.array_equal(getattr(fa, f), getattr(fb, f)), f
+        assert fa.n_accesses == 4000
+
+    def test_alternating_scalar_and_bulk_branches_share_chunks(self):
+        tracemalloc.start()
+        try:
+            t = Tracer()
+            for j in range(2000):
+                t.br(T.B_EDGE_LOOP, j % 3)
+                t.bulk_branch_events([T.B_FIND_HIT], [j % 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        ref = Tracer()
+        for j in range(2000):
+            ref.br(T.B_EDGE_LOOP, j % 3)
+            ref.br(T.B_FIND_HIT, j % 2)
+        fa, fb = t.freeze(), ref.freeze()
+        assert np.array_equal(fa.branch_sites, fb.branch_sites)
+        assert np.array_equal(fa.branch_taken, fb.branch_taken)
+        assert fa.n_branches == 4000
+
+    def test_sealed_runs_survive_a_chunk_boundary(self):
+        """Scalar appends on both sides of a batch, across the end of a
+        chunk: the sealed prefix, the batch and the tail all freeze."""
+        from repro.core.trace import _CHUNK
+        t = Tracer()
+        for j in range(_CHUNK - 3):
+            t.r(j)
+        _one_event_block(t, 7)
+        for j in range(10):
+            t.r(j)
+        ft = t.freeze()
+        assert ft.addrs.tolist() == (list(range(_CHUNK - 3)) + [7]
+                                     + list(range(10)))
+
+
+class TestBulkEmitRefusals:
+    """``bulk_emit`` vouches for the one column nothing else checks."""
+
+    def _tracer(self):
+        t = Tracer()
+        t.i(10)
+        t.r(64)
+        t.br(T.B_EDGE_LOOP, True)
+        return t
+
+    @pytest.mark.parametrize("iat, match", [
+        ([12, 11, 13], "decreases"),            # runs backwards
+        ([9, 11, 13], "leaves"),                # starts before the block
+        ([11, 13, 16], "leaves"),               # ends after it
+    ])
+    def test_refused_block_leaves_the_tracer_untouched(self, iat, match):
+        t = self._tracer()
+        before = t.freeze()
+        with pytest.raises(TraceError, match=match):
+            t.bulk_emit([0, 8, 16], [0, 0, 1], iat, [T.R_IDLE] * 3,
+                        n_instrs=5, fw_instrs=0, fw_accesses=0,
+                        head_instrs=5)
+        after = t.freeze()
+        for f in ("addrs", "rw", "iat", "acc_region", "branch_sites",
+                  "region_seq", "region_instrs"):
+            assert np.array_equal(getattr(before, f), getattr(after, f)), f
+        assert (after.n_instrs, after.n_accesses) == (10, 1)
+
+    def test_block_spanning_its_instructions_is_accepted(self):
+        t = self._tracer()
+        t.bulk_emit([0, 8, 16], [0, 0, 1], [10, 12, 15], [T.R_IDLE] * 3,
+                    n_instrs=5, fw_instrs=0, fw_accesses=0, head_instrs=5)
+        ft = t.freeze()
+        assert ft.iat.tolist() == [10, 10, 12, 15]
+        assert ft.n_instrs == 15
 
 
 def test_frozen_dtypes():

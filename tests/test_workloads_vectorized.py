@@ -1,22 +1,29 @@
 """Vectorized-kernel equivalence: frozen-trace and output equality.
 
-The tentpole guarantee of the vectorized BFS/CComp/kCore/TC/Gibbs kernels
-is that they are *per-element identical* to the original loop kernels (kept
-in ``tests/oracles.py``): the same address stream, branch sites, instruction counts and region visits,
-element for element — not statistically close, equal.  These tests
-assert exactly that over hypothesis-generated graph shapes (for Gibbs:
-MUNIN-like networks, sweep counts and evidence sets), plus output
-equality, so any drift in the bulk-trace emission paths fails loudly.
+The tentpole guarantee of the vectorized BFS/CComp/kCore/TC/DCentr/SPath/
+Gibbs kernels is that they are *per-element identical* to the original
+loop kernels (kept in ``tests/oracles.py``): the same address stream,
+branch sites, instruction counts and region visits, element for element —
+not statistically close, equal.  These tests assert exactly that over
+hypothesis-generated graph shapes (for SPath with a drawn root and edge
+weights; for Gibbs: MUNIN-like networks, sweep counts and evidence sets),
+plus equality of outputs and of every vertex's final properties, so any
+drift in the bulk-trace emission paths fails loudly.  A count gate then
+holds the ``char_cold`` kernels to what "vectorized" means: the number of
+tracer calls a run makes does not grow with the graph.
 
 Addresses are compared relative to each graph's arena base: every
 :class:`SimAllocator` claims a disjoint arena, so two identical builds
 differ by a constant aligned offset and nothing else.
 
 The prebound accessor closures (``vertex_finder``/``prop_reader``/
-``prop_writer``/``eprop_reader``) used by the DFS/SPath/GColor loop
-kernels carry the same bar: identical event stream to the generic
+``prop_writer``/``eprop_reader``) used by the DFS/GColor loop kernels and
+SPath's loop oracle carry the same bar: identical event stream to the generic
 primitives they memoize.
 """
+
+from collections import Counter
+from itertools import cycle
 
 import hypothesis.strategies as st
 import numpy as np
@@ -31,10 +38,12 @@ from repro.core.taxonomy import DataSource
 from repro.workloads import (
     WORKLOADS, build_bn_graph, common_edge_schema, common_vertex_schema,
 )
+from repro.workloads import base as W
 
 from tests.oracles import LOOP_KERNELS
 
-VEC_KERNELS = ("BFS", "TC", "CComp", "kCore")
+VEC_KERNELS = ("BFS", "TC", "CComp", "kCore", "DCentr", "SPath")
+ROOTED = ("BFS", "SPath")
 
 TRACE_FIELDS = ("rw", "iat", "acc_region", "branch_sites", "branch_taken",
                 "region_seq", "region_instrs")
@@ -69,7 +78,10 @@ def _loop_workload(name):
 def _run_traced(cls, spec, build, **params):
     g = build(spec)
     res = cls().run(g, tracer=Tracer(), **params)
-    return res.trace, res.outputs, g.alloc.base, g._sp
+    # a payload slot holds an (address, object) pair of its own build
+    props = [[x for x in v.props if not isinstance(x, tuple)]
+             for v in g._v.values()]
+    return res.trace, res.outputs, g.alloc.base, (g._sp, props)
 
 
 def _outputs_equal(a, b):
@@ -105,13 +117,15 @@ def _assert_traces_identical(vec, vbase, loop, lbase):
 
 
 def _check_kernel(name, spec, build=_build, **params):
-    vec_trace, vec_out, vbase, vsp = _run_traced(WORKLOADS[name], spec,
-                                                 build, **params)
-    loop_trace, loop_out, lbase, lsp = _run_traced(_loop_workload(name),
-                                                   spec, build, **params)
+    vec_trace, vec_out, vbase, vstate = _run_traced(WORKLOADS[name], spec,
+                                                    build, **params)
+    loop_trace, loop_out, lbase, lstate = _run_traced(_loop_workload(name),
+                                                      spec, build, **params)
     _assert_traces_identical(vec_trace, vbase, loop_trace, lbase)
     assert _outputs_equal(vec_out, loop_out)
-    assert vsp == lsp           # stack rotation left where the loop leaves it
+    # stack rotation and every vertex's properties left as the loop leaves
+    # them (a kernel may skip the loop's intermediate writes, not the last)
+    assert vstate == lstate
 
 
 @given(random_spec())
@@ -138,6 +152,43 @@ def test_kcore_vectorized_trace_identical(spec):
     _check_kernel("kCore", spec)
 
 
+@given(random_spec())
+@settings(max_examples=25, deadline=None)
+def test_dcentr_vectorized_trace_identical(spec):
+    _check_kernel("DCentr", spec)
+    _check_kernel("DCentr", spec, normalize=True)
+
+
+def _weighted(weights):
+    """``_build`` with ``weights`` written, cyclically, into the ``weight``
+    slot of every stored arc."""
+    def build(spec):
+        g = _build(spec)
+        slot = g.eschema.slot("weight")
+        arcs = (e for v in g._v.values() for e in v.out.values())
+        for e, w in zip(arcs, cycle(weights)):
+            e.props[slot] = w
+        return g
+    return build
+
+
+@st.composite
+def spath_case(draw):
+    """A graph, a root and arc weights drawn so that stale pops, ties and
+    zero-weight edges all occur."""
+    spec = draw(random_spec())
+    weights = draw(st.lists(st.sampled_from([0, 0.5, 1, 2, 3]),
+                            min_size=1, max_size=40))
+    return spec, draw(st.integers(0, spec.n - 1)), weights
+
+
+@given(spath_case())
+@settings(max_examples=25, deadline=None)
+def test_spath_vectorized_trace_identical(case):
+    spec, root, weights = case
+    _check_kernel("SPath", spec, build=_weighted(weights), root=root)
+
+
 def _fixed_shapes():
     rng = np.random.default_rng(5)
     return [
@@ -154,7 +205,7 @@ def _check_fixed_shapes(cases):
     for n, edges in cases:
         spec = GraphSpec("fixed", DataSource.SYNTHETIC, n, edges)
         for name in VEC_KERNELS:
-            params = {"root": 0} if name == "BFS" else {}
+            params = {"root": 0} if name in ROOTED else {}
             _check_kernel(name, spec, **params)
 
 
@@ -172,6 +223,77 @@ def test_vectorized_trace_identical_when_the_queue_wraps():
     _check_fixed_shapes([
         (n, np.array([[i, i + 1] for i in range(n - 1)])),
         (n + 1, np.array([[0, i] for i in range(1, n + 1)]))])
+
+
+def test_spath_trace_identical_when_the_heap_wraps():
+    """A 5 000-leaf star: the pushes run the heap through every length up
+    to 5 000 — past its 4 096-slot capacity (``% cap``), through both
+    2**k - 1 and 2**k for every level (where a sift path grows a node) —
+    and the pops back down, ties broken by vertex id."""
+    n = 5000
+    spec = GraphSpec("star", DataSource.SYNTHETIC, n + 1,
+                     np.array([[0, i] for i in range(1, n + 1)]))
+    _check_kernel("SPath", spec, root=0)
+
+
+def test_spath_negative_weight_raises_where_the_loop_does():
+    """The first negative edge *relaxed* raises, with the loop's text; a
+    negative edge the search never reaches does not."""
+    spec = GraphSpec("neg", DataSource.SYNTHETIC, 6,
+                     np.array([[0, 1], [0, 2], [2, 3], [4, 5]]))
+
+    def negative(*arcs):
+        def build(spec):
+            g = _build(spec)
+            for src, dst in arcs:
+                g._v[src].out[dst].props[g.eschema.slot("weight")] = -1.5
+            return g
+        return build
+
+    for cls in (WORKLOADS["SPath"], _loop_workload("SPath")):
+        with pytest.raises(ValueError) as err:
+            cls().run(negative((2, 3), (0, 2))(spec), tracer=Tracer(),
+                      root=0)
+        assert str(err.value) == ("Dijkstra requires non-negative weights, "
+                                  "edge (0->2) has -1.5")
+    _check_kernel("SPath", spec, build=negative((4, 5)), root=0)
+
+
+# -- the count gate: no per-element tracer call ------------------------------
+
+TRACER_CALLS = ("r", "w", "i", "br", "enter", "leave", "bulk_scan",
+                "bulk_emit", "bulk_branches", "bulk_branch_events")
+
+
+def _tracer_calls(name, spec, **params):
+    """How often each ``Tracer`` recording method runs under one
+    ``Workload.run``."""
+    calls = Counter()
+
+    def counted(method):
+        def call(self, *args, **kwargs):
+            calls[method] += 1
+            return getattr(Tracer, method)(self, *args, **kwargs)
+        return call
+
+    counting = type("CountingTracer", (Tracer,),
+                    {m: counted(m) for m in TRACER_CALLS})
+    WORKLOADS[name]().run(_build(spec), tracer=counting(), **params)
+    return calls
+
+
+def test_char_cold_kernels_make_no_per_element_tracer_calls():
+    """By count, not by clock: a run is its prologue through the real
+    primitives and a constant number of blocks, whatever the graph."""
+    rng = np.random.default_rng(11)
+    small, large = (GraphSpec("rand", DataSource.SYNTHETIC, n,
+                              rng.integers(0, n, (3 * n, 2)))
+                    for n in (60, 600))
+    for name in ("BFS", "kCore", "TC", "SPath", "DCentr"):
+        params = {"root": 0} if name in ROOTED else {}
+        few = _tracer_calls(name, small, **params)
+        assert few == _tracer_calls(name, large, **params), name
+        assert sum(few.values()) < 40, name
 
 
 # -- Gibbs: the graph is a Bayesian network ---------------------------------
@@ -225,14 +347,15 @@ def test_gibbs_trace_identical_fixed_shapes():
 
 @pytest.mark.parametrize("const", ["C_FIND_VERTEX", "C_PROP_GET",
                                    "C_PROP_SET", "C_EDGE_STEP",
-                                   "C_SCAN_STEP"])
+                                   "C_SCAN_STEP", "C_HEAP_STEP"])
 def test_vectorized_kernels_follow_the_primitive_charges(monkeypatch, const):
-    """Each per-primitive instruction charge the five kernels touch,
+    """Each per-primitive instruction charge the seven kernels touch,
     perturbed: the bulk emitters lay their traces out from the primitives'
     own declarations, so they stay identical to the loop oracles (which
     charge through the scalar primitives).  ``payload_read``'s charge is
     an argument of the Gibbs kernel, not a constant."""
-    monkeypatch.setattr(G, const, getattr(G, const) + 1)
+    owner = G if hasattr(G, const) else W       # the heap's is its module's
+    monkeypatch.setattr(owner, const, getattr(owner, const) + 1)
     _check_fixed_shapes(_fixed_shapes())
     test_gibbs_trace_identical_fixed_shapes()
 
