@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import (
     DuplicateEdge,
     DuplicateVertex,
@@ -631,34 +629,25 @@ class PropertyGraph:
         list at once and return the destination ids.
 
         Emits the same access and branch stream as draining
-        :meth:`neighbors` with no user work between steps, but through the
-        tracer's vectorized bulk API — one batch of numpy ops instead of a
-        Python loop per edge.  Use it when the kernel snapshots a full
-        adjacency list; keep the generator when per-edge user work
-        interleaves with the walk.
+        :meth:`neighbors` with no user work between steps, as one visit
+        of the region (:func:`neighbor_ids_ops`).  Use it when the kernel
+        snapshots a full adjacency list; keep the generator when per-edge
+        user work interleaves with the walk.
         """
         if isinstance(v, int):
             v = self.find_vertex(v)
         t = self.t
-        if t is None:
-            return list(v.out.keys())
-        t.enter(T.R_NEIGHBORS)
-        t.i(2)
-        t.r(v.addr + V_HEAD_OFF)
-        k = len(v.out)
-        if k:
-            node_addrs = np.fromiter((n.addr for n in v.out.values()),
-                                     np.uint64, count=k)
-            node_addrs += np.uint64(E_DST_OFF)
-            sp = ((self._sp + 1 + np.arange(k, dtype=np.uint64))
-                  & np.uint64(3))
-            stack_addrs = np.uint64(self._stack_base) + np.uint64(64) * sp
-            self._sp = (self._sp + k) & 3
-            t.bulk_scan((stack_addrs, node_addrs),
-                        instrs_per_step=C_EDGE_STEP)
-            t.bulk_branches(T.B_EDGE_LOOP, True, k)
-        t.br(T.B_EDGE_LOOP, False)
-        t.leave()
+        if t is not None:
+            t.enter(T.R_NEIGHBORS)
+            t.i(2)
+            t.r(v.addr + V_HEAD_OFF)
+            for node in v.out.values():
+                t.i(C_EDGE_STEP)
+                self._stack_touch(t)
+                t.r(node.addr + E_DST_OFF)
+                t.br(T.B_EDGE_LOOP, True)
+            t.br(T.B_EDGE_LOOP, False)
+            t.leave()
         return list(v.out.keys())
 
     def in_neighbors(self, v: Vertex | int) -> Iterator[int]:
@@ -705,34 +694,26 @@ class PropertyGraph:
         t.leave()
 
     def scan_vertices(self) -> list[Vertex]:
-        """Block form of *vertex-scan*: one vectorized pass over the index
-        and vertex structs, returning every vertex handle.
+        """Block form of *vertex-scan*: one pass over the index and vertex
+        structs, returning every vertex handle.
 
         Same access/branch stream as draining :meth:`vertices` with no
-        interleaved user work, emitted through the tracer's bulk API.
+        interleaved user work, as one visit of the region
+        (:func:`scan_vertices_ops`).
         """
         t = self.t
         vs = list(self._v.values())
-        if t is None:
-            return vs
-        t.enter(T.R_VERTEX_SCAN)
-        k = len(vs)
-        if k:
-            sp = ((self._sp + 1 + np.arange(k, dtype=np.uint64))
-                  & np.uint64(3))
-            stack_addrs = np.uint64(self._stack_base) + np.uint64(64) * sp
-            self._sp = (self._sp + k) & 3
-            vids = np.fromiter((v.vid for v in vs), np.uint64, count=k)
-            idx_addrs = (np.uint64(self._index_base)
-                         + np.uint64(INDEX_ENTRY)
-                         * (vids % np.uint64(self._index_cap)))
-            struct_addrs = np.fromiter((v.addr for v in vs), np.uint64,
-                                       count=k) + np.uint64(V_ID_OFF)
-            t.bulk_scan((stack_addrs, idx_addrs, struct_addrs),
-                        instrs_per_step=C_SCAN_STEP)
-            t.bulk_branches(T.B_VERTEX_SCAN, True, k)
-        t.br(T.B_VERTEX_SCAN, False)
-        t.leave()
+        if t is not None:
+            t.enter(T.R_VERTEX_SCAN)
+            for v in vs:
+                t.i(C_SCAN_STEP)
+                self._stack_touch(t)
+                t.r(self._index_base
+                    + INDEX_ENTRY * (v.vid % self._index_cap))
+                t.r(v.addr + V_ID_OFF)
+                t.br(T.B_VERTEX_SCAN, True)
+            t.br(T.B_VERTEX_SCAN, False)
+            t.leave()
         return vs
 
     def degree(self, v: Vertex | int) -> int:

@@ -192,23 +192,6 @@ class _AccessBuf:
         self._pos = p + 1
         self.count += 1
 
-    def extend(self, addrs: np.ndarray, rw: int, iat: np.ndarray,
-               reg: int) -> None:
-        """Vectorized batch append; ``rw``/``reg`` broadcast to the batch.
-
-        ``addrs``/``iat`` must be freshly built (or copied) by the caller —
-        the buffer takes ownership of them.
-        """
-        k = len(addrs)
-        if not k:
-            return
-        self._seal()
-        self._full.append((np.asarray(addrs, np.uint64),
-                           np.full(k, rw, np.uint8),
-                           np.asarray(iat, np.uint64),
-                           np.full(k, reg, np.uint32)))
-        self.count += k
-
     def extend_cols(self, addrs: np.ndarray, rw: np.ndarray,
                     iat: np.ndarray, reg: np.ndarray) -> None:
         """Batch append with full per-access columns (no broadcasting).
@@ -291,11 +274,10 @@ class Tracer:
 
     Hot-path methods are single-letter (:meth:`r`, :meth:`w`, :meth:`i`,
     :meth:`br`) because they are called per memory access / branch; the
-    descriptive aliases (``read``/``write``/...) delegate to them.  Bulk
-    producers use :meth:`bulk_scan` (the graph's block scan primitives)
-    or :meth:`bulk_emit` (the vectorized kernels) instead — a batch joins
-    the chunk buffers as whole arrays, a few array ops rather than a
-    Python loop.
+    descriptive aliases (``read``/``write``/...) delegate to them.  The
+    vectorized kernels use :meth:`bulk_emit` and
+    :meth:`bulk_branch_events` instead — a batch joins the chunk buffers
+    as whole arrays, a few array ops rather than a Python loop.
     """
 
     def __init__(self):
@@ -383,36 +365,7 @@ class Tracer:
     instr = i
     branch = br
 
-    # -- bulk recording (the block scan primitives, the vectorized kernels) --
-    def bulk_scan(self, addr_cols, instrs_per_step: int = 2) -> None:
-        """Record one scan step per row of ``addr_cols``: charge
-        ``instrs_per_step`` instructions, then load each column's address
-        (all loads of a step share the post-charge instruction index).
-
-        Exactly equivalent to the per-element loop
-        ``for j in range(k): t.i(s); t.r(c0[j]); t.r(c1[j]); ...`` —
-        this is what the graph's bulk neighbor/vertex scan primitives emit.
-        """
-        cols = [np.asarray(c, dtype=np.uint64) for c in addr_cols]
-        k = len(cols[0])
-        if not k:
-            return
-        c = len(cols)
-        addrs = np.empty(k * c, dtype=np.uint64)
-        for j, col in enumerate(cols):
-            addrs[j::c] = col
-        s = int(instrs_per_step)
-        step_iat = (np.uint64(self.n)
-                    + np.uint64(s) * np.arange(1, k + 1, dtype=np.uint64))
-        iat = np.repeat(step_iat, c) if c > 1 else step_iat
-        self._acc.extend(addrs, 0, iat, self._cur_rid)
-        total = s * k
-        self.n += total
-        self._rcnt[-1] += total
-        if self._cur_fw:
-            self.fw_instrs += total
-            self.fw_accesses += k * c
-
+    # -- bulk recording (the vectorized kernels) ------------------------------
     def bulk_emit(self, addrs, rw, iat, regions, *, n_instrs: int,
                   fw_instrs: int, fw_accesses: int, head_instrs: int = 0,
                   region_seq=None, region_instrs=None) -> None:
@@ -471,33 +424,13 @@ class Tracer:
             self._rcnt.extend(cnt)
 
     def bulk_branch_events(self, sites, taken) -> None:
-        """Record a batch of branch outcomes with per-event site ids
-        (:meth:`bulk_branches` broadcasts one site; this takes columns).
+        """Record a batch of branch outcomes with per-event site ids.
         As for :meth:`br`, an outcome is taken when non-zero."""
         s = np.asarray(sites)
         if not len(s):
             return
         self._br.extend(s.astype(np.uint32),
                         (np.asarray(taken) != 0).view(np.uint8))
-
-    def bulk_branches(self, site: int, taken, count: int | None = None
-                      ) -> None:
-        """Record a batch of branch outcomes at static ``site``.
-
-        ``taken`` is either a scalar bool (with ``count`` repetitions) or
-        an array of outcomes (non-zero = taken).
-        """
-        if isinstance(taken, (bool, int)):
-            if not count:
-                return
-            sites = np.full(count, site, np.uint32)
-            outcomes = np.full(count, 1 if taken else 0, np.uint8)
-        else:
-            outcomes = (np.asarray(taken) != 0).view(np.uint8)
-            if not len(outcomes):
-                return
-            sites = np.full(len(outcomes), site, np.uint32)
-        self._br.extend(sites, outcomes)
 
     # -- finishing -----------------------------------------------------------
     @property

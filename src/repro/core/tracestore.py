@@ -16,7 +16,9 @@ a format bump invalidates every old entry at once.
 
 Writes are atomic (tmp file + ``os.replace``); the sidecar is written
 last and acts as the commit marker.  Loads fail open: a corrupt or
-partially written entry counts as a miss and the workload is re-run.
+partially written entry — or one whose columns do not fit each other and
+the sidecar (:func:`_check_columns`) — counts as a miss and the workload
+is re-run.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ TRACE_FORMAT_VERSION = 1
 
 _ARRAY_FIELDS = ("addrs", "rw", "iat", "acc_region", "branch_sites",
                  "branch_taken", "region_seq", "region_instrs")
+#: the dtype :meth:`Tracer.freeze` gives each column, which ``save`` writes
+_DTYPES = dict(zip(_ARRAY_FIELDS, (np.uint64, np.uint8, np.uint64, np.uint32,
+                                   np.uint32, np.uint8, np.uint32, np.uint64)))
 
 
 class TraceStoreKeyError(ValueError):
@@ -70,6 +75,35 @@ def _canon(value: Any) -> Any:
                                                      key=lambda kv: str(kv[0]))}
     raise TraceStoreKeyError(
         f"cannot canonicalize params value of type {type(value).__name__}")
+
+
+def _check_columns(cols: dict[str, np.ndarray], regions: dict[int, Region],
+                   n_instrs: int, n_accesses: int) -> None:
+    """Refuse (``ValueError``) columns read from disk that a replay would
+    index out of bounds or silently misread: what :class:`Tracer` vouches
+    for in a trace it froze, checked again for one it did not."""
+    for f, col in cols.items():
+        if col.dtype != _DTYPES[f] or col.ndim != 1:
+            raise ValueError(f"{f}: {col.dtype} array of rank {col.ndim}")
+    size = {f: len(col) for f, col in cols.items()}
+    if not (size["addrs"] == size["rw"] == size["iat"]
+            == size["acc_region"] == n_accesses):
+        raise ValueError("access columns differ in length")
+    if size["branch_sites"] != size["branch_taken"]:
+        raise ValueError("branch columns differ in length")
+    if size["region_seq"] != size["region_instrs"] \
+            or int(cols["region_instrs"].sum()) != n_instrs:
+        raise ValueError("region visits do not account for n_instrs")
+    iat = cols["iat"]
+    if len(iat) and ((iat[1:] < iat[:-1]).any() or int(iat[-1]) > n_instrs):
+        raise ValueError("iat decreases or passes n_instrs")
+    known = np.zeros(max(regions) + 1, dtype=bool)
+    known[list(regions)] = True
+    for f in ("acc_region", "region_seq"):
+        rids = cols[f]
+        if len(rids) and (int(rids.max()) >= len(known)
+                          or not known.take(rids).all()):
+            raise ValueError(f"{f} names a region the sidecar does not")
 
 
 @dataclass
@@ -191,6 +225,8 @@ class TraceStore:
                                              int(r["code_bytes"]),
                                              bool(r["framework"]))
                        for r in meta["regions"]}
+            _check_columns(cols, regions, int(meta["n_instrs"]),
+                           int(meta["n_accesses"]))
             trace = FrozenTrace(
                 **cols,
                 regions=regions,
@@ -199,7 +235,8 @@ class TraceStore:
                 fw_accesses=int(meta["fw_accesses"]),
                 n_accesses=int(meta["n_accesses"]),
             )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError):
+        except (OSError, KeyError, TypeError, ValueError,
+                json.JSONDecodeError):
             self.stats.invalid += 1
             self.stats.misses += 1
             return None

@@ -13,7 +13,9 @@ counters surface through the standard stats plumbing:
   whose cost model lies about the graph;
 * **graph cache** — materialized :class:`~repro.query.exec.GraphImage`
   per (dataset, scale, seed, version), with a per-image kernel memo so
-  repeated queries over one graph pay for BFS/CC/coreness once;
+  repeated queries over one graph pay for degrees/CC/coreness/triangles
+  once — at most those four entries; BFS has a result per (root, depth)
+  and runs per request, its exact repeats being the result cache's job;
 * **result cache** — finished tables keyed by (plan digest, part),
   version-keyed the same way.
 

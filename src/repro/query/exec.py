@@ -1,10 +1,13 @@
 """The query executor: graph phase + table phase.
 
 One executor serves both deployment shapes.  The **graph phase** runs
-kernels over a :class:`GraphImage` (built from a generated
-:class:`~repro.datagen.spec.GraphSpec` or a pinned dynamic
-:class:`~repro.dynamic.store.Snapshot`) and materializes a plain table
-``{"columns": [...], "rows": [[...], ...]}`` in ascending-id order.
+numpy kernels over a :class:`GraphImage` — sorted vertex ids and one
+:class:`~repro.formats.CSRGraph`, the repo's one compact graph form,
+built from a generated :class:`~repro.datagen.spec.GraphSpec` or a
+pinned dynamic :class:`~repro.dynamic.store.Snapshot` — keeps one
+``int64`` column per kernel output and a row mask, and materializes a
+plain table ``{"columns": [...], "rows": [[...], ...]}`` in ascending-id
+order once, at the end.
 The **table phase** applies the aggregate tail via
 :func:`apply_table_op` — pure functions over row lists that the
 cluster router imports *verbatim* for its scatter-gather merge, so the
@@ -15,6 +18,9 @@ Determinism contract (every ordering rule the equivalence gate relies
 on):
 
 * materialized rows are ascending by vertex id;
+* neighbours are ascending within a row of the image, so BFS's
+  ``parent`` — the first discoverer under FIFO order — is one vertex,
+  whichever constructor or shard built the image;
 * ``topk`` orders by value descending, id ascending as the tie-break;
 * ``sample`` keeps the ``k`` smallest splitmix64 hashes of
   ``(id, seed)`` and emits them id-ascending — the hash is recomputable
@@ -27,13 +33,16 @@ on):
 
 from __future__ import annotations
 
-import heapq
 import operator
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Any
 
+import numpy as np
+
 from ..core.errors import PlanError, QueryError
+from ..formats.csr import CSRGraph, from_edge_arrays
 from .plan import PhysicalPlan
 
 #: Guard on shipped result size: a pipeline with no aggregate over a big
@@ -58,32 +67,44 @@ def sample_key(vid: int, seed: int) -> int:
 
 # -- the graph image ---------------------------------------------------------
 
+def _csr(n: int, key: np.ndarray) -> CSRGraph:
+    """CSR of the arcs ``key = row * n + col`` (any order, duplicates
+    dropped): rows ascending, neighbours ascending within a row."""
+    key = np.sort(key)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return from_edge_arrays(n, key // n, key % n)
+
+
 @dataclass
 class GraphImage:
-    """A queryable graph: sorted vertex ids + directed arc list.
+    """A queryable graph: sorted vertex ``ids`` and one
+    :class:`~repro.formats.CSRGraph` of the directed arcs over *row
+    indices* (``ids[r]`` is row ``r``'s vertex), neighbours ascending
+    within a row."""
 
-    Adjacency views are built lazily and cached on the instance, so an
-    engine-cached image pays for each view once across queries.
-    """
-
-    ids: list[int]
-    arcs: list[tuple[int, int]]
-    _out: "dict[int, list[int]] | None" = field(default=None, repr=False)
-    _und: "dict[int, list[int]] | None" = field(default=None, repr=False)
+    ids: np.ndarray
+    csr: CSRGraph
 
     @classmethod
     def from_spec(cls, spec) -> "GraphImage":
-        arcs = [(int(s), int(d)) for s, d in spec.edges]
+        src, dst = spec.edges[:, 0], spec.edges[:, 1]
         if not spec.directed:
-            seen = set(arcs)
-            arcs.extend((d, s) for s, d in list(arcs)
-                        if (d, s) not in seen)
-        return cls(ids=list(range(spec.n)), arcs=arcs)
+            src, dst = (np.concatenate([src, dst]),
+                        np.concatenate([dst, src]))
+        return cls(np.arange(spec.n, dtype=np.int64),
+                   _csr(spec.n, src * spec.n + dst))
 
     @classmethod
     def from_snapshot(cls, snapshot) -> "GraphImage":
-        return cls(ids=list(snapshot.vertex_ids()),
-                   arcs=sorted(snapshot.arcs()))
+        adj = snapshot.adjacency()                  # one locked pass
+        n = len(adj)
+        heads = np.fromiter(adj, np.int64, n)
+        counts = np.fromiter(map(len, adj.values()), np.int64, n)
+        dst = np.fromiter(chain.from_iterable(adj.values()), np.int64,
+                          int(counts.sum()))
+        ids = np.sort(heads)
+        rows = np.searchsorted(ids, np.repeat(heads, counts))
+        return cls(ids, _csr(n, rows * n + np.searchsorted(ids, dst)))
 
     @property
     def n(self) -> int:
@@ -91,133 +112,129 @@ class GraphImage:
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return self.csr.m
 
-    def out_adj(self) -> dict[int, list[int]]:
-        if self._out is None:
-            adj: dict[int, list[int]] = {v: [] for v in self.ids}
-            for s, d in self.arcs:
-                adj[s].append(d)
-            for lst in adj.values():
-                lst.sort()
-            self._out = adj
-        return self._out
-
-    def und_adj(self) -> dict[int, list[int]]:
+    @cached_property
+    def und(self) -> CSRGraph:
         """Undirected simple view: out ∪ in, self-loop free."""
-        if self._und is None:
-            nbr: dict[int, set[int]] = {v: set() for v in self.ids}
-            for s, d in self.arcs:
-                if s != d:
-                    nbr[s].add(d)
-                    nbr[d].add(s)
-            self._und = {v: sorted(ns) for v, ns in nbr.items()}
-        return self._und
+        src = np.repeat(np.arange(self.n), self.csr.degrees())
+        off = src != self.csr.col_idx
+        src, dst = src[off], self.csr.col_idx[off]
+        return _csr(self.n, np.concatenate([src * self.n + dst,
+                                            dst * self.n + src]))
 
 
-# -- kernels (full-graph, deterministic) -------------------------------------
+def _gather(row_ptr: np.ndarray, rows: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR's column array of the adjacency lists of
+    ``rows``, list after list, and each list's length."""
+    lo = row_ptr[rows]
+    counts = row_ptr[rows + 1] - lo
+    before = np.cumsum(counts) - counts
+    return (np.repeat(lo - before, counts)
+            + np.arange(counts.sum())), counts
 
-def kernel_degree(g: GraphImage) -> dict[str, dict[int, int]]:
-    out_deg = {v: 0 for v in g.ids}
-    in_deg = {v: 0 for v in g.ids}
-    for s, d in g.arcs:
-        out_deg[s] += 1
-        in_deg[d] += 1
-    und = g.und_adj()
-    return {"degree": {v: len(und[v]) for v in g.ids},
-            "out_degree": out_deg, "in_degree": in_deg}
+
+# -- kernels (full-graph, deterministic, one value per row of ``ids``) -------
+
+def kernel_degree(g: GraphImage) -> dict[str, np.ndarray]:
+    return {"degree": g.und.degrees(), "out_degree": g.csr.degrees(),
+            "in_degree": np.bincount(g.csr.col_idx, minlength=g.n)}
 
 
 def kernel_bfs(g: GraphImage, root: int, depth: "int | None"
-               ) -> dict[str, dict[int, int]]:
-    """Directed BFS from ``root``; unreached vertices are absent from
-    the result maps (the executor drops their rows)."""
-    if root not in set(g.ids):
+               ) -> dict[str, np.ndarray]:
+    """Directed BFS from ``root``, level by level, each frontier in
+    discovery order so ``parent`` is the first discoverer of the FIFO
+    walk; an unreached vertex has level -1 (the executor drops its
+    row)."""
+    r = int(np.searchsorted(g.ids, root))
+    if r == g.n or g.ids[r] != root:
         raise QueryError(f"bfs root {root} is not a vertex of this "
-                         f"graph ({len(g.ids)} vertices)")
-    if depth is not None and depth < 0:
-        return {"level": {}, "parent": {}}
-    adj = g.out_adj()
-    level = {root: 0}
-    parent = {root: -1}
-    frontier = deque([root])
-    while frontier:
-        v = frontier.popleft()
-        lv = level[v]
-        if depth is not None and lv >= depth:
-            continue
-        for w in adj[v]:
-            if w not in level:
-                level[w] = lv + 1
-                parent[w] = v
-                frontier.append(w)
+                         f"graph ({g.n} vertices)")
+    level = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    limit = g.n if depth is None else depth     # no path has n arcs
+    frontier, lv = np.array([r]), 0
+    if limit >= 0:
+        level[r] = 0
+    while len(frontier) and lv < limit:
+        pos, counts = _gather(g.csr.row_ptr, frontier)
+        found, by = g.csr.col_idx[pos], np.repeat(frontier, counts)
+        new = level[found] < 0
+        found, by = found[new], by[new]
+        first = np.sort(np.unique(found, return_index=True)[1])
+        frontier = found[first]
+        lv += 1
+        level[frontier] = lv
+        parent[frontier] = g.ids[by[first]]
     return {"level": level, "parent": parent}
 
 
-def kernel_cc(g: GraphImage) -> dict[str, dict[int, int]]:
+def kernel_cc(g: GraphImage) -> dict[str, np.ndarray]:
     """Undirected connected components; the label is the component's
     minimum vertex id (canonical, so every node computes the same
     labels independently)."""
-    und = g.und_adj()
-    comp: dict[int, int] = {}
-    for start in g.ids:               # ascending: start is the min id
-        if start in comp:
+    src = np.repeat(np.arange(g.n), g.und.degrees())
+    dst = g.und.col_idx
+    comp = np.arange(g.n)
+    while True:
+        a, b = comp[src], comp[dst]
+        if (a == b).all():
+            return {"comp": g.ids[comp]}
+        # hook the larger root under the smaller, then jump pointers
+        # until every vertex points at a root again
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+        while ((up := comp[comp]) != comp).any():
+            comp = up
+
+
+def kernel_kcore(g: GraphImage) -> dict[str, np.ndarray]:
+    """Coreness per vertex (undirected peeling: every vertex of degree
+    at most ``k`` leaves in the round that finds it)."""
+    deg = g.und.degrees()
+    core = np.zeros(g.n, dtype=np.int64)
+    alive = np.ones(g.n, dtype=bool)
+    k = 0
+    while alive.any():
+        peel = np.flatnonzero(alive & (deg <= k))
+        if not len(peel):
+            k = int(deg[alive].min())
             continue
-        comp[start] = start
-        frontier = deque([start])
-        while frontier:
-            v = frontier.popleft()
-            for w in und[v]:
-                if w not in comp:
-                    comp[w] = start
-                    frontier.append(w)
-    return {"comp": comp}
-
-
-def kernel_kcore(g: GraphImage) -> dict[str, dict[int, int]]:
-    """Coreness per vertex (undirected peeling, Matula–Beck order)."""
-    und = g.und_adj()
-    deg = {v: len(und[v]) for v in g.ids}
-    core: dict[int, int] = {}
-    current = 0
-    removed = set()
-    # peel: repeatedly take the minimum-degree remaining vertex; its
-    # coreness is the running maximum of removal degrees
-    heap = [(deg[v], v) for v in sorted(g.ids)]
-    heapq.heapify(heap)
-    live_deg = dict(deg)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != live_deg[v]:
-            continue                   # stale heap entry
-        current = max(current, d)
-        core[v] = current
-        removed.add(v)
-        for w in und[v]:
-            if w not in removed:
-                live_deg[w] -= 1
-                heapq.heappush(heap, (live_deg[w], w))
+        core[peel] = k
+        alive[peel] = False
+        pos, _ = _gather(g.und.row_ptr, peel)
+        deg -= np.bincount(g.und.col_idx[pos], minlength=g.n)
     return {"core": core}
 
 
-def kernel_triangles(g: GraphImage) -> dict[str, dict[int, int]]:
-    """Per-vertex triangle count on the undirected simple view."""
-    und = {v: set(ns) for v, ns in g.und_adj().items()}
-    tri = {v: 0 for v in g.ids}
-    for u in g.ids:
-        for v in und[u]:
-            if v <= u:
-                continue
-            common = und[u] & und[v]
-            for w in common:
-                if w > v:
-                    tri[u] += 1
-                    tri[v] += 1
-                    tri[w] += 1
-    return {"tri": tri}
+def kernel_triangles(g: GraphImage) -> dict[str, np.ndarray]:
+    """Per-vertex triangle count on the undirected simple view: the
+    edges ``u < v`` in order are themselves a CSR (row ``u``, its higher
+    neighbours ascending); for each one and each higher neighbour ``w``
+    of ``v``, the triangle ``u < v < w`` exists when ``u`` has the edge
+    to ``w``."""
+    n = g.n
+    src = np.repeat(np.arange(n), g.und.degrees())
+    up = src < g.und.col_idx
+    u, v = src[up], g.und.col_idx[up]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
+    key = u * n + v                             # ascending, as the rows are
+    pos, counts = _gather(ptr, v)
+    w = v[pos]
+    want = np.repeat(u, counts) * n + w
+    hit = key[np.minimum(np.searchsorted(key, want), len(key) - 1)] == want
+    edge = np.repeat(np.arange(len(u)), counts)[hit]
+    return {"tri": np.bincount(np.concatenate([u[edge], v[edge], w[hit]]),
+                               minlength=n)}
 
 
 # -- graph phase -------------------------------------------------------------
+
+#: The parameter-free kernels: one result per image, memoised by name.
+_KERNELS = {"degree": kernel_degree, "cc": kernel_cc,
+            "kcore": kernel_kcore, "triangles": kernel_triangles}
+
 
 def run_graph_phase(plan: PhysicalPlan, graph: GraphImage, *,
                     part: "tuple[int, int] | None" = None,
@@ -228,78 +245,46 @@ def run_graph_phase(plan: PhysicalPlan, graph: GraphImage, *,
     ``part = (i, n)`` restricts *output rows* to vertices with
     ``id % n == i`` — kernels still see the whole graph, so per-vertex
     values are identical no matter which shard computes them.
-    ``kernel_cache`` (dict-like) memoizes kernel column maps across
-    queries against the same graph image.
+    ``kernel_cache`` (a dict) keeps the parameter-free kernels' columns
+    across queries against the same graph image, one entry per kernel
+    name: ``kcore``'s ``k`` is a mask over the one coreness column, and
+    BFS — one result per (root, depth) — runs per request.
     """
+    memo = {} if kernel_cache is None else kernel_cache
     ids = graph.ids
-    if part is None:
-        keep = set(ids)
-    else:
-        i, n = part
-        keep = {v for v in ids if v % n == i}
-    cols: dict[str, dict[int, Any]] = {}
+    keep = np.ones(len(ids), dtype=bool) if part is None \
+        else ids % part[1] == part[0]
+    cols: dict[str, np.ndarray] = {"id": ids}
     visible = ["id"]
-
-    def run_kernel(op: dict[str, Any]) -> dict[str, dict[int, Any]]:
-        kind = op["kind"]
-        cache_key = tuple(sorted((k, v) for k, v in op.items()))
-        if kernel_cache is not None and cache_key in kernel_cache:
-            return kernel_cache[cache_key]
-        if kind == "degree":
-            result = kernel_degree(graph)
-        elif kind == "bfs":
-            result = kernel_bfs(graph, op["root"], op["depth"])
-        elif kind == "cc":
-            result = kernel_cc(graph)
-        elif kind == "kcore":
-            result = kernel_kcore(graph)
-        elif kind == "triangles":
-            result = kernel_triangles(graph)
-        else:  # pragma: no cover - planner guarantees the catalog
-            raise PlanError(f"unknown kernel {kind!r}")
-        if kernel_cache is not None:
-            kernel_cache[cache_key] = result
-        return result
-
     for op in plan.graph_ops:
         kind = op["kind"]
-        if kind in ("degree", "bfs", "cc", "kcore", "triangles"):
-            produced = run_kernel(op)
-            cols.update(produced)
-            visible.extend(produced.keys())
-            if kind == "bfs":
-                reached = produced["level"]
-                keep &= reached.keys()
-            elif kind == "kcore" and op.get("k") is not None:
-                core = produced["core"]
-                keep = {v for v in keep if core.get(v, 0) >= op["k"]}
-        elif kind == "filter":
-            col, cmp_fn = op["column"], _CMP[op["cmp"]]
-            value = op["value"]
-            series = cols[col]
-            keep = {v for v in keep if cmp_fn(series.get(v), value)}
-        elif kind == "project":
+        if kind == "filter":
+            keep &= _CMP[op["cmp"]](cols[op["column"]], op["value"])
+            continue
+        if kind == "project":
             visible = list(op["columns"])
+            continue
+        if kind == "bfs":
+            produced = kernel_bfs(graph, op["root"], op["depth"])
+            keep &= produced["level"] >= 0
+        elif kind in _KERNELS:
+            produced = memo.get(kind)
+            if produced is None:
+                produced = memo[kind] = _KERNELS[kind](graph)
+            if kind == "kcore" and op["k"] is not None:
+                keep &= produced["core"] >= op["k"]
         else:  # pragma: no cover - planner phase split guarantees this
             raise PlanError(f"op {kind!r} is not a graph-phase op")
+        cols.update(produced)
+        visible.extend(produced)
 
-    rows = [[v] + [_jsonable(cols[c].get(v)) for c in visible[1:]]
-            for v in ids if v in keep]
-    if len(rows) > MAX_RESULT_ROWS:
+    n_rows = int(keep.sum())
+    if n_rows > MAX_RESULT_ROWS:
         raise QueryError(
-            f"result of {len(rows)} rows exceeds {MAX_RESULT_ROWS}; "
+            f"result of {n_rows} rows exceeds {MAX_RESULT_ROWS}; "
             "add a topk/limit/sample/count stage")
+    rows = np.stack([cols[c][keep] for c in visible], axis=1).tolist()
     return {"columns": list(visible), "rows": rows}
-
-
-def _jsonable(value):
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    return int(value)
 
 
 # -- table phase (shared with the router's merge) ----------------------------

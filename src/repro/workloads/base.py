@@ -34,8 +34,6 @@ class NullTracer:
     def br(self, site: int, taken: bool) -> None: ...
     def enter(self, rid: int) -> None: ...
     def leave(self) -> None: ...
-    def bulk_scan(self, addr_cols, instrs_per_step: int = 2) -> None: ...
-    def bulk_branches(self, site, taken, count=None) -> None: ...
     def bulk_branch_events(self, sites, taken) -> None: ...
 
     def bulk_emit(self, addrs, rw, iat, regions, *, n_instrs, fw_instrs,

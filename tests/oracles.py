@@ -4,11 +4,14 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` /
 :class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
 ``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops and the seven workload loop kernels, which only tests
-need, live here.
+per-segment loops, the seven workload loop kernels and the query
+executor's dict image and kernels, which only tests need, live here.
 """
 
 import dataclasses
+import heapq
+from collections import deque
+from typing import Any
 
 import numpy as np
 
@@ -16,8 +19,10 @@ from repro.arch import TLB, MemoryHierarchy
 from repro.arch.branch import PREDICTORS
 from repro.arch.cache import Cache, CacheStats
 from repro.arch.icache import ICache, ICacheStats
+from repro.core.errors import PlanError, QueryError
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
+from repro.query.exec import _CMP, MAX_RESULT_ROWS
 from repro.workloads.base import TracedHeap, TracedQueue
 
 
@@ -451,3 +456,256 @@ def loop_spath(g, t, *, root=0, **_):
 LOOP_KERNELS = {"BFS": loop_bfs, "CComp": loop_ccomp, "kCore": loop_kcore,
                 "TC": loop_tc, "Gibbs": loop_gibbs, "DCentr": loop_dcentr,
                 "SPath": loop_spath}
+
+
+# -- the query executor's dict image and kernels -----------------------------
+# What ``repro.query.exec`` ran before its graph became a CSR: a tuple list,
+# two lazily built dict adjacencies, five pure-python kernels returning
+# ``{column: {vid: value}}`` and the graph phase that drove them (per-op memo
+# keys, ``KeyError`` on ``filter id`` and all).  ``test_query.py`` requires
+# the array kernels to agree with these element for element.
+
+@dataclasses.dataclass
+class DictGraphImage:
+    """A queryable graph: sorted vertex ids + directed arc list.
+
+    Adjacency views are built lazily and cached on the instance, so an
+    engine-cached image pays for each view once across queries.
+    """
+
+    ids: list[int]
+    arcs: list[tuple[int, int]]
+    _out: "dict[int, list[int]] | None" = dataclasses.field(
+        default=None, repr=False)
+    _und: "dict[int, list[int]] | None" = dataclasses.field(
+        default=None, repr=False)
+
+    @classmethod
+    def from_spec(cls, spec) -> "DictGraphImage":
+        arcs = [(int(s), int(d)) for s, d in spec.edges]
+        if not spec.directed:
+            seen = set(arcs)
+            arcs.extend((d, s) for s, d in list(arcs)
+                        if (d, s) not in seen)
+        return cls(ids=list(range(spec.n)), arcs=arcs)
+
+    @classmethod
+    def from_snapshot(cls, snapshot) -> "DictGraphImage":
+        return cls(ids=list(snapshot.vertex_ids()),
+                   arcs=sorted(snapshot.arcs()))
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def m(self) -> int:
+        return len(self.arcs)
+
+    def out_adj(self) -> dict[int, list[int]]:
+        if self._out is None:
+            adj: dict[int, list[int]] = {v: [] for v in self.ids}
+            for s, d in self.arcs:
+                adj[s].append(d)
+            for lst in adj.values():
+                lst.sort()
+            self._out = adj
+        return self._out
+
+    def und_adj(self) -> dict[int, list[int]]:
+        """Undirected simple view: out ∪ in, self-loop free."""
+        if self._und is None:
+            nbr: dict[int, set[int]] = {v: set() for v in self.ids}
+            for s, d in self.arcs:
+                if s != d:
+                    nbr[s].add(d)
+                    nbr[d].add(s)
+            self._und = {v: sorted(ns) for v, ns in nbr.items()}
+        return self._und
+
+
+# -- kernels (full-graph, deterministic) -------------------------------------
+
+def dict_degree(g: DictGraphImage) -> dict[str, dict[int, int]]:
+    out_deg = {v: 0 for v in g.ids}
+    in_deg = {v: 0 for v in g.ids}
+    for s, d in g.arcs:
+        out_deg[s] += 1
+        in_deg[d] += 1
+    und = g.und_adj()
+    return {"degree": {v: len(und[v]) for v in g.ids},
+            "out_degree": out_deg, "in_degree": in_deg}
+
+
+def dict_bfs(g: DictGraphImage, root: int, depth: "int | None"
+             ) -> dict[str, dict[int, int]]:
+    """Directed BFS from ``root``; unreached vertices are absent from
+    the result maps (the executor drops their rows)."""
+    if root not in set(g.ids):
+        raise QueryError(f"bfs root {root} is not a vertex of this "
+                         f"graph ({len(g.ids)} vertices)")
+    if depth is not None and depth < 0:
+        return {"level": {}, "parent": {}}
+    adj = g.out_adj()
+    level = {root: 0}
+    parent = {root: -1}
+    frontier = deque([root])
+    while frontier:
+        v = frontier.popleft()
+        lv = level[v]
+        if depth is not None and lv >= depth:
+            continue
+        for w in adj[v]:
+            if w not in level:
+                level[w] = lv + 1
+                parent[w] = v
+                frontier.append(w)
+    return {"level": level, "parent": parent}
+
+
+def dict_cc(g: DictGraphImage) -> dict[str, dict[int, int]]:
+    """Undirected connected components; the label is the component's
+    minimum vertex id (canonical, so every node computes the same
+    labels independently)."""
+    und = g.und_adj()
+    comp: dict[int, int] = {}
+    for start in g.ids:               # ascending: start is the min id
+        if start in comp:
+            continue
+        comp[start] = start
+        frontier = deque([start])
+        while frontier:
+            v = frontier.popleft()
+            for w in und[v]:
+                if w not in comp:
+                    comp[w] = start
+                    frontier.append(w)
+    return {"comp": comp}
+
+
+def dict_kcore(g: DictGraphImage) -> dict[str, dict[int, int]]:
+    """Coreness per vertex (undirected peeling, Matula–Beck order)."""
+    und = g.und_adj()
+    deg = {v: len(und[v]) for v in g.ids}
+    core: dict[int, int] = {}
+    current = 0
+    removed = set()
+    # peel: repeatedly take the minimum-degree remaining vertex; its
+    # coreness is the running maximum of removal degrees
+    heap = [(deg[v], v) for v in sorted(g.ids)]
+    heapq.heapify(heap)
+    live_deg = dict(deg)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != live_deg[v]:
+            continue                   # stale heap entry
+        current = max(current, d)
+        core[v] = current
+        removed.add(v)
+        for w in und[v]:
+            if w not in removed:
+                live_deg[w] -= 1
+                heapq.heappush(heap, (live_deg[w], w))
+    return {"core": core}
+
+
+def dict_triangles(g: DictGraphImage) -> dict[str, dict[int, int]]:
+    """Per-vertex triangle count on the undirected simple view."""
+    und = {v: set(ns) for v, ns in g.und_adj().items()}
+    tri = {v: 0 for v in g.ids}
+    for u in g.ids:
+        for v in und[u]:
+            if v <= u:
+                continue
+            common = und[u] & und[v]
+            for w in common:
+                if w > v:
+                    tri[u] += 1
+                    tri[v] += 1
+                    tri[w] += 1
+    return {"tri": tri}
+
+
+# -- graph phase -------------------------------------------------------------
+
+def dict_graph_phase(plan, graph: DictGraphImage, *,
+                    part: "tuple[int, int] | None" = None,
+                    kernel_cache: "dict | None" = None
+                    ) -> dict[str, Any]:
+    """Execute scan + graph ops; return the materialized table.
+
+    ``part = (i, n)`` restricts *output rows* to vertices with
+    ``id % n == i`` — kernels still see the whole graph, so per-vertex
+    values are identical no matter which shard computes them.
+    ``kernel_cache`` (dict-like) memoizes kernel column maps across
+    queries against the same graph image.
+    """
+    ids = graph.ids
+    if part is None:
+        keep = set(ids)
+    else:
+        i, n = part
+        keep = {v for v in ids if v % n == i}
+    cols: dict[str, dict[int, Any]] = {}
+    visible = ["id"]
+
+    def run_kernel(op: dict[str, Any]) -> dict[str, dict[int, Any]]:
+        kind = op["kind"]
+        cache_key = tuple(sorted((k, v) for k, v in op.items()))
+        if kernel_cache is not None and cache_key in kernel_cache:
+            return kernel_cache[cache_key]
+        if kind == "degree":
+            result = dict_degree(graph)
+        elif kind == "bfs":
+            result = dict_bfs(graph, op["root"], op["depth"])
+        elif kind == "cc":
+            result = dict_cc(graph)
+        elif kind == "kcore":
+            result = dict_kcore(graph)
+        elif kind == "triangles":
+            result = dict_triangles(graph)
+        else:  # pragma: no cover - planner guarantees the catalog
+            raise PlanError(f"unknown kernel {kind!r}")
+        if kernel_cache is not None:
+            kernel_cache[cache_key] = result
+        return result
+
+    for op in plan.graph_ops:
+        kind = op["kind"]
+        if kind in ("degree", "bfs", "cc", "kcore", "triangles"):
+            produced = run_kernel(op)
+            cols.update(produced)
+            visible.extend(produced.keys())
+            if kind == "bfs":
+                reached = produced["level"]
+                keep &= reached.keys()
+            elif kind == "kcore" and op.get("k") is not None:
+                core = produced["core"]
+                keep = {v for v in keep if core.get(v, 0) >= op["k"]}
+        elif kind == "filter":
+            col, cmp_fn = op["column"], _CMP[op["cmp"]]
+            value = op["value"]
+            series = cols[col]
+            keep = {v for v in keep if cmp_fn(series.get(v), value)}
+        elif kind == "project":
+            visible = list(op["columns"])
+        else:  # pragma: no cover - planner phase split guarantees this
+            raise PlanError(f"op {kind!r} is not a graph-phase op")
+
+    rows = [[v] + [_jsonable(cols[c].get(v)) for c in visible[1:]]
+            for v in ids if v in keep]
+    if len(rows) > MAX_RESULT_ROWS:
+        raise QueryError(
+            f"result of {len(rows)} rows exceeds {MAX_RESULT_ROWS}; "
+            "add a topk/limit/sample/count stage")
+    return {"columns": list(visible), "rows": rows}
+
+
+def _jsonable(value):
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(value)
+    return int(value)

@@ -1,16 +1,22 @@
 """Pipeline-DSL query language: parser round-trip (property-tested),
 typed errors on garbage, planner shape/fusion, executor equivalence
-against naive references, the engine's version-keyed plan cache, and
-the query/explain wire ops end-to-end over a live service."""
+against naive references and — property-tested, both constructors — the
+array kernels against the dict kernels they displaced
+(``tests/oracles.py``), the engine's version-keyed plan cache, and the
+query/explain wire ops end-to-end over a live service."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import BadRequest, PlanError, QueryError
+from repro.core.taxonomy import DataSource
 from repro.datagen.registry import make
+from repro.datagen.spec import GraphSpec
+from repro.dynamic import MutOp, SnapshotStore
 from repro.query import (
     PLANNER_VERSION,
     QueryEngine,
@@ -21,15 +27,18 @@ from repro.query import (
     source_info,
     unparse,
 )
+from repro.query import exec as qexec
 from repro.query.engine import plan_digest
 from repro.query.exec import (
     GraphImage,
+    apply_table_op,
     execute_plan,
     kernel_bfs,
     kernel_cc,
     kernel_degree,
     kernel_kcore,
     kernel_triangles,
+    run_table_phase,
     sample_key,
 )
 from repro.query.plan import render_plan
@@ -39,6 +48,15 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
+from tests.oracles import (
+    DictGraphImage,
+    dict_bfs,
+    dict_cc,
+    dict_degree,
+    dict_graph_phase,
+    dict_kcore,
+    dict_triangles,
+)
 
 DATASET = "ldbc"
 SCALE = 0.02
@@ -47,6 +65,26 @@ SCALE = 0.02
 def _image(dataset: str = DATASET, scale: float = SCALE,
            seed: int = 0) -> GraphImage:
     return GraphImage.from_spec(make(dataset, scale=scale, seed=seed))
+
+
+def _dict_image(dataset: str = DATASET, scale: float = SCALE,
+                seed: int = 0) -> DictGraphImage:
+    return DictGraphImage.from_spec(make(dataset, scale=scale, seed=seed))
+
+
+def _column(g: GraphImage, values: np.ndarray) -> dict[int, int]:
+    """A kernel's array as the ``{vid: value}`` map the dict kernels
+    return."""
+    return dict(zip(g.ids.tolist(), values.tolist()))
+
+
+def _reached(g: GraphImage, bfs: dict[str, np.ndarray]
+             ) -> dict[str, dict[int, int]]:
+    """BFS columns as the dict kernel reports them: unreached vertices
+    absent."""
+    hit = bfs["level"] >= 0
+    return {name: dict(zip(g.ids[hit].tolist(), col[hit].tolist()))
+            for name, col in bfs.items()}
 
 
 def _run(q: str, **kwargs):
@@ -178,9 +216,9 @@ class TestPlanner:
 class TestKernels:
     def test_bfs_levels_match_reference(self):
         g = _image()
-        out = kernel_bfs(g, 0, None)
+        out = _reached(g, kernel_bfs(g, 0, None))
         levels, parents = out["level"], out["parent"]
-        adj = g.out_adj()            # the kernel is a directed BFS
+        adj = _dict_image().out_adj()   # the kernel is a directed BFS
         ref = {0: 0}
         frontier = [0]
         while frontier:
@@ -198,15 +236,15 @@ class TestKernels:
 
     def test_cc_labels_are_component_minima(self):
         g = _image()
-        comp = kernel_cc(g)["comp"]
+        comp = _column(g, kernel_cc(g)["comp"])
         for vid, label in comp.items():
             assert comp[label] == label       # root labels itself
             assert label <= vid
 
     def test_kcore_matches_iterative_peeling(self):
         g = _image()
-        core = kernel_kcore(g)["core"]
-        adj = g.und_adj()
+        core = _column(g, kernel_kcore(g)["core"])
+        adj = _dict_image().und_adj()
         # reference: coreness c(v) >= k iff v survives k-core peeling
         for k in (1, 2, 3):
             alive = set(adj)
@@ -221,8 +259,9 @@ class TestKernels:
 
     def test_triangles_match_brute_force(self):
         g = _image(scale=0.01)
-        tri = kernel_triangles(g)["tri"]
-        adj = {v: set(ns) for v, ns in g.und_adj().items()}
+        tri = _column(g, kernel_triangles(g)["tri"])
+        adj = {v: set(ns)
+               for v, ns in _dict_image(scale=0.01).und_adj().items()}
         ref = {v: 0 for v in adj}
         ids = sorted(adj)
         for i, u in enumerate(ids):
@@ -238,11 +277,12 @@ class TestKernels:
 
     def test_degree_counts_directed_arcs(self):
         g = _image()
-        deg = kernel_degree(g)
-        out_adj = g.out_adj()
-        for vid in g.ids:
+        deg = {c: _column(g, col) for c, col in kernel_degree(g).items()}
+        old = _dict_image()
+        out_adj, und_adj = old.out_adj(), old.und_adj()
+        for vid in g.ids.tolist():
             assert deg["out_degree"][vid] == len(out_adj[vid])
-            assert deg["degree"][vid] == len(g.und_adj()[vid])
+            assert deg["degree"][vid] == len(und_adj[vid])
 
     def test_sample_is_bottom_k_of_hash(self):
         table = _run(f"from {DATASET} scale={SCALE} | sample 7 seed=3")
@@ -254,11 +294,169 @@ class TestKernels:
         assert sorted(ranked) == ids       # output is id-ascending
 
 
+# -- the array kernels against the dict kernels they displaced ---------------
+
+#: every template's plan: the graph ops do not depend on the dataset
+#: named in ``from``, so the pool's plans run against any image
+POOL_PLANS = [plan_pipeline(parse(q))
+              for q in query_template_pool(("twitter",), scale=SCALE)]
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                  max_size=40)      # self-loops and duplicates included
+_CHURN = st.lists(st.one_of(
+    st.builds(MutOp, st.just("add_vertex"), src=st.integers(0, 40)),
+    st.builds(MutOp, st.just("del_vertex"), src=st.integers(0, 11)),
+    st.builds(MutOp, st.sampled_from(["add_edge", "del_edge"]),
+              src=st.integers(0, 40), dst=st.integers(0, 40))),
+    max_size=30)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the text of its typed error."""
+    try:
+        return fn(*args, **kwargs)
+    except QueryError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _dict_execute(plan, old: DictGraphImage, *, part=None):
+    """``execute_plan`` as it was: the displaced graph phase, then the
+    table phase both executors share."""
+    table = dict_graph_phase(plan, old, part=part, kernel_cache={})
+    if part is None:
+        return run_table_phase(table, plan.table_ops)
+    return apply_table_op(table, plan.table_ops[0]) if plan.table_ops \
+        else table
+
+
+def _assert_same_answers(new: GraphImage, old: DictGraphImage) -> None:
+    """Every kernel, every pool template, whole and in three parts."""
+    assert new.ids.tolist() == old.ids
+    assert (new.n, new.m) == (old.n, old.m)
+    assert {c: _column(new, col)
+            for c, col in kernel_degree(new).items()} == dict_degree(old)
+    assert _column(new, kernel_cc(new)["comp"]) == dict_cc(old)["comp"]
+    assert _column(new, kernel_kcore(new)["core"]) == \
+        dict_kcore(old)["core"]
+    assert _column(new, kernel_triangles(new)["tri"]) == \
+        dict_triangles(old)["tri"]
+    # every vertex as a root (so each is inside some reached sets and
+    # outside others), then two that are no vertex: past the end, and
+    # — when the ids are sparse — inside a gap
+    roots = old.ids + [max(old.ids, default=-1) + 1] \
+        + sorted(set(range(max(old.ids, default=0))) - set(old.ids))[:1]
+    for root in roots:
+        for depth in (None, -1, 0, 1, 2):
+            got = _outcome(lambda: _reached(
+                new, kernel_bfs(new, root, depth)))
+            assert got == _outcome(dict_bfs, old, root, depth), \
+                (root, depth)
+    memo: dict = {}
+    for plan in POOL_PLANS:
+        for part in (None, (0, 3), (1, 3), (2, 3)):
+            got = _outcome(execute_plan, plan, new, part=part,
+                           partial=part is not None, kernel_cache=memo)
+            assert got == _outcome(_dict_execute, plan, old, part=part), \
+                (plan.graph_ops, part)
+
+
+class TestArrayKernelsMatchDictOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), pairs=_PAIRS, directed=st.booleans())
+    def test_from_spec(self, n, pairs, directed):
+        edges = [(s, d) for s, d in pairs if s < n and d < n]
+        spec = GraphSpec("rand", DataSource.SYNTHETIC, n,
+                         np.array(edges, dtype=np.int64).reshape(-1, 2),
+                         directed=directed)
+        _assert_same_answers(GraphImage.from_spec(spec),
+                             DictGraphImage.from_spec(spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), pairs=_PAIRS, directed=st.booleans(),
+           churn=_CHURN)
+    def test_from_snapshot_after_churn(self, n, pairs, directed, churn):
+        """Vertices deleted and added leave the ids non-contiguous."""
+        store = SnapshotStore.from_edges(
+            n, [(s, d) for s, d in pairs if s < n and d < n],
+            directed=directed)
+        if churn:
+            store.commit(churn)
+        with store.snapshot() as snap:
+            _assert_same_answers(GraphImage.from_snapshot(snap),
+                                 DictGraphImage.from_snapshot(snap))
+
+    @pytest.mark.parametrize("dataset", ["twitter", "knowledge", "watson",
+                                         "roadnet", "ldbc"])
+    def test_every_template_on_a_registry_dataset(self, dataset):
+        _assert_same_answers(_image(dataset), _dict_image(dataset))
+
+    def test_empty_graph_and_single_vertex(self):
+        for n in (0, 1):
+            store = SnapshotStore.from_edges(n, [])
+            with store.snapshot() as snap:
+                for g in (GraphImage.from_snapshot(snap),
+                          GraphImage.from_spec(GraphSpec(
+                              "tiny", DataSource.SYNTHETIC, n,
+                              np.empty((0, 2), dtype=np.int64)))):
+                    assert (g.n, g.m) == (n, 0)
+                    table = execute_plan(plan_pipeline(parse(
+                        "from ldbc | degree | cc | kcore | triangles")), g)
+                    assert len(table["columns"]) == 7
+                    assert table["rows"] == [[0] * 7][:n]
+
+
+class TestGraphPhase:
+    def test_filter_on_id(self):
+        """``id`` is a column like any other (a bare ``KeyError`` once:
+        the planner listed it as visible, the graph phase never held
+        it)."""
+        assert _run(f"from {DATASET} scale={SCALE} | filter id<10 "
+                    "| count")["rows"] == [[10]]
+        assert _run(f"from {DATASET} scale={SCALE} | filter id>=3 "
+                    "| filter id<5")["rows"] == [[3], [4]]
+
+    def test_parameter_sweeps_do_not_grow_the_kernel_memo(self):
+        """The memo holds the parameter-free kernels only: a client
+        sweeping BFS depths or roots must not pin one O(n) entry per
+        parameter under a single graph-cache entry."""
+        eng = QueryEngine()
+        base = f"from {DATASET} scale={SCALE}"
+        for d in range(1, 400):
+            eng.query({"q": f"{base} | bfs root=0 depth<={d} | count"})
+        for root in range(50):
+            eng.query({"q": f"{base} | bfs root={root} | topk degree 3"})
+        for q in ("cc | count", "kcore k>=2 | count", "triangles | count"):
+            eng.query({"q": f"{base} | {q}"})
+        _, memo = eng._graph(source_info(parse(base)), 0, 0, None)
+        assert sorted(memo) == ["cc", "degree", "kcore", "triangles"]
+
+    def test_kcore_threshold_is_a_mask_over_one_kernel_run(self,
+                                                           monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return kernel_kcore(g)
+
+        monkeypatch.setitem(qexec._KERNELS, "kcore", counted)
+        image, memo = _image(), {}
+        core = _column(image, kernel_kcore(image)["core"])
+        for k in (1, 3):
+            table = execute_plan(plan_pipeline(parse(
+                f"from {DATASET} | kcore k>={k}")), image,
+                kernel_cache=memo)
+            assert table["rows"] == [[v, c] for v, c in core.items()
+                                     if c >= k]
+        assert len(calls) == 1
+
+
 # -- distributed merge == local execution ------------------------------------
 
 class TestMergeEquivalence:
     @pytest.mark.parametrize("q", query_template_pool(
-        ("twitter",), scale=SCALE))
+        ("twitter",), scale=SCALE) + [
+        f"from twitter scale={SCALE} | filter id<10 | count",
+        f"from twitter scale={SCALE} | filter id>=7 | topk degree 5"])
     def test_three_part_merge_matches_local(self, q):
         plan = plan_pipeline(parse(q))
         image = _image("twitter")

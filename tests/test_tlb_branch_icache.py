@@ -140,7 +140,7 @@ class TestBranchPredictors:
                                          kind=kind) == want, (kind, spelling)
         t = Tracer()
         t.bulk_branch_events(sites, taken * 256)
-        t.bulk_branches(9, taken * 2)
+        t.bulk_branch_events(sites, taken * 2)
         stored = t.freeze().branch_taken
         assert stored.tolist() == taken.tolist() * 2
 

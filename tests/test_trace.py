@@ -215,48 +215,10 @@ class TestFreezeIsolation:
 
 
 class TestVectorizedBulk:
-    """The bulk APIs must emit exactly the same stream as the equivalent
-    per-element loop."""
-
-    def test_bulk_framework_attribution(self):
-        t = Tracer()
-        t.enter(T.R_BUILD)
-        t.bulk_scan(([0, 64, 128],), instrs_per_step=2)
-        t.leave()
-        ft = t.freeze()
-        assert ft.fw_instrs == 6
-        assert ft.fw_accesses == 3
-        assert list(ft.region_instrs) == [0, 6, 0]
-
-    def test_bulk_scan_matches_loop(self):
-        c0 = [0, 64, 128]
-        c1 = [1000, 1064, 1128]
-        a = Tracer()
-        for x, y in zip(c0, c1):
-            a.i(10)
-            a.r(x)
-            a.r(y)
-        b = Tracer()
-        b.bulk_scan((c0, c1), instrs_per_step=10)
-        fa, fb = a.freeze(), b.freeze()
-        for f in ("addrs", "rw", "iat", "acc_region"):
-            assert np.array_equal(getattr(fa, f), getattr(fb, f)), f
-        assert fa.n_instrs == fb.n_instrs
-        assert fa.fw_accesses == fb.fw_accesses
-
-    def test_bulk_branches_scalar_and_array(self):
-        t = Tracer()
-        t.bulk_branches(T.B_EDGE_LOOP, True, 3)
-        t.bulk_branches(T.B_VERTEX_SCAN, [True, False])
-        ft = t.freeze()
-        assert list(ft.branch_sites) == [T.B_EDGE_LOOP] * 3 + \
-            [T.B_VERTEX_SCAN] * 2
-        assert list(ft.branch_taken) == [1, 1, 1, 1, 0]
-
     def test_bulk_empty_is_noop(self):
         t = Tracer()
-        t.bulk_scan(([], []))
-        t.bulk_branches(1, True, 0)
+        t.bulk_emit([], [], [], [], n_instrs=0, fw_instrs=0, fw_accesses=0)
+        t.bulk_branch_events([], [])
         ft = t.freeze()
         assert ft.n_accesses == 0
         assert ft.n_branches == 0

@@ -178,6 +178,56 @@ class TestRoundTrip:
         assert store.load(key) is None
         assert store.stats.invalid == 1
 
+    @pytest.mark.parametrize("column,damage", [
+        ("rw", lambda c: c[:10]),
+        ("branch_taken", lambda c: c[:-3]),
+        ("iat", lambda c: c[::-1]),
+        ("iat", lambda c: c + np.uint64(1 << 40)),
+        ("addrs", lambda c: c.astype(np.int64)),
+        ("addrs", lambda c: c.reshape(1, -1)),
+        ("region_seq", lambda c: c[:-1]),
+        ("region_instrs", lambda c: c + np.uint64(1)),
+        ("acc_region", lambda c: np.where(np.arange(len(c)) == 5, 999, c)
+         .astype(c.dtype)),
+        ("region_seq", lambda c: np.where(np.arange(len(c)) == 1, 40, c)
+         .astype(c.dtype)),
+        ("n_accesses", lambda n: n - 1),
+        ("n_instrs", lambda n: None),
+    ], ids=["rw-ten-long", "branch_taken-three-short", "iat-reversed",
+            "iat-past-n_instrs", "addrs-int64", "addrs-2d",
+            "region_seq-one-short", "region_instrs-sum", "acc_region-unknown",
+            "region_seq-unknown", "sidecar-n_accesses", "sidecar-n_instrs-null"])
+    def test_columns_that_do_not_fit_fail_open(self, store, spec, column,
+                                               damage):
+        """A stored entry whose columns disagree with each other or with
+        the sidecar is a counted miss, not a trace: the replay never
+        sees it (``rw`` ten entries long was an ``IndexError`` inside
+        ``CPUModel.run``, a reversed ``iat`` a silently wrong answer),
+        and the re-run replaces it."""
+        fresh, _ = run_cpu_workload("BFS", spec, machine=TEST_MACHINE,
+                                    trace_store=store)
+        key = store.key_for("BFS", spec)
+        npz, sidecar = (store.root / f"{key}.npz",
+                        store.root / f"{key}.json")
+        if column.startswith("n_"):
+            meta = json.loads(sidecar.read_text())
+            meta[column] = damage(meta[column])
+            sidecar.write_text(json.dumps(meta))
+        else:
+            with np.load(npz) as data:
+                cols = dict(data)
+            cols[column] = damage(cols[column])
+            np.savez(npz, **cols)
+        assert store.load(key) is None
+        assert (store.stats.invalid, store.stats.misses) == (1, 2)
+        again, _ = run_cpu_workload("BFS", spec, machine=TEST_MACHINE,
+                                    trace_store=store)
+        assert (store.stats.invalid, store.stats.stores) == (2, 2)
+        loaded = store.load(key)
+        assert loaded is not None and store.stats.invalid == 2
+        assert np.array_equal(loaded.trace.iat, fresh.trace.iat)
+        assert np.array_equal(again.trace.rw, fresh.trace.rw)
+
     def test_len_and_keys(self, store, spec):
         result, _ = run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
         key = store.key_for("BFS", spec)

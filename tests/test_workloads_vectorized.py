@@ -261,8 +261,8 @@ def test_spath_negative_weight_raises_where_the_loop_does():
 
 # -- the count gate: no per-element tracer call ------------------------------
 
-TRACER_CALLS = ("r", "w", "i", "br", "enter", "leave", "bulk_scan",
-                "bulk_emit", "bulk_branches", "bulk_branch_events")
+TRACER_CALLS = ("r", "w", "i", "br", "enter", "leave", "bulk_emit",
+                "bulk_branch_events")
 
 
 def _tracer_calls(name, spec, **params):
