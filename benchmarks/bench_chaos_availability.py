@@ -79,7 +79,8 @@ MAX_AMPLIFICATION = 1.1
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
 #: Outcomes of ``cluster_route_total`` that represent an actual shard
-#: dial (breaker skips never touched the wire).
+#: dial (breaker skips never touched the wire; the prober's pings of an
+#: ejected shard are dials too, at most one per second per shard).
 _DIAL_OUTCOMES = ("ok", "failover", "hedge", "error", "unreachable")
 
 
@@ -117,8 +118,8 @@ def drive(scenario: str, faults: dict[str, NetFaultSpec],
     mix = catalog()
     plan = schedule(mix, n_requests, seed=SEED, dataset_skew=SKEW)
     with ClusterThread(spec, netchaos=True, netchaos_seed=SEED,
-                       router_kwargs={"reliability": reliability(hedge),
-                                      "eject_after": 2}) as cluster:
+                       router_kwargs={"reliability": reliability(hedge)}
+                       ) as cluster:
         gen = LoadGenerator(cluster.router_thread.host,
                             cluster.router_port,
                             concurrency=CONCURRENCY,

@@ -3,17 +3,18 @@
 The scale-out layer over :mod:`repro.service`: a consistent-hash ring
 places dataset keys on shards (:mod:`~repro.cluster.ring`), each shard
 is a full single-node service owning its slice
-(:mod:`~repro.cluster.node`), a replication tracker decides failover
-order and ejection (:mod:`~repro.cluster.replica`), and an asyncio
-router speaks the unchanged JSON-lines protocol in front — routing
-keyed ops, scatter-gathering fan-out ops, failing over on transport
-faults (:mod:`~repro.cluster.router`).  :mod:`~repro.cluster.topology`
-holds the static spec plus in-process and multi-process boot harnesses.
+(:mod:`~repro.cluster.node`), one health machine per shard decides
+ejection, readmission and failover order
+(:mod:`~repro.cluster.replica`), and an asyncio router speaks the
+unchanged JSON-lines protocol in front — routing keyed ops,
+scatter-gathering fan-out ops, failing over on transport faults
+(:mod:`~repro.cluster.router`).  :mod:`~repro.cluster.topology` holds
+the static spec plus in-process and multi-process boot harnesses.
 
 The request-reliability layer lives across :mod:`~repro.cluster.replica`
-(circuit breakers, retry budget) and :mod:`~repro.cluster.router`
-(deadline propagation, hedging, degraded serving); its knobs are one
-:class:`ReliabilityConfig`.
+(the per-shard :class:`ShardHealth` circuit, the retry budget) and
+:mod:`~repro.cluster.router` (deadline propagation, hedging, degraded
+serving); its knobs are one :class:`ReliabilityConfig`.
 """
 
 from ..core.errors import (
@@ -28,9 +29,6 @@ from .replica import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    DEFAULT_EJECT_AFTER,
-    CircuitBreaker,
-    ReplicaSet,
     ReplicaTracker,
     RetryBudget,
     ShardHealth,
@@ -63,11 +61,9 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "DEFAULT_EJECT_AFTER",
     "DEFAULT_VNODES",
     "MAX_BATCH_ENTRIES",
     "ROUTER_PORT",
-    "CircuitBreaker",
     "CircuitOpen",
     "ClusterProcesses",
     "ClusterSpec",
@@ -76,7 +72,6 @@ __all__ = [
     "HashRing",
     "RebalancePlan",
     "ReliabilityConfig",
-    "ReplicaSet",
     "ReplicaTracker",
     "RetryBudget",
     "RetryBudgetExhausted",

@@ -1,207 +1,57 @@
-"""Replication bookkeeping: shard health, ejection, failover order.
+"""Shard health: one state machine per shard, and the failover order.
 
 The ring (:mod:`~repro.cluster.ring`) says *where* a key's K replicas
-live; this module says *which of them to try first*.  A
-:class:`ReplicaTracker` watches transport outcomes as traffic flows:
-``eject_after`` consecutive failures mark a shard down (ejection), one
-success — live traffic or the router's background health probe — marks
-it up again (readmission).  :meth:`order` then sorts a replica set
-healthy-first while *keeping down shards as a last resort*: a tracker
-can be wrong (a partition heals, a probe races a restart), so the router
-degrades to trying ejected replicas rather than refusing outright.
+live; this module says *which of them may be dialed, and in what order*.
+Each shard has exactly one :class:`ShardHealth` — the classic
+three-state circuit breaker, which is also the membership record:
 
-Probe pacing reuses the resilience layer's
-:class:`~repro.resilience.retry.RetryPolicy`: the delay before the n-th
-consecutive probe of a down shard follows the same deterministic
-seeded-jitter backoff schedule the matrix runner retries cells with.
+* **closed** ≡ healthy: everything is admitted.
+* **open** ≡ ejected: ``failure_threshold`` consecutive transport
+  failures open the circuit; :meth:`ShardHealth.allow` refuses instantly
+  (no doomed dial burns a caller's deadline) until the reset timeout
+  has passed.
+* **half-open**: exactly one trial is in flight.  Any success closes the
+  circuit (readmission) and restores the base timeout; a failed trial
+  re-opens it with the timeout multiplied by ``backoff_factor`` up to
+  ``max_reset_timeout_s`` — a dead shard is tried ever more lazily.
 
-Thread-safe: the router mutates the tracker from its event loop while
-tests and the ``health`` op read it from other threads.
+The router's background prober takes the same trial slot through
+:meth:`ShardHealth.allow_probe`, which waits only the *base* timeout: a
+ping spends no caller's deadline, so a restarted shard is readmitted on
+the prober's cadence however far client traffic has backed off.  Only
+*transport* outcomes feed the machine — a typed error frame means the
+shard answered, which is health-wise a success.
+
+:class:`ReplicaTracker` is the collection: one machine per shard, the
+failover order over them (closed first, *the rest kept as a last
+resort* — a verdict can be wrong), and the one transition hook that
+turns every state change into a log line and its metric ticks.
+
+Thread-safe (the router's loop writes, tests and the ``stats`` op read
+from other threads); the clock is injectable so tests never sleep.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..obs.logs import get_logger
-from ..resilience.retry import RetryPolicy
 
 log = get_logger("cluster.replica")
 
-#: Consecutive transport failures before a shard is ejected.
-DEFAULT_EJECT_AFTER = 2
-
-#: Circuit-breaker states (the classic three-state machine).
+#: The three states of a shard's health machine.
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
 
-@dataclass
 class ShardHealth:
-    """One shard's view in the tracker."""
+    """One shard's three-state health machine (see the module docstring).
 
-    name: str
-    healthy: bool = True
-    consecutive_failures: int = 0
-    failures: int = 0            # lifetime transport failures
-    successes: int = 0           # lifetime successful exchanges
-    ejections: int = 0
-    readmissions: int = 0
-    probes: int = 0              # health probes sent while down
-
-    def as_dict(self) -> dict:
-        return {"healthy": self.healthy,
-                "consecutive_failures": self.consecutive_failures,
-                "failures": self.failures, "successes": self.successes,
-                "ejections": self.ejections,
-                "readmissions": self.readmissions, "probes": self.probes}
-
-
-class ReplicaTracker:
-    """Health state machine over a fixed shard set.
-
-    Ejections and readmissions — the membership decisions everything
-    downstream keys off — are *observable*: each flip emits one
-    structured log line (labeled by shard and reason) and, once
-    :meth:`bind_metrics` has attached a registry, one increment of
-    ``cluster_membership_transitions_total{shard,event,reason}``.
-    """
-
-    def __init__(self, names: Sequence[str], *,
-                 eject_after: int = DEFAULT_EJECT_AFTER,
-                 probe_policy: RetryPolicy | None = None):
-        if eject_after < 1:
-            raise ValueError("eject_after must be >= 1")
-        self.eject_after = eject_after
-        self.probe_policy = probe_policy or RetryPolicy(
-            max_retries=0, base_delay=0.2, factor=2.0, max_delay=5.0)
-        self._lock = threading.Lock()
-        self._shards = {name: ShardHealth(name) for name in names}
-        if not self._shards:
-            raise ValueError("tracker needs at least one shard")
-        self._m_membership = None
-
-    def add_shard(self, name: str) -> None:
-        """Start tracking a shard joining a live topology (a spare
-        promoted by a rebalance); idempotent for known names."""
-        with self._lock:
-            self._shards.setdefault(name, ShardHealth(name))
-
-    # -- observability -------------------------------------------------------
-
-    def bind_metrics(self, registry) -> None:
-        """Attach membership-transition counters to a registry."""
-        self._m_membership = registry.counter(
-            "cluster_membership_transitions_total",
-            "replica-tracker state flips (ejections/readmissions), "
-            "by shard and reason",
-            labels=("shard", "event", "reason"))
-
-    def _observe_flip(self, name: str, event: str, reason: str,
-                      detail: str) -> None:
-        if self._m_membership is not None:
-            self._m_membership.labels(shard=name, event=event,
-                                      reason=reason).inc()
-        level = log.warning if event == "ejected" else log.info
-        level("shard %s %s (%s): %s", name, event, reason, detail,
-              extra={"shard": name, "event": event, "reason": reason})
-
-    # -- outcome recording ---------------------------------------------------
-
-    def record_success(self, name: str, reason: str = "traffic") -> None:
-        with self._lock:
-            s = self._shards[name]
-            s.successes += 1
-            s.consecutive_failures = 0
-            readmitted = not s.healthy
-            if readmitted:
-                s.healthy = True
-                s.readmissions += 1
-                detail = (f"readmission #{s.readmissions} after "
-                          f"{s.probes} probes")
-        if readmitted:
-            self._observe_flip(name, "readmitted", reason, detail)
-
-    def record_failure(self, name: str, reason: str = "transport") -> None:
-        with self._lock:
-            s = self._shards[name]
-            s.failures += 1
-            s.consecutive_failures += 1
-            ejected = (s.healthy
-                       and s.consecutive_failures >= self.eject_after)
-            if ejected:
-                s.healthy = False
-                s.ejections += 1
-                detail = (f"ejection #{s.ejections} after "
-                          f"{s.consecutive_failures} consecutive "
-                          "failures")
-        if ejected:
-            self._observe_flip(name, "ejected", reason, detail)
-
-    def record_probe(self, name: str) -> None:
-        with self._lock:
-            self._shards[name].probes += 1
-
-    # -- reads ---------------------------------------------------------------
-
-    def is_healthy(self, name: str) -> bool:
-        with self._lock:
-            return self._shards[name].healthy
-
-    def healthy_shards(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(n for n, s in self._shards.items() if s.healthy)
-
-    def down_shards(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(n for n, s in self._shards.items()
-                         if not s.healthy)
-
-    def probe_delay(self, name: str) -> float:
-        """Backoff before the next probe of a down shard (deterministic
-        seeded jitter, keyed by the shard name and its probe count)."""
-        with self._lock:
-            attempt = max(1, self._shards[name].probes)
-        return self.probe_policy.delay(attempt, name)
-
-    def order(self, replicas: Sequence[str]) -> tuple[str, ...]:
-        """Failover order for a replica set: healthy replicas in ring
-        order, then down ones as a last resort (read preference)."""
-        with self._lock:
-            up = [r for r in replicas if self._shards[r].healthy]
-            down = [r for r in replicas if not self._shards[r].healthy]
-        return tuple(up + down)
-
-    def snapshot(self) -> dict[str, dict]:
-        with self._lock:
-            return {name: s.as_dict()
-                    for name, s in sorted(self._shards.items())}
-
-
-class CircuitBreaker:
-    """Per-shard three-state circuit breaker with half-open probing.
-
-    The :class:`ReplicaTracker` answers "is this shard *believed*
-    healthy" from consecutive-failure counts; the breaker answers the
-    sharper operational question "should this request dial it *right
-    now*".  Closed passes everything.  ``failure_threshold`` consecutive
-    transport failures open the circuit; while open, :meth:`allow`
-    refuses instantly (no connection attempt burns the caller's
-    deadline).  After ``reset_timeout_s`` the breaker admits exactly one
-    trial request (half-open): success closes the circuit, failure
-    re-opens it with the timeout backed off by ``backoff_factor`` (capped
-    at ``max_reset_timeout_s``) so a persistently dead shard is probed
-    ever more lazily.
-
-    Only *transport* outcomes feed the breaker — a typed error frame
-    means the shard answered, which is circuit-wise a success.
-
-    Thread-safe; the clock is injectable so tests never sleep.
-    ``on_transition(name, old, new)`` observes every state change.
+    ``on_transition(name, old, new, reason)`` observes every state
+    change; it runs under the machine's lock and must not call back in.
     """
 
     def __init__(self, name: str, *, failure_threshold: int = 3,
@@ -209,8 +59,7 @@ class CircuitBreaker:
                  backoff_factor: float = 2.0,
                  max_reset_timeout_s: float = 30.0,
                  clock: Callable[[], float] = time.monotonic,
-                 on_transition: Callable[[str, str, str], None]
-                 | None = None):
+                 on_transition: Callable[..., None] | None = None):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout_s <= 0:
@@ -225,87 +74,175 @@ class CircuitBreaker:
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
-        self._state = BREAKER_CLOSED
-        self._consecutive_failures = 0
+        self.state = BREAKER_CLOSED
+        self.consecutive_failures = 0
+        self.failures = 0            # lifetime transport failures
+        self.successes = 0           # lifetime answered exchanges
+        self.ejections = 0           # closed -> open
+        self.readmissions = 0        # anything -> closed
+        self.probes = 0              # trials the background prober took
+        self.transitions: dict[str, int] = {}
         self._opened_at = 0.0
         self._reset_timeout_s = reset_timeout_s
-        self._probe_inflight = False
-        self.transitions: dict[str, int] = {}
+        self._trial_inflight = False
 
     @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
+    def healthy(self) -> bool:
+        return self.state == BREAKER_CLOSED
 
-    def _transition(self, new: str) -> None:
+    def _transition(self, new: str, reason: str) -> None:
         """Record a state change (lock held by caller)."""
-        old = self._state
-        if old == new:
-            return
-        self._state = new
+        old, self.state = self.state, new
         self.transitions[new] = self.transitions.get(new, 0) + 1
         if self._on_transition is not None:
-            self._on_transition(self.name, old, new)
+            self._on_transition(self.name, old, new, reason)
+
+    def _take_trial(self, timeout_s: float, reason: str) -> bool:
+        """Admit one half-open trial once the circuit has been open for
+        ``timeout_s`` (lock held by caller, state not closed)."""
+        if self.state == BREAKER_OPEN:
+            if self._clock() - self._opened_at < timeout_s:
+                return False
+            self._transition(BREAKER_HALF_OPEN, reason)
+        elif self._trial_inflight:
+            return False                 # half-open: one trial at a time
+        self._trial_inflight = True
+        return True
 
     def allow(self) -> bool:
         """May a request dial this shard right now?"""
         with self._lock:
-            if self._state == BREAKER_CLOSED:
-                return True
-            now = self._clock()
-            if self._state == BREAKER_OPEN:
-                if now - self._opened_at < self._reset_timeout_s:
-                    return False
-                self._transition(BREAKER_HALF_OPEN)
-                self._probe_inflight = True
-                return True
-            # half-open: one trial at a time
-            if self._probe_inflight:
-                return False
-            self._probe_inflight = True
-            return True
+            return self.state == BREAKER_CLOSED \
+                or self._take_trial(self._reset_timeout_s, "traffic")
 
-    def record_success(self) -> None:
+    def allow_probe(self) -> bool:
+        """Is a background probe due?  True takes the half-open trial:
+        only a non-closed shard, one trial at a time, the *base* timeout
+        after it last (re)opened — the back-off is not waited out."""
         with self._lock:
-            self._consecutive_failures = 0
-            self._probe_inflight = False
-            if self._state != BREAKER_CLOSED:
+            due = self.state != BREAKER_CLOSED \
+                and self._take_trial(self.base_reset_timeout_s, "probe")
+            if due:
+                self.probes += 1
+            return due
+
+    def record_success(self, reason: str = "traffic") -> None:
+        with self._lock:
+            self.successes += 1
+            self.consecutive_failures = 0
+            self._trial_inflight = False
+            if self.state != BREAKER_CLOSED:
                 self._reset_timeout_s = self.base_reset_timeout_s
-                self._transition(BREAKER_CLOSED)
+                self.readmissions += 1
+                self._transition(BREAKER_CLOSED, reason)
 
-    def record_abandoned(self) -> None:
-        """An admitted attempt was cancelled before an outcome (e.g. a
-        hedge loser): release the half-open probe slot without judging
-        the shard either way."""
+    def record_failure(self, reason: str = "transport") -> None:
         with self._lock:
-            self._probe_inflight = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            now = self._clock()
-            if self._state == BREAKER_HALF_OPEN:
+            self.failures += 1
+            self.consecutive_failures += 1
+            if self.state == BREAKER_HALF_OPEN:
                 # the trial failed: back off and re-open
-                self._probe_inflight = False
+                self._trial_inflight = False
                 self._reset_timeout_s = min(
                     self._reset_timeout_s * self.backoff_factor,
                     self.max_reset_timeout_s)
-                self._opened_at = now
-                self._transition(BREAKER_OPEN)
+            elif self.state == BREAKER_CLOSED \
+                    and self.consecutive_failures >= self.failure_threshold:
+                self.ejections += 1
+            else:
                 return
-            self._consecutive_failures += 1
-            if self._state == BREAKER_CLOSED \
-                    and self._consecutive_failures \
-                    >= self.failure_threshold:
-                self._opened_at = now
-                self._reset_timeout_s = self.base_reset_timeout_s
-                self._transition(BREAKER_OPEN)
+            self._opened_at = self._clock()
+            self._transition(BREAKER_OPEN, reason)
 
-    def snapshot(self) -> dict:
+    def record_abandoned(self) -> None:
+        """An admitted attempt ended without an outcome (a cancelled
+        hedge loser, a walk out of budget before dialing): release the
+        trial slot without judging the shard either way."""
         with self._lock:
-            return {"state": self._state,
-                    "consecutive_failures": self._consecutive_failures,
+            self._trial_inflight = False
+
+    def as_dict(self) -> dict:
+        """The membership view (``stats.health[shard]``)."""
+        with self._lock:
+            return {"healthy": self.healthy,
+                    "consecutive_failures": self.consecutive_failures,
+                    "failures": self.failures, "successes": self.successes,
+                    "ejections": self.ejections,
+                    "readmissions": self.readmissions,
+                    "probes": self.probes}
+
+    def breaker_dict(self) -> dict:
+        """The circuit view of the same machine (the ``breakers`` map
+        of ``stats.reliability``)."""
+        with self._lock:
+            return {"state": self.state,
+                    "consecutive_failures": self.consecutive_failures,
                     "reset_timeout_s": round(self._reset_timeout_s, 6),
                     "transitions": dict(self.transitions)}
+
+
+class ReplicaTracker:
+    """The shard set's health machines and the failover order over
+    them.  Every state change is one structured log line and — once
+    :meth:`bind_metrics` has attached a registry — one tick of
+    ``cluster_breaker_transitions_total{shard,state}`` plus, for the
+    membership flips (closed→open "ejected", →closed "readmitted"), one
+    of ``cluster_membership_transitions_total{shard,event,reason}``."""
+
+    def __init__(self, names: Sequence[str], **machine):
+        self._machine = machine      # every ShardHealth's keyword args
+        self._shards: dict[str, ShardHealth] = {}
+        self._m_membership = self._m_breaker = None
+        for name in names:
+            self.add_shard(name)
+
+    def add_shard(self, name: str) -> None:
+        """Track a shard joining a live topology; idempotent."""
+        if name not in self._shards:
+            self._shards[name] = ShardHealth(
+                name, on_transition=self._observe, **self._machine)
+
+    def __getitem__(self, name: str) -> ShardHealth:
+        return self._shards[name]
+
+    def bind_metrics(self, registry) -> None:
+        """Attach both transition-counter families to a registry."""
+        self._m_membership = registry.counter(
+            "cluster_membership_transitions_total",
+            "shard ejections and readmissions, by shard and reason",
+            labels=("shard", "event", "reason"))
+        self._m_breaker = registry.counter(
+            "cluster_breaker_transitions_total",
+            "health-machine state entries, by shard and new state",
+            labels=("shard", "state"))
+
+    def _observe(self, name: str, old: str, new: str, reason: str) -> None:
+        event = "readmitted" if new == BREAKER_CLOSED \
+            else "ejected" if old == BREAKER_CLOSED else None
+        if self._m_breaker is not None:
+            self._m_breaker.labels(shard=name, state=new).inc()
+            if event is not None:
+                self._m_membership.labels(shard=name, event=event,
+                                          reason=reason).inc()
+        level = log.warning if new == BREAKER_OPEN else log.info
+        level("shard %s %s (%s): %s -> %s", name, event or "still down",
+              reason, old, new, extra={"shard": name, "event": event,
+                                       "reason": reason, "new": new})
+
+    def healthy_shards(self) -> tuple[str, ...]:
+        return tuple(n for n in tuple(self._shards) if self[n].healthy)
+
+    def down_shards(self) -> tuple[str, ...]:
+        return tuple(n for n in tuple(self._shards) if not self[n].healthy)
+
+    def order(self, replicas: Sequence[str]) -> tuple[str, ...]:
+        """Failover order for a replica set: closed shards in ring
+        order, then the rest as a last resort (read preference)."""
+        return tuple(sorted(replicas, key=lambda r: not self[r].healthy))
+
+    def snapshot(self) -> dict[str, dict]:
+        return {name: s.as_dict()
+                for name, s in sorted(self._shards.items())}
 
 
 class RetryBudget:
@@ -361,22 +298,3 @@ class RetryBudget:
                     "ratio": self.ratio,
                     "max_tokens": self.max_tokens,
                     "granted": self.granted, "denied": self.denied}
-
-
-@dataclass(frozen=True)
-class ReplicaSet:
-    """A key's replica chain at routing time (primary first)."""
-
-    key: str
-    replicas: tuple[str, ...]
-
-    @property
-    def primary(self) -> str:
-        return self.replicas[0]
-
-    secondaries: tuple[str, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if not self.replicas:
-            raise ValueError("replica set cannot be empty")
-        object.__setattr__(self, "secondaries", self.replicas[1:])

@@ -26,10 +26,11 @@ The failover walk is the request-reliability layer
   sheds the request with a typed
   :class:`~repro.core.errors.DeadlineExceeded` the moment the budget is
   spent;
-* **per-shard circuit breakers** with half-open probing
-  (:class:`~repro.cluster.replica.CircuitBreaker`) refuse to dial a
-  shard whose recent transport history says the dial would only burn
-  the deadline;
+* **one health machine per shard**
+  (:class:`~repro.cluster.replica.ShardHealth`, a three-state circuit
+  breaker with half-open probing) refuses to dial a shard whose recent
+  transport history says the dial would only burn the deadline — keyed
+  reads, writes, hedges and scatters all ask the same machine;
 * **budgeted retries** — a token-bucket
   :class:`~repro.cluster.replica.RetryBudget` caps cluster-wide retry
   amplification (failover and hedges both spend from it), so a brownout
@@ -44,14 +45,17 @@ The failover walk is the request-reliability layer
   request, marked ``degraded: true`` with its staleness age, under a
   hard staleness cap.
 
-Failed shards are ejected by the :class:`~repro.cluster.replica.
-ReplicaTracker` after consecutive transport failures and readmitted by a
-background health-probe loop whose pacing is the resilience layer's
-deterministic :class:`~repro.resilience.retry.RetryPolicy` backoff.
+A shard is ejected (its circuit opens) after
+``breaker_failure_threshold`` consecutive transport failures and
+readmitted by the first exchange that answers — live traffic's half-open
+trial, or the background prober, which takes the same trial on its own
+per-shard cadence.
 
 Observability: ``cluster_route_total{shard,outcome}`` counts every
 shard exchange (ok / failover / hedge / error / unreachable / skipped),
-``cluster_breaker_transitions_total{shard,state}`` counts breaker flips,
+``cluster_breaker_transitions_total{shard,state}`` and
+``cluster_membership_transitions_total{shard,event,reason}`` count
+health-machine flips,
 ``cluster_hedges_total{outcome}`` counts hedge launches and wins,
 ``cluster_deadline_shed_total{stage}`` counts router-side sheds,
 ``cluster_degraded_total{reason}`` counts stale serves by trigger kind,
@@ -98,16 +102,11 @@ from ..service.protocol import (
     Request,
     decode_frame,
     encode_request,
+    error_to_payload,
     payload_to_error,
 )
 from ..service.server import FrameServer
-from .replica import (
-    BREAKER_OPEN,
-    DEFAULT_EJECT_AFTER,
-    CircuitBreaker,
-    ReplicaTracker,
-    RetryBudget,
-)
+from .replica import BREAKER_OPEN, ReplicaTracker, RetryBudget
 from .ring import DEFAULT_VNODES, HashRing
 
 log = get_logger("cluster.router")
@@ -164,7 +163,8 @@ def _failure_reason(exc: BaseException) -> str:
 class ReliabilityConfig:
     """Knobs for the router's request-reliability layer."""
 
-    # circuit breakers
+    # per-shard health machine: consecutive transport failures that
+    # eject a shard (open its circuit), and the base wait before a trial
     breaker_failure_threshold: int = 3
     breaker_reset_timeout_s: float = 1.0
     # retry budget (failover + hedges)
@@ -225,16 +225,43 @@ class _ShardLink:
             writer.close()
 
     async def call(self, op: str, params: dict[str, Any],
-                   deadline: float | None = None,
+                   timeout_s: float, deadline: float | None = None,
                    tenant: str | None = None) -> dict:
-        """One request/response exchange; returns the decoded frame.
+        """One request/response exchange under one timer; returns the
+        decoded frame.
 
         The wire deadline and tenant (if any) propagate onto the
         downstream frame so the shard's scheduler can shed expired work
-        and charge the right quota.  Raises
-        ``OSError``/``ProtocolError`` on transport trouble — the
-        router's failover boundary.
+        and charge the right quota.  Raises ``OSError``/
+        ``ProtocolError``/``asyncio.TimeoutError`` on transport trouble
+        — the router's failover boundary.
+
+        The timer cancels the *calling* task and the cancellation is
+        turned into the timeout here — what ``asyncio.timeout`` does on
+        Python 3.11+, spelled out so that no supported Python pays
+        ``wait_for``'s extra task per exchange.
         """
+        task = asyncio.current_task()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(timeout_s, expire)
+        try:
+            return await self._roundtrip(op, params, deadline, tenant)
+        except asyncio.CancelledError:
+            if not expired:
+                raise                    # cancelled from outside
+            raise asyncio.TimeoutError from None
+        finally:
+            timer.cancel()
+
+    async def _roundtrip(self, op: str, params: dict[str, Any],
+                         deadline: float | None,
+                         tenant: str | None) -> dict:
         reader, writer = await self._checkout()
         try:
             self._seq += 1
@@ -284,7 +311,6 @@ class Router(FrameServer):
                  replication: int = 1, vnodes: int = DEFAULT_VNODES,
                  attempt_timeout_s: float = 60.0,
                  fanout_timeout_s: float = 30.0,
-                 eject_after: int = DEFAULT_EJECT_AFTER,
                  probe_interval_s: float = 0.5,
                  failover_policy: RetryPolicy | None = None,
                  reliability: ReliabilityConfig | None = None,
@@ -307,7 +333,12 @@ class Router(FrameServer):
         # wounded shard should not do it in lockstep
         self.failover_policy = failover_policy or RetryPolicy(
             max_retries=0, base_delay=0.01, factor=2.0, max_delay=0.25)
-        self.tracker = ReplicaTracker(names, eject_after=eject_after)
+        self.reliability = reliability if reliability is not None \
+            else ReliabilityConfig()
+        rel = self.reliability
+        self.tracker = ReplicaTracker(
+            names, failure_threshold=rel.breaker_failure_threshold,
+            reset_timeout_s=rel.breaker_reset_timeout_s)
         self.tracer = tracer
         self.pool_per_shard = pool_per_shard
         self._links = {name: _ShardLink(self.shards[name],
@@ -325,6 +356,7 @@ class Router(FrameServer):
         # migration degrades to normal routing, never a hung client
         self.pause_max_s = 10.0
         self._probe_task: asyncio.Task | None = None
+        self._probes: set[asyncio.Task] = set()     # pings in flight
 
         super().__init__("router", registry)
         reg = self.registry
@@ -345,13 +377,6 @@ class Router(FrameServer):
         self.tracker.bind_metrics(reg)
 
         # -- reliability layer ------------------------------------------------
-        self.reliability = reliability if reliability is not None \
-            else ReliabilityConfig()
-        rel = self.reliability
-        self._m_breaker = reg.counter(
-            "cluster_breaker_transitions_total",
-            "circuit-breaker state entries, by shard and new state",
-            labels=("shard", "state"))
         self._m_hedge = reg.counter(
             "cluster_hedges_total",
             "hedged second attempts (launched/won/lost)",
@@ -364,7 +389,6 @@ class Router(FrameServer):
             "cluster_degraded_total",
             "degraded (stale) responses served, by triggering kind",
             labels=("reason",))
-        self.breakers = {name: self._new_breaker(name) for name in names}
         self.retry_budget = RetryBudget(
             ratio=rel.retry_budget_ratio,
             max_tokens=rel.retry_budget_max_tokens)
@@ -372,8 +396,8 @@ class Router(FrameServer):
             "cluster_breakers_open",
             "shards currently behind an open circuit breaker",
             callback=lambda: float(sum(
-                1 for b in self.breakers.values()
-                if b.state == BREAKER_OPEN)))
+                1 for name in self.tracker.down_shards()
+                if self.tracker[name].state == BREAKER_OPEN)))
         reg.gauge(
             "cluster_retry_budget_tokens",
             "retry-budget tokens currently available",
@@ -389,22 +413,7 @@ class Router(FrameServer):
         self._lat_samples: list[float] = []
         self._lat_cursor = 0
 
-    # -- reliability callbacks -----------------------------------------------
-
-    def _new_breaker(self, name: str) -> CircuitBreaker:
-        rel = self.reliability
-        return CircuitBreaker(
-            name,
-            failure_threshold=rel.breaker_failure_threshold,
-            reset_timeout_s=rel.breaker_reset_timeout_s,
-            on_transition=self._on_breaker_transition)
-
-    def _on_breaker_transition(self, name: str, old: str,
-                               new: str) -> None:
-        self._m_breaker.labels(shard=name, state=new).inc()
-        level = log.warning if new == BREAKER_OPEN else log.info
-        level("breaker for shard %s: %s -> %s", name, old, new,
-              extra={"shard": name, "old": old, "new": new})
+    # -- hedge-delay window --------------------------------------------------
 
     def _note_latency(self, elapsed_s: float) -> None:
         """Feed the hedge-delay reservoir (bounded ring, newest wins)."""
@@ -435,46 +444,41 @@ class Router(FrameServer):
 
     async def stop(self) -> None:
         await super().stop()
-        if self._probe_task is not None:
-            self._probe_task.cancel()
-            try:
-                await self._probe_task
-            except asyncio.CancelledError:
-                pass
+        doomed = [t for t in (self._probe_task, *self._probes)
+                  if t is not None]
+        for task in doomed:
+            task.cancel()
+        await asyncio.gather(*doomed, return_exceptions=True)
         for link in self._links.values():
             link.close()
 
     # -- background health probing -------------------------------------------
 
     async def _probe_loop(self) -> None:
-        """Readmission path: periodically ``health``-probe down shards.
+        """Readmission path: every tick, ping each non-closed shard
+        whose next probe is due (its health machine keeps the time).
 
-        Healthy shards are validated by live traffic; only ejected ones
-        cost probes, and each shard's probe cadence follows the
-        deterministic retry-backoff schedule.
+        Closed shards are validated by live traffic; only ejected ones
+        cost probes.  Each ping is an ordinary :meth:`_exchange` holding
+        the shard's half-open trial, sent as its own task — a dead or
+        silent shard delays nobody else's readmission.
         """
+        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.probe_interval_s)
             for name in self.tracker.down_shards():
-                self.tracker.record_probe(name)
-                try:
-                    frame = await asyncio.wait_for(
-                        self._links[name].call("health", {}),
-                        self.fanout_timeout_s)
-                except _TRANSPORT_ERRORS:
-                    await asyncio.sleep(
-                        min(self.tracker.probe_delay(name), 1.0))
-                    continue
-                if frame.get("ok") and (frame.get("result") or {}) \
-                        .get("ok"):
-                    self.tracker.record_success(name, reason="probe")
-                    self.breakers[name].record_success()
+                if self.tracker[name].allow_probe():
+                    ping = loop.create_task(self._exchange(
+                        name, "health", {}, self.fanout_timeout_s,
+                        "_probe", credit="probe"))
+                    self._probes.add(ping)
+                    ping.add_done_callback(self._probes.discard)
 
     # -- live topology (rebalance support) ------------------------------------
 
     def add_shard(self, addr: ShardAddress) -> None:
-        """Join a shard to the live topology: link pool, tracker entry,
-        breaker.  The new shard serves nothing until a ring naming it is
+        """Join a shard to the live topology: link pool and health
+        machine.  The new shard serves nothing until a ring naming it is
         installed — joining is the prerequisite, not the cutover.
 
         Called from the migration driver's thread; each step is one
@@ -485,7 +489,6 @@ class Router(FrameServer):
             return
         self._links[addr.name] = _ShardLink(addr,
                                             limit=self.pool_per_shard)
-        self.breakers[addr.name] = self._new_breaker(addr.name)
         self.tracker.add_shard(addr.name)
         self.shards[addr.name] = addr
         log.info("shard %s joined the topology (%d shards)", addr.name,
@@ -528,25 +531,25 @@ class Router(FrameServer):
     async def _exchange(self, shard: str, op: str,
                         params: dict[str, Any], timeout_s: float,
                         key: str, *, outcome: str = "ok",
+                        credit: str = "traffic",
                         deadline: float | None = None,
                         tenant: str | None = None) -> _Answer:
-        """Call ``shard`` and classify what came back — the only place
-        that does.
+        """Call ``shard`` under ``timeout_s`` and classify what came
+        back — the only place that does.
 
-        A transport failure is charged to the tracker and the breaker
-        and counted ``unreachable``; any answer credits both, and is
-        counted ``outcome`` when ok or ``error`` when it is a typed
-        shard error.  Every error payload names its shard (one that
-        already stamped itself — e.g. WrongShard — wins).
+        A transport failure (a timeout included) is charged to the
+        shard's health and counted ``unreachable``; any answer credits
+        it (a readmission is labeled ``credit``), and is counted
+        ``outcome`` when ok or ``error`` when it is a typed shard error.
+        Every error payload names its shard (one that already stamped
+        itself — e.g. WrongShard — wins).
         """
         try:
-            frame = await asyncio.wait_for(
-                self._links[shard].call(op, params, deadline=deadline,
-                                        tenant=tenant), timeout_s)
+            frame = await self._links[shard].call(
+                op, params, timeout_s, deadline=deadline, tenant=tenant)
         except _TRANSPORT_ERRORS as e:
             reason = _failure_reason(e)
-            self.tracker.record_failure(shard, reason=reason)
-            self.breakers[shard].record_failure()
+            self.tracker[shard].record_failure(reason)
             self._m_route.labels(shard=shard, outcome="unreachable").inc()
             log.warning("shard %s unreachable for %s: %s", shard, key,
                         str(e) or reason,
@@ -555,8 +558,7 @@ class Router(FrameServer):
             return _Answer(shard, "unreachable", error={
                 "kind": "unavailable", "type": type(e).__name__,
                 "message": str(e) or reason, "shard": shard})
-        self.tracker.record_success(shard)
-        self.breakers[shard].record_success()
+        self.tracker[shard].record_success(credit)
         if frame.get("ok"):
             self._m_route.labels(shard=shard, outcome=outcome).inc()
             return _Answer(shard, outcome, result=frame.get("result"))
@@ -609,8 +611,9 @@ class Router(FrameServer):
         """Walk a replica chain for one request.
 
         Transport failures fail over (budgeted), typed shard errors
-        forward, open breakers skip, a spent deadline sheds, and an
-        idle-past-the-quantile first attempt hedges.
+        forward, shards whose health refuses the dial skip, a spent
+        deadline sheds, and an idle-past-the-quantile first attempt
+        hedges.
         """
         order = self.tracker.order(replicas)
         span_args["replicas"] = list(order)
@@ -623,20 +626,24 @@ class Router(FrameServer):
             if remaining is not None and remaining <= 0:
                 self._shed(key, span_args, -remaining)
             shard = pending.pop(0)
-            if not self.breakers[shard].allow():
+            health = self.tracker[shard]
+            if not health.allow():
                 self._m_route.labels(shard=shard,
                                      outcome="skipped").inc()
                 continue
             if dialed_any:
                 # a failover attempt: pay the retry budget, then the
-                # tiny de-correlating backoff
+                # tiny de-correlating backoff (admitted but never
+                # dialed hands its trial slot back)
                 if not self.retry_budget.try_spend():
+                    health.record_abandoned()
                     span_args["outcome"] = "retry-budget"
                     raise RetryBudgetExhausted(key, tuple(tried))
                 await asyncio.sleep(
                     self.failover_policy.delay(len(tried), key))
                 remaining = req.remaining()
                 if remaining is not None and remaining <= 0:
+                    health.record_abandoned()
                     self._shed(key, span_args, -remaining)
             timeout = self._attempt_timeout(remaining, 1 + len(pending))
             # only the first attempt of an idempotent read hedges
@@ -650,7 +657,7 @@ class Router(FrameServer):
             if answer is not None:
                 return self._unwrap(answer, span_args)
         if not dialed_any:
-            # every replica sat behind an open breaker: nothing was even
+            # every replica's health refused the dial: nothing was even
             # dialed — a distinct, typed condition
             span_args["outcome"] = "circuit-open"
             raise CircuitOpen(key, tuple(order))
@@ -665,9 +672,13 @@ class Router(FrameServer):
 
         With a ``hedge_delay``: once the attempt has been in flight that
         long without answering, spend a retry-budget token and dial the
-        next breaker-admitted replica concurrently.  First answer wins;
-        the loser is cancelled (its breaker slot released, its
-        connection closed by the link's failure path, never pooled).
+        next admitted replica concurrently.  First answer wins; the
+        loser is cancelled (its trial slot released, its connection
+        closed by the link's failure path, never pooled).
+
+        Each dial is exactly one task: the attempt timeout is the
+        link's own timer inside :meth:`_exchange`, so the wait here
+        carries only the hedge delay — hedged or not, the same lines.
         """
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
@@ -693,8 +704,7 @@ class Router(FrameServer):
                     hedge_armed = False
                     backup = self._hedge_backup(pending)
                     # no backup or no token: ride out the first attempt
-                    if backup is not None \
-                            and self.retry_budget.try_spend():
+                    if backup is not None:
                         self._m_hedge.labels(outcome="launched").inc()
                         span_args["hedged"] = backup
                         pending.remove(backup)
@@ -718,17 +728,22 @@ class Router(FrameServer):
         finally:
             # cancel whatever is still in flight (the hedge loser, or
             # everything when this request itself is cancelled) and
-            # release its breaker probe slot
+            # release its trial slot
             for task, shard in tasks.items():
                 task.cancel()
-                self.breakers[shard].record_abandoned()
+                self.tracker[shard].record_abandoned()
         return winner
 
     def _hedge_backup(self, pending: Sequence[str]) -> str | None:
-        """The next breaker-admitted replica to hedge onto."""
+        """The next replica whose health admits a hedge, paid for with
+        a retry-budget token (none left: the admission is handed back
+        and nothing is launched)."""
         for shard in pending:
-            if self.breakers[shard].allow():
-                return shard
+            if self.tracker[shard].allow():
+                if self.retry_budget.try_spend():
+                    return shard
+                self.tracker[shard].record_abandoned()
+                break
         return None
 
     # -- write routing ---------------------------------------------------------
@@ -743,10 +758,10 @@ class Router(FrameServer):
         replica while the primary missed it would fork the version
         history, and the next read could see versions go *backwards*
         after a failover.  The ring's first owner is the single write
-        point; if it is breaker-blocked, unreachable, or the deadline is
-        spent, the write fails with the typed error (the client retries
-        against an unchanged version history — every mutation is
-        observable via the version it returns).
+        point; if its health refuses the dial, it is unreachable, or the
+        deadline is spent, the write fails with the typed error (the
+        client retries against an unchanged version history — every
+        mutation is observable via the version it returns).
 
         Under ``replication > 1`` the committed write is then applied to
         the surviving replicas best-effort, and the response discloses
@@ -762,7 +777,7 @@ class Router(FrameServer):
         remaining = req.remaining()
         if remaining is not None and remaining <= 0:
             self._shed(key, span_args, -remaining)
-        if not self.breakers[primary].allow():
+        if not self.tracker[primary].allow():
             self._m_route.labels(shard=primary, outcome="skipped").inc()
             span_args["outcome"] = "circuit-open"
             raise CircuitOpen(key, (primary,))
@@ -809,7 +824,7 @@ class Router(FrameServer):
         concurrently; per-shard outcomes, never an exception."""
 
         async def one(shard: str) -> tuple[str, bool]:
-            if not self.breakers[shard].allow():
+            if not self.tracker[shard].allow():
                 self._m_route.labels(shard=shard,
                                      outcome="skipped").inc()
                 return shard, False
@@ -1000,12 +1015,14 @@ class Router(FrameServer):
     def reliability_snapshot(self) -> dict[str, Any]:
         """The reliability layer's live state (the ``stats`` op's
         ``reliability`` section — every breaker/budget/hedge/degraded
-        signal in one machine-readable place)."""
+        signal in one machine-readable place).  ``breakers`` is the
+        circuit view of the machines ``stats.health`` shows as
+        membership."""
         rel = self.reliability
         delay = self.hedge_delay()
         return {
-            "breakers": {name: b.snapshot()
-                         for name, b in sorted(self.breakers.items())},
+            "breakers": {name: self.tracker[name].breaker_dict()
+                         for name in sorted(self.shards)},
             "retry_budget": self.retry_budget.snapshot(),
             "hedge": {"quantile": rel.hedge_quantile,
                       "delay_s": (round(delay, 6)
@@ -1077,7 +1094,6 @@ class Router(FrameServer):
                 result = await self._route_keyed(sub, key, replicas,
                                                  sub_span)
             except Exception as e:  # noqa: BLE001 — per-entry, in-band
-                from ..service.protocol import error_to_payload
                 return {"ok": False, "error": error_to_payload(e)}
             return {"ok": True, "result": result}
 

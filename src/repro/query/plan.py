@@ -332,6 +332,13 @@ def _plan_relational(stage: Stage, visible: list[str]) -> dict[str, Any]:
         pred = named[0]
         if isinstance(pred.value, tuple):
             raise _bad(stage, "predicate value cannot be a list")
+        if pred.cmp not in ("=", "!=") \
+                and not isinstance(pred.value, (int, float)):
+            # every column is numeric: ordering it against text is a
+            # TypeError in either phase's comparison, not an empty table
+            raise _bad(stage, f"{pred.render()!r} orders a numeric "
+                              f"column against text; '{pred.cmp}' needs "
+                              "a number")
         return _op("filter", column=pred.name, cmp=pred.cmp,
                    value=pred.value)
     if stage.name == "project":

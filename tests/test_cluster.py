@@ -15,6 +15,7 @@ from repro.cluster import (
     ClusterSpec,
     ClusterThread,
     HashRing,
+    ReliabilityConfig,
     ReplicaTracker,
     ShardService,
     cell_routing_key,
@@ -89,43 +90,77 @@ class TestHashRing:
 
 # -- replica tracker ---------------------------------------------------------
 
+class _Clock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
 class TestReplicaTracker:
     def test_ejection_and_readmission(self):
-        t = ReplicaTracker(["a", "b"], eject_after=2)
-        t.record_failure("a")
-        assert t.is_healthy("a")            # one strike is not ejection
-        t.record_failure("a")
-        assert not t.is_healthy("a")
+        t = ReplicaTracker(["a", "b"], failure_threshold=2)
+        t["a"].record_failure()
+        assert t["a"].healthy               # one strike is not ejection
+        t["a"].record_failure()
+        assert not t["a"].healthy
         assert t.down_shards() == ("a",)
-        t.record_success("a")
-        assert t.is_healthy("a")
+        assert t.healthy_shards() == ("b",)
+        t["a"].record_success()
+        assert t["a"].healthy
         snap = t.snapshot()["a"]
         assert snap["ejections"] == 1
         assert snap["readmissions"] == 1
+        # the circuit view is the same machine
+        assert t["a"].breaker_dict()["transitions"] == {
+            "open": 1, "closed": 1}
 
     def test_success_resets_consecutive_failures(self):
-        t = ReplicaTracker(["a"], eject_after=2)
-        t.record_failure("a")
-        t.record_success("a")
-        t.record_failure("a")
-        assert t.is_healthy("a")
+        t = ReplicaTracker(["a"], failure_threshold=2)
+        t["a"].record_failure()
+        t["a"].record_success()
+        t["a"].record_failure()
+        assert t["a"].healthy
 
     def test_order_prefers_healthy_keeps_down_as_last_resort(self):
-        t = ReplicaTracker(["a", "b", "c"], eject_after=1)
-        t.record_failure("b")
+        t = ReplicaTracker(["a", "b", "c"], failure_threshold=1)
+        t["b"].record_failure()
         assert t.order(("a", "b", "c")) == ("a", "c", "b")
         # down shards are degraded, never dropped
-        t.record_failure("a")
-        t.record_failure("c")
+        t["a"].record_failure()
+        t["c"].record_failure()
         assert t.order(("a", "b")) == ("a", "b")
 
-    def test_probe_delay_is_deterministic(self):
-        t1 = ReplicaTracker(["a"])
-        t2 = ReplicaTracker(["a"])
-        for t in (t1, t2):
-            t.record_probe("a")
-            t.record_probe("a")
-        assert t1.probe_delay("a") == t2.probe_delay("a") > 0
+    def test_probe_is_due_at_the_base_timeout_whatever_the_backoff(self):
+        clock = _Clock()
+        t = ReplicaTracker(["a", "b"], failure_threshold=1,
+                           reset_timeout_s=1.0, clock=clock)
+        a = t["a"]
+        assert not t["b"].allow_probe()     # closed shards cost no probes
+        a.record_failure()
+        assert not a.allow_probe()          # not due yet
+        for n in range(1, 4):               # three failed probes
+            clock.t += 1.0
+            assert a.allow_probe()          # due: takes the trial
+            assert not a.allow_probe()      # one in flight at a time
+            assert not a.allow()            # ...clients included
+            a.record_failure("refused")
+            assert a.as_dict()["probes"] == n
+        # client traffic now waits the backed-off 8 s; the prober still 1 s
+        clock.t += 1.0
+        assert not a.allow()
+        assert a.allow_probe()
+        a.record_success("probe")
+        assert a.healthy and a.allow()
+        assert a.breaker_dict()["reset_timeout_s"] == 1.0
+
+    def test_added_shard_gets_the_same_machine(self):
+        t = ReplicaTracker(["a"], failure_threshold=1)
+        t.add_shard("b")
+        t.add_shard("a")                    # idempotent: state kept
+        t["b"].record_failure()
+        assert t.down_shards() == ("b",)
 
 
 # -- cluster spec ------------------------------------------------------------
@@ -209,8 +244,12 @@ class TestShardService:
 
 def _cluster(n: int, replication: int = 1, **router_kwargs):
     spec = ClusterSpec.of(n, replication=replication, datasets=DATASETS)
+    # two strikes eject (the default is three): these tests kill a shard
+    # and expect its health to have flipped two failed dials later
     defaults = dict(attempt_timeout_s=30, fanout_timeout_s=10,
-                    probe_interval_s=0.2)
+                    probe_interval_s=0.2,
+                    reliability=ReliabilityConfig(
+                        breaker_failure_threshold=2))
     defaults.update(router_kwargs)
     return ClusterThread(spec, router_kwargs=defaults)
 

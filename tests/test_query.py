@@ -176,6 +176,26 @@ class TestPlanner:
         with pytest.raises(PlanError):
             plan_pipeline(parse("from twitter | topk level 5"))
 
+    @pytest.mark.parametrize("q", [
+        "from roadnet scale=0.05 | degree | filter degree<abc",      # graph
+        "from roadnet scale=0.05 | topk degree 5 | filter degree>=x",  # table
+        "from roadnet scale=0.05 | bfs root=0 | filter level<=deep",
+        "from roadnet scale=0.05 | filter id>abc | count",
+    ])
+    def test_ordering_a_column_against_text_is_a_plan_error(self, q):
+        # was numpy's UFuncTypeError from the graph phase and a bare
+        # TypeError from the table phase: now refused in either, typed
+        with pytest.raises(PlanError, match="needs a number"):
+            plan_pipeline(parse(q))
+        with pytest.raises(PlanError):
+            QueryEngine().query({"q": q})
+
+    def test_equality_against_text_still_plans(self):
+        out = QueryEngine().query(
+            {"q": "from roadnet scale=0.05 | degree | filter degree=abc "
+                  "| count"})
+        assert out["table"]["rows"] == [[0]]
+
     def test_implicit_degree_inserted_before_aggregate(self):
         plan = plan_pipeline(parse(
             "from twitter | bfs root=0 | topk degree 5"))

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterSpec, ClusterThread
-from repro.core.errors import QueryError, RemoteError
+from repro.core.errors import PlanError, QueryError, RemoteError
 from repro.datagen.registry import scaled_vertices
 from repro.dynamic import churn_ops
 from repro.query import query_template_pool
@@ -132,6 +132,22 @@ class TestFailureHandling:
             router.query_lang(f"from twitter scale={SCALE} "
                               "| bfs root=999999999 | count")
         assert getattr(exc_info.value, "shard", None) in ct.assignment
+
+    def test_ordering_against_text_is_a_plan_error_on_the_wire(
+            self, cluster):
+        ct, router = cluster
+        q = f"from roadnet scale={SCALE} | degree | filter degree<abc"
+        # through the router: its own planner refuses before any scatter
+        with pytest.raises(PlanError) as exc_info:
+            router.query_lang(q)
+        assert exc_info.value.kind == "plan"
+        assert getattr(exc_info.value, "shard", None) is None
+        # the scatter's `part` path, straight at one shard: same refusal
+        addr = next(iter(ct.addresses.values()))
+        with ServiceClient(addr.host, addr.port) as shard:
+            with pytest.raises(PlanError) as exc_info:
+                shard.request("query", q=q, part=[0, 4])
+        assert exc_info.value.kind == "plan"
 
     def test_router_rejects_client_supplied_part(self, cluster):
         _, router = cluster

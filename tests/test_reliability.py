@@ -1,5 +1,6 @@
-"""Tests for the end-to-end request-reliability layer: circuit breaker
-state machine (injected clock, no sleeps), retry-budget token math,
+"""Tests for the end-to-end request-reliability layer: the per-shard
+health machine (injected clock, no sleeps; seven cases plus a hypothesis
+state machine against a model), retry-budget token math,
 deadline propagation on the wire and shedding at the scheduler and the
 router, degraded stale serving with the hard staleness cap, and the
 stats/metrics observability surface."""
@@ -8,22 +9,31 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.cluster import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    CircuitBreaker,
     ClusterSpec,
     ClusterThread,
     ReliabilityConfig,
     RetryBudget,
     Router,
     ShardAddress,
+    ShardHealth,
 )
 from repro.core.errors import (
     CellCrash,
@@ -33,6 +43,7 @@ from repro.core.errors import (
     RetryBudgetExhausted,
 )
 from repro.resilience import Cell
+from repro.resilience.netchaos import NetFaultSpec
 from repro.service import (
     CacheTiers,
     LRUCache,
@@ -61,12 +72,12 @@ class _Clock:
         self.t += dt
 
 
-# -- circuit breaker ---------------------------------------------------------
+# -- the shard health machine (a three-state circuit breaker) ----------------
 
 class TestCircuitBreaker:
     def test_threshold_opens_the_circuit(self):
         clock = _Clock()
-        b = CircuitBreaker("s0", failure_threshold=3, clock=clock)
+        b = ShardHealth("s0", failure_threshold=3, clock=clock)
         assert b.state == BREAKER_CLOSED
         for _ in range(2):
             b.record_failure()
@@ -77,7 +88,7 @@ class TestCircuitBreaker:
         assert not b.allow()                      # refused instantly
 
     def test_success_resets_the_failure_streak(self):
-        b = CircuitBreaker("s0", failure_threshold=2, clock=_Clock())
+        b = ShardHealth("s0", failure_threshold=2, clock=_Clock())
         b.record_failure()
         b.record_success()
         b.record_failure()
@@ -85,7 +96,7 @@ class TestCircuitBreaker:
 
     def test_half_open_admits_exactly_one_probe(self):
         clock = _Clock()
-        b = CircuitBreaker("s0", failure_threshold=1,
+        b = ShardHealth("s0", failure_threshold=1,
                            reset_timeout_s=1.0, clock=clock)
         b.record_failure()
         assert not b.allow()
@@ -99,7 +110,7 @@ class TestCircuitBreaker:
 
     def test_failed_probe_backs_off_exponentially(self):
         clock = _Clock()
-        b = CircuitBreaker("s0", failure_threshold=1,
+        b = ShardHealth("s0", failure_threshold=1,
                            reset_timeout_s=1.0, backoff_factor=2.0,
                            max_reset_timeout_s=3.0, clock=clock)
         b.record_failure()
@@ -112,11 +123,11 @@ class TestCircuitBreaker:
         clock.advance(1.0)
         assert b.allow()
         b.record_failure()
-        assert b.snapshot()["reset_timeout_s"] == 3.0   # capped
+        assert b.breaker_dict()["reset_timeout_s"] == 3.0   # capped
 
     def test_abandoned_probe_releases_the_slot_without_judging(self):
         clock = _Clock()
-        b = CircuitBreaker("s0", failure_threshold=1,
+        b = ShardHealth("s0", failure_threshold=1,
                            reset_timeout_s=1.0, clock=clock)
         b.record_failure()
         clock.advance(1.0)
@@ -128,29 +139,170 @@ class TestCircuitBreaker:
 
     def test_transitions_observed_and_counted(self):
         clock = _Clock()
-        seen: list[tuple[str, str, str]] = []
-        b = CircuitBreaker("s0", failure_threshold=1,
+        seen: list[tuple[str, str, str, str]] = []
+        b = ShardHealth("s0", failure_threshold=1,
                            reset_timeout_s=1.0, clock=clock,
                            on_transition=lambda *a: seen.append(a))
-        b.record_failure()
+        b.record_failure("refused")
         clock.advance(1.0)
         b.allow()
         b.record_success()
-        assert seen == [("s0", BREAKER_CLOSED, BREAKER_OPEN),
-                        ("s0", BREAKER_OPEN, BREAKER_HALF_OPEN),
-                        ("s0", BREAKER_HALF_OPEN, BREAKER_CLOSED)]
-        snap = b.snapshot()
-        assert snap["transitions"] == {BREAKER_OPEN: 1,
-                                       BREAKER_HALF_OPEN: 1,
-                                       BREAKER_CLOSED: 1}
+        assert seen == [
+            ("s0", BREAKER_CLOSED, BREAKER_OPEN, "refused"),
+            ("s0", BREAKER_OPEN, BREAKER_HALF_OPEN, "traffic"),
+            ("s0", BREAKER_HALF_OPEN, BREAKER_CLOSED, "traffic")]
+        assert b.breaker_dict()["transitions"] == {BREAKER_OPEN: 1,
+                                                   BREAKER_HALF_OPEN: 1,
+                                                   BREAKER_CLOSED: 1}
+        # the membership view of the same machine
+        assert b.as_dict() == {
+            "healthy": True, "consecutive_failures": 0, "failures": 1,
+            "successes": 1, "ejections": 1, "readmissions": 1,
+            "probes": 0}
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            CircuitBreaker("s0", failure_threshold=0)
+            ShardHealth("s0", failure_threshold=0)
         with pytest.raises(ValueError):
-            CircuitBreaker("s0", reset_timeout_s=0)
+            ShardHealth("s0", reset_timeout_s=0)
         with pytest.raises(ValueError):
-            CircuitBreaker("s0", backoff_factor=0.5)
+            ShardHealth("s0", backoff_factor=0.5)
+
+
+class _HealthModel:
+    """What :class:`ShardHealth` is specified to do, in one screen."""
+
+    def __init__(self, threshold, base, factor, cap):
+        self.threshold, self.base, self.factor, self.cap = \
+            threshold, base, factor, cap
+        self.state, self.streak, self.trial = BREAKER_CLOSED, 0, False
+        self.opened_at, self.timeout = 0.0, base
+
+    def admit(self, now, timeout):
+        if self.state == BREAKER_OPEN:
+            if now - self.opened_at < timeout:
+                return False
+            self.state = BREAKER_HALF_OPEN
+        elif self.state == BREAKER_HALF_OPEN and self.trial:
+            return False
+        self.trial = self.state != BREAKER_CLOSED
+        return True
+
+    def success(self):
+        self.state, self.streak, self.trial = BREAKER_CLOSED, 0, False
+        self.timeout = self.base
+
+    def failure(self, now):
+        self.streak += 1
+        if self.state == BREAKER_HALF_OPEN:
+            self.timeout = min(self.timeout * self.factor, self.cap)
+        elif self.state == BREAKER_OPEN or self.streak < self.threshold:
+            return
+        self.state, self.trial, self.opened_at = BREAKER_OPEN, False, now
+
+
+class ShardHealthMachine(RuleBasedStateMachine):
+    """The tree's first state machine: random interleavings of traffic,
+    probes, abandoned attempts and time against :class:`_HealthModel`."""
+
+    THRESHOLD, BASE, FACTOR, CAP = 3, 1.0, 2.0, 8.0
+
+    def __init__(self):
+        super().__init__()
+        self.clock = _Clock()
+        self.flips: list[tuple[str, str]] = []
+        self.trials_out = 0              # admitted, no outcome yet
+        self.health = ShardHealth(
+            "s0", failure_threshold=self.THRESHOLD,
+            reset_timeout_s=self.BASE, backoff_factor=self.FACTOR,
+            max_reset_timeout_s=self.CAP, clock=self.clock,
+            on_transition=lambda _, old, new, __:
+                self.flips.append((old, new)))
+        self.model = _HealthModel(self.THRESHOLD, self.BASE, self.FACTOR,
+                                  self.CAP)
+
+    def _admitted(self, got: bool, timeout: float) -> None:
+        was_open = self.model.state == BREAKER_OPEN
+        too_soon = self.clock.t - self.model.opened_at < timeout
+        assert got == self.model.admit(self.clock.t, timeout)
+        if was_open and too_soon:
+            assert not got               # open never admits early
+        if got and self.model.state != BREAKER_CLOSED:
+            self.trials_out += 1
+
+    @rule()
+    def allow(self):
+        self._admitted(self.health.allow(), self.model.timeout)
+
+    @precondition(lambda self: self.model.state != BREAKER_CLOSED)
+    @rule()
+    def probe(self):
+        before = self.health.probes
+        got = self.health.allow_probe()
+        self._admitted(got, self.BASE)
+        assert self.health.probes == before + got
+
+    @precondition(lambda self: self.model.state == BREAKER_CLOSED)
+    @rule()
+    def probe_of_a_closed_shard_is_never_due(self):
+        assert not self.health.allow_probe()
+
+    @rule(reason=st.sampled_from(["traffic", "probe"]))
+    def success(self, reason):
+        self.health.record_success(reason)
+        self.model.success()
+        self.trials_out = 0
+
+    @rule(reason=st.sampled_from(["refused", "timeout", "reset"]))
+    def failure(self, reason):
+        self.health.record_failure(reason)
+        self.model.failure(self.clock.t)
+        if self.model.state == BREAKER_OPEN:
+            self.trials_out = 0
+
+    @rule()
+    def abandon(self):
+        self.health.record_abandoned()
+        self.model.trial = False
+        self.trials_out = 0
+
+    @rule(dt=st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0]))
+    def advance(self, dt):
+        self.clock.advance(dt)
+
+    @invariant()
+    def machine_matches_model(self):
+        view = self.health.breaker_dict()
+        assert view["state"] == self.health.state == self.model.state
+        assert view["consecutive_failures"] == self.model.streak
+        assert view["reset_timeout_s"] == self.model.timeout
+        assert self.BASE <= self.model.timeout <= self.CAP
+        if self.model.state == BREAKER_CLOSED:
+            assert self.model.timeout == self.BASE    # success restores
+
+    @invariant()
+    def healthy_iff_closed(self):
+        assert self.health.healthy == (self.health.state == BREAKER_CLOSED)
+        assert self.health.as_dict()["healthy"] == self.health.healthy
+
+    @invariant()
+    def at_most_one_trial_in_flight(self):
+        assert self.trials_out <= 1
+
+    @invariant()
+    def counters_are_the_counted_flips(self):
+        view = self.health.as_dict()
+        assert view["ejections"] == sum(
+            1 for old, new in self.flips
+            if (old, new) == (BREAKER_CLOSED, BREAKER_OPEN))
+        assert view["readmissions"] == sum(
+            1 for _, new in self.flips if new == BREAKER_CLOSED)
+        assert all(old != new for old, new in self.flips)
+        for state, n in self.health.transitions.items():
+            assert n == sum(1 for _, new in self.flips if new == state)
+
+
+TestShardHealthMachine = ShardHealthMachine.TestCase
 
 
 # -- retry budget ------------------------------------------------------------
@@ -394,8 +546,7 @@ def _reliability(**kw) -> ReliabilityConfig:
 
 def _boot(**router_extra) -> ClusterThread:
     spec = ClusterSpec.of(2, replication=2, datasets=DATASETS)
-    kwargs = dict(reliability=_reliability(), attempt_timeout_s=5.0,
-                  eject_after=2)
+    kwargs = dict(reliability=_reliability(), attempt_timeout_s=5.0)
     kwargs.update(router_extra)
     return ClusterThread(spec, router_kwargs=kwargs)
 
@@ -467,3 +618,321 @@ class TestRouterReliabilityLive:
         rel = stats["reliability"]
         assert set(rel["breakers"]) == {"shard-0", "shard-1"}
         assert "retry_budget" in rel and "hedge" in rel
+
+
+# -- hedged reads over a live two-replica cluster ----------------------------
+
+HEDGE_KEY = "ldbc"
+
+
+def _hedge_boot() -> ClusterThread:
+    """Two replicas behind chaos proxies, hedging on, the background
+    prober parked (a 60 s tick) so only client traffic moves health."""
+    spec = ClusterSpec.of(2, replication=2, datasets=DATASETS)
+    kwargs = dict(reliability=_reliability(hedge_quantile=50.0),
+                  attempt_timeout_s=5.0, probe_interval_s=60.0)
+    return ClusterThread(spec, router_kwargs=kwargs, netchaos=True)
+
+
+def _hedged_run(client) -> dict:
+    return client.run("BFS", HEDGE_KEY, scale=0.02, machine="test")
+
+
+def _arm_hedging(cluster, client) -> None:
+    """Warm every replica's cache directly, pool one router connection
+    to the primary, and seed the latency window so ``hedge_delay()`` is
+    its 10 ms floor."""
+    for addr in cluster.shard_addresses.values():
+        with ServiceClient(addr.host, addr.port, timeout_s=30.0) as direct:
+            _hedged_run(direct)
+    assert "degraded" not in _hedged_run(client)
+    for _ in range(32):
+        cluster.router._note_latency(0.001)
+    assert cluster.router.hedge_delay() == pytest.approx(0.01)
+
+
+def _count(router, family: str, **labels) -> float:
+    samples = router.registry.snapshot().get(family, {}).get("samples", [])
+    return sum(s["value"] for s in samples
+               if all(s["labels"].get(k) == v for k, v in labels.items()))
+
+
+class _TaskLog:
+    """Every task the router's loop creates from here on."""
+
+    def __init__(self, cluster):
+        self.tasks: list[asyncio.Task] = []
+        loop = cluster.router_thread._loop
+        installed = threading.Event()
+
+        def factory(loop, coro, **kw):
+            task = asyncio.Task(coro, loop=loop, **kw)
+            self.tasks.append(task)
+            return task
+
+        def install():
+            loop.set_task_factory(factory)
+            installed.set()
+
+        loop.call_soon_threadsafe(install)
+        assert installed.wait(5.0)
+
+    def exchanges(self) -> list[asyncio.Task]:
+        """The shard-exchange tasks, once they have all settled."""
+        mine = [t for t in self.tasks
+                if t.get_coro().__qualname__ == "Router._exchange"]
+        deadline = time.monotonic() + 5.0
+        while not all(t.done() for t in mine) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return mine
+
+
+class TestHedgedReadsLive:
+    def test_slow_primary_is_hedged_and_the_backup_wins(self):
+        with _hedge_boot() as cluster:
+            router = cluster.router
+            primary, backup = router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _arm_hedging(cluster, client)
+                assert len(router._links[primary]._idle) == 1
+                before = router.tracker.snapshot()[primary]
+                granted = router.retry_budget.snapshot()["granted"]
+                log = _TaskLog(cluster)
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(latency_ms=400.0))
+                out = _hedged_run(client)
+            assert out["shard"] == backup
+            assert "degraded" not in out
+            assert _count(router, "cluster_hedges_total",
+                          outcome="launched") == 1
+            assert _count(router, "cluster_hedges_total",
+                          outcome="won") == 1
+            assert _count(router, "cluster_hedges_total",
+                          outcome="lost") == 0
+            # the hedge exchange is counted once, under the backup
+            assert _count(router, "cluster_route_total",
+                          outcome="hedge") == 1
+            assert _count(router, "cluster_route_total",
+                          outcome="hedge", shard=backup) == 1
+            # exactly one retry-budget token paid for it
+            assert router.retry_budget.snapshot()["granted"] == granted + 1
+            # the loser was cancelled, not awaited: no verdict on the
+            # primary either way, and its connection (the pooled one it
+            # checked out) was closed, never returned to the pool
+            exchanges = log.exchanges()
+            assert sorted(t.cancelled() for t in exchanges) == [False, True]
+            after = router.tracker.snapshot()[primary]
+            assert after["successes"] == before["successes"]
+            assert after["failures"] == before["failures"]
+            assert after["healthy"] is True
+            assert router._links[primary]._idle == []
+
+    def test_drained_budget_rides_out_the_first_attempt(self):
+        with _hedge_boot() as cluster:
+            router = cluster.router
+            primary, _ = router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _arm_hedging(cluster, client)
+                while router.retry_budget.try_spend():
+                    pass                          # no token left to hedge
+                denied = router.retry_budget.snapshot()["denied"]
+                log = _TaskLog(cluster)
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(latency_ms=60.0))
+                out = _hedged_run(client)
+            assert out["shard"] == primary        # rode out the slow one
+            assert _count(router, "cluster_hedges_total") == 0
+            assert _count(router, "cluster_route_total",
+                          outcome="hedge") == 0
+            assert router.retry_budget.snapshot()["denied"] == denied + 1
+            assert [t.cancelled() for t in log.exchanges()] == [False]
+
+    def test_primary_that_answers_first_counts_the_hedge_lost(self):
+        with _hedge_boot() as cluster:
+            router = cluster.router
+            primary, backup = router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _arm_hedging(cluster, client)
+                log = _TaskLog(cluster)
+                # past the 10 ms hedge delay, well ahead of the backup
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(latency_ms=40.0))
+                cluster.set_shard_faults(backup,
+                                         NetFaultSpec(latency_ms=600.0))
+                out = _hedged_run(client)
+            assert out["shard"] == primary
+            assert _count(router, "cluster_hedges_total",
+                          outcome="launched") == 1
+            assert _count(router, "cluster_hedges_total",
+                          outcome="lost") == 1
+            assert _count(router, "cluster_hedges_total",
+                          outcome="won") == 0
+            assert _count(router, "cluster_route_total",
+                          outcome="hedge") == 0   # the hedge never answered
+            assert sorted(t.cancelled()
+                          for t in log.exchanges()) == [False, True]
+            assert router._links[backup]._idle == []
+
+    def test_cancelled_loser_releases_its_half_open_trial(self):
+        """Both circuits tripped and past their reset timeout: the slow
+        primary takes its half-open trial, the hedge takes the backup's
+        and wins.  The cancelled loser must hand its trial slot back —
+        the next failover onto the primary is admitted, not skipped."""
+        with _hedge_boot() as cluster:
+            router = cluster.router
+            primary, backup = router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _arm_hedging(cluster, client)
+                for name in (primary, backup):
+                    cluster.kill_shard(name)
+                for _ in range(2):                # threshold 2: both trip
+                    assert _hedged_run(client)["degraded"] is True
+                states = router.reliability_snapshot()["breakers"]
+                assert {b["state"] for b in states.values()} \
+                    == {BREAKER_OPEN}
+                for name in (primary, backup):
+                    cluster.restart_shard(name)
+                time.sleep(0.25)                  # reset timeout is 0.2 s
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(latency_ms=400.0))
+                out = _hedged_run(client)
+                assert out["shard"] == backup
+                assert _count(router, "cluster_hedges_total",
+                              outcome="won") == 1
+                states = router.reliability_snapshot()["breakers"]
+                assert states[backup]["state"] == BREAKER_CLOSED
+                assert states[primary]["state"] == BREAKER_HALF_OPEN
+                # the backup dies; the walk fails over onto the primary,
+                # whose trial slot the cancelled loser released
+                cluster.set_shard_faults(primary, NetFaultSpec())
+                cluster.kill_shard(backup)
+                out = _hedged_run(client)
+            assert out["shard"] == primary
+            assert "degraded" not in out
+            assert _count(router, "cluster_route_total",
+                          outcome="skipped", shard=primary) == 0
+            states = router.reliability_snapshot()["breakers"]
+            assert states[primary]["state"] == BREAKER_CLOSED
+
+
+# -- one task per dial, one charge per timeout, one prober that waits on nobody
+
+def _wait_until(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestOneWaitPerAttempt:
+    def test_unhedged_keyed_read_creates_one_task(self):
+        with _boot() as cluster:
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _hedged_run(client)               # connection handler up
+                log = _TaskLog(cluster)
+                for n in (1, 2, 3):
+                    _hedged_run(client)
+                    assert len(log.tasks) == n    # the dial, nothing else
+            assert len(log.exchanges()) == 3
+
+    def test_hedged_attempt_creates_two(self):
+        with _hedge_boot() as cluster:
+            primary, backup = cluster.router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                _arm_hedging(cluster, client)
+                log = _TaskLog(cluster)
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(latency_ms=400.0))
+                assert _hedged_run(client)["shard"] == backup
+            assert len(log.tasks) == len(log.exchanges()) == 2
+
+    def test_timed_out_attempt_is_charged_exactly_once(self):
+        spec = ClusterSpec.of(2, replication=2, datasets=DATASETS)
+        kwargs = dict(reliability=_reliability(), attempt_timeout_s=0.3,
+                      probe_interval_s=60.0)
+        with ClusterThread(spec, router_kwargs=kwargs,
+                           netchaos=True) as cluster:
+            router = cluster.router
+            primary, backup = router.ring.owners(HEDGE_KEY, 2)
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                for addr in cluster.shard_addresses.values():
+                    with ServiceClient(addr.host, addr.port,
+                                       timeout_s=30.0) as direct:
+                        _hedged_run(direct)       # both caches warm
+                before = router.tracker.snapshot()[primary]
+                cluster.set_shard_faults(primary,
+                                         NetFaultSpec(blackhole=True))
+                # a handler of our own: whether ``repro`` records reach
+                # the root logger depends on which tests ran before
+                records: list[logging.LogRecord] = []
+                tap = logging.Handler(logging.WARNING)
+                tap.emit = records.append
+                router_log = logging.getLogger("repro.cluster.router")
+                router_log.addHandler(tap)
+                try:
+                    out = _hedged_run(client)
+                finally:
+                    router_log.removeHandler(tap)
+            assert out["shard"] == backup
+            assert _count(router, "cluster_route_total", shard=primary,
+                          outcome="unreachable") == 1
+            assert _count(router, "cluster_route_total", shard=backup,
+                          outcome="failover") == 1
+            after = router.tracker.snapshot()[primary]
+            assert after["failures"] == before["failures"] + 1
+            assert after["consecutive_failures"] == 1
+            assert after["successes"] == before["successes"]
+            assert after["healthy"] is True       # one strike of two
+            assert [r.reason for r in records
+                    if getattr(r, "shard", None) == primary] == ["timeout"]
+            assert router._links[primary]._idle == []   # never pooled
+
+
+class TestProberLive:
+    def test_dead_shard_does_not_delay_a_neighbours_readmission(self):
+        """Two shards down, the dead one probed first, the other
+        restarted just as a probe round begins: it is readmitted on its
+        own next due probe (the 0.2 s base timeout, one 0.1 s tick, a
+        ping) — not after the dead neighbour's back-off."""
+        spec = ClusterSpec.of(3, datasets=DATASETS)
+        kwargs = dict(reliability=_reliability(), attempt_timeout_s=5.0,
+                      fanout_timeout_s=5.0, probe_interval_s=0.1)
+        with ClusterThread(spec, router_kwargs=kwargs) as cluster:
+            tracker = cluster.router.tracker
+            dead, live = "shard-0", "shard-1"
+            with ServiceClient(cluster.router_thread.host,
+                               cluster.router_port,
+                               timeout_s=30.0) as client:
+                for name in (dead, live):
+                    cluster.kill_shard(name)
+                for _ in range(2):                # two failed fans eject
+                    assert client.stats()["partial"] is True
+            assert tracker.down_shards() == (dead, live)
+
+            def probes() -> int:
+                return tracker.snapshot()[dead]["probes"]
+
+            _wait_until(lambda: probes() >= 4)    # its back-off has grown
+            seen = probes()
+            _wait_until(lambda: probes() > seen)  # a round just began
+            t0 = time.monotonic()
+            cluster.restart_shard(live)
+            _wait_until(lambda: live in tracker.healthy_shards())
+            elapsed = time.monotonic() - t0
+            assert elapsed < 0.7
+            assert tracker.down_shards() == (dead,)
