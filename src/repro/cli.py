@@ -295,24 +295,20 @@ def _ask(args, call):
         return None, 1
 
 
+#: The request params `repro query`'s flags can fill; the ops it offers
+#: are the routed ones that need nothing else.
+_QUERY_FLAGS = frozenset({"workload", "dataset", "scale", "seed", "machine",
+                          "gpu", "root"})
+
+
 def cmd_query(args) -> int:
-    params = {}
-    if args.op in ("run", "characterize"):
-        if not args.workload:
-            print(f"error: op {args.op!r} requires a workload",
-                  file=sys.stderr)
-            return 2
-        params = {"workload": args.workload, "dataset": args.dataset,
-                  "scale": args.scale, "seed": args.seed,
-                  "machine": args.machine, "gpu": args.gpu}
-    elif args.op == "dyn_query":
-        if not args.workload:
-            print("error: op 'dyn_query' requires a workload "
-                  "(BFS or CComp)", file=sys.stderr)
-            return 2
-        params = {"workload": args.workload, "dataset": args.dataset,
-                  "scale": args.scale, "seed": args.seed,
-                  "root": args.root}
+    from .service.protocol import OPS
+    wanted = OPS[args.op].params
+    if "workload" in wanted and not args.workload:
+        print(f"error: op {args.op!r} requires a workload",
+              file=sys.stderr)
+        return 2
+    params = {name: getattr(args, name) for name in wanted}
     result, rc = _ask(args, lambda c: c.request(args.op, **params))
     if rc == 0:
         print(json.dumps(result, indent=2, sort_keys=True))
@@ -848,14 +844,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_service_knobs(sv)
 
     from .cluster.router import ROUTER_PORT
+    from .service.protocol import OPS
+    query_ops = tuple(name for name, op in OPS.items()
+                      if op.route is not None and op.params <= _QUERY_FLAGS)
+    keyed_reads = tuple(name for name, op in OPS.items()
+                        if op.route == "keyed-read")
 
     # query, query-lang and loadgen exist twice — against a service and
     # against a cluster router — from one flag definition each; only
     # the default port and the defaults named here differ
-    def add_query_args(sp, port, ops=()):
-        sp.add_argument("op", choices=("ping", "run", "characterize",
-                                       "dyn_query", "datasets",
-                                       "workloads", "stats") + ops)
+    def add_query_args(sp, port):
+        sp.add_argument("op", choices=query_ops)
         sp.add_argument("workload", nargs="?", default=None,
                         help="workload name (run/characterize/dyn_query "
                              "only)")
@@ -902,8 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "query pool, thins duplicates (default: 1)")
         sp.add_argument("--seed", type=int, default=0,
                         help="schedule RNG seed (default: 0)")
-        sp.add_argument("--op", default="run",
-                        choices=("run", "characterize", "dyn_query"))
+        sp.add_argument("--op", default="run", choices=keyed_reads)
         sp.add_argument("--write-mix", type=float, default=0.0,
                         help="fraction of requests that are mutation "
                              "batches against the first-listed dataset "
@@ -1059,7 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_query_args(clsub.add_parser(
         "query", help="send one request to a running cluster router"),
-        ROUTER_PORT, ops=("health", "shard_info"))
+        ROUTER_PORT)
 
     add_query_lang_args(clsub.add_parser(
         "query-lang",

@@ -8,8 +8,8 @@ metrics registry — plus three cluster behaviours:
   (the router's topology probe);
 * ``health``/``ping`` responses carry the shard id, so a probe knows
   *which* process answered on a recycled port;
-* single-dataset ops (``run``/``characterize``) for a dataset the shard
-  does not own fail with a typed
+* keyed ops (a ``key_in`` in :data:`~repro.service.protocol.OPS`) for a
+  dataset the shard does not own fail with a typed
   :class:`~repro.core.errors.WrongShard` — loudly surfacing a stale
   ring or misrouted request instead of silently duplicating another
   shard's cache tier;
@@ -36,7 +36,13 @@ from typing import Any
 
 from .. import __version__
 from ..core.errors import BadRequest, WrongShard
-from ..service.protocol import DYNAMIC_OPS, PROTOCOL_VERSION, Request
+from ..service.protocol import (
+    DEFAULT_DATASET,
+    OPS,
+    PROTOCOL_VERSION,
+    Op,
+    Request,
+)
 from ..service.server import GraphService
 
 
@@ -58,19 +64,24 @@ class ShardService(GraphService):
         # server's BadRequest, which names the real mistake
         from ..datagen.registry import REGISTRY
         self._known = frozenset(REGISTRY)
+        self._handlers.update(shard_info=lambda req: self.shard_info(),
+                              admin=self._admin)
 
     def owns(self, dataset: str) -> bool:
         return self.datasets is None or dataset in self.datasets
 
+    def _owned(self) -> "list[str] | None":
+        return None if self.datasets is None else sorted(self.datasets)
+
     # -- live ownership (rebalance support) -----------------------------------
 
-    def _admin(self, params: dict[str, Any]) -> dict[str, Any]:
+    def _admin(self, req: Request) -> dict[str, Any]:
+        params = req.params
         action = params.get("action")
         if action == "ownership":
             now = time.time()
             return {"shard": self.shard_id,
-                    "datasets": (None if self.datasets is None
-                                 else sorted(self.datasets)),
+                    "datasets": self._owned(),
                     "forwards": {d: {"host": h, "port": p,
                                      "expires_in_s":
                                          round(max(0.0, e - now), 3)}
@@ -86,8 +97,7 @@ class ShardService(GraphService):
             # adopting cancels any forward: the key is ours again
             self._forwards.pop(dataset, None)
             return {"shard": self.shard_id, "adopted": dataset,
-                    "datasets": (None if self.datasets is None
-                                 else sorted(self.datasets))}
+                    "datasets": self._owned()}
         if action == "drop":
             if self.datasets is not None:
                 self.datasets.discard(dataset)
@@ -103,8 +113,7 @@ class ShardService(GraphService):
                 self._forwards[dataset] = target
             return {"shard": self.shard_id, "dropped": dataset,
                     "forwarding": bool(self._forwards.get(dataset)),
-                    "datasets": (None if self.datasets is None
-                                 else sorted(self.datasets))}
+                    "datasets": self._owned()}
         raise BadRequest(f"admin action must be adopt, drop or "
                          f"ownership, got {action!r}")
 
@@ -144,58 +153,55 @@ class ShardService(GraphService):
             result.setdefault("forwarded_by", self.shard_id)
         return result
 
-    def _query_dataset(self, q: Any) -> "str | None":
-        """The known source dataset of a DSL query (None when the text
-        is malformed — the engine will then raise its own typed error,
-        which names the real mistake instead of a routing one)."""
-        if not isinstance(q, str):
-            return None
-        try:
-            from ..query import parse, source_info
-            dataset = source_info(parse(q)).dataset
-        except Exception:  # noqa: BLE001 — defer to the engine's error
-            return None
-        return dataset if dataset in self._known else None
+    def _owned_key(self, op: Op, params: dict[str, Any]) -> "str | None":
+        """The known dataset a keyed request must land on the owner of.
+        None when there is nothing to check: an unknown name or
+        malformed DSL text (the handler raises its own typed error,
+        which names the real mistake instead of a routing one), or a
+        ``part`` of the router's scatter — any shard computes any
+        partition of the deterministically generated graph, which is
+        what lets failed parts reassign to survivors."""
+        if op.key_in == "q":
+            if "part" in params:
+                return None
+            try:
+                from ..query import parse, source_info
+                dataset = source_info(parse(params.get("q"))).dataset
+            except Exception:  # noqa: BLE001 — defer to the engine's error
+                return None
+        else:
+            dataset = params.get(op.key_in, DEFAULT_DATASET)
+        return dataset if isinstance(dataset, str) \
+            and dataset in self._known else None
 
     def shard_info(self) -> dict[str, Any]:
         return {"shard": self.shard_id,
-                "datasets": (None if self.datasets is None
-                             else sorted(self.datasets)),
+                "datasets": self._owned(),
                 "server": __version__,
                 "protocol": PROTOCOL_VERSION,
                 "connections": self.connections,
                 "pending": self.scheduler.pending}
 
     async def _dispatch(self, req: Request) -> Any:
-        if req.op == "shard_info":
-            return self.shard_info()
-        if req.op == "admin":
-            return self._admin(req.params)
-        if req.op in ("run", "characterize") or req.op in DYNAMIC_OPS:
-            dataset = req.params.get("dataset", "ldbc")
-            if (isinstance(dataset, str) and dataset in self._known
-                    and not self.owns(dataset)):
-                return await self._wrong_shard(req, dataset)
-        if req.op in ("query", "explain") and "part" not in req.params:
-            # an un-partitioned DSL query is keyed routing: it must land
-            # on the source dataset's owner.  A part-request is the
-            # router's scatter — any shard computes any partition (the
-            # graph is deterministically generated everywhere), which is
-            # what lets failed parts reassign to survivors.
-            dataset = self._query_dataset(req.params.get("q"))
+        op = OPS[req.op]
+        if op.key_in is not None:
+            dataset = self._owned_key(op, req.params)
             if dataset is not None and not self.owns(dataset):
                 return await self._wrong_shard(req, dataset)
-        result = await super()._dispatch(req)
-        if req.op == "datasets" and self.datasets is not None:
-            result = [row for row in result
-                      if row.get("key") in self.datasets]
-        if req.op in ("ping", "health") and isinstance(result, dict):
-            result["shard"] = self.shard_id
-        return result
+        return await super()._dispatch(req)
+
+    def _ping(self, req: Request) -> dict[str, Any]:
+        return dict(super()._ping(req), shard=self.shard_id)
+
+    def _health(self, req: Request) -> dict[str, Any]:
+        return dict(super()._health(req), shard=self.shard_id)
+
+    def _datasets(self, req: Request) -> list[dict[str, Any]]:
+        return [row for row in super()._datasets(req)
+                if self.owns(row["key"])]
 
     def stats(self) -> dict[str, Any]:
         out = super().stats()
         out["shard"] = self.shard_id
-        out["datasets"] = (None if self.datasets is None
-                           else sorted(self.datasets))
+        out["datasets"] = self._owned()
         return out

@@ -3,19 +3,21 @@
 The router speaks the exact JSON-lines protocol the single-node service
 does — a :class:`~repro.service.client.ServiceClient` pointed at a
 router cannot tell it is talking to a cluster — and translates each op
-into shard traffic:
+into shard traffic by the ``route`` of its row in
+:data:`~repro.service.protocol.OPS`:
 
-* **single-dataset ops** (``run``/``characterize``) hash the dataset key
-  onto the ring, walk the replica chain healthy-first, and fail over to
-  the next replica on any *transport* failure (refused/reset/EOF/
-  timeout/garbage).  Typed errors a shard answers with are forwarded,
-  never retried — a bad request is bad on every replica.
-* **scatter-gather ops** (``datasets``/``stats``/``shard_info``/
-  ``batch``) fan out to every healthy shard concurrently under a
-  per-shard timeout and aggregate what arrives; a missing shard makes
+* **keyed-read** hashes the dataset key onto the ring, walks the replica
+  chain healthy-first, and fails over to the next replica on any
+  *transport* failure (refused/reset/EOF/timeout/garbage).  Typed errors
+  a shard answers with are forwarded, never retried — a bad request is
+  bad on every replica.  **any-shard** is the same walk over every
+  shard; **write** dials the key's primary only; **query** routes a
+  dynamic source keyed and scatters a static one.
+* **scatter** fans out to every healthy shard concurrently under a
+  per-shard timeout and aggregates what arrives; a missing shard makes
   the result *partial*, not an error.
-* **local ops** (``ping``/``health``) answer from the router's own
-  state — health is the tracker's live shard map.
+* **local** answers from the router's own state — health is the
+  tracker's live shard map.
 
 The failover walk is the request-reliability layer
 (:class:`ReliabilityConfig` tunes it; there is no walk without it):
@@ -72,6 +74,7 @@ the router supplies only :meth:`Router._dispatch`, so the same
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -96,14 +99,16 @@ from ..query.plan import plan_pipeline
 from ..resilience.retry import RetryPolicy
 from ..service.cache import LRUCache
 from ..service.protocol import (
+    CELL_OPS,
     MAX_FRAME_BYTES,
+    OPS,
     PROTOCOL_VERSION,
-    WRITE_OPS,
     Request,
     decode_frame,
     encode_request,
     error_to_payload,
     payload_to_error,
+    routing_key,
 )
 from ..service.server import FrameServer
 from .replica import BREAKER_OPEN, ReplicaTracker, RetryBudget
@@ -138,6 +143,15 @@ HEDGE_MIN_SAMPLES = 20
 
 #: Entries in the router's last-good response cache (degraded serving).
 STALE_CAPACITY = 512
+
+#: Idle connections kept per shard.
+POOL_PER_SHARD = 8
+
+#: Backoff between replica attempts: tiny, deterministic — a failover
+#: should be fast, but two routers hammering the same wounded shard
+#: should not do it in lockstep.
+FAILOVER_BACKOFF = RetryPolicy(max_retries=0, base_delay=0.01, factor=2.0,
+                               max_delay=0.25)
 
 #: Transport-level failures that trigger replica failover.  Typed error
 #: *frames* a shard answers with are not in this set — they forwarded,
@@ -201,9 +215,8 @@ class _ShardLink:
     connection — a poisoned stream never goes back in the pool.
     """
 
-    def __init__(self, addr: ShardAddress, limit: int = 4):
+    def __init__(self, addr: ShardAddress):
         self.addr = addr
-        self.limit = limit
         self._idle: list[tuple[asyncio.StreamReader,
                                asyncio.StreamWriter]] = []
         self._seq = 0
@@ -219,7 +232,7 @@ class _ShardLink:
             self.addr.host, self.addr.port, limit=MAX_FRAME_BYTES)
 
     def _checkin(self, reader, writer) -> None:
-        if len(self._idle) < self.limit and not writer.is_closing():
+        if len(self._idle) < POOL_PER_SHARD and not writer.is_closing():
             self._idle.append((reader, writer))
         else:
             writer.close()
@@ -312,11 +325,9 @@ class Router(FrameServer):
                  attempt_timeout_s: float = 60.0,
                  fanout_timeout_s: float = 30.0,
                  probe_interval_s: float = 0.5,
-                 failover_policy: RetryPolicy | None = None,
                  reliability: ReliabilityConfig | None = None,
                  registry: MetricsRegistry | None = None,
-                 tracer: SpanTracer | None = None,
-                 pool_per_shard: int = 8):
+                 tracer: SpanTracer | None = None):
         if not shards:
             raise ValueError("router needs at least one shard")
         names = [s.name for s in shards]
@@ -328,11 +339,6 @@ class Router(FrameServer):
         self.attempt_timeout_s = attempt_timeout_s
         self.fanout_timeout_s = fanout_timeout_s
         self.probe_interval_s = probe_interval_s
-        # backoff between replica attempts: tiny, deterministic — a
-        # failover should be fast, but two routers hammering the same
-        # wounded shard should not do it in lockstep
-        self.failover_policy = failover_policy or RetryPolicy(
-            max_retries=0, base_delay=0.01, factor=2.0, max_delay=0.25)
         self.reliability = reliability if reliability is not None \
             else ReliabilityConfig()
         rel = self.reliability
@@ -340,16 +346,12 @@ class Router(FrameServer):
             names, failure_threshold=rel.breaker_failure_threshold,
             reset_timeout_s=rel.breaker_reset_timeout_s)
         self.tracer = tracer
-        self.pool_per_shard = pool_per_shard
-        self._links = {name: _ShardLink(self.shards[name],
-                                        limit=pool_per_shard)
+        self._links = {name: _ShardLink(self.shards[name])
                        for name in names}
         # -- live-rebalance state (mutated by the migration driver) ----------
         # per-key keyed-read counts: the hotspot detector's attribution
-        # signal, and the rotation counter that spreads promoted reads
+        # signal
         self.key_route_counts: dict[str, int] = {}
-        # key -> extra read-replica shard names beyond the ring owners
-        self._extra_replicas: dict[str, tuple[str, ...]] = {}
         # keys whose writes are held while their state is being copied
         self._paused_writes: set[str] = set()
         # hard cap on how long one write waits on a pause — a wedged
@@ -412,6 +414,22 @@ class Router(FrameServer):
         # hedge-delay quantile
         self._lat_samples: list[float] = []
         self._lat_cursor = 0
+        # op name -> handler: a keyed mode serves every op routed that
+        # way, a local or scatter op has its own answer, and an op the
+        # table does not route is refused, typed
+        by_route = {"keyed-read": self._keyed_read,
+                    "write": self._route_write,
+                    "any-shard": self._any_shard}
+        own = {"ping": self._ping, "health": self._health,
+               "datasets": self._gather_datasets,
+               "shard_info": self._gather_shard_info,
+               "stats": self._gather_stats, "batch": self._gather_batch,
+               "query": functools.partial(
+                   self._route_dsl, serve_static=self._scatter_query),
+               "explain": functools.partial(
+                   self._route_dsl, serve_static=self._explain_static)}
+        self._handlers = {op.name: by_route.get(op.route) or own[op.name]
+                          for op in OPS.values() if op.route is not None}
 
     # -- hedge-delay window --------------------------------------------------
 
@@ -487,8 +505,7 @@ class Router(FrameServer):
         """
         if addr.name in self.shards:
             return
-        self._links[addr.name] = _ShardLink(addr,
-                                            limit=self.pool_per_shard)
+        self._links[addr.name] = _ShardLink(addr)
         self.tracker.add_shard(addr.name)
         self.shards[addr.name] = addr
         log.info("shard %s joined the topology (%d shards)", addr.name,
@@ -516,15 +533,6 @@ class Router(FrameServer):
 
     def resume_writes(self, keys) -> None:
         self._paused_writes.difference_update(keys)
-
-    def promote_replicas(self, key: str, shards: Sequence[str]) -> None:
-        """Serve ``key``'s keyed reads from extra replicas beyond the
-        ring owners (hot-shard relief); reads rotate across the widened
-        chain and writes fan to the extras so they stay fresh."""
-        self._extra_replicas[key] = tuple(shards)
-
-    def demote_replicas(self, key: str) -> None:
-        self._extra_replicas.pop(key, None)
 
     # -- the one shard exchange ------------------------------------------------
 
@@ -640,7 +648,7 @@ class Router(FrameServer):
                     span_args["outcome"] = "retry-budget"
                     raise RetryBudgetExhausted(key, tuple(tried))
                 await asyncio.sleep(
-                    self.failover_policy.delay(len(tried), key))
+                    FAILOVER_BACKOFF.delay(len(tried), key))
                 remaining = req.remaining()
                 if remaining is not None and remaining <= 0:
                     health.record_abandoned()
@@ -648,7 +656,7 @@ class Router(FrameServer):
             timeout = self._attempt_timeout(remaining, 1 + len(pending))
             # only the first attempt of an idempotent read hedges
             hedge_delay = self.hedge_delay() if not dialed_any \
-                and req.op in ("run", "characterize") else None
+                and OPS[req.op].hedgeable else None
             dialed_any = True
             tried.append(shard)
             answer = await self._attempt(req, key, shard, pending,
@@ -748,9 +756,7 @@ class Router(FrameServer):
 
     # -- write routing ---------------------------------------------------------
 
-    async def _route_write(self, req: Request, key: str,
-                           replicas: Sequence[str],
-                           span_args: dict) -> Any:
+    async def _route_write(self, req: Request, span_args: dict) -> Any:
         """Route a mutation: primary-required, then best-effort replica
         fan-out.
 
@@ -769,6 +775,8 @@ class Router(FrameServer):
         a lagging replica serves *older* versions, never wrong ones,
         and the disclosure is what the staleness bound is measured from.
         """
+        key = routing_key(req.params)
+        replicas = self.ring.owners(key, self.replication)
         await self._await_writable(req, key, span_args)
         primary = replicas[0]
         span_args["replicas"] = list(replicas)
@@ -870,7 +878,8 @@ class Router(FrameServer):
 
     # -- scatter-gather --------------------------------------------------------
 
-    async def _scatter(self, op: str, params: dict[str, Any]
+    async def _scatter(self, op: str, params: dict[str, Any],
+                       span_args: dict
                        ) -> tuple[dict[str, Any], list[str],
                                   dict[str, dict]]:
         """Fan ``op`` to the healthy shards (all of them when the
@@ -892,118 +901,80 @@ class Router(FrameServer):
         results = {a.shard: a.result for a in answers if a.error is None}
         errors = {a.shard: a.error for a in answers
                   if a.error is not None}
-        return results, sorted(errors), errors
+        span_args["missing"] = missing = sorted(errors)
+        return results, missing, errors
 
     # -- op dispatch ---------------------------------------------------------
 
-    def _routing_key(self, params: dict[str, Any]) -> str:
-        dataset = params.get("dataset", "ldbc")
-        if not isinstance(dataset, str) or not dataset:
-            raise BadRequest(f"dataset must be a non-empty string, "
-                             f"got {dataset!r}")
-        return dataset
-
-    def _read_replicas(self, key: str) -> list[str]:
-        """The keyed-read chain: ring owners, widened by any promoted
-        extras and rotated so promoted reads spread instead of still
-        landing on the hot primary.  Also ticks the per-key route count
-        the hotspot detector attributes load with."""
-        replicas = list(self.ring.owners(key, self.replication))
-        n = self.key_route_counts.get(key, 0) + 1
-        self.key_route_counts[key] = n
-        extra = self._extra_replicas.get(key)
-        if extra:
-            replicas += [s for s in extra
-                         if s not in replicas and s in self.shards]
-            i = n % len(replicas)
-            replicas = replicas[i:] + replicas[:i]
-        return replicas
-
-    def _write_replicas(self, key: str) -> list[str]:
-        """The write chain: the ring primary leads (promotion never
-        moves the write point), extras ride the replica fan-out so a
-        promoted read replica keeps receiving the mutation stream."""
-        replicas = list(self.ring.owners(key, self.replication))
-        replicas += [s for s in self._extra_replicas.get(key, ())
-                     if s not in replicas and s in self.shards]
-        return replicas
-
     async def _dispatch(self, req: Request) -> Any:
         with maybe_span(self.tracer, f"route:{req.op}") as span_args:
-            return await self._dispatch_traced(req, span_args)
+            handler = self._handlers.get(req.op)
+            if handler is None:
+                raise BadRequest(f"router does not serve op {req.op!r}")
+            return await handler(req, span_args)
 
-    async def _route_keyed(self, req: Request, key: str,
-                           replicas: Sequence[str],
-                           span_args: dict) -> Any:
-        """The single-key walk wrapped in degraded serving: when the
-        whole chain fails *unavailably* (not a typed shard answer), a
-        fresh-enough last-good response beats the error."""
+    async def _route_keyed(self, req: Request, key: str, span_args: dict,
+                           replicas: "Sequence[str] | None" = None) -> Any:
+        """The single-key walk (over ``key``'s ring owners unless the
+        caller names a chain), wrapped in degraded serving for the ops
+        that allow it: when the whole chain fails *unavailably* (not a
+        typed shard answer), a fresh-enough last-good response beats the
+        error."""
+        if replicas is None:
+            # the per-key count the hotspot detector attributes load with
+            self.key_route_counts[key] = \
+                self.key_route_counts.get(key, 0) + 1
+            replicas = self.ring.owners(key, self.replication)
+        stale_ok = OPS[req.op].stale
         try:
             result = await self._route_single(req, key, replicas,
                                               span_args)
         except (ShardUnavailable, CircuitOpen, RetryBudgetExhausted,
                 DeadlineExceeded) as e:
-            stale = self._serve_stale(req, e, span_args)
-            if stale is not None:
-                return stale
-            raise
-        self._remember(req, result)
+            stale = self._serve_stale(req, e, span_args) \
+                if stale_ok else None
+            if stale is None:
+                raise
+            return stale
+        if stale_ok:
+            self._remember(req, result)
         return result
 
-    async def _dispatch_traced(self, req: Request,
-                               span_args: dict) -> Any:
-        if req.op == "ping":
-            return {"pong": True, "protocol": PROTOCOL_VERSION,
-                    "server": __version__, "role": "router",
-                    "shards": len(self.shards),
-                    "replication": self.replication}
-        if req.op == "health":
-            healthy = self.tracker.healthy_shards()
-            return {"ok": bool(healthy), "role": "router",
-                    "shards": {name: name in healthy
-                               for name in sorted(self.shards)}}
-        if req.op in ("run", "characterize", "dyn_query"):
-            # dyn_query rides the keyed read path (failover + degraded
-            # serving) but is excluded from hedging: a hedged read could
-            # land on a replica whose mutation stream lags, and the
-            # first-answer-wins race would hide which version answered
-            key = self._routing_key(req.params)
-            replicas = self._read_replicas(key)
-            return await self._route_keyed(req, key, replicas,
-                                           span_args)
-        if req.op in WRITE_OPS:
-            key = self._routing_key(req.params)
-            replicas = self._write_replicas(key)
-            return await self._route_write(req, key, replicas,
-                                           span_args)
-        if req.op in ("query", "explain"):
-            return await self._route_query(req, span_args)
-        if req.op == "workloads":
-            # identical on every shard: any healthy one will do, with
-            # the same transport-failover walk a keyed op gets
-            order = self.tracker.order(tuple(self.shards))
-            return await self._route_single(req, "_workloads", order,
-                                            span_args)
-        if req.op == "datasets":
-            return await self._gather_datasets(span_args)
-        if req.op == "shard_info":
-            results, missing, errors = await self._scatter(
-                "shard_info", req.params)
-            span_args["missing"] = missing
-            return {"role": "router", "shards": results,
-                    "partial": bool(missing), "missing": missing,
-                    "errors": errors}
-        if req.op == "stats":
-            return await self._gather_stats(span_args)
-        if req.op == "batch":
-            return await self._gather_batch(req, span_args)
-        raise BadRequest(f"router does not serve op {req.op!r}")
+    async def _ping(self, req: Request, span_args: dict) -> dict:
+        return {"pong": True, "protocol": PROTOCOL_VERSION,
+                "server": __version__, "role": "router",
+                "shards": len(self.shards),
+                "replication": self.replication}
 
-    async def _gather_datasets(self, span_args: dict) -> list[dict]:
+    async def _health(self, req: Request, span_args: dict) -> dict:
+        healthy = self.tracker.healthy_shards()
+        return {"ok": bool(healthy), "role": "router",
+                "shards": {name: name in healthy
+                           for name in sorted(self.shards)}}
+
+    async def _keyed_read(self, req: Request, span_args: dict) -> Any:
+        return await self._route_keyed(req, routing_key(req.params),
+                                       span_args)
+
+    async def _any_shard(self, req: Request, span_args: dict) -> Any:
+        # identical on every shard: any healthy one will do, with the
+        # same transport-failover walk a keyed op gets
+        return await self._route_keyed(req, f"_{req.op}", span_args,
+                                       tuple(self.shards))
+
+    async def _gather_shard_info(self, req: Request,
+                                 span_args: dict) -> dict[str, Any]:
+        results, missing, errors = await self._scatter(
+            req.op, req.params, span_args)
+        return {"role": "router", "shards": results,
+                "partial": bool(missing), "missing": missing,
+                "errors": errors}
+
+    async def _gather_datasets(self, req: Request,
+                               span_args: dict) -> list[dict]:
         """Union of every shard's owned slice, annotated with the shards
         currently serving each dataset."""
-        results, missing, _ = await self._scatter("datasets", {})
-        span_args["missing"] = missing
+        results, _, _ = await self._scatter(req.op, {}, span_args)
         merged: dict[str, dict] = {}
         for shard, rows in sorted(results.items()):
             for row in rows or []:
@@ -1032,9 +1003,10 @@ class Router(FrameServer):
                           entries=len(self._stale),
                           cap_s=rel.stale_cap_s)}
 
-    async def _gather_stats(self, span_args: dict) -> dict[str, Any]:
-        results, missing, errors = await self._scatter("stats", {})
-        span_args["missing"] = missing
+    async def _gather_stats(self, req: Request,
+                            span_args: dict) -> dict[str, Any]:
+        results, missing, errors = await self._scatter(req.op, {},
+                                                       span_args)
         return {"protocol": PROTOCOL_VERSION, "server": __version__,
                 "role": "router",
                 "connections": self.connections,
@@ -1044,9 +1016,6 @@ class Router(FrameServer):
                          "replication": self.replication},
                 "rebalance": {
                     "paused_writes": sorted(self._paused_writes),
-                    "extra_replicas": {k: list(v) for k, v in
-                                       sorted(self._extra_replicas
-                                              .items())},
                     "key_routes": dict(sorted(
                         self.key_route_counts.items()))},
                 "health": self.tracker.snapshot(),
@@ -1070,32 +1039,20 @@ class Router(FrameServer):
                              f"{MAX_BATCH_ENTRIES}")
 
         async def one(entry) -> dict[str, Any]:
-            if not isinstance(entry, dict):
-                return {"ok": False,
-                        "error": {"kind": BadRequest.kind,
-                                  "type": "BadRequest",
-                                  "message": "batch entry must be an "
-                                             "object"}}
-            op = entry.get("op", "run")
-            if op not in ("run", "characterize"):
-                return {"ok": False,
-                        "error": {"kind": BadRequest.kind,
-                                  "type": "BadRequest",
-                                  "message": f"batch entries must be "
-                                             f"run/characterize, got "
-                                             f"{op!r}"}}
-            params = entry.get("params") or {}
-            sub = Request(op=op, id=req.id, params=params,
-                          deadline=req.deadline, tenant=req.tenant)
-            sub_span: dict[str, Any] = {}
             try:
-                key = self._routing_key(params)
-                replicas = self._read_replicas(key)
-                result = await self._route_keyed(sub, key, replicas,
-                                                 sub_span)
+                if not isinstance(entry, dict):
+                    raise BadRequest("batch entry must be an object")
+                op = entry.get("op", CELL_OPS[0])
+                if op not in CELL_OPS:
+                    raise BadRequest(f"batch entries must be "
+                                     f"{'/'.join(CELL_OPS)}, got {op!r}")
+                sub = Request(op=op, id=req.id,
+                              params=entry.get("params") or {},
+                              deadline=req.deadline, tenant=req.tenant)
+                return {"ok": True,
+                        "result": await self._keyed_read(sub, {})}
             except Exception as e:  # noqa: BLE001 — per-entry, in-band
                 return {"ok": False, "error": error_to_payload(e)}
-            return {"ok": True, "result": result}
 
         results = await asyncio.gather(*(one(e) for e in entries))
         failed = sum(1 for r in results if not r["ok"])
@@ -1106,30 +1063,28 @@ class Router(FrameServer):
 
     # -- pipeline-DSL queries --------------------------------------------------
 
-    def _static_plan(self, canonical: str, digest: str):
-        """Plan a static-source query through the router's
-        content-addressed plan cache (version 0: a generated graph
-        never changes under a fixed seed)."""
+    def _static_plan(self, canonical: str):
+        """``(plan, digest, cached)`` of a static-source query, through
+        the router's content-addressed plan cache (version 0: a
+        generated graph never changes under a fixed seed)."""
+        digest = plan_digest(canonical)
         key = ("plan", digest)
         plan = self._plan_cache.get(key, version=0)
         if plan is not None:
-            return plan, True
+            return plan, digest, True
         plan = plan_pipeline(parse_query(canonical))
         self._plan_cache.put(key, plan, version=0)
-        return plan, False
+        return plan, digest, False
 
-    async def _route_query(self, req: Request, span_args: dict) -> Any:
-        """Route a pipeline-DSL ``query``/``explain``.
+    async def _route_dsl(self, req: Request, span_args: dict,
+                         serve_static) -> Any:
+        """Route a pipeline-DSL op.
 
-        Static sources scatter: the planner splits the vertex table into
-        one partition per healthy shard, every shard runs the full
-        kernels over its deterministically-generated copy of the graph
-        and answers with its partition's partial table, and the merge
-        (:func:`repro.query.dist.merge_partials`) reassembles the exact
-        single-node answer at the front door.  Dynamic sources route
-        keyed to the dataset's owner chain — only owners hold the
-        mutation history, so a scattered dynamic query could mix
-        versions.
+        Dynamic sources route keyed to the dataset's owner chain — only
+        owners hold the mutation history, so a scattered dynamic query
+        could mix versions.  Static sources are answered at the front
+        door by ``serve_static(req, canonical, span_args)``: a ``query``
+        scatters, an ``explain`` plans.
 
         Garbage text fails router-side with a typed
         :class:`~repro.core.errors.QueryError` before any shard traffic.
@@ -1138,30 +1093,33 @@ class Router(FrameServer):
             raise BadRequest("'part' is the router's internal scatter "
                              "parameter; send the bare query")
         pipeline = parse_query(req.params.get("q"))
-        canonical = unparse(pipeline)
         source = source_info(pipeline)
         if source.dynamic:
             span_args["mode"] = "keyed"
-            replicas = self._read_replicas(source.dataset)
-            return await self._route_keyed(req, source.dataset,
-                                           replicas, span_args)
-        digest = plan_digest(canonical)
-        plan, cached = self._static_plan(canonical, digest)
-        if req.op == "explain":
-            # deterministic for a fixed plan-cache state: the part count
-            # is the topology size, never the live healthy count
-            span_args["mode"] = "explain"
-            return {"plan": plan.to_dict(), "merge": plan.merge_ops(),
-                    "digest": digest[:16], "canonical": canonical,
-                    "version": None, "plan_cached": cached,
-                    "role": "router", "parts": len(self.shards)}
-        span_args["mode"] = "scatter"
-        return await self._scatter_query(req, plan, digest, canonical,
-                                         span_args)
+            return await self._route_keyed(req, source.dataset, span_args)
+        return await serve_static(req, unparse(pipeline), span_args)
 
-    async def _scatter_query(self, req: Request, plan, digest: str,
-                             canonical: str, span_args: dict) -> Any:
-        """Fan one partition per healthy shard; reassign failed parts.
+    async def _explain_static(self, req: Request, canonical: str,
+                              span_args: dict) -> dict[str, Any]:
+        # deterministic for a fixed plan-cache state: the part count is
+        # the topology size, never the live healthy count
+        plan, digest, cached = self._static_plan(canonical)
+        span_args["mode"] = "explain"
+        return {"plan": plan.to_dict(), "merge": plan.merge_ops(),
+                "digest": digest[:16], "canonical": canonical,
+                "version": None, "plan_cached": cached,
+                "role": "router", "parts": len(self.shards)}
+
+    async def _scatter_query(self, req: Request, canonical: str,
+                             span_args: dict) -> Any:
+        """Answer a static-source ``query``: the planner splits the
+        vertex table into one partition per healthy shard, every shard
+        runs the full kernels over its deterministically-generated copy
+        of the graph and answers with its partition's partial table, and
+        the merge (:func:`repro.query.dist.merge_partials`) reassembles
+        the exact single-node answer at the front door.
+
+        Fan one partition per healthy shard; reassign failed parts.
 
         A *typed* shard answer (QueryError/PlanError/...) forwards
         immediately with shard attribution — the query is equally wrong
@@ -1169,6 +1127,8 @@ class Router(FrameServer):
         pool: any shard can compute any partition, so the parts of a
         dead shard rerun on the survivors and the answer stays whole.
         """
+        plan, digest, _ = self._static_plan(canonical)
+        span_args["mode"] = "scatter"
         targets = list(self.tracker.healthy_shards()
                        or tuple(self.shards))
         n = len(targets)

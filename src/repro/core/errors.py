@@ -148,9 +148,28 @@ class MetricError(GraphError, ValueError):
 # remote client as to the batch matrix runner.
 
 class ServiceError(GraphError):
-    """Base class for graph-query-service failures."""
+    """Base class for graph-query-service failures.
+
+    ``wire_fields`` declares the optional fields an error frame of this
+    class carries beside ``kind``/``type``/``message``: any service
+    error can name the ``shard`` it originated on; a class that carries
+    more extends the tuple and gives each field a class-level default.
+    """
 
     kind = "service"
+    wire_fields: tuple[str, ...] = ("shard",)
+    shard: "str | None" = None
+
+    @classmethod
+    def from_wire(cls, message: str) -> "ServiceError":
+        """The client-side image of an error the peer shipped.  The
+        constructor's arguments did not cross the wire, so it is not
+        called: the instance holds the peer's message (and whichever
+        declared wire fields the payload carried), nothing invented."""
+        err = cls.__new__(cls)
+        Exception.__init__(err, message)
+        err.message = message
+        return err
 
 
 class ProtocolError(ServiceError, ValueError):
@@ -210,6 +229,9 @@ class QuotaExceeded(ServiceError):
     """
 
     kind = "quota-exceeded"
+    wire_fields = ("shard", "retry_after_s", "tenant")
+    tenant: "str | None" = None
+    retry_after_s = 0.0
 
     def __init__(self, tenant: str, reason: str = "rate",
                  retry_after_s: float = 0.0):
@@ -229,7 +251,7 @@ class WrongShard(ServiceError):
 
     kind = "wrong-shard"
 
-    def __init__(self, dataset: str, shard: str = "?"):
+    def __init__(self, dataset: str, shard: str):
         super().__init__(f"dataset {dataset!r} is not owned by shard "
                          f"{shard!r}")
         self.dataset = dataset

@@ -17,7 +17,7 @@ dynamic subsystem makes the graph *mutable* while queries keep flowing:
 
 from .engine import DYN_WORKLOADS, DynamicEngine, dynamic_key
 from .incremental import (
-    DEFAULT_RECOMPUTE_FRACTION,
+    RECOMPUTE_FRACTION,
     IncrementalBFS,
     IncrementalCComp,
     KernelStats,
@@ -43,7 +43,7 @@ from .store import (
 __all__ = [
     "DYN_WORKLOADS",
     "DEFAULT_MAX_VERSIONS",
-    "DEFAULT_RECOMPUTE_FRACTION",
+    "RECOMPUTE_FRACTION",
     "MAX_BATCH_OPS",
     "OP_KINDS",
     "Delta",

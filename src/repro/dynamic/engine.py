@@ -20,24 +20,24 @@ disclosed, never silent.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable
+from typing import Any
 
 from ..core.errors import BadRequest
 from ..service.cache import LRUCache
+from ..service.protocol import OPS, identity, registered_dataset
 from .incremental import IncrementalBFS, IncrementalCComp
 from .ops import MutOp, parse_ops, single_op
-from .store import DEFAULT_MAX_VERSIONS, SnapshotStore
-
-#: Parameters a dynamic request may carry (same typo protection as the
-#: static cell path).
-_MUTATE_PARAMS = frozenset({"dataset", "scale", "seed", "ops", "strict",
-                            "vid", "src", "dst", "name", "value"})
-_QUERY_PARAMS = frozenset({"workload", "dataset", "scale", "seed",
-                           "root"})
+from .store import SnapshotStore
 
 #: The workloads with incremental implementations.
 DYN_WORKLOADS = ("BFS", "CComp")
+
+#: Maintained kernels, and cached responses, held per engine.
+CACHE_CAPACITY = 256
+
+#: The scale of a dynamic identity that names none (every dynamic op's
+#: row agrees).
+_SCALE = OPS["dyn_query"].scale
 
 
 def dynamic_key(dataset: str, scale: float, seed: int) -> tuple:
@@ -45,26 +45,10 @@ def dynamic_key(dataset: str, scale: float, seed: int) -> tuple:
     return ("dynamic", dataset, float(scale), int(seed))
 
 
-def _dataset_param(params: dict[str, Any]) -> str:
-    """The request's ``dataset``, checked against the registry."""
-    from ..datagen.registry import REGISTRY
-    dataset = params.get("dataset", "ldbc")
-    if not isinstance(dataset, str) or dataset not in REGISTRY:
-        raise BadRequest(f"unknown dataset {dataset!r}; choose from "
-                         f"{', '.join(sorted(REGISTRY))}")
-    return dataset
-
-
 class DynamicEngine:
     """Per-node registry of mutable graphs + their hot query results."""
 
-    def __init__(self, *, max_versions: int = DEFAULT_MAX_VERSIONS,
-                 recompute_fraction: float = 0.25,
-                 cache_capacity: int = 256,
-                 clock: Callable[[], float] = time.monotonic):
-        self.max_versions = max_versions
-        self.recompute_fraction = recompute_fraction
-        self._clock = clock
+    def __init__(self):
         self._lock = threading.Lock()
         self._stores: dict[tuple, SnapshotStore] = {}
         # one lock per store serializes kernel refreshes without
@@ -72,24 +56,10 @@ class DynamicEngine:
         self._store_locks: dict[tuple, threading.Lock] = {}
         # maintained kernels, bounded like the responses they produce: a
         # client sweeping BFS roots must not pin one O(n) map per root
-        self._kernels = LRUCache(cache_capacity)
-        self.cache = LRUCache(cache_capacity)
+        self._kernels = LRUCache(CACHE_CAPACITY)
+        self.cache = LRUCache(CACHE_CAPACITY)
         self.mutations = 0
         self.queries = 0
-
-    # -- identities ----------------------------------------------------------
-
-    @staticmethod
-    def _identity(params: dict[str, Any]) -> tuple[str, float, int]:
-        dataset = _dataset_param(params)
-        try:
-            scale = float(params.get("scale", 0.05))
-            seed = int(params.get("seed", 0))
-        except (TypeError, ValueError) as e:
-            raise BadRequest(f"bad parameter value: {e}") from None
-        if not scale > 0:
-            raise BadRequest(f"scale must be > 0, got {scale!r}")
-        return dataset, scale, seed
 
     def _store_for(self, dataset: str, scale: float, seed: int
                    ) -> tuple[tuple, SnapshotStore, threading.Lock]:
@@ -103,8 +73,7 @@ class DynamicEngine:
         # is the expensive step); first committer wins
         from ..datagen.registry import make
         spec = make(dataset, scale=scale, seed=seed)
-        built = SnapshotStore.from_spec(
-            spec, max_versions=self.max_versions)
+        built = SnapshotStore.from_spec(spec)
         with self._lock:
             store = self._stores.setdefault(key, built)
         return key, store, lock
@@ -113,13 +82,7 @@ class DynamicEngine:
 
     def mutate(self, params: dict[str, Any]) -> dict[str, Any]:
         """Apply a batched ``mutate`` request; returns the new version."""
-        unknown = sorted(set(params) - _MUTATE_PARAMS)
-        if unknown:
-            raise BadRequest(
-                f"unknown parameter(s) {', '.join(unknown)}; choose "
-                f"from {', '.join(sorted(_MUTATE_PARAMS))}")
-        ops = parse_ops(params.get("ops"))
-        return self._commit(params, ops)
+        return self._commit(params, parse_ops(params.get("ops")))
 
     def mutate_one(self, kind: str,
                    params: dict[str, Any]) -> dict[str, Any]:
@@ -128,7 +91,7 @@ class DynamicEngine:
 
     def _commit(self, params: dict[str, Any],
                 ops: list[MutOp]) -> dict[str, Any]:
-        dataset, scale, seed = self._identity(params)
+        dataset, scale, seed = identity(params, _SCALE)
         _, store, _ = self._store_for(dataset, scale, seed)
         strict = bool(params.get("strict", False))
         version, delta, skipped = store.commit(ops, strict=strict)
@@ -150,11 +113,6 @@ class DynamicEngine:
     def query(self, params: dict[str, Any]) -> dict[str, Any]:
         """Answer a ``dyn_query`` from the maintained kernel, behind the
         versioned cache."""
-        unknown = sorted(set(params) - _QUERY_PARAMS)
-        if unknown:
-            raise BadRequest(
-                f"unknown parameter(s) {', '.join(unknown)}; choose "
-                f"from {', '.join(sorted(_QUERY_PARAMS))}")
         workload = params.get("workload")
         if workload not in DYN_WORKLOADS:
             raise BadRequest(
@@ -164,7 +122,7 @@ class DynamicEngine:
             root = int(params.get("root", 0))
         except (TypeError, ValueError) as e:
             raise BadRequest(f"bad root: {e}") from None
-        dataset, scale, seed = self._identity(params)
+        dataset, scale, seed = identity(params, _SCALE)
         key, store, lock = self._store_for(dataset, scale, seed)
         self.queries += 1
         kernel_key = key + (workload, root)
@@ -174,14 +132,8 @@ class DynamicEngine:
                 return dict(cached, served="cache")
             kernel = self._kernels.get(kernel_key)
             if kernel is None:
-                if workload == "BFS":
-                    kernel = IncrementalBFS(
-                        store, root,
-                        recompute_fraction=self.recompute_fraction)
-                else:
-                    kernel = IncrementalCComp(
-                        store,
-                        recompute_fraction=self.recompute_fraction)
+                kernel = IncrementalBFS(store, root) \
+                    if workload == "BFS" else IncrementalCComp(store)
                 self._kernels.put(kernel_key, kernel)
             served = kernel.refresh()
             response = {"workload": workload, "dataset": dataset,
@@ -205,7 +157,7 @@ class DynamicEngine:
         the scales the service generates; a store too large to frame is
         a protocol error the caller sees, not silent truncation.
         """
-        dataset = _dataset_param(params)
+        dataset = registered_dataset(params)
         with self._lock:
             matched = [(key, store)
                        for key, store in self._stores.items()
@@ -222,7 +174,7 @@ class DynamicEngine:
         kernels built against the replaced stores (cached query results
         are keyed on the store's :meth:`~SnapshotStore.token`, which the
         replacement does not share)."""
-        dataset = _dataset_param(params)
+        dataset = registered_dataset(params)
         entries = params.get("stores")
         if not isinstance(entries, list):
             raise BadRequest("import requires a 'stores' list")
@@ -232,11 +184,8 @@ class DynamicEngine:
                     or not isinstance(entry.get("state"), dict):
                 raise BadRequest("each store entry needs a 'state' "
                                  "object")
-            try:
-                scale = float(entry.get("scale", 0.05))
-                seed = int(entry.get("seed", 0))
-            except (TypeError, ValueError) as e:
-                raise BadRequest(f"bad store identity: {e}") from None
+            _, scale, seed = identity({**entry, "dataset": dataset},
+                                      _SCALE)
             key = dynamic_key(dataset, scale, seed)
             store = SnapshotStore.from_state(entry["state"])
             with self._lock:

@@ -18,7 +18,7 @@ batch, touching only what the delta could have changed:
   exits as soon as the two frontiers meet.
 
 Both kernels fall back to a full recompute when the delta crosses
-``recompute_fraction`` of the graph (repair work would exceed the
+``RECOMPUTE_FRACTION`` of the graph (repair work would exceed the
 recompute), when their synced version fell out of the store's retention
 window, or when the root vanishes.  Equivalence with the batch kernels
 after every commit is enforced by test (``tests/test_dynamic.py``), so
@@ -37,7 +37,7 @@ from .store import Delta, Snapshot, SnapshotStore
 
 #: Delta size (fraction of live arcs) beyond which repair gives way to
 #: recompute.
-DEFAULT_RECOMPUTE_FRACTION = 0.25
+RECOMPUTE_FRACTION = 0.25
 
 _INF = float("inf")
 
@@ -61,12 +61,8 @@ class _IncrementalKernel:
     head, delta by delta, falling back to recompute when the chain is
     gone or oversized."""
 
-    def __init__(self, store: SnapshotStore, *,
-                 recompute_fraction: float = DEFAULT_RECOMPUTE_FRACTION):
-        if not 0 < recompute_fraction <= 1:
-            raise ValueError("recompute_fraction must be in (0, 1]")
+    def __init__(self, store: SnapshotStore):
         self.store = store
-        self.recompute_fraction = recompute_fraction
         self.version: int | None = None
         self.stats = KernelStats()
 
@@ -99,7 +95,7 @@ class _IncrementalKernel:
             # snap.n_arcs would re-scan every span list per refresh,
             # swamping the O(delta) apply.  The snapshot is pinned at
             # the head, so the two agree.
-            budget = self.recompute_fraction * max(64, self.store.n_arcs)
+            budget = RECOMPUTE_FRACTION * max(64, self.store.n_arcs)
             if deltas is None or size > budget:
                 self._recompute(snap)
                 self.stats.recomputes += 1
@@ -130,8 +126,8 @@ class IncrementalBFS(_IncrementalKernel):
     stored arcs — which is the undirected view when the store holds
     both arcs)."""
 
-    def __init__(self, store: SnapshotStore, root: int = 0, **kw: Any):
-        super().__init__(store, **kw)
+    def __init__(self, store: SnapshotStore, root: int = 0):
+        super().__init__(store)
         self.root = root
         self.dist: dict[int, int] = {}
 
@@ -219,8 +215,8 @@ class IncrementalCComp(_IncrementalKernel):
     exactly what the batch CComp's ascending-order scan produces.
     """
 
-    def __init__(self, store: SnapshotStore, **kw: Any):
-        super().__init__(store, **kw)
+    def __init__(self, store: SnapshotStore):
+        super().__init__(store)
         self.comp_of: dict[int, int] = {}      # vid -> root id
         self.members: dict[int, set[int]] = {}  # root id -> member vids
         self.label: dict[int, int] = {}        # root id -> min vid
@@ -264,25 +260,6 @@ class IncrementalCComp(_IncrementalKernel):
             del self.members[root]
             del self.label[root]
         elif self.label[root] == vid:
-            self.label[root] = min(mem)
-
-    def _split_off(self, root: int, region: set[int]) -> None:
-        """Detach ``region ∩ members(root)`` into its own component.
-
-        ``region`` comes from a reachability search over the post-batch
-        graph, so it may stray into *other* components via arcs added in
-        the same batch — those vertices are not moved here (the
-        added-arc union pass merges them afterwards if they really
-        connect).
-        """
-        mem = self.members[root]
-        side = region & mem
-        if not side or side == mem:
-            return
-        mem -= side
-        old_label = self.label[root]
-        self._new_component(side)
-        if old_label in side:
             self.label[root] = min(mem)
 
     @staticmethod
@@ -338,41 +315,39 @@ class IncrementalCComp(_IncrementalKernel):
         # exists; arcs added in this same batch are handled after, so a
         # transient over-split is immediately re-merged.
         for vid in delta.removed_vertices:
-            neighbors_then = [w for w in
-                              (u for u, v in delta.removed_arcs
-                               if v == vid)
-                              if w in self.comp_of]
-            neighbors_then += [w for w in
-                               (v for u, v in delta.removed_arcs
-                                if u == vid)
-                               if w in self.comp_of]
             self._remove_vertex(vid)
-            self._resolve_splits(snap, sorted(set(neighbors_then)))
-        arc_removals = [(u, v) for u, v in delta.removed_arcs
-                        if u in self.comp_of and v in self.comp_of]
-        for u, v in arc_removals:
-            if self.comp_of.get(u) != self.comp_of.get(v):
-                continue                      # an earlier split separated them
-            side = self._still_connected(snap, u, v)
-            if side is not None:
-                self._split_off(self.comp_of[u], side)
+        # The one split rule.  Every piece a removal cuts loose holds a
+        # surviving endpoint of a removed arc (a vertex deletion records
+        # its incident arcs), so those endpoints are the witnesses.
+        # Each is searched against its component's representative; a
+        # split moves one *whole* piece — the side that exhausted — out,
+        # so the two never share a component again and whoever stayed
+        # represents the remainder: one search per witness, and a
+        # remainder that is itself disconnected is cut by the witnesses
+        # still to come.
+        rep: dict[int, int] = {}               # root id -> representative
+        for w in dict.fromkeys(x for arc in delta.removed_arcs
+                               for x in arc if x in self.comp_of):
+            root = self.comp_of[w]
+            r = rep.setdefault(root, w)
+            side = None if r == w else self._still_connected(snap, w, r)
+            if side is None:
+                continue
+            # the search ran over the post-batch graph, so ``side`` may
+            # stray into other components via arcs added in this batch:
+            # only this component's members move (the added-arc union
+            # pass below merges the rest if they really connect)
+            mem = self.members[root]
+            side &= mem
+            mem -= side
+            if self.label[root] in side:
+                self.label[root] = min(mem)
+            moved, stayed = (w, r) if w in side else (r, w)
+            rep[self._new_component(side)] = moved
+            rep[root] = stayed
         for vid in delta.added_vertices:
             if vid not in self.comp_of:
                 self._new_component({vid})
         for u, v in delta.added_arcs:
             if u in self.comp_of and v in self.comp_of:
                 self._union(u, v)
-
-    def _resolve_splits(self, snap: Snapshot,
-                        witnesses: list[int]) -> None:
-        """After a vertex removal, its surviving former neighbors may
-        now sit in different components: separate them pairwise."""
-        for i in range(1, len(witnesses)):
-            a, b = witnesses[0], witnesses[i]
-            if a not in self.comp_of or b not in self.comp_of:
-                continue
-            if self.comp_of[a] != self.comp_of[b]:
-                continue
-            side = self._still_connected(snap, a, b)
-            if side is not None:
-                self._split_off(self.comp_of[a], side)

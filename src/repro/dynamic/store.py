@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core.errors import MutationError, SnapshotExpired
 from .ops import MutOp
@@ -114,18 +113,15 @@ class SnapshotStore:
     """
 
     def __init__(self, *, directed: bool = True,
-                 max_versions: int = DEFAULT_MAX_VERSIONS,
-                 clock: Callable[[], float] = time.monotonic):
+                 max_versions: int = DEFAULT_MAX_VERSIONS):
         if max_versions < 1:
             raise ValueError("max_versions must be >= 1")
         self.directed = directed
         self.max_versions = max_versions
-        self._clock = clock
         self._lock = threading.RLock()
         self.generation = next(_GENERATIONS)   # unique in this process
         self.head = 0
         self.floor = 0
-        self._head_at = clock()          # commit instant of the head
         self._vspans: dict[int, _Spans] = {}
         self._out: dict[int, dict[int, _Spans]] = {}
         self._inn: dict[int, dict[int, _Spans]] = {}
@@ -299,7 +295,6 @@ class SnapshotStore:
                 props=tuple((vid, name, value) for (vid, name), value
                             in prop_last.items()))
             self.head = v
-            self._head_at = self._clock()
             self._deltas[v] = delta
             self.stats.commits += 1
             self.stats.ops_applied += len(ops) - skipped
@@ -494,11 +489,6 @@ class SnapshotStore:
                 raise SnapshotExpired(version, self.floor, self.head)
             return [self._deltas[v]
                     for v in range(version + 1, self.head + 1)]
-
-    def head_age_s(self) -> float:
-        """Seconds since the last commit (0 for a fresh store)."""
-        with self._lock:
-            return max(0.0, self._clock() - self._head_at)
 
     @property
     def n_vertices(self) -> int:

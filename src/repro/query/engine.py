@@ -43,8 +43,8 @@ from .plan import (
     source_info,
 )
 
-_QUERY_PARAMS = frozenset({"q", "part"})
-_EXPLAIN_PARAMS = frozenset({"q"})
+#: Entries held by the plan, graph and result caches.
+PLAN_CAPACITY, GRAPH_CAPACITY, RESULT_CAPACITY = 256, 8, 512
 
 #: Sanity bound on fan-out width a query may request.
 MAX_PARTS = 256
@@ -87,12 +87,11 @@ class QueryEngine:
     concurrent outcome is a duplicated kernel run, never a wrong one.
     """
 
-    def __init__(self, dynamic=None, *, plan_capacity: int = 256,
-                 graph_capacity: int = 8, result_capacity: int = 512):
+    def __init__(self, dynamic=None):
         self.dynamic = dynamic
-        self.plans = LRUCache(plan_capacity)
-        self.graphs = LRUCache(graph_capacity)
-        self.results = LRUCache(result_capacity)
+        self.plans = LRUCache(PLAN_CAPACITY)
+        self.graphs = LRUCache(GRAPH_CAPACITY)
+        self.results = LRUCache(RESULT_CAPACITY)
         self._lock = threading.Lock()
         self.queries = 0
         self.explains = 0
@@ -156,11 +155,6 @@ class QueryEngine:
 
     def query(self, params: dict[str, Any]) -> dict[str, Any]:
         """Serve one ``query`` request (full or ``part`` partial)."""
-        unknown = sorted(set(params) - _QUERY_PARAMS)
-        if unknown:
-            raise BadRequest(
-                f"unknown parameter(s) {', '.join(unknown)}; choose "
-                f"from {', '.join(sorted(_QUERY_PARAMS))}")
         part = parse_part(params)
         pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
@@ -196,11 +190,6 @@ class QueryEngine:
         estimates + merge recipe.  Deterministic for a fixed plan-cache
         state — no timings, no live measurements beyond the (versioned)
         graph shape the cost model reads."""
-        unknown = sorted(set(params) - _EXPLAIN_PARAMS)
-        if unknown:
-            raise BadRequest(
-                f"unknown parameter(s) {', '.join(unknown)}; choose "
-                f"from {', '.join(sorted(_EXPLAIN_PARAMS))}")
         pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)

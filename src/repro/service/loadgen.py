@@ -33,7 +33,7 @@ from ..core.errors import GraphError
 from ..obs.metrics import percentile
 from ..obs.tracing import SpanTracer, maybe_span
 from .client import ServiceClient
-from .protocol import QUERY_OPS, WRITE_OPS
+from .protocol import OPS, QUERY_OPS, WRITE_OPS
 
 #: Failure-kind tag for transport-level errors (dropped/refused/reset
 #: connections) — distinct from every server-reported taxonomy kind.
@@ -68,14 +68,9 @@ def workload_mix(workloads: Sequence[str] = ("BFS", "CComp", "kCore"),
     carry no ``machine`` (there is no characterization cell behind them)
     and answer with the snapshot version they read.
     """
-    if op == "dyn_query":
-        return [Query(op=op, params={"workload": w, "dataset": d,
-                                     "scale": scale, "seed": s})
-                for w in workloads for d in datasets
-                for s in range(seeds)]
+    extra = {"machine": machine} if "machine" in OPS[op].params else {}
     return [Query(op=op, params={"workload": w, "dataset": d,
-                                 "scale": scale, "seed": s,
-                                 "machine": machine})
+                                 "scale": scale, "seed": s, **extra})
             for w in workloads for d in datasets for s in range(seeds)]
 
 

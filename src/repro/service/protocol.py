@@ -30,7 +30,6 @@ from ..core.errors import (
     BadRequest,
     CircuitOpen,
     DeadlineExceeded,
-    GraphError,
     MutationError,
     PlanError,
     ProtocolError,
@@ -38,6 +37,7 @@ from ..core.errors import (
     QuotaExceeded,
     RemoteError,
     RetryBudgetExhausted,
+    ServiceError,
     ShardUnavailable,
     SnapshotExpired,
     VersionMismatch,
@@ -51,39 +51,161 @@ PROTOCOL_VERSION = 1
 #: KB; dataset listings under 100).
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
-#: The operations a server understands.  ``health``/``shard_info`` are
-#: the cluster liveness/topology probes; ``batch`` is the router's
-#: multi-cell scatter op (a plain single-node service rejects the ops it
-#: does not serve with a typed BadRequest, never a framing error).
-OPS = ("ping", "run", "characterize", "datasets", "workloads", "stats",
-       "health", "shard_info", "batch",
-       "mutate", "add_vertex", "del_vertex", "add_edge", "del_edge",
-       "set_prop", "dyn_query", "query", "explain",
-       "admin", "dyn_export", "dyn_import")
+#: The dataset a keyed request names when it carries none.
+DEFAULT_DATASET = "ldbc"
 
-#: The dynamic-graph write vocabulary: ``mutate`` carries a batch of
-#: ops; the rest are single-op conveniences (one op, flat params).
-#: Writes are routed primary-only — never hedged, never failed over —
-#: because a write applied on a replica but not the primary would
-#: diverge the version history.
-WRITE_OPS = frozenset({"mutate", "add_vertex", "del_vertex", "add_edge",
-                       "del_edge", "set_prop"})
 
-#: Every op served by the dynamic engine (writes + the versioned read).
-DYNAMIC_OPS = WRITE_OPS | {"dyn_query"}
+@dataclass(frozen=True)
+class Op:
+    """One row of the wire vocabulary: what a layer needs to know about
+    an operation *without* comparing its name.  The service, a shard and
+    the router each keep one handler map keyed by op name and read the
+    facts they branch on from here; a new op — or a new per-hop fact
+    about every op — is one row or one column of :data:`OPS`, never a
+    new ``elif`` in three dispatchers.
 
-#: The pipeline-DSL ops: ``query`` carries the DSL text (plus an
-#: optional ``part=[i, n]`` for the router's per-shard subplans);
-#: ``explain`` returns the physical plan with per-stage cost estimates
-#: without executing anything.
-QUERY_OPS = frozenset({"query", "explain"})
+    ``family``: ``meta`` (registry and liveness reads), ``cell`` (one
+    workload x dataset characterization cell), ``dynamic`` (the mutable
+    graph), ``query`` (the pipeline DSL), ``admin`` (live rebalance),
+    ``cluster`` (answered by the cluster layer only).
+    ``params``: every parameter a request may carry — an unknown key is
+    a bad request, not a silently ignored knob.
+    ``route``: how the router serves it — ``local`` (its own state),
+    ``keyed-read`` / ``write`` / ``query`` (the owners of the request's
+    dataset key), ``scatter`` (every healthy shard), ``any-shard``
+    (identical everywhere); None: it addresses one shard, not a router.
+    ``key_in``: the parameter holding a keyed op's dataset key,
+    ``dataset`` (default :data:`DEFAULT_DATASET`) or ``q`` (the DSL text
+    names its source); a shard serves a keyed op only for keys it owns.
+    ``scale``: default scale of its ``(dataset, scale, seed)`` identity.
+    ``blocking``: runs whole kernels or walks an engine's whole state —
+    handed to the executor, never run on the event loop.
+    ``hedgeable``: an idempotent read whose first attempt may race a
+    second replica (not ``dyn_query``: a hedge could land on a replica
+    whose mutation stream lags, and first-answer-wins would hide which
+    version answered).
+    ``stale``: with every owner unreachable, the router may answer with
+    its last good response, marked ``degraded``.
+    """
 
-#: Cluster-management ops: ``admin`` reconfigures a shard's ownership
-#: (adopt/drop/forward) during a live rebalance; ``dyn_export`` /
-#: ``dyn_import`` ship a dynamic dataset's head-version state between
-#: shards over the ordinary wire.  A plain single-node service rejects
-#: them like any other op it does not serve.
-ADMIN_OPS = frozenset({"admin", "dyn_export", "dyn_import"})
+    name: str
+    family: str
+    params: frozenset = frozenset()
+    route: "str | None" = None
+    key_in: "str | None" = None
+    scale: "float | None" = None
+    blocking: bool = False
+    hedgeable: bool = False
+    stale: bool = False
+
+
+_IDENTITY = frozenset({"dataset", "scale", "seed"})
+
+
+def _cell(name: str) -> Op:
+    return Op(name, "cell", _IDENTITY | {"workload", "machine", "gpu"},
+              "keyed-read", "dataset", 0.25, hedgeable=True, stale=True)
+
+
+def _write(name: str) -> Op:
+    # ``mutate`` carries a batch in ``ops``, the single-op conveniences
+    # one op's fields flat.  Primary-only: never hedged, failed over or
+    # served stale — a write applied on a replica but not the primary
+    # would fork the version history
+    return Op(name, "dynamic",
+              _IDENTITY | {"ops", "strict", "vid", "src", "dst", "name",
+                           "value"},
+              "write", "dataset", 0.05, blocking=True)
+
+
+#: The operations a server understands, in wire order.  A node answers
+#: an op it does not serve with a typed BadRequest, never a framing
+#: error.
+OPS: "dict[str, Op]" = {op.name: op for op in (
+    Op("ping", "meta", route="local"),
+    _cell("run"),
+    _cell("characterize"),
+    Op("datasets", "meta", route="scatter"),
+    Op("workloads", "meta", route="any-shard"),
+    Op("stats", "meta", route="scatter"),
+    # the cluster liveness/topology probes
+    Op("health", "meta", route="local"),
+    Op("shard_info", "cluster", route="scatter"),
+    # the router's multi-cell scatter
+    Op("batch", "cluster", frozenset({"entries"}), "scatter"),
+    *map(_write, ("mutate", "add_vertex", "del_vertex", "add_edge",
+                  "del_edge", "set_prop")),
+    # the versioned read of the dynamic engine
+    Op("dyn_query", "dynamic", _IDENTITY | {"workload", "root"},
+       "keyed-read", "dataset", 0.05, blocking=True, stale=True),
+    # the pipeline DSL: ``query`` carries the text (plus ``part=[i, n]``
+    # on the router's per-shard subplans); ``explain`` returns the
+    # physical plan with per-stage cost estimates, executing nothing
+    Op("query", "query", frozenset({"q", "part"}), "query", "q",
+       blocking=True, stale=True),
+    Op("explain", "query", frozenset({"q"}), "query", "q",
+       blocking=True, stale=True),
+    # live rebalance: ``admin`` reconfigures one shard's ownership
+    # (adopt/drop/forward); ``dyn_export``/``dyn_import`` ship a dynamic
+    # dataset's head-version state between shards
+    Op("admin", "admin",
+       frozenset({"action", "dataset", "forward", "window_s"})),
+    Op("dyn_export", "admin", frozenset({"dataset"}), blocking=True),
+    Op("dyn_import", "admin", frozenset({"dataset", "stores"}),
+       blocking=True),
+)}
+
+# views of the table
+WRITE_OPS = frozenset(n for n, op in OPS.items() if op.route == "write")
+QUERY_OPS = frozenset(n for n, op in OPS.items() if op.family == "query")
+#: One workload x dataset cell each — what a ``batch`` entry may be.
+CELL_OPS = tuple(n for n, op in OPS.items() if op.family == "cell")
+
+
+def check_params(op: Op, params: dict[str, Any]) -> None:
+    """The one allow-list check, made once on the node that serves the
+    request, before its handler runs."""
+    unknown = sorted(params.keys() - op.params)
+    if unknown:
+        allowed = f"choose from {', '.join(sorted(op.params))}" \
+            if op.params else f"{op.name!r} takes none"
+        raise BadRequest(
+            f"unknown parameter(s) {', '.join(unknown)}; {allowed}")
+
+
+def routing_key(params: dict[str, Any]) -> str:
+    """The dataset key a ``key_in="dataset"`` request routes on."""
+    dataset = params.get("dataset", DEFAULT_DATASET)
+    if not isinstance(dataset, str) or not dataset:
+        raise BadRequest(f"dataset must be a non-empty string, "
+                         f"got {dataset!r}")
+    return dataset
+
+
+def registered_dataset(params: dict[str, Any]) -> str:
+    """The request's ``dataset``, checked against the registry."""
+    from ..datagen.registry import REGISTRY
+    dataset = params.get("dataset", DEFAULT_DATASET)
+    if not isinstance(dataset, str) or dataset not in REGISTRY:
+        raise BadRequest(f"unknown dataset {dataset!r}; choose from "
+                         f"{', '.join(sorted(REGISTRY))}")
+    return dataset
+
+
+def identity(params: dict[str, Any],
+             default_scale: float) -> tuple[str, float, int]:
+    """The ``(dataset, scale, seed)`` a request names — the identity of
+    a generated graph, shared by the cell path and the dynamic engine
+    (``default_scale`` is the op's own :attr:`Op.scale`)."""
+    dataset = registered_dataset(params)
+    try:
+        scale = float(params.get("scale", default_scale))
+        seed = int(params.get("seed", 0))
+    except (TypeError, ValueError) as e:
+        raise BadRequest(f"bad parameter value: {e}") from None
+    if not scale > 0:
+        raise BadRequest(f"scale must be > 0, got {scale!r}")
+    return dataset, scale, seed
 
 
 @dataclass(frozen=True)
@@ -217,7 +339,42 @@ def parse_request(frame: dict[str, Any]) -> Request:
 
 # -- error payloads ----------------------------------------------------------
 
-def error_to_payload(exc: BaseException) -> dict[str, str]:
+#: The error table: the classes a client catches *concretely* — it backs
+#: off on AdmissionRejected, fixes its text on QueryError — keyed by the
+#: ``kind`` each declares.  Any other kind (``bad-request``, the cell
+#: taxonomy's ``crash``/``timeout``/``oom``..., ``internal``) reaches
+#: the caller as a :class:`RemoteError` preserving the tag.
+ERRORS: "dict[str, type[ServiceError]]" = {cls.kind: cls for cls in (
+    ProtocolError, AdmissionRejected, QuotaExceeded, WrongShard,
+    ShardUnavailable, DeadlineExceeded, CircuitOpen, RetryBudgetExhausted,
+    MutationError, SnapshotExpired, QueryError, PlanError)}
+
+
+#: The optional fields of an error payload (a class declares which it
+#: carries in ``wire_fields``).  ``shard`` survives re-encoding — a
+#: router forwarding a rehydrated shard error keeps the originating
+#: shard; ``retry_after_s`` is a quota rejection's machine-readable
+#: backoff hint (the client retries when the tenant's bucket has
+#: refilled, not blindly).
+_WIRE_FIELDS = {"shard": str, "retry_after_s": float, "tenant": str}
+
+
+def _wire_fields(cls: type, get) -> dict[str, Any]:
+    """The declared fields of ``cls`` that ``get`` holds a wire-valid
+    value for (a non-empty string, a positive number of seconds) — one
+    rule for both directions."""
+    fields = {}
+    for name in getattr(cls, "wire_fields", ()):
+        value = get(name)
+        if _WIRE_FIELDS[name] is str:
+            if isinstance(value, str) and value:
+                fields[name] = value
+        elif isinstance(value, (int, float)) and value > 0:
+            fields[name] = round(float(value), 4)
+    return fields
+
+
+def error_to_payload(exc: BaseException) -> dict[str, Any]:
     """Flatten an exception into the typed wire payload.
 
     Framework errors carry their taxonomy ``kind``; anything else is an
@@ -231,91 +388,19 @@ def error_to_payload(exc: BaseException) -> dict[str, str]:
     message = getattr(exc, "message", None)
     if not isinstance(message, str):
         message = str(exc) or type(exc).__name__
-    payload = {"kind": kind, "type": type(exc).__name__,
-               "message": message}
-    # shard attribution survives re-encoding: a router forwarding a
-    # rehydrated shard error keeps the originating shard on the payload
-    shard = getattr(exc, "shard", None)
-    if isinstance(shard, str) and shard and shard != "?":
-        payload["shard"] = shard
-    # quota rejections keep their machine-readable backoff hint — the
-    # client retries after the tenant's bucket refills, not blindly
-    retry_after = getattr(exc, "retry_after_s", None)
-    if isinstance(retry_after, (int, float)) and retry_after > 0:
-        payload["retry_after_s"] = round(float(retry_after), 4)
-    tenant = getattr(exc, "tenant", None)
-    if isinstance(tenant, str) and tenant and tenant != "?":
-        payload["tenant"] = tenant
-    return payload
+    return {"kind": kind, "type": type(exc).__name__, "message": message,
+            **_wire_fields(type(exc), lambda name: getattr(exc, name, None))}
 
 
-def payload_to_error(payload: dict[str, Any]) -> GraphError:
-    """Rehydrate a wire error payload into a raisable exception.
-
-    Backpressure and protocol violations map back onto their concrete
-    classes (so a client can catch :class:`AdmissionRejected` and back
-    off); everything else becomes a :class:`RemoteError` preserving the
-    server's taxonomy tag.  A ``shard`` attribution stamped on the
-    payload (the router names the originating shard on every error it
-    forwards) survives as a ``.shard`` attribute on the rehydrated
-    exception.
-    """
-    err = _rehydrate(payload)
-    shard = payload.get("shard")
-    if isinstance(shard, str) and shard:
-        err.shard = shard
-    return err
-
-
-def _rehydrate(payload: dict[str, Any]) -> GraphError:
+def payload_to_error(payload: dict[str, Any]) -> ServiceError:
+    """Rehydrate a wire error payload into a raisable exception: the
+    :data:`ERRORS` class its ``kind`` names, else a :class:`RemoteError`
+    preserving the server's taxonomy tag — carrying the peer's message
+    and whichever of its class's wire fields the payload holds."""
     kind = str(payload.get("kind", "internal"))
     message = str(payload.get("message", ""))
-    remote_type = str(payload.get("type", ""))
-    if kind == AdmissionRejected.kind:
-        err = AdmissionRejected(0, 0)
-        err.args = (message,)
-        return err
-    if kind == QuotaExceeded.kind:
-        tenant = payload.get("tenant")
-        retry_after = payload.get("retry_after_s")
-        err = QuotaExceeded(
-            tenant if isinstance(tenant, str) and tenant else "?",
-            retry_after_s=float(retry_after)
-            if isinstance(retry_after, (int, float)) else 0.0)
-        err.args = (message,)
-        return err
-    if kind == ProtocolError.kind:
-        return ProtocolError(message)
-    if kind == WrongShard.kind:
-        err = WrongShard("?")
-        err.args = (message,)
-        return err
-    if kind == ShardUnavailable.kind:
-        err = ShardUnavailable("?")
-        err.args = (message,)
-        return err
-    if kind == DeadlineExceeded.kind:
-        err = DeadlineExceeded("remote", 0.0, 0.0)
-        err.args = (message,)
-        return err
-    if kind == CircuitOpen.kind:
-        err = CircuitOpen("?")
-        err.args = (message,)
-        return err
-    if kind == RetryBudgetExhausted.kind:
-        err = RetryBudgetExhausted("?")
-        err.args = (message,)
-        return err
-    if kind == MutationError.kind:
-        err = MutationError("?", "?")
-        err.args = (message,)
-        return err
-    if kind == SnapshotExpired.kind:
-        err = SnapshotExpired(0, 0, 0)
-        err.args = (message,)
-        return err
-    if kind == PlanError.kind:
-        return PlanError(message)
-    if kind == QueryError.kind:
-        return QueryError(message)
-    return RemoteError(kind, message, remote_type)
+    cls = ERRORS.get(kind)
+    err = cls.from_wire(message) if cls is not None \
+        else RemoteError(kind, message, str(payload.get("type", "")))
+    vars(err).update(_wire_fields(type(err), payload.get))
+    return err

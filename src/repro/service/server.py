@@ -7,14 +7,7 @@ requests flow through the admission-controlled coalescing scheduler
 (:mod:`~repro.service.pool`), and results come back as the same flat row
 records the checkpoint journal uses.
 
-Operations::
-
-    ping          liveness + version handshake
-    workloads     the Table 4 registry, machine-readable
-    datasets      the Table 5/7 dataset registry, machine-readable
-    run           execute a workload x dataset cell, return its outputs
-    characterize  same execution, return the full metric record
-    stats         cache / scheduler / pool / connection counters
+The operations are the rows of :data:`~repro.service.protocol.OPS`.
 
 A failure in one request — including a chaos-killed worker subprocess —
 becomes a typed error frame on that request's connection; every other
@@ -44,24 +37,20 @@ from ..resilience.chaos import ChaosSpec
 from .cache import CacheTiers
 from .pool import PoolConfig, WorkerPool
 from .protocol import (
-    DYNAMIC_OPS,
     MAX_FRAME_BYTES,
+    OPS,
     PROTOCOL_VERSION,
-    QUERY_OPS,
     Request,
+    check_params,
     decode_frame,
     encode_error,
     encode_response,
+    identity,
     parse_request,
 )
 from .scheduler import Scheduler, SchedulerConfig
 
 log = get_logger("service.server")
-
-#: Parameters a run/characterize request may carry (typo protection: an
-#: unknown key is a bad request, not a silently-ignored knob).
-_CELL_PARAMS = frozenset({"workload", "dataset", "scale", "seed",
-                          "machine", "gpu"})
 
 
 def workloads_payload() -> list[dict[str, Any]]:
@@ -87,35 +76,20 @@ def datasets_payload() -> list[dict[str, Any]]:
 def cell_from_params(params: dict[str, Any]) -> Cell:
     """Validate request params into a Cell; raise ``BadRequest`` on any
     name or value that can never execute."""
-    from ..datagen.registry import REGISTRY
     from ..workloads import WORKLOADS
 
-    unknown = sorted(set(params) - _CELL_PARAMS)
-    if unknown:
-        raise BadRequest(f"unknown parameter(s) {', '.join(unknown)}; "
-                         f"choose from {', '.join(sorted(_CELL_PARAMS))}")
     workload = params.get("workload")
     if not isinstance(workload, str) or workload not in WORKLOADS:
         raise BadRequest(f"unknown workload {workload!r}; "
                          f"choose from {', '.join(sorted(WORKLOADS))}")
-    dataset = params.get("dataset", "ldbc")
-    if not isinstance(dataset, str) or dataset not in REGISTRY:
-        raise BadRequest(f"unknown dataset {dataset!r}; "
-                         f"choose from {', '.join(sorted(REGISTRY))}")
+    dataset, scale, seed = identity(params, OPS["run"].scale)
     machine = params.get("machine", "scaled")
     if machine not in MACHINES:
         raise BadRequest(f"unknown machine {machine!r}; "
                          f"choose from {', '.join(sorted(MACHINES))}")
-    try:
-        scale = float(params.get("scale", 0.25))
-        seed = int(params.get("seed", 0))
-        gpu = bool(params.get("gpu", False))
-    except (TypeError, ValueError) as e:
-        raise BadRequest(f"bad parameter value: {e}") from None
-    if not scale > 0:
-        raise BadRequest(f"scale must be > 0, got {scale!r}")
     return Cell(workload=workload, dataset=dataset, scale=scale,
-                seed=seed, machine=machine, with_gpu=gpu)
+                seed=seed, machine=machine,
+                with_gpu=bool(params.get("gpu", False)))
 
 
 class FrameServer:
@@ -299,14 +273,13 @@ class GraphService(FrameServer):
                  caches: CacheTiers | None = None,
                  chaos: ChaosSpec | None = None,
                  registry: MetricsRegistry | None = None,
-                 dynamic: "DynamicEngine | None" = None,
                  governor: "TenantGovernor | None" = None):
-        from ..dynamic import DynamicEngine
+        from ..dynamic import OP_KINDS, DynamicEngine
         from ..query import QueryEngine
         super().__init__("service", registry)
         self.scheduler_config = scheduler_config or SchedulerConfig()
         self.caches = caches if caches is not None else CacheTiers.build()
-        self.dynamic = dynamic if dynamic is not None else DynamicEngine()
+        self.dynamic = DynamicEngine()
         self.query_engine = QueryEngine(self.dynamic)
         # a capacity-0 row tier means "recompute every request": the
         # harness memo under the pool must not answer in its place
@@ -329,6 +302,24 @@ class GraphService(FrameServer):
         self.pool.bind_metrics(reg)
         if governor is not None:
             governor.bind_metrics(reg)
+        # op name -> handler; an op without one is refused, typed.  A
+        # loop handler takes the request (and may be a coroutine), an
+        # executor handler is the engine's own method over the params
+        self._handlers: dict[str, Any] = {
+            "ping": self._ping, "health": self._health,
+            "workloads": lambda req: workloads_payload(),
+            "datasets": self._datasets,
+            "stats": lambda req: self.stats(),
+            "run": self._run, "characterize": self._characterize,
+            "mutate": self.dynamic.mutate,
+            # each mutation kind is also a wire op of its own
+            **{kind: functools.partial(self.dynamic.mutate_one, kind)
+               for kind in OP_KINDS},
+            "dyn_query": self.dynamic.query,
+            "query": self.query_engine.query,
+            "explain": self.query_engine.explain,
+            "dyn_export": self.dynamic.export_dataset,
+            "dyn_import": self.dynamic.import_dataset}
 
     def _collect_requests(self) -> dict[str, Any]:
         samples = [{"labels": s["labels"], "value": float(s["count"])}
@@ -346,68 +337,64 @@ class GraphService(FrameServer):
         self.pool.shutdown()
 
     async def _dispatch(self, req: Request) -> Any:
-        if req.op == "ping":
-            return {"pong": True, "protocol": PROTOCOL_VERSION,
-                    "server": __version__}
-        if req.op == "health":
-            # the cluster liveness probe; a plain service is always
-            # "up" while it can answer at all
-            return {"ok": True, "protocol": PROTOCOL_VERSION,
-                    "server": __version__}
-        if req.op in ("shard_info", "batch", "admin"):
+        op = OPS[req.op]
+        handler = self._handlers.get(req.op)
+        if handler is None:
             raise BadRequest(f"operation {req.op!r} is served by the "
                              "cluster layer (a shard or router), not a "
                              "standalone service")
-        if req.op in ("dyn_export", "dyn_import"):
-            # migration state transfer: export/import run off the loop
-            # like any other dynamic-engine op
-            loop = asyncio.get_running_loop()
-            handler = self.dynamic.export_dataset \
-                if req.op == "dyn_export" else self.dynamic.import_dataset
-            return await loop.run_in_executor(None, handler, req.params)
-        if req.op == "workloads":
-            return workloads_payload()
-        if req.op == "datasets":
-            return datasets_payload()
-        if req.op == "stats":
-            return self.stats()
-        if req.op in QUERY_OPS or req.op in DYNAMIC_OPS:
-            # engine ops run on the default executor so the event loop
-            # never stalls: a pipeline-DSL query runs whole kernels, and
-            # a dynamic op — dict-probe cheap as a rule — may pay a
-            # first-touch base generation or an incremental refresh.
-            # The wire deadline sheds already-expired work first.
-            if req.expired():
-                raise DeadlineExceeded(
-                    "query-dispatch" if req.op in QUERY_OPS
-                    else "dynamic-dispatch", -req.remaining(), 0.0)
-            handler = {"query": self.query_engine.query,
-                       "explain": self.query_engine.explain,
-                       "mutate": self.dynamic.mutate,
-                       "dyn_query": self.dynamic.query}.get(req.op) \
-                or functools.partial(self.dynamic.mutate_one, req.op)
-            return await asyncio.get_running_loop().run_in_executor(
-                None, handler, req.params)
-        # run / characterize both execute the cell; they differ in how
-        # much of the record goes back over the wire.  The wire deadline
-        # rides into the scheduler, which sheds already-expired work.
-        cell = cell_from_params(req.params)
-        record = await self.scheduler.submit(cell, deadline=req.deadline,
-                                             tenant=req.tenant)
-        if req.op == "run":
-            out = {"workload": record["workload"],
-                   "dataset": record["dataset"],
-                   "outputs": record.get("outputs", {}),
-                   "elapsed_s": record.get("elapsed_s"),
-                   "served": record.get("served"),
-                   "attempts": record.get("attempts")}
-            if record.get("degraded"):
-                # the degraded-response field contract: degraded=true
-                # always travels with the staleness age
-                out["degraded"] = True
-                out["staleness_s"] = record.get("staleness_s")
-            return out
-        return record
+        check_params(op, req.params)
+        if not op.blocking:
+            result = handler(req)
+            return await result if asyncio.iscoroutine(result) else result
+        # engine ops run on the default executor so the event loop never
+        # stalls: a pipeline-DSL query runs whole kernels, a dynamic op
+        # — dict-probe cheap as a rule — may pay a first-touch base
+        # generation or an incremental refresh, a migration transfer
+        # walks a whole store.  The wire deadline sheds already-expired
+        # work first.
+        if req.expired():
+            raise DeadlineExceeded(f"{op.family}-dispatch",
+                                   -req.remaining(), 0.0)
+        return await asyncio.get_running_loop().run_in_executor(
+            None, handler, req.params)
+
+    def _ping(self, req: Request) -> dict[str, Any]:
+        return {"pong": True, "protocol": PROTOCOL_VERSION,
+                "server": __version__}
+
+    def _health(self, req: Request) -> dict[str, Any]:
+        # the cluster liveness probe; a plain service is always "up"
+        # while it can answer at all
+        return {"ok": True, "protocol": PROTOCOL_VERSION,
+                "server": __version__}
+
+    def _datasets(self, req: Request) -> list[dict[str, Any]]:
+        return datasets_payload()
+
+    async def _characterize(self, req: Request) -> dict[str, Any]:
+        # the wire deadline rides into the scheduler, which sheds
+        # already-expired work
+        return await self.scheduler.submit(
+            cell_from_params(req.params), deadline=req.deadline,
+            tenant=req.tenant)
+
+    async def _run(self, req: Request) -> dict[str, Any]:
+        # the same execution as characterize; less of the record goes
+        # back over the wire
+        record = await self._characterize(req)
+        out = {"workload": record["workload"],
+               "dataset": record["dataset"],
+               "outputs": record.get("outputs", {}),
+               "elapsed_s": record.get("elapsed_s"),
+               "served": record.get("served"),
+               "attempts": record.get("attempts")}
+        if record.get("degraded"):
+            # the degraded-response field contract: degraded=true
+            # always travels with the staleness age
+            out["degraded"] = True
+            out["staleness_s"] = record.get("staleness_s")
+        return out
 
     def stats(self) -> dict[str, Any]:
         cache = self.caches.stats()

@@ -167,9 +167,8 @@ class RebalanceExecutor:
             vnodes = router.ring.vnodes
             router.install_ring(HashRing(plan.after, vnodes=vnodes))
 
-            # -- handoff: losers forward, promotion is superseded ------------
+            # -- handoff: losers forward ---------------------------------------
             for key, (old, new) in sorted(affected.items()):
-                router.demote_replicas(key)
                 losing = tuple(s for s in old if s not in new)
                 if losing:
                     target = self.addresses[new[0]]

@@ -121,9 +121,11 @@ class TestServiceMutations:
 
 
 class TestEngineKernelBound:
-    def test_root_sweep_holds_at_most_capacity_kernels(self):
+    def test_root_sweep_holds_at_most_capacity_kernels(self, monkeypatch):
         capacity = 4
-        engine = DynamicEngine(cache_capacity=capacity)
+        monkeypatch.setattr("repro.dynamic.engine.CACHE_CAPACITY",
+                            capacity)
+        engine = DynamicEngine()
 
         def ask(root):
             return engine.query({"workload": "BFS", "dataset": "ldbc",

@@ -48,6 +48,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
+from repro.service.protocol import OPS, check_params
 from tests.oracles import (
     DictGraphImage,
     dict_bfs,
@@ -543,9 +544,15 @@ class TestEngine:
             head0["table"]["rows"][0][0] + 1
 
     def test_unknown_params_rejected(self):
-        eng = QueryEngine()
+        # the allow-list is the wire table's row, checked by the service
+        # before the engine is called; the engine validates the values
         with pytest.raises(BadRequest):
-            eng.query({"q": "from ldbc | count", "bogus": 1})
+            check_params(OPS["query"], {"q": "from ldbc | count",
+                                        "bogus": 1})
+        with pytest.raises(BadRequest):
+            check_params(OPS["explain"], {"q": "from ldbc | count",
+                                          "part": [0, 2]})
+        eng = QueryEngine()
         with pytest.raises(BadRequest):
             eng.query({"q": "from ldbc | count", "part": [2, 2]})
 

@@ -329,27 +329,3 @@ class TestLiveRebalance:
                 stats = client.stats()
             assert "spare-0" in stats["ring"]["shards"]
             assert stats["rebalance"]["paused_writes"] == []
-
-    def test_read_promotion_spreads_keyed_reads(self):
-        """Promoting an extra replica widens the keyed-read chain: after
-        the target adopts the dataset, rotated reads land on both."""
-        with _cluster(2) as ct:
-            ring = ct.spec.ring()
-            owner = ring.owner("twitter")           # shard-1
-            other = next(s for s in TWO_SHARDS if s != owner)
-            addr = ct.shard_addresses[other]
-            with ServiceClient(addr.host, addr.port) as direct:
-                direct.request("admin", action="adopt",
-                               dataset="twitter")
-            ct.router.promote_replicas("twitter", (other,))
-            served = set()
-            with ServiceClient(port=ct.router_port) as client:
-                for _ in range(6):
-                    out = client.dyn_query("BFS", "twitter",
-                                           scale=0.02)
-                    served.add(out["shard"])
-            assert served == {owner, other}
-            ct.router.demote_replicas("twitter")
-            with ServiceClient(port=ct.router_port) as client:
-                out = client.dyn_query("BFS", "twitter", scale=0.02)
-                assert out["shard"] == owner

@@ -131,7 +131,6 @@ class TestCellFromParams:
         {"workload": "BFS", "machine": "cray"},
         {"workload": "BFS", "scale": 0},
         {"workload": "BFS", "scale": "huge"},
-        {"workload": "BFS", "typo_knob": 1},
     ])
     def test_invalid(self, params):
         with pytest.raises(BadRequest):
