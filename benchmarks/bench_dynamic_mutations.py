@@ -15,6 +15,12 @@ Two claims behind the dynamic subsystem:
   maximum version lag (newest acked commit minus the version a read
   answered at) stays within ``MAX_VERSION_LAG``.
 
+* **commit claim** — a commit costs its batch, not the graph: once the
+  store is ``max_versions`` commits old every commit also retires a
+  version, and the median commit over the next ``3 x max_versions``
+  versions stays within ``MAX_WINDOW_RATIO``x of the median over the
+  first ``max_versions`` (61x when compaction walked the whole store).
+
 Shape-not-absolute: thresholds compare the two kernel arms within this
 run on this host; seeds pin the churn stream and the plan.  Results
 land in ``BENCH_dynamic.json``.
@@ -31,6 +37,7 @@ import json
 import os
 import random
 import time
+from statistics import median
 from pathlib import Path
 from typing import Any
 
@@ -73,6 +80,8 @@ REQUESTS = 60 if TINY else 300
 CONCURRENCY = 4
 WRITE_MIX = 0.3
 MAX_VERSION_LAG = 64                 # the store's retention window
+WINDOW_SCALES = (0.05, 0.5)          # both sizes, whatever TINY says
+MAX_WINDOW_RATIO = 3.0
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dynamic.json"
 
 
@@ -114,6 +123,29 @@ def _kernel_arm(kernel_cls, **kernel_kw) -> dict[str, Any]:
             "stats": maintained.stats.as_dict()}
 
 
+# -- commit arm: the same churn on either side of the retention window -------
+
+def _window_arm(scale: float) -> dict[str, Any]:
+    spec = make(DATASET, scale=scale, seed=SEED)
+    store = SnapshotStore.from_spec(spec)
+    window = store.max_versions
+    rng = random.Random(SEED)
+    us = []
+    for _ in range(4 * window):
+        ops = parse_ops(churn_ops(rng, spec.n, BATCH_OPS))
+        t0 = time.perf_counter()
+        store.commit(ops)
+        us.append((time.perf_counter() - t0) * 1e6)
+    before, after = median(us[:window]), median(us[window:])
+    return {"scale": scale, "vertices": spec.n, "arcs": store.n_arcs,
+            "max_versions": window, "commits": len(us),
+            "commit_us_before": round(before, 1),
+            "commit_us_after": round(after, 1),
+            "after_over_before": round(after / before, 2),
+            "compactions": store.stats.compactions,
+            "spans_folded": store.stats.spans_folded}
+
+
 # -- serving arm: sustained writes interleaved with versioned reads ----------
 
 def _serving_arm() -> dict[str, Any]:
@@ -149,6 +181,7 @@ def run_dynamic_benchmark() -> dict[str, Any]:
     bfs = _kernel_arm(IncrementalBFS, root=0)
     comp = _kernel_arm(IncrementalCComp)
     serving = _serving_arm()
+    window = [_window_arm(scale) for scale in WINDOW_SCALES]
     return {
         "config": {"dataset": DATASET, "scale": SCALE, "seed": SEED,
                    "batches": BATCHES, "batch_ops": BATCH_OPS,
@@ -159,15 +192,21 @@ def run_dynamic_benchmark() -> dict[str, Any]:
                        "recompute over the same snapshot; outputs "
                        "asserted equal every batch. serving: "
                        "closed-loop read/write mix, version lag "
-                       "measured as acked-head minus answered version",
+                       "measured as acked-head minus answered version. "
+                       "window: median commit us over versions "
+                       "1..max_versions and over the next "
+                       "3*max_versions, same churn stream",
         "kernels": [bfs, comp],
         "serving": serving,
+        "commit_window": window,
         "headline": {
             "bfs_speedup": bfs["speedup"],
             "ccomp_speedup": comp["speedup"],
             "speedup_floor": MIN_SPEEDUP,
             "max_version_lag": serving["max_version_lag"],
-            "version_lag_ceiling": MAX_VERSION_LAG},
+            "version_lag_ceiling": MAX_VERSION_LAG,
+            "window_ratio": max(w["after_over_before"] for w in window),
+            "window_ratio_ceiling": MAX_WINDOW_RATIO},
     }
 
 
@@ -178,8 +217,16 @@ def _render(results: dict) -> str:
     table = format_table(
         ["kernel", "batches", "incremental_s", "recompute_s", "speedup"],
         rows, title="incremental refresh vs full recompute per batch")
+    window = format_table(
+        ["scale", "arcs", "window", "v1..w us", "next 3w us", "ratio",
+         "compactions", "spans folded"],
+        [[w["scale"], w["arcs"], w["max_versions"], w["commit_us_before"],
+          w["commit_us_after"], f'{w["after_over_before"]}x',
+          w["compactions"], w["spans_folded"]]
+         for w in results["commit_window"]],
+        title="commit cost across the retention window (median us)")
     s = results["serving"]
-    lines = [table,
+    lines = [table, window,
              f"serving: {s['requests']} requests ({s['writes']} writes), "
              f"{s['mutations_per_s']} mutations/s, "
              f"version lag <= {s['max_version_lag']}"]
@@ -199,6 +246,7 @@ def _check(results: dict) -> None:
         assert h["ccomp_speedup"] >= MIN_SPEEDUP, h
     assert results["serving"]["failed"] == 0, results["serving"]
     assert h["max_version_lag"] <= MAX_VERSION_LAG, h
+    assert h["window_ratio"] <= MAX_WINDOW_RATIO, results["commit_window"]
 
 
 def test_dynamic_mutations():

@@ -91,10 +91,7 @@ class _IncrementalKernel:
                 deltas = [d for d in deltas if d.version <= target]
             size = sum(d.size for d in deltas) if deltas is not None \
                 else None
-            # store.n_arcs is the maintained alive counter (O(1));
-            # snap.n_arcs would re-scan every span list per refresh,
-            # swamping the O(delta) apply.  The snapshot is pinned at
-            # the head, so the two agree.
+            # snap is pinned at the head: either count is O(1) there
             budget = RECOMPUTE_FRACTION * max(64, self.store.n_arcs)
             if deltas is None or size > budget:
                 self._recompute(snap)

@@ -24,6 +24,14 @@ the floor are dropped, property history before the floor collapses to
 its final value, and the per-version deltas below the floor are
 discarded.  A reader asking for a folded version gets a typed
 :class:`~repro.core.errors.SnapshotExpired`, never silently-wrong data.
+
+Compaction is incremental.  Beside each retained delta the store keeps
+what that version *touched*: the vertex ids and ``(src, dst)`` arcs
+whose span it closed and the ``(vid, name)`` histories it wrote (a
+failed strict batch included — see :meth:`SnapshotStore._rollback`).
+Retiring a version visits exactly those records, so a commit and the
+compaction it triggers cost O(batch) whatever the size of the graph; an
+old-version read stays O(spans per record).
 """
 
 from __future__ import annotations
@@ -98,6 +106,16 @@ def _alive_now(spans: _Spans) -> bool:
     return bool(spans) and spans[-1][1] is None
 
 
+def _fold(spans: "_Spans | None", floor: int) -> int:
+    """Drop, in place, the spans that died at or before ``floor``."""
+    if not spans:
+        return 0
+    kept = [s for s in spans if s[1] is None or s[1] > floor]
+    dropped = len(spans) - len(kept)
+    spans[:] = kept
+    return dropped
+
+
 #: Version *numbers* repeat across stores — every store starts at 0 and
 #: an imported one at its exporter's head — so a cache entry is valid
 #: for (which store, which version), never for the number alone.
@@ -127,6 +145,9 @@ class SnapshotStore:
         self._inn: dict[int, dict[int, _Spans]] = {}
         self._props: dict[int, dict[str, list[tuple[int, Any]]]] = {}
         self._deltas: dict[int, Delta] = {}
+        # per retained version: (vertices closed, arcs closed, histories
+        # written) — what compaction visits when that version retires
+        self._touched: dict[int, tuple[set, set, set]] = {}
         self._pins: dict[int, int] = {}
         self._n_alive = 0                # vertices alive at head
         self._m_alive = 0                # arcs alive at head
@@ -245,6 +266,7 @@ class SnapshotStore:
         if spans is None or not _alive_now(spans):
             return False
         spans[-1][1] = version
+        self._touched[version][1].add((src, dst))
         self._m_alive -= 1
         return True
 
@@ -265,6 +287,7 @@ class SnapshotStore:
         ops = list(ops)
         with self._lock:
             v = self.head + 1
+            self._touched.setdefault(v, (set(), set(), set()))
             # net-effect tracking: first-touch records the pre-batch
             # state, the structures themselves hold the post-batch state
             vert_before: dict[int, bool] = {}
@@ -352,6 +375,7 @@ class SnapshotStore:
                         note_arc(src, op.src)
                         self._close_arc(src, op.src, v)
                 spans[-1][1] = v
+                self._touched[v][0].add(op.src)
                 self._n_alive -= 1
             elif op.kind == "add_edge":
                 s, d = op.src, op.dst
@@ -405,13 +429,22 @@ class SnapshotStore:
                     history[-1] = (v, op.value)
                 else:
                     history.append((v, op.value))
+                    self._touched[v][2].add((op.src, op.name))
                 prop_last[(op.src, op.name)] = op.value
         return skipped
 
     def _rollback(self, v: int, vert_before: dict, arc_before: dict,
                   prop_last: dict) -> None:
         """Undo a strict-mode batch that failed mid-apply (atomicity:
-        restore every touched record to its pre-batch state)."""
+        every touched record *reads* as it did before the batch, at
+        every version).
+
+        Not restored, because no read can see it: an arc added and
+        deleted inside the batch keeps an empty ``[v, v)`` span, and a
+        vertex deleted and re-added keeps ``[b, v), [v, None)`` where it
+        had ``[b, None)``.  ``_touched[v]`` keeps the batch's entries so
+        compaction folds both when the floor passes ``v``.
+        """
         for (s, d), was in arc_before.items():
             spans = self._out.get(s, {}).get(d, [])
             now = _alive_now(spans)
@@ -419,8 +452,7 @@ class SnapshotStore:
                 spans.pop()
                 self._m_alive -= 1
                 if not spans:
-                    del self._out[s][d]
-                    del self._inn[d][s]
+                    self._drop_arc(s, d)
             elif was and not now:
                 spans[-1][1] = None
                 self._m_alive += 1
@@ -516,48 +548,35 @@ class SnapshotStore:
         with self._lock:
             return self._compact_locked()
 
+    def _drop_arc(self, src: int, dst: int) -> None:
+        """Forget a span-less arc: its entry in both maps, and either
+        row it leaves empty."""
+        for adj, a, b in ((self._out, src, dst), (self._inn, dst, src)):
+            del adj[a][b]
+            if not adj[a]:
+                del adj[a]
+
     def _compact_locked(self) -> int:
         new_floor = self._retention_floor()
         if new_floor <= self.floor:
             return 0
         folded = 0
-        dead_vids = []
-        for vid, spans in self._vspans.items():
-            kept = [s for s in spans
-                    if s[1] is None or s[1] > new_floor]
-            folded += len(spans) - len(kept)
-            if kept:
-                spans[:] = kept
-            else:
-                dead_vids.append(vid)
-        for vid in dead_vids:
-            del self._vspans[vid]
-            self._props.pop(vid, None)
-        for adj, mirror in ((self._out, self._inn),):
-            empty_srcs = []
-            for src, row in adj.items():
-                dead_dsts = []
-                for dst, spans in row.items():
-                    kept = [s for s in spans
-                            if s[1] is None or s[1] > new_floor]
-                    folded += len(spans) - len(kept)
-                    if kept:
-                        spans[:] = kept
-                    else:
-                        dead_dsts.append(dst)
-                for dst in dead_dsts:
-                    del row[dst]
-                    mirror_row = mirror.get(dst)
-                    if mirror_row is not None:
-                        mirror_row.pop(src, None)
-                        if not mirror_row:
-                            del mirror[dst]
-                if not row:
-                    empty_srcs.append(src)
-            for src in empty_srcs:
-                del adj[src]
-        for histories in self._props.values():
-            for name, history in histories.items():
+        for v in range(self.floor + 1, new_floor + 1):
+            self._deltas.pop(v, None)
+            vids, arcs, hists = self._touched.pop(v)
+            for vid in vids:
+                spans = self._vspans.get(vid)
+                folded += _fold(spans, new_floor)
+                if spans == []:
+                    del self._vspans[vid]
+                    self._props.pop(vid, None)
+            for src, dst in arcs:
+                spans = self._out.get(src, {}).get(dst)
+                folded += _fold(spans, new_floor)
+                if spans == []:
+                    self._drop_arc(src, dst)
+            for vid, name in hists:
+                history = self._props.get(vid, {}).get(name, ())
                 base_idx = 0
                 for i, (ver, _) in enumerate(history):
                     if ver <= new_floor:
@@ -566,8 +585,6 @@ class SnapshotStore:
                         break
                 if base_idx > 0:
                     del history[:base_idx]
-        for v in range(self.floor + 1, new_floor + 1):
-            self._deltas.pop(v, None)
         self.floor = new_floor
         self.stats.compactions += 1
         self.stats.spans_folded += folded
@@ -627,6 +644,8 @@ class Snapshot:
     def n_vertices(self) -> int:
         st = self._store
         with st._lock:
+            if self.version == st.head:
+                return st._n_alive
             return sum(1 for spans in st._vspans.values()
                        if _alive_at(spans, self.version))
 
@@ -634,6 +653,8 @@ class Snapshot:
     def n_arcs(self) -> int:
         st = self._store
         with st._lock:
+            if self.version == st.head:
+                return st._m_alive
             return sum(1 for row in st._out.values()
                        for spans in row.values()
                        if _alive_at(spans, self.version))

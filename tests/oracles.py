@@ -709,3 +709,68 @@ def _jsonable(value):
     if isinstance(value, float):
         return float(value)
     return int(value)
+
+
+# -- the snapshot store's full-walk compaction -------------------------------
+# What ``SnapshotStore._compact_locked`` was before compaction became
+# incremental: a pass over every vertex span list, every arc span list and
+# every property history, whatever the retired versions touched.
+# ``test_dynamic_compaction.py`` drives a store compacting this way beside
+# one compacting from the per-version log and requires equal state.
+
+def full_walk_compact(store) -> int:
+    new_floor = store._retention_floor()
+    if new_floor <= store.floor:
+        return 0
+    folded = 0
+    dead_vids = []
+    for vid, spans in store._vspans.items():
+        kept = [s for s in spans
+                if s[1] is None or s[1] > new_floor]
+        folded += len(spans) - len(kept)
+        if kept:
+            spans[:] = kept
+        else:
+            dead_vids.append(vid)
+    for vid in dead_vids:
+        del store._vspans[vid]
+        store._props.pop(vid, None)
+    for adj, mirror in ((store._out, store._inn),):
+        empty_srcs = []
+        for src, row in adj.items():
+            dead_dsts = []
+            for dst, spans in row.items():
+                kept = [s for s in spans
+                        if s[1] is None or s[1] > new_floor]
+                folded += len(spans) - len(kept)
+                if kept:
+                    spans[:] = kept
+                else:
+                    dead_dsts.append(dst)
+            for dst in dead_dsts:
+                del row[dst]
+                mirror_row = mirror.get(dst)
+                if mirror_row is not None:
+                    mirror_row.pop(src, None)
+                    if not mirror_row:
+                        del mirror[dst]
+            if not row:
+                empty_srcs.append(src)
+        for src in empty_srcs:
+            del adj[src]
+    for histories in store._props.values():
+        for name, history in histories.items():
+            base_idx = 0
+            for i, (ver, _) in enumerate(history):
+                if ver <= new_floor:
+                    base_idx = i
+                else:
+                    break
+            if base_idx > 0:
+                del history[:base_idx]
+    for v in range(store.floor + 1, new_floor + 1):
+        store._deltas.pop(v, None)
+    store.floor = new_floor
+    store.stats.compactions += 1
+    store.stats.spans_folded += folded
+    return folded
