@@ -150,29 +150,37 @@ class ShardService(GraphService):
                                   if budget is not None and budget > 0
                                   else None, **req.params)
         if isinstance(result, dict):
+            # clients see the shard they were routed to, and who it
+            # handed the request to only through ``forwarded_by``
+            result["shard"] = self.shard_id
             result.setdefault("forwarded_by", self.shard_id)
         return result
 
-    def _owned_key(self, op: Op, params: dict[str, Any]) -> "str | None":
-        """The known dataset a keyed request must land on the owner of.
-        None when there is nothing to check: an unknown name or
-        malformed DSL text (the handler raises its own typed error,
-        which names the real mistake instead of a routing one), or a
-        ``part`` of the router's scatter — any shard computes any
-        partition of the deterministically generated graph, which is
+    def _owned_key(self, op: Op, params: dict[str, Any]
+                   ) -> "tuple[str | None, Any]":
+        """``(dataset, pipeline)``: the known dataset a keyed request
+        must land on the owner of, and the parse of its DSL text if that
+        is where the key was (the engine takes it from here instead of
+        parsing again).  No dataset when there is nothing to check: an
+        unknown name or malformed DSL text (the handler raises its own
+        typed error, which names the real mistake instead of a routing
+        one), or a ``part`` of the router's scatter — any shard computes
+        any partition of the deterministically generated graph, which is
         what lets failed parts reassign to survivors."""
+        pipeline = None
         if op.key_in == "q":
             if "part" in params:
-                return None
+                return None, None
             try:
                 from ..query import parse, source_info
-                dataset = source_info(parse(params.get("q"))).dataset
+                pipeline = parse(params.get("q"))
+                dataset = source_info(pipeline).dataset
             except Exception:  # noqa: BLE001 — defer to the engine's error
-                return None
+                return None, None
         else:
             dataset = params.get(op.key_in, DEFAULT_DATASET)
-        return dataset if isinstance(dataset, str) \
-            and dataset in self._known else None
+        return (dataset if isinstance(dataset, str)
+                and dataset in self._known else None), pipeline
 
     def shard_info(self) -> dict[str, Any]:
         return {"shard": self.shard_id,
@@ -184,11 +192,17 @@ class ShardService(GraphService):
 
     async def _dispatch(self, req: Request) -> Any:
         op = OPS[req.op]
-        if op.key_in is not None:
-            dataset = self._owned_key(op, req.params)
-            if dataset is not None and not self.owns(dataset):
-                return await self._wrong_shard(req, dataset)
-        return await super()._dispatch(req)
+        if op.key_in is None:
+            return await super()._dispatch(req)
+        dataset, pipeline = self._owned_key(op, req.params)
+        if dataset is not None and not self.owns(dataset):
+            return await self._wrong_shard(req, dataset)
+        result = await super()._dispatch(req, pipeline)
+        # a keyed answer names the shard that served it, stamped here —
+        # before its first encode — so a router relays it untouched
+        if isinstance(result, dict):
+            result.setdefault("shard", self.shard_id)
+        return result
 
     def _ping(self, req: Request) -> dict[str, Any]:
         return dict(super()._ping(req), shard=self.shard_id)

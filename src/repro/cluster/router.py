@@ -12,7 +12,11 @@ into shard traffic by the ``route`` of its row in
   a shard answers with are forwarded, never retried — a bad request is
   bad on every replica.  **any-shard** is the same walk over every
   shard; **write** dials the key's primary only; **query** routes a
-  dynamic source keyed and scatters a static one.
+  dynamic source keyed and scatters a static one.  Wherever one shard's
+  answer is forwarded untouched it is *relayed*: the body is peeled off
+  the shard's ok frame and spliced into the client's as the bytes that
+  arrived (:func:`~repro.service.protocol.peel_response`), never parsed
+  here; where the router composes an answer it decodes.
 * **scatter** fans out to every healthy shard concurrently under a
   per-shard timeout and aggregates what arrives; a missing shard makes
   the result *partial*, not an error.
@@ -103,11 +107,14 @@ from ..service.protocol import (
     MAX_FRAME_BYTES,
     OPS,
     PROTOCOL_VERSION,
+    Body,
     Request,
+    decode_body,
     decode_frame,
     encode_request,
     error_to_payload,
     payload_to_error,
+    peel_response,
     routing_key,
 )
 from ..service.server import FrameServer
@@ -239,9 +246,14 @@ class _ShardLink:
 
     async def call(self, op: str, params: dict[str, Any],
                    timeout_s: float, deadline: float | None = None,
-                   tenant: str | None = None) -> dict:
+                   tenant: str | None = None,
+                   relay: bool = False) -> dict:
         """One request/response exchange under one timer; returns the
-        decoded frame.
+        decoded frame.  For a caller that will ``relay`` the answer
+        untouched, an ok frame is not parsed: its ``result`` is the
+        :class:`Body` peeled off the line (any other line, and an ok
+        frame that is not byte for byte this encoder's, is decoded all
+        the same).
 
         The wire deadline and tenant (if any) propagate onto the
         downstream frame so the shard's scheduler can shed expired work
@@ -264,7 +276,8 @@ class _ShardLink:
 
         timer = asyncio.get_running_loop().call_later(timeout_s, expire)
         try:
-            return await self._roundtrip(op, params, deadline, tenant)
+            return await self._roundtrip(op, params, deadline, tenant,
+                                         relay)
         except asyncio.CancelledError:
             if not expired:
                 raise                    # cancelled from outside
@@ -273,14 +286,14 @@ class _ShardLink:
             timer.cancel()
 
     async def _roundtrip(self, op: str, params: dict[str, Any],
-                         deadline: float | None,
-                         tenant: str | None) -> dict:
+                         deadline: float | None, tenant: str | None,
+                         relay: bool) -> dict:
         reader, writer = await self._checkout()
         try:
             self._seq += 1
-            writer.write(encode_request(op, f"{self.addr.name}-{self._seq}",
-                                        params, deadline=deadline,
-                                        tenant=tenant))
+            req_id = f"{self.addr.name}-{self._seq}"
+            writer.write(encode_request(op, req_id, params,
+                                        deadline=deadline, tenant=tenant))
             await writer.drain()
             line = await reader.readline()
             if not line:
@@ -289,7 +302,9 @@ class _ShardLink:
             if not line.endswith(b"\n"):
                 raise ProtocolError(
                     f"truncated frame from shard {self.addr.name}")
-            frame = decode_frame(line)
+            body = peel_response(line, req_id) if relay else None
+            frame = decode_frame(line) if body is None \
+                else {"ok": True, "result": body}
         except BaseException:
             writer.close()
             raise
@@ -541,9 +556,12 @@ class Router(FrameServer):
                         key: str, *, outcome: str = "ok",
                         credit: str = "traffic",
                         deadline: float | None = None,
-                        tenant: str | None = None) -> _Answer:
+                        tenant: str | None = None,
+                        relay: bool = False) -> _Answer:
         """Call ``shard`` under ``timeout_s`` and classify what came
-        back — the only place that does.
+        back — the only place that does.  With ``relay`` an ok answer's
+        ``result`` is the shard's own bytes (a :class:`Body`), for a
+        caller that forwards it untouched.
 
         A transport failure (a timeout included) is charged to the
         shard's health and counted ``unreachable``; any answer credits
@@ -554,7 +572,8 @@ class Router(FrameServer):
         """
         try:
             frame = await self._links[shard].call(
-                op, params, timeout_s, deadline=deadline, tenant=tenant)
+                op, params, timeout_s, deadline=deadline, tenant=tenant,
+                relay=relay)
         except _TRANSPORT_ERRORS as e:
             reason = _failure_reason(e)
             self.tracker[shard].record_failure(reason)
@@ -575,19 +594,17 @@ class Router(FrameServer):
         if not isinstance(error, dict):
             error = {"kind": "internal", "type": "ProtocolError",
                      "message": f"malformed failure frame from {shard}"}
-        error.setdefault("shard", shard)
-        return _Answer(shard, "error", error=error)
+        return _Answer(shard, "error", error={"shard": shard, **error})
 
     @staticmethod
     def _unwrap(answer: _Answer, span_args: dict) -> Any:
-        """A keyed answer onto the wire: the result stamped with its
-        shard, or the shard's typed error re-raised."""
+        """A keyed answer onto the wire: the result as the shard sent it
+        (which stamped its own name on it), or the shard's typed error
+        re-raised."""
         span_args["shard"] = answer.shard
         span_args["outcome"] = answer.outcome
         if answer.error is not None:
             raise payload_to_error(answer.error)
-        if isinstance(answer.result, dict):
-            answer.result.setdefault("shard", answer.shard)
         return answer.result
 
     # -- single-key routing with the reliability walk ------------------------
@@ -616,7 +633,8 @@ class Router(FrameServer):
     async def _route_single(self, req: Request, key: str,
                             replicas: Sequence[str],
                             span_args: dict) -> Any:
-        """Walk a replica chain for one request.
+        """Walk a replica chain for one request; the winning shard's
+        answer is relayed, not parsed — the result is its :class:`Body`.
 
         Transport failures fail over (budgeted), typed shard errors
         forward, shards whose health refuses the dial skip, a spent
@@ -695,7 +713,7 @@ class Router(FrameServer):
             return loop.create_task(self._exchange(
                 shard, req.op, req.params, timeout_s, key,
                 outcome=outcome, deadline=req.deadline,
-                tenant=req.tenant))
+                tenant=req.tenant, relay=True))
 
         tasks: dict[asyncio.Task, str] = {
             dial(primary, timeout,
@@ -774,6 +792,8 @@ class Router(FrameServer):
         the per-shard outcome (``replicated`` / ``replica_failures``) —
         a lagging replica serves *older* versions, never wrong ones,
         and the disclosure is what the staleness bound is measured from.
+        With no replica there is nothing to disclose and the primary's
+        answer is relayed as it came.
         """
         key = routing_key(req.params)
         replicas = self.ring.owners(key, self.replication)
@@ -792,7 +812,8 @@ class Router(FrameServer):
         answer = await self._exchange(
             primary, req.op, req.params,
             self._attempt_timeout(remaining, 1), key,
-            deadline=req.deadline, tenant=req.tenant)
+            deadline=req.deadline, tenant=req.tenant,
+            relay=len(replicas) == 1)
         if answer.outcome == "unreachable":
             span_args["outcome"] = "unavailable"
             raise ShardUnavailable(key, tried=(primary,))
@@ -853,10 +874,14 @@ class Router(FrameServer):
         return req.op + ":" + json.dumps(req.params, sort_keys=True,
                                          separators=(",", ":"))
 
-    def _remember(self, req: Request, result: Any) -> None:
-        if not isinstance(result, dict) or result.get("degraded"):
-            return
-        self._stale.put(self._stale_key(req), result)
+    def _remember(self, req: Request, body: Any) -> None:
+        # a relayed answer is kept as the bytes it came in and parsed
+        # only if ever served (one that had to be decoded is served, not
+        # kept).  An object's, and not one already degraded upstream: in
+        # compact sorted JSON an unescaped ``"degraded":true`` is a key
+        if type(body) is Body and body.startswith(b"{") \
+                and b'"degraded":true' not in body:
+            self._stale.put(self._stale_key(req), body)
 
     def _serve_stale(self, req: Request, cause: Exception,
                      span_args: dict) -> dict | None:
@@ -866,15 +891,15 @@ class Router(FrameServer):
                                     self.reliability.stale_cap_s)
         if hit is None:
             return None
-        result, age = hit
+        body, age = hit
         kind = getattr(cause, "kind", "internal")
         self._m_degraded.labels(reason=kind).inc()
         span_args["outcome"] = "degraded"
         span_args["degraded_reason"] = kind
         log.info("serving stale response (age %.3fs) after %s",
                  age, kind, extra={"age_s": age, "reason": kind})
-        return dict(result, degraded=True, staleness_s=round(age, 3),
-                    served="stale")
+        return dict(decode_body(body), degraded=True,
+                    staleness_s=round(age, 3), served="stale")
 
     # -- scatter-gather --------------------------------------------------------
 
@@ -1049,8 +1074,9 @@ class Router(FrameServer):
                 sub = Request(op=op, id=req.id,
                               params=entry.get("params") or {},
                               deadline=req.deadline, tenant=req.tenant)
-                return {"ok": True,
-                        "result": await self._keyed_read(sub, {})}
+                result = await self._keyed_read(sub, {})
+                return {"ok": True, "result": decode_body(result)
+                        if type(result) is Body else result}
             except Exception as e:  # noqa: BLE001 — per-entry, in-band
                 return {"ok": False, "error": error_to_payload(e)}
 

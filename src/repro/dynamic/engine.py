@@ -24,7 +24,7 @@ from typing import Any
 
 from ..core.errors import BadRequest
 from ..service.cache import LRUCache
-from ..service.protocol import OPS, identity, registered_dataset
+from ..service.protocol import OPS, Hit, identity, registered_dataset
 from .incremental import IncrementalBFS, IncrementalCComp
 from .ops import MutOp, parse_ops, single_op
 from .store import SnapshotStore
@@ -129,7 +129,7 @@ class DynamicEngine:
         with lock:
             cached = self.cache.get(kernel_key, version=store.token())
             if cached is not None:
-                return dict(cached, served="cache")
+                return cached
             kernel = self._kernels.get(kernel_key)
             if kernel is None:
                 kernel = IncrementalBFS(store, root) \
@@ -140,10 +140,13 @@ class DynamicEngine:
                         "scale": scale, "seed": seed,
                         "version": kernel.version,
                         "outputs": kernel.outputs(),
-                        "kernel": kernel.stats.as_dict()}
-            self.cache.put(kernel_key, response,
+                        "kernel": kernel.stats.as_dict(),
+                        "served": served}
+            # the entry is the answer's hit form, served as that one
+            # object (and so encoded once) until the token moves on
+            self.cache.put(kernel_key, Hit(response, served="cache"),
                            version=store.token(kernel.version))
-            return dict(response, served=served)
+            return response
 
     # -- migration (export / import) -----------------------------------------
 

@@ -33,6 +33,7 @@ from typing import Any
 
 from ..core.errors import BadRequest
 from ..service.cache import LRUCache
+from ..service.protocol import Hit
 from .exec import GraphImage, execute_plan
 from .parse import parse, unparse
 from .plan import (
@@ -153,10 +154,14 @@ class QueryEngine:
 
     # -- wire ops ------------------------------------------------------------
 
-    def query(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Serve one ``query`` request (full or ``part`` partial)."""
+    def query(self, params: dict[str, Any],
+              pipeline=None) -> dict[str, Any]:
+        """Serve one ``query`` request (full or ``part`` partial).
+        ``pipeline`` is the parse of ``q`` when the caller already has
+        it (a shard parses the text to find its owner)."""
         part = parse_part(params)
-        pipeline = parse(params.get("q"))
+        if pipeline is None:
+            pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)
         source = source_info(pipeline)
@@ -168,8 +173,7 @@ class QueryEngine:
         result_key = ("result", digest, part)
         hit = self.results.get(result_key, version=token)
         if hit is not None:
-            return {**hit, "plan_cached": True, "result_cached": True,
-                    "served": "result-cache"}
+            return hit
         image, kernel_cache = self._graph(source, version, token, store)
         table = execute_plan(plan, image, part=part,
                              partial=part is not None,
@@ -181,16 +185,22 @@ class QueryEngine:
             "version": version if source.dynamic else None,
             "canonical": canonical,
         }
-        self.results.put(result_key, response, version=token)
+        # the entry is the answer's hit form, served as that one object
+        # (and so encoded once) while the token holds
+        self.results.put(
+            result_key, Hit(response, plan_cached=True, result_cached=True,
+                            served="result-cache"), version=token)
         return {**response, "plan_cached": plan_cached,
                 "result_cached": False, "served": "executed"}
 
-    def explain(self, params: dict[str, Any]) -> dict[str, Any]:
+    def explain(self, params: dict[str, Any],
+                pipeline=None) -> dict[str, Any]:
         """Serve one ``explain`` request: the physical plan + cost
         estimates + merge recipe.  Deterministic for a fixed plan-cache
         state — no timings, no live measurements beyond the (versioned)
         graph shape the cost model reads."""
-        pipeline = parse(params.get("q"))
+        if pipeline is None:
+            pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)
         source = source_info(pipeline)

@@ -16,6 +16,12 @@ Response::
     {"v": 1, "id": "c1-7", "ok": true,  "result": {...}}
     {"v": 1, "id": "c1-7", "ok": false,
      "error": {"kind": "crash", "type": "CellCrash", "message": "..."}}
+
+On the wire a frame is compact with sorted keys, so an ok response is
+``{"id":...,"ok":true,"result":`` + body + ``,"v":1}`` — a splice around
+a body that is encoded once (:func:`encode_response`) and that a
+forwarding hop can take off and put back without parsing
+(:func:`peel_response`).
 """
 
 from __future__ import annotations
@@ -247,13 +253,46 @@ class Request:
 
 # -- encoding ----------------------------------------------------------------
 
-def _frame(obj: dict[str, Any]) -> bytes:
-    data = json.dumps(obj, separators=(",", ":"), sort_keys=True,
-                      allow_nan=True).encode("utf-8") + b"\n"
+def _dumps(obj: Any) -> bytes:
+    """The one wire form of a JSON value: compact, key-sorted and — the
+    encoder's ``ensure_ascii`` default — pure ASCII."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                      allow_nan=True).encode("ascii")
+
+
+def _sized(data: bytes) -> bytes:
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(data)} bytes exceeds "
                             f"{MAX_FRAME_BYTES}")
     return data
+
+
+def _frame(obj: dict[str, Any]) -> bytes:
+    return _sized(_dumps(obj) + b"\n")
+
+
+class Body(bytes):
+    """A result already in its wire form — what :func:`peel_response`
+    took off a peer's ok frame, spliced into the next frame as it is."""
+
+    __slots__ = ()
+
+
+class Hit(dict):
+    """A result served again and again as the same object: the hit form
+    a versioned response cache stores.  Its wire form is computed at
+    its first send and kept on it, so the bytes live and die with the
+    cache entry — whoever adds a key (a shard stamps its name) does so
+    before that first send, and nobody after it."""
+
+    __slots__ = ("_wire",)
+
+    def wire(self) -> bytes:
+        try:
+            return self._wire
+        except AttributeError:
+            self._wire = _dumps(self)
+            return self._wire
 
 
 def encode_request(op: str, req_id: str,
@@ -269,9 +308,55 @@ def encode_request(op: str, req_id: str,
     return _frame(frame)
 
 
+#: The ok frame is a splice: ``{"id":<id>`` + ``,"ok":true,"result":`` +
+#: *body* + ``,"v":N}\n`` — what ``_frame`` makes of ``{"v", "id", "ok",
+#: "result"}``, because sorted keys put ``id < ok < result < v``.
+_OK_MID = b',"ok":true,"result":'
+_OK_TAIL = b',"v":%d}\n' % PROTOCOL_VERSION
+
+
+def _ok_head(req_id: str | None) -> bytes:
+    # a string or null reads the same under any separators or key order,
+    # so the id takes ``json.dumps``'s cached default encoder (a third
+    # of the cost of building one, on every response)
+    return b'{"id":' + json.dumps(req_id).encode("ascii") + _OK_MID
+
+
 def encode_response(req_id: str | None, result: Any) -> bytes:
-    return _frame({"v": PROTOCOL_VERSION, "id": req_id, "ok": True,
-                   "result": result})
+    """The one builder of an ok frame, for service, shard and router.
+    The body is ``result`` freshly dumped, unless its bytes already
+    exist: a :class:`Body` relayed from a peer, or the memo of a
+    :class:`Hit`."""
+    body = result if type(result) is Body \
+        else result.wire() if type(result) is Hit else _dumps(result)
+    return _sized(_ok_head(req_id) + body + _OK_TAIL)
+
+
+def peel_response(line: bytes, req_id: str) -> "Body | None":
+    """The exact inverse of :func:`encode_response`: the body of the ok
+    frame that answers ``req_id``, its bytes untouched — or None for any
+    other line (an error frame, foreign spacing or key order, another id
+    or protocol version, a byte outside ASCII), which is then
+    :func:`decode_frame`'s to judge.
+
+    The envelope is compared byte for byte and the line must be ASCII —
+    every frame this encoder writes is, so a byte flipped on the way
+    here fails the test — but the body is *not* parsed: what this proves
+    of it is that it arrived as it was sent."""
+    head = _ok_head(req_id)
+    if line.startswith(head) and line.endswith(_OK_TAIL) \
+            and line.isascii() and len(line) <= MAX_FRAME_BYTES:
+        return Body(line[len(head):-len(_OK_TAIL)])
+    return None
+
+
+def decode_body(body: bytes) -> Any:
+    """Parse a peeled :class:`Body` — the consumer's half of
+    :func:`decode_frame`."""
+    try:
+        return json.loads(body)
+    except ValueError as e:
+        raise ProtocolError(f"undecodable result body: {e}") from None
 
 
 def encode_error(req_id: str | None, exc: BaseException) -> bytes:

@@ -336,7 +336,10 @@ class GraphService(FrameServer):
         await self.scheduler.drain()
         self.pool.shutdown()
 
-    async def _dispatch(self, req: Request) -> Any:
+    async def _dispatch(self, req: Request, pipeline=None) -> Any:
+        """``pipeline``: the parse of a DSL op's text when the caller
+        already has it (a shard parses to find the owner), handed to the
+        engine so the text is parsed once."""
         op = OPS[req.op]
         handler = self._handlers.get(req.op)
         if handler is None:
@@ -356,8 +359,9 @@ class GraphService(FrameServer):
         if req.expired():
             raise DeadlineExceeded(f"{op.family}-dispatch",
                                    -req.remaining(), 0.0)
+        args = (req.params,) if pipeline is None else (req.params, pipeline)
         return await asyncio.get_running_loop().run_in_executor(
-            None, handler, req.params)
+            None, handler, *args)
 
     def _ping(self, req: Request) -> dict[str, Any]:
         return {"pong": True, "protocol": PROTOCOL_VERSION,

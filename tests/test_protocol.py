@@ -10,13 +10,21 @@ generated from the tables.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import importlib
+import json
 import pathlib
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Router, ShardAddress, ShardService
-from repro.core.errors import BadRequest, RemoteError, ServiceError
+from repro.cluster import ClusterSpec, ClusterThread, Router, \
+    ShardAddress, ShardService
+from repro.core.errors import BadRequest, ProtocolError, RemoteError, \
+    ServiceError
+from repro.dynamic import churn_ops
 from repro.service import (
     GraphService,
     PoolConfig,
@@ -24,13 +32,23 @@ from repro.service import (
     ServiceThread,
     error_to_payload,
     payload_to_error,
+    workloads_payload,
 )
 from repro.service.protocol import (
     ERRORS,
     OPS,
+    PROTOCOL_VERSION,
     WRITE_OPS,
+    Body,
+    Hit,
     Request,
+    _frame,
     check_params,
+    decode_body,
+    decode_frame,
+    encode_error,
+    encode_response,
+    peel_response,
 )
 from tests import wire_transcript
 
@@ -162,7 +180,264 @@ def test_quota_fields_default_when_the_payload_lacks_them():
         "kind": "quota-exceeded", "type": "QuotaExceeded", "message": "m"}
 
 
+# -- the ok frame is a splice ------------------------------------------------
+
+def _ok_frame(req_id, result) -> bytes:
+    """The ok frame as one ``json.dumps`` of the whole object — what
+    ``encode_response`` was before it became a concatenation."""
+    return _frame({"v": PROTOCOL_VERSION, "id": req_id, "ok": True,
+                   "result": result})
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.floats(allow_nan=True, allow_infinity=True))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        # json.dumps sorts int keys as ints, then writes them as strings
+        st.dictionaries(st.integers(-50, 50), inner, max_size=4)),
+    max_leaves=12)
+_ids = st.one_of(st.none(), st.text(max_size=12),
+                 st.sampled_from(['"', 'a"b\\', "é-1", "shard-0-17", ""]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ids, _values)
+def test_spliced_frame_is_the_dumped_frame_and_peels_back(req_id, value):
+    frame = encode_response(req_id, value)
+    assert frame == _ok_frame(req_id, value)
+    body = peel_response(frame, req_id)
+    assert type(body) is Body
+    # peel . splice is the identity on the body's bytes, a peeled body
+    # splices straight back and parses to what the whole frame's result
+    # parses to (NaN != NaN, hence repr; int keys come back as strings
+    # in the *encoder's* order, hence no re-dump), and a served-again
+    # object encodes as itself
+    assert encode_response(req_id, body) == frame
+    assert repr(decode_body(body)) == repr(decode_frame(frame)["result"])
+    if isinstance(value, dict) \
+            and all(isinstance(k, str) for k in value):
+        hit = Hit(value)
+        assert encode_response(req_id, hit) == frame
+        assert encode_response(req_id, hit) == frame
+        assert hit.wire() == body
+
+
+@pytest.mark.parametrize("line", [
+    encode_error("s-1", BadRequest("no")),                  # error frame
+    encode_response("s-2", {"a": 1}),                       # another id
+    encode_response("s-1", {"a": 1}).replace(b'"v":1', b'"v":2'),
+    encode_response("s-1", {"a": 1, "b": 2}).replace(b",", b", ", 1),
+    b'{"ok":true,"id":"s-1","result":{"a":1},"v":1}\n',     # reordered
+    b'{"id":"s-1","ok":true,"result":{"a":"\xc3\xa9"},"v":1}\n',
+    encode_response("s-1", {"a": "xyz"}).replace(b"y", b"\x86"),
+    encode_response("s-1", {"a": 1})[:-1],                  # no newline
+], ids=["error", "wrong-id", "other-v", "space", "reordered", "utf8",
+        "flipped-byte", "unterminated"])
+def test_anything_but_the_exact_envelope_is_decode_frames(line):
+    assert peel_response(line, "s-1") is None
+
+
+def test_a_flipped_byte_in_a_body_is_still_a_protocol_error():
+    # the encoder writes ASCII only, so a byte flipped in flight (the
+    # chaos proxy XORs with 0xFF) cannot pass the peel; decode_frame
+    # then judges the line as it always has
+    frame = bytearray(encode_response("s-1", {"outputs": {"depth": 3}}))
+    frame[frame.index(b"depth") + 2] ^= 0xFF
+    assert peel_response(bytes(frame), "s-1") is None
+    with pytest.raises(ProtocolError, match="undecodable frame"):
+        decode_frame(bytes(frame))
+
+
+def test_an_oversized_splice_is_refused_like_an_oversized_dump():
+    from repro.service.protocol import MAX_FRAME_BYTES
+    with pytest.raises(ProtocolError, match="exceeds"):
+        encode_response("r", Body(b'"' + b"x" * MAX_FRAME_BYTES + b'"'))
+
+
+# -- an answer is encoded once -----------------------------------------------
+
+class _Counting:
+    """Wrap a ``json`` codec function; count the calls ``match`` picks."""
+
+    def __init__(self, fn, match):
+        self.fn, self.match, self.calls = fn, match, 0
+
+    def __call__(self, obj, *args, **kwargs):
+        if self.match(obj):
+            self.calls += 1
+        return self.fn(obj, *args, **kwargs)
+
+
+def _is_dyn_answer(obj) -> bool:
+    # the result itself, or (the parent's way) the frame around it
+    if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
+        obj = obj["result"]
+    return isinstance(obj, dict) and "outputs" in obj and "kernel" in obj
+
+
+def test_cached_dyn_query_hits_at_one_version_encode_their_body_once(
+        monkeypatch):
+    ask = dict(workload="BFS", dataset="ldbc", scale=0.03, root=0)
+    shard = ShardService("shard-0", None, pool_config=_inline())
+    with ServiceThread(shard) as st_, \
+            ServiceClient(st_.host, st_.port) as client:
+        assert client.request("dyn_query", **ask)["served"] == "recompute"
+        dumps = _Counting(json.dumps, _is_dyn_answer)
+        monkeypatch.setattr(json, "dumps", dumps)
+        hits = [client.request("dyn_query", **ask) for _ in range(20)]
+        assert dumps.calls == 1
+        assert all(h == hits[0] for h in hits)
+        assert hits[0]["served"] == "cache" \
+            and hits[0]["shard"] == "shard-0"
+        # a commit moves the store's token: the next answer is computed
+        # and the one after it is a new entry's first (and only) encode
+        client.mutate("ldbc", [{"op": "add_edge", "src": 0, "dst": 77}],
+                      scale=0.03)
+        after = [client.request("dyn_query", **ask) for _ in range(5)]
+        assert [a["served"] for a in after] \
+            == ["incremental"] + ["cache"] * 4
+        assert dumps.calls == 3
+        assert after[1]["version"] == hits[0]["version"] + 1
+
+
+def test_a_relayed_keyed_read_is_never_parsed_by_the_router(monkeypatch):
+    def shard_line(text) -> bool:
+        # a shard's response to the router: the id the link gave its
+        # request (``shard-N-seq``), answered (``ok`` comes next)
+        head = text[:40]
+        if not isinstance(head, str):
+            head = head.decode("latin-1")
+        return head.startswith('{"id":"shard-') and '","ok":' in head
+
+    ask = dict(workload="CComp", dataset="ldbc", scale=0.03)
+    with ClusterThread(ClusterSpec.of(2)) as ct, \
+            ServiceClient(port=ct.router_port) as client:
+        first = client.request("dyn_query", **ask)
+        loads = _Counting(json.loads, shard_line)
+        monkeypatch.setattr(json, "loads", loads)
+        again = [client.request("dyn_query", **ask) for _ in range(10)]
+        wrote = client.mutate("ldbc", [{"op": "add_vertex", "vid": 9001}],
+                              scale=0.03)
+        listed = client.workloads()
+        assert loads.calls == 0
+        # ... where it composes it still decodes: one line per shard
+        client.request("shard_info")
+        assert loads.calls == 2
+    assert again[0]["served"] == "cache" and again[0]["shard"] \
+        == first["shard"] == wrote["shard"]
+    assert {k: v for k, v in again[0].items() if k != "served"} \
+        == {k: v for k, v in first.items() if k != "served"}
+    assert listed == workloads_payload()
+
+
+_CHURN_SCALE = 0.03
+_CHURN_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("mutate"), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("dyn_query"), st.sampled_from(["BFS", "CComp"]),
+              st.sampled_from([0, 3])),
+    st.tuples(st.just("query"), st.sampled_from(
+        ["| cc | count", "| bfs root=0 depth<=3 | topk level 4",
+         "| topk degree 3"]), st.booleans())), min_size=4, max_size=14)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_CHURN_STEPS)
+def test_under_churn_every_answer_frames_as_a_fresh_encode(steps):
+    """Writes, maintained reads and DSL queries of the written graph,
+    interleaved on one shard: whatever object an engine hands back — a
+    computed answer or a cache's hit form, with or without a memo — its
+    frame is the fresh dump of its contents, so a memo never outlives a
+    change to the dict it was made from; and a hit says what the
+    computed answer said."""
+    ident = {"dataset": "ldbc", "scale": _CHURN_SCALE}
+    shard = ShardService("shard-0", None, pool_config=_inline())
+
+    async def go():
+        computed: dict = {}
+        for step in steps:
+            if step[0] == "mutate":
+                rng = random.Random(step[1])
+                params = dict(ident, ops=churn_ops(rng, 100, 3))
+            elif step[0] == "dyn_query":
+                params = dict(ident, workload=step[1], root=step[2])
+            else:
+                params = {"q": f"from ldbc scale={_CHURN_SCALE} "
+                               f"{'dynamic=true ' if step[2] else ''}"
+                               f"{step[1]}"}
+            result = await shard._dispatch(
+                Request(op=step[0], id="t", params=params))
+            assert result["shard"] == "shard-0"
+            assert encode_response("t", result) \
+                == _ok_frame("t", dict(result))
+            if step[0] == "mutate":
+                continue
+            # a hit follows its own computed answer with no commit in
+            # between (a commit moves the token), and differs from it
+            # only in how it says it was served
+            said = {k: v for k, v in result.items() if k not in (
+                "served", "plan_cached", "result_cached", "kernel")}
+            key = json.dumps(params, sort_keys=True)
+            if result["served"] in ("cache", "result-cache"):
+                assert type(result) is Hit
+                assert said == computed[key]
+            else:
+                computed[key] = said
+        await shard.stop()
+
+    asyncio.run(go())
+
+
+def test_a_shard_parses_a_query_text_once(monkeypatch):
+    # (the package re-exports the function under the module's name)
+    parse_module = importlib.import_module("repro.query.parse")
+    shard = ShardService("shard-0", None, pool_config=_inline())
+    q = "from ldbc scale=0.03 | topk degree 3"
+    with ServiceThread(shard) as st_, \
+            ServiceClient(st_.host, st_.port) as client:
+        client.query_lang(q)                # plans (and parses) cold
+        lexed = []
+        real = parse_module._lex
+        monkeypatch.setattr(parse_module, "_lex",
+                            lambda text: lexed.append(text) or real(text))
+        assert client.query_lang(q)["served"] == "result-cache"
+        assert client.explain(q)["plan_cached"] is True
+    assert lexed == [q, q]
+
+
 # -- every frame byte --------------------------------------------------------
+
+#: sha-256 of the recording before a shard stamped its own answers (the
+#: one made at the parent of the op/error tables, unmoved since).
+PREVIOUS_RECORDING = \
+    "d2f91625fee51c866e7549603a005ef8dd100e2fa69cc4aa21df0a3a01b5131f"
+
+
+def test_the_recording_moved_only_where_a_shard_names_itself():
+    # the router used to stamp ``shard`` on a keyed answer; the shard
+    # does now, so asked *directly* its keyed answers gain that one
+    # member — and nothing else moved: with it taken off again, the
+    # recording is byte for byte the previous one (every service-,
+    # router- and error-scene frame included)
+    lines, stamped = [], 0
+    for line in (ROOT / "tests/data/wire_transcript.jsonl").open():
+        row = json.loads(line)
+        if row["scene"] == "shard":
+            got = json.loads(row["got"])
+            keyed = OPS[json.loads(row["sent"])["op"]].key_in is not None
+            if keyed and got["ok"]:
+                assert got["result"].pop("shard") == "shard-0"
+                stamped += 1
+                row["got"] = json.dumps(got, sort_keys=True,
+                                        separators=(",", ":"))
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    assert stamped == 2
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() \
+        == PREVIOUS_RECORDING
+
 
 def test_transcript_is_byte_identical_to_the_recording():
     recorded = (ROOT / "tests/data/wire_transcript.jsonl").read_text()

@@ -6,9 +6,19 @@ standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
 ``tests/data/wire_transcript.jsonl`` holds the lines the *parent* of the
-PR that introduced the op/error tables produced; ``test_protocol.py``
-asserts a fresh recording is byte-identical, so a refactor of the wire
-vocabulary cannot move a byte of any request, response or error frame.
+PR that introduced the op/error tables produced, re-recorded once since:
+a shard now stamps ``"shard"`` on its own keyed answers (the router,
+which used to, relays them as bytes), so the two keyed ok answers of the
+shard scene gained that member and no other frame moved —
+``test_protocol.py`` holds the previous recording's digest and checks
+exactly that.  It also asserts a fresh recording is byte-identical, so a
+refactor of the wire vocabulary cannot move a byte of any request,
+response or error frame.
+
+A frame is recorded as its *parse*, dumped again with sorted keys: the
+member order inside a relayed body is the shard encoder's (also sorted
+keys — but integer keys sort as integers there and as strings once
+parsed), and the recording does not depend on it.
 
 Re-record (only when a frame is *meant* to change) with::
 
