@@ -242,8 +242,7 @@ def _build_service(args):
                                isolation=args.isolation,
                                timeout_s=args.timeout,
                                retries=args.retries),
-        scheduler_config=SchedulerConfig(max_pending=args.max_pending,
-                                         batch_window_s=args.batch_window),
+        scheduler_config=SchedulerConfig(max_pending=args.max_pending),
         caches=caches, chaos=chaos, governor=governor)
 
 
@@ -817,9 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-pending", type=int, default=64,
                         help="admission limit on queued+running "
                              "executions (default: 64)")
-        sp.add_argument("--batch-window", type=float, default=0.0,
-                        help="seconds to hold a fresh execution for "
-                             "duplicate pile-on (default: 0)")
         sp.add_argument("--chaos-rate", type=float, default=0.0,
                         help="deterministic worker fault-injection "
                              "probability (testing)")

@@ -797,89 +797,6 @@ class PropertyGraph:
             t.leave()
         return e.props[slot]
 
-    # -- prebound fast accessors ---------------------------------------------
-    # Loop kernels that stay per-element (DFS's stack order, GColor's round
-    # structure; SPath's loop oracle in tests/oracles.py, the one caller
-    # of eprop_reader) spend much of their time in the generic primitives
-    # re-resolving schema slots, byte offsets and attribute chains on
-    # every call.  These factories memoize all of that once and return
-    # closures that emit the *identical* event stream — same regions,
-    # instruction counts, stack rotation, and addresses — as the generic
-    # vget/vset/eget/find_vertex (asserted in
-    # tests/test_workloads_vectorized.py).  The closures snapshot the
-    # vertex index geometry, so they must not be used across
-    # add/delete-vertex calls (which can grow the index).
-
-    def vertex_finder(self):
-        """Prebound, trace-identical :meth:`find_vertex`."""
-        getv = self._v.get
-        ibase, icap, sbase = self._index_base, self._index_cap, self._stack_base
-        def find(vid: int) -> Vertex:
-            v = getv(vid)
-            t = self.t
-            if t is not None:
-                t.enter(T.R_FIND_VERTEX)
-                t.i(C_FIND_VERTEX)
-                sp = self._sp = (self._sp + 1) & 3
-                t.r(sbase + 64 * sp)
-                t.r(ibase + INDEX_ENTRY * (vid % icap))
-                t.br(T.B_FIND_HIT, v is not None)
-                if v is not None:
-                    t.r(v.addr + V_ID_OFF)
-                t.leave()
-            if v is None:
-                raise VertexNotFound(vid)
-            return v
-        return find
-
-    def prop_reader(self, name: str):
-        """Prebound, trace-identical :meth:`vget` for one property."""
-        slot = self.vschema.slot(name)
-        off = V_PROP_OFF + self.vschema.offset(name)
-        sbase = self._stack_base
-        def read(v: Vertex) -> Any:
-            t = self.t
-            if t is not None:
-                t.enter(T.R_PROP_GET)
-                t.i(C_PROP_GET)
-                sp = self._sp = (self._sp + 1) & 3
-                t.r(sbase + 64 * sp)
-                t.r(v.addr + off)
-                t.leave()
-            return v.props[slot]
-        return read
-
-    def prop_writer(self, name: str):
-        """Prebound, trace-identical :meth:`vset` for one property."""
-        slot = self.vschema.slot(name)
-        off = V_PROP_OFF + self.vschema.offset(name)
-        sbase = self._stack_base
-        def write(v: Vertex, value: Any) -> None:
-            v.props[slot] = value
-            t = self.t
-            if t is not None:
-                t.enter(T.R_PROP_SET)
-                t.i(C_PROP_SET)
-                sp = self._sp = (self._sp + 1) & 3
-                t.r(sbase + 64 * sp)
-                t.w(v.addr + off)
-                t.leave()
-        return write
-
-    def eprop_reader(self, name: str):
-        """Prebound, trace-identical :meth:`eget` for one edge property."""
-        slot = self.eschema.slot(name)
-        off = E_PROP_OFF + self.eschema.offset(name)
-        def read(e: EdgeNode) -> Any:
-            t = self.t
-            if t is not None:
-                t.enter(T.R_PROP_GET)
-                t.i(C_PROP_GET)
-                t.r(e.addr + off)
-                t.leave()
-            return e.props[slot]
-        return read
-
     # -- payload (rich-property) primitives --------------------------------------------
     def payload_set(self, v: Vertex, name: str, value: Any, nbytes: int) -> int:
         """Attach a rich out-of-struct payload (e.g. a CPT) to a vertex.

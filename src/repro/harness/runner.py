@@ -31,7 +31,7 @@ from ..gpu.runner import run_gpu_workload
 from ..obs.tracing import maybe_span
 from ..parallel.multicore import project_multicore
 from ..service.cache import LRUCache
-from ..workloads import WORKLOADS, build_bn_graph
+from ..workloads import GPU_WORKLOADS, WORKLOADS, build_bn_graph
 from ..workloads.base import (
     WorkloadResult,
     common_edge_schema,
@@ -44,14 +44,12 @@ from ..workloads.base import (
 DATA_SENSITIVE_WORKLOADS = ("BFS", "DFS", "SPath", "kCore", "CComp",
                             "TC", "DCentr")
 
-#: The 12 CPU-characterized workloads of Figs. 5-8 (DFS included; the
-#: paper's 12 CPU workloads).
-CPU_WORKLOADS = ("BFS", "DFS", "GCons", "GUp", "TMorph", "SPath", "kCore",
-                 "CComp", "GColor", "TC", "Gibbs", "DCentr", "BCentr")
+#: Every registered workload is CPU-characterized (Figs. 5-8): the
+#: paper's 12 plus DFS, 13 in registry order.
+CPU_WORKLOADS = tuple(WORKLOADS)
 
-#: GPU workload set (paper: 8 GPU workloads).
-GPU_WORKLOAD_SET = ("BFS", "SPath", "kCore", "CComp", "GColor", "TC",
-                    "DCentr", "BCentr")
+#: The workloads with a GPU kernel (paper: 8), in registry order.
+GPU_WORKLOAD_SET = GPU_WORKLOADS
 
 
 @dataclass

@@ -19,13 +19,13 @@ relational stages over one shared vertex table::
 * :mod:`~repro.query.engine` — the per-service facade: content-addressed
   plan cache (version-keyed, so dynamic-graph commits invalidate),
   graph/kernel caches, wire-param validation;
-* :mod:`~repro.query.dist` — per-shard subplan partitioning and the
-  scatter-gather merge (topk merge, count sum, component relabel);
+* :mod:`~repro.query.dist` — the scatter-gather merge of per-shard
+  partial tables (topk merge, count sum, id-ordered concat);
 * :mod:`~repro.query.templates` — the loadgen's query-template pool.
 """
 
 from .ast import Arg, Pipeline, Stage
-from .dist import merge_partials, partition_params
+from .dist import merge_partials
 from .engine import PLANNER_VERSION, QueryEngine
 from .parse import parse, unparse
 from .plan import PhysicalPlan, plan_pipeline, source_info
@@ -33,6 +33,6 @@ from .templates import query_template_pool
 
 __all__ = [
     "Arg", "PLANNER_VERSION", "PhysicalPlan", "Pipeline", "QueryEngine",
-    "Stage", "merge_partials", "parse", "partition_params",
-    "plan_pipeline", "query_template_pool", "source_info", "unparse",
+    "Stage", "merge_partials", "parse", "plan_pipeline",
+    "query_template_pool", "source_info", "unparse",
 ]

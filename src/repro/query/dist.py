@@ -1,4 +1,4 @@
-"""Distributed execution: subplan partitioning + scatter-gather merge.
+"""Distributed execution: the scatter-gather merge.
 
 The router fans a query out as ``N`` part-requests — the same DSL text
 plus ``part=[i, N]`` — and each shard answers with a *partial* table
@@ -14,9 +14,9 @@ answer:
   same hash, recomputed from the ids alone;
 * ``limit``  — partials ship their first ``k`` id-ascending rows; the
   merged, id-sorted union's first ``k`` equal the single-node answer;
-* component labels pass through a union-find relabel that is the
-  identity on canonical (min-id) labels but repairs any partial that
-  labeled a component by a non-minimal member.
+* component labels need no repair: every shard runs ``cc`` over the
+  whole graph and labels a component by its minimum id, so two shards
+  agree on every label.
 
 Partials may overlap when a failed part was reassigned to a surviving
 shard and the original answer arrived late — merge dedupes by vertex
@@ -30,56 +30,6 @@ from typing import Any
 from ..core.errors import QueryError
 from .exec import MAX_RESULT_ROWS, apply_table_op, run_table_phase
 from .plan import PhysicalPlan
-
-
-def partition_params(params: dict[str, Any], index: int,
-                     n_parts: int) -> dict[str, Any]:
-    """The shard-side params for partition ``index`` of ``n_parts``."""
-    if not (0 <= index < n_parts):
-        raise QueryError(f"partition {index} outside [0, {n_parts})")
-    out = dict(params)
-    out["part"] = [index, n_parts]
-    return out
-
-
-def relabel_components(table: dict[str, Any]) -> dict[str, Any]:
-    """Canonicalize ``comp`` labels across merged partials.
-
-    Union-find over ``(id, comp)`` pairs with min-root union: every
-    union class maps to its smallest member.  On canonical input (labels
-    already the component-wide min id) this is the identity — the label
-    is <= every visible id of its component — so single-node equivalence
-    is preserved; on drifted input it restores one label per component.
-    """
-    try:
-        ci = table["columns"].index("comp")
-    except ValueError:
-        return table
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:        # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        parent[hi] = lo
-
-    for row in table["rows"]:
-        union(row[0], row[ci])
-    rows = []
-    for row in table["rows"]:
-        new = list(row)
-        new[ci] = find(row[ci])
-        rows.append(new)
-    return {"columns": table["columns"], "rows": rows}
 
 
 def merge_partials(plan: PhysicalPlan,
@@ -126,8 +76,6 @@ def merge_partials(plan: PhysicalPlan,
         seen.add(r[0])
         rows.append(r)
     table = {"columns": columns, "rows": rows}
-    if "comp" in columns:
-        table = relabel_components(table)
     if first_op is not None:
         table = apply_table_op(table, first_op)        # final form
         table = run_table_phase(table, plan.table_ops[1:])

@@ -208,8 +208,6 @@ class PhysicalPlan:
     def merge_ops(self) -> list[str]:
         """The front-door merge recipe for distributed execution."""
         ops = ["concat"]
-        if "comp" in self.columns:
-            ops.append("relabel-components")
         if self.table_ops:
             first = self.table_ops[0]["kind"]
             ops.append("sum-counts" if first == "count"

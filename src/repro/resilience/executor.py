@@ -175,7 +175,8 @@ def run_cell_inline(cell: Cell, *, chaos: ChaosSpec | None = None,
 def run_cell_resilient(cell: Cell, *, config: ExecutorConfig,
                        chaos: ChaosSpec | None = None,
                        sleep=time.sleep,
-                       tracer=None) -> tuple[dict, int]:
+                       tracer=None,
+                       spec=None, memo: bool = True) -> tuple[dict, int]:
     """Run one cell under the full policy: isolation + timeout + retries.
 
     Returns ``(record, attempts)``; raises
@@ -183,13 +184,16 @@ def run_cell_resilient(cell: Cell, *, config: ExecutorConfig,
     With a ``tracer`` (or an installed global tracer) every attempt is a
     span — a failed attempt carries ``error=<exception type>`` — nesting
     under whatever span the caller (the matrix driver) holds open.
+    ``spec`` and ``memo`` reach :func:`run_cell_inline` only: a worker
+    subprocess builds its own dataset.
     """
     def one(attempt: int) -> dict:
         with maybe_span(tracer, f"attempt:{attempt}",
                         cell=cell.cell_id, attempt=attempt):
             if config.isolation == "inline":
                 return run_cell_inline(cell, chaos=chaos, attempt=attempt,
-                                       timeout_s=config.timeout_s)
+                                       timeout_s=config.timeout_s,
+                                       spec=spec, memo=memo)
             return run_cell_once(cell, timeout_s=config.timeout_s,
                                  chaos=chaos, attempt=attempt)
 

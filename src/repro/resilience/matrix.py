@@ -47,12 +47,6 @@ class CellFailure:
                    dataset=cell.dataset, kind=last.kind,
                    message=last.message, attempts=attempts)
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "CellFailure":
-        return cls(cell_id=rec["cell"], workload=rec["workload"],
-                   dataset=rec["dataset"], kind=rec["failure_kind"],
-                   message=rec["message"], attempts=rec["attempts"])
-
 
 @dataclass
 class MatrixResult:

@@ -32,7 +32,7 @@ from ..core.errors import (
     RemoteError,
     ServiceError,
 )
-from .cache import CacheStats, CacheTiers, LRUCache, dataset_key, row_key
+from .cache import CacheStats, CacheTiers, LRUCache, dataset_key
 from .client import DEFAULT_PORT, ServiceClient
 from .loadgen import (
     CONNECTION_FAILURE_KIND,
@@ -77,5 +77,5 @@ __all__ = [
     "cell_from_params", "dataset_key", "datasets_payload", "decode_frame",
     "encode_error", "encode_request", "encode_response",
     "error_to_payload", "parse_request", "payload_to_error", "percentile",
-    "row_key", "schedule", "workload_mix", "workloads_payload",
+    "schedule", "workload_mix", "workloads_payload",
 ]

@@ -201,19 +201,18 @@ def dataset_key(dataset: str, scale: float, seed: int) -> tuple:
     return ("dataset", dataset, float(scale), int(seed))
 
 
-def row_key(cell) -> str:
-    """Identity of a characterization row record — the cell id itself."""
-    return cell.cell_id
-
-
 @dataclass
 class CacheTiers:
     """The service's two result tiers behind one stats surface.
 
     Datasets are heavier to generate than to keep (an edge array), so the
     spec tier is small; row records are tiny JSON dicts, so the row tier
-    is wide.  Both share the TTL so a long-lived server re-validates its
-    world periodically.
+    is wide.  Both share one TTL, which bounds how long a tier answers
+    without a trip to the pool — not whether the answer is recomputed:
+    with the row tier on, an ``inline`` pool runs ``characterize`` with
+    its memo on, so an expired row re-executes into a memo hit; only a
+    ``process`` worker recomputes.  An expired row stays readable as the
+    degraded-serving fallback (:meth:`LRUCache.get_stale`).
     """
 
     datasets: LRUCache = field(default_factory=lambda: LRUCache(32))
@@ -229,10 +228,6 @@ class CacheTiers:
     def stats(self) -> dict[str, dict[str, float]]:
         return {"datasets": self.datasets.stats.as_dict(),
                 "rows": self.rows.stats.as_dict()}
-
-    def clear(self) -> None:
-        self.datasets.clear()
-        self.rows.clear()
 
     # -- observability -------------------------------------------------------
 

@@ -28,12 +28,8 @@ from ..core.errors import CellExecutionError
 from ..obs.logs import get_logger
 from ..resilience.cell import Cell
 from ..resilience.chaos import ChaosSpec
-from ..resilience.executor import (
-    ExecutorConfig,
-    run_cell_inline,
-    run_cell_resilient,
-)
-from ..resilience.retry import RetryPolicy, run_with_retries
+from ..resilience.executor import ExecutorConfig, run_cell_resilient
+from ..resilience.retry import RetryPolicy
 from .cache import CacheTiers, dataset_key
 
 log = get_logger("service.pool")
@@ -92,6 +88,10 @@ class WorkerPool:
                  caches: CacheTiers,
                  memoize: bool = True):
         self.config = config or PoolConfig()
+        self._executor = ExecutorConfig(
+            timeout_s=self.config.timeout_s,
+            policy=RetryPolicy(max_retries=self.config.retries),
+            isolation=self.config.isolation)
         self.chaos = chaos
         self.caches = caches
         self.memoize = memoize
@@ -167,36 +167,23 @@ class WorkerPool:
     def shutdown(self) -> None:
         self._tpe.shutdown(wait=True, cancel_futures=True)
 
-    # -- blocking paths (pool thread) ---------------------------------------
+    # -- blocking path (pool thread) ----------------------------------------
 
     def _run_sync(self, cell: Cell) -> dict:
+        """One resilient run.  Inline, the dataset comes through the spec
+        tier (a subprocess cannot share specs; a pool thread can), and
+        ``memoize=False`` makes the cell recompute."""
+        spec = None
         if self.config.isolation == "inline":
-            policy = RetryPolicy(max_retries=self.config.retries)
-            record, attempts = run_with_retries(
-                lambda attempt: self._run_inline(cell, attempt),
-                policy, cell.cell_id)
-            record["attempts"] = attempts
-            return record
-        config = ExecutorConfig(
-            timeout_s=self.config.timeout_s,
-            policy=RetryPolicy(max_retries=self.config.retries),
-            isolation="process")
-        record, _ = run_cell_resilient(cell, config=config,
-                                       chaos=self.chaos)
+            from ..datagen.registry import make as make_dataset
+
+            dkey = dataset_key(cell.dataset, cell.scale, cell.seed)
+            spec = self.caches.datasets.get(dkey)
+            if spec is None:
+                spec = make_dataset(cell.dataset, scale=cell.scale,
+                                    seed=cell.seed)
+                self.caches.datasets.put(dkey, spec)
+        record, _ = run_cell_resilient(cell, config=self._executor,
+                                       chaos=self.chaos, spec=spec,
+                                       memo=self.memoize)
         return record
-
-    def _run_inline(self, cell: Cell, attempt: int) -> dict:
-        """In-process attempt sharing the dataset spec tier: the dataset
-        comes through the cache (a subprocess cannot share specs; a pool
-        thread can), and ``memoize=False`` makes the cell recompute."""
-        from ..datagen.registry import make as make_dataset
-
-        dkey = dataset_key(cell.dataset, cell.scale, cell.seed)
-        spec = self.caches.datasets.get(dkey)
-        if spec is None:
-            spec = make_dataset(cell.dataset, scale=cell.scale,
-                                seed=cell.seed)
-            self.caches.datasets.put(dkey, spec)
-        return run_cell_inline(cell, chaos=self.chaos, attempt=attempt,
-                               timeout_s=self.config.timeout_s,
-                               spec=spec, memo=self.memoize)

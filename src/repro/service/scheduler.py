@@ -12,16 +12,14 @@ traffic-serving system:
 * **Micro-batching** — requests for an identical cell (same
   ``(workload, dataset, scale, seed, machine, gpu)`` identity) that
   arrive while one is queued or executing are *coalesced*: one execution
-  runs, every waiter gets the result.  An optional ``batch_window_s``
-  holds a fresh execution briefly so near-simultaneous duplicates can
-  pile on.
+  runs, every waiter gets the result.
 * **Row caching** — completed records land in the
   :class:`~repro.service.cache.CacheTiers` row tier; an identical later
   request is answered without touching the pool.  A capacity-0 tier is
   "cache off": every lookup misses and nothing is stored.
 
-Everything runs on the server's event loop; the only await points are the
-pool handoff and the batch window, so the bookkeeping needs no locks.
+Everything runs on the server's event loop; the only await point is the
+pool handoff, so the bookkeeping needs no locks.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from ..core.errors import (
 )
 from ..obs.logs import get_logger
 from ..resilience.cell import Cell
-from .cache import CacheTiers, row_key
+from .cache import CacheTiers
 from .pool import WorkerPool
 
 log = get_logger("service.scheduler")
@@ -48,14 +46,11 @@ class SchedulerConfig:
     """Knobs for admission, coalescing, and degraded serving."""
 
     max_pending: int = 64            # distinct executions queued+running
-    batch_window_s: float = 0.0      # hold before dispatch to collect dups
     stale_cap_s: float = 60.0        # hard staleness cap for degraded reads
 
     def __post_init__(self):
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.stale_cap_s <= 0:
             raise ValueError("stale_cap_s must be positive")
 
@@ -201,7 +196,7 @@ class Scheduler:
         identical by construction.
         """
         self.stats.submitted += 1
-        key = row_key(cell)
+        key = cell.cell_id
         if deadline is not None and time.time() >= deadline:
             self._shed(key, deadline, time.time())
         gov = self.governor
@@ -241,8 +236,8 @@ class Scheduler:
         task = asyncio.get_running_loop().create_task(
             self._execute(key, batch, rows))
         if gov is not None:
-            # the slot covers the whole execution (including the batch
-            # window), released exactly once when the task settles
+            # the slot covers the whole execution, released exactly once
+            # when the task settles
             task.add_done_callback(lambda _t: gov.release_slot())
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -262,8 +257,6 @@ class Scheduler:
                     served="stale")
 
     async def _execute(self, key: str, batch: _Batch, fill) -> None:
-        if self.config.batch_window_s > 0:
-            await asyncio.sleep(self.config.batch_window_s)
         now = time.time()
         if batch.expired(now):
             # every waiter's deadline lapsed while queued: shed the work

@@ -28,12 +28,6 @@ class DFS(Workload):
                **_: Any) -> dict[str, Any]:
         site_visited = t.register_branch_site()
         stack = TracedStack(g, t)
-        # prebound accessors: slot/offset/index resolution memoized once,
-        # per-element event stream unchanged
-        find = g.vertex_finder()
-        get_order = g.prop_reader("order")
-        set_order = g.prop_writer("order")
-        set_parent = g.prop_writer("parent")
         src = g.find_vertex(root)
         stack.push((src, root))
         order: dict[int, int] = {}
@@ -42,21 +36,21 @@ class DFS(Workload):
         while stack:
             v, par = stack.pop()
             t.i(3)
-            fresh = get_order(v) < 0
+            fresh = g.vget(v, "order") < 0
             t.br(site_visited, fresh)
             if not fresh:
                 continue
-            set_order(v, counter)
-            set_parent(v, par)
+            g.vset(v, "order", counter)
+            g.vset(v, "parent", par)
             order[v.vid] = counter
             parents[v.vid] = par
             counter += 1
             # push in reverse insertion order so traversal follows
             # first-edge-first, matching recursive DFS
             for dst, _node in reversed(list(g.neighbors(v))):
-                w = find(dst)
+                w = g.find_vertex(dst)
                 t.i(2)
-                if get_order(w) < 0:
+                if g.vget(w, "order") < 0:
                     stack.push((w, v.vid))
         return {"order": order, "parents": parents, "visited": counter}
 

@@ -33,13 +33,6 @@ class GColor(Workload):
         site_max = t.register_branch_site()
         rng = np.random.default_rng(seed)
         ids = sorted(g.vertex_ids())
-        # prebound accessors: slot/offset/index resolution memoized once,
-        # per-element event stream unchanged
-        find = g.vertex_finder()
-        get_rnd = g.prop_reader("rnd")
-        set_rnd = g.prop_writer("rnd")
-        get_color = g.prop_reader("color")
-        set_color = g.prop_writer("color")
         # undirected adjacency snapshot via primitives
         adj: dict[int, set[int]] = {vid: set() for vid in ids}
         for v in g.vertices():
@@ -55,20 +48,20 @@ class GColor(Workload):
             # draw priorities (one property write per uncolored vertex)
             prio: dict[int, float] = {}
             for vid in uncolored:
-                v = find(vid)
+                v = g.find_vertex(vid)
                 p = float(rng.random())
                 prio[vid] = p
-                set_rnd(v, p)
+                g.vset(v, "rnd", p)
             winners = []
             for vid in uncolored:
-                v = find(vid)
+                v = g.find_vertex(vid)
                 t.i(2)
                 is_max = True
                 for u in adj[vid]:
                     if u in uncolored:
-                        w = find(u)
+                        w = g.find_vertex(u)
                         t.i(3)
-                        get_rnd(w)
+                        g.vget(w, "rnd")
                         if (prio[u], u) > (prio[vid], vid):
                             is_max = False
                             break
@@ -76,19 +69,19 @@ class GColor(Workload):
                 if is_max:
                     winners.append(vid)
             for vid in winners:
-                v = find(vid)
+                v = g.find_vertex(vid)
                 used = set()
                 for u in adj[vid]:
-                    w = find(u)
+                    w = g.find_vertex(u)
                     t.i(2)
-                    c = get_color(w)
+                    c = g.vget(w, "color")
                     if c >= 0:
                         used.add(c)
                 c = 0
                 while c in used:
                     c += 1
                     t.i(1)
-                set_color(v, c)
+                g.vset(v, "color", c)
                 colors[vid] = c
                 uncolored.discard(vid)
         return {"colors": colors, "rounds": rounds,

@@ -413,12 +413,6 @@ def loop_spath(g, t, *, root=0, **_):
     """SPath: Dijkstra over a traced binary heap, one traced primitive
     per step."""
     site_relax = t.register_branch_site()
-    # prebound accessors: slot/offset/index resolution memoized once,
-    # per-element event stream unchanged
-    find = g.vertex_finder()
-    get_dist = g.prop_reader("dist")
-    set_dist = g.prop_writer("dist")
-    get_weight = g.eprop_reader("weight")
     src = g.find_vertex(root)
     g.vset(src, "dist", 0.0)
     heap = TracedHeap(g, t)
@@ -432,20 +426,20 @@ def loop_spath(g, t, *, root=0, **_):
         if vid in settled:
             continue
         settled.add(vid)
-        v = find(vid)
+        v = g.find_vertex(vid)
         for dst, node in g.neighbors(v):
-            weight = get_weight(node)
+            weight = g.eget(node, "weight")
             if weight < 0:
                 raise ValueError(
                     f"Dijkstra requires non-negative weights, "
                     f"edge ({vid}->{dst}) has {weight}")
-            w = find(dst)
+            w = g.find_vertex(dst)
             t.i(6)
             nd = d + weight
-            better = nd < get_dist(w)
+            better = nd < g.vget(w, "dist")
             t.br(site_relax, better)
             if better:
-                set_dist(w, nd)
+                g.vset(w, "dist", nd)
                 dists[dst] = nd
                 parents[dst] = vid
                 heap.push((nd, dst))

@@ -6,6 +6,7 @@ answer identical when a shard dies mid-topology."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from repro.cluster import ClusterSpec, ClusterThread
 from repro.core.errors import PlanError, QueryError, RemoteError
 from repro.datagen.registry import scaled_vertices
 from repro.dynamic import churn_ops
-from repro.query import query_template_pool
+from repro.query import QueryEngine, query_template_pool
 from repro.service import (
     GraphService,
     PoolConfig,
@@ -78,6 +79,35 @@ class TestDistributedEquivalence:
         # deterministic for a fixed plan-cache state
         again = router.explain(q)
         assert again == {**dist, "plan_cached": True}
+
+
+class TestComponentMerge:
+    """A ``comp`` column through the router's merge at three shards.  No
+    template carries one that far (``cc`` always meets ``count``); each
+    shard labels a component by its minimum id over the whole graph, so
+    the merged partials are the single-node table as they arrive.
+    ``ldbc`` is one component at this scale; ``roadnet`` has many, with
+    labels that differ from the row's own id."""
+
+    @pytest.fixture(scope="class")
+    def three_shards(self):
+        with _cluster(3) as ct:
+            with ServiceClient(port=ct.router_port) as client:
+                yield client
+
+    @pytest.mark.parametrize("dataset", ["ldbc", "roadnet"])
+    @pytest.mark.parametrize("tail", ["| cc | limit 20",
+                                      "| cc | topk comp 10"])
+    def test_component_table_matches_local_engine(self, tail, dataset,
+                                                  three_shards):
+        q = f"from {dataset} scale=0.05 seed=0 {tail}"
+        table = QueryEngine().query({"q": q})["table"]
+        local = json.loads(json.dumps(table))
+        dist = three_shards.query_lang(q)
+        assert dist["distributed"] is True and dist["parts"] == 3
+        assert dist["table"] == local
+        assert local["columns"] == ["id", "comp"]
+        assert len(local["rows"]) == (20 if "limit" in tail else 10)
 
 
 class TestDynamicRouting:

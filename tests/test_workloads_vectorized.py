@@ -16,12 +16,11 @@ Addresses are compared relative to each graph's arena base: every
 :class:`SimAllocator` claims a disjoint arena, so two identical builds
 differ by a constant aligned offset and nothing else.
 
-The prebound accessor closures (``vertex_finder``/``prop_reader``/
-``prop_writer``/``eprop_reader``) used by the DFS/GColor loop kernels and
-SPath's loop oracle carry the same bar: identical event stream to the generic
-primitives they memoize.
+DFS and GColor still trace call by call; their streams on two datasets
+are pinned by digest.
 """
 
+import hashlib
 from collections import Counter
 from itertools import cycle
 
@@ -34,6 +33,7 @@ from repro.bayes import munin_like
 from repro.core import graph as G
 from repro.core.trace import Tracer
 from repro.datagen import GraphSpec
+from repro.datagen.registry import make as make_dataset
 from repro.core.taxonomy import DataSource
 from repro.workloads import (
     WORKLOADS, build_bn_graph, common_edge_schema, common_vertex_schema,
@@ -360,42 +360,43 @@ def test_vectorized_kernels_follow_the_primitive_charges(monkeypatch, const):
     test_gibbs_trace_identical_fixed_shapes()
 
 
-# -- prebound accessor closures --------------------------------------------
+# -- the loop kernels left: DFS and GColor, pinned ---------------------------
 
-def _primitive_script(g, generic):
-    """Drive the same find/get/set/eget sequence through either the
-    generic primitives or the prebound closures."""
-    if generic:
-        find = g.find_vertex
-        get_level = lambda v: g.vget(v, "level")
-        set_level = lambda v, x: g.vset(v, "level", x)
-        eget_w = lambda e: g.eget(e, "weight")
-    else:
-        find = g.vertex_finder()
-        get_level = g.prop_reader("level")
-        set_level = g.prop_writer("level")
-        eget_w = g.eprop_reader("weight")
-    total = 0.0
-    for vid in sorted(g.vertex_ids()):
-        v = find(vid)
-        set_level(v, vid * 2)
-        total += get_level(v)
-        for _dst, node in g.neighbors(v):
-            total += eget_w(node)
-    return total
+#: sha256 of each frozen trace (addresses relative to the arena base, every
+#: ``TRACE_FIELDS`` column, the instruction/access totals and the region
+#: table) of a characterization cell's run at scale 0.05, seed 0.
+LOOP_TRACE_PINS = {
+    ("DFS", "roadnet"):
+        "7c8d80e94bb97e8681efb1b7841c241792d7590e8873ae1ad2350aa079c5c325",
+    ("DFS", "ldbc"):
+        "dbf1a2a3011aaf52ff56c442d1769740eb340da9905d77b4397c06a0b825b2ac",
+    ("GColor", "roadnet"):
+        "2594f9bfc5bf05c65bdb70f1a32077253a5e5d5b19284070b087f27e7a7f3533",
+    ("GColor", "ldbc"):
+        "0a56cabbf403ce2bd389e502281d95acf08e96d892086b0bc98848b4446f13cf",
+}
 
 
-@given(random_spec(max_n=20, max_m=50))
-@settings(max_examples=25, deadline=None)
-def test_prebound_accessors_trace_identical(spec):
-    g1 = _build(spec)
-    t1 = Tracer()
-    g1.attach_tracer(t1)
-    r1 = _primitive_script(g1, generic=True)
-    g2 = _build(spec)
-    t2 = Tracer()
-    g2.attach_tracer(t2)
-    r2 = _primitive_script(g2, generic=False)
-    assert r1 == r2
-    f1, f2 = t1.freeze(), t2.freeze()
-    _assert_traces_identical(f2, g2.alloc.base, f1, g1.alloc.base)
+def _trace_digest(trace, base):
+    h = hashlib.sha256((trace.addrs - np.uint64(base)).tobytes())
+    for f in TRACE_FIELDS:
+        h.update(getattr(trace, f).tobytes())
+    h.update(repr((trace.n_instrs, trace.fw_instrs, trace.n_accesses,
+                   trace.fw_accesses,
+                   sorted((r, v.name, v.code_bytes, v.framework)
+                          for r, v in trace.regions.items()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,dataset", sorted(LOOP_TRACE_PINS))
+def test_loop_kernel_trace_pinned(name, dataset):
+    """DFS and GColor trace call by call through the generic primitives;
+    their event streams are pinned to a digest so a change to a primitive
+    or to either kernel cannot move them unseen.  DFS starts where a
+    characterization cell does, at the highest-out-degree vertex."""
+    spec = make_dataset(dataset, scale=0.05, seed=0)
+    params = ({"root": int(np.argmax(spec.out_degrees()))} if name == "DFS"
+              else {"seed": 0})
+    trace, _out, base, _state = _run_traced(WORKLOADS[name], spec, _build,
+                                            **params)
+    assert _trace_digest(trace, base) == LOOP_TRACE_PINS[name, dataset]
