@@ -104,7 +104,6 @@ from ..resilience.retry import RetryPolicy
 from ..service.cache import LRUCache
 from ..service.protocol import (
     CELL_OPS,
-    MAX_FRAME_BYTES,
     OPS,
     PROTOCOL_VERSION,
     Body,
@@ -117,7 +116,7 @@ from ..service.protocol import (
     peel_response,
     routing_key,
 )
-from ..service.server import FrameServer
+from ..service.server import FrameProtocol, FrameServer
 from .replica import BREAKER_OPEN, ReplicaTracker, RetryBudget
 from .ring import DEFAULT_VNODES, HashRing
 
@@ -219,35 +218,35 @@ class _ShardLink:
 
     Checkout pops an idle connection or dials a fresh one; check-in
     returns it unless the pool is full.  Any failure closes the
-    connection — a poisoned stream never goes back in the pool.
+    connection — a poisoned one never goes back in the pool.
     """
 
     def __init__(self, addr: ShardAddress):
         self.addr = addr
-        self._idle: list[tuple[asyncio.StreamReader,
-                               asyncio.StreamWriter]] = []
+        self._idle: list[FrameProtocol] = []
         self._seq = 0
 
-    async def _checkout(self):
+    async def _checkout(self) -> FrameProtocol:
         while self._idle:
-            reader, writer = self._idle.pop()
-            if writer.is_closing():
-                writer.close()
-                continue
-            return reader, writer
-        return await asyncio.open_connection(
-            self.addr.host, self.addr.port, limit=MAX_FRAME_BYTES)
+            conn = self._idle.pop()
+            if not conn.transport.is_closing():
+                return conn
+            conn.transport.close()
+        _, conn = await asyncio.get_running_loop().create_connection(
+            FrameProtocol, self.addr.host, self.addr.port)
+        return conn
 
-    def _checkin(self, reader, writer) -> None:
-        if len(self._idle) < POOL_PER_SHARD and not writer.is_closing():
-            self._idle.append((reader, writer))
+    def _checkin(self, conn: FrameProtocol) -> None:
+        if len(self._idle) < POOL_PER_SHARD \
+                and not conn.transport.is_closing():
+            self._idle.append(conn)
         else:
-            writer.close()
+            conn.transport.close()
 
     async def call(self, op: str, params: dict[str, Any],
                    timeout_s: float, deadline: float | None = None,
-                   tenant: str | None = None,
-                   relay: bool = False) -> dict:
+                   tenant: str | None = None, relay: bool = False,
+                   stop: asyncio.Future | None = None) -> dict:
         """One request/response exchange under one timer; returns the
         decoded frame.  For a caller that will ``relay`` the answer
         untouched, an ok frame is not parsed: its ``result`` is the
@@ -259,61 +258,61 @@ class _ShardLink:
         downstream frame so the shard's scheduler can shed expired work
         and charge the right quota.  Raises ``OSError``/
         ``ProtocolError``/``asyncio.TimeoutError`` on transport trouble
-        — the router's failover boundary.
+        — the router's failover boundary.  Once ``stop`` (if given) is
+        done, an answer still awaited is abandoned: the wait ends in
+        ``CancelledError``.
 
-        The timer cancels the *calling* task and the cancellation is
-        turned into the timeout here — what ``asyncio.timeout`` does on
-        Python 3.11+, spelled out so that no supported Python pays
-        ``wait_for``'s extra task per exchange.
+        The exchange is one pending future, the connection's
+        :meth:`~FrameProtocol.frame`, and the timer fails it with the
+        timeout.  While a fresh connection is still being dialled there
+        is no future yet, so a timer firing then cancels the dial and
+        the cancellation becomes the timeout.
         """
+        loop = asyncio.get_running_loop()
         task = asyncio.current_task()
-        expired = False
+        answer: asyncio.Future | None = None
+        dial_expired = False
 
         def expire() -> None:
-            nonlocal expired
-            expired = True
-            task.cancel()
+            nonlocal dial_expired
+            if answer is None:
+                dial_expired = True
+                task.cancel()
+            elif not answer.done():
+                answer.set_exception(asyncio.TimeoutError())
 
-        timer = asyncio.get_running_loop().call_later(timeout_s, expire)
+        timer = loop.call_later(timeout_s, expire)
+        conn = None
         try:
-            return await self._roundtrip(op, params, deadline, tenant,
-                                         relay)
-        except asyncio.CancelledError:
-            if not expired:
-                raise                    # cancelled from outside
-            raise asyncio.TimeoutError from None
-        finally:
-            timer.cancel()
-
-    async def _roundtrip(self, op: str, params: dict[str, Any],
-                         deadline: float | None, tenant: str | None,
-                         relay: bool) -> dict:
-        reader, writer = await self._checkout()
-        try:
+            conn = await self._checkout()
             self._seq += 1
             req_id = f"{self.addr.name}-{self._seq}"
-            writer.write(encode_request(op, req_id, params,
-                                        deadline=deadline, tenant=tenant))
-            await writer.drain()
-            line = await reader.readline()
+            conn.transport.write(encode_request(
+                op, req_id, params, deadline=deadline, tenant=tenant))
+            answer = conn.frame()
+            if stop is not None:
+                stop.add_done_callback(lambda _: answer.cancel())
+            line = await answer
             if not line:
                 raise ProtocolError(
                     f"shard {self.addr.name} closed the connection")
-            if not line.endswith(b"\n"):
-                raise ProtocolError(
-                    f"truncated frame from shard {self.addr.name}")
             body = peel_response(line, req_id) if relay else None
             frame = decode_frame(line) if body is None \
                 else {"ok": True, "result": body}
-        except BaseException:
-            writer.close()
+        except BaseException as e:
+            if conn is not None:
+                conn.transport.close()
+            if dial_expired and isinstance(e, asyncio.CancelledError):
+                raise asyncio.TimeoutError from None
             raise
-        self._checkin(reader, writer)
+        finally:
+            timer.cancel()
+        self._checkin(conn)
         return frame
 
     def close(self) -> None:
-        for _, writer in self._idle:
-            writer.close()
+        for conn in self._idle:
+            conn.transport.close()
         self._idle.clear()
 
 
@@ -557,11 +556,13 @@ class Router(FrameServer):
                         credit: str = "traffic",
                         deadline: float | None = None,
                         tenant: str | None = None,
-                        relay: bool = False) -> _Answer:
+                        relay: bool = False,
+                        stop: asyncio.Future | None = None) -> _Answer:
         """Call ``shard`` under ``timeout_s`` and classify what came
         back — the only place that does.  With ``relay`` an ok answer's
         ``result`` is the shard's own bytes (a :class:`Body`), for a
-        caller that forwards it untouched.
+        caller that forwards it untouched; once ``stop`` is done, the
+        exchange is abandoned (``CancelledError``, no verdict).
 
         A transport failure (a timeout included) is charged to the
         shard's health and counted ``unreachable``; any answer credits
@@ -573,7 +574,7 @@ class Router(FrameServer):
         try:
             frame = await self._links[shard].call(
                 op, params, timeout_s, deadline=deadline, tenant=tenant,
-                relay=relay)
+                relay=relay, stop=stop)
         except _TRANSPORT_ERRORS as e:
             reason = _failure_reason(e)
             self.tracker[shard].record_failure(reason)
@@ -696,68 +697,72 @@ class Router(FrameServer):
                        span_args: dict) -> "_Answer | None":
         """One attempt at ``primary``; None when nothing answered.
 
-        With a ``hedge_delay``: once the attempt has been in flight that
-        long without answering, spend a retry-budget token and dial the
-        next admitted replica concurrently.  First answer wins; the
-        loser is cancelled (its trial slot released, its connection
-        closed by the link's failure path, never pooled).
-
-        Each dial is exactly one task: the attempt timeout is the
-        link's own timer inside :meth:`_exchange`, so the wait here
-        carries only the hedge delay — hedged or not, the same lines.
+        The attempt is one future, ``won``, which the first dial to
+        answer resolves; a dial still waiting then abandons its exchange
+        (its trial slot released, its connection closed by the link's
+        failure path, never pooled).  The primary is dialed in the
+        calling task.  With a ``hedge_delay``, a timer fires once the
+        attempt has been in flight that long without answering: it
+        spends a retry-budget token and launches the next admitted
+        replica's dial, the one task an attempt can create.  Hedged or
+        not, the same lines run; the attempt timeout is the link's own
+        timer inside :meth:`_exchange`.
         """
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
+        won = loop.create_future()
+        hedges: list[asyncio.Task] = []
 
-        def dial(shard: str, timeout_s: float, outcome: str):
-            return loop.create_task(self._exchange(
-                shard, req.op, req.params, timeout_s, key,
-                outcome=outcome, deadline=req.deadline,
-                tenant=req.tenant, relay=True))
-
-        tasks: dict[asyncio.Task, str] = {
-            dial(primary, timeout,
-                 "ok" if len(tried) == 1 else "failover"): primary}
-        hedge_armed = hedge_delay is not None
-        winner: _Answer | None = None
-        try:
-            while tasks and winner is None:
-                done, _ = await asyncio.wait(
-                    tasks, timeout=hedge_delay if hedge_armed else None,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:
-                    # only the hedge timer ends a wait empty-handed
-                    hedge_armed = False
-                    backup = self._hedge_backup(pending)
-                    # no backup or no token: ride out the first attempt
-                    if backup is not None:
-                        self._m_hedge.labels(outcome="launched").inc()
-                        span_args["hedged"] = backup
-                        pending.remove(backup)
-                        tried.append(backup)
-                        tasks[dial(backup, self._attempt_timeout(
-                            req.remaining(), 1 + len(pending)),
-                            "hedge")] = backup
-                    continue
-                for task in done:
-                    shard = tasks.pop(task)
-                    answer = task.result()
-                    if answer.outcome == "unreachable":
-                        continue
-                    self._note_latency(time.perf_counter() - t0)
-                    if shard != primary:
-                        self._m_hedge.labels(outcome="won").inc()
-                    elif "hedged" in span_args:
-                        self._m_hedge.labels(outcome="lost").inc()
-                    winner = answer
-                    break
-        finally:
-            # cancel whatever is still in flight (the hedge loser, or
-            # everything when this request itself is cancelled) and
-            # release its trial slot
-            for task, shard in tasks.items():
-                task.cancel()
+        async def dial(shard: str, timeout_s: float, outcome: str) -> None:
+            try:
+                answer = await self._exchange(
+                    shard, req.op, req.params, timeout_s, key,
+                    outcome=outcome, deadline=req.deadline,
+                    tenant=req.tenant, relay=True, stop=won)
+            except asyncio.CancelledError:
                 self.tracker[shard].record_abandoned()
+                raise
+            if answer.outcome != "unreachable" and not won.done():
+                won.set_result(answer)
+
+        def hedge() -> None:
+            backup = self._hedge_backup(pending)
+            # no backup or no token: ride out the first attempt
+            if backup is not None:
+                self._m_hedge.labels(outcome="launched").inc()
+                span_args["hedged"] = backup
+                pending.remove(backup)
+                tried.append(backup)
+                hedges.append(loop.create_task(dial(
+                    backup, self._attempt_timeout(req.remaining(),
+                                                  1 + len(pending)),
+                    "hedge")))
+
+        timer = loop.call_later(hedge_delay, hedge) \
+            if hedge_delay is not None else None
+        try:
+            try:
+                await dial(primary, timeout,
+                           "ok" if len(tried) == 1 else "failover")
+            except asyncio.CancelledError:
+                if not won.done():
+                    raise                        # cancelled from outside
+            if hedges and not won.done():
+                await hedges[0]        # the primary failed; the hedge flies
+        finally:
+            if timer is not None:
+                timer.cancel()
+            for task in hedges:
+                # a loser still dialling, or this request was cancelled
+                task.cancel()
+        if not won.done():
+            return None
+        winner = won.result()
+        self._note_latency(time.perf_counter() - t0)
+        if winner.shard != primary:
+            self._m_hedge.labels(outcome="won").inc()
+        elif "hedged" in span_args:
+            self._m_hedge.labels(outcome="lost").inc()
         return winner
 
     def _hedge_backup(self, pending: Sequence[str]) -> str | None:

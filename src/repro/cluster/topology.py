@@ -255,6 +255,7 @@ class ShardProcess:
         line = self.proc.stdout.readline()
         if not line:
             self.proc.wait(timeout=10)
+            self.proc.stdout.close()
             raise RuntimeError(
                 f"shard {name} exited before announcing readiness "
                 f"(rc={self.proc.returncode})")
@@ -265,6 +266,7 @@ class ShardProcess:
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
     def stop(self) -> None:
         if self.proc.poll() is None:
@@ -274,6 +276,7 @@ class ShardProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait(timeout=10)
+        self.proc.stdout.close()
 
 
 class ClusterProcesses:

@@ -173,7 +173,8 @@ class ChaosProxy:
             self._accept_thread.join(timeout=5)
 
     def __enter__(self) -> "ChaosProxy":
-        self.start()
+        if self._listener is None:       # not already started by hand
+            self.start()
         return self
 
     def __exit__(self, *exc) -> None:

@@ -92,12 +92,120 @@ def cell_from_params(params: dict[str, Any]) -> Cell:
                 with_gpu=bool(params.get("gpu", False)))
 
 
+class FrameProtocol(asyncio.Protocol):
+    """One end of a hop: the JSON-lines transport a :class:`FrameServer`
+    serves each connection with and the cluster router pools toward
+    each shard.
+
+    It owns the connection's one byte buffer, split on ``\\n``.  A
+    reader awaits one pending future at a time, :meth:`frame`; an
+    exchange's timer may fail that future, and the connection is then
+    closed by whoever owns it.  Reading pauses while more than
+    ``MAX_FRAME_BYTES`` is buffered and resumes as frames are taken;
+    :meth:`drain` waits out the transport's ``pause_writing``.  EOF
+    leaves the connection half-open, so a last error frame still goes
+    out.  ``serve`` (a server's) is started as the connection's task
+    once it is made.
+    """
+
+    def __init__(self, serve=None):
+        self._serve = serve
+        self.transport: asyncio.Transport | None = None
+        self._buf = bytearray()
+        self._waiter: asyncio.Future | None = None
+        self._eof = False
+        self._error: BaseException | None = None
+        self._paused = False
+        self._writable: asyncio.Future | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if self._serve is not None:
+            asyncio.get_running_loop().create_task(self._serve(self))
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        if len(self._buf) > MAX_FRAME_BYTES and not self._paused:
+            self._paused = True
+            self.transport.pause_reading()
+        self._wake()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._eof = True
+        self._error = exc
+        self._wake()
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None:
+            self._writable.set_result(None)
+            self._writable = None
+
+    def _take(self) -> bytes | None:
+        """The next whole frame off the buffer, ``b""`` at a clean EOF,
+        None until one of those has arrived; raises ``ProtocolError``
+        on an oversize or truncated frame, and the connection's error
+        once it is lost."""
+        buf = self._buf
+        nl = buf.find(b"\n")
+        if nl > MAX_FRAME_BYTES or nl < 0 and len(buf) > MAX_FRAME_BYTES:
+            raise ProtocolError("frame exceeds size limit")
+        if nl >= 0:
+            line = bytes(buf[:nl + 1])
+            del buf[:nl + 1]
+            if self._paused and len(buf) <= MAX_FRAME_BYTES:
+                self._paused = False
+                self.transport.resume_reading()
+            return line
+        if self._error is not None:
+            raise self._error
+        if not self._eof:
+            return None
+        if buf:
+            raise ProtocolError("truncated frame at EOF")
+        return b""
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            return
+        try:
+            line = self._take()
+        except Exception as e:  # noqa: BLE001 — the reader's to raise
+            self._waiter = None
+            waiter.set_exception(e)
+            return
+        if line is not None:
+            self._waiter = None
+            waiter.set_result(line)
+
+    def frame(self) -> asyncio.Future:
+        """A future of the next frame: one ``\\n``-ended line, or
+        ``b""`` once the peer has closed cleanly between frames."""
+        self._waiter = waiter = asyncio.get_running_loop().create_future()
+        self._wake()
+        return waiter
+
+    async def drain(self) -> None:
+        if self._writable is not None:
+            await self._writable
+
+
 class FrameServer:
     """The one front door: a JSON-lines TCP server.
 
     Owns the listen/stop lifecycle, the connection-task set, the frame
-    loop (read a line, check size and truncation, parse, dispatch,
-    answer — every failure a typed error frame on that connection only)
+    loop over each connection's :class:`FrameProtocol` (take a frame,
+    parse, dispatch, answer — every failure, an oversize or truncated
+    frame included, a typed error frame on that connection only)
     and the front-door metric families ``<prefix>_errors_total``,
     ``<prefix>_request_latency_ms``, ``<prefix>_bytes_{received,sent}_
     total`` and ``<prefix>_connections_{total,active}``.  A subclass
@@ -160,8 +268,8 @@ class FrameServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind and listen; returns the bound port (``port=0`` picks one)."""
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=MAX_FRAME_BYTES)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: FrameProtocol(self._handle), host, port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         return self.port
@@ -175,17 +283,18 @@ class FrameServer:
         """Stop listening and end every open connection."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
+        if self._server is not None:
+            # after the connections: from 3.12 this waits for them too
+            await self._server.wait_closed()
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
+    async def _handle(self, conn: FrameProtocol) -> None:
         self.connections += 1
         self._m_conn.inc()
         self._m_conn_active.inc()
@@ -201,30 +310,22 @@ class FrameServer:
 
         def send(data: bytes) -> None:
             nonlocal tx
-            writer.write(data)
+            conn.transport.write(data)
             tx += len(data)
-
-        def reject(message: str) -> None:
-            self._m_err.labels(op="_frame",
-                               kind=ProtocolError.kind).inc()
-            send(encode_error(None, ProtocolError(message)))
 
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    reject("frame exceeds size limit")
-                    await writer.drain()
+                    line = await conn.frame()
+                except ProtocolError as e:
+                    # oversize, or EOF mid-frame: the peer died mid-write
+                    self._m_err.labels(op="_frame", kind=e.kind).inc()
+                    send(encode_error(None, e))
+                    await conn.drain()
                     break
                 if not line:
                     break                      # clean EOF between frames
                 rx += len(line)
-                if not line.endswith(b"\n"):
-                    # EOF mid-frame: the peer died mid-write
-                    reject("truncated frame at EOF")
-                    await writer.drain()
-                    break
                 req_id: str | None = None
                 op = "_frame"                  # until the frame parses
                 t0 = time.perf_counter()
@@ -245,23 +346,15 @@ class FrameServer:
                 finally:
                     self._op_latency(op).observe(
                         (time.perf_counter() - t0) * 1e3)
-                await writer.drain()
+                await conn.drain()
         except ConnectionError:
             pass                               # peer vanished mid-response
-        except asyncio.CancelledError:
-            # server shutdown cancels idle handlers; end the task cleanly
-            # (3.11's stream callback logs tasks that die cancelled)
-            pass
         finally:
             self._m_rx.inc(rx)
             self._m_tx.inc(tx)
             self._m_conn_active.dec()
             log.debug("connection closed")
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass       # teardown path: the close already happened
+            conn.transport.close()
 
 
 class GraphService(FrameServer):

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.cluster import ClusterSpec, ClusterThread, Router, ShardAddress
+from repro.cluster.ring import HashRing
 from repro.core.errors import (
     DeadlineExceeded,
     ProtocolError,
@@ -28,7 +29,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
-from repro.service.protocol import Body
+from repro.service.protocol import MAX_FRAME_BYTES, Body
 from repro.service.server import FrameServer
 
 
@@ -321,3 +322,44 @@ class TestCorruptionOnTheRouterShardLink:
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert out == {"outputs": {"n_components": 7}}
+
+    def test_an_oversize_answer_is_a_transport_failure_that_fails_over(self):
+        # a primary whose answer overruns the frame limit is refused on
+        # the link like a flipped byte: charged once, counted
+        # unreachable, and the backup answers
+        primary, backup = HashRing(["shard-0", "shard-1"]).owners(KEY, 2)
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                for _ in stream:
+                    try:
+                        conn.sendall(b'"' + b"x" * (MAX_FRAME_BYTES + 8)
+                                     + b'"\n')
+                    except OSError:
+                        return          # the router hung up mid-answer
+
+        class Answering(FrameServer):
+            async def _dispatch(self, req):
+                return {"outputs": {"n_components": 7}, "shard": backup}
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with listener, ServiceThread(Answering("answering")) as good:
+            router = Router([
+                ShardAddress(primary, *listener.getsockname()[:2]),
+                ShardAddress(backup, good.host, good.port)], replication=2)
+            with ServiceThread(router) as front:
+                with ServiceClient(front.host, front.port,
+                                   timeout_s=30.0) as client:
+                    out = client.request("dyn_query", **ASK)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert out == {"outputs": {"n_components": 7}, "shard": backup}
+        assert router.tracker.snapshot()[primary]["failures"] == 1
+        routes = router.registry.snapshot()["cluster_route_total"]
+        assert {(s["labels"]["shard"], s["labels"]["outcome"]): s["value"]
+                for s in routes["samples"]} == {
+            (primary, "unreachable"): 1, (backup, "failover"): 1}
+        assert not router._links[primary]._idle       # never pooled

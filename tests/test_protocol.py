@@ -423,7 +423,8 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
     # recording is byte for byte the previous one (every service-,
     # router- and error-scene frame included)
     lines, stamped = [], 0
-    for line in (ROOT / "tests/data/wire_transcript.jsonl").open():
+    recording = (ROOT / "tests/data/wire_transcript.jsonl").read_text()
+    for line in recording.splitlines(keepends=True):
         row = json.loads(line)
         if row["scene"] == "shard":
             got = json.loads(row["got"])

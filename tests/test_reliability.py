@@ -658,11 +658,15 @@ def _count(router, family: str, **labels) -> float:
 
 
 class _TaskLog:
-    """Every task the router's loop creates from here on."""
+    """Every task the router's loop creates from here on, and every
+    shard exchange it makes, in whichever task that runs."""
 
     def __init__(self, cluster):
         self.tasks: list[asyncio.Task] = []
+        self.calls: list[asyncio.Future] = []
+        router = cluster.router
         loop = cluster.router_thread._loop
+        real = router._exchange
         installed = threading.Event()
 
         def factory(loop, coro, **kw):
@@ -670,22 +674,34 @@ class _TaskLog:
             self.tasks.append(task)
             return task
 
+        async def exchange(*args, **kwargs):
+            # settled: cancelled when the exchange was abandoned
+            settled = asyncio.get_running_loop().create_future()
+            self.calls.append(settled)
+            try:
+                return await real(*args, **kwargs)
+            except asyncio.CancelledError:
+                settled.cancel()
+                raise
+            finally:
+                if not settled.done():
+                    settled.set_result(None)
+
         def install():
             loop.set_task_factory(factory)
+            router._exchange = exchange
             installed.set()
 
         loop.call_soon_threadsafe(install)
         assert installed.wait(5.0)
 
-    def exchanges(self) -> list[asyncio.Task]:
-        """The shard-exchange tasks, once they have all settled."""
-        mine = [t for t in self.tasks
-                if t.get_coro().__qualname__ == "Router._exchange"]
+    def exchanges(self) -> list[asyncio.Future]:
+        """The shard exchanges, once they have all settled."""
         deadline = time.monotonic() + 5.0
-        while not all(t.done() for t in mine) \
+        while not all(c.done() for c in self.calls) \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        return mine
+        return list(self.calls)
 
 
 class TestHedgedReadsLive:
@@ -824,7 +840,7 @@ class TestHedgedReadsLive:
             assert states[primary]["state"] == BREAKER_CLOSED
 
 
-# -- one task per dial, one charge per timeout, one prober that waits on nobody
+# -- no task unhedged, one charge per timeout, one prober that waits on nobody
 
 def _wait_until(predicate, timeout_s: float = 10.0) -> None:
     deadline = time.monotonic() + timeout_s
@@ -834,19 +850,19 @@ def _wait_until(predicate, timeout_s: float = 10.0) -> None:
 
 
 class TestOneWaitPerAttempt:
-    def test_unhedged_keyed_read_creates_one_task(self):
+    def test_unhedged_keyed_read_creates_no_task(self):
         with _boot() as cluster:
             with ServiceClient(cluster.router_thread.host,
                                cluster.router_port,
                                timeout_s=30.0) as client:
                 _hedged_run(client)               # connection handler up
                 log = _TaskLog(cluster)
-                for n in (1, 2, 3):
+                for _ in range(3):
                     _hedged_run(client)
-                    assert len(log.tasks) == n    # the dial, nothing else
+                    assert log.tasks == []        # dialed in the caller
             assert len(log.exchanges()) == 3
 
-    def test_hedged_attempt_creates_two(self):
+    def test_hedged_attempt_creates_one_task_the_backup(self):
         with _hedge_boot() as cluster:
             primary, backup = cluster.router.ring.owners(HEDGE_KEY, 2)
             with ServiceClient(cluster.router_thread.host,
@@ -857,7 +873,9 @@ class TestOneWaitPerAttempt:
                 cluster.set_shard_faults(primary,
                                          NetFaultSpec(latency_ms=400.0))
                 assert _hedged_run(client)["shard"] == backup
-            assert len(log.tasks) == len(log.exchanges()) == 2
+            assert len(log.exchanges()) == 2
+            (task,) = log.tasks
+            assert task.done() and not task.cancelled()   # the winner
 
     def test_timed_out_attempt_is_charged_exactly_once(self):
         spec = ClusterSpec.of(2, replication=2, datasets=DATASETS)
@@ -884,11 +902,13 @@ class TestOneWaitPerAttempt:
                 tap.emit = records.append
                 router_log = logging.getLogger("repro.cluster.router")
                 router_log.addHandler(tap)
+                log = _TaskLog(cluster)
                 try:
                     out = _hedged_run(client)
                 finally:
                     router_log.removeHandler(tap)
             assert out["shard"] == backup
+            assert log.tasks == []                # timer failed a future
             assert _count(router, "cluster_route_total", shard=primary,
                           outcome="unreachable") == 1
             assert _count(router, "cluster_route_total", shard=backup,
