@@ -63,7 +63,6 @@ from repro.service import (
     LoadGenerator,
     PoolConfig,
     Query,
-    SchedulerConfig,
     ServiceClient,
     ServiceThread,
     workload_mix,
@@ -139,7 +138,7 @@ def _isolation_arm(name: str, include_noisy: bool,
                    governed: bool) -> dict[str, Any]:
     service = GraphService(
         pool_config=PoolConfig(size=2, isolation="inline"),
-        scheduler_config=SchedulerConfig(max_pending=256),
+        max_pending=256,
         caches=CacheTiers.build(row_capacity=ROW_CAPACITY),
         governor=_governor() if governed else None)
     plan = _isolation_plan(include_noisy)

@@ -217,16 +217,10 @@ def cmd_matrix(args) -> int:
 def _build_service(args):
     """Construct a GraphService from serve/loadgen-style args."""
     from .resilience import ChaosSpec
-    from .service import (
-        CacheTiers,
-        GraphService,
-        PoolConfig,
-        SchedulerConfig,
-    )
+    from .service import CacheTiers, GraphService, PoolConfig
     caches = (CacheTiers.build(dataset_capacity=0, row_capacity=0)
               if args.no_cache
-              else CacheTiers.build(row_capacity=args.cache_size,
-                                    ttl_s=args.cache_ttl))
+              else CacheTiers.build(row_capacity=args.cache_size))
     chaos = (ChaosSpec(p_fault=args.chaos_rate, seed=args.chaos_seed,
                        kinds=("crash", "oom"))
              if args.chaos_rate > 0 else None)
@@ -242,7 +236,7 @@ def _build_service(args):
                                isolation=args.isolation,
                                timeout_s=args.timeout,
                                retries=args.retries),
-        scheduler_config=SchedulerConfig(max_pending=args.max_pending),
+        max_pending=args.max_pending,
         caches=caches, chaos=chaos, governor=governor)
 
 
@@ -808,9 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 0 — clients decide)")
         sp.add_argument("--cache-size", type=int, default=1024,
                         help="row-cache capacity (default: 1024)")
-        sp.add_argument("--cache-ttl", type=float, default=None,
-                        help="row-cache TTL in seconds (default: no "
-                             "expiry)")
         sp.add_argument("--no-cache", action="store_true",
                         help="run both result cache tiers at capacity 0")
         sp.add_argument("--max-pending", type=int, default=64,

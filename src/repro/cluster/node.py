@@ -42,6 +42,7 @@ from ..service.protocol import (
     PROTOCOL_VERSION,
     Op,
     Request,
+    finite,
 )
 from ..service.server import GraphService
 
@@ -105,10 +106,11 @@ class ShardService(GraphService):
             if isinstance(fwd, dict) \
                     and "host" in fwd and "port" in fwd:
                 try:
-                    window_s = float(params.get("window_s", 5.0))
+                    window_s = finite(float(params.get("window_s", 5.0)),
+                                      "window_s")
                     target = (str(fwd["host"]), int(fwd["port"]),
                               time.time() + window_s)
-                except (TypeError, ValueError) as e:
+                except (TypeError, ValueError, OverflowError) as e:
                     raise BadRequest(f"bad forward spec: {e}") from None
                 self._forwards[dataset] = target
             return {"shard": self.shard_id, "dropped": dataset,

@@ -882,10 +882,9 @@ class Router(FrameServer):
     def _remember(self, req: Request, body: Any) -> None:
         # a relayed answer is kept as the bytes it came in and parsed
         # only if ever served (one that had to be decoded is served, not
-        # kept).  An object's, and not one already degraded upstream: in
-        # compact sorted JSON an unescaped ``"degraded":true`` is a key
-        if type(body) is Body and body.startswith(b"{") \
-                and b'"degraded":true' not in body:
+        # kept), and only an object's.  No shard answers ``degraded``:
+        # _serve_stale is the one place that does
+        if type(body) is Body and body.startswith(b"{"):
             self._stale.put(self._stale_key(req), body)
 
     def _serve_stale(self, req: Request, cause: Exception,
@@ -1076,8 +1075,10 @@ class Router(FrameServer):
                 if op not in CELL_OPS:
                     raise BadRequest(f"batch entries must be "
                                      f"{'/'.join(CELL_OPS)}, got {op!r}")
-                sub = Request(op=op, id=req.id,
-                              params=entry.get("params") or {},
+                params = entry.get("params", {})
+                if not isinstance(params, dict):
+                    raise BadRequest("batch entry params must be an object")
+                sub = Request(op=op, id=req.id, params=params,
                               deadline=req.deadline, tenant=req.tenant)
                 result = await self._keyed_read(sub, {})
                 return {"ok": True, "result": decode_body(result)

@@ -9,7 +9,7 @@ journal uses:
 * :mod:`~repro.service.protocol` — versioned request/response framing
   with typed error payloads (the :mod:`repro.core.errors` taxonomy on
   the wire)
-* :mod:`~repro.service.cache` — bounded LRU+TTL tiers for generated
+* :mod:`~repro.service.cache` — bounded LRU tiers for generated
   datasets and characterization rows (also the batch harness's memo)
 * :mod:`~repro.service.pool` — bounded worker pool over the resilient
   subprocess executor: a hung or crashed worker fails its own request
@@ -57,7 +57,7 @@ from .protocol import (
     parse_request,
     payload_to_error,
 )
-from .scheduler import Scheduler, SchedulerConfig, SchedulerStats
+from .scheduler import Scheduler, SchedulerStats
 from .server import (
     GraphService,
     ServiceThread,
@@ -72,7 +72,7 @@ __all__ = [
     "DEFAULT_PORT", "GraphService", "LRUCache", "LoadGenerator",
     "LoadReport", "MAX_FRAME_BYTES", "OPS", "PROTOCOL_VERSION",
     "PoolConfig", "PoolStats", "ProtocolError", "Query", "RemoteError",
-    "Request", "Scheduler", "SchedulerConfig", "SchedulerStats",
+    "Request", "Scheduler", "SchedulerStats",
     "ServiceClient", "ServiceError", "ServiceThread", "WorkerPool",
     "cell_from_params", "dataset_key", "datasets_payload", "decode_frame",
     "encode_error", "encode_request", "encode_response",

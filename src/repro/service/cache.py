@@ -1,18 +1,19 @@
-"""Bounded LRU+TTL caching — the service's result tiers and the batch
+"""Bounded LRU caching — the service's result tiers and the batch
 harness's characterization memo, one implementation.
 
 A :class:`LRUCache` is a thread-safe bounded mapping with least-recently-
-used eviction and an optional per-entry time-to-live.  The clock is
-injectable so eviction order and expiry are unit-testable without
-sleeping.  :class:`CacheTiers` bundles the service's two tiers — generated
-:class:`~repro.datagen.spec.GraphSpec` datasets and characterization row
-records — behind one stats surface.
+used eviction.  The clock is injectable so a degraded read's disclosed
+age is unit-testable without sleeping.  :class:`CacheTiers` bundles the
+service's two tiers — generated :class:`~repro.datagen.spec.GraphSpec`
+datasets and characterization row records — behind one stats surface.
 
 Keys follow the PR-1 memo discipline: a row's identity is
 ``(workload, dataset, scale, seed, machine, gpu)`` — exactly a
 :class:`~repro.resilience.cell.Cell`'s ``cell_id`` — and a dataset's is
 ``(dataset, scale, seed)``; two requests that differ in any identity
-component never collide.
+component never collide.  Those identities are the whole input of what
+they name, so an entry can be evicted but never goes stale: nothing
+expires.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ class CacheStats:
     misses: int = 0
     inserts: int = 0
     evictions: int = 0          # capacity pressure
-    expirations: int = 0        # TTL lapses
-    stale_serves: int = 0       # degraded reads of expired entries
+    stale_serves: int = 0       # degraded reads (get_stale)
     invalidations: int = 0      # version-mismatch misses (stale snapshot)
 
     @property
@@ -44,51 +44,40 @@ class CacheStats:
     def as_dict(self) -> dict[str, float]:
         return {"hits": self.hits, "misses": self.misses,
                 "inserts": self.inserts, "evictions": self.evictions,
-                "expirations": self.expirations,
                 "stale_serves": self.stale_serves,
                 "invalidations": self.invalidations,
                 "hit_rate": round(self.hit_rate, 6)}
 
 
 class _Entry:
-    """One cache slot: the value plus the timing the TTL and the
-    serve-stale-on-error path both read."""
+    """One cache slot: the value, its snapshot version and the insertion
+    instant a degraded read's age is measured from."""
 
-    __slots__ = ("value", "deadline", "inserted_at", "expiry_counted",
-                 "version")
+    __slots__ = ("value", "inserted_at", "version")
 
-    def __init__(self, value: Any, deadline: float | None,
-                 inserted_at: float, version: Hashable | None = None):
+    def __init__(self, value: Any, inserted_at: float,
+                 version: Hashable | None = None):
         self.value = value
-        self.deadline = deadline            # TTL lapse instant (or None)
         self.inserted_at = inserted_at      # staleness-age anchor
-        self.expiry_counted = False         # expiration counted once
         self.version = version              # snapshot token (or None)
 
 
 class LRUCache:
-    """Bounded LRU mapping with optional TTL and stale retention.
+    """Bounded LRU mapping with stale reads.
 
     ``capacity=0`` disables storage entirely (every ``get`` misses) —
     "cache off" is the same object with a different knob, not a different
-    code path.  ``ttl_s=None`` means entries never expire.
-
-    Expired entries are *retained* (present-but-expired) until capacity
-    pressure evicts them or a fresh ``put`` overwrites them: a normal
-    ``get`` treats them exactly as absent (miss + one-time expiration
-    count), but :meth:`get_stale` can still read them — the substrate of
-    degraded serving, where an out-of-date answer with an explicit
-    staleness age beats an error while the backend is down.
+    code path.  An entry lives until evicted, overwritten or discarded;
+    :meth:`get_stale` reads it with its age whatever its version — the
+    substrate of degraded serving, where an out-of-date answer with an
+    explicit staleness age beats an error while the backend is down.
     """
 
-    def __init__(self, capacity: int = 128, ttl_s: float | None = None,
+    def __init__(self, capacity: int = 128,
                  clock: Callable[[], float] = time.monotonic):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be positive (or None)")
         self.capacity = capacity
-        self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.RLock()
         self._data: dict[Hashable, _Entry] = {}
@@ -99,14 +88,9 @@ class LRUCache:
             return len(self._data)
 
     def __contains__(self, key: Hashable) -> bool:
-        """Non-promoting, non-counting presence check (expiry-aware)."""
+        """Non-promoting, non-counting presence check."""
         with self._lock:
-            entry = self._data.get(key)
-            return entry is not None and not self._expired(entry)
-
-    def _expired(self, entry: _Entry) -> bool:
-        return entry.deadline is not None \
-            and self._clock() >= entry.deadline
+            return key in self._data
 
     def get(self, key: Hashable, default: Any = None, *,
             version: Hashable | None = None) -> Any:
@@ -118,14 +102,6 @@ class LRUCache:
         with self._lock:
             entry = self._data.get(key)
             if entry is None:
-                self.stats.misses += 1
-                return default
-            if self._expired(entry):
-                # retained (not promoted) for get_stale: capacity
-                # pressure still reclaims it in LRU order
-                if not entry.expiry_counted:
-                    entry.expiry_counted = True
-                    self.stats.expirations += 1
                 self.stats.misses += 1
                 return default
             if version is not None and entry.version != version:
@@ -142,7 +118,8 @@ class LRUCache:
     def get_stale(self, key: Hashable,
                   max_age_s: float | None = None
                   ) -> tuple[Any, float] | None:
-        """Degraded read: ``(value, age_s)`` regardless of expiry.
+        """Degraded read: ``(value, age_s)`` of the entry, whatever its
+        version.
 
         ``age_s`` is seconds since the entry was inserted — the
         staleness the caller must disclose.  ``max_age_s`` is the hard
@@ -166,11 +143,10 @@ class LRUCache:
         if self.capacity == 0:
             return
         now = self._clock()
-        deadline = now + self.ttl_s if self.ttl_s is not None else None
         with self._lock:
             if key in self._data:
                 del self._data[key]
-            self._data[key] = _Entry(value, deadline, now, version)
+            self._data[key] = _Entry(value, now, version)
             self.stats.inserts += 1
             while len(self._data) > self.capacity:
                 lru = next(iter(self._data))
@@ -183,9 +159,7 @@ class LRUCache:
             self._data.pop(key, None)
 
     def keys(self) -> list[Hashable]:
-        """Current keys, LRU first (expired entries included until
-        evicted or overwritten — they remain readable via
-        :meth:`get_stale`)."""
+        """Current keys, LRU first."""
         with self._lock:
             return list(self._data)
 
@@ -207,23 +181,18 @@ class CacheTiers:
 
     Datasets are heavier to generate than to keep (an edge array), so the
     spec tier is small; row records are tiny JSON dicts, so the row tier
-    is wide.  Both share one TTL, which bounds how long a tier answers
-    without a trip to the pool — not whether the answer is recomputed:
-    with the row tier on, an ``inline`` pool runs ``characterize`` with
-    its memo on, so an expired row re-executes into a memo hit; only a
-    ``process`` worker recomputes.  An expired row stays readable as the
-    degraded-serving fallback (:meth:`LRUCache.get_stale`).
+    is wide.  A row answers until capacity pressure evicts it: its key is
+    the cell's whole identity, so its counters cannot change under it.
     """
 
     datasets: LRUCache = field(default_factory=lambda: LRUCache(32))
     rows: LRUCache = field(default_factory=lambda: LRUCache(1024))
 
     @classmethod
-    def build(cls, *, dataset_capacity: int = 32, row_capacity: int = 1024,
-              ttl_s: float | None = None,
-              clock: Callable[[], float] = time.monotonic) -> "CacheTiers":
-        return cls(datasets=LRUCache(dataset_capacity, ttl_s, clock),
-                   rows=LRUCache(row_capacity, ttl_s, clock))
+    def build(cls, *, dataset_capacity: int = 32,
+              row_capacity: int = 1024) -> "CacheTiers":
+        return cls(datasets=LRUCache(dataset_capacity),
+                   rows=LRUCache(row_capacity))
 
     def stats(self) -> dict[str, dict[str, float]]:
         return {"datasets": self.datasets.stats.as_dict(),
@@ -257,8 +226,7 @@ class CacheTiers:
         return {
             "cache_events_total": {
                 "type": "counter",
-                "help": "cache tier lifecycle events "
-                        "(hits/misses/inserts/evictions/expirations)",
+                "help": "cache tier lifecycle events, by CacheStats field",
                 "samples": events},
             "cache_entries": {
                 "type": "gauge",

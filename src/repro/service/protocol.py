@@ -27,6 +27,7 @@ forwarding hop can take off and put back without parsing
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -198,6 +199,16 @@ def registered_dataset(params: dict[str, Any]) -> str:
     return dataset
 
 
+def finite(number: float, what: str,
+           error: type[ServiceError] = BadRequest) -> float:
+    """The one rule for a number read off the wire: it is finite.  The
+    decoder reads NaN and infinities; NaN fails every comparison and an
+    infinity passes every lower bound, so a range check admits both."""
+    if not math.isfinite(number):
+        raise error(f"{what} must be finite, got {number!r}")
+    return number
+
+
 def identity(params: dict[str, Any],
              default_scale: float) -> tuple[str, float, int]:
     """The ``(dataset, scale, seed)`` a request names — the identity of
@@ -207,9 +218,9 @@ def identity(params: dict[str, Any],
     try:
         scale = float(params.get("scale", default_scale))
         seed = int(params.get("seed", 0))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise BadRequest(f"bad parameter value: {e}") from None
-    if not scale > 0:
+    if not finite(scale, "scale") > 0:
         raise BadRequest(f"scale must be > 0, got {scale!r}")
     return dataset, scale, seed
 
@@ -412,7 +423,7 @@ def parse_request(frame: dict[str, Any]) -> Request:
                 or isinstance(deadline, bool):
             raise ProtocolError(f"deadline is {type(deadline).__name__}, "
                                 "expected epoch seconds")
-        deadline = float(deadline)
+        deadline = finite(float(deadline), "deadline", ProtocolError)
     tenant = frame.get("tenant")
     if tenant is not None:
         if not isinstance(tenant, str) or not tenant:

@@ -18,6 +18,10 @@ traffic-serving system:
   request is answered without touching the pool.  A capacity-0 tier is
   "cache off": every lookup misses and nothing is stored.
 
+A failed execution is an error to every waiter: a present row is served
+before any execution starts, so there is no older one to fall back on.
+Only the router's last-good cache answers ``degraded``.
+
 Everything runs on the server's event loop; the only await point is the
 pool handoff, so the bookkeeping needs no locks.
 """
@@ -28,31 +32,13 @@ import asyncio
 import time
 from dataclasses import dataclass
 
-from ..core.errors import (
-    AdmissionRejected,
-    CellExecutionError,
-    DeadlineExceeded,
-)
+from ..core.errors import AdmissionRejected, DeadlineExceeded
 from ..obs.logs import get_logger
 from ..resilience.cell import Cell
 from .cache import CacheTiers
 from .pool import WorkerPool
 
 log = get_logger("service.scheduler")
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Knobs for admission, coalescing, and degraded serving."""
-
-    max_pending: int = 64            # distinct executions queued+running
-    stale_cap_s: float = 60.0        # hard staleness cap for degraded reads
-
-    def __post_init__(self):
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if self.stale_cap_s <= 0:
-            raise ValueError("stale_cap_s must be positive")
 
 
 @dataclass
@@ -66,14 +52,12 @@ class SchedulerStats:
     rejected: int = 0                # shed by admission control
     failed: int = 0                  # executions that raised
     shed_expired: int = 0            # deadline lapsed before execution
-    degraded: int = 0                # stale rows served on failure
 
     def as_dict(self) -> dict[str, int]:
         return {"submitted": self.submitted, "cache_hits": self.cache_hits,
                 "coalesced": self.coalesced, "executed": self.executed,
                 "rejected": self.rejected, "failed": self.failed,
-                "shed_expired": self.shed_expired,
-                "degraded": self.degraded}
+                "shed_expired": self.shed_expired}
 
 
 class _Batch:
@@ -120,12 +104,14 @@ class _Batch:
 class Scheduler:
     """Admission-controlled, coalescing dispatcher over a worker pool."""
 
-    def __init__(self, pool: WorkerPool, caches: CacheTiers,
-                 config: SchedulerConfig | None = None, *,
-                 governor=None):
+    def __init__(self, pool: WorkerPool, caches: CacheTiers, *,
+                 max_pending: int = 64, governor=None):
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         self.pool = pool
         self.caches = caches
-        self.config = config or SchedulerConfig()
+        #: distinct executions queued or running before admission refuses
+        self.max_pending = max_pending
         self.stats = SchedulerStats()
         #: optional :class:`~repro.tenancy.qos.TenantGovernor`; when
         #: absent, submit() follows the single-tenant path unchanged
@@ -179,7 +165,7 @@ class Scheduler:
         """Resolve one request: cache tier, coalesce, or execute.
 
         Returns the flat row record (annotated with ``served``:
-        ``cache`` / ``coalesced`` / ``executed`` / ``stale``); raises the
+        ``cache`` / ``coalesced`` / ``executed``); raises the
         typed execution error if the cell's execution failed,
         :class:`AdmissionRejected` when the server is saturated, or
         :class:`DeadlineExceeded` when ``deadline`` (absolute epoch
@@ -215,15 +201,14 @@ class Scheduler:
         if key in self._inflight:
             self.stats.coalesced += 1
             record = await self._inflight[key].join(deadline)
-            if not record.get("degraded"):
-                record["served"] = "coalesced"
+            record["served"] = "coalesced"
             return record
-        if self._pending >= self.config.max_pending:
+        if self._pending >= self.max_pending:
             self.stats.rejected += 1
             log.warning("admission rejected %s (%d/%d pending)",
-                        key, self._pending, self.config.max_pending,
+                        key, self._pending, self.max_pending,
                         extra={"cell": key, "pending": self._pending})
-            raise AdmissionRejected(self._pending, self.config.max_pending)
+            raise AdmissionRejected(self._pending, self.max_pending)
         if gov is not None:
             await gov.acquire_slot(tname)
             if deadline is not None and time.time() >= deadline:
@@ -242,19 +227,8 @@ class Scheduler:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         record = await fut
-        if not record.get("degraded"):
-            record["served"] = "executed"
+        record["served"] = "executed"
         return record
-
-    def _stale_record(self, key: str, rows) -> dict | None:
-        """Degraded fallback: an expired-but-present row within the
-        staleness cap, marked so the client knows what it got."""
-        stale = rows.get_stale(key, self.config.stale_cap_s)
-        if stale is None:
-            return None
-        record, age = stale
-        return dict(record, degraded=True, staleness_s=round(age, 3),
-                    served="stale")
 
     async def _execute(self, key: str, batch: _Batch, fill) -> None:
         now = time.time()
@@ -279,22 +253,8 @@ class Scheduler:
             log.warning("execution failed for %s: %s", key, e,
                         extra={"cell": key,
                                "kind": getattr(e, "kind", "internal")})
-            stale = None
-            if isinstance(e, CellExecutionError):
-                # degraded serving: a stale answer with a disclosed age
-                # beats an error while the backend is failing — but only
-                # for *execution* failures, never for sheds or cancels
-                stale = self._stale_record(key, fill)
-            if stale is not None:
-                self.stats.degraded += 1
-                log.info("served stale row for %s (age %.3fs)", key,
-                         stale["staleness_s"],
-                         extra={"cell": key,
-                                "staleness_s": stale["staleness_s"]})
-                batch.resolve(stale)
-                return
             batch.fail(e)
-            if not isinstance(e, (CellExecutionError, Exception)):
+            if not isinstance(e, Exception):
                 raise          # CancelledError etc.: propagate after fanning
             return
         self.stats.executed += 1

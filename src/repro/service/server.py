@@ -48,7 +48,7 @@ from .protocol import (
     identity,
     parse_request,
 )
-from .scheduler import Scheduler, SchedulerConfig
+from .scheduler import Scheduler
 
 log = get_logger("service.server")
 
@@ -362,7 +362,7 @@ class GraphService(FrameServer):
     :class:`FrameServer` front door."""
 
     def __init__(self, *, pool_config: PoolConfig | None = None,
-                 scheduler_config: SchedulerConfig | None = None,
+                 max_pending: int = 64,
                  caches: CacheTiers | None = None,
                  chaos: ChaosSpec | None = None,
                  registry: MetricsRegistry | None = None,
@@ -370,7 +370,6 @@ class GraphService(FrameServer):
         from ..dynamic import OP_KINDS, DynamicEngine
         from ..query import QueryEngine
         super().__init__("service", registry)
-        self.scheduler_config = scheduler_config or SchedulerConfig()
         self.caches = caches if caches is not None else CacheTiers.build()
         self.dynamic = DynamicEngine()
         self.query_engine = QueryEngine(self.dynamic)
@@ -383,7 +382,7 @@ class GraphService(FrameServer):
         # the single-tenant one unchanged
         self.governor = governor
         self.scheduler = Scheduler(self.pool, self.caches,
-                                   self.scheduler_config,
+                                   max_pending=max_pending,
                                    governor=governor)
         reg = self.registry
         # every request observes exactly one latency sample, so the
@@ -480,18 +479,12 @@ class GraphService(FrameServer):
         # the same execution as characterize; less of the record goes
         # back over the wire
         record = await self._characterize(req)
-        out = {"workload": record["workload"],
-               "dataset": record["dataset"],
-               "outputs": record.get("outputs", {}),
-               "elapsed_s": record.get("elapsed_s"),
-               "served": record.get("served"),
-               "attempts": record.get("attempts")}
-        if record.get("degraded"):
-            # the degraded-response field contract: degraded=true
-            # always travels with the staleness age
-            out["degraded"] = True
-            out["staleness_s"] = record.get("staleness_s")
-        return out
+        return {"workload": record["workload"],
+                "dataset": record["dataset"],
+                "outputs": record.get("outputs", {}),
+                "elapsed_s": record.get("elapsed_s"),
+                "served": record.get("served"),
+                "attempts": record.get("attempts")}
 
     def stats(self) -> dict[str, Any]:
         cache = self.caches.stats()

@@ -13,6 +13,7 @@ import asyncio
 import hashlib
 import importlib
 import json
+import math
 import pathlib
 import random
 import re
@@ -48,6 +49,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_error,
     encode_response,
+    parse_request,
     peel_response,
 )
 from tests import wire_transcript
@@ -133,6 +135,53 @@ def test_param_check_names_the_allowed_set():
     with pytest.raises(BadRequest, match="'ping' takes none"):
         check_params(OPS["ping"], {"x": 1})
     check_params(OPS["add_edge"], {"dataset": "ldbc", "src": 1, "dst": 2})
+
+
+# -- numbers from the wire are finite ----------------------------------------
+# ``json.loads`` reads NaN, Infinity and -Infinity.  NaN fails every
+# comparison and an infinity passes every lower bound, so a range check
+# alone lets both through.
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity")
+
+
+@pytest.mark.parametrize("number", NON_FINITE)
+def test_a_non_finite_deadline_is_a_protocol_error(number):
+    # a NaN deadline is never expired(), so no layer would ever shed it
+    line = ('{"v":1,"id":"x","op":"ping","deadline":%s}\n' % number).encode()
+    with pytest.raises(ProtocolError, match="deadline must be finite"):
+        parse_request(decode_frame(line))
+
+
+def _drop(window_s):
+    return {"action": "drop", "dataset": "ldbc", "window_s": window_s,
+            "forward": {"host": "127.0.0.1", "port": 1}}
+
+
+@pytest.mark.parametrize("op, params", [
+    ("run", {"workload": "BFS", "scale": math.inf}),
+    ("run", {"workload": "BFS", "seed": math.inf}),
+    ("dyn_query", {"workload": "BFS", "dataset": "ldbc", "scale": math.inf}),
+    ("admin", _drop(math.nan)),
+    ("admin", _drop(math.inf)),
+], ids=["run-scale", "run-seed", "dyn_query-scale", "admin-window-nan",
+        "admin-window-inf"])
+def test_a_non_finite_param_is_a_bad_request(op, params):
+    node = ShardService("shard-0", None, pool_config=_inline())
+    with pytest.raises(BadRequest):
+        _ask(node, op, params)
+    assert not node._forwards                     # no endless handoff
+
+
+def test_a_batch_entry_with_non_object_params_is_an_in_band_bad_request():
+    router = Router([ShardAddress("shard-0", "127.0.0.1", 1)])
+    out = _ask(router, "batch", {"entries": [
+        {"op": "run", "params": [1]}, {"params": "BFS"}]})
+    assert out["failed"] == 2
+    for entry in out["results"]:
+        assert entry["error"]["kind"] == "bad-request", entry
+        assert entry["error"]["message"] == \
+            "batch entry params must be an object"
 
 
 # -- the error table ---------------------------------------------------------

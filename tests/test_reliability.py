@@ -36,7 +36,6 @@ from repro.cluster import (
     ShardHealth,
 )
 from repro.core.errors import (
-    CellCrash,
     CircuitOpen,
     DeadlineExceeded,
     ProtocolError,
@@ -48,7 +47,6 @@ from repro.service import (
     CacheTiers,
     LRUCache,
     Scheduler,
-    SchedulerConfig,
     ServiceClient,
     decode_frame,
     encode_error,
@@ -388,20 +386,17 @@ class TestDeadlineProtocol:
             assert back.kind == err.kind
 
 
-# -- scheduler: shedding + degraded serving ----------------------------------
+# -- scheduler: shedding ------------------------------------------------------
 
-class _FailingPool:
-    """Pool stand-in that can be flipped into always-crash mode."""
+class _CountingPool:
+    """Pool stand-in that counts executions."""
 
     def __init__(self):
         self.calls = 0
-        self.failing = False
 
     async def run_record(self, cell):
         self.calls += 1
         await asyncio.sleep(0)
-        if self.failing:
-            raise CellCrash(cell.cell_id, "induced worker death")
         return {"kind": "row", "cell": cell.cell_id,
                 "workload": cell.workload, "dataset": cell.dataset,
                 "ctype": "CompStruct", "outputs": {}}
@@ -415,7 +410,7 @@ def _cell(seed=0):
 class TestSchedulerReliability:
     def test_expired_deadline_is_shed_before_execution(self):
         async def main():
-            pool = _FailingPool()
+            pool = _CountingPool()
             sched = Scheduler(pool,
                               CacheTiers.build(dataset_capacity=0,
                                                row_capacity=0))
@@ -428,48 +423,11 @@ class TestSchedulerReliability:
         assert stats.shed_expired == 1
         assert err.kind == "deadline-exceeded"
 
-    def test_execution_failure_serves_stale_with_disclosed_age(self):
-        async def main():
-            pool = _FailingPool()
-            sched = Scheduler(pool, CacheTiers.build())
-            fresh = await sched.submit(_cell())
-            # make the cached row *expired* so only the stale path has it
-            sched.caches.rows.ttl_s = 1e-9
-            for entry in sched.caches.rows._data.values():
-                entry.deadline = 0.0
-            pool.failing = True
-            degraded = await sched.submit(_cell())
-            return fresh, degraded, sched.stats
-
-        fresh, degraded, stats = asyncio.run(main())
-        assert fresh["served"] == "executed"
-        assert degraded["degraded"] is True
-        assert degraded["served"] == "stale"
-        assert degraded["staleness_s"] >= 0.0
-        assert stats.degraded == 1
-
-    def test_stale_beyond_the_cap_is_as_good_as_absent(self):
-        async def main():
-            pool = _FailingPool()
-            sched = Scheduler(pool, CacheTiers.build(),
-                              SchedulerConfig(stale_cap_s=1e-9))
-            await sched.submit(_cell())
-            for entry in sched.caches.rows._data.values():
-                entry.deadline = 0.0
-            pool.failing = True
-            await asyncio.sleep(0.01)             # age past the cap
-            with pytest.raises(CellCrash):
-                await sched.submit(_cell())
-            return sched.stats
-
-        stats = asyncio.run(main())
-        assert stats.degraded == 0                # cap held: error, not lie
-
     def test_shed_never_serves_stale(self):
-        # degraded serving is for execution failures only — an expired
-        # deadline is the *caller's* verdict and must stay an error
+        # an expired deadline is the *caller's* verdict and stays an
+        # error, warm row or not
         async def main():
-            pool = _FailingPool()
+            pool = _CountingPool()
             sched = Scheduler(pool, CacheTiers.build())
             await sched.submit(_cell())
             with pytest.raises(DeadlineExceeded):
@@ -479,24 +437,30 @@ class TestSchedulerReliability:
 
 
 class TestLRUCacheStaleReads:
-    def test_get_stale_reads_expired_entries_with_age(self):
+    def test_get_stale_discloses_the_age_since_insertion(self):
         clock = _Clock(100.0)
-        cache = LRUCache(capacity=4, ttl_s=1.0, clock=clock)
-        cache.put("k", {"x": 1})
+        cache = LRUCache(capacity=4, clock=clock)
+        cache.put("k", {"x": 1}, version=1)
         clock.advance(5.0)
-        assert cache.get("k") is None             # fresh path: expired
-        value, age = cache.get_stale("k")
+        assert cache.get("k") == {"x": 1}         # nothing expires
+        assert cache.get("k", version=2) is None  # ... but versions move
+        clock.advance(2.0)
+        value, age = cache.get_stale("k")         # a hit does not re-age
         assert value == {"x": 1}
-        assert age == pytest.approx(5.0)
+        assert age == pytest.approx(7.0)
         assert cache.stats.stale_serves == 1
+        cache.put("k", {"x": 2}, version=2)       # a fresh put does
+        assert cache.get_stale("k") == ({"x": 2}, 0.0)
 
     def test_get_stale_honours_the_hard_cap(self):
         clock = _Clock(0.0)
-        cache = LRUCache(capacity=4, ttl_s=1.0, clock=clock)
+        cache = LRUCache(capacity=4, clock=clock)
         cache.put("k", "v")
         clock.advance(10.0)
         assert cache.get_stale("k", max_age_s=5.0) is None
+        assert cache.get_stale("k", max_age_s=10.0) == ("v", 10.0)
         assert cache.get_stale("k", max_age_s=60.0) is not None
+        assert cache.stats.stale_serves == 2      # a refusal is not a serve
 
 
 # -- reliability config ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the graph-query service: protocol framing, LRU+TTL caching,
+"""Tests for the graph-query service: protocol framing, LRU caching,
 micro-batch coalescing, admission control, worker-pool isolation, the
 live server/client path, chaos-injected crash containment, and the load
 generator."""
@@ -6,10 +6,18 @@ generator."""
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import threading
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core.errors import (
     AdmissionRejected,
@@ -28,7 +36,6 @@ from repro.service import (
     PoolConfig,
     Query,
     Scheduler,
-    SchedulerConfig,
     ServiceClient,
     ServiceThread,
     WorkerPool,
@@ -137,7 +144,7 @@ class TestCellFromParams:
             cell_from_params(params)
 
 
-# -- LRU + TTL cache ---------------------------------------------------------
+# -- LRU cache ---------------------------------------------------------------
 
 class TestLRUCache:
     def test_eviction_order_is_lru(self):
@@ -159,17 +166,6 @@ class TestLRUCache:
         c.put("c", 3)
         assert c.get("b") is None
         assert c.get("a") == 10
-
-    def test_ttl_expiry(self):
-        now = [0.0]
-        c = LRUCache(capacity=4, ttl_s=10.0, clock=lambda: now[0])
-        c.put("a", 1)
-        now[0] = 9.999
-        assert c.get("a") == 1
-        now[0] = 10.0
-        assert c.get("a") is None
-        assert c.stats.expirations == 1
-        assert "a" not in c
 
     def test_zero_capacity_disables(self):
         c = LRUCache(capacity=0)
@@ -198,15 +194,89 @@ class TestLRUCache:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(capacity=-1)
-        with pytest.raises(ValueError):
-            LRUCache(ttl_s=0)
 
     def test_tiers_stats_surface(self):
-        tiers = CacheTiers.build(ttl_s=5.0)
+        tiers = CacheTiers.build()
         tiers.rows.put("k", {"x": 1})
         s = tiers.stats()
         assert s["rows"]["inserts"] == 1
         assert set(s) == {"datasets", "rows"}
+
+
+KEYS = st.sampled_from("abcde")
+VERSIONS = st.sampled_from([1, 2, 3])
+
+
+class LRUCacheMachine(RuleBasedStateMachine):
+    """The tree's second state machine: :class:`LRUCache` against an
+    ordered dict (LRU first), on an injected clock — no sleeps."""
+
+    @initialize(capacity=st.integers(0, 4))
+    def build(self, capacity):
+        self.now = 0.0
+        self.cache = LRUCache(capacity, clock=lambda: self.now)
+        self.model: collections.OrderedDict = collections.OrderedDict()
+        self.counts = dict.fromkeys(("hits", "misses", "inserts",
+                                     "evictions", "invalidations",
+                                     "stale_serves"), 0)
+        self.serial = 0
+
+    @rule(key=KEYS, version=st.one_of(st.none(), VERSIONS))
+    def put(self, key, version):
+        self.serial += 1
+        self.cache.put(key, self.serial, version=version)
+        if self.cache.capacity == 0:
+            return
+        self.model.pop(key, None)
+        self.model[key] = (self.serial, version, self.now)
+        self.counts["inserts"] += 1
+        while len(self.model) > self.cache.capacity:
+            self.model.popitem(last=False)
+            self.counts["evictions"] += 1
+
+    @rule(key=KEYS, version=st.one_of(st.none(), VERSIONS))
+    def get(self, key, version):
+        got = self.cache.get(key, "absent", version=version)
+        entry = self.model.get(key)
+        if entry is None or version not in (None, entry[1]):
+            self.counts["misses"] += 1
+            self.counts["invalidations"] += entry is not None
+            assert got == "absent"
+            return
+        self.counts["hits"] += 1
+        self.model.move_to_end(key)
+        assert got == entry[0]
+
+    @rule(key=KEYS)
+    def discard(self, key):
+        self.cache.discard(key)
+        self.model.pop(key, None)
+
+    @rule(key=KEYS, max_age_s=st.sampled_from([None, 0.0, 1.0, 2.5]))
+    def get_stale(self, key, max_age_s):
+        got = self.cache.get_stale(key, max_age_s)
+        entry = self.model.get(key)
+        age = None if entry is None else self.now - entry[2]
+        if age is None or (max_age_s is not None and age > max_age_s):
+            assert got is None
+            return
+        self.counts["stale_serves"] += 1
+        assert got == (entry[0], age)
+
+    @rule(dt=st.sampled_from([0.5, 1.0, 3.0]))
+    def advance(self, dt):
+        self.now += dt
+
+    @invariant()
+    def cache_matches_model(self):
+        assert self.cache.keys() == list(self.model)
+        assert len(self.cache) == len(self.model)
+        assert all(key in self.cache for key in self.model)
+        stats = self.cache.stats.as_dict()
+        assert {k: stats[k] for k in self.counts} == self.counts
+
+
+TestLRUCacheMachine = LRUCacheMachine.TestCase
 
 
 # -- scheduler: coalescing + admission ---------------------------------------
@@ -286,11 +356,14 @@ class TestScheduler:
         assert second["served"] == "cache"
         assert stats.cache_hits == 1
 
+    def test_max_pending_must_be_positive(self):
+        with pytest.raises(ValueError):
+            Scheduler(_FakePool(), _cache_off(), max_pending=0)
+
     def test_admission_control_sheds_excess_load(self):
         async def main():
             pool = _FakePool(hold=True)
-            sched = Scheduler(pool, _cache_off(),
-                              SchedulerConfig(max_pending=2))
+            sched = Scheduler(pool, _cache_off(), max_pending=2)
             held = [asyncio.ensure_future(sched.submit(_cell(seed=i)))
                     for i in range(2)]
             await asyncio.sleep(0.05)
