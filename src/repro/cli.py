@@ -494,12 +494,15 @@ def cmd_loadgen(args) -> int:
     else:
         print(report.format())
         if stats is not None:
-            print(f"server       scheduler={stats['scheduler']}")
+            print("server       scheduler=" + str({
+                s["labels"]["outcome"]: int(s["value"]) for s in
+                stats["metrics"]["scheduler_requests_total"]["samples"]}))
     return 0 if report.failed == 0 else 1
 
 
 def cmd_stats(args) -> int:
-    from .obs import quantile_from_snapshot, render_prometheus
+    from .obs import counter_total, quantile_from_snapshot, \
+        render_prometheus
 
     stats, rc = _ask(args, lambda c: c.stats())
     if rc != 0:
@@ -511,26 +514,39 @@ def cmd_stats(args) -> int:
     if args.format == "prom":
         sys.stdout.write(render_prometheus(metrics))
         return 0
-    # human summary: the counters an operator reaches for first
+
+    # human summary: the counters an operator reaches for first, read off
+    # whichever families this server has (a router has no scheduler/pool)
+    def n(name: str, **labels: str) -> int:
+        return int(counter_total(metrics, name, **labels))
+
+    lat_name = next((name for name in sorted(metrics)
+                     if name.endswith("_request_latency_ms")), "")
+    prefix = lat_name[:-len("_request_latency_ms")]
+    lat = metrics.get(lat_name, {}).get("samples", [])
     print(f"server       {stats.get('server')} "
           f"(protocol {stats.get('protocol')}), "
-          f"{stats.get('connections')} connections")
-    print(f"ops          {stats.get('ops')}")
-    sched = stats.get("scheduler", {})
-    print(f"scheduler    pending={sched.get('pending')} "
-          f"cache_hits={sched.get('cache_hits')} "
-          f"coalesced={sched.get('coalesced')} "
-          f"executed={sched.get('executed')} "
-          f"rejected={sched.get('rejected')}")
-    pool = stats.get("pool", {})
-    print(f"pool         executed={pool.get('executed')} "
-          f"failed={pool.get('failed')} "
-          f"worker_restarts={pool.get('worker_restarts')} "
-          f"failures={pool.get('failures_by_kind')}")
-    for tier, c in sorted(stats.get("cache", {}).items()):
-        print(f"cache/{tier:9s} hits={c.get('hits')} "
-              f"misses={c.get('misses')} "
-              f"hit_rate={c.get('hit_rate')}")
+          f"{n(f'{prefix}_connections_total')} connections")
+    ops = {s["labels"].get("op"): s["count"] for s in lat}
+    print(f"ops          {ops}")
+    if "scheduler_requests_total" in metrics:
+        print(f"scheduler    pending={n('scheduler_pending')} " + " ".join(
+            f"{o}={n('scheduler_requests_total', outcome=o)}"
+            for o in ("cache_hits", "coalesced", "executed", "rejected")))
+    if "pool_executions_total" in metrics:
+        failures = {s["labels"]["kind"]: int(s["value"])
+                    for s in metrics["pool_failures_total"]["samples"]}
+        print(f"pool         executed={n('pool_executions_total')} "
+              f"failed={sum(failures.values())} "
+              f"worker_restarts={n('pool_worker_restarts_total')} "
+              f"failures={failures}")
+    events = metrics.get("cache_events_total", {}).get("samples", [])
+    for tier in sorted({s["labels"]["tier"] for s in events}):
+        hits = n("cache_events_total", tier=tier, event="hits")
+        misses = n("cache_events_total", tier=tier, event="misses")
+        rate = round(hits / (hits + misses), 6) if hits else 0.0
+        print(f"cache/{tier:9s} hits={hits} misses={misses} "
+              f"hit_rate={rate}")
     rel = stats.get("reliability")
     if rel is not None:
         budget = rel.get("retry_budget", {})
@@ -551,10 +567,9 @@ def cmd_stats(args) -> int:
         stale = rel.get("stale")
         if stale is not None:
             print(f"stale-cache  entries={stale.get('entries')} "
-                  f"hits={stale.get('hits')} "
+                  f"stale_serves={stale.get('stale_serves')} "
                   f"cap_s={stale.get('cap_s')}")
-    lat = metrics.get("service_request_latency_ms", {})
-    for sample in lat.get("samples", []):
+    for sample in lat:
         op = sample.get("labels", {}).get("op", "?")
         if not sample.get("count"):
             continue

@@ -189,7 +189,7 @@ class ShardService(GraphService):
                 "datasets": self._owned(),
                 "server": __version__,
                 "protocol": PROTOCOL_VERSION,
-                "connections": self.connections,
+                "connections": int(self._m_conn.value),
                 "pending": self.scheduler.pending}
 
     async def _dispatch(self, req: Request) -> Any:

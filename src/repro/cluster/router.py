@@ -1038,8 +1038,6 @@ class Router(FrameServer):
                                                        span_args)
         return {"protocol": PROTOCOL_VERSION, "server": __version__,
                 "role": "router",
-                "connections": self.connections,
-                "ops": dict(self.op_counts),
                 "ring": {"shards": list(self.ring.nodes),
                          "vnodes": self.ring.vnodes,
                          "replication": self.replication},

@@ -108,7 +108,8 @@ def _check_columns(cols: dict[str, np.ndarray], regions: dict[int, Region],
 
 @dataclass
 class TraceStoreStats:
-    """Store efficacy counters (exposed via obs and ``repro stats``)."""
+    """Store efficacy counters (the ``trace_store`` section of a
+    service's ``stats`` and of :func:`repro.harness.cache_stats`)."""
 
     hits: int = 0
     misses: int = 0
@@ -305,33 +306,3 @@ class TraceStore:
         # save.  The first load pays one npz parse and warms the tier.
         self._mem.pop(key, None)
         return sidecar_path
-
-    # -- observability -------------------------------------------------------
-    def bind_metrics(self, registry) -> None:
-        """Register a snapshot-time collector exporting store counters
-        (same pattern as :meth:`repro.service.cache.CacheTiers.bind_metrics`)."""
-        def _collect() -> dict[str, dict]:
-            s = self.stats
-            events = [{"labels": {"event": k}, "value": float(v)}
-                      for k, v in (("hit", s.hits), ("miss", s.misses),
-                                   ("store", s.stores),
-                                   ("invalid", s.invalid))]
-            return {
-                "trace_store_hits_total": {
-                    "type": "counter",
-                    "help": "Trace store lookups served from disk",
-                    "samples": [{"labels": {}, "value": float(s.hits)}],
-                },
-                "trace_store_misses_total": {
-                    "type": "counter",
-                    "help": "Trace store lookups that fell through to "
-                            "workload execution",
-                    "samples": [{"labels": {}, "value": float(s.misses)}],
-                },
-                "trace_store_events_total": {
-                    "type": "counter",
-                    "help": "Trace store events by kind",
-                    "samples": events,
-                },
-            }
-        registry.register_collector(_collect)

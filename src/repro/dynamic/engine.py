@@ -58,8 +58,6 @@ class DynamicEngine:
         # client sweeping BFS roots must not pin one O(n) map per root
         self._kernels = LRUCache(CACHE_CAPACITY)
         self.cache = LRUCache(CACHE_CAPACITY)
-        self.mutations = 0
-        self.queries = 0
 
     def _store_for(self, dataset: str, scale: float, seed: int
                    ) -> tuple[tuple, SnapshotStore, threading.Lock]:
@@ -95,7 +93,6 @@ class DynamicEngine:
         _, store, _ = self._store_for(dataset, scale, seed)
         strict = bool(params.get("strict", False))
         version, delta, skipped = store.commit(ops, strict=strict)
-        self.mutations += 1
         return {"dataset": dataset, "scale": scale, "seed": seed,
                 "version": version, "served": "mutate",
                 "applied": len(ops) - skipped, "skipped": skipped,
@@ -124,7 +121,6 @@ class DynamicEngine:
             raise BadRequest(f"bad root: {e}") from None
         dataset, scale, seed = identity(params, _SCALE)
         key, store, lock = self._store_for(dataset, scale, seed)
-        self.queries += 1
         kernel_key = key + (workload, root)
         with lock:
             cached = self.cache.get(kernel_key, version=store.token())
@@ -210,6 +206,5 @@ class DynamicEngine:
         with self._lock:
             stores = {"/".join(str(p) for p in key[1:]): store.info()
                       for key, store in self._stores.items()}
-        return {"mutations": self.mutations, "queries": self.queries,
-                "graphs": len(stores), "stores": stores,
+        return {"graphs": len(stores), "stores": stores,
                 "cache": self.cache.stats.as_dict()}

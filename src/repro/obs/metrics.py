@@ -325,10 +325,11 @@ class MetricsRegistry:
     """Thread-safe registry of metric families plus lazy collectors.
 
     ``enabled=False`` turns every instrument into a shared no-op — the
-    overhead-measurement baseline.  Collectors are zero-overhead
-    instrumentation for subsystems that already keep counters (the cache
-    tiers, the scheduler): a callable invoked only at snapshot time,
-    returning ready-made family snapshots.
+    overhead-measurement baseline.  Collectors are for counts that
+    already live elsewhere (the cache tiers' own counters, a request
+    count read off a latency histogram): a callable invoked only at
+    snapshot time, returning ready-made family snapshots.  A count with
+    no other home is a family child, resolved once by its owner.
     """
 
     def __init__(self, enabled: bool = True):

@@ -9,11 +9,14 @@ thread-name metadata), loadable directly in ``about:tracing`` /
 ``repro matrix --trace-out trace.json`` onto the UI and read where a
 sweep's wall-time went, cell by cell, retry by retry.
 
-Nesting is per-thread: each thread keeps its own span stack, so a span
-opened on a load-generator worker nests under that worker's spans only.
-Failed spans are tagged — a span whose body raises records the exception
-type in its args (``error``) before re-raising, which is how a matrix
-cell's failed attempts show up red-flagged in the trace.
+Nesting follows the execution context, not the thread: the open-span
+stack is a :class:`contextvars.ContextVar`, so a span opened on a
+load-generator worker nests under that worker's spans only, and two
+requests interleaved on one event loop (each its own task, hence its own
+context) never nest under each other.  Failed spans are tagged — a span
+whose body raises records the exception type in its args (``error``)
+before re-raising, which is how a matrix cell's failed attempts show up
+red-flagged in the trace.
 
 A process-wide tracer can be installed with :func:`set_global_tracer`;
 instrumented call sites use :func:`maybe_span`, which is a no-op when no
@@ -22,6 +25,7 @@ tracer is active — tracing off costs one ``None`` check.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 import time
@@ -62,7 +66,10 @@ class SpanTracer:
         self.process_name = process_name
         self.spans: list[SpanRecord] = []
         self._lock = threading.Lock()
-        self._local = threading.local()
+        # the names of the spans open in the current context, innermost
+        # last: a new thread starts empty, a task from its creator's
+        self._stack: contextvars.ContextVar[tuple[str, ...]] = \
+            contextvars.ContextVar(f"span_stack_{id(self)}", default=())
         self._tids: dict[int, int] = {}          # ident -> dense id
         self._thread_names: dict[int, str] = {}  # dense id -> name
 
@@ -76,21 +83,15 @@ class SpanTracer:
                 self._thread_names[tid] = threading.current_thread().name
             return tid
 
-    def _stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     @contextmanager
     def span(self, name: str, **args: Any) -> Iterator[dict[str, Any]]:
         """Time a region.  Yields the args dict — the body may annotate
         it (e.g. record how a request was served) before the span closes.
         A raising body tags the span with ``error=<exception type>``."""
-        stack = self._stack()
+        stack = self._stack.get()
         parent = stack[-1] if stack else None
         depth = len(stack)
-        stack.append(name)
+        token = self._stack.set(stack + (name,))
         span_args = dict(args)
         start = self._clock()
         try:
@@ -100,7 +101,7 @@ class SpanTracer:
             raise
         finally:
             end = self._clock()
-            stack.pop()
+            self._stack.reset(token)
             record = SpanRecord(
                 name=name,
                 start_us=(start - self._epoch) * 1e6,

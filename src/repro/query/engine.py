@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from typing import Any
 
 from ..core.errors import BadRequest
@@ -93,9 +92,6 @@ class QueryEngine:
         self.plans = LRUCache(PLAN_CAPACITY)
         self.graphs = LRUCache(GRAPH_CAPACITY)
         self.results = LRUCache(RESULT_CAPACITY)
-        self._lock = threading.Lock()
-        self.queries = 0
-        self.explains = 0
 
     # -- resolution ----------------------------------------------------------
 
@@ -168,8 +164,6 @@ class QueryEngine:
         version, token, store = self._resolve_version(source)
         plan, plan_cached = self._plan(canonical, digest, version, token,
                                        store)
-        with self._lock:
-            self.queries += 1
         result_key = ("result", digest, part)
         hit = self.results.get(result_key, version=token)
         if hit is not None:
@@ -207,8 +201,6 @@ class QueryEngine:
         version, token, store = self._resolve_version(source)
         plan, plan_cached = self._plan(canonical, digest, version, token,
                                        store)
-        with self._lock:
-            self.explains += 1
         return {
             "plan": plan.to_dict(),
             "merge": plan.merge_ops(),
@@ -221,8 +213,6 @@ class QueryEngine:
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        return {"queries": self.queries,
-                "explains": self.explains,
-                "plan_cache": self.plans.stats.as_dict(),
+        return {"plan_cache": self.plans.stats.as_dict(),
                 "graph_cache": self.graphs.stats.as_dict(),
                 "result_cache": self.results.stats.as_dict()}

@@ -43,7 +43,7 @@ from .loadgen import (
     schedule,
     workload_mix,
 )
-from .pool import PoolConfig, PoolStats, WorkerPool
+from .pool import PoolConfig, WorkerPool
 from .protocol import (
     MAX_FRAME_BYTES,
     OPS,
@@ -57,7 +57,7 @@ from .protocol import (
     parse_request,
     payload_to_error,
 )
-from .scheduler import Scheduler, SchedulerStats
+from .scheduler import Scheduler
 from .server import (
     GraphService,
     ServiceThread,
@@ -71,8 +71,8 @@ __all__ = [
     "CacheStats", "CacheTiers",
     "DEFAULT_PORT", "GraphService", "LRUCache", "LoadGenerator",
     "LoadReport", "MAX_FRAME_BYTES", "OPS", "PROTOCOL_VERSION",
-    "PoolConfig", "PoolStats", "ProtocolError", "Query", "RemoteError",
-    "Request", "Scheduler", "SchedulerStats",
+    "PoolConfig", "ProtocolError", "Query", "RemoteError",
+    "Request", "Scheduler",
     "ServiceClient", "ServiceError", "ServiceThread", "WorkerPool",
     "cell_from_params", "dataset_key", "datasets_payload", "decode_frame",
     "encode_error", "encode_request", "encode_response",

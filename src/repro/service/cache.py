@@ -5,7 +5,7 @@ A :class:`LRUCache` is a thread-safe bounded mapping with least-recently-
 used eviction.  The clock is injectable so a degraded read's disclosed
 age is unit-testable without sleeping.  :class:`CacheTiers` bundles the
 service's two tiers — generated :class:`~repro.datagen.spec.GraphSpec`
-datasets and characterization row records — behind one stats surface.
+datasets and characterization row records — behind one metrics collector.
 
 Keys follow the PR-1 memo discipline: a row's identity is
 ``(workload, dataset, scale, seed, machine, gpu)`` — exactly a
@@ -177,7 +177,7 @@ def dataset_key(dataset: str, scale: float, seed: int) -> tuple:
 
 @dataclass
 class CacheTiers:
-    """The service's two result tiers behind one stats surface.
+    """The service's two result tiers behind one metrics collector.
 
     Datasets are heavier to generate than to keep (an edge array), so the
     spec tier is small; row records are tiny JSON dicts, so the row tier
@@ -194,19 +194,15 @@ class CacheTiers:
         return cls(datasets=LRUCache(dataset_capacity),
                    rows=LRUCache(row_capacity))
 
-    def stats(self) -> dict[str, dict[str, float]]:
-        return {"datasets": self.datasets.stats.as_dict(),
-                "rows": self.rows.stats.as_dict()}
-
     # -- observability -------------------------------------------------------
 
     def bind_metrics(self, registry) -> None:
         """Expose both tiers on a :class:`~repro.obs.MetricsRegistry`.
 
         Registered as a snapshot-time *collector*: :class:`CacheStats`
-        stays the source of truth (its dict shape and the hot-path
-        ``+= 1`` increments are untouched) and the registry reads it only
-        when scraped — migration without a second set of counters to keep
+        stays the source of truth (the hot-path ``+= 1`` increments under
+        the cache's own lock) and the registry reads it only when
+        scraped — one set of counters, never a second copy to keep
         consistent.
         """
         registry.register_collector(self._collect_metrics)

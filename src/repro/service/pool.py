@@ -19,13 +19,13 @@ Isolation modes mirror the executor's:
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import CellExecutionError
 from ..obs.logs import get_logger
+from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import Cell
 from ..resilience.chaos import ChaosSpec
 from ..resilience.executor import ExecutorConfig, run_cell_resilient
@@ -58,21 +58,6 @@ class PoolConfig:
             raise ValueError(f"unknown isolation {self.isolation!r}")
 
 
-@dataclass
-class PoolStats:
-    """Execution counters, including failures by taxonomy kind."""
-
-    executed: int = 0
-    failed: int = 0
-    worker_restarts: int = 0     # failures that killed the worker itself
-    failures_by_kind: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"executed": self.executed, "failed": self.failed,
-                "worker_restarts": self.worker_restarts,
-                "failures_by_kind": dict(self.failures_by_kind)}
-
-
 class WorkerPool:
     """Bounded pool of isolated cell executors.
 
@@ -80,13 +65,15 @@ class WorkerPool:
     while one of ``size`` pool threads drives the (blocking, possibly
     subprocess-spawning) resilient executor, and returns the flat row
     record — the exact JSON shape the wire and the checkpoint journal
-    share.
+    share.  Completions, failures by kind, worker restarts and slot wall
+    time are counted on ``registry``.
     """
 
     def __init__(self, config: PoolConfig | None = None, *,
                  chaos: ChaosSpec | None = None,
                  caches: CacheTiers,
-                 memoize: bool = True):
+                 memoize: bool = True,
+                 registry: MetricsRegistry | None = None):
         self.config = config or PoolConfig()
         self._executor = ExecutorConfig(
             timeout_s=self.config.timeout_s,
@@ -95,45 +82,25 @@ class WorkerPool:
         self.chaos = chaos
         self.caches = caches
         self.memoize = memoize
-        self.stats = PoolStats()
-        self._lock = threading.Lock()
-        self._m_wall = None          # bound by bind_metrics()
         self._tpe = ThreadPoolExecutor(
             max_workers=self.config.size,
             thread_name_prefix="repro-pool")
-
-    # -- observability -------------------------------------------------------
-
-    def bind_metrics(self, registry) -> None:
-        """Expose execution counters (collector over :class:`PoolStats`)
-        and a subprocess wall-time histogram on a registry."""
-        self._m_wall = registry.histogram(
+        self.registry = reg = registry if registry is not None \
+            else MetricsRegistry()
+        self._m_wall = reg.histogram(
             "pool_exec_wall_time_ms",
             "wall-clock time one cell spent on a pool slot (ms), "
             "by outcome", labels=("outcome",))
-        registry.register_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> dict:
-        with self._lock:
-            executed = self.stats.executed
-            restarts = self.stats.worker_restarts
-            by_kind = dict(self.stats.failures_by_kind)
-        return {
-            "pool_executions_total": {
-                "type": "counter",
-                "help": "cells executed to completion on the pool",
-                "samples": [{"labels": {}, "value": float(executed)}]},
-            "pool_worker_restarts_total": {
-                "type": "counter",
-                "help": "failures that killed the worker "
-                        "(crash/timeout/oom): next request pays a spawn",
-                "samples": [{"labels": {}, "value": float(restarts)}]},
-            "pool_failures_total": {
-                "type": "counter",
-                "help": "failed executions by taxonomy kind",
-                "samples": [{"labels": {"kind": k}, "value": float(v)}
-                            for k, v in sorted(by_kind.items())]},
-        }
+        self._m_executed = reg.counter(
+            "pool_executions_total",
+            "cells executed to completion on the pool").labels()
+        self._m_restarts = reg.counter(
+            "pool_worker_restarts_total",
+            "failures that killed the worker "
+            "(crash/timeout/oom): next request pays a spawn").labels()
+        self._m_failures = reg.counter(
+            "pool_failures_total", "failed executions by taxonomy kind",
+            labels=("kind",))
 
     async def run_record(self, cell: Cell) -> dict:
         """Execute one cell on a pool slot; raise typed errors on failure."""
@@ -144,24 +111,18 @@ class WorkerPool:
                 self._tpe, self._run_sync, cell)
         except CellExecutionError as e:
             last = getattr(e, "last", e)
-            with self._lock:
-                self.stats.failed += 1
-                if last.kind in _RESTART_KINDS or e.kind in _RESTART_KINDS:
-                    self.stats.worker_restarts += 1
-                self.stats.failures_by_kind[last.kind] = \
-                    self.stats.failures_by_kind.get(last.kind, 0) + 1
-            if self._m_wall is not None:
-                self._m_wall.labels(outcome="failed").observe(
-                    (time.perf_counter() - t0) * 1e3)
+            if last.kind in _RESTART_KINDS or e.kind in _RESTART_KINDS:
+                self._m_restarts.inc()
+            self._m_failures.labels(kind=last.kind).inc()
+            self._m_wall.labels(outcome="failed").observe(
+                (time.perf_counter() - t0) * 1e3)
             log.warning("cell %s failed on pool slot: %s: %s",
                         cell.cell_id, last.kind, last,
                         extra={"cell": cell.cell_id, "kind": last.kind})
             raise
-        with self._lock:
-            self.stats.executed += 1
-        if self._m_wall is not None:
-            self._m_wall.labels(outcome="ok").observe(
-                (time.perf_counter() - t0) * 1e3)
+        self._m_executed.inc()
+        self._m_wall.labels(outcome="ok").observe(
+            (time.perf_counter() - t0) * 1e3)
         return record
 
     def shutdown(self) -> None:

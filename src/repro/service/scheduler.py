@@ -23,41 +23,29 @@ before any execution starts, so there is no older one to fall back on.
 Only the router's last-good cache answers ``degraded``.
 
 Everything runs on the server's event loop; the only await point is the
-pool handoff, so the bookkeeping needs no locks.
+pool handoff, so the bookkeeping needs no locks.  How each request was
+satisfied is counted on the ``registry`` the scheduler is built with —
+``scheduler_requests_total{outcome}``, and with a governor the
+tenant's admission outcome in ``tenant_requests_total{tenant,outcome}``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 
-from ..core.errors import AdmissionRejected, DeadlineExceeded
+from ..core.errors import AdmissionRejected, DeadlineExceeded, QuotaExceeded
 from ..obs.logs import get_logger
+from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import Cell
 from .cache import CacheTiers
 from .pool import WorkerPool
 
 log = get_logger("service.scheduler")
 
-
-@dataclass
-class SchedulerStats:
-    """Traffic counters: how requests were satisfied."""
-
-    submitted: int = 0
-    cache_hits: int = 0              # answered from the row tier
-    coalesced: int = 0               # joined an in-flight execution
-    executed: int = 0                # dispatched to the pool
-    rejected: int = 0                # shed by admission control
-    failed: int = 0                  # executions that raised
-    shed_expired: int = 0            # deadline lapsed before execution
-
-    def as_dict(self) -> dict[str, int]:
-        return {"submitted": self.submitted, "cache_hits": self.cache_hits,
-                "coalesced": self.coalesced, "executed": self.executed,
-                "rejected": self.rejected, "failed": self.failed,
-                "shed_expired": self.shed_expired}
+#: The ``outcome`` label values of ``scheduler_requests_total``.
+OUTCOMES = ("submitted", "cache_hits", "coalesced", "executed", "rejected",
+            "failed", "shed_expired")
 
 
 class _Batch:
@@ -105,59 +93,64 @@ class Scheduler:
     """Admission-controlled, coalescing dispatcher over a worker pool."""
 
     def __init__(self, pool: WorkerPool, caches: CacheTiers, *,
-                 max_pending: int = 64, governor=None):
+                 max_pending: int = 64, governor=None,
+                 registry: MetricsRegistry | None = None):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.pool = pool
         self.caches = caches
         #: distinct executions queued or running before admission refuses
         self.max_pending = max_pending
-        self.stats = SchedulerStats()
         #: optional :class:`~repro.tenancy.qos.TenantGovernor`; when
         #: absent, submit() follows the single-tenant path unchanged
         self.governor = governor
         self._inflight: dict[str, _Batch] = {}
         self._pending = 0
         self._tasks: set[asyncio.Task] = set()
+        self.registry = reg = registry if registry is not None \
+            else MetricsRegistry()
+        reg.gauge("scheduler_pending",
+                  "distinct executions queued or running (queue depth)",
+                  callback=lambda: float(self._pending))
+        requests = reg.counter(
+            "scheduler_requests_total",
+            "scheduler outcomes (cache_hits/coalesced/executed/rejected/"
+            "failed/submitted)", labels=("outcome",))
+        (self._m_submitted, self._m_hits, self._m_coalesced,
+         self._m_executed, self._m_rejected, self._m_failed,
+         self._m_shed) = (requests.labels(outcome=o) for o in OUTCOMES)
+        if governor is not None:
+            reg.gauge("tenant_gate_queued",
+                      "waiters queued at the weighted-fair gate",
+                      callback=lambda: float(governor.gate.queue_depth()))
+            self._m_tenant = reg.counter(
+                "tenant_requests_total", "per-tenant admission outcomes "
+                "(admitted/rejected_rate/rejected_queue)",
+                labels=("tenant", "outcome"))
 
     @property
     def pending(self) -> int:
         """Distinct executions currently queued or running."""
         return self._pending
 
-    # -- observability -------------------------------------------------------
-
-    def bind_metrics(self, registry) -> None:
-        """Expose queue depth and traffic counters on a registry.
-
-        The queue-depth gauge is a callback (read at scrape time); the
-        counters are a collector over :class:`SchedulerStats` — the
-        dispatch hot path gains no new writes.
-        """
-        registry.gauge(
-            "scheduler_pending",
-            "distinct executions queued or running (queue depth)",
-            callback=lambda: float(self._pending))
-        registry.register_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> dict:
-        return {
-            "scheduler_requests_total": {
-                "type": "counter",
-                "help": "scheduler outcomes (cache_hits/coalesced/"
-                        "executed/rejected/failed/submitted)",
-                "samples": [{"labels": {"outcome": k}, "value": float(v)}
-                            for k, v in self.stats.as_dict().items()]},
-        }
-
     def _shed(self, key: str, deadline: float, now: float) -> None:
         """Count and raise a scheduler-stage deadline shed."""
-        self.stats.shed_expired += 1
+        self._m_shed.inc()
         overshoot = now - deadline
         log.warning("shed expired request %s (%.1fms past deadline)",
                     key, overshoot * 1e3,
                     extra={"cell": key, "overshoot_s": overshoot})
         raise DeadlineExceeded("scheduler", overshoot, 0.0)
+
+    def _admit(self, gov, tenant: str) -> None:
+        """Charge ``tenant`` its admission token, counting the outcome."""
+        try:
+            gov.admit(tenant)
+        except QuotaExceeded as e:
+            self._m_tenant.labels(tenant=tenant,
+                                  outcome=f"rejected_{e.reason}").inc()
+            raise
+        self._m_tenant.labels(tenant=tenant, outcome="admitted").inc()
 
     async def submit(self, cell: Cell,
                      deadline: float | None = None,
@@ -181,7 +174,7 @@ class Scheduler:
         execution is free capacity, not a leak, because the result is
         identical by construction.
         """
-        self.stats.submitted += 1
+        self._m_submitted.inc()
         key = cell.cell_id
         if deadline is not None and time.time() >= deadline:
             self._shed(key, deadline, time.time())
@@ -190,27 +183,32 @@ class Scheduler:
         tname = None
         if gov is not None:
             tname = gov.resolve(tenant)
-            gov.admit(tname)
+            self._admit(gov, tname)
             part = gov.cache_for(tname)
             if part is not None:
                 rows = part
         record = rows.get(key)
         if record is not None:
-            self.stats.cache_hits += 1
+            self._m_hits.inc()
             return dict(record, served="cache")
         if key in self._inflight:
-            self.stats.coalesced += 1
+            self._m_coalesced.inc()
             record = await self._inflight[key].join(deadline)
             record["served"] = "coalesced"
             return record
         if self._pending >= self.max_pending:
-            self.stats.rejected += 1
+            self._m_rejected.inc()
             log.warning("admission rejected %s (%d/%d pending)",
                         key, self._pending, self.max_pending,
                         extra={"cell": key, "pending": self._pending})
             raise AdmissionRejected(self._pending, self.max_pending)
         if gov is not None:
-            await gov.acquire_slot(tname)
+            try:
+                await gov.acquire_slot(tname)
+            except QuotaExceeded as e:
+                self._m_tenant.labels(tenant=tname,
+                                      outcome=f"rejected_{e.reason}").inc()
+                raise
             if deadline is not None and time.time() >= deadline:
                 gov.release_slot()
                 self._shed(key, deadline, time.time())
@@ -237,7 +235,7 @@ class Scheduler:
             # instead of burning a pool slot on a dead request
             self._inflight.pop(key, None)
             self._pending -= 1
-            self.stats.shed_expired += 1
+            self._m_shed.inc()
             overshoot = now - (batch.deadline or now)
             log.warning("shed expired batch %s (%.1fms past deadline)",
                         key, overshoot * 1e3,
@@ -247,7 +245,7 @@ class Scheduler:
         try:
             record = await self.pool.run_record(batch.cell)
         except BaseException as e:  # noqa: BLE001 — fan out, don't lose it
-            self.stats.failed += 1
+            self._m_failed.inc()
             self._inflight.pop(key, None)
             self._pending -= 1
             log.warning("execution failed for %s: %s", key, e,
@@ -257,7 +255,7 @@ class Scheduler:
             if not isinstance(e, Exception):
                 raise          # CancelledError etc.: propagate after fanning
             return
-        self.stats.executed += 1
+        self._m_executed.inc()
         # drop from the coalescing map *before* resolving waiters so a
         # request racing in after completion re-executes (or hits the
         # cache) instead of joining a finished batch

@@ -215,8 +215,6 @@ class FrameServer:
 
     def __init__(self, prefix: str,
                  registry: MetricsRegistry | None = None):
-        self.op_counts: dict[str, int] = {}
-        self.connections = 0
         self._conn_tasks: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self.host: str | None = None
@@ -244,7 +242,7 @@ class FrameServer:
             "response bytes written (flushed when a connection "
             "closes)").labels()
         self._m_conn = reg.counter(
-            f"{prefix}_connections_total", "connections accepted")
+            f"{prefix}_connections_total", "connections accepted").labels()
         self._m_conn_active = reg.gauge(
             f"{prefix}_connections_active", "currently open connections")
         # resolved per-op histogram children, cached off the hot path
@@ -295,10 +293,9 @@ class FrameServer:
     # -- connection handling -------------------------------------------------
 
     async def _handle(self, conn: FrameProtocol) -> None:
-        self.connections += 1
         self._m_conn.inc()
         self._m_conn_active.inc()
-        log.debug("connection opened (%d open)", self.connections)
+        log.debug("connection opened")
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -333,7 +330,6 @@ class FrameServer:
                     req = parse_request(decode_frame(line))
                     req_id = req.id
                     op = req.op
-                    self.op_counts[op] = self.op_counts.get(op, 0) + 1
                     result = await self._dispatch(req)
                     send(encode_response(req_id, result))
                 except Exception as e:  # noqa: BLE001 — typed onto the wire
@@ -377,23 +373,20 @@ class GraphService(FrameServer):
         # harness memo under the pool must not answer in its place
         self.pool = WorkerPool(pool_config, chaos=chaos,
                                caches=self.caches,
-                               memoize=self.caches.rows.capacity > 0)
+                               memoize=self.caches.rows.capacity > 0,
+                               registry=self.registry)
         # optional multi-tenant QoS: absent, the scheduler hot path is
         # the single-tenant one unchanged
         self.governor = governor
         self.scheduler = Scheduler(self.pool, self.caches,
                                    max_pending=max_pending,
-                                   governor=governor)
-        reg = self.registry
+                                   governor=governor,
+                                   registry=self.registry)
         # every request observes exactly one latency sample, so the
         # request counter is the histogram's per-op count — derived at
         # snapshot time instead of paying a second locked increment
-        reg.register_collector(self._collect_requests)
-        self.caches.bind_metrics(reg)
-        self.scheduler.bind_metrics(reg)
-        self.pool.bind_metrics(reg)
-        if governor is not None:
-            governor.bind_metrics(reg)
+        self.registry.register_collector(self._collect_requests)
+        self.caches.bind_metrics(self.registry)
         # op name -> handler; an op without one is refused, typed.  A
         # loop handler takes the request (and may be a coroutine), an
         # executor handler is the engine's own method over the params
@@ -487,24 +480,17 @@ class GraphService(FrameServer):
                 "attempts": record.get("attempts")}
 
     def stats(self) -> dict[str, Any]:
-        cache = self.caches.stats()
-        # surface the harness trace store next to the row/service tiers so
-        # one scrape shows every caching layer's efficacy
-        from ..harness.runner import default_trace_store
-        store = default_trace_store()
-        if store is not None:
-            cache = dict(cache, trace_store=store.stats.as_dict())
+        """The ``stats`` answer: the registry snapshot (every counter,
+        gauge and histogram) plus the state no family reports."""
         payload = {"protocol": PROTOCOL_VERSION,
                    "server": __version__,
-                   "connections": self.connections,
-                   "ops": dict(self.op_counts),
-                   "scheduler": dict(self.scheduler.stats.as_dict(),
-                                     pending=self.scheduler.pending),
-                   "pool": self.pool.stats.as_dict(),
-                   "cache": cache,
                    "dynamic": self.dynamic.stats(),
                    "query": self.query_engine.stats(),
                    "metrics": self.registry.snapshot()}
+        from ..harness.runner import default_trace_store
+        store = default_trace_store()
+        if store is not None:
+            payload["trace_store"] = store.stats.as_dict()
         if self.governor is not None:
             payload["tenancy"] = self.governor.stats()
         return payload

@@ -201,9 +201,10 @@ class TenantGovernor:
     """One object the scheduler consults per request: quota, slot, cache.
 
     Construction is cheap; buckets and cache partitions materialize
-    lazily on a tenant's first request.  All counters are plain ints
-    guarded by the event loop (quota checks happen on it) and surface
-    through :meth:`bind_metrics` as a snapshot-time collector.
+    lazily on a tenant's first request.  The governor counts nothing:
+    :meth:`admit` and :meth:`acquire_slot` raise :class:`QuotaExceeded`
+    with a ``reason``, and the scheduler built over the governor counts
+    each outcome on its registry.
     """
 
     def __init__(self, config: QosConfig | None = None, *,
@@ -214,7 +215,6 @@ class TenantGovernor:
                              max_queue=self.config.max_queue)
         self._buckets: dict[str, TokenBucket] = {}
         self._partitions: dict[str, LRUCache] = {}
-        self._counts: dict[tuple[str, str], int] = {}
 
     # -- policy resolution ---------------------------------------------------
 
@@ -224,10 +224,6 @@ class TenantGovernor:
     def policy(self, tenant: str) -> TenantPolicy:
         return self.config.policies.get(tenant, self.config.default_policy)
 
-    def _count(self, tenant: str, outcome: str) -> None:
-        key = (tenant, outcome)
-        self._counts[key] = self._counts.get(key, 0) + 1
-
     # -- admission (rate quota) ----------------------------------------------
 
     def admit(self, tenant: str) -> None:
@@ -235,7 +231,6 @@ class TenantGovernor:
         a retry hint when the tenant's bucket is dry."""
         pol = self.policy(tenant)
         if pol.rate is None:
-            self._count(tenant, "admitted")
             return
         bucket = self._buckets.get(tenant)
         if bucket is None:
@@ -244,18 +239,12 @@ class TenantGovernor:
             self._buckets[tenant] = bucket
         retry_after = bucket.try_spend()
         if retry_after > 0.0:
-            self._count(tenant, "rejected_rate")
             raise QuotaExceeded(tenant, "rate", round(retry_after, 4))
-        self._count(tenant, "admitted")
 
     # -- fair execution slots ------------------------------------------------
 
     async def acquire_slot(self, tenant: str) -> None:
-        try:
-            await self.gate.acquire(tenant, self.policy(tenant).weight)
-        except QuotaExceeded:
-            self._count(tenant, "rejected_queue")
-            raise
+        await self.gate.acquire(tenant, self.policy(tenant).weight)
 
     def release_slot(self) -> None:
         self.gate.release()
@@ -277,31 +266,9 @@ class TenantGovernor:
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict:
-        outcomes: dict[str, dict[str, int]] = {}
-        for (tenant, outcome), n in sorted(self._counts.items()):
-            outcomes.setdefault(tenant, {})[outcome] = n
         return {
-            "tenants": outcomes,
             "gate": {"active": self.gate.active,
                      "queued": self.gate.queue_depth()},
             "partitions": {t: {"entries": len(c), **c.stats.as_dict()}
                            for t, c in sorted(self._partitions.items())},
-        }
-
-    def bind_metrics(self, registry) -> None:
-        registry.gauge("tenant_gate_queued",
-                       "waiters queued at the weighted-fair gate",
-                       callback=lambda: float(self.gate.queue_depth()))
-        registry.register_collector(self._collect_metrics)
-
-    def _collect_metrics(self) -> dict:
-        samples = [{"labels": {"tenant": t, "outcome": o},
-                    "value": float(n)}
-                   for (t, o), n in sorted(self._counts.items())]
-        return {
-            "tenant_requests_total": {
-                "type": "counter",
-                "help": "per-tenant admission outcomes "
-                        "(admitted/rejected_rate/rejected_queue)",
-                "samples": samples},
         }

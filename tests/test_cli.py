@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import counter_total
 
 
 class TestParser:
@@ -169,7 +170,9 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] == 20 and payload["failed"] == 0
         assert payload["throughput_rps"] > 0
-        assert payload["server_stats"]["scheduler"]["submitted"] == 20
+        assert counter_total(payload["server_stats"]["metrics"],
+                             "scheduler_requests_total",
+                             outcome="submitted") == 20
 
     def test_matrix_inline_sweep_and_resume(self, capsys, tmp_path):
         cp = str(tmp_path / "sweep.jsonl")

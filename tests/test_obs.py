@@ -6,11 +6,13 @@ Prometheus exposition, and the live-scrape path end to end (the
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import logging
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +386,37 @@ class TestTracing:
         main, = tracer.find("main")
         assert w.tid != main.tid
 
+    def test_interleaved_tasks_on_one_loop_do_not_nest(self):
+        # two requests on one event loop, each its own task: the second
+        # opens its span while the first's is still open, and neither
+        # nests under the other; a span inside a task still nests under
+        # that task's own span across the await
+        tracer = SpanTracer()
+
+        async def request(name, entered, go):
+            with tracer.span(name):
+                entered.set()
+                await go.wait()
+                with tracer.span(f"inner-{name}"):
+                    pass
+
+        async def main():
+            a_in, b_in, go = asyncio.Event(), asyncio.Event(), \
+                asyncio.Event()
+            a = asyncio.create_task(request("a", a_in, go))
+            await a_in.wait()
+            b = asyncio.create_task(request("b", b_in, go))
+            await b_in.wait()
+            go.set()
+            await asyncio.gather(a, b)
+
+        asyncio.run(main())
+        for name in ("a", "b"):
+            outer, = tracer.find(name)
+            assert (outer.parent, outer.depth) == (None, 0)
+            inner, = tracer.find(f"inner-{name}")
+            assert (inner.parent, inner.depth) == (name, 1)
+
     def test_maybe_span_without_tracer_is_noop(self):
         with maybe_span(None, "x", a=1) as args:
             assert args == {"a": 1}
@@ -480,20 +513,37 @@ class TestStatsScrape:
         # the bad workload surfaced as a typed error counter
         assert counter_total(m, "service_errors_total",
                              op="run", kind="bad-request") == 1
-        # cache hit/miss migrated onto the registry without breaking
-        # the legacy dict surface
+        # cache hit/miss, scheduler outcomes and pool counters live on
+        # the registry alone: no stats key restates a family
         assert counter_total(m, "cache_events_total",
                              tier="rows", event="hits") == 1
         assert counter_total(m, "cache_events_total",
                              tier="rows", event="misses") == 1
-        assert stats["cache"]["rows"]["hits"] == 1     # legacy shape
+        assert counter_total(m, "scheduler_requests_total",
+                             outcome="cache_hits") == 1
+        assert counter_total(m, "scheduler_requests_total",
+                             outcome="submitted") == 2
         # queue depth gauge present (drained by scrape time)
         assert m["scheduler_pending"]["samples"][0]["value"] == 0
-        assert stats["scheduler"]["pending"] == 0
         # pool counters, including the worker-restart counter
         assert counter_total(m, "pool_executions_total") == 1
         assert counter_total(m, "pool_worker_restarts_total") == 0
-        assert "worker_restarts" in stats["pool"]
+        assert set(stats) == {"protocol", "server", "dynamic", "query",
+                              "metrics"}
+        assert set(stats["dynamic"]) == {"graphs", "stores", "cache"}
+        assert set(stats["query"]) == {"plan_cache", "graph_cache",
+                                       "result_cache"}
+
+    def test_metric_families_match_the_recording(self):
+        # every family a fixed script leaves on the registry — name,
+        # type, label sets, counter and gauge values, histogram counts —
+        # is what the tree produced before the report-only counters
+        # moved onto the registry (tests/metric_families.py)
+        from tests import metric_families
+        recorded = json.loads(
+            (Path(__file__).parent / "data/metric_families.json")
+            .read_text())
+        assert metric_families.record() == recorded
 
     def test_worker_restart_counter_counts_crashes(self):
         doomed = Cell(workload="BFS", dataset="ldbc", scale=0.02,
@@ -527,8 +577,26 @@ class TestStatsScrape:
                              "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert "latency/run" in out                       # table
+        assert "scheduler    pending=0 cache_hits=0 coalesced=0 " \
+            "executed=1 rejected=0" in out
+        assert "pool         executed=1 failed=0 " in out
+        assert "cache/rows      hits=0 misses=1 hit_rate=0.0" in out
         assert '"service_request_latency_ms"' in out      # json
         assert "service_bytes_sent_total" in out          # prom
+
+    def test_stats_cli_on_a_router_prints_only_what_it_has(self, capsys):
+        from repro.cli import main
+        from repro.cluster import ClusterSpec, ClusterThread
+        with ClusterThread(ClusterSpec.of(2, datasets=("ldbc",))) as ct:
+            with ServiceClient(port=ct.router_port) as c:
+                c.run("BFS", "ldbc", scale=0.02, machine="test")
+            assert main(["stats", "--port", str(ct.router_port)]) == 0
+        out = capsys.readouterr().out
+        # the router's own latency family, and no node-only section
+        assert "latency/run" in out
+        assert "connections" in out and "None" not in out
+        for section in ("scheduler", "pool ", "cache/"):
+            assert section not in out
 
     def test_stats_cli_connection_refused_exits_2(self, capsys):
         from repro.cli import main

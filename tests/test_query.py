@@ -17,6 +17,7 @@ from repro.core.taxonomy import DataSource
 from repro.datagen.registry import make
 from repro.datagen.spec import GraphSpec
 from repro.dynamic import MutOp, SnapshotStore
+from repro.obs import counter_total
 from repro.query import (
     PLANNER_VERSION,
     QueryEngine,
@@ -575,8 +576,15 @@ class TestServiceQueries:
                 assert plan["merge"][-1] == "topk-final"
                 again = client.explain(q)
                 assert again == {**plan, "plan_cached": True}
-            stats = service.stats()["query"]
-            assert stats["queries"] == 1 and stats["explains"] == 2
+                # asked on the same connection: the explains are counted
+                stats = client.stats()
+            m = stats["metrics"]
+            assert counter_total(m, "service_requests_total",
+                                 op="query") == 1
+            assert counter_total(m, "service_requests_total",
+                                 op="explain") == 2
+            # one miss planned the query, both explains hit the plan
+            assert stats["query"]["plan_cache"]["hits"] == 2
 
     def test_garbage_queries_never_crash_the_server(self):
         service = GraphService(

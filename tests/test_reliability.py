@@ -41,6 +41,7 @@ from repro.core.errors import (
     ProtocolError,
     RetryBudgetExhausted,
 )
+from repro.obs import counter_total
 from repro.resilience import Cell
 from repro.resilience.netchaos import NetFaultSpec
 from repro.service import (
@@ -416,11 +417,12 @@ class TestSchedulerReliability:
                                                row_capacity=0))
             with pytest.raises(DeadlineExceeded) as exc:
                 await sched.submit(_cell(), deadline=time.time() - 1.0)
-            return pool.calls, sched.stats, exc.value
+            return pool.calls, sched.registry.snapshot(), exc.value
 
-        calls, stats, err = asyncio.run(main())
+        calls, snap, err = asyncio.run(main())
         assert calls == 0                         # shed, never executed
-        assert stats.shed_expired == 1
+        assert counter_total(snap, "scheduler_requests_total",
+                             outcome="shed_expired") == 1
         assert err.kind == "deadline-exceeded"
 
     def test_shed_never_serves_stale(self):
@@ -536,6 +538,23 @@ class TestRouterReliabilityLive:
             snap = cluster.router.registry.snapshot()
             degraded = snap["cluster_degraded_total"]["samples"]
             assert sum(s["value"] for s in degraded) >= 1
+
+    def test_repro_stats_counts_the_routers_degraded_answer(self, capsys):
+        # the router's last-good cache only puts and reads stale, so a
+        # degraded serve is a ``stale_serves``, never a ``hits``
+        from repro.cli import main
+        with _boot() as cluster:
+            with ServiceClient(port=cluster.router_port,
+                               timeout_s=30.0) as client:
+                client.run("BFS", "ldbc", scale=0.02, machine="test")
+                for name in list(cluster.shard_threads):
+                    cluster.kill_shard(name)
+                out = client.run("BFS", "ldbc", scale=0.02,
+                                 machine="test", deadline_s=20.0)
+                assert out["degraded"] is True
+            assert main(["stats", "--port", str(cluster.router_port)]) == 0
+        assert "stale-cache  entries=1 stale_serves=1 cap_s=60.0" \
+            in capsys.readouterr().out
 
     def test_breaker_opens_after_repeated_transport_failures(self):
         with _boot() as cluster:

@@ -27,6 +27,7 @@ from repro.core.errors import (
     RemoteError,
     RetriesExhausted,
 )
+from repro.obs import MetricsRegistry, counter_total
 from repro.resilience import Cell, ChaosSpec, Fault
 from repro.service import (
     CacheTiers,
@@ -197,10 +198,14 @@ class TestLRUCache:
 
     def test_tiers_stats_surface(self):
         tiers = CacheTiers.build()
+        registry = MetricsRegistry()
+        tiers.bind_metrics(registry)
         tiers.rows.put("k", {"x": 1})
-        s = tiers.stats()
-        assert s["rows"]["inserts"] == 1
-        assert set(s) == {"datasets", "rows"}
+        snap = registry.snapshot()
+        assert counter_total(snap, "cache_events_total", tier="rows",
+                             event="inserts") == 1
+        assert {s["labels"]["tier"] for s in snap["cache_entries"]
+                ["samples"]} == {"datasets", "rows"}
 
 
 KEYS = st.sampled_from("abcde")
@@ -313,6 +318,13 @@ def _cache_off():
     return CacheTiers.build(dataset_capacity=0, row_capacity=0)
 
 
+def _outcomes(registry, family="scheduler_requests_total",
+              label="outcome") -> dict:
+    """A labeled counter family's values, by its one label."""
+    return {s["labels"][label]: int(s["value"])
+            for s in registry.snapshot()[family]["samples"]}
+
+
 class TestScheduler:
     def test_identical_requests_coalesce_into_one_execution(self):
         async def main():
@@ -323,14 +335,15 @@ class TestScheduler:
             await asyncio.sleep(0.05)     # let everyone join the batch
             pool.release.set()
             records = await asyncio.gather(*tasks)
-            return pool.calls, records, sched.stats
+            return pool.calls, records, _outcomes(sched.registry)
 
         calls, records, stats = asyncio.run(main())
         assert len(calls) == 1            # one execution for 10 requests
         assert len(records) == 10
         assert sorted(r["served"] for r in records) == \
             ["coalesced"] * 9 + ["executed"]
-        assert stats.coalesced == 9 and stats.executed == 1
+        assert stats["coalesced"] == 9 and stats["executed"] == 1
+        assert stats["submitted"] == 10
 
     def test_distinct_cells_do_not_coalesce(self):
         async def main():
@@ -348,13 +361,13 @@ class TestScheduler:
             sched = Scheduler(pool, CacheTiers.build())
             first = await sched.submit(_cell())
             second = await sched.submit(_cell())
-            return pool.calls, first, second, sched.stats
+            return pool.calls, first, second, _outcomes(sched.registry)
 
         calls, first, second, stats = asyncio.run(main())
         assert len(calls) == 1
         assert first["served"] == "executed"
         assert second["served"] == "cache"
-        assert stats.cache_hits == 1
+        assert stats["cache_hits"] == 1
 
     def test_max_pending_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -374,11 +387,11 @@ class TestScheduler:
             await asyncio.sleep(0.05)
             pool.release.set()
             await asyncio.gather(*held, rider)
-            return sched.stats
+            return _outcomes(sched.registry)
 
         stats = asyncio.run(main())
-        assert stats.rejected == 1
-        assert stats.coalesced == 1
+        assert stats["rejected"] == 1
+        assert stats["coalesced"] == 1
 
     def test_failure_fans_out_to_all_waiters(self):
         async def main():
@@ -390,12 +403,12 @@ class TestScheduler:
             await asyncio.sleep(0.05)
             pool.release.set()
             return await asyncio.gather(*tasks, return_exceptions=True), \
-                sched.stats
+                _outcomes(sched.registry)
 
         results, stats = asyncio.run(main())
         assert all(isinstance(r, CellCrash) for r in results)
-        assert stats.failed == 1          # one execution failed, 3 waiters
-        assert stats.executed == 0
+        assert stats["failed"] == 1       # one execution failed, 3 waiters
+        assert stats["executed"] == 0
 
     def test_failed_execution_is_not_cached(self):
         async def main():
@@ -459,12 +472,15 @@ class TestWorkerPool:
                     await pool.run_record(cell)
             finally:
                 pool.shutdown()
-            return exc.value, pool.stats
+            return exc.value, pool.registry
 
-        error, stats = asyncio.run(main())
+        error, registry = asyncio.run(main())
         assert error.last.kind == "crash"
-        assert stats.failed == 1
-        assert stats.failures_by_kind == {"crash": 1}
+        assert _outcomes(registry, "pool_failures_total", "kind") \
+            == {"crash": 1}
+        snap = registry.snapshot()
+        assert counter_total(snap, "pool_executions_total") == 0
+        assert counter_total(snap, "pool_worker_restarts_total") == 1
 
     def test_flaky_fault_recovers_with_retries(self):
         cell = _cell()
@@ -507,9 +523,10 @@ class TestLiveService:
                 assert len(client.workloads()) == 13
                 datasets = client.datasets()
                 assert {d["key"] for d in datasets} >= {"ldbc", "twitter"}
-                stats = client.stats()
-                assert stats["ops"]["ping"] == 1
-                assert stats["connections"] == 1
+                m = client.stats()["metrics"]
+                assert counter_total(m, "service_requests_total",
+                                     op="ping") == 1
+                assert counter_total(m, "service_connections_total") == 1
 
     def test_run_and_characterize(self):
         with ServiceThread(_inline_service()) as st:
@@ -561,10 +578,11 @@ class TestLiveService:
                 t.join()
             assert not errors
             assert len(results) == n
-            stats = st.service.stats()
-            assert stats["scheduler"]["submitted"] == n
+            stats = _outcomes(st.service.registry)
+            assert stats["submitted"] == n
             # one execution; everyone else coalesced or hit the cache
-            assert stats["scheduler"]["executed"] == 1
+            assert stats["executed"] == 1
+            assert stats["coalesced"] + stats["cache_hits"] == n - 1
 
     def test_chaos_crash_fails_only_its_own_request(self):
         """The acceptance property: a chaos-killed worker produces a typed
@@ -669,7 +687,9 @@ class TestAdversarialFraming:
             loris.sendall(b"{")
             with ServiceClient(*front_door) as client:
                 assert client.ping()["pong"] is True
-                assert client.stats()["connections"] >= 2
+                m = client.stats()["metrics"]
+                assert sum(counter_total(m, name) for name in m
+                           if name.endswith("_connections_total")) >= 2
             loris.sendall(b'"v": 1')    # still dribbling, still fine
             with ServiceClient(*front_door) as client:
                 assert client.ping()["pong"] is True

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.core.errors import QuotaExceeded
+from repro.obs import MetricsRegistry, counter_total
 from repro.resilience import Cell
 from repro.service import (
     CacheTiers,
@@ -164,9 +165,9 @@ class TestTenantGovernor:
 
     def test_unmetered_default_always_admits(self):
         gov = self._gov()
+        assert gov.resolve(None) == DEFAULT_TENANT
         for _ in range(1000):
-            gov.admit(gov.resolve(None))
-        assert gov.stats()["tenants"][DEFAULT_TENANT]["admitted"] == 1000
+            gov.admit(gov.resolve(None))        # never raises
 
     def test_metered_tenant_hits_rate_quota_with_retry_hint(self):
         clock = _Clock()
@@ -180,8 +181,6 @@ class TestTenantGovernor:
         assert exc.value.retry_after_s == pytest.approx(0.1)
         clock.advance(0.2)                      # bucket refills
         gov.admit("noisy")
-        counts = gov.stats()["tenants"]["noisy"]
-        assert counts == {"admitted": 3, "rejected_rate": 1}
 
     def test_cache_partition_sized_from_share(self):
         gov = self._gov(small=TenantPolicy(cache_share=0.1))
@@ -191,16 +190,50 @@ class TestTenantGovernor:
         assert gov.cache_for(DEFAULT_TENANT) is None  # shared tier
 
     def test_metrics_collector_shape(self):
-        from repro.obs import MetricsRegistry
-        gov = self._gov()
+        # the governor counts nothing; the scheduler built over it counts
+        # each admission outcome on its registry
+        gov = self._gov(clock=_Clock(),
+                        noisy=TenantPolicy(rate=10.0, burst=1.0))
         reg = MetricsRegistry()
-        gov.bind_metrics(reg)
-        gov.admit(DEFAULT_TENANT)
+
+        async def main():
+            sched = Scheduler(_FakePool(), _cache_off(), governor=gov,
+                              registry=reg)
+            await sched.submit(_cell(seed=0))
+            await sched.submit(_cell(seed=1), tenant="noisy")
+            with pytest.raises(QuotaExceeded):
+                await sched.submit(_cell(seed=2), tenant="noisy")
+            await sched.drain()
+
+        asyncio.run(main())
         snap = reg.snapshot()
-        samples = snap["tenant_requests_total"]["samples"]
-        assert {tuple(sorted(s["labels"])) for s in samples} \
-            == {("outcome", "tenant")}
+        counts = {(s["labels"]["tenant"], s["labels"]["outcome"]):
+                  s["value"]
+                  for s in snap["tenant_requests_total"]["samples"]}
+        assert counts == {(DEFAULT_TENANT, "admitted"): 1.0,
+                          ("noisy", "admitted"): 1.0,
+                          ("noisy", "rejected_rate"): 1.0}
         assert snap["tenant_gate_queued"]["samples"][0]["value"] == 0.0
+
+    def test_scheduler_counts_a_fair_queue_rejection(self):
+        gov = TenantGovernor(QosConfig(fair_slots=1, max_queue=1))
+        reg = MetricsRegistry()
+
+        async def main():
+            sched = Scheduler(_FakePool(), _cache_off(), governor=gov,
+                              registry=reg)
+            # one holds the slot, one queues, the third overflows
+            results = await asyncio.gather(
+                *[sched.submit(_cell(seed=i), tenant="t")
+                  for i in range(3)], return_exceptions=True)
+            await sched.drain()
+            return results
+
+        results = asyncio.run(main())
+        assert [r["served"] for r in results[:2]] == ["executed"] * 2
+        assert isinstance(results[2], QuotaExceeded)
+        assert counter_total(reg.snapshot(), "tenant_requests_total",
+                             tenant="t", outcome="rejected_queue") == 1
 
 
 # -- scheduler integration ---------------------------------------------------
@@ -220,6 +253,10 @@ class _FakePool:
 def _cell(workload="BFS", dataset="ldbc", seed=0):
     return Cell(workload=workload, dataset=dataset, scale=0.05,
                 seed=seed, machine="test")
+
+
+def _cache_off():
+    return CacheTiers.build(dataset_capacity=0, row_capacity=0)
 
 
 class TestSchedulerWithGovernor:
@@ -338,9 +375,13 @@ class TestLiveQosService:
                 out = quiet.run("CComp", "ldbc", scale=0.02,
                                 machine="test")
                 assert out["outputs"]
-                tenancy = quiet.stats()["tenancy"]
-        assert tenancy["tenants"]["noisy"]["rejected_rate"] == 1
-        assert tenancy["tenants"]["quiet"]["admitted"] >= 1
+                stats = quiet.stats()
+        m = stats["metrics"]
+        assert counter_total(m, "tenant_requests_total", tenant="noisy",
+                             outcome="rejected_rate") == 1
+        assert counter_total(m, "tenant_requests_total", tenant="quiet",
+                             outcome="admitted") >= 1
+        assert set(stats["tenancy"]) == {"gate", "partitions"}
 
     def test_no_governor_stats_carry_no_tenancy_block(self):
         service = GraphService(

@@ -301,18 +301,24 @@ class TestHarnessIntegration:
         assert len(spans) == 1
         assert spans[0].args.get("served") == "trace-store"
 
-    def test_bind_metrics_exports_counters(self, store, spec):
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-        store.bind_metrics(registry)
-        run_cpu_workload("BFS", spec, machine=TEST_MACHINE,
-                         trace_store=store)
-        run_cpu_workload("BFS", spec, machine=SCALED_XEON,
-                         trace_store=store)
-        snap = registry.snapshot()
-        assert snap["trace_store_hits_total"]["samples"][0]["value"] == 1.0
-        assert (snap["trace_store_misses_total"]["samples"][0]["value"]
-                == 1.0)
+    def test_service_stats_carry_the_default_store(self, tmp_path, spec):
+        from repro.service import GraphService, PoolConfig
+        service = GraphService(
+            pool_config=PoolConfig(size=1, isolation="inline"))
+        try:
+            assert "trace_store" not in service.stats()
+            store = set_default_trace_store(tmp_path / "default-traces")
+            try:
+                run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
+                run_cpu_workload("BFS", spec, machine=SCALED_XEON)
+                stats = service.stats()
+            finally:
+                set_default_trace_store(None)
+        finally:
+            service.pool.shutdown()
+        assert stats["trace_store"] == store.stats.as_dict()
+        assert (stats["trace_store"]["hits"],
+                stats["trace_store"]["misses"]) == (1, 1)
 
 
 class TestResilienceIntegration:

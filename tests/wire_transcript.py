@@ -5,11 +5,13 @@ kind, as the exact frames that cross the socket.
 standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
-``tests/data/wire_transcript.jsonl`` holds the lines the *parent* of the
-PR that introduced the op/error tables produced, re-recorded once since:
-a shard now stamps ``"shard"`` on its own keyed answers (the router,
-which used to, relays them as bytes), so the two keyed ok answers of the
-shard scene gained that member and no other frame moved —
+``tests/data/wire_transcript.jsonl`` holds the lines the tree produced
+just before the op/error tables were introduced, re-recorded twice
+since: a shard now stamps ``"shard"`` on its own keyed answers (the
+router, which used to, relays them as bytes), so the two keyed ok
+answers of the shard scene gained that member; and the service's and
+the router's ``stats`` answers dropped the keys that restated a metric
+family, so those two key lists shrank.  No other frame moved —
 ``test_protocol.py`` holds the previous recording's digest and checks
 exactly that.  It also asserts a fresh recording is byte-identical, so a
 refactor of the wire vocabulary cannot move a byte of any request,
