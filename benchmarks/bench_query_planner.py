@@ -1,5 +1,5 @@
-"""Query planner/executor: plan+result cache leverage and distributed
-vs single-node execution.
+"""Query planner/executor: plan+result cache leverage, and the router
+vs a single node.
 
 Two claims behind the pipeline-DSL subsystem:
 
@@ -8,12 +8,11 @@ Two claims behind the pipeline-DSL subsystem:
   warm engine answers the same canonical query at least
   ``MIN_CACHE_SPEEDUP``x the throughput of a cold engine that must
   parse, plan, and execute every time (identical answers asserted).
-* **distribution claim** — a 4-shard scatter of per-shard subplans
-  merges to the byte-identical single-node answer; the benchmark
-  reports both latencies so the fan-out overhead at toy scale is
-  visible rather than hidden (at these graph sizes the single node
-  usually wins — the point is equivalence and disclosed cost, not a
-  speedup).
+* **router claim** — a query through a 4-shard router (one shard's
+  answer, relayed) equals the single node's answer element for
+  element; the benchmark reports both latencies so the router hop's
+  cost is visible rather than hidden (the point is equivalence and
+  disclosed cost, not a speedup).
 
 Shape-not-absolute: thresholds compare arms within this run on this
 host; seeds pin the graphs and the query set.  Results land in
@@ -99,7 +98,7 @@ def _cache_arm() -> dict[str, Any]:
             "engine_stats": warm.stats()}
 
 
-# -- distribution arm: 4-shard scatter vs single node ------------------------
+# -- router arm: router vs single node ---------------------------------------
 
 def _timed_queries(client: ServiceClient,
                    queries: list[str]) -> tuple[float, list[dict]]:
@@ -110,7 +109,7 @@ def _timed_queries(client: ServiceClient,
     return time.perf_counter() - t0, tables
 
 
-def _distribution_arm() -> dict[str, Any]:
+def _router_arm() -> dict[str, Any]:
     queries = [q for q in TEMPLATES if "topk" in q]
     service = GraphService(
         pool_config=PoolConfig(size=2, isolation="inline"))
@@ -123,40 +122,40 @@ def _distribution_arm() -> dict[str, Any]:
             attempt_timeout_s=60, fanout_timeout_s=60)) as ct:
         with ServiceClient(port=ct.router_port) as client:
             _timed_queries(client, queries)          # warm caches
-            dist_s, dist_tables = _timed_queries(client, queries)
-    assert dist_tables == single_tables, \
-        "distributed topk diverged from single-node"
+            router_s, router_tables = _timed_queries(client, queries)
+    assert router_tables == single_tables, \
+        "the router's topk diverged from the single node's"
     return {"queries": len(queries), "shards": SHARDS,
             "single_node_s": round(single_s, 6),
-            "distributed_s": round(dist_s, 6),
+            "router_s": round(router_s, 6),
             "single_qps": round(len(queries) / single_s, 1),
-            "distributed_qps": round(len(queries) / dist_s, 1),
+            "router_qps": round(len(queries) / router_s, 1),
             "identical_answers": True}
 
 
 def run_query_benchmark() -> dict[str, Any]:
     cache = _cache_arm()
-    dist = _distribution_arm()
+    router = _router_arm()
     return {
         "config": {"datasets": list(DATASETS), "scale": SCALE,
                    "repeats": REPEATS, "shards": SHARDS, "tiny": TINY},
         "methodology": "cache: one warm engine replays the template "
                        "pool vs a cold engine per query (parse + plan "
                        "+ execute every time); answers asserted equal. "
-                       "distribution: the pool's topk templates on a "
-                       "single node vs a scatter-merge cluster; "
-                       "element-identical tables asserted",
+                       "router vs single node: the pool's topk "
+                       "templates on a single node vs through a "
+                       "cluster router; element-identical tables "
+                       "asserted",
         "cache": cache,
-        "distribution": dist,
+        "router": router,
         "headline": {"cache_speedup": cache["speedup"],
                      "cache_speedup_floor": MIN_CACHE_SPEEDUP,
-                     "distributed_identical":
-                         dist["identical_answers"]},
+                     "router_identical": router["identical_answers"]},
     }
 
 
 def _render(results: dict) -> str:
-    c, d = results["cache"], results["distribution"]
+    c, d = results["cache"], results["router"]
     table = format_table(
         ["arm", "queries", "total_s", "qps"],
         [["warm (cached)", c["queries"] * c["repeats"],
@@ -165,20 +164,20 @@ def _render(results: dict) -> str:
           c["cold_qps"]],
          ["single-node topk", d["queries"], d["single_node_s"],
           d["single_qps"]],
-         [f"{d['shards']}-shard topk", d["queries"],
-          d["distributed_s"], d["distributed_qps"]]],
+         [f"{d['shards']}-shard router topk", d["queries"],
+          d["router_s"], d["router_qps"]]],
         title="query throughput by serving arm")
     return (f"{table}\n"
             f"plan/result cache speedup: {c['speedup']}x "
             f"(floor {MIN_CACHE_SPEEDUP}x)\n"
-            f"distributed answers identical: "
+            f"router answers identical to the single node's: "
             f"{d['identical_answers']}")
 
 
 def _check(results: dict) -> None:
     h = results["headline"]
     assert h["cache_speedup"] >= MIN_CACHE_SPEEDUP, h
-    assert h["distributed_identical"], h
+    assert h["router_identical"], h
 
 
 def test_query_planner():

@@ -319,7 +319,6 @@ def cmd_query_lang(args) -> int:
     if args.explain:
         from .query.plan import render_plan
         print(render_plan(result["plan"]))
-        print(f"merge:   {' -> '.join(result['merge'])}")
         print(f"digest:  {result['digest']} "
               f"(plan_cached={result['plan_cached']})")
         return 0
@@ -334,8 +333,6 @@ def cmd_query_lang(args) -> int:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
     trailer = (f"({result['rows']} rows, plan {result['plan']}, "
                f"served {result.get('served', '?')}")
-    if result.get("distributed"):
-        trailer += f", {result['parts']} parts"
     if result.get("version") is not None:
         trailer += f", version {result['version']}"
     print(trailer + ")")
@@ -1063,9 +1060,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_query_lang_args(clsub.add_parser(
         "query-lang",
-        help="run a pipeline-DSL query through the router: static "
-             "sources scatter per-shard subplans and merge partials, "
-             "dynamic sources route to the owner"), ROUTER_PORT)
+        help="run a pipeline-DSL query through the router: one shard "
+             "answers — a dynamic source's owner, or for a static "
+             "source the ring owner first and any live shard after "
+             "it"), ROUTER_PORT)
 
     clg = clsub.add_parser(
         "loadgen",

@@ -12,7 +12,9 @@ metrics registry — plus three cluster behaviours:
   dataset the shard does not own fail with a typed
   :class:`~repro.core.errors.WrongShard` — loudly surfacing a stale
   ring or misrouted request instead of silently duplicating another
-  shard's cache tier;
+  shard's cache tier.  Only mutable state is owned: a DSL query over a
+  static source (a generated graph, the same on every shard) is served
+  by any shard;
 * the ``datasets`` op reports only the owned slice of the registry, so
   the router's scatter-gather union *is* the cluster's serving surface
   (a dead shard's exclusive datasets visibly drop out).
@@ -166,19 +168,18 @@ class ShardService(GraphService):
         parsing again).  No dataset when there is nothing to check: an
         unknown name or malformed DSL text (the handler raises its own
         typed error, which names the real mistake instead of a routing
-        one), or a ``part`` of the router's scatter — any shard computes
-        any partition of the deterministically generated graph, which is
-        what lets failed parts reassign to survivors."""
+        one), or a static DSL source — only mutable state is owned, and
+        any shard generates the same static graph, which is what lets a
+        dead owner's static queries fail over to any survivor."""
         pipeline = None
         if op.key_in == "q":
-            if "part" in params:
-                return None, None
             try:
                 from ..query import parse, source_info
                 pipeline = parse(params.get("q"))
-                dataset = source_info(pipeline).dataset
+                source = source_info(pipeline)
             except Exception:  # noqa: BLE001 — defer to the engine's error
                 return None, None
+            dataset = source.dataset if source.dynamic else None
         else:
             dataset = params.get(op.key_in, DEFAULT_DATASET)
         return (dataset if isinstance(dataset, str)

@@ -11,12 +11,14 @@ into shard traffic by the ``route`` of its row in
   *transport* failure (refused/reset/EOF/timeout/garbage).  Typed errors
   a shard answers with are forwarded, never retried — a bad request is
   bad on every replica.  **any-shard** is the same walk over every
-  shard; **write** dials the key's primary only; **query** routes a
-  dynamic source keyed and scatters a static one.  Wherever one shard's
-  answer is forwarded untouched it is *relayed*: the body is peeled off
-  the shard's ok frame and spliced into the client's as the bytes that
-  arrived (:func:`~repro.service.protocol.peel_response`), never parsed
-  here; where the router composes an answer it decodes.
+  shard; **write** dials the key's primary only; **query** is a keyed
+  read of the DSL source's dataset — over its owner chain for a dynamic
+  source, over every shard in ring order for a static one (only mutable
+  state is owned; any shard generates a static graph).  Wherever one
+  shard's answer is forwarded untouched it is *relayed*: the body is
+  peeled off the shard's ok frame and spliced into the client's as the
+  bytes that arrived (:func:`~repro.service.protocol.peel_response`),
+  never parsed here; where the router composes an answer it decodes.
 * **scatter** fans out to every healthy shard concurrently under a
   per-shard timeout and aggregates what arrives; a missing shard makes
   the result *partial*, not an error.
@@ -78,7 +80,6 @@ the router supplies only :meth:`Router._dispatch`, so the same
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import time
 from dataclasses import dataclass
@@ -96,8 +97,7 @@ from ..core.errors import (
 from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.tracing import SpanTracer, maybe_span
-from ..query import merge_partials, parse as parse_query, source_info, \
-    unparse
+from ..query import parse as parse_query, source_info, unparse
 from ..query.engine import plan_digest
 from ..query.plan import plan_pipeline
 from ..resilience.retry import RetryPolicy
@@ -419,10 +419,11 @@ class Router(FrameServer):
             "retry-budget tokens currently available",
             callback=lambda: float(self.retry_budget.tokens))
         self._stale = LRUCache(STALE_CAPACITY)
-        # router-side plan cache for static-source DSL queries (version
-        # 0 — a generated graph never changes under a fixed seed);
-        # dynamic queries route to their owner, whose engine holds the
-        # version-keyed cache
+        # router-side plan cache for static-source DSL queries, planned
+        # here so a bad pipeline fails typed before any shard traffic
+        # (version 0 — a generated graph never changes under a fixed
+        # seed); a dynamic source is planned by its owner's engine,
+        # against the store head
         self._plan_cache = LRUCache(128)
         # rolling successful-attempt latencies (seconds) feeding the
         # hedge-delay quantile
@@ -438,10 +439,7 @@ class Router(FrameServer):
                "datasets": self._gather_datasets,
                "shard_info": self._gather_shard_info,
                "stats": self._gather_stats, "batch": self._gather_batch,
-               "query": functools.partial(
-                   self._route_dsl, serve_static=self._scatter_query),
-               "explain": functools.partial(
-                   self._route_dsl, serve_static=self._explain_static)}
+               "query": self._route_dsl, "explain": self._route_dsl}
         self._handlers = {op.name: by_route.get(op.route) or own[op.name]
                           for op in OPS.values() if op.route is not None}
 
@@ -1093,127 +1091,33 @@ class Router(FrameServer):
 
     # -- pipeline-DSL queries --------------------------------------------------
 
-    def _static_plan(self, canonical: str):
-        """``(plan, digest, cached)`` of a static-source query, through
-        the router's content-addressed plan cache (version 0: a
+    def _static_plan(self, pipeline) -> None:
+        """Plan a static-source query at the front door, so a bad
+        pipeline fails with a typed PlanError before any shard traffic;
+        through the router's content-addressed plan cache (version 0: a
         generated graph never changes under a fixed seed)."""
-        digest = plan_digest(canonical)
-        key = ("plan", digest)
-        plan = self._plan_cache.get(key, version=0)
-        if plan is not None:
-            return plan, digest, True
-        plan = plan_pipeline(parse_query(canonical))
-        self._plan_cache.put(key, plan, version=0)
-        return plan, digest, False
+        key = ("plan", plan_digest(unparse(pipeline)))
+        if self._plan_cache.get(key, version=0) is None:
+            self._plan_cache.put(key, plan_pipeline(pipeline), version=0)
 
-    async def _route_dsl(self, req: Request, span_args: dict,
-                         serve_static) -> Any:
-        """Route a pipeline-DSL op.
+    async def _route_dsl(self, req: Request, span_args: dict) -> Any:
+        """Route a pipeline-DSL op as a keyed read of its source's
+        dataset, the answering shard's bytes relayed.
 
-        Dynamic sources route keyed to the dataset's owner chain — only
-        owners hold the mutation history, so a scattered dynamic query
-        could mix versions.  Static sources are answered at the front
-        door by ``serve_static(req, canonical, span_args)``: a ``query``
-        scatters, an ``explain`` plans.
-
-        Garbage text fails router-side with a typed
-        :class:`~repro.core.errors.QueryError` before any shard traffic.
+        Only mutable state is owned: a dynamic source walks the
+        dataset's owner chain (only owners hold the mutation history),
+        a static one every shard in ring order, owner first — any shard
+        generates the same graph, so a dead owner fails over through the
+        walk.  Garbage text fails router-side with a typed
+        :class:`~repro.core.errors.QueryError`, and a static pipeline
+        that cannot be planned with a typed PlanError, before any shard
+        traffic.
         """
-        if "part" in req.params:
-            raise BadRequest("'part' is the router's internal scatter "
-                             "parameter; send the bare query")
         pipeline = parse_query(req.params.get("q"))
         source = source_info(pipeline)
         if source.dynamic:
-            span_args["mode"] = "keyed"
             return await self._route_keyed(req, source.dataset, span_args)
-        return await serve_static(req, unparse(pipeline), span_args)
-
-    async def _explain_static(self, req: Request, canonical: str,
-                              span_args: dict) -> dict[str, Any]:
-        # deterministic for a fixed plan-cache state: the part count is
-        # the topology size, never the live healthy count
-        plan, digest, cached = self._static_plan(canonical)
-        span_args["mode"] = "explain"
-        return {"plan": plan.to_dict(), "merge": plan.merge_ops(),
-                "digest": digest[:16], "canonical": canonical,
-                "version": None, "plan_cached": cached,
-                "role": "router", "parts": len(self.shards)}
-
-    async def _scatter_query(self, req: Request, canonical: str,
-                             span_args: dict) -> Any:
-        """Answer a static-source ``query``: the planner splits the
-        vertex table into one partition per healthy shard, every shard
-        runs the full kernels over its deterministically-generated copy
-        of the graph and answers with its partition's partial table, and
-        the merge (:func:`repro.query.dist.merge_partials`) reassembles
-        the exact single-node answer at the front door.
-
-        Fan one partition per healthy shard; reassign failed parts.
-
-        A *typed* shard answer (QueryError/PlanError/...) forwards
-        immediately with shard attribution — the query is equally wrong
-        on every shard.  A *transport* failure puts the part back in the
-        pool: any shard can compute any partition, so the parts of a
-        dead shard rerun on the survivors and the answer stays whole.
-        """
-        plan, digest, _ = self._static_plan(canonical)
-        span_args["mode"] = "scatter"
-        targets = list(self.tracker.healthy_shards()
-                       or tuple(self.shards))
-        n = len(targets)
-        t0 = time.perf_counter()
-
-        async def one(index: int, shard: str):
-            return index, await self._exchange(
-                shard, "query", dict(req.params, part=[index, n]),
-                self.fanout_timeout_s, f"_query:{index}",
-                deadline=req.deadline, tenant=req.tenant)
-
-        tables: dict[int, dict] = {}
-        assigned: dict[int, str] = {}
-        survivors: list[str] = []
-        pending = list(enumerate(targets))
-        rounds = 0
-        while pending:
-            outcomes = await asyncio.gather(
-                *(one(i, s) for i, s in pending))
-            failed: list[int] = []
-            for index, answer in outcomes:
-                if answer.outcome == "error":
-                    span_args["outcome"] = "error"
-                    span_args["shard"] = answer.error["shard"]
-                    raise payload_to_error(answer.error)
-                # unreachable (or an answer that is no table): the part
-                # goes back in the pool
-                table = answer.result.get("table") \
-                    if isinstance(answer.result, dict) else None
-                if not isinstance(table, dict):
-                    failed.append(index)
-                    continue
-                if answer.shard not in survivors:
-                    survivors.append(answer.shard)
-                tables[index] = table
-                assigned[index] = answer.shard
-            if not failed:
-                break
-            rounds += 1
-            if not survivors or rounds > len(targets):
-                span_args["outcome"] = "unavailable"
-                raise ShardUnavailable(
-                    f"query:{digest[:16]}",
-                    tried=tuple(dict.fromkeys(s for _, s in pending)))
-            # any shard can compute any part: round-robin the failed
-            # parts over the shards that have already answered
-            pending = [(index, survivors[j % len(survivors)])
-                       for j, index in enumerate(failed)]
-        self._m_fan.labels(op="query").observe(
-            (time.perf_counter() - t0) * 1e3)
-        merged = merge_partials(plan, [tables[i] for i in range(n)])
-        span_args["parts"] = n
-        span_args["outcome"] = "ok"
-        return {"table": merged, "rows": len(merged["rows"]),
-                "plan": digest[:16], "canonical": canonical,
-                "version": None, "distributed": True, "parts": n,
-                "served": "scatter",
-                "assignments": {str(i): assigned[i] for i in range(n)}}
+        self._static_plan(pipeline)
+        return await self._route_keyed(
+            req, source.dataset, span_args,
+            self.ring.owners(source.dataset, len(self.ring.nodes)))

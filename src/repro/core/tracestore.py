@@ -108,19 +108,12 @@ def _check_columns(cols: dict[str, np.ndarray], regions: dict[int, Region],
 
 @dataclass
 class TraceStoreStats:
-    """Store efficacy counters (the ``trace_store`` section of a
-    service's ``stats`` and of :func:`repro.harness.cache_stats`)."""
+    """Store efficacy counters, read off the store its caller holds."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     invalid: int = 0      # corrupt / unreadable entries (treated as misses)
-
-    def as_dict(self) -> dict[str, float]:
-        total = self.hits + self.misses
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "invalid": self.invalid,
-                "hit_rate": self.hits / total if total else 0.0}
 
 
 @dataclass

@@ -93,16 +93,14 @@ class GraphSpec:
             heap=heap, tracer=tracer)
 
     def csr(self):
-        """Materialize as CSR (arcs mirrored first if undirected)."""
-        from ..formats.csr import from_edge_arrays
+        """Materialize as CSR (arcs mirrored first if undirected, then
+        sorted; a directed spec keeps generation order within a row)."""
+        from ..formats.csr import from_arc_keys, from_edge_arrays
         src, dst = self.edges[:, 0], self.edges[:, 1]
-        if not self.directed:
-            src, dst = (np.concatenate([src, dst]),
-                        np.concatenate([dst, src]))
-            key = src * self.n + dst
-            _, idx = np.unique(key, return_index=True)
-            src, dst = src[idx], dst[idx]
-        return from_edge_arrays(self.n, src, dst)
+        if self.directed:
+            return from_edge_arrays(self.n, src, dst)
+        return from_arc_keys(self.n, np.concatenate(
+            [src * self.n + dst, dst * self.n + src]))
 
     def coo(self):
         """Materialize as COO (arcs mirrored first if undirected)."""

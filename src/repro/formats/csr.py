@@ -141,11 +141,8 @@ class CSRGraph:
     def undirected(self) -> "CSRGraph":
         """Symmetrized CSR (each arc mirrored; duplicates removed)."""
         src = np.repeat(np.arange(self.n), self.degrees())
-        s = np.concatenate([src, self.col_idx])
-        d = np.concatenate([self.col_idx, src])
-        key = s * self.n + d
-        _, keep = np.unique(key, return_index=True)
-        return from_edge_arrays(self.n, s[keep], d[keep])
+        return from_arc_keys(self.n, np.concatenate(
+            [src * self.n + self.col_idx, self.col_idx * self.n + src]))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CSRGraph(n={self.n}, m={self.m})"
@@ -167,3 +164,13 @@ def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray,
     if vals is not None:
         v = np.asarray(vals, dtype=np.float64)[order]
     return CSRGraph(row_ptr, dst[order], v)
+
+
+def from_arc_keys(n: int, key: np.ndarray) -> CSRGraph:
+    """The sorted CSR of the arcs ``key = src * n + dst`` (any order,
+    duplicates dropped): rows ascending, neighbours ascending within a
+    row.  Sort, then drop repeats: ``np.unique`` gives the same keys at
+    several times the cost."""
+    key = np.sort(key)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return from_edge_arrays(n, key // n, key % n)

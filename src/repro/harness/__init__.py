@@ -28,10 +28,8 @@ from .runner import (
     characterize,
     clear_cache,
     default_dataset,
-    default_trace_store,
     gpu_speedup,
     run_cpu_workload,
-    set_default_trace_store,
 )
 from .sensitivity import pivot, sensitivity_rows, spread
 
@@ -41,7 +39,7 @@ __all__ = [
     "PAPER_AVG_FRAMEWORK_FRACTION",
     "Row", "average_fraction", "bar", "breakdown_table", "by_ctype",
     "cache_stats", "characterize", "clear_cache", "cpu_table",
-    "default_dataset", "default_trace_store", "set_default_trace_store",
+    "default_dataset",
     "export_all", "failure_table",
     "fig8_table", "format_table", "framework_fractions", "gpu_speedup",
     "gpu_table", "matrix_table", "paper_note", "pivot",

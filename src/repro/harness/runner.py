@@ -94,38 +94,18 @@ def _sweep_memo(key: str) -> dict:
     return memo
 
 
-#: Process-wide default trace store (None = traces are not persisted).
-_TRACE_STORE: TraceStore | None = None
-
-
 def _as_store(store: TraceStore | str | Path | None) -> TraceStore | None:
     if store is None or isinstance(store, TraceStore):
         return store
     return TraceStore(store)
 
 
-def set_default_trace_store(store: TraceStore | str | Path | None
-                            ) -> TraceStore | None:
-    """Install (or clear, with ``None``) the process-wide default trace
-    store used when callers do not pass ``trace_store=`` explicitly."""
-    global _TRACE_STORE
-    _TRACE_STORE = _as_store(store)
-    return _TRACE_STORE
-
-
-def default_trace_store() -> TraceStore | None:
-    return _TRACE_STORE
-
-
-def cache_stats() -> dict[str, dict[str, float] | None]:
+def cache_stats() -> dict[str, dict[str, float]]:
     """Counters of the harness caches — row memo, sweep memos, shared
-    graphs, each in the ``CacheStats.as_dict()`` shape — and (when
-    configured) the trace store, one scrape for every caching layer."""
+    graphs — each in the ``CacheStats.as_dict()`` shape."""
     return {"rows": _CACHE.stats.as_dict(),
             "sweep_memos": _SWEEP_MEMOS.stats.as_dict(),
-            "graphs": _GRAPH_CACHE.stats.as_dict(),
-            "trace_store": (_TRACE_STORE.stats.as_dict()
-                            if _TRACE_STORE is not None else None)}
+            "graphs": _GRAPH_CACHE.stats.as_dict()}
 
 
 def _build_graph(spec: GraphSpec, tracer=None) -> PropertyGraph:
@@ -212,8 +192,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
     plus the edge list, GUp deletes from a prebuilt graph, TMorph runs on
     the DAG-ified dataset, Gibbs on a MUNIN-like network.
 
-    With a ``trace_store`` (or an installed process default, see
-    :func:`set_default_trace_store`), the frozen trace is persisted under
+    With a ``trace_store``, the frozen trace is persisted under
     its content key and subsequent calls — any machine — skip workload
     execution and replay the stored trace.  The trace is machine-
     independent by construction, so replayed metrics are identical to
@@ -221,8 +200,6 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
     bypass the store (a live object cannot be content-keyed safely).
     """
     store = _as_store(trace_store)
-    if store is None:
-        store = _TRACE_STORE
     key = None
     if store is not None and gibbs_bn is None:
         try:

@@ -1,5 +1,4 @@
-"""Pipeline query language: DSL -> AST -> plan -> local/distributed
-execution.
+"""Pipeline query language: DSL -> AST -> plan -> execution.
 
 The smallest language that multiplies scenario coverage: a ``|``-chained
 pipeline in the Storm mold, composing the existing graph kernels with
@@ -13,19 +12,15 @@ relational stages over one shared vertex table::
 * :mod:`~repro.query.plan` — logical validation + the cost-aware
   physical planner (implicit column materialization, filter fusion,
   graph/table phase split, per-stage cost estimates for ``explain``);
-* :mod:`~repro.query.exec` — the executor: numpy/python kernels over a
-  graph image, relational table ops shared verbatim by the single-node
-  tail and the router's distributed merge;
+* :mod:`~repro.query.exec` — the executor: numpy kernels over a graph
+  image, then relational table ops over the materialized rows;
 * :mod:`~repro.query.engine` — the per-service facade: content-addressed
   plan cache (version-keyed, so dynamic-graph commits invalidate),
-  graph/kernel caches, wire-param validation;
-* :mod:`~repro.query.dist` — the scatter-gather merge of per-shard
-  partial tables (topk merge, count sum, id-ordered concat);
+  graph/kernel and result caches;
 * :mod:`~repro.query.templates` — the loadgen's query-template pool.
 """
 
 from .ast import Arg, Pipeline, Stage
-from .dist import merge_partials
 from .engine import PLANNER_VERSION, QueryEngine
 from .parse import parse, unparse
 from .plan import PhysicalPlan, plan_pipeline, source_info
@@ -33,6 +28,6 @@ from .templates import query_template_pool
 
 __all__ = [
     "Arg", "PLANNER_VERSION", "PhysicalPlan", "Pipeline", "QueryEngine",
-    "Stage", "merge_partials", "parse", "plan_pipeline",
+    "Stage", "parse", "plan_pipeline",
     "query_template_pool", "source_info", "unparse",
 ]

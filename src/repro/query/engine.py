@@ -16,7 +16,7 @@ counters surface through the standard stats plumbing:
   repeated queries over one graph pay for degrees/CC/coreness/triangles
   once — at most those four entries; BFS has a result per (root, depth)
   and runs per request, its exact repeats being the result cache's job;
-* **result cache** — finished tables keyed by (plan digest, part),
+* **result cache** — finished tables keyed by plan digest,
   version-keyed the same way.
 
 Static sources pin version 0 (a generated graph never changes under a
@@ -46,9 +46,6 @@ from .plan import (
 #: Entries held by the plan, graph and result caches.
 PLAN_CAPACITY, GRAPH_CAPACITY, RESULT_CAPACITY = 256, 8, 512
 
-#: Sanity bound on fan-out width a query may request.
-MAX_PARTS = 256
-
 
 def _canon(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -58,24 +55,6 @@ def plan_digest(canonical_query: str) -> str:
     """Content address of a plan: canonical text + planner version."""
     payload = _canon({"planner": PLANNER_VERSION, "q": canonical_query})
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def parse_part(params: dict[str, Any]) -> "tuple[int, int] | None":
-    """Validate the optional ``part=[i, n]`` wire param."""
-    part = params.get("part")
-    if part is None:
-        return None
-    if (not isinstance(part, (list, tuple)) or len(part) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int)
-                   for x in part)):
-        raise BadRequest(f"part must be [index, n_parts], got {part!r}")
-    index, n_parts = int(part[0]), int(part[1])
-    if not (1 <= n_parts <= MAX_PARTS):
-        raise BadRequest(f"n_parts must be in [1, {MAX_PARTS}], got "
-                         f"{n_parts}")
-    if not (0 <= index < n_parts):
-        raise BadRequest(f"part index {index} outside [0, {n_parts})")
-    return index, n_parts
 
 
 class QueryEngine:
@@ -152,10 +131,9 @@ class QueryEngine:
 
     def query(self, params: dict[str, Any],
               pipeline=None) -> dict[str, Any]:
-        """Serve one ``query`` request (full or ``part`` partial).
-        ``pipeline`` is the parse of ``q`` when the caller already has
-        it (a shard parses the text to find its owner)."""
-        part = parse_part(params)
+        """Serve one ``query`` request.  ``pipeline`` is the parse of
+        ``q`` when the caller already has it (a shard parses the text to
+        find its owner)."""
         if pipeline is None:
             pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
@@ -164,14 +142,12 @@ class QueryEngine:
         version, token, store = self._resolve_version(source)
         plan, plan_cached = self._plan(canonical, digest, version, token,
                                        store)
-        result_key = ("result", digest, part)
+        result_key = ("result", digest)
         hit = self.results.get(result_key, version=token)
         if hit is not None:
             return hit
         image, kernel_cache = self._graph(source, version, token, store)
-        table = execute_plan(plan, image, part=part,
-                             partial=part is not None,
-                             kernel_cache=kernel_cache)
+        table = execute_plan(plan, image, kernel_cache=kernel_cache)
         response = {
             "table": table,
             "rows": len(table["rows"]),
@@ -190,9 +166,9 @@ class QueryEngine:
     def explain(self, params: dict[str, Any],
                 pipeline=None) -> dict[str, Any]:
         """Serve one ``explain`` request: the physical plan + cost
-        estimates + merge recipe.  Deterministic for a fixed plan-cache
-        state — no timings, no live measurements beyond the (versioned)
-        graph shape the cost model reads."""
+        estimates.  Deterministic for a fixed plan-cache state — no
+        timings, no live measurements beyond the (versioned) graph shape
+        the cost model reads."""
         if pipeline is None:
             pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
@@ -203,7 +179,6 @@ class QueryEngine:
                                        store)
         return {
             "plan": plan.to_dict(),
-            "merge": plan.merge_ops(),
             "digest": digest[:16],
             "canonical": canonical,
             "version": version if source.dynamic else None,

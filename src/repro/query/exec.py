@@ -1,21 +1,19 @@
 """The query executor: graph phase + table phase.
 
-One executor serves both deployment shapes.  The **graph phase** runs
-numpy kernels over a :class:`GraphImage` — sorted vertex ids and one
-:class:`~repro.formats.CSRGraph`, the repo's one compact graph form,
-built from a generated :class:`~repro.datagen.spec.GraphSpec` or a
-pinned dynamic :class:`~repro.dynamic.store.Snapshot` — keeps one
-``int64`` column per kernel output and a row mask, and materializes a
-plain table ``{"columns": [...], "rows": [[...], ...]}`` in ascending-id
-order once, at the end.
-The **table phase** applies the aggregate tail via
-:func:`apply_table_op` — pure functions over row lists that the
-cluster router imports *verbatim* for its scatter-gather merge, so the
-distributed answer is element-identical to the single-node answer by
-construction, not by luck.
+One executor serves a single node and every shard alike.  The
+**graph phase** runs numpy kernels over a :class:`GraphImage` — sorted
+vertex ids and one :class:`~repro.formats.CSRGraph`, the repo's one
+compact graph form, built from a generated
+:class:`~repro.datagen.spec.GraphSpec` or a pinned dynamic
+:class:`~repro.dynamic.store.Snapshot` — keeps one ``int64`` column per
+kernel output and a row mask, and materializes a plain table
+``{"columns": [...], "rows": [[...], ...]}`` in ascending-id order once,
+at the end.  The **table phase** applies the aggregate tail via
+:func:`apply_table_op` — pure functions over row lists.
 
 Determinism contract (every ordering rule the equivalence gate relies
-on):
+on — a shard answering for the cluster must answer exactly as a single
+node does):
 
 * materialized rows are ascending by vertex id;
 * neighbours are ascending within a row of the image, so BFS's
@@ -24,11 +22,8 @@ on):
 * ``topk`` orders by value descending, id ascending as the tie-break;
 * ``sample`` keeps the ``k`` smallest splitmix64 hashes of
   ``(id, seed)`` and emits them id-ascending — the hash is recomputable
-  from the id alone, so a merge node can re-rank partials exactly;
-* ``limit`` takes the first ``k`` rows of the current order;
-* kernels always run over the *full* graph (a vertex partition selects
-  output rows, never input topology), so per-vertex results are
-  partition-invariant.
+  from the id alone;
+* ``limit`` takes the first ``k`` rows of the current order.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import PlanError, QueryError
-from ..formats.csr import CSRGraph, from_edge_arrays
+from ..formats.csr import CSRGraph, from_arc_keys
 from .plan import PhysicalPlan
 
 #: Guard on shipped result size: a pipeline with no aggregate over a big
@@ -67,14 +62,6 @@ def sample_key(vid: int, seed: int) -> int:
 
 # -- the graph image ---------------------------------------------------------
 
-def _csr(n: int, key: np.ndarray) -> CSRGraph:
-    """CSR of the arcs ``key = row * n + col`` (any order, duplicates
-    dropped): rows ascending, neighbours ascending within a row."""
-    key = np.sort(key)
-    key = key[np.diff(key, prepend=-1) != 0]
-    return from_edge_arrays(n, key // n, key % n)
-
-
 @dataclass
 class GraphImage:
     """A queryable graph: sorted vertex ``ids`` and one
@@ -92,7 +79,7 @@ class GraphImage:
             src, dst = (np.concatenate([src, dst]),
                         np.concatenate([dst, src]))
         return cls(np.arange(spec.n, dtype=np.int64),
-                   _csr(spec.n, src * spec.n + dst))
+                   from_arc_keys(spec.n, src * spec.n + dst))
 
     @classmethod
     def from_snapshot(cls, snapshot) -> "GraphImage":
@@ -104,7 +91,8 @@ class GraphImage:
                           int(counts.sum()))
         ids = np.sort(heads)
         rows = np.searchsorted(ids, np.repeat(heads, counts))
-        return cls(ids, _csr(n, rows * n + np.searchsorted(ids, dst)))
+        return cls(ids, from_arc_keys(n, rows * n
+                                      + np.searchsorted(ids, dst)))
 
     @property
     def n(self) -> int:
@@ -120,8 +108,8 @@ class GraphImage:
         src = np.repeat(np.arange(self.n), self.csr.degrees())
         off = src != self.csr.col_idx
         src, dst = src[off], self.csr.col_idx[off]
-        return _csr(self.n, np.concatenate([src * self.n + dst,
-                                            dst * self.n + src]))
+        return from_arc_keys(self.n, np.concatenate([src * self.n + dst,
+                                                     dst * self.n + src]))
 
 
 def _gather(row_ptr: np.ndarray, rows: np.ndarray
@@ -237,14 +225,10 @@ _KERNELS = {"degree": kernel_degree, "cc": kernel_cc,
 
 
 def run_graph_phase(plan: PhysicalPlan, graph: GraphImage, *,
-                    part: "tuple[int, int] | None" = None,
                     kernel_cache: "dict | None" = None
                     ) -> dict[str, Any]:
     """Execute scan + graph ops; return the materialized table.
 
-    ``part = (i, n)`` restricts *output rows* to vertices with
-    ``id % n == i`` — kernels still see the whole graph, so per-vertex
-    values are identical no matter which shard computes them.
     ``kernel_cache`` (a dict) keeps the parameter-free kernels' columns
     across queries against the same graph image, one entry per kernel
     name: ``kcore``'s ``k`` is a mask over the one coreness column, and
@@ -252,8 +236,7 @@ def run_graph_phase(plan: PhysicalPlan, graph: GraphImage, *,
     """
     memo = {} if kernel_cache is None else kernel_cache
     ids = graph.ids
-    keep = np.ones(len(ids), dtype=bool) if part is None \
-        else ids % part[1] == part[0]
+    keep = np.ones(len(ids), dtype=bool)
     cols: dict[str, np.ndarray] = {"id": ids}
     visible = ["id"]
     for op in plan.graph_ops:
@@ -287,7 +270,7 @@ def run_graph_phase(plan: PhysicalPlan, graph: GraphImage, *,
     return {"columns": list(visible), "rows": rows}
 
 
-# -- table phase (shared with the router's merge) ----------------------------
+# -- table phase -------------------------------------------------------------
 
 def _col_index(table: dict[str, Any], column: str) -> int:
     try:
@@ -299,12 +282,8 @@ def _col_index(table: dict[str, Any], column: str) -> int:
 
 def apply_table_op(table: dict[str, Any], op: dict[str, Any]
                    ) -> dict[str, Any]:
-    """Apply one aggregate/relational op to a materialized table.
-
-    Pure and deterministic; the router calls this over merged partials
-    with the exact ops the shards planned, which is what makes the
-    distributed path answer-identical to the local one.
-    """
+    """Apply one aggregate/relational op to a materialized table
+    (pure and deterministic)."""
     kind = op["kind"]
     rows = table["rows"]
     if kind == "filter":
@@ -341,21 +320,7 @@ def run_table_phase(table: dict[str, Any],
 
 
 def execute_plan(plan: PhysicalPlan, graph: GraphImage, *,
-                 part: "tuple[int, int] | None" = None,
-                 partial: bool = False,
                  kernel_cache: "dict | None" = None) -> dict[str, Any]:
-    """Run a plan end to end against one graph image.
-
-    ``partial=True`` is the shard-side distributed mode: the graph
-    phase runs over this shard's vertex partition and only the *first*
-    table op is applied (its partial form — a local topk / bottom-k
-    sample / first-k / partial count is a valid input to the router's
-    merge).  The router then re-applies the final forms.
-    """
-    table = run_graph_phase(plan, graph, part=part,
-                            kernel_cache=kernel_cache)
-    if partial:
-        if plan.table_ops:
-            table = apply_table_op(table, plan.table_ops[0])
-        return table
+    """Run a plan end to end against one graph image."""
+    table = run_graph_phase(plan, graph, kernel_cache=kernel_cache)
     return run_table_phase(table, plan.table_ops)

@@ -4,11 +4,7 @@ The planner turns a parsed :class:`~repro.query.ast.Pipeline` into a
 :class:`PhysicalPlan`: a ``scan`` op, a **graph phase** (kernel stages
 and row-wise relational stages over the full vertex table), and a
 **table phase** (the first aggregate and everything after it, operating
-on a materialized table).  The split is what makes distributed execution
-exact: the graph phase is row-independent, so shards can each run it
-over a vertex partition; the table phase's first op has a distributive
-partial form (local topk / partial count / seeded-hash sample), and the
-router re-applies its final form over the merged partials.
+on a materialized table).
 
 Planner passes, in order:
 
@@ -183,10 +179,8 @@ class PhysicalPlan:
     """An executable plan: scan + graph phase + table phase.
 
     ``graph_ops`` are row-independent (kernels annotate the full vertex
-    table; filters/projects drop rows/columns) — a vertex partition
-    commutes with all of them.  ``table_ops`` start at the first
-    aggregate; ``table_ops[0]`` is the op whose *partial* form shards
-    run and whose *final* form the merge re-applies.
+    table; filters/projects drop rows/columns).  ``table_ops`` start at
+    the first aggregate.
     """
 
     source: SourceInfo
@@ -204,19 +198,6 @@ class PhysicalPlan:
     @property
     def total_cost(self) -> float:
         return round(sum(e["est_cost"] for e in self.estimates), 3)
-
-    def merge_ops(self) -> list[str]:
-        """The front-door merge recipe for distributed execution."""
-        ops = ["concat"]
-        if self.table_ops:
-            first = self.table_ops[0]["kind"]
-            ops.append("sum-counts" if first == "count"
-                       else f"{first}-final")
-            ops.extend(f"apply-{op['kind']}"
-                       for op in self.table_ops[1:])
-        else:
-            ops.append("sort-by-id")
-        return ops
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready plan (the ``explain`` payload body)."""

@@ -78,12 +78,15 @@ class Op:
     ``params``: every parameter a request may carry — an unknown key is
     a bad request, not a silently ignored knob.
     ``route``: how the router serves it — ``local`` (its own state),
-    ``keyed-read`` / ``write`` / ``query`` (the owners of the request's
-    dataset key), ``scatter`` (every healthy shard), ``any-shard``
-    (identical everywhere); None: it addresses one shard, not a router.
+    ``keyed-read`` / ``write`` (the owners of the request's dataset
+    key), ``query`` (a keyed read of the DSL source's dataset: its
+    owners if dynamic, every shard in ring order if static),
+    ``scatter`` (every healthy shard), ``any-shard`` (identical
+    everywhere); None: it addresses one shard, not a router.
     ``key_in``: the parameter holding a keyed op's dataset key,
     ``dataset`` (default :data:`DEFAULT_DATASET`) or ``q`` (the DSL text
-    names its source); a shard serves a keyed op only for keys it owns.
+    names its source); a shard serves a keyed op only for keys it owns
+    — only mutable state is owned, so any shard serves a static source.
     ``scale``: default scale of its ``(dataset, scale, seed)`` identity.
     ``blocking``: runs whole kernels or walks an engine's whole state —
     handed to the executor, never run on the event loop.
@@ -145,10 +148,9 @@ OPS: "dict[str, Op]" = {op.name: op for op in (
     # the versioned read of the dynamic engine
     Op("dyn_query", "dynamic", _IDENTITY | {"workload", "root"},
        "keyed-read", "dataset", 0.05, blocking=True, stale=True),
-    # the pipeline DSL: ``query`` carries the text (plus ``part=[i, n]``
-    # on the router's per-shard subplans); ``explain`` returns the
-    # physical plan with per-stage cost estimates, executing nothing
-    Op("query", "query", frozenset({"q", "part"}), "query", "q",
+    # the pipeline DSL: ``query`` carries the text; ``explain`` returns
+    # the physical plan with per-stage cost estimates, executing nothing
+    Op("query", "query", frozenset({"q"}), "query", "q",
        blocking=True, stale=True),
     Op("explain", "query", frozenset({"q"}), "query", "q",
        blocking=True, stale=True),

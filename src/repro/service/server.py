@@ -487,10 +487,6 @@ class GraphService(FrameServer):
                    "dynamic": self.dynamic.stats(),
                    "query": self.query_engine.stats(),
                    "metrics": self.registry.snapshot()}
-        from ..harness.runner import default_trace_store
-        store = default_trace_store()
-        if store is not None:
-            payload["trace_store"] = store.stats.as_dict()
         if self.governor is not None:
             payload["tenancy"] = self.governor.stats()
         return payload

@@ -623,23 +623,15 @@ def dict_triangles(g: DictGraphImage) -> dict[str, dict[int, int]]:
 # -- graph phase -------------------------------------------------------------
 
 def dict_graph_phase(plan, graph: DictGraphImage, *,
-                    part: "tuple[int, int] | None" = None,
-                    kernel_cache: "dict | None" = None
-                    ) -> dict[str, Any]:
+                     kernel_cache: "dict | None" = None
+                     ) -> dict[str, Any]:
     """Execute scan + graph ops; return the materialized table.
 
-    ``part = (i, n)`` restricts *output rows* to vertices with
-    ``id % n == i`` — kernels still see the whole graph, so per-vertex
-    values are identical no matter which shard computes them.
     ``kernel_cache`` (dict-like) memoizes kernel column maps across
     queries against the same graph image.
     """
     ids = graph.ids
-    if part is None:
-        keep = set(ids)
-    else:
-        i, n = part
-        keep = {v for v in ids if v % n == i}
+    keep = set(ids)
     cols: dict[str, dict[int, Any]] = {}
     visible = ["id"]
 

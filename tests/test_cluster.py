@@ -307,8 +307,8 @@ class TestLiveCluster:
 
     def test_every_exchange_site_names_the_shard_of_a_typed_error(self):
         """Keyed read, write (primary and replica fan-out), scatter and
-        query scatter classify a shard's answer in one place: a typed
-        shard error always comes back naming the shard it came from."""
+        DSL query classify a shard's answer in one place: a typed shard
+        error always comes back naming the shard it came from."""
         from repro.cluster.topology import default_shard_factory
         from repro.core.errors import MutationError, QueryError
         from repro.service import GraphService
@@ -334,7 +334,7 @@ class TestLiveCluster:
                 assert info["missing"] == [replica]
                 assert info["errors"][replica]["shard"] == replica
                 assert info["errors"][replica]["kind"] == "bad-request"
-                with pytest.raises(QueryError) as exc:    # query scatter
+                with pytest.raises(QueryError) as exc:          # query
                     client.query_lang("from twitter scale=0.02 "
                                       "| bfs root=999999999 | count")
                 assert exc.value.shard in spec.shards
@@ -355,8 +355,8 @@ class TestLiveCluster:
                   for s in route["samples"]
                   if s["labels"]["outcome"] == "error"}
         # replica: shard_info + the strict add (the second strict add
-        # stops at the primary); primary: run + that second add, plus
-        # its part of the scattered query
+        # stops at the primary); primary: run + that second add (the
+        # query is twitter's, whichever shard owns it)
         assert errors[replica] >= 2 and errors[primary] >= 2
 
     def test_scatter_gather_partial_under_dead_shard(self):

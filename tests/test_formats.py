@@ -6,6 +6,7 @@ import pytest
 from repro.core.graph import PropertyGraph
 from repro.core.properties import Field, Schema
 from repro.core.trace import Tracer
+from repro.datagen.registry import REGISTRY, make
 from repro.formats import (
     COOGraph,
     CSRGraph,
@@ -17,6 +18,7 @@ from repro.formats import (
     to_coo,
     to_csr,
 )
+from repro.query.exec import GraphImage
 
 
 @pytest.fixture
@@ -176,3 +178,51 @@ class TestConversions:
         csr, ids = to_csr(g)
         assert csr.n == 4
         assert 2 not in ids
+
+
+def _mirrored(src, dst):
+    return np.concatenate([src, dst]), np.concatenate([dst, src])
+
+
+def _unique_by_index(n, src, dst):
+    # GraphSpec.csr()'s undirected branch and CSRGraph.undirected(), as
+    # they were
+    _, idx = np.unique(src * n + dst, return_index=True)
+    return from_edge_arrays(n, src[idx], dst[idx])
+
+
+def _sorted_then_diffed(n, key):
+    # the query image's builder, as it was
+    key = np.sort(key)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return from_edge_arrays(n, key // n, key % n)
+
+
+class TestOneSortedCSRBuilder:
+    """``GraphSpec.csr()`` (undirected), ``CSRGraph.undirected()`` and
+    the query image build the sorted, de-duplicated CSR of a key array
+    through one builder; each equals the expression it replaced."""
+
+    @staticmethod
+    def _same(got: CSRGraph, want: CSRGraph) -> None:
+        assert np.array_equal(got.row_ptr, want.row_ptr)
+        assert np.array_equal(got.col_idx, want.col_idx)
+
+    @pytest.mark.parametrize("scale", [0.05, 0.25])
+    @pytest.mark.parametrize("dataset", sorted(REGISTRY))
+    def test_every_site_equals_its_old_expression(self, dataset, scale):
+        spec = make(dataset, scale=scale, seed=0)
+        n, src, dst = spec.n, spec.edges[:, 0], spec.edges[:, 1]
+        csr = spec.csr()
+        if not spec.directed:
+            self._same(csr, _unique_by_index(n, *_mirrored(src, dst)))
+        rows = np.repeat(np.arange(n), csr.degrees())
+        self._same(csr.undirected(),
+                   _unique_by_index(n, *_mirrored(rows, csr.col_idx)))
+        image = GraphImage.from_spec(spec)
+        s, d = (src, dst) if spec.directed else _mirrored(src, dst)
+        self._same(image.csr, _sorted_then_diffed(n, s * n + d))
+        rows = np.repeat(np.arange(n), image.csr.degrees())
+        off = rows != image.csr.col_idx
+        s, d = _mirrored(rows[off], image.csr.col_idx[off])
+        self._same(image.und, _sorted_then_diffed(n, s * n + d))

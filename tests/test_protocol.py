@@ -460,9 +460,25 @@ def test_a_shard_parses_a_query_text_once(monkeypatch):
 # -- every frame byte --------------------------------------------------------
 
 #: sha-256 of the recording before a shard stamped its own answers (the
-#: one made at the parent of the op/error tables, unmoved since).
+#: one made at the parent of the op/error tables, unmoved since), less
+#: the frames the static-query scatter's removal moved.
 PREVIOUS_RECORDING = \
-    "d2f91625fee51c866e7549603a005ef8dd100e2fa69cc4aa21df0a3a01b5131f"
+    "c3479e55e21a4375532f338ce5c8a74dee6feaad77d6de41683efe6cf417e92b"
+
+#: The frames that moved when a static query became one shard's answer,
+#: by request id, each with the sha-256 (first 16 hex digits) of its
+#: line before: ``part`` left the ``query`` op's parameters (service-18
+#: and shard-13 are refused, service-39 and router-17 name one parameter
+#: fewer — router-17 now from the shard); ``explain`` lost its merge
+#: recipe (service-20, router-16); a shard answers a static source it
+#: does not own (shard-11, shard-12); and the router relays its owner's
+#: answer, not a merge of parts (router-13, router-15).
+SCATTER_MOVED = {
+    "service-18": "b48cc519a5b991a1", "service-20": "96db24d035992891",
+    "service-39": "ddbff6e0cb27c43d", "shard-11": "d5959502e2732f1c",
+    "shard-12": "cd0c6e270b426614", "shard-13": "35e32f4a34b84101",
+    "router-13": "2b3b931e4561fafb", "router-15": "02552973894623af",
+    "router-16": "5697106812b8288c", "router-17": "dade3ad82883d3fa"}
 
 #: The ``stats`` keys that restated a metric family and went when their
 #: counts moved onto the registry, per scene.
@@ -474,15 +490,20 @@ DROPPED_STATS_KEYS = {
 def test_the_recording_moved_only_where_a_shard_names_itself():
     # the router used to stamp ``shard`` on a keyed answer; the shard
     # does now, so asked *directly* its keyed answers gain that one
-    # member; and the service's and router's ``stats`` key lists lost
-    # the keys that restated a family.  Nothing else moved: with both
-    # undone, the recording is byte for byte the previous one (every
-    # other service-, router- and error-scene frame included)
-    lines, stamped, restored = [], 0, 0
+    # member; the service's and router's ``stats`` key lists lost the
+    # keys that restated a family; and the ten frames of SCATTER_MOVED
+    # each changed.  Nothing else moved: with the first two undone and
+    # the ten set aside, the recording is byte for byte the previous
+    # one (every other service-, router- and error-scene frame included)
+    lines, stamped, restored, moved = [], 0, 0, {}
     recording = (ROOT / "tests/data/wire_transcript.jsonl").read_text()
     for line in recording.splitlines(keepends=True):
         row = json.loads(line)
-        if json.loads(row.get("sent", "{}")).get("op") == "stats":
+        sent = json.loads(row.get("sent", "{}"))
+        if sent.get("id") in SCATTER_MOVED:
+            moved[sent["id"]] = hashlib.sha256(line.encode()).hexdigest()
+            continue
+        if sent.get("op") == "stats":
             got = json.loads(row["got"])
             got["result"] = sorted(got["result"]
                                    + DROPPED_STATS_KEYS[row["scene"]])
@@ -491,14 +512,16 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
                                     separators=(",", ":"))
         if row["scene"] == "shard":
             got = json.loads(row["got"])
-            keyed = OPS[json.loads(row["sent"])["op"]].key_in is not None
+            keyed = OPS[sent["op"]].key_in is not None
             if keyed and got["ok"]:
                 assert got["result"].pop("shard") == "shard-0"
                 stamped += 1
                 row["got"] = json.dumps(got, sort_keys=True,
                                         separators=(",", ":"))
         lines.append(json.dumps(row, sort_keys=True) + "\n")
-    assert (stamped, restored) == (2, 2)
+    assert moved.keys() == SCATTER_MOVED.keys()
+    assert all(not moved[i].startswith(SCATTER_MOVED[i]) for i in moved)
+    assert (stamped, restored) == (1, 2)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() \
         == PREVIOUS_RECORDING
 

@@ -21,7 +21,6 @@ from repro.obs import counter_total
 from repro.query import (
     PLANNER_VERSION,
     QueryEngine,
-    merge_partials,
     parse,
     plan_pipeline,
     query_template_pool,
@@ -32,7 +31,6 @@ from repro.query import exec as qexec
 from repro.query.engine import plan_digest
 from repro.query.exec import (
     GraphImage,
-    apply_table_op,
     execute_plan,
     kernel_bfs,
     kernel_cc,
@@ -341,18 +339,15 @@ def _outcome(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _dict_execute(plan, old: DictGraphImage, *, part=None):
+def _dict_execute(plan, old: DictGraphImage):
     """``execute_plan`` as it was: the displaced graph phase, then the
     table phase both executors share."""
-    table = dict_graph_phase(plan, old, part=part, kernel_cache={})
-    if part is None:
-        return run_table_phase(table, plan.table_ops)
-    return apply_table_op(table, plan.table_ops[0]) if plan.table_ops \
-        else table
+    return run_table_phase(dict_graph_phase(plan, old, kernel_cache={}),
+                           plan.table_ops)
 
 
 def _assert_same_answers(new: GraphImage, old: DictGraphImage) -> None:
-    """Every kernel, every pool template, whole and in three parts."""
+    """Every kernel, every pool template."""
     assert new.ids.tolist() == old.ids
     assert (new.n, new.m) == (old.n, old.m)
     assert {c: _column(new, col)
@@ -375,11 +370,8 @@ def _assert_same_answers(new: GraphImage, old: DictGraphImage) -> None:
                 (root, depth)
     memo: dict = {}
     for plan in POOL_PLANS:
-        for part in (None, (0, 3), (1, 3), (2, 3)):
-            got = _outcome(execute_plan, plan, new, part=part,
-                           partial=part is not None, kernel_cache=memo)
-            assert got == _outcome(_dict_execute, plan, old, part=part), \
-                (plan.graph_ops, part)
+        got = _outcome(execute_plan, plan, new, kernel_cache=memo)
+        assert got == _outcome(_dict_execute, plan, old), plan.graph_ops
 
 
 class TestArrayKernelsMatchDictOracles:
@@ -472,31 +464,6 @@ class TestGraphPhase:
         assert len(calls) == 1
 
 
-# -- distributed merge == local execution ------------------------------------
-
-class TestMergeEquivalence:
-    @pytest.mark.parametrize("q", query_template_pool(
-        ("twitter",), scale=SCALE) + [
-        f"from twitter scale={SCALE} | filter id<10 | count",
-        f"from twitter scale={SCALE} | filter id>=7 | topk degree 5"])
-    def test_three_part_merge_matches_local(self, q):
-        plan = plan_pipeline(parse(q))
-        image = _image("twitter")
-        full = execute_plan(plan, image)
-        parts = [execute_plan(plan, image, part=(i, 3), partial=True)
-                 for i in range(3)]
-        assert merge_partials(plan, parts) == full
-
-    def test_merge_rejects_empty_and_mismatched(self):
-        plan = plan_pipeline(parse("from twitter | topk degree 3"))
-        with pytest.raises(QueryError):
-            merge_partials(plan, [])
-        a = execute_plan(plan, _image("twitter"), part=(0, 2),
-                         partial=True)
-        with pytest.raises(QueryError):
-            merge_partials(plan, [a, {"columns": ["id"], "rows": []}])
-
-
 # -- engine: caches and invalidation -----------------------------------------
 
 class TestEngine:
@@ -546,16 +513,13 @@ class TestEngine:
 
     def test_unknown_params_rejected(self):
         # the allow-list is the wire table's row, checked by the service
-        # before the engine is called; the engine validates the values
-        with pytest.raises(BadRequest):
-            check_params(OPS["query"], {"q": "from ldbc | count",
-                                        "bogus": 1})
-        with pytest.raises(BadRequest):
-            check_params(OPS["explain"], {"q": "from ldbc | count",
-                                          "part": [0, 2]})
-        eng = QueryEngine()
-        with pytest.raises(BadRequest):
-            eng.query({"q": "from ldbc | count", "part": [2, 2]})
+        # before the engine is called: ``q`` is the one parameter
+        for op in ("query", "explain"):
+            assert OPS[op].params == {"q"}
+            for extra in ({"bogus": 1}, {"part": [0, 2]}):
+                with pytest.raises(BadRequest):
+                    check_params(OPS[op], {"q": "from ldbc | count",
+                                           **extra})
 
 
 # -- wire: query/explain over a live service ---------------------------------
@@ -573,7 +537,7 @@ class TestServiceQueries:
                 assert result["table"]["columns"][0] == "id"
                 plan = client.explain(q)
                 assert plan["digest"] == result["plan"]
-                assert plan["merge"][-1] == "topk-final"
+                assert "merge" not in plan
                 again = client.explain(q)
                 assert again == {**plan, "plan_cached": True}
                 # asked on the same connection: the explains are counted

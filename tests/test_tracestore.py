@@ -21,7 +21,6 @@ from repro.harness.runner import (
     characterize,
     clear_cache,
     run_cpu_workload,
-    set_default_trace_store,
 )
 
 
@@ -270,20 +269,18 @@ class TestHarnessIntegration:
         assert store.stats.stores == 0
         assert len(store) == 0
 
-    def test_default_store_and_cache_stats(self, tmp_path, spec):
-        assert cache_stats()["trace_store"] is None
-        store = set_default_trace_store(tmp_path / "default-traces")
-        try:
-            run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
-            run_cpu_workload("BFS", spec, machine=SCALED_XEON)
-            stats = cache_stats()
-            assert stats["trace_store"]["hits"] == 1
-            assert stats["trace_store"]["stores"] == 1
-            assert "rows" in stats
-        finally:
-            set_default_trace_store(None)
-        assert cache_stats()["trace_store"] is None
-        assert store.stats.hits == 1
+    def test_default_store_and_cache_stats(self, store, spec):
+        # the store is passed, never installed: by default a run neither
+        # reads nor writes one, and the harness caches report only
+        # themselves
+        run_cpu_workload("BFS", spec, machine=TEST_MACHINE,
+                         trace_store=store)
+        run_cpu_workload("BFS", spec, machine=SCALED_XEON)
+        run_cpu_workload("BFS", spec, machine=SCALED_XEON,
+                         trace_store=store)
+        assert (store.stats.stores, store.stats.hits,
+                store.stats.misses) == (1, 1, 1)
+        assert set(cache_stats()) == {"rows", "sweep_memos", "graphs"}
 
     def test_replay_span_recorded(self, store, spec):
         from repro.obs import SpanTracer
@@ -301,24 +298,22 @@ class TestHarnessIntegration:
         assert len(spans) == 1
         assert spans[0].args.get("served") == "trace-store"
 
-    def test_service_stats_carry_the_default_store(self, tmp_path, spec):
+    def test_service_stats_carry_no_trace_store(self, store, spec):
+        # a store's counters are its holder's to read: a service's
+        # ``stats`` carries none, however the process ran a store
         from repro.service import GraphService, PoolConfig
         service = GraphService(
             pool_config=PoolConfig(size=1, isolation="inline"))
         try:
-            assert "trace_store" not in service.stats()
-            store = set_default_trace_store(tmp_path / "default-traces")
-            try:
-                run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
-                run_cpu_workload("BFS", spec, machine=SCALED_XEON)
-                stats = service.stats()
-            finally:
-                set_default_trace_store(None)
+            run_cpu_workload("BFS", spec, machine=TEST_MACHINE,
+                             trace_store=store)
+            run_cpu_workload("BFS", spec, machine=SCALED_XEON,
+                             trace_store=store)
+            stats = service.stats()
         finally:
             service.pool.shutdown()
-        assert stats["trace_store"] == store.stats.as_dict()
-        assert (stats["trace_store"]["hits"],
-                stats["trace_store"]["misses"]) == (1, 1)
+        assert "trace_store" not in stats
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
 
 
 class TestResilienceIntegration:

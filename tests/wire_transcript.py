@@ -6,12 +6,16 @@ standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
 ``tests/data/wire_transcript.jsonl`` holds the lines the tree produced
-just before the op/error tables were introduced, re-recorded twice
-since: a shard now stamps ``"shard"`` on its own keyed answers (the
-router, which used to, relays them as bytes), so the two keyed ok
-answers of the shard scene gained that member; and the service's and
-the router's ``stats`` answers dropped the keys that restated a metric
-family, so those two key lists shrank.  No other frame moved —
+just before the op/error tables were introduced, re-recorded three
+times since: a shard now stamps ``"shard"`` on its own keyed answers
+(the router, which used to, relays them as bytes), so the two keyed ok
+answers of the shard scene gained that member; the service's and the
+router's ``stats`` answers dropped the keys that restated a metric
+family, so those two key lists shrank; and a static query became one
+shard's answer, which moved the ten frames ``test_protocol.py`` lists
+in ``SCATTER_MOVED`` (``part`` is no parameter, ``explain`` has no
+merge recipe, a shard answers a static source it does not own, the
+router relays one shard's answer).  No other frame moved —
 ``test_protocol.py`` holds the previous recording's digest and checks
 exactly that.  It also asserts a fresh recording is byte-identical, so a
 refactor of the wire vocabulary cannot move a byte of any request,
@@ -136,15 +140,17 @@ SHARD_SCRIPT = [
     ("admin", {"action": "adopt", "dataset": "nope"}),
     ("admin", {"action": "explode", "dataset": "ldbc"}),
     ("batch", {"entries": []}),
-    # a dataset the shard does not own: WrongShard, by param and by text
+    # a dataset the shard does not own: WrongShard for an op that names
+    # it as a param ...
     ("run", {"workload": "BFS", "dataset": "{foreign}", "scale": SCALE,
              "machine": "test"}),
     ("dyn_query", {"workload": "BFS", "dataset": "{foreign}",
                    "scale": SCALE}),
     ("add_vertex", {"dataset": "{foreign}", "scale": SCALE, "vid": 9001}),
+    # ... but a static source is any shard's to answer (only mutable
+    # state is owned), and ``part`` is no parameter
     ("query", {"q": "from {foreign} scale=0.03 | count"}),
     ("explain", {"q": "from {foreign} scale=0.03 | count"}),
-    # ... but any shard computes any part of a scatter
     ("query", {"q": "from {foreign} scale=0.03 | count", "part": [1, 2]}),
     ("run", {"workload": "BFS", "dataset": "{owned}", "scale": SCALE,
              "machine": "test"}),
