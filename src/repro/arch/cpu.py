@@ -126,9 +126,11 @@ def _memory_stall_cycles(trace: FrozenTrace, hier: HierarchyResult,
     # window is a single chain.
     prev_serial = np.concatenate(([False], serial[:-1]))
     prev_win = np.concatenate(([-1], win[:-1]))
-    chain_start = ~serial | ~prev_serial | (win != prev_win)
-    # compact window ids
-    uwin, win_idx = np.unique(win, return_inverse=True)
+    new_win = win != prev_win
+    chain_start = ~serial | ~prev_serial | new_win
+    # compact window ids: ``win`` never decreases (a FrozenTrace's ``iat``
+    # cannot), so the id of a window is the count of run starts before it
+    win_idx = np.cumsum(new_win) - 1
     lat_per_win = np.bincount(win_idx, weights=lat)
     chains_per_win = np.bincount(win_idx, weights=chain_start.astype(np.float64))
     mlp_per_win = np.clip(chains_per_win, 1.0, float(machine.mshr))

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import (
     DuplicateEdge,
     DuplicateVertex,
@@ -858,19 +860,70 @@ class PropertyGraph:
                    vertex_schema: Schema = EMPTY_SCHEMA,
                    edge_schema: Schema = EMPTY_SCHEMA,
                    heap: HeapModel = PACKED_HEAP,
-                   tracer: T.Tracer | None = None,
                    skip_duplicates: bool = True) -> "PropertyGraph":
-        """Populate a graph from an edge list through the primitives.
+        """Populate a graph from an edge list in one layout pass.
 
-        This is the *graph populating* step of Section 4.1; it runs through
-        the same add-vertex/add-edge primitives as GCons, so tracing it gives
-        the construction workload for free.
+        This is the *graph populating* step of Section 4.1.  The result is
+        the graph that :meth:`add_vertex` of every id in
+        ``range(n_vertices)`` followed by :meth:`add_edges` builds — the
+        same addresses, property lists, adjacency and in-neighbour order,
+        allocator state and errors — without a primitive call per arc:
+        duplicates go by one sort of the arc keys, and every address comes
+        from :meth:`SimAllocator.alloc_many`.  Untraced; GCons is the
+        workload that traces construction through the primitives.
         """
-        g = cls(vertex_schema, edge_schema, directed=directed,
-                tracer=tracer, heap=heap)
-        for vid in range(n_vertices):
-            g.add_vertex(vid)
-        g.add_edges(edges, skip_duplicates=skip_duplicates)
+        n = int(n_vertices)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else
+                       list(edges), dtype=np.int64).reshape(-1, 2)
+        # the loop stops at the first row naming no vertex (src checked
+        # first), after raising on any duplicate before it
+        bad = (e < 0).any(1) | (e >= n).any(1)
+        stop = int(np.argmax(bad)) if bad.any() else len(e)
+        src, dst = e[:stop, 0], e[:stop, 1]
+        # an undirected edge is both arcs, so (d, s) repeats (s, d)
+        key = (src * n + dst if directed else
+               np.minimum(src, dst) * n + np.maximum(src, dst))
+        order = np.argsort(key, kind="stable")
+        keep = np.empty(len(key), dtype=bool)
+        keep[order] = np.diff(key[order], prepend=-1) != 0
+        if not skip_duplicates and not keep.all():
+            i = int(np.argmin(keep))
+            raise DuplicateEdge(int(src[i]), int(dst[i]))
+        if stop < len(e):
+            s, d = e[stop].tolist()
+            raise VertexNotFound(d if 0 <= s < n else s)
+        src, dst = src[keep], dst[keep]
+        if not directed:
+            # add_edge's order: (s, d) then (d, s), one arc for a self loop
+            arcs = np.stack([src, dst, dst, src], 1).reshape(-1, 2)
+            twin = np.zeros(len(arcs), dtype=bool)
+            twin[1::2] = src == dst
+            src, dst = arcs[~twin, 0], arcs[~twin, 1]
+
+        g = cls(vertex_schema, edge_schema, directed=directed, heap=heap)
+        alloc = g.alloc
+        vaddr = []
+        lo, cap = 0, g._index_cap
+        while cap < n:      # add_vertex(cap) regrows the index after its struct
+            vaddr.append(alloc.alloc_many(np.full(cap + 1 - lo, g._vsize),
+                                          "vertex"))
+            g._index_base = alloc.alloc_array(2 * cap, INDEX_ENTRY,
+                                              tag="index")
+            lo, cap = cap + 1, 2 * cap
+        g._index_cap = cap
+        vaddr.append(alloc.alloc_many(np.full(n - lo, g._vsize), "vertex"))
+        eaddr = alloc.alloc_many(np.full(len(src), g._esize), "edge")
+
+        vdef, edef = vertex_schema.defaults(), edge_schema.defaults()
+        vs = [Vertex(vid, a, vdef.copy())
+              for vid, a in enumerate(np.concatenate(vaddr).tolist())]
+        g._v = dict(enumerate(vs))
+        outs = [v.out for v in vs]
+        inns = [v.inn for v in vs]
+        for s, d, a in zip(src.tolist(), dst.tolist(), eaddr.tolist()):
+            outs[s][d] = EdgeNode(d, a, edef.copy())
+            inns[d].add(s)
+        g._n_edges = len(src)
         return g
 
     def copy_topology(self) -> "PropertyGraph":

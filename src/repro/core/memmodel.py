@@ -127,6 +127,40 @@ class SimAllocator:
         """Allocate a contiguous array of ``count`` elements."""
         return self.alloc(count * elem_size, tag=tag)
 
+    def alloc_many(self, sizes: np.ndarray, tag: str | None = None) -> np.ndarray:
+        """:meth:`alloc` of each of ``sizes`` in order, in one pass.
+
+        Returns the int64 addresses and leaves the allocator — cursor,
+        counters, tags and the scatter RNG — exactly as that loop of
+        :meth:`alloc` calls would.  Every address is aligned, so the next
+        one is this one plus ``size + gap`` rounded up to the alignment:
+        the addresses are an exclusive cumsum from the first, and the gaps
+        are one sized draw (the same values, and the same generator state
+        after, as one scalar draw per allocation).
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if not len(sizes):
+            return sizes
+        if int(sizes.min()) <= 0:
+            raise ValueError("allocation size must be positive, got "
+                             f"{int(sizes.min())}")
+        a = self.model.align
+        step = sizes
+        if self.model.scatter:
+            step = sizes + self._rng.integers(0, 2 * self.model.scatter + 1,
+                                              size=len(sizes))
+        addrs = np.empty(len(sizes), dtype=np.int64)
+        addrs[0] = (self._cursor + a - 1) & ~(a - 1)
+        np.cumsum((step[:-1] + a - 1) & ~(a - 1), out=addrs[1:])
+        addrs[1:] += addrs[0]
+        self._cursor = int(addrs[-1] + step[-1])
+        total = int(sizes.sum())
+        self.bytes_allocated += total
+        self.n_allocs += len(sizes)
+        if tag is not None:
+            self._tags[tag] = self._tags.get(tag, 0) + total
+        return addrs
+
     @property
     def footprint(self) -> int:
         """Total bytes allocated (the workload's memory footprint)."""

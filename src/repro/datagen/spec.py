@@ -79,8 +79,7 @@ class GraphSpec:
     # -- materialization ----------------------------------------------------
     def build(self, *, vertex_schema: Schema = EMPTY_SCHEMA,
               edge_schema: Schema = EMPTY_SCHEMA,
-              heap: HeapModel = AGED_HEAP,
-              tracer=None) -> PropertyGraph:
+              heap: HeapModel = AGED_HEAP) -> PropertyGraph:
         """Materialize as a dynamic vertex-centric graph.
 
         Uses the aged-heap model by default: characterization graphs stand
@@ -88,9 +87,8 @@ class GraphSpec:
         the vertex-centric representation.
         """
         return PropertyGraph.from_edges(
-            self.n, map(tuple, self.edges), directed=self.directed,
-            vertex_schema=vertex_schema, edge_schema=edge_schema,
-            heap=heap, tracer=tracer)
+            self.n, self.edges, directed=self.directed,
+            vertex_schema=vertex_schema, edge_schema=edge_schema, heap=heap)
 
     def csr(self):
         """Materialize as CSR (arcs mirrored first if undirected, then
@@ -112,7 +110,7 @@ class GraphSpec:
         import networkx as nx
         g = nx.DiGraph() if self.directed else nx.Graph()
         g.add_nodes_from(range(self.n))
-        g.add_edges_from(map(tuple, self.edges))
+        g.add_edges_from(self.edges.tolist())
         return g
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -78,12 +78,9 @@ def coo_to_csr(coo: COOGraph) -> CSRGraph:
 
 
 def from_csr(csr: CSRGraph, **graph_kwargs) -> PropertyGraph:
-    """Materialize a CSR back into a dynamic vertex-centric graph."""
-    g = PropertyGraph(**graph_kwargs)
-    for v in range(csr.n):
-        g.add_vertex(v)
-    for v in range(csr.n):
-        for d in csr.neighbors(v):
-            if int(d) not in g.find_vertex(v).out:
-                g.add_edge(v, int(d))
-    return g
+    """Materialize a CSR back into a dynamic vertex-centric graph (arcs in
+    row order, a repeated arc once; ``graph_kwargs`` as
+    :meth:`PropertyGraph.from_edges` takes them)."""
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    return PropertyGraph.from_edges(
+        csr.n, np.stack([src, csr.col_idx], 1), **graph_kwargs)

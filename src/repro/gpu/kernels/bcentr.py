@@ -54,7 +54,7 @@ class GPUBcentr(GPUKernel):
                 acc.mem_op(slots, csr.base_vprop + 4 * nbr)
                 fresh = dist[nbr] < 0
                 if fresh.any():
-                    dist[np.unique(nbr[fresh])] = cur + 1
+                    dist[nbr[fresh]] = cur + 1
                 on_sp = dist[nbr] == cur + 1
                 if on_sp.any():
                     acc.atomic_op(slots[on_sp],

@@ -43,7 +43,7 @@ class GPUBfs(GPUKernel):
                 # discovered neighbours: scattered property writes
                 acc.mem_op(slots[fresh], csr.base_vprop + 4 * nbr[fresh],
                            is_write=True)
-                levels[np.unique(nbr[fresh])] = cur + 1
+                levels[nbr[fresh]] = cur + 1
             cur += 1
         return {"levels": levels, "depth": cur,
                 "visited": int((levels >= 0).sum())}

@@ -58,7 +58,7 @@ class GPUBfsEdgeCentric(GPUKernel):
             acc.mem_op(warp_of(edge_threads[fresh]),
                        csr.base_vprop + 4 * coo.dst[fresh],
                        is_write=True)
-            levels[np.unique(coo.dst[fresh])] = cur + 1
+            levels[coo.dst[fresh]] = cur + 1
             cur += 1
         return {"levels": levels, "depth": cur,
                 "visited": int((levels >= 0).sum())}

@@ -67,5 +67,6 @@ class GPUCcomp(GPUKernel):
                            is_write=True)
                 comp = nxt
                 changed = True
-        n_components = len(np.unique(comp))
+        # converged (comp[comp] == comp): each label is its own root
+        n_components = int(np.count_nonzero(comp == vertex_threads))
         return {"comp": comp, "n_components": n_components}

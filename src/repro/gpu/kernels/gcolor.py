@@ -55,7 +55,7 @@ class GPUGcolor(GPUKernel):
                           & ((prio[nbr] > prio[threads])
                              | ((prio[nbr] == prio[threads])
                                 & (nbr > threads))))
-                winners[np.unique(threads[beaten])] = False
+                winners[threads[beaten]] = False
             # winners pick the smallest color unused by their neighbours
             wv = np.flatnonzero(winners)
             if len(wv):

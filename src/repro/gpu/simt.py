@@ -99,6 +99,15 @@ class KernelStats:
 _KEY_STRIDE = 1 << 45
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``a``.
+    Over a sorted array that is one per distinct value: the count
+    ``np.unique`` gives, without its hash pass."""
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 class KernelAccum:
     """Bulk recorder of SIMT work; produces a :class:`KernelStats`.
 
@@ -173,30 +182,33 @@ class KernelAccum:
     # -- memory --------------------------------------------------------------
     def mem_op(self, slot: np.ndarray, addrs: np.ndarray,
                elem_bytes: int = 8, is_write: bool = False,
-               rmw: bool = False) -> None:
+               rmw: bool = False) -> int:
         """One class of memory instruction.
 
         ``slot`` identifies which (warp, step) each access belongs to —
         all accesses sharing a slot value execute *simultaneously* as one
         warp memory instruction; ``addrs`` are their byte addresses.
         Replays = distinct 128 B segments per slot beyond the first.
+        Returns the number of distinct (slot, segment) pairs.
         """
         slot = np.asarray(slot, dtype=np.int64)
         addrs = np.asarray(addrs, dtype=np.int64)
         if slot.shape != addrs.shape:
             raise ValueError("slot and addrs must be parallel")
         if len(slot) == 0:
-            return
+            return 0
         # offset slots so different mem_op calls never collide
         slot = slot - slot.min() + self._slot_base
         self._slot_base = int(slot.max()) + 1
         segs = addrs // SEGMENT
         if int(segs.max()) >= _KEY_STRIDE:
             raise ValueError("segment index exceeds composite-key stride")
-        key = slot * _KEY_STRIDE + segs
-        ukey = np.unique(key)           # sorted: slot-major ~ program order
+        # distinct keys by sort, then run starts (sorted: slot-major ~
+        # program order); the slots are the sorted keys' slot part
+        key = np.sort(slot * _KEY_STRIDE + segs)
+        ukey = key[_run_starts(key)]
         n_unique = len(ukey)
-        n_slots = len(np.unique(slot))
+        n_slots = int(np.count_nonzero(_run_starts(ukey // _KEY_STRIDE)))
         st = self._stats
         st.mem_base_issues += n_slots
         st.mem_replays += n_unique - n_slots
@@ -204,6 +216,7 @@ class KernelAccum:
         st.slot_transactions += n_unique
         # DRAM traffic: the transaction stream, banked for the L2 walk
         self._chunks.append((ukey % _KEY_STRIDE, is_write, rmw))
+        return n_unique
 
     def atomic_op(self, slot: np.ndarray, addrs: np.ndarray,
                   elem_bytes: int = 8) -> None:
@@ -218,14 +231,15 @@ class KernelAccum:
         """
         slot = np.asarray(slot, dtype=np.int64)
         addrs = np.asarray(addrs, dtype=np.int64)
-        self.mem_op(slot, addrs, elem_bytes, is_write=True, rmw=True)
+        # the distinct (slot, segment) pairs: mem_op's offset of the slots
+        # is a bijection, so its count is theirs
+        n_seg_pairs = self.mem_op(slot, addrs, elem_bytes, is_write=True,
+                                  rmw=True)
         st = self._stats
         st.atomic_ops += len(addrs)
         if len(addrs):
-            pair = slot * _KEY_STRIDE + addrs % _KEY_STRIDE
-            n_addr_pairs = len(np.unique(pair))
-            seg_pair = slot * _KEY_STRIDE + (addrs // SEGMENT)
-            n_seg_pairs = len(np.unique(seg_pair))
+            pair = np.sort(slot * _KEY_STRIDE + addrs % _KEY_STRIDE)
+            n_addr_pairs = int(np.count_nonzero(_run_starts(pair)))
             # every lane beyond the first replays: distinct words replay
             # through the atomic unit, same-address lanes serialize —
             # mem_op already counted the segment-level share

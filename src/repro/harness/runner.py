@@ -108,9 +108,9 @@ def cache_stats() -> dict[str, dict[str, float]]:
             "graphs": _GRAPH_CACHE.stats.as_dict()}
 
 
-def _build_graph(spec: GraphSpec, tracer=None) -> PropertyGraph:
+def _build_graph(spec: GraphSpec) -> PropertyGraph:
     return spec.build(vertex_schema=common_vertex_schema(),
-                      edge_schema=common_edge_schema(), tracer=tracer)
+                      edge_schema=common_edge_schema())
 
 
 #: Workloads whose kernels mutate only property values — never topology,
@@ -228,11 +228,10 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
         params.setdefault("n_vertices", spec.n)
         params.setdefault("edges", spec.edges)
     elif name == "TMorph":
-        g = PropertyGraph(common_vertex_schema(), common_edge_schema())
-        for v in range(spec.n):
-            g.add_vertex(v)
-        for s, d in _dagify(spec):
-            g.add_edge(s, d)
+        g = PropertyGraph.from_edges(spec.n, _dagify(spec),
+                                     vertex_schema=common_vertex_schema(),
+                                     edge_schema=common_edge_schema(),
+                                     skip_duplicates=False)
     elif name == "Gibbs":
         bn = gibbs_bn if gibbs_bn is not None else munin_like()
         g = build_bn_graph(bn)

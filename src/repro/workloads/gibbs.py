@@ -36,23 +36,21 @@ from ._bulk import GraphView, I64, Layout, offsets_of, ragged_arange
 from .base import NullTracer, Workload
 
 
-def build_bn_graph(bn: BayesianNetwork, *, tracer=None, heap=None,
+def build_bn_graph(bn: BayesianNetwork, *, heap=None,
                    vertex_schema=None, edge_schema=None) -> PropertyGraph:
     """Materialize a Bayesian network as a PropertyGraph with CPT payloads.
 
     Vertices get a ``cpt`` payload sized to the CPT's table and a ``state``
-    property; edges follow parent -> child direction.
+    property; edges follow parent -> child direction.  The topology is
+    laid out first, then the payloads in vertex order.
     """
     from ..core.memmodel import AGED_HEAP
     from .base import common_edge_schema, common_vertex_schema
-    g = PropertyGraph(vertex_schema or common_vertex_schema(),
-                      edge_schema or common_edge_schema(),
-                      directed=True, tracer=tracer,
-                      heap=heap or AGED_HEAP)
-    for v in range(bn.n):
-        g.add_vertex(v)
-    for p, c in bn.edges():
-        g.add_edge(p, c)
+    g = PropertyGraph.from_edges(
+        bn.n, bn.edges(), directed=True,
+        vertex_schema=vertex_schema or common_vertex_schema(),
+        edge_schema=edge_schema or common_edge_schema(),
+        heap=heap or AGED_HEAP, skip_duplicates=False)
     for v in range(bn.n):
         cpt = bn.cpts[v]
         if cpt is None:

@@ -18,10 +18,10 @@ def tiny_spec():
     return ldbc(120, avg_degree=5, seed=3)
 
 
-def build(spec, tracer=None):
+def build(spec):
     """Materialize a spec with the common workload schemas."""
     return spec.build(vertex_schema=common_vertex_schema(),
-                      edge_schema=common_edge_schema(), tracer=tracer)
+                      edge_schema=common_edge_schema())
 
 
 @pytest.fixture

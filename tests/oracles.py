@@ -4,8 +4,9 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` /
 :class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
 ``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops, the seven workload loop kernels and the query
-executor's dict image and kernels, which only tests need, live here.
+per-segment loops, the seven workload loop kernels, the populating loop
+and the query executor's dict image and kernels, which only tests need,
+live here.
 """
 
 import dataclasses
@@ -18,8 +19,12 @@ import numpy as np
 from repro.arch import TLB, MemoryHierarchy
 from repro.arch.branch import PREDICTORS
 from repro.arch.cache import Cache, CacheStats
+from repro.arch.cpu import SERIAL_REGIONS
 from repro.arch.icache import ICache, ICacheStats
 from repro.core.errors import PlanError, QueryError
+from repro.core.graph import PropertyGraph
+from repro.core.memmodel import PACKED_HEAP
+from repro.core.properties import EMPTY_SCHEMA
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
 from repro.query.exec import _CMP, MAX_RESULT_ROWS
@@ -760,3 +765,45 @@ def full_walk_compact(store) -> int:
     store.stats.compactions += 1
     store.stats.spans_folded += folded
     return folded
+
+
+# -- the populating loop ----------------------------------------------------
+# What ``PropertyGraph.from_edges`` was before it became one layout pass:
+# every vertex and every arc through the primitives, one scalar ``alloc``
+# (and on an aged heap one RNG draw) each.  ``test_graph_layout.py``
+# requires the one pass to leave the same state, errors included.
+
+def loop_from_edges(n_vertices, edges, *, directed=True,
+                    vertex_schema=EMPTY_SCHEMA, edge_schema=EMPTY_SCHEMA,
+                    heap=PACKED_HEAP, tracer=None, skip_duplicates=True):
+    g = PropertyGraph(vertex_schema, edge_schema, directed=directed,
+                      tracer=tracer, heap=heap)
+    for vid in range(n_vertices):
+        g.add_vertex(vid)
+    g.add_edges(edges, skip_duplicates=skip_duplicates)
+    return g
+
+
+# -- the CPU model's window ids by hash -------------------------------------
+# ``arch.cpu._memory_stall_cycles`` before its window ids became run starts:
+# the same chains and sums, windows compacted by ``np.unique``.
+
+def unique_memory_stall_cycles(trace, hier, machine):
+    miss = np.flatnonzero(hier.l1_miss)
+    if not len(miss):
+        return 0.0, 1.0
+    lat = hier.latency[miss].astype(np.float64)
+    win = (trace.iat[miss] // np.uint64(machine.window_instrs)).astype(np.int64)
+    serial = np.isin(trace.acc_region[miss],
+                     np.fromiter(SERIAL_REGIONS, dtype=np.uint32))
+    prev_serial = np.concatenate(([False], serial[:-1]))
+    prev_win = np.concatenate(([-1], win[:-1]))
+    chain_start = ~serial | ~prev_serial | (win != prev_win)
+    uwin, win_idx = np.unique(win, return_inverse=True)
+    lat_per_win = np.bincount(win_idx, weights=lat)
+    chains_per_win = np.bincount(win_idx,
+                                 weights=chain_start.astype(np.float64))
+    mlp_per_win = np.clip(chains_per_win, 1.0, float(machine.mshr))
+    stall = float(np.sum(lat_per_win / mlp_per_win))
+    mean_mlp = float(np.sum(lat_per_win) / stall) if stall else 1.0
+    return stall, mean_mlp

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.errors import VertexNotFound
-from repro.workloads import common_edge_schema, common_vertex_schema
 from tests.conftest import build
 
 
@@ -40,13 +39,6 @@ class TestSpecMaterializations:
         from repro.datagen import make
         spec = make("ldbc", scale=0.05, seed=1, avg_degree=6)
         assert spec.m == pytest.approx(spec.n * 6, rel=0.4)
-
-    def test_build_with_tracer_traces_populate(self, tiny_spec):
-        from repro.core.trace import Tracer
-        t = Tracer()
-        tiny_spec.build(vertex_schema=common_vertex_schema(),
-                        edge_schema=common_edge_schema(), tracer=t)
-        assert t.n_accesses > tiny_spec.m     # GCons-style build traffic
 
 
 class TestReportHelpers:

@@ -1,5 +1,7 @@
 """Unit tests for the top-down CPU cycle model and machine configs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from repro.arch import (
     TEST_MACHINE,
     describe,
 )
+from repro.arch.cpu import _memory_stall_cycles
 from repro.core import trace as T
 from repro.core.trace import Tracer
+from tests.oracles import unique_memory_stall_cycles
 
 
 def _trace(n_scatter=300, serial=False, seed=0):
@@ -112,6 +116,32 @@ class TestHierarchy:
         assert m["L1D"] >= m["L2"] >= m["L3"]
         hr = res.hit_rates()
         assert all(0.0 <= v <= 1.0 for v in hr.values())
+
+
+class TestMemoryStallWindows:
+    """The stall model numbers its MLP windows by run starts, which holds
+    because ``iat`` never decreases; on any non-decreasing stream it
+    equals the ``np.unique`` form bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_run_start_windows_equal_the_unique_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 3000))
+        # steps of 0 repeat a window, large ones skip many
+        step = rng.choice([0, 0, 1, 5, 64, 700], size=n)
+        iat = np.cumsum(step).astype(np.uint64)
+        trace = SimpleNamespace(
+            iat=iat,
+            acc_region=rng.choice(np.array([T.R_NEIGHBORS, T.R_FIND_EDGE,
+                                            T.R_VERTEX_SCAN, T.R_PROP_GET],
+                                           dtype=np.uint32), size=n))
+        l1_miss = rng.random(n) < rng.random()
+        latency = np.where(l1_miss, rng.choice([12, 40, 200], size=n),
+                           0).astype(np.int32)
+        hier = SimpleNamespace(l1_miss=l1_miss, latency=latency)
+        for machine in (SCALED_XEON, TEST_MACHINE):
+            assert _memory_stall_cycles(trace, hier, machine) == \
+                unique_memory_stall_cycles(trace, hier, machine)
 
 
 class TestMachineConfigs:

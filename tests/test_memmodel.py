@@ -1,6 +1,9 @@
 """Unit tests for the simulated heap (repro.core.memmodel)."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.memmodel import (
     AGED_HEAP,
@@ -90,6 +93,53 @@ class TestSimAllocator:
         base = a.alloc_array(10, 8)
         nxt = a.alloc(8)
         assert nxt >= base + 80
+
+
+class TestAllocMany:
+    """``alloc_many`` is a loop of ``alloc``: addresses and every piece of
+    allocator state after it, the scatter RNG included."""
+
+    @given(st.lists(st.integers(1, 5000), max_size=40),
+           st.integers(0, 40), st.sampled_from([16, 64]),
+           st.sampled_from([0, 1, 7, 96, 1000]), st.integers(0, 2 ** 32),
+           st.sampled_from([None, "vertex"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_loop_of_alloc(self, sizes, lead, align, scatter, seed,
+                                    tag):
+        model = HeapModel(align=align, scatter=scatter, seed=seed)
+        loop, many = SimAllocator(model, base=0), SimAllocator(model, base=0)
+        if lead:        # leave the cursor unaligned first
+            loop.alloc(lead, tag="index")
+            many.alloc(lead, tag="index")
+        want = [loop.alloc(s, tag=tag) for s in sizes]
+        got = many.alloc_many(np.asarray(sizes, dtype=np.int64), tag=tag)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert many.snapshot() == loop.snapshot()
+        assert list(many.tags()) == list(loop.tags())
+        # and the next scalar allocation lands where the loop's would
+        assert many.alloc(24) == loop.alloc(24)
+
+    def test_rejects_a_non_positive_size_like_alloc(self):
+        a = SimAllocator(AGED_HEAP)
+        before = a.snapshot()
+        with pytest.raises(ValueError, match="got 0"):
+            a.alloc_many(np.array([16, 0, 16]))
+        assert a.snapshot() == before
+
+    @pytest.mark.parametrize("high", [2, 3, 2 * AGED_HEAP.scatter + 1,
+                                      2001, (1 << 32) + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_a_sized_draw_is_the_scalar_stream(self, high, seed):
+        """The assumption ``alloc_many`` rests on: one sized ``integers``
+        draw yields the values, and leaves the generator state, of that
+        many scalar draws.  A numpy release that breaks it fails here."""
+        scalar = np.random.default_rng(seed)
+        sized = np.random.default_rng(seed)
+        for k in (1, 2, 3, 64, 1000):
+            want = [int(scalar.integers(0, high)) for _ in range(k)]
+            assert sized.integers(0, high, size=k).tolist() == want
+            assert sized.bit_generator.state == scalar.bit_generator.state
 
 
 def test_line_and_page_helpers():
