@@ -17,18 +17,16 @@ def test_multicore_llc_contention(suite, benchmark):
     probes = ("BFS", "DCentr", "Gibbs")
 
     def run():
-        out = {}
-        for name in probes:
-            trace = rows[name].result.trace
-            solo = simulate_multicore(trace, suite.machine, p=1)
-            multi = simulate_multicore(trace, suite.machine,
-                                       p=suite.machine.n_cores)
-            out[name] = (solo, multi)
-        return out
+        return {name: simulate_multicore(rows[name].result.trace,
+                                         suite.machine,
+                                         p=suite.machine.n_cores)
+                for name in probes}
 
     res = benchmark(run)
     table = []
-    for name, (solo, multi) in res.items():
+    for name, multi in res.items():
+        # one core's replay is the characterization's own hierarchy
+        solo = rows[name].cpu.hierarchy
         factor = (multi.l3.misses / solo.l3.misses
                   if solo.l3.misses else 1.0)
         table.append([name, int(solo.l3.misses), int(multi.l3.misses),

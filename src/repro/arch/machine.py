@@ -13,7 +13,7 @@ methodology").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cache import CacheConfig
 from .tlb import TLBConfig
@@ -39,15 +39,6 @@ class MachineConfig:
     n_cores: int = 16               # for the multicore model (Fig. 12)
     predictor: str = "gshare"
     predictor_bits: int = 12
-
-    def scaled_l3_per_core(self) -> CacheConfig:
-        """Per-core share of the shared L3 (multicore model)."""
-        share = max(self.l3.size // self.n_cores,
-                    self.l3.assoc * self.l3.line)
-        # keep power-of-two sets
-        n_sets = share // (self.l3.assoc * self.l3.line)
-        n_sets = 1 << max(0, n_sets.bit_length() - 1)
-        return replace(self.l3, size=n_sets * self.l3.assoc * self.l3.line)
 
 
 #: Default machine for characterization: the paper's Xeon with capacities

@@ -53,10 +53,6 @@ class TLBStats:
     def mpki(self, n_instrs: int) -> float:
         return 1000.0 * self.misses / n_instrs if n_instrs else 0.0
 
-    def penalty_fraction(self, total_cycles: float) -> float:
-        """DTLB miss penalty as a fraction of total cycles (Fig. 6)."""
-        return self.walk_cycles / total_cycles if total_cycles else 0.0
-
 
 class TLB:
     """LRU DTLB; :meth:`simulate` returns the per-access miss mask."""

@@ -18,7 +18,6 @@ from .errors import (
     VertexNotFound,
 )
 from .graph import EdgeNode, PropertyGraph, Vertex
-from .index import PropertyIndex, create_index
 from .memmodel import (
     AGED_HEAP,
     HEAP_BASE,
@@ -55,9 +54,9 @@ __all__ = [
     "HarnessError", "MetricsUnavailable", "RetriesExhausted",
     "HeapModel", "LINE_SIZE", "PACKED_HEAP", "PAGE_SIZE", "PropertyGraph",
     "PropertyStats", "Region", "Schema", "SchemaError", "SimAllocator",
-    "PropertyIndex", "StoredTrace", "TRACE_FORMAT_VERSION", "TraceError",
+    "StoredTrace", "TRACE_FORMAT_VERSION", "TraceError",
     "TraceStore", "TraceStoreKeyError", "TraceStoreStats", "Tracer",
-    "Vertex", "VertexNotFound", "create_index",
+    "Vertex", "VertexNotFound",
     "ComputationProfile", "ComputationType", "DataSource",
     "DataSourceProfile", "WorkloadCategory",
 ]

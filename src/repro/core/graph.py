@@ -495,27 +495,6 @@ class PropertyGraph:
             added += 1
         return added
 
-    def del_edges(self, edges: Iterable[tuple[int, int]], *,
-                  missing_ok: bool = True) -> int:
-        """Bulk *delete-edge*: remove every ``(src, dst)`` pair in
-        ``edges`` (the counterpart of :meth:`add_edges`).
-
-        With ``missing_ok`` an absent edge is counted out instead of
-        raising — the natural mode for replayed deletion feeds.  Returns
-        the number of edges actually removed.
-        """
-        removed = 0
-        for row in edges:
-            src, dst = int(row[0]), int(row[1])
-            try:
-                self.delete_edge(src, dst)
-            except (EdgeNotFound, VertexNotFound):
-                if not missing_ok:
-                    raise
-                continue
-            removed += 1
-        return removed
-
     def has_edge(self, src: int, dst: int) -> bool:
         """Existence test via *find-edge* (walks the adjacency list)."""
         try:
@@ -730,18 +709,6 @@ class PropertyGraph:
             t.leave()
         return len(v.out)
 
-    def in_degree(self, v: Vertex | int) -> int:
-        """In-degree, reading the in-reference field."""
-        if isinstance(v, int):
-            v = self.find_vertex(v)
-        t = self.t
-        if t is not None:
-            t.enter(T.R_PROP_GET)
-            t.i(C_PROP_GET)
-            t.r(v.addr + V_INREF_OFF)
-            t.leave()
-        return len(v.inn)
-
     # -- property primitives ---------------------------------------------------------
     def _vset(self, v: Vertex, name: str, value: Any) -> None:
         slot = self.vschema.slot(name)
@@ -843,16 +810,6 @@ class PropertyGraph:
             t.r(addr + index * elem_size)
             t.leave()
 
-    def payload_write(self, addr: int, index: int, elem_size: int = 8,
-                      n_instrs: int = C_PAYLOAD) -> None:
-        """Charge one element write inside a payload block."""
-        t = self.t
-        if t is not None:
-            t.enter(T.R_PAYLOAD)
-            t.i(n_instrs)
-            t.w(addr + index * elem_size)
-            t.leave()
-
     # -- construction helpers ------------------------------------------------------------
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]],
@@ -924,17 +881,6 @@ class PropertyGraph:
             outs[s][d] = EdgeNode(d, a, edef.copy())
             inns[d].add(s)
         g._n_edges = len(src)
-        return g
-
-    def copy_topology(self) -> "PropertyGraph":
-        """Untraced deep copy of the topology (same schemas, fresh heap)."""
-        g = PropertyGraph(self.vschema, self.eschema, directed=True,
-                          heap=self.alloc.model)
-        for vid in self._v:
-            g.add_vertex(vid)
-        for vid, v in self._v.items():
-            for dst in v.out:
-                g.add_edge(vid, dst)
         return g
 
     # -- state snapshot ------------------------------------------------------

@@ -166,12 +166,6 @@ class SimAllocator:
         """Total bytes allocated (the workload's memory footprint)."""
         return self.bytes_allocated
 
-    @property
-    def pages_touched(self) -> int:
-        """Upper bound on distinct 4 KiB pages spanned by the heap."""
-        span = self._cursor - self.base
-        return (span + PAGE_SIZE - 1) // PAGE_SIZE
-
     def snapshot(self) -> tuple:
         """Opaque, immutable capture of the allocator state.
 

@@ -110,10 +110,6 @@ class FrozenTrace:
     def n_branches(self) -> int:
         return len(self.branch_sites)
 
-    @property
-    def user_instrs(self) -> int:
-        return self.n_instrs - self.fw_instrs
-
     def framework_fraction(self) -> float:
         """Fraction of retired instructions spent inside framework
         primitives — the proxy for the paper's in-framework execution time

@@ -27,7 +27,6 @@ from .ops import (
     OP_KINDS,
     MutOp,
     churn_ops,
-    ops_as_wire,
     parse_op,
     parse_ops,
     single_op,
@@ -57,7 +56,6 @@ __all__ = [
     "StoreStats",
     "churn_ops",
     "dynamic_key",
-    "ops_as_wire",
     "parse_op",
     "parse_ops",
     "single_op",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..core.errors import BadRequest
 
@@ -152,8 +152,3 @@ def churn_ops(rng: random.Random, n_vertices: int, size: int, *,
                         "vid": rng.randrange(n_vertices),
                         "name": "state", "value": rng.randrange(4)})
     return ops
-
-
-def ops_as_wire(ops: Iterable[MutOp]) -> list[dict[str, Any]]:
-    """Flatten parsed ops back to their wire shape."""
-    return [op.as_dict() for op in ops]

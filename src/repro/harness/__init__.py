@@ -16,7 +16,6 @@ from .report import (
     format_table,
     matrix_table,
     paper_note,
-    to_csv_string,
     write_csv,
 )
 from .runner import (
@@ -27,7 +26,6 @@ from .runner import (
     cache_stats,
     characterize,
     clear_cache,
-    default_dataset,
     gpu_speedup,
     run_cpu_workload,
 )
@@ -39,10 +37,9 @@ __all__ = [
     "PAPER_AVG_FRAMEWORK_FRACTION",
     "Row", "average_fraction", "bar", "breakdown_table", "by_ctype",
     "cache_stats", "characterize", "clear_cache", "cpu_table",
-    "default_dataset",
     "export_all", "failure_table",
     "fig8_table", "format_table", "framework_fractions", "gpu_speedup",
     "gpu_table", "matrix_table", "paper_note", "pivot",
     "run_cpu_workload",
-    "sensitivity_rows", "spread", "to_csv_string", "write_csv",
+    "sensitivity_rows", "spread", "write_csv",
 ]

@@ -8,7 +8,6 @@ doubles as the EXPERIMENTS.md evidence log.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from typing import Any, Sequence
 
@@ -42,16 +41,6 @@ def write_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]],
         w = csv.writer(f)
         w.writerow(headers)
         w.writerows(rows)
-
-
-def to_csv_string(headers: Sequence[str],
-                  rows: Sequence[Sequence[Any]]) -> str:
-    """CSV text of a table (stdout-friendly)."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(headers)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def bar(value: float, vmax: float, width: int = 40) -> str:

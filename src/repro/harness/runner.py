@@ -24,7 +24,6 @@ from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType
 from ..core.trace import Tracer
 from ..core.tracestore import TraceStore, TraceStoreKeyError
-from ..datagen.registry import make as make_dataset
 from ..datagen.spec import GraphSpec
 from ..gpu.device import K40, DeviceConfig, GPUMetrics
 from ..gpu.runner import run_gpu_workload
@@ -345,8 +344,3 @@ def gpu_speedup(row: Row, *, machine: MachineConfig = SCALED_XEON,
     if not row.gpu.exec_time:
         return float("nan")
     return cpu_time / row.gpu.exec_time
-
-
-def default_dataset(scale: float = 1.0, seed: int = 0) -> GraphSpec:
-    """The LDBC characterization graph of Table 7 (scaled)."""
-    return make_dataset("ldbc", scale=scale, seed=seed)

@@ -23,7 +23,7 @@ passed down from ``--trace-out``.
 """
 
 from ..core.errors import MetricError
-from .expo import escape_label_value, render_json, render_prometheus
+from .expo import escape_label_value, render_prometheus
 from .logs import JsonFormatter, get_logger, setup_logging
 from .metrics import (
     LATENCY_BUCKETS_MS,
@@ -50,6 +50,6 @@ __all__ = [
     "LATENCY_BUCKETS_MS", "MetricError", "MetricsRegistry", "SpanRecord",
     "SpanTracer", "counter_total", "escape_label_value", "format_number",
     "get_global_tracer", "get_logger", "maybe_span", "percentile",
-    "quantile_from_snapshot", "render_json", "render_prometheus",
+    "quantile_from_snapshot", "render_prometheus",
     "set_global_tracer", "setup_logging",
 ]

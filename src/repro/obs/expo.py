@@ -14,7 +14,6 @@ sample, histograms as cumulative ``_bucket{le=...}`` series plus
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping
 
 from .metrics import format_number
@@ -63,9 +62,3 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
                 lines.append(f"{name}{_label_str(labels)} "
                              f"{format_number(float(sample['value']))}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_json(snapshot: Mapping[str, Any], *, indent: int = 2) -> str:
-    """The snapshot as stable, sorted JSON text."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True,
-                      default=str)

@@ -9,7 +9,6 @@ from .multicore import (
 )
 from .trace_sim import (
     MulticoreCacheResult,
-    llc_contention,
     simulate_multicore,
 )
 from .partition import (
@@ -22,7 +21,7 @@ from .partition import (
 
 __all__ = [
     "BARRIER_CYCLES", "MulticoreCacheResult", "PARTITIONERS", "Partition",
-    "MulticoreResult", "llc_contention", "simulate_multicore",
+    "MulticoreResult", "simulate_multicore",
     "SERIAL_FRACTION", "block_partition", "cyclic_partition",
     "greedy_weighted_partition", "project_multicore",
 ]

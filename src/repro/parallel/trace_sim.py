@@ -39,14 +39,6 @@ class MulticoreCacheResult:
     l3: CacheStats            # the shared LLC
     per_core_accesses: list[int]
 
-    def l3_miss_rate(self) -> float:
-        return self.l3.miss_rate
-
-    def mpki(self, n_instrs: int) -> dict[str, float]:
-        return {"L1D": self.l1.mpki(n_instrs),
-                "L2": self.l2.mpki(n_instrs),
-                "L3": self.l3.mpki(n_instrs)}
-
 
 def _chunk_owners(n: int, p: int, chunk: int) -> np.ndarray:
     """Owner core of each access: contiguous work chunks dealt round-robin
@@ -93,17 +85,3 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
         p, stats("L1D", len(addrs), len(i1)), stats("L2", len(i1), len(i2)),
         stats(m.l3.name, len(i2), len(i3)),
         np.bincount(owners, minlength=p).tolist())
-
-
-def llc_contention(trace: FrozenTrace, machine: MachineConfig,
-                   p: int | None = None) -> float:
-    """Shared-LLC contention factor: p-core L3 misses / 1-core L3 misses.
-
-    > 1 means the interleaved working sets evict each other (the
-    multicore tax on Fig. 7's already-poor L3 behaviour).
-    """
-    solo = simulate_multicore(trace, machine, p=1)
-    multi = simulate_multicore(trace, machine, p=p)
-    if solo.l3.misses == 0:
-        return 1.0
-    return multi.l3.misses / solo.l3.misses

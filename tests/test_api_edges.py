@@ -73,22 +73,6 @@ class TestPaperXeon:
         assert not second.l3_miss.any()
 
 
-class TestIndexWithLiveTracer:
-    def test_build_traced(self):
-        from repro.core.graph import PropertyGraph
-        from repro.core.index import create_index
-        from repro.core.properties import Field, Schema
-        from repro.core.trace import Tracer
-        t = Tracer()
-        g = PropertyGraph(Schema([Field("k", default=0)]), tracer=t)
-        for i in range(10):
-            g.add_vertex(i, k=i % 3)
-        n_before = t.n_accesses
-        idx = create_index(g, "k")
-        assert t.n_accesses > n_before     # build pass is traced
-        assert idx.count(0) == 4
-
-
 class TestGPURunnerParams:
     def test_bcentr_sampled(self, tiny_spec):
         from repro.gpu import run_gpu_workload

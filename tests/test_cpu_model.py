@@ -154,8 +154,3 @@ class TestMachineConfigs:
     def test_describe(self):
         s = describe(SCALED_XEON)
         assert "L1D" in s and "cores" in s
-
-    def test_scaled_l3_per_core(self):
-        share = SCALED_XEON.scaled_l3_per_core()
-        assert share.size <= SCALED_XEON.l3.size
-        assert share.n_sets & (share.n_sets - 1) == 0

@@ -244,14 +244,6 @@ class TestBulkMutators:
         with pytest.raises(ValueError):
             g.add_edges([(0, 1)], skip_duplicates=False)
 
-    def test_del_edges_counts_and_missing_ok(self):
-        g = self._graph()
-        g.add_edges([(0, 1), (1, 2)])
-        assert g.del_edges([(0, 1), (3, 4)]) == 1
-        assert not g.has_edge(0, 1)
-        with pytest.raises(KeyError):
-            g.del_edges([(3, 4)], missing_ok=False)
-
 
 # -- incremental kernels vs batch recompute ----------------------------------
 

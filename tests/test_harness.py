@@ -22,7 +22,6 @@ from repro.harness import (
     run_cpu_workload,
     sensitivity_rows,
     spread,
-    to_csv_string,
     write_csv,
 )
 from repro.harness.runner import _dagify
@@ -155,9 +154,6 @@ class TestReport:
         write_csv(["name", "v"], rows, path)
         text = path.read_text()
         assert "name,v" in text and "x,1" in text
-
-    def test_csv_string(self):
-        assert to_csv_string(["a"], [[1]]).strip() == "a\r\n1".strip()
 
 
 class TestSharedGraphReuse:

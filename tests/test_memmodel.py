@@ -83,11 +83,6 @@ class TestSimAllocator:
         assert a.tags() == {"vertex": 96, "edge": 16}
         assert a.tag_bytes("missing") == 0
 
-    def test_pages_touched(self):
-        a = SimAllocator()
-        a.alloc(3 * PAGE_SIZE)
-        assert a.pages_touched >= 3
-
     def test_alloc_array(self):
         a = SimAllocator()
         base = a.alloc_array(10, 8)

@@ -85,11 +85,3 @@ class TestTracerHygieneOnErrors:
             run("GCons", g, tracer=t, n_vertices=1,
                 edges=np.array([[0, 0]]))
         assert g.t is None      # tracer detached despite the error
-
-
-class TestDefaultDataset:
-    def test_default_dataset_is_ldbc(self):
-        from repro.harness import default_dataset
-        spec = default_dataset(scale=0.1)
-        assert spec.name == "LDBC"
-        assert spec.n >= 120

@@ -51,7 +51,6 @@ class TestTLB:
         assert st.accesses == 3
         assert st.misses == 2
         assert st.walk_cycles == 60
-        assert st.penalty_fraction(600) == pytest.approx(0.1)
         assert st.mpki(2000) == pytest.approx(1.0)
 
     def test_reset(self):

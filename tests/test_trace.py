@@ -73,7 +73,6 @@ class TestRegions:
         t.leave()
         ft = t.freeze()
         assert ft.fw_instrs == 30
-        assert ft.user_instrs == 10
         assert ft.framework_fraction() == pytest.approx(0.75)
 
     def test_framework_access_split(self):
