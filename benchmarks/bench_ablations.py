@@ -12,7 +12,7 @@
 import numpy as np
 
 from benchmarks.conftest import show
-from repro.arch import MemoryHierarchy, line_ids, lru_miss_idx
+from repro.arch import line_ids, lru_miss_idx, replay
 from repro.core.memmodel import AGED_HEAP, PACKED_HEAP
 from repro.core.trace import Tracer
 from repro.harness import format_table, paper_note
@@ -34,8 +34,8 @@ def test_ablation_heap_aging(suite, benchmark):
     aged = _bfs_trace(spec, AGED_HEAP)
 
     def simulate():
-        hp = MemoryHierarchy(suite.machine).simulate(packed.addrs)
-        ha = MemoryHierarchy(suite.machine).simulate(aged.addrs)
+        hp = replay(packed.addrs, None, suite.machine).hierarchy
+        ha = replay(aged.addrs, None, suite.machine).hierarchy
         return hp, ha
 
     hp, ha = benchmark(simulate)

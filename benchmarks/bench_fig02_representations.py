@@ -11,7 +11,7 @@ CSR arrays, plus the memory-footprint comparison.
 import numpy as np
 
 from benchmarks.conftest import show
-from repro.arch import MemoryHierarchy
+from repro.arch import replay
 from repro.core.trace import Tracer
 from repro.harness import format_table, paper_note
 from repro.workloads import BFS, common_edge_schema, common_vertex_schema
@@ -60,8 +60,7 @@ def test_fig02_representations(suite, benchmark):
     def simulate():
         out = {}
         for name, tr in (("vertex-centric", vc_trace), ("CSR", csr_trace)):
-            res = MemoryHierarchy(suite.machine).simulate(tr.addrs, tr.rw)
-            out[name] = res
+            out[name] = replay(tr.addrs, tr.rw, suite.machine).hierarchy
         return out
 
     res = benchmark(simulate)

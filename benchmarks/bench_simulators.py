@@ -12,12 +12,11 @@ from repro.arch import (
     Cache,
     CacheConfig,
     GSharePredictor,
-    TLB,
-    TLBConfig,
     line_ids,
     lru_miss_idx,
     simulate_branches,
 )
+from repro.core.memmodel import PAGE_SIZE
 from repro.gpu.simt import KernelAccum, slots_for_loop
 
 N = 200_000
@@ -52,10 +51,13 @@ def test_lru_walk_throughput(benchmark, addrs):
 
 
 def test_tlb_throughput(benchmark, addrs):
+    cfg = CacheConfig("DTLB", size=64 * PAGE_SIZE, assoc=4, line=PAGE_SIZE,
+                      latency=36)
+
     def run():
-        t = TLB(TLBConfig(entries=64, assoc=4))
+        t = Cache(cfg)
         t.simulate(addrs)
-        return t.stats().misses
+        return t.stats.misses
 
     assert benchmark(run) > 0
 

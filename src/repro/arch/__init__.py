@@ -18,8 +18,7 @@ from .cache import (
     lru_miss_idx,
 )
 from .cpu import SERIAL_REGIONS, CPUMetrics, CPUModel, CycleBreakdown
-from .hierarchy import HierarchyResult, MemoryHierarchy
-from .icache import ICache, ICacheStats, code_footprint, deep_stack_regions
+from .icache import ICache, code_footprint, deep_stack_regions
 from .machine import PAPER_XEON, SCALED_XEON, TEST_MACHINE, MachineConfig, describe
 from .ndp import NDPConfig, NDPProjection, project_ndp
 from .prefetch import (
@@ -28,18 +27,15 @@ from .prefetch import (
     StridePrefetcher,
     prefetch_comparison,
 )
-from .replay import ReplayResult, replay
-from .tlb import TLB, TLBConfig, TLBStats
+from .replay import HierarchyResult, ReplayResult, replay
 
 __all__ = [
     "AlwaysTakenPredictor", "BimodalPredictor", "BranchStats",
     "Cache", "CacheConfig", "CacheStats", "CPUMetrics", "CPUModel",
-    "CycleBreakdown", "GSharePredictor", "HierarchyResult",
-    "ICache", "ICacheStats", "MachineConfig", "MemoryHierarchy",
-    "NDPConfig", "NDPProjection", "NextLinePrefetcher", "PrefetchStats",
-    "ReplayResult", "StridePrefetcher", "level_miss_idx", "line_ids",
-    "lru_miss_idx", "prefetch_comparison", "project_ndp", "replay",
-    "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE", "TLB",
-    "TLBConfig", "TLBStats", "code_footprint", "deep_stack_regions",
-    "describe", "simulate_branches",
+    "CycleBreakdown", "GSharePredictor", "HierarchyResult", "ICache",
+    "MachineConfig", "NDPConfig", "NDPProjection", "NextLinePrefetcher",
+    "PrefetchStats", "ReplayResult", "StridePrefetcher", "level_miss_idx",
+    "line_ids", "lru_miss_idx", "prefetch_comparison", "project_ndp",
+    "replay", "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE",
+    "code_footprint", "deep_stack_regions", "describe", "simulate_branches",
 ]

@@ -12,7 +12,7 @@ has two LRUs and no third, cross-validated by ``tests/test_cache.py``:
   :mod:`repro.gpu.simt` compose it (:func:`level_miss_idx` for addresses).
 * :class:`Cache` — the stateful, obviously-correct reference (one
   ``access`` per call, warm state across calls).  The prefetcher models
-  and the warm-cache figure benches use it; the tests use it as oracle.
+  run on it; the tests compose it into their oracles.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class CacheConfig:
     size: int
     assoc: int
     line: int = 64
-    latency: int = 4          # load-to-use latency in cycles (on hit)
+    latency: int = 4          # load-to-use cycles on a hit (DTLB: per walk)
 
     def __post_init__(self):
         if self.size <= 0 or self.assoc <= 0 or self.line <= 0:
@@ -186,26 +186,19 @@ class Cache:
             del s[next(iter(s))]   # evict LRU (oldest insertion)
         return False
 
-    def simulate(self, addrs: np.ndarray | None, rw: np.ndarray | None = None,
-                 *, lines: np.ndarray | list[int] | None = None) -> np.ndarray:
+    def simulate(self, addrs: np.ndarray, rw: np.ndarray | None = None
+                 ) -> np.ndarray:
         """Replay a whole trace; returns a bool miss mask (True = miss).
 
         ``addrs`` are byte addresses; ``rw`` optionally marks writes (1).
         State persists across calls (warm cache), call :meth:`reset` first
         for a cold run.
-
-        ``lines=`` is the fast path: callers that already hold the line ids
-        (the hierarchy shares one ``addrs >> log2(line)`` precompute across
-        levels) pass them directly and ``addrs`` is ignored entirely.
         """
         cfg = self.config
         n_sets = cfg.n_sets
         assoc = cfg.assoc
         sets = self._sets
-        if lines is None:
-            lines = line_ids(addrs, cfg.line).tolist()
-        elif isinstance(lines, np.ndarray):
-            lines = lines.tolist()
+        lines = line_ids(addrs, cfg.line).tolist()
         writes = None
         if rw is not None:
             writes = rw.tolist() if isinstance(rw, np.ndarray) else list(rw)

@@ -25,11 +25,10 @@ import numpy as np
 from ..core import trace as T
 from ..core.trace import FrozenTrace
 from .branch import BranchStats, simulate_branches
-from .hierarchy import HierarchyResult
-from .icache import ICache, ICacheStats
+from .cache import CacheStats
+from .icache import ICache
 from .machine import SCALED_XEON, MachineConfig
-from .replay import replay
-from .tlb import TLBStats
+from .replay import HierarchyResult, replay
 
 #: Framework regions whose loads form dependence chains (pointer chasing).
 SERIAL_REGIONS = frozenset({T.R_NEIGHBORS, T.R_FIND_EDGE,
@@ -66,9 +65,9 @@ class CPUMetrics:
     cycles: float
     breakdown: CycleBreakdown
     hierarchy: HierarchyResult
-    dtlb: TLBStats
+    dtlb: CacheStats
     branch: BranchStats
-    icache: ICacheStats
+    icache: CacheStats
     framework_fraction: float
     mlp: float                     # average achieved memory-level parallelism
     dtlb_walk_cycles_effective: float = 0.0
@@ -111,13 +110,18 @@ class CPUMetrics:
         return out
 
 
-def _memory_stall_cycles(trace: FrozenTrace, hier: HierarchyResult,
+def _memory_stall_cycles(trace: FrozenTrace,
+                         misses: tuple[np.ndarray, np.ndarray, np.ndarray],
                          machine: MachineConfig) -> tuple[float, float]:
-    """Return (stall_cycles, average MLP) for the L1-miss stream."""
-    miss = np.flatnonzero(hier.l1_miss)
+    """Return (stall_cycles, average MLP) for the L1-miss stream, given
+    :func:`~repro.arch.replay.replay`'s nested L1/L2/L3 miss positions."""
+    miss, i2, i3 = misses
     if not len(miss):
         return 0.0, 1.0
-    lat = hier.latency[miss].astype(np.float64)
+    # extra cycles beyond an L1 hit: served by the L2, the L3 or memory
+    lat = np.full(len(miss), float(machine.l2.latency))
+    lat[np.searchsorted(miss, i2)] = machine.l3.latency
+    lat[np.searchsorted(miss, i3)] = machine.mem_latency
     win = (trace.iat[miss] // np.uint64(machine.window_instrs)).astype(np.int64)
     serial = np.isin(trace.acc_region[miss],
                      np.fromiter(SERIAL_REGIONS, dtype=np.uint32))
@@ -170,8 +174,6 @@ class CPUModel:
         """
         m = self.machine
         rep = replay(trace.addrs, trace.rw, m, id_cache=memo)
-        hier = rep.hierarchy
-        tlb_stats = rep.tlb
         bkey = ("branch", m.predictor, m.predictor_bits)
         if memo is not None and bkey in memo:
             br = memo[bkey]
@@ -190,10 +192,10 @@ class CPUModel:
                 memo[ikey] = ic
 
         retiring = trace.n_instrs / m.issue_width
-        mem_stall, mlp = _memory_stall_cycles(trace, hier, m)
+        mem_stall, mlp = _memory_stall_cycles(trace, rep.misses, m)
         # page walks overlap with the outstanding data misses they
         # accompany, so they see the same memory-level parallelism
-        walk_eff = tlb_stats.walk_cycles / max(mlp, 1.0)
+        walk_eff = rep.tlb.misses * m.tlb.latency / max(mlp, 1.0)
         backend = mem_stall + walk_eff
         bad_spec = br.mispredicts * m.flush_penalty
         frontend = ic.misses * m.icache_penalty
@@ -204,8 +206,8 @@ class CPUModel:
             n_instrs=trace.n_instrs,
             cycles=breakdown.total,
             breakdown=breakdown,
-            hierarchy=hier,
-            dtlb=tlb_stats,
+            hierarchy=rep.hierarchy,
+            dtlb=rep.tlb,
             branch=br,
             icache=ic,
             framework_fraction=trace.framework_fraction(),

@@ -15,33 +15,16 @@ contrast with CloudSuite-style stacks as an ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.trace import FrozenTrace, Region
-from .cache import CacheConfig, level_miss_idx
+from .cache import CacheConfig, CacheStats, level_miss_idx
 
 #: Base of the simulated code segment (distinct from the data heap).
 CODE_BASE = 0x4000_0000
 
 #: Alignment of each region's code in the segment.
 CODE_ALIGN = 64
-
-
-@dataclass
-class ICacheStats:
-    """Outcome of an ICache simulation."""
-
-    accesses: int
-    misses: int
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def mpki(self, n_instrs: int) -> float:
-        return 1000.0 * self.misses / n_instrs if n_instrs else 0.0
 
 
 def layout_code(regions: dict[int, Region]) -> dict[int, tuple[int, int]]:
@@ -101,15 +84,16 @@ class ICache:
         self.config = config
 
     def simulate(self, trace: FrozenTrace, stack_depth: int = 0
-                 ) -> ICacheStats:
+                 ) -> CacheStats:
         """Replay ``trace``'s region visits through a cold ICache;
-        returns aggregate stats.
+        returns aggregate stats (every fetch a read).
 
         ``stack_depth`` > 0 applies the deep-stack ablation transform.
         """
         addrs = self._visit_addrs(trace, stack_depth)
-        return ICacheStats(len(addrs),
-                           len(level_miss_idx(self.config, addrs)))
+        misses = len(level_miss_idx(self.config, addrs))
+        return CacheStats(self.config.name, accesses=len(addrs),
+                          misses=misses, read_misses=misses)
 
     def _visit_addrs(self, trace: FrozenTrace,
                      stack_depth: int) -> np.ndarray:

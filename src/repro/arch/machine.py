@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.memmodel import PAGE_SIZE
 from .cache import CacheConfig
-from .tlb import TLBConfig
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class MachineConfig:
     l2: CacheConfig
     l3: CacheConfig
     icache: CacheConfig
-    tlb: TLBConfig
+    tlb: CacheConfig                # DTLB: a line is a page, latency a walk
     mem_latency: int = 200          # cycles, LLC miss to DRAM
     issue_width: int = 4            # retire slots per cycle
     mshr: int = 10                  # max outstanding misses (MLP cap)
@@ -49,7 +49,8 @@ SCALED_XEON = MachineConfig(
     l2=CacheConfig("L2", size=32 * 1024, assoc=8, line=64, latency=12),
     l3=CacheConfig("L3", size=512 * 1024, assoc=16, line=64, latency=42),
     icache=CacheConfig("L1I", size=32 * 1024, assoc=8, line=64, latency=4),
-    tlb=TLBConfig(entries=32, assoc=4, walk_latency=36),
+    tlb=CacheConfig("DTLB", size=32 * PAGE_SIZE, assoc=4, line=PAGE_SIZE,
+                    latency=36),
 )
 
 #: Tiny machine for fast unit tests (drives high miss rates on toy graphs).
@@ -59,7 +60,8 @@ TEST_MACHINE = MachineConfig(
     l2=CacheConfig("L2", size=2 * 1024, assoc=4, line=64, latency=12),
     l3=CacheConfig("L3", size=8 * 1024, assoc=4, line=64, latency=42),
     icache=CacheConfig("L1I", size=8 * 1024, assoc=4, line=64, latency=4),
-    tlb=TLBConfig(entries=8, assoc=4, walk_latency=36),
+    tlb=CacheConfig("DTLB", size=8 * PAGE_SIZE, assoc=4, line=PAGE_SIZE,
+                    latency=36),
     n_cores=4,
 )
 
@@ -72,7 +74,8 @@ PAPER_XEON = MachineConfig(
     l3=CacheConfig("L3", size=20 * 1024 * 1024, assoc=20, line=64,
                    latency=42),
     icache=CacheConfig("L1I", size=32 * 1024, assoc=8, line=64, latency=4),
-    tlb=TLBConfig(entries=64, assoc=4, walk_latency=36),
+    tlb=CacheConfig("DTLB", size=64 * PAGE_SIZE, assoc=4, line=PAGE_SIZE,
+                    latency=36),
 )
 
 
@@ -81,5 +84,6 @@ def describe(machine: MachineConfig) -> str:
     return (f"{machine.name}: L1D {machine.l1d.size // 1024}K/"
             f"{machine.l1d.assoc}w, L2 {machine.l2.size // 1024}K/"
             f"{machine.l2.assoc}w, L3 {machine.l3.size // 1024}K/"
-            f"{machine.l3.assoc}w, DTLB {machine.tlb.entries}e, "
+            f"{machine.l3.assoc}w, "
+            f"DTLB {machine.tlb.size // machine.tlb.line}e, "
             f"{machine.n_cores} cores @ {machine.freq_ghz} GHz")

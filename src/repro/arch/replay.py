@@ -9,10 +9,10 @@ miss positions are memoized under the chain of geometries above and
 including it; a machine sweep over one stored trace then walks only the
 levels whose chain actually changed.
 
-The stateful reference simulators (:class:`repro.arch.hierarchy.
-MemoryHierarchy`, :class:`repro.arch.tlb.TLB`) run the same LRU state
-machine over the same per-level substreams; ``tests/test_replay.py``
-holds this module bitwise identical to them.
+The stateful reference (``tests/oracles.py``: ``MemoryHierarchy`` and a
+:class:`~repro.arch.cache.Cache` of ``machine.tlb``) runs the same LRU
+state machine over the same per-level substreams; ``tests/test_replay.py``
+holds this module bitwise identical to it.
 """
 
 from __future__ import annotations
@@ -22,18 +22,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, CacheStats, level_miss_idx
-from .hierarchy import HierarchyResult
 from .machine import MachineConfig
-from .tlb import TLBStats
+
+
+@dataclass
+class HierarchyResult:
+    """What the reports need about the L1D -> L2 -> L3 caches."""
+
+    l1: CacheStats
+    l2: CacheStats
+    l3: CacheStats
+
+    def mpki(self, n_instrs: int) -> dict[str, float]:
+        """MPKI per level (Fig. 7's metric)."""
+        return {"L1D": self.l1.mpki(n_instrs),
+                "L2": self.l2.mpki(n_instrs),
+                "L3": self.l3.mpki(n_instrs)}
+
+    def hit_rates(self) -> dict[str, float]:
+        """Local hit rate per level (Fig. 9's metric)."""
+        return {"L1D": self.l1.hit_rate,
+                "L2": self.l2.hit_rate,
+                "L3": self.l3.hit_rate}
 
 
 @dataclass
 class ReplayResult:
-    """Hierarchy + DTLB results of one replay."""
+    """Hierarchy + DTLB results of one replay.  ``misses`` holds the
+    ascending L1/L2/L3 miss positions in program order (each a subset of
+    the one before), ``tlb_misses`` the DTLB's."""
 
     hierarchy: HierarchyResult
-    tlb: TLBStats
-    tlb_miss: np.ndarray    # per-access bool, program order
+    tlb: CacheStats
+    misses: tuple[np.ndarray, np.ndarray, np.ndarray]
+    tlb_misses: np.ndarray
 
 
 def stage_key(*levels: CacheConfig) -> tuple:
@@ -67,17 +89,7 @@ def replay(addrs: np.ndarray, rw: np.ndarray | None,
     i1 = misses(m.l1d)
     i2 = misses(m.l1d, m.l2)
     i3 = misses(m.l1d, m.l2, m.l3)
-    it = misses(m.tlb.cache_config())   # probed by every access, read-only
-
-    def mask_of(idx: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[idx] = True
-        return out
-
-    latency = np.zeros(n, dtype=np.int32)
-    latency[i1] = m.l2.latency
-    latency[i2] = m.l3.latency
-    latency[i3] = m.mem_latency
+    it = misses(m.tlb)              # probed by every load and store
 
     def stats_of(cfg: CacheConfig, accesses: int,
                  idx: np.ndarray) -> CacheStats:
@@ -85,12 +97,8 @@ def replay(addrs: np.ndarray, rw: np.ndarray | None,
         return CacheStats(cfg.name, accesses=accesses, misses=len(idx),
                           read_misses=len(idx) - wmiss, write_misses=wmiss)
 
-    hier = HierarchyResult(
-        l1=stats_of(m.l1d, n, i1),
-        l2=stats_of(m.l2, len(i1), i2),
-        l3=stats_of(m.l3, len(i2), i3),
-        l1_miss=mask_of(i1), l2_miss=mask_of(i2), l3_miss=mask_of(i3),
-        latency=latency)
-    tlb = TLBStats(accesses=n, misses=len(it),
-                   walk_latency=m.tlb.walk_latency)
-    return ReplayResult(hierarchy=hier, tlb=tlb, tlb_miss=mask_of(it))
+    hier = HierarchyResult(l1=stats_of(m.l1d, n, i1),
+                           l2=stats_of(m.l2, len(i1), i2),
+                           l3=stats_of(m.l3, len(i2), i3))
+    return ReplayResult(hierarchy=hier, tlb=stats_of(m.tlb, n, it),
+                        misses=(i1, i2, i3), tlb_misses=it)

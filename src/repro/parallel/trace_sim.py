@@ -14,7 +14,7 @@ quantifying:
 Every level is the one LRU walk of :mod:`repro.arch.cache`, private
 levels with the owning core folded into the set id.  Used by the
 multicore-contention ablation bench; the single-core case (``p=1``)
-reduces exactly to :class:`~repro.arch.hierarchy.MemoryHierarchy`, and
+reduces exactly to :func:`~repro.arch.replay.replay`'s hierarchy, and
 any ``p`` to one ``Cache`` per core and level (both tested).
 """
 

@@ -1,12 +1,12 @@
 """Reference implementations the engine tests compare against.
 
 Each is the short, sequential, obviously-correct form of something
-``src/`` computes vectorized or composed: the stateful :class:`Cache` /
-:class:`MemoryHierarchy` / :class:`TLB` and the predictor classes stay in
-``src/`` (prefetchers and figure benches need them); the per-core and
-per-segment loops, the seven workload loop kernels, the populating loop
-and the query executor's dict image and kernels, which only tests need,
-live here.
+``src/`` computes vectorized or composed: the stateful :class:`Cache` and
+the predictor classes stay in ``src/`` (the prefetchers run on ``Cache``;
+``simulate_branches`` reads the predictors' geometry);
+:class:`MemoryHierarchy`, the per-core and per-segment loops, the seven
+workload loop kernels, the populating loop and the query executor's dict
+image and kernels, which only tests need, live here.
 """
 
 import dataclasses
@@ -16,11 +16,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.arch import TLB, MemoryHierarchy
 from repro.arch.branch import PREDICTORS
 from repro.arch.cache import Cache, CacheStats
 from repro.arch.cpu import SERIAL_REGIONS
-from repro.arch.icache import ICache, ICacheStats
+from repro.arch.icache import ICache
+from repro.arch.replay import HierarchyResult
 from repro.core.errors import PlanError, QueryError
 from repro.core.graph import PropertyGraph
 from repro.core.memmodel import PACKED_HEAP
@@ -31,13 +31,33 @@ from repro.query.exec import _CMP, MAX_RESULT_ROWS
 from repro.workloads.base import TracedHeap, TracedQueue
 
 
+class MemoryHierarchy:
+    """Stateful L1D -> L2 -> L3: one :class:`Cache` per level, each fed the
+    misses of the level above in program order (warm across calls)."""
+
+    def __init__(self, machine):
+        self.l1 = Cache(machine.l1d)
+        self.l2 = Cache(machine.l2)
+        self.l3 = Cache(machine.l3)
+
+    def simulate(self, addrs, rw=None):
+        """(HierarchyResult, ascending L1/L2/L3 miss positions)."""
+        addrs = np.asarray(addrs, dtype=np.uint64)
+        i1 = np.flatnonzero(self.l1.simulate(addrs, rw))
+        i2 = i1[self.l2.simulate(addrs[i1], None if rw is None else rw[i1])]
+        i3 = i2[self.l3.simulate(addrs[i2], None if rw is None else rw[i2])]
+        hier = HierarchyResult(self.l1.stats, self.l2.stats, self.l3.stats)
+        return hier, (i1, i2, i3)
+
+
 def reference_hierarchy(machine, addrs, rw):
-    """(HierarchyResult, TLBStats, tlb miss mask) of a cold multi-pass
-    replay: one :class:`Cache` pass per level, plus the DTLB."""
-    hier = MemoryHierarchy(machine).simulate(addrs, rw)
-    tlb = TLB(machine.tlb)
-    tlb_miss = tlb.simulate(addrs)
-    return hier, tlb.stats(), tlb_miss
+    """(HierarchyResult, miss positions, DTLB CacheStats, DTLB miss
+    positions) of a cold multi-pass replay: one :class:`Cache` pass per
+    level, plus one over ``machine.tlb``."""
+    hier, misses = MemoryHierarchy(machine).simulate(addrs, rw)
+    tlb = Cache(machine.tlb)
+    tlb_misses = np.flatnonzero(tlb.simulate(addrs, rw))
+    return hier, misses, tlb.stats, tlb_misses
 
 
 def reference_multicore(trace, machine, p, chunk=256):
@@ -122,7 +142,7 @@ def reference_icache(config, trace, stack_depth=0):
     """The ICache's line-touch stream through a stateful :class:`Cache`."""
     cache = Cache(config)
     cache.simulate(ICache(config)._visit_addrs(trace, stack_depth))
-    return ICacheStats(cache.stats.accesses, cache.stats.misses)
+    return cache.stats
 
 
 def reference_branches(kind, sites, taken, **kwargs):
@@ -786,13 +806,16 @@ def loop_from_edges(n_vertices, edges, *, directed=True,
 
 # -- the CPU model's window ids by hash -------------------------------------
 # ``arch.cpu._memory_stall_cycles`` before its window ids became run starts:
-# the same chains and sums, windows compacted by ``np.unique``.
+# the same chains and sums, windows compacted by ``np.unique``, each
+# L1 miss's latency found by membership in the L2 and L3 miss positions.
 
-def unique_memory_stall_cycles(trace, hier, machine):
-    miss = np.flatnonzero(hier.l1_miss)
+def unique_memory_stall_cycles(trace, misses, machine):
+    miss, i2, i3 = misses
     if not len(miss):
         return 0.0, 1.0
-    lat = hier.latency[miss].astype(np.float64)
+    lat = np.where(np.isin(miss, i3), machine.mem_latency,
+                   np.where(np.isin(miss, i2), machine.l3.latency,
+                            machine.l2.latency)).astype(np.float64)
     win = (trace.iat[miss] // np.uint64(machine.window_instrs)).astype(np.int64)
     serial = np.isin(trace.acc_region[miss],
                      np.fromiter(SERIAL_REGIONS, dtype=np.uint32))

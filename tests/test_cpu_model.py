@@ -1,5 +1,6 @@
 """Unit tests for the top-down CPU cycle model and machine configs."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from repro.arch import (
     CPUModel,
-    MemoryHierarchy,
     PAPER_XEON,
     SCALED_XEON,
     TEST_MACHINE,
     describe,
+    replay,
 )
 from repro.arch.cpu import _memory_stall_cycles
 from repro.core import trace as T
@@ -81,6 +82,20 @@ class TestCycleModel:
         deep = CPUModel(TEST_MACHINE).run(ft, stack_depth=8)
         assert (deep.breakdown.frontend > flat.breakdown.frontend)
 
+    def test_metrics_hold_no_numpy_array(self):
+        """A memoized row keeps a run's counts, not an entry per access."""
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+            elif isinstance(obj, (list, tuple, dict)):
+                for item in obj.values() if isinstance(obj, dict) else obj:
+                    yield from arrays(item)
+
+        assert not list(arrays(CPUModel(TEST_MACHINE).run(_trace())))
+
     def test_footprint_recorded(self):
         m = CPUModel(TEST_MACHINE).run(_trace(), footprint_bytes=12345)
         assert m.footprint_bytes == 12345
@@ -97,21 +112,14 @@ class TestHierarchy:
     def test_miss_masks_nested(self):
         rng = np.random.default_rng(1)
         addrs = rng.integers(0, 1 << 20, 2000).astype(np.uint64)
-        res = MemoryHierarchy(TEST_MACHINE).simulate(addrs)
-        # an L2 miss implies an L1 miss; an L3 miss implies an L2 miss
-        assert not (res.l2_miss & ~res.l1_miss).any()
-        assert not (res.l3_miss & ~res.l2_miss).any()
-
-    def test_latencies_consistent(self):
-        rng = np.random.default_rng(2)
-        addrs = rng.integers(0, 1 << 20, 2000).astype(np.uint64)
-        res = MemoryHierarchy(TEST_MACHINE).simulate(addrs)
-        assert (res.latency[~res.l1_miss] == 0).all()
-        assert (res.latency[res.l3_miss] == TEST_MACHINE.mem_latency).all()
+        i1, i2, i3 = replay(addrs, None, TEST_MACHINE).misses
+        # an L2 miss is an L1 miss; an L3 miss is an L2 miss
+        assert len(i3) and np.isin(i3, i2).all() and np.isin(i2, i1).all()
+        assert all((np.diff(idx) > 0).all() for idx in (i1, i2, i3))
 
     def test_mpki_and_hit_rates(self):
         addrs = np.arange(0, 64 * 100, 64, dtype=np.uint64)
-        res = MemoryHierarchy(TEST_MACHINE).simulate(addrs)
+        res = replay(addrs, None, TEST_MACHINE).hierarchy
         m = res.mpki(100_000)
         assert m["L1D"] >= m["L2"] >= m["L3"]
         hr = res.hit_rates()
@@ -120,8 +128,9 @@ class TestHierarchy:
 
 class TestMemoryStallWindows:
     """The stall model numbers its MLP windows by run starts, which holds
-    because ``iat`` never decreases; on any non-decreasing stream it
-    equals the ``np.unique`` form bit for bit."""
+    because ``iat`` never decreases, and prices each L1 miss by where the
+    nested L2/L3 miss positions put it; on any non-decreasing stream it
+    equals the ``np.unique`` + ``np.isin`` form bit for bit."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_run_start_windows_equal_the_unique_form(self, seed):
@@ -135,22 +144,23 @@ class TestMemoryStallWindows:
             acc_region=rng.choice(np.array([T.R_NEIGHBORS, T.R_FIND_EDGE,
                                             T.R_VERTEX_SCAN, T.R_PROP_GET],
                                            dtype=np.uint32), size=n))
-        l1_miss = rng.random(n) < rng.random()
-        latency = np.where(l1_miss, rng.choice([12, 40, 200], size=n),
-                           0).astype(np.int32)
-        hier = SimpleNamespace(l1_miss=l1_miss, latency=latency)
+        # nested i3 <= i2 <= i1, each ascending, as replay returns them
+        i1 = np.flatnonzero(rng.random(n) < rng.random())
+        i2 = i1[rng.random(len(i1)) < rng.random()]
+        i3 = i2[rng.random(len(i2)) < rng.random()]
         for machine in (SCALED_XEON, TEST_MACHINE):
-            assert _memory_stall_cycles(trace, hier, machine) == \
-                unique_memory_stall_cycles(trace, hier, machine)
+            assert _memory_stall_cycles(trace, (i1, i2, i3), machine) == \
+                unique_memory_stall_cycles(trace, (i1, i2, i3), machine)
 
 
 class TestMachineConfigs:
     def test_presets_valid(self):
         for mc in (SCALED_XEON, TEST_MACHINE, PAPER_XEON):
             assert mc.l1d.size < mc.l2.size < mc.l3.size
-            assert mc.tlb.entries > 0
+            assert mc.tlb.size // mc.tlb.line > 0
             assert mc.n_cores >= 1
 
     def test_describe(self):
         s = describe(SCALED_XEON)
         assert "L1D" in s and "cores" in s
+        assert "DTLB 32e" in s

@@ -10,10 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.arch import replay
-from repro.arch.cache import Cache, CacheConfig, line_ids
+from repro.arch.cache import CacheConfig, line_ids
 from repro.arch.machine import SCALED_XEON, TEST_MACHINE, MachineConfig
 from repro.arch.replay import stage_key
-from repro.arch.tlb import TLBConfig
+from repro.core.memmodel import PAGE_SIZE
 from tests.oracles import reference_hierarchy
 
 # the module, not the function repro.arch re-exports under the same name
@@ -38,21 +38,19 @@ def _machine(geom_idx: int, tlb_entries: int = 8) -> MachineConfig:
         l2=CacheConfig("L2", size=s2, assoc=a2, line=64, latency=12),
         l3=CacheConfig("L3", size=s3, assoc=a3, line=64, latency=42),
         icache=CacheConfig("L1I", size=4096, assoc=4, line=64, latency=4),
-        tlb=TLBConfig(entries=tlb_entries, assoc=4, walk_latency=36),
+        tlb=CacheConfig("DTLB", size=tlb_entries * PAGE_SIZE, assoc=4,
+                        line=PAGE_SIZE, latency=36),
     )
 
 
 def _assert_equal(machine, addrs, rw, id_cache=None):
-    ref_hier, ref_tlb, ref_tlb_miss = reference_hierarchy(machine, addrs, rw)
+    ref_hier, ref_misses, ref_tlb, ref_tlb_misses = reference_hierarchy(
+        machine, addrs, rw)
     rep = replay(addrs, rw, machine, id_cache=id_cache)
-    assert np.array_equal(ref_hier.l1_miss, rep.hierarchy.l1_miss)
-    assert np.array_equal(ref_hier.l2_miss, rep.hierarchy.l2_miss)
-    assert np.array_equal(ref_hier.l3_miss, rep.hierarchy.l3_miss)
-    assert np.array_equal(ref_hier.latency, rep.hierarchy.latency)
-    assert ref_hier.l1 == rep.hierarchy.l1
-    assert ref_hier.l2 == rep.hierarchy.l2
-    assert ref_hier.l3 == rep.hierarchy.l3
-    assert np.array_equal(ref_tlb_miss, rep.tlb_miss)
+    for ref, got in zip(ref_misses, rep.misses, strict=True):
+        assert np.array_equal(ref, got)
+    assert ref_hier == rep.hierarchy
+    assert np.array_equal(ref_tlb_misses, rep.tlb_misses)
     assert ref_tlb == rep.tlb
 
 
@@ -87,7 +85,7 @@ class TestFusedVsReference:
                      TEST_MACHINE)
         assert rep.hierarchy.l1.accesses == 0
         assert rep.tlb.accesses == 0
-        assert len(rep.hierarchy.latency) == 0
+        assert all(len(idx) == 0 for idx in rep.misses)
 
     def test_id_cache_reused_across_machines(self):
         rng = np.random.default_rng(3)
@@ -97,7 +95,7 @@ class TestFusedVsReference:
         m = TEST_MACHINE
         assert set(cache) == {stage_key(m.l1d), stage_key(m.l1d, m.l2),
                               stage_key(m.l1d, m.l2, m.l3),
-                              stage_key(m.tlb.cache_config())}
+                              stage_key(m.tlb)}
         _assert_equal(SCALED_XEON, addrs, None, id_cache=cache)
         # a second replay of a machine already in the memo walks nothing
         before = {k: v.copy() for k, v in cache.items()}
@@ -146,12 +144,12 @@ class TestFusedVsReference:
         for m in machines:
             expected |= {stage_key(m.l1d), stage_key(m.l1d, m.l2),
                          stage_key(m.l1d, m.l2, m.l3),
-                         stage_key(m.tlb.cache_config())}
+                         stage_key(m.tlb)}
         assert set(cache) == expected
         l2_geoms = {(m.l2.size, m.l2.assoc) for m in machines}
         assert len(l2_geoms) == 3
         assert walked.count(base.l1d) == 1
-        assert walked.count(base.tlb.cache_config()) == 1
+        assert walked.count(base.tlb) == 1
         assert sum(c.name == "L2" for c in walked) == len(l2_geoms)
         assert len(walked) == len(expected)
 
@@ -167,13 +165,9 @@ class TestCpuModelFastPath:
         result, _ = run_cpu_workload("BFS", spec, machine=TEST_MACHINE)
         trace = result.trace
         fast = CPUModel(TEST_MACHINE).run(trace)
-        hier, tlb, _ = reference_hierarchy(TEST_MACHINE, trace.addrs,
-                                           trace.rw)
-        for level in ("l1", "l2", "l3"):
-            assert getattr(fast.hierarchy, level) == getattr(hier, level)
-            assert np.array_equal(getattr(fast.hierarchy, level + "_miss"),
-                                  getattr(hier, level + "_miss"))
-        assert np.array_equal(fast.hierarchy.latency, hier.latency)
+        hier, _, tlb, _ = reference_hierarchy(TEST_MACHINE, trace.addrs,
+                                              trace.rw)
+        assert fast.hierarchy == hier
         assert fast.dtlb == tlb
         assert fast.branch == reference_branches(
             TEST_MACHINE.predictor, trace.branch_sites, trace.branch_taken,
@@ -182,16 +176,6 @@ class TestCpuModelFastPath:
 
 
 class TestCacheLinesFastPath:
-    def test_lines_param_matches_addrs(self):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 1 << 16, size=500, dtype=np.uint64)
-        cfg = CacheConfig("t", size=1024, assoc=4, line=64)
-        m1 = Cache(cfg).simulate(addrs)
-        m2 = Cache(cfg).simulate(None, lines=line_ids(addrs, 64))
-        m3 = Cache(cfg).simulate(None, lines=line_ids(addrs, 64).tolist())
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(m1, m3)
-
     def test_line_ids_pow2_and_non_pow2(self):
         addrs = np.array([0, 63, 64, 4095, 4096, 12345], dtype=np.uint64)
         assert np.array_equal(line_ids(addrs, 64), addrs // 64)

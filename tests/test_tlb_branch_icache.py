@@ -1,4 +1,5 @@
-"""Unit tests for TLB, branch predictors, and the ICache model."""
+"""Unit tests for the DTLB level, branch predictors, and the ICache
+model."""
 
 import dataclasses
 import sys
@@ -10,13 +11,12 @@ from hypothesis import given, settings
 
 from repro.arch import (
     TEST_MACHINE,
-    TLB,
     AlwaysTakenPredictor,
     BimodalPredictor,
+    Cache,
     CPUModel,
     GSharePredictor,
     ICache,
-    TLBConfig,
     code_footprint,
     deep_stack_regions,
     simulate_branches,
@@ -30,34 +30,43 @@ from repro.core.trace import Tracer
 from tests.oracles import reference_branches, reference_icache
 
 
+def _dtlb(entries, assoc=4, walk=36):
+    return CacheConfig("DTLB", size=entries * PAGE_SIZE, assoc=assoc,
+                       line=PAGE_SIZE, latency=walk)
+
+
 class TestTLB:
     def test_page_granularity(self):
-        tlb = TLB(TLBConfig(entries=8, assoc=8))
+        tlb = Cache(_dtlb(8, assoc=8))
         miss = tlb.simulate(np.array([0, 100, PAGE_SIZE - 1, PAGE_SIZE],
                                      dtype=np.uint64))
         assert miss.tolist() == [True, False, False, True]
 
     def test_capacity_eviction(self):
-        tlb = TLB(TLBConfig(entries=4, assoc=4))
+        tlb = Cache(_dtlb(4))
         pages = np.arange(8, dtype=np.uint64) * PAGE_SIZE
         tlb.simulate(pages)
         miss2 = tlb.simulate(pages[:1])
         assert miss2[0]     # page 0 evicted by pages 4..7
 
     def test_stats_and_penalty(self):
-        tlb = TLB(TLBConfig(entries=4, assoc=4, walk_latency=30))
-        tlb.simulate(np.array([0, 0, PAGE_SIZE], dtype=np.uint64))
-        st = tlb.stats()
-        assert st.accesses == 3
-        assert st.misses == 2
-        assert st.walk_cycles == 60
+        # one walk per miss, priced by the cycle model at the level's latency
+        t = Tracer()
+        for addr in (0, 0, PAGE_SIZE):
+            t.i(8)
+            t.r(addr)
+        machine = dataclasses.replace(TEST_MACHINE, tlb=_dtlb(4, walk=30))
+        m = CPUModel(machine).run(t.freeze())
+        st = m.dtlb
+        assert (st.name, st.accesses, st.misses) == ("DTLB", 3, 2)
+        assert m.dtlb_walk_cycles_effective == 60 / max(m.mlp, 1.0)
         assert st.mpki(2000) == pytest.approx(1.0)
 
     def test_reset(self):
-        tlb = TLB(TLBConfig(entries=4, assoc=4))
+        tlb = Cache(_dtlb(4))
         tlb.simulate(np.array([0], dtype=np.uint64))
         tlb.reset()
-        assert tlb.stats().accesses == 0
+        assert tlb.stats.accesses == 0
 
 
 class TestBranchPredictors:

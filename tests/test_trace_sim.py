@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import MemoryHierarchy
+from repro.arch import replay
 from repro.arch.machine import TEST_MACHINE
 from repro.core.trace import Tracer
 from repro.parallel.trace_sim import (
@@ -37,7 +37,7 @@ class TestSimulateMulticore:
     def test_p1_matches_serial_hierarchy(self):
         ft = _trace()
         solo = simulate_multicore(ft, TEST_MACHINE, p=1)
-        ref = MemoryHierarchy(TEST_MACHINE).simulate(ft.addrs, ft.rw)
+        ref = replay(ft.addrs, ft.rw, TEST_MACHINE).hierarchy
         assert solo.l1.misses == ref.l1.misses
         assert solo.l2.misses == ref.l2.misses
         assert solo.l3.misses == ref.l3.misses
