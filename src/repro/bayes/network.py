@@ -113,26 +113,6 @@ class BayesianNetwork:
             raise ValueError("network contains a cycle")
         return order
 
-    def markov_blanket(self, v: int) -> set[int]:
-        """Parents, children, and children's other parents of ``v``."""
-        mb = set(self.parents[v]) | set(self.children[v])
-        for c in self.children[v]:
-            mb.update(self.parents[c])
-        mb.discard(v)
-        return mb
-
-    # -- sampling ------------------------------------------------------------
-    def forward_sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Ancestral sample of all variables (requires all CPTs)."""
-        state = np.zeros(self.n, dtype=np.int64)
-        for v in self.topological_order():
-            cpt = self.cpts[v]
-            if cpt is None:
-                raise ValueError(f"variable {v} has no CPT")
-            pstates = tuple(int(state[p]) for p in self.parents[v])
-            state[v] = rng.choice(cpt.arity, p=cpt.row(pstates))
-        return state
-
     def conditional_row(self, v: int, state: np.ndarray) -> np.ndarray:
         """P(X_v | markov blanket in ``state``), unnormalized then
         normalized — the inner computation of Gibbs sampling."""

@@ -110,10 +110,6 @@ class HashRing:
     def with_node(self, node: str) -> "HashRing":
         return HashRing(self.nodes + (node,), self.vnodes)
 
-    def without_node(self, node: str) -> "HashRing":
-        remaining = tuple(n for n in self.nodes if n != node)
-        return HashRing(remaining, self.vnodes)
-
 
 @dataclass(frozen=True)
 class RebalancePlan:

@@ -88,11 +88,6 @@ class ClusterSpec:
         return {name: tuple(sorted(keys))
                 for name, keys in owned.items()}
 
-    def primaries(self) -> dict[str, str]:
-        """dataset -> its primary shard."""
-        ring = self.ring()
-        return {key: ring.owner(key) for key in self.dataset_keys}
-
 
 def default_shard_factory(name: str,
                           owned: tuple[str, ...]) -> ShardService:

@@ -27,7 +27,7 @@ from .memmodel import (
     HeapModel,
     SimAllocator,
 )
-from .properties import EMPTY_SCHEMA, Field, PropertyStats, Schema
+from .properties import EMPTY_SCHEMA, Field, Schema
 from .taxonomy import (
     COMPUTATION_PROFILES,
     DATA_SOURCE_PROFILES,
@@ -53,7 +53,7 @@ __all__ = [
     "EdgeNotFound", "Field", "FrozenTrace", "GraphError", "HEAP_BASE",
     "HarnessError", "MetricsUnavailable", "RetriesExhausted",
     "HeapModel", "LINE_SIZE", "PACKED_HEAP", "PAGE_SIZE", "PropertyGraph",
-    "PropertyStats", "Region", "Schema", "SchemaError", "SimAllocator",
+    "Region", "Schema", "SchemaError", "SimAllocator",
     "StoredTrace", "TRACE_FORMAT_VERSION", "TraceError",
     "TraceStore", "TraceStoreKeyError", "TraceStoreStats", "Tracer",
     "Vertex", "VertexNotFound",

@@ -192,13 +192,3 @@ class SimAllocator:
     def tags(self) -> dict[str, int]:
         """Copy of the per-tag byte accounting."""
         return dict(self._tags)
-
-
-def line_of(addr: int) -> int:
-    """Cache-line index of a byte address."""
-    return addr // LINE_SIZE
-
-
-def page_of(addr: int) -> int:
-    """Page index of a byte address."""
-    return addr // PAGE_SIZE

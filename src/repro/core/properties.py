@@ -113,22 +113,3 @@ class Schema:
 
 #: Schema with no properties — graphs used purely for topology.
 EMPTY_SCHEMA = Schema()
-
-
-@dataclass
-class PropertyStats:
-    """Aggregate counters of property traffic, used by the harness to
-    classify a run's read/write/numeric intensity (paper Table 1)."""
-
-    reads: int = 0
-    writes: int = 0
-    numeric_ops: int = 0
-    payload_reads: int = 0
-    payload_writes: int = 0
-
-    def merge(self, other: "PropertyStats") -> None:
-        self.reads += other.reads
-        self.writes += other.writes
-        self.numeric_ops += other.numeric_ops
-        self.payload_reads += other.payload_reads
-        self.payload_writes += other.payload_writes

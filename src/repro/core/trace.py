@@ -106,10 +106,6 @@ class FrozenTrace:
     fw_accesses: int
     n_accesses: int
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.branch_sites)
-
     def framework_fraction(self) -> float:
         """Fraction of retired instructions spent inside framework
         primitives — the proxy for the paper's in-framework execution time

@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -125,6 +125,10 @@ class StoredTrace:
     outputs: dict[str, Any]
     params: dict[str, Any]
     key: str
+    #: machine-invariant sub-results of ``trace`` (the ``memo`` of
+    #: :meth:`~repro.arch.cpu.CPUModel.run`), shared by every load of the
+    #: entry, so a machine sweep computes each of them once
+    memo: dict = field(default_factory=dict)
 
 
 #: entries kept in the per-store in-memory cache (a machine sweep replays
@@ -141,6 +145,9 @@ class TraceStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = TraceStoreStats()
         self._mem: dict[str, StoredTrace] = {}
+        # memos handed to save() for entries not loaded since: the first
+        # load's entry starts from one
+        self._seeds: dict[str, dict] = {}
 
     def _mem_put(self, key: str, entry: StoredTrace) -> None:
         self._mem[key] = entry
@@ -156,7 +163,7 @@ class TraceStore:
                            footprint_bytes=entry.footprint_bytes,
                            outputs=dict(entry.outputs),
                            params=dict(entry.params),
-                           key=key)
+                           key=key, memo=entry.memo)
 
     # -- keys ----------------------------------------------------------------
     def key_for(self, workload: str, spec, params: dict | None = None) -> str:
@@ -239,7 +246,7 @@ class TraceStore:
                             footprint_bytes=int(meta.get("footprint_bytes", 0)),
                             outputs=dict(meta.get("outputs", {})),
                             params=dict(meta.get("params", {})),
-                            key=key)
+                            key=key, memo=self._seeds.pop(key, {}))
         self._mem_put(key, entry)
         return self._mem_get(key)
 
@@ -247,12 +254,15 @@ class TraceStore:
              footprint_bytes: int = 0,
              outputs: dict[str, Any] | None = None,
              params: dict[str, Any] | None = None,
-             provenance: dict[str, Any] | None = None) -> Path:
+             provenance: dict[str, Any] | None = None,
+             memo: dict | None = None) -> Path:
         """Persist one entry atomically; returns the sidecar path.
 
         ``outputs``/``params`` must already be JSON-safe scalars (the
         harness filters them); ``provenance`` is free-form context
-        (workload, dataset, ...) recorded for debugging only.
+        (workload, dataset, ...) recorded for debugging only.  ``memo``
+        is what the run that made ``trace`` memoized of it; the entry's
+        next load starts from it (:attr:`StoredTrace.memo`).
         """
         npz_path, sidecar_path = self._paths(key)
         cols = {f: getattr(trace, f) for f in _ARRAY_FIELDS}
@@ -298,4 +308,8 @@ class TraceStore:
         # tampered/corrupted entry must read as a miss even right after a
         # save.  The first load pays one npz parse and warms the tier.
         self._mem.pop(key, None)
+        if memo is not None:
+            self._seeds[key] = memo
+            if len(self._seeds) > _MEM_CACHE_ENTRIES:
+                del self._seeds[next(iter(self._seeds))]
         return sidecar_path

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from ..core.errors import MutationError, SnapshotExpired
@@ -673,12 +673,6 @@ class Snapshot:
             return value
 
     # -- arc reads -----------------------------------------------------------
-
-    def has_arc(self, src: int, dst: int) -> bool:
-        st = self._store
-        with st._lock:
-            return _alive_at(st._out.get(src, {}).get(dst, []),
-                             self.version)
 
     def out_neighbors(self, vid: int) -> list[int]:
         st = self._store

@@ -4,9 +4,7 @@ dynamic vertex-centric framework representation."""
 from .coo import COOGraph
 from .convert import (
     compact_ids,
-    coo_to_csr,
     csr_to_coo,
-    from_csr,
     to_coo,
     to_csr,
     to_edge_arrays,
@@ -14,6 +12,6 @@ from .convert import (
 from .csr import CSRGraph, from_edge_arrays
 
 __all__ = [
-    "COOGraph", "CSRGraph", "compact_ids", "coo_to_csr", "csr_to_coo",
-    "from_csr", "from_edge_arrays", "to_coo", "to_csr", "to_edge_arrays",
+    "COOGraph", "CSRGraph", "compact_ids", "csr_to_coo", "from_edge_arrays",
+    "to_coo", "to_csr", "to_edge_arrays",
 ]

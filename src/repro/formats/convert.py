@@ -70,17 +70,3 @@ def csr_to_coo(csr: CSRGraph) -> COOGraph:
     src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
     return COOGraph(csr.n, src, csr.col_idx.copy(),
                     None if csr.vals is None else csr.vals.copy())
-
-
-def coo_to_csr(coo: COOGraph) -> CSRGraph:
-    """Sort a COO's edges by source into CSR form."""
-    return from_edge_arrays(coo.n, coo.src, coo.dst, coo.vals)
-
-
-def from_csr(csr: CSRGraph, **graph_kwargs) -> PropertyGraph:
-    """Materialize a CSR back into a dynamic vertex-centric graph (arcs in
-    row order, a repeated arc once; ``graph_kwargs`` as
-    :meth:`PropertyGraph.from_edges` takes them)."""
-    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
-    return PropertyGraph.from_edges(
-        csr.n, np.stack([src, csr.col_idx], 1), **graph_kwargs)

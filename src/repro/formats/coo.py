@@ -54,14 +54,5 @@ class COOGraph:
         """Out-degree per vertex."""
         return np.bincount(self.src, minlength=self.n)
 
-    def in_degrees(self) -> np.ndarray:
-        """In-degree per vertex."""
-        return np.bincount(self.dst, minlength=self.n)
-
-    def reversed_edges(self) -> "COOGraph":
-        """COO with every arc flipped."""
-        return COOGraph(self.n, self.dst.copy(), self.src.copy(),
-                        None if self.vals is None else self.vals.copy())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"COOGraph(n={self.n}, m={self.m})"

@@ -90,12 +90,6 @@ class CSRGraph:
         """Targets of ``v``'s outgoing edges (a view, do not mutate)."""
         return self.col_idx[self.row_ptr[v]:self.row_ptr[v + 1]]
 
-    def edge_values(self, v: int) -> np.ndarray:
-        """Values of ``v``'s outgoing edges (requires ``vals``)."""
-        if self.vals is None:
-            raise ValueError("CSR graph has no edge values")
-        return self.vals[self.row_ptr[v]:self.row_ptr[v + 1]]
-
     def has_edge(self, src: int, dst: int) -> bool:
         """Membership test by scanning ``src``'s row."""
         return bool(np.any(self.neighbors(src) == dst))

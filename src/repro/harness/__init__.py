@@ -29,7 +29,7 @@ from .runner import (
     gpu_speedup,
     run_cpu_workload,
 )
-from .sensitivity import pivot, sensitivity_rows, spread
+from .sensitivity import pivot, spread
 
 __all__ = [
     "CPU_COLUMNS", "CPU_WORKLOADS", "DATA_SENSITIVE_WORKLOADS",
@@ -40,6 +40,5 @@ __all__ = [
     "export_all", "failure_table",
     "fig8_table", "format_table", "framework_fractions", "gpu_speedup",
     "gpu_table", "matrix_table", "paper_note", "pivot",
-    "run_cpu_workload",
-    "sensitivity_rows", "spread", "write_csv",
+    "run_cpu_workload", "spread", "write_csv",
 ]

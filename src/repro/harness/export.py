@@ -21,10 +21,11 @@ def export_all(rows: Sequence[Row], out_dir: str | os.PathLike,
 
     Returns the list of files written.  GPU views are skipped when no row
     carries GPU metrics.  A partial matrix exports cleanly: rows restored
-    from a checkpoint (no live trace) are simply absent from the
-    framework-fraction view, and ``failures`` (CellFailure objects or
-    journal dicts from a resilient sweep) become ``failures.csv`` so
-    downstream consumers see which cells are missing and why.
+    from a checkpoint read every view, the framework fraction included,
+    from their journaled CPU summary, and ``failures`` (CellFailure
+    objects or journal dicts from a resilient sweep) become
+    ``failures.csv`` so downstream consumers see which cells are missing
+    and why.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
@@ -45,8 +46,8 @@ def export_all(rows: Sequence[Row], out_dir: str | os.PathLike,
     emit("gpu_metrics.csv",
          ["workload", "dataset", "bdr", "mdr", "read_gbs", "ipc"],
          gpu_table(rows))
-    fw = [[r.workload, r.dataset, r.result.trace.framework_fraction()]
-          for r in rows if r.result is not None and r.result.trace]
+    fw = [[r.workload, r.dataset, r.cpu.framework_fraction]
+          for r in rows if r.cpu is not None]
     emit("framework_fraction.csv",
          ["workload", "dataset", "framework_fraction"], fw)
     emit("failures.csv", FAILURE_COLUMNS, failure_table(failures))

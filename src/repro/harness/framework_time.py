@@ -15,12 +15,10 @@ PAPER_AVG_FRAMEWORK_FRACTION = 0.76
 
 
 def framework_fractions(rows: list[Row]) -> dict[str, float]:
-    """Per-workload in-framework instruction fraction."""
-    out = {}
-    for r in rows:
-        if r.result is not None and r.result.trace is not None:
-            out[r.workload] = r.result.trace.framework_fraction()
-    return out
+    """Per-workload in-framework instruction fraction, as the CPU model
+    recorded it (a row restored from a checkpoint carries it too)."""
+    return {r.workload: r.cpu.framework_fraction
+            for r in rows if r.cpu is not None}
 
 
 def average_fraction(rows: list[Row]) -> float:

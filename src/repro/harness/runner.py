@@ -74,23 +74,7 @@ _CACHE = LRUCache(capacity=512)
 def clear_cache() -> None:
     """Drop memoized characterization rows (for tests)."""
     _CACHE.clear()
-    _SWEEP_MEMOS.clear()
     _GRAPH_CACHE.clear()
-
-
-# Per-trace scratch memos for machine sweeps over stored traces: keyed by
-# the trace's content key, holding machine-invariant sub-results (branch
-# prediction, ICache stats, replay stage misses — see CPUModel.run).
-# Bounded: a sweep touches few distinct traces at a time.
-_SWEEP_MEMOS = LRUCache(capacity=8)
-
-
-def _sweep_memo(key: str) -> dict:
-    memo = _SWEEP_MEMOS.get(key)
-    if memo is None:
-        memo = {}
-        _SWEEP_MEMOS.put(key, memo)
-    return memo
 
 
 def _as_store(store: TraceStore | str | Path | None) -> TraceStore | None:
@@ -100,10 +84,9 @@ def _as_store(store: TraceStore | str | Path | None) -> TraceStore | None:
 
 
 def cache_stats() -> dict[str, dict[str, float]]:
-    """Counters of the harness caches — row memo, sweep memos, shared
-    graphs — each in the ``CacheStats.as_dict()`` shape."""
+    """Counters of the harness caches — row memo, shared graphs — each
+    in the ``CacheStats.as_dict()`` shape."""
     return {"rows": _CACHE.stats.as_dict(),
-            "sweep_memos": _SWEEP_MEMOS.stats.as_dict(),
             "graphs": _GRAPH_CACHE.stats.as_dict()}
 
 
@@ -212,7 +195,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
                             dataset=spec.name, served="trace-store"):
                 metrics = CPUModel(machine).run(
                     stored.trace, footprint_bytes=stored.footprint_bytes,
-                    memo=_sweep_memo(key))
+                    memo=stored.memo)
             result = WorkloadResult(name=name, outputs=dict(stored.outputs),
                                     trace=stored.trace,
                                     params=dict(stored.params),
@@ -247,11 +230,11 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
         if name == "BCentr":
             params.setdefault("n_sources", 4)
     result = wl.run(g, tracer=tracer, **params)
+    memo = {} if key is not None else None
     metrics = CPUModel(machine).run(
-        result.trace, footprint_bytes=g.alloc.footprint,
-        memo=_sweep_memo(key) if key is not None else None)
+        result.trace, footprint_bytes=g.alloc.footprint, memo=memo)
     if key is not None:
-        store.save(key, result.trace,
+        store.save(key, result.trace, memo=memo,
                    footprint_bytes=g.alloc.footprint,
                    outputs=_scalar_items(result.outputs),
                    params=_scalar_items(result.params),

@@ -1,35 +1,15 @@
 """Data-sensitivity studies: workloads x the five Table 7 datasets.
 
 Powers Fig. 9 (CPU: L1D hit rate, DTLB penalty, IPC per dataset) and
-Fig. 13 (GPU: BDR/MDR per dataset).  The paper excludes workloads that
-cannot take every dataset; :data:`~repro.harness.runner.DATA_SENSITIVE_WORKLOADS`
-encodes that set.
+Fig. 13 (GPU: BDR/MDR per dataset) over the rows the figure benches
+characterize.  The paper excludes workloads that cannot take every
+dataset; :data:`~repro.harness.runner.DATA_SENSITIVE_WORKLOADS` encodes
+that set.
 """
 
 from __future__ import annotations
 
-from ..arch.machine import SCALED_XEON, MachineConfig
-from ..datagen.registry import experiment_datasets
-from ..datagen.spec import GraphSpec
-from ..gpu.device import K40, DeviceConfig
-from .runner import DATA_SENSITIVE_WORKLOADS, Row, characterize
-
-
-def sensitivity_rows(workloads: tuple[str, ...] = DATA_SENSITIVE_WORKLOADS,
-                     *, scale: float = 1.0, seed: int = 0,
-                     machine: MachineConfig = SCALED_XEON,
-                     device: DeviceConfig = K40,
-                     with_gpu: bool = False,
-                     datasets: dict[str, GraphSpec] | None = None
-                     ) -> list[Row]:
-    """Characterize ``workloads`` on every experiment dataset."""
-    specs = datasets or experiment_datasets(scale=scale, seed=seed)
-    rows: list[Row] = []
-    for wname in workloads:
-        for spec in specs.values():
-            rows.append(characterize(wname, spec, machine=machine,
-                                     device=device, with_gpu=with_gpu))
-    return rows
+from .runner import Row
 
 
 def pivot(rows: list[Row], metric: str, gpu: bool = False

@@ -40,7 +40,6 @@ from .metrics import (
 from .tracing import (
     SpanRecord,
     SpanTracer,
-    get_global_tracer,
     maybe_span,
     set_global_tracer,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "Counter", "Family", "Gauge", "Histogram", "JsonFormatter",
     "LATENCY_BUCKETS_MS", "MetricError", "MetricsRegistry", "SpanRecord",
     "SpanTracer", "counter_total", "escape_label_value", "format_number",
-    "get_global_tracer", "get_logger", "maybe_span", "percentile",
+    "get_logger", "maybe_span", "percentile",
     "quantile_from_snapshot", "render_prometheus",
     "set_global_tracer", "setup_logging",
 ]

@@ -157,10 +157,6 @@ class SpanTracer:
         with self._lock:
             return [s for s in self.spans if s.name.startswith(prefix)]
 
-    def children_of(self, parent_name: str) -> list[SpanRecord]:
-        with self._lock:
-            return [s for s in self.spans if s.parent == parent_name]
-
 
 # -- process-wide tracer -----------------------------------------------------
 
@@ -174,10 +170,6 @@ def set_global_tracer(tracer: SpanTracer | None) -> None:
     global _global_tracer
     with _global_lock:
         _global_tracer = tracer
-
-
-def get_global_tracer() -> SpanTracer | None:
-    return _global_tracer
 
 
 @contextmanager

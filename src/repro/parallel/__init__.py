@@ -12,16 +12,14 @@ from .trace_sim import (
     simulate_multicore,
 )
 from .partition import (
-    PARTITIONERS,
     Partition,
     block_partition,
-    cyclic_partition,
     greedy_weighted_partition,
 )
 
 __all__ = [
-    "BARRIER_CYCLES", "MulticoreCacheResult", "PARTITIONERS", "Partition",
+    "BARRIER_CYCLES", "MulticoreCacheResult", "Partition",
     "MulticoreResult", "simulate_multicore",
-    "SERIAL_FRACTION", "block_partition", "cyclic_partition",
+    "SERIAL_FRACTION", "block_partition",
     "greedy_weighted_partition", "project_multicore",
 ]

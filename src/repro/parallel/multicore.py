@@ -5,7 +5,7 @@ Projects a workload's single-thread cycle count (from the trace-driven
 
 ``T_p = T_1 / p * imbalance + barriers * barrier_cost + T_serial``
 
-* **imbalance** — max/mean per-core work under the chosen partitioner,
+* **imbalance** — max/mean per-core work under the block vertex split,
   computed from per-vertex weights (degrees for edge-dominated kernels);
 * **barriers** — bulk-synchronous rounds (BFS levels, coloring rounds);
 * **serial fraction** — the inherently sequential residue (Amdahl term);
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import PARTITIONERS, Partition
+from .partition import block_partition
 
 #: Cycles per bulk-synchronous barrier across p cores (fixed cost model).
 BARRIER_CYCLES = 4000
@@ -63,7 +63,6 @@ class MulticoreResult:
 
 def project_multicore(serial_cycles: float, *, p: int = 16,
                       weights: np.ndarray | None = None,
-                      partitioner: str = "block",
                       barriers: int = 0,
                       serial_fraction: float = 0.0,
                       workload: str | None = None) -> MulticoreResult:
@@ -79,9 +78,8 @@ def project_multicore(serial_cycles: float, *, p: int = 16,
     if not 0.0 <= serial_fraction <= 1.0:
         raise ValueError("serial_fraction must be in [0, 1]")
     if weights is not None and len(weights) and p > 1:
-        part: Partition = PARTITIONERS[partitioner](
-            np.asarray(weights, dtype=np.float64), p)
-        imbalance = part.imbalance(np.asarray(weights, dtype=np.float64))
+        w = np.asarray(weights, dtype=np.float64)
+        imbalance = block_partition(len(w), p).imbalance(w)
     else:
         imbalance = 1.0
     serial_part = serial_cycles * serial_fraction

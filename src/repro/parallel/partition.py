@@ -42,13 +42,6 @@ def block_partition(n: int, p: int) -> Partition:
     return Partition(owner.astype(np.int64), p)
 
 
-def cyclic_partition(n: int, p: int) -> Partition:
-    """Round-robin assignment (breaks up degree-correlated runs)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return Partition(np.arange(n, dtype=np.int64) % p, p)
-
-
 def greedy_weighted_partition(weights: np.ndarray, p: int) -> Partition:
     """Longest-processing-time greedy: heaviest item to lightest part.
 
@@ -65,10 +58,3 @@ def greedy_weighted_partition(weights: np.ndarray, p: int) -> Partition:
         owner[i] = part
         loads[part] += weights[i]
     return Partition(owner, p)
-
-
-PARTITIONERS = {
-    "block": lambda w, p: block_partition(len(w), p),
-    "cyclic": lambda w, p: cyclic_partition(len(w), p),
-    "greedy": greedy_weighted_partition,
-}

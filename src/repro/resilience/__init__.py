@@ -49,7 +49,7 @@ from .executor import (
 )
 from .matrix import CellFailure, MatrixResult, matrix_cells, run_matrix
 from .netchaos import ChaosProxy, NetFaultSpec
-from .retry import RetryPolicy, backoff_schedule, run_with_retries
+from .retry import RetryPolicy, run_with_retries
 
 __all__ = [
     "Cell", "CellCrash", "CellExecutionError", "CellFailure", "CellOOM",
@@ -58,7 +58,7 @@ __all__ = [
     "HarnessError", "MACHINES", "MatrixResult", "MetricsUnavailable",
     "NetFaultSpec", "RestoredMetrics",
     "RestoredResult", "RetriesExhausted", "RetryPolicy",
-    "backoff_schedule", "matrix_cells", "record_to_row", "row_to_record",
+    "matrix_cells", "record_to_row", "row_to_record",
     "run_cell", "run_cell_inline", "run_cell_once", "run_cell_resilient",
     "run_matrix", "run_with_retries",
 ]

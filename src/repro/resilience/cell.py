@@ -203,15 +203,10 @@ class _RestoredBreakdown:
 
 @dataclass
 class RestoredResult:
-    """Minimal WorkloadResult stand-in: journaled scalar outputs only.
-
-    ``trace`` is always None — downstream consumers that need the trace
-    (framework-fraction export) already guard on it.
-    """
+    """Minimal WorkloadResult stand-in: journaled scalar outputs only."""
 
     name: str
     outputs: dict[str, Any]
-    trace: Any = None
 
 
 def record_to_row(record: dict[str, Any]):

@@ -48,13 +48,6 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
-def backoff_schedule(policy: RetryPolicy, cell_id: str = "") -> list[float]:
-    """The full delay sequence a cell would sleep through (one entry per
-    retry).  Pure function of (policy, cell_id) — tests assert against it."""
-    return [policy.delay(a, cell_id)
-            for a in range(1, policy.max_retries + 1)]
-
-
 def run_with_retries(attempt_fn: Callable[[int], object],
                      policy: RetryPolicy, cell_id: str, *,
                      sleep: Callable[[float], None] = time.sleep):

@@ -143,13 +143,6 @@ class TestBayesianNetwork:
         order = bn.topological_order()
         assert order.index(0) < order.index(1) < order.index(2)
 
-    def test_markov_blanket(self):
-        bn = BayesianNetwork([2] * 4)
-        bn.set_parents(2, (0, 1))
-        bn.set_parents(3, (2,))
-        assert bn.markov_blanket(2) == {0, 1, 3}
-        assert bn.markov_blanket(0) == {1, 2}   # co-parent included
-
     def test_cpt_shape_enforced(self):
         bn = BayesianNetwork([2, 3])
         bn.set_parents(1, (0,))
@@ -158,11 +151,6 @@ class TestBayesianNetwork:
             bn.set_cpt(1, random_cpt(2, (2,), rng))   # wrong arity
         with pytest.raises(ValueError):
             bn.set_cpt(1, random_cpt(3, (3,), rng))   # wrong parent arity
-
-    def test_forward_sample_in_range(self):
-        bn = self._chain()
-        s = bn.forward_sample(np.random.default_rng(1))
-        assert all(0 <= s[v] < bn.arities[v] for v in range(bn.n))
 
     def test_conditional_row_normalized(self):
         bn = self._chain()

@@ -79,7 +79,7 @@ class TestStoreBasics:
             assert snap.n_vertices == 6
             # undirected base: both arc directions stored
             assert snap.n_arcs == 2 * len(EDGES)
-            assert snap.has_arc(1, 0) and snap.has_arc(0, 1)
+            assert 0 in snap.out_neighbors(1) and 1 in snap.out_neighbors(0)
 
     def test_commit_advances_head(self):
         store = _store()
@@ -87,7 +87,7 @@ class TestStoreBasics:
         assert v == store.head == 1
         assert delta.version == 1 and skipped == 0
         with store.snapshot() as snap:
-            assert snap.has_arc(3, 4) and snap.has_arc(4, 3)
+            assert 4 in snap.out_neighbors(3) and 3 in snap.out_neighbors(4)
 
     def test_lenient_skips_noops_strict_raises(self):
         store = _store()
@@ -103,7 +103,7 @@ class TestStoreBasics:
             store.commit([add(3, 4), dele(2, 5)], strict=True)
         assert store.head == 0
         with store.snapshot() as now:
-            assert not now.has_arc(3, 4)      # first op rolled back
+            assert 4 not in now.out_neighbors(3)      # first op rolled back
             assert sorted(now.arcs()) == sorted(before.arcs())
         before.close()
 
@@ -112,7 +112,7 @@ class TestStoreBasics:
         store.commit([MutOp("del_vertex", src=0)])
         with store.snapshot() as snap:
             assert not snap.has_vertex(0)
-            assert not snap.has_arc(1, 0)
+            assert 0 not in snap.out_neighbors(1)
             assert 0 not in snap.und_neighbors(1)
 
     def test_properties_are_versioned(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.machine import TEST_MACHINE
-from repro.datagen import ldbc
+from repro.datagen import experiment_datasets, ldbc
 from repro.harness import (
     CPU_WORKLOADS,
     DATA_SENSITIVE_WORKLOADS,
@@ -20,7 +20,6 @@ from repro.harness import (
     gpu_table,
     pivot,
     run_cpu_workload,
-    sensitivity_rows,
     spread,
     write_csv,
 )
@@ -119,17 +118,9 @@ class TestTables:
 
 
 class TestSensitivity:
-    def test_rows_cover_matrix(self):
-        clear_cache()
-        rows = sensitivity_rows(("BFS", "DCentr"), scale=0.04,
-                                machine=TEST_MACHINE)
-        assert len(rows) == 2 * 5
-        datasets = {r.dataset for r in rows}
-        assert len(datasets) == 5
-
     def test_pivot_and_spread(self):
-        rows = sensitivity_rows(("BFS",), scale=0.04,
-                                machine=TEST_MACHINE)
+        rows = [characterize("BFS", s, machine=TEST_MACHINE)
+                for s in experiment_datasets(scale=0.04).values()]
         p = pivot(rows, "ipc")
         assert set(p) == {"BFS"}
         assert len(p["BFS"]) == 5
@@ -174,10 +165,9 @@ class TestSharedGraphReuse:
             _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)
             shared[n] = cpu.summary()
         assert R._GRAPH_CACHE          # the path was actually exercised
-        stats = R.cache_stats()        # one shape for all three caches
+        stats = R.cache_stats()        # one shape for both caches
         assert stats["graphs"]["hits"] == hits_before + len(names) - 1
-        assert set(stats["graphs"]) == set(stats["sweep_memos"]) \
-            == set(stats["rows"])
+        assert set(stats["graphs"]) == set(stats["rows"])
         for n in names:
             R.clear_cache()
             _, cpu = R.run_cpu_workload(n, spec, machine=TEST_MACHINE)

@@ -7,13 +7,9 @@ from hypothesis import given, settings
 
 from repro.core.memmodel import (
     AGED_HEAP,
-    LINE_SIZE,
     PACKED_HEAP,
-    PAGE_SIZE,
     HeapModel,
     SimAllocator,
-    line_of,
-    page_of,
 )
 
 
@@ -135,10 +131,3 @@ class TestAllocMany:
             want = [int(scalar.integers(0, high)) for _ in range(k)]
             assert sized.integers(0, high, size=k).tolist() == want
             assert sized.bit_generator.state == scalar.bit_generator.state
-
-
-def test_line_and_page_helpers():
-    assert line_of(0) == 0
-    assert line_of(LINE_SIZE) == 1
-    assert line_of(LINE_SIZE - 1) == 0
-    assert page_of(PAGE_SIZE * 5 + 17) == 5

@@ -19,13 +19,11 @@ class TestPublicAPI:
 
     def test_subpackage_imports(self):
         from repro import arch, bayes, datagen, formats, gpu, harness
-        from repro import io as rio
         from repro import parallel, workloads
         assert arch.SCALED_XEON.name
         assert len(workloads.WORKLOADS) == 13
         assert len(gpu.GPU_KERNELS) == 8
         assert "ldbc" in datagen.REGISTRY
-        assert callable(rio.load_edgelist)
         assert callable(parallel.project_multicore)
         assert callable(harness.characterize)
         assert callable(formats.to_csr)

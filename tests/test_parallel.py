@@ -6,7 +6,6 @@ import pytest
 from repro.parallel import (
     MulticoreResult,
     block_partition,
-    cyclic_partition,
     greedy_weighted_partition,
     project_multicore,
 )
@@ -21,10 +20,6 @@ class TestPartitioners:
     def test_block_is_contiguous(self):
         p = block_partition(100, 4)
         assert (np.diff(p.owner) >= 0).all()
-
-    def test_cyclic(self):
-        p = cyclic_partition(10, 3)
-        assert p.owner.tolist() == [0, 1, 2] * 3 + [0]
 
     def test_loads_unit_weights(self):
         p = block_partition(100, 4)
@@ -53,8 +48,6 @@ class TestPartitioners:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             block_partition(10, 0)
-        with pytest.raises(ValueError):
-            cyclic_partition(10, -1)
 
 
 class TestMulticoreProjection:

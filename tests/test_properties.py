@@ -7,7 +7,6 @@ from repro.core.properties import (
     EMPTY_SCHEMA,
     POINTER_SIZE,
     Field,
-    PropertyStats,
     Schema,
 )
 
@@ -84,12 +83,3 @@ class TestSchema:
     def test_pointer_size_constant(self):
         assert POINTER_SIZE == 8
 
-
-class TestPropertyStats:
-    def test_merge(self):
-        a = PropertyStats(reads=1, writes=2, numeric_ops=3)
-        b = PropertyStats(reads=10, payload_reads=5)
-        a.merge(b)
-        assert a.reads == 11
-        assert a.writes == 2
-        assert a.payload_reads == 5

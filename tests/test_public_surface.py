@@ -1,0 +1,136 @@
+"""Every public name in ``src/repro`` has a caller outside ``tests/``.
+
+The scan collects each public (no leading underscore) function, class and
+method defined at module or class level under ``src/repro``, then looks
+for its name in the code under ``src/``, ``benchmarks/`` and
+``examples/``.  An identifier or a word inside a string counts as a
+caller (``getattr`` targets, registry keys and quoted annotations are
+strings).  A comment does not, nor does the name's own definition, nor an
+``__init__`` module's imports and ``__all__``: a re-export calls nothing.
+
+A name with no caller is surface nothing in the system uses.  Delete it,
+with its exports and the tests that check only it, or list it in
+``ALLOWED`` with the reason it stays.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+CALLER_DIRS = ("src", "benchmarks", "examples")
+
+_ORACLE = "oracle: tests compare the system's answers against it"
+_ASYNCIO = "asyncio.Protocol callback: the event loop calls it"
+
+#: qualified name -> why it stays without a caller outside ``tests/``
+ALLOWED = {
+    "repro.service.server.FrameProtocol.connection_made": _ASYNCIO,
+    "repro.service.server.FrameProtocol.data_received": _ASYNCIO,
+    "repro.service.server.FrameProtocol.eof_received": _ASYNCIO,
+    "repro.service.server.FrameProtocol.connection_lost": _ASYNCIO,
+    "repro.workloads.validate.validate_components": _ORACLE,
+    "repro.workloads.validate.validate_coloring": _ORACLE,
+    "repro.workloads.gcolor.GColor.is_proper": _ORACLE,
+    "repro.bayes.elimination.exact_marginals": _ORACLE,
+    "repro.bayes.network.BayesianNetwork.topological_order":
+        "oracle: tests check that set_parents and munin_like keep the "
+        "network acyclic by sorting it",
+    "repro.arch.cache.Cache.resident_lines":
+        "oracle: tests read a cache level's occupancy through it",
+    "repro.harness.framework_time.average_fraction":
+        "Fig. 1's suite-average in-framework fraction (the paper's 76 %)",
+    "repro.core.related.graphbig_row": "Table 3: GraphBIG's own row",
+    "repro.arch.icache.code_footprint":
+        "the flat-stack claim: GraphBIG's total code bytes",
+    "repro.formats.csr.CSRGraph.vprop_addr":
+        "the CSR layout's vertex-property slot address (Fig. 2's contrast)",
+    "repro.harness.runner.cache_stats":
+        "the harness caches' counters; tests observe the caches through it",
+}
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(path: Path) -> list[tuple[str, str]]:
+    """``(qualified name, name)`` of every public function, class and
+    method defined at module or class level in ``path``."""
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, _DEFS):
+                if not node.name.startswith("_"):
+                    yield f"{prefix}.{node.name}", node.name
+                if isinstance(node, ast.ClassDef):
+                    yield from walk(node.body, f"{prefix}.{node.name}")
+
+    return list(walk(ast.parse(path.read_text()).body, module))
+
+
+def _is_reexport(node: ast.AST) -> bool:
+    """An import, or an assignment to ``__all__``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def words_used(path: Path) -> set[str]:
+    """Identifiers and string words of ``path`` that can call a name:
+    comments, each definition's own span for its own name and, in an
+    ``__init__`` module, imports and ``__all__`` are left out."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    spans: dict[str, list[tuple[int, int]]] = {}
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            spans.setdefault(node.name, []).append(
+                (node.lineno, node.end_lineno))
+        elif path.name == "__init__.py" and _is_reexport(node):
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+    used = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (tokenize.NAME, tokenize.STRING):
+            continue
+        line = tok.start[0]
+        if line in skipped:
+            continue
+        for word in _WORD.findall(tok.string):
+            if not any(a <= line <= b for a, b in spans.get(word, ())):
+                used.add(word)
+    return used
+
+
+@pytest.fixture(scope="module")
+def unreached() -> set[str]:
+    """Qualified names of the public definitions nothing calls."""
+    used: set[str] = set()
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            used |= words_used(path)
+    return {qual for path in sorted(PACKAGE.rglob("*.py"))
+            for qual, name in public_definitions(path) if name not in used}
+
+
+def test_every_public_name_has_a_caller_outside_tests(unreached):
+    dead = sorted(unreached - set(ALLOWED))
+    assert not dead, ("public names that only tests reach (delete them "
+                      "or give ALLOWED a reason):\n  " + "\n  ".join(dead))
+
+
+def test_allowed_entries_are_not_stale(unreached):
+    stale = sorted(set(ALLOWED) - unreached)
+    assert not stale, ("ALLOWED names that are gone or now have a "
+                       "caller:\n  " + "\n  ".join(stale))
+    assert all(reason.strip() for reason in ALLOWED.values())

@@ -35,7 +35,6 @@ from repro.resilience import (
     ExecutorConfig,
     Fault,
     RetryPolicy,
-    backoff_schedule,
     matrix_cells,
     record_to_row,
     run_cell_inline,
@@ -65,25 +64,27 @@ def cell(workload="BFS", dataset="ldbc", **kw):
 class TestRetryPolicy:
     def test_schedule_deterministic(self):
         p = RetryPolicy(max_retries=4, seed=13)
-        assert backoff_schedule(p, "cellA") == backoff_schedule(p, "cellA")
+        assert ([p.delay(a, "cellA") for a in range(1, 5)]
+                == [p.delay(a, "cellA") for a in range(1, 5)])
 
     def test_schedule_decorrelates_cells_and_seeds(self):
         p = RetryPolicy(max_retries=4, seed=13)
-        assert backoff_schedule(p, "cellA") != backoff_schedule(p, "cellB")
         q = RetryPolicy(max_retries=4, seed=14)
-        assert backoff_schedule(p, "cellA") != backoff_schedule(q, "cellA")
+        a = [p.delay(i, "cellA") for i in range(1, 5)]
+        assert a != [p.delay(i, "cellB") for i in range(1, 5)]
+        assert a != [q.delay(i, "cellA") for i in range(1, 5)]
 
     def test_exponential_growth_with_jitter_bounds(self):
         p = RetryPolicy(max_retries=5, base_delay=0.1, factor=2.0,
                         max_delay=100.0, jitter=0.5, seed=0)
-        for i, d in enumerate(backoff_schedule(p, "c"), start=1):
+        for i in range(1, 6):
             base = 0.1 * 2.0 ** (i - 1)
-            assert base * 0.5 <= d <= base * 1.5
+            assert base * 0.5 <= p.delay(i, "c") <= base * 1.5
 
     def test_zero_jitter_is_exact(self):
         p = RetryPolicy(max_retries=3, base_delay=1.0, factor=2.0,
                         max_delay=3.0, jitter=0.0)
-        assert backoff_schedule(p, "c") == [1.0, 2.0, 3.0]   # capped
+        assert [p.delay(a, "c") for a in (1, 2, 3)] == [1.0, 2.0, 3.0]
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +107,7 @@ class TestRetryPolicy:
         assert result == "done"
         assert attempts == 3
         assert calls == [1, 2, 3]
-        assert slept == backoff_schedule(p, "c1")[:2]
+        assert slept == [p.delay(1, "c1"), p.delay(2, "c1")]
 
     def test_retries_exhausted_carries_last_failure(self):
         p = RetryPolicy(max_retries=2, base_delay=0.01)
@@ -228,10 +229,9 @@ class TestInlineMatrix:
 
         # backoff schedule: permanent faults sleep the full per-cell
         # schedule; the flaky cell sleeps only its first delay
-        expected = []
-        for c in (hang, crash, oom):
-            expected.extend(backoff_schedule(config.policy, c))
-        expected.extend(backoff_schedule(config.policy, flaky)[:1])
+        delay = config.policy.delay
+        expected = [delay(a, c) for c in (hang, crash, oom) for a in (1, 2)]
+        expected.append(delay(1, flaky))
         assert slept == expected
 
         # checkpoint journals every cell with the right kind + attempts
@@ -317,8 +317,13 @@ class TestRestoredRows:
         assert "cpu_metrics.csv" in names
         assert "gpu_metrics.csv" in names
         assert "failures.csv" in names
-        # restored rows carry no trace: framework view is absent, not broken
-        assert "framework_fraction.csv" not in names
+        # the framework view reads the journaled CPU summary: one row per
+        # restored cell
+        lines = (tmp_path / "framework_fraction.csv").read_text().split()
+        assert lines == [
+            "workload,dataset,framework_fraction",
+            f"CComp,{rec['dataset']},"
+            f"{rec['cpu_summary']['framework_fraction']!r}"]
         text = (tmp_path / "failures.csv").read_text()
         assert "timeout" in text
 

@@ -34,7 +34,7 @@ class TestEventRecording:
         t.br(T.B_EDGE_LOOP, True)
         t.br(T.B_EDGE_LOOP, False)
         ft = t.freeze()
-        assert ft.n_branches == 2
+        assert len(ft.branch_sites) == 2
         assert list(ft.branch_taken) == [1, 0]
 
     def test_aliases(self):
@@ -46,7 +46,7 @@ class TestEventRecording:
         ft = t.freeze()
         assert ft.n_accesses == 2
         assert ft.n_instrs == 3
-        assert ft.n_branches == 1
+        assert len(ft.branch_sites) == 1
 
 
 class TestRegions:
@@ -144,7 +144,7 @@ class TestReset:
         ft = t.freeze()
         assert ft.n_accesses == 0
         assert ft.n_instrs == 0
-        assert ft.n_branches == 0
+        assert len(ft.branch_sites) == 0
         assert list(ft.region_seq) == [T.R_IDLE]
 
     def test_reset_keeps_registrations(self):
@@ -220,7 +220,7 @@ class TestVectorizedBulk:
         t.bulk_branch_events([], [])
         ft = t.freeze()
         assert ft.n_accesses == 0
-        assert ft.n_branches == 0
+        assert len(ft.branch_sites) == 0
         assert ft.n_instrs == 0
 
 
@@ -272,7 +272,7 @@ class TestSealInPlace:
         fa, fb = t.freeze(), ref.freeze()
         assert np.array_equal(fa.branch_sites, fb.branch_sites)
         assert np.array_equal(fa.branch_taken, fb.branch_taken)
-        assert fa.n_branches == 4000
+        assert len(fa.branch_sites) == 4000
 
     def test_sealed_runs_survive_a_chunk_boundary(self):
         """Scalar appends on both sides of a batch, across the end of a

@@ -1,6 +1,7 @@
 """Tests for the content-addressed trace store (repro.core.tracestore)
 and its harness/resilience/service wiring."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -250,6 +251,27 @@ class TestHarnessIntegration:
         _, fresh = run_cpu_workload("kCore", spec, machine=SCALED_XEON)
         assert replayed.summary() == fresh.summary()
 
+    def test_a_sweep_walks_each_invariant_stage_once(self, store, spec,
+                                                     monkeypatch):
+        """The fill's memo seeds the stored entry: over a fill and two
+        replays on machines that differ only in the L3, the branch model
+        runs once."""
+        from repro.arch import cpu
+        real, calls = cpu.simulate_branches, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cpu, "simulate_branches", counted)
+        l3 = SCALED_XEON.l3
+        big = dataclasses.replace(SCALED_XEON, name="big-l3",
+                                  l3=dataclasses.replace(l3, size=2 * l3.size))
+        for m in (SCALED_XEON, big, SCALED_XEON):
+            run_cpu_workload("kCore", spec, machine=m, trace_store=store)
+        assert (store.stats.stores, store.stats.hits) == (1, 2)
+        assert len(calls) == 1
+
     def test_characterize_uses_store(self, store, spec):
         clear_cache()
         characterize("BFS", spec, machine=TEST_MACHINE, memo=False,
@@ -280,7 +302,7 @@ class TestHarnessIntegration:
                          trace_store=store)
         assert (store.stats.stores, store.stats.hits,
                 store.stats.misses) == (1, 1, 1)
-        assert set(cache_stats()) == {"rows", "sweep_memos", "graphs"}
+        assert set(cache_stats()) == {"rows", "graphs"}
 
     def test_replay_span_recorded(self, store, spec):
         from repro.obs import SpanTracer
