@@ -224,7 +224,3 @@ class Cache:
         st.write_misses += w_miss
         st.read_misses += n_miss - w_miss
         return miss
-
-    def resident_lines(self) -> int:
-        """Number of lines currently cached (for occupancy tests)."""
-        return sum(len(s) for s in self._sets)

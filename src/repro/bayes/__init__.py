@@ -1,17 +1,13 @@
-"""Bayesian-network substrate: CPTs, networks, Gibbs sampling,
-moralization, and the MUNIN-like generator used by the Gibbs and TMorph
-workloads."""
+"""Bayesian-network substrate: CPTs, networks and the MUNIN-like
+generator used by the Gibbs and TMorph workloads.  The reference sampler,
+exact inference and moralization the workloads are checked against live
+in ``tests/oracles.py``."""
 
 from .cpt import CPT, deterministic_cpt, random_cpt
-from .elimination import Factor, eliminate_marginal, exact_marginals
-from .gibbs_sampler import exact_marginals_brute_force, gibbs_sample
-from .moralize import moral_edges, moralize
 from .munin import MUNIN_EDGES, MUNIN_PARAMS, MUNIN_VERTICES, munin_like
 from .network import BayesianNetwork
 
 __all__ = [
-    "BayesianNetwork", "CPT", "Factor", "MUNIN_EDGES", "MUNIN_PARAMS",
-    "eliminate_marginal", "exact_marginals",
-    "MUNIN_VERTICES", "deterministic_cpt", "exact_marginals_brute_force",
-    "gibbs_sample", "moral_edges", "moralize", "munin_like", "random_cpt",
+    "BayesianNetwork", "CPT", "MUNIN_EDGES", "MUNIN_PARAMS",
+    "MUNIN_VERTICES", "deterministic_cpt", "munin_like", "random_cpt",
 ]

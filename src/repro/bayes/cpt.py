@@ -66,10 +66,6 @@ class CPT:
         """Distribution over X given parent states (a view)."""
         return self.table[self.row_index(parent_states)]
 
-    def prob(self, x: int, parent_states: tuple[int, ...]) -> float:
-        """P(X = x | parents)."""
-        return float(self.row(parent_states)[x])
-
     def column(self, x: int, parent_states: tuple[int, ...],
                pos: int) -> np.ndarray:
         """P(X = x | parents) for every state of parent ``pos``, the other

@@ -97,22 +97,6 @@ class BayesianNetwork:
         """Directed (parent -> child) edge list."""
         return [(p, v) for v in range(self.n) for p in self.parents[v]]
 
-    def topological_order(self) -> list[int]:
-        """Topological order (raises ValueError on a cycle)."""
-        indeg = [len(p) for p in self.parents]
-        stack = [v for v in range(self.n) if indeg[v] == 0]
-        order = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for c in self.children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
-        if len(order) != self.n:
-            raise ValueError("network contains a cycle")
-        return order
-
     def conditional_row(self, v: int, state: np.ndarray) -> np.ndarray:
         """P(X_v | markov blanket in ``state``), unnormalized then
         normalized — the inner computation of Gibbs sampling."""

@@ -2,8 +2,7 @@
 
 Generators produce a :class:`GraphSpec` (vertex count + edge array +
 provenance metadata); the spec can then be materialized as a dynamic
-:class:`~repro.core.graph.PropertyGraph`, a CSR, a COO, or a networkx graph
-(for cross-validation in tests).
+:class:`~repro.core.graph.PropertyGraph`, a CSR or a COO.
 """
 
 from __future__ import annotations
@@ -104,14 +103,6 @@ class GraphSpec:
         """Materialize as COO (arcs mirrored first if undirected)."""
         from ..formats.convert import csr_to_coo
         return csr_to_coo(self.csr())
-
-    def nx(self):
-        """Materialize as a networkx (Di)Graph for cross-validation."""
-        import networkx as nx
-        g = nx.DiGraph() if self.directed else nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges.tolist())
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"GraphSpec({self.name!r}, n={self.n}, m={self.m}, "

@@ -79,9 +79,3 @@ class BCentr(Workload):
                     v = g.find_vertex(wid)
                     g.vset(v, "bc", bc[wid])
         return {"bc": bc, "n_sources": len(sources)}
-
-    @staticmethod
-    def reference(spec) -> dict[int, float]:
-        """networkx exact betweenness (unnormalized, directed)."""
-        import networkx as nx
-        return nx.betweenness_centrality(spec.nx(), normalized=False)

@@ -133,9 +133,3 @@ class BFS(Workload):
         lay.add(edge + fresh + walk.resume, key, unvis, **cols)
         lay.add(walk.exit, (pop, E + 1))
         lay.build().emit(g, t)
-
-    @staticmethod
-    def reference(spec, root: int = 0) -> dict[int, int]:
-        """networkx ground-truth levels for a :class:`GraphSpec`."""
-        import networkx as nx
-        return nx.single_source_shortest_path_length(spec.nx(), root)

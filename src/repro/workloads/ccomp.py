@@ -148,11 +148,3 @@ class CComp(Workload):
         lay.add(target, key, ~fresh, **cols)
         lay.add(target + label, key, fresh, **cols)
         lay.build().emit(g, t)
-
-    @staticmethod
-    def reference(spec) -> int:
-        """networkx number of connected components (undirected view)."""
-        import networkx as nx
-        import networkx.algorithms.components as comps
-        und = nx.Graph(spec.nx())
-        return comps.number_connected_components(und)

@@ -80,12 +80,3 @@ class DCentr(Workload):
                 + G.vset_ops("v", off) + scan.resume, (1, row, 0), **cols)
         lay.add(scan.exit, (both, n))
         lay.build().emit(g, t)
-
-    @staticmethod
-    def reference(spec) -> dict[int, int]:
-        """in+out degree per vertex from the spec's edges."""
-        deg = (np.bincount(spec.edges[:, 0], minlength=spec.n)
-               + np.bincount(spec.edges[:, 1], minlength=spec.n))
-        if not spec.directed:
-            deg = deg * 2   # each undirected edge stored as two arcs
-        return {v: int(deg[v]) for v in range(spec.n)}

@@ -53,9 +53,3 @@ class DFS(Workload):
                 if g.vget(w, "order") < 0:
                     stack.push((w, v.vid))
         return {"order": order, "parents": parents, "visited": counter}
-
-    @staticmethod
-    def reference(spec, root: int = 0) -> list[int]:
-        """networkx DFS preorder for a :class:`GraphSpec`."""
-        import networkx as nx
-        return list(nx.dfs_preorder_nodes(spec.nx(), root))

@@ -86,11 +86,3 @@ class GColor(Workload):
                 uncolored.discard(vid)
         return {"colors": colors, "rounds": rounds,
                 "n_colors": max(colors.values(), default=-1) + 1}
-
-    @staticmethod
-    def is_proper(spec, colors: dict[int, int]) -> bool:
-        """Verify the coloring against the spec's undirected edges."""
-        for s, d in spec.edges:
-            if s != d and colors[int(s)] == colors[int(d)]:
-                return False
-        return True

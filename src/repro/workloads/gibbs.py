@@ -11,7 +11,7 @@ numbers of Figs. 5–8.
 The kernel samples first and emits afterwards.  The sweeps run as pure
 math — :func:`repro.bayes.network.BayesianNetwork.conditional_row` and the
 *same* RNG sequence as the reference sampler, so marginal estimates match
-:func:`repro.bayes.gibbs_sampler.gibbs_sample` exactly (tested).  The
+``tests/oracles.py:gibbs_sample`` exactly (tested).  The
 CompProp access stream is then emitted in bulk: every address, instruction
 count, branch site and region visit of a sweep is a function of the
 topology and the arities alone, except the own-CPT row each visit reads and

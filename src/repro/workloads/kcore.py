@@ -144,11 +144,3 @@ class KCore(Workload):
                 pos=pos_base + (u_all % (n + 1)) * ENTRY,
                 idx=idx[nbr], v=vaddr[nbr])
         lay.build().emit(g, t)
-
-    @staticmethod
-    def reference(spec) -> dict[int, int]:
-        """networkx core numbers on the undirected simple view."""
-        import networkx as nx
-        und = nx.Graph(spec.nx())
-        und.remove_edges_from(nx.selfloop_edges(und))
-        return nx.core_number(und)

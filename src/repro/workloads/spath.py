@@ -147,12 +147,3 @@ class SPath(Workload):
         lay.add(walk.resume, (epop, place, LAST), better)
         lay.add(walk.exit, (live, E + 2))
         lay.build().emit(g, t)
-
-    @staticmethod
-    def reference(spec, root: int = 0, weight: float = 1.0
-                  ) -> dict[int, float]:
-        """networkx Dijkstra distances (uniform weight ``weight``)."""
-        import networkx as nx
-        nxg = spec.nx()
-        nx.set_edge_attributes(nxg, weight, "weight")
-        return nx.single_source_dijkstra_path_length(nxg, root)

@@ -215,11 +215,3 @@ class TC(Workload):
         sites[br_st + 3 * steps] = site_loop
         taken[br_st + 3 * steps] = 0
         Block.in_place(t, acc, sites, taken, n_ins).emit(g, t)
-
-    @staticmethod
-    def reference(spec) -> int:
-        """networkx triangle total on the undirected simple view."""
-        import networkx as nx
-        und = nx.Graph(spec.nx())
-        und.remove_edges_from(nx.selfloop_edges(und))
-        return sum(nx.triangles(und).values()) // 3

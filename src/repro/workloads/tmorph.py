@@ -66,9 +66,3 @@ class TMorph(Workload):
                 edge_set.add((min(vid, dst), max(vid, dst)))
         return {"moral_graph": moral, "moral_edges": edge_set,
                 "marriages": marriages, "kept_edges": edges}
-
-    @staticmethod
-    def reference(n: int, dag_edges) -> set[tuple[int, int]]:
-        """Ground-truth moral edges via the bayes substrate."""
-        from ..bayes.moralize import moral_edges
-        return moral_edges(n, list(dag_edges))

@@ -3,8 +3,8 @@
 Graph 500 — the reference point GraphBIG is compared against (Table 3) —
 specifies result *validation* rules rather than golden outputs: a BFS tree
 is checked for level consistency, not equality with an oracle.  These
-validators apply the same philosophy to every GraphBIG workload output,
-so suite runs can self-check on datasets where no oracle exists.
+validators apply the same philosophy to the BFS, SPath, kCore and TC
+outputs, so suite runs can self-check on datasets where no oracle exists.
 
 Each validator returns a list of violation strings (empty = valid).
 """
@@ -75,21 +75,6 @@ def validate_sssp(g: PropertyGraph, root: int,
     return errors
 
 
-def validate_coloring(g: PropertyGraph,
-                      colors: Mapping[int, int]) -> list[str]:
-    """Properness on the undirected view; all vertices colored >= 0."""
-    errors: list[str] = []
-    for vid in g.vertex_ids():
-        if colors.get(vid, -1) < 0:
-            errors.append(f"vertex {vid} uncolored")
-    for vid in g.vertex_ids():
-        for dst in g.find_vertex(vid).out:
-            if vid != dst and colors.get(vid) == colors.get(dst):
-                errors.append(f"edge {vid}-{dst} monochromatic "
-                              f"({colors.get(vid)})")
-    return errors
-
-
 def validate_kcore(g: PropertyGraph,
                    core: Mapping[int, int]) -> list[str]:
     """Local k-core condition: every vertex with core number k has at
@@ -104,22 +89,6 @@ def validate_kcore(g: PropertyGraph,
         if support < k:
             errors.append(f"vertex {vid}: core {k} but only {support} "
                           f"supporting neighbours")
-    return errors
-
-
-def validate_components(g: PropertyGraph,
-                        comp: Mapping[int, int]) -> list[str]:
-    """Every undirected edge joins same-labelled vertices; every vertex
-    labelled."""
-    errors: list[str] = []
-    for vid in g.vertex_ids():
-        if vid not in comp:
-            errors.append(f"vertex {vid} unlabelled")
-    for vid in g.vertex_ids():
-        for dst in g.find_vertex(vid).out:
-            if comp.get(vid) != comp.get(dst):
-                errors.append(f"edge {vid}-{dst} crosses components "
-                              f"{comp.get(vid)}/{comp.get(dst)}")
     return errors
 
 

@@ -6,14 +6,19 @@ the predictor classes stay in ``src/`` (the prefetchers run on ``Cache``;
 ``simulate_branches`` reads the predictors' geometry);
 :class:`MemoryHierarchy`, the per-core and per-segment loops, the seven
 workload loop kernels, the populating loop and the query executor's dict
-image and kernels, which only tests need, live here.
+image and kernels, which only tests need, live here.  So do the ground
+truths: the workloads' answers through networkx (a test-only
+dependency), the coloring and component checks, moralization, the
+reference Gibbs sampler and exact Bayesian inference.
 """
 
 import dataclasses
 import heapq
+import itertools
 from collections import deque
 from typing import Any
 
+import networkx as nx
 import numpy as np
 
 from repro.arch.branch import PREDICTORS
@@ -830,3 +835,352 @@ def unique_memory_stall_cycles(trace, misses, machine):
     stall = float(np.sum(lat_per_win / mlp_per_win))
     mean_mlp = float(np.sum(lat_per_win) / stall) if stall else 1.0
     return stall, mean_mlp
+
+
+# -- workload ground truths -------------------------------------------------
+# What the workloads compute, from a ``GraphSpec``'s edge array through
+# networkx (or plain numpy): the answers the traced kernels, the GPU
+# kernels and the query executor are compared against.
+
+def nx_graph(spec):
+    """``spec`` as a networkx (Di)Graph over vertices ``0..n-1``."""
+    g = nx.DiGraph() if spec.directed else nx.Graph()
+    g.add_nodes_from(range(spec.n))
+    g.add_edges_from(spec.edges.tolist())
+    return g
+
+
+def _simple_undirected(spec):
+    und = nx.Graph(nx_graph(spec))
+    und.remove_edges_from(nx.selfloop_edges(und))
+    return und
+
+
+def reference_bfs(spec, root=0) -> dict[int, int]:
+    """BFS level of every vertex reachable from ``root``."""
+    return nx.single_source_shortest_path_length(nx_graph(spec), root)
+
+
+def reference_dfs(spec, root=0) -> list[int]:
+    """DFS preorder from ``root``."""
+    return list(nx.dfs_preorder_nodes(nx_graph(spec), root))
+
+
+def reference_spath(spec, root=0) -> dict[int, float]:
+    """Dijkstra distances from ``root`` under unit edge weights."""
+    g = nx_graph(spec)
+    nx.set_edge_attributes(g, 1.0, "weight")
+    return nx.single_source_dijkstra_path_length(g, root)
+
+
+def reference_kcore(spec) -> dict[int, int]:
+    """Core numbers on the undirected simple view."""
+    return nx.core_number(_simple_undirected(spec))
+
+
+def reference_ccomp(spec) -> int:
+    """Number of connected components of the undirected view."""
+    return nx.number_connected_components(nx.Graph(nx_graph(spec)))
+
+
+def reference_tc(spec) -> int:
+    """Triangle total on the undirected simple view."""
+    return sum(nx.triangles(_simple_undirected(spec)).values()) // 3
+
+
+def reference_bcentr(spec) -> dict[int, float]:
+    """Exact betweenness (unnormalized, directed)."""
+    return nx.betweenness_centrality(nx_graph(spec), normalized=False)
+
+
+def reference_dcentr(spec) -> dict[int, int]:
+    """In + out degree per vertex (an undirected edge is two arcs)."""
+    deg = (np.bincount(spec.edges[:, 0], minlength=spec.n)
+           + np.bincount(spec.edges[:, 1], minlength=spec.n))
+    if not spec.directed:
+        deg = deg * 2
+    return {v: int(deg[v]) for v in range(spec.n)}
+
+
+def coloring_errors(n, edges, colors) -> list[str]:
+    """A proper coloring of ``0..n-1`` over the edge array ``edges``:
+    every vertex colored >= 0, no non-loop edge monochromatic."""
+    errors = [f"vertex {v} uncolored" for v in range(n)
+              if colors.get(v, -1) < 0]
+    for s, d in np.asarray(edges).tolist():
+        if s != d and colors.get(s) == colors.get(d):
+            errors.append(f"edge {s}-{d} monochromatic ({colors.get(s)})")
+    return errors
+
+
+def validate_components(g: PropertyGraph, comp) -> list[str]:
+    """Every undirected edge joins same-labelled vertices; every vertex
+    labelled."""
+    errors: list[str] = []
+    for vid in g.vertex_ids():
+        if vid not in comp:
+            errors.append(f"vertex {vid} unlabelled")
+    for vid in g.vertex_ids():
+        for dst in g.find_vertex(vid).out:
+            if comp.get(vid) != comp.get(dst):
+                errors.append(f"edge {vid}-{dst} crosses components "
+                              f"{comp.get(vid)}/{comp.get(dst)}")
+    return errors
+
+
+def resident_lines(cache: Cache) -> int:
+    """Number of lines a :class:`Cache` currently holds."""
+    return sum(len(s) for s in cache._sets)
+
+
+# -- Bayesian-network inference ---------------------------------------------
+# The Gibbs workload must reproduce ``gibbs_sample``'s marginals for the
+# same seed; the sampler in turn converges to the exact marginals, by
+# joint enumeration on tiny networks and by variable elimination on
+# MUNIN-like ones.
+
+def moral_edges(n, dag_edges) -> set[tuple[int, int]]:
+    """Undirected edge set (as sorted tuples) of the moral graph of the
+    DAG ``dag_edges`` (parent -> child): every pair of a vertex's parents
+    married, directions dropped (GraphBIG's TMorph, Section 4.2)."""
+    parents: list[list[int]] = [[] for _ in range(n)]
+    und: set[tuple[int, int]] = set()
+    for p, c in dag_edges:
+        if not (0 <= p < n and 0 <= c < n):
+            raise ValueError(f"edge ({p},{c}) out of range")
+        parents[c].append(p)
+        und.add((min(p, c), max(p, c)))
+    for c in range(n):
+        for a, b in itertools.combinations(sorted(set(parents[c])), 2):
+            und.add((a, b))
+    return {e for e in und if e[0] != e[1]}
+
+
+def topological_order(bn) -> list[int]:
+    """Topological order of ``bn`` (raises ValueError on a cycle)."""
+    indeg = [len(p) for p in bn.parents]
+    stack = [v for v in range(bn.n) if indeg[v] == 0]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in bn.children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                stack.append(c)
+    if len(order) != bn.n:
+        raise ValueError("network contains a cycle")
+    return order
+
+
+def gibbs_sample(bn, evidence=None, n_sweeps=100, burn_in=10, seed=0,
+                 init_state=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gibbs sampling: ``(final_state, marginals)``.  Each sweep resamples
+    every unobserved variable from its full conditional; ``marginals[v]``
+    counts the retained sweeps' states.  Evidence variables are clamped."""
+    if burn_in >= n_sweeps:
+        raise ValueError("burn_in must be < n_sweeps")
+    rng = np.random.default_rng(seed)
+    evidence = dict(evidence or {})
+    if init_state is not None:
+        state = np.asarray(init_state, dtype=np.int64).copy()
+        if len(state) != bn.n:
+            raise ValueError("init_state has wrong length")
+    else:
+        state = np.array([rng.integers(0, a) for a in bn.arities],
+                         dtype=np.int64)
+    for v, x in evidence.items():
+        if not 0 <= x < bn.arities[v]:
+            raise ValueError(f"evidence {v}={x} out of range")
+        state[v] = x
+    free = [v for v in range(bn.n) if v not in evidence]
+    counts = [np.zeros(a, dtype=np.int64) for a in bn.arities]
+    for sweep in range(n_sweeps):
+        for v in free:
+            probs = bn.conditional_row(v, state)
+            state[v] = rng.choice(len(probs), p=probs)
+        if sweep >= burn_in:
+            for v in range(bn.n):
+                counts[v][state[v]] += 1
+    retained = n_sweeps - burn_in
+    marginals = [c / retained for c in counts]
+    return state, marginals
+
+
+def exact_marginals_brute_force(bn, evidence=None) -> list[np.ndarray]:
+    """Exact marginals by joint enumeration (tiny networks only)."""
+    evidence = dict(evidence or {})
+    total_states = int(np.prod(bn.arities))
+    if total_states > 1 << 20:
+        raise ValueError("network too large for brute force")
+    marginals = [np.zeros(a) for a in bn.arities]
+    state = np.zeros(bn.n, dtype=np.int64)
+    z = 0.0
+    for code in range(total_states):
+        c = code
+        ok = True
+        for v in range(bn.n):
+            state[v] = c % bn.arities[v]
+            c //= bn.arities[v]
+            if v in evidence and state[v] != evidence[v]:
+                ok = False
+                break
+        if not ok:
+            continue
+        p = 1.0
+        for v in range(bn.n):
+            pstates = tuple(int(state[p_]) for p_ in bn.parents[v])
+            p *= float(bn.cpts[v].row(pstates)[state[v]])
+        z += p
+        for v in range(bn.n):
+            marginals[v][state[v]] += p
+    if z > 0:
+        for m in marginals:
+            m /= z
+    return marginals
+
+
+class Factor:
+    """Dense factor: a tensor over an ordered tuple of variables."""
+
+    __slots__ = ("vars", "table")
+
+    def __init__(self, variables: tuple[int, ...], table: np.ndarray):
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != len(variables):
+            raise ValueError("table rank must match variable count")
+        self.vars = tuple(variables)
+        self.table = table
+
+    def multiply(self, other: "Factor") -> "Factor":
+        """Pointwise product over the union scope."""
+        union = list(self.vars)
+        union.extend(v for v in other.vars if v not in self.vars)
+        a = self._broadcast(union)
+        b = other._broadcast(union)
+        return Factor(tuple(union), a * b)
+
+    def _broadcast(self, union: list[int]) -> np.ndarray:
+        """Own table permuted into union order, size-1 axes inserted."""
+        order = [self.vars.index(v) for v in union if v in self.vars]
+        arr = np.transpose(self.table, order) if order else self.table
+        shape = []
+        i = 0
+        for v in union:
+            if v in self.vars:
+                shape.append(arr.shape[i])
+                i += 1
+            else:
+                shape.append(1)
+        return arr.reshape(shape)
+
+    def sum_out(self, var: int) -> "Factor":
+        """Marginalize ``var`` away."""
+        if var not in self.vars:
+            return self
+        axis = self.vars.index(var)
+        new_vars = tuple(v for v in self.vars if v != var)
+        return Factor(new_vars, self.table.sum(axis=axis))
+
+    def reduce(self, var: int, value: int) -> "Factor":
+        """Condition on ``var = value`` (drops the axis)."""
+        if var not in self.vars:
+            return self
+        axis = self.vars.index(var)
+        new_vars = tuple(v for v in self.vars if v != var)
+        return Factor(new_vars, np.take(self.table, value, axis=axis))
+
+    @property
+    def scalar(self) -> float:
+        if self.vars:
+            raise ValueError("factor is not fully summed out")
+        return float(self.table)
+
+
+def _cpt_factor(bn, v: int) -> Factor:
+    """The CPT of variable ``v`` as a factor over (parents..., v)."""
+    cpt = bn.cpts[v]
+    if cpt is None:
+        raise ValueError(f"variable {v} has no CPT")
+    shape = tuple(bn.arities[p] for p in bn.parents[v]) + (cpt.arity,)
+    return Factor(tuple(bn.parents[v]) + (v,),
+                  cpt.table.reshape(shape))
+
+
+def _min_degree_order(bn, keep: set[int], skip: set[int]) -> list[int]:
+    """Min-degree elimination order over the moralized graph."""
+    adj: dict[int, set[int]] = {v: set() for v in range(bn.n)}
+    for v in range(bn.n):
+        scope = set(bn.parents[v]) | {v}
+        for a in scope:
+            adj[a] |= scope - {a}
+    order = []
+    remaining = set(range(bn.n)) - keep - skip
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+        remaining.discard(v)
+    return order
+
+
+#: Refuse to materialize factors beyond this many entries (the induced
+#: width has exploded; exact inference is intractable on this network).
+MAX_FACTOR_ENTRIES = 20_000_000
+
+
+def eliminate_marginal(bn, query: int, evidence=None,
+                       max_factor_entries: int = MAX_FACTOR_ENTRIES
+                       ) -> np.ndarray:
+    """Exact P(query | evidence) by sum-product variable elimination
+    with a min-degree order.  Raises :class:`ValueError` when an
+    intermediate factor would exceed ``max_factor_entries``."""
+    evidence = dict(evidence or {})
+    if query in evidence:
+        out = np.zeros(bn.arities[query])
+        out[evidence[query]] = 1.0
+        return out
+    factors = [_cpt_factor(bn, v) for v in range(bn.n)]
+    for var, val in evidence.items():
+        factors = [f.reduce(var, val) for f in factors]
+    order = _min_degree_order(bn, keep={query}, skip=set(evidence))
+    for var in order:
+        involved = [f for f in factors if var in f.vars]
+        if not involved:
+            continue
+        rest = [f for f in factors if var not in f.vars]
+        scope = set()
+        for f in involved:
+            scope |= set(f.vars)
+        size = 1
+        for v in scope:
+            size *= bn.arities[v]
+        if size > max_factor_entries:
+            raise ValueError(
+                f"eliminating variable {var} needs a {size}-entry factor "
+                f"(induced width too large for exact inference)")
+        product = involved[0]
+        for f in involved[1:]:
+            product = product.multiply(f)
+        rest.append(product.sum_out(var))
+        factors = rest
+    # multiply what remains (all over {query} or empty scopes)
+    result = factors[0]
+    for f in factors[1:]:
+        result = result.multiply(f)
+    for v in result.vars:
+        if v != query:
+            result = result.sum_out(v)
+    table = result.table if result.vars else np.array([result.scalar])
+    z = table.sum()
+    if z <= 0:
+        raise ValueError("evidence has zero probability")
+    return table / z
+
+
+def exact_marginals(bn, evidence=None, queries=None) -> dict[int, np.ndarray]:
+    """Exact marginals for ``queries`` (default: every variable)."""
+    qs = queries if queries is not None else list(range(bn.n))
+    return {q: eliminate_marginal(bn, q, evidence) for q in qs}

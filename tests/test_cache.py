@@ -14,7 +14,7 @@ from repro.arch import (
     level_miss_idx,
     lru_miss_idx,
 )
-from tests.oracles import reference_segment_lru
+from tests.oracles import reference_segment_lru, resident_lines
 
 
 class TestCacheConfig:
@@ -100,7 +100,7 @@ class TestCacheBehaviour:
         c = self.cache(size=512, assoc=2)
         rng = np.random.default_rng(0)
         c.simulate(rng.integers(0, 1 << 16, 1000).astype(np.uint64))
-        assert c.resident_lines() <= 8   # 4 sets x 2 ways
+        assert resident_lines(c) <= 8   # 4 sets x 2 ways
 
     def test_sequential_stream_hits_within_line(self):
         c = self.cache(size=4096, assoc=4)

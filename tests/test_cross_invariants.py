@@ -5,10 +5,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro import workloads as W
-from repro.bayes.moralize import moral_edges
 from repro.core.taxonomy import DataSource
 from repro.datagen import GraphSpec
 from repro.workloads import common_edge_schema, common_vertex_schema
+from tests.oracles import moral_edges
 
 
 @st.composite
@@ -104,15 +104,14 @@ def test_kcore_max_bounded_by_degeneracy_bound(spec):
 @given(small_graph(), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_validators_accept_every_random_run(spec, seed):
-    from repro.workloads.validate import (validate_bfs,
-                                          validate_coloring,
-                                          validate_components)
+    from repro.workloads.validate import validate_bfs
+    from tests.oracles import coloring_errors, validate_components
     g = _build(spec)
     bfs = W.run("BFS", g, root=0).outputs
     assert validate_bfs(g, 0, bfs["levels"], bfs["parents"]) == []
     g2 = _build(spec)
     colors = W.run("GColor", g2, seed=seed).outputs["colors"]
-    assert validate_coloring(g2, colors) == []
+    assert coloring_errors(spec.n, spec.edges, colors) == []
     g3 = _build(spec)
     comp = W.run("CComp", g3).outputs["comp"]
     assert validate_components(g3, comp) == []

@@ -22,6 +22,7 @@ from repro.datagen import (
     twitter,
     watson_gene,
 )
+from tests.oracles import nx_graph
 
 
 class TestGraphSpec:
@@ -54,7 +55,7 @@ class TestGraphSpec:
 
     def test_nx_roundtrip(self):
         s = GraphSpec("t", DataSource.SYNTHETIC, 4, [[0, 1], [1, 2]])
-        nxg = s.nx()
+        nxg = nx_graph(s)
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 2
 
@@ -124,14 +125,14 @@ class TestOtherGenerators:
     def test_road_giant_component(self):
         import networkx as nx
         spec = ca_road(900, seed=0)
-        und = nx.Graph(spec.nx())
+        und = nx.Graph(nx_graph(spec))
         giant = max(len(c) for c in nx.connected_components(und))
         assert giant > 0.9 * spec.n
 
     def test_road_large_diameter(self):
         import networkx as nx
         spec = ca_road(900, seed=0)
-        und = nx.Graph(spec.nx())
+        und = nx.Graph(nx_graph(spec))
         giant = und.subgraph(max(nx.connected_components(und), key=len))
         # a mesh has diameter ~ 2*sqrt(n); social graphs have ~log(n)
         assert nx.eccentricity(giant, v=0) > 2 * np.sqrt(spec.n) / 2

@@ -6,6 +6,17 @@ import pytest
 from repro import workloads as W
 from repro.datagen import ca_road, ldbc
 from repro.gpu import GPU_KERNELS, run_gpu_workload
+from tests.oracles import (
+    coloring_errors,
+    nx_graph,
+    reference_bcentr,
+    reference_bfs,
+    reference_ccomp,
+    reference_dcentr,
+    reference_kcore,
+    reference_spath,
+    reference_tc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -21,65 +32,65 @@ def road():
 class TestKernelCorrectness:
     def test_bfs(self, social):
         out, _ = run_gpu_workload("BFS", social, root=0)
-        ref = W.BFS.reference(social, 0)
+        ref = reference_bfs(social, 0)
         assert all(out["levels"][v] == d for v, d in ref.items())
         assert out["visited"] == len(ref)
 
     def test_bfs_unreached_minus_one(self, road):
         out, _ = run_gpu_workload("BFS", road, root=0)
-        ref = W.BFS.reference(road, 0)
+        ref = reference_bfs(road, 0)
         unreached = set(range(road.n)) - set(ref)
         assert all(out["levels"][v] == -1 for v in unreached)
 
     def test_spath(self, social):
         out, _ = run_gpu_workload("SPath", social, root=0)
-        ref = W.SPath.reference(social, 0)
+        ref = reference_spath(social, 0)
         assert all(out["dist"][v] == pytest.approx(d)
                    for v, d in ref.items())
 
     def test_kcore(self, social):
         out, _ = run_gpu_workload("kCore", social)
-        ref = W.KCore.reference(social)
+        ref = reference_kcore(social)
         assert all(out["core"][v] == c for v, c in ref.items())
 
     def test_kcore_road(self, road):
         out, _ = run_gpu_workload("kCore", road)
-        ref = W.KCore.reference(road)
+        ref = reference_kcore(road)
         assert all(out["core"][v] == c for v, c in ref.items())
 
     def test_ccomp(self, social, road):
         for spec in (social, road):
             out, _ = run_gpu_workload("CComp", spec)
-            assert out["n_components"] == W.CComp.reference(spec)
+            assert out["n_components"] == reference_ccomp(spec)
 
     def test_ccomp_labels_consistent(self, road):
         import networkx as nx
         out, _ = run_gpu_workload("CComp", road)
         comp = out["comp"]
-        und = nx.Graph(road.nx())
+        und = nx.Graph(nx_graph(road))
         for cset in nx.connected_components(und):
             assert len({comp[v] for v in cset}) == 1
 
     def test_gcolor_proper(self, social):
         out, _ = run_gpu_workload("GColor", social, seed=3)
         colors = {v: int(c) for v, c in enumerate(out["colors"])}
-        assert W.GColor.is_proper(social, colors)
+        assert not coloring_errors(social.n, social.edges, colors)
         assert (out["colors"] >= 0).all()
 
     def test_tc(self, social, road):
         for spec in (social, road):
             out, _ = run_gpu_workload("TC", spec)
-            assert out["triangles"] == W.TC.reference(spec)
+            assert out["triangles"] == reference_tc(spec)
 
     def test_dcentr(self, social):
         out, _ = run_gpu_workload("DCentr", social)
-        ref = W.DCentr.reference(social)
+        ref = reference_dcentr(social)
         assert all(out["dc"][v] == ref[v] for v in ref)
 
     def test_bcentr_exact(self):
         spec = ldbc(150, avg_degree=5, seed=4)
         out, _ = run_gpu_workload("BCentr", spec, n_sources=None)
-        ref = W.BCentr.reference(spec)
+        ref = reference_bcentr(spec)
         for v, b in ref.items():
             assert out["bc"][v] == pytest.approx(b, abs=1e-6)
 

@@ -27,7 +27,7 @@ class TestPublicAPI:
         assert callable(parallel.project_multicore)
         assert callable(harness.characterize)
         assert callable(formats.to_csr)
-        assert callable(bayes.gibbs_sample)
+        assert callable(bayes.munin_like)
 
 
 class TestUndirectedDatasetsThroughHarness:

@@ -1,4 +1,5 @@
-"""Every public name in ``src/repro`` has a caller outside ``tests/``.
+"""Every public name in ``src/repro`` has a caller outside ``tests/``, and
+every module ``src/repro`` imports ships with it.
 
 The scan collects each public (no leading underscore) function, class and
 method defined at module or class level under ``src/repro``, then looks
@@ -10,7 +11,12 @@ strings).  A comment does not, nor does the name's own definition, nor an
 
 A name with no caller is surface nothing in the system uses.  Delete it,
 with its exports and the tests that check only it, or list it in
-``ALLOWED`` with the reason it stays.
+``ALLOWED`` with the reason it stays.  An oracle is no such reason: a
+reference implementation only tests call lives in ``tests/oracles.py``.
+
+An import under ``src/repro`` names the standard library, ``repro`` or a
+package of ``pyproject.toml``'s ``[project] dependencies``; what only the
+tests need (networkx, hypothesis) is in the ``test`` extra.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import ast
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -27,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples")
 
-_ORACLE = "oracle: tests compare the system's answers against it"
 _ASYNCIO = "asyncio.Protocol callback: the event loop calls it"
 
 #: qualified name -> why it stays without a caller outside ``tests/``
@@ -36,15 +42,6 @@ ALLOWED = {
     "repro.service.server.FrameProtocol.data_received": _ASYNCIO,
     "repro.service.server.FrameProtocol.eof_received": _ASYNCIO,
     "repro.service.server.FrameProtocol.connection_lost": _ASYNCIO,
-    "repro.workloads.validate.validate_components": _ORACLE,
-    "repro.workloads.validate.validate_coloring": _ORACLE,
-    "repro.workloads.gcolor.GColor.is_proper": _ORACLE,
-    "repro.bayes.elimination.exact_marginals": _ORACLE,
-    "repro.bayes.network.BayesianNetwork.topological_order":
-        "oracle: tests check that set_parents and munin_like keep the "
-        "network acyclic by sorting it",
-    "repro.arch.cache.Cache.resident_lines":
-        "oracle: tests read a cache level's occupancy through it",
     "repro.harness.framework_time.average_fraction":
         "Fig. 1's suite-average in-framework fraction (the paper's 76 %)",
     "repro.core.related.graphbig_row": "Table 3: GraphBIG's own row",
@@ -134,3 +131,38 @@ def test_allowed_entries_are_not_stale(unreached):
     assert not stale, ("ALLOWED names that are gone or now have a "
                        "caller:\n  " + "\n  ".join(stale))
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of ``pyproject.toml``'s ``[project] dependencies``
+    (each imports under its distribution name)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]\s*$", project,
+                      re.S | re.M).group(1)
+    return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+            for req in re.findall(r'"([^"]+)"', block)}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level module of every absolute import in ``path``, lazy
+    imports inside functions included."""
+    tops = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            tops.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
+def test_every_import_is_a_declared_dependency():
+    shipped = ({"repro"} | set(sys.stdlib_module_names)
+               | declared_dependencies())
+    undeclared = sorted(
+        f"{path.relative_to(ROOT)}: {mod}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for mod in imported_modules(path) - shipped)
+    assert not undeclared, ("src/ imports a module that is neither stdlib "
+                            "nor in [project] dependencies:\n  "
+                            + "\n  ".join(undeclared))

@@ -5,13 +5,12 @@ import pytest
 from repro import workloads as W
 from repro.workloads.validate import (
     validate_bfs,
-    validate_coloring,
-    validate_components,
     validate_kcore,
     validate_sssp,
     validate_triangles,
 )
 from tests.conftest import build
+from tests.oracles import coloring_errors, validate_components
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +37,10 @@ class TestValidatorsAcceptCorrectOutputs:
         g, res = graph_and_results
         assert validate_sssp(g, 0, res["sssp"]["dists"]) == []
 
-    def test_coloring(self, graph_and_results):
-        g, res = graph_and_results
-        assert validate_coloring(g, res["colors"]["colors"]) == []
+    def test_coloring(self, small_spec, graph_and_results):
+        _, res = graph_and_results
+        assert coloring_errors(small_spec.n, small_spec.edges,
+                               res["colors"]["colors"]) == []
 
     def test_kcore(self, graph_and_results):
         g, res = graph_and_results
@@ -75,7 +75,7 @@ class TestValidatorsRejectCorruptedOutputs:
         bad[victim] += 100.0
         assert validate_sssp(g, 0, bad)
 
-    def test_coloring_conflict(self, graph_and_results):
+    def test_coloring_conflict(self, small_spec, graph_and_results):
         g, res = graph_and_results
         bad = dict(res["colors"]["colors"])
         vid = next(iter(g.vertex_ids()))
@@ -83,7 +83,7 @@ class TestValidatorsRejectCorruptedOutputs:
         if v.out:
             dst = next(iter(v.out))
             bad[dst] = bad[vid]
-            assert validate_coloring(g, bad)
+            assert coloring_errors(small_spec.n, small_spec.edges, bad)
 
     def test_kcore_inflated(self, graph_and_results):
         g, res = graph_and_results

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import workloads as W
-from repro.bayes import gibbs_sample, moral_edges, munin_like
+from repro.bayes import munin_like
 from repro.core.graph import PropertyGraph
 from repro.core.trace import Tracer
 from repro.workloads import (
@@ -12,6 +12,7 @@ from repro.workloads import (
     common_edge_schema,
     common_vertex_schema,
 )
+from tests.oracles import gibbs_sample, moral_edges
 
 
 def empty_graph():

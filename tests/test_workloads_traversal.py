@@ -6,12 +6,18 @@ from repro import workloads as W
 from repro.core.trace import Tracer
 from repro.datagen import ca_road, ldbc
 from tests.conftest import build
+from tests.oracles import (
+    nx_graph,
+    reference_bfs,
+    reference_dfs,
+    reference_spath,
+)
 
 
 class TestBFS:
     def test_levels_match_networkx(self, small_spec, small_graph):
         res = W.run("BFS", small_graph, root=0)
-        assert res.outputs["levels"] == dict(W.BFS.reference(small_spec, 0))
+        assert res.outputs["levels"] == dict(reference_bfs(small_spec, 0))
 
     def test_parents_are_one_level_up(self, small_graph):
         res = W.run("BFS", small_graph, root=0)
@@ -42,7 +48,7 @@ class TestBFS:
         spec = ca_road(400, seed=2)
         g = build(spec)
         res = W.run("BFS", g, root=0)
-        ref = W.BFS.reference(spec, 0)
+        ref = reference_bfs(spec, 0)
         assert res.outputs["levels"] == dict(ref)
 
     def test_writes_level_property(self, small_graph):
@@ -54,7 +60,7 @@ class TestDFS:
     def test_preorder_matches_networkx(self, small_spec, small_graph):
         res = W.run("DFS", small_graph, root=0)
         got = sorted(res.outputs["order"], key=res.outputs["order"].get)
-        assert got == W.DFS.reference(small_spec, 0)
+        assert got == reference_dfs(small_spec, 0)
 
     def test_orders_unique_and_dense(self, small_graph):
         res = W.run("DFS", small_graph, root=0)
@@ -70,13 +76,13 @@ class TestDFS:
 class TestSPath:
     def test_unit_weights_match_networkx(self, small_spec, small_graph):
         res = W.run("SPath", small_graph, root=0)
-        ref = W.SPath.reference(small_spec, 0)
+        ref = reference_spath(small_spec, 0)
         assert res.outputs["dists"] == {k: float(v) for k, v in ref.items()}
 
     def test_nonuniform_weights(self, tiny_spec):
         import networkx as nx
         g = build(tiny_spec)
-        nxg = tiny_spec.nx()
+        nxg = nx_graph(tiny_spec)
         # weight edges by (src + dst) % 5 + 1
         for vid in g.vertex_ids():
             for dst, node in g.find_vertex(vid).out.items():
