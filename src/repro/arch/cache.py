@@ -45,7 +45,7 @@ def lru_miss_idx(slot: np.ndarray, key: np.ndarray, assoc: int) -> np.ndarray:
     set in program order.  A repeat of its set's previous key is an MRU
     hit, leaves the LRU order untouched and drops out vectorized.  The
     rest go through ``ways``, an ``lru_cache`` of ``assoc`` entries emptied
-    at each set boundary: :meth:`Cache.access`'s state machine in C, one
+    at each set boundary: :meth:`Cache.simulate`'s state machine in C, one
     generator resume per set.  It caches a count of loads: a hit returns
     its key's stored ordinal, a miss a new maximum above all before it.
     """
@@ -166,25 +166,6 @@ class Cache:
         for s in self._sets:
             s.clear()
         self.stats = CacheStats(self.config.name)
-
-    def access(self, addr: int, is_write: bool = False) -> bool:
-        """Access one byte address; returns ``True`` on hit."""
-        line = addr // self.config.line
-        s = self._sets[line % self.config.n_sets]
-        self.stats.accesses += 1
-        if line in s:
-            del s[line]        # move to MRU position
-            s[line] = None
-            return True
-        self.stats.misses += 1
-        if is_write:
-            self.stats.write_misses += 1
-        else:
-            self.stats.read_misses += 1
-        s[line] = None
-        if len(s) > self.config.assoc:
-            del s[next(iter(s))]   # evict LRU (oldest insertion)
-        return False
 
     def simulate(self, addrs: np.ndarray, rw: np.ndarray | None = None
                  ) -> np.ndarray:

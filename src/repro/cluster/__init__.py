@@ -37,7 +37,6 @@ from .ring import (
     DEFAULT_VNODES,
     HashRing,
     RebalancePlan,
-    cell_routing_key,
     plan_rebalance,
     stable_hash,
     synthetic_keys,
@@ -82,7 +81,6 @@ __all__ = [
     "ShardService",
     "ShardUnavailable",
     "WrongShard",
-    "cell_routing_key",
     "default_shard_factory",
     "plan_rebalance",
     "stable_hash",

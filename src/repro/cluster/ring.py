@@ -19,10 +19,9 @@ Replication reads the ring clockwise: ``owners(key, k)`` is the first
 ``k`` *distinct* shards at or after the key — so replica sets are as
 stable under membership change as primary ownership is.
 
-Routing keys are dataset registry keys; a characterization memo key
-(``cell_id``, e.g. ``"BFS:ldbc:s0.05:r0:test:cpu"``) routes with its
-dataset component via :func:`cell_routing_key`, which keeps every cell
-of a dataset — and that dataset's generated spec — on the same shard.
+Routing keys are dataset registry keys (a request's ``dataset``
+parameter), which keeps every cell of a dataset — and that dataset's
+generated spec — on the same shard.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ def stable_hash(key: str) -> int:
     """64-bit position on the circle; SHA-1-based, process-independent."""
     return int.from_bytes(
         hashlib.sha1(key.encode("utf-8")).digest()[:8], "big")
-
-
-def cell_routing_key(cell_id: str) -> str:
-    """The ring key for a characterization memo key: its dataset.
-
-    Cell ids are ``workload:dataset:s<scale>:r<seed>:machine:cpu|gpu``;
-    routing by the dataset component co-locates every cell (and the
-    dataset spec cache tier) of one dataset on one replica set.  A key
-    that is not a cell id routes as itself.
-    """
-    parts = cell_id.split(":")
-    return parts[1] if len(parts) >= 3 else cell_id
 
 
 class HashRing:

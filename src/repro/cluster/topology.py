@@ -257,12 +257,6 @@ class ShardProcess:
         ready = json.loads(line)
         self.address = ShardAddress(name, ready["host"], ready["port"])
 
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait(timeout=10)
-        self.proc.stdout.close()
-
     def stop(self) -> None:
         if self.proc.poll() is None:
             self.proc.terminate()
@@ -317,8 +311,3 @@ class ClusterProcesses:
         for proc in self.shards.values():
             proc.stop()
         self.shards.clear()
-
-    def kill_shard(self, name: str) -> ShardAddress:
-        proc = self.shards.pop(name)
-        proc.kill()
-        return proc.address

@@ -82,9 +82,11 @@ C_INREF = 6
 # primitive that starts *inside* region ``rid`` (a generator resumed after
 # its yield).  ``repro.workloads._bulk.Layout`` turns sequences of these
 # into one bulk block; ``tests/test_event_grammar.py`` records each scalar
-# method and compares it with its declaration.  They are functions so that
-# the ``C_*`` charges are read when a kernel runs, not at import: turning a
-# constant turns the scalar and the vectorized kernels alike.
+# method (for the block walks and payload reads, the ``tests/oracles.py``
+# function of the same name) and compares it with its declaration.  They
+# are functions so that the ``C_*`` charges are read when a kernel runs,
+# not at import: turning a constant turns the scalar and the vectorized
+# kernels alike.
 
 
 def find_vertex_ops(idx: str, v: str) -> tuple:
@@ -114,7 +116,8 @@ def _load_ops(x: str, off: int) -> tuple:
 
 
 def payload_get_ops(v: str, off: int) -> tuple:
-    """:meth:`PropertyGraph.payload_get`: the pointer load."""
+    """The pointer load of a payload :meth:`PropertyGraph.payload_set`
+    attached (its scalar form is ``tests/oracles.py:payload_get``)."""
     return _load_ops(v, off)
 
 
@@ -131,8 +134,9 @@ def eget_ops(e: str, off: int) -> tuple:
 
 
 def payload_read_ops(p: str, n_instrs: int = C_PAYLOAD) -> tuple:
-    """:meth:`PropertyGraph.payload_read` of the element at address ``p``
-    (the charge is the caller's argument there too)."""
+    """One element read at address ``p`` inside a payload block (its
+    scalar form is ``tests/oracles.py:payload_read``, whose charge is the
+    caller's argument too)."""
     return (("enter", T.R_PAYLOAD), ("i", n_instrs), ("r", p, 0),
             ("leave",))
 
@@ -188,14 +192,16 @@ def _drained(walk: WalkOps) -> WalkOps:
 
 
 def scan_vertices_ops(idx: str, v: str) -> WalkOps:
-    """:meth:`PropertyGraph.scan_vertices` over index slots ``idx`` and
-    structs ``v``."""
+    """The block vertex scan over index slots ``idx`` and structs ``v``:
+    :meth:`PropertyGraph.vertices` drained as one visit of the region
+    (its scalar form is ``tests/oracles.py:scan_vertices``)."""
     return _drained(vertices_ops(idx, v))
 
 
 def neighbor_ids_ops(v: str, e: str) -> WalkOps:
-    """:meth:`PropertyGraph.neighbor_ids` of struct ``v`` (handle given)
-    over edge nodes ``e``."""
+    """The block walk of struct ``v``'s out-list (handle given) over edge
+    nodes ``e``: :meth:`PropertyGraph.neighbors` drained as one visit of
+    the region (its scalar form is ``tests/oracles.py:neighbor_ids``)."""
     return _drained(neighbors_ops(v, e))
 
 
@@ -548,35 +554,6 @@ class PropertyGraph:
                     break
         del u.out[dst]
 
-    def delete_edge(self, src: int, dst: int) -> None:
-        """Framework primitive *delete-edge* (removes both arcs if
-        undirected)."""
-        self._delete_arc(src, dst)
-        if not self.directed and src != dst:
-            self._delete_arc(dst, src)
-
-    def _delete_arc(self, src: int, dst: int) -> None:
-        u = self._v.get(src)
-        if u is None:
-            raise VertexNotFound(src)
-        if dst not in u.out:
-            raise EdgeNotFound(src, dst)
-        t = self.t
-        if t is not None:
-            t.enter(T.R_DELETE_EDGE)
-            t.i(C_FIND_VERTEX)
-            t.r(self._index_base + INDEX_ENTRY * (src % self._index_cap))
-        self._unlink_edge(u, dst, t)
-        w = self._v.get(dst)
-        if w is not None:
-            w.inn.discard(src)
-            if t is not None:
-                t.i(C_INREF)
-                t.w(w.addr + V_INREF_OFF)
-        self._n_edges -= 1
-        if t is not None:
-            t.leave()
-
     # -- traversal primitives -----------------------------------------------------
     def neighbors(self, v: Vertex | int) -> Iterator[tuple[int, EdgeNode]]:
         """Framework primitive *traverse-neighbours*: walk the out-edge list.
@@ -604,32 +581,6 @@ class PropertyGraph:
             t.enter(T.R_NEIGHBORS)
         t.br(T.B_EDGE_LOOP, False)
         t.leave()
-
-    def neighbor_ids(self, v: Vertex | int) -> list[int]:
-        """Block form of *traverse-neighbours*: scan the whole out-edge
-        list at once and return the destination ids.
-
-        Emits the same access and branch stream as draining
-        :meth:`neighbors` with no user work between steps, as one visit
-        of the region (:func:`neighbor_ids_ops`).  Use it when the kernel
-        snapshots a full adjacency list; keep the generator when per-edge
-        user work interleaves with the walk.
-        """
-        if isinstance(v, int):
-            v = self.find_vertex(v)
-        t = self.t
-        if t is not None:
-            t.enter(T.R_NEIGHBORS)
-            t.i(2)
-            t.r(v.addr + V_HEAD_OFF)
-            for node in v.out.values():
-                t.i(C_EDGE_STEP)
-                self._stack_touch(t)
-                t.r(node.addr + E_DST_OFF)
-                t.br(T.B_EDGE_LOOP, True)
-            t.br(T.B_EDGE_LOOP, False)
-            t.leave()
-        return list(v.out.keys())
 
     def in_neighbors(self, v: Vertex | int) -> Iterator[int]:
         """Walk the in-reference list (used by GUp / TMorph / DCentr)."""
@@ -673,29 +624,6 @@ class PropertyGraph:
             t.enter(T.R_VERTEX_SCAN)
         t.br(T.B_VERTEX_SCAN, False)
         t.leave()
-
-    def scan_vertices(self) -> list[Vertex]:
-        """Block form of *vertex-scan*: one pass over the index and vertex
-        structs, returning every vertex handle.
-
-        Same access/branch stream as draining :meth:`vertices` with no
-        interleaved user work, as one visit of the region
-        (:func:`scan_vertices_ops`).
-        """
-        t = self.t
-        vs = list(self._v.values())
-        if t is not None:
-            t.enter(T.R_VERTEX_SCAN)
-            for v in vs:
-                t.i(C_SCAN_STEP)
-                self._stack_touch(t)
-                t.r(self._index_base
-                    + INDEX_ENTRY * (v.vid % self._index_cap))
-                t.r(v.addr + V_ID_OFF)
-                t.br(T.B_VERTEX_SCAN, True)
-            t.br(T.B_VERTEX_SCAN, False)
-            t.leave()
-        return vs
 
     def degree(self, v: Vertex | int) -> int:
         """Out-degree, reading the degree field of the vertex struct."""
@@ -784,31 +712,6 @@ class PropertyGraph:
             t.w(v.addr + V_PROP_OFF + self.vschema.offset(name))
             t.leave()
         return addr
-
-    def payload_get(self, v: Vertex, name: str) -> tuple[int, Any]:
-        """Return ``(addr, value)`` of a payload, charging the pointer load."""
-        slot = self.vschema.slot(name)
-        t = self.t
-        if t is not None:
-            t.enter(T.R_PROP_GET)
-            t.i(C_PROP_GET)
-            t.r(v.addr + V_PROP_OFF + self.vschema.offset(name))
-            t.leave()
-        entry = v.props[slot]
-        if entry is None:
-            raise VertexNotFound(v.vid)
-        return entry
-
-    def payload_read(self, addr: int, index: int, elem_size: int = 8,
-                     n_instrs: int = C_PAYLOAD) -> None:
-        """Charge one element read inside a payload block (CompProp's
-        regular, property-local access pattern)."""
-        t = self.t
-        if t is not None:
-            t.enter(T.R_PAYLOAD)
-            t.i(n_instrs)
-            t.r(addr + index * elem_size)
-            t.leave()
 
     # -- construction helpers ------------------------------------------------------------
     @classmethod

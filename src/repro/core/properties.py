@@ -102,10 +102,6 @@ class Schema:
         """Fresh list of default values, one per slot."""
         return [f.default for f in self.fields]
 
-    def extended(self, *extra: Field) -> "Schema":
-        """Return a new schema with ``extra`` fields appended."""
-        return Schema(list(self.fields) + list(extra))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(f.name for f in self.fields)
         return f"Schema([{names}], nbytes={self.nbytes})"

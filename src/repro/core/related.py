@@ -58,8 +58,3 @@ def coverage_gap() -> dict[str, set[ComputationType]]:
     """Computation types each prior benchmark misses (GraphBIG: none)."""
     full = set(ComputationType)
     return {b.name: full - set(b.computation_types) for b in TABLE3}
-
-
-def graphbig_row() -> PriorBenchmark:
-    """The GraphBIG row (the only full-coverage one)."""
-    return TABLE3[-1]

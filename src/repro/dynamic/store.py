@@ -542,12 +542,6 @@ class SnapshotStore:
         if self._retention_floor() > self.floor:
             self._compact_locked()
 
-    def compact(self) -> int:
-        """Fold history below the retention floor into the base;
-        returns the number of spans dropped."""
-        with self._lock:
-            return self._compact_locked()
-
     def _drop_arc(self, src: int, dst: int) -> None:
         """Forget a span-less arc: its entry in both maps, and either
         row it leaves empty."""
@@ -722,28 +716,3 @@ class Snapshot:
                     if _alive_at(spans, v):
                         lst.append(dst)
             return adj
-
-    # -- materialization -----------------------------------------------------
-
-    def materialize(self, *, tracer=None):
-        """Rebuild this version as a :class:`~repro.core.graph.
-        PropertyGraph` (vertices in ascending id order, arcs as stored)
-        — the bridge to the batch kernels and the equivalence gate.
-
-        The graph is built ``directed=True`` because the store already
-        holds both arcs of an undirected edge; the batch kernels'
-        undirected view (out ∪ in) then matches :meth:`und_neighbors`
-        exactly.
-        """
-        from ..core.graph import PropertyGraph
-        from ..workloads.base import (
-            common_edge_schema,
-            common_vertex_schema,
-        )
-        g = PropertyGraph(common_vertex_schema(), common_edge_schema(),
-                          directed=True, tracer=tracer)
-        for vid in self.vertex_ids():
-            g.add_vertex(vid)
-        for src, dst in self.arcs():
-            g.add_edge(src, dst)
-        return g

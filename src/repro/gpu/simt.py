@@ -53,13 +53,6 @@ class KernelStats:
     atomic_conflicts: int = 0     # serialized same-address collisions
     launches: int = 0
 
-    def merge(self, other: "KernelStats") -> None:
-        for f in ("warp_issues", "lane_issues", "mem_base_issues",
-                  "mem_replays", "mem_lane_accesses", "slot_transactions",
-                  "dram_transactions", "bytes_read", "bytes_written",
-                  "atomic_ops", "atomic_conflicts", "launches"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
     # -- the paper's two divergence metrics ----------------------------------
     @property
     def bdr(self) -> float:

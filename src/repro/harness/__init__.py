@@ -11,7 +11,6 @@ from .framework_time import (
 from .metrics import CPU_COLUMNS, by_ctype, cpu_table, gpu_table
 from .report import (
     FAILURE_COLUMNS,
-    bar,
     failure_table,
     format_table,
     matrix_table,
@@ -35,7 +34,7 @@ __all__ = [
     "CPU_COLUMNS", "CPU_WORKLOADS", "DATA_SENSITIVE_WORKLOADS",
     "FAILURE_COLUMNS", "FIG8_METRICS", "GPU_WORKLOAD_SET",
     "PAPER_AVG_FRAMEWORK_FRACTION",
-    "Row", "average_fraction", "bar", "breakdown_table", "by_ctype",
+    "Row", "average_fraction", "breakdown_table", "by_ctype",
     "cache_stats", "characterize", "clear_cache", "cpu_table",
     "export_all", "failure_table",
     "fig8_table", "format_table", "framework_fractions", "gpu_speedup",

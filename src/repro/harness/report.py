@@ -43,14 +43,6 @@ def write_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]],
         w.writerows(rows)
 
 
-def bar(value: float, vmax: float, width: int = 40) -> str:
-    """Unicode bar for quick visual comparison in terminal output."""
-    if vmax <= 0:
-        return ""
-    n = int(round(width * min(value, vmax) / vmax))
-    return "#" * n
-
-
 def paper_note(text: str) -> str:
     """Standard 'paper reports ...' annotation line."""
     return f"  [paper: {text}]"

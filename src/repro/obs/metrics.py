@@ -121,13 +121,14 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram with nearest-rank quantile estimates.
+    """Fixed-boundary histogram read through its cumulative buckets.
 
     Buckets are upper bounds (``observe(v)`` lands in the first bucket
     with ``bound >= v``); an implicit ``+Inf`` bucket catches overflow.
-    ``quantile(q)`` returns the upper bound of the bucket holding the
-    nearest-rank sample — an upper-bound estimate whose error is the
-    bucket width, which is what the log-scale ladder keeps proportional.
+    :func:`quantile_from_snapshot` returns the upper bound of the bucket
+    holding the nearest-rank sample — an upper-bound estimate whose error
+    is the bucket width, which is what the log-scale ladder keeps
+    proportional.
     """
 
     __slots__ = ("_bounds", "_counts", "_count", "_lock", "_sum")
@@ -160,28 +161,6 @@ class Histogram:
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile from the bucket counts.
-
-        NaN when empty; ``+inf`` when the rank falls in the overflow
-        bucket (the observation exceeded every boundary).
-        """
-        if not 0 < q <= 100:
-            raise ValueError("q must be in (0, 100]")
-        with self._lock:
-            total = self._count
-            counts = list(self._counts)
-        if total == 0:
-            return float("nan")
-        rank = max(1, -(-total * q // 100))       # ceil
-        cumulative = 0
-        for i, c in enumerate(counts):
-            cumulative += c
-            if cumulative >= rank:
-                return (self._bounds[i] if i < len(self._bounds)
-                        else float("inf"))
-        return float("inf")                        # unreachable
 
     def bucket_counts(self) -> list[tuple[str, int]]:
         """Cumulative counts per upper bound, Prometheus-style (the last
@@ -218,9 +197,6 @@ class _NoopInstrument:
     value = 0.0
     count = 0
     sum = 0.0
-
-    def quantile(self, q: float) -> float:
-        return float("nan")
 
 
 _NOOP = _NoopInstrument()
@@ -296,9 +272,6 @@ class Family:
     @property
     def sum(self) -> float:
         return self._sole().sum
-
-    def quantile(self, q: float) -> float:
-        return self._sole().quantile(q)
 
     def bucket_counts(self) -> list[tuple[str, int]]:
         return self._sole().bucket_counts()

@@ -53,10 +53,6 @@ class MulticoreResult:
         return (self.serial_cycles / self.parallel_cycles
                 if self.parallel_cycles else 0.0)
 
-    @property
-    def efficiency(self) -> float:
-        return self.speedup / self.p if self.p else 0.0
-
     def time_seconds(self, freq_ghz: float) -> float:
         return self.parallel_cycles / (freq_ghz * 1e9)
 

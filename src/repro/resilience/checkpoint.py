@@ -72,11 +72,6 @@ class CheckpointStore:
             out[rec["cell"]] = rec
         return out
 
-    def completed(self) -> set[str]:
-        """Cell ids whose latest record is a successful row."""
-        return {cid for cid, rec in self.load().items()
-                if rec.get("kind") == "row"}
-
     def clear(self) -> None:
         """Start the journal over (``--resume`` off overwrites)."""
         if self.path.exists():

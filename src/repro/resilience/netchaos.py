@@ -41,7 +41,7 @@ import random
 import socket
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from ..obs.logs import get_logger
@@ -87,13 +87,6 @@ class NetFaultSpec:
         if self.stall_after_bytes is not None \
                 and self.stall_after_bytes < 0:
             raise ValueError("stall_after_bytes must be >= 0")
-
-    def transparent(self) -> bool:
-        return self == NetFaultSpec()
-
-    def but(self, **changes) -> "NetFaultSpec":
-        """A copy with some fields replaced (benchmark convenience)."""
-        return replace(self, **changes)
 
 
 class _ConnPlan:

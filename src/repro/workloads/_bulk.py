@@ -7,10 +7,10 @@ the trace depends on; Gibbs on its sampler, keeping two facts per visit —
 and emit the *exact* event stream of their original loop implementations
 through :meth:`Tracer.bulk_emit` — per-element identical addresses, rw
 flags, instruction indices, regions, branch sites and region visits (the
-equivalence bar ``scan_vertices`` already meets, extended to whole
-kernels).  The loop implementations are the oracles in
-``tests/oracles.py``; ``tests/test_workloads_vectorized.py`` asserts full
-frozen-trace equality between the two.
+equivalence bar each ``*_ops`` declaration meets against its scalar
+primitive, extended to whole kernels).  The loop implementations are the
+oracles in ``tests/oracles.py``; ``tests/test_workloads_vectorized.py``
+asserts full frozen-trace equality between the two.
 
 This module holds the pieces the seven kernels share:
 
@@ -26,7 +26,8 @@ This module holds the pieces the seven kernels share:
 * :class:`Layout` / :class:`Block` — the layout engine;
 * :func:`adjacency_sweep` — the block vertex scan and per-vertex block
   walk kCore and TC open with, laid as one block from ``scan_vertices_ops``
-  / ``neighbor_ids_ops``, handing back the :class:`GraphView` it walked.
+  / ``neighbor_ids_ops`` (scalar forms ``scan_vertices`` / ``neighbor_ids``
+  in ``tests/oracles.py``), handing back the :class:`GraphView` it walked.
 
 The layout engine
 -----------------
@@ -437,10 +438,11 @@ class Layout:
 
 def adjacency_sweep(g: G.PropertyGraph, t) -> GraphView:
     """The adjacency snapshot kCore and TC open with, as one block: the
-    stream of ::
+    stream of the loop oracle (``scan_vertices`` / ``neighbor_ids`` from
+    ``tests/oracles.py``) ::
 
-        for v in g.scan_vertices():
-            dsts = g.neighbor_ids(v)
+        for v in scan_vertices(g):
+            dsts = neighbor_ids(g, v)
             t.i(2 * len(dsts))          # two bookkeeping instrs per target
 
     — the block vertex scan, then per vertex the block walk of its

@@ -4,12 +4,14 @@ Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the stateful :class:`Cache` and
 the predictor classes stay in ``src/`` (the prefetchers run on ``Cache``;
 ``simulate_branches`` reads the predictors' geometry);
-:class:`MemoryHierarchy`, the per-core and per-segment loops, the seven
-workload loop kernels, the populating loop and the query executor's dict
-image and kernels, which only tests need, live here.  So do the ground
-truths: the workloads' answers through networkx (a test-only
-dependency), the coloring and component checks, moralization, the
-reference Gibbs sampler and exact Bayesian inference.
+:class:`MemoryHierarchy`, the per-core and per-segment loops, the scalar
+block graph primitives and the seven workload loop kernels that charge
+through them, the populating loop, the query executor's dict image and
+kernels and the snapshot store's ``materialize`` / ``compact``, which
+only tests need, live here.  So do the ground truths: the workloads'
+answers through networkx (a test-only dependency), the coloring and
+component checks, moralization, the reference Gibbs sampler and exact
+Bayesian inference.
 """
 
 import dataclasses
@@ -26,14 +28,21 @@ from repro.arch.cache import Cache, CacheStats
 from repro.arch.cpu import SERIAL_REGIONS
 from repro.arch.icache import ICache
 from repro.arch.replay import HierarchyResult
-from repro.core.errors import PlanError, QueryError
+from repro.core import graph as G
+from repro.core import trace as T
+from repro.core.errors import PlanError, QueryError, VertexNotFound
 from repro.core.graph import PropertyGraph
 from repro.core.memmodel import PACKED_HEAP
 from repro.core.properties import EMPTY_SCHEMA
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
 from repro.query.exec import _CMP, MAX_RESULT_ROWS
-from repro.workloads.base import TracedHeap, TracedQueue
+from repro.workloads.base import (
+    TracedHeap,
+    TracedQueue,
+    common_edge_schema,
+    common_vertex_schema,
+)
 
 
 class MemoryHierarchy:
@@ -155,6 +164,80 @@ def reference_branches(kind, sites, taken, **kwargs):
     return PREDICTORS[kind](**kwargs).simulate(sites, taken)
 
 
+# -- block graph primitives -------------------------------------------------
+# The scalar forms of what ``repro.core.graph``'s ``scan_vertices_ops``,
+# ``neighbor_ids_ops``, ``payload_get_ops`` and ``payload_read_ops``
+# declare: the loop kernels below charge through them, and
+# ``test_event_grammar.py`` requires each declaration to equal its stream.
+
+def scan_vertices(g):
+    """Block form of *vertex-scan*: one pass over the index and vertex
+    structs, returning every vertex handle — the stream of draining
+    ``g.vertices()`` with no user work between steps, as one visit of the
+    region."""
+    t = g.t
+    vs = list(g._v.values())
+    if t is not None:
+        t.enter(T.R_VERTEX_SCAN)
+        for v in vs:
+            t.i(G.C_SCAN_STEP)
+            g._stack_touch(t)
+            t.r(g._index_base + G.INDEX_ENTRY * (v.vid % g._index_cap))
+            t.r(v.addr + G.V_ID_OFF)
+            t.br(T.B_VERTEX_SCAN, True)
+        t.br(T.B_VERTEX_SCAN, False)
+        t.leave()
+    return vs
+
+
+def neighbor_ids(g, v):
+    """Block form of *traverse-neighbours*: the destination ids of
+    ``v``'s whole out-edge list — the stream of draining
+    ``g.neighbors(v)`` with no user work between steps, as one visit of
+    the region."""
+    if isinstance(v, int):
+        v = g.find_vertex(v)
+    t = g.t
+    if t is not None:
+        t.enter(T.R_NEIGHBORS)
+        t.i(2)
+        t.r(v.addr + G.V_HEAD_OFF)
+        for node in v.out.values():
+            t.i(G.C_EDGE_STEP)
+            g._stack_touch(t)
+            t.r(node.addr + G.E_DST_OFF)
+            t.br(T.B_EDGE_LOOP, True)
+        t.br(T.B_EDGE_LOOP, False)
+        t.leave()
+    return list(v.out.keys())
+
+
+def payload_get(g, v, name):
+    """``(addr, value)`` of the payload ``g.payload_set`` attached to
+    ``v``, charging the pointer load."""
+    t = g.t
+    if t is not None:
+        t.enter(T.R_PROP_GET)
+        t.i(G.C_PROP_GET)
+        t.r(v.addr + G.V_PROP_OFF + g.vschema.offset(name))
+        t.leave()
+    entry = v.props[g.vschema.slot(name)]
+    if entry is None:
+        raise VertexNotFound(v.vid)
+    return entry
+
+
+def payload_read(g, addr, index, n_instrs=G.C_PAYLOAD):
+    """Charge one 8-byte element read inside a payload block (CompProp's
+    regular, property-local access pattern)."""
+    t = g.t
+    if t is not None:
+        t.enter(T.R_PAYLOAD)
+        t.i(n_instrs)
+        t.r(addr + 8 * index)
+        t.leave()
+
+
 # -- workload loop kernels ---------------------------------------------------
 # The per-vertex, per-edge form of the kernels ``repro.workloads`` runs
 # vectorized: each charges the tracer through the framework primitives one
@@ -233,8 +316,8 @@ def loop_kcore(g, t, **_):
     # (whole lists are consumed, so the bulk API applies)
     ids = sorted(g.vertex_ids())
     adj: dict[int, set[int]] = {vid: set() for vid in ids}
-    for v in g.scan_vertices():
-        for dst in g.neighbor_ids(v):
+    for v in scan_vertices(g):
+        for dst in neighbor_ids(g, v):
             t.i(2)
             adj[v.vid].add(dst)
             adj[dst].add(v.vid)
@@ -300,8 +383,8 @@ def loop_tc(g, t, **_):
         sorted(ids, key=lambda v: (deg[v], v)))}
     t.i(6 * len(ids))     # the ranking pass
     higher: dict[int, list[int]] = {vid: [] for vid in ids}
-    for v in g.scan_vertices():
-        for dst in g.neighbor_ids(v):
+    for v in scan_vertices(g):
+        for dst in neighbor_ids(g, v):
             t.i(2)
             if v.vid == dst:
                 continue
@@ -375,25 +458,25 @@ def loop_gibbs(g, t, *, bn, n_sweeps=20, burn_in=5, seed=0, evidence=None,
     for sweep in range(n_sweeps):
         for vid in free:
             vert = g.find_vertex(vid)
-            cpt_addr, cpt = g.payload_get(vert, "cpt")
+            cpt_addr, cpt = payload_get(g, vert, "cpt")
             # charge the CPT row read (regular, property-local)
             pstates = tuple(int(state[p]) for p in bn.parents[vid])
             row = cpt.row_index(pstates) if bn.parents[vid] else 0
             for x in range(cpt.arity):
                 t.br(site_cpt_loop, True)    # arity loop (predictable)
-                g.payload_read(cpt_addr, row * cpt.arity + x,
-                               n_instrs=9)   # mult-accumulate numeric
+                payload_read(g, cpt_addr, row * cpt.arity + x,
+                             n_instrs=9)   # mult-accumulate numeric
             t.br(site_cpt_loop, False)
             # children's CPT contributions: walk out-neighbours
             for child, _node in g.neighbors(vert):
                 cvert = g.find_vertex(child)
-                caddr, ccpt = g.payload_get(cvert, "cpt")
+                caddr, ccpt = payload_get(g, cvert, "cpt")
                 t.i(4)
                 g.vget(cvert, "state")
                 for x in range(cpt.arity):
                     t.br(site_cpt_loop, True)
-                    g.payload_read(caddr, x % max(ccpt.table.size, 1),
-                                   n_instrs=11)
+                    payload_read(g, caddr, x % max(ccpt.table.size, 1),
+                                 n_instrs=11)
                 t.br(site_cpt_loop, False)
             probs = bn.conditional_row(vid, state)
             new = int(rng.choice(len(probs), p=probs))
@@ -725,6 +808,34 @@ def _jsonable(value):
     if isinstance(value, float):
         return float(value)
     return int(value)
+
+
+# -- the snapshot store -----------------------------------------------------
+
+def materialize(snap) -> PropertyGraph:
+    """Rebuild a pinned version as a :class:`PropertyGraph` (vertices in
+    ascending id order, arcs as stored) — the equivalence gate between the
+    incremental kernels and a batch run.
+
+    The graph is built ``directed=True`` because the store already holds
+    both arcs of an undirected edge; the batch kernels' undirected view
+    (out ∪ in) then matches ``Snapshot.und_neighbors`` exactly.
+    """
+    g = PropertyGraph(common_vertex_schema(), common_edge_schema(),
+                      directed=True)
+    for vid in snap.vertex_ids():
+        g.add_vertex(vid)
+    for src, dst in snap.arcs():
+        g.add_edge(src, dst)
+    return g
+
+
+def compact(store) -> int:
+    """Fold history below the retention floor now, under the store's lock,
+    as a commit does after its batch; returns the number of spans
+    dropped."""
+    with store._lock:
+        return store._compact_locked()
 
 
 # -- the snapshot store's full-walk compaction -------------------------------

@@ -42,12 +42,6 @@ class TestSpecMaterializations:
 
 
 class TestReportHelpers:
-    def test_bar(self):
-        from repro.harness import bar
-        assert bar(5, 10, width=10) == "#####"
-        assert bar(20, 10, width=10) == "#" * 10
-        assert bar(1, 0) == ""
-
     def test_paper_note(self):
         from repro.harness import paper_note
         assert "paper:" in paper_note("something")

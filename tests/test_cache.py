@@ -35,43 +35,40 @@ class TestCacheConfig:
             CacheConfig("t", size=0, assoc=1)
 
 
+def hits(c: Cache, *addrs: int, rw=None) -> list[bool]:
+    """Hit (True) or miss of each address, replayed through ``c``."""
+    miss = c.simulate(np.array(addrs, dtype=np.uint64), rw)
+    return (~miss).tolist()
+
+
 class TestCacheBehaviour:
     def cache(self, size=512, assoc=2, line=64):
         return Cache(CacheConfig("t", size=size, assoc=assoc, line=line))
 
     def test_first_touch_misses_then_hits(self):
         c = self.cache()
-        assert not c.access(0)
-        assert c.access(0)
-        assert c.access(63)          # same line
-        assert not c.access(64)      # next line
+        # first touch, again, same line, next line
+        assert hits(c, 0, 0, 63, 64) == [False, True, True, False]
 
     def test_lru_eviction(self):
         # one set: 2-way, lines mapping to set 0 are multiples of 4 lines
         c = self.cache(size=512, assoc=2)   # 4 sets
         set_stride = 4 * 64
         a, b, d = 0, set_stride, 2 * set_stride
-        c.access(a)
-        c.access(b)
-        c.access(d)                 # evicts a (LRU)
-        assert not c.access(a)
-        assert c.access(d)
+        hits(c, a, b, d)            # d evicts a (LRU)
+        assert hits(c, a, d) == [False, True]
 
     def test_lru_refresh_on_hit(self):
         c = self.cache(size=512, assoc=2)
         stride = 4 * 64
-        c.access(0)
-        c.access(stride)
-        c.access(0)                 # refresh 0 -> MRU
-        c.access(2 * stride)        # evicts stride
-        assert c.access(0)
-        assert not c.access(stride)
+        hits(c, 0, stride, 0)       # refresh 0 -> MRU
+        hits(c, 2 * stride)         # evicts stride
+        assert hits(c, 0) == [True]
+        assert hits(c, stride) == [False]
 
     def test_stats(self):
         c = self.cache()
-        c.access(0)
-        c.access(0)
-        c.access(64, is_write=True)
+        hits(c, 0, 0, 64, rw=np.array([0, 0, 1], dtype=np.uint8))
         st = c.stats
         assert st.accesses == 3
         assert st.misses == 2
@@ -86,15 +83,15 @@ class TestCacheBehaviour:
         c1 = self.cache()
         mask = c1.simulate(addrs)
         c2 = self.cache()
-        single = np.array([not c2.access(int(a)) for a in addrs])
+        single = np.array([not hits(c2, int(a))[0] for a in addrs])
         assert np.array_equal(mask, single)
 
     def test_reset(self):
         c = self.cache()
-        c.access(0)
+        hits(c, 0)
         c.reset()
         assert c.stats.accesses == 0
-        assert not c.access(0)
+        assert hits(c, 0) == [False]
 
     def test_resident_lines_bounded(self):
         c = self.cache(size=512, assoc=2)
@@ -110,14 +107,15 @@ class TestCacheBehaviour:
 
 
 def _access_loop_misses(slot, key, assoc):
-    """Miss positions of one plain ``Cache.access`` loop per distinct slot
-    (each a single set of ``assoc`` ways), keys as line numbers."""
+    """Miss positions of one ``Cache`` per distinct slot (each a single
+    set of ``assoc`` ways) fed one address at a time, keys as line
+    numbers."""
     sets: dict[int, Cache] = {}
     out = []
     for i, (s, k) in enumerate(zip(slot.tolist(), key.tolist())):
         c = sets.setdefault(
             s, Cache(CacheConfig("t", size=assoc * 64, assoc=assoc)))
-        if not c.access(k * 64):
+        if not hits(c, k * 64)[0]:
             out.append(i)
     return out
 
@@ -130,8 +128,8 @@ _STREAMS = st.one_of(
 
 
 class TestLruMissIdx:
-    """The one LRU walk against a plain ``Cache.access`` loop, in the
-    three shapes it serves."""
+    """The one LRU walk against one ``Cache`` fed an address at a time, in
+    the three shapes it serves."""
 
     @given(_STREAMS, st.sampled_from([(1, 1), (2, 2), (4, 2), (8, 4),
                                       (16, 1), (2, 8)]))

@@ -18,7 +18,6 @@ from repro.cluster import (
     ReliabilityConfig,
     ReplicaTracker,
     ShardService,
-    cell_routing_key,
     plan_rebalance,
     stable_hash,
     synthetic_keys,
@@ -76,10 +75,6 @@ class TestHashRing:
         assert sum(c["lost"] for c in per.values()) == len(plan.moved)
         assert plan.summary()["fraction_moved"] == round(
             plan.fraction_moved, 4)
-
-    def test_cell_routing_key_extracts_dataset(self):
-        assert cell_routing_key("BFS:ldbc:s0.05:r0:test:cpu") == "ldbc"
-        assert cell_routing_key("plain-key") == "plain-key"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,8 @@ from repro.dynamic import (
 )
 from repro.workloads import common_edge_schema, common_vertex_schema, run
 
+from tests.oracles import compact, materialize
+
 # a small diamond + a disconnected island: 0->1, 0->2, 1->3, 2->3, 4<->5
 EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5)]
 
@@ -148,7 +150,7 @@ class TestSnapshotIsolation:
         store = _store()
         store.commit([add(3, 5), dele(0, 1)])
         with store.snapshot() as snap:
-            g = snap.materialize()
+            g = materialize(snap)
         assert sorted(g.vertex_ids()) == sorted(snap.vertex_ids())
         assert g.has_edge(3, 5) and not g.has_edge(0, 1)
 
@@ -191,7 +193,7 @@ class TestRetention:
         with store.snapshot() as snap:
             arcs = sorted(snap.arcs())
             vids = sorted(snap.vertex_ids())
-        folded = store.compact()
+        folded = compact(store)
         assert folded >= 0
         with store.snapshot() as snap:
             assert sorted(snap.arcs()) == arcs
@@ -248,14 +250,14 @@ class TestBulkMutators:
 # -- incremental kernels vs batch recompute ----------------------------------
 
 def _batch_bfs(snap, root):
-    g = snap.materialize()
+    g = materialize(snap)
     if not snap.has_vertex(root):
         return {}
     return run("BFS", g, root=root).outputs["levels"]
 
 
 def _batch_comp(snap):
-    g = snap.materialize()
+    g = materialize(snap)
     return run("CComp", g).outputs
 
 

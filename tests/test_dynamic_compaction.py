@@ -25,7 +25,7 @@ import repro.dynamic.store as store_mod
 from repro.core.errors import MutationError
 from repro.dynamic import MutOp, SnapshotStore
 
-from tests.oracles import full_walk_compact
+from tests.oracles import compact, full_walk_compact
 
 N = 6
 EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5)]
@@ -106,7 +106,7 @@ def _drive(stores, steps):
                 if held:
                     held.pop(step[1] % len(held)).close()
         else:
-            folded = {store.compact() for store in stores}
+            folded = {compact(store) for store in stores}
             assert len(folded) == 1
         yield
 

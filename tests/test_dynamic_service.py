@@ -23,6 +23,8 @@ from repro.service import (
 )
 from repro.workloads import run
 
+from tests.oracles import materialize
+
 DATASETS = ("twitter", "knowledge", "watson", "roadnet", "ldbc")
 
 
@@ -318,7 +320,7 @@ class TestStalenessContract:
                 # outputs match a replay of the acked prefix at the
                 # claimed version (mirror holds exactly that history)
                 with mirror.snapshot(got["version"]) as snap:
-                    g = snap.materialize()
+                    g = materialize(snap)
                     want = run("BFS", g, root=0).outputs["levels"]
                 wire_levels = {int(k): v
                                for k, v in got["outputs"]["levels"].items()}

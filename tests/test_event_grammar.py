@@ -9,7 +9,9 @@ grammar: the same programs interpreted call by call through
 ``Tracer.enter/i/r/w/br/leave`` and ``PropertyGraph._stack_touch``.  The
 recording tests then drive each real primitive once and compare it with
 the block its ``*_ops`` declaration lays out, so declaration and scalar
-method cannot drift apart.
+method cannot drift apart.  The block walks and payload reads no kernel
+calls scalar (``scan_vertices``, ``neighbor_ids``, ``payload_get``,
+``payload_read``) are recorded through their ``tests/oracles.py`` forms.
 """
 
 import hypothesis.strategies as st
@@ -29,6 +31,9 @@ from repro.workloads import base as W
 from repro.workloads._bulk import Block, Layout, adjacency_sweep
 from repro.workloads.base import TracedHeap
 
+from tests.oracles import (
+    neighbor_ids, payload_get, payload_read, scan_vertices,
+)
 from tests.test_workloads_vectorized import _assert_traces_identical
 
 REGIONS = (T.R_FIND_VERTEX, T.R_PROP_GET, T.R_NEIGHBORS)   # framework
@@ -318,11 +323,11 @@ def _primitive_cases(g):
             lambda t: g.vset(v, "parent", 0),
             [(G.vset_ops("v", _prop(g, "parent")), dict(v=[v.addr]))]),
         "payload_get": (
-            lambda t: g.payload_get(v, "cpt"),
+            lambda t: payload_get(g, v, "cpt"),
             [(G.payload_get_ops("v", _prop(g, "cpt")), dict(v=[v.addr]))]),
         "payload_read": (
-            lambda t: (g.payload_read(cpt_addr, 3),
-                       g.payload_read(cpt_addr, 5, n_instrs=11)),
+            lambda t: (payload_read(g, cpt_addr, 3),
+                       payload_read(g, cpt_addr, 5, n_instrs=11)),
             [(G.payload_read_ops("p") + G.payload_read_ops("q", 11),
               dict(p=[cpt_addr + 24], q=[cpt_addr + 40]))]),
         "degree": (
@@ -333,17 +338,17 @@ def _primitive_cases(g):
             [(G.eget_ops("e", G.E_PROP_OFF + g.eschema.offset("weight")),
               dict(e=[node.addr]))]),
         "scan_vertices": (
-            lambda t: g.scan_vertices(),
+            lambda t: scan_vertices(g),
             [(bscan.head, {}),
              (bscan.step, dict(idx=[_idx(g, u) for u in range(3)],
                                v=structs)),
              (bscan.exit, {})]),
         "neighbor_ids": (
-            lambda t: g.neighbor_ids(v),
+            lambda t: neighbor_ids(g, v),
             [(ids.head, dict(v=[v.addr])), (ids.step, dict(e=[node.addr])),
              (ids.exit, {})]),
         "neighbor_ids_empty": (
-            lambda t: g.neighbor_ids(g._v[2]),
+            lambda t: neighbor_ids(g, g._v[2]),
             [(ids.head, dict(v=[g._v[2].addr])), (ids.exit, {})]),
         "neighbors": (
             lambda t: [t.i(4) for _ in g.neighbors(v)],
@@ -435,8 +440,8 @@ def test_adjacency_sweep_matches_the_block_primitives(path3):
     g = path3
 
     def loop(t):
-        for v in g.scan_vertices():
-            t.i(2 * len(g.neighbor_ids(v)))
+        for v in scan_vertices(g):
+            t.i(2 * len(neighbor_ids(g, v)))
 
     recorded, rsp = _recorded(g, loop)
     g._sp = 0

@@ -169,15 +169,6 @@ class TestAtomics:
 
 
 class TestStatsAggregation:
-    def test_merge(self):
-        a = KernelStats(warp_issues=1, lane_issues=32, launches=1)
-        b = KernelStats(warp_issues=2, lane_issues=32, mem_replays=3,
-                        mem_base_issues=1)
-        a.merge(b)
-        assert a.warp_issues == 3
-        assert a.mem_issued == 4
-        assert a.launches == 1
-
     def test_empty_rates(self):
         st = KernelStats()
         assert st.bdr == 0.0

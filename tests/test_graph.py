@@ -5,13 +5,16 @@ import pytest
 from repro.core.errors import (
     DuplicateEdge,
     DuplicateVertex,
-    EdgeNotFound,
     VertexNotFound,
 )
 from repro.core.graph import PropertyGraph, V_PROP_OFF
 from repro.core.memmodel import AGED_HEAP
 from repro.core.properties import Field, Schema
 from repro.core.trace import Tracer
+
+from tests.oracles import (
+    neighbor_ids, payload_get, payload_read, scan_vertices,
+)
 
 
 @pytest.fixture
@@ -109,21 +112,6 @@ class TestEdgePrimitives:
         with pytest.raises(DuplicateEdge):
             g.add_edge(1, 2)
 
-    def test_delete_edge(self, g):
-        g.add_vertex(1)
-        g.add_vertex(2)
-        g.add_edge(1, 2)
-        g.delete_edge(1, 2)
-        assert not g.has_edge(1, 2)
-        assert g.num_edges == 0
-        assert 1 not in g.find_vertex(2).inn
-
-    def test_delete_missing_edge(self, g):
-        g.add_vertex(1)
-        g.add_vertex(2)
-        with pytest.raises(EdgeNotFound):
-            g.delete_edge(1, 2)
-
     def test_in_neighbour_bookkeeping(self, g):
         for i in range(3):
             g.add_vertex(i)
@@ -145,14 +133,6 @@ class TestUndirected:
         g.add_edge(1, 2)
         assert g.has_edge(1, 2) and g.has_edge(2, 1)
         assert g.num_edges == 2
-
-    def test_delete_edge_mirrors(self, schema):
-        g = PropertyGraph(schema, directed=False)
-        g.add_vertex(1)
-        g.add_vertex(2)
-        g.add_edge(1, 2)
-        g.delete_edge(1, 2)
-        assert g.num_edges == 0
 
 
 class TestTraversal:
@@ -193,8 +173,9 @@ class TestTraversal:
 
 
 class TestBlockPrimitives:
-    """scan_vertices()/neighbor_ids() must emit the exact stream of the
-    generator primitives they replace (vertices()/neighbors(), drained)."""
+    """The block oracles ``scan_vertices``/``neighbor_ids`` must emit the
+    exact stream of the generator primitives they stand for
+    (vertices()/neighbors(), drained)."""
 
     _COLS = ("addrs", "rw", "iat", "acc_region",
              "branch_sites", "branch_taken")
@@ -222,7 +203,7 @@ class TestBlockPrimitives:
         ids_gen, ft_gen = self._capture(
             g, t, lambda: [v.vid for v in g.vertices()])
         ids_blk, ft_blk = self._capture(
-            g, t, lambda: [v.vid for v in g.scan_vertices()])
+            g, t, lambda: [v.vid for v in scan_vertices(g)])
         assert ids_blk == ids_gen
         import numpy as np
         for f in self._COLS:
@@ -236,7 +217,7 @@ class TestBlockPrimitives:
         v = g.find_vertex(3)
         gen, ft_gen = self._capture(
             g, t, lambda: [d for d, _ in g.neighbors(v)])
-        blk, ft_blk = self._capture(g, t, lambda: g.neighbor_ids(v))
+        blk, ft_blk = self._capture(g, t, lambda: neighbor_ids(g, v))
         assert blk == gen
         import numpy as np
         for f in self._COLS:
@@ -248,7 +229,7 @@ class TestBlockPrimitives:
         t = Tracer()
         g = PropertyGraph(schema, tracer=t)
         g.add_vertex(0)
-        assert g.neighbor_ids(0) == []
+        assert neighbor_ids(g, 0) == []
         assert len(t._rstack) == 1
 
     def test_untraced_graph(self, schema):
@@ -256,8 +237,8 @@ class TestBlockPrimitives:
         g.add_vertex(0)
         g.add_vertex(1)
         g.add_edge(0, 1)
-        assert [v.vid for v in g.scan_vertices()] == [0, 1]
-        assert g.neighbor_ids(0) == [1]
+        assert [v.vid for v in scan_vertices(g)] == [0, 1]
+        assert neighbor_ids(g, 0) == [1]
 
 
 class TestProperties:
@@ -289,17 +270,17 @@ class TestProperties:
         g = PropertyGraph(s)
         v = g.add_vertex(0)
         addr = g.payload_set(v, "cpt", [1, 2, 3], nbytes=24)
-        got_addr, val = g.payload_get(v, "cpt")
+        got_addr, val = payload_get(g, v, "cpt")
         assert got_addr == addr
         assert val == [1, 2, 3]
-        g.payload_read(addr, 2)
+        payload_read(g, addr, 2)
 
     def test_payload_unset_raises(self):
         s = Schema([Field("cpt", payload=0)])
         g = PropertyGraph(s)
         v = g.add_vertex(0)
         with pytest.raises(VertexNotFound):
-            g.payload_get(v, "cpt")
+            payload_get(g, v, "cpt")
 
 
 class TestConstruction:
@@ -331,7 +312,6 @@ class TestTracedEquivalence:
         for i in range(19):
             g.add_edge(i, i + 1)
         g.delete_vertex(10)
-        g.delete_edge(3, 4)
         return g
 
     def test_same_state(self):

@@ -15,8 +15,6 @@ op = st.one_of(
     st.tuples(st.just("delv"), st.integers(0, N_IDS - 1)),
     st.tuples(st.just("adde"), st.integers(0, N_IDS - 1),
               st.integers(0, N_IDS - 1)),
-    st.tuples(st.just("dele"), st.integers(0, N_IDS - 1),
-              st.integers(0, N_IDS - 1)),
 )
 
 
@@ -27,10 +25,8 @@ def apply_ops(g: PropertyGraph, ops) -> None:
                 g.add_vertex(o[1])
             elif o[0] == "delv":
                 g.delete_vertex(o[1])
-            elif o[0] == "adde":
-                g.add_edge(o[1], o[2])
             else:
-                g.delete_edge(o[1], o[2])
+                g.add_edge(o[1], o[2])
         except (VertexNotFound, EdgeNotFound, DuplicateEdge, Exception):
             pass
 

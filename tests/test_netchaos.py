@@ -7,6 +7,7 @@ determinism of per-connection fault plans."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 import socket
@@ -46,11 +47,15 @@ def _proxy_client(st, faults=None, seed=0, timeout_s=30.0):
 
 class TestNetFaultSpec:
     def test_zero_value_is_transparent(self):
-        assert NetFaultSpec().transparent()
-        assert not NetFaultSpec(latency_ms=1.0).transparent()
+        spec = NetFaultSpec()
+        assert not (spec.latency_ms or spec.jitter_ms or spec.reset_p
+                    or spec.corrupt_p or spec.blackhole)
+        assert spec.bandwidth_bps is None and spec.stall_after_bytes is None
+        assert NetFaultSpec(latency_ms=1.0) != spec
 
     def test_but_replaces_fields(self):
-        spec = NetFaultSpec(latency_ms=5.0).but(blackhole=True)
+        spec = dataclasses.replace(NetFaultSpec(latency_ms=5.0),
+                                   blackhole=True)
         assert spec.latency_ms == 5.0 and spec.blackhole
 
     @pytest.mark.parametrize("bad", [

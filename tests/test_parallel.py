@@ -83,10 +83,6 @@ class TestMulticoreProjection:
         dc = project_multicore(1e6, p=16, workload="DCentr")
         assert dfs.speedup < dc.speedup
 
-    def test_efficiency(self):
-        r = project_multicore(1e6, p=4, serial_fraction=0.0)
-        assert r.efficiency == pytest.approx(r.speedup / 4)
-
     def test_time_seconds(self):
         r = project_multicore(2.6e9, p=1, serial_fraction=0.0)
         assert r.time_seconds(2.6) == pytest.approx(1.0)

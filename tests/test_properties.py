@@ -74,12 +74,6 @@ class TestSchema:
         assert d1 == [1, []]
         assert d1 is not d2
 
-    def test_extended(self):
-        s = Schema([Field("a")])
-        s2 = s.extended(Field("b"))
-        assert "b" in s2 and "a" in s2
-        assert "b" not in s
-
     def test_pointer_size_constant(self):
         assert POINTER_SIZE == 8
 

@@ -4,10 +4,15 @@ every module ``src/repro`` imports ships with it.
 The scan collects each public (no leading underscore) function, class and
 method defined at module or class level under ``src/repro``, then looks
 for its name in the code under ``src/``, ``benchmarks/`` and
-``examples/``.  An identifier or a word inside a string counts as a
-caller (``getattr`` targets, registry keys and quoted annotations are
-strings).  A comment does not, nor does the name's own definition, nor an
-``__init__`` module's imports and ``__all__``: a re-export calls nothing.
+``examples/``, read as an AST: a caller is an identifier, an attribute,
+a keyword argument or an imported name, including one inside an
+f-string's braces.  A string never counts: a docstring, an error message
+or a dict key that spells a name calls nothing, and counting its words
+would keep alive a name only prose mentions.  Neither does a comment, the
+name's own definition, or an ``__init__`` module's imports and
+``__all__``: a re-export calls nothing.  Reading the AST also gives the
+same answer on every Python, where the tokenizer splits an f-string into
+parts from 3.12 on but keeps it one string token before.
 
 A name with no caller is surface nothing in the system uses.  Delete it,
 with its exports and the tests that check only it, or list it in
@@ -22,10 +27,8 @@ tests need (networkx, hypothesis) is in the ``test`` extra.
 from __future__ import annotations
 
 import ast
-import io
 import re
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -42,18 +45,23 @@ ALLOWED = {
     "repro.service.server.FrameProtocol.data_received": _ASYNCIO,
     "repro.service.server.FrameProtocol.eof_received": _ASYNCIO,
     "repro.service.server.FrameProtocol.connection_lost": _ASYNCIO,
+    "repro.service.server.FrameProtocol.pause_writing": _ASYNCIO,
     "repro.harness.framework_time.average_fraction":
         "Fig. 1's suite-average in-framework fraction (the paper's 76 %)",
-    "repro.core.related.graphbig_row": "Table 3: GraphBIG's own row",
     "repro.arch.icache.code_footprint":
         "the flat-stack claim: GraphBIG's total code bytes",
     "repro.formats.csr.CSRGraph.vprop_addr":
         "the CSR layout's vertex-property slot address (Fig. 2's contrast)",
     "repro.harness.runner.cache_stats":
         "the harness caches' counters; tests observe the caches through it",
+    "repro.cluster.topology.ClusterThread.kill_shard":
+        "README's cluster walkthrough documents cluster.kill_shard(...) as "
+        "the way to fail a shard by hand",
+    "repro.cluster.topology.ClusterThread.restart_shard":
+        "the other half of the failover lab: brings a shard failed by hand "
+        "with kill_shard back on its port",
 }
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -82,12 +90,25 @@ def _is_reexport(node: ast.AST) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name ``node`` refers to in code: an identifier, an attribute,
+    a keyword argument or an imported name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.keyword):
+        return node.arg
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
 def words_used(path: Path) -> set[str]:
-    """Identifiers and string words of ``path`` that can call a name:
-    comments, each definition's own span for its own name and, in an
-    ``__init__`` module, imports and ``__all__`` are left out."""
-    source = path.read_text()
-    tree = ast.parse(source)
+    """Names the code of ``path`` refers to, each definition's own span
+    for its own name and, in an ``__init__`` module, imports and
+    ``__all__`` left out.  Strings and comments are not code."""
+    tree = ast.parse(path.read_text())
     spans: dict[str, list[tuple[int, int]]] = {}
     skipped: set[int] = set()
     for node in ast.walk(tree):
@@ -97,16 +118,36 @@ def words_used(path: Path) -> set[str]:
         elif path.name == "__init__.py" and _is_reexport(node):
             skipped.update(range(node.lineno, node.end_lineno + 1))
     used = set()
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in (tokenize.NAME, tokenize.STRING):
+    for node in ast.walk(tree):
+        name = _name(node)
+        if name is None or node.lineno in skipped:
             continue
-        line = tok.start[0]
-        if line in skipped:
-            continue
-        for word in _WORD.findall(tok.string):
-            if not any(a <= line <= b for a, b in spans.get(word, ())):
-                used.add(word)
+        if not any(a <= node.lineno <= b for a, b in spans.get(name, ())):
+            used.add(name)
     return used
+
+
+def test_only_code_names_a_caller(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        '"""Module prose: docword."""\n'
+        "import imported_mod\n"
+        "from pkg import imported_name\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        "    # comment_word\n"
+        "    table = {'dict_key_word': x.attr_name}\n"
+        "    g(kw_name=table)\n"
+        "    print(f'{fstring_name} total')\n"
+        "    raise ValueError('error_word in a message')\n")
+    used = words_used(probe)
+    for prose in ("docword", "comment_word", "dict_key_word", "error_word",
+                  "total", "message"):
+        assert prose not in used, prose
+    for code in ("imported_mod", "imported_name", "attr_name", "kw_name",
+                 "fstring_name", "g", "print", "ValueError"):
+        assert code in used, code
 
 
 @pytest.fixture(scope="module")

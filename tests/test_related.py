@@ -1,6 +1,6 @@
 """Tests for the Table 3 prior-benchmark metadata."""
 
-from repro.core.related import TABLE3, coverage_gap, graphbig_row
+from repro.core.related import TABLE3, coverage_gap
 from repro.core.taxonomy import ComputationType
 
 
@@ -20,7 +20,7 @@ class TestTable3:
             assert b.computation_types == (ComputationType.COMP_STRUCT,)
 
     def test_graphbig_row(self):
-        row = graphbig_row()
+        row = TABLE3[-1]
         assert row.name == "GraphBIG"
         assert "System G" in row.framework
         assert "12 CPU" in row.graph_workloads
