@@ -11,12 +11,18 @@
 
 import numpy as np
 
+from benchmarks.ablations import (
+    GPUBfsEdgeCentric,
+    greedy_weighted_partition,
+    prefetch_comparison,
+)
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.arch import line_ids, lru_miss_idx, replay
 from repro.core.memmodel import AGED_HEAP, PACKED_HEAP
 from repro.core.trace import Tracer
-from repro.harness import format_table, paper_note
-from repro.parallel import block_partition, greedy_weighted_partition
+from repro.harness import format_table
+from repro.parallel import block_partition
 from repro.workloads import BFS, common_edge_schema, common_vertex_schema
 
 
@@ -98,7 +104,7 @@ def test_ablation_thread_vs_edge_centric(suite, benchmark):
 
     from repro.formats.convert import csr_to_coo
     from repro.gpu.device import time_kernel
-    from repro.gpu.kernels import GPUBfs, GPUBfsEdgeCentric
+    from repro.gpu.kernels import GPUBfs
 
     spec = suite.ldbc
     csr = spec.csr()
@@ -127,8 +133,6 @@ def test_ablation_prefetchers(suite, benchmark):
     """The paper's closing "challenges as well as opportunities" probe:
     what do standard prefetchers recover of graph computing's misses?
     Near-nothing for pointer chasing — compare against the CSR stream."""
-    from repro.arch.prefetch import prefetch_comparison
-
     rows = suite.main_rows()
     bfs_trace = rows["BFS"].result.trace
     dc_trace = rows["DCentr"].result.trace

@@ -128,7 +128,7 @@ def drive(scenario: str, faults: dict[str, NetFaultSpec],
         warm = gen.run([q for _ in range(WARM_ROUNDS) for q in mix])
         assert warm.failed == 0, warm.failures_by_kind
         for shard, fault in faults.items():
-            cluster.set_shard_faults(shard, fault)
+            cluster.proxies[shard].set_faults(fault)
         attempts_before = dialed_attempts(cluster.router)
         report = gen.run(plan)
         attempts = dialed_attempts(cluster.router) - attempts_before

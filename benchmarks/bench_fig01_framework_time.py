@@ -7,7 +7,8 @@ region attribution.
 """
 
 from benchmarks.conftest import show
-from repro.harness import format_table, paper_note
+from benchmarks.paper import paper_note
+from repro.harness import format_table
 
 
 def test_fig01_framework_time(suite, benchmark):

@@ -11,9 +11,10 @@ CSR arrays, plus the memory-footprint comparison.
 import numpy as np
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note, traced_neighbors
 from repro.arch import replay
 from repro.core.trace import Tracer
-from repro.harness import format_table, paper_note
+from repro.harness import format_table
 from repro.workloads import BFS, common_edge_schema, common_vertex_schema
 
 
@@ -39,7 +40,7 @@ def _csr_trace(spec, root):
         nxt = []
         for v in frontier:
             t.i(6)
-            for dst in csr.traced_neighbors(v, t):
+            for dst in traced_neighbors(csr, v, t):
                 t.i(4)
                 t.r(lvl_base + 8 * dst)
                 if level[dst] < 0:

@@ -7,9 +7,10 @@ driven cycle model, grouped by computation type.
 """
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.arch.machine import describe
 from repro.core.taxonomy import ComputationType
-from repro.harness import breakdown_table, format_table, paper_note
+from repro.harness import breakdown_table, format_table
 
 
 def test_fig05_cycle_breakdown(suite, benchmark):

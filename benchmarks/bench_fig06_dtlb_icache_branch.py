@@ -8,8 +8,9 @@ paper's CloudSuite comparison.
 """
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.arch import CPUModel
-from repro.harness import format_table, paper_note
+from repro.harness import format_table
 
 
 def test_fig06_dtlb_icache_branch(suite, benchmark):

@@ -8,8 +8,9 @@ show up at L1D while its traversal keeps L2/L3 decent.
 """
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.core.taxonomy import ComputationType
-from repro.harness import format_table, paper_note
+from repro.harness import format_table
 
 
 def test_fig07_cache_mpki(suite, benchmark):

@@ -6,8 +6,9 @@ a high branch miss rate; CompDyn sits between them.
 """
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.core.taxonomy import ComputationType
-from repro.harness import fig8_table, format_table, paper_note
+from repro.harness import fig8_table, format_table
 
 CS = ComputationType.COMP_STRUCT
 CP = ComputationType.COMP_PROP

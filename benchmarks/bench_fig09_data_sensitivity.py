@@ -7,13 +7,8 @@ workloads, dragging its IPC down; behaviour diverges per dataset.
 """
 
 from benchmarks.conftest import show
-from repro.harness import (
-    DATA_SENSITIVE_WORKLOADS,
-    format_table,
-    paper_note,
-    pivot,
-    spread,
-)
+from benchmarks.paper import paper_note, pivot, spread
+from repro.harness import DATA_SENSITIVE_WORKLOADS, format_table
 
 
 def test_fig09_cpu_data_sensitivity(suite, benchmark):

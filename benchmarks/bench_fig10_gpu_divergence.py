@@ -7,7 +7,8 @@ highly divergent on both sides.
 """
 
 from benchmarks.conftest import show
-from repro.harness import GPU_WORKLOAD_SET, format_table, paper_note
+from benchmarks.paper import paper_note
+from repro.harness import GPU_WORKLOAD_SET, format_table
 
 
 def test_fig10_gpu_divergence(suite, benchmark):

@@ -8,7 +8,8 @@ intersections).
 """
 
 from benchmarks.conftest import show
-from repro.harness import GPU_WORKLOAD_SET, format_table, paper_note
+from benchmarks.paper import paper_note
+from repro.harness import GPU_WORKLOAD_SET, format_table
 
 PAPER_READ_GBS = {"CComp": 89.9, "DCentr": 75.2, "TC": 2.0}
 

@@ -9,12 +9,8 @@ on CPU.
 """
 
 from benchmarks.conftest import show
-from repro.harness import (
-    GPU_WORKLOAD_SET,
-    format_table,
-    gpu_speedup,
-    paper_note,
-)
+from benchmarks.paper import paper_note
+from repro.harness import GPU_WORKLOAD_SET, format_table, gpu_speedup
 
 
 def test_fig12_gpu_speedup(suite, benchmark):

@@ -11,12 +11,8 @@ sensitivity overall.
 import numpy as np
 
 from benchmarks.conftest import show
-from repro.harness import (
-    GPU_WORKLOAD_SET,
-    format_table,
-    paper_note,
-    pivot,
-)
+from benchmarks.paper import paper_note, pivot
+from repro.harness import GPU_WORKLOAD_SET, format_table
 
 
 def test_fig13_gpu_data_sensitivity(suite, benchmark):

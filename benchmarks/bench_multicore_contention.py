@@ -8,7 +8,8 @@ already-poor L3 behaviour of Fig. 7.
 """
 
 from benchmarks.conftest import show
-from repro.harness import format_table, paper_note
+from benchmarks.paper import paper_note
+from repro.harness import format_table
 from repro.parallel import simulate_multicore
 
 

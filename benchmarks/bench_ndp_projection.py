@@ -8,10 +8,11 @@ moving compute next to DRAM; the compute-retiring CompProp workload gains
 least.
 """
 
+from benchmarks.ablations import NDPConfig, project_ndp
 from benchmarks.conftest import show
-from repro.arch import NDPConfig, project_ndp
+from benchmarks.paper import paper_note
 from repro.core.taxonomy import ComputationType
-from repro.harness import format_table, paper_note
+from repro.harness import format_table
 
 
 def test_ndp_projection(suite, benchmark):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.arch import (
-    Cache,
     CacheConfig,
     GSharePredictor,
     line_ids,
@@ -18,6 +17,7 @@ from repro.arch import (
 )
 from repro.core.memmodel import PAGE_SIZE
 from repro.gpu.simt import KernelAccum, slots_for_loop
+from tests.oracles import Cache
 
 N = 200_000
 

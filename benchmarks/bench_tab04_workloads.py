@@ -9,16 +9,18 @@ coverage.
 """
 
 from benchmarks.conftest import show
-from repro.core.taxonomy import ComputationType
-from repro.core.usecases import (
+from benchmarks.paper import (
     CATEGORIES,
+    TABLE3,
     category_distribution,
     coverage_check,
+    coverage_gap,
+    paper_note,
     select_workloads,
     workload_usecase_counts,
 )
-from repro.core.related import TABLE3, coverage_gap
-from repro.harness import format_table, paper_note
+from repro.core.taxonomy import ComputationType
+from repro.harness import format_table
 from repro.workloads import WORKLOAD_TYPES, table4
 
 

@@ -10,8 +10,9 @@ feature checks that drive Figs. 9/13.
 import numpy as np
 
 from benchmarks.conftest import show
+from benchmarks.paper import paper_note
 from repro.datagen import REGISTRY
-from repro.harness import format_table, paper_note
+from repro.harness import format_table
 
 
 def test_tab05_dataset_suite(suite, benchmark):

@@ -10,7 +10,6 @@ from .branch import (
     simulate_branches,
 )
 from .cache import (
-    Cache,
     CacheConfig,
     CacheStats,
     level_miss_idx,
@@ -20,22 +19,13 @@ from .cache import (
 from .cpu import SERIAL_REGIONS, CPUMetrics, CPUModel, CycleBreakdown
 from .icache import ICache, code_footprint, deep_stack_regions
 from .machine import PAPER_XEON, SCALED_XEON, TEST_MACHINE, MachineConfig, describe
-from .ndp import NDPConfig, NDPProjection, project_ndp
-from .prefetch import (
-    NextLinePrefetcher,
-    PrefetchStats,
-    StridePrefetcher,
-    prefetch_comparison,
-)
 from .replay import HierarchyResult, ReplayResult, replay
 
 __all__ = [
     "AlwaysTakenPredictor", "BimodalPredictor", "BranchStats",
-    "Cache", "CacheConfig", "CacheStats", "CPUMetrics", "CPUModel",
+    "CacheConfig", "CacheStats", "CPUMetrics", "CPUModel",
     "CycleBreakdown", "GSharePredictor", "HierarchyResult", "ICache",
-    "MachineConfig", "NDPConfig", "NDPProjection", "NextLinePrefetcher",
-    "PrefetchStats", "ReplayResult", "StridePrefetcher", "level_miss_idx",
-    "line_ids", "lru_miss_idx", "prefetch_comparison", "project_ndp",
-    "replay", "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE",
+    "MachineConfig", "ReplayResult", "level_miss_idx", "line_ids",
+    "lru_miss_idx", "replay", "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE",
     "code_footprint", "deep_stack_regions", "describe", "simulate_branches",
 ]

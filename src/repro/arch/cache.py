@@ -3,16 +3,13 @@
 The workhorse of the CPU characterization: a byte-address trace goes
 through a cache level and comes out as the per-access miss stream, from
 which the harness derives MPKI (Fig. 7) and hit rates (Fig. 9).  ``src/``
-has two LRUs and no third, cross-validated by ``tests/test_cache.py``:
-
-* :func:`lru_miss_idx` — **the** engine: numpy around CPython's own C
-  LRU (``functools.lru_cache``), no Python bytecode per access.  The CPU
-  levels and DTLB in :mod:`repro.arch.replay`, the ICache, the multicore
-  levels in :mod:`repro.parallel.trace_sim` and the GPU L2 in
-  :mod:`repro.gpu.simt` compose it (:func:`level_miss_idx` for addresses).
-* :class:`Cache` — the stateful, obviously-correct reference (one
-  ``access`` per call, warm state across calls).  The prefetcher models
-  run on it; the tests compose it into their oracles.
+has one LRU, :func:`lru_miss_idx`: numpy around CPython's own C LRU
+(``functools.lru_cache``), no Python bytecode per access.  The CPU levels
+and DTLB in :mod:`repro.arch.replay`, the ICache, the multicore levels in
+:mod:`repro.parallel.trace_sim` and the GPU L2 in :mod:`repro.gpu.simt`
+compose it (:func:`level_miss_idx` for addresses).  ``tests/test_cache.py``
+gates it against the stateful, obviously-correct reference ``Cache`` of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,9 +42,10 @@ def lru_miss_idx(slot: np.ndarray, key: np.ndarray, assoc: int) -> np.ndarray:
     set in program order.  A repeat of its set's previous key is an MRU
     hit, leaves the LRU order untouched and drops out vectorized.  The
     rest go through ``ways``, an ``lru_cache`` of ``assoc`` entries emptied
-    at each set boundary: :meth:`Cache.simulate`'s state machine in C, one
-    generator resume per set.  It caches a count of loads: a hit returns
-    its key's stored ordinal, a miss a new maximum above all before it.
+    at each set boundary: the state machine of the reference
+    ``Cache.simulate`` (``tests/oracles.py``) in C, one generator resume
+    per set.  It caches a count of loads: a hit returns its key's stored
+    ordinal, a miss a new maximum above all before it.
     """
     n, assoc = len(key), int(assoc)         # lru_cache refuses numpy ints
     if len(slot) != n:
@@ -150,58 +148,3 @@ class CacheStats:
     def mpki(self, n_instrs: int) -> float:
         """Misses per kilo-instruction."""
         return 1000.0 * self.misses / n_instrs if n_instrs else 0.0
-
-
-class Cache:
-    """One set-associative LRU cache level (stateful, replayable)."""
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self._sets: list[dict[int, None]] = [dict() for _ in
-                                             range(config.n_sets)]
-        self.stats = CacheStats(config.name)
-
-    def reset(self) -> None:
-        """Empty the cache and zero the stats."""
-        for s in self._sets:
-            s.clear()
-        self.stats = CacheStats(self.config.name)
-
-    def simulate(self, addrs: np.ndarray, rw: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """Replay a whole trace; returns a bool miss mask (True = miss).
-
-        ``addrs`` are byte addresses; ``rw`` optionally marks writes (1).
-        State persists across calls (warm cache), call :meth:`reset` first
-        for a cold run.
-        """
-        cfg = self.config
-        n_sets = cfg.n_sets
-        assoc = cfg.assoc
-        sets = self._sets
-        lines = line_ids(addrs, cfg.line).tolist()
-        writes = None
-        if rw is not None:
-            writes = rw.tolist() if isinstance(rw, np.ndarray) else list(rw)
-        miss = np.zeros(len(lines), dtype=bool)
-        n_miss = 0
-        w_miss = 0
-        for i, line in enumerate(lines):
-            s = sets[line % n_sets]
-            if line in s:
-                del s[line]
-                s[line] = None
-            else:
-                miss[i] = True
-                n_miss += 1
-                if writes is not None and writes[i]:
-                    w_miss += 1
-                s[line] = None
-                if len(s) > assoc:
-                    del s[next(iter(s))]
-        st = self.stats
-        st.accesses += len(lines)
-        st.misses += n_miss
-        st.write_misses += w_miss
-        st.read_misses += n_miss - w_miss
-        return miss

@@ -10,7 +10,7 @@ including it; a machine sweep over one stored trace then walks only the
 levels whose chain actually changed.
 
 The stateful reference (``tests/oracles.py``: ``MemoryHierarchy`` and a
-:class:`~repro.arch.cache.Cache` of ``machine.tlb``) runs the same LRU
+``Cache`` of ``machine.tlb``) runs the same LRU
 state machine over the same per-level substreams; ``tests/test_replay.py``
 holds this module bitwise identical to it.
 """

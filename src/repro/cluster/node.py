@@ -20,31 +20,22 @@ metrics registry — plus three cluster behaviours:
   (a dead shard's exclusive datasets visibly drop out).
 
 ``datasets=None`` means "owns everything" — a single-shard cluster (or
-a plain service promoted into one) needs no ownership list.
-
-Ownership is *live*: the ``admin`` op adopts or drops datasets while the
-shard serves, which is how a rebalance migrates keys without a restart.
-A drop may open a bounded **handoff window** during which requests for
-the dropped dataset are forwarded to the new owner instead of failing
-with ``WrongShard`` — the window absorbs routers acting on the old ring
-mid-swap, so clients never see a routing error for a key that moved.
+a plain service promoted into one) needs no ownership list.  Ownership
+is fixed at boot.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from typing import Any
 
 from .. import __version__
-from ..core.errors import BadRequest, WrongShard
+from ..core.errors import WrongShard
 from ..service.protocol import (
     DEFAULT_DATASET,
     OPS,
     PROTOCOL_VERSION,
     Op,
     Request,
-    finite,
 )
 from ..service.server import GraphService
 
@@ -56,109 +47,19 @@ class ShardService(GraphService):
                  datasets: "frozenset[str] | None" = None, **kwargs: Any):
         super().__init__(**kwargs)
         self.shard_id = shard_id
-        # a plain set: adopt/drop mutate ownership on the event loop
-        self.datasets = None if datasets is None else set(datasets)
-        # dataset -> (host, port, expires_at): dropped keys forwarded to
-        # their new owner until the handoff window closes
-        self._forwards: dict[str, tuple[str, int, float]] = {}
-        self.forwarded = 0
+        self.datasets = None if datasets is None else frozenset(datasets)
         # known registry keys, cached: ownership rejection applies only
         # to datasets that exist — an unknown name falls through to the
         # server's BadRequest, which names the real mistake
         from ..datagen.registry import REGISTRY
         self._known = frozenset(REGISTRY)
-        self._handlers.update(shard_info=lambda req: self.shard_info(),
-                              admin=self._admin)
+        self._handlers["shard_info"] = lambda req: self.shard_info()
 
     def owns(self, dataset: str) -> bool:
         return self.datasets is None or dataset in self.datasets
 
     def _owned(self) -> "list[str] | None":
         return None if self.datasets is None else sorted(self.datasets)
-
-    # -- live ownership (rebalance support) -----------------------------------
-
-    def _admin(self, req: Request) -> dict[str, Any]:
-        params = req.params
-        action = params.get("action")
-        if action == "ownership":
-            now = time.time()
-            return {"shard": self.shard_id,
-                    "datasets": self._owned(),
-                    "forwards": {d: {"host": h, "port": p,
-                                     "expires_in_s":
-                                         round(max(0.0, e - now), 3)}
-                                 for d, (h, p, e)
-                                 in self._forwards.items()},
-                    "forwarded": self.forwarded}
-        dataset = params.get("dataset")
-        if not isinstance(dataset, str) or dataset not in self._known:
-            raise BadRequest(f"unknown dataset {dataset!r}")
-        if action == "adopt":
-            if self.datasets is not None:
-                self.datasets.add(dataset)
-            # adopting cancels any forward: the key is ours again
-            self._forwards.pop(dataset, None)
-            return {"shard": self.shard_id, "adopted": dataset,
-                    "datasets": self._owned()}
-        if action == "drop":
-            if self.datasets is not None:
-                self.datasets.discard(dataset)
-            fwd = params.get("forward")
-            if isinstance(fwd, dict) \
-                    and "host" in fwd and "port" in fwd:
-                try:
-                    window_s = finite(float(params.get("window_s", 5.0)),
-                                      "window_s")
-                    target = (str(fwd["host"]), int(fwd["port"]),
-                              time.time() + window_s)
-                except (TypeError, ValueError, OverflowError) as e:
-                    raise BadRequest(f"bad forward spec: {e}") from None
-                self._forwards[dataset] = target
-            return {"shard": self.shard_id, "dropped": dataset,
-                    "forwarding": bool(self._forwards.get(dataset)),
-                    "datasets": self._owned()}
-        raise BadRequest(f"admin action must be adopt, drop or "
-                         f"ownership, got {action!r}")
-
-    def _forward_target(self, dataset: str) -> "tuple[str, int] | None":
-        fw = self._forwards.get(dataset)
-        if fw is None:
-            return None
-        host, port, expires = fw
-        if time.time() >= expires:
-            del self._forwards[dataset]
-            return None
-        return host, port
-
-    async def _wrong_shard(self, req: Request, dataset: str) -> Any:
-        """A request for a dataset this shard no longer owns: forward it
-        inside the handoff window, raise ``WrongShard`` outside it."""
-        target = self._forward_target(dataset)
-        if target is None:
-            raise WrongShard(dataset, self.shard_id)
-        self.forwarded += 1
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self._forward_blocking, req, target)
-
-    def _forward_blocking(self, req: Request,
-                          target: tuple[str, int]) -> Any:
-        from ..service.client import ServiceClient
-        host, port = target
-        budget = req.remaining()
-        timeout = budget if budget is not None and budget > 0 else 30.0
-        with ServiceClient(host, port, timeout_s=timeout,
-                           tenant=req.tenant) as peer:
-            result = peer.request(req.op, deadline_s=budget
-                                  if budget is not None and budget > 0
-                                  else None, **req.params)
-        if isinstance(result, dict):
-            # clients see the shard they were routed to, and who it
-            # handed the request to only through ``forwarded_by``
-            result["shard"] = self.shard_id
-            result.setdefault("forwarded_by", self.shard_id)
-        return result
 
     def _owned_key(self, op: Op, params: dict[str, Any]
                    ) -> "tuple[str | None, Any]":
@@ -199,7 +100,7 @@ class ShardService(GraphService):
             return await super()._dispatch(req)
         dataset, pipeline = self._owned_key(op, req.params)
         if dataset is not None and not self.owns(dataset):
-            return await self._wrong_shard(req, dataset)
+            raise WrongShard(dataset, self.shard_id)
         result = await super()._dispatch(req, pipeline)
         # a keyed answer names the shard that served it, stamped here —
         # before its first encode — so a router relays it untouched

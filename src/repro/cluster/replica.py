@@ -197,7 +197,7 @@ class ReplicaTracker:
             self.add_shard(name)
 
     def add_shard(self, name: str) -> None:
-        """Track a shard joining a live topology; idempotent."""
+        """Start tracking a shard; idempotent."""
         if name not in self._shards:
             self._shards[name] = ShardHealth(
                 name, on_transition=self._observe, **self._machine)

@@ -92,11 +92,6 @@ class HashRing:
                     break
         return tuple(found)
 
-    # -- membership (functional: rings are immutable) ------------------------
-
-    def with_node(self, node: str) -> "HashRing":
-        return HashRing(self.nodes + (node,), self.vnodes)
-
 
 @dataclass(frozen=True)
 class RebalancePlan:

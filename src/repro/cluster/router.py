@@ -362,15 +362,6 @@ class Router(FrameServer):
         self.tracer = tracer
         self._links = {name: _ShardLink(self.shards[name])
                        for name in names}
-        # -- live-rebalance state (mutated by the migration driver) ----------
-        # per-key keyed-read counts: the hotspot detector's attribution
-        # signal
-        self.key_route_counts: dict[str, int] = {}
-        # keys whose writes are held while their state is being copied
-        self._paused_writes: set[str] = set()
-        # hard cap on how long one write waits on a pause — a wedged
-        # migration degrades to normal routing, never a hung client
-        self.pause_max_s = 10.0
         self._probe_task: asyncio.Task | None = None
         self._probes: set[asyncio.Task] = set()     # pings in flight
 
@@ -503,48 +494,6 @@ class Router(FrameServer):
                         "_probe", credit="probe"))
                     self._probes.add(ping)
                     ping.add_done_callback(self._probes.discard)
-
-    # -- live topology (rebalance support) ------------------------------------
-
-    def add_shard(self, addr: ShardAddress) -> None:
-        """Join a shard to the live topology: link pool and health
-        machine.  The new shard serves nothing until a ring naming it is
-        installed — joining is the prerequisite, not the cutover.
-
-        Called from the migration driver's thread; each step is one
-        dict/attribute assignment, so in-flight dispatches see either
-        the old or the new membership, never a torn state.
-        """
-        if addr.name in self.shards:
-            return
-        self._links[addr.name] = _ShardLink(addr)
-        self.tracker.add_shard(addr.name)
-        self.shards[addr.name] = addr
-        log.info("shard %s joined the topology (%d shards)", addr.name,
-                 len(self.shards), extra={"shard": addr.name})
-
-    def install_ring(self, ring: HashRing) -> None:
-        """Atomically swap the ownership ring — the rebalance cutover.
-
-        One attribute assignment: every dispatch after it routes on the
-        new ownership, every dispatch before it routed on the old.  All
-        shards the new ring names must already have joined via
-        :meth:`add_shard`.
-        """
-        missing = sorted(set(ring.nodes) - set(self.shards))
-        if missing:
-            raise ValueError(f"ring names unjoined shard(s): "
-                             f"{', '.join(missing)}")
-        self.ring = ring
-        log.info("installed new ring over %d shards", len(ring.nodes))
-
-    def pause_writes(self, keys) -> None:
-        """Hold writes for ``keys`` (the copy phase of a migration);
-        paused writes wait rather than fail, up to ``pause_max_s``."""
-        self._paused_writes.update(keys)
-
-    def resume_writes(self, keys) -> None:
-        self._paused_writes.difference_update(keys)
 
     # -- the one shard exchange ------------------------------------------------
 
@@ -800,7 +749,6 @@ class Router(FrameServer):
         """
         key = routing_key(req.params)
         replicas = self.ring.owners(key, self.replication)
-        await self._await_writable(req, key, span_args)
         primary = replicas[0]
         span_args["replicas"] = list(replicas)
         span_args["primary"] = primary
@@ -828,26 +776,6 @@ class Router(FrameServer):
             result["replica_failures"] = failures
             span_args["replicated"] = len(replicated)
         return result
-
-    async def _await_writable(self, req: Request, key: str,
-                              span_args: dict) -> None:
-        """Hold a write while its key's state is being copied (the
-        migration's pause window); bounded by ``pause_max_s`` so a
-        wedged migration degrades to normal routing."""
-        if key not in self._paused_writes:
-            return
-        span_args["write_paused"] = True
-        t0 = time.monotonic()
-        while key in self._paused_writes:
-            if time.monotonic() - t0 > self.pause_max_s:
-                log.warning("write pause for %s exceeded %.1fs; "
-                            "proceeding", key, self.pause_max_s,
-                            extra={"key": key})
-                break
-            remaining = req.remaining()
-            if remaining is not None and remaining <= 0:
-                self._shed(key, span_args, -remaining)
-            await asyncio.sleep(0.01)
 
     async def _replicate_write(self, req: Request, key: str,
                                backups: Sequence[str]
@@ -948,9 +876,6 @@ class Router(FrameServer):
         typed shard answer), a fresh-enough last-good response beats the
         error."""
         if replicas is None:
-            # the per-key count the hotspot detector attributes load with
-            self.key_route_counts[key] = \
-                self.key_route_counts.get(key, 0) + 1
             replicas = self.ring.owners(key, self.replication)
         stale_ok = OPS[req.op].stale
         try:
@@ -1039,10 +964,6 @@ class Router(FrameServer):
                 "ring": {"shards": list(self.ring.nodes),
                          "vnodes": self.ring.vnodes,
                          "replication": self.replication},
-                "rebalance": {
-                    "paused_writes": sorted(self._paused_writes),
-                    "key_routes": dict(sorted(
-                        self.key_route_counts.items()))},
                 "health": self.tracker.snapshot(),
                 "reliability": self.reliability_snapshot(),
                 "query": {"plan_cache":

@@ -123,8 +123,7 @@ class ClusterThread:
                  host: str = "127.0.0.1", port: int = 0,
                  router_kwargs: dict[str, Any] | None = None,
                  netchaos: bool = False, netchaos_seed: int = 0,
-                 netchaos_faults: "NetFaultSpec | None" = None,
-                 spares: Sequence[str] = ()):
+                 netchaos_faults: "NetFaultSpec | None" = None):
         self.spec = spec
         self.host = host
         self._want_port = port
@@ -134,17 +133,8 @@ class ClusterThread:
         self.netchaos = netchaos
         self.netchaos_seed = netchaos_seed
         self.netchaos_faults = netchaos_faults
-        # spare shards boot alongside the cluster but own nothing and
-        # stay out of the router's initial topology — the standby
-        # capacity a live rebalance promotes onto
-        self.spares = tuple(spares)
-        overlap = set(self.spares) & set(spec.shards)
-        if overlap:
-            raise ValueError(f"spare name(s) collide with shards: "
-                             f"{', '.join(sorted(overlap))}")
         self.addresses: dict[str, ShardAddress] = {}
         self.shard_addresses: dict[str, ShardAddress] = {}
-        self.spare_addresses: dict[str, ShardAddress] = {}
         self.proxies: dict[str, ChaosProxy] = {}
         self.shard_threads: dict[str, ServiceThread] = {}
         self.router: Router | None = None
@@ -153,13 +143,6 @@ class ClusterThread:
 
     def __enter__(self) -> "ClusterThread":
         try:
-            for name in self.spares:
-                service = self.shard_factory(name, ())
-                thread = ServiceThread(service, host=self.host, port=0)
-                thread.__enter__()
-                self.shard_threads[name] = thread
-                self.spare_addresses[name] = ShardAddress(
-                    name, thread.host, thread.port)
             for i, name in enumerate(self.spec.shards):
                 service = self.shard_factory(name, self.assignment[name])
                 thread = ServiceThread(service, host=self.host, port=0)
@@ -203,14 +186,7 @@ class ClusterThread:
             thread.__exit__(*exc)
         self.shard_threads.clear()
 
-    # -- chaos levers --------------------------------------------------------
-
-    def set_shard_faults(self, name: str, faults: NetFaultSpec) -> None:
-        """Swap one shard proxy's fault spec (requires ``netchaos``)."""
-        if name not in self.proxies:
-            raise ValueError(f"no chaos proxy for shard {name!r} "
-                             "(booted without netchaos=True?)")
-        self.proxies[name].set_faults(faults)
+    # -- failing a shard by hand ---------------------------------------------
 
     def kill_shard(self, name: str) -> ShardAddress:
         """Stop one shard's thread; its port stops answering."""

@@ -3,7 +3,7 @@ LDBC-style synthetic social generator and R-MAT (Tables 2, 5, 7)."""
 
 from .information import knowledge_repo
 from .nature import ENTITY_TYPES, watson_gene
-from .registry import REGISTRY, DatasetEntry, experiment_datasets, make
+from .registry import REGISTRY, DatasetEntry, make
 from .rmat import rmat
 from .social import ldbc, twitter
 from .spec import GraphSpec
@@ -11,6 +11,6 @@ from .technology import ca_road
 
 __all__ = [
     "ENTITY_TYPES", "REGISTRY", "DatasetEntry", "GraphSpec", "ca_road",
-    "experiment_datasets", "knowledge_repo", "ldbc", "make", "rmat",
+    "knowledge_repo", "ldbc", "make", "rmat",
     "twitter", "watson_gene",
 ]

@@ -1,9 +1,10 @@
 """Dataset registry — the paper's Tables 5 & 7, scaled.
 
-``experiment_datasets(scale)`` returns the five characterization datasets
-of Table 7 (four real-world sources + LDBC), sized at ``scale`` times the
-repository defaults (which are the paper's vertex counts divided by ~250,
-matching the cache scaling of ``SCALED_XEON`` — see DESIGN.md).
+``make(name, scale)`` generates one of the five characterization
+datasets of Table 7 (four real-world sources + LDBC), sized at ``scale``
+times the repository defaults (which are the paper's vertex counts
+divided by ~250, matching the cache scaling of ``SCALED_XEON`` — see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -72,8 +73,3 @@ def make(name: str, scale: float = 1.0, seed: int = 0, **kwargs) -> GraphSpec:
     n = scaled_vertices(name, scale)
     return REGISTRY[name].factory(n, seed=seed, **kwargs)
 
-
-def experiment_datasets(scale: float = 1.0, seed: int = 0
-                        ) -> dict[str, GraphSpec]:
-    """The Table 7 dataset suite (generation order is registry order)."""
-    return {name: make(name, scale=scale, seed=seed) for name in REGISTRY}

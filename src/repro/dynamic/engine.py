@@ -24,7 +24,7 @@ from typing import Any
 
 from ..core.errors import BadRequest
 from ..service.cache import LRUCache
-from ..service.protocol import OPS, Hit, identity, registered_dataset
+from ..service.protocol import OPS, Hit, identity
 from .incremental import IncrementalBFS, IncrementalCComp
 from .ops import MutOp, parse_ops, single_op
 from .store import SnapshotStore
@@ -143,62 +143,6 @@ class DynamicEngine:
             self.cache.put(kernel_key, Hit(response, served="cache"),
                            version=store.token(kernel.version))
             return response
-
-    # -- migration (export / import) -----------------------------------------
-
-    def export_dataset(self, params: dict[str, Any]) -> dict[str, Any]:
-        """``dyn_export``: every mutated store for one dataset, as
-        JSON-safe head-version state.
-
-        Unmutated identities are omitted — the importer regenerates the
-        deterministic base on first touch, so only divergence from the
-        base needs to travel.  Frames stay under ``MAX_FRAME_BYTES`` at
-        the scales the service generates; a store too large to frame is
-        a protocol error the caller sees, not silent truncation.
-        """
-        dataset = registered_dataset(params)
-        with self._lock:
-            matched = [(key, store)
-                       for key, store in self._stores.items()
-                       if key[1] == dataset and store.head > 0]
-        stores = [{"scale": key[2], "seed": key[3],
-                   "state": store.export_state()}
-                  for key, store in matched]
-        return {"dataset": dataset, "stores": stores,
-                "served": "export"}
-
-    def import_dataset(self, params: dict[str, Any]) -> dict[str, Any]:
-        """``dyn_import``: install exported stores, replacing any local
-        state for the same identities and dropping the incremental
-        kernels built against the replaced stores (cached query results
-        are keyed on the store's :meth:`~SnapshotStore.token`, which the
-        replacement does not share)."""
-        dataset = registered_dataset(params)
-        entries = params.get("stores")
-        if not isinstance(entries, list):
-            raise BadRequest("import requires a 'stores' list")
-        installed = []
-        for entry in entries:
-            if not isinstance(entry, dict) \
-                    or not isinstance(entry.get("state"), dict):
-                raise BadRequest("each store entry needs a 'state' "
-                                 "object")
-            _, scale, seed = identity({**entry, "dataset": dataset},
-                                      _SCALE)
-            key = dynamic_key(dataset, scale, seed)
-            store = SnapshotStore.from_state(entry["state"])
-            with self._lock:
-                self._stores[key] = store
-                self._store_locks.setdefault(key, threading.Lock())
-                for kkey in self._kernels.keys():
-                    if kkey[:len(key)] == key:
-                        self._kernels.discard(kkey)
-            installed.append({"scale": scale, "seed": seed,
-                              "version": store.head,
-                              "n_vertices": store.n_vertices,
-                              "n_arcs": store.n_arcs})
-        return {"dataset": dataset, "installed": installed,
-                "served": "import"}
 
     # -- observability -------------------------------------------------------
 

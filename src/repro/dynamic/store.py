@@ -116,9 +116,9 @@ def _fold(spans: "_Spans | None", floor: int) -> int:
     return dropped
 
 
-#: Version *numbers* repeat across stores — every store starts at 0 and
-#: an imported one at its exporter's head — so a cache entry is valid
-#: for (which store, which version), never for the number alone.
+#: Version *numbers* repeat across stores — every store starts at 0 —
+#: so a cache entry is valid for (which store, which version), never for
+#: the number alone.
 _GENERATIONS = itertools.count(1)
 
 
@@ -174,69 +174,6 @@ class SnapshotStore:
             if not directed:
                 store._open_arc(d, s, 0)
         return store
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SnapshotStore":
-        """Rebuild a store from :meth:`export_state` output.
-
-        The imported store starts at the exported head version with
-        ``floor == head`` — the delta history does not travel (a
-        migrated key's readers re-pin at the current version; the lag
-        disclosure contract is unchanged), but every subsequent commit
-        numbers *above* the exported head, so version monotonicity
-        survives the move.
-        """
-        store = cls(
-            directed=bool(state.get("directed", True)),
-            max_versions=int(state.get("max_versions",
-                                       DEFAULT_MAX_VERSIONS)))
-        v = int(state.get("version", 0))
-        store.head = store.floor = v
-        for vid in state.get("vertices", ()):
-            store._vspans[int(vid)] = [[v, None]]
-        store._n_alive = len(store._vspans)
-        # exported arcs already include both directions of an undirected
-        # edge (they are the stored half-edges), so open them verbatim
-        for src, dst in state.get("arcs", ()):
-            store._open_arc(int(src), int(dst), v)
-        for vid, name, value in state.get("props", ()):
-            store._props.setdefault(int(vid), {})[str(name)] = \
-                [(v, value)]
-        return store
-
-    def export_state(self) -> dict[str, Any]:
-        """The head version's full state as one JSON-safe dict — the
-        wire payload ``dyn_export`` ships during a live key migration.
-
-        Only what a fresh reader can observe travels: alive vertices,
-        alive arcs (as stored, so both half-edges of an undirected
-        edge), each vertex's current property values, and the head
-        version itself.  History below the head is deliberately left
-        behind — it is exactly what compaction would fold anyway.
-        """
-        with self._lock:
-            v = self.head
-            vertices = sorted(vid for vid, spans in self._vspans.items()
-                              if _alive_at(spans, v))
-            arcs = sorted((src, dst)
-                          for src, row in self._out.items()
-                          for dst, spans in row.items()
-                          if _alive_at(spans, v))
-            props = []
-            for vid in vertices:
-                for name in sorted(self._props.get(vid, {})):
-                    value, found = None, False
-                    for ver, val in self._props[vid][name]:
-                        if ver > v:
-                            break
-                        value, found = val, True
-                    if found:
-                        props.append([vid, name, value])
-            return {"version": v, "directed": self.directed,
-                    "max_versions": self.max_versions,
-                    "vertices": vertices,
-                    "arcs": [[s, d] for s, d in arcs],
-                    "props": props}
 
     @classmethod
     def from_spec(cls, spec, *,
@@ -479,9 +416,8 @@ class SnapshotStore:
 
     def token(self, version: int | None = None) -> tuple[int, int]:
         """What a cache keys an answer computed at ``version`` (default:
-        the head) on: it matches only this store at that version, so
-        replacing the store (``dyn_import``) invalidates like a commit
-        does."""
+        the head) on: it matches only this store at that version, never
+        another store that reached the same version number."""
         return (self.generation,
                 self.head if version is None else version)
 

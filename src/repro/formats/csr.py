@@ -8,19 +8,16 @@ updates, which is why real graph systems use the vertex-centric dynamic
 representation instead (Section 2 "Data representation").
 
 The class carries simulated base addresses for each array (allocated
-contiguously from a packed heap) so that traversals over CSR can be traced
-and contrasted against the vertex-centric layout (Fig. 2 / Fig. 12
-discussions).
+contiguously from a packed heap), so the GPU model's accesses and Fig. 2's
+traced CSR walk (``benchmarks/paper.py``) land on a contiguous layout to
+contrast with the vertex-centric one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..core.memmodel import PACKED_HEAP, SimAllocator
-from ..core import trace as T
 
 IDX_SIZE = 8      # bytes per row_ptr / col_idx element (int64)
 VAL_SIZE = 8      # bytes per value / property element (float64)
@@ -93,26 +90,6 @@ class CSRGraph:
     def has_edge(self, src: int, dst: int) -> bool:
         """Membership test by scanning ``src``'s row."""
         return bool(np.any(self.neighbors(src) == dst))
-
-    # -- traced traversal (Fig. 2 representation contrast) --------------------
-    def traced_neighbors(self, v: int, tracer: T.Tracer) -> Iterator[int]:
-        """Neighbour traversal emitting the CSR address stream: two
-        row-pointer loads then sequential ``col_idx`` loads — the locality
-        contrast with the vertex-centric linked-list walk."""
-        tracer.enter(T.R_NEIGHBORS)
-        tracer.i(4)
-        tracer.r(self.base_row + IDX_SIZE * v)
-        tracer.r(self.base_row + IDX_SIZE * (v + 1))
-        lo, hi = int(self.row_ptr[v]), int(self.row_ptr[v + 1])
-        for i in range(lo, hi):
-            tracer.i(5)
-            tracer.r(self.base_col + IDX_SIZE * i)
-            tracer.br(T.B_EDGE_LOOP, True)
-            tracer.leave()
-            yield int(self.col_idx[i])
-            tracer.enter(T.R_NEIGHBORS)
-        tracer.br(T.B_EDGE_LOOP, False)
-        tracer.leave()
 
     def vprop_addr(self, v: int) -> int:
         """Simulated address of vertex ``v``'s slot in the compact

@@ -8,7 +8,6 @@ per-kernel view selection.
 from .base import GPUKernel, frontier_expand
 from .bcentr import GPUBcentr
 from .bfs import GPUBfs
-from .bfs_edge import GPUBfsEdgeCentric
 from .ccomp import GPUCcomp
 from .dcentr import GPUDcentr
 from .gcolor import GPUGcolor
@@ -25,7 +24,6 @@ GPU_KERNELS: dict[str, type[GPUKernel]] = {
 #: Workloads whose GPU kernel operates on the undirected (symmetrized) view.
 UNDIRECTED_KERNELS = frozenset({"kCore", "CComp", "GColor", "TC"})
 
-__all__ = ["GPU_KERNELS", "GPUBcentr", "GPUBfs", "GPUBfsEdgeCentric",
-           "GPUCcomp", "GPUDcentr",
+__all__ = ["GPU_KERNELS", "GPUBcentr", "GPUBfs", "GPUCcomp", "GPUDcentr",
            "GPUGcolor", "GPUKcore", "GPUKernel", "GPUSpath", "GPUTc",
            "UNDIRECTED_KERNELS", "frontier_expand"]

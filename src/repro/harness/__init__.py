@@ -14,7 +14,6 @@ from .report import (
     failure_table,
     format_table,
     matrix_table,
-    paper_note,
     write_csv,
 )
 from .runner import (
@@ -28,7 +27,6 @@ from .runner import (
     gpu_speedup,
     run_cpu_workload,
 )
-from .sensitivity import pivot, spread
 
 __all__ = [
     "CPU_COLUMNS", "CPU_WORKLOADS", "DATA_SENSITIVE_WORKLOADS",
@@ -38,6 +36,5 @@ __all__ = [
     "cache_stats", "characterize", "clear_cache", "cpu_table",
     "export_all", "failure_table",
     "fig8_table", "format_table", "framework_fractions", "gpu_speedup",
-    "gpu_table", "matrix_table", "paper_note", "pivot",
-    "run_cpu_workload", "spread", "write_csv",
+    "gpu_table", "matrix_table", "run_cpu_workload", "write_csv",
 ]

@@ -1,8 +1,9 @@
-"""Report rendering: ASCII tables, CSV export, paper-vs-measured views.
+"""Report rendering: ASCII tables, CSV export and partial-matrix views.
 
-Every benchmark prints its figure's data as a table with the paper's
-qualitative expectation alongside, so a run of ``pytest benchmarks/``
-doubles as the EXPERIMENTS.md evidence log.
+Every benchmark prints its figure's data as a table (the paper's
+qualitative expectation beside it is ``benchmarks/paper.py``'s
+``paper_note``), so a run of ``pytest benchmarks/`` doubles as the
+EXPERIMENTS.md evidence log.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ def write_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]],
         w = csv.writer(f)
         w.writerow(headers)
         w.writerows(rows)
-
-
-def paper_note(text: str) -> str:
-    """Standard 'paper reports ...' annotation line."""
-    return f"  [paper: {text}]"
 
 
 # -- partial-matrix rendering (resilient sweeps) ----------------------------

@@ -11,15 +11,10 @@ from .trace_sim import (
     MulticoreCacheResult,
     simulate_multicore,
 )
-from .partition import (
-    Partition,
-    block_partition,
-    greedy_weighted_partition,
-)
+from .partition import Partition, block_partition
 
 __all__ = [
     "BARRIER_CYCLES", "MulticoreCacheResult", "Partition",
     "MulticoreResult", "simulate_multicore",
-    "SERIAL_FRACTION", "block_partition",
-    "greedy_weighted_partition", "project_multicore",
+    "SERIAL_FRACTION", "block_partition", "project_multicore",
 ]

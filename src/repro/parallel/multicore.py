@@ -48,11 +48,6 @@ class MulticoreResult:
     barriers: int
     serial_fraction: float
 
-    @property
-    def speedup(self) -> float:
-        return (self.serial_cycles / self.parallel_cycles
-                if self.parallel_cycles else 0.0)
-
     def time_seconds(self, freq_ghz: float) -> float:
         return self.parallel_cycles / (freq_ghz * 1e9)
 

@@ -41,20 +41,3 @@ def block_partition(n: int, p: int) -> Partition:
     owner = np.minimum(np.arange(n) * p // max(n, 1), p - 1)
     return Partition(owner.astype(np.int64), p)
 
-
-def greedy_weighted_partition(weights: np.ndarray, p: int) -> Partition:
-    """Longest-processing-time greedy: heaviest item to lightest part.
-
-    The degree-aware split a tuned runtime uses; bounds imbalance at
-    4/3 OPT for independent items.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    weights = np.asarray(weights, dtype=np.float64)
-    owner = np.zeros(len(weights), dtype=np.int64)
-    loads = np.zeros(p)
-    for i in np.argsort(-weights):
-        part = int(np.argmin(loads))
-        owner[i] = part
-        loads[part] += weights[i]
-    return Partition(owner, p)

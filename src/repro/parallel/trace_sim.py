@@ -15,7 +15,8 @@ Every level is the one LRU walk of :mod:`repro.arch.cache`, private
 levels with the owning core folded into the set id.  Used by the
 multicore-contention ablation bench; the single-core case (``p=1``)
 reduces exactly to :func:`~repro.arch.replay.replay`'s hierarchy, and
-any ``p`` to one ``Cache`` per core and level (both tested).
+any ``p`` to one reference ``Cache`` (``tests/oracles.py``) per core and
+level (both tested).
 """
 
 from __future__ import annotations

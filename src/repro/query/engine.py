@@ -86,8 +86,8 @@ class QueryEngine:
     def _resolve_version(self, source: SourceInfo):
         """(version, token, store) — version 0 for static sources.
         ``token`` is what the three caches key validity on: the store's
-        own token for a dynamic source, so neither a commit nor a
-        replaced store (``dyn_import``) can serve the old answer."""
+        own token for a dynamic source, so neither a commit nor another
+        store at the same version number can serve the old answer."""
         if not source.dynamic:
             return 0, 0, None
         store = self._store(source)

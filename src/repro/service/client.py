@@ -245,12 +245,3 @@ class ServiceClient:
         """Plan a pipeline-DSL query without executing it; returns the
         physical plan with per-stage cost estimates."""
         return self.request("explain", deadline_s=deadline_s, q=q)
-
-    def dyn_query(self, workload: str, dataset: str = "ldbc", *,
-                  root: int = 0, scale: float = 0.05, seed: int = 0,
-                  deadline_s: float | None = None) -> dict[str, Any]:
-        """Query the mutable graph; the response carries the snapshot
-        ``version`` it answers at."""
-        return self.request("dyn_query", deadline_s=deadline_s,
-                            workload=workload, dataset=dataset,
-                            root=root, scale=scale, seed=seed)

@@ -73,8 +73,8 @@ class Op:
 
     ``family``: ``meta`` (registry and liveness reads), ``cell`` (one
     workload x dataset characterization cell), ``dynamic`` (the mutable
-    graph), ``query`` (the pipeline DSL), ``admin`` (live rebalance),
-    ``cluster`` (answered by the cluster layer only).
+    graph), ``query`` (the pipeline DSL), ``cluster`` (answered by the
+    cluster layer only).
     ``params``: every parameter a request may carry — an unknown key is
     a bad request, not a silently ignored knob.
     ``route``: how the router serves it — ``local`` (its own state),
@@ -88,8 +88,8 @@ class Op:
     names its source); a shard serves a keyed op only for keys it owns
     — only mutable state is owned, so any shard serves a static source.
     ``scale``: default scale of its ``(dataset, scale, seed)`` identity.
-    ``blocking``: runs whole kernels or walks an engine's whole state —
-    handed to the executor, never run on the event loop.
+    ``blocking``: runs whole kernels or may generate a dataset — handed
+    to the executor, never run on the event loop.
     ``hedgeable``: an idempotent read whose first attempt may race a
     second replica (not ``dyn_query``: a hedge could land on a replica
     whose mutation stream lags, and first-answer-wins would hide which
@@ -154,14 +154,6 @@ OPS: "dict[str, Op]" = {op.name: op for op in (
        blocking=True, stale=True),
     Op("explain", "query", frozenset({"q"}), "query", "q",
        blocking=True, stale=True),
-    # live rebalance: ``admin`` reconfigures one shard's ownership
-    # (adopt/drop/forward); ``dyn_export``/``dyn_import`` ship a dynamic
-    # dataset's head-version state between shards
-    Op("admin", "admin",
-       frozenset({"action", "dataset", "forward", "window_s"})),
-    Op("dyn_export", "admin", frozenset({"dataset"}), blocking=True),
-    Op("dyn_import", "admin", frozenset({"dataset", "stores"}),
-       blocking=True),
 )}
 
 # views of the table

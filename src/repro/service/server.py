@@ -402,9 +402,7 @@ class GraphService(FrameServer):
                for kind in OP_KINDS},
             "dyn_query": self.dynamic.query,
             "query": self.query_engine.query,
-            "explain": self.query_engine.explain,
-            "dyn_export": self.dynamic.export_dataset,
-            "dyn_import": self.dynamic.import_dataset}
+            "explain": self.query_engine.explain}
 
     def _collect_requests(self) -> dict[str, Any]:
         samples = [{"labels": s["labels"], "value": float(s["count"])}
@@ -438,9 +436,8 @@ class GraphService(FrameServer):
         # engine ops run on the default executor so the event loop never
         # stalls: a pipeline-DSL query runs whole kernels, a dynamic op
         # — dict-probe cheap as a rule — may pay a first-touch base
-        # generation or an incremental refresh, a migration transfer
-        # walks a whole store.  The wire deadline sheds already-expired
-        # work first.
+        # generation or an incremental refresh.  The wire deadline sheds
+        # already-expired work first.
         if req.expired():
             raise DeadlineExceeded(f"{op.family}-dispatch",
                                    -req.remaining(), 0.0)

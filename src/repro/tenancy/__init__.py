@@ -1,4 +1,4 @@
-"""Multi-tenant quality-of-service: identity, isolation, autoscaling.
+"""Multi-tenant quality-of-service: identity and isolation.
 
 GraphBIG's framing is industrial — real graph deployments multiplex many
 workloads with wildly different cost profiles onto shared infrastructure
@@ -10,17 +10,8 @@ hurting each other:
   buckets), weighted-fair scheduling over the service's execution slots,
   and bounded-share row-cache partitions, all behind one
   :class:`~repro.tenancy.qos.TenantGovernor`.
-* :mod:`~repro.tenancy.hotspot` — a router-side detector that watches
-  ``cluster_route_total{shard}`` deltas for shards running hot under the
-  zipf skew the load generator produces.
-* :mod:`~repro.tenancy.migrate` — the executor that turns a report-only
-  :class:`~repro.cluster.ring.RebalancePlan` into a live key migration:
-  drain, copy, atomic ring swap, and a handoff window in which the old
-  owner forwards instead of raising ``WrongShard``.
 """
 
-from .hotspot import HotspotDetector, HotspotReport
-from .migrate import MigrationReport, RebalanceExecutor
 from .qos import (
     DEFAULT_TENANT,
     FairGate,
@@ -33,11 +24,7 @@ from .qos import (
 __all__ = [
     "DEFAULT_TENANT",
     "FairGate",
-    "HotspotDetector",
-    "HotspotReport",
-    "MigrationReport",
     "QosConfig",
-    "RebalanceExecutor",
     "TenantGovernor",
     "TenantPolicy",
     "TokenBucket",

@@ -1,14 +1,14 @@
 """Reference implementations the engine tests compare against.
 
 Each is the short, sequential, obviously-correct form of something
-``src/`` computes vectorized or composed: the stateful :class:`Cache` and
-the predictor classes stay in ``src/`` (the prefetchers run on ``Cache``;
-``simulate_branches`` reads the predictors' geometry);
-:class:`MemoryHierarchy`, the per-core and per-segment loops, the scalar
-block graph primitives and the seven workload loop kernels that charge
-through them, the populating loop, the query executor's dict image and
-kernels and the snapshot store's ``materialize`` / ``compact``, which
-only tests need, live here.  So do the ground truths: the workloads'
+``src/`` computes vectorized or composed: the predictor classes stay in
+``src/`` (``simulate_branches`` reads the predictors' geometry); the
+stateful :class:`Cache` the one LRU walk (``lru_miss_idx``) is gated
+against, :class:`MemoryHierarchy`, the per-core and per-segment loops,
+the scalar block graph primitives and the seven workload loop kernels
+that charge through them, the populating loop, the query executor's dict
+image and kernels and the snapshot store's ``materialize`` /
+``compact``, which only tests need, live here.  So do the ground truths: the workloads'
 answers through networkx (a test-only dependency), the coloring and
 component checks, moralization, the reference Gibbs sampler and exact
 Bayesian inference.
@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from repro.arch.branch import PREDICTORS
-from repro.arch.cache import Cache, CacheStats
+from repro.arch.cache import CacheConfig, CacheStats, line_ids
 from repro.arch.cpu import SERIAL_REGIONS
 from repro.arch.icache import ICache
 from repro.arch.replay import HierarchyResult
@@ -43,6 +43,61 @@ from repro.workloads.base import (
     common_edge_schema,
     common_vertex_schema,
 )
+
+
+class Cache:
+    """One set-associative LRU cache level (stateful, replayable)."""
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self._sets: list[dict[int, None]] = [dict() for _ in
+                                             range(config.n_sets)]
+        self.stats = CacheStats(config.name)
+
+    def reset(self) -> None:
+        """Empty the cache and zero the stats."""
+        for s in self._sets:
+            s.clear()
+        self.stats = CacheStats(self.config.name)
+
+    def simulate(self, addrs: np.ndarray, rw: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Replay a whole trace; returns a bool miss mask (True = miss).
+
+        ``addrs`` are byte addresses; ``rw`` optionally marks writes (1).
+        State persists across calls (warm cache), call :meth:`reset` first
+        for a cold run.
+        """
+        cfg = self.config
+        n_sets = cfg.n_sets
+        assoc = cfg.assoc
+        sets = self._sets
+        lines = line_ids(addrs, cfg.line).tolist()
+        writes = None
+        if rw is not None:
+            writes = rw.tolist() if isinstance(rw, np.ndarray) else list(rw)
+        miss = np.zeros(len(lines), dtype=bool)
+        n_miss = 0
+        w_miss = 0
+        for i, line in enumerate(lines):
+            s = sets[line % n_sets]
+            if line in s:
+                del s[line]
+                s[line] = None
+            else:
+                miss[i] = True
+                n_miss += 1
+                if writes is not None and writes[i]:
+                    w_miss += 1
+                s[line] = None
+                if len(s) > assoc:
+                    del s[next(iter(s))]
+        st = self.stats
+        st.accesses += len(lines)
+        st.misses += n_miss
+        st.write_misses += w_miss
+        st.read_misses += n_miss - w_miss
+        return miss
 
 
 class MemoryHierarchy:

@@ -43,7 +43,7 @@ class TestSpecMaterializations:
 
 class TestReportHelpers:
     def test_paper_note(self):
-        from repro.harness import paper_note
+        from benchmarks.paper import paper_note
         assert "paper:" in paper_note("something")
 
 

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.arch import (
-    Cache,
     CacheConfig,
     level_miss_idx,
     lru_miss_idx,
 )
-from tests.oracles import reference_segment_lru, resident_lines
+from tests.oracles import Cache, reference_segment_lru, resident_lines
 
 
 class TestCacheConfig:

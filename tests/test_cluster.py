@@ -6,6 +6,7 @@ router metrics label shapes."""
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.cluster import (
     synthetic_keys,
 )
 from repro.core.errors import RemoteError, WrongShard
+from repro.dynamic.ops import churn_ops
 from repro.service import PoolConfig, ServiceClient
 from repro.service.protocol import Request
 
@@ -51,7 +53,7 @@ class TestHashRing:
     def test_resize_moves_about_one_nth(self):
         keys = synthetic_keys(2000)
         before = HashRing([f"s{i}" for i in range(4)])
-        plan = plan_rebalance(before, before.with_node("s4"), keys)
+        plan = plan_rebalance(before, HashRing(before.nodes + ("s4",)), keys)
         # ideal is 1/5 = 20%; a healthy vnode ring lands near it, and
         # nowhere near the ~80% a naive hash%N reshuffle would cost
         assert 0.05 < plan.fraction_moved < 0.45, plan.summary()
@@ -69,7 +71,7 @@ class TestHashRing:
     def test_plan_per_shard_is_consistent(self):
         keys = synthetic_keys(1000)
         before = HashRing(["s0", "s1"])
-        plan = plan_rebalance(before, before.with_node("s2"), keys)
+        plan = plan_rebalance(before, HashRing(before.nodes + ("s2",)), keys)
         per = plan.per_shard()
         assert sum(c["gained"] for c in per.values()) == len(plan.moved)
         assert sum(c["lost"] for c in per.values()) == len(plan.moved)
@@ -81,6 +83,54 @@ class TestHashRing:
             HashRing([])
         with pytest.raises(ValueError):
             HashRing(["s0"], vnodes=0)
+
+
+# -- replica-aware movement bounds (plans, no sockets) -----------------------
+
+class TestReplicaPlans:
+    def test_join_moves_about_one_nth_of_replica_sets(self):
+        """With ``replicas > 1`` a single join still relocates ~1/N of
+        the keyspace per replica slot, nowhere near a reshuffle."""
+        keys = synthetic_keys(2000)
+        before = HashRing([f"s{i}" for i in range(4)])
+        after = HashRing(before.nodes + ("s4",))
+        changed = sum(1 for k in keys
+                      if set(before.owners(k, 2)) != set(after.owners(k, 2)))
+        # each of the 2 replica slots moves ~1/5 of keys independently;
+        # the union of changed sets stays well under double the ideal
+        assert 0.05 < changed / len(keys) < 0.65
+        # and primary movement alone obeys the classic bound
+        plan = plan_rebalance(before, after, keys)
+        assert 0.05 < plan.fraction_moved < 0.45
+
+    def test_no_key_loses_every_owner_across_a_single_change(self):
+        """A one-node membership change leaves every key with at least
+        one surviving owner to copy its state from."""
+        keys = synthetic_keys(1500)
+        base = HashRing([f"s{i}" for i in range(4)])
+        for changed in (HashRing(base.nodes + ("s4",)),
+                        HashRing(["s0", "s1", "s3"])):
+            for k in keys:
+                old = set(base.owners(k, 2))
+                new = set(changed.owners(k, 2))
+                assert old & new, (k, old, new)
+
+    def test_summary_caps_moved_key_listing(self):
+        keys = synthetic_keys(1000)
+        before = HashRing(["s0", "s1"])
+        plan = plan_rebalance(before, HashRing(before.nodes + ("s2",)), keys)
+        assert len(plan.moved) > 5
+        s = plan.summary(max_moved_keys=5)
+        assert len(s["moved_keys"]) == 5
+        assert s["moved_keys_omitted"] == len(plan.moved) - 5
+        for k, mv in s["moved_keys"].items():
+            assert mv == {"from": plan.moved[k][0],
+                          "to": plan.moved[k][1]}
+        # the default cap still lists everything for small plans
+        small = plan_rebalance(HashRing(["shard-0", "shard-1"]),
+                               HashRing(["shard-0", "shard-1", "s2"]),
+                               list(DATASETS))
+        assert "moved_keys_omitted" not in small.summary()
 
 
 # -- replica tracker ---------------------------------------------------------
@@ -444,6 +494,43 @@ class TestLiveCluster:
                         break
                     time.sleep(0.1)
                 assert client.health()["shards"][victim] is True
+
+
+def _dyn_query(client: ServiceClient, workload: str, dataset: str,
+               **params):
+    return client.request("dyn_query", workload=workload, dataset=dataset,
+                          **params)
+
+
+class TestReplicaConvergence:
+    def test_replicas_converge_to_primary_head_version(self):
+        """After a synchronously-replicated write burst, every replica
+        answers at the primary's head version (lag bound 0 once the
+        last write is acked — the router awaits replica fan-out before
+        responding, and any lagging replica is disclosed per write)."""
+        with _cluster(3, replication=2) as ct:
+            ring = ct.spec.ring()
+            owners = ring.owners("ldbc", 2)
+            rng = random.Random(7)
+            with ServiceClient(port=ct.router_port) as client:
+                last = None
+                for _ in range(5):
+                    last = client.mutate("ldbc",
+                                         churn_ops(rng, 200, 6),
+                                         scale=0.05, seed=0)
+                assert last["shard"] == owners[0]
+                # every write disclosed full replica coverage
+                assert last.get("replica_failures") in (None, [], {})
+            versions = {}
+            for shard in owners:
+                addr = ct.shard_addresses[shard]
+                with ServiceClient(addr.host, addr.port) as direct:
+                    out = _dyn_query(direct, "BFS", "ldbc", scale=0.05)
+                    versions[shard] = out["version"]
+            head = versions[owners[0]]
+            assert head == 5
+            lags = {s: head - v for s, v in versions.items()}
+            assert all(lag == 0 for lag in lags.values()), lags
 
 
 # -- load generator skew -----------------------------------------------------

@@ -14,7 +14,6 @@ from repro.datagen import (
     REGISTRY,
     GraphSpec,
     ca_road,
-    experiment_datasets,
     knowledge_repo,
     ldbc,
     make,
@@ -171,7 +170,7 @@ class TestRegistry:
             make("nope")
 
     def test_experiment_datasets_complete(self):
-        ds = experiment_datasets(scale=0.05)
+        ds = {name: make(name, scale=0.05) for name in REGISTRY}
         assert set(ds) == set(REGISTRY)
         for spec in ds.values():
             assert spec.n >= 100

@@ -6,7 +6,6 @@ version newer than what it actually answers at."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -26,6 +25,12 @@ from repro.workloads import run
 from tests.oracles import materialize
 
 DATASETS = ("twitter", "knowledge", "watson", "roadnet", "ldbc")
+
+
+def _dyn_query(client: ServiceClient, workload: str, dataset: str,
+               **params):
+    return client.request("dyn_query", workload=workload, dataset=dataset,
+                          **params)
 
 
 def _service(**kwargs) -> GraphService:
@@ -48,25 +53,25 @@ class TestServiceMutations:
     def test_mutate_then_query_sees_new_version(self):
         with ServiceThread(_service()) as st:
             with ServiceClient(st.host, st.port) as client:
-                first = client.dyn_query("BFS", "ldbc", scale=0.05)
+                first = _dyn_query(client, "BFS", "ldbc", scale=0.05)
                 assert first["version"] == 0
                 assert first["served"] == "recompute"
                 out = client.mutate("ldbc", [
                     {"op": "add_edge", "src": 1, "dst": 2}], scale=0.05)
                 assert out["version"] == 1 and out["applied"] == 1
-                second = client.dyn_query("BFS", "ldbc", scale=0.05)
+                second = _dyn_query(client, "BFS", "ldbc", scale=0.05)
                 assert second["version"] == 1
                 assert second["served"] in ("incremental", "recompute")
 
     def test_versioned_cache_hit_and_invalidation(self):
         with ServiceThread(_service()) as st:
             with ServiceClient(st.host, st.port) as client:
-                client.dyn_query("CComp", "ldbc", scale=0.05)
-                again = client.dyn_query("CComp", "ldbc", scale=0.05)
+                _dyn_query(client, "CComp", "ldbc", scale=0.05)
+                again = _dyn_query(client, "CComp", "ldbc", scale=0.05)
                 assert again["served"] == "cache"
                 client.mutate("ldbc", [
                     {"op": "add_vertex", "vid": 10_000}], scale=0.05)
-                after = client.dyn_query("CComp", "ldbc", scale=0.05)
+                after = _dyn_query(client, "CComp", "ldbc", scale=0.05)
                 # the write invalidated the cached answer: fresh kernel
                 # pass at the new version, counted as an invalidation
                 assert after["served"] != "cache"
@@ -103,7 +108,7 @@ class TestServiceMutations:
                     client.mutate("ldbc", [{"op": "frobnicate"}])
                 assert exc.value.kind == "bad-request"
                 with pytest.raises(RemoteError) as exc:
-                    client.dyn_query("NoSuchKernel", "ldbc")
+                    _dyn_query(client, "NoSuchKernel", "ldbc")
                 assert exc.value.kind == "bad-request"
 
     def test_reader_pinned_version_is_stable_while_writer_advances(self):
@@ -113,12 +118,12 @@ class TestServiceMutations:
         # a strictly newer one — never a mix
         with ServiceThread(_service()) as st:
             with ServiceClient(st.host, st.port) as client:
-                base = client.dyn_query("BFS", "knowledge", scale=0.05)
+                base = _dyn_query(client, "BFS", "knowledge", scale=0.05)
                 rng = random.Random(3)
                 for _ in range(5):
                     client.mutate("knowledge",
                                   churn_ops(rng, 200, 4), scale=0.05)
-                after = client.dyn_query("BFS", "knowledge", scale=0.05)
+                after = _dyn_query(client, "BFS", "knowledge", scale=0.05)
                 assert after["version"] == 5 > base["version"]
 
 
@@ -144,110 +149,6 @@ class TestEngineKernelBound:
         assert again["outputs"] == first["outputs"]
         assert again["version"] == first["version"]
 
-    def test_import_drops_kernels_of_the_replaced_store(self):
-        engine = DynamicEngine()
-        ident = {"dataset": "ldbc", "scale": 0.03}
-        engine.mutate(dict(ident, ops=[
-            {"op": "add_edge", "src": 1, "dst": 2}]))
-        engine.query(dict(ident, workload="BFS", root=0))
-        engine.query(dict(ident, workload="CComp"))
-        assert len(engine._kernels) == 2
-        exported = engine.export_dataset({"dataset": "ldbc"})
-        engine.import_dataset({"dataset": "ldbc",
-                               "stores": exported["stores"]})
-        assert len(engine._kernels) == 0
-
-
-class TestImportReplacesCachedAnswers:
-    """Version *numbers* repeat across stores: an imported store whose
-    head equals a version the target already answered at must not be
-    served the target's pre-import answers."""
-
-    IDENT = {"dataset": "roadnet", "scale": 0.05}
-    BFS = dict(IDENT, workload="BFS", root=0)
-    DSL = {"q": "from roadnet scale=0.05 dynamic=true "
-                "| bfs root=0 | topk level 3"}
-
-    def _diverged(self, engine: DynamicEngine, vid: int) -> None:
-        """One commit (head 1) that hangs a new vertex off the root."""
-        out = engine.mutate(dict(self.IDENT, ops=[
-            {"op": "add_vertex", "vid": vid},
-            {"op": "add_edge", "src": 0, "dst": vid}]))
-        assert out["version"] == 1
-
-    def test_import_at_an_already_cached_version_number(self):
-        from repro.query import QueryEngine
-        a, b = DynamicEngine(), DynamicEngine()
-        self._diverged(a, 900001)
-        self._diverged(b, 900002)
-        qb = QueryEngine(b)
-        assert 900002 in b.query(self.BFS)["outputs"]["levels"]
-        assert [900002, 1, 0] in qb.query(self.DSL)["table"]["rows"]
-        # both now answer from their caches at version 1
-        assert b.query(self.BFS)["served"] == "cache"
-        assert qb.query(self.DSL)["served"] == "result-cache"
-
-        stores = a.export_dataset({"dataset": "roadnet"})["stores"]
-        b.import_dataset({"dataset": "roadnet", "stores": stores})
-        fresh = DynamicEngine()
-        fresh.import_dataset({"dataset": "roadnet", "stores": stores})
-
-        dyn, want = b.query(self.BFS), fresh.query(self.BFS)
-        assert dyn["version"] == want["version"] == 1
-        assert dyn["served"] != "cache"
-        assert dyn["outputs"] == want["outputs"]
-        assert 900002 not in dyn["outputs"]["levels"]
-        dsl = qb.query(self.DSL)
-        assert dsl["served"] == "executed"
-        assert dsl["table"] == QueryEngine(fresh).query(self.DSL)["table"]
-        assert [900001, 1, 0] in dsl["table"]["rows"]
-
-    def test_migration_onto_a_target_with_diverged_local_state(self):
-        """Live-migration shape: the joining shard already holds its own
-        state for the identity (same head number); the first reads
-        after the ring swap answer from the migrated store."""
-        from repro.cluster import plan_rebalance
-        from repro.query import QueryEngine
-        from repro.tenancy import RebalanceExecutor
-        spec = ClusterSpec.of(2, datasets=DATASETS)
-        with ClusterThread(spec, spares=("spare-0",)) as ct:
-            ring = spec.ring()
-            owner = ring.owner("roadnet")
-            after = ring.with_node("spare-0")
-            assert after.owner("roadnet") == "spare-0" != owner
-            target = ct.shard_threads["spare-0"].service
-            self._diverged(target.dynamic, 900002)
-            target.dynamic.query(self.BFS)
-            target.query_engine.query(self.DSL)
-            with ServiceClient(port=ct.router_port) as client:
-                out = client.mutate("roadnet", [
-                    {"op": "add_vertex", "vid": 900001},
-                    {"op": "add_edge", "src": 0, "dst": 900001}],
-                    scale=0.05)
-                assert out["version"] == 1 and out["shard"] == owner
-            src = ct.shard_addresses[owner]
-            with ServiceClient(src.host, src.port) as direct:
-                stores = direct.request("dyn_export",
-                                        dataset="roadnet")["stores"]
-            fresh = DynamicEngine()
-            fresh.import_dataset({"dataset": "roadnet", "stores": stores})
-
-            RebalanceExecutor(
-                ct.router, {**ct.shard_addresses, **ct.spare_addresses},
-                handoff_window_s=10.0,
-            ).execute(plan_rebalance(ring, after, ["roadnet"]),
-                      join=ct.spare_addresses["spare-0"])
-
-            with ServiceClient(port=ct.router_port) as client:
-                dyn = client.dyn_query("BFS", "roadnet", scale=0.05)
-                dsl = client.query_lang(self.DSL["q"])
-            assert dyn["shard"] == dsl["shard"] == "spare-0"
-            # (the wire turns the int vertex ids of ``levels`` to str)
-            assert dyn["outputs"] == json.loads(json.dumps(
-                fresh.query(self.BFS)["outputs"]))
-            assert dsl["table"] == \
-                QueryEngine(fresh).query(self.DSL)["table"]
-
 
 # -- cluster routing ---------------------------------------------------------
 
@@ -263,7 +164,7 @@ class TestClusterWrites:
                 owners = ct.spec.ring().owners("roadnet", 2)
                 assert set(out["replicated"]) == set(owners[1:])
                 assert out["replica_failures"] == []
-                got = client.dyn_query("BFS", "roadnet", scale=0.02)
+                got = _dyn_query(client, "BFS", "roadnet", scale=0.02)
                 assert got["version"] == 1
 
     def test_write_to_dead_primary_is_typed_not_forked(self):
@@ -299,8 +200,8 @@ class TestStalenessContract:
                     mirror.commit(parse_ops(batch))
                     acked = out["version"]
                     assert acked == mirror.head
-                live = client.dyn_query("BFS", dataset, scale=scale,
-                                        seed=seed)
+                live = _dyn_query(client, "BFS", dataset, scale=scale,
+                                  seed=seed)
                 assert live["version"] == acked
                 victim = ct.spec.ring().owner(dataset)
                 ct.kill_shard(victim)
@@ -310,8 +211,8 @@ class TestStalenessContract:
                     with pytest.raises((ShardUnavailable, RemoteError)):
                         client.mutate(dataset, batch, scale=scale,
                                       seed=seed)
-                got = client.dyn_query("BFS", dataset, scale=scale,
-                                       seed=seed)
+                got = _dyn_query(client, "BFS", dataset, scale=scale,
+                                 seed=seed)
                 # degraded serving: disclosed, and never newer than the
                 # last acked commit
                 assert got.get("degraded") is True

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.paper import traced_neighbors
 from repro.core.graph import PropertyGraph
 from repro.core.properties import Field, Schema
 from repro.core.trace import Tracer
@@ -78,7 +79,7 @@ class TestCSRQueries:
 
     def test_traced_neighbors(self, csr):
         t = Tracer()
-        got = list(csr.traced_neighbors(0, t))
+        got = list(traced_neighbors(csr, 0, t))
         assert got == [1, 2]
         ft = t.freeze()
         assert ft.n_accesses >= 4   # 2 row_ptr + 2 col loads

@@ -157,8 +157,9 @@ class TestDivergenceShape:
 class TestEdgeCentricBFS:
     def test_matches_thread_centric(self, social):
         import numpy as np
+        from benchmarks.ablations import GPUBfsEdgeCentric
         from repro.formats.convert import csr_to_coo
-        from repro.gpu.kernels import GPUBfs, GPUBfsEdgeCentric
+        from repro.gpu.kernels import GPUBfs
         csr = social.csr()
         coo = csr_to_coo(csr)
         out_t, _ = GPUBfs().run(csr, coo, root=0)
@@ -167,8 +168,9 @@ class TestEdgeCentricBFS:
 
     def test_bdr_collapses(self, social):
         from repro.formats.convert import csr_to_coo
+        from benchmarks.ablations import GPUBfsEdgeCentric
         from repro.gpu.device import time_kernel
-        from repro.gpu.kernels import GPUBfs, GPUBfsEdgeCentric
+        from repro.gpu.kernels import GPUBfs
         csr = social.csr()
         coo = csr_to_coo(csr)
         _, st_t = GPUBfs().run(csr, coo, root=0)
@@ -177,6 +179,6 @@ class TestEdgeCentricBFS:
 
     def test_requires_coo(self, social):
         import pytest
-        from repro.gpu.kernels import GPUBfsEdgeCentric
+        from benchmarks.ablations import GPUBfsEdgeCentric
         with pytest.raises(ValueError):
             GPUBfsEdgeCentric().run(social.csr(), None, root=0)

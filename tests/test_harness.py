@@ -2,8 +2,9 @@
 
 import pytest
 
+from benchmarks.paper import pivot, spread
 from repro.arch.machine import TEST_MACHINE
-from repro.datagen import experiment_datasets, ldbc
+from repro.datagen import REGISTRY, ldbc, make
 from repro.harness import (
     CPU_WORKLOADS,
     DATA_SENSITIVE_WORKLOADS,
@@ -18,9 +19,7 @@ from repro.harness import (
     framework_fractions,
     gpu_speedup,
     gpu_table,
-    pivot,
     run_cpu_workload,
-    spread,
     write_csv,
 )
 from repro.harness.runner import _dagify
@@ -119,8 +118,9 @@ class TestTables:
 
 class TestSensitivity:
     def test_pivot_and_spread(self):
-        rows = [characterize("BFS", s, machine=TEST_MACHINE)
-                for s in experiment_datasets(scale=0.04).values()]
+        rows = [characterize("BFS", make(name, scale=0.04),
+                             machine=TEST_MACHINE)
+                for name in REGISTRY]
         p = pivot(rows, "ipc")
         assert set(p) == {"BFS"}
         assert len(p["BFS"]) == 5

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.arch import CPUModel, NDPConfig, SCALED_XEON, project_ndp
+from benchmarks.ablations import NDPConfig, project_ndp
+from repro.arch import CPUModel, SCALED_XEON
 from repro.core.trace import Tracer
 from repro.core import trace as T
 

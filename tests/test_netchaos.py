@@ -225,7 +225,7 @@ class TestCorruptionOnTheRouterShardLink:
         # router forwards that (an error frame is never relayed raw)
         with _corrupting_cluster(1) as cluster:
             primary = cluster.router.ring.owner(KEY)
-            cluster.set_shard_faults(primary, NetFaultSpec(corrupt_p=1.0))
+            cluster.proxies[primary].set_faults(NetFaultSpec(corrupt_p=1.0))
             with ServiceClient(port=cluster.router_port,
                                timeout_s=30.0) as client:
                 with pytest.raises(ProtocolError) as exc:
@@ -241,7 +241,7 @@ class TestCorruptionOnTheRouterShardLink:
         with _corrupting_cluster(2) as cluster:
             router = cluster.router
             primary, backup = router.ring.owners(KEY, 2)
-            cluster.set_shard_faults(primary, NetFaultSpec(corrupt_p=1.0))
+            cluster.proxies[primary].set_faults(NetFaultSpec(corrupt_p=1.0))
             with ServiceClient(port=cluster.router_port,
                                timeout_s=30.0) as client:
                 out = client.request("dyn_query", **ASK)
@@ -261,7 +261,7 @@ class TestCorruptionOnTheRouterShardLink:
         with _corrupting_cluster(1) as cluster:
             router = cluster.router
             primary = router.ring.owner(KEY)
-            cluster.set_shard_faults(primary, NetFaultSpec(corrupt_p=1.0))
+            cluster.proxies[primary].set_faults(NetFaultSpec(corrupt_p=1.0))
             with ServiceClient(port=cluster.router_port,
                                timeout_s=30.0) as client:
                 with pytest.raises(ShardUnavailable):
@@ -272,7 +272,7 @@ class TestCorruptionOnTheRouterShardLink:
                                   scale=0.03)
                 assert router.tracker.snapshot()[primary]["failures"] == 2
                 # healed link: the next answer flows, relayed
-                cluster.set_shard_faults(primary, NetFaultSpec())
+                cluster.proxies[primary].set_faults(NetFaultSpec())
                 assert client.request("dyn_query", **ASK)["shard"] \
                     == primary
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.arch.cache import CacheConfig
-from repro.arch.prefetch import (
+from benchmarks.ablations import (
     NextLinePrefetcher,
     PrefetchStats,
     StridePrefetcher,

@@ -25,7 +25,8 @@ from repro.cluster import ClusterSpec, ClusterThread, Router, \
     ShardAddress, ShardService
 from repro.core.errors import BadRequest, ProtocolError, RemoteError, \
     ServiceError
-from repro.dynamic import churn_ops
+from repro.dynamic import SnapshotStore, churn_ops
+from repro.dynamic.engine import dynamic_key
 from repro.service import (
     GraphService,
     PoolConfig,
@@ -79,8 +80,7 @@ def test_wire_order_and_derived_views():
         "ping", "run", "characterize", "datasets", "workloads", "stats",
         "health", "shard_info", "batch",
         "mutate", "add_vertex", "del_vertex", "add_edge", "del_edge",
-        "set_prop", "dyn_query", "query", "explain",
-        "admin", "dyn_export", "dyn_import")
+        "set_prop", "dyn_query", "query", "explain")
     assert WRITE_OPS == {"mutate", "add_vertex", "del_vertex", "add_edge",
                          "del_edge", "set_prop"}
     for op in OPS.values():
@@ -112,7 +112,7 @@ def test_a_shard_serves_what_a_service_refuses():
     assert _ask(shard, "shard_info", {})["shard"] == "shard-0"
     service = GraphService(pool_config=_inline())
     assert set(OPS) - set(service._handlers) \
-        == {"shard_info", "batch", "admin"}
+        == {"shard_info", "batch"}
     assert set(OPS) - set(shard._handlers) == {"batch"}
     asyncio.run(service.stop())
 
@@ -153,24 +153,15 @@ def test_a_non_finite_deadline_is_a_protocol_error(number):
         parse_request(decode_frame(line))
 
 
-def _drop(window_s):
-    return {"action": "drop", "dataset": "ldbc", "window_s": window_s,
-            "forward": {"host": "127.0.0.1", "port": 1}}
-
-
 @pytest.mark.parametrize("op, params", [
     ("run", {"workload": "BFS", "scale": math.inf}),
     ("run", {"workload": "BFS", "seed": math.inf}),
     ("dyn_query", {"workload": "BFS", "dataset": "ldbc", "scale": math.inf}),
-    ("admin", _drop(math.nan)),
-    ("admin", _drop(math.inf)),
-], ids=["run-scale", "run-seed", "dyn_query-scale", "admin-window-nan",
-        "admin-window-inf"])
+], ids=["run-scale", "run-seed", "dyn_query-scale"])
 def test_a_non_finite_param_is_a_bad_request(op, params):
     node = ShardService("shard-0", None, pool_config=_inline())
     with pytest.raises(BadRequest):
         _ask(node, op, params)
-    assert not node._forwards                     # no endless handoff
 
 
 def test_a_batch_entry_with_non_object_params_is_an_in_band_bad_request():
@@ -461,9 +452,10 @@ def test_a_shard_parses_a_query_text_once(monkeypatch):
 
 #: sha-256 of the recording before a shard stamped its own answers (the
 #: one made at the parent of the op/error tables, unmoved since), less
-#: the frames the static-query scatter's removal moved.
+#: the frames the static-query scatter's removal and live migration's
+#: removal moved.
 PREVIOUS_RECORDING = \
-    "c3479e55e21a4375532f338ce5c8a74dee6feaad77d6de41683efe6cf417e92b"
+    "3f7653bd86215d74cdd1189d24280ab350fc39865daeac82e999e1a4b860f679"
 
 #: The frames that moved when a static query became one shard's answer,
 #: by request id, each with the sha-256 (first 16 hex digits) of its
@@ -480,27 +472,43 @@ SCATTER_MOVED = {
     "router-13": "2b3b931e4561fafb", "router-15": "02552973894623af",
     "router-16": "5697106812b8288c", "router-17": "dade3ad82883d3fa"}
 
+#: The frames that moved when live migration left the op table, likewise:
+#: the eleven probes of an op it removed (``admin``, ``dyn_export``,
+#: ``dyn_import``) are unknown operations now, and the ``mutate`` that
+#: cut the path ``dyn_import`` installed (service-24) cuts nothing in the
+#: generated graph.
+MIGRATION_MOVED = {
+    "service-21": "13a6e462961b44ec", "service-22": "c88d13430af7c260",
+    "service-23": "adc86c29f4fb126e", "service-24": "d622512baf9e4671",
+    "service-42": "a227d9a0a90d6e2a", "service-43": "d42818eeb5aad206",
+    "shard-4": "bee26c22d13d4f74", "shard-5": "60e3742be9ee7043",
+    "shard-6": "cfe09922d5ab830b", "router-25": "d6f04c9ec484a65f",
+    "router-26": "b61e88ba1f903966", "router-27": "f1abcf2dfee0e586"}
+
 #: The ``stats`` keys that restated a metric family and went when their
-#: counts moved onto the registry, per scene.
+#: counts moved onto the registry, per scene, and the router's
+#: ``rebalance`` section, which went with live migration.
 DROPPED_STATS_KEYS = {
     "service": ["cache", "connections", "ops", "pool", "scheduler"],
-    "router": ["connections", "ops"]}
+    "router": ["connections", "ops", "rebalance"]}
 
 
 def test_the_recording_moved_only_where_a_shard_names_itself():
     # the router used to stamp ``shard`` on a keyed answer; the shard
     # does now, so asked *directly* its keyed answers gain that one
     # member; the service's and router's ``stats`` key lists lost the
-    # keys that restated a family; and the ten frames of SCATTER_MOVED
+    # keys that restated a family (and the router's ``rebalance``); and
+    # the ten frames of SCATTER_MOVED and the twelve of MIGRATION_MOVED
     # each changed.  Nothing else moved: with the first two undone and
-    # the ten set aside, the recording is byte for byte the previous
-    # one (every other service-, router- and error-scene frame included)
+    # the 22 set aside, the recording is byte for byte the previous one
+    # (every other service-, router- and error-scene frame included)
     lines, stamped, restored, moved = [], 0, 0, {}
     recording = (ROOT / "tests/data/wire_transcript.jsonl").read_text()
+    before = {**SCATTER_MOVED, **MIGRATION_MOVED}
     for line in recording.splitlines(keepends=True):
         row = json.loads(line)
         sent = json.loads(row.get("sent", "{}"))
-        if sent.get("id") in SCATTER_MOVED:
+        if sent.get("id") in before:
             moved[sent["id"]] = hashlib.sha256(line.encode()).hexdigest()
             continue
         if sent.get("op") == "stats":
@@ -519,8 +527,8 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
                 row["got"] = json.dumps(got, sort_keys=True,
                                         separators=(",", ":"))
         lines.append(json.dumps(row, sort_keys=True) + "\n")
-    assert moved.keys() == SCATTER_MOVED.keys()
-    assert all(not moved[i].startswith(SCATTER_MOVED[i]) for i in moved)
+    assert moved.keys() == before.keys()
+    assert all(not moved[i].startswith(before[i]) for i in moved)
     assert (stamped, restored) == (1, 2)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() \
         == PREVIOUS_RECORDING
@@ -536,17 +544,19 @@ def test_transcript_is_byte_identical_to_the_recording():
                                wire_transcript.SHARD_SCRIPT,
                                wire_transcript.ROUTER_SCRIPT)
              for op, _ in script}
-    assert asked == set(OPS)
+    assert asked == set(OPS) | set(wire_transcript.REMOVED_OPS)
+    assert not set(OPS) & set(wire_transcript.REMOVED_OPS)
 
 
 def test_path_cut_twice_has_three_components_through_a_live_service():
-    path = {"dataset": "watson",
-            "stores": [{"scale": 1.0, "seed": 7,
-                        "state": wire_transcript.PATH7}]}
     ident = {"dataset": "watson", "scale": 1.0, "seed": 7}
-    with ServiceThread(GraphService(pool_config=_inline())) as st:
+    service = GraphService(pool_config=_inline())
+    # the seven-vertex path stands in for the generated graph of ``ident``
+    service.dynamic._stores[dynamic_key("watson", 1.0, 7)] = \
+        SnapshotStore.from_edges(7, [(i, i + 1) for i in range(6)],
+                                 directed=False)
+    with ServiceThread(service) as st:
         with ServiceClient(st.host, st.port) as client:
-            client.request("dyn_import", **path)
             before = client.request("dyn_query", workload="CComp", **ident)
             assert before["outputs"]["n_components"] == 1
             client.request("mutate", ops=[

@@ -1,23 +1,29 @@
-"""Every public name in ``src/repro`` has a caller outside ``tests/``, and
-every module ``src/repro`` imports ships with it.
+"""The product ships only what the product runs: every public name in
+``src/repro`` has a caller in the product, and every module ``src/repro``
+imports ships with it.
 
-The scan collects each public (no leading underscore) function, class and
-method defined at module or class level under ``src/repro``, then looks
-for its name in the code under ``src/``, ``benchmarks/`` and
-``examples/``, read as an AST: a caller is an identifier, an attribute,
-a keyword argument or an imported name, including one inside an
-f-string's braces.  A string never counts: a docstring, an error message
-or a dict key that spells a name calls nothing, and counting its words
-would keep alive a name only prose mentions.  Neither does a comment, the
-name's own definition, or an ``__init__`` module's imports and
-``__all__``: a re-export calls nothing.  Reading the AST also gives the
+The product is ``src/`` and ``examples/``: the CLI, the library API and
+the service.  A figure bench or a test is no caller; code only they need
+lives beside them, in ``benchmarks/`` or ``tests/``.  The scan collects
+each public (no leading underscore) function, class and method defined
+at module or class level under ``src/repro``, then looks for its name in
+the code under ``src/`` and ``examples/``, read as an AST: a caller is
+an identifier, an attribute, a keyword argument or an imported name,
+including one inside an f-string's braces.  A string never counts: a
+docstring, an error message or a dict key that spells a name calls
+nothing, and counting its words would keep alive a name only prose
+mentions.  Neither does a comment, the name's own definition, or an
+``__init__`` module's imports and ``__all__``: a re-export calls
+nothing.  Reading the AST also gives the
 same answer on every Python, where the tokenizer splits an f-string into
 parts from 3.12 on but keeps it one string token before.
 
-A name with no caller is surface nothing in the system uses.  Delete it,
-with its exports and the tests that check only it, or list it in
-``ALLOWED`` with the reason it stays.  An oracle is no such reason: a
-reference implementation only tests call lives in ``tests/oracles.py``.
+A name with no caller is surface the product does not run.  Delete it,
+with its exports and the tests that check only it, move it beside the
+bench or test that runs it, or list it in ``ALLOWED`` with the reason it
+stays.  An oracle is no such reason: a reference implementation only
+tests call lives in ``tests/oracles.py``, and a model only a figure bench
+runs lives in ``benchmarks/``.
 
 An import under ``src/repro`` names the standard library, ``repro`` or a
 package of ``pyproject.toml``'s ``[project] dependencies``; what only the
@@ -35,11 +41,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "benchmarks", "examples")
+CALLER_DIRS = ("src", "examples")
 
 _ASYNCIO = "asyncio.Protocol callback: the event loop calls it"
+_SPINE_CHAR = ("the measurement spine's characterization path calls it "
+               "(benchmarks/spine/char.py)")
+_SPINE_CHECK = ("the measurement spine's correctness check of a cell's "
+                "outputs (benchmarks/spine/char.py)")
 
-#: qualified name -> why it stays without a caller outside ``tests/``
+#: qualified name -> why it stays without a caller in the product
 ALLOWED = {
     "repro.service.server.FrameProtocol.connection_made": _ASYNCIO,
     "repro.service.server.FrameProtocol.data_received": _ASYNCIO,
@@ -60,6 +70,19 @@ ALLOWED = {
     "repro.cluster.topology.ClusterThread.restart_shard":
         "the other half of the failover lab: brings a shard failed by hand "
         "with kill_shard back on its port",
+    "repro.harness.runner.clear_cache": _SPINE_CHAR,
+    "repro.parallel.trace_sim.simulate_multicore": _SPINE_CHAR,
+    "repro.workloads.validate.validate_bfs": _SPINE_CHECK,
+    "repro.workloads.validate.validate_sssp": _SPINE_CHECK,
+    "repro.workloads.validate.validate_kcore": _SPINE_CHECK,
+    "repro.workloads.validate.validate_triangles": _SPINE_CHECK,
+    "repro.service.client.ServiceClient.query_lang":
+        "the measurement spine's router-vs-local query check calls it "
+        "(benchmarks/spine/serve.py)",
+    "repro.resilience.netchaos.ChaosProxy.set_faults":
+        "the live chaos lever: bench_chaos_availability.py and the "
+        "reliability tests slow or black-hole a proxied hop mid-run; "
+        "the CLI's --netchaos only fixes the spec at boot",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -163,8 +186,9 @@ def unreached() -> set[str]:
 
 def test_every_public_name_has_a_caller_outside_tests(unreached):
     dead = sorted(unreached - set(ALLOWED))
-    assert not dead, ("public names that only tests reach (delete them "
-                      "or give ALLOWED a reason):\n  " + "\n  ".join(dead))
+    assert not dead, ("public names the product does not reach (delete "
+                      "them, move them to benchmarks/ or tests/, or give "
+                      "ALLOWED a reason):\n  " + "\n  ".join(dead))
 
 
 def test_allowed_entries_are_not_stale(unreached):

@@ -1,6 +1,6 @@
 """Tests for the Table 3 prior-benchmark metadata."""
 
-from repro.core.related import TABLE3, coverage_gap
+from benchmarks.paper import TABLE3, coverage_gap
 from repro.core.taxonomy import ComputationType
 
 

@@ -700,8 +700,8 @@ class TestHedgedReadsLive:
                 before = router.tracker.snapshot()[primary]
                 granted = router.retry_budget.snapshot()["granted"]
                 log = _TaskLog(cluster)
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(latency_ms=400.0))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(latency_ms=400.0))
                 out = _hedged_run(client)
             assert out["shard"] == backup
             assert "degraded" not in out
@@ -741,8 +741,8 @@ class TestHedgedReadsLive:
                     pass                          # no token left to hedge
                 denied = router.retry_budget.snapshot()["denied"]
                 log = _TaskLog(cluster)
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(latency_ms=60.0))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(latency_ms=60.0))
                 out = _hedged_run(client)
             assert out["shard"] == primary        # rode out the slow one
             assert _count(router, "cluster_hedges_total") == 0
@@ -761,10 +761,10 @@ class TestHedgedReadsLive:
                 _arm_hedging(cluster, client)
                 log = _TaskLog(cluster)
                 # past the 10 ms hedge delay, well ahead of the backup
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(latency_ms=40.0))
-                cluster.set_shard_faults(backup,
-                                         NetFaultSpec(latency_ms=600.0))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(latency_ms=40.0))
+                cluster.proxies[backup].set_faults(
+                    NetFaultSpec(latency_ms=600.0))
                 out = _hedged_run(client)
             assert out["shard"] == primary
             assert _count(router, "cluster_hedges_total",
@@ -801,8 +801,8 @@ class TestHedgedReadsLive:
                 for name in (primary, backup):
                     cluster.restart_shard(name)
                 time.sleep(0.25)                  # reset timeout is 0.2 s
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(latency_ms=400.0))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(latency_ms=400.0))
                 out = _hedged_run(client)
                 assert out["shard"] == backup
                 assert _count(router, "cluster_hedges_total",
@@ -812,7 +812,7 @@ class TestHedgedReadsLive:
                 assert states[primary]["state"] == BREAKER_HALF_OPEN
                 # the backup dies; the walk fails over onto the primary,
                 # whose trial slot the cancelled loser released
-                cluster.set_shard_faults(primary, NetFaultSpec())
+                cluster.proxies[primary].set_faults(NetFaultSpec())
                 cluster.kill_shard(backup)
                 out = _hedged_run(client)
             assert out["shard"] == primary
@@ -853,8 +853,8 @@ class TestOneWaitPerAttempt:
                                timeout_s=30.0) as client:
                 _arm_hedging(cluster, client)
                 log = _TaskLog(cluster)
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(latency_ms=400.0))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(latency_ms=400.0))
                 assert _hedged_run(client)["shard"] == backup
             assert len(log.exchanges()) == 2
             (task,) = log.tasks
@@ -876,8 +876,8 @@ class TestOneWaitPerAttempt:
                                        timeout_s=30.0) as direct:
                         _hedged_run(direct)       # both caches warm
                 before = router.tracker.snapshot()[primary]
-                cluster.set_shard_faults(primary,
-                                         NetFaultSpec(blackhole=True))
+                cluster.proxies[primary].set_faults(
+                    NetFaultSpec(blackhole=True))
                 # a handler of our own: whether ``repro`` records reach
                 # the root logger depends on which tests ran before
                 records: list[logging.LogRecord] = []

@@ -10,7 +10,7 @@ from repro.core.taxonomy import (
     DataSource,
     WorkloadCategory,
 )
-from repro.core.usecases import (
+from benchmarks.paper import (
     CATEGORIES,
     USE_CASES,
     category_distribution,

@@ -13,7 +13,6 @@ from repro.arch import (
     TEST_MACHINE,
     AlwaysTakenPredictor,
     BimodalPredictor,
-    Cache,
     CPUModel,
     GSharePredictor,
     ICache,
@@ -27,7 +26,7 @@ from repro.arch.icache import expand_visits, layout_code
 from repro.core import trace as T
 from repro.core.memmodel import PAGE_SIZE
 from repro.core.trace import Tracer
-from tests.oracles import reference_branches, reference_icache
+from tests.oracles import Cache, reference_branches, reference_icache
 
 
 def _dtlb(entries, assoc=4, walk=36):

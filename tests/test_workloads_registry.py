@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro import workloads as W
 from repro.core.taxonomy import ComputationType, WorkloadCategory
-from repro.core.usecases import coverage_check
+from benchmarks.paper import coverage_check
 from repro.workloads import (
     GPU_WORKLOADS,
     WORKLOAD_TYPES,

@@ -6,18 +6,22 @@ standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
 ``tests/data/wire_transcript.jsonl`` holds the lines the tree produced
-just before the op/error tables were introduced, re-recorded three
+just before the op/error tables were introduced, re-recorded four
 times since: a shard now stamps ``"shard"`` on its own keyed answers
 (the router, which used to, relays them as bytes), so the two keyed ok
 answers of the shard scene gained that member; the service's and the
 router's ``stats`` answers dropped the keys that restated a metric
-family, so those two key lists shrank; and a static query became one
+family, so those two key lists shrank; a static query became one
 shard's answer, which moved the ten frames ``test_protocol.py`` lists
 in ``SCATTER_MOVED`` (``part`` is no parameter, ``explain`` has no
 merge recipe, a shard answers a static source it does not own, the
-router relays one shard's answer).  No other frame moved —
-``test_protocol.py`` holds the previous recording's digest and checks
-exactly that.  It also asserts a fresh recording is byte-identical, so a
+router relays one shard's answer); and the live-migration ops
+(:data:`REMOVED_OPS`) left the table, which moved the twelve frames it
+lists in ``MIGRATION_MOVED`` (each probe of a removed op is an unknown
+operation now, and the ``mutate`` that cut the imported path answers
+from the generated graph) and took ``rebalance`` out of the router's
+``stats`` keys.  No other frame moved — ``test_protocol.py`` holds the
+previous recording's digest and checks exactly that.  It also asserts a fresh recording is byte-identical, so a
 refactor of the wire vocabulary cannot move a byte of any request,
 response or error frame.
 
@@ -60,10 +64,15 @@ PATH7 = {"version": 1, "directed": False, "max_versions": 64,
          + sorted([i + 1, i] for i in range(6)),
          "props": []}
 
+#: Ops the protocol no longer has.  Each script still asks them where it
+#: did when they were ops, so no request id moved, and each now draws the
+#: unknown-operation error.
+REMOVED_OPS = ("admin", "dyn_export", "dyn_import")
+
 #: One request per op, in wire order (``OPS`` order), then requests that
-#: draw each error a node answers with.  ``batch``, ``shard_info`` and
-#: ``admin`` are refused by a standalone service; the shard and router
-#: scripts below ask them where they are served.
+#: draw each error a node answers with.  ``batch`` and ``shard_info`` are
+#: refused by a standalone service; the shard and router scripts below
+#: ask them where they are served.
 SERVICE_SCRIPT = [
     ("ping", {}),
     ("run", {"workload": "BFS", "dataset": "ldbc", "scale": SCALE,
