@@ -7,8 +7,8 @@ workloads, dragging its IPC down; behaviour diverges per dataset.
 """
 
 from benchmarks.conftest import show
-from benchmarks.paper import paper_note, pivot, spread
-from repro.harness import DATA_SENSITIVE_WORKLOADS, format_table
+from benchmarks.paper import DATA_SENSITIVE_WORKLOADS, paper_note, pivot, spread
+from repro.harness import format_table
 
 
 def test_fig09_cpu_data_sensitivity(suite, benchmark):

@@ -8,16 +8,10 @@ can size their own experiments.
 import numpy as np
 import pytest
 
-from repro.arch import (
-    CacheConfig,
-    GSharePredictor,
-    line_ids,
-    lru_miss_idx,
-    simulate_branches,
-)
+from repro.arch import CacheConfig, line_ids, lru_miss_idx, simulate_branches
 from repro.core.memmodel import PAGE_SIZE
 from repro.gpu.simt import KernelAccum, slots_for_loop
-from tests.oracles import Cache
+from tests.oracles import Cache, GSharePredictor
 
 N = 200_000
 

@@ -21,14 +21,14 @@ from benchmarks.paper import (
 )
 from repro.core.taxonomy import ComputationType
 from repro.harness import format_table
-from repro.workloads import WORKLOAD_TYPES, table4
+from repro.workloads import table4
 
 
 def test_tab04_workload_selection(benchmark):
     def run_selection_flow():
         counts = workload_usecase_counts()
         selected = select_workloads(min_usecases=4)
-        missing = coverage_check(selected, WORKLOAD_TYPES)
+        missing = coverage_check(selected)
         return counts, selected, missing
 
     counts, selected, missing = benchmark(run_selection_flow)

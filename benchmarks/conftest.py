@@ -22,9 +22,9 @@ import pytest
 from repro.arch.machine import SCALED_XEON
 from repro.bayes import munin_like
 from repro.datagen import REGISTRY, make
+from benchmarks.paper import DATA_SENSITIVE_WORKLOADS
 from repro.harness import (
     CPU_WORKLOADS,
-    DATA_SENSITIVE_WORKLOADS,
     GPU_WORKLOAD_SET,
     characterize,
     run_cpu_workload,

@@ -1,8 +1,9 @@
 """The paper's own tables and annotations, which only the figure benches
-print: Table 3's prior-benchmark landscape, Section 4.1's use-case
+print: Tables 1-2's qualitative profiles, Table 3's prior-benchmark
+landscape, Section 4.1's use-case
 catalogue and workload-selection flow (Figs. 3-4), the ``[paper: ...]``
-note a bench prints beside its measured table, Figs. 9/13's
-workload x dataset pivot and its spread, and Fig. 2's traced CSR walk.  The product
+note a bench prints beside its measured table, Fig. 9's workload set,
+Figs. 9/13's workload x dataset pivot and its spread, and Fig. 2's traced CSR walk.  The product
 (``src/repro``) runs none of them; the tests import them from here.
 """
 
@@ -16,6 +17,72 @@ from repro.core import trace as T
 from repro.core.taxonomy import ComputationType, DataSource
 from repro.formats.csr import IDX_SIZE, CSRGraph
 from repro.harness.runner import Row
+from repro.workloads import WORKLOADS
+
+# -- Tables 1-2: what each computation and data-source type is like ---------
+
+@dataclass(frozen=True)
+class ComputationProfile:
+    """Qualitative feature vector of a computation type (Table 1)."""
+
+    ctype: ComputationType
+    feature: str
+    example: str
+    read_intensity: str      # low / medium / high
+    write_intensity: str
+    numeric_intensity: str
+
+
+COMPUTATION_PROFILES: dict[ComputationType, ComputationProfile] = {
+    ComputationType.COMP_STRUCT: ComputationProfile(
+        ComputationType.COMP_STRUCT,
+        feature="Irregular access pattern, heavy read accesses",
+        example="BFS traversal",
+        read_intensity="high", write_intensity="low",
+        numeric_intensity="low"),
+    ComputationType.COMP_PROP: ComputationProfile(
+        ComputationType.COMP_PROP,
+        feature="Heavy numeric operations on properties",
+        example="Belief propagation",
+        read_intensity="medium", write_intensity="medium",
+        numeric_intensity="high"),
+    ComputationType.COMP_DYN: ComputationProfile(
+        ComputationType.COMP_DYN,
+        feature="Dynamic graph, dynamic memory footprint",
+        example="Streaming graph",
+        read_intensity="medium", write_intensity="high",
+        numeric_intensity="low"),
+}
+
+
+@dataclass(frozen=True)
+class DataSourceProfile:
+    """Qualitative feature vector of a data-source type (Table 2)."""
+
+    source: DataSource
+    example: str
+    feature: str
+
+
+DATA_SOURCE_PROFILES: dict[DataSource, DataSourceProfile] = {
+    DataSource.SOCIAL: DataSourceProfile(
+        DataSource.SOCIAL, "Twitter graph",
+        "Large connected components, small shortest path lengths, "
+        "high degree variance"),
+    DataSource.INFORMATION: DataSourceProfile(
+        DataSource.INFORMATION, "Knowledge graph",
+        "Large vertex degrees, large small-hop neighbourhoods"),
+    DataSource.NATURE: DataSourceProfile(
+        DataSource.NATURE, "Gene network",
+        "Complex properties, structured topology"),
+    DataSource.TECHNOLOGY: DataSourceProfile(
+        DataSource.TECHNOLOGY, "Road network",
+        "Regular topology, small vertex degrees"),
+    DataSource.SYNTHETIC: DataSourceProfile(
+        DataSource.SYNTHETIC, "LDBC social-network generator",
+        "Facebook-like social features at arbitrary scale"),
+}
+
 
 # -- Table 3: the prior graph-benchmark landscape ----------------------------
 # Most earlier efforts cover only CompStruct workloads over static
@@ -167,12 +234,18 @@ def select_workloads(min_usecases: int = 4) -> list[str]:
                   key=lambda w: -workload_usecase_counts()[w])
 
 
-def coverage_check(selected: list[str],
-                   workload_types: dict[str, ComputationType]) -> set[ComputationType]:
+def coverage_check(selected: list[str]) -> set[ComputationType]:
     """The *merge/reselect* step of Fig. 3: computation types not yet
     covered by ``selected`` (empty set = full coverage)."""
-    covered = {workload_types[w] for w in selected if w in workload_types}
+    covered = {WORKLOADS[w].CTYPE for w in selected if w in WORKLOADS}
     return set(ComputationType) - covered
+
+
+#: Workloads that can take every input dataset (the paper's Fig. 9 set
+#: excludes the ones that cannot — Gibbs needs a Bayesian network, GCons
+#: consumes an edge list, TMorph needs a DAG).
+DATA_SENSITIVE_WORKLOADS = ("BFS", "DFS", "SPath", "kCore", "CComp",
+                            "TC", "DCentr")
 
 
 # -- bench rendering ---------------------------------------------------------

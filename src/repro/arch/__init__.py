@@ -2,13 +2,7 @@
 prediction, ICache, and top-down cycle accounting (the perf-counter
 substitute for the paper's CPU characterization)."""
 
-from .branch import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
-    BranchStats,
-    GSharePredictor,
-    simulate_branches,
-)
+from .branch import BranchStats, simulate_branches
 from .cache import (
     CacheConfig,
     CacheStats,
@@ -22,9 +16,9 @@ from .machine import PAPER_XEON, SCALED_XEON, TEST_MACHINE, MachineConfig, descr
 from .replay import HierarchyResult, ReplayResult, replay
 
 __all__ = [
-    "AlwaysTakenPredictor", "BimodalPredictor", "BranchStats",
+    "BranchStats",
     "CacheConfig", "CacheStats", "CPUMetrics", "CPUModel",
-    "CycleBreakdown", "GSharePredictor", "HierarchyResult", "ICache",
+    "CycleBreakdown", "HierarchyResult", "ICache",
     "MachineConfig", "ReplayResult", "level_miss_idx", "line_ids",
     "lru_miss_idx", "replay", "PAPER_XEON", "SCALED_XEON", "SERIAL_REGIONS", "TEST_MACHINE",
     "code_footprint", "deep_stack_regions", "describe", "simulate_branches",

@@ -30,69 +30,10 @@ class BranchStats:
         return 1000.0 * self.mispredicts / n_instrs if n_instrs else 0.0
 
 
-class BimodalPredictor:
-    """Per-site 2-bit saturating counters (no global history)."""
+#: gshare's global-history length; the table size is the machine's
+#: ``predictor_bits``
+_HISTORY_BITS = 12
 
-    def __init__(self, table_bits: int = 12):
-        self.mask = (1 << table_bits) - 1
-        self.table = [2] * (1 << table_bits)   # weakly taken
-
-    def simulate(self, sites: np.ndarray, taken: np.ndarray) -> BranchStats:
-        table = self.table
-        mask = self.mask
-        miss = 0
-        for s, t in zip(np.asarray(sites).tolist(),
-                        np.asarray(taken).tolist()):
-            idx = s & mask
-            c = table[idx]
-            if (c >= 2) != bool(t):
-                miss += 1
-            table[idx] = min(c + 1, 3) if t else max(c - 1, 0)
-        return BranchStats(len(sites), miss)
-
-
-class GSharePredictor:
-    """Global-history XOR site-indexed 2-bit counters (McFarling gshare)."""
-
-    def __init__(self, table_bits: int = 12, history_bits: int = 12):
-        self.table_bits = table_bits
-        self.mask = (1 << table_bits) - 1
-        self.hmask = (1 << history_bits) - 1
-        self.table = [2] * (1 << table_bits)
-        self.history = 0
-
-    def simulate(self, sites: np.ndarray, taken: np.ndarray) -> BranchStats:
-        table = self.table
-        mask = self.mask
-        hmask = self.hmask
-        hist = self.history
-        miss = 0
-        for s, t in zip(np.asarray(sites).tolist(),
-                        np.asarray(taken).tolist()):
-            idx = (s ^ hist) & mask
-            c = table[idx]
-            t = bool(t)
-            if (c >= 2) != t:
-                miss += 1
-            table[idx] = min(c + 1, 3) if t else max(c - 1, 0)
-            hist = ((hist << 1) | t) & hmask
-        self.history = hist
-        return BranchStats(len(sites), miss)
-
-
-class AlwaysTakenPredictor:
-    """Static always-taken baseline (sanity lower bound)."""
-
-    def simulate(self, sites: np.ndarray, taken: np.ndarray) -> BranchStats:
-        taken = np.asarray(taken, dtype=bool)
-        return BranchStats(len(taken), int((~taken).sum()))
-
-
-PREDICTORS = {
-    "gshare": GSharePredictor,
-    "bimodal": BimodalPredictor,
-    "always_taken": AlwaysTakenPredictor,
-}
 
 def _counter_misses(idx: np.ndarray, taken: np.ndarray) -> int:
     """Mispredict count of per-index 2-bit saturating counters (init
@@ -183,32 +124,35 @@ def _gshare_history(taken: np.ndarray, history_bits: int,
 
 
 def simulate_branches(sites: np.ndarray, taken: np.ndarray,
-                      kind: str = "gshare", **kwargs) -> BranchStats:
+                      kind: str = "gshare",
+                      table_bits: int = 12) -> BranchStats:
     """Run predictor ``kind`` over a (site, outcome) stream; an outcome
     is taken when non-zero.
 
-    The table-based predictors go through the vectorized closed-form
-    counter evolution (:func:`_counter_misses`); it is exact —
+    ``bimodal`` is per-site 2-bit saturating counters (no global
+    history), ``gshare`` the same counters indexed by the site XOR a
+    12-bit global history (McFarling), both ``2**table_bits`` entries
+    starting weakly taken; ``always_taken`` is the static baseline.  The
+    table-based predictors go through the vectorized closed-form counter
+    evolution (:func:`_counter_misses`); it is exact —
     ``tests/test_tlb_branch_icache.py`` holds it equal to the sequential
-    predictor classes above, which remain the oracle.
+    predictors of ``tests/oracles.py``.
     """
-    try:
-        cls = PREDICTORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown predictor {kind!r}; "
-                         f"choose from {sorted(PREDICTORS)}") from None
+    if kind not in ("gshare", "bimodal", "always_taken"):
+        raise ValueError(f"unknown predictor {kind!r}; choose from "
+                         "['always_taken', 'bimodal', 'gshare']")
     s, t = np.asarray(sites), np.asarray(taken) != 0
     if len(s) != len(t):
         raise ValueError(f"sites has {len(s)} entries, taken has {len(t)}")
-    if kind == "always_taken":       # static: no table, no geometry
-        return cls().simulate(s, t)
-    p = cls(**kwargs)
-    hbits = p.hmask.bit_length() if kind == "gshare" else 0
+    if kind == "always_taken":       # static: a miss is a not-taken branch
+        return BranchStats(len(t), int(np.count_nonzero(~t)))
+    hbits = _HISTORY_BITS if kind == "gshare" else 0
     # the narrowest unsigned type that holds an index *and* the history;
     # the cast keeps a site's low bits, which are all an index reads
     dtype = next(u for u in (np.uint8, np.uint16, np.uint32, np.uint64)
-                 if max(p.mask.bit_length(), hbits) <= np.iinfo(u).bits)
+                 if max(table_bits, hbits) <= np.iinfo(u).bits)
     idx = s.astype(dtype)
     if kind == "gshare":
         idx ^= _gshare_history(t, hbits, dtype)
-    return BranchStats(len(s), _counter_misses(idx & dtype(p.mask), t))
+    mask = dtype((1 << table_bits) - 1)
+    return BranchStats(len(s), _counter_misses(idx & mask, t))

@@ -44,17 +44,17 @@ def code_footprint(regions: dict[int, Region]) -> int:
     return sum(r.code_bytes for r in regions.values())
 
 
-def deep_stack_regions(regions: dict[int, Region], depth: int,
-                       wrapper_bytes: int = 384) -> dict[int, Region]:
-    """Synthesize ``depth`` wrapper regions per original region, modelling
-    the adapter layers of a deep software stack."""
+def deep_stack_regions(regions: dict[int, Region],
+                       depth: int) -> dict[int, Region]:
+    """Synthesize ``depth`` 384-byte wrapper regions per original
+    region, modelling the adapter layers of a deep software stack."""
     out = dict(regions)
     next_rid = max(regions) + 1
     for rid in sorted(regions):
         for lvl in range(depth):
             out[next_rid + lvl] = Region(
                 next_rid + lvl, f"{regions[rid].name}_wrap{lvl}",
-                wrapper_bytes, regions[rid].framework)
+                384, regions[rid].framework)
         next_rid += depth
     return out
 

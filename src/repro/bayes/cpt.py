@@ -76,17 +76,20 @@ class CPT:
 
 
 def random_cpt(arity: int, parent_arities: tuple[int, ...],
-               rng: np.random.Generator, concentration: float = 1.0) -> CPT:
-    """Dirichlet-random CPT (each row an independent Dirichlet draw)."""
+               rng: np.random.Generator) -> CPT:
+    """Dirichlet-random CPT (each row an independent flat Dirichlet
+    draw)."""
     rows = int(np.prod(parent_arities)) if parent_arities else 1
-    table = rng.dirichlet(np.full(arity, concentration), size=rows)
+    table = rng.dirichlet(np.ones(arity), size=rows)
     return CPT(table, tuple(parent_arities))
 
 
 def deterministic_cpt(arity: int, parent_arities: tuple[int, ...],
-                      rng: np.random.Generator, noise: float = 0.05) -> CPT:
-    """Near-deterministic CPT (one dominant outcome per row), as appears in
-    diagnostic networks like MUNIN."""
+                      rng: np.random.Generator) -> CPT:
+    """Near-deterministic CPT (one dominant outcome per row, the other
+    outcomes sharing 5 % noise), as appears in diagnostic networks like
+    MUNIN."""
+    noise = 0.05
     rows = int(np.prod(parent_arities)) if parent_arities else 1
     table = np.full((rows, arity), noise / max(arity - 1, 1))
     winners = rng.integers(0, arity, rows)

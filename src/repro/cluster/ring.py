@@ -121,10 +121,10 @@ class RebalancePlan:
             out[new]["gained"] += 1
         return out
 
-    def summary(self, *, max_moved_keys: int = 20) -> dict:
+    def summary(self) -> dict:
         """JSON-ready plan summary.
 
-        The per-key listing is capped at ``max_moved_keys`` entries
+        The per-key listing is capped at 20 entries
         (sorted, so the sample is stable) with the overflow disclosed in
         ``moved_keys_omitted`` — a synthetic-keyspace estimate can move
         thousands of keys, and the summary is an operator artifact, not
@@ -134,7 +134,7 @@ class RebalancePlan:
                "total_keys": self.total_keys, "moved": len(self.moved),
                "fraction_moved": round(self.fraction_moved, 4),
                "per_shard": self.per_shard()}
-        listed = sorted(self.moved)[:max(0, max_moved_keys)]
+        listed = sorted(self.moved)[:20]
         out["moved_keys"] = {k: {"from": self.moved[k][0],
                                  "to": self.moved[k][1]}
                              for k in listed}
@@ -156,7 +156,7 @@ def plan_rebalance(before: HashRing, after: HashRing,
                          total_keys=len(keys), moved=moved)
 
 
-def synthetic_keys(n: int, prefix: str = "key") -> list[str]:
+def synthetic_keys(n: int) -> list[str]:
     """A smooth keyspace sample for movement estimates (the registry has
     only a handful of dataset keys; fractions need volume)."""
-    return [f"{prefix}-{i}" for i in range(n)]
+    return [f"key-{i}" for i in range(n)]

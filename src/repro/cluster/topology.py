@@ -247,14 +247,13 @@ class ShardProcess:
 class ClusterProcesses:
     """Boot a spec with real shard processes and an in-thread router."""
 
-    def __init__(self, spec: ClusterSpec, *, host: str = "127.0.0.1",
-                 port: int = 0, isolation: str = "inline",
-                 router_kwargs: dict[str, Any] | None = None):
+    def __init__(self, spec: ClusterSpec, *, host: str, port: int,
+                 isolation: str, router_kwargs: dict[str, Any]):
         self.spec = spec
         self.host = host
         self._want_port = port
         self.isolation = isolation
-        self.router_kwargs = dict(router_kwargs or {})
+        self.router_kwargs = router_kwargs
         self.assignment = spec.assignment()
         self.shards: dict[str, ShardProcess] = {}
         self.router: Router | None = None

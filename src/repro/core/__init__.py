@@ -21,42 +21,31 @@ from .graph import EdgeNode, PropertyGraph, Vertex
 from .memmodel import (
     AGED_HEAP,
     HEAP_BASE,
-    LINE_SIZE,
     PACKED_HEAP,
     PAGE_SIZE,
     HeapModel,
     SimAllocator,
 )
 from .properties import EMPTY_SCHEMA, Field, Schema
-from .taxonomy import (
-    COMPUTATION_PROFILES,
-    DATA_SOURCE_PROFILES,
-    ComputationProfile,
-    ComputationType,
-    DataSource,
-    DataSourceProfile,
-    WorkloadCategory,
-)
+from .taxonomy import ComputationType, DataSource, WorkloadCategory
 from .trace import FrozenTrace, Region, Tracer
 from .tracestore import (
     TRACE_FORMAT_VERSION,
     StoredTrace,
     TraceStore,
-    TraceStoreKeyError,
     TraceStoreStats,
 )
 
 __all__ = [
-    "AGED_HEAP", "COMPUTATION_PROFILES", "CellCrash", "CellExecutionError",
-    "CellOOM", "CellTimeout", "DATA_SOURCE_PROFILES",
+    "AGED_HEAP", "CellCrash", "CellExecutionError",
+    "CellOOM", "CellTimeout",
     "DuplicateEdge", "DuplicateVertex", "EMPTY_SCHEMA", "EdgeNode",
     "EdgeNotFound", "Field", "FrozenTrace", "GraphError", "HEAP_BASE",
     "HarnessError", "MetricsUnavailable", "RetriesExhausted",
-    "HeapModel", "LINE_SIZE", "PACKED_HEAP", "PAGE_SIZE", "PropertyGraph",
+    "HeapModel", "PACKED_HEAP", "PAGE_SIZE", "PropertyGraph",
     "Region", "Schema", "SchemaError", "SimAllocator",
     "StoredTrace", "TRACE_FORMAT_VERSION", "TraceError",
-    "TraceStore", "TraceStoreKeyError", "TraceStoreStats", "Tracer",
+    "TraceStore", "TraceStoreStats", "Tracer",
     "Vertex", "VertexNotFound",
-    "ComputationProfile", "ComputationType", "DataSource",
-    "DataSourceProfile", "WorkloadCategory",
+    "ComputationType", "DataSource", "WorkloadCategory",
 ]

@@ -36,7 +36,7 @@ from .errors import (
     VertexNotFound,
 )
 from .memmodel import PACKED_HEAP, HeapModel, SimAllocator
-from .properties import EMPTY_SCHEMA, Field, Schema
+from .properties import EMPTY_SCHEMA, Schema
 from . import trace as T
 
 # struct layout ------------------------------------------------------------
@@ -475,8 +475,8 @@ class PropertyGraph:
                 self._eset(node, name, value)
         return node
 
-    def add_edges(self, edges: Iterable[tuple[int, int]], *,
-                  skip_duplicates: bool = True, **props: Any) -> int:
+    def add_edges(self, edges: Iterable[tuple[int, int]],
+                  **props: Any) -> int:
         """Bulk *add-edge*: insert every ``(src, dst)`` pair in ``edges``.
 
         Accepts any iterable of pairs — including an ``(m, 2)`` numpy
@@ -484,10 +484,10 @@ class PropertyGraph:
         generated edge block straight in without a per-edge unpacking
         loop.  Each insertion runs through :meth:`add_edge` (both arcs on
         an undirected graph, full trace emission when a tracer is
-        attached).  With ``skip_duplicates`` an already-present edge is
-        counted out instead of raising — the streaming-ingest idiom where
-        the feed replays edges it already delivered.  Returns the number
-        of edges actually inserted.
+        attached).  An already-present edge is counted out instead of
+        raising — the streaming-ingest idiom where the feed replays edges
+        it already delivered.  Returns the number of edges actually
+        inserted.
         """
         added = 0
         for row in edges:
@@ -495,8 +495,6 @@ class PropertyGraph:
             try:
                 self.add_edge(src, dst, **props)
             except DuplicateEdge:
-                if not skip_duplicates:
-                    raise
                 continue
             added += 1
         return added
@@ -816,9 +814,3 @@ class PropertyGraph:
         for v in self._v.values():
             for e in v.out.values():
                 e.props[:] = next(eit)
-
-
-# Convenience schemas used across workloads ---------------------------------
-BFS_SCHEMA = Schema([Field("level", default=-1), Field("parent", default=-1)])
-COLOR_SCHEMA = Schema([Field("color", default=-1), Field("rnd", default=0)])
-WEIGHT_EDGE_SCHEMA = Schema([Field("weight", default=1.0)])

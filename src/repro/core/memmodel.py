@@ -30,9 +30,6 @@ import numpy as np
 #: Default base of the simulated heap (arbitrary, page aligned).
 HEAP_BASE = 0x5600_0000_0000
 
-#: Cache line size assumed throughout the architecture model (bytes).
-LINE_SIZE = 64
-
 #: Page size used by the DTLB model (bytes).
 PAGE_SIZE = 4096
 
@@ -90,17 +87,16 @@ class SimAllocator:
 
     Addresses are plain ints; nothing is ever stored at them.  The allocator
     only exists so the tracer can emit a realistic address stream.  Each
-    instance claims a disjoint arena by default, so simultaneously-live
+    instance claims a disjoint arena, so simultaneously-live
     graphs (e.g. TMorph's source DAG and moral graph) never alias.
     """
 
     __slots__ = ("model", "base", "_cursor", "_rng", "bytes_allocated",
                  "n_allocs", "_tags")
 
-    def __init__(self, model: HeapModel = PACKED_HEAP,
-                 base: int | None = None):
+    def __init__(self, model: HeapModel = PACKED_HEAP):
         self.model = model
-        self.base = _claim_arena() if base is None else base
+        self.base = _claim_arena()
         self._cursor = self.base
         self._rng = np.random.default_rng(model.seed)
         self.bytes_allocated = 0

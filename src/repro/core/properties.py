@@ -18,10 +18,6 @@ from typing import Any
 
 from .errors import SchemaError
 
-#: Size in bytes of a property slot that stores a pointer to an
-#: out-of-struct payload (CPTs, adjacency snapshots, blobs).
-POINTER_SIZE = 8
-
 
 @dataclass(frozen=True)
 class Field:

@@ -9,7 +9,6 @@ The characterization harness groups results by these tags (Figs. 5–9, 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -27,40 +26,6 @@ class ComputationType(str, Enum):
     COMP_DYN = "CompDyn"
 
 
-@dataclass(frozen=True)
-class ComputationProfile:
-    """Qualitative feature vector of a computation type (Table 1)."""
-
-    ctype: ComputationType
-    feature: str
-    example: str
-    read_intensity: str      # low / medium / high
-    write_intensity: str
-    numeric_intensity: str
-
-
-COMPUTATION_PROFILES: dict[ComputationType, ComputationProfile] = {
-    ComputationType.COMP_STRUCT: ComputationProfile(
-        ComputationType.COMP_STRUCT,
-        feature="Irregular access pattern, heavy read accesses",
-        example="BFS traversal",
-        read_intensity="high", write_intensity="low",
-        numeric_intensity="low"),
-    ComputationType.COMP_PROP: ComputationProfile(
-        ComputationType.COMP_PROP,
-        feature="Heavy numeric operations on properties",
-        example="Belief propagation",
-        read_intensity="medium", write_intensity="medium",
-        numeric_intensity="high"),
-    ComputationType.COMP_DYN: ComputationProfile(
-        ComputationType.COMP_DYN,
-        feature="Dynamic graph, dynamic memory footprint",
-        example="Streaming graph",
-        read_intensity="medium", write_intensity="high",
-        numeric_intensity="low"),
-}
-
-
 class DataSource(int, Enum):
     """Paper Table 2 — the four graph data-source types (+ synthetic)."""
 
@@ -69,35 +34,6 @@ class DataSource(int, Enum):
     NATURE = 3        # nature/bio/cognitive network (gene network)
     TECHNOLOGY = 4    # man-made technology network (road network)
     SYNTHETIC = 5     # generator-produced (LDBC-style)
-
-
-@dataclass(frozen=True)
-class DataSourceProfile:
-    """Qualitative feature vector of a data-source type (Table 2)."""
-
-    source: DataSource
-    example: str
-    feature: str
-
-
-DATA_SOURCE_PROFILES: dict[DataSource, DataSourceProfile] = {
-    DataSource.SOCIAL: DataSourceProfile(
-        DataSource.SOCIAL, "Twitter graph",
-        "Large connected components, small shortest path lengths, "
-        "high degree variance"),
-    DataSource.INFORMATION: DataSourceProfile(
-        DataSource.INFORMATION, "Knowledge graph",
-        "Large vertex degrees, large small-hop neighbourhoods"),
-    DataSource.NATURE: DataSourceProfile(
-        DataSource.NATURE, "Gene network",
-        "Complex properties, structured topology"),
-    DataSource.TECHNOLOGY: DataSourceProfile(
-        DataSource.TECHNOLOGY, "Road network",
-        "Regular topology, small vertex degrees"),
-    DataSource.SYNTHETIC: DataSourceProfile(
-        DataSource.SYNTHETIC, "LDBC social-network generator",
-        "Facebook-like social features at arbitrary scale"),
-}
 
 
 class WorkloadCategory(str, Enum):

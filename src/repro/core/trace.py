@@ -288,12 +288,11 @@ class Tracer:
         self._cur_fw = False    # region R_IDLE is user code
 
     # -- region management --------------------------------------------------
-    def register_region(self, name: str, code_bytes: int = 256,
-                        framework: bool = False) -> int:
+    def register_region(self, name: str, code_bytes: int = 256) -> int:
         """Register a user code region (a workload kernel); returns its id."""
         rid = self._next_user_rid
         self._next_user_rid += 1
-        self.regions[rid] = Region(rid, name, code_bytes, framework)
+        self.regions[rid] = Region(rid, name, code_bytes, False)
         return rid
 
     def register_branch_site(self) -> int:

@@ -1,7 +1,7 @@
 """Content-addressed on-disk store for frozen workload traces.
 
 A :class:`~repro.core.trace.FrozenTrace` depends only on (workload,
-dataset identity, seed, user params) — it is machine-independent by
+dataset identity, seed) — it is machine-independent by
 construction (the framework emits virtual addresses and instruction
 counts; no cache/TLB/branch state enters trace generation).  A machine
 sensitivity sweep therefore only needs to *execute* the workload once and
@@ -10,8 +10,8 @@ can replay the stored trace against every :class:`MachineConfig`.
 Layout: each entry is ``<key>.npz`` (numpy columns) plus a
 ``<key>.json`` sidecar carrying the regions table, scalar outputs, trace
 counters and provenance.  The key is the sha256 of the canonical JSON of
-(workload, dataset identity, canonicalized params, trace-format
-version), so different seeds/params/datasets can never share an entry and
+(workload, dataset identity, trace-format version), so different
+seeds/datasets can never share an entry and
 a format bump invalidates every old entry at once.
 
 Writes are atomic (tmp file + ``os.replace``); the sidecar is written
@@ -45,36 +45,6 @@ _ARRAY_FIELDS = ("addrs", "rw", "iat", "acc_region", "branch_sites",
 #: the dtype :meth:`Tracer.freeze` gives each column, which ``save`` writes
 _DTYPES = dict(zip(_ARRAY_FIELDS, (np.uint64, np.uint8, np.uint64, np.uint32,
                                    np.uint32, np.uint8, np.uint32, np.uint64)))
-
-
-class TraceStoreKeyError(ValueError):
-    """Raised when a params value cannot be canonicalized into a key."""
-
-
-def _canon(value: Any) -> Any:
-    """Canonicalize one params value into deterministic JSON-able form."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": hashlib.sha256(
-                    np.ascontiguousarray(value).tobytes()).hexdigest(),
-                "dtype": str(value.dtype),
-                "shape": list(value.shape)}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_canon(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _canon(v) for k, v in sorted(value.items(),
-                                                     key=lambda kv: str(kv[0]))}
-    raise TraceStoreKeyError(
-        f"cannot canonicalize params value of type {type(value).__name__}")
 
 
 def _check_columns(cols: dict[str, np.ndarray], regions: dict[int, Region],
@@ -166,16 +136,15 @@ class TraceStore:
                            key=key, memo=entry.memo)
 
     # -- keys ----------------------------------------------------------------
-    def key_for(self, workload: str, spec, params: dict | None = None) -> str:
-        """Content key of (workload, dataset identity, canonical params).
+    def key_for(self, workload: str, spec) -> str:
+        """Content key of (workload, dataset identity).
 
         ``spec`` is a :class:`~repro.datagen.spec.GraphSpec`; its
         :meth:`~repro.datagen.spec.GraphSpec.identity` — (name, n, m,
         seed), plus an edge digest when no seed fixes the edges —
-        identifies the dataset.  Raises
-        :class:`TraceStoreKeyError` for params that cannot be
-        canonicalized (e.g. live objects) — callers should bypass the
-        store for those runs rather than risk a collision.
+        identifies the dataset.  A run's params are the harness's own,
+        a function of the workload and the dataset, so they add nothing;
+        the key keeps their empty slot so existing stores stay valid.
         """
         dataset, n, m, seed, *edges = spec.identity()
         ident = {
@@ -185,7 +154,7 @@ class TraceStore:
             "n": n,
             "m": m,
             "seed": seed,
-            "params": _canon(dict(params or {})),
+            "params": {},
         }
         if edges:               # hand-built: seeded keys stay as they were
             ident["edges"] = edges[0]

@@ -17,24 +17,23 @@ from .spec import GraphSpec
 ENTITY_TYPES = ("gene", "chemical", "drug")
 
 
-def watson_gene(n_vertices: int = 8000, avg_degree: float = 6.1,
-                module_size: int = 40, bridge_fraction: float = 0.03,
-                seed: int = 0) -> GraphSpec:
-    """Modular gene/chemical/drug interaction graph.
+def watson_gene(n_vertices: int, seed: int) -> GraphSpec:
+    """Modular gene/chemical/drug interaction graph, average degree 6.1.
 
-    Vertices are grouped into modules of ~``module_size`` (pathways);
-    all but ``bridge_fraction`` of edges stay within a module, producing
-    the small local subgraphs of the real data.  ``meta['entity_type']``
+    Vertices are grouped into modules of ~40 (pathways); all but 3 % of
+    edges stay within a module, producing the small local subgraphs of
+    the real data.  ``meta['entity_type']``
     carries the per-vertex gene/chemical/drug labels (type-3 networks have
     typed rich properties).
     """
+    module_size = 40
     if n_vertices < 2 * module_size:
         raise ValueError("n_vertices must cover at least two modules")
     rng = np.random.default_rng(seed)
     n_modules = n_vertices // module_size
     module = np.minimum(np.arange(n_vertices) // module_size, n_modules - 1)
-    m = int(n_vertices * avg_degree)
-    n_bridge = int(m * bridge_fraction)
+    m = int(n_vertices * 6.1)
+    n_bridge = int(m * 0.03)
     n_local = m - n_bridge
     # local edges: endpoints uniform within the source's module
     src = rng.integers(0, n_vertices, n_local)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ..core.taxonomy import DataSource
 from .information import knowledge_repo
 from .nature import watson_gene
-from .rmat import rmat
 from .social import ldbc, twitter
 from .spec import GraphSpec
 from .technology import ca_road
@@ -46,16 +45,6 @@ REGISTRY: dict[str, DatasetEntry] = {
                          1_000_000, 28_820_000, 4000, ldbc),
 }
 
-GENERATORS: dict[str, Callable[..., GraphSpec]] = {
-    "twitter": twitter,
-    "knowledge": knowledge_repo,
-    "watson": watson_gene,
-    "roadnet": ca_road,
-    "ldbc": ldbc,
-    "rmat": rmat,
-}
-
-
 def scaled_vertices(name: str, scale: float = 1.0) -> int:
     """The vertex count :func:`make` will generate for ``name`` at
     ``scale`` — without generating anything (the mutation write
@@ -68,8 +57,8 @@ def scaled_vertices(name: str, scale: float = 1.0) -> int:
     return max(120, int(entry.default_vertices * scale))
 
 
-def make(name: str, scale: float = 1.0, seed: int = 0, **kwargs) -> GraphSpec:
+def make(name: str, scale: float = 1.0, seed: int = 0) -> GraphSpec:
     """Generate registry dataset ``name`` at ``scale`` x default size."""
     n = scaled_vertices(name, scale)
-    return REGISTRY[name].factory(n, seed=seed, **kwargs)
+    return REGISTRY[name].factory(n, seed=seed)
 

@@ -32,18 +32,18 @@ def _powerlaw_degrees(n: int, mean_degree: float, alpha: float,
     return np.maximum(1, np.round(deg)).astype(np.int64)
 
 
-def ldbc(n_vertices: int = 4000, avg_degree: float = 28.8,
-         n_communities: int | None = None, p_in: float = 0.6,
-         seed: int = 0) -> GraphSpec:
-    """LDBC SNB-like social graph: broad power-law degrees + communities.
+def ldbc(n_vertices: int, seed: int,
+         avg_degree: float = 28.8) -> GraphSpec:
+    """LDBC SNB-like social graph: broad power-law degrees + communities
+    of ~200 vertices, 60 % of edges inside the source's community.
 
-    Defaults reproduce the paper's LDBC-1M average degree (28.82M edges /
-    1M vertices) at the scaled vertex count.
+    The default degree reproduces the paper's LDBC-1M average degree
+    (28.82M edges / 1M vertices) at the scaled vertex count.
     """
     if n_vertices < 10:
         raise ValueError("n_vertices must be >= 10")
     rng = np.random.default_rng(seed)
-    n_comm = n_communities or max(4, n_vertices // 200)
+    n_comm = max(4, n_vertices // 200)
     community = rng.integers(0, n_comm, n_vertices)
     deg = _powerlaw_degrees(n_vertices, avg_degree, alpha=2.1,
                             d_min=2, d_max=max(8, n_vertices // 10), rng=rng)
@@ -52,7 +52,7 @@ def ldbc(n_vertices: int = 4000, avg_degree: float = 28.8,
     # attachment popularity: power-law but bounded (no extreme hubs)
     pop = deg.astype(np.float64)
     pop /= pop.sum()
-    in_comm = rng.random(m) < p_in
+    in_comm = rng.random(m) < 0.6
     dst = np.empty(m, dtype=np.int64)
     dst[~in_comm] = rng.choice(n_vertices, size=(~in_comm).sum(), p=pop)
     # within-community: pick uniformly among same-community members
@@ -76,21 +76,20 @@ def ldbc(n_vertices: int = 4000, avg_degree: float = 28.8,
                            "avg_degree": avg_degree})
 
 
-def twitter(n_vertices: int = 11000, avg_degree: float = 7.7,
-            hub_fraction: float = 0.001, hub_share: float = 0.35,
-            seed: int = 0) -> GraphSpec:
+def twitter(n_vertices: int, seed: int,
+            avg_degree: float = 7.7) -> GraphSpec:
     """Twitter-like graph: a handful of celebrity hubs plus a light tail.
 
-    ``hub_share`` of all edge endpoints attach to the top
-    ``hub_fraction`` of vertices — the "few vertices with extremely higher
-    degree" contrast of Fig. 13.  Defaults reproduce the paper's sampled
-    Twitter ratio (85M edges / 11M vertices) at scaled size.
+    35 % of all edge endpoints attach to the top 0.1 % of vertices — the
+    "few vertices with extremely higher degree" contrast of Fig. 13.  The
+    default degree reproduces the paper's sampled Twitter ratio (85M
+    edges / 11M vertices) at scaled size.
     """
     if n_vertices < 100:
         raise ValueError("n_vertices must be >= 100")
     rng = np.random.default_rng(seed)
     m = int(n_vertices * avg_degree)
-    n_hubs = max(3, int(n_vertices * hub_fraction))
+    n_hubs = max(3, int(n_vertices * 0.001))
     # sources: mildly skewed (active tweeters)
     deg = _powerlaw_degrees(n_vertices, avg_degree, alpha=2.3,
                             d_min=1, d_max=max(8, n_vertices // 20), rng=rng)
@@ -98,8 +97,8 @@ def twitter(n_vertices: int = 11000, avg_degree: float = 7.7,
     if len(src) < m:
         src = np.concatenate([src, rng.integers(0, n_vertices,
                                                 m - len(src))])
-    # destinations: hub_share goes to hubs (zipf within hubs), rest uniform
-    to_hub = rng.random(m) < hub_share
+    # destinations: 35 % go to hubs (zipf within hubs), the rest uniform
+    to_hub = rng.random(m) < 0.35
     dst = np.empty(m, dtype=np.int64)
     hub_rank = rng.zipf(1.6, size=int(to_hub.sum()))
     dst[to_hub] = np.minimum(hub_rank - 1, n_hubs - 1)

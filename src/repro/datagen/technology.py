@@ -15,14 +15,13 @@ from ..core.taxonomy import DataSource
 from .spec import GraphSpec
 
 
-def ca_road(n_vertices: int = 7600, drop_fraction: float = 0.27,
-            diagonal_fraction: float = 0.02, seed: int = 0) -> GraphSpec:
+def ca_road(n_vertices: int, seed: int) -> GraphSpec:
     """Perturbed 2-D lattice road network (undirected).
 
     A ``side x side`` grid (side = ceil(sqrt(n)))'s 4-neighbour edges,
-    with ``drop_fraction`` removed (dead ends, rivers) and a sprinkle of
-    diagonal shortcuts (highways).  Default drop keeps the giant component
-    and lands the average degree near the real network's ~2.9.
+    with 27 % removed (dead ends, rivers) and 2 % as many diagonal
+    shortcuts (highways) added.  That drop keeps the giant component and
+    lands the average degree near the real network's ~2.9.
     """
     if n_vertices < 16:
         raise ValueError("n_vertices must be >= 16")
@@ -33,9 +32,9 @@ def ca_road(n_vertices: int = 7600, drop_fraction: float = 0.27,
     right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
     down = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
     edges = np.concatenate([right, down])
-    keep = rng.random(len(edges)) >= drop_fraction
+    keep = rng.random(len(edges)) >= 0.27
     edges = edges[keep]
-    n_diag = int(len(edges) * diagonal_fraction)
+    n_diag = int(len(edges) * 0.02)
     if n_diag:
         r = rng.integers(0, side - 1, n_diag)
         c = rng.integers(0, side - 1, n_diag)

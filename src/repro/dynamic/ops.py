@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.errors import BadRequest
 
@@ -116,14 +116,13 @@ def single_op(kind: str, params: dict[str, Any]) -> MutOp:
     return parse_op(raw)
 
 
-def churn_ops(rng: random.Random, n_vertices: int, size: int, *,
-              recent: "Sequence[tuple[int, int]] | None" = None
-              ) -> list[dict[str, Any]]:
+def churn_ops(rng: random.Random, n_vertices: int,
+              size: int) -> list[dict[str, Any]]:
     """One deterministic edge-churn batch, wire-shaped.
 
     Roughly 70% edge inserts between random resident vertices, 20%
-    deletes (drawn from ``recent`` inserts when the caller tracks them,
-    else random pairs that mostly no-op), 10% property writes.  Vertex
+    deletes of random pairs (which mostly no-op), 10% property
+    writes.  Vertex
     id 0 is never deleted so a BFS rooted there stays meaningful across
     any schedule.
     """
@@ -139,13 +138,10 @@ def churn_ops(rng: random.Random, n_vertices: int, size: int, *,
                 dst = (dst + 1) % n_vertices
             ops.append({"op": "add_edge", "src": src, "dst": dst})
         elif roll < 0.90:
-            if recent:
-                src, dst = recent[rng.randrange(len(recent))]
-            else:
-                src = rng.randrange(n_vertices)
-                dst = rng.randrange(n_vertices)
-                if src == dst:
-                    dst = (dst + 1) % n_vertices
+            src = rng.randrange(n_vertices)
+            dst = rng.randrange(n_vertices)
+            if src == dst:
+                dst = (dst + 1) % n_vertices
             ops.append({"op": "del_edge", "src": src, "dst": dst})
         else:
             ops.append({"op": "set_prop",

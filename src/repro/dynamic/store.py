@@ -130,8 +130,7 @@ class SnapshotStore:
     held for microseconds, never across a kernel).
     """
 
-    def __init__(self, *, directed: bool = True,
-                 max_versions: int = DEFAULT_MAX_VERSIONS):
+    def __init__(self, *, directed: bool, max_versions: int):
         if max_versions < 1:
             raise ValueError("max_versions must be >= 1")
         self.directed = directed
@@ -176,14 +175,11 @@ class SnapshotStore:
         return store
 
     @classmethod
-    def from_spec(cls, spec, *,
-                  max_versions: int = DEFAULT_MAX_VERSIONS
-                  ) -> "SnapshotStore":
+    def from_spec(cls, spec) -> "SnapshotStore":
         """Base load from a generated :class:`~repro.datagen.spec.
         GraphSpec` (deduped, self-loop-free by construction)."""
         return cls.from_edges(spec.n, spec.edges,
-                              directed=bool(spec.directed),
-                              max_versions=max_versions)
+                              directed=bool(spec.directed))
 
     def _open_arc(self, src: int, dst: int, version: int) -> bool:
         spans = self._out.setdefault(src, {}).get(dst)
@@ -589,13 +585,13 @@ class Snapshot:
                        for spans in row.values()
                        if _alive_at(spans, self.version))
 
-    def vget(self, vid: int, name: str, default: Any = None) -> Any:
+    def vget(self, vid: int, name: str) -> Any:
         st = self._store
         with st._lock:
             history = st._props.get(vid, {}).get(name)
             if not history:
-                return default
-            value = default
+                return None
+            value = None
             for ver, val in history:
                 if ver > self.version:
                     break

@@ -22,47 +22,38 @@ def compact_ids(g: PropertyGraph) -> tuple[np.ndarray, dict[int, int]]:
     return ids, {int(v): i for i, v in enumerate(ids)}
 
 
-def to_edge_arrays(g: PropertyGraph,
-                   weight_prop: str | None = None
-                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None,
-                              np.ndarray]:
-    """Flatten ``g`` to ``(n, src, dst, vals, orig_ids)`` with dense ids."""
+def to_edge_arrays(g: PropertyGraph
+                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten ``g`` to ``(n, src, dst, orig_ids)`` with dense ids."""
     ids, remap = compact_ids(g)
     src: list[int] = []
     dst: list[int] = []
-    vals: list[float] = []
-    want_vals = weight_prop is not None
     tracer = g.detach_tracer()   # populate/transfer is not part of the kernel
     try:
         for vid in ids:
             v = g.find_vertex(int(vid))
-            for d, node in v.out.items():
+            for d in v.out:
                 src.append(remap[int(vid)])
                 dst.append(remap[d])
-                if want_vals:
-                    vals.append(float(g.eget(node, weight_prop)))
     finally:
         if tracer is not None:
             g.attach_tracer(tracer)
     return (len(ids),
             np.asarray(src, dtype=np.int64),
             np.asarray(dst, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64) if want_vals else None,
             ids)
 
 
-def to_csr(g: PropertyGraph, weight_prop: str | None = None
-           ) -> tuple[CSRGraph, np.ndarray]:
-    """Convert to CSR; returns ``(csr, orig_ids)``."""
-    n, src, dst, vals, ids = to_edge_arrays(g, weight_prop)
-    return from_edge_arrays(n, src, dst, vals), ids
+def to_csr(g: PropertyGraph) -> tuple[CSRGraph, np.ndarray]:
+    """Convert to an unweighted CSR; returns ``(csr, orig_ids)``."""
+    n, src, dst, ids = to_edge_arrays(g)
+    return from_edge_arrays(n, src, dst), ids
 
 
-def to_coo(g: PropertyGraph, weight_prop: str | None = None
-           ) -> tuple[COOGraph, np.ndarray]:
-    """Convert to COO; returns ``(coo, orig_ids)``."""
-    n, src, dst, vals, ids = to_edge_arrays(g, weight_prop)
-    return COOGraph(n, src, dst, vals), ids
+def to_coo(g: PropertyGraph) -> tuple[COOGraph, np.ndarray]:
+    """Convert to an unweighted COO; returns ``(coo, orig_ids)``."""
+    n, src, dst, ids = to_edge_arrays(g)
+    return COOGraph(n, src, dst), ids
 
 
 def csr_to_coo(csr: CSRGraph) -> COOGraph:

@@ -119,10 +119,9 @@ class CSRGraph:
         return f"CSRGraph(n={self.n}, m={self.m})"
 
 
-def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray,
-                     vals: np.ndarray | None = None) -> CSRGraph:
-    """Build a CSR from parallel src/dst arrays (edges get sorted by src,
-    preserving input order within a row)."""
+def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
+    """Build an unweighted CSR from parallel src/dst arrays (edges get
+    sorted by src, preserving input order within a row)."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
@@ -131,10 +130,7 @@ def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray,
     counts = np.bincount(src, minlength=n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
-    v = None
-    if vals is not None:
-        v = np.asarray(vals, dtype=np.float64)[order]
-    return CSRGraph(row_ptr, dst[order], v)
+    return CSRGraph(row_ptr, dst[order])
 
 
 def from_arc_keys(n: int, key: np.ndarray) -> CSRGraph:

@@ -39,15 +39,14 @@ class PopulateResult:
         return self.convert_time + self.transfer_time
 
 
-def populate(g: PropertyGraph, weight_prop: str | None = None
-             ) -> PopulateResult:
-    """Convert ``g`` to CSR+COO and model the host->device transfer."""
-    csr, ids = to_csr(g, weight_prop)
-    coo, _ = to_coo(g, weight_prop)
+def populate(g: PropertyGraph) -> PopulateResult:
+    """Convert ``g`` to unweighted CSR+COO and model the host->device
+    transfer."""
+    csr, ids = to_csr(g)
+    coo, _ = to_coo(g)
     nbytes = (8 * (csr.n + 1)          # row_ptr
               + 8 * csr.m              # col_idx
               + 8 * 2 * coo.m          # coo src/dst
-              + (8 * csr.m if csr.vals is not None else 0)
               + 8 * csr.n)             # property array
     return PopulateResult(
         csr=csr, coo=coo, orig_ids=ids,

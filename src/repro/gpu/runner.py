@@ -6,14 +6,13 @@ from typing import Any
 
 from ..datagen.spec import GraphSpec
 from ..formats.convert import csr_to_coo
-from .device import K40, DeviceConfig, GPUMetrics, time_kernel
+from .device import K40, GPUMetrics, time_kernel
 from .kernels import GPU_KERNELS, UNDIRECTED_KERNELS
 
 
 def run_gpu_workload(name: str, spec: GraphSpec,
-                     device: DeviceConfig = K40,
                      **params: Any) -> tuple[dict[str, Any], GPUMetrics]:
-    """Run GPU kernel ``name`` on dataset ``spec``.
+    """Run GPU kernel ``name`` on dataset ``spec`` on the K40.
 
     The device graph comes from the spec's CSR (the populate step's
     output); kernels on the undirected view get the symmetrized CSR.
@@ -28,5 +27,5 @@ def run_gpu_workload(name: str, spec: GraphSpec,
     if name in UNDIRECTED_KERNELS:
         csr = csr.undirected()
     coo = csr_to_coo(csr)
-    outputs, stats = kernel_cls().run(csr, coo, l2_bytes=device.l2_bytes, **params)
-    return outputs, time_kernel(stats, device)
+    outputs, stats = kernel_cls().run(csr, coo, l2_bytes=K40.l2_bytes, **params)
+    return outputs, time_kernel(stats, K40)

@@ -211,9 +211,8 @@ class KernelAccum:
         self._chunks.append((ukey % _KEY_STRIDE, is_write, rmw))
         return n_unique
 
-    def atomic_op(self, slot: np.ndarray, addrs: np.ndarray,
-                  elem_bytes: int = 8) -> None:
-        """Atomic read-modify-write.
+    def atomic_op(self, slot: np.ndarray, addrs: np.ndarray) -> None:
+        """Atomic read-modify-write of 8-byte words.
 
         Unlike plain loads, atomics replay per distinct *word*, not per
         128 B segment — the L2's atomic unit processes one address of a
@@ -226,8 +225,7 @@ class KernelAccum:
         addrs = np.asarray(addrs, dtype=np.int64)
         # the distinct (slot, segment) pairs: mem_op's offset of the slots
         # is a bijection, so its count is theirs
-        n_seg_pairs = self.mem_op(slot, addrs, elem_bytes, is_write=True,
-                                  rmw=True)
+        n_seg_pairs = self.mem_op(slot, addrs, 8, is_write=True, rmw=True)
         st = self._stats
         st.atomic_ops += len(addrs)
         if len(addrs):

@@ -3,11 +3,7 @@ the CPU/GPU models and renders every figure's table."""
 
 from .comptype import FIG8_METRICS, breakdown_table, fig8_table
 from .export import export_all
-from .framework_time import (
-    PAPER_AVG_FRAMEWORK_FRACTION,
-    average_fraction,
-    framework_fractions,
-)
+from .framework_time import average_fraction, framework_fractions
 from .metrics import CPU_COLUMNS, by_ctype, cpu_table, gpu_table
 from .report import (
     FAILURE_COLUMNS,
@@ -18,7 +14,6 @@ from .report import (
 )
 from .runner import (
     CPU_WORKLOADS,
-    DATA_SENSITIVE_WORKLOADS,
     GPU_WORKLOAD_SET,
     Row,
     cache_stats,
@@ -29,9 +24,8 @@ from .runner import (
 )
 
 __all__ = [
-    "CPU_COLUMNS", "CPU_WORKLOADS", "DATA_SENSITIVE_WORKLOADS",
+    "CPU_COLUMNS", "CPU_WORKLOADS",
     "FAILURE_COLUMNS", "FIG8_METRICS", "GPU_WORKLOAD_SET",
-    "PAPER_AVG_FRAMEWORK_FRACTION",
     "Row", "average_fraction", "breakdown_table", "by_ctype",
     "cache_stats", "characterize", "clear_cache", "cpu_table",
     "export_all", "failure_table",

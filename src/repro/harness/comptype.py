@@ -10,15 +10,6 @@ from .runner import Row
 FIG8_METRICS = ("l2_mpki", "l3_mpki", "dtlb_penalty", "branch_miss_rate",
                 "ipc")
 
-#: Workload -> expected dominant top-down component, from Fig. 5's text:
-#: backend dominates everywhere except CompProp (~50 %).
-PAPER_BACKEND_NOTES = {
-    "kCore": "backend > 90 %",
-    "GUp": "backend > 90 %",
-    "Gibbs": "backend ~ 50 % (CompProp outlier)",
-}
-
-
 def fig8_table(rows: list[Row]) -> list[list]:
     """Rows: [metric, CompStruct, CompProp, CompDyn]."""
     out = []

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from .runner import Row
 
-PAPER_AVG_FRAMEWORK_FRACTION = 0.76
-
 
 def framework_fractions(rows: list[Row]) -> dict[str, float]:
     """Per-workload in-framework instruction fraction, as the CPU model

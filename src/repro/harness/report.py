@@ -69,7 +69,7 @@ def failure_table(failures: Sequence[Any]) -> list[list]:
 
 
 def matrix_table(rows: Sequence[Any], failures: Sequence[Any] = (), *,
-                 metric: str = "ipc", floatfmt: str = ".3f") -> str:
+                 metric: str = "ipc") -> str:
     """Workload x dataset grid of one CPU metric, degrading gracefully:
     failed cells render as ``FAILED(kind)``, missing cells as ``-``.
 
@@ -106,4 +106,4 @@ def matrix_table(rows: Sequence[Any], failures: Sequence[Any] = (), *,
         grid.append(line)
     return format_table(["workload"] + datasets, grid,
                         title=f"{metric} (partial matrix)",
-                        floatfmt=floatfmt)
+                        floatfmt=".3f")

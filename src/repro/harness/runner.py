@@ -23,9 +23,9 @@ from ..core.errors import MetricsUnavailable
 from ..core.graph import PropertyGraph
 from ..core.taxonomy import ComputationType
 from ..core.trace import Tracer
-from ..core.tracestore import TraceStore, TraceStoreKeyError
+from ..core.tracestore import TraceStore
 from ..datagen.spec import GraphSpec
-from ..gpu.device import K40, DeviceConfig, GPUMetrics
+from ..gpu.device import K40, GPUMetrics
 from ..gpu.runner import run_gpu_workload
 from ..obs.tracing import maybe_span
 from ..parallel.multicore import project_multicore
@@ -36,12 +36,6 @@ from ..workloads.base import (
     common_edge_schema,
     common_vertex_schema,
 )
-
-#: Workloads that can take every input dataset (the paper's Fig. 9 set
-#: excludes the ones that cannot — Gibbs needs a Bayesian network, GCons
-#: consumes an edge list, TMorph needs a DAG).
-DATA_SENSITIVE_WORKLOADS = ("BFS", "DFS", "SPath", "kCore", "CComp",
-                            "TC", "DCentr")
 
 #: Every registered workload is CPU-characterized (Figs. 5-8): the
 #: paper's 12 plus DFS, 13 in registry order.
@@ -165,7 +159,6 @@ def _scalar_items(d: dict[str, Any]) -> dict[str, Any]:
 def run_cpu_workload(name: str, spec: GraphSpec, *,
                      machine: MachineConfig = SCALED_XEON,
                      gibbs_bn=None,
-                     params: dict[str, Any] | None = None,
                      trace_store: TraceStore | str | Path | None = None
                      ) -> tuple[WorkloadResult, CPUMetrics]:
     """Run one CPU workload on ``spec`` and characterize its trace.
@@ -184,10 +177,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
     store = _as_store(trace_store)
     key = None
     if store is not None and gibbs_bn is None:
-        try:
-            key = store.key_for(name, spec, params)
-        except TraceStoreKeyError:
-            key = None
+        key = store.key_for(name, spec)
     if key is not None:
         stored = store.load(key)
         if stored is not None:
@@ -203,7 +193,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
             return result, metrics
     wl = WORKLOADS[name]()
     tracer = Tracer()
-    params = dict(params or {})
+    params: dict[str, Any] = {}
     if name == "GCons":
         g = PropertyGraph(common_vertex_schema(), common_edge_schema(),
                           directed=spec.directed)
@@ -255,7 +245,6 @@ def _gpu_params(name: str, spec: GraphSpec) -> dict[str, Any]:
 
 def characterize(name: str, spec: GraphSpec, *,
                  machine: MachineConfig = SCALED_XEON,
-                 device: DeviceConfig = K40,
                  with_gpu: bool = False,
                  memo: bool = True,
                  tracer=None,
@@ -277,7 +266,7 @@ def characterize(name: str, spec: GraphSpec, *,
     # name from colliding; likewise spec.identity() distinguishes same-sized
     # datasets generated from different seeds.
     key = (name, spec.identity(),
-           machine, device.name if with_gpu else None, with_gpu)
+           machine, K40.name if with_gpu else None, with_gpu)
     with maybe_span(tracer, f"characterize:{name}:{spec.name}",
                     workload=name, dataset=spec.name,
                     n=spec.n, m=spec.m) as span_args:
@@ -294,7 +283,7 @@ def characterize(name: str, spec: GraphSpec, *,
                   ctype=WORKLOADS[name].CTYPE, cpu=cpu, result=result)
         if with_gpu and name in GPU_WORKLOAD_SET:
             with maybe_span(tracer, f"gpu:{name}", workload=name):
-                outputs, gpu = run_gpu_workload(name, spec, device=device,
+                outputs, gpu = run_gpu_workload(name, spec,
                                                 **_gpu_params(name, spec))
             row.gpu = gpu
             row.extras["gpu_outputs_keys"] = sorted(outputs)

@@ -11,8 +11,8 @@ Three instrument kinds, all label-aware and thread-safe:
 * :class:`Counter` — monotonic float; ``inc()`` only.
 * :class:`Gauge` — settable point-in-time value, or a *callback* gauge
   read lazily at snapshot time (zero hot-path cost).
-* :class:`Histogram` — fixed-boundary buckets (default: the log-scale
-  latency ladder :data:`LATENCY_BUCKETS_MS`) with nearest-rank quantile
+* :class:`Histogram` — fixed-boundary buckets (the log-scale latency
+  ladder :data:`LATENCY_BUCKETS_MS`) with nearest-rank quantile
   estimates read from the cumulative bucket counts.
 
 Registries are cheap; the service builds one per
@@ -133,14 +133,9 @@ class Histogram:
 
     __slots__ = ("_bounds", "_counts", "_count", "_lock", "_sum")
 
-    def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS_MS):
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise MetricError("histogram needs at least one bucket")
-        if len(set(bounds)) != len(bounds):
-            raise MetricError("histogram buckets must be distinct")
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)    # +1: the +Inf bucket
+    def __init__(self):
+        self._bounds = LATENCY_BUCKETS_MS
+        self._counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)   # +1: +Inf
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
@@ -335,19 +330,14 @@ class MetricsRegistry:
         return self._family(name, "counter", help_, labels)
 
     def gauge(self, name: str, help_: str = "",
-              labels: Sequence[str] = (),
               callback: Callable[[], float] | None = None):
-        if callback is not None and labels:
-            raise MetricError("callback gauges cannot be labeled")
-        fam = self._family(name, "gauge", help_, labels,
-                           **({"callback": callback} if callback else {}))
-        return fam
+        """An unlabeled gauge, read from ``callback`` when one is given."""
+        return self._family(name, "gauge", help_, (),
+                            **({"callback": callback} if callback else {}))
 
     def histogram(self, name: str, help_: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = LATENCY_BUCKETS_MS):
-        return self._family(name, "histogram", help_, labels,
-                            buckets=tuple(buckets))
+                  labels: Sequence[str] = ()):
+        return self._family(name, "histogram", help_, labels)
 
     def register_collector(
             self, collect: Callable[[], Mapping[str, Any]]) -> None:

@@ -55,19 +55,16 @@ class MulticoreResult:
 def project_multicore(serial_cycles: float, *, p: int = 16,
                       weights: np.ndarray | None = None,
                       barriers: int = 0,
-                      serial_fraction: float = 0.0,
                       workload: str | None = None) -> MulticoreResult:
     """Project a serial cycle count onto ``p`` cores.
 
     ``weights`` are per-item work estimates (vertex degrees); ``workload``
-    looks up the default serial fraction when ``serial_fraction`` is 0.
+    looks up the serial fraction (none without a workload).
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    if serial_fraction == 0.0 and workload is not None:
-        serial_fraction = SERIAL_FRACTION.get(workload, 0.1)
-    if not 0.0 <= serial_fraction <= 1.0:
-        raise ValueError("serial_fraction must be in [0, 1]")
+    serial_fraction = (0.0 if workload is None
+                       else SERIAL_FRACTION.get(workload, 0.1))
     if weights is not None and len(weights) and p > 1:
         w = np.asarray(weights, dtype=np.float64)
         imbalance = block_partition(len(w), p).imbalance(w)

@@ -48,12 +48,11 @@ def _chunk_owners(n: int, p: int, chunk: int) -> np.ndarray:
 
 
 def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
-                       p: int | None = None,
-                       chunk: int = 256) -> MulticoreCacheResult:
+                       p: int | None = None) -> MulticoreCacheResult:
     """Replay ``trace`` as ``p`` threads with private L1/L2 + shared L3.
 
-    The access stream is split block-cyclically into per-core substreams
-    (approximating a parallel loop's work distribution); private levels
+    The access stream is split block-cyclically, in chunks of 256
+    accesses, into per-core substreams (approximating a parallel loop's work distribution); private levels
     see only their core's stream, and the shared L3 sees the cores' miss
     streams interleaved chunk by chunk — the eviction interleaving that
     causes LLC contention.
@@ -68,11 +67,9 @@ def simulate_multicore(trace: FrozenTrace, machine: MachineConfig,
         p = machine.n_cores
     if p <= 0:
         raise ValueError("p must be positive")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
     m = machine
     addrs = trace.addrs
-    owners = _chunk_owners(len(addrs), p, chunk)
+    owners = _chunk_owners(len(addrs), p, 256)
     i1 = level_miss_idx(m.l1d, addrs, owner=owners)
     i2 = level_miss_idx(m.l2, addrs, i1, owner=owners)
     i3 = level_miss_idx(m.l3, addrs, i2)

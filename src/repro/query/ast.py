@@ -25,10 +25,6 @@ from dataclasses import dataclass
 #: two-character operators must be tried before their one-char prefixes).
 COMPARATORS = ("<=", ">=", "!=", "=", "<", ">")
 
-#: A scalar arg value (the tuple form is a comma list of identifiers).
-Value = "int | float | bool | str | tuple[str, ...]"
-
-
 def render_value(value) -> str:
     """Canonical text of one arg value (inverse of the lexer)."""
     if isinstance(value, bool):

@@ -62,9 +62,6 @@ RELATIONAL = ("filter", "project") + AGGREGATES
 #: Every plannable stage name (for the unknown-stage error message).
 STAGES = tuple(sorted(set(KERNEL_COLUMNS) | set(RELATIONAL)))
 
-#: Comparators the filter stage accepts (all of them).
-FILTER_CMPS = ("=", "!=", "<", "<=", ">", ">=")
-
 _SOURCE_ARGS = ("scale", "seed", "version", "dynamic")
 
 

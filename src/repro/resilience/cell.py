@@ -109,9 +109,9 @@ def _json_safe(v: Any):
         return None
 
 
-def row_to_record(row, cell: Cell, *, attempts: int = 1,
-                  elapsed_s: float | None = None) -> dict[str, Any]:
-    """Flatten a Row into the JSON-lines checkpoint record."""
+def row_to_record(row, cell: Cell, *, attempts: int = 1) -> dict[str, Any]:
+    """Flatten a Row into the JSON-lines checkpoint record (the
+    executor stamps ``elapsed_s`` once the cell is done)."""
     outputs = {}
     if row.result is not None:
         for k in _SCALAR_OUTPUT_KEYS:
@@ -136,7 +136,7 @@ def row_to_record(row, cell: Cell, *, attempts: int = 1,
         "outputs": outputs,
         "extras": extras,
         "attempts": attempts,
-        "elapsed_s": elapsed_s,
+        "elapsed_s": None,
     }
 
 

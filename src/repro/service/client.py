@@ -192,56 +192,17 @@ class ServiceClient:
             raise VersionMismatch(PROTOCOL_VERSION, theirs)
         return result
 
-    def health(self) -> dict[str, Any]:
-        return self.request("health")
-
-    def shard_info(self) -> dict[str, Any]:
-        return self.request("shard_info")
-
-    def workloads(self) -> list[dict[str, Any]]:
-        return self.request("workloads")
-
-    def datasets(self) -> list[dict[str, Any]]:
-        return self.request("datasets")
-
     def stats(self) -> dict[str, Any]:
         return self.request("stats")
 
-    def run(self, workload: str, dataset: str = "ldbc", *,
-            scale: float = 0.25, seed: int = 0, machine: str = "scaled",
-            gpu: bool = False,
-            deadline_s: float | None = None) -> dict[str, Any]:
-        return self.request("run", deadline_s=deadline_s,
-                            workload=workload, dataset=dataset,
-                            scale=scale, seed=seed, machine=machine,
-                            gpu=gpu)
-
-    def characterize(self, workload: str, dataset: str = "ldbc", *,
-                     scale: float = 0.25, seed: int = 0,
-                     machine: str = "scaled",
-                     gpu: bool = False,
-                     deadline_s: float | None = None) -> dict[str, Any]:
-        return self.request("characterize", deadline_s=deadline_s,
-                            workload=workload,
-                            dataset=dataset, scale=scale, seed=seed,
-                            machine=machine, gpu=gpu)
-
     def mutate(self, dataset: str, ops: list[dict[str, Any]], *,
-               scale: float = 0.05, seed: int = 0, strict: bool = False,
-               deadline_s: float | None = None) -> dict[str, Any]:
+               scale: float = 0.05, seed: int = 0,
+               strict: bool = False) -> dict[str, Any]:
         """Apply one atomic mutation batch; returns the new version."""
-        return self.request("mutate", deadline_s=deadline_s,
-                            dataset=dataset, scale=scale, seed=seed,
-                            ops=ops, strict=strict)
+        return self.request("mutate", dataset=dataset, scale=scale,
+                            seed=seed, ops=ops, strict=strict)
 
-    def query_lang(self, q: str, *,
-                   deadline_s: float | None = None) -> dict[str, Any]:
+    def query_lang(self, q: str) -> dict[str, Any]:
         """Execute one pipeline-DSL query (``from twitter | ...``);
         returns the result table plus the plan digest that served it."""
-        return self.request("query", deadline_s=deadline_s, q=q)
-
-    def explain(self, q: str, *,
-                deadline_s: float | None = None) -> dict[str, Any]:
-        """Plan a pipeline-DSL query without executing it; returns the
-        physical plan with per-stage cost estimates."""
-        return self.request("explain", deadline_s=deadline_s, q=q)
+        return self.request("query", q=q)

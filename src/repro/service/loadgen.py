@@ -150,8 +150,7 @@ def schedule(mix: Sequence[Query], n_requests: int,
 
 
 def assign_tenants(plan: Sequence[Query], n_tenants: int, *,
-                   skew: float = 0.0, seed: int = 0,
-                   prefix: str = "tenant") -> list[Query]:
+                   skew: float = 0.0, seed: int = 0) -> list[Query]:
     """Stamp a tenant identity onto every request in a plan.
 
     Tenants are drawn from their own RNG stream
@@ -166,7 +165,7 @@ def assign_tenants(plan: Sequence[Query], n_tenants: int, *,
     if n_tenants < 1:
         raise ValueError("n_tenants must be >= 1")
     rng = random.Random(f"tenants:{seed}")
-    names = [f"{prefix}-{i}" for i in range(n_tenants)]
+    names = [f"tenant-{i}" for i in range(n_tenants)]
     if skew <= 0:
         def draw() -> str:
             return names[rng.randrange(n_tenants)]

@@ -213,8 +213,7 @@ class FrameServer:
     teardown; :class:`ServiceThread` hosts any of them.
     """
 
-    def __init__(self, prefix: str,
-                 registry: MetricsRegistry | None = None):
+    def __init__(self, prefix: str, registry: MetricsRegistry | None):
         self._conn_tasks: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self.host: str | None = None

@@ -63,18 +63,18 @@ class TokenBucket:
         self._last = clock()
         self._lock = threading.Lock()
 
-    def try_spend(self, cost: float = 1.0) -> float:
-        """Withdraw ``cost`` tokens; 0.0 on success, else seconds until
-        the refill would cover it."""
+    def try_spend(self) -> float:
+        """Withdraw one token; 0.0 on success, else seconds until the
+        refill would cover it."""
         with self._lock:
             now = self._clock()
             self._tokens = min(self.burst,
                                self._tokens + (now - self._last) * self.rate)
             self._last = now
-            if self._tokens >= cost:
-                self._tokens -= cost
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return 0.0
-            return (cost - self._tokens) / self.rate
+            return (1.0 - self._tokens) / self.rate
 
     @property
     def tokens(self) -> float:
@@ -120,10 +120,9 @@ class FairGate:
     def active(self) -> int:
         return self._active
 
-    def queue_depth(self, tenant: str | None = None) -> int:
-        if tenant is None:
-            return sum(self._queued.values())
-        return self._queued.get(tenant, 0)
+    def queue_depth(self) -> int:
+        """Waiters queued across every tenant."""
+        return sum(self._queued.values())
 
     async def acquire(self, tenant: str, weight: float = 1.0) -> None:
         if self._active < self.capacity and not self._heap:

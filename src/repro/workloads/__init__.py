@@ -24,7 +24,6 @@ from .gup import GUp
 from .kcore import KCore
 from .registry import (
     GPU_WORKLOADS,
-    WORKLOAD_TYPES,
     WORKLOADS,
     Table4Row,
     get,
@@ -39,7 +38,7 @@ __all__ = [
     "BCentr", "BFS", "CComp", "DCentr", "DFS", "GColor", "GCons",
     "GPU_WORKLOADS", "GUp", "Gibbs", "KCore", "NULL_TRACER", "NullTracer",
     "SPath", "TC", "TMorph", "Table4Row", "TracedHeap", "TracedQueue",
-    "TracedStack", "WORKLOADS", "WORKLOAD_TYPES", "Workload",
+    "TracedStack", "WORKLOADS", "Workload",
     "WorkloadResult", "build_bn_graph", "common_edge_schema",
     "common_vertex_schema", "get", "run", "table4",
 ]

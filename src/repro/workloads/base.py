@@ -40,8 +40,7 @@ class NullTracer:
                   fw_accesses, head_instrs=0, region_seq=None,
                   region_instrs=None) -> None: ...
 
-    def register_region(self, name: str, code_bytes: int = 256,
-                        framework: bool = False) -> int:
+    def register_region(self, name: str, code_bytes: int = 256) -> int:
         return 0
 
     def register_branch_site(self) -> int:
@@ -155,12 +154,11 @@ C_HEAP_STEP = 4  # instructions of one node of a heap sift path
 class TracedQueue:
     """FIFO frontier queue backed by a circular buffer on the sim heap."""
 
-    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer,
-                 capacity: int = 1024, tag: str = "queue"):
+    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer):
         self._items: list[Any] = []
         self._head = 0
-        self.cap = capacity
-        self.base = g.alloc.alloc_array(capacity, ENTRY, tag=tag)
+        self.cap = 1024
+        self.base = g.alloc.alloc_array(self.cap, ENTRY, tag="queue")
         self.t = t
         self._tail_idx = 0
         self._head_idx = 0
@@ -210,11 +208,10 @@ class TracedQueue:
 class TracedStack:
     """LIFO stack on the sim heap (DFS)."""
 
-    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer,
-                 capacity: int = 4096, tag: str = "stack"):
+    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer):
         self._items: list[Any] = []
-        self.cap = capacity
-        self.base = g.alloc.alloc_array(capacity, ENTRY, tag=tag)
+        self.cap = 4096
+        self.base = g.alloc.alloc_array(self.cap, ENTRY, tag="stack")
         self.t = t
 
     def push(self, item: Any) -> None:
@@ -244,11 +241,10 @@ class TracedHeap:
     array heap — against a contiguous allocation that stays cache-hot.
     """
 
-    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer,
-                 capacity: int = 4096, tag: str = "heap"):
+    def __init__(self, g: PropertyGraph, t: Tracer | NullTracer):
         self._heap: list[Any] = []
-        self.cap = capacity
-        self.base = g.alloc.alloc_array(capacity, 2 * ENTRY, tag=tag)
+        self.cap = 4096
+        self.base = g.alloc.alloc_array(self.cap, 2 * ENTRY, tag="heap")
         self.t = t
 
     def _touch_path(self, pos: int, write: bool) -> None:

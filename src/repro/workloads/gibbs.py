@@ -36,21 +36,21 @@ from ._bulk import GraphView, I64, Layout, offsets_of, ragged_arange
 from .base import NullTracer, Workload
 
 
-def build_bn_graph(bn: BayesianNetwork, *, heap=None,
-                   vertex_schema=None, edge_schema=None) -> PropertyGraph:
+def build_bn_graph(bn: BayesianNetwork) -> PropertyGraph:
     """Materialize a Bayesian network as a PropertyGraph with CPT payloads.
 
     Vertices get a ``cpt`` payload sized to the CPT's table and a ``state``
     property; edges follow parent -> child direction.  The topology is
-    laid out first, then the payloads in vertex order.
+    laid out first, on the aged heap with the common schemas, then the
+    payloads in vertex order.
     """
     from ..core.memmodel import AGED_HEAP
     from .base import common_edge_schema, common_vertex_schema
     g = PropertyGraph.from_edges(
         bn.n, bn.edges(), directed=True,
-        vertex_schema=vertex_schema or common_vertex_schema(),
-        edge_schema=edge_schema or common_edge_schema(),
-        heap=heap or AGED_HEAP, skip_duplicates=False)
+        vertex_schema=common_vertex_schema(),
+        edge_schema=common_edge_schema(),
+        heap=AGED_HEAP, skip_duplicates=False)
     for v in range(bn.n):
         cpt = bn.cpts[v]
         if cpt is None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.graph import PropertyGraph
-from ..core.taxonomy import ComputationType
 from ..core.trace import Tracer
 from .base import Workload, WorkloadResult
 from .bcentr import BCentr
@@ -33,11 +32,6 @@ from .tmorph import TMorph
 WORKLOADS: dict[str, type[Workload]] = {
     w.NAME: w for w in (BFS, DFS, GCons, GUp, TMorph, SPath, KCore,
                         CComp, GColor, TC, Gibbs, DCentr, BCentr)
-}
-
-#: Computation type per workload (feeds the Fig. 3 coverage check).
-WORKLOAD_TYPES: dict[str, ComputationType] = {
-    name: cls.CTYPE for name, cls in WORKLOADS.items()
 }
 
 #: Names of the workloads with GPU kernels (paper: 8 GPU workloads).

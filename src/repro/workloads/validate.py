@@ -56,16 +56,16 @@ def validate_bfs(g: PropertyGraph, root: int,
 
 
 def validate_sssp(g: PropertyGraph, root: int,
-                  dists: Mapping[int, float],
-                  weight_prop: str = "weight") -> list[str]:
-    """Relaxation check: no edge can improve a settled distance."""
+                  dists: Mapping[int, float]) -> list[str]:
+    """Relaxation check: no edge can improve a settled distance (the
+    edge ``weight`` property)."""
     errors: list[str] = []
     if dists.get(root) != 0.0:
         errors.append(f"root {root} distance is {dists.get(root)}")
     for vid in dists:
         v = g.find_vertex(vid)
         for dst, node in v.out.items():
-            w = g.eget(node, weight_prop)
+            w = g.eget(node, "weight")
             if dst in dists and dists[dst] > dists[vid] + w + 1e-9:
                 errors.append(f"edge {vid}->{dst} relaxes {dists[dst]} "
                               f"to {dists[vid] + w}")

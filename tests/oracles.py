@@ -1,8 +1,8 @@
 """Reference implementations the engine tests compare against.
 
 Each is the short, sequential, obviously-correct form of something
-``src/`` computes vectorized or composed: the predictor classes stay in
-``src/`` (``simulate_branches`` reads the predictors' geometry); the
+``src/`` computes vectorized or composed: the sequential branch
+predictors ``simulate_branches`` is gated against, the
 stateful :class:`Cache` the one LRU walk (``lru_miss_idx``) is gated
 against, :class:`MemoryHierarchy`, the per-core and per-segment loops,
 the scalar block graph primitives and the seven workload loop kernels
@@ -23,7 +23,7 @@ from typing import Any
 import networkx as nx
 import numpy as np
 
-from repro.arch.branch import PREDICTORS
+from repro.arch.branch import BranchStats
 from repro.arch.cache import CacheConfig, CacheStats, line_ids
 from repro.arch.cpu import SERIAL_REGIONS
 from repro.arch.icache import ICache
@@ -212,6 +212,71 @@ def reference_icache(config, trace, stack_depth=0):
     cache = Cache(config)
     cache.simulate(ICache(config)._visit_addrs(trace, stack_depth))
     return cache.stats
+
+
+class BimodalPredictor:
+    """Per-site 2-bit saturating counters (no global history)."""
+
+    def __init__(self, table_bits=12):
+        self.mask = (1 << table_bits) - 1
+        self.table = [2] * (1 << table_bits)   # weakly taken
+
+    def simulate(self, sites, taken):
+        table = self.table
+        mask = self.mask
+        miss = 0
+        for s, t in zip(np.asarray(sites).tolist(),
+                        np.asarray(taken).tolist()):
+            idx = s & mask
+            c = table[idx]
+            if (c >= 2) != bool(t):
+                miss += 1
+            table[idx] = min(c + 1, 3) if t else max(c - 1, 0)
+        return BranchStats(len(sites), miss)
+
+
+class GSharePredictor:
+    """Global-history XOR site-indexed 2-bit counters (McFarling gshare)."""
+
+    def __init__(self, table_bits=12, history_bits=12):
+        self.mask = (1 << table_bits) - 1
+        self.hmask = (1 << history_bits) - 1
+        self.table = [2] * (1 << table_bits)
+        self.history = 0
+
+    def simulate(self, sites, taken):
+        table = self.table
+        mask = self.mask
+        hmask = self.hmask
+        hist = self.history
+        miss = 0
+        for s, t in zip(np.asarray(sites).tolist(),
+                        np.asarray(taken).tolist()):
+            idx = (s ^ hist) & mask
+            c = table[idx]
+            t = bool(t)
+            if (c >= 2) != t:
+                miss += 1
+            table[idx] = min(c + 1, 3) if t else max(c - 1, 0)
+            hist = ((hist << 1) | t) & hmask
+        self.history = hist
+        return BranchStats(len(sites), miss)
+
+
+class AlwaysTakenPredictor:
+    """Static always-taken baseline (sanity lower bound)."""
+
+    def simulate(self, sites, taken):
+        taken = np.asarray(taken, dtype=bool)
+        return BranchStats(len(taken), int((~taken).sum()))
+
+
+#: every kind ``simulate_branches`` takes, by its sequential predictor
+PREDICTORS = {
+    "gshare": GSharePredictor,
+    "bimodal": BimodalPredictor,
+    "always_taken": AlwaysTakenPredictor,
+}
 
 
 def reference_branches(kind, sites, taken, **kwargs):
@@ -971,7 +1036,11 @@ def loop_from_edges(n_vertices, edges, *, directed=True,
                       tracer=tracer, heap=heap)
     for vid in range(n_vertices):
         g.add_vertex(vid)
-    g.add_edges(edges, skip_duplicates=skip_duplicates)
+    if skip_duplicates:
+        g.add_edges(edges)
+    else:
+        for row in edges:
+            g.add_edge(int(row[0]), int(row[1]))
     return g
 
 

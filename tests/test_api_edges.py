@@ -35,11 +35,6 @@ class TestSpecMaterializations:
         for s, d in tiny_spec.edges:
             assert (int(s), int(d)) in pairs
 
-    def test_make_kwargs_passthrough(self):
-        from repro.datagen import make
-        spec = make("ldbc", scale=0.05, seed=1, avg_degree=6)
-        assert spec.m == pytest.approx(spec.n * 6, rel=0.4)
-
 
 class TestReportHelpers:
     def test_paper_note(self):
@@ -76,9 +71,9 @@ class TestGPURunnerParams:
         assert out["n_sources"] == 3
         assert m.exec_time > 0
 
-    def test_custom_device(self, tiny_spec):
-        from repro.gpu import DeviceConfig, run_gpu_workload
+    def test_custom_device(self):
+        from repro.gpu import K40, DeviceConfig, KernelStats, time_kernel
         slow = DeviceConfig(n_sms=1, clock_ghz=0.1, peak_bw_gbs=10)
-        _, fast_m = run_gpu_workload("BFS", tiny_spec)
-        _, slow_m = run_gpu_workload("BFS", tiny_spec, device=slow)
-        assert slow_m.exec_time > fast_m.exec_time
+        stats = KernelStats(warp_issues=1000, dram_transactions=500)
+        assert (time_kernel(stats, slow).exec_time
+                > time_kernel(stats, K40).exec_time)

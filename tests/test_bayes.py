@@ -80,7 +80,7 @@ class TestCPT:
 
     def test_deterministic_cpt_peaked(self):
         rng = np.random.default_rng(0)
-        c = deterministic_cpt(3, (2,), rng, noise=0.05)
+        c = deterministic_cpt(3, (2,), rng)
         assert (c.table.max(axis=1) > 0.9).all()
 
 

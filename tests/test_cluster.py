@@ -119,14 +119,14 @@ class TestReplicaPlans:
         keys = synthetic_keys(1000)
         before = HashRing(["s0", "s1"])
         plan = plan_rebalance(before, HashRing(before.nodes + ("s2",)), keys)
-        assert len(plan.moved) > 5
-        s = plan.summary(max_moved_keys=5)
-        assert len(s["moved_keys"]) == 5
-        assert s["moved_keys_omitted"] == len(plan.moved) - 5
+        assert len(plan.moved) > 20
+        s = plan.summary()
+        assert len(s["moved_keys"]) == 20
+        assert s["moved_keys_omitted"] == len(plan.moved) - 20
         for k, mv in s["moved_keys"].items():
             assert mv == {"from": plan.moved[k][0],
                           "to": plan.moved[k][1]}
-        # the default cap still lists everything for small plans
+        # the cap still lists everything for small plans
         small = plan_rebalance(HashRing(["shard-0", "shard-1"]),
                                HashRing(["shard-0", "shard-1", "s2"]),
                                list(DATASETS))
@@ -301,20 +301,22 @@ class TestLiveCluster:
             with ServiceClient(port=ct.router_port) as client:
                 pong = client.ping()
                 assert pong["role"] == "router"
-                out = client.run("BFS", "roadnet", scale=0.02,
-                                 machine="test")
+                out = client.request("run", workload="BFS", dataset="roadnet",
+                                     scale=0.02, seed=0, machine="test",
+                                     gpu=False)
                 assert out["outputs"]["visited"] > 0
                 # the answering shard is the ring owner
                 assert out["shard"] == ct.spec.ring().owner("roadnet")
                 # scatter-gather union serves the whole registry
-                keys = {d["key"] for d in client.datasets()}
+                keys = {d["key"] for d in client.request("datasets")}
                 assert keys == set(DATASETS)
 
     def test_router_metrics_label_shapes(self):
         with _cluster(2) as ct:
             with ServiceClient(port=ct.router_port) as client:
-                client.run("BFS", "roadnet", scale=0.02, machine="test")
-                client.datasets()
+                client.request("run", workload="BFS", dataset="roadnet",
+                               scale=0.02, seed=0, machine="test", gpu=False)
+                client.request("datasets")
                 stats = client.stats()
         metrics = stats["metrics"]
         route = metrics["cluster_route_total"]["samples"]
@@ -337,7 +339,9 @@ class TestLiveCluster:
         with _cluster(2) as ct:
             with ServiceClient(port=ct.router_port) as client:
                 with pytest.raises(RemoteError) as exc:
-                    client.run("NoSuchWorkload", "roadnet", scale=0.02)
+                    client.request("run", workload="NoSuchWorkload",
+                                   dataset="roadnet", scale=0.02, seed=0,
+                                   machine="scaled", gpu=False)
                 assert exc.value.kind == "bad-request"
                 stats = client.stats()
         outcomes = {s["labels"]["outcome"]
@@ -369,7 +373,9 @@ class TestLiveCluster:
         with ClusterThread(spec, shard_factory=factory) as ct:
             with ServiceClient(port=ct.router_port) as client:
                 with pytest.raises(RemoteError) as exc:            # read
-                    client.run("NoSuchWorkload", "roadnet", scale=0.02)
+                    client.request("run", workload="NoSuchWorkload",
+                                   dataset="roadnet", scale=0.02, seed=0,
+                                   machine="scaled", gpu=False)
                 assert exc.value.shard == primary
                 info = client.request("shard_info")             # scatter
                 assert info["missing"] == [replica]
@@ -415,12 +421,13 @@ class TestLiveCluster:
                 # not a generic RemoteError
                 from repro.core.errors import ShardUnavailable
                 with pytest.raises(ShardUnavailable) as exc:
-                    client.run("BFS", "roadnet", scale=0.02,
-                               machine="test")
+                    client.request("run", workload="BFS", dataset="roadnet",
+                                   scale=0.02, seed=0, machine="test",
+                                   gpu=False)
                 assert exc.value.kind == "unavailable"
                 assert "roadnet" in str(exc.value)
                 # health flips once consecutive failures accumulate
-                health = client.health()
+                health = client.request("health")
                 assert health["shards"][victim] is False
                 assert health["shards"][survivor] is True
 
@@ -471,10 +478,11 @@ class TestLiveCluster:
                 report.failures_by_kind)
             with ServiceClient(port=ct.router_port) as client:
                 for dataset in DATASETS:
-                    out = client.run("BFS", dataset, scale=0.02,
-                                     machine="test")
+                    out = client.request("run", workload="BFS",
+                                         dataset=dataset, scale=0.02, seed=0,
+                                         machine="test", gpu=False)
                     assert out["shard"] != victim
-                assert client.health()["shards"][victim] is False
+                assert client.request("health")["shards"][victim] is False
                 # the replica that covered for the primary shows up in
                 # the route counter under the failover outcome
                 stats = client.stats()
@@ -490,10 +498,10 @@ class TestLiveCluster:
             deadline = time.monotonic() + 10
             with ServiceClient(port=ct.router_port) as client:
                 while time.monotonic() < deadline:
-                    if client.health()["shards"][victim]:
+                    if client.request("health")["shards"][victim]:
                         break
                     time.sleep(0.1)
-                assert client.health()["shards"][victim] is True
+                assert client.request("health")["shards"][victim] is True
 
 
 def _dyn_query(client: ServiceClient, workload: str, dataset: str,
@@ -605,9 +613,11 @@ class TestScalingSmoke:
         from repro.cluster import ClusterProcesses
 
         spec = ClusterSpec.of(1, datasets=DATASETS)
-        with ClusterProcesses(spec) as cp:
+        with ClusterProcesses(spec, host="127.0.0.1", port=0,
+                              isolation="inline", router_kwargs={}) as cp:
             with ServiceClient(port=cp.router_port) as client:
-                out = client.run("CComp", "roadnet", scale=0.02,
-                                 machine="test")
+                out = client.request("run", workload="CComp",
+                                     dataset="roadnet", scale=0.02, seed=0,
+                                     machine="test", gpu=False)
                 assert out["shard"] == "shard-0"
-                assert client.health()["ok"] is True
+                assert client.request("health")["ok"] is True

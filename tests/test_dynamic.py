@@ -240,12 +240,6 @@ class TestBulkMutators:
         assert g.add_edges(block) == 3
         assert g.has_edge(3, 4)
 
-    def test_add_edges_strict_duplicate_raises(self):
-        g = self._graph()
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            g.add_edges([(0, 1)], skip_duplicates=False)
-
 
 # -- incremental kernels vs batch recompute ----------------------------------
 

@@ -144,7 +144,7 @@ def _fresh_tracer(g, case):
     """A tracer inside a user (or, to price the head, framework) region,
     with events already behind it."""
     t = Tracer()
-    t.enter(t.register_region("kernel", framework=case["fw_base"]))
+    t.enter(T.R_BUILD if case["fw_base"] else t.register_region("kernel"))
     g._sp = case["sp"]
     t.i(7)
     g._stack_touch(t)
@@ -245,7 +245,7 @@ def test_in_place_block_belongs_to_the_open_region():
     from repro.workloads._bulk import AccessBlock
     g = PropertyGraph()
     t = Tracer()
-    rid = t.register_region("lib", framework=True)
+    rid = T.R_BUILD
     t.enter(rid)
     acc = AccessBlock(2)
     acc.addr[:] = (64, 128)
@@ -386,25 +386,26 @@ def test_declaration_matches_scalar_primitive(path3, name):
 def test_declaration_matches_traced_queue(path3):
     g = path3
     t = Tracer()
-    q = TracedQueue(g, t, capacity=4)
-    for k in range(6):                          # wraps the 4-slot buffer
+    q = TracedQueue(g, t)
+    for k in range(q.cap + 2):                  # wraps the buffer
         q.push(k)
         q.pop()
     t2 = Tracer()
     lay = Layout(t2)
-    k = np.arange(6)
+    k = np.arange(q.cap + 2)
     lay.add(q.push_ops("slot") + q.pop_ops("slot"), (k,), slot=q.slots(k))
     lay.build().emit(g, t2)
     assert_same_trace(t.freeze(), t2.freeze())
 
 
 def _heap_script(g, t):
-    """Seven pushes and seven pops on a 4-slot heap: the array wraps, and
-    lengths 3 and 4 sit on either side of a sift path growing a node."""
-    h = TracedHeap(g, t, capacity=4)
-    for k in range(7):
+    """Three more pushes than the heap has slots, then as many pops: the
+    array wraps, and lengths 3 and 4 sit on either side of a sift path
+    growing a node."""
+    h = TracedHeap(g, t)
+    for k in range(h.cap + 3):
         h.push(k)
-    for _ in range(7):
+    for _ in range(h.cap + 3):
         h.pop()
     return h
 
@@ -412,13 +413,14 @@ def _heap_script(g, t):
 def _heap_declared(g, h):
     t = Tracer()
     lay = Layout(t)
-    op = np.arange(7)
+    n = h.cap + 3
+    op = np.arange(n)
     path, level, slot = h.path_slots(op)              # length before a push
     lay.add(h.push_ops("slot"), (path, 0, level), slot=slot)
     left = op[::-1]                                   # length behind a pop
     path, level, slot = h.path_slots(np.maximum(left - 1, 0))
-    lay.add(h.push_ops("slot"), (7 + path, 0, level), slot=slot)
-    lay.add(h.pop_ops("root"), (7 + op, 1), root=np.full(7, h.base))
+    lay.add(h.push_ops("slot"), (n + path, 0, level), slot=slot)
+    lay.add(h.pop_ops("root"), (n + op, 1), root=np.full(n, h.base))
     lay.build().emit(g, t)
     return t.freeze()
 

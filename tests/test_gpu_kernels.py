@@ -99,9 +99,9 @@ class TestKernelCorrectness:
             run_gpu_workload("DFS", social)
 
     def test_spath_negative_weight_rejected(self):
-        from repro.formats import from_edge_arrays
+        from repro.formats import CSRGraph
         from repro.gpu.kernels import GPU_KERNELS as K
-        csr = from_edge_arrays(2, [0], [1], [-1.0])
+        csr = CSRGraph([0, 1, 1], [1], np.array([-1.0]))
         with pytest.raises(ValueError):
             K["SPath"]().kernel(csr, None,
                                 __import__("repro.gpu.simt",

@@ -2,12 +2,11 @@
 
 import pytest
 
-from benchmarks.paper import pivot, spread
+from benchmarks.paper import DATA_SENSITIVE_WORKLOADS, pivot, spread
 from repro.arch.machine import TEST_MACHINE
 from repro.datagen import REGISTRY, ldbc, make
 from repro.harness import (
     CPU_WORKLOADS,
-    DATA_SENSITIVE_WORKLOADS,
     average_fraction,
     breakdown_table,
     by_ctype,
@@ -40,9 +39,7 @@ class TestRunner:
     def test_run_cpu_every_workload(self, spec, tiny_bn):
         for name in CPU_WORKLOADS:
             result, metrics = run_cpu_workload(
-                name, spec, machine=TEST_MACHINE, gibbs_bn=tiny_bn,
-                params={"n_sweeps": 3, "burn_in": 1} if name == "Gibbs"
-                else None)
+                name, spec, machine=TEST_MACHINE, gibbs_bn=tiny_bn)
             assert result.trace is not None
             assert metrics.n_instrs > 0
             assert metrics.cycles > 0

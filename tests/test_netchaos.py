@@ -85,8 +85,9 @@ class TestChaosProxyLive:
             proxy, client = _proxy_client(st)
             with proxy, client:
                 assert client.ping()["pong"] is True
-                assert client.run("BFS", "ldbc", scale=0.02,
-                                  machine="test")["served"] == "executed"
+                assert client.request("run", workload="BFS", dataset="ldbc",
+                                      scale=0.02, seed=0, machine="test",
+                                      gpu=False)["served"] == "executed"
             snap = proxy.snapshot()
             assert snap["connections"] == 1
             assert snap["bytes_up"] > 0 and snap["bytes_down"] > 0
@@ -287,7 +288,7 @@ class TestCorruptionOnTheRouterShardLink:
             async def _dispatch(self, req):
                 return Body(b'{"outputs": not json')
 
-        with ServiceThread(Babbling("babble")) as shard:
+        with ServiceThread(Babbling("babble", None)) as shard:
             router = Router([ShardAddress("shard-0", shard.host,
                                           shard.port)])
             with ServiceThread(router) as front, \
@@ -351,7 +352,7 @@ class TestCorruptionOnTheRouterShardLink:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        with listener, ServiceThread(Answering("answering")) as good:
+        with listener, ServiceThread(Answering("answering", None)) as good:
             router = Router([
                 ShardAddress(primary, *listener.getsockname()[:2]),
                 ShardAddress(backup, good.host, good.port)], replication=2)

@@ -131,7 +131,7 @@ class TestCounterGauge:
     def test_thread_safety_under_concurrent_increments(self):
         reg = MetricsRegistry()
         c = reg.counter("n_total")
-        h = reg.histogram("lat_ms", buckets=(1.0, 10.0))
+        h = reg.histogram("lat_ms")
         n_threads, per_thread = 8, 2000
 
         def work():
@@ -166,34 +166,27 @@ class TestHistogram:
 
     def test_single_sample(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_ms", buckets=(1.0, 10.0, 100.0))
+        h = reg.histogram("lat_ms")
         h.observe(7.0)
         for q in (1, 50, 100):
             assert _quantile(h, q) == 10.0     # its bucket's upper bound
 
     def test_overflow_lands_in_inf_bucket(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_ms", buckets=(1.0,))
-        h.observe(5.0)
+        h = reg.histogram("lat_ms")
+        h.observe(90_000.0)
         assert _quantile(h, 50) == float("inf")
-        assert h.bucket_counts() == [("1", 0), ("+Inf", 1)]
+        assert h.bucket_counts()[-2:] == [("60000", 0), ("+Inf", 1)]
 
     def test_quantiles_from_cumulative_buckets(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_ms", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 0.6, 5.0, 50.0):
+        h = reg.histogram("lat_ms")
+        for v in (0.5, 0.6, 7.0, 70.0):
             h.observe(v)
         assert _quantile(h, 50) == 1.0
         assert _quantile(h, 75) == 10.0
         assert _quantile(h, 100) == 100.0
-        assert h.sum == pytest.approx(56.1)
-
-    def test_bad_buckets_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(MetricError):
-            reg.histogram("a", buckets=())
-        with pytest.raises(MetricError):
-            reg.histogram("b", buckets=(1.0, 1.0))
+        assert h.sum == pytest.approx(78.1)
 
     @pytest.mark.parametrize("q", [0, 101])
     def test_out_of_range_q_rejected(self, q):
@@ -288,8 +281,7 @@ class TestExposition:
 
     def test_histogram_exposition_is_cumulative(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat_ms", "latency", labels=("op",),
-                          buckets=(1.0, 10.0))
+        h = reg.histogram("lat_ms", "latency", labels=("op",))
         h.labels(op="run").observe(0.5)
         h.labels(op="run").observe(5.0)
         text = render_prometheus(reg.snapshot())
@@ -500,10 +492,13 @@ class TestStatsScrape:
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as c:
                 c.ping()
-                c.run("BFS", scale=0.02)
-                c.run("BFS", scale=0.02)       # second one hits the cache
+                c.request("run", workload="BFS", dataset="ldbc", scale=0.02,
+                          seed=0, machine="scaled", gpu=False)
+                c.request("run", workload="BFS", dataset="ldbc", scale=0.02,
+                          seed=0, machine="scaled", gpu=False)       # second one hits the cache
                 with pytest.raises(Exception):
-                    c.run("PageRank", scale=0.02)
+                    c.request("run", workload="PageRank", dataset="ldbc",
+                              scale=0.02, seed=0, machine="scaled", gpu=False)
                 stats = c.stats()
 
         m = stats["metrics"]
@@ -557,7 +552,8 @@ class TestStatsScrape:
         with ServiceThread(_inline_service(chaos=chaos)) as st:
             with ServiceClient(st.host, st.port) as c:
                 with pytest.raises(Exception):
-                    c.run("BFS", scale=0.02)
+                    c.request("run", workload="BFS", dataset="ldbc",
+                              scale=0.02, seed=0, machine="scaled", gpu=False)
                 m = c.stats()["metrics"]
         assert counter_total(m, "pool_worker_restarts_total") >= 1
         assert counter_total(m, "pool_failures_total", kind="crash") >= 1
@@ -565,7 +561,8 @@ class TestStatsScrape:
     def test_prometheus_render_of_live_snapshot(self):
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as c:
-                c.run("CComp", scale=0.02)
+                c.request("run", workload="CComp", dataset="ldbc", scale=0.02,
+                          seed=0, machine="scaled", gpu=False)
                 text = render_prometheus(c.stats()["metrics"])
         assert 'service_request_latency_ms_bucket{op="run",le="+Inf"} 1' \
             in text
@@ -576,7 +573,8 @@ class TestStatsScrape:
         from repro.cli import main
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as c:
-                c.run("BFS", scale=0.02)
+                c.request("run", workload="BFS", dataset="ldbc", scale=0.02,
+                          seed=0, machine="scaled", gpu=False)
             for fmt in ("table", "json", "prom"):
                 assert main(["stats", "--port", str(st.port),
                              "--format", fmt]) == 0
@@ -594,7 +592,8 @@ class TestStatsScrape:
         from repro.cluster import ClusterSpec, ClusterThread
         with ClusterThread(ClusterSpec.of(2, datasets=("ldbc",))) as ct:
             with ServiceClient(port=ct.router_port) as c:
-                c.run("BFS", "ldbc", scale=0.02, machine="test")
+                c.request("run", workload="BFS", dataset="ldbc", scale=0.02,
+                          seed=0, machine="test", gpu=False)
             assert main(["stats", "--port", str(ct.router_port)]) == 0
         out = capsys.readouterr().out
         # the router's own latency family, and no node-only section

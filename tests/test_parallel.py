@@ -56,29 +56,29 @@ def _speedup(r: MulticoreResult) -> float:
 
 class TestMulticoreProjection:
     def test_amdahl_limits_speedup(self):
-        r = project_multicore(1e9, p=16, serial_fraction=0.5)
+        r = project_multicore(1e9, p=16, workload="DFS")     # 95 % serial
         assert _speedup(r) < 2.0
 
     def test_fully_parallel_near_linear(self):
-        r = project_multicore(1e9, p=16, serial_fraction=0.001)
+        r = project_multicore(1e9, p=16, workload="DCentr")  # 1 % serial
         assert _speedup(r) > 12
 
     def test_more_cores_never_slower_without_barriers(self):
         base = 1e8
-        t8 = project_multicore(base, p=8, serial_fraction=0.1)
-        t16 = project_multicore(base, p=16, serial_fraction=0.1)
+        t8 = project_multicore(base, p=8, workload="GUp")
+        t16 = project_multicore(base, p=16, workload="GUp")
         assert t16.parallel_cycles <= t8.parallel_cycles
 
     def test_barriers_add_cost(self):
-        a = project_multicore(1e6, p=4, serial_fraction=0.0, barriers=0)
-        b = project_multicore(1e6, p=4, serial_fraction=0.0, barriers=100)
+        a = project_multicore(1e6, p=4, barriers=0)
+        b = project_multicore(1e6, p=4, barriers=100)
         assert b.parallel_cycles > a.parallel_cycles
 
     def test_imbalance_from_weights(self):
         w = np.zeros(64)
         w[0] = 1000.0                     # one giant item
         w[1:] = 1.0
-        r = project_multicore(1e6, p=8, weights=w, serial_fraction=0.0)
+        r = project_multicore(1e6, p=8, weights=w)
         assert r.imbalance > 4.0
         assert _speedup(r) < 4.0
 
@@ -88,16 +88,14 @@ class TestMulticoreProjection:
         assert _speedup(dfs) < _speedup(dc)
 
     def test_time_seconds(self):
-        r = project_multicore(2.6e9, p=1, serial_fraction=0.0)
+        r = project_multicore(2.6e9, p=1)
         assert r.time_seconds(2.6) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             project_multicore(1e6, p=0)
-        with pytest.raises(ValueError):
-            project_multicore(1e6, p=2, serial_fraction=1.5)
 
     def test_p1_identity(self):
-        r = project_multicore(1e6, p=1, serial_fraction=0.3)
+        r = project_multicore(1e6, p=1, workload="GCons")
         assert r.parallel_cycles == pytest.approx(1e6)
         assert isinstance(r, MulticoreResult)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.errors import SchemaError
-from repro.core.properties import (
-    EMPTY_SCHEMA,
-    POINTER_SIZE,
-    Field,
-    Schema,
-)
+from repro.core.properties import EMPTY_SCHEMA, Field, Schema
 
 
 class TestField:
@@ -73,7 +68,4 @@ class TestSchema:
         d1, d2 = s.defaults(), s.defaults()
         assert d1 == [1, []]
         assert d1 is not d2
-
-    def test_pointer_size_constant(self):
-        assert POINTER_SIZE == 8
 

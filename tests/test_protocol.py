@@ -362,7 +362,7 @@ def test_a_relayed_keyed_read_is_never_parsed_by_the_router(monkeypatch):
         again = [client.request("dyn_query", **ask) for _ in range(10)]
         wrote = client.mutate("ldbc", [{"op": "add_vertex", "vid": 9001}],
                               scale=0.03)
-        listed = client.workloads()
+        listed = client.request("workloads")
         assert loads.calls == 0
         # ... where it composes it still decodes: one line per shard
         client.request("shard_info")
@@ -444,7 +444,7 @@ def test_a_shard_parses_a_query_text_once(monkeypatch):
         monkeypatch.setattr(parse_module, "_lex",
                             lambda text: lexed.append(text) or real(text))
         assert client.query_lang(q)["served"] == "result-cache"
-        assert client.explain(q)["plan_cached"] is True
+        assert client.request("explain", q=q)["plan_cached"] is True
     assert lexed == [q, q]
 
 

@@ -535,10 +535,10 @@ class TestServiceQueries:
                 result = client.query_lang(q)
                 assert result["rows"] == 5
                 assert result["table"]["columns"][0] == "id"
-                plan = client.explain(q)
+                plan = client.request("explain", q=q)
                 assert plan["digest"] == result["plan"]
                 assert "merge" not in plan
-                again = client.explain(q)
+                again = client.request("explain", q=q)
                 assert again == {**plan, "plan_cached": True}
                 # asked on the same connection: the explains are counted
                 stats = client.stats()

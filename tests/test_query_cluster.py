@@ -77,12 +77,12 @@ class TestDistributedEquivalence:
                                               cluster):
         _, router = cluster
         q = f"from twitter scale={SCALE} | cc | topk comp 5"
-        local = single_node.explain(q)
-        dist = router.explain(q)
+        local = single_node.request("explain", q=q)
+        dist = router.request("explain", q=q)
         assert dist["plan"] == local["plan"]
         assert dist["digest"] == local["digest"]
         # deterministic for a fixed plan-cache state
-        again = router.explain(q)
+        again = router.request("explain", q=q)
         assert again == {**dist, "plan_cached": True}
 
 
@@ -265,8 +265,8 @@ class TestOneShardAnswers:
             assert answer["shard"] == "shard-0"
             assert answer["table"] == json.loads(json.dumps(
                 QueryEngine().query({"q": q})["table"]))
-            assert shard.explain(q)["shard"] == "shard-0"
-            for op in (shard.query_lang, shard.explain):
+            assert shard.request("explain", q=q)["shard"] == "shard-0"
+            for op in ("query", "explain"):
                 with pytest.raises(WrongShard):
-                    op(f"from {foreign} scale={SCALE} dynamic=true "
-                       "| count")
+                    shard.request(op, q=f"from {foreign} scale={SCALE} "
+                                        "dynamic=true | count")

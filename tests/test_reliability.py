@@ -523,13 +523,15 @@ class TestRouterReliabilityLive:
             with ServiceClient(cluster.router_thread.host,
                                cluster.router_port,
                                timeout_s=30.0) as client:
-                fresh = client.run("BFS", "ldbc", scale=0.02,
-                                   machine="test", deadline_s=20.0)
+                fresh = client.request("run", workload="BFS", dataset="ldbc",
+                                       scale=0.02, seed=0, machine="test",
+                                       gpu=False, deadline_s=20.0)
                 assert fresh["served"] == "executed"
                 for name in list(cluster.shard_threads):
                     cluster.kill_shard(name)      # total failure
-                out = client.run("BFS", "ldbc", scale=0.02,
-                                 machine="test", deadline_s=20.0)
+                out = client.request("run", workload="BFS", dataset="ldbc",
+                                     scale=0.02, seed=0, machine="test",
+                                     gpu=False, deadline_s=20.0)
                 assert out["degraded"] is True
                 assert out["served"] == "stale"
                 assert out["staleness_s"] >= 0.0
@@ -546,11 +548,13 @@ class TestRouterReliabilityLive:
         with _boot() as cluster:
             with ServiceClient(port=cluster.router_port,
                                timeout_s=30.0) as client:
-                client.run("BFS", "ldbc", scale=0.02, machine="test")
+                client.request("run", workload="BFS", dataset="ldbc",
+                               scale=0.02, seed=0, machine="test", gpu=False)
                 for name in list(cluster.shard_threads):
                     cluster.kill_shard(name)
-                out = client.run("BFS", "ldbc", scale=0.02,
-                                 machine="test", deadline_s=20.0)
+                out = client.request("run", workload="BFS", dataset="ldbc",
+                                     scale=0.02, seed=0, machine="test",
+                                     gpu=False, deadline_s=20.0)
                 assert out["degraded"] is True
             assert main(["stats", "--port", str(cluster.router_port)]) == 0
         assert "stale-cache  entries=1 stale_serves=1 cap_s=60.0" \
@@ -561,12 +565,14 @@ class TestRouterReliabilityLive:
             with ServiceClient(cluster.router_thread.host,
                                cluster.router_port,
                                timeout_s=30.0) as client:
-                client.run("BFS", "ldbc", scale=0.02, machine="test")
+                client.request("run", workload="BFS", dataset="ldbc",
+                               scale=0.02, seed=0, machine="test", gpu=False)
                 for name in list(cluster.shard_threads):
                     cluster.kill_shard(name)
                 for _ in range(3):                # feed the breakers
-                    client.run("BFS", "ldbc", scale=0.02,
-                               machine="test", deadline_s=20.0)
+                    client.request("run", workload="BFS", dataset="ldbc",
+                                   scale=0.02, seed=0, machine="test",
+                                   gpu=False, deadline_s=20.0)
             snap = cluster.router.reliability_snapshot()
             states = {b["state"] for b in snap["breakers"].values()}
             assert BREAKER_CLOSED not in states   # both circuits tripped
@@ -618,7 +624,8 @@ def _hedge_boot() -> ClusterThread:
 
 
 def _hedged_run(client) -> dict:
-    return client.run("BFS", HEDGE_KEY, scale=0.02, machine="test")
+    return client.request("run", workload="BFS", dataset=HEDGE_KEY, scale=0.02,
+                          seed=0, machine="test", gpu=False)
 
 
 def _arm_hedging(cluster, client) -> None:

@@ -520,8 +520,8 @@ class TestLiveService:
             with ServiceClient(st.host, st.port) as client:
                 pong = client.ping()
                 assert pong["pong"] is True and pong["protocol"] == 1
-                assert len(client.workloads()) == 13
-                datasets = client.datasets()
+                assert len(client.request("workloads")) == 13
+                datasets = client.request("datasets")
                 assert {d["key"] for d in datasets} >= {"ldbc", "twitter"}
                 m = client.stats()["metrics"]
                 assert counter_total(m, "service_requests_total",
@@ -531,12 +531,14 @@ class TestLiveService:
     def test_run_and_characterize(self):
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as client:
-                out = client.run("BFS", "ldbc", scale=0.03,
-                                 machine="test")
+                out = client.request("run", workload="BFS", dataset="ldbc",
+                                     scale=0.03, seed=0, machine="test",
+                                     gpu=False)
                 assert out["outputs"]["visited"] > 0
                 assert out["served"] == "executed"
-                rec = client.characterize("BFS", "ldbc", scale=0.03,
-                                          machine="test")
+                rec = client.request("characterize", workload="BFS",
+                                     dataset="ldbc", scale=0.03, seed=0,
+                                     machine="test", gpu=False)
                 assert rec["served"] == "cache"     # same cell identity
                 assert rec["cpu_summary"]["ipc"] > 0
 
@@ -544,7 +546,9 @@ class TestLiveService:
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as client:
                 with pytest.raises(RemoteError) as exc:
-                    client.run("PageRank", scale=0.03)
+                    client.request("run", workload="PageRank", dataset="ldbc",
+                                   scale=0.03, seed=0, machine="scaled",
+                                   gpu=False)
                 assert exc.value.kind == "bad-request"
                 # the connection survives a failed request
                 assert client.ping()["pong"] is True
@@ -566,8 +570,10 @@ class TestLiveService:
             def hit():
                 try:
                     with ServiceClient(st.host, st.port) as c:
-                        results.append(c.run("CComp", "ldbc", scale=0.03,
-                                             machine="test"))
+                        results.append(c.request("run", workload="CComp",
+                                                 dataset="ldbc", scale=0.03,
+                                                 seed=0, machine="test",
+                                                 gpu=False))
                 except Exception as e:  # noqa: BLE001
                     errors.append(e)
 
@@ -596,7 +602,8 @@ class TestLiveService:
             def request(tag, **params):
                 try:
                     with ServiceClient(st.host, st.port) as c:
-                        outcomes[tag] = c.run(**params)
+                        outcomes[tag] = c.request("run", gpu=False,
+                                                  **params)
                 except Exception as e:  # noqa: BLE001
                     outcomes[tag] = e
 
@@ -608,11 +615,11 @@ class TestLiveService:
                 threading.Thread(target=request, args=("bfs",),
                                  kwargs=dict(workload="BFS",
                                              dataset="ldbc", scale=0.03,
-                                             machine="test")),
+                                             seed=0, machine="test")),
                 threading.Thread(target=request, args=("ccomp",),
                                  kwargs=dict(workload="CComp",
                                              dataset="roadnet",
-                                             scale=0.03,
+                                             scale=0.03, seed=0,
                                              machine="test")),
             ]
             for t in threads:
@@ -711,11 +718,13 @@ class TestProcessIsolation:
         with ServiceThread(service) as st:
             with ServiceClient(st.host, st.port) as client:
                 with pytest.raises(RemoteError) as exc:
-                    client.run("BFS", "ldbc", scale=0.03, seed=5,
-                               machine="test")
+                    client.request("run", workload="BFS", dataset="ldbc",
+                                   scale=0.03, seed=5, machine="test",
+                                   gpu=False)
                 assert exc.value.kind in ("crash", "retries-exhausted")
-                ok = client.run("BFS", "ldbc", scale=0.03, seed=0,
-                                machine="test")
+                ok = client.request("run", workload="BFS", dataset="ldbc",
+                                    scale=0.03, seed=0, machine="test",
+                                    gpu=False)
                 assert ok["outputs"]["visited"] > 0
 
 
@@ -887,12 +896,12 @@ class TestVersionHandshake:
         with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as client:
                 assert client.ping()["pong"] is True
-                health = client.health()
+                health = client.request("health")
                 assert health["ok"] is True
                 assert health["protocol"] == 1
                 # cluster-layer ops are rejected with a *typed* error
                 # naming the right layer, not a framing failure
                 with pytest.raises(RemoteError) as exc:
-                    client.shard_info()
+                    client.request("shard_info")
                 assert exc.value.kind == "bad-request"
                 assert "cluster" in str(exc.value)

@@ -3,22 +3,18 @@
 
 import pytest
 
-from repro.core.taxonomy import (
-    COMPUTATION_PROFILES,
-    DATA_SOURCE_PROFILES,
-    ComputationType,
-    DataSource,
-    WorkloadCategory,
-)
+from repro.core.taxonomy import ComputationType, DataSource, WorkloadCategory
 from benchmarks.paper import (
     CATEGORIES,
+    COMPUTATION_PROFILES,
+    DATA_SOURCE_PROFILES,
     USE_CASES,
     category_distribution,
     coverage_check,
     select_workloads,
     workload_usecase_counts,
 )
-from repro.workloads import WORKLOAD_TYPES
+from repro.workloads import WORKLOADS
 
 
 class TestTaxonomy:
@@ -77,13 +73,13 @@ class TestUseCases:
         assert "TC" in sel
 
     def test_coverage_check_full(self):
-        assert coverage_check(list(WORKLOAD_TYPES), WORKLOAD_TYPES) == set()
+        assert coverage_check(list(WORKLOADS)) == set()
 
     def test_coverage_check_missing(self):
-        missing = coverage_check(["BFS", "DFS"], WORKLOAD_TYPES)
+        missing = coverage_check(["BFS", "DFS"])
         assert ComputationType.COMP_PROP in missing
         assert ComputationType.COMP_DYN in missing
 
     def test_every_workload_has_a_use_case(self):
         counts = workload_usecase_counts()
-        assert set(counts) == set(WORKLOAD_TYPES)
+        assert set(counts) == set(WORKLOADS)

@@ -140,7 +140,7 @@ class TestFairGate:
             # a different tenant still queues fine
             quiet = asyncio.ensure_future(gate.acquire("quiet"))
             await asyncio.sleep(0)
-            assert gate.queue_depth("quiet") == 1
+            assert gate.queue_depth() == 3    # the flooder's two, quiet's one
             # drain order is tag order: the quiet tenant's first request
             # (tag 1.0) jumps ahead of the flooder's second (tag 2.0)
             gate.release()
@@ -365,15 +365,18 @@ class TestLiveQosService:
         with ServiceThread(service) as st:
             with ServiceClient(st.host, st.port,
                                tenant="noisy") as noisy:
-                noisy.run("BFS", "ldbc", scale=0.02, machine="test")
+                noisy.request("run", workload="BFS", dataset="ldbc",
+                              scale=0.02, seed=0, machine="test", gpu=False)
                 with pytest.raises(QuotaExceeded) as exc:
-                    noisy.run("CComp", "ldbc", scale=0.02,
-                              machine="test")
+                    noisy.request("run", workload="CComp", dataset="ldbc",
+                                  scale=0.02, seed=0, machine="test",
+                                  gpu=False)
                 assert exc.value.retry_after_s > 0
             with ServiceClient(st.host, st.port,
                                tenant="quiet") as quiet:
-                out = quiet.run("CComp", "ldbc", scale=0.02,
-                                machine="test")
+                out = quiet.request("run", workload="CComp", dataset="ldbc",
+                                    scale=0.02, seed=0, machine="test",
+                                    gpu=False)
                 assert out["outputs"]
                 stats = quiet.stats()
         m = stats["metrics"]

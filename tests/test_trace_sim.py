@@ -55,25 +55,24 @@ class TestSimulateMulticore:
         assert res.l3.accesses == res.l2.misses
 
     def test_private_l1_benefits_from_smaller_slices(self):
-        # a hot working set slightly too big for one L1 fits when split
-        lines = TEST_MACHINE.l1d.size // 64 * 2
-        addrs = np.tile(np.arange(lines) * 64, 40).astype(np.uint64)
+        # a hot working set twice one L1, one L1-sized half per 256-access
+        # chunk: each core keeps one half, one L1 keeps swapping them
+        lines = TEST_MACHINE.l1d.size // 64
+        i = np.arange(256 * 4 * 10)
+        addrs = ((i // 256 % 2 * lines + i % lines) * 64).astype(np.uint64)
         t = Tracer()
         for a in addrs.tolist():
             t.i(2)
             t.r(a)
         ft = t.freeze()
-        solo = simulate_multicore(ft, TEST_MACHINE, p=1, chunk=lines // 2)
-        multi = simulate_multicore(ft, TEST_MACHINE, p=4,
-                                   chunk=lines // 2)
-        assert multi.l1.miss_rate <= solo.l1.miss_rate
+        solo = simulate_multicore(ft, TEST_MACHINE, p=1)
+        multi = simulate_multicore(ft, TEST_MACHINE, p=4)
+        assert multi.l1.miss_rate < solo.l1.miss_rate
 
     def test_validation(self):
         ft = _trace(100)
         with pytest.raises(ValueError):
             simulate_multicore(ft, TEST_MACHINE, p=0)
-        with pytest.raises(ValueError):
-            simulate_multicore(ft, TEST_MACHINE, chunk=0)
 
     def test_empty_trace(self):
         res = simulate_multicore(Tracer().freeze(), TEST_MACHINE, p=4)
@@ -113,21 +112,16 @@ class TestFusedVsReference:
     per-core multi-pass reference (one ``Cache`` per core and level):
     aggregate L1/L2 and shared-L3 stats must be bitwise identical."""
 
-    def _assert_match(self, ft, machine, p, chunk=256):
-        fused = simulate_multicore(ft, machine, p=p, chunk=chunk)
-        ref = reference_multicore(ft, machine, p, chunk)
-        assert fused == ref, (p, chunk, fused, ref)
+    def _assert_match(self, ft, machine, p):
+        fused = simulate_multicore(ft, machine, p=p)
+        ref = reference_multicore(ft, machine, p, 256)
+        assert fused == ref, (p, fused, ref)
 
     def test_random_traces(self):
         for seed in range(4):
             ft = _trace(3000, spread=1 << 21, seed=seed)
             for p in (1, 2, 3, 4, 8):
                 self._assert_match(ft, TEST_MACHINE, p)
-
-    def test_chunk_sizes(self):
-        ft = _trace(2500, spread=1 << 20, seed=5)
-        for chunk in (1, 7, 64, 256, 5000):
-            self._assert_match(ft, TEST_MACHINE, 4, chunk=chunk)
 
     def test_scaled_machine(self):
         from repro.arch.machine import SCALED_XEON

@@ -45,13 +45,13 @@ class TestTracedQueue:
 
     def test_addresses_stay_within_buffer(self, g):
         t = Tracer()
-        q = TracedQueue(g, t, capacity=16)
-        for i in range(100):
+        q = TracedQueue(g, t)
+        for i in range(3 * q.cap):
             q.push(i)
             q.pop()
         ft = t.freeze()
         assert ft.addrs.min() >= q.base
-        assert ft.addrs.max() < q.base + 16 * 8
+        assert ft.addrs.max() < q.base + q.cap * 8
 
     def test_interleaved_compaction(self, g):
         q = TracedQueue(g, NULL_TRACER)
@@ -79,11 +79,11 @@ class TestTracedStack:
 
     def test_addresses_wrap_capacity(self, g):
         t = Tracer()
-        s = TracedStack(g, t, capacity=8)
-        for i in range(20):
+        s = TracedStack(g, t)
+        for i in range(s.cap + 12):
             s.push(i)
         ft = t.freeze()
-        assert ft.addrs.max() < s.base + 8 * 8
+        assert ft.addrs.max() < s.base + s.cap * 8
 
     @given(st.lists(st.one_of(st.just("push"), st.just("pop")),
                     max_size=100))

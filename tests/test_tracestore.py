@@ -13,7 +13,6 @@ from repro.core.taxonomy import DataSource
 from repro.core.tracestore import (
     TRACE_FORMAT_VERSION,
     TraceStore,
-    TraceStoreKeyError,
 )
 from repro.datagen import GraphSpec
 from repro.datagen.registry import make as make_dataset
@@ -44,40 +43,19 @@ class TestKeying:
         b = make_dataset("ldbc", scale=0.02, seed=1)
         assert store.key_for("BFS", a) != store.key_for("BFS", b)
 
-    def test_different_params_never_collide(self, store, spec):
-        keys = {store.key_for("BFS", spec),
-                store.key_for("BFS", spec, {"root": 3}),
-                store.key_for("BFS", spec, {"root": 4}),
-                store.key_for("GUp", spec, {"fraction": 0.1}),
-                store.key_for("GUp", spec, {"fraction": 0.2})}
-        assert len(keys) == 5
-
     def test_different_workloads_and_sizes_never_collide(self, store, spec):
         other = make_dataset("ldbc", scale=0.04, seed=0)
         keys = {store.key_for(w, s) for w in ("BFS", "kCore", "CComp")
                 for s in (spec, other)}
         assert len(keys) == 6
 
-    def test_ndarray_params_keyed_by_content(self, store, spec):
-        e1 = np.array([[0, 1], [1, 2]], dtype=np.int64)
-        e2 = np.array([[0, 1], [2, 1]], dtype=np.int64)
-        k1 = store.key_for("GCons", spec, {"edges": e1})
-        k2 = store.key_for("GCons", spec, {"edges": e1.copy()})
-        k3 = store.key_for("GCons", spec, {"edges": e2})
-        assert k1 == k2
-        assert k1 != k3
-
-    def test_uncacheable_params_raise(self, store, spec):
-        with pytest.raises(TraceStoreKeyError):
-            store.key_for("Gibbs", spec, {"bn": object()})
-
     def test_seeded_key_is_the_one_existing_stores_hold(self, store, spec):
         """Hand-built specs gained an edge digest; a generated dataset's
         key is byte for byte what it was."""
         assert spec.identity() == ("LDBC", 120, 2539, 0)
-        assert store.key_for("BFS", spec, {"root": 3}) == (
-            "81480e365efc855c3a87d66bd97cbe1b"
-            "225c8b79b35568d29a5610f2ea67ab34")
+        assert store.key_for("BFS", spec) == (
+            "71a6bac1f57d3e6212ec6c76aa3b5796"
+            "f656ceba10d608059a83a20e034ac354")
 
 
 class TestHandBuiltSpecsAreTheirEdges:
@@ -104,7 +82,7 @@ class TestHandBuiltSpecsAreTheirEdges:
     def test_shared_graph(self):
         clear_cache()
         a, b = self._specs()
-        levels = [run_cpu_workload("BFS", s, params={"root": 0})[0]
+        levels = [run_cpu_workload("BFS", s)[0]
                   .outputs["levels"] for s in (a, b, a)]
         assert levels == [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 4: 1, 3: 2, 2: 3},
                           {0: 0, 1: 1, 2: 2, 3: 3}]
@@ -122,13 +100,13 @@ class TestHandBuiltSpecsAreTheirEdges:
         clear_cache()
         a, b = self._specs()
         assert store.key_for("BFS", a) != store.key_for("BFS", b)
-        ran = [run_cpu_workload("BFS", s, params={"root": 0},
-                                trace_store=store)[0].trace for s in (a, b)]
+        ran = [run_cpu_workload("BFS", s, trace_store=store)[0].trace
+               for s in (a, b)]
         assert (store.stats.stores, store.stats.hits) == (2, 0)
         clear_cache()
         again = TraceStore(store.root)          # a later process
-        got = [run_cpu_workload("BFS", s, params={"root": 0},
-                                trace_store=again)[0].trace for s in (a, b)]
+        got = [run_cpu_workload("BFS", s, trace_store=again)[0].trace
+               for s in (a, b)]
         assert again.stats.hits == 2
         for fresh, loaded in zip(ran, got):
             assert np.array_equal(fresh.addrs, loaded.addrs)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import workloads as W
-from repro.datagen import ca_road, watson_gene
+from repro.datagen import GraphSpec, ca_road, watson_gene
 from tests.conftest import build
 from tests.oracles import (
     coloring_errors,
@@ -52,8 +52,10 @@ class TestCComp:
             assert len(labels) == 1
 
     def test_disconnected_graph(self):
-        spec = watson_gene(800, module_size=40, bridge_fraction=0.0,
-                           seed=4)
+        # the modules alone, their bridges dropped: 20 islands
+        gene = watson_gene(800, seed=4)
+        local = (gene.edges // 40)[:, 0] == (gene.edges // 40)[:, 1]
+        spec = GraphSpec("modules", gene.source, gene.n, gene.edges[local])
         g = build(spec)
         res = W.run("CComp", g)
         assert res.outputs["n_components"] == reference_ccomp(spec)
@@ -96,7 +98,12 @@ class TestTC:
                 == 3 * res.outputs["triangles"])
 
     def test_triangle_free_graph(self):
-        spec = ca_road(200, diagonal_fraction=0.0, seed=0)
+        # the lattice alone, its diagonal shortcuts dropped
+        road = ca_road(200, seed=0)
+        step = road.edges[:, 1] - road.edges[:, 0]
+        lattice = (step == 1) | (step == road.meta["side"])
+        spec = GraphSpec("lattice", road.source, road.n, road.edges[lattice],
+                         directed=False)
         g = build(spec)
         res = W.run("TC", g)
         assert res.outputs["triangles"] == reference_tc(spec)

@@ -9,7 +9,6 @@ from repro.core.taxonomy import ComputationType, WorkloadCategory
 from benchmarks.paper import coverage_check
 from repro.workloads import (
     GPU_WORKLOADS,
-    WORKLOAD_TYPES,
     WORKLOADS,
     table4,
 )
@@ -31,14 +30,14 @@ class TestRegistry:
                                       "GColor", "TC", "DCentr", "BCentr"}
 
     def test_all_computation_types_covered(self):
-        missing = coverage_check(list(WORKLOADS), WORKLOAD_TYPES)
+        missing = coverage_check(list(WORKLOADS))
         assert missing == set()
 
     def test_type_assignments_match_paper(self):
-        assert WORKLOAD_TYPES["BFS"] == ComputationType.COMP_STRUCT
-        assert WORKLOAD_TYPES["Gibbs"] == ComputationType.COMP_PROP
+        assert WORKLOADS["BFS"].CTYPE == ComputationType.COMP_STRUCT
+        assert WORKLOADS["Gibbs"].CTYPE == ComputationType.COMP_PROP
         for w in ("GCons", "GUp", "TMorph"):
-            assert WORKLOAD_TYPES[w] == ComputationType.COMP_DYN
+            assert WORKLOADS[w].CTYPE == ComputationType.COMP_DYN
 
     def test_categories_match_paper(self):
         assert WORKLOADS["BFS"].CATEGORY == WorkloadCategory.TRAVERSAL
