@@ -8,10 +8,20 @@ can size their own experiments.
 import numpy as np
 import pytest
 
-from repro.arch import CacheConfig, line_ids, lru_miss_idx, simulate_branches
+from repro.arch import (
+    SCALED_XEON,
+    CacheConfig,
+    level_miss_idx,
+    line_ids,
+    lru_miss_idx,
+    simulate_branches,
+)
+from repro.arch.icache import ICache
 from repro.core.memmodel import PAGE_SIZE
+from repro.datagen import make
 from repro.gpu.simt import KernelAccum, slots_for_loop
-from tests.oracles import Cache, GSharePredictor
+from repro.harness import run_cpu_workload
+from tests.oracles import Cache, GSharePredictor, lru_cache_miss_idx
 
 N = 200_000
 
@@ -42,6 +52,40 @@ def test_lru_walk_throughput(benchmark, addrs):
         return len(lru_miss_idx(sets, ids, cfg.assoc))
 
     assert benchmark(run) == int(Cache(cfg).simulate(addrs).sum())
+
+
+def test_lru_cache_walk_throughput(benchmark, addrs):
+    """The per-set state machine in C the engine replaced — the reference
+    row, not the engine."""
+    cfg = CacheConfig("L2", size=32 * 1024, assoc=8)
+    ids = line_ids(addrs, cfg.line)
+    sets = ids & np.uint64(cfg.n_sets - 1)
+
+    def run():
+        return len(lru_cache_miss_idx(sets, ids, cfg.assoc))
+
+    assert benchmark(run) == len(lru_miss_idx(sets, ids, cfg.assoc))
+
+
+@pytest.fixture(scope="module")
+def deep_stack_lines():
+    """The first 4 M of Gibbs's 22.9 M ICache line touches under the
+    depth-10 deep-stack ablation (Fig. 6's setting).  Its sets overflow
+    by a single line each, so most windows are long, hold few keys and
+    hit: the widths run out and the exact counts decide.  (Gibbs samples
+    a fixed network; the dataset only satisfies the call.)"""
+    result, _ = run_cpu_workload("Gibbs", make("ldbc", scale=0.05, seed=0))
+    lines = ICache(SCALED_XEON.icache)._visit_addrs(result.trace, 10)
+    return lines[:4_000_000]
+
+
+def test_deep_stack_icache_throughput(benchmark, deep_stack_lines):
+    cfg = SCALED_XEON.icache
+
+    def run():
+        return len(level_miss_idx(cfg, deep_stack_lines))
+
+    assert benchmark.pedantic(run, rounds=3) > 0
 
 
 def test_tlb_throughput(benchmark, addrs):

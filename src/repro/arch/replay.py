@@ -1,18 +1,19 @@
-"""Trace replay: L1D -> L2 -> L3 and the DTLB as four LRU walks.
+"""Trace replay: L1D -> L2 -> L3 and the DTLB as four cold LRU levels.
 
 Replay is the hot path behind every figure, the resilience matrix and
 the serving stack.  Each structure is one :func:`~repro.arch.cache.
-lru_miss_idx` walk: the L1 and the DTLB see every access, the L2 sees the
-L1's miss substream in program order, the L3 the L2's.  A cold level is
-a pure function of its own geometry and the stream it is fed, so its
-miss positions are memoized under the chain of geometries above and
-including it; a machine sweep over one stored trace then walks only the
-levels whose chain actually changed.
+lru_miss_idx` call, decided in numpy by LRU's stack property rather
+than stepped access by access: the L1 and the DTLB see every access,
+the L2 sees the L1's miss substream in program order, the L3 the L2's.
+A cold level is a pure function of its own geometry and the stream it
+is fed, so its miss positions are memoized under the chain of
+geometries above and including it; a machine sweep over one stored
+trace then computes only the levels whose chain actually changed.
 
 The stateful reference (``tests/oracles.py``: ``MemoryHierarchy`` and a
-``Cache`` of ``machine.tlb``) runs the same LRU
-state machine over the same per-level substreams; ``tests/test_replay.py``
-holds this module bitwise identical to it.
+``Cache`` of ``machine.tlb``) steps an LRU state machine over the same
+per-level substreams; ``tests/test_replay.py`` holds this module
+bitwise identical to it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ trip counts → warp cycles = per-warp max), ``mem_op()`` records one memory
 instruction class (per-access warp/slot ids + byte addresses → replays via
 distinct-segment counting), ``atomic_op()`` additionally serializes on
 address conflicts.  Both BDR and MDR then fall out of the paper's formulas
-exactly.  DRAM traffic is what survives the device L2: the one LRU walk of
-:mod:`repro.arch.cache` over the banked warp transactions.
+exactly.  DRAM traffic is what survives the device L2: one call of the
+one LRU of :mod:`repro.arch.cache` over the banked warp transactions.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class KernelAccum:
     level — replays happen before the cache.
 
     Each :meth:`mem_op` banks its transaction stream as one chunk; the L2
-    is one :func:`~repro.arch.cache.lru_miss_idx` walk over the
+    is one :func:`~repro.arch.cache.lru_miss_idx` call over the
     concatenated chunks — a single fully-associative pool, so one slot
     with ``assoc`` = capacity in segments — and each chunk's DRAM traffic
     is the number of misses that fall inside it.  :attr:`stats` is a pure

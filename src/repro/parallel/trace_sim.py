@@ -11,7 +11,8 @@ quantifying:
 * the private-cache benefit (each core's slice is smaller than the whole),
 * shared-LLC contention (interleaved miss streams evict each other).
 
-Every level is the one LRU walk of :mod:`repro.arch.cache`, private
+Every level is one call of the one LRU of :mod:`repro.arch.cache`
+(decided by the stack property, no per-access state machine), private
 levels with the owning core folded into the set id.  Used by the
 multicore-contention ablation bench; the single-core case (``p=1``)
 reduces exactly to :func:`~repro.arch.replay.replay`'s hierarchy, and

@@ -3,7 +3,8 @@
 Each is the short, sequential, obviously-correct form of something
 ``src/`` computes vectorized or composed: the sequential branch
 predictors ``simulate_branches`` is gated against, the
-stateful :class:`Cache` the one LRU walk (``lru_miss_idx``) is gated
+stateful :class:`Cache` and the ``functools.lru_cache`` walk
+(:func:`lru_cache_miss_idx`) the one LRU (``lru_miss_idx``) is gated
 against, :class:`MemoryHierarchy`, the per-core and per-segment loops,
 the scalar block graph primitives and the seven workload loop kernels
 that charge through them, the populating loop, the query executor's dict
@@ -18,6 +19,8 @@ import dataclasses
 import heapq
 import itertools
 from collections import deque
+from functools import lru_cache, partial
+from itertools import chain, count
 from typing import Any
 
 import networkx as nx
@@ -167,6 +170,35 @@ def reference_multicore(trace, machine, p, chunk=256):
         l3.simulate(addrs[merged])
     return MulticoreCacheResult(p, agg_l1, agg_l2, l3.stats,
                                 per_core_accesses)
+
+
+def lru_cache_miss_idx(slot, key, assoc):
+    """``lru_miss_idx`` as a state machine: the same stable slot sort and
+    MRU-repeat prefilter, then the live keys through ``ways``, an
+    ``lru_cache`` of ``assoc`` entries emptied at each set boundary --
+    :class:`Cache`'s LRU in C, one generator resume per set.  It caches a
+    count of loads: a hit returns its key's stored ordinal, a miss a new
+    maximum above all before it."""
+    n, assoc = len(key), int(assoc)         # lru_cache refuses numpy ints
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    narrow = 0 <= slot.min() and slot.max() < 65536
+    s = slot.astype(np.uint16) if narrow else slot
+    order = np.argsort(s, kind="stable")
+    s, k = s[order], key[order]
+    head = np.append(True, s[1:] != s[:-1])          # first access of a set
+    live = head | np.append(True, k[1:] != k[:-1])   # not an MRU repeat
+    keys, cuts = k[live].tolist(), np.flatnonzero(head[live]).tolist()
+    del s, k, head
+    ways = lru_cache(maxsize=assoc)(partial(next, count()))  # next ignores key
+    ordinal = np.fromiter(chain.from_iterable(
+        ways.cache_clear() or map(ways, keys[a:b])
+        for a, b in zip(cuts, cuts[1:] + [None])), np.int64, count=len(keys))
+    del keys
+    missed = np.diff(np.maximum.accumulate(ordinal), prepend=-1) > 0
+    miss = np.zeros(n, dtype=bool)
+    miss[order[live][missed]] = True
+    return np.flatnonzero(miss)
 
 
 def reference_segment_lru(chunks, capacity):

@@ -13,7 +13,12 @@ from repro.arch import (
     level_miss_idx,
     lru_miss_idx,
 )
-from tests.oracles import Cache, reference_segment_lru, resident_lines
+from tests.oracles import (
+    Cache,
+    lru_cache_miss_idx,
+    reference_segment_lru,
+    resident_lines,
+)
 
 
 class TestCacheConfig:
@@ -126,9 +131,69 @@ _STREAMS = st.one_of(
               st.integers(1, 50)))                     # all the same key
 
 
+@st.composite
+def _lru_streams(draw):
+    """(slot, key, assoc) in every shape ``lru_miss_idx`` serves, plus the
+    shapes that reach each of its paths: set-indexed, owner-folded and
+    wide (non-uint16) slots, one fully-associative pool up to the GPU
+    L2's 256 segments, ``assoc`` 1 and ``assoc`` >= distinct keys, and
+    a few hot keys alternating over long windows with rare keys coming
+    back (the widths run out and the exact count decides)."""
+    family = draw(st.sampled_from(
+        ["set", "owner", "wide", "pool", "one_way", "roomy", "hot"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 2000))
+    key = rng.integers(0, draw(st.integers(1, 600)), n).astype(np.uint64)
+    slot = key & np.uint64(draw(st.sampled_from([1, 4, 64])) - 1)
+    assoc = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    if family == "owner":
+        owner = (np.arange(n) // draw(st.integers(1, 64))) % 4
+        slot += owner.astype(np.uint64) * np.uint64(64)
+    elif family == "wide":
+        slot += np.uint64(65_536 + 2048) * (key % np.uint64(3))
+    elif family == "pool":
+        slot[:] = 0
+        assoc = draw(st.integers(1, 256))
+    elif family == "one_way":
+        assoc = 1
+    elif family == "roomy":
+        assoc = max(1, len(np.unique(key))) + draw(st.integers(0, 3))
+    elif family == "hot":
+        n = draw(st.integers(2000, 12_000))
+        n_hot = draw(st.integers(2, 10))
+        key = rng.integers(0, n_hot, n).astype(np.uint64)
+        rare = rng.random(n) < draw(st.floats(0.0005, 0.02))
+        key[rare] = np.uint64(1000) + rng.integers(0, 30, rare.sum()) \
+            .astype(np.uint64)
+        slot = key & np.uint64(draw(st.sampled_from([1, 2])) - 1)
+        assoc = max(1, n_hot + draw(st.integers(-2, 2)))
+    return slot, key, assoc
+
+
+def _per_slot_cache_misses(slot, key, assoc):
+    """Miss positions of one single-set ``Cache`` of ``assoc`` ways per
+    distinct slot, each fed its slot's keys (as line numbers) in order."""
+    out = []
+    for s in np.unique(slot).tolist():
+        at = np.flatnonzero(slot == s)
+        cache = Cache(CacheConfig("t", size=assoc * 64, assoc=assoc))
+        out.append(at[cache.simulate(key[at] * np.uint64(64))])
+    return np.sort(np.concatenate(out)).tolist() if out else []
+
+
 class TestLruMissIdx:
     """The one LRU walk against one ``Cache`` fed an address at a time, in
     the three shapes it serves."""
+
+    @given(_lru_streams())
+    @settings(max_examples=120, deadline=None)
+    def test_engine_is_the_lru_cache_walk_and_the_cache(self, stream):
+        """The stack-property engine == the ``functools.lru_cache`` walk
+        it replaced == one stateful ``Cache`` per slot."""
+        slot, key, assoc = stream
+        got = lru_miss_idx(slot, key, assoc).tolist()
+        assert got == lru_cache_miss_idx(slot, key, assoc).tolist()
+        assert got == _per_slot_cache_misses(slot, key, assoc)
 
     @given(_STREAMS, st.sampled_from([(1, 1), (2, 2), (4, 2), (8, 4),
                                       (16, 1), (2, 8)]))
@@ -219,7 +284,7 @@ class TestLruMissIdx:
 
     def test_concurrent_walks_equal_serial(self):
         """The service's executor pool walks different streams at once:
-        every call owns its ``ways``, so nothing is shared."""
+        every call owns its arrays, so nothing is shared."""
         rng = np.random.default_rng(5)
         jobs = []
         for t in range(4):
@@ -249,12 +314,12 @@ class TestLruMissIdx:
         assert lru_miss_idx(slot, key, np.int64(2)).tolist() == \
             lru_miss_idx(slot, key, 2).tolist()
 
-    def test_walk_runs_in_c(self):
+    def test_python_events_do_not_grow_with_accesses(self):
         """Python frames entered (``sys.setprofile`` call events) and
-        lines executed (``sys.settrace``) during one walk depend on the
-        sets touched, not on the number of accesses: a per-access
-        callback, comprehension or ``for`` body fails here, by count and
-        not by clock."""
+        lines executed (``sys.settrace``) during one call depend on the
+        doubling widths counted and the exact-count groups, not on the
+        number of accesses: a per-access callback, comprehension or
+        ``for`` body fails here, by count and not by clock."""
         def events(n):
             key = np.random.default_rng(6).integers(0, 4096, n) \
                 .astype(np.uint64)
