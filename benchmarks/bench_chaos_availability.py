@@ -87,7 +87,6 @@ _DIAL_OUTCOMES = ("ok", "failover", "hedge", "error", "unreachable")
 def reliability(hedge: bool = False) -> ReliabilityConfig:
     return ReliabilityConfig(
         breaker_failure_threshold=3, breaker_reset_timeout_s=1.0,
-        retry_budget_ratio=0.1, retry_budget_max_tokens=10.0,
         hedge_quantile=95.0 if hedge else None,
         stale_cap_s=STALE_CAP_S)
 

@@ -240,16 +240,13 @@ def _build_service(args):
         caches=caches, chaos=chaos, governor=governor)
 
 
-def cmd_serve(args) -> int:
+def _serve_until_interrupt(service, host: str, port: int, ready) -> None:
+    """Serve ``service`` on ``host:port`` until Ctrl-C; ``ready(port)``
+    runs once it listens, with the bound port."""
     import asyncio
 
-    service = _build_service(args)
-
-    async def _serve() -> None:
-        port = await service.start(args.host, args.port)
-        print(f"repro service listening on {args.host}:{port} "
-              f"({args.workers} workers, {args.isolation} isolation, "
-              f"cache {'off' if args.no_cache else 'on'})")
+    async def serve() -> None:
+        ready(await service.start(host, port))
         try:
             await service.serve_forever()
         except asyncio.CancelledError:
@@ -258,9 +255,19 @@ def cmd_serve(args) -> int:
             await service.stop()
 
     try:
-        asyncio.run(_serve())
+        asyncio.run(serve())
     except KeyboardInterrupt:
-        print("\nshutting down")
+        pass
+
+
+def cmd_serve(args) -> int:
+    cache = "off" if args.no_cache else "on"
+    _serve_until_interrupt(
+        _build_service(args), args.host, args.port,
+        lambda port: print(f"repro service listening on {args.host}:{port} "
+                           f"({args.workers} workers, {args.isolation} "
+                           f"isolation, cache {cache})"))
+    print("\nshutting down")
     return 0
 
 
@@ -385,60 +392,37 @@ def cmd_mutate(args) -> int:
     return rc
 
 
-def _write_factory(args):
-    """Build the loadgen mutation factory from --write-mix knobs
-    (writes churn the first listed dataset's mutable graph)."""
-    if args.write_mix <= 0:
-        return None
-    from .datagen.registry import scaled_vertices
-    from .service.loadgen import churn_write_factory
-    dataset = args.datasets.split(",")[0]
-    return churn_write_factory(
-        dataset, scaled_vertices(dataset, args.scale),
-        scale=args.scale, seed=0, batch=args.write_batch)
-
-
-def _query_factory(args):
-    """Build the loadgen DSL-query factory from --query-mix knobs
-    (queries sample the template pool over the listed datasets)."""
-    if args.query_mix <= 0:
-        return None
-    from .service.loadgen import dsl_query_factory
-    return dsl_query_factory(tuple(args.datasets.split(",")),
-                             scale=args.scale, seed=0)
-
-
-def _stamp_tenants(plan, args):
-    """Apply --tenants/--tenant-skew: stamp a tenant identity onto every
-    request (a separate RNG stream, so the request content is unchanged
-    from the tenantless plan)."""
-    if args.tenants <= 0:
-        return plan
-    from .service.loadgen import assign_tenants
-    return assign_tenants(plan, args.tenants, skew=args.tenant_skew,
-                          seed=args.seed)
-
-
 def cmd_loadgen(args) -> int:
     """``repro loadgen`` and ``repro cluster loadgen``: one plan, one
     closed loop; the cluster form differs in what ``--spawn`` boots and
     in reporting the plan's per-shard imbalance."""
+    from .datagen.registry import scaled_vertices
     from .obs import SpanTracer
     from .service import LoadGenerator, ServiceThread, schedule, workload_mix
-    from .service.loadgen import plan_imbalance
+    from .service.loadgen import (assign_tenants, churn_write_factory,
+                                  dsl_query_factory, plan_imbalance)
 
     cluster = args.command == "cluster"
-    mix = workload_mix(tuple(args.workloads.split(",")),
-                       tuple(args.datasets.split(",")),
+    datasets = tuple(args.datasets.split(","))
+    mix = workload_mix(tuple(args.workloads.split(",")), datasets,
                        scale=args.scale, seeds=args.seeds, op=args.op)
     skew = args.dataset_skew
-    plan = schedule(mix, args.requests, seed=args.seed,
-                    dataset_skew=skew,
-                    write_mix=args.write_mix,
-                    write_factory=_write_factory(args),
-                    query_mix=args.query_mix,
-                    query_factory=_query_factory(args))
-    plan = _stamp_tenants(plan, args)
+    # writes churn the first listed dataset's mutable graph; queries
+    # sample the template pool over every listed one
+    plan = schedule(
+        mix, args.requests, seed=args.seed, dataset_skew=skew,
+        write_mix=args.write_mix,
+        write_factory=churn_write_factory(
+            datasets[0], scaled_vertices(datasets[0], args.scale),
+            scale=args.scale, seed=0, batch=args.write_batch)
+        if args.write_mix > 0 else None,
+        query_mix=args.query_mix,
+        query_factory=dsl_query_factory(datasets, scale=args.scale, seed=0)
+        if args.query_mix > 0 else None)
+    if args.tenants > 0:
+        # a separate RNG stream: the requests are the tenantless plan's
+        plan = assign_tenants(plan, args.tenants, skew=args.tenant_skew,
+                              seed=args.seed)
     tracer = SpanTracer() if args.trace_out else None
     gen_args = dict(concurrency=args.concurrency, timeout_s=args.timeout,
                     deadline_s=args.deadline, tracer=tracer)
@@ -632,8 +616,6 @@ def cmd_cluster_serve(args) -> int:
 
 
 def cmd_cluster_shard(args) -> int:
-    import asyncio
-
     from .cluster import ShardService
     from .service import PoolConfig
 
@@ -643,23 +625,12 @@ def cmd_cluster_shard(args) -> int:
         args.name, datasets,
         pool_config=PoolConfig(size=args.workers,
                                isolation=args.isolation))
-
-    async def _serve() -> None:
-        port = await service.start(args.host, args.port)
-        # the one ready line a parent process harness blocks on
-        print(json.dumps({"shard": args.name, "host": args.host,
-                          "port": port}), flush=True)
-        try:
-            await service.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
+    # the one ready line a parent process harness blocks on
+    _serve_until_interrupt(
+        service, args.host, args.port,
+        lambda port: print(json.dumps({"shard": args.name,
+                                       "host": args.host, "port": port}),
+                           flush=True))
     return 0
 
 
@@ -695,18 +666,12 @@ def cmd_cluster_plan(args) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
-    # the router speaks the service protocol: query, query-lang and
-    # loadgen are the single-node handlers
-    handler = {"serve": cmd_cluster_serve, "shard": cmd_cluster_shard,
-               "query": cmd_query, "query-lang": cmd_query_lang,
-               "loadgen": cmd_loadgen, "plan": cmd_cluster_plan}
-    return handler[args.cluster_command](args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .service.protocol import PROTOCOL_VERSION
+    from .cluster.router import ROUTER_PORT
+    from .resilience.cell import MACHINES
+    from .resilience.executor import ISOLATIONS
+    from .service.protocol import OPS, PROTOCOL_VERSION
 
     p = argparse.ArgumentParser(
         prog="repro",
@@ -724,11 +689,31 @@ def build_parser() -> argparse.ArgumentParser:
                         "per record, extra fields included)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    lst = sub.add_parser("list", help="list the 13 workloads (Table 4)")
+    def command(parent, name, handler, **kw):
+        """A subcommand parser that names its handler."""
+        sp = parent.add_parser(name, **kw)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    def add_endpoint(sp, port, timeout=None):
+        """Where a server listens or a client dials; a client waits
+        ``timeout`` seconds for an answer (a server's --timeout is
+        add_service_knobs')."""
+        sp.add_argument("--host", default="127.0.0.1")
+        sp.add_argument("--port", type=int, default=port,
+                        help=f"TCP port (default: {port}; a server given "
+                             "0 picks a free one)")
+        if timeout is not None:
+            sp.add_argument("--timeout", type=float, default=timeout,
+                            help="seconds to wait for the answer "
+                                 f"(default: {timeout:g})")
+
+    lst = command(sub, "list", cmd_list,
+                  help="list the 13 workloads (Table 4)")
     lst.add_argument("--json", action="store_true",
                      help="machine-readable output")
-    ds = sub.add_parser("datasets",
-                        help="list the dataset registry (Table 5)")
+    ds = command(sub, "datasets", cmd_datasets,
+                 help="list the dataset registry (Table 5)")
     ds.add_argument("--json", action="store_true",
                     help="machine-readable output")
 
@@ -743,13 +728,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dataset scale factor (default: 0.25)")
         sp.add_argument("--seed", type=int, default=0)
 
-    add_common(sub.add_parser("run", help="run a workload, print outputs"))
-    add_common(sub.add_parser(
-        "characterize", help="run + CPU architectural characterization"))
-    add_common(sub.add_parser("gpu", help="run the GPU kernel + metrics"))
+    add_common(command(sub, "run", cmd_run,
+                       help="run a workload, print outputs"))
+    add_common(command(sub, "characterize", cmd_characterize,
+                       help="run + CPU architectural characterization"))
+    add_common(command(sub, "gpu", cmd_gpu,
+                       help="run the GPU kernel + metrics"))
 
-    m = sub.add_parser(
-        "matrix",
+    m = command(
+        sub, "matrix", cmd_matrix,
         help="resilient full-matrix sweep: isolation, timeout/retry, "
              "checkpoint-resume")
     m.add_argument("--workloads", default="all",
@@ -762,8 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--scale", type=float, default=0.25,
                    help="dataset scale factor (default: 0.25)")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--machine", default="scaled",
-                   choices=("scaled", "test", "paper"),
+    m.add_argument("--machine", default="scaled", choices=MACHINES,
                    help="named machine configuration (default: scaled)")
     m.add_argument("--gpu", action="store_true",
                    help="also run the GPU model on GPU-capable workloads")
@@ -782,8 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export CSV views (incl. failures.csv) here")
     m.add_argument("--metric", default="ipc",
                    help="metric for the printed grid (default: ipc)")
-    m.add_argument("--isolation", default="process",
-                   choices=("process", "inline"),
+    m.add_argument("--isolation", default="process", choices=ISOLATIONS,
                    help="worker isolation; 'inline' skips subprocesses "
                         "(no real timeouts — debugging only)")
     m.add_argument("--chaos-rate", type=float, default=0.0,
@@ -803,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=4,
                         help="concurrent execution slots (default: 4)")
         sp.add_argument("--isolation", default="process",
-                        choices=("process", "inline"),
+                        choices=ISOLATIONS,
                         help="worker isolation; 'inline' skips "
                              "subprocesses (default: process)")
         sp.add_argument("--timeout", type=float, default=300.0,
@@ -833,17 +818,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--qos-burst", type=float, default=50.0,
                         help="per-tenant admission burst (default: 50)")
 
-    sv = sub.add_parser(
-        "serve",
+    sv = command(
+        sub, "serve", cmd_serve,
         help="long-lived graph-query service: micro-batching, result "
              "caching, isolated workers")
-    sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--port", type=int, default=7421,
-                    help="TCP port (default: 7421; 0 picks a free one)")
+    add_endpoint(sv, 7421)
     add_service_knobs(sv)
 
-    from .cluster.router import ROUTER_PORT
-    from .service.protocol import OPS
     query_ops = tuple(name for name, op in OPS.items()
                       if op.route is not None and op.params <= _QUERY_FLAGS)
     keyed_reads = tuple(name for name, op in OPS.items()
@@ -860,14 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dataset", default="ldbc")
         sp.add_argument("--scale", type=float, default=0.25)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--machine", default="scaled",
-                        choices=("scaled", "test", "paper"))
+        sp.add_argument("--machine", default="scaled", choices=MACHINES)
         sp.add_argument("--gpu", action="store_true")
         sp.add_argument("--root", type=int, default=0,
                         help="BFS root vertex (dyn_query only)")
-        sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=int, default=port)
-        sp.add_argument("--timeout", type=float, default=300.0)
+        add_endpoint(sp, port, 300.0)
 
     def add_query_lang_args(sp, port):
         sp.add_argument("query", help="pipeline DSL text: "
@@ -877,13 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "cost estimates instead of executing")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
-        sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=int, default=port)
-        sp.add_argument("--timeout", type=float, default=300.0)
+        add_endpoint(sp, port, 300.0)
 
-    def add_loadgen_args(sp, port, spawns, workloads, datasets):
-        sp.add_argument("--host", default="127.0.0.1")
-        sp.add_argument("--port", type=int, default=port)
+    def add_loadgen_args(sp, port, timeout, spawns, workloads, datasets):
+        add_endpoint(sp, port, timeout)
         sp.add_argument("--spawn", action="store_true",
                         help=f"boot an in-process {spawns} for the run")
         sp.add_argument("--requests", type=int, default=200,
@@ -929,19 +904,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="machine-readable report")
 
-    add_query_args(sub.add_parser(
-        "query", help="send one request to a running service, print "
-                      "the JSON result (for pipeline-DSL queries use "
-                      "`repro query-lang`)"), 7421)
+    add_query_args(command(
+        sub, "query", cmd_query,
+        help="send one request to a running service, print the JSON "
+             "result (for pipeline-DSL queries use `repro query-lang`)"),
+        7421)
 
-    add_query_lang_args(sub.add_parser(
-        "query-lang",
+    add_query_lang_args(command(
+        sub, "query-lang", cmd_query_lang,
         help="run a pipeline-DSL query against a running service, "
              'e.g. "from twitter | bfs root=42 depth<=3 '
              '| topk degree 10"'), 7421)
 
-    mu = sub.add_parser(
-        "mutate",
+    mu = command(
+        sub, "mutate", cmd_mutate,
         help="apply a mutation batch to a service's mutable graph: "
              "add/del vertices and edges, set vertex properties")
     mu.add_argument("--dataset", default="ldbc",
@@ -965,28 +941,26 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--strict", action="store_true",
                     help="reject the whole batch if any op is a no-op "
                          "(default: skip and report)")
-    mu.add_argument("--host", default="127.0.0.1")
-    mu.add_argument("--port", type=int, default=7421)
-    mu.add_argument("--timeout", type=float, default=300.0)
+    add_endpoint(mu, 7421, 300.0)
 
-    lg = sub.add_parser(
-        "loadgen",
+    lg = command(
+        sub, "loadgen", cmd_loadgen,
         help="closed-loop load generator: throughput + p50/p95/p99 "
              "latency against a live service")
-    add_loadgen_args(lg, 7421, "service (uses the serve knobs below)",
+    # --timeout is the serve knobs': the spawned service's and the
+    # client's at once
+    add_loadgen_args(lg, 7421, None, "service (uses the serve knobs below)",
                      workloads="BFS,CComp,kCore", datasets="ldbc")
     lg.add_argument("--trace-out", default=None, metavar="FILE",
                     help="write per-request spans as Chrome Trace Event "
                          "JSON — open in about:tracing")
     add_service_knobs(lg)
 
-    st = sub.add_parser(
-        "stats",
+    st = command(
+        sub, "stats", cmd_stats,
         help="scrape a running service: ops, latency percentiles, "
              "cache/queue/pool counters")
-    st.add_argument("--host", default="127.0.0.1")
-    st.add_argument("--port", type=int, default=7421)
-    st.add_argument("--timeout", type=float, default=30.0)
+    add_endpoint(st, 7421, 30.0)
     st.add_argument("--format", default="table",
                     choices=("table", "json", "prom"),
                     help="output: human table, full JSON stats, or "
@@ -1007,21 +981,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="virtual nodes per shard on the ring "
                              "(default: 64)")
 
-    cs = clsub.add_parser(
-        "serve", help="boot a full cluster (shards + router) and serve")
+    cs = command(clsub, "serve", cmd_cluster_serve,
+                 help="boot a full cluster (shards + router) and serve")
     add_cluster_shape(cs)
     cs.add_argument("--datasets", default=None,
                     help="comma-separated dataset universe (default: "
                          "the full registry)")
-    cs.add_argument("--host", default="127.0.0.1")
-    cs.add_argument("--port", type=int, default=ROUTER_PORT,
-                    help=f"router TCP port (default: {ROUTER_PORT}; "
-                         "0 picks a free one)")
+    add_endpoint(cs, ROUTER_PORT)
     cs.add_argument("--processes", action="store_true",
                     help="run each shard as a child process instead of "
                          "a thread")
-    cs.add_argument("--isolation", default="inline",
-                    choices=("process", "inline"),
+    cs.add_argument("--isolation", default="inline", choices=ISOLATIONS,
                     help="worker isolation inside each shard "
                          "(default: inline)")
     cs.add_argument("--hedge-quantile", type=float, default=None,
@@ -1041,45 +1011,43 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inject this much per-chunk latency on every "
                          "proxied hop (requires --netchaos)")
 
-    csh = clsub.add_parser(
-        "shard", help="serve one shard (used by `cluster serve "
-                      "--processes`; prints a ready JSON line)")
+    csh = command(clsub, "shard", cmd_cluster_shard,
+                  help="serve one shard (used by `cluster serve "
+                       "--processes`; prints a ready JSON line)")
     csh.add_argument("--name", required=True, help="shard id")
     csh.add_argument("--datasets", default=None,
                      help="comma-separated owned dataset keys "
                           "(default: owns everything)")
-    csh.add_argument("--host", default="127.0.0.1")
-    csh.add_argument("--port", type=int, default=0)
+    add_endpoint(csh, 0)
     csh.add_argument("--workers", type=int, default=2)
-    csh.add_argument("--isolation", default="inline",
-                     choices=("process", "inline"))
+    csh.add_argument("--isolation", default="inline", choices=ISOLATIONS)
 
-    add_query_args(clsub.add_parser(
-        "query", help="send one request to a running cluster router"),
-        ROUTER_PORT)
+    # the router speaks the service protocol: query, query-lang and
+    # loadgen are the single-node handlers
+    add_query_args(command(
+        clsub, "query", cmd_query,
+        help="send one request to a running cluster router"), ROUTER_PORT)
 
-    add_query_lang_args(clsub.add_parser(
-        "query-lang",
+    add_query_lang_args(command(
+        clsub, "query-lang", cmd_query_lang,
         help="run a pipeline-DSL query through the router: one shard "
              "answers — a dynamic source's owner, or for a static "
              "source the ring owner first and any live shard after "
              "it"), ROUTER_PORT)
 
-    clg = clsub.add_parser(
-        "loadgen",
+    clg = command(
+        clsub, "loadgen", cmd_loadgen,
         help="closed-loop load against a cluster router, with "
              "per-shard imbalance reporting")
     add_cluster_shape(clg)
-    add_loadgen_args(clg, ROUTER_PORT, "cluster",
+    add_loadgen_args(clg, ROUTER_PORT, 300.0, "cluster",
                      workloads="BFS,CComp",
                      datasets="twitter,knowledge,watson,roadnet,ldbc")
-    # what the single-service form has from the serve knobs, and its
-    # --trace-out, which the cluster form does not offer
-    clg.add_argument("--timeout", type=float, default=300.0)
+    # the single-service form's --trace-out, which this one does not offer
     clg.set_defaults(trace_out=None)
 
-    cp = clsub.add_parser(
-        "plan",
+    cp = command(
+        clsub, "plan", cmd_cluster_plan,
         help="rebalance plan for a membership change: keys moved, "
              "fraction, per-shard migration sizes")
     cp.add_argument("--shards", type=int, default=4,
@@ -1100,15 +1068,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .obs import setup_logging
     setup_logging(args.log_level, json_mode=args.log_json)
-    handler = {"list": cmd_list, "datasets": cmd_datasets, "run": cmd_run,
-               "characterize": cmd_characterize, "gpu": cmd_gpu,
-               "matrix": cmd_matrix, "serve": cmd_serve,
-               "query": cmd_query, "query-lang": cmd_query_lang,
-               "mutate": cmd_mutate,
-               "loadgen": cmd_loadgen,
-               "stats": cmd_stats, "cluster": cmd_cluster}
     try:
-        return handler[args.command](args)
+        return args.handler(args)
     except KeyError as e:   # unknown workload/dataset names
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -54,8 +54,8 @@ class ShardHealth:
     change; it runs under the machine's lock and must not call back in.
     """
 
-    def __init__(self, name: str, *, failure_threshold: int = 3,
-                 reset_timeout_s: float = 1.0,
+    def __init__(self, name: str, *, failure_threshold: int,
+                 reset_timeout_s: float,
                  backoff_factor: float = 2.0,
                  max_reset_timeout_s: float = 30.0,
                  clock: Callable[[], float] = time.monotonic,
@@ -259,7 +259,7 @@ class RetryBudget:
     Thread-safe; ``granted``/``denied`` counters feed the stats surface.
     """
 
-    def __init__(self, ratio: float = 0.1, max_tokens: float = 10.0):
+    def __init__(self, *, ratio: float, max_tokens: float):
         if ratio < 0:
             raise ValueError("ratio must be >= 0")
         if max_tokens < 1:

@@ -82,6 +82,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
@@ -187,9 +188,6 @@ class ReliabilityConfig:
     # eject a shard (open its circuit), and the base wait before a trial
     breaker_failure_threshold: int = 3
     breaker_reset_timeout_s: float = 1.0
-    # retry budget (failover + hedges)
-    retry_budget_ratio: float = 0.1
-    retry_budget_max_tokens: float = 10.0
     # hedging: fire a second replica attempt once the first has been in
     # flight past this observed-latency quantile (None disables)
     hedge_quantile: float | None = None
@@ -396,9 +394,7 @@ class Router(FrameServer):
             "cluster_degraded_total",
             "degraded (stale) responses served, by triggering kind",
             labels=("reason",))
-        self.retry_budget = RetryBudget(
-            ratio=rel.retry_budget_ratio,
-            max_tokens=rel.retry_budget_max_tokens)
+        self.retry_budget = RetryBudget(ratio=0.1, max_tokens=10.0)
         reg.gauge(
             "cluster_breakers_open",
             "shards currently behind an open circuit breaker",
@@ -416,10 +412,9 @@ class Router(FrameServer):
         # seed); a dynamic source is planned by its owner's engine,
         # against the store head
         self._plan_cache = LRUCache(128)
-        # rolling successful-attempt latencies (seconds) feeding the
-        # hedge-delay quantile
-        self._lat_samples: list[float] = []
-        self._lat_cursor = 0
+        # the newest winning hedgeable attempts' latencies (seconds),
+        # feeding the hedge-delay quantile
+        self._lat_samples: deque[float] = deque(maxlen=512)
         # op name -> handler: a keyed mode serves every op routed that
         # way, a local or scatter op has its own answer, and an op the
         # table does not route is refused, typed
@@ -435,14 +430,6 @@ class Router(FrameServer):
                           for op in OPS.values() if op.route is not None}
 
     # -- hedge-delay window --------------------------------------------------
-
-    def _note_latency(self, elapsed_s: float) -> None:
-        """Feed the hedge-delay reservoir (bounded ring, newest wins)."""
-        if len(self._lat_samples) < 512:
-            self._lat_samples.append(elapsed_s)
-        else:
-            self._lat_samples[self._lat_cursor] = elapsed_s
-            self._lat_cursor = (self._lat_cursor + 1) % 512
 
     def hedge_delay(self) -> float | None:
         """Seconds to wait before hedging, from the observed latency
@@ -544,17 +531,6 @@ class Router(FrameServer):
                      "message": f"malformed failure frame from {shard}"}
         return _Answer(shard, "error", error={"shard": shard, **error})
 
-    @staticmethod
-    def _unwrap(answer: _Answer, span_args: dict) -> Any:
-        """A keyed answer onto the wire: the result as the shard sent it
-        (which stamped its own name on it), or the shard's typed error
-        re-raised."""
-        span_args["shard"] = answer.shard
-        span_args["outcome"] = answer.outcome
-        if answer.error is not None:
-            raise payload_to_error(answer.error)
-        return answer.result
-
     # -- single-key routing with the reliability walk ------------------------
 
     def _attempt_timeout(self, remaining: float | None,
@@ -629,7 +605,13 @@ class Router(FrameServer):
                                          timeout, hedge_delay, tried,
                                          span_args)
             if answer is not None:
-                return self._unwrap(answer, span_args)
+                # the shard stamped its own name on the result; a typed
+                # shard error is re-raised as it came
+                span_args["shard"] = answer.shard
+                span_args["outcome"] = answer.outcome
+                if answer.error is not None:
+                    raise payload_to_error(answer.error)
+                return answer.result
         if not dialed_any:
             # every replica's health refused the dial: nothing was even
             # dialed — a distinct, typed condition
@@ -705,7 +687,8 @@ class Router(FrameServer):
         if not won.done():
             return None
         winner = won.result()
-        self._note_latency(time.perf_counter() - t0)
+        if OPS[req.op].hedgeable:
+            self._lat_samples.append(time.perf_counter() - t0)
         if winner.shard != primary:
             self._m_hedge.labels(outcome="won").inc()
         elif "hedged" in span_args:
@@ -727,17 +710,17 @@ class Router(FrameServer):
     # -- write routing ---------------------------------------------------------
 
     async def _route_write(self, req: Request, span_args: dict) -> Any:
-        """Route a mutation: primary-required, then best-effort replica
-        fan-out.
+        """Route a mutation: the walk over a chain of one, the primary,
+        then best-effort replica fan-out.
 
         Writes never fail over and never hedge — a mutation applied on a
         replica while the primary missed it would fork the version
         history, and the next read could see versions go *backwards*
         after a failover.  The ring's first owner is the single write
         point; if its health refuses the dial, it is unreachable, or the
-        deadline is spent, the write fails with the typed error (the
-        client retries against an unchanged version history — every
-        mutation is observable via the version it returns).
+        deadline is spent, the write fails with the walk's typed error
+        (the client retries against an unchanged version history —
+        every mutation is observable via the version it returns).
 
         Under ``replication > 1`` the committed write is then applied to
         the surviving replicas best-effort, and the response discloses
@@ -748,30 +731,15 @@ class Router(FrameServer):
         answer is relayed as it came.
         """
         key = routing_key(req.params)
-        replicas = self.ring.owners(key, self.replication)
-        primary = replicas[0]
-        span_args["replicas"] = list(replicas)
-        span_args["primary"] = primary
-        self.retry_budget.on_request()
-        remaining = req.remaining()
-        if remaining is not None and remaining <= 0:
-            self._shed(key, span_args, -remaining)
-        if not self.tracker[primary].allow():
-            self._m_route.labels(shard=primary, outcome="skipped").inc()
-            span_args["outcome"] = "circuit-open"
-            raise CircuitOpen(key, (primary,))
-        answer = await self._exchange(
-            primary, req.op, req.params,
-            self._attempt_timeout(remaining, 1), key,
-            deadline=req.deadline, tenant=req.tenant,
-            relay=len(replicas) == 1)
-        if answer.outcome == "unreachable":
-            span_args["outcome"] = "unavailable"
-            raise ShardUnavailable(key, tried=(primary,))
-        result = self._unwrap(answer, span_args)
-        if len(replicas) > 1 and isinstance(result, dict):
+        primary, *backups = self.ring.owners(key, self.replication)
+        result = await self._route_single(req, key, (primary,), span_args)
+        if not backups:
+            return result
+        if type(result) is Body:
+            result = decode_body(result)
+        if isinstance(result, dict):
             replicated, failures = await self._replicate_write(
-                req, key, [s for s in replicas if s != primary])
+                req, key, backups)
             result["replicated"] = replicated
             result["replica_failures"] = failures
             span_args["replicated"] = len(replicated)

@@ -47,16 +47,20 @@ _KILL_GRACE_S = 5.0
 _REQUIRED_KEYS = frozenset({"kind", "cell", "workload", "dataset", "ctype"})
 
 
+#: How a cell runs: in a forked worker process, or in the caller.
+ISOLATIONS = ("process", "inline")
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs for resilient cell execution."""
 
     timeout_s: float = 300.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    isolation: str = "process"       # "process" | "inline"
+    isolation: str = "process"       # one of ISOLATIONS
 
     def __post_init__(self):
-        if self.isolation not in ("process", "inline"):
+        if self.isolation not in ISOLATIONS:
             raise ValueError(f"unknown isolation {self.isolation!r}")
 
 

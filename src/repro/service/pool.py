@@ -28,7 +28,8 @@ from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import Cell
 from ..resilience.chaos import ChaosSpec
-from ..resilience.executor import ExecutorConfig, run_cell_resilient
+from ..resilience.executor import (ISOLATIONS, ExecutorConfig,
+                                   run_cell_resilient)
 from ..resilience.retry import RetryPolicy
 from .cache import CacheTiers, dataset_key
 
@@ -46,7 +47,7 @@ class PoolConfig:
     """Knobs for the serving-side worker pool."""
 
     size: int = 4                    # concurrent execution slots
-    isolation: str = "process"       # "process" | "inline"
+    isolation: str = "process"       # one of ISOLATIONS
     timeout_s: float = 300.0
     retries: int = 0                 # service default: fail fast, the
     #                                  client decides whether to retry
@@ -54,7 +55,7 @@ class PoolConfig:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("pool size must be >= 1")
-        if self.isolation not in ("process", "inline"):
+        if self.isolation not in ISOLATIONS:
             raise ValueError(f"unknown isolation {self.isolation!r}")
 
 

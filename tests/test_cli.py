@@ -1,11 +1,64 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import counter_total
+
+#: The parse of one minimal command line per leaf subcommand, recorded
+#: in ``tests/data/cli_parser_defaults.json`` by ``PYTHONPATH=src python
+#: -m tests.test_cli``: every flag's default, so a change to how the
+#: parser is built cannot move one.  The handler a subcommand names is
+#: left out (a function, not a value).
+PARSES = Path(__file__).parent / "data" / "cli_parser_defaults.json"
+PARITY_ARGV = (
+    ["list"], ["datasets"], ["run", "BFS"], ["characterize", "BFS"],
+    ["gpu", "BFS"], ["matrix"], ["serve"], ["query", "ping"],
+    ["query-lang", "from ldbc | cc | count"], ["mutate"], ["loadgen"],
+    ["stats"],
+    ["cluster", "serve"], ["cluster", "shard", "--name", "s0"],
+    ["cluster", "query", "ping"],
+    ["cluster", "query-lang", "from ldbc | cc | count"],
+    ["cluster", "loadgen"], ["cluster", "plan"],
+)
+
+
+def record() -> str:
+    """``[argv, parse]`` for each line of :data:`PARITY_ARGV`, one JSON
+    row a line (``json.dumps`` tells 300 from 300.0, which ``==`` would
+    not)."""
+    parser = build_parser()
+    rows = [json.dumps([argv, {k: v for k, v
+                               in vars(parser.parse_args(argv)).items()
+                               if k != "handler"}], sort_keys=True)
+            for argv in PARITY_ARGV]
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+def _leaves(parser: argparse.ArgumentParser, path=()):
+    """The subcommand path of every leaf parser under ``parser``."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(path)
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, (*path, name))
+
+
+class TestParserParity:
+    def test_every_leaf_subcommand_has_a_row(self):
+        leaves = {tuple(leaf) for leaf in _leaves(build_parser())}
+        assert len(leaves) == 18
+        assert {tuple(argv[:2]) if argv[0] == "cluster" else (argv[0],)
+                for argv in PARITY_ARGV} == leaves
+
+    def test_every_default_is_the_recorded_one(self):
+        assert record().splitlines() == PARSES.read_text().splitlines()
 
 
 class TestParser:
@@ -162,6 +215,18 @@ class TestCommands:
         assert main(["query", "run", "--port", "1"]) == 2
         assert "requires a workload" in capsys.readouterr().err
 
+    def test_mutate_without_server(self, capsys):
+        assert main(["mutate", "--add-vertex", "9", "--port", "1"]) == 2
+        assert "no service" in capsys.readouterr().err
+
+    def test_cluster_plan_json(self, capsys):
+        assert main(["cluster", "plan", "--shards", "2", "--add", "shard-2",
+                     "--json"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["total_keys"] == 5                # the registry
+        assert 0 < plan["moved"] < plan["total_keys"]
+        assert set(plan["per_shard"]) == {"shard-0", "shard-1", "shard-2"}
+
     def test_loadgen_spawned_end_to_end(self, capsys):
         assert main(["loadgen", "--spawn", "--isolation", "inline",
                      "--requests", "20", "--concurrency", "4",
@@ -187,3 +252,7 @@ class TestCommands:
         assert "failures.csv" not in text        # clean sweep: no failures
         assert main(base + ["--resume"]) == 0
         assert "2 resumed, 0 executed" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    print(record(), end="")

@@ -145,7 +145,8 @@ class _Clock:
 
 class TestReplicaTracker:
     def test_ejection_and_readmission(self):
-        t = ReplicaTracker(["a", "b"], failure_threshold=2)
+        t = ReplicaTracker(["a", "b"], failure_threshold=2,
+                           reset_timeout_s=1.0)
         t["a"].record_failure()
         assert t["a"].healthy               # one strike is not ejection
         t["a"].record_failure()
@@ -162,14 +163,15 @@ class TestReplicaTracker:
             "open": 1, "closed": 1}
 
     def test_success_resets_consecutive_failures(self):
-        t = ReplicaTracker(["a"], failure_threshold=2)
+        t = ReplicaTracker(["a"], failure_threshold=2, reset_timeout_s=1.0)
         t["a"].record_failure()
         t["a"].record_success()
         t["a"].record_failure()
         assert t["a"].healthy
 
     def test_order_prefers_healthy_keeps_down_as_last_resort(self):
-        t = ReplicaTracker(["a", "b", "c"], failure_threshold=1)
+        t = ReplicaTracker(["a", "b", "c"], failure_threshold=1,
+                           reset_timeout_s=1.0)
         t["b"].record_failure()
         assert t.order(("a", "b", "c")) == ("a", "c", "b")
         # down shards are degraded, never dropped
@@ -201,7 +203,7 @@ class TestReplicaTracker:
         assert a.breaker_dict()["reset_timeout_s"] == 1.0
 
     def test_added_shard_gets_the_same_machine(self):
-        t = ReplicaTracker(["a"], failure_threshold=1)
+        t = ReplicaTracker(["a"], failure_threshold=1, reset_timeout_s=1.0)
         t.add_shard("b")
         t.add_shard("a")                    # idempotent: state kept
         t["b"].record_failure()

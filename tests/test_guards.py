@@ -77,7 +77,7 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
     ("One kernel per workload in src/ (loop and dict oracles only under tests/;"
      " docstrings may cite them)", "317448b", [
         grep("-rnE", r"loop_(bfs|ccomp|kcore|tc|gibbs|dcentr|spath)|dict_(degree|bfs|cc|kcore|triangles|graph_phase)|DictGraphImage",
-             "src/ benchmarks/", exclude=(("-v", r"tests/oracles.py:loop_"),),
+             "src/ benchmarks/", exclude=(("-v", r"``tests/oracles.py:loop_"),),
              sample="from tests.oracles import loop_bfs"),
     ]),
     ("One serving graph (GraphImage is a CSR; no dict adjacency, no per-value"
@@ -290,6 +290,21 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
     # `|| exit 1`.
     ("No !-negated command in CI (every guard is a row here)", "5fc9fa9", [
         grep("-cE", r"^\s*!", ".github/workflows/", sample="          ! grep -rn USE_VEC src/"),
+    ]),
+    ("Each thing is said once (a write is the router's walk over a chain of one; each"
+     " reliability default has one statement; a subcommand names its handler, and the"
+     " endpoint flags, the isolation modes and the machine names are each defined"
+     " once)", "after 1ff4248", [
+        grep("-rnE", r"retry_budget_ratio|retry_budget_max_tokens|_lat_cursor|_note_latency|def cmd_cluster\b|\b_write_factory\b|\b_query_factory\b|\b_stamp_tenants\b",
+             "src/ tests/ benchmarks/ examples/", sample="    def _note_latency(self, elapsed_s):"),
+        grep("-nE", r"allow\(|_shed\(|CircuitOpen|ShardUnavailable", "src/repro/cluster/router.py",
+             section=("async def _route_write", r"^    async def \|^    def "),
+             sample="        if not self.tracker[primary].allow():"),
+        grep("-nE", r"handler = \{|\[args\.(cluster_)?command\]", "src/repro/cli.py",
+             sample="    return handler[args.command](args)"),
+        grep("-rc", r'"process", "inline"', "src/", include="*.py", count=1,
+             sample='    choices=("process", "inline"),'),
+        grep("-rn", r'"scaled", "test", "paper"', "src/", sample='    choices=("scaled", "test", "paper"),'),
     ]),
 ]
 
@@ -582,3 +597,11 @@ def test_a_stale_pyc_or_an_ignored_file_is_never_read(tmp_path: Path):
     assert offenders(_row("20a"), Tree(tmp_path)) == []
     (tmp_path / "src/repro/b.py").write_text("import networkx\n")
     assert offenders(_row("20a"), Tree(tmp_path)) == ["src/repro/b.py:1:import networkx"]
+
+
+def test_only_a_double_backquoted_citation_may_name_a_loop_oracle(tmp_path: Path):
+    t = make_tree(tmp_path, {
+        "src/repro/bfs.py": "per-vertex loop (``tests/oracles.py:loop_bfs``)\n"
+                            "from tests.oracles import loop_bfs  # tests/oracles.py:loop_bfs\n",
+        "benchmarks/b.py": "x = 1\n"})
+    assert _linenos(offenders(_row("02a"), t)) == [2]

@@ -8,6 +8,7 @@ stats/metrics observability surface."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import socket
@@ -29,6 +30,7 @@ from repro.cluster import (
     BREAKER_OPEN,
     ClusterSpec,
     ClusterThread,
+    HashRing,
     ReliabilityConfig,
     RetryBudget,
     Router,
@@ -40,6 +42,7 @@ from repro.core.errors import (
     DeadlineExceeded,
     ProtocolError,
     RetryBudgetExhausted,
+    ShardUnavailable,
 )
 from repro.obs import counter_total
 from repro.resilience import Cell
@@ -49,13 +52,16 @@ from repro.service import (
     LRUCache,
     Scheduler,
     ServiceClient,
+    ServiceThread,
     decode_frame,
     encode_error,
     encode_request,
+    encode_response,
     parse_request,
     payload_to_error,
 )
-from repro.service.protocol import Request
+from repro.service.protocol import Body, Request
+from repro.service.server import FrameServer
 
 
 class _Clock:
@@ -76,7 +82,8 @@ class _Clock:
 class TestCircuitBreaker:
     def test_threshold_opens_the_circuit(self):
         clock = _Clock()
-        b = ShardHealth("s0", failure_threshold=3, clock=clock)
+        b = ShardHealth("s0", failure_threshold=3, reset_timeout_s=1.0,
+                        clock=clock)
         assert b.state == BREAKER_CLOSED
         for _ in range(2):
             b.record_failure()
@@ -87,7 +94,8 @@ class TestCircuitBreaker:
         assert not b.allow()                      # refused instantly
 
     def test_success_resets_the_failure_streak(self):
-        b = ShardHealth("s0", failure_threshold=2, clock=_Clock())
+        b = ShardHealth("s0", failure_threshold=2, reset_timeout_s=1.0,
+                        clock=_Clock())
         b.record_failure()
         b.record_success()
         b.record_failure()
@@ -161,11 +169,12 @@ class TestCircuitBreaker:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            ShardHealth("s0", failure_threshold=0)
+            ShardHealth("s0", failure_threshold=0, reset_timeout_s=1.0)
         with pytest.raises(ValueError):
-            ShardHealth("s0", reset_timeout_s=0)
+            ShardHealth("s0", failure_threshold=3, reset_timeout_s=0)
         with pytest.raises(ValueError):
-            ShardHealth("s0", backoff_factor=0.5)
+            ShardHealth("s0", failure_threshold=3, reset_timeout_s=1.0,
+                        backoff_factor=0.5)
 
 
 class _HealthModel:
@@ -343,9 +352,9 @@ class TestRetryBudget:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            RetryBudget(ratio=-0.1)
+            RetryBudget(ratio=-0.1, max_tokens=10.0)
         with pytest.raises(ValueError):
-            RetryBudget(max_tokens=0.5)
+            RetryBudget(ratio=0.1, max_tokens=0.5)
 
 
 # -- deadline on the wire ----------------------------------------------------
@@ -609,6 +618,113 @@ class TestRouterReliabilityLive:
         assert "retry_budget" in rel and "hedge" in rel
 
 
+# -- the write path and the hedge window, over recording shards --------------
+
+class _Recorder(FrameServer):
+    """A shard that answers every op with the same bytes and keeps the
+    ops it was sent."""
+
+    def __init__(self, body: bytes):
+        super().__init__("recorder", None)
+        self.body = Body(body)
+        self.ops: list[str] = []
+
+    async def _dispatch(self, req: Request):
+        self.ops.append(req.op)
+        return self.body
+
+
+WRITE = {"dataset": "ldbc", "ops": [{"op": "add_vertex", "vid": 9001}]}
+_ANSWER = b'{"shard": "s0",  "version":7}'    # spacing json.dumps never writes
+
+
+@contextlib.contextmanager
+def _recorded_router(replication: int, *, dead_primary: bool = False,
+                     **router_kw):
+    """A router over shards ``s0`` and ``s1`` hosted on its own thread;
+    yields ``(router thread, ldbc's primary, live recorders by name)``.
+    A dead primary's address refuses every dial."""
+    primary = HashRing(["s0", "s1"]).owner("ldbc")
+    recorders = {name: _Recorder(_ANSWER) for name in ("s0", "s1")
+                 if not (dead_primary and name == primary)}
+    with contextlib.ExitStack() as stack:
+        hosts = {name: stack.enter_context(ServiceThread(r))
+                 for name, r in recorders.items()}
+        addrs = [ShardAddress(name, "127.0.0.1",
+                              hosts[name].port if name in hosts else 1)
+                 for name in ("s0", "s1")]
+        router = Router(addrs, replication=replication,
+                        probe_interval_s=60.0, **router_kw)
+        yield stack.enter_context(ServiceThread(router)), primary, recorders
+
+
+def _route(front, op: str, params: dict, deadline: float | None = None):
+    """Dispatch one request on the router's own loop: the raised error
+    is the router's object, not its wire form."""
+    req = Request(op=op, id="w-1", params=params, deadline=deadline)
+    return asyncio.run_coroutine_threadsafe(
+        front.service._dispatch(req), front._loop).result(timeout=30)
+
+
+class TestWritePath:
+    def test_a_lone_primary_answer_is_relayed_byte_for_byte(self):
+        with _recorded_router(1) as (front, primary, shards):
+            with socket.create_connection((front.host, front.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(encode_request("mutate", "w-1", WRITE))
+                line = sock.makefile("rb").readline()
+        assert line == encode_response("w-1", Body(_ANSWER))
+        assert {n: s.ops for n, s in shards.items()} == {
+            n: ["mutate"] if n == primary else [] for n in shards}
+
+    def test_an_open_primary_circuit_names_only_the_primary(self):
+        with _recorded_router(2) as (front, primary, shards):
+            router = front.service
+            for _ in range(router.reliability.breaker_failure_threshold):
+                router.tracker[primary].record_failure()
+            with pytest.raises(CircuitOpen) as exc:
+                _route(front, "mutate", WRITE)
+            assert _count(router, "cluster_route_total", shard=primary,
+                          outcome="skipped") == 1
+        assert exc.value.shards == (primary,)
+        assert all(s.ops == [] for s in shards.values())
+
+    def test_a_dead_primary_is_unavailable_and_the_replica_never_dialed(
+            self):
+        with _recorded_router(2, dead_primary=True) as (front, primary,
+                                                         shards):
+            with pytest.raises(ShardUnavailable) as exc:
+                _route(front, "mutate", WRITE)
+        assert exc.value.tried == (primary,)
+        assert primary not in shards
+        assert all(s.ops == [] for s in shards.values())
+
+    def test_a_spent_deadline_is_shed_at_the_router(self):
+        with _recorded_router(1) as (front, primary, shards):
+            with pytest.raises(DeadlineExceeded) as exc:
+                _route(front, "mutate", WRITE, deadline=time.time() - 1.0)
+            assert _count(front.service, "cluster_deadline_shed_total",
+                          stage="router") == 1
+        assert exc.value.stage == "router"
+        assert all(s.ops == [] for s in shards.values())
+
+
+def test_only_hedgeable_attempts_feed_the_hedge_window():
+    """The window sets the delay only a hedgeable read waits: a slow
+    DSL query, a versioned read or a write must not stretch it."""
+    rel = ReliabilityConfig(hedge_quantile=95.0)
+    with _recorded_router(2, reliability=rel) as (front, _, _):
+        router = front.service
+        _route(front, "dyn_query", {"workload": "BFS", "dataset": "ldbc"})
+        _route(front, "workloads", {})
+        _route(front, "query", {"q": "from ldbc | cc | count"})
+        _route(front, "explain", {"q": "from ldbc | cc | count"})
+        _route(front, "mutate", WRITE)
+        assert router.reliability_snapshot()["hedge"]["samples"] == 0
+        _route(front, "run", {"workload": "BFS", "dataset": "ldbc"})
+        assert router.reliability_snapshot()["hedge"]["samples"] == 1
+
+
 # -- hedged reads over a live two-replica cluster ----------------------------
 
 HEDGE_KEY = "ldbc"
@@ -636,8 +752,7 @@ def _arm_hedging(cluster, client) -> None:
         with ServiceClient(addr.host, addr.port, timeout_s=30.0) as direct:
             _hedged_run(direct)
     assert "degraded" not in _hedged_run(client)
-    for _ in range(32):
-        cluster.router._note_latency(0.001)
+    cluster.router._lat_samples.extend([0.001] * 32)
     assert cluster.router.hedge_delay() == pytest.approx(0.01)
 
 
