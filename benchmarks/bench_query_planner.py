@@ -118,8 +118,7 @@ def _router_arm() -> dict[str, Any]:
             _timed_queries(client, queries)          # warm caches
             single_s, single_tables = _timed_queries(client, queries)
     spec = ClusterSpec.of(SHARDS, datasets=DATASETS)
-    with ClusterThread(spec,
-                       router_kwargs=dict(attempt_timeout_s=60)) as ct:
+    with ClusterThread(spec) as ct:
         with ServiceClient(port=ct.router_port) as client:
             _timed_queries(client, queries)          # warm caches
             router_s, router_tables = _timed_queries(client, queries)

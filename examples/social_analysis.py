@@ -32,7 +32,7 @@ for v in top_dc:
     print(f"  user {v:5d}: in+out degree {dc[v]:.0f}")
 
 # --- betweenness centrality: who brokers information flow? ------------------
-bc = run("BCentr", fresh(), n_sources=64, seed=0).outputs["bc"]
+bc = run("BCentr", fresh(), n_sources=64).outputs["bc"]
 top_bc = sorted(bc, key=bc.get, reverse=True)[:5]
 print("\ntop-5 by (sampled) betweenness centrality:")
 for v in top_bc:

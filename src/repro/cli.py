@@ -103,9 +103,11 @@ def cmd_characterize(args) -> int:
 
 def cmd_gpu(args) -> int:
     from .gpu import run_gpu_workload
+    from .harness.runner import kernel_params
     spec = _spec(args)
     print(f"dataset: {spec}")
-    _, metrics = run_gpu_workload(args.workload, spec)
+    _, metrics = run_gpu_workload(args.workload, spec,
+                                  **kernel_params(args.workload, spec))
     for key, value in sorted(metrics.summary().items()):
         print(f"  {key:18s} {value:12.6f}")
     return 0

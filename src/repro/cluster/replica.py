@@ -12,8 +12,8 @@ three-state circuit breaker, which is also the membership record:
   has passed.
 * **half-open**: exactly one trial is in flight.  Any success closes the
   circuit (readmission) and restores the base timeout; a failed trial
-  re-opens it with the timeout multiplied by ``backoff_factor`` up to
-  ``max_reset_timeout_s`` — a dead shard is tried ever more lazily.
+  re-opens it with the timeout multiplied by :data:`BACKOFF_FACTOR` up
+  to ``max_reset_timeout_s`` — a dead shard is tried ever more lazily.
 
 The router's background prober takes the same trial slot through
 :meth:`ShardHealth.allow_probe`, which waits only the *base* timeout: a
@@ -46,6 +46,9 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+#: A failed half-open trial multiplies the reset timeout by this.
+BACKOFF_FACTOR = 2.0
+
 
 class ShardHealth:
     """One shard's three-state health machine (see the module docstring).
@@ -56,7 +59,6 @@ class ShardHealth:
 
     def __init__(self, name: str, *, failure_threshold: int,
                  reset_timeout_s: float,
-                 backoff_factor: float = 2.0,
                  max_reset_timeout_s: float = 30.0,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Callable[..., None] | None = None):
@@ -64,12 +66,9 @@ class ShardHealth:
             raise ValueError("failure_threshold must be >= 1")
         if reset_timeout_s <= 0:
             raise ValueError("reset_timeout_s must be positive")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
         self.name = name
         self.failure_threshold = failure_threshold
         self.base_reset_timeout_s = reset_timeout_s
-        self.backoff_factor = backoff_factor
         self.max_reset_timeout_s = max_reset_timeout_s
         self._clock = clock
         self._on_transition = on_transition
@@ -144,7 +143,7 @@ class ShardHealth:
                 # the trial failed: back off and re-open
                 self._trial_inflight = False
                 self._reset_timeout_s = min(
-                    self._reset_timeout_s * self.backoff_factor,
+                    self._reset_timeout_s * BACKOFF_FACTOR,
                     self.max_reset_timeout_s)
             elif self.state == BREAKER_CLOSED \
                     and self.consecutive_failures >= self.failure_threshold:
@@ -189,8 +188,10 @@ class ReplicaTracker:
     membership flips (closed→open "ejected", →closed "readmitted"), one
     of ``cluster_membership_transitions_total{shard,event,reason}``."""
 
-    def __init__(self, names: Sequence[str], **machine):
-        self._machine = machine      # every ShardHealth's keyword args
+    def __init__(self, names: Sequence[str], *, failure_threshold: int,
+                 reset_timeout_s: float):
+        self._failure_threshold = failure_threshold
+        self._reset_timeout_s = reset_timeout_s
         self._shards: dict[str, ShardHealth] = {}
         self._m_membership = self._m_breaker = None
         for name in names:
@@ -200,7 +201,9 @@ class ReplicaTracker:
         """Start tracking a shard; idempotent."""
         if name not in self._shards:
             self._shards[name] = ShardHealth(
-                name, on_transition=self._observe, **self._machine)
+                name, failure_threshold=self._failure_threshold,
+                reset_timeout_s=self._reset_timeout_s,
+                on_transition=self._observe)
 
     def __getitem__(self, name: str) -> ShardHealth:
         return self._shards[name]

@@ -69,7 +69,7 @@ health-machine flips,
 ``cluster_degraded_total{reason}`` counts stale serves by trigger kind,
 ``cluster_fanout_latency_ms{op}`` times scatter-gather fans,
 ``router_request_latency_ms{op}`` times the front door, and each request
-runs under a ``route:<op>`` span when a tracer is attached.
+runs under a ``route:<op>`` span when a global tracer is installed.
 
 The listening socket and the frame loop are the
 :class:`~repro.service.server.FrameServer` a single service listens on;
@@ -96,8 +96,8 @@ from ..core.errors import (
     ShardUnavailable,
 )
 from ..obs.logs import get_logger
-from ..obs.metrics import MetricsRegistry, percentile
-from ..obs.tracing import SpanTracer, maybe_span
+from ..obs.metrics import percentile
+from ..obs.tracing import maybe_span
 from ..query import parse as parse_query, source_info, unparse
 from ..query.engine import plan_digest
 from ..query.plan import plan_pipeline
@@ -337,9 +337,7 @@ class Router(FrameServer):
                  attempt_timeout_s: float = 60.0,
                  fanout_timeout_s: float = 30.0,
                  probe_interval_s: float = 0.5,
-                 reliability: ReliabilityConfig | None = None,
-                 registry: MetricsRegistry | None = None,
-                 tracer: SpanTracer | None = None):
+                 reliability: ReliabilityConfig | None = None):
         if not shards:
             raise ValueError("router needs at least one shard")
         names = [s.name for s in shards]
@@ -357,13 +355,12 @@ class Router(FrameServer):
         self.tracker = ReplicaTracker(
             names, failure_threshold=rel.breaker_failure_threshold,
             reset_timeout_s=rel.breaker_reset_timeout_s)
-        self.tracer = tracer
         self._links = {name: _ShardLink(self.shards[name])
                        for name in names}
         self._probe_task: asyncio.Task | None = None
         self._probes: set[asyncio.Task] = set()     # pings in flight
 
-        super().__init__("router", registry)
+        super().__init__("router", None)
         reg = self.registry
         self._m_route = reg.counter(
             "cluster_route_total",
@@ -830,7 +827,7 @@ class Router(FrameServer):
     # -- op dispatch ---------------------------------------------------------
 
     async def _dispatch(self, req: Request) -> Any:
-        with maybe_span(self.tracer, f"route:{req.op}") as span_args:
+        with maybe_span(None, f"route:{req.op}") as span_args:
             handler = self._handlers.get(req.op)
             if handler is None:
                 raise BadRequest(f"router does not serve op {req.op!r}")

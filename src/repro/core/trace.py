@@ -358,8 +358,8 @@ class Tracer:
 
     # -- bulk recording (the vectorized kernels) ------------------------------
     def bulk_emit(self, addrs, rw, iat, regions, *, n_instrs: int,
-                  fw_instrs: int, fw_accesses: int, head_instrs: int = 0,
-                  region_seq=None, region_instrs=None) -> None:
+                  fw_instrs: int, fw_accesses: int, head_instrs: int,
+                  region_seq, region_instrs) -> None:
         """Append a fully precomputed event block (vectorized kernels).
 
         This is the raw back door behind the loop-equivalent bulk helpers:
@@ -382,9 +382,8 @@ class Tracer:
         backwards anywhere or leaves ``[self.n, self.n + n_instrs]`` — the
         arch model may rely on a trace's ``iat`` never decreasing.
         """
-        seq = [] if region_seq is None else np.asarray(region_seq).tolist()
-        cnt = ([] if region_instrs is None
-               else np.asarray(region_instrs, dtype=np.int64).tolist())
+        seq = np.asarray(region_seq).tolist()
+        cnt = np.asarray(region_instrs, dtype=np.int64).tolist()
         if len(seq) != len(cnt):
             raise TraceError("bulk_emit: region_seq/region_instrs length "
                              f"mismatch ({len(seq)} vs {len(cnt)})")

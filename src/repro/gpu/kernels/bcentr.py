@@ -21,14 +21,13 @@ class GPUBcentr(GPUKernel):
     MODEL = "thread-centric"
 
     def kernel(self, csr, coo, acc: KernelAccum, *,
-               n_sources: int | None = 8, seed: int = 0,
-               **_: Any) -> dict[str, Any]:
+               n_sources: int | None) -> dict[str, Any]:
         n = csr.n
         if n_sources is None or n_sources >= n:
             sources = list(range(n))
             scale = 1.0
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             sources = sorted(rng.choice(n, n_sources,
                                         replace=False).tolist())
             scale = n / len(sources)

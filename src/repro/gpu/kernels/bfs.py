@@ -21,8 +21,7 @@ class GPUBfs(GPUKernel):
     NAME = "BFS"
     MODEL = "thread-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum, *, root: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum, *, root: int) -> dict[str, Any]:
         n = csr.n
         levels = np.full(n, -1, dtype=np.int64)
         levels[root] = 0

@@ -21,8 +21,7 @@ class GPUCcomp(GPUKernel):
     NAME = "CComp"
     MODEL = "edge-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum) -> dict[str, Any]:
         if coo is None:
             raise ValueError("CComp (Soman) requires the COO graph")
         n = coo.n

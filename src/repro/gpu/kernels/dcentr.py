@@ -22,8 +22,7 @@ class GPUDcentr(GPUKernel):
     NAME = "DCentr"
     MODEL = "thread-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum) -> dict[str, Any]:
         n = csr.n
         acc.launch()
         threads = np.arange(n)

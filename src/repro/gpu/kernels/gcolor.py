@@ -20,11 +20,10 @@ class GPUGcolor(GPUKernel):
     NAME = "GColor"
     MODEL = "thread-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum, *, seed: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum) -> dict[str, Any]:
         # csr must be the symmetrized (undirected) graph
         n = csr.n
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         colors = np.full(n, -1, dtype=np.int64)
         deg = np.diff(csr.row_ptr)
         rounds = 0

@@ -21,8 +21,7 @@ class GPUKcore(GPUKernel):
     NAME = "kCore"
     MODEL = "thread-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum) -> dict[str, Any]:
         # csr must be the symmetrized (undirected) graph
         n = csr.n
         deg = np.diff(csr.row_ptr).astype(np.int64)

@@ -20,8 +20,7 @@ class GPUSpath(GPUKernel):
     NAME = "SPath"
     MODEL = "thread-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum, *, root: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum, *, root: int) -> dict[str, Any]:
         n = csr.n
         if csr.vals is not None:
             w = csr.vals

@@ -24,8 +24,7 @@ class GPUTc(GPUKernel):
     NAME = "TC"
     MODEL = "edge-centric"
 
-    def kernel(self, csr, coo, acc: KernelAccum,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, csr, coo, acc: KernelAccum) -> dict[str, Any]:
         # csr must be the symmetrized (undirected) graph.
         n = csr.n
         # build the degeneracy-oriented adjacency (Schank's ordering:

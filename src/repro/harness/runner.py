@@ -120,9 +120,17 @@ def _shared_graph(spec: GraphSpec) -> PropertyGraph:
     return g
 
 
-def _traversal_root(spec: GraphSpec) -> int:
-    """Highest-out-degree vertex: reaches the giant component."""
-    return int(np.argmax(spec.out_degrees()))
+def kernel_params(name: str, spec: GraphSpec) -> dict[str, Any]:
+    """The scalar inputs workload ``name`` is characterized at on
+    ``spec``, the same for its CPU and GPU kernels: traversals start at
+    the highest-out-degree vertex (it reaches the giant component),
+    BCentr samples 4 sources, Gibbs runs 8 sweeps after 2 of burn-in and
+    GUp deletes a tenth of the vertices."""
+    if name in ("BFS", "DFS", "SPath"):
+        return {"root": int(np.argmax(spec.out_degrees()))}
+    return {"BCentr": {"n_sources": 4},
+            "Gibbs": {"n_sweeps": 8, "burn_in": 2},
+            "GUp": {"fraction": 0.1}}.get(name, {})
 
 
 def _dagify(spec: GraphSpec) -> list[tuple[int, int]]:
@@ -197,8 +205,7 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
     if name == "GCons":
         g = PropertyGraph(common_vertex_schema(), common_edge_schema(),
                           directed=spec.directed)
-        params.setdefault("n_vertices", spec.n)
-        params.setdefault("edges", spec.edges)
+        params = {"n_vertices": spec.n, "edges": spec.edges}
     elif name == "TMorph":
         g = PropertyGraph.from_edges(spec.n, _dagify(spec),
                                      vertex_schema=common_vertex_schema(),
@@ -207,18 +214,11 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
     elif name == "Gibbs":
         bn = gibbs_bn if gibbs_bn is not None else munin_like()
         g = build_bn_graph(bn)
-        params.setdefault("bn", bn)
-        params.setdefault("n_sweeps", 8)
-        params.setdefault("burn_in", 2)
+        params = {"bn": bn}
     else:
         g = (_shared_graph(spec) if name in _PROP_ONLY_WORKLOADS
              else _build_graph(spec))
-        if name in ("BFS", "DFS", "SPath"):
-            params.setdefault("root", _traversal_root(spec))
-        if name == "GUp":
-            params.setdefault("fraction", 0.1)
-        if name == "BCentr":
-            params.setdefault("n_sources", 4)
+    params.update(kernel_params(name, spec))
     result = wl.run(g, tracer=tracer, **params)
     memo = {} if key is not None else None
     metrics = CPUModel(machine).run(
@@ -232,15 +232,6 @@ def run_cpu_workload(name: str, spec: GraphSpec, *,
                                "n": int(spec.n), "m": int(spec.m),
                                "seed": spec.seed})
     return result, metrics
-
-
-def _gpu_params(name: str, spec: GraphSpec) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    if name in ("BFS", "SPath"):
-        params["root"] = _traversal_root(spec)
-    if name == "BCentr":
-        params["n_sources"] = 4
-    return params
 
 
 def characterize(name: str, spec: GraphSpec, *,
@@ -284,7 +275,7 @@ def characterize(name: str, spec: GraphSpec, *,
         if with_gpu and name in GPU_WORKLOAD_SET:
             with maybe_span(tracer, f"gpu:{name}", workload=name):
                 outputs, gpu = run_gpu_workload(name, spec,
-                                                **_gpu_params(name, spec))
+                                                **kernel_params(name, spec))
             row.gpu = gpu
             row.extras["gpu_outputs_keys"] = sorted(outputs)
         if memo:

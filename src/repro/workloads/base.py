@@ -37,8 +37,8 @@ class NullTracer:
     def bulk_branch_events(self, sites, taken) -> None: ...
 
     def bulk_emit(self, addrs, rw, iat, regions, *, n_instrs, fw_instrs,
-                  fw_accesses, head_instrs=0, region_seq=None,
-                  region_instrs=None) -> None: ...
+                  fw_accesses, head_instrs, region_seq,
+                  region_instrs) -> None: ...
 
     def register_region(self, name: str, code_bytes: int = 256) -> int:
         return 0

@@ -34,8 +34,7 @@ class BFS(Workload):
     CATEGORY = WorkloadCategory.TRAVERSAL
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, *, root: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t, *, root: int) -> dict[str, Any]:
         site_visited = t.register_branch_site()
         src = g.find_vertex(root)
         g.vset(src, "level", 0)

@@ -36,7 +36,7 @@ class CComp(Workload):
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         site_fresh = t.register_branch_site()
         q = TracedQueue(g, t)
         gv = GraphView(g)

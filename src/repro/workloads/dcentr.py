@@ -29,22 +29,19 @@ from .base import NullTracer, Workload
 
 
 class DCentr(Workload):
-    """Degree centrality (in + out degree, normalized by n-1) written to
-    the ``dc`` property."""
+    """Degree centrality (in + out degree) written to the ``dc`` property."""
 
     NAME = "DCentr"
     CTYPE = ComputationType.COMP_STRUCT
     CATEGORY = WorkloadCategory.SOCIAL
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, *, normalize: bool = False,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         gv = GraphView(g)
         n = gv.n
-        denom = (n - 1) if (normalize and n > 1) else 1
         # one bump of the target's counter per stored arc, then in + out
         indeg = np.bincount(gv.out_dst, minlength=n)
-        scores = ((gv.deg + indeg) / denom).tolist()
+        scores = (gv.deg + indeg).astype(np.float64).tolist()
         slot = g.vschema.slot("dc")
         for v, score in zip(gv.vs, scores):
             v.props[slot] = score

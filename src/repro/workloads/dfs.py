@@ -24,8 +24,7 @@ class DFS(Workload):
     CATEGORY = WorkloadCategory.TRAVERSAL
     HAS_GPU = False    # GraphBIG's GPU suite has no DFS (inherently serial)
 
-    def kernel(self, g: PropertyGraph, t, *, root: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t, *, root: int) -> dict[str, Any]:
         site_visited = t.register_branch_site()
         stack = TracedStack(g, t)
         src = g.find_vertex(root)

@@ -28,10 +28,9 @@ class GColor(Workload):
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, *, seed: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         site_max = t.register_branch_site()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         ids = sorted(g.vertex_ids())
         # undirected adjacency snapshot via primitives
         adj: dict[int, set[int]] = {vid: set() for vid in ids}

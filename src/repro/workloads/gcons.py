@@ -30,7 +30,7 @@ class GCons(Workload):
     HAS_GPU = False
 
     def kernel(self, g: PropertyGraph, t, *, n_vertices: int,
-               edges: np.ndarray, **_: Any) -> dict[str, Any]:
+               edges: np.ndarray) -> dict[str, Any]:
         if g.num_vertices:
             raise ValueError("GCons expects an empty target graph")
         for vid in range(n_vertices):

@@ -74,9 +74,8 @@ class Gibbs(Workload):
     HAS_GPU = False
 
     def kernel(self, g: PropertyGraph, t, *, bn: BayesianNetwork,
-               n_sweeps: int = 20, burn_in: int = 5, seed: int = 0,
-               evidence: dict[int, int] | None = None,
-               **_: Any) -> dict[str, Any]:
+               n_sweeps: int, burn_in: int, seed: int = 0,
+               evidence: dict[int, int] | None = None) -> dict[str, Any]:
         if burn_in >= n_sweeps:
             raise ValueError("burn_in must be < n_sweeps")
         site_sample = t.register_branch_site()

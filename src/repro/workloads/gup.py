@@ -19,25 +19,22 @@ from .base import Workload
 
 
 class GUp(Workload):
-    """Delete ``victims`` (or a random ``fraction`` of vertices drawn with
-    ``seed``) from ``g``, including all incident edges."""
+    """Delete a random ``fraction`` of the vertices, drawn with ``seed``,
+    from ``g``, including all incident edges."""
 
     NAME = "GUp"
     CTYPE = ComputationType.COMP_DYN
     CATEGORY = WorkloadCategory.UPDATE
     HAS_GPU = False
 
-    def kernel(self, g: PropertyGraph, t, *,
-               victims: list[int] | None = None,
-               fraction: float = 0.1, seed: int = 0,
-               **_: Any) -> dict[str, Any]:
-        if victims is None:
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError("fraction must be in (0, 1]")
-            rng = np.random.default_rng(seed)
-            ids = np.asarray(sorted(g.vertex_ids()))
-            k = max(1, int(len(ids) * fraction))
-            victims = rng.choice(ids, size=k, replace=False).tolist()
+    def kernel(self, g: PropertyGraph, t, *, fraction: float = 0.1,
+               seed: int = 0) -> dict[str, Any]:
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError("fraction must be in (0, 1]")
+        rng = np.random.default_rng(seed)
+        ids = np.asarray(sorted(g.vertex_ids()))
+        k = max(1, int(len(ids) * fraction))
+        victims = rng.choice(ids, size=k, replace=False).tolist()
         edges_before = g.num_edges
         deleted = 0
         for vid in victims:

@@ -37,7 +37,7 @@ class KCore(Workload):
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         site_shift = t.register_branch_site()
         ids = sorted(g.vertex_ids())
         n = len(ids)

@@ -39,8 +39,7 @@ class SPath(Workload):
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, *, root: int = 0,
-               **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t, *, root: int) -> dict[str, Any]:
         site_relax = t.register_branch_site()
         src = g.find_vertex(root)
         g.vset(src, "dist", 0.0)

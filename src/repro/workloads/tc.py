@@ -43,7 +43,7 @@ class TC(Workload):
     CATEGORY = WorkloadCategory.ANALYTICS
     HAS_GPU = True
 
-    def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         site_cmp = t.register_branch_site()
         site_loop = t.register_branch_site()
         traced = not isinstance(t, NullTracer)

@@ -33,7 +33,7 @@ class TMorph(Workload):
     CATEGORY = WorkloadCategory.UPDATE
     HAS_GPU = False
 
-    def kernel(self, g: PropertyGraph, t, **_: Any) -> dict[str, Any]:
+    def kernel(self, g: PropertyGraph, t) -> dict[str, Any]:
         moral = PropertyGraph(g.vschema, g.eschema, directed=False,
                               heap=g.alloc.model, tracer=g.t)
         for v in g.vertices():

@@ -645,11 +645,9 @@ def loop_gibbs(g, t, *, bn, n_sweeps=20, burn_in=5, seed=0, evidence=None,
             "sweeps": n_sweeps}
 
 
-def loop_dcentr(g, t, *, normalize=False, **_):
+def loop_dcentr(g, t):
     """DCentr: two vertex scans, the first bumping a counter property
     across every out-edge."""
-    n = g.num_vertices
-    denom = (n - 1) if (normalize and n > 1) else 1
     # pass 1: out-degrees from the degree field; in-degree counters
     # accumulated by walking every out-edge and bumping the target's
     # counter property — the scattered read-modify-write stream that
@@ -668,7 +666,7 @@ def loop_dcentr(g, t, *, normalize=False, **_):
     dc: dict[int, float] = {}
     for v in g.vertices():
         t.i(4)
-        score = (g.degree(v) + indeg.get(v.vid, 0)) / denom
+        score = float(g.degree(v) + indeg.get(v.vid, 0))
         g.vset(v, "dc", score)
         dc[v.vid] = score
     return {"dc": dc}

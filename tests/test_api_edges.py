@@ -66,8 +66,7 @@ class TestPaperXeon:
 class TestGPURunnerParams:
     def test_bcentr_sampled(self, tiny_spec):
         from repro.gpu import run_gpu_workload
-        out, m = run_gpu_workload("BCentr", tiny_spec, n_sources=3,
-                                  seed=1)
+        out, m = run_gpu_workload("BCentr", tiny_spec, n_sources=3)
         assert out["n_sources"] == 3
         assert m.exec_time > 0
 

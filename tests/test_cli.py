@@ -4,6 +4,7 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -184,6 +185,22 @@ class TestCommands:
                      "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "bdr" in out and "read_gbs" in out
+
+    @pytest.mark.parametrize("workload", ["BFS", "BCentr"])
+    def test_gpu_runs_the_characterization_inputs(self, capsys, workload):
+        """``repro gpu`` runs a kernel at the input ``characterize`` runs
+        it at: BFS from the highest-out-degree vertex, which is not
+        vertex 0 here, and BCentr from 4 sampled sources."""
+        from repro.datagen.registry import make
+        from repro.harness import characterize
+        spec = make("ldbc", scale=0.05, seed=0)
+        assert int(np.argmax(spec.out_degrees())) != 0
+        assert main(["gpu", workload, "--dataset", "ldbc",
+                     "--scale", "0.05"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        row = characterize(workload, spec, with_gpu=True, memo=False)
+        assert printed == [f"  {key:18s} {value:12.6f}" for key, value
+                           in sorted(row.gpu.summary().items())]
 
     def test_gpu_without_kernel(self, capsys):
         assert main(["gpu", "DFS", "--scale", "0.05"]) == 2

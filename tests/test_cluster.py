@@ -18,6 +18,7 @@ from repro.cluster import (
     HashRing,
     ReliabilityConfig,
     ReplicaTracker,
+    ShardHealth,
     ShardService,
     plan_rebalance,
     stable_hash,
@@ -181,10 +182,9 @@ class TestReplicaTracker:
 
     def test_probe_is_due_at_the_base_timeout_whatever_the_backoff(self):
         clock = _Clock()
-        t = ReplicaTracker(["a", "b"], failure_threshold=1,
-                           reset_timeout_s=1.0, clock=clock)
-        a = t["a"]
-        assert not t["b"].allow_probe()     # closed shards cost no probes
+        a, b = (ShardHealth(name, failure_threshold=1, reset_timeout_s=1.0,
+                            clock=clock) for name in "ab")
+        assert not b.allow_probe()          # closed shards cost no probes
         a.record_failure()
         assert not a.allow_probe()          # not due yet
         for n in range(1, 4):               # three failed probes

@@ -55,8 +55,8 @@ class TestSingleVertexWorkloads:
                      single_vertex_graph()).outputs["dc"] == {0: 0.0}
 
     def test_bcentr(self):
-        assert W.run("BCentr",
-                     single_vertex_graph()).outputs["bc"] == {0: 0.0}
+        assert W.run("BCentr", single_vertex_graph(),
+                     n_sources=None).outputs["bc"] == {0: 0.0}
 
     def test_tmorph(self):
         res = W.run("TMorph", single_vertex_graph())
@@ -96,10 +96,11 @@ class TestDegenerateCSR:
         from repro.core.taxonomy import DataSource
         from repro.datagen import GraphSpec
         from repro.gpu import run_gpu_workload
+        from repro.harness.runner import kernel_params
         spec = GraphSpec("lonely", DataSource.SYNTHETIC, 40,
                          np.array([[0, 1]]))
         for name in ("BFS", "kCore", "CComp", "TC", "DCentr"):
-            out, m = run_gpu_workload(name, spec)
+            out, m = run_gpu_workload(name, spec, **kernel_params(name, spec))
             assert 0.0 <= m.bdr <= 1.0
         out, _ = run_gpu_workload("TC", spec)
         assert out["triangles"] == 0

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import workloads as W
 from repro.datagen import ca_road, ldbc
 from repro.gpu import GPU_KERNELS, run_gpu_workload
+from repro.harness.runner import kernel_params
 from tests.oracles import (
     coloring_errors,
     nx_graph,
@@ -72,7 +72,7 @@ class TestKernelCorrectness:
             assert len({comp[v] for v in cset}) == 1
 
     def test_gcolor_proper(self, social):
-        out, _ = run_gpu_workload("GColor", social, seed=3)
+        out, _ = run_gpu_workload("GColor", social)
         colors = {v: int(c) for v, c in enumerate(out["colors"])}
         assert not coloring_errors(social.n, social.edges, colors)
         assert (out["colors"] >= 0).all()
@@ -116,8 +116,8 @@ class TestDivergenceShape:
     def metrics(self, social):
         out = {}
         for name in GPU_KERNELS:
-            kw = {"n_sources": 4} if name == "BCentr" else {}
-            _, m = run_gpu_workload(name, social, **kw)
+            _, m = run_gpu_workload(name, social,
+                                    **kernel_params(name, social))
             out[name] = m
         return out
 
@@ -149,8 +149,9 @@ class TestDivergenceShape:
         """Fig. 13: the road network's low degrees reduce BDR for the
         degree-loop kernels."""
         for name in ("BFS", "GColor", "DCentr"):
-            _, ms = run_gpu_workload(name, social)
-            _, mr = run_gpu_workload(name, road)
+            _, ms = run_gpu_workload(name, social,
+                                     **kernel_params(name, social))
+            _, mr = run_gpu_workload(name, road, **kernel_params(name, road))
             assert mr.bdr < ms.bdr
 
 

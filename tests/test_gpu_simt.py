@@ -238,6 +238,7 @@ class TestFusedVsReference:
         from repro.gpu.device import K40
         from repro.gpu.runner import GPU_KERNELS, UNDIRECTED_KERNELS, \
             csr_to_coo
+        from repro.harness.runner import kernel_params
         spec = make("ldbc", scale=0.02, seed=0)
         assert len(GPU_KERNELS) == 8
         for name, cls in sorted(GPU_KERNELS.items()):
@@ -246,7 +247,8 @@ class TestFusedVsReference:
                 csr = csr.undirected()
             coo = csr_to_coo(csr)
             acc = KernelAccum(l2_bytes=K40.l2_bytes)
-            cls().kernel(csr, coo, acc)
+            params = kernel_params(name, spec)
+            cls().kernel(csr, coo, acc, **params)
             assert acc.stats == reference_kernel_stats(acc), name
-            assert cls().run(csr, coo, l2_bytes=K40.l2_bytes)[1] == \
-                acc.stats, name
+            assert cls().run(csr, coo, l2_bytes=K40.l2_bytes,
+                             **params)[1] == acc.stats, name

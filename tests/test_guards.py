@@ -306,6 +306,25 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
              sample='    choices=("process", "inline"),'),
         grep("-rn", r'"scaled", "test", "paper"', "src/", sample='    choices=("scaled", "test", "paper"),'),
     ]),
+    ("A kernel takes only the parameters it names (no **_ catch-all; the parameters no"
+     " caller set stay deleted; the harness states each workload's inputs once)",
+     "after 9754305", [
+        grep("-rnE", r"\*\*_\b", "src/repro/workloads/ src/repro/gpu/kernels/",
+             sample="               **_: Any) -> dict[str, Any]:"),
+        grep("-nE", r"\b(seed|normalize|victims): ",
+             "src/repro/workloads/gcolor.py src/repro/workloads/bcentr.py "
+             "src/repro/workloads/dcentr.py src/repro/workloads/gup.py "
+             "src/repro/gpu/kernels/gcolor.py src/repro/gpu/kernels/bcentr.py",
+             exclude=(("-v", r"gup.py:.*seed: "),),
+             sample="    def kernel(self, g, t, *, normalize: bool = False):"),
+        grep("-nE", r"^ +(registry|tracer): ", "src/repro/cluster/router.py",
+             sample="                 tracer: SpanTracer | None = None):"),
+        grep("-rnE", r"\b_gpu_params\b|params\.setdefault|\*\*machine\b|\bbackoff_factor\b",
+             "src/ tests/ benchmarks/ examples/",
+             sample='        params.setdefault("root", _traversal_root(spec))'),
+        grep("-nE", r"region_(seq|instrs) is None", "src/repro/core/trace.py",
+             sample="        seq = [] if region_seq is None else list(region_seq)"),
+    ]),
 ]
 
 

@@ -9,6 +9,7 @@ from repro.core.taxonomy import ComputationType
 from repro.datagen import ca_road, ldbc
 from repro.gpu import run_gpu_workload
 from repro.harness import characterize, clear_cache, gpu_speedup
+from repro.harness.runner import kernel_params
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,7 @@ class TestGPUObservations:
         """'Memory divergence shows higher data sensitivity' (Fig. 13)."""
         social = ldbc(800, avg_degree=14, seed=1)
         road = ca_road(800, seed=1)
-        _, ms = run_gpu_workload("BFS", social)
-        _, mr = run_gpu_workload("BFS", road)
+        _, ms = run_gpu_workload("BFS", social,
+                                 **kernel_params("BFS", social))
+        _, mr = run_gpu_workload("BFS", road, **kernel_params("BFS", road))
         assert abs(ms.mdr - mr.mdr) > 0.1

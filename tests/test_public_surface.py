@@ -32,13 +32,15 @@ A knob lives only if a caller sets it.  Every parameter with a default
 on a public function or method under ``src/repro`` must be set by some
 call under ``src/``, ``examples/`` or ``benchmarks/`` (``SETTER_DIRS``)
 whose callee has that name (the class name for ``__init__``): by
-keyword, by position, or through ``*`` / ``**`` unpacking.  A
-measurement arm counts here, unlike above: it is a second workload that
-can need a second value (``MetricsRegistry(enabled=False)``).  A default
-no such call sets is a constant in disguise: inline it, make it
-required where the one dispatcher always passes it, or list it in
-``ALLOWED_DEFAULTS`` with the caller the scan cannot see or the test
-seam it is.
+keyword, by position, or through ``*`` unpacking.  A ``**`` unpacking
+sets nothing: the scan cannot read which keys a dict holds, and counting
+it as setting every parameter of its callee would hide each one a
+dispatcher forwards.  A measurement arm counts here, unlike above: it
+is a second workload that can need a second value
+(``MetricsRegistry(enabled=False)``).  A default no such call sets is
+a constant in disguise: inline it, make it required where the one
+dispatcher always passes it, or list it in ``ALLOWED_DEFAULTS`` with
+the caller the scan cannot see or the test seam it is.
 
 An import under ``src/repro`` names the standard library, ``repro`` or a
 package of ``pyproject.toml``'s ``[project] dependencies``; what only the
@@ -104,6 +106,12 @@ ALLOWED = {
 _HARNESS_CLS = ("cli.py's cmd_cluster_serve boots the cluster it picks "
                 "through harness_cls(spec, **kwargs)")
 _FAKE_CLOCK = "tests run it on a fake clock (the virtual-clock seam)"
+_ROUTER_TIMING = ("test seam: the cluster tests shorten the router's "
+                  "timings so a dead or slowed shard fails over in "
+                  "seconds, or stretch the probe interval to keep the "
+                  "prober out of a scripted fault")
+_VIA_RUN = ("examples/{} sets it through workloads.run(name, g, "
+            "**params), which forwards to the kernel")
 _HANDLER_ARGS = ("GraphService._dispatch calls the handler table with "
                  "*args, the shard's parse of the DSL text included")
 
@@ -127,6 +135,28 @@ ALLOWED_DEFAULTS = {
     "repro.resilience.matrix.run_matrix(sleep=)":
         "test seam: tests pass a fake sleep so retry backoff takes no time",
     "repro.service.cache.LRUCache.__init__(clock=)": _FAKE_CLOCK,
+    "repro.cluster.replica.ShardHealth.__init__(clock=)": _FAKE_CLOCK,
+    "repro.cluster.replica.ShardHealth.__init__(max_reset_timeout_s=)":
+        "test seam: the breaker tests lower the back-off cap so a few "
+        "failed trials on a fake clock reach it",
+    "repro.cluster.router.Router.__init__(attempt_timeout_s=)":
+        _ROUTER_TIMING,
+    "repro.cluster.router.Router.__init__(fanout_timeout_s=)":
+        _ROUTER_TIMING,
+    "repro.cluster.router.Router.__init__(probe_interval_s=)":
+        _ROUTER_TIMING,
+    "repro.cluster.router.Router.__init__(reliability=)":
+        "cli.py's cmd_cluster_serve passes the flags' ReliabilityConfig "
+        "as router_kwargs, which the cluster harness unpacks into "
+        "Router(**router_kwargs)",
+    "repro.workloads.gibbs.Gibbs.kernel(seed=)":
+        _VIA_RUN.format("bayesian_inference.py"),
+    "repro.workloads.gibbs.Gibbs.kernel(evidence=)":
+        _VIA_RUN.format("bayesian_inference.py"),
+    "repro.workloads.gup.GUp.kernel(fraction=)":
+        _VIA_RUN.format("dynamic_graph_stream.py"),
+    "repro.workloads.gup.GUp.kernel(seed=)":
+        _VIA_RUN.format("dynamic_graph_stream.py"),
     "repro.tenancy.qos.TenantGovernor.__init__(clock=)": _FAKE_CLOCK,
 }
 
@@ -335,8 +365,8 @@ def defaulted_parameters(path: Path, package: Path = PACKAGE
 
 def calls_by_callee(paths) -> dict[str, list[tuple[set, int, bool]]]:
     """For each callee name (a plain name or an attribute) the calls in
-    ``paths`` make: ``(keywords, positional count, any *-unpacking)``, a
-    ``**`` unpacking as the keyword ``None``."""
+    ``paths`` make: ``(keywords, positional count, any *-unpacking)``.  A
+    ``**`` unpacking names no keyword."""
     calls: dict[str, list] = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -347,13 +377,14 @@ def calls_by_callee(paths) -> dict[str, list[tuple[set, int, bool]]]:
                 continue
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             calls.setdefault(name, []).append(
-                ({k.arg for k in node.keywords}, len(node.args), starred))
+                ({k.arg for k in node.keywords if k.arg is not None},
+                 len(node.args), starred))
     return calls
 
 
 def _sets(call, param: str, pos: int | None) -> bool:
     keywords, n_args, starred = call
-    if param in keywords or None in keywords:
+    if param in keywords:
         return True
     return pos is not None and (starred or pos < n_args)
 
@@ -395,7 +426,7 @@ def test_a_setter_is_any_call_form(tmp_path):
         "f(0, 1)\n"                  # b by position
         "f(0, kw=2)\n"               # kw by keyword
         "g(*pair)\n"                 # x and y through *
-        "K(**opts)\n"                # size and clock through **
+        "K(**opts)\n"                # a ** sets neither size nor clock
         "k.m(1)\n"                   # first by position, self bound
         "K.s(1)\n")                  # a staticmethod binds nothing
     (tmp_path / "bench.py").write_text("f(0, 1, 2, bench=1)\n")
@@ -405,10 +436,11 @@ def test_a_setter_is_any_call_form(tmp_path):
     assert "pkg.mod._private(z=)" not in {d[0] for d in defs}
     setters = calls_by_callee([tmp_path / "product.py",
                                tmp_path / "bench.py"])
-    assert unset_defaults(defs, setters) == {
+    unread = {"pkg.mod.K.__init__(size=)", "pkg.mod.K.__init__(clock=)"}
+    assert unset_defaults(defs, setters) == unread | {
         "pkg.mod.f(only_tests=)", "pkg.mod.K.m(second=)"}
     without_bench = calls_by_callee([tmp_path / "product.py"])
-    assert unset_defaults(defs, without_bench) == {
+    assert unset_defaults(defs, without_bench) == unread | {
         "pkg.mod.f(c=)", "pkg.mod.f(bench=)", "pkg.mod.f(only_tests=)",
         "pkg.mod.K.m(second=)"}
 

@@ -37,6 +37,7 @@ from repro.cluster import (
     ShardAddress,
     ShardHealth,
 )
+from repro.cluster.replica import BACKOFF_FACTOR
 from repro.core.errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -117,9 +118,8 @@ class TestCircuitBreaker:
 
     def test_failed_probe_backs_off_exponentially(self):
         clock = _Clock()
-        b = ShardHealth("s0", failure_threshold=1,
-                           reset_timeout_s=1.0, backoff_factor=2.0,
-                           max_reset_timeout_s=3.0, clock=clock)
+        b = ShardHealth("s0", failure_threshold=1, reset_timeout_s=1.0,
+                        max_reset_timeout_s=3.0, clock=clock)
         b.record_failure()
         clock.advance(1.0)
         assert b.allow()
@@ -172,9 +172,6 @@ class TestCircuitBreaker:
             ShardHealth("s0", failure_threshold=0, reset_timeout_s=1.0)
         with pytest.raises(ValueError):
             ShardHealth("s0", failure_threshold=3, reset_timeout_s=0)
-        with pytest.raises(ValueError):
-            ShardHealth("s0", failure_threshold=3, reset_timeout_s=1.0,
-                        backoff_factor=0.5)
 
 
 class _HealthModel:
@@ -213,7 +210,7 @@ class ShardHealthMachine(RuleBasedStateMachine):
     """The tree's first state machine: random interleavings of traffic,
     probes, abandoned attempts and time against :class:`_HealthModel`."""
 
-    THRESHOLD, BASE, FACTOR, CAP = 3, 1.0, 2.0, 8.0
+    THRESHOLD, BASE, FACTOR, CAP = 3, 1.0, BACKOFF_FACTOR, 8.0
 
     def __init__(self):
         super().__init__()
@@ -222,8 +219,8 @@ class ShardHealthMachine(RuleBasedStateMachine):
         self.trials_out = 0              # admitted, no outcome yet
         self.health = ShardHealth(
             "s0", failure_threshold=self.THRESHOLD,
-            reset_timeout_s=self.BASE, backoff_factor=self.FACTOR,
-            max_reset_timeout_s=self.CAP, clock=self.clock,
+            reset_timeout_s=self.BASE, max_reset_timeout_s=self.CAP,
+            clock=self.clock,
             on_transition=lambda _, old, new, __:
                 self.flips.append((old, new)))
         self.model = _HealthModel(self.THRESHOLD, self.BASE, self.FACTOR,

@@ -216,7 +216,8 @@ class TestFreezeIsolation:
 class TestVectorizedBulk:
     def test_bulk_empty_is_noop(self):
         t = Tracer()
-        t.bulk_emit([], [], [], [], n_instrs=0, fw_instrs=0, fw_accesses=0)
+        t.bulk_emit([], [], [], [], n_instrs=0, fw_instrs=0, fw_accesses=0,
+                    head_instrs=0, region_seq=[], region_instrs=[])
         t.bulk_branch_events([], [])
         ft = t.freeze()
         assert ft.n_accesses == 0
@@ -226,7 +227,7 @@ class TestVectorizedBulk:
 
 def _one_event_block(t, addr):
     t.bulk_emit([addr], [1], [t.n], [t.region], n_instrs=0, fw_instrs=0,
-                fw_accesses=0)
+                fw_accesses=0, head_instrs=0, region_seq=[], region_instrs=[])
 
 
 class TestSealInPlace:
@@ -310,7 +311,7 @@ class TestBulkEmitRefusals:
         with pytest.raises(TraceError, match=match):
             t.bulk_emit([0, 8, 16], [0, 0, 1], iat, [T.R_IDLE] * 3,
                         n_instrs=5, fw_instrs=0, fw_accesses=0,
-                        head_instrs=5)
+                        head_instrs=5, region_seq=[], region_instrs=[])
         after = t.freeze()
         for f in ("addrs", "rw", "iat", "acc_region", "branch_sites",
                   "region_seq", "region_instrs"):
@@ -320,7 +321,8 @@ class TestBulkEmitRefusals:
     def test_block_spanning_its_instructions_is_accepted(self):
         t = self._tracer()
         t.bulk_emit([0, 8, 16], [0, 0, 1], [10, 12, 15], [T.R_IDLE] * 3,
-                    n_instrs=5, fw_instrs=0, fw_accesses=0, head_instrs=5)
+                    n_instrs=5, fw_instrs=0, fw_accesses=0, head_instrs=5,
+                    region_seq=[], region_instrs=[])
         ft = t.freeze()
         assert ft.iat.tolist() == [10, 10, 12, 15]
         assert ft.n_instrs == 15

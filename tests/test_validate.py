@@ -19,7 +19,7 @@ def graph_and_results(small_spec):
     res = {
         "bfs": W.run("BFS", g, root=0).outputs,
         "sssp": W.run("SPath", g, root=0).outputs,
-        "colors": W.run("GColor", g, seed=1).outputs,
+        "colors": W.run("GColor", g).outputs,
         "core": W.run("kCore", g).outputs,
         "comp": W.run("CComp", g).outputs,
         "tc": W.run("TC", g).outputs,

@@ -48,7 +48,7 @@ def test_bfs_levels_are_shortest_distances(spec):
 @settings(max_examples=30, deadline=None)
 def test_coloring_always_proper(spec):
     g = build(spec)
-    res = W.run("GColor", g, seed=1)
+    res = W.run("GColor", g)
     assert not coloring_errors(spec.n, spec.edges, res.outputs["colors"])
     assert len(res.outputs["colors"]) == spec.n
 

@@ -90,6 +90,19 @@ class TestWorkloadRunContract:
         names = [r.name for r in t.regions.values()]
         assert "BFS_kernel" in names
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_a_misspelled_parameter_raises(self, tiny_graph, name):
+        """A kernel takes only the parameters it names: a typo (of BFS's
+        ``root`` here) is a ``TypeError``, not a run at the default."""
+        with pytest.raises(TypeError, match="unexpected keyword.*rooot"):
+            W.run(name, tiny_graph, rooot=1)
+
+    @pytest.mark.parametrize("name", GPU_WORKLOADS)
+    def test_a_misspelled_gpu_parameter_raises(self, tiny_spec, name):
+        from repro.gpu import run_gpu_workload
+        with pytest.raises(TypeError, match="unexpected keyword.*rooot"):
+            run_gpu_workload(name, tiny_spec, rooot=1)
+
 
 @given(st.integers(0, 11))
 @settings(max_examples=12, deadline=None)

@@ -34,6 +34,7 @@ from repro.core import graph as G
 from repro.core.trace import Tracer
 from repro.datagen import GraphSpec
 from repro.datagen.registry import make as make_dataset
+from repro.harness.runner import kernel_params
 from repro.core.taxonomy import DataSource
 from repro.workloads import (
     WORKLOADS, build_bn_graph, common_edge_schema, common_vertex_schema,
@@ -156,7 +157,6 @@ def test_kcore_vectorized_trace_identical(spec):
 @settings(max_examples=25, deadline=None)
 def test_dcentr_vectorized_trace_identical(spec):
     _check_kernel("DCentr", spec)
-    _check_kernel("DCentr", spec, normalize=True)
 
 
 def _weighted(weights):
@@ -395,8 +395,6 @@ def test_loop_kernel_trace_pinned(name, dataset):
     or to either kernel cannot move them unseen.  DFS starts where a
     characterization cell does, at the highest-out-degree vertex."""
     spec = make_dataset(dataset, scale=0.05, seed=0)
-    params = ({"root": int(np.argmax(spec.out_degrees()))} if name == "DFS"
-              else {"seed": 0})
     trace, _out, base, _state = _run_traced(WORKLOADS[name], spec, _build,
-                                            **params)
+                                            **kernel_params(name, spec))
     assert _trace_digest(trace, base) == LOOP_TRACE_PINS[name, dataset]
