@@ -133,7 +133,7 @@ def drive(scenario: str, faults: dict[str, NetFaultSpec],
         attempts = dialed_attempts(cluster.router) - attempts_before
         hedges = hedge_counts(cluster.router)
         reliability_state = cluster.router.reliability_snapshot()
-        proxy_stats = {name: p.snapshot()
+        proxy_stats = {name: dict(p.stats)
                        for name, p in cluster.proxies.items()}
     s = report.summary()
     return {"scenario": scenario,

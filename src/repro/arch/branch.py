@@ -26,9 +26,6 @@ class BranchStats:
     def miss_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
 
-    def mpki(self, n_instrs: int) -> float:
-        return 1000.0 * self.mispredicts / n_instrs if n_instrs else 0.0
-
 
 #: gshare's global-history length; the table size is the machine's
 #: ``predictor_bits``

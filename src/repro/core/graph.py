@@ -221,10 +221,6 @@ class Vertex:
         self.out: dict[int, EdgeNode] = {}   # insertion-ordered = list order
         self.inn: set[int] = set()           # in-neighbour ids (for deletes)
 
-    @property
-    def degree(self) -> int:
-        return len(self.out)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Vertex({self.vid}, deg={len(self.out)})"
 

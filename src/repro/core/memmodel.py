@@ -184,7 +184,3 @@ class SimAllocator:
     def tag_bytes(self, tag: str) -> int:
         """Bytes allocated under ``tag`` (e.g. 'vertex', 'edge', 'csr')."""
         return self._tags.get(tag, 0)
-
-    def tags(self) -> dict[str, int]:
-        """Copy of the per-tag byte accounting."""
-        return dict(self._tags)

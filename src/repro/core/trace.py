@@ -423,10 +423,6 @@ class Tracer:
                         (np.asarray(taken) != 0).view(np.uint8))
 
     # -- finishing -----------------------------------------------------------
-    @property
-    def n_accesses(self) -> int:
-        return self._acc.count
-
     def freeze(self) -> FrozenTrace:
         """Convert the accumulated events into a :class:`FrozenTrace`.
 
@@ -452,15 +448,3 @@ class Tracer:
             n_accesses=self._acc.count,
         )
 
-    def reset(self) -> None:
-        """Drop all recorded events (keeps registered regions/sites)."""
-        self._acc.clear()
-        self._br.clear()
-        self._rseq = [R_IDLE]
-        self._rcnt = [0]
-        self._rstack = [R_IDLE]
-        self.n = 0
-        self.fw_instrs = 0
-        self.fw_accesses = 0
-        self._cur_rid = R_IDLE
-        self._cur_fw = False

@@ -171,9 +171,6 @@ class TraceStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
 
-    def keys(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
     # -- load/save -----------------------------------------------------------
     def load(self, key: str) -> StoredTrace | None:
         """Load an entry; ``None`` on miss or corruption (fail open)."""

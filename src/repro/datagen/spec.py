@@ -99,11 +99,6 @@ class GraphSpec:
         return from_arc_keys(self.n, np.concatenate(
             [src * self.n + dst, dst * self.n + src]))
 
-    def coo(self):
-        """Materialize as COO (arcs mirrored first if undirected)."""
-        from ..formats.convert import csr_to_coo
-        return csr_to_coo(self.csr())
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"GraphSpec({self.name!r}, n={self.n}, m={self.m}, "
                 f"source={self.source.name}, "

@@ -126,7 +126,8 @@ class DynamicEngine:
             cached = self.cache.get(kernel_key, version=store.token())
             if cached is not None:
                 return cached
-            kernel = self._kernels.get(kernel_key)
+            kernel: IncrementalBFS | IncrementalCComp | None = \
+                self._kernels.get(kernel_key)
             if kernel is None:
                 kernel = IncrementalBFS(store, root) \
                     if workload == "BFS" else IncrementalCComp(store)

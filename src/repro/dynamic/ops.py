@@ -44,18 +44,6 @@ class MutOp:
     name: str = ""                  # property name (set_prop only)
     value: Any = None               # property value (set_prop only)
 
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"op": self.kind}
-        if self.kind in ("add_vertex", "del_vertex", "set_prop"):
-            out["vid"] = self.src
-        else:
-            out["src"] = self.src
-            out["dst"] = self.dst
-        if self.kind == "set_prop":
-            out["name"] = self.name
-            out["value"] = self.value
-        return out
-
 
 def _as_vid(raw: Any, field: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):

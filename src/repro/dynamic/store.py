@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from ..core.errors import MutationError, SnapshotExpired
 from .ops import MutOp
@@ -622,15 +622,6 @@ class Snapshot:
                        in st._inn.get(vid, {}).items()
                        if _alive_at(spans, self.version))
             return list(out)
-
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        st = self._store
-        with st._lock:
-            pairs = [(src, dst)
-                     for src, row in st._out.items()
-                     for dst, spans in row.items()
-                     if _alive_at(spans, self.version)]
-        return iter(pairs)
 
     def adjacency(self) -> dict[int, list[int]]:
         """Out-adjacency of every alive vertex (one locked pass — the

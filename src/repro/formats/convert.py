@@ -59,5 +59,4 @@ def to_coo(g: PropertyGraph) -> tuple[COOGraph, np.ndarray]:
 def csr_to_coo(csr: CSRGraph) -> COOGraph:
     """Expand a CSR's implicit row structure into explicit sources."""
     src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
-    return COOGraph(csr.n, src, csr.col_idx.copy(),
-                    None if csr.vals is None else csr.vals.copy())
+    return COOGraph(csr.n, src, csr.col_idx.copy())

@@ -18,14 +18,13 @@ VAL_SIZE = 8
 
 
 class COOGraph:
-    """Immutable COO graph: parallel ``src``/``dst`` (and optional ``vals``)
-    arrays over dense vertex ids ``0..n-1``."""
+    """Immutable COO graph: parallel ``src``/``dst`` arrays over dense
+    vertex ids ``0..n-1`` (unweighted, as :class:`CSRGraph`)."""
 
-    __slots__ = ("n", "m", "src", "dst", "vals",
+    __slots__ = ("n", "m", "src", "dst",
                  "base_src", "base_dst", "base_val", "alloc")
 
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
-                 vals: np.ndarray | None = None):
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
@@ -33,15 +32,10 @@ class COOGraph:
         if len(src) and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= n):
             raise ValueError("edge endpoints must be valid vertex ids")
-        if vals is not None:
-            vals = np.ascontiguousarray(vals, dtype=np.float64)
-            if len(vals) != len(src):
-                raise ValueError("vals must parallel src/dst")
         self.n = n
         self.m = len(src)
         self.src = src
         self.dst = dst
-        self.vals = vals
         self.alloc = SimAllocator(PACKED_HEAP)
         self.base_src = self.alloc.alloc_array(max(self.m, 1), IDX_SIZE,
                                                tag="coo_src")
@@ -49,10 +43,6 @@ class COOGraph:
                                                tag="coo_dst")
         self.base_val = self.alloc.alloc_array(max(self.m, 1), VAL_SIZE,
                                                tag="coo_val")
-
-    def degrees(self) -> np.ndarray:
-        """Out-degree per vertex."""
-        return np.bincount(self.src, minlength=self.n)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"COOGraph(n={self.n}, m={self.m})"

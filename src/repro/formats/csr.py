@@ -33,15 +33,15 @@ class CSRGraph:
         non-decreasing, and end at ``len(col_idx)``.
     col_idx:
         int64 array of edge targets, grouped by source.
-    vals:
-        Optional float64 edge values (weights), same length as ``col_idx``.
+
+    Unweighted: the ``base_val`` array is laid out (the GPU model reads
+    its slots) but holds no values.
     """
 
-    __slots__ = ("row_ptr", "col_idx", "vals", "n", "m",
+    __slots__ = ("row_ptr", "col_idx", "n", "m",
                  "base_row", "base_col", "base_val", "base_vprop", "alloc")
 
-    def __init__(self, row_ptr: np.ndarray, col_idx: np.ndarray,
-                 vals: np.ndarray | None = None):
+    def __init__(self, row_ptr: np.ndarray, col_idx: np.ndarray):
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         if row_ptr.ndim != 1 or col_idx.ndim != 1:
@@ -55,13 +55,8 @@ class CSRGraph:
         n = len(row_ptr) - 1
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("col_idx entries must be valid vertex ids")
-        if vals is not None:
-            vals = np.ascontiguousarray(vals, dtype=np.float64)
-            if len(vals) != len(col_idx):
-                raise ValueError("vals must parallel col_idx")
         self.row_ptr = row_ptr
         self.col_idx = col_idx
-        self.vals = vals
         self.n = n
         self.m = len(col_idx)
         # contiguous simulated layout: the whole graph is four flat arrays
@@ -75,10 +70,6 @@ class CSRGraph:
                                                  tag="csr_vprop")
 
     # -- queries -------------------------------------------------------------
-    def degree(self, v: int) -> int:
-        """Out-degree of ``v``."""
-        return int(self.row_ptr[v + 1] - self.row_ptr[v])
-
     def degrees(self) -> np.ndarray:
         """Out-degree array for all vertices."""
         return np.diff(self.row_ptr)
@@ -87,28 +78,12 @@ class CSRGraph:
         """Targets of ``v``'s outgoing edges (a view, do not mutate)."""
         return self.col_idx[self.row_ptr[v]:self.row_ptr[v + 1]]
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        """Membership test by scanning ``src``'s row."""
-        return bool(np.any(self.neighbors(src) == dst))
-
     def vprop_addr(self, v: int) -> int:
         """Simulated address of vertex ``v``'s slot in the compact
         property array."""
         return self.base_vprop + VAL_SIZE * v
 
     # -- transforms ----------------------------------------------------------
-    def reverse(self) -> "CSRGraph":
-        """CSR of the transposed (reversed) graph."""
-        order = np.argsort(self.col_idx, kind="stable")
-        new_col = np.empty(self.m, dtype=np.int64)
-        src_of_edge = np.repeat(np.arange(self.n), self.degrees())
-        new_col[:] = src_of_edge[order]
-        counts = np.bincount(self.col_idx, minlength=self.n)
-        new_row = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_row[1:])
-        vals = self.vals[order] if self.vals is not None else None
-        return CSRGraph(new_row, new_col, vals)
-
     def undirected(self) -> "CSRGraph":
         """Symmetrized CSR (each arc mirrored; duplicates removed)."""
         src = np.repeat(np.arange(self.n), self.degrees())

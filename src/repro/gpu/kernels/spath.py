@@ -22,12 +22,6 @@ class GPUSpath(GPUKernel):
 
     def kernel(self, csr, coo, acc: KernelAccum, *, root: int) -> dict[str, Any]:
         n = csr.n
-        if csr.vals is not None:
-            w = csr.vals
-            if len(w) and w.min() < 0:
-                raise ValueError("SSSP requires non-negative weights")
-        else:
-            w = np.ones(csr.m, dtype=np.float64)
         dist = np.full(n, np.inf)
         dist[root] = 0.0
         active = np.zeros(n, dtype=bool)
@@ -43,10 +37,11 @@ class GPUSpath(GPUKernel):
                 break
             epos = csr.row_ptr[threads] + steps
             nbr = csr.col_idx[epos]
-            # weight loads parallel the col loads; dist reads scattered
+            # weight loads parallel the col loads (every weight is 1: the
+            # CSR is unweighted); dist reads scattered
             acc.mem_op(slots, csr.base_val + 4 * epos)
             acc.mem_op(slots, csr.base_vprop + 4 * nbr)
-            cand = dist[threads] + w[epos]
+            cand = dist[threads] + 1.0
             better = cand < dist[nbr]
             if better.any():
                 acc.atomic_op(slots[better],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from ..workloads.base import (
     common_vertex_schema,
 )
 
+if TYPE_CHECKING:
+    from ..resilience.cell import RestoredMetrics, RestoredResult
+
 #: Every registered workload is CPU-characterized (Figs. 5-8): the
 #: paper's 12 plus DFS, 13 in registry order.
 CPU_WORKLOADS = tuple(WORKLOADS)
@@ -52,9 +55,9 @@ class Row:
     workload: str
     dataset: str
     ctype: ComputationType
-    cpu: CPUMetrics | None = None
-    gpu: GPUMetrics | None = None
-    result: WorkloadResult | None = None
+    cpu: CPUMetrics | RestoredMetrics | None = None
+    gpu: GPUMetrics | RestoredMetrics | None = None
+    result: WorkloadResult | RestoredResult | None = None
     extras: dict[str, Any] = field(default_factory=dict)
 
 

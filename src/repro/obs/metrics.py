@@ -97,12 +97,6 @@ class Gauge:
         self._value = 0.0
         self._callback = callback
 
-    def set(self, value: float) -> None:
-        if self._callback is not None:
-            raise MetricError("callback gauge cannot be set directly")
-        with self._lock:
-            self._value = float(value)
-
     def inc(self, amount: float = 1.0) -> None:
         if self._callback is not None:
             raise MetricError("callback gauge cannot be set directly")
@@ -180,9 +174,6 @@ class _NoopInstrument:
     def dec(self, amount: float = 1.0) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -249,9 +240,6 @@ class Family:
 
     def dec(self, amount: float = 1.0) -> None:
         self._sole().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._sole().set(value)
 
     def observe(self, value: float) -> None:
         self._sole().observe(value)
@@ -326,17 +314,18 @@ class MetricsRegistry:
             return fam
 
     def counter(self, name: str, help_: str = "",
-                labels: Sequence[str] = ()):
+                labels: Sequence[str] = ()) -> Family | _NoopInstrument:
         return self._family(name, "counter", help_, labels)
 
     def gauge(self, name: str, help_: str = "",
-              callback: Callable[[], float] | None = None):
+              callback: Callable[[], float] | None = None
+              ) -> Family | _NoopInstrument:
         """An unlabeled gauge, read from ``callback`` when one is given."""
         return self._family(name, "gauge", help_, (),
                             **({"callback": callback} if callback else {}))
 
     def histogram(self, name: str, help_: str = "",
-                  labels: Sequence[str] = ()):
+                  labels: Sequence[str] = ()) -> Family | _NoopInstrument:
         return self._family(name, "histogram", help_, labels)
 
     def register_collector(

@@ -150,13 +150,6 @@ class SpanTracer:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_chrome_trace(), fh, indent=1, default=str)
 
-    # -- queries (tests, reports) --------------------------------------------
-
-    def find(self, prefix: str) -> list[SpanRecord]:
-        """Spans whose name starts with ``prefix``, completion order."""
-        with self._lock:
-            return [s for s in self.spans if s.name.startswith(prefix)]
-
 
 # -- process-wide tracer -----------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.errors import BadRequest
 from ..service.cache import LRUCache
@@ -42,6 +42,9 @@ from .plan import (
     plan_pipeline,
     source_info,
 )
+
+if TYPE_CHECKING:
+    from ..dynamic.store import SnapshotStore
 
 #: Entries held by the plan, graph and result caches.
 PLAN_CAPACITY, GRAPH_CAPACITY, RESULT_CAPACITY = 256, 8, 512
@@ -96,7 +99,7 @@ class QueryEngine:
         return version, store.token(version), store
 
     def _plan(self, canonical: str, digest: str, version: int, token,
-              store) -> tuple[PhysicalPlan, bool]:
+              store: SnapshotStore | None) -> tuple[PhysicalPlan, bool]:
         key = ("plan", digest)
         cached = self.plans.get(key, version=token)
         if cached is not None:
@@ -109,8 +112,8 @@ class QueryEngine:
         self.plans.put(key, plan, version=token)
         return plan, False
 
-    def _graph(self, source: SourceInfo, version: int, token, store
-               ) -> tuple[GraphImage, dict]:
+    def _graph(self, source: SourceInfo, version: int, token,
+               store: SnapshotStore | None) -> tuple[GraphImage, dict]:
         key = ("graph", *source.identity())
         cached = self.graphs.get(key, version=token)
         if cached is not None:

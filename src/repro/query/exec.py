@@ -98,10 +98,6 @@ class GraphImage:
     def n(self) -> int:
         return len(self.ids)
 
-    @property
-    def m(self) -> int:
-        return self.csr.m
-
     @cached_property
     def und(self) -> CSRGraph:
         """Undirected simple view: out ∪ in, self-loop free."""

@@ -25,9 +25,6 @@ class CheckpointStore:
     def __repr__(self) -> str:  # pragma: no cover
         return f"CheckpointStore({str(self.path)!r})"
 
-    def exists(self) -> bool:
-        return self.path.exists()
-
     # -- write --------------------------------------------------------------
     def append(self, record: dict[str, Any]) -> None:
         """Durably append one record (one JSON line, flushed and fsynced).

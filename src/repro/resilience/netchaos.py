@@ -42,7 +42,6 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Any
 
 from ..obs.logs import get_logger
 
@@ -186,11 +185,6 @@ class ChaosProxy:
             self._faults = faults
         log.info("proxy %s faults -> %r", self.name, faults,
                  extra={"proxy": self.name})
-
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return dict(self.stats, name=self.name,
-                        upstream=f"{self.upstream[0]}:{self.upstream[1]}")
 
     def _count(self, key: str, n: int = 1) -> None:
         with self._lock:

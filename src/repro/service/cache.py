@@ -153,16 +153,6 @@ class LRUCache:
                 del self._data[lru]
                 self.stats.evictions += 1
 
-    def discard(self, key: Hashable) -> None:
-        """Drop ``key`` if present (not an eviction: nothing is counted)."""
-        with self._lock:
-            self._data.pop(key, None)
-
-    def keys(self) -> list[Hashable]:
-        """Current keys, LRU first."""
-        with self._lock:
-            return list(self._data)
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()

@@ -251,8 +251,8 @@ class Request:
             return None
         return self.deadline - (time.time() if now is None else now)
 
-    def expired(self, now: float | None = None) -> bool:
-        rem = self.remaining(now)
+    def expired(self) -> bool:
+        rem = self.remaining()
         return rem is not None and rem <= 0.0
 
 

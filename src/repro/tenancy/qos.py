@@ -76,13 +76,6 @@ class TokenBucket:
                 return 0.0
             return (1.0 - self._tokens) / self.rate
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            now = self._clock()
-            return min(self.burst,
-                       self._tokens + (now - self._last) * self.rate)
-
 
 class FairGate:
     """Weighted start-time fair queueing over ``capacity`` slots.

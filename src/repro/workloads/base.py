@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any
 
 import numpy as np
@@ -263,15 +263,6 @@ class TracedHeap:
     def push(self, item: Any) -> None:
         self._touch_path(len(self._heap), write=True)
         heappush(self._heap, item)
-
-    def pop(self) -> Any:
-        if not self._heap:
-            raise IndexError("pop from empty TracedHeap")
-        item = heappop(self._heap)
-        # sift-down after removing root: touches a root-to-leaf path
-        self._touch_path(max(len(self._heap) - 1, 0), write=True)
-        self.t.r(self.base)
-        return item
 
     def path_slots(self, pos):
         """The sift paths from heap positions ``pos`` up to the root, one

@@ -37,6 +37,7 @@ from repro.core.errors import PlanError, QueryError, VertexNotFound
 from repro.core.graph import PropertyGraph
 from repro.core.memmodel import PACKED_HEAP
 from repro.core.properties import EMPTY_SCHEMA
+from repro.dynamic.store import _alive_at
 from repro.gpu.simt import SEGMENT, KernelStats
 from repro.parallel.trace_sim import MulticoreCacheResult, _chunk_owners
 from repro.query.exec import _CMP, MAX_RESULT_ROWS
@@ -46,6 +47,34 @@ from repro.workloads.base import (
     common_edge_schema,
     common_vertex_schema,
 )
+
+
+def reset_tracer(t: T.Tracer) -> None:
+    """Drop every event ``t`` recorded, keeping its registered regions
+    and branch sites, so one graph can be traced twice from a clean
+    slate."""
+    t._acc.clear()
+    t._br.clear()
+    t._rseq = [T.R_IDLE]
+    t._rcnt = [0]
+    t._rstack = [T.R_IDLE]
+    t.n = 0
+    t.fw_instrs = 0
+    t.fw_accesses = 0
+    t._cur_rid = T.R_IDLE
+    t._cur_fw = False
+
+
+def heap_pop(heap: TracedHeap):
+    """Pop ``heap``'s least item, charging the sift-down after the root
+    leaves: one root-to-leaf path, then the root slot's read.  The SPath
+    kernel declares the same events (``TracedHeap.pop_ops``)."""
+    if not heap._heap:
+        raise IndexError("pop from empty TracedHeap")
+    item = heapq.heappop(heap._heap)
+    heap._touch_path(max(len(heap._heap) - 1, 0), write=True)
+    heap.t.r(heap.base)
+    return item
 
 
 class Cache:
@@ -529,7 +558,7 @@ def loop_tc(g, t, **_):
     # Each oriented list is then O(sqrt(m)) — hubs keep only their
     # few higher-degree peers — which is what makes the edge-iterator
     # subquadratic on power-law graphs.
-    deg = {vid: (g.find_vertex(vid).degree
+    deg = {vid: (len(g.find_vertex(vid).out)
                  + len(g.find_vertex(vid).inn)) for vid in ids}
     rank = {vid: r for r, vid in enumerate(
         sorted(ids, key=lambda v: (deg[v], v)))}
@@ -684,7 +713,7 @@ def loop_spath(g, t, *, root=0, **_):
     parents: dict[int, int] = {root: root}
     settled: set[int] = set()
     while heap:
-        d, vid = heap.pop()
+        d, vid = heap_pop(heap)
         t.i(4)
         if vid in settled:
             continue
@@ -749,7 +778,7 @@ class DictGraphImage:
     @classmethod
     def from_snapshot(cls, snapshot) -> "DictGraphImage":
         return cls(ids=list(snapshot.vertex_ids()),
-                   arcs=sorted(snapshot.arcs()))
+                   arcs=sorted(snapshot_arcs(snapshot)))
 
     @property
     def n(self) -> int:
@@ -962,6 +991,15 @@ def _jsonable(value):
 
 # -- the snapshot store -----------------------------------------------------
 
+def snapshot_arcs(snap) -> list[tuple[int, int]]:
+    """Every arc alive at the pinned version ``snap`` reads, as stored."""
+    st = snap._store
+    with st._lock:
+        return [(src, dst) for src, row in st._out.items()
+                for dst, spans in row.items()
+                if _alive_at(spans, snap.version)]
+
+
 def materialize(snap) -> PropertyGraph:
     """Rebuild a pinned version as a :class:`PropertyGraph` (vertices in
     ascending id order, arcs as stored) — the equivalence gate between the
@@ -975,7 +1013,7 @@ def materialize(snap) -> PropertyGraph:
                       directed=True)
     for vid in snap.vertex_ids():
         g.add_vertex(vid)
-    for src, dst in snap.arcs():
+    for src, dst in snapshot_arcs(snap):
         g.add_edge(src, dst)
     return g
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import VertexNotFound
+from repro.formats.convert import csr_to_coo
 from tests.conftest import build
 
 
@@ -29,7 +30,7 @@ class TestWorkloadParameterErrors:
 
 class TestSpecMaterializations:
     def test_coo(self, tiny_spec):
-        coo = tiny_spec.coo()
+        coo = csr_to_coo(tiny_spec.csr())
         assert coo.m == tiny_spec.m
         pairs = set(zip(coo.src.tolist(), coo.dst.tolist()))
         for s, d in tiny_spec.edges:

@@ -49,7 +49,7 @@ class TestGraphSpec:
         s = GraphSpec("t", DataSource.SYNTHETIC, 3, [[0, 1], [1, 2]],
                       directed=False)
         c = s.csr()
-        assert c.has_edge(1, 0) and c.has_edge(2, 1)
+        assert 0 in c.neighbors(1) and 1 in c.neighbors(2)
 
     def test_nx_roundtrip(self):
         s = GraphSpec("t", DataSource.SYNTHETIC, 4, [[0, 1], [1, 2]])

@@ -32,7 +32,7 @@ from repro.workloads._bulk import Block, Layout, adjacency_sweep
 from repro.workloads.base import TracedHeap
 
 from tests.oracles import (
-    neighbor_ids, payload_get, payload_read, scan_vertices,
+    heap_pop, neighbor_ids, payload_get, payload_read, scan_vertices,
 )
 from tests.test_workloads_vectorized import _assert_traces_identical
 
@@ -406,7 +406,7 @@ def _heap_script(g, t):
     for k in range(h.cap + 3):
         h.push(k)
     for _ in range(h.cap + 3):
-        h.pop()
+        heap_pop(h)
     return h
 
 

@@ -43,39 +43,20 @@ class TestCSRValidation:
         with pytest.raises(ValueError):
             CSRGraph(np.array([0, 1]), np.array([5]))
 
-    def test_vals_length(self):
-        with pytest.raises(ValueError):
-            CSRGraph(np.array([0, 1]), np.array([0]), np.array([1.0, 2.0]))
-
 
 class TestCSRQueries:
     def test_degrees(self, csr):
         assert list(csr.degrees()) == [2, 1, 0, 1]
-        assert csr.degree(0) == 2
 
     def test_neighbors(self, csr):
         assert list(csr.neighbors(0)) == [1, 2]
         assert list(csr.neighbors(2)) == []
 
-    def test_has_edge(self, csr):
-        assert csr.has_edge(0, 1)
-        assert not csr.has_edge(1, 0)
-
-    def test_edge_values(self):
-        c = CSRGraph([0, 1, 1], [1], np.array([3.5]))
-        assert list(c.vals) == [3.5]
-
-    def test_reverse(self, csr):
-        r = csr.reverse()
-        assert list(r.neighbors(2)) == [0, 1]
-        assert list(r.neighbors(0)) == [3]
-        assert r.m == csr.m
-
     def test_undirected_symmetric(self, csr):
         u = csr.undirected()
         for v in range(u.n):
             for d in u.neighbors(v):
-                assert u.has_edge(int(d), v)
+                assert v in u.neighbors(int(d))
 
     def test_traced_neighbors(self, csr):
         t = Tracer()
@@ -93,15 +74,12 @@ class TestCOO:
     def test_basic(self):
         c = COOGraph(3, [0, 1], [1, 2])
         assert c.m == 2
-        assert list(c.degrees()) == [1, 1, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             COOGraph(2, [0], [5])
         with pytest.raises(ValueError):
             COOGraph(2, [0, 1], [1])
-        with pytest.raises(ValueError):
-            COOGraph(2, [0], [1], [1.0, 2.0])
 
 
 class TestConversions:
@@ -130,7 +108,7 @@ class TestConversions:
         assert len(ids) == 5
 
     def test_coo_csr_roundtrip(self):
-        coo = COOGraph(4, [3, 0, 1], [0, 1, 2], [1.0, 2.0, 3.0])
+        coo = COOGraph(4, [3, 0, 1], [0, 1, 2])
         csr = from_edge_arrays(coo.n, coo.src, coo.dst)
         back = csr_to_coo(csr)
         pairs = sorted(zip(back.src.tolist(), back.dst.tolist()))
@@ -148,11 +126,11 @@ class TestConversions:
         t = Tracer()
         g = self._graph()
         g.attach_tracer(t)
-        n_before = t.n_accesses
+        n_before = t.freeze().n_accesses
         to_csr(g)
         # populate runs untraced, tracer restored afterwards
         assert g.t is t
-        assert t.n_accesses == n_before
+        assert t.freeze().n_accesses == n_before
 
     def test_deleted_vertices_compact(self):
         g = self._graph()

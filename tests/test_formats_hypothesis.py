@@ -48,18 +48,6 @@ def test_propertygraph_csr_roundtrip(data):
 
 @given(edge_set())
 @settings(max_examples=40, deadline=None)
-def test_reverse_is_involution(data):
-    n, edges = data
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    csr = from_edge_arrays(n, src, dst)
-    twice = csr.reverse().reverse()
-    for v in range(n):
-        assert sorted(twice.neighbors(v)) == sorted(csr.neighbors(v))
-
-
-@given(edge_set())
-@settings(max_examples=40, deadline=None)
 def test_undirected_is_symmetric_superset(data):
     n, edges = data
     src = np.array([e[0] for e in edges], dtype=np.int64)

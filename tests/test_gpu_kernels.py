@@ -98,16 +98,6 @@ class TestKernelCorrectness:
         with pytest.raises(KeyError):
             run_gpu_workload("DFS", social)
 
-    def test_spath_negative_weight_rejected(self):
-        from repro.formats import CSRGraph
-        from repro.gpu.kernels import GPU_KERNELS as K
-        csr = CSRGraph([0, 1, 1], [1], np.array([-1.0]))
-        with pytest.raises(ValueError):
-            K["SPath"]().kernel(csr, None,
-                                __import__("repro.gpu.simt",
-                                           fromlist=["KernelAccum"]
-                                           ).KernelAccum(), root=0)
-
 
 class TestDivergenceShape:
     """Fig. 10's qualitative layout of the divergence space."""

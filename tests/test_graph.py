@@ -13,7 +13,7 @@ from repro.core.properties import Field, Schema
 from repro.core.trace import Tracer
 
 from tests.oracles import (
-    neighbor_ids, payload_get, payload_read, scan_vertices,
+    neighbor_ids, payload_get, payload_read, reset_tracer, scan_vertices,
 )
 
 
@@ -193,7 +193,7 @@ class TestBlockPrimitives:
     def _capture(self, g, t, fn):
         # same graph for both captures: heap addresses must match, and the
         # scan-stack pointer must start from the same rotation
-        t.reset()
+        reset_tracer(t)
         g._sp = 0
         out = fn()
         return out, t.freeze()
@@ -341,7 +341,6 @@ class TestTracedEquivalence:
         t = Tracer()
         g = PropertyGraph(schema, tracer=t)
         v = g.add_vertex(0)
-        n_before = t.n_accesses
         g.vset(v, "level", 1)
         ft = t.freeze()
         prop_addr = ft.addrs[-1]

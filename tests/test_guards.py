@@ -325,6 +325,58 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
         grep("-nE", r"region_(seq|instrs) is None", "src/repro/core/trace.py",
              sample="        seq = [] if region_seq is None else list(region_seq)"),
     ]),
+    ("A call credits only what its receiver can be (the public members no product"
+     " call reached stay deleted, and the CSR and COO carry no edge values)",
+     "after 26f9975", [
+        grep("-nE", r"def degree\(", "src/repro/core/graph.py",
+             sample='    def degree(self) -> int:',
+             section=('^class Vertex:', '^class ')),
+        grep("-nE", r"def degree\(", "src/repro/formats/csr.py",
+             sample='    def degree(self, v: int) -> int:'),
+        grep("-nE", r"def has_edge\(", "src/repro/formats/csr.py",
+             sample='    def has_edge(self, src: int, dst: int) -> bool:'),
+        grep("-nE", r"def reverse\(", "src/repro/formats/csr.py",
+             sample='    def reverse(self) -> "CSRGraph":'),
+        grep("-nE", r"\bvals\b", "src/repro/formats/ src/repro/gpu/",
+             sample='                 vals: np.ndarray | None = None):'),
+        grep("-nE", r"def degrees\(", "src/repro/formats/coo.py",
+             sample='    def degrees(self) -> np.ndarray:'),
+        grep("-nE", r"def keys\(", "src/repro/service/cache.py",
+             sample='    def keys(self) -> list[Hashable]:'),
+        grep("-nE", r"def discard\(", "src/repro/service/cache.py",
+             sample='    def discard(self, key: Hashable) -> None:'),
+        grep("-nE", r"def keys\(", "src/repro/core/tracestore.py",
+             sample='    def keys(self) -> list[str]:'),
+        grep("-nE", r"def tokens\(", "src/repro/tenancy/qos.py",
+             sample='    def tokens(self) -> float:'),
+        grep("-nE", r"def mpki\(", "src/repro/arch/branch.py",
+             sample='    def mpki(self, n_instrs: int) -> float:'),
+        grep("-nE", r"def as_dict\(", "src/repro/dynamic/ops.py",
+             sample='    def as_dict(self) -> dict[str, Any]:'),
+        grep("-nE", r"def m\(", "src/repro/query/exec.py",
+             sample='    def m(self) -> int:'),
+        grep("-nE", r"def pop\(", "src/repro/workloads/base.py",
+             sample='    def pop(self) -> Any:',
+             section=('^class TracedHeap', '^class ')),
+        grep("-nE", r"def snapshot\(", "src/repro/resilience/netchaos.py",
+             sample='    def snapshot(self) -> dict[str, Any]:'),
+        grep("-nE", r"def exists\(", "src/repro/resilience/checkpoint.py",
+             sample='    def exists(self) -> bool:'),
+        grep("-nE", r"def find\(", "src/repro/obs/tracing.py",
+             sample='    def find(self, prefix: str) -> list[SpanRecord]:'),
+        grep("-nE", r"def tags\(", "src/repro/core/memmodel.py",
+             sample='    def tags(self) -> dict[str, int]:'),
+        grep("-nE", r"def (n_accesses|reset)\(", "src/repro/core/trace.py",
+             sample='    def reset(self) -> None:'),
+        grep("-nE", r"def coo\(", "src/repro/datagen/spec.py",
+             sample='    def coo(self):'),
+        grep("-nE", r"def arcs\(", "src/repro/dynamic/store.py",
+             sample='    def arcs(self) -> Iterator[tuple[int, int]]:'),
+        grep("-nE", r"def set\(", "src/repro/obs/metrics.py",
+             sample='    def set(self, value: float) -> None:'),
+        grep("-nE", r"def expired\(self, now", "src/repro/service/protocol.py",
+             sample='    def expired(self, now: float | None = None) -> bool:'),
+    ]),
 ]
 
 

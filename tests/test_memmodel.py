@@ -76,7 +76,7 @@ class TestSimAllocator:
         a.alloc(32, tag="vertex")
         a.alloc(16, tag="edge")
         assert a.tag_bytes("vertex") == 96
-        assert a.tags() == {"vertex": 96, "edge": 16}
+        assert a.snapshot()[-1] == {"vertex": 96, "edge": 16}
         assert a.tag_bytes("missing") == 0
 
     def test_alloc_array(self):
@@ -112,7 +112,7 @@ class TestAllocMany:
         assert got.dtype == np.int64
         assert (got - many.base).tolist() == want
         assert state(many) == state(loop)
-        assert list(many.tags()) == list(loop.tags())
+        assert list(many.snapshot()[-1]) == list(loop.snapshot()[-1])
         # and the next scalar allocation lands where the loop's would
         assert many.alloc(24) - many.base == loop.alloc(24) - loop.base
 

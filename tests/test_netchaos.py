@@ -88,7 +88,7 @@ class TestChaosProxyLive:
                 assert client.request("run", workload="BFS", dataset="ldbc",
                                       scale=0.02, seed=0, machine="test",
                                       gpu=False)["served"] == "executed"
-            snap = proxy.snapshot()
+            snap = dict(proxy.stats)
             assert snap["connections"] == 1
             assert snap["bytes_up"] > 0 and snap["bytes_down"] > 0
             assert snap["resets"] == snap["corrupted"] == 0
@@ -100,7 +100,7 @@ class TestChaosProxyLive:
             with proxy, client:
                 with pytest.raises(DeadlineExceeded):
                     client.request("ping", deadline_s=0.3)
-            snap = proxy.snapshot()
+            snap = dict(proxy.stats)
             assert snap["blackholed_chunks"] >= 1
             assert snap["bytes_up"] == snap["bytes_down"] == 0
 
@@ -117,7 +117,7 @@ class TestChaosProxyLive:
                 with pytest.raises((OSError, ProtocolError)):
                     for _ in range(5):
                         client.ping()
-            assert proxy.snapshot()["resets"] >= 1
+            assert dict(proxy.stats)["resets"] >= 1
 
     def test_corruption_surfaces_as_a_typed_protocol_error(self):
         # one flipped byte in a JSON-lines frame must never pass as a
@@ -129,7 +129,7 @@ class TestChaosProxyLive:
             with proxy, client:
                 with pytest.raises((ProtocolError, OSError)):
                     client.ping()
-            assert proxy.snapshot()["corrupted"] == 1
+            assert dict(proxy.stats)["corrupted"] == 1
 
     def test_slow_loris_stall_is_bounded_by_the_total_read_deadline(self):
         # the response starts arriving and then stalls: a per-recv
@@ -141,7 +141,7 @@ class TestChaosProxyLive:
             with proxy, client:
                 with pytest.raises(DeadlineExceeded):
                     client.request("ping", deadline_s=0.4)
-            snap = proxy.snapshot()
+            snap = dict(proxy.stats)
             assert snap["stalled"] >= 1
             assert 0 < snap["bytes_down"] <= 10
 
@@ -184,7 +184,7 @@ class TestChaosProxyLive:
                     client.ping()
             finally:
                 client.close()
-        assert proxy.snapshot()["upstream_refused"] == 1
+        assert dict(proxy.stats)["upstream_refused"] == 1
 
 
 # -- corruption on the router -> shard link ----------------------------------
@@ -231,7 +231,7 @@ class TestCorruptionOnTheRouterShardLink:
                                timeout_s=30.0) as client:
                 with pytest.raises(ProtocolError) as exc:
                     client.request("dyn_query", **ASK)
-            assert cluster.proxies[primary].snapshot()["corrupted"] == 1
+            assert dict(cluster.proxies[primary].stats)["corrupted"] == 1
         # the shard's own refusal, attributed to it (seeded: the flip
         # lands mid-frame, not on the terminator)
         assert exc.value.shard == primary
@@ -249,7 +249,7 @@ class TestCorruptionOnTheRouterShardLink:
             # the client's frame parsed, and it is the backup's answer
             assert out["shard"] == backup and "degraded" not in out
             assert out["outputs"]["n_components"] >= 1
-            proxy = cluster.proxies[primary].snapshot()
+            proxy = dict(cluster.proxies[primary].stats)
             assert proxy["corrupted"] == 1 and proxy["bytes_down"] > 0
             # the primary's answer was refused on the link and charged
             # to the primary: a transport failure, not a relayed frame

@@ -43,6 +43,13 @@ from repro.service import (
 )
 
 
+def find(tracer, prefix):
+    """The spans of ``tracer`` whose name starts with ``prefix``, in
+    completion order."""
+    with tracer._lock:
+        return [s for s in tracer.spans if s.name.startswith(prefix)]
+
+
 # -- nearest-rank percentile (shared with the load generator) ----------------
 
 class TestPercentile:
@@ -81,7 +88,7 @@ class TestCounterGauge:
     def test_gauge_set_inc_dec(self):
         reg = MetricsRegistry()
         g = reg.gauge("depth")
-        g.set(5)
+        g.inc(5)
         g.dec(2)
         assert g.value == 3.0
 
@@ -92,7 +99,7 @@ class TestCounterGauge:
         state["v"] = 42.0
         assert g.value == 42.0
         with pytest.raises(MetricError):
-            g.set(0)
+            g.inc()
 
     def test_labels_give_independent_children(self):
         reg = MetricsRegistry()
@@ -214,7 +221,7 @@ class TestSnapshotDelta:
     def test_snapshot_is_json_safe(self):
         reg = MetricsRegistry()
         reg.counter("a_total", labels=("k",)).labels(k="x").inc()
-        reg.gauge("g").set(2)
+        reg.gauge("g").inc(2)
         reg.histogram("h_ms").observe(1.0)
         snap = reg.snapshot()
         assert json.loads(json.dumps(snap)) == json.loads(
@@ -270,7 +277,7 @@ class TestExposition:
         reg = MetricsRegistry()
         reg.counter("req_total", "requests",
                     labels=("op",)).labels(op="run").inc(3)
-        reg.gauge("depth", "queue depth").set(2)
+        reg.gauge("depth", "queue depth").inc(2)
         text = render_prometheus(reg.snapshot())
         assert "# HELP req_total requests" in text
         assert "# TYPE req_total counter" in text
@@ -317,8 +324,8 @@ class TestTracing:
             clock.t += 0.010
             with tracer.span("inner", detail=1):
                 clock.t += 0.002
-        outer, = tracer.find("outer")
-        inner, = tracer.find("inner")
+        outer, = find(tracer, "outer")
+        inner, = find(tracer, "inner")
         assert outer.dur_us == pytest.approx(12_000)
         assert inner.dur_us == pytest.approx(2_000)
         assert inner.parent == "outer" and inner.depth == 1
@@ -328,14 +335,14 @@ class TestTracing:
         with pytest.raises(RuntimeError):
             with tracer.span("doomed"):
                 raise RuntimeError("boom")
-        span, = tracer.find("doomed")
+        span, = find(tracer, "doomed")
         assert span.args["error"] == "RuntimeError"
 
     def test_body_annotates_args(self):
         tracer = SpanTracer()
         with tracer.span("req") as args:
             args["served"] = "cache"
-        assert tracer.find("req")[0].args["served"] == "cache"
+        assert find(tracer, "req")[0].args["served"] == "cache"
 
     def test_chrome_trace_schema(self):
         clock = FakeClock()
@@ -378,9 +385,9 @@ class TestTracing:
             t = threading.Thread(target=worker)
             t.start()
             t.join()
-        w, = tracer.find("w")
+        w, = find(tracer, "w")
         assert w.parent is None and w.depth == 0   # not nested under main
-        main, = tracer.find("main")
+        main, = find(tracer, "main")
         assert w.tid != main.tid
 
     def test_interleaved_tasks_on_one_loop_do_not_nest(self):
@@ -409,9 +416,9 @@ class TestTracing:
 
         asyncio.run(main())
         for name in ("a", "b"):
-            outer, = tracer.find(name)
+            outer, = find(tracer, name)
             assert (outer.parent, outer.depth) == (None, 0)
-            inner, = tracer.find(f"inner-{name}")
+            inner, = find(tracer, f"inner-{name}")
             assert (inner.parent, inner.depth) == (name, 1)
 
     def test_maybe_span_without_tracer_is_noop(self):
@@ -426,7 +433,7 @@ class TestTracing:
                 pass
         finally:
             set_global_tracer(None)
-        assert len(tracer.find("g")) == 1
+        assert len(find(tracer, "g")) == 1
 
 
 # -- structured logging ------------------------------------------------------
@@ -659,7 +666,7 @@ class TestLoadgenHardening:
             "127.0.0.1", 1, concurrency=1, tracer=tracer,
             client_factory=lambda: _FlakyClient(state))
         gen.run([Query(op="run", params={}) for _ in range(2)])
-        spans = tracer.find("request:run")
+        spans = find(tracer, "request:run")
         assert len(spans) == 2
         tags = sorted(s.args.get("failed", s.args.get("served"))
                       for s in spans)
@@ -709,7 +716,7 @@ class TestMatrixTracing:
                             sleep=lambda _s: None, tracer=tracer,
                             registry=registry)
         assert result.complete
-        cell_span, = tracer.find("cell:")
+        cell_span, = find(tracer, "cell:")
         assert cell_span.args["attempts"] == 2
         attempts = [s for s in tracer.spans if s.parent == cell_span.name]
         assert [a.name for a in attempts] == ["attempt:1", "attempt:2"]
@@ -752,9 +759,9 @@ class TestMatrixTracing:
         tracer = SpanTracer()
         spec = make_dataset("ldbc", scale=0.02, seed=0)
         characterize("BFS", spec, memo=False, tracer=tracer)
-        char, = tracer.find("characterize:BFS")
+        char, = find(tracer, "characterize:BFS")
         assert char.args["served"] == "computed"
-        cpu, = tracer.find("cpu:BFS")
+        cpu, = find(tracer, "cpu:BFS")
         assert cpu.parent == char.name
 
     def test_characterize_memo_hit_tagged(self):
@@ -767,6 +774,6 @@ class TestMatrixTracing:
         characterize("BFS", spec, tracer=tracer)
         characterize("BFS", spec, tracer=tracer)
         served = [s.args["served"]
-                  for s in tracer.find("characterize:BFS")]
+                  for s in find(tracer, "characterize:BFS")]
         assert served == ["computed", "memo"]
         clear_cache()

@@ -349,7 +349,7 @@ def _dict_execute(plan, old: DictGraphImage):
 def _assert_same_answers(new: GraphImage, old: DictGraphImage) -> None:
     """Every kernel, every pool template."""
     assert new.ids.tolist() == old.ids
-    assert (new.n, new.m) == (old.n, old.m)
+    assert (new.n, new.csr.m) == (old.n, old.m)
     assert {c: _column(new, col)
             for c, col in kernel_degree(new).items()} == dict_degree(old)
     assert _column(new, kernel_cc(new)["comp"]) == dict_cc(old)["comp"]
@@ -412,7 +412,7 @@ class TestArrayKernelsMatchDictOracles:
                           GraphImage.from_spec(GraphSpec(
                               "tiny", DataSource.SYNTHETIC, n,
                               np.empty((0, 2), dtype=np.int64)))):
-                    assert (g.n, g.m) == (n, 0)
+                    assert (g.n, g.csr.m) == (n, 0)
                     table = execute_plan(plan_pipeline(parse(
                         "from ldbc | degree | cc | kcore | triangles")), g)
                     assert len(table["columns"]) == 7

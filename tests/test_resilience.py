@@ -196,7 +196,7 @@ class TestCheckpoint:
         cp = CheckpointStore(tmp_path / "j.jsonl")
         cp.append({"kind": "row", "cell": "a"})
         cp.clear()
-        assert not cp.exists() and cp.load() == {}
+        assert not cp.path.exists() and cp.load() == {}
 
 
 class TestInlineMatrix:

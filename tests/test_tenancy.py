@@ -64,10 +64,12 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=2.0, burst=4.0, clock=clock)
         for _ in range(4):
             bucket.try_spend()
-        clock.advance(1.0)                      # +2 tokens
-        assert bucket.tokens == pytest.approx(2.0)
+        clock.advance(1.0)                      # +2 tokens, then 1 at 2/s
+        assert [bucket.try_spend() for _ in range(3)] == [
+            0.0, 0.0, pytest.approx(0.5)]
         clock.advance(100.0)                    # clamped at burst
-        assert bucket.tokens == pytest.approx(4.0)
+        assert [bucket.try_spend() for _ in range(5)] == [
+            0.0] * 4 + [pytest.approx(0.5)]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from repro.core.errors import TraceError
 from repro.core import trace as T
 from repro.core.trace import FrozenTrace, Tracer
+from tests.oracles import reset_tracer
 
 
 class TestEventRecording:
@@ -140,7 +141,7 @@ class TestReset:
         t.br(1, True)
         t.enter(T.R_FIND_VERTEX)
         t.leave()
-        t.reset()
+        reset_tracer(t)
         ft = t.freeze()
         assert ft.n_accesses == 0
         assert ft.n_instrs == 0
@@ -150,7 +151,7 @@ class TestReset:
     def test_reset_keeps_registrations(self):
         t = Tracer()
         rid = t.register_region("kern")
-        t.reset()
+        reset_tracer(t)
         assert rid in t.regions
 
 
@@ -192,7 +193,7 @@ class TestFreezeIsolation:
         self._fill(t)
         ft = t.freeze()
         n = ft.n_accesses
-        t.reset()
+        reset_tracer(t)
         self._fill(t, base=50_000)
         assert ft.n_accesses == n
         assert ft.addrs[0] == 0

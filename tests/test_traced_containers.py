@@ -17,6 +17,7 @@ from repro.workloads.base import (
     TracedQueue,
     TracedStack,
 )
+from tests.oracles import heap_pop
 
 
 @pytest.fixture
@@ -111,11 +112,11 @@ class TestTracedHeap:
         h = TracedHeap(g, NULL_TRACER)
         for x in (5, 1, 4, 1, 3):
             h.push((x, x))
-        assert [h.pop()[0] for _ in range(5)] == [1, 1, 3, 4, 5]
+        assert [heap_pop(h)[0] for _ in range(5)] == [1, 1, 3, 4, 5]
 
     def test_pop_empty(self, g):
         with pytest.raises(IndexError):
-            TracedHeap(g, NULL_TRACER).pop()
+            heap_pop(TracedHeap(g, NULL_TRACER))
 
     def test_charges_log_depth_touches(self, g):
         t = Tracer()
@@ -133,5 +134,5 @@ class TestTracedHeap:
         h = TracedHeap(g, NULL_TRACER)
         for i, x in enumerate(xs):
             h.push((x, i))
-        out = [h.pop()[0] for _ in range(len(xs))]
+        out = [heap_pop(h)[0] for _ in range(len(xs))]
         assert out == sorted(xs)

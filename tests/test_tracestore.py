@@ -212,7 +212,7 @@ class TestRoundTrip:
         assert len(store) == 0
         store.save(key, result.trace)
         assert len(store) == 1
-        assert store.keys() == [key]
+        assert [p.stem for p in store.root.glob("*.json")] == [key]
         assert key in store
 
 
@@ -294,7 +294,7 @@ class TestHarnessIntegration:
                              trace_store=store)
         finally:
             set_global_tracer(None)
-        spans = tracer.find("replay:BFS")
+        spans = [s for s in tracer.spans if s.name.startswith("replay:BFS")]
         assert len(spans) == 1
         assert spans[0].args.get("served") == "trace-store"
 
