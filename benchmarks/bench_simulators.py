@@ -21,7 +21,12 @@ from repro.core.memmodel import PAGE_SIZE
 from repro.datagen import make
 from repro.gpu.simt import KernelAccum, slots_for_loop
 from repro.harness import run_cpu_workload
-from tests.oracles import Cache, GSharePredictor, lru_cache_miss_idx
+from tests.oracles import (
+    Cache,
+    GSharePredictor,
+    icache_line_touches,
+    lru_cache_miss_idx,
+)
 
 N = 200_000
 
@@ -68,22 +73,40 @@ def test_lru_cache_walk_throughput(benchmark, addrs):
 
 
 @pytest.fixture(scope="module")
-def deep_stack_lines():
-    """The first 4 M of Gibbs's 22.9 M ICache line touches under the
-    depth-10 deep-stack ablation (Fig. 6's setting).  Its sets overflow
-    by a single line each, so most windows are long, hold few keys and
-    hit: the widths run out and the exact counts decide.  (Gibbs samples
-    a fixed network; the dataset only satisfies the call.)"""
+def gibbs_trace():
+    """Gibbs's trace: under the depth-10 deep-stack ablation (Fig. 6's
+    setting) 22.9 M ICache line touches, and 18 sets overflow by a single
+    line each.  (Gibbs samples a fixed network; the dataset only
+    satisfies the call.)"""
     result, _ = run_cpu_workload("Gibbs", make("ldbc", scale=0.05, seed=0))
-    lines = ICache(SCALED_XEON.icache)._visit_addrs(result.trace, 10)
-    return lines[:4_000_000]
+    return result.trace
 
 
-def test_deep_stack_icache_throughput(benchmark, deep_stack_lines):
+@pytest.fixture(scope="module")
+def deep_stack_lines(gibbs_trace):
+    """The first 4 M of those line touches, built by the oracle: most
+    windows are long, hold few keys and hit, so the widths run out and
+    the exact counts decide."""
+    return icache_line_touches(gibbs_trace, 10)[:4_000_000]
+
+
+def test_deep_stack_lru_throughput(benchmark, deep_stack_lines):
+    """The LRU alone on the adversarial stream."""
     cfg = SCALED_XEON.icache
 
     def run():
         return len(level_miss_idx(cfg, deep_stack_lines))
+
+    assert benchmark.pedantic(run, rounds=3) > 0
+
+
+def test_deep_stack_icache_throughput(benchmark, gibbs_trace):
+    """The product path: only the overflowing sets' touches reach the
+    LRU."""
+    icache = ICache(SCALED_XEON.icache)
+
+    def run():
+        return icache.simulate(gibbs_trace, 10).misses
 
     assert benchmark.pedantic(run, rounds=3) > 0
 

@@ -99,7 +99,7 @@ def lru_miss_idx(slot: np.ndarray, key: np.ndarray, assoc: int) -> np.ndarray:
     * no previous use: a miss (cold);
     * a window shorter than ``assoc``: a hit;
     * a set that has seen at most ``assoc`` distinct keys up to ``j``: a
-      hit (nothing was ever evicted; the flat ICache is all this).
+      hit (nothing was ever evicted).
 
     The rest are counted at widths ``R = assoc * 2**t``.  The distinct
     keys among the ``R`` live accesses before ``j`` are those whose next

@@ -7,10 +7,13 @@ MPKI stays below 0.7 for every workload.
 
 The tracer records the sequence of code-region visits (framework primitives
 and user kernels).  The ICache model lays every region out in a simulated
-code segment and touches its lines on entry; an LRU ICache then yields
-misses.  A *deep-stack* transform wraps each visit in ``depth`` synthetic
-wrapper regions (adapter/glue code of layered frameworks), reproducing the
-contrast with CloudSuite-style stacks as an ablation.
+code segment and touches its lines on entry.  Sets are independent, and a
+set that the visited regions give at most ``assoc`` lines never evicts: it
+misses once per line, which the layout answers.  Only the touches of a set
+that overflows go through the LRU.  A *deep-stack* transform wraps each
+visit in ``depth`` synthetic wrapper regions (adapter/glue code of layered
+frameworks), reproducing the contrast with CloudSuite-style stacks as an
+ablation; only there does a set overflow.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.trace import FrozenTrace, Region
-from .cache import CacheConfig, CacheStats, level_miss_idx
+from .cache import CacheConfig, CacheStats, level_miss_idx, line_ids
 
 #: Base of the simulated code segment (distinct from the data heap).
 CODE_BASE = 0x4000_0000
@@ -67,58 +70,55 @@ def expand_visits(region_seq: np.ndarray, regions: dict[int, Region],
     if depth == 0:
         return region_seq, regions
     deep = deep_stack_regions(regions, depth)
-    base = max(regions) + 1
-    order = {rid: i for i, rid in enumerate(sorted(regions))}
-    out = []
-    for rid in region_seq.tolist():
-        start = base + order[rid] * depth
-        out.extend(range(start, start + depth))
-        out.append(rid)
-    return np.asarray(out, dtype=np.uint32), deep
+    rids = sorted(regions)
+    first = np.zeros(rids[-1] + 1, dtype=np.int64)  # a region's 1st wrapper
+    first[rids] = rids[-1] + 1 + np.arange(len(rids)) * depth
+    wrappers = first[region_seq][:, None] + np.arange(depth)
+    return (np.column_stack((wrappers, region_seq)).astype(np.uint32)
+            .ravel(), deep)
 
 
 class ICache:
-    """LRU instruction cache replaying region-visit line touches."""
+    """LRU instruction cache over the region visits' code lines."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
 
     def simulate(self, trace: FrozenTrace, stack_depth: int = 0
                  ) -> CacheStats:
-        """Replay ``trace``'s region visits through a cold ICache;
-        returns aggregate stats (every fetch a read).
-
-        ``stack_depth`` > 0 applies the deep-stack ablation transform.
-        """
-        addrs = self._visit_addrs(trace, stack_depth)
-        misses = len(level_miss_idx(self.config, addrs))
-        return CacheStats(self.config.name, accesses=len(addrs),
-                          misses=misses, read_misses=misses)
-
-    def _visit_addrs(self, trace: FrozenTrace,
-                     stack_depth: int) -> np.ndarray:
-        """Line-touch address stream of the region-visit sequence:
-        consecutive duplicate visits collapse (straight-line execution
-        within a region), every surviving visit touches each of its
-        region's code lines in order."""
+        """``trace``'s region visits through a cold ICache (every fetch a
+        read).  Consecutive duplicate visits collapse (straight-line code
+        within a region); every other visit touches each line of its
+        region in order.  ``stack_depth`` > 0 applies the deep-stack
+        ablation transform."""
+        cfg = self.config
         seq, regions = expand_visits(trace.region_seq, trace.regions,
                                      stack_depth)
         if not len(seq):
-            return np.empty(0, dtype=np.uint64)
+            return CacheStats(cfg.name)
         layout = layout_code(regions)
-        keep = np.ones(len(seq), dtype=bool)
-        keep[1:] = seq[1:] != seq[:-1]
-        visits = seq[keep].astype(np.int64)
-        max_rid = max(layout)
-        base_lut = np.zeros(max_rid + 1, dtype=np.uint64)
-        nl_lut = np.zeros(max_rid + 1, dtype=np.int64)
-        for rid, (base, n_lines) in layout.items():
-            base_lut[rid] = base
-            nl_lut[rid] = n_lines
-        nv = nl_lut[visits]
-        total = int(nv.sum())
-        # ragged [0..n_lines) offsets per visit, fully vectorized
-        starts = np.concatenate(([0], np.cumsum(nv)[:-1]))
-        offs = np.arange(total, dtype=np.int64) - np.repeat(starts, nv)
-        return (np.repeat(base_lut[visits], nv)
-                + offs.astype(np.uint64) * np.uint64(CODE_ALIGN))
+        n_lines = np.zeros(max(layout) + 1, dtype=np.int64)
+        n_lines[list(layout)] = [n for _, n in layout.values()]
+        end = np.cumsum(n_lines)                # laid out back to back
+        visits = seq[np.r_[True, seq[1:] != seq[:-1]]]
+        accesses = int(n_lines[visits].sum())
+        # every line slot of the code segment; the visited regions' lines
+        # each once (line ids ascend along the segment)
+        addrs = CODE_BASE + CODE_ALIGN * np.arange(end[-1])
+        ids = line_ids(addrs, cfg.line)
+        sets = (ids & np.uint64(cfg.n_sets - 1)).astype(np.int64)
+        used = np.repeat(np.bincount(visits, minlength=len(end)) > 0, n_lines)
+        once = np.r_[True, ids[used][1:] != ids[used][:-1]]
+        per_set = np.bincount(sets[used][once], minlength=cfg.n_sets)
+        over = per_set > cfg.assoc
+        misses = int(per_set[~over].sum())
+        if over.any():
+            hot = over[sets]
+            before = np.r_[0, np.cumsum(hot)]   # hot slots before a slot
+            first = before[end - n_lines][visits]
+            n_hot = before[end][visits] - first
+            pick = (np.repeat(first - (np.cumsum(n_hot) - n_hot), n_hot)
+                    + np.arange(n_hot.sum()))
+            misses += len(level_miss_idx(cfg, addrs[hot][pick]))
+        return CacheStats(cfg.name, accesses=accesses, misses=misses,
+                          read_misses=misses)

@@ -5,7 +5,8 @@ Each is the short, sequential, obviously-correct form of something
 predictors ``simulate_branches`` is gated against, the
 stateful :class:`Cache` and the ``functools.lru_cache`` walk
 (:func:`lru_cache_miss_idx`) the one LRU (``lru_miss_idx``) is gated
-against, :class:`MemoryHierarchy`, the per-core and per-segment loops,
+against, :class:`MemoryHierarchy`, the ICache's whole line-touch
+stream, the per-core and per-segment loops,
 the scalar block graph primitives and the seven workload loop kernels
 that charge through them, the populating loop, the query executor's dict
 image and kernels and the snapshot store's ``materialize`` /
@@ -29,7 +30,7 @@ import numpy as np
 from repro.arch.branch import BranchStats
 from repro.arch.cache import CacheConfig, CacheStats, line_ids
 from repro.arch.cpu import SERIAL_REGIONS
-from repro.arch.icache import ICache
+from repro.arch.icache import CODE_ALIGN, deep_stack_regions, layout_code
 from repro.arch.replay import HierarchyResult
 from repro.core import graph as G
 from repro.core import trace as T
@@ -268,10 +269,44 @@ def reference_kernel_stats(acc) -> KernelStats:
     return st
 
 
+def wrapped_visits(region_seq, regions, depth):
+    """The visit sequence with each visit passing down its chain of
+    ``depth`` wrapper regions (:func:`deep_stack_regions`' ids) to its
+    region: the loop ``expand_visits`` replaced."""
+    chain_of, rid = {}, max(regions) + 1
+    for r in sorted(regions):
+        chain_of[r] = list(range(rid, rid + depth)) + [r]
+        rid += depth
+    return [r for v in region_seq.tolist() for r in chain_of[v]]
+
+
+def icache_line_touches(trace, stack_depth=0):
+    """The ICache's whole line-touch stream, as byte addresses: visits
+    pass through their wrapper chains (:func:`wrapped_visits`),
+    consecutive duplicate visits collapse (straight-line execution within
+    a region), and every surviving visit touches each of its region's
+    code lines in order."""
+    seq, regions = trace.region_seq.tolist(), trace.regions
+    if stack_depth:
+        seq = wrapped_visits(trace.region_seq, regions, stack_depth)
+        regions = deep_stack_regions(regions, stack_depth)
+    if not seq:
+        return np.empty(0, dtype=np.uint64)
+    layout = layout_code(regions)
+    visits = [v for i, v in enumerate(seq) if i == 0 or v != seq[i - 1]]
+    bases = np.asarray([layout[v][0] for v in visits], dtype=np.uint64)
+    nv = np.asarray([layout[v][1] for v in visits], dtype=np.int64)
+    # ragged [0..n_lines) offsets per visit
+    starts = np.concatenate(([0], np.cumsum(nv)[:-1]))
+    offs = np.arange(int(nv.sum()), dtype=np.int64) - np.repeat(starts, nv)
+    return (np.repeat(bases, nv)
+            + offs.astype(np.uint64) * np.uint64(CODE_ALIGN))
+
+
 def reference_icache(config, trace, stack_depth=0):
     """The ICache's line-touch stream through a stateful :class:`Cache`."""
     cache = Cache(config)
-    cache.simulate(ICache(config)._visit_addrs(trace, stack_depth))
+    cache.simulate(icache_line_touches(trace, stack_depth))
     return cache.stats
 
 

@@ -377,6 +377,14 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
         grep("-nE", r"def expired\(self, now", "src/repro/service/protocol.py",
              sample='    def expired(self, now: float | None = None) -> bool:'),
     ]),
+    ("The ICache is answered from the code layout (src/ builds no whole line-touch"
+     " stream and walks no visit in Python; tests/oracles.py:icache_line_touches"
+     " builds the stream its oracle reads)", "after 9f50919", [
+        grep("-rn", r"_visit_addrs", "src/repro/arch/",
+             sample="        addrs = self._visit_addrs(trace, stack_depth)"),
+        grep("-nE", r"for \w+ in (region_seq|seq|visits)\b", "src/repro/arch/icache.py",
+             sample="    for rid in region_seq.tolist():"),
+    ]),
 ]
 
 

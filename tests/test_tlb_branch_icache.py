@@ -7,9 +7,10 @@ import sys
 import hypothesis.strategies as hst
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.arch import (
+    SCALED_XEON,
     TEST_MACHINE,
     CPUModel,
     ICache,
@@ -21,7 +22,9 @@ from repro.arch.cache import CacheConfig
 from repro.arch.icache import expand_visits, layout_code
 from repro.core import trace as T
 from repro.core.memmodel import PAGE_SIZE
-from repro.core.trace import Tracer
+from repro.core.trace import Region, Tracer
+from repro.datagen import make
+from repro.harness import run_cpu_workload
 from tests.oracles import (
     PREDICTORS,
     AlwaysTakenPredictor,
@@ -30,6 +33,7 @@ from tests.oracles import (
     GSharePredictor,
     reference_branches,
     reference_icache,
+    wrapped_visits,
 )
 
 
@@ -362,3 +366,72 @@ class TestICache:
         # only the top-level region's compulsory line touches
         st = ICache(self.cfg()).simulate(Tracer().freeze())
         assert st.misses <= 4
+
+    @pytest.mark.parametrize("a_lines,misses", [(3, 4), (4, 9), (12, 25)])
+    def test_a_set_overflows_by_zero_one_and_many(self, a_lines, misses):
+        """Visits A, B, A in one 4-way set, B one line: at 4 lines the set
+        never evicts (a miss per line); one line over, B evicts A's first
+        line and A's second pass misses throughout; many over likewise."""
+        cfg = CacheConfig("L1I", size=4 * 64, assoc=4)
+        ft = _visit_trace({1: a_lines * 64, 2: 64}, [1, 2, 1])
+        st = ICache(cfg).simulate(ft)
+        assert st == reference_icache(cfg, ft)
+        assert (st.accesses, st.misses) == (2 * a_lines + 1, misses)
+
+    @given(hst.dictionaries(hst.integers(0, 40), hst.integers(0, 1500),
+                            min_size=1, max_size=8),
+           hst.lists(hst.tuples(hst.integers(0, 7), hst.integers(1, 3)),
+                     max_size=40),
+           hst.sampled_from([0, 1, 3, 10]), hst.integers(0, 6),
+           hst.integers(1, 8), hst.sampled_from([32, 64, 128]))
+    @example({3: 300, 5: 130}, [], 3, 2, 4, 64)
+    @example({3: 300}, [(0, 3)], 10, 0, 4, 64)
+    @example({3: 300, 5: 130}, [(0, 1), (1, 2), (0, 2)], 1, 0, 1, 64)
+    @settings(max_examples=300, deadline=None)
+    def test_layout_answer_is_the_lru_over_every_touch(
+            self, code_bytes, picks, depth, log_sets, assoc, line):
+        """The closed form (a set that never overflows misses once per
+        line, the rest through the LRU) equals a stateful LRU fed every
+        line touch: regions of random size, so a set overflows by none,
+        one or many lines; repeated, single-region and empty visits; 1 to
+        64 sets of 1 to 8 ways.  The wrapper chains equal the loop's."""
+        cfg = CacheConfig("L1I", size=(assoc * line) << log_sets,
+                          assoc=assoc, line=line)
+        rids = sorted(code_bytes)
+        visits = [rids[i % len(rids)] for i, reps in picks
+                  for _ in range(reps)]
+        ft = _visit_trace(code_bytes, visits)
+        assert ICache(cfg).simulate(ft, depth) == \
+            reference_icache(cfg, ft, depth)
+        assert expand_visits(ft.region_seq, ft.regions, depth)[0].tolist() \
+            == wrapped_visits(ft.region_seq, ft.regions, depth)
+
+
+def _visit_trace(code_bytes, visits):
+    """A trace holding only regions of the given sizes and their visits."""
+    regions = {rid: Region(rid, f"r{rid}", n, False)
+               for rid, n in code_bytes.items()}
+    return dataclasses.replace(
+        Tracer().freeze(), regions=regions,
+        region_seq=np.asarray(visits, dtype=np.uint32))
+
+
+class TestICacheOnColdCells:
+    """The twelve cells the ``char_cold`` benchmark characterizes, at its
+    quick scale: the ICache's stats equal the stateful LRU's over every
+    line touch, flat and under the depth-10 deep-stack ablation."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        from benchmarks.spine.char import COLD_CELLS, QUICK_SCALE
+        specs = {d: make(d, scale=QUICK_SCALE, seed=0)
+                 for d in ("ldbc", "roadnet")}
+        return {f"{w}/{d}": run_cpu_workload(w, specs[d])[0].trace
+                for w, d in COLD_CELLS}
+
+    @pytest.mark.parametrize("depth", [0, 10])
+    def test_cells_match_reference(self, traces, depth):
+        cfg = SCALED_XEON.icache
+        for name, ft in traces.items():
+            assert ICache(cfg).simulate(ft, depth) == \
+                reference_icache(cfg, ft, depth), name
