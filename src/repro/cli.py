@@ -361,10 +361,6 @@ def _parse_mutate_flags(args) -> list[dict]:
         for pair in pairs:
             src, dst = pair.split(",", 1)
             ops.append({"op": kind, "src": int(src), "dst": int(dst)})
-    for triple in args.set_prop:
-        vid, name, value = triple.split(",", 2)
-        ops.append({"op": "set_prop", "vid": int(vid),
-                    "name": name, "value": value})
     if args.ops:
         raw = (sys.stdin.read() if args.ops == "-"
                else pathlib.Path(args.ops).read_text())
@@ -383,7 +379,7 @@ def cmd_mutate(args) -> int:
         return 2
     if not ops:
         print("error: no ops given (use --add-edge/--del-edge/"
-              "--add-vertex/--del-vertex/--set-prop or --ops FILE)",
+              "--add-vertex/--del-vertex or --ops FILE)",
               file=sys.stderr)
         return 2
     result, rc = _ask(args, lambda c: c.mutate(
@@ -853,8 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("query", help="pipeline DSL text: "
                                       "from DATASET | stage | stage ...")
         sp.add_argument("--explain", action="store_true",
-                        help="print the physical plan with per-stage "
-                             "cost estimates instead of executing")
+                        help="print the physical plan instead of "
+                             "executing")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
         add_endpoint(sp, port, 300.0)
@@ -921,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu = command(
         sub, "mutate", cmd_mutate,
         help="apply a mutation batch to a service's mutable graph: "
-             "add/del vertices and edges, set vertex properties")
+             "add/del vertices and edges")
     mu.add_argument("--dataset", default="ldbc",
                     help="registry dataset whose mutable copy to edit")
     mu.add_argument("--scale", type=float, default=0.05)
@@ -934,9 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SRC,DST", help="add edge (repeatable)")
     mu.add_argument("--del-edge", action="append", default=[],
                     metavar="SRC,DST", help="remove edge (repeatable)")
-    mu.add_argument("--set-prop", action="append", default=[],
-                    metavar="VID,NAME,VALUE",
-                    help="set vertex property (repeatable)")
     mu.add_argument("--ops", default=None, metavar="FILE",
                     help="JSON file with a list of op objects "
                          "('-' reads stdin); applied after the flag ops")

@@ -980,11 +980,11 @@ class Router(FrameServer):
     def _static_plan(self, pipeline) -> None:
         """Plan a static-source query at the front door, so a bad
         pipeline fails with a typed PlanError before any shard traffic;
-        through the router's content-addressed plan cache (version 0: a
-        generated graph never changes under a fixed seed)."""
+        through the router's content-addressed plan cache (a plan depends
+        on its text alone)."""
         key = ("plan", plan_digest(unparse(pipeline)))
-        if self._plan_cache.get(key, version=0) is None:
-            self._plan_cache.put(key, plan_pipeline(pipeline), version=0)
+        if self._plan_cache.get(key) is None:
+            self._plan_cache.put(key, plan_pipeline(pipeline))
 
     async def _route_dsl(self, req: Request, span_args: dict) -> Any:
         """Route a pipeline-DSL op as a keyed read of its source's

@@ -100,8 +100,7 @@ class DynamicEngine:
                           "removed_vertices":
                               len(delta.removed_vertices),
                           "added_arcs": len(delta.added_arcs),
-                          "removed_arcs": len(delta.removed_arcs),
-                          "props": len(delta.props)},
+                          "removed_arcs": len(delta.removed_arcs)},
                 "n_vertices": store.n_vertices,
                 "n_arcs": store.n_arcs}
 

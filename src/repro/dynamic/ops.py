@@ -1,10 +1,10 @@
 """Mutation operations: the typed write vocabulary of a dynamic graph.
 
-One :class:`MutOp` is one logical change — add/delete a vertex, add/
-delete an edge, or set a vertex property.  A batch of them is what a
-``mutate`` wire request carries and what a
-:class:`~repro.dynamic.store.SnapshotStore` commit applies atomically
-(one commit = one new snapshot version, never a half-applied batch).
+One :class:`MutOp` is one logical change — add/delete a vertex or
+add/delete an edge.  A batch of them is what a ``mutate`` wire request
+carries and what a :class:`~repro.dynamic.store.SnapshotStore` commit
+applies atomically (one commit = one new snapshot version, never a
+half-applied batch).
 
 Ops travel the wire as flat JSON dicts (``{"op": "add_edge", "src": 3,
 "dst": 7}``) — the same self-describing record discipline every other
@@ -22,11 +22,9 @@ from typing import Any
 
 from ..core.errors import BadRequest
 
-#: The write vocabulary.  ``set_prop`` targets vertex properties (edge
-#: properties stay static in this layer — none of the incremental
-#: kernels read them).
-OP_KINDS = ("add_vertex", "del_vertex", "add_edge", "del_edge",
-            "set_prop")
+#: The write vocabulary: topology only.  Properties stay static in this
+#: layer — none of the incremental kernels or query stages read them.
+OP_KINDS = ("add_vertex", "del_vertex", "add_edge", "del_edge")
 
 #: Hard cap on one batch — a mutate frame is a delta, not a bulk load
 #: (bulk loads belong in dataset generation, where they are versioned as
@@ -39,10 +37,8 @@ class MutOp:
     """One validated mutation operation."""
 
     kind: str                       # one of OP_KINDS
-    src: int = -1                   # vertex id (vertex/prop ops) or arc src
+    src: int = -1                   # vertex id (vertex ops) or arc src
     dst: int = -1                   # arc dst (edge ops only)
-    name: str = ""                  # property name (set_prop only)
-    value: Any = None               # property value (set_prop only)
 
 
 def _as_vid(raw: Any, field: str) -> int:
@@ -66,17 +62,8 @@ def parse_op(raw: Any) -> MutOp:
                          f"{', '.join(OP_KINDS)}")
     if kind in ("add_vertex", "del_vertex"):
         return MutOp(kind, src=_as_vid(raw.get("vid"), "vid"))
-    if kind in ("add_edge", "del_edge"):
-        return MutOp(kind, src=_as_vid(raw.get("src"), "src"),
-                     dst=_as_vid(raw.get("dst"), "dst"))
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise BadRequest("set_prop requires a non-empty 'name' string")
-    value = raw.get("value")
-    if isinstance(value, (dict, list)):
-        raise BadRequest("set_prop value must be a scalar")
-    return MutOp(kind, src=_as_vid(raw.get("vid"), "vid"),
-                 name=name, value=value)
+    return MutOp(kind, src=_as_vid(raw.get("src"), "src"),
+                 dst=_as_vid(raw.get("dst"), "dst"))
 
 
 def parse_ops(raw: Any) -> list[MutOp]:
@@ -98,7 +85,7 @@ def single_op(kind: str, params: dict[str, Any]) -> MutOp:
     """Build the one-op batch behind the flat wire ops (``add_edge`` as
     its own request, etc.) from request params."""
     raw = {"op": kind}
-    for field in ("vid", "src", "dst", "name", "value"):
+    for field in ("vid", "src", "dst"):
         if field in params:
             raw[field] = params[field]
     return parse_op(raw)
@@ -108,31 +95,18 @@ def churn_ops(rng: random.Random, n_vertices: int,
               size: int) -> list[dict[str, Any]]:
     """One deterministic edge-churn batch, wire-shaped.
 
-    Roughly 70% edge inserts between random resident vertices, 20%
-    deletes of random pairs (which mostly no-op), 10% property
-    writes.  Vertex
-    id 0 is never deleted so a BFS rooted there stays meaningful across
-    any schedule.
+    Roughly 70% edge inserts between random resident vertices and 30%
+    deletes of random pairs (which mostly no-op).  Vertex id 0 is never
+    deleted so a BFS rooted there stays meaningful across any schedule.
     """
     if n_vertices < 2:
         raise ValueError("churn needs at least 2 vertices")
     ops: list[dict[str, Any]] = []
     for _ in range(size):
-        roll = rng.random()
-        if roll < 0.70:
-            src = rng.randrange(n_vertices)
-            dst = rng.randrange(n_vertices)
-            if src == dst:
-                dst = (dst + 1) % n_vertices
-            ops.append({"op": "add_edge", "src": src, "dst": dst})
-        elif roll < 0.90:
-            src = rng.randrange(n_vertices)
-            dst = rng.randrange(n_vertices)
-            if src == dst:
-                dst = (dst + 1) % n_vertices
-            ops.append({"op": "del_edge", "src": src, "dst": dst})
-        else:
-            ops.append({"op": "set_prop",
-                        "vid": rng.randrange(n_vertices),
-                        "name": "state", "value": rng.randrange(4)})
+        kind = "add_edge" if rng.random() < 0.70 else "del_edge"
+        src = rng.randrange(n_vertices)
+        dst = rng.randrange(n_vertices)
+        if src == dst:
+            dst = (dst + 1) % n_vertices
+        ops.append({"op": kind, "src": src, "dst": dst})
     return ops

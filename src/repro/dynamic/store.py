@@ -6,11 +6,8 @@ commit produces a new integer **version** and an immutable
 :class:`Delta` describing the net change.  Readers pin a
 :class:`Snapshot` at any retained version and see that state forever —
 snapshot isolation by construction, because nothing is overwritten:
-
-* every vertex and arc carries **lifetime spans** ``[born, died)`` —
-  a read at version ``v`` sees the record iff some span covers ``v``;
-* vertex properties are **append-only histories** ``(version, value)``
-  — a read at ``v`` sees the last write at or before ``v``.
+every vertex and arc carries **lifetime spans** ``[born, died)``, and
+a read at version ``v`` sees the record iff some span covers ``v``.
 
 This is the layered-storage idiom (a mutable head layer over immutable
 history) collapsed into per-record intervals, which makes head reads
@@ -20,15 +17,14 @@ Retention is bounded: the store keeps at most ``max_versions``
 reconstructable versions behind the head (pinned snapshots extend the
 window — a pin is a promise).  **Compaction** folds everything older
 than the retention floor into the base: spans that died at or before
-the floor are dropped, property history before the floor collapses to
-its final value, and the per-version deltas below the floor are
+the floor are dropped and the per-version deltas below the floor are
 discarded.  A reader asking for a folded version gets a typed
 :class:`~repro.core.errors.SnapshotExpired`, never silently-wrong data.
 
 Compaction is incremental.  Beside each retained delta the store keeps
 what that version *touched*: the vertex ids and ``(src, dst)`` arcs
-whose span it closed and the ``(vid, name)`` histories it wrote (a
-failed strict batch included — see :meth:`SnapshotStore._rollback`).
+whose span it closed (a failed strict batch included — see
+:meth:`SnapshotStore._rollback`).
 Retiring a version visits exactly those records, so a commit and the
 compaction it triggers cost O(batch) whatever the size of the graph; an
 old-version read stays O(spans per record).
@@ -66,13 +62,11 @@ class Delta:
     removed_vertices: tuple[int, ...] = ()
     added_arcs: tuple[tuple[int, int], ...] = ()
     removed_arcs: tuple[tuple[int, int], ...] = ()
-    props: tuple[tuple[int, str, Any], ...] = ()
 
     @property
     def size(self) -> int:
         return (len(self.added_vertices) + len(self.removed_vertices)
-                + len(self.added_arcs) + len(self.removed_arcs)
-                + len(self.props))
+                + len(self.added_arcs) + len(self.removed_arcs))
 
 
 @dataclass
@@ -142,11 +136,10 @@ class SnapshotStore:
         self._vspans: dict[int, _Spans] = {}
         self._out: dict[int, dict[int, _Spans]] = {}
         self._inn: dict[int, dict[int, _Spans]] = {}
-        self._props: dict[int, dict[str, list[tuple[int, Any]]]] = {}
         self._deltas: dict[int, Delta] = {}
-        # per retained version: (vertices closed, arcs closed, histories
-        # written) — what compaction visits when that version retires
-        self._touched: dict[int, tuple[set, set, set]] = {}
+        # per retained version: (vertices closed, arcs closed) — what
+        # compaction visits when that version retires
+        self._touched: dict[int, tuple[set, set]] = {}
         self._pins: dict[int, int] = {}
         self._n_alive = 0                # vertices alive at head
         self._m_alive = 0                # arcs alive at head
@@ -220,17 +213,16 @@ class SnapshotStore:
         ops = list(ops)
         with self._lock:
             v = self.head + 1
-            self._touched.setdefault(v, (set(), set(), set()))
+            self._touched.setdefault(v, (set(), set()))
             # net-effect tracking: first-touch records the pre-batch
             # state, the structures themselves hold the post-batch state
             vert_before: dict[int, bool] = {}
             arc_before: dict[tuple[int, int], bool] = {}
-            prop_last: dict[tuple[int, str], Any] = {}
             try:
                 skipped = self._apply_ops(ops, v, strict, vert_before,
-                                          arc_before, prop_last)
+                                          arc_before)
             except MutationError:
-                self._rollback(v, vert_before, arc_before, prop_last)
+                self._rollback(vert_before, arc_before)
                 raise
             delta = Delta(
                 version=v,
@@ -247,9 +239,7 @@ class SnapshotStore:
                 removed_arcs=tuple(sorted(
                     arc for arc, was in arc_before.items()
                     if was and not _alive_now(
-                        self._out.get(arc[0], {}).get(arc[1], [])))),
-                props=tuple((vid, name, value) for (vid, name), value
-                            in prop_last.items()))
+                        self._out.get(arc[0], {}).get(arc[1], [])))))
             self.head = v
             self._deltas[v] = delta
             self.stats.commits += 1
@@ -259,8 +249,7 @@ class SnapshotStore:
             return v, delta, skipped
 
     def _apply_ops(self, ops: list[MutOp], v: int, strict: bool,
-                   vert_before: dict, arc_before: dict,
-                   prop_last: dict) -> int:
+                   vert_before: dict, arc_before: dict) -> int:
         skipped = 0
 
         def note_vertex(vid: int) -> None:
@@ -336,7 +325,7 @@ class SnapshotStore:
                 if not self.directed:
                     note_arc(d, s)
                     self._open_arc(d, s, v)
-            elif op.kind == "del_edge":
+            else:                        # del_edge
                 s, d = op.src, op.dst
                 if not _alive_now(self._out.get(s, {}).get(d, [])):
                     if strict:
@@ -349,25 +338,9 @@ class SnapshotStore:
                 if not self.directed:
                     note_arc(d, s)
                     self._close_arc(d, s, v)
-            else:                        # set_prop
-                if not self._vertex_alive(op.src):
-                    if strict:
-                        raise MutationError(
-                            "set_prop", f"vertex {op.src} not found")
-                    skipped += 1
-                    continue
-                history = self._props.setdefault(
-                    op.src, {}).setdefault(op.name, [])
-                if history and history[-1][0] == v:
-                    history[-1] = (v, op.value)
-                else:
-                    history.append((v, op.value))
-                    self._touched[v][2].add((op.src, op.name))
-                prop_last[(op.src, op.name)] = op.value
         return skipped
 
-    def _rollback(self, v: int, vert_before: dict, arc_before: dict,
-                  prop_last: dict) -> None:
+    def _rollback(self, vert_before: dict, arc_before: dict) -> None:
         """Undo a strict-mode batch that failed mid-apply (atomicity:
         every touched record *reads* as it did before the batch, at
         every version).
@@ -400,10 +373,6 @@ class SnapshotStore:
             elif was and not now:
                 spans[-1][1] = None
                 self._n_alive += 1
-        for (vid, name) in prop_last:
-            history = self._props.get(vid, {}).get(name)
-            if history and history[-1][0] == v:
-                history.pop()
 
     def _vertex_alive(self, vid: int) -> bool:
         return _alive_now(self._vspans.get(vid, []))
@@ -417,6 +386,16 @@ class SnapshotStore:
         return (self.generation,
                 self.head if version is None else version)
 
+    def resolve(self, version: int | None = None) -> int:
+        """``version`` (default: the head) when a snapshot can serve it
+        — ``floor <= version <= head`` — else a typed
+        :class:`SnapshotExpired`."""
+        with self._lock:
+            v = self.head if version is None else int(version)
+            if v < self.floor or v > self.head:
+                raise SnapshotExpired(v, self.floor, self.head)
+            return v
+
     def snapshot(self, version: int | None = None) -> "Snapshot":
         """Pin an immutable view at ``version`` (default: the head).
 
@@ -424,9 +403,7 @@ class SnapshotStore:
         closed — compaction never folds a pinned version.
         """
         with self._lock:
-            v = self.head if version is None else int(version)
-            if v < self.floor or v > self.head:
-                raise SnapshotExpired(v, self.floor, self.head)
+            v = self.resolve(version)
             self._pins[v] = self._pins.get(v, 0) + 1
             self.stats.snapshots_pinned += 1
             return Snapshot(self, v)
@@ -447,10 +424,7 @@ class SnapshotStore:
         the caller must recompute from a fresh snapshot.
         """
         with self._lock:
-            if version < self.floor:
-                raise SnapshotExpired(version, self.floor, self.head)
-            if version > self.head:
-                raise SnapshotExpired(version, self.floor, self.head)
+            self.resolve(version)
             return [self._deltas[v]
                     for v in range(version + 1, self.head + 1)]
 
@@ -489,28 +463,17 @@ class SnapshotStore:
         folded = 0
         for v in range(self.floor + 1, new_floor + 1):
             self._deltas.pop(v, None)
-            vids, arcs, hists = self._touched.pop(v)
+            vids, arcs = self._touched.pop(v)
             for vid in vids:
                 spans = self._vspans.get(vid)
                 folded += _fold(spans, new_floor)
                 if spans == []:
                     del self._vspans[vid]
-                    self._props.pop(vid, None)
             for src, dst in arcs:
                 spans = self._out.get(src, {}).get(dst)
                 folded += _fold(spans, new_floor)
                 if spans == []:
                     self._drop_arc(src, dst)
-            for vid, name in hists:
-                history = self._props.get(vid, {}).get(name, ())
-                base_idx = 0
-                for i, (ver, _) in enumerate(history):
-                    if ver <= new_floor:
-                        base_idx = i
-                    else:
-                        break
-                if base_idx > 0:
-                    del history[:base_idx]
         self.floor = new_floor
         self.stats.compactions += 1
         self.stats.spans_folded += folded
@@ -565,38 +528,6 @@ class Snapshot:
         with st._lock:
             return sorted(vid for vid, spans in st._vspans.items()
                           if _alive_at(spans, self.version))
-
-    @property
-    def n_vertices(self) -> int:
-        st = self._store
-        with st._lock:
-            if self.version == st.head:
-                return st._n_alive
-            return sum(1 for spans in st._vspans.values()
-                       if _alive_at(spans, self.version))
-
-    @property
-    def n_arcs(self) -> int:
-        st = self._store
-        with st._lock:
-            if self.version == st.head:
-                return st._m_alive
-            return sum(1 for row in st._out.values()
-                       for spans in row.values()
-                       if _alive_at(spans, self.version))
-
-    def vget(self, vid: int, name: str) -> Any:
-        st = self._store
-        with st._lock:
-            history = st._props.get(vid, {}).get(name)
-            if not history:
-                return None
-            value = None
-            for ver, val in history:
-                if ver > self.version:
-                    break
-                value = val
-            return value
 
     # -- arc reads -----------------------------------------------------------
 

@@ -9,14 +9,14 @@ relational stages over one shared vertex table::
 * :mod:`~repro.query.parse` — hand-written lexer + recursive-descent
   parser producing the typed AST of :mod:`~repro.query.ast`
   (``parse -> unparse -> parse`` is the identity, property-tested);
-* :mod:`~repro.query.plan` — logical validation + the cost-aware
-  physical planner (implicit column materialization, filter fusion,
-  graph/table phase split, per-stage cost estimates for ``explain``);
+* :mod:`~repro.query.plan` — logical validation + the physical
+  planner (implicit column materialization, filter fusion, graph/table
+  phase split), a plan depending on the query text alone;
 * :mod:`~repro.query.exec` — the executor: numpy kernels over a graph
   image, then relational table ops over the materialized rows;
 * :mod:`~repro.query.engine` — the per-service facade: content-addressed
-  plan cache (version-keyed, so dynamic-graph commits invalidate),
-  graph/kernel and result caches;
+  plan cache, and graph/kernel and result caches (version-keyed, so
+  dynamic-graph commits invalidate);
 * :mod:`~repro.query.templates` — the loadgen's query-template pool.
 """
 

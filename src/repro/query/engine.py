@@ -1,27 +1,28 @@
 """QueryEngine: the per-service facade over parse -> plan -> execute.
 
-Three version-keyed caches, all built on the service
+Three caches, all built on the service
 :class:`~repro.service.cache.LRUCache` so their hit/miss/invalidation
 counters surface through the standard stats plumbing:
 
 * **plan cache** — content-addressed like the TraceStore: the key is
   the sha-256 of the *canonical* query text (``unparse(parse(q))``, so
   whitespace variants collide onto one entry) plus the planner version.
-  Entries are stored at the source graph's version — for a dynamic
-  source that is the store head, so a committed mutation bumps the head
-  and the next lookup is a counted *invalidation*, never a stale plan
-  whose cost model lies about the graph;
+  A plan depends on that text alone, never on the graph, so it is
+  unversioned: a committed mutation leaves every cached plan valid;
 * **graph cache** — materialized :class:`~repro.query.exec.GraphImage`
   per (dataset, scale, seed, version), with a per-image kernel memo so
   repeated queries over one graph pay for degrees/CC/coreness/triangles
   once — at most those four entries; BFS has a result per (root, depth)
   and runs per request, its exact repeats being the result cache's job;
-* **result cache** — finished tables keyed by plan digest,
-  version-keyed the same way.
+* **result cache** — finished tables keyed by plan digest, stored at
+  the source graph's version — for a dynamic source the store's token,
+  so a committed mutation is a counted *invalidation* of the answer.
 
 Static sources pin version 0 (a generated graph never changes under a
 fixed seed); dynamic sources resolve to the store head unless the query
-pins ``version=N`` explicitly.
+pins ``version=N`` explicitly, and a pin outside the store's retained
+window is a typed :class:`~repro.core.errors.SnapshotExpired` before any
+cache is read.
 """
 
 from __future__ import annotations
@@ -88,28 +89,26 @@ class QueryEngine:
 
     def _resolve_version(self, source: SourceInfo):
         """(version, token, store) — version 0 for static sources.
-        ``token`` is what the three caches key validity on: the store's
-        own token for a dynamic source, so neither a commit nor another
-        store at the same version number can serve the old answer."""
+        ``token`` is what the graph and result caches key validity on:
+        the store's own token for a dynamic source, so neither a commit
+        nor another store at the same version number can serve the old
+        answer.  A version the store cannot serve raises
+        :class:`~repro.core.errors.SnapshotExpired` here, so no cache
+        answers for it."""
         if not source.dynamic:
             return 0, 0, None
         store = self._store(source)
-        version = store.head if source.version is None \
-            else source.version
+        version = store.resolve(source.version)
         return version, store.token(version), store
 
-    def _plan(self, canonical: str, digest: str, version: int, token,
-              store: SnapshotStore | None) -> tuple[PhysicalPlan, bool]:
+    def _plan(self, canonical: str,
+              digest: str) -> tuple[PhysicalPlan, bool]:
         key = ("plan", digest)
-        cached = self.plans.get(key, version=token)
+        cached = self.plans.get(key)
         if cached is not None:
             return cached, True
-        stats = None
-        if store is not None:
-            with store.snapshot(version) as snap:
-                stats = (snap.n_vertices, snap.n_arcs)
-        plan = plan_pipeline(parse(canonical), graph_stats=stats)
-        self.plans.put(key, plan, version=token)
+        plan = plan_pipeline(parse(canonical))
+        self.plans.put(key, plan)
         return plan, False
 
     def _graph(self, source: SourceInfo, version: int, token,
@@ -143,8 +142,7 @@ class QueryEngine:
         digest = plan_digest(canonical)
         source = source_info(pipeline)
         version, token, store = self._resolve_version(source)
-        plan, plan_cached = self._plan(canonical, digest, version, token,
-                                       store)
+        plan, plan_cached = self._plan(canonical, digest)
         result_key = ("result", digest)
         hit = self.results.get(result_key, version=token)
         if hit is not None:
@@ -168,18 +166,16 @@ class QueryEngine:
 
     def explain(self, params: dict[str, Any],
                 pipeline=None) -> dict[str, Any]:
-        """Serve one ``explain`` request: the physical plan + cost
-        estimates.  Deterministic for a fixed plan-cache state — no
-        timings, no live measurements beyond the (versioned) graph shape
-        the cost model reads."""
+        """Serve one ``explain`` request: the physical plan (stages,
+        fused count, columns, source), executing nothing.  Deterministic
+        for a fixed plan-cache state — no timings, no measurements."""
         if pipeline is None:
             pipeline = parse(params.get("q"))
         canonical = unparse(pipeline)
         digest = plan_digest(canonical)
         source = source_info(pipeline)
-        version, token, store = self._resolve_version(source)
-        plan, plan_cached = self._plan(canonical, digest, version, token,
-                                       store)
+        version, _, _ = self._resolve_version(source)
+        plan, plan_cached = self._plan(canonical, digest)
         return {
             "plan": plan.to_dict(),
             "digest": digest[:16],

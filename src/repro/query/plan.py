@@ -1,4 +1,4 @@
-"""Logical validation + the cost-aware physical planner.
+"""Logical validation + the physical planner.
 
 The planner turns a parsed :class:`~repro.query.ast.Pipeline` into a
 :class:`PhysicalPlan`: a ``scan`` op, a **graph phase** (kernel stages
@@ -18,13 +18,11 @@ Planner passes, in order:
    expansion ``bfs depth<=N``; ``kcore | filter core>=K`` folds into
    the peeling threshold;
 4. **phase split + ordering rules** — kernels must precede the first
-   aggregate; ``count`` is terminal;
-5. **cost model** — deterministic per-stage row/cost estimates from the
-   dataset registry (static sources) or live store stats (dynamic),
-   rendered by ``explain``.
+   aggregate; ``count`` is terminal.
 
-Everything here is pure and deterministic: the same pipeline and the
-same graph stats produce byte-identical plans on every node.
+Everything here is pure and deterministic: a plan depends on the query
+text alone, so the same pipeline produces byte-identical plans on every
+node and at every version of a dynamic source.
 """
 
 from __future__ import annotations
@@ -185,26 +183,16 @@ class PhysicalPlan:
     graph_ops: list[dict[str, Any]] = field(default_factory=list)
     table_ops: list[dict[str, Any]] = field(default_factory=list)
     columns: tuple[str, ...] = ("id",)      # visible at plan end
-    estimates: list[dict[str, Any]] = field(default_factory=list)
     fused: int = 0
 
     @property
     def ops(self) -> list[dict[str, Any]]:
         return [self.scan, *self.graph_ops, *self.table_ops]
 
-    @property
-    def total_cost(self) -> float:
-        return round(sum(e["est_cost"] for e in self.estimates), 3)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready plan (the ``explain`` payload body)."""
-        stages = []
-        for op, est in zip(self.ops, self.estimates):
-            entry = {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in op.items()}
-            entry["est_rows"] = est["est_rows"]
-            entry["est_cost"] = est["est_cost"]
-            stages.append(entry)
+        stages = [{k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in op.items()} for op in self.ops]
         return {"planner": PLANNER_VERSION,
                 "source": {"dataset": self.source.dataset,
                            "scale": self.source.scale,
@@ -213,64 +201,7 @@ class PhysicalPlan:
                            "version": self.source.version},
                 "stages": stages,
                 "columns": list(self.columns),
-                "fused_stages": self.fused,
-                "total_cost": self.total_cost}
-
-
-# -- cost model --------------------------------------------------------------
-
-def _estimate_graph(source: SourceInfo,
-                    graph_stats: "tuple[int, int] | None"
-                    ) -> tuple[int, int]:
-    """Deterministic (n, m) estimate: live store stats when given (the
-    dynamic path), else the registry's scaled shape."""
-    if graph_stats is not None:
-        return graph_stats
-    from ..datagen.registry import REGISTRY, scaled_vertices
-    n = scaled_vertices(source.dataset, source.scale)
-    entry = REGISTRY[source.dataset]
-    ratio = min(64.0, entry.paper_edges / max(1, entry.paper_vertices))
-    return n, int(n * ratio)
-
-
-#: Row selectivity a stage is assumed to keep (deterministic heuristics
-#: for explain output, not measurements).
-_SELECTIVITY = {"bfs": 0.9, "filter": 0.5, "kcore": 0.6}
-
-
-def _cost_of(op: dict[str, Any], rows: int, n: int, m: int
-             ) -> tuple[int, float]:
-    """(rows after, cost units) for one physical op."""
-    kind = op["kind"]
-    if kind == "scan":
-        return n, float(n + m)
-    if kind == "degree":
-        return rows, float(m)
-    if kind == "bfs":
-        out = max(1, int(rows * _SELECTIVITY["bfs"]))
-        return out, float(n + m)
-    if kind == "cc":
-        return rows, float(n + m)
-    if kind == "kcore":
-        out = rows if op.get("k") is None \
-            else max(1, int(rows * _SELECTIVITY["kcore"]))
-        return out, 2.0 * m
-    if kind == "triangles":
-        return rows, float(m) ** 1.5
-    if kind == "filter":
-        return max(1, int(rows * _SELECTIVITY["filter"])), float(rows)
-    if kind == "project":
-        return rows, float(rows)
-    if kind == "topk":
-        k = op["k"]
-        return min(rows, k), rows * math.log2(k + 1)
-    if kind == "sample":
-        return min(rows, op["k"]), float(rows)
-    if kind == "limit":
-        return min(rows, op["k"]), float(op["k"])
-    if kind == "count":
-        return 1, float(rows)
-    raise PlanError(f"no cost model for op {kind!r}")  # pragma: no cover
+                "fused_stages": self.fused}
 
 
 # -- the planner -------------------------------------------------------------
@@ -385,13 +316,9 @@ def _fuse(ops: list[dict[str, Any]]) -> tuple[list[dict[str, Any]], int]:
     return out, fused
 
 
-def plan_pipeline(pipeline: Pipeline, *,
-                  graph_stats: "tuple[int, int] | None" = None
-                  ) -> PhysicalPlan:
+def plan_pipeline(pipeline: Pipeline) -> PhysicalPlan:
     """Plan a parsed pipeline; raises :class:`PlanError` on anything the
-    executor cannot run.  ``graph_stats`` is the live ``(n, m)`` of a
-    dynamic store head for the cost model (None -> registry estimate).
-    """
+    executor cannot run."""
     source = resolve_source(pipeline.source)
     scan = _op("scan", dataset=source.dataset, scale=source.scale,
                seed=source.seed,
@@ -462,18 +389,9 @@ def plan_pipeline(pipeline: Pipeline, *,
         (table_ops if aggregated else graph_ops).append(op)
 
     graph_ops, fused = _fuse(graph_ops)
-
-    n, m = _estimate_graph(source, graph_stats)
-    estimates = []
-    rows = 0
-    plan = PhysicalPlan(source=source, scan=scan, graph_ops=graph_ops,
+    return PhysicalPlan(source=source, scan=scan, graph_ops=graph_ops,
                         table_ops=table_ops, columns=tuple(visible),
                         fused=fused)
-    for op in plan.ops:
-        rows, cost = _cost_of(op, rows, n, m)
-        estimates.append({"est_rows": rows, "est_cost": round(cost, 3)})
-    plan.estimates = estimates
-    return plan
 
 
 def render_plan(plan_dict: dict[str, Any]) -> str:
@@ -483,12 +401,10 @@ def render_plan(plan_dict: dict[str, Any]) -> str:
     mode = "dynamic" if src["dynamic"] else "static"
     pin = f" version={src['version']}" if src["version"] is not None \
         else ""
-    lines.append(f"plan (planner v{plan_dict['planner']}, total cost "
-                 f"{plan_dict['total_cost']:g}):")
+    lines.append(f"plan (planner v{plan_dict['planner']}):")
     for depth, stage in enumerate(plan_dict["stages"]):
         params = {k: v for k, v in stage.items()
-                  if k not in ("kind", "est_rows", "est_cost")
-                  and v is not None}
+                  if k != "kind" and v is not None}
         if stage["kind"] == "scan":
             label = (f"scan[{src['dataset']} scale={src['scale']:g} "
                      f"seed={src['seed']} {mode}{pin}]")
@@ -497,9 +413,7 @@ def render_plan(plan_dict: dict[str, Any]) -> str:
             label = f"{stage['kind']}[{body}]" if body \
                 else stage["kind"]
         indent = "  " * depth + ("└─ " if depth else "")
-        lines.append(f"{indent}{label:<40s} "
-                     f"rows≈{stage['est_rows']} "
-                     f"cost≈{stage['est_cost']:g}")
+        lines.append(f"{indent}{label}")
     if plan_dict.get("fused_stages"):
         lines.append(f"({plan_dict['fused_stages']} filter stage(s) "
                      "fused into kernel bounds)")

@@ -123,8 +123,7 @@ def _write(name: str) -> Op:
     # served stale — a write applied on a replica but not the primary
     # would fork the version history
     return Op(name, "dynamic",
-              _IDENTITY | {"ops", "strict", "vid", "src", "dst", "name",
-                           "value"},
+              _IDENTITY | {"ops", "strict", "vid", "src", "dst"},
               "write", "dataset", 0.05, blocking=True)
 
 
@@ -144,12 +143,12 @@ OPS: "dict[str, Op]" = {op.name: op for op in (
     # the router's multi-cell scatter
     Op("batch", "cluster", frozenset({"entries"}), "scatter"),
     *map(_write, ("mutate", "add_vertex", "del_vertex", "add_edge",
-                  "del_edge", "set_prop")),
+                  "del_edge")),
     # the versioned read of the dynamic engine
     Op("dyn_query", "dynamic", _IDENTITY | {"workload", "root"},
        "keyed-read", "dataset", 0.05, blocking=True, stale=True),
     # the pipeline DSL: ``query`` carries the text; ``explain`` returns
-    # the physical plan with per-stage cost estimates, executing nothing
+    # the physical plan, executing nothing
     Op("query", "query", frozenset({"q"}), "query", "q",
        blocking=True, stale=True),
     Op("explain", "query", frozenset({"q"}), "query", "q",

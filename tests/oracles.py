@@ -1063,8 +1063,8 @@ def compact(store) -> int:
 
 # -- the snapshot store's full-walk compaction -------------------------------
 # What ``SnapshotStore._compact_locked`` was before compaction became
-# incremental: a pass over every vertex span list, every arc span list and
-# every property history, whatever the retired versions touched.
+# incremental: a pass over every vertex span list and every arc span list,
+# whatever the retired versions touched.
 # ``test_dynamic_compaction.py`` drives a store compacting this way beside
 # one compacting from the per-version log and requires equal state.
 
@@ -1084,7 +1084,6 @@ def full_walk_compact(store) -> int:
             dead_vids.append(vid)
     for vid in dead_vids:
         del store._vspans[vid]
-        store._props.pop(vid, None)
     for adj, mirror in ((store._out, store._inn),):
         empty_srcs = []
         for src, row in adj.items():
@@ -1108,16 +1107,6 @@ def full_walk_compact(store) -> int:
                 empty_srcs.append(src)
         for src in empty_srcs:
             del adj[src]
-    for histories in store._props.values():
-        for name, history in histories.items():
-            base_idx = 0
-            for i, (ver, _) in enumerate(history):
-                if ver <= new_floor:
-                    base_idx = i
-                else:
-                    break
-            if base_idx > 0:
-                del history[:base_idx]
     for v in range(store.floor + 1, new_floor + 1):
         store._deltas.pop(v, None)
     store.floor = new_floor

@@ -385,6 +385,25 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
         grep("-nE", r"for \w+ in (region_seq|seq|visits)\b", "src/repro/arch/icache.py",
              sample="    for rid in region_seq.tolist():"),
     ]),
+    ("The serving stack keeps only what something reads (a write carries topology"
+     " only and the store keeps no property history; the planner has no cost model,"
+     " so a plan is keyed by its text alone)", "after 3fe4465", [
+        grep("-rnE", r"\bset[_-]prop\b", "src/",
+             sample='            ops.append({"op": "set_prop", "vid": 3})'),
+        grep("-rnw", r"_props", "src/", sample="        self._props: dict[int, dict] = {}"),
+        grep("-nE", r"def vget\(|^ +props: tuple", "src/repro/dynamic/store.py",
+             sample="    def vget(self, vid: int, name: str) -> Any:"),
+        grep("-nE", r"def n_(vertices|arcs)\(", "src/repro/dynamic/store.py",
+             section=("^class Snapshot:", "^class "),
+             sample="    def n_vertices(self) -> int:"),
+        grep("-rnE", r"\best_(cost|rows)\b|\btotal_cost\b", "src/",
+             sample='            entry["est_cost"] = est["est_cost"]'),
+        grep("-rnw", r"_SELECTIVITY", "src/", sample='_SELECTIVITY = {"bfs": 0.9}'),
+        grep("-rnw", r"graph_stats", "src/",
+             sample="        plan = plan_pipeline(pipeline, graph_stats=stats)"),
+        grep("-rnE", r"(plans|_plan_cache)\.(get|put)\(.*version=", "src/",
+             sample="        cached = self.plans.get(key, version=token)"),
+    ]),
 ]
 
 

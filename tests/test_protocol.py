@@ -10,6 +10,7 @@ generated from the tables.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import importlib
 import json
@@ -80,9 +81,9 @@ def test_wire_order_and_derived_views():
         "ping", "run", "characterize", "datasets", "workloads", "stats",
         "health", "shard_info", "batch",
         "mutate", "add_vertex", "del_vertex", "add_edge", "del_edge",
-        "set_prop", "dyn_query", "query", "explain")
+        "dyn_query", "query", "explain")
     assert WRITE_OPS == {"mutate", "add_vertex", "del_vertex", "add_edge",
-                         "del_edge", "set_prop"}
+                         "del_edge"}
     for op in OPS.values():
         # a keyed op says where its key is, and only a keyed op does
         assert (op.key_in is not None) == (
@@ -135,6 +136,47 @@ def test_param_check_names_the_allowed_set():
     with pytest.raises(BadRequest, match="'ping' takes none"):
         check_params(OPS["ping"], {"x": 1})
     check_params(OPS["add_edge"], {"dataset": "ldbc", "src": 1, "dst": 2})
+    # a write carries topology only: no property name or value
+    with pytest.raises(BadRequest, match=r"parameter\(s\) name; choose "
+                                         "from dataset, dst, ops, scale, "
+                                         "seed, src, strict, vid"):
+        check_params(OPS["add_edge"], {"dataset": "ldbc", "src": 1,
+                                       "dst": 2, "name": "state"})
+
+
+@pytest.mark.parametrize("where", ["service", "router"])
+def test_a_property_write_is_a_typed_bad_request(where):
+    # writes carry topology only: ``set_prop`` is no op, flat or batched,
+    # and the batch that carries one is refused whole
+    ident = {"dataset": "roadnet", "scale": 0.03}
+    with contextlib.ExitStack() as stack:
+        if where == "service":
+            st_ = stack.enter_context(ServiceThread(
+                GraphService(pool_config=_inline())))
+            client = stack.enter_context(ServiceClient(st_.host, st_.port))
+        else:
+            ct = stack.enter_context(ClusterThread(ClusterSpec.of(2)))
+            client = stack.enter_context(
+                ServiceClient(port=ct.router_port))
+        with pytest.raises(RemoteError, match="unknown operation "
+                                              "'set_prop'") as exc:
+            client.request("set_prop", vid=7, name="state", value=1,
+                           **ident)
+        assert exc.value.kind == "bad-request"
+        with pytest.raises(RemoteError) as exc:
+            client.mutate(ident["dataset"], [
+                {"op": "add_edge", "src": 1, "dst": 2},
+                {"op": "set_prop", "vid": 3, "name": "state",
+                 "value": 2}], scale=ident["scale"])
+        assert exc.value.kind == "bad-request"
+        assert "unknown mutation op 'set_prop'" in str(exc.value)
+        # nothing of the refused batch committed
+        head = client.mutate(ident["dataset"],
+                             [{"op": "add_edge", "src": 1, "dst": 2}],
+                             scale=ident["scale"])
+    assert head["version"] == 1
+    assert set(head["delta"]) == {"added_arcs", "added_vertices",
+                                  "removed_arcs", "removed_vertices"}
 
 
 # -- numbers from the wire are finite ----------------------------------------
@@ -452,10 +494,10 @@ def test_a_shard_parses_a_query_text_once(monkeypatch):
 
 #: sha-256 of the recording before a shard stamped its own answers (the
 #: one made at the parent of the op/error tables, unmoved since), less
-#: the frames the static-query scatter's removal and live migration's
-#: removal moved.
+#: the frames the static-query scatter's removal, live migration's
+#: removal and the property writes' and cost model's removal moved.
 PREVIOUS_RECORDING = \
-    "3f7653bd86215d74cdd1189d24280ab350fc39865daeac82e999e1a4b860f679"
+    "5d7e0acf0ace3784df1a8d12ee69c35f70585e14218ceb047a85bce830e6bff2"
 
 #: The frames that moved when a static query became one shard's answer,
 #: by request id, each with the sha-256 (first 16 hex digits) of its
@@ -485,6 +527,36 @@ MIGRATION_MOVED = {
     "shard-6": "cfe09922d5ab830b", "router-25": "d6f04c9ec484a65f",
     "router-26": "b61e88ba1f903966", "router-27": "f1abcf2dfee0e586"}
 
+#: The frames that moved when the serving layer's property writes and the
+#: planner's cost model left, likewise (the line each had just before):
+#: ``set_prop`` left the op table, so its two flat probes (service-14,
+#: router-11) are unknown operations, the ``mutate`` batch that carried
+#: one carries it no more (service-9), and each removed op's probe lists
+#: one op fewer (service-21 … 23, 42, 43, shard-4 … 6, router-25 … 27);
+#: the other write answers lost ``delta.props`` (service-10 … 13, 24,
+#: router-10) and the write ops' allow-list lost ``name`` / ``value``
+#: (service-32); a probe that no longer commits moved the ``version`` of
+#: the reads after it (service-15, 16, 19 and the retention window of
+#: service-40); and the four ``explain`` answers lost their per-stage
+#: estimates and total cost (service-20, shard-12, router-15, router-16).
+#: Frames listed here and above moved twice.
+VOCAB_MOVED = {
+    "service-9": "7c18d2c86be1f9d5", "service-10": "cdf556ae77bf93e9",
+    "service-11": "7b2377b782d855b7", "service-12": "bb25d09b69defff2",
+    "service-13": "53f8f88b60b5cb8b", "service-14": "77bc3761db8127e5",
+    "service-15": "72686cbb9ad3cdc3", "service-16": "9f50eccd33ae476d",
+    "service-19": "262f8e352403e40e", "service-20": "e15ea2770e6ebf38",
+    "service-21": "4603f09e8775a67b", "service-22": "7e9eabfb0f7202d4",
+    "service-23": "580bf0800c2f27e4", "service-24": "dcffb599df763dce",
+    "service-32": "122d8e261d127d11", "service-40": "ec843f65516ad44c",
+    "service-42": "196513e9b75a29de", "service-43": "088d707aa09e731c",
+    "shard-4": "7a7a3e90d1d60ab5", "shard-5": "743fb7ef59422853",
+    "shard-6": "8c9947a4add5a6d5", "shard-12": "5ecb4f4dbeb376c3",
+    "router-10": "3a0c22f32ab6794f", "router-11": "ca7600c0f18b31e4",
+    "router-15": "d13f4babef322251", "router-16": "7e6407b330486b68",
+    "router-25": "021d5d1be4f46de1", "router-26": "91b7331dac690387",
+    "router-27": "ee9cce79016b7e21"}
+
 #: The ``stats`` keys that restated a metric family and went when their
 #: counts moved onto the registry, per scene, and the router's
 #: ``rebalance`` section, which went with live migration.
@@ -498,13 +570,14 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
     # does now, so asked *directly* its keyed answers gain that one
     # member; the service's and router's ``stats`` key lists lost the
     # keys that restated a family (and the router's ``rebalance``); and
-    # the ten frames of SCATTER_MOVED and the twelve of MIGRATION_MOVED
-    # each changed.  Nothing else moved: with the first two undone and
-    # the 22 set aside, the recording is byte for byte the previous one
+    # each frame of SCATTER_MOVED, MIGRATION_MOVED and VOCAB_MOVED
+    # changed.  Nothing else moved: with the first two undone and those
+    # frames set aside, the recording is byte for byte the previous one
     # (every other service-, router- and error-scene frame included)
     lines, stamped, restored, moved = [], 0, 0, {}
     recording = (ROOT / "tests/data/wire_transcript.jsonl").read_text()
-    before = {**SCATTER_MOVED, **MIGRATION_MOVED}
+    changes = (SCATTER_MOVED, MIGRATION_MOVED, VOCAB_MOVED)
+    before = {i: h for change in changes for i, h in change.items()}
     for line in recording.splitlines(keepends=True):
         row = json.loads(line)
         sent = json.loads(row.get("sent", "{}"))
@@ -528,7 +601,8 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
                                         separators=(",", ":"))
         lines.append(json.dumps(row, sort_keys=True) + "\n")
     assert moved.keys() == before.keys()
-    assert all(not moved[i].startswith(before[i]) for i in moved)
+    assert all(not moved[i].startswith(h)
+               for change in changes for i, h in change.items())
     assert (stamped, restored) == (1, 2)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() \
         == PREVIOUS_RECORDING
@@ -609,3 +683,4 @@ def test_readme_lists_the_tables():
 
 if __name__ == "__main__":
     print(render_vocabulary())
+

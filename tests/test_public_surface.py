@@ -125,9 +125,6 @@ ALLOWED = {
     "repro.service.client.ServiceClient.ping":
         "README's programmatic-use block documents client.ping() as the "
         "handshake that checks the server's reported protocol release",
-    "repro.dynamic.store.Snapshot.vget":
-        "the read side of the mutate op's set_prop: the only read of the "
-        "versioned property history a pinned snapshot keeps",
     "repro.resilience.netchaos.ChaosProxy.set_faults":
         "the live chaos lever: bench_chaos_availability.py and the "
         "reliability tests slow or black-hole a proxied hop mid-run; "

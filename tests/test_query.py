@@ -2,8 +2,9 @@
 typed errors on garbage, planner shape/fusion, executor equivalence
 against naive references and — property-tested, both constructors — the
 array kernels against the dict kernels they displaced
-(``tests/oracles.py``), the engine's version-keyed plan cache, and the
-query/explain wire ops end-to-end over a live service."""
+(``tests/oracles.py``), the engine's caches (a plan keyed by its text
+alone, an answer by its version), and the query/explain wire ops
+end-to-end over a live service."""
 
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import BadRequest, PlanError, QueryError
+from repro.core.errors import (
+    BadRequest,
+    PlanError,
+    QueryError,
+    SnapshotExpired,
+)
 from repro.core.taxonomy import DataSource
 from repro.datagen.registry import make
 from repro.datagen.spec import GraphSpec
@@ -216,15 +222,12 @@ class TestPlanner:
         b = plan_pipeline(parse(q)).to_dict()
         assert a == b
         assert a["planner"] == PLANNER_VERSION
+        assert set(a) == {"planner", "source", "stages", "columns",
+                          "fused_stages"}
+        assert [stage["kind"] for stage in a["stages"]] == \
+            ["scan", "cc", "topk"]
         text = render_plan(a)
         assert "scan[twitter" in text and "topk" in text
-
-    def test_costs_monotone_in_scale(self):
-        small = plan_pipeline(parse("from twitter scale=0.02 | cc "
-                                    "| count"))
-        large = plan_pipeline(parse("from twitter scale=0.2 | cc "
-                                    "| count"))
-        assert large.total_cost > small.total_cost
 
     def test_dynamic_source_parses_version_pin(self):
         src = source_info(parse("from ldbc version=3 | count"))
@@ -478,6 +481,8 @@ class TestEngine:
         assert eng.stats()["plan_cache"]["hits"] >= 1
 
     def test_head_bump_invalidates_plan_and_result(self):
+        """A head bump invalidates the answer and leaves the plan: a plan
+        depends on the query text alone."""
         from repro.dynamic.engine import DynamicEngine
         dyn = DynamicEngine()
         eng = QueryEngine(dyn)
@@ -492,7 +497,9 @@ class TestEngine:
         bumped = eng.query(q)
         assert bumped["version"] == 1
         assert bumped["result_cached"] is False
-        assert eng.stats()["plan_cache"]["invalidations"] >= 1
+        assert bumped["plan_cached"] is True
+        assert eng.stats()["plan_cache"]["invalidations"] == 0
+        assert eng.stats()["result_cache"]["invalidations"] == 1
         # the new vertex is isolated: one more component
         assert bumped["table"]["rows"][0][0] == \
             first["table"]["rows"][0][0] + 1
@@ -510,6 +517,29 @@ class TestEngine:
         head1 = eng.query({"q": f"{base} dynamic=true | count"})
         assert head1["table"]["rows"][0][0] == \
             head0["table"]["rows"][0][0] + 1
+
+    @pytest.mark.parametrize("op", ["query", "explain"])
+    def test_a_pin_outside_the_window_is_refused_cold_and_warm(self, op):
+        from repro.dynamic.engine import DynamicEngine, dynamic_key
+        dyn = DynamicEngine()
+        # a path graph that keeps one version: a commit folds the last
+        dyn._stores[dynamic_key(DATASET, SCALE, 0)] = \
+            SnapshotStore.from_edges(7, [(i, i + 1) for i in range(6)],
+                                     directed=False, max_versions=1)
+        ask = getattr(QueryEngine(dyn), op)
+        base = f"from {DATASET} scale={SCALE}"
+        with pytest.raises(SnapshotExpired):
+            ask({"q": f"{base} version=1 | count"})      # ahead of head
+        pinned = {"q": f"{base} version=0 | count"}
+        first = ask(pinned)
+        assert ask(pinned) == {**first, "plan_cached": True,
+                               **({"result_cached": True,
+                                   "served": "result-cache"}
+                                  if op == "query" else {})}
+        dyn.mutate({"dataset": DATASET, "scale": SCALE, "seed": 0,
+                    "ops": [{"op": "add_vertex", "vid": 7}]})
+        with pytest.raises(SnapshotExpired, match=r"window \[1, 1\]"):
+            ask(pinned)                                  # folded, cached
 
     def test_unknown_params_rejected(self):
         # the allow-list is the wire table's row, checked by the service

@@ -7,6 +7,7 @@ shard id."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 
@@ -18,8 +19,10 @@ from repro.core.errors import (
     QueryError,
     RemoteError,
     ShardUnavailable,
+    SnapshotExpired,
     WrongShard,
 )
+from repro.dynamic.store import DEFAULT_MAX_VERSIONS
 from repro.datagen.registry import scaled_vertices
 from repro.dynamic import churn_ops
 from repro.obs import counter_total
@@ -153,6 +156,50 @@ class TestDynamicRouting:
                 assert after["version"] == before["version"] + 1
                 assert after["table"]["rows"][0][0] == \
                     before["table"]["rows"][0][0] + 1
+
+
+@contextlib.contextmanager
+def _client(where: str):
+    """A client of a fresh standalone service or of a fresh cluster's
+    router."""
+    if where == "service":
+        with ServiceThread(_service()) as st, \
+                ServiceClient(st.host, st.port) as client:
+            yield client
+    else:
+        with _cluster(2) as ct, \
+                ServiceClient(port=ct.router_port) as client:
+            yield client
+
+
+class TestExpiredPins:
+    @pytest.mark.parametrize("where", ["service", "router"])
+    def test_a_pin_outside_the_window_is_refused_cold_and_warm(
+            self, where):
+        """``query`` and ``explain`` of a dynamic source pinned outside
+        the store's ``[floor, head]`` are a typed ``snapshot-expired``
+        frame, whether or not a cache holds the text: a version ahead of
+        the head (cold), and a pin answered and cached before the
+        retention window passed it (warm)."""
+        dataset = "roadnet"
+        base = f"from {dataset} scale={SCALE}"
+        ahead, pinned = f"{base} version=999 | count", \
+            f"{base} version=0 | count"
+        with _client(where) as client:
+            for op in ("query", "explain"):
+                with pytest.raises(SnapshotExpired, match=r"\[0, 0\]"):
+                    client.request(op, q=ahead)
+                client.request(op, q=pinned)
+            assert client.query_lang(pinned)["served"] == "result-cache"
+            assert client.request("explain", q=pinned)["plan_cached"]
+            for i in range(DEFAULT_MAX_VERSIONS):
+                client.request("add_vertex", dataset=dataset,
+                               scale=SCALE, vid=10_000 + i)
+            window = rf"\[1, {DEFAULT_MAX_VERSIONS}\]"
+            for op in ("query", "explain"):
+                with pytest.raises(SnapshotExpired, match=window) as exc:
+                    client.request(op, q=pinned)
+                assert exc.value.kind == "snapshot-expired"
 
 
 class TestFailureHandling:

@@ -6,7 +6,7 @@ standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
 ``tests/data/wire_transcript.jsonl`` holds the lines the tree produced
-just before the op/error tables were introduced, re-recorded four
+just before the op/error tables were introduced, re-recorded five
 times since: a shard now stamps ``"shard"`` on its own keyed answers
 (the router, which used to, relays them as bytes), so the two keyed ok
 answers of the shard scene gained that member; the service's and the
@@ -20,10 +20,14 @@ router relays one shard's answer); and the live-migration ops
 lists in ``MIGRATION_MOVED`` (each probe of a removed op is an unknown
 operation now, and the ``mutate`` that cut the imported path answers
 from the generated graph) and took ``rebalance`` out of the router's
-``stats`` keys.  No other frame moved — ``test_protocol.py`` holds the
-previous recording's digest and checks exactly that.  It also asserts a fresh recording is byte-identical, so a
-refactor of the wire vocabulary cannot move a byte of any request,
-response or error frame.
+``stats`` keys; and ``set_prop`` joined :data:`REMOVED_OPS` and the
+planner lost its cost estimates, which moved the frames it lists in
+``VOCAB_MOVED`` (the write answers lost ``delta.props``, the ``explain``
+answers their estimates, and the reads after a probe that no longer
+commits a version number).  No other frame moved — ``test_protocol.py``
+holds the previous recording's digest and checks exactly that.  It also
+asserts a fresh recording is byte-identical, so a refactor of the wire
+vocabulary cannot move a byte of any request, response or error frame.
 
 A frame is recorded as its *parse*, dumped again with sorted keys: the
 member order inside a relayed body is the shard encoder's (also sorted
@@ -67,7 +71,7 @@ PATH7 = {"version": 1, "directed": False, "max_versions": 64,
 #: Ops the protocol no longer has.  Each script still asks them where it
 #: did when they were ops, so no request id moved, and each now draws the
 #: unknown-operation error.
-REMOVED_OPS = ("admin", "dyn_export", "dyn_import")
+REMOVED_OPS = ("admin", "dyn_export", "dyn_import", "set_prop")
 
 #: One request per op, in wire order (``OPS`` order), then requests that
 #: draw each error a node answers with.  ``batch`` and ``shard_info`` are
@@ -88,9 +92,7 @@ SERVICE_SCRIPT = [
     ("mutate", {"dataset": "ldbc", "scale": SCALE, "seed": 0,
                 "strict": False,
                 "ops": [{"op": "add_edge", "src": 1, "dst": 2},
-                        {"op": "del_edge", "src": 0, "dst": 1},
-                        {"op": "set_prop", "vid": 3, "name": "state",
-                         "value": 2}]}),
+                        {"op": "del_edge", "src": 0, "dst": 1}]}),
     ("add_vertex", {"dataset": "ldbc", "scale": SCALE, "vid": 9001}),
     ("del_vertex", {"dataset": "ldbc", "scale": SCALE, "vid": 5}),
     ("add_edge", {"dataset": "ldbc", "scale": SCALE, "src": 9001,
