@@ -1,12 +1,13 @@
 """Service throughput: duplicate-heavy traffic through the coalescing and
-cache tiers, with chaos containment and the metrics-overhead budget.
+cache tiers, with crash containment and the metrics-overhead budget.
 
 The serving claim behind `repro.service`: duplicate-heavy traffic (the
 industrial regime GraphBIG's System G framing implies — many users, few
 distinct heavy queries) executes only its distinct queries — everything
-else is answered from the coalescing and cache tiers — and a chaos-killed
-worker mid-run fails only its own requests while concurrent traffic
-proceeds.  Absolute serving numbers live in the spine's ``serve_hot``
+else is answered from the coalescing and cache tiers — and a cell that
+crashes mid-run fails only its own requests while concurrent traffic
+proceeds.  The crash is patched into the executor's ``run_cell`` from
+here, for the one doomed cell; nothing in ``src/`` injects faults.  Absolute serving numbers live in the spine's ``serve_hot``
 workload, not here.
 
 Measured: a closed-loop load generator drives 200 requests over a small
@@ -32,6 +33,7 @@ Run standalone::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 import timeit
@@ -44,7 +46,7 @@ except ModuleNotFoundError:      # standalone: repo root not on sys.path
         print("\n" + text)
 from repro.harness import format_table
 from repro.obs import MetricsRegistry
-from repro.resilience import Cell, ChaosSpec, Fault
+from repro.resilience import Cell, executor
 from repro.service import (
     GraphService,
     LoadGenerator,
@@ -65,11 +67,28 @@ MIX_WORKLOADS = ("BFS", "CComp", "kCore")
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 
-def _service(chaos: ChaosSpec | None = None,
-             registry: MetricsRegistry | None = None) -> GraphService:
+def _service(registry: MetricsRegistry | None = None) -> GraphService:
     return GraphService(
         pool_config=PoolConfig(size=WORKERS, isolation="inline"),
-        chaos=chaos, registry=registry)
+        registry=registry)
+
+
+@contextlib.contextmanager
+def _crashing(doomed: Cell):
+    """Crash every run of ``doomed``: the inline executor types the
+    exception as a ``crash``, as it would a worker that died."""
+    run_cell = executor.run_cell
+
+    def crashing_run_cell(cell, **kw):
+        if cell.cell_id == doomed.cell_id:
+            raise RuntimeError(f"injected crash in {cell.cell_id}")
+        return run_cell(cell, **kw)
+
+    executor.run_cell = crashing_run_cell
+    try:
+        yield
+    finally:
+        executor.run_cell = run_cell
 
 
 def _drive(service: GraphService, plan):
@@ -87,14 +106,14 @@ def run_service_benchmark() -> dict:
 
     report, stats = _drive(_service(), plan)
 
-    # chaos containment: pin a crash fault on one cell of the mix and
-    # re-drive — exactly that cell's requests fail, typed, on the wire
+    # crash containment: crash one cell of the mix and re-drive —
+    # exactly that cell's requests fail, typed, on the wire
     doomed = Cell(workload="kCore", dataset="ldbc", scale=SCALE,
                   seed=0, machine="test")
-    chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
     doomed_count = sum(1 for q in plan
                        if q.params["workload"] == "kCore")
-    chaos_report, _ = _drive(_service(chaos=chaos), plan)
+    with _crashing(doomed):
+        chaos_report, _ = _drive(_service(), plan)
 
     # metrics overhead, in two parts.
     #

@@ -23,7 +23,7 @@ Examples::
         --workloads BFS,CComp --write-mix 0.3
     python -m repro stats --port 7421 --format prom
     python -m repro --log-level info --log-json serve
-    python -m repro matrix --scale 0.05 --chaos-rate 0.2 \\
+    python -m repro matrix --scale 0.05 --retries 1 \\
         --trace-out trace.json   # open in about:tracing
     python -m repro cluster serve --shards 4 --replication 2
     python -m repro cluster query run BFS --dataset roadnet --scale 0.05
@@ -118,7 +118,6 @@ def cmd_matrix(args) -> int:
     from .harness.report import failure_table, format_table, matrix_table
     from .harness.runner import CPU_WORKLOADS, GPU_WORKLOAD_SET
     from .resilience import (
-        ChaosSpec,
         CheckpointStore,
         ExecutorConfig,
         RetryPolicy,
@@ -159,9 +158,6 @@ def cmd_matrix(args) -> int:
         timeout_s=args.timeout,
         policy=RetryPolicy(max_retries=args.retries, seed=args.seed),
         isolation=args.isolation)
-    chaos = (ChaosSpec(p_fault=args.chaos_rate, seed=args.chaos_seed,
-                       kinds=("crash", "oom", "hang"))
-             if args.chaos_rate > 0 else None)
     checkpoint = CheckpointStore(args.checkpoint) if args.checkpoint else None
     if args.resume and checkpoint is None:
         print("error: --resume requires --checkpoint", file=sys.stderr)
@@ -179,7 +175,7 @@ def cmd_matrix(args) -> int:
         # under the per-cell spans (subprocess workers cannot report)
         set_global_tracer(tracer)
     try:
-        result = run_matrix(cells, config=config, chaos=chaos,
+        result = run_matrix(cells, config=config,
                             checkpoint=checkpoint, resume=args.resume,
                             progress=lambda line: print(f"  {line}"),
                             tracer=tracer, registry=registry)
@@ -218,14 +214,10 @@ def cmd_matrix(args) -> int:
 
 def _build_service(args):
     """Construct a GraphService from serve/loadgen-style args."""
-    from .resilience import ChaosSpec
     from .service import CacheTiers, GraphService, PoolConfig
     caches = (CacheTiers.build(dataset_capacity=0, row_capacity=0)
               if args.no_cache
               else CacheTiers.build(row_capacity=args.cache_size))
-    chaos = (ChaosSpec(p_fault=args.chaos_rate, seed=args.chaos_seed,
-                       kinds=("crash", "oom"))
-             if args.chaos_rate > 0 else None)
     governor = None
     if getattr(args, "qos", False):
         from .tenancy import QosConfig, TenantGovernor, TenantPolicy
@@ -239,7 +231,7 @@ def _build_service(args):
                                timeout_s=args.timeout,
                                retries=args.retries),
         max_pending=args.max_pending,
-        caches=caches, chaos=chaos, governor=governor)
+        caches=caches, governor=governor)
 
 
 def _serve_until_interrupt(service, host: str, port: int, ready) -> None:
@@ -769,11 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--isolation", default="process", choices=ISOLATIONS,
                    help="worker isolation; 'inline' skips subprocesses "
                         "(no real timeouts — debugging only)")
-    m.add_argument("--chaos-rate", type=float, default=0.0,
-                   help="deterministic fault-injection probability per "
-                        "cell attempt (testing the harness itself)")
-    m.add_argument("--chaos-seed", type=int, default=0,
-                   help="seed for the chaos RNG (default: 0)")
     m.add_argument("--trace-cache", default=None, metavar="DIR",
                    help="content-addressed trace store: each (workload, "
                         "dataset) executes once; machine variants replay "
@@ -802,10 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-pending", type=int, default=64,
                         help="admission limit on queued+running "
                              "executions (default: 64)")
-        sp.add_argument("--chaos-rate", type=float, default=0.0,
-                        help="deterministic worker fault-injection "
-                             "probability (testing)")
-        sp.add_argument("--chaos-seed", type=int, default=0)
         sp.add_argument("--qos", action="store_true",
                         help="enable per-tenant QoS: admission quotas, "
                              "weighted-fair scheduling, partitioned "

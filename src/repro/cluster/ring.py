@@ -2,7 +2,7 @@
 
 The ring places ``vnodes`` virtual points per shard on a 64-bit circle
 (SHA-1 of ``"{shard}#{i}"`` — stable across processes and independent of
-``PYTHONHASHSEED``, the same discipline the retry/chaos RNGs use) and
+``PYTHONHASHSEED``, the same discipline the retry/netchaos RNGs use) and
 assigns a key to the first point at or after the key's own hash.  Two
 properties make it the cluster's routing primitive:
 

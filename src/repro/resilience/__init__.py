@@ -12,8 +12,6 @@ allocator blow-up from losing it:
   deterministic seeded jitter
 * :mod:`~repro.resilience.checkpoint` — append-only JSON-lines journal
   enabling ``--resume``
-* :mod:`~repro.resilience.chaos` — deterministic fault injection (hang /
-  crash / OOM / corrupt) proving every recovery path fires
 * :mod:`~repro.resilience.netchaos` — a deterministic TCP chaos proxy
   (latency, bandwidth caps, resets, corruption, black holes, slow-loris
   stalls) for network-level failure drills
@@ -39,7 +37,6 @@ from .cell import (
     row_to_record,
     run_cell,
 )
-from .chaos import FAULT_KINDS, ChaosSpec, Fault, FaultInjected
 from .checkpoint import CheckpointStore
 from .executor import (
     ExecutorConfig,
@@ -53,9 +50,8 @@ from .retry import RetryPolicy, run_with_retries
 
 __all__ = [
     "Cell", "CellCrash", "CellExecutionError", "CellFailure", "CellOOM",
-    "CellTimeout", "ChaosProxy", "ChaosSpec", "CheckpointStore",
-    "ExecutorConfig", "FAULT_KINDS", "Fault", "FaultInjected",
-    "HarnessError", "MACHINES", "MatrixResult", "MetricsUnavailable",
+    "CellTimeout", "ChaosProxy", "CheckpointStore",
+    "ExecutorConfig", "HarnessError", "MACHINES", "MatrixResult", "MetricsUnavailable",
     "NetFaultSpec", "RestoredMetrics",
     "RestoredResult", "RetriesExhausted", "RetryPolicy",
     "matrix_cells", "record_to_row", "row_to_record",

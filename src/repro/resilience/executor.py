@@ -11,9 +11,9 @@ typed failure instead of a lost sweep:
 * unparseable / corrupt payload   -> ``CellCrash``
 
 ``isolation="inline"`` runs the cell in-process (no subprocess, no real
-timeout) with chaos faults mapped onto the same typed errors — fast paths
-for unit-testing the retry/checkpoint/matrix logic; the ``slow``-marked
-tests exercise the real process isolation.
+timeout), mapping its ``MemoryError`` and exceptions onto the same typed
+errors — fast paths for unit-testing the retry/checkpoint/matrix logic;
+the ``slow``-marked tests exercise the real process isolation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..core.errors import (
 )
 from ..obs.tracing import maybe_span
 from .cell import Cell, row_to_record, run_cell
-from .chaos import ChaosSpec, corrupt_payload, inject_pre_run
 from .retry import RetryPolicy, run_with_retries
 
 #: Worker start method: a forked worker starts in milliseconds with the
@@ -64,20 +63,12 @@ class ExecutorConfig:
             raise ValueError(f"unknown isolation {self.isolation!r}")
 
 
-def _child_entry(conn, cell_dict: dict, chaos_dict: dict | None,
-                 attempt: int) -> None:
+def _child_entry(conn, cell_dict: dict, attempt: int) -> None:
     """Worker body: reconstruct the cell, run it, ship the record back."""
     try:
         cell = Cell.from_dict(cell_dict)
-        fault = None
-        if chaos_dict is not None:
-            fault = ChaosSpec.from_dict(chaos_dict).fault_for(
-                cell.cell_id, attempt)
-            inject_pre_run(fault, cell.cell_id)
         row = run_cell(cell)
-        payload = row_to_record(row, cell, attempts=attempt)
-        payload = corrupt_payload(fault, payload, cell.cell_id)
-        conn.send(("ok", payload))
+        conn.send(("ok", row_to_record(row, cell, attempts=attempt)))
     except MemoryError as e:
         conn.send(("oom", str(e) or "MemoryError"))
     except BaseException as e:   # noqa: BLE001 — containment is the job
@@ -97,7 +88,6 @@ def _validate_payload(payload: Any, cell: Cell) -> dict:
 
 
 def run_cell_once(cell: Cell, *, timeout_s: float,
-                  chaos: ChaosSpec | None = None,
                   attempt: int = 1) -> dict:
     """One isolated attempt at a cell.  Returns the row record or raises
     a typed :class:`~repro.core.errors.CellExecutionError`."""
@@ -105,8 +95,7 @@ def run_cell_once(cell: Cell, *, timeout_s: float,
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_child_entry,
-        args=(child_conn, cell.to_dict(),
-              chaos.to_dict() if chaos is not None else None, attempt),
+        args=(child_conn, cell.to_dict(), attempt),
         daemon=True)
     t0 = time.monotonic()
     proc.start()
@@ -144,24 +133,12 @@ def run_cell_once(cell: Cell, *, timeout_s: float,
     return record
 
 
-def run_cell_inline(cell: Cell, *, chaos: ChaosSpec | None = None,
-                    attempt: int = 1, timeout_s: float = 300.0,
+def run_cell_inline(cell: Cell, *, attempt: int = 1,
                     spec=None, memo: bool = True) -> dict:
-    """In-process attempt: chaos faults become typed errors directly.
-
-    ``hang`` cannot truly hang the caller, so it maps to the same
-    :class:`CellTimeout` the process path would raise.  ``spec`` and
-    ``memo`` pass through to :func:`~repro.resilience.cell.run_cell`.
+    """In-process attempt: a failure becomes the typed error the process
+    path would raise.  ``spec`` and ``memo`` pass through to
+    :func:`~repro.resilience.cell.run_cell`.
     """
-    fault = (chaos.fault_for(cell.cell_id, attempt)
-             if chaos is not None else None)
-    if fault is not None:
-        if fault.kind == "hang":
-            raise CellTimeout(cell.cell_id, timeout_s)
-        if fault.kind in ("crash", "raise"):
-            raise CellCrash(cell.cell_id, f"chaos: injected {fault.kind}")
-        if fault.kind == "oom":
-            raise CellOOM(cell.cell_id, "chaos: simulated allocator OOM")
     try:
         row = run_cell(cell, spec=spec, memo=memo)
     except MemoryError as e:
@@ -171,13 +148,11 @@ def run_cell_inline(cell: Cell, *, chaos: ChaosSpec | None = None,
     except Exception as e:
         raise CellCrash(cell.cell_id,
                         f"{type(e).__name__}: {e}") from e
-    payload = row_to_record(row, cell, attempts=attempt)
-    payload = corrupt_payload(fault, payload, cell.cell_id)
-    return _validate_payload(payload, cell)
+    return _validate_payload(row_to_record(row, cell, attempts=attempt),
+                             cell)
 
 
 def run_cell_resilient(cell: Cell, *, config: ExecutorConfig,
-                       chaos: ChaosSpec | None = None,
                        sleep=time.sleep,
                        tracer=None,
                        spec=None, memo: bool = True) -> tuple[dict, int]:
@@ -195,11 +170,10 @@ def run_cell_resilient(cell: Cell, *, config: ExecutorConfig,
         with maybe_span(tracer, f"attempt:{attempt}",
                         cell=cell.cell_id, attempt=attempt):
             if config.isolation == "inline":
-                return run_cell_inline(cell, chaos=chaos, attempt=attempt,
-                                       timeout_s=config.timeout_s,
+                return run_cell_inline(cell, attempt=attempt,
                                        spec=spec, memo=memo)
             return run_cell_once(cell, timeout_s=config.timeout_s,
-                                 chaos=chaos, attempt=attempt)
+                                 attempt=attempt)
 
     record, attempts = run_with_retries(one, config.policy, cell.cell_id,
                                         sleep=sleep)

@@ -7,8 +7,8 @@ whose retries are exhausted becomes a :class:`CellFailure` in the result
 (and a ``failure`` journal record) instead of aborting the sweep.  With
 ``resume=True`` every cell whose latest journal record is a successful row
 is rehydrated from the checkpoint rather than re-executed — an interrupted
-(or chaos-mangled) run picks up exactly where it stopped, re-running only
-unfinished or failed cells.
+run picks up exactly where it stopped, re-running only unfinished or
+failed cells.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from ..core.errors import CellExecutionError, RetriesExhausted
 from ..obs.logs import get_logger
 from ..obs.tracing import maybe_span
 from .cell import Cell, failure_record, record_to_row
-from .chaos import ChaosSpec
 from .checkpoint import CheckpointStore
 from .executor import ExecutorConfig, run_cell_resilient
 
@@ -92,7 +91,6 @@ def matrix_cells(workloads: Sequence[str], datasets: Sequence[str], *,
 
 def run_matrix(cells: Sequence[Cell], *,
                config: ExecutorConfig | None = None,
-               chaos: ChaosSpec | None = None,
                checkpoint: CheckpointStore | None = None,
                resume: bool = False,
                sleep: Callable[[float], None] = time.sleep,
@@ -151,7 +149,7 @@ def run_matrix(cells: Sequence[Cell], *,
                             workload=cell.workload, dataset=cell.dataset,
                             machine=cell.machine) as span_args:
                 record, attempts = run_cell_resilient(
-                    cell, config=config, chaos=chaos, sleep=sleep,
+                    cell, config=config, sleep=sleep,
                     tracer=tracer)
                 span_args["attempts"] = attempts
         except (RetriesExhausted, CellExecutionError) as e:

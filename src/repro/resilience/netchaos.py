@@ -1,8 +1,8 @@
 """Network chaos: a deterministic TCP fault-injection proxy.
 
-The in-process :class:`~repro.resilience.chaos.ChaosSpec` perturbs
-*execution* (worker crashes, stalls, OOMs); this module perturbs the
-*wire*.  A :class:`ChaosProxy` sits between the router and one shard as
+Where the tests' cell faults (``tests/faults.py``) perturb *execution*
+(worker crashes, stalls, OOMs), this module perturbs the *wire*.  A
+:class:`ChaosProxy` sits between the router and one shard as
 a real TCP interposer — the router dials the proxy, the proxy dials the
 shard — and injects the failure modes distributed systems actually meet:
 

@@ -12,7 +12,7 @@ Isolation modes mirror the executor's:
 ``process``  every cell gets a fresh worker subprocess (real containment;
              the production mode)
 ``inline``   cells run on the pool thread itself — no subprocess, so the
-             dataset spec tier can be shared across requests; chaos faults
+             dataset spec tier can be shared across requests; failures
              map onto the same typed errors (tests, benchmarks, demos)
 """
 
@@ -27,7 +27,6 @@ from ..core.errors import CellExecutionError
 from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import Cell
-from ..resilience.chaos import ChaosSpec
 from ..resilience.executor import (ISOLATIONS, ExecutorConfig,
                                    run_cell_resilient)
 from ..resilience.retry import RetryPolicy
@@ -71,7 +70,6 @@ class WorkerPool:
     """
 
     def __init__(self, config: PoolConfig | None = None, *,
-                 chaos: ChaosSpec | None = None,
                  caches: CacheTiers,
                  memoize: bool = True,
                  registry: MetricsRegistry | None = None):
@@ -80,7 +78,6 @@ class WorkerPool:
             timeout_s=self.config.timeout_s,
             policy=RetryPolicy(max_retries=self.config.retries),
             isolation=self.config.isolation)
-        self.chaos = chaos
         self.caches = caches
         self.memoize = memoize
         self._tpe = ThreadPoolExecutor(
@@ -146,6 +143,5 @@ class WorkerPool:
                                     seed=cell.seed)
                 self.caches.datasets.put(dkey, spec)
         record, _ = run_cell_resilient(cell, config=self._executor,
-                                       chaos=self.chaos, spec=spec,
-                                       memo=self.memoize)
+                                       spec=spec, memo=self.memoize)
         return record

@@ -9,7 +9,7 @@ records the checkpoint journal uses.
 
 The operations are the rows of :data:`~repro.service.protocol.OPS`.
 
-A failure in one request — including a chaos-killed worker subprocess —
+A failure in one request — including a killed worker subprocess —
 becomes a typed error frame on that request's connection; every other
 in-flight request proceeds undisturbed.
 
@@ -33,7 +33,6 @@ from ..core.errors import BadRequest, DeadlineExceeded, ProtocolError
 from ..obs.logs import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..resilience.cell import MACHINES, Cell
-from ..resilience.chaos import ChaosSpec
 from .cache import CacheTiers
 from .pool import PoolConfig, WorkerPool
 from .protocol import (
@@ -322,22 +321,26 @@ class FrameServer:
                 if not line:
                     break                      # clean EOF between frames
                 rx += len(line)
-                req_id: str | None = None
+                frame: dict | None = None
                 op = "_frame"                  # until the frame parses
                 t0 = time.perf_counter()
                 try:
-                    req = parse_request(decode_frame(line))
-                    req_id = req.id
+                    frame = decode_frame(line)
+                    req = parse_request(frame)
                     op = req.op
                     result = await self._dispatch(req)
-                    send(encode_response(req_id, result))
+                    send(encode_response(req.id, result))
                 except Exception as e:  # noqa: BLE001 — typed onto the wire
                     kind = getattr(e, "kind", None)
                     self._m_err.labels(
                         op=op,
                         kind=kind if isinstance(kind, str)
                         else "internal").inc()
-                    send(encode_error(req_id, e))
+                    # a refusal after the frame decoded answers to the
+                    # request's own id, so a pipelining client can match it
+                    req_id = frame.get("id") if frame is not None else None
+                    send(encode_error(req_id if isinstance(req_id, str)
+                                      and req_id else None, e))
                 finally:
                     self._op_latency(op).observe(
                         (time.perf_counter() - t0) * 1e3)
@@ -359,7 +362,6 @@ class GraphService(FrameServer):
     def __init__(self, *, pool_config: PoolConfig | None = None,
                  max_pending: int = 64,
                  caches: CacheTiers | None = None,
-                 chaos: ChaosSpec | None = None,
                  registry: MetricsRegistry | None = None,
                  governor: "TenantGovernor | None" = None):
         from ..dynamic import OP_KINDS, DynamicEngine
@@ -370,8 +372,7 @@ class GraphService(FrameServer):
         self.query_engine = QueryEngine(self.dynamic)
         # a capacity-0 row tier means "recompute every request": the
         # harness memo under the pool must not answer in its place
-        self.pool = WorkerPool(pool_config, chaos=chaos,
-                               caches=self.caches,
+        self.pool = WorkerPool(pool_config, caches=self.caches,
                                memoize=self.caches.rows.capacity > 0,
                                registry=self.registry)
         # optional multi-tenant QoS: absent, the scheduler hot path is

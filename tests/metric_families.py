@@ -2,8 +2,8 @@
 
 ``record()`` drives one governed service through a script that touches
 every serving counter once — an execution with a coalesced rider, an
-admission reject, a cache hit, a ``crash`` fault and a tenant over its
-rate quota — and returns its
+admission reject, a cache hit, a ``crash`` fault (``tests/faults.py``)
+and a tenant over its rate quota — and returns its
 ``stats`` registry snapshot reduced to what a scraper compares: per
 family its type and each sample's value under its ``name=value,...``
 label set (a histogram's value is its count; bucket sums are timings).
@@ -20,8 +20,9 @@ Re-record (only when a family is *meant* to change) with::
 
     PYTHONPATH=src python -m tests.metric_families > tests/data/metric_families.json
 
-The script uses only constructors, sockets and the registry snapshot,
-which predate that change, so it runs unchanged against an older checkout.
+The script uses only constructors, sockets, the registry snapshot and
+the executor globals ``tests/faults.py`` patches, which predate that
+change, so it runs unchanged against an older checkout.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.obs import counter_total
-from repro.resilience import Cell, ChaosSpec, Fault
+from repro.resilience import Cell
 from repro.service import GraphService, PoolConfig, ServiceThread, \
     encode_request
 from repro.tenancy import QosConfig, TenantGovernor, TenantPolicy
+from tests.faults import inject
 
 SCALE = 0.02
 #: no other test runs a cell at this seed, so the harness memo never
@@ -71,11 +75,11 @@ def record() -> dict:
                   machine="test")
     service = GraphService(
         pool_config=PoolConfig(size=1, isolation="inline"), max_pending=1,
-        chaos=ChaosSpec(faults={doomed.cell_id: Fault("crash")}),
         governor=TenantGovernor(QosConfig(
             policies={"acme": TenantPolicy(rate=0.001, burst=2.0)})))
     gate = threading.Event()
-    with ServiceThread(service) as st:
+    with pytest.MonkeyPatch.context() as mp, ServiceThread(service) as st:
+        inject(mp, {doomed.cell_id: ("crash", 0)})
         conns = [socket.create_connection((st.host, st.port), timeout=60)
                  for _ in range(3)]
         readers = [c.makefile("rb") for c in conns]

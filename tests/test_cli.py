@@ -141,13 +141,21 @@ class TestParser:
         args = build_parser().parse_args(
             ["matrix", "--workloads", "BFS,DFS", "--datasets", "ldbc",
              "--timeout", "60", "--retries", "5", "--resume",
-             "--checkpoint", "cp.jsonl", "--chaos-rate", "0.3"])
+             "--checkpoint", "cp.jsonl"])
         assert args.workloads == "BFS,DFS"
         assert args.timeout == 60.0
         assert args.retries == 5
         assert args.resume is True
         assert args.checkpoint == "cp.jsonl"
-        assert args.chaos_rate == 0.3
+
+    @pytest.mark.parametrize("command", ["matrix", "serve", "loadgen"])
+    @pytest.mark.parametrize("flag", ["--chaos-rate", "--chaos-seed"])
+    def test_no_cell_fault_flags(self, command, flag, capsys):
+        # cell faults are a test fixture (tests/faults.py), not an option
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -404,6 +404,17 @@ STEPS: list[tuple[str, str, list[Guard]]] = [
         grep("-rnE", r"(plans|_plan_cache)\.(get|put)\(.*version=", "src/",
              sample="        cached = self.plans.get(key, version=token)"),
     ]),
+    ("Cell faults are a tests/ fixture (tests/faults.py patches the executor"
+     " before the fork; src/ has no injector, no chaos= keyword and no"
+     " --chaos-rate / --chaos-seed; netchaos is another item)", "after d61661d", [
+        absent("src/repro/resilience/chaos.py"),
+        grep("-rnE", r"\b(ChaosSpec|inject_pre_run|corrupt_payload|FaultInjected)\b", "src/",
+             sample="from .chaos import ChaosSpec, corrupt_payload, inject_pre_run"),
+        grep("-rnE", r"\bchaos=", "src/",
+             sample="        record, _ = run_cell_resilient(cell, chaos=self.chaos)"),
+        grep("-rnE", r"\bchaos[_-](rate|seed)\b", "src/",
+             sample='    m.add_argument("--chaos-rate", type=float, default=0.0,'),
+    ]),
 ]
 
 

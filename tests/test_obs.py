@@ -31,7 +31,7 @@ from repro.obs import (
     set_global_tracer,
     setup_logging,
 )
-from repro.resilience import Cell, ChaosSpec, Fault
+from repro.resilience import Cell
 from repro.service import (
     CONNECTION_FAILURE_KIND,
     GraphService,
@@ -41,6 +41,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
+from tests.faults import inject
 
 
 def find(tracer, prefix):
@@ -552,11 +553,11 @@ class TestStatsScrape:
             .read_text())
         assert metric_families.record() == recorded
 
-    def test_worker_restart_counter_counts_crashes(self):
+    def test_worker_restart_counter_counts_crashes(self, monkeypatch):
         doomed = Cell(workload="BFS", dataset="ldbc", scale=0.02,
                       seed=0, machine="scaled")
-        chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
-        with ServiceThread(_inline_service(chaos=chaos)) as st:
+        inject(monkeypatch, {doomed.cell_id: ("crash", 0)})
+        with ServiceThread(_inline_service()) as st:
             with ServiceClient(st.host, st.port) as c:
                 with pytest.raises(Exception):
                     c.request("run", workload="BFS", dataset="ldbc",
@@ -696,7 +697,8 @@ class TestLoadgenHardening:
 # -- trace plumbing through matrix / harness ---------------------------------
 
 class TestMatrixTracing:
-    def test_matrix_cells_and_retries_become_spans(self, tmp_path):
+    def test_matrix_cells_and_retries_become_spans(self, tmp_path,
+                                                   monkeypatch):
         from repro.resilience import (
             ExecutorConfig,
             RetryPolicy,
@@ -705,14 +707,13 @@ class TestMatrixTracing:
         )
         cells = matrix_cells(["BFS"], ["ldbc"], scale=0.02,
                              machine="scaled")
-        chaos = ChaosSpec(faults={
-            cells[0].cell_id: Fault("crash", until_attempt=1)})
+        inject(monkeypatch, {cells[0].cell_id: ("crash", 1)})
         tracer = SpanTracer()
         registry = MetricsRegistry()
         config = ExecutorConfig(
             isolation="inline",
             policy=RetryPolicy(max_retries=2, base_delay=0.0))
-        result = run_matrix(cells, config=config, chaos=chaos,
+        result = run_matrix(cells, config=config,
                             sleep=lambda _s: None, tracer=tracer,
                             registry=registry)
         assert result.complete
@@ -731,7 +732,7 @@ class TestMatrixTracing:
         assert any(e["ph"] == "X" and e["name"].startswith("cell:")
                    for e in doc["traceEvents"])
 
-    def test_matrix_counts_faults_by_kind(self):
+    def test_matrix_counts_faults_by_kind(self, monkeypatch):
         from repro.resilience import (
             ExecutorConfig,
             RetryPolicy,
@@ -739,12 +740,12 @@ class TestMatrixTracing:
             run_matrix,
         )
         cells = matrix_cells(["BFS"], ["ldbc"], scale=0.02)
-        chaos = ChaosSpec(faults={cells[0].cell_id: Fault("crash")})
+        inject(monkeypatch, {cells[0].cell_id: ("crash", 0)})
         registry = MetricsRegistry()
         config = ExecutorConfig(
             isolation="inline",
             policy=RetryPolicy(max_retries=1, base_delay=0.0))
-        result = run_matrix(cells, config=config, chaos=chaos,
+        result = run_matrix(cells, config=config,
                             sleep=lambda _s: None, registry=registry)
         assert not result.complete
         snap = registry.snapshot()

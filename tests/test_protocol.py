@@ -495,7 +495,8 @@ def test_a_shard_parses_a_query_text_once(monkeypatch):
 #: sha-256 of the recording before a shard stamped its own answers (the
 #: one made at the parent of the op/error tables, unmoved since), less
 #: the frames the static-query scatter's removal, live migration's
-#: removal and the property writes' and cost model's removal moved.
+#: removal, the property writes' and cost model's removal and the
+#: refusals' request ids moved.
 PREVIOUS_RECORDING = \
     "5d7e0acf0ace3784df1a8d12ee69c35f70585e14218ceb047a85bce830e6bff2"
 
@@ -557,6 +558,21 @@ VOCAB_MOVED = {
     "router-25": "021d5d1be4f46de1", "router-26": "91b7331dac690387",
     "router-27": "ee9cce79016b7e21"}
 
+#: The frames that moved when a request refused after its frame decoded
+#: began answering to the request's own id, likewise: each is a probe of
+#: an op the protocol no longer has (``set_prop``: service-14,
+#: router-11; the migration ops: the rest), refused as an unknown
+#: operation, whose error frame carried ``"id": null`` and now carries
+#: the id it was sent with.  Nothing else in these frames moved.
+REFUSAL_ID_MOVED = {
+    "service-14": "8afc2b9443628e0a", "service-21": "af2448d5cc258850",
+    "service-22": "42b759a132f5ff20", "service-23": "ab8902b5043eaabc",
+    "service-42": "80cfafe98ab05383", "service-43": "90d7e694c3f00dc2",
+    "shard-4": "ec7310c365f45557", "shard-5": "9627e277cee7d8a2",
+    "shard-6": "ec71a58f70c2d7db", "router-11": "68e141d2f62c70fa",
+    "router-25": "9291cbaa58bbfead", "router-26": "c35cebe3c239b4c7",
+    "router-27": "232874f567a3a95a"}
+
 #: The ``stats`` keys that restated a metric family and went when their
 #: counts moved onto the registry, per scene, and the router's
 #: ``rebalance`` section, which went with live migration.
@@ -570,19 +586,31 @@ def test_the_recording_moved_only_where_a_shard_names_itself():
     # does now, so asked *directly* its keyed answers gain that one
     # member; the service's and router's ``stats`` key lists lost the
     # keys that restated a family (and the router's ``rebalance``); and
-    # each frame of SCATTER_MOVED, MIGRATION_MOVED and VOCAB_MOVED
-    # changed.  Nothing else moved: with the first two undone and those
+    # each frame of SCATTER_MOVED, MIGRATION_MOVED, VOCAB_MOVED and
+    # REFUSAL_ID_MOVED changed.  Nothing else moved: with the first two undone and those
     # frames set aside, the recording is byte for byte the previous one
     # (every other service-, router- and error-scene frame included)
     lines, stamped, restored, moved = [], 0, 0, {}
     recording = (ROOT / "tests/data/wire_transcript.jsonl").read_text()
-    changes = (SCATTER_MOVED, MIGRATION_MOVED, VOCAB_MOVED)
+    changes = (SCATTER_MOVED, MIGRATION_MOVED, VOCAB_MOVED,
+               REFUSAL_ID_MOVED)
     before = {i: h for change in changes for i, h in change.items()}
     for line in recording.splitlines(keepends=True):
         row = json.loads(line)
         sent = json.loads(row.get("sent", "{}"))
         if sent.get("id") in before:
             moved[sent["id"]] = hashlib.sha256(line.encode()).hexdigest()
+            if sent["id"] in REFUSAL_ID_MOVED:
+                # answered to its own id; with that undone, the line is
+                # the one it replaced
+                got = json.loads(row["got"])
+                assert got["id"] == sent["id"] and not got["ok"]
+                got["id"] = None
+                row["got"] = json.dumps(got, sort_keys=True,
+                                        separators=(",", ":"))
+                undone = json.dumps(row, sort_keys=True) + "\n"
+                assert hashlib.sha256(undone.encode()).hexdigest() \
+                    .startswith(REFUSAL_ID_MOVED[sent["id"]])
             continue
         if sent.get("op") == "stats":
             got = json.loads(row["got"])

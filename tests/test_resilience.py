@@ -1,6 +1,7 @@
 """Tests for the fault-tolerant characterization runner
-(repro.resilience): retry/backoff, chaos injection, checkpoint-resume,
-subprocess isolation, and graceful report degradation."""
+(repro.resilience): retry/backoff, checkpoint-resume, subprocess
+isolation, and graceful report degradation, each recovery path driven by
+a cell fault from ``tests/faults.py``."""
 
 import dataclasses
 import json
@@ -30,10 +31,8 @@ from repro.harness import (
 )
 from repro.resilience import (
     Cell,
-    ChaosSpec,
     CheckpointStore,
     ExecutorConfig,
-    Fault,
     RetryPolicy,
     matrix_cells,
     record_to_row,
@@ -43,6 +42,7 @@ from repro.resilience import (
     run_matrix,
     run_with_retries,
 )
+from tests.faults import inject
 
 #: Cheap cells: scale 0.03 clamps every registry dataset to 120 vertices.
 SCALE = 0.03
@@ -134,34 +134,6 @@ class TestRetryPolicy:
         assert calls == [1]
 
 
-class TestChaos:
-    def test_pinned_fault_and_flakiness(self):
-        spec = ChaosSpec(faults={"a": Fault("crash", until_attempt=2)})
-        assert spec.fault_for("a", 1).kind == "crash"
-        assert spec.fault_for("a", 2).kind == "crash"
-        assert spec.fault_for("a", 3) is None
-        assert spec.fault_for("b", 1) is None
-
-    def test_random_faults_deterministic(self):
-        s1 = ChaosSpec(p_fault=0.5, seed=9, kinds=("crash", "oom"))
-        s2 = ChaosSpec(p_fault=0.5, seed=9, kinds=("crash", "oom"))
-        draws1 = [s1.fault_for(f"cell{i}", 1) for i in range(40)]
-        draws2 = [s2.fault_for(f"cell{i}", 1) for i in range(40)]
-        assert [(d.kind if d else None) for d in draws1] \
-            == [(d.kind if d else None) for d in draws2]
-        assert any(draws1) and not all(draws1)
-
-    def test_roundtrip_dict(self):
-        spec = ChaosSpec(faults={"x": Fault("hang", until_attempt=1)},
-                         p_fault=0.25, kinds=("oom",), seed=4)
-        back = ChaosSpec.from_dict(spec.to_dict())
-        assert back == spec
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Fault("segfault")
-
-
 class TestCheckpoint:
     def test_roundtrip_latest_wins(self, tmp_path):
         cp = CheckpointStore(tmp_path / "j.jsonl")
@@ -200,27 +172,24 @@ class TestCheckpoint:
 
 
 class TestInlineMatrix:
-    """Every recovery path of the sweep driver, chaos-driven, in-process."""
+    """Every recovery path of the sweep driver, fault-driven, in-process."""
 
     @pytest.fixture()
     def cells(self):
         return matrix_cells(("BFS", "DCentr"), ("ldbc", "roadnet"),
                             scale=SCALE, machine="test")
 
-    def test_timeout_crash_oom_flaky_matrix(self, cells, tmp_path):
+    def test_timeout_crash_oom_flaky_matrix(self, cells, tmp_path,
+                                            monkeypatch):
         clear_cache()
         hang, crash, oom, flaky = (c.cell_id for c in cells)
-        chaos = ChaosSpec(faults={
-            hang: Fault("hang"),
-            crash: Fault("crash"),
-            oom: Fault("oom"),
-            flaky: Fault("crash", until_attempt=1),
-        })
+        inject(monkeypatch, {hang: ("hang", 0), crash: ("crash", 0),
+                             oom: ("oom", 0), flaky: ("crash", 1)})
         cp = CheckpointStore(tmp_path / "sweep.jsonl")
         config = fast_config(retries=2)
         slept = []
-        result = run_matrix(cells, config=config, chaos=chaos,
-                            checkpoint=cp, sleep=slept.append)
+        result = run_matrix(cells, config=config, checkpoint=cp,
+                            sleep=slept.append)
 
         assert {f.kind for f in result.failures} == {"timeout", "crash",
                                                      "oom"}
@@ -244,13 +213,15 @@ class TestInlineMatrix:
         assert loaded[crash]["failure_kind"] == "crash"
         assert loaded[oom]["failure_kind"] == "oom"
 
-    def test_resume_reexecutes_only_unfinished(self, cells, tmp_path):
+    def test_resume_reexecutes_only_unfinished(self, cells, tmp_path,
+                                               monkeypatch):
         clear_cache()
         crash = cells[0].cell_id
         cp = CheckpointStore(tmp_path / "sweep.jsonl")
-        first = run_matrix(cells, config=fast_config(retries=0),
-                           chaos=ChaosSpec(faults={crash: Fault("crash")}),
-                           checkpoint=cp, sleep=lambda s: None)
+        with monkeypatch.context() as mp:
+            inject(mp, {crash: ("crash", 0)})
+            first = run_matrix(cells, config=fast_config(retries=0),
+                               checkpoint=cp, sleep=lambda s: None)
         assert len(first.rows) == 3 and len(first.failures) == 1
 
         second = run_matrix(cells, config=fast_config(retries=0),
@@ -384,30 +355,37 @@ class TestRunnerSatellites:
 class TestSubprocessIsolation:
     """Real worker processes: timeouts kill, crashes are contained."""
 
-    def test_hang_hits_wall_clock_timeout(self):
+    def test_hang_hits_wall_clock_timeout(self, monkeypatch):
         c = cell()
-        chaos = ChaosSpec(faults={c.cell_id: Fault("hang")})
+        inject(monkeypatch, {c.cell_id: ("hang", 0)})
         with pytest.raises(CellTimeout):
-            run_cell_once(c, timeout_s=0.8, chaos=chaos)
+            run_cell_once(c, timeout_s=0.8)
 
-    def test_sigkill_contained_as_crash(self):
+    def test_sigkill_contained_as_crash(self, monkeypatch):
         c = cell()
-        chaos = ChaosSpec(faults={c.cell_id: Fault("crash")})
+        inject(monkeypatch, {c.cell_id: ("crash", 0)})
         with pytest.raises(CellCrash) as ei:
-            run_cell_once(c, timeout_s=10, chaos=chaos)
+            run_cell_once(c, timeout_s=10)
         assert "died" in str(ei.value)
 
-    def test_memoryerror_contained_as_oom(self):
+    def test_memoryerror_contained_as_oom(self, monkeypatch):
         c = cell()
-        chaos = ChaosSpec(faults={c.cell_id: Fault("oom")})
+        inject(monkeypatch, {c.cell_id: ("oom", 0)})
         with pytest.raises(CellOOM):
-            run_cell_once(c, timeout_s=10, chaos=chaos)
+            run_cell_once(c, timeout_s=10)
 
-    def test_corrupt_payload_detected(self):
+    def test_exception_contained_as_crash(self, monkeypatch):
         c = cell()
-        chaos = ChaosSpec(faults={c.cell_id: Fault("corrupt")})
+        inject(monkeypatch, {c.cell_id: ("raise", 0)})
         with pytest.raises(CellCrash) as ei:
-            run_cell_once(c, timeout_s=30, chaos=chaos)
+            run_cell_once(c, timeout_s=10)
+        assert "RuntimeError: injected raise" in str(ei.value)
+
+    def test_corrupt_payload_detected(self, monkeypatch):
+        c = cell()
+        inject(monkeypatch, {c.cell_id: ("corrupt", 0)})
+        with pytest.raises(CellCrash) as ei:
+            run_cell_once(c, timeout_s=30)
         assert "corrupt" in str(ei.value)
 
     def test_clean_cell_returns_record(self):
@@ -417,19 +395,17 @@ class TestSubprocessIsolation:
         assert rec["cpu_summary"]["ipc"] > 0
         assert rec["elapsed_s"] > 0
 
-    def test_flaky_cell_recovers_in_subprocess(self):
+    def test_flaky_cell_recovers_in_subprocess(self, monkeypatch):
         c = cell()
-        chaos = ChaosSpec(faults={c.cell_id: Fault("crash",
-                                                   until_attempt=1)})
+        inject(monkeypatch, {c.cell_id: ("crash", 1)})
         config = fast_config(retries=1, timeout_s=30, isolation="process")
         record, attempts = run_cell_resilient(c, config=config,
-                                              chaos=chaos,
                                               sleep=lambda s: None)
         assert attempts == 2
         assert record["attempts"] == 2
 
-    def test_interrupted_sweep_resumes(self, tmp_path):
-        """Acceptance path: a chaos-crashed sweep resumes and completes,
+    def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
+        """Acceptance path: a fault-crashed sweep resumes and completes,
         re-running only the unfinished cell; the permanently hanging cell
         is reported failed while every other cell is populated."""
         cells = matrix_cells(("BFS", "DCentr"), ("ldbc",),
@@ -438,10 +414,10 @@ class TestSubprocessIsolation:
         cp = CheckpointStore(tmp_path / "sweep.jsonl")
         config = fast_config(retries=0, timeout_s=1.0,
                              isolation="process")
-        first = run_matrix(
-            cells, config=config,
-            chaos=ChaosSpec(faults={hang: Fault("hang")}),
-            checkpoint=cp, sleep=lambda s: None)
+        with monkeypatch.context() as mp:
+            inject(mp, {hang: ("hang", 0)})
+            first = run_matrix(cells, config=config, checkpoint=cp,
+                               sleep=lambda s: None)
         assert len(first.rows) == 1 and len(first.failures) == 1
         assert first.failures[0].kind == "timeout"
         # report still renders, hanging cell explicitly marked

@@ -1,7 +1,7 @@
 """Tests for the graph-query service: protocol framing, LRU caching,
 micro-batch coalescing, admission control, worker-pool isolation, the
-live server/client path, chaos-injected crash containment, and the load
-generator."""
+live server/client path, crash containment (the crash injected by
+``tests/faults.py``), and the load generator."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from repro.core.errors import (
     RetriesExhausted,
 )
 from repro.obs import MetricsRegistry, counter_total
-from repro.resilience import Cell, ChaosSpec, Fault
+from repro.resilience import Cell
 from repro.service import (
     CacheTiers,
     GraphService,
@@ -53,6 +53,7 @@ from repro.service import (
     workload_mix,
 )
 from repro.service.cache import dataset_key
+from tests.faults import inject
 
 
 # -- protocol ----------------------------------------------------------------
@@ -455,13 +456,13 @@ class TestWorkerPool:
         assert key in caches.datasets
         assert caches.datasets.stats.hits == 1    # second run reused it
 
-    def test_chaos_crash_is_typed_and_counted(self):
+    def test_chaos_crash_is_typed_and_counted(self, monkeypatch):
         cell = _cell()
-        chaos = ChaosSpec(faults={cell.cell_id: Fault("crash")})
+        inject(monkeypatch, {cell.cell_id: ("crash", 0)})
 
         async def main():
             pool = WorkerPool(PoolConfig(size=1, isolation="inline"),
-                              caches=CacheTiers.build(), chaos=chaos)
+                              caches=CacheTiers.build())
             try:
                 with pytest.raises(RetriesExhausted) as exc:
                     await pool.run_record(cell)
@@ -477,15 +478,14 @@ class TestWorkerPool:
         assert counter_total(snap, "pool_executions_total") == 0
         assert counter_total(snap, "pool_worker_restarts_total") == 1
 
-    def test_flaky_fault_recovers_with_retries(self):
+    def test_flaky_fault_recovers_with_retries(self, monkeypatch):
         cell = _cell()
-        chaos = ChaosSpec(faults={cell.cell_id: Fault("oom",
-                                                      until_attempt=1)})
+        inject(monkeypatch, {cell.cell_id: ("oom", 1)})
 
         async def main():
             pool = WorkerPool(PoolConfig(size=1, isolation="inline",
                                          retries=1),
-                              caches=CacheTiers.build(), chaos=chaos)
+                              caches=CacheTiers.build())
             try:
                 return await pool.run_record(cell)
             finally:
@@ -585,13 +585,13 @@ class TestLiveService:
             assert stats["executed"] == 1
             assert stats["coalesced"] + stats["cache_hits"] == n - 1
 
-    def test_chaos_crash_fails_only_its_own_request(self):
-        """The acceptance property: a chaos-killed worker produces a typed
-        error on its own connection while concurrent requests succeed."""
+    def test_chaos_crash_fails_only_its_own_request(self, monkeypatch):
+        """The acceptance property: a crashed cell produces a typed error
+        on its own connection while concurrent requests succeed."""
         doomed = Cell(workload="kCore", dataset="ldbc", scale=0.03,
                       seed=7, machine="test")
-        chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
-        with ServiceThread(_inline_service(chaos=chaos)) as st:
+        inject(monkeypatch, {doomed.cell_id: ("crash", 0)})
+        with ServiceThread(_inline_service()) as st:
             outcomes: dict[str, object] = {}
 
             def request(tag, **params):
@@ -661,6 +661,26 @@ class TestAdversarialFraming:
         with ServiceClient(*front_door) as client:
             assert client.ping()["pong"] is True
 
+    def test_a_refusal_answers_to_the_requests_own_id(self, front_door):
+        # refused after its frame decoded (an unknown op, a non-object
+        # params), a request still answers to its own id, so a client
+        # pipelining on one connection can match each answer; an id that
+        # is no non-empty string stays null
+        import socket
+        with socket.create_connection(front_door, timeout=10.0) as sock:
+            sock.sendall(
+                b'{"v": 1, "op": "frobnicate", "id": "r-op", "params": {}}\n'
+                b'{"v": 1, "op": "ping", "id": "r-params", "params": []}\n'
+                b'{"v": 1, "op": "frobnicate", "id": 7}\n'
+                b'{"v": 1, "op": "ping", "id": "r-ok"}\n')
+            reader = sock.makefile("rb")
+            frames = [json.loads(reader.readline()) for _ in range(4)]
+        assert [(f["id"], f["ok"]) for f in frames] == [
+            ("r-op", False), ("r-params", False), (None, False),
+            ("r-ok", True)]
+        assert [f["error"]["kind"] for f in frames[:3]] == [
+            "bad-request", "protocol", "bad-request"]
+
     def test_oversized_frame_is_rejected_not_buffered(self, front_door):
         from repro.service import MAX_FRAME_BYTES
         import socket
@@ -699,17 +719,16 @@ class TestAdversarialFraming:
 
 @pytest.mark.slow
 class TestProcessIsolation:
-    def test_real_subprocess_crash_containment(self):
+    def test_real_subprocess_crash_containment(self, monkeypatch):
         """Process isolation end-to-end: a SIGKILLed worker subprocess
         fails its request with a typed error; the next request on the
         same server succeeds."""
         doomed = Cell(workload="BFS", dataset="ldbc", scale=0.03,
                       seed=5, machine="test")
-        chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
+        inject(monkeypatch, {doomed.cell_id: ("crash", 0)})
         service = GraphService(
             pool_config=PoolConfig(size=2, isolation="process",
-                                   timeout_s=60.0),
-            chaos=chaos)
+                                   timeout_s=60.0))
         with ServiceThread(service) as st:
             with ServiceClient(st.host, st.port) as client:
                 with pytest.raises(RemoteError) as exc:
@@ -768,11 +787,11 @@ class TestLoadGen:
         # duplicate-heavy mix: only 2 distinct queries actually execute
         assert report.served.get("executed", 0) <= 2
 
-    def test_failures_counted_by_kind(self):
+    def test_failures_counted_by_kind(self, monkeypatch):
         doomed = Cell(workload="BFS", dataset="ldbc", scale=0.03,
                       seed=0, machine="test")
-        chaos = ChaosSpec(faults={doomed.cell_id: Fault("crash")})
-        with ServiceThread(_inline_service(chaos=chaos)) as st:
+        inject(monkeypatch, {doomed.cell_id: ("crash", 0)})
+        with ServiceThread(_inline_service()) as st:
             plan = [Query("run", {"workload": "BFS", "dataset": "ldbc",
                                   "scale": 0.03, "machine": "test"})] * 4
             report = LoadGenerator(st.host, st.port,

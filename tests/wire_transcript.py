@@ -6,7 +6,7 @@ standalone service, to one shard of a two-shard cluster and to its
 router, plus every error class through encode -> rehydrate -> re-encode
 (the router's forwarding path) — and returns the frames as text lines.
 ``tests/data/wire_transcript.jsonl`` holds the lines the tree produced
-just before the op/error tables were introduced, re-recorded five
+just before the op/error tables were introduced, re-recorded six
 times since: a shard now stamps ``"shard"`` on its own keyed answers
 (the router, which used to, relays them as bytes), so the two keyed ok
 answers of the shard scene gained that member; the service's and the
@@ -24,7 +24,11 @@ from the generated graph) and took ``rebalance`` out of the router's
 planner lost its cost estimates, which moved the frames it lists in
 ``VOCAB_MOVED`` (the write answers lost ``delta.props``, the ``explain``
 answers their estimates, and the reads after a probe that no longer
-commits a version number).  No other frame moved — ``test_protocol.py``
+commits a version number); and a request refused after its frame
+decoded began answering to its own id, which moved the thirteen
+unknown-operation probes it lists in ``REFUSAL_ID_MOVED`` (each error
+frame's ``"id": null`` became the id the probe was sent with).  No
+other frame moved — ``test_protocol.py``
 holds the previous recording's digest and checks exactly that.  It also
 asserts a fresh recording is byte-identical, so a refactor of the wire
 vocabulary cannot move a byte of any request, response or error frame.
